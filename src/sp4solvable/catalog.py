@@ -51,7 +51,7 @@ def build_element(spec, env) -> Mat4:
 
 @dataclass(frozen=True)
 class EquivClaim:
-    """One claimed conjugacy, realized by an explicit recipe (or "search").
+    """One claimed conjugacy, realized by an explicit conjugator recipe.
 
     Verified as: conjugate_subalgebra(recipe(a), span(src(a))) == span(tgt(a')).
     `src`/`tgt` default to the row's own basis; `tgt_param` maps the parameter

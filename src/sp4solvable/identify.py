@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from .errors import (DimensionMismatch, OutOfCatalog, UnrecognizedFamily,
                      UnsupportedDimension, ZeroParameter)
-from .linalg import Poly, char_poly_rows, kernel_of_rows, rational_roots, rref, solve_coords
+from .linalg import (Poly, char_poly_rows, kernel_of_rows, rational_roots, rref,
+                     solve_coords, solve_in_span)
 from .presentations import DeGraafClass, SWClass
 from .rational import (Q, ZERO, ONE, format_rational, rational_nth_root,
                        rational_sqrt, squarefree_kernel)
@@ -225,26 +226,11 @@ def _quotient_action(sc: StructureConstants, y: tuple, derived: list[tuple],
     cols = []
     for v in basis:
         w = sc.bracket_coords(y, v)
-        c = _solve_in([z] + basis, w)  # coords in (z, b1, b2)
+        c = solve_in_span([z] + basis, w)  # coords in (z, b1, b2)
         if c is None:
             raise UnrecognizedFamily("action does not stabilize the nilradical")
         cols.append((c[1], c[2]))
     return [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
-
-
-def _solve_in(vectors: list[tuple], w: tuple):
-    """Coordinates of w in the span of (independent) vectors, or None."""
-    n = len(w)
-    k = len(vectors)
-    aug = [tuple(vectors[i][r] for i in range(k)) + (w[r],) for r in range(n)]
-    red = rref(aug)
-    coords = [ZERO] * k
-    for row in red:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        if p == k:
-            return None
-        coords[p] = row[k]
-    return tuple(coords)
 
 
 def _identify_dim4_derived2(sc: StructureConstants, derived: list[tuple]) -> DeGraafClass:
@@ -676,7 +662,7 @@ def _m6_jordan_chain_bridge():
              (ZERO, ZERO, ZERO, Q(3))]
     cols = []
     for i in range(4):
-        cols.append(_solve_in(basis, _unit(4, i)))
+        cols.append(solve_in_span(basis, _unit(4, i)))
     return tuple(cols)
 
 
@@ -707,4 +693,4 @@ def _m6_s43_bridge(a, b, params):
     ut = eigvec(bp * rprime)
     basis = [tuple(u1) + (ZERO,), tuple(us) + (ZERO,), tuple(ut) + (ZERO,),
              (ZERO, ZERO, ZERO, 1 / rprime)]
-    return tuple(_solve_in(basis, _unit(4, i)) for i in range(4))
+    return tuple(solve_in_span(basis, _unit(4, i)) for i in range(4))

@@ -35,12 +35,11 @@ rational sample points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import DependentInputs, IrrationalSpectrum, Sp4Error
 from .linalg import (Mat4, Poly, char_poly, char_poly_rows, det_mpoly,
-                     echelon_span, kernel_of_rows, rank, rational_roots,
-                     symbolic_combo, Subspace)
+                     echelon_span, generic_rank, kernel_of_rows, rank,
+                     rational_roots, symbolic_combo, symbolic_minors, Subspace)
 from .rational import Q, ZERO, format_rational
 from .sp4 import bracket
 from .structure import Subalgebra, derived_series, lower_central_series
@@ -90,29 +89,6 @@ class PencilStrata:
                 tuple((r, self.drop_line_count(r)) for r in ranks))
 
 
-def _poly_minors(entries: list[list[Poly]], k: int) -> list[Poly]:
-    out = []
-    for rows_idx in combinations(range(4), k):
-        for cols_idx in combinations(range(4), k):
-            sub = [[entries[i][j] for j in cols_idx] for i in rows_idx]
-            out.append(_det_of_polys(sub))
-    return out
-
-
-def _det_of_polys(entries: list[list[Poly]]) -> Poly:
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    acc = Poly()
-    for j in range(n):
-        if entries[0][j].is_zero():
-            continue
-        minor = [[entries[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = entries[0][j] * _det_of_polys(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
 def _gcd_list(polys: list[Poly]) -> Poly:
     acc = Poly()
     for p in polys:
@@ -141,7 +117,7 @@ def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
     minors_by_k: dict[int, list[Poly]] = {}
     generic = 0
     for k in range(1, 5):
-        mins = _poly_minors(entries, k)
+        mins = symbolic_minors(entries, k)
         minors_by_k[k] = mins
         if any(not m.is_zero() for m in mins):
             generic = k
@@ -273,14 +249,13 @@ def _ad_rows(x: Mat4, space: Subspace) -> list[list]:
 def _eigenvalue_on_line(x: Mat4, v: Mat4):
     """Eigenvalue of ad(x) on the ad(x)-invariant line spanned by v."""
     w = bracket(x, v)
-    line = echelon_span([v])
-    c = line.coords(w)
-    if c is None:
+    # the ratio at v's first nonzero entry, checked against all of [x, v]
+    flat_v = v.flatten()
+    p = next(k for k, c in enumerate(flat_v) if c != 0)
+    ev = w.flatten()[p] / flat_v[p]
+    if w != v * ev:
         raise Sp4Error("line is not ad-invariant")
-    direction = line.basis[0]
-    base = echelon_span([v]).coords(v)
-    # v = base[0]*direction, w = c[0]*direction  =>  ad eigenvalue = c/base
-    return c[0] / base[0]
+    return ev
 
 
 def _invariantize(weighted: list[tuple]) -> tuple:
@@ -335,7 +310,8 @@ def signature(s: Subalgebra) -> InvariantSignature:
     sym = symbolic_combo(list(g.basis))
     has_invertible = not det_mpoly(sym).is_zero()
 
-    strata = _nilpotent_strata(nspace)
+    pencil = pencil_rank_strata(*nspace.basis) if dn == 2 else None
+    strata = _nilpotent_strata(nspace, pencil)
 
     if codim == 0:
         content = "all_nilpotent"
@@ -351,7 +327,8 @@ def signature(s: Subalgebra) -> InvariantSignature:
                        else "has_nonregular_ss_only")
         else:
             content = "mixed_only"
-        probe = _spectral_probe(s, nspace, der[1] if len(der) > 1 else echelon_span([]), x0)
+        probe = _spectral_probe(s, nspace, der[1] if len(der) > 1 else echelon_span([]),
+                                x0, pencil)
 
     return InvariantSignature(
         dim=d,
@@ -367,20 +344,20 @@ def signature(s: Subalgebra) -> InvariantSignature:
     )
 
 
-def _nilpotent_strata(nspace: Subspace) -> tuple:
+def _nilpotent_strata(nspace: Subspace, pencil: PencilStrata | None) -> tuple:
+    """Rank data of N(g); `pencil` is its pencil stratification when dim 2."""
     dn = nspace.dim
     if dn == 0:
         return ()
     if dn == 1:
         return (("rank", rank(nspace.basis[0])),)
     if dn == 2:
-        return (("pencil",) + pencil_rank_strata(nspace.basis[0], nspace.basis[1]).summary(),)
-    from .linalg import generic_rank
+        return (("pencil",) + pencil.summary(),)
     return (("generic", generic_rank(list(nspace.basis))),)
 
 
 def _spectral_probe(s: Subalgebra, nspace: Subspace, derived: Subspace,
-                    x0: Mat4) -> tuple:
+                    x0: Mat4, pencil: PencilStrata | None) -> tuple:
     weighted: list[tuple] = []
     p4 = char_poly(x0)
     for j in (3, 2, 1, 0):
@@ -393,16 +370,18 @@ def _spectral_probe(s: Subalgebra, nspace: Subspace, derived: Subspace,
         pdd = char_poly_rows(_ad_rows(x0, derived))
         for j in range(derived.dim - 1, -1, -1):
             weighted.append((pdd[j], derived.dim - j))
-    marked = _marked_line_data(nspace, x0)
+    marked = _marked_line_data(nspace, x0, pencil)
     weighted.extend(marked)
     return (dg, derived.dim, nspace.dim) + _invariantize(weighted)
 
 
-def _marked_line_data(nspace: Subspace, x0: Mat4) -> list[tuple]:
+def _marked_line_data(nspace: Subspace, x0: Mat4,
+                      pencil: PencilStrata | None) -> list[tuple]:
     """ad(x0)-eigenvalues on the canonical lines of the nilpotent subspace:
     for dim 1 the line itself, for dim 2 the rank-drop lines of the pencil
     (rational ones plus the line at infinity), grouped by rank as elementary
-    symmetric functions so the data is basis-independent."""
+    symmetric functions so the data is basis-independent.  `pencil` is the
+    pencil stratification of the nilpotent subspace when it has dim 2."""
     out: list[tuple] = []
     if nspace.dim == 1:
         out.append((_eigenvalue_on_line(x0, nspace.basis[0]), 1))
@@ -410,13 +389,12 @@ def _marked_line_data(nspace: Subspace, x0: Mat4) -> list[tuple]:
     if nspace.dim != 2:
         return out
     n1, n2 = nspace.basis
-    strata = pencil_rank_strata(n1, n2)
     by_rank: dict[int, list] = {}
-    for t0, r in strata.rational_drops:
+    for t0, r in pencil.rational_drops:
         v = n1 * t0 + n2
         by_rank.setdefault(r, []).append(_eigenvalue_on_line(x0, v))
-    if strata.infinity_rank is not None:
-        by_rank.setdefault(strata.infinity_rank, []).append(
+    if pencil.infinity_rank is not None:
+        by_rank.setdefault(pencil.infinity_rank, []).append(
             _eigenvalue_on_line(x0, n1))
     for r in sorted(by_rank):
         vals = by_rank[r]

@@ -13,6 +13,8 @@ of det(lambda*I - m) (`char_poly_cofactor`) serves as the cross-check oracle.
 
 from __future__ import annotations
 
+import math
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import SingularMatrix, ZeroPolynomial
@@ -70,10 +72,6 @@ def _pivot_col(row: Sequence) -> int:
     return len(row)
 
 
-def rank_of_rows(rows: Iterable[Sequence]) -> int:
-    return len(rref(rows))
-
-
 def kernel_of_rows(rows: list[Sequence], ncols: int) -> list[tuple]:
     """Basis of the right kernel {v : M v = 0} of the matrix with given rows."""
     red = rref(rows)
@@ -105,6 +103,21 @@ def solve_coords(basis_rows: list[tuple], v: Sequence):
     return tuple(coords)
 
 
+def solve_in_span(vectors: Sequence[Sequence], w: Sequence):
+    """Coordinates of w in terms of independent vectors (in any form), or
+    None if w lies outside their span; solved by echelonizing the augmented
+    system [vectors | w]."""
+    k = len(vectors)
+    aug = [tuple(vec[r] for vec in vectors) + (w[r],) for r in range(len(w))]
+    coords = [ZERO] * k
+    for row in rref(aug):
+        p = _pivot_col(row)
+        if p == k:
+            return None
+        coords[p] = row[k]
+    return tuple(coords)
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials over Q (coefficients lowest degree first)
 # ---------------------------------------------------------------------------
@@ -123,10 +136,6 @@ class Poly:
     @classmethod
     def const(cls, c) -> "Poly":
         return cls([c])
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls([0, 1])
 
     @property
     def degree(self) -> int:
@@ -223,11 +232,6 @@ class Poly:
             return self.monic()
         return (self // self.gcd(self.derivative())).monic()
 
-    def divides(self, other: "Poly") -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        return (other % self).is_zero()
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "Poly(0)"
@@ -291,13 +295,9 @@ def _root_candidates(p: Poly):
                     yield -s
         return
     # general case: clear denominators, enumerate divisor quotients
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = _lcm(den_lcm, int(c.denominator))
+    den_lcm = math.lcm(*(int(c.denominator) for c in p.coeffs))
     ints = [int(c * den_lcm) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = _gcd(g, abs(c))
+    g = math.gcd(*ints)
     ints = [c // g for c in ints]
     for num in divisors(ints[0]):
         for den in divisors(ints[-1]):
@@ -314,16 +314,6 @@ def _quadratic_roots(a, b, c):
     yield (-b + s) / (2 * a)
     if s != 0:
         yield (-b - s) / (2 * a)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // _gcd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +399,6 @@ class Mat4:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.rows for x in r)
 
-    def power(self, k: int) -> "Mat4":
-        acc = Mat4.identity()
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(format_rational(x) for x in r) for r in self.rows)
         return f"Mat4[{body}]"
@@ -471,22 +451,7 @@ def char_poly_cofactor(m: Mat4) -> Poly:
     """Independent oracle: expand det(lambda*I - m) by cofactors over Q[lambda]."""
     entries = [[Poly([-m.rows[i][j], 1]) if i == j else Poly([-m.rows[i][j]])
                 for j in range(4)] for i in range(4)]
-    return det_poly(entries)
-
-
-def det_poly(entries: list[list[Poly]]) -> Poly:
-    """Determinant of a small matrix of polynomials by cofactor expansion."""
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    acc = Poly()
-    for j in range(n):
-        if entries[0][j].is_zero():
-            continue
-        minor = [[entries[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = entries[0][j] * det_poly(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+    return det_mpoly(entries)
 
 
 def poly_eval_mat(p: Poly, m: Mat4) -> Mat4:
@@ -499,7 +464,7 @@ def poly_eval_mat(p: Poly, m: Mat4) -> Mat4:
 
 def rank(m: Mat4) -> int:
     """Exact rank by Gaussian elimination over Q."""
-    return rank_of_rows(m.rows)
+    return len(rref(m.rows))
 
 
 def kernel(m: Mat4) -> list[tuple]:
@@ -526,12 +491,6 @@ def inverse(m: Mat4) -> Mat4:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return Mat4([row[4:] for row in aug])
-
-
-def det(m: Mat4):
-    """Exact determinant (constant term of the char poly, up to sign)."""
-    p = char_poly(m)
-    return p[0]  # det(lambda*I - m) at lambda=0 is det(-m) = det(m) for n=4
 
 
 # ---------------------------------------------------------------------------
@@ -576,12 +535,6 @@ class Subspace:
                 acc = acc + b * c
         return acc
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(b) for b in self.basis)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(list(self.basis) + list(other.basis))
-
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim})"
 
@@ -612,12 +565,6 @@ class MPoly:
     @classmethod
     def const(cls, nvars: int, c) -> "MPoly":
         return cls(nvars, {tuple([0] * nvars): c})
-
-    @classmethod
-    def var(cls, nvars: int, i: int) -> "MPoly":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): ONE})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -659,13 +606,13 @@ class MPoly:
         return acc
 
 
-def det_mpoly(entries: list[list[MPoly]]) -> MPoly:
-    """Determinant of a small matrix of multivariate polynomials."""
+def det_mpoly(entries: list[list]) -> Poly | MPoly:
+    """Determinant of a small square matrix by cofactor expansion; the
+    entries are all `Poly` or all `MPoly`."""
     n = len(entries)
     if n == 1:
         return entries[0][0]
-    nv = entries[0][0].nvars
-    acc = MPoly(nv)
+    acc = entries[0][0] * 0
     for j in range(n):
         if entries[0][j].is_zero():
             continue
@@ -691,10 +638,8 @@ def symbolic_combo(mats: Sequence[Mat4]) -> list[list[MPoly]]:
     return out
 
 
-def symbolic_minors(entries: list[list[MPoly]], k: int) -> list[MPoly]:
-    """All k x k minors of a 4x4 symbolic matrix."""
-    from itertools import combinations
-
+def symbolic_minors(entries: list[list], k: int) -> list:
+    """All k x k minors of a 4x4 matrix of `Poly` or `MPoly` entries."""
     out = []
     for rows_idx in combinations(range(4), k):
         for cols_idx in combinations(range(4), k):

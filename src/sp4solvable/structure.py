@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import Sp4Error
-from .linalg import Mat4, Subspace, echelon_span, rref
+from .linalg import Mat4, Subspace, echelon_span, rref, solve_in_span
 from .rational import Q, ZERO, format_rational, parse_rational
 from .sp4 import bracket, in_sp4
 
@@ -60,32 +60,29 @@ class Subalgebra:
         return cls.from_matrices(mats, ambient=data.get("ambient", "sp4"))
 
 
-def is_closed(space: Subspace) -> bool:
-    """True iff all pairwise brackets of basis elements stay in the span."""
+def _brackets_outside(space: Subspace):
+    """The pairwise brackets of basis elements that leave the span (lazily)."""
     basis = space.basis
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if not space.contains(bracket(basis[i], basis[j])):
-                return False
-    return True
+            br = bracket(basis[i], basis[j])
+            if not space.contains(br):
+                yield br
+
+
+def is_closed(space: Subspace) -> bool:
+    """True iff all pairwise brackets of basis elements stay in the span."""
+    return next(_brackets_outside(space), None) is None
 
 
 def generated_subalgebra(seed: Iterable[Mat4]) -> Subalgebra:
     """Smallest bracket-closed subspace containing the seeds."""
     space = echelon_span(seed)
     while True:
-        new = list(space.basis)
-        grew = False
-        basis = space.basis
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                br = bracket(basis[i], basis[j])
-                if not space.contains(br):
-                    new.append(br)
-                    grew = True
-        if not grew:
+        new = list(_brackets_outside(space))
+        if not new:
             return Subalgebra(space)
-        space = echelon_span(new)
+        space = echelon_span(list(space.basis) + new)
 
 
 def bracket_space(a: Subspace, b: Subspace) -> Subspace:
@@ -93,30 +90,27 @@ def bracket_space(a: Subspace, b: Subspace) -> Subspace:
     return echelon_span([bracket(x, y) for x in a.basis for y in b.basis])
 
 
-def derived_series(s: Subalgebra) -> list[Subspace]:
-    """g, [g,g], [[g,g],[g,g]], ... until stabilization."""
+def _series(s: Subalgebra, step) -> list[Subspace]:
+    """g, step(g), step(step(g)), ... until the dimension stops falling."""
     chain = [s.space]
     while True:
-        nxt = bracket_space(chain[-1], chain[-1])
+        nxt = step(chain[-1])
         if nxt.dim == chain[-1].dim:
             break
         chain.append(nxt)
         if nxt.dim == 0:
             break
     return chain
+
+
+def derived_series(s: Subalgebra) -> list[Subspace]:
+    """g, [g,g], [[g,g],[g,g]], ... until stabilization."""
+    return _series(s, lambda h: bracket_space(h, h))
 
 
 def lower_central_series(s: Subalgebra) -> list[Subspace]:
     """g, [g,g], [g,[g,g]], ... until stabilization."""
-    chain = [s.space]
-    while True:
-        nxt = bracket_space(s.space, chain[-1])
-        if nxt.dim == chain[-1].dim:
-            break
-        chain.append(nxt)
-        if nxt.dim == 0:
-            break
-    return chain
+    return _series(s, lambda h: bracket_space(s.space, h))
 
 
 def is_solvable(s: Subalgebra) -> bool:
@@ -249,17 +243,10 @@ class StructureConstants:
 
 def _coords_in(basis_vectors: list[tuple], v: Sequence) -> tuple:
     """Solve v = sum c_i basis_vectors[i] (basis assumed independent)."""
-    d = len(basis_vectors)
-    n = len(v)
-    aug = [[basis_vectors[i][r] for i in range(d)] + [v[r]] for r in range(n)]
-    red = rref(aug)
-    coords = [ZERO] * d
-    for row in red:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        if p == d:
-            raise Sp4Error("vector outside span in coordinate solve")
-        coords[p] = row[d]
-    return tuple(coords)
+    coords = solve_in_span(basis_vectors, v)
+    if coords is None:
+        raise Sp4Error("vector outside span in coordinate solve")
+    return coords
 
 
 def structure_constants(s: Subalgebra) -> StructureConstants:

@@ -2,10 +2,10 @@
 
 For every catalog row at every admissible sample parameter this runs, in
 order: closure and dimension; solvability; every claimed equivalence by
-applying its conjugator recipe (or a bounded search) and comparing echelonized
-images; identification of the structure constants against the stated class
-with exact parameters; bracket-exact verification of the encoded isomorphism
-map; and the translated label.  Pairwise separations inside each dimension
+applying its conjugator recipe and comparing echelonized images;
+identification of the structure constants against the stated class with
+exact parameters; bracket-exact verification of the encoded isomorphism map;
+and the translated label.  Pairwise separations inside each dimension
 are certified by exhibiting a differing signature field, and a randomized
 probe closes random Borel seeds and matches them back into the catalog.
 """
@@ -22,15 +22,14 @@ from .identify import (IsoMap, degraaf_to_sw, identify_degraaf,
 from .invariants import InvariantSignature, signature
 from .linalg import Mat4, echelon_span
 from .rational import Q, format_rational
-from .sp4 import (ROOT_VECTORS, T, X_A2B, X_AB, X_ALPHA, X_BETA,
-                  conjugate_subalgebra, default_param_samples, in_sp4,
-                  parse_conjugator, shear, W_MAT, A_MAT, AJ_MAT, J_FORM)
+from .sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, conjugate_subalgebra,
+                  default_param_samples, in_sp4, parse_conjugator)
 from .structure import (Subalgebra, generated_subalgebra, is_closed,
                         is_solvable, structure_constants_for_basis)
 
 __all__ = ["CheckRecord", "VerificationReport", "verify_entry",
            "verify_catalog", "verify_separations", "random_subalgebra_probe",
-           "search_conjugator", "match_catalog"]
+           "match_catalog"]
 
 
 @dataclass
@@ -38,7 +37,7 @@ class CheckRecord:
     row_id: str
     param: str
     check: str
-    status: str  # "pass" | "fail" | "unverified"
+    status: str  # "pass" | "fail"
     detail: str = ""
 
     def to_json(self) -> dict:
@@ -49,13 +48,11 @@ class CheckRecord:
 @dataclass
 class VerificationReport:
     records: list = field(default_factory=list)
+    samples: tuple = field(default_factory=default_param_samples)
 
     def add(self, row_id, param, check, ok, detail=""):
         status = "pass" if ok else "fail"
         self.records.append(CheckRecord(row_id, _p(param), check, status, detail))
-
-    def add_unverified(self, row_id, param, check, detail=""):
-        self.records.append(CheckRecord(row_id, _p(param), check, "unverified", detail))
 
     @property
     def overall_pass(self) -> bool:
@@ -65,12 +62,9 @@ class VerificationReport:
     def failures(self) -> list:
         return [r for r in self.records if r.status != "pass"]
 
-    def merge(self, other: "VerificationReport"):
-        self.records.extend(other.records)
-
     def to_json(self) -> dict:
         return {
-            "samples": [format_rational(a) for a in default_param_samples()],
+            "samples": [format_rational(a) for a in self.samples],
             "overall_pass": self.overall_pass,
             "checks": len(self.records),
             "records": [r.to_json() for r in self.records],
@@ -78,7 +72,7 @@ class VerificationReport:
 
     def to_text(self) -> str:
         lines = ["parameter samples: "
-                 + ", ".join(format_rational(a) for a in default_param_samples())]
+                 + ", ".join(format_rational(a) for a in self.samples)]
         by_row: dict[str, list] = {}
         for r in self.records:
             by_row.setdefault(r.row_id, []).append(r)
@@ -105,12 +99,18 @@ def _p(param) -> str:
 def verify_entry(entry: CatalogEntry, params=None,
                  report: VerificationReport | None = None) -> VerificationReport:
     rep = report if report is not None else VerificationReport()
-    samples = tuple(params) if params is not None else entry.samples()
-    if entry.param:
-        samples = tuple(a for a in samples if a is not None and entry.conditions_ok(a))
-    for a in samples:
+    for a in _row_samples(entry, params):
         _verify_at(entry, a, rep)
     return rep
+
+
+def _row_samples(entry: CatalogEntry, params=None) -> tuple:
+    """The samples a row is verified at: the admissible values of `params`
+    for a parameterized row, and (None,) for a row without parameter."""
+    if not entry.param:
+        return entry.samples()
+    samples = tuple(params) if params is not None else entry.samples()
+    return tuple(a for a in samples if a is not None and entry.conditions_ok(a))
 
 
 def _verify_at(entry: CatalogEntry, a, rep: VerificationReport):
@@ -128,7 +128,6 @@ def _verify_at(entry: CatalogEntry, a, rep: VerificationReport):
     sub = Subalgebra(space)
     rep.add(entry.row_id, a, "solvable", is_solvable(sub))
 
-    env = {} if a is None else {"a": Q(a)}
     for claim in entry.equivalences:
         _verify_claim(entry, claim, a, rep)
 
@@ -204,58 +203,19 @@ def _verify_claim(entry: CatalogEntry, claim, a, rep: VerificationReport):
             if claim.tgt is None:
                 tgt_param = val
                 if claim.tgt_param is not None:
-                    from .exprs import eval_expr
                     tgt_param = eval_expr(claim.tgt_param, env)
                     if not entry.conditions_ok(tgt_param):
                         continue
                 tgt = entry.basis_at(tgt_param)
             else:
                 tgt = [build_element(s, env) for s in claim.tgt]
-            if claim.recipe == "search":
-                g = search_conjugator(echelon_span(src), echelon_span(tgt))
-                if g is None:
-                    rep.add_unverified(entry.row_id, val,
-                                       f"equivalence: {claim.desc}",
-                                       "search exhausted")
-                    continue
-                ok = True
-            else:
-                g = parse_conjugator(claim.recipe, env)
-                ok = conjugate_subalgebra(g, echelon_span(src)) == echelon_span(tgt)
+            g = parse_conjugator(claim.recipe, env)
+            ok = conjugate_subalgebra(g, echelon_span(src)) == echelon_span(tgt)
             rep.add(entry.row_id, val, f"equivalence: {claim.desc}", ok,
                     claim.recipe)
         except (Sp4Error, ZeroDivisionError) as exc:
             rep.add(entry.row_id, val, f"equivalence: {claim.desc}", False,
                     repr(exc))
-
-
-def search_conjugator(src, tgt, max_len: int = 3):
-    """Bounded search over products of named conjugators and small shears.
-
-    Returns a conjugator g with g.src.g^{-1} = tgt, or None if the search
-    space (products of length <= max_len) is exhausted.
-    """
-    atoms = [W_MAT, A_MAT, J_FORM, AJ_MAT]
-    for gamma in ROOT_VECTORS:
-        for z in (Q(1), Q(-1), Q(2), Q(-2), Q(1, 2)):
-            atoms.append(shear(gamma, z))
-    from .linalg import Mat4 as _M
-    frontier = [(_M.identity(), 0)]
-    seen = set()
-    while frontier:
-        g, depth = frontier.pop(0)
-        img = conjugate_subalgebra(g, src)
-        if img == tgt:
-            return g
-        if depth >= max_len:
-            continue
-        for h in atoms:
-            nxt = h * g
-            key = nxt.rows
-            if key not in seen:
-                seen.add(key)
-                frontier.append((nxt, depth + 1))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +227,8 @@ def verify_catalog(params=None, entries=None,
                    with_probe_seed: int | None = None,
                    probe_count: int = 0) -> VerificationReport:
     rep = VerificationReport()
+    if params is not None:
+        rep.samples = tuple(params)
     entries = entries if entries is not None else load_catalog()
     for e in entries:
         verify_entry(e, params=params, report=rep)
@@ -281,12 +243,8 @@ def _instances(entries, params=None):
     """All (entry, param, signature) row instances at the sample set."""
     out = []
     for e in entries:
-        samples = tuple(params) if params is not None and e.param else e.samples()
-        if e.param:
-            samples = tuple(a for a in samples if a is not None and e.conditions_ok(a))
-        for a in samples:
-            sub = Subalgebra(echelon_span(e.basis_at(a)))
-            out.append((e, a, signature(sub)))
+        for a in _row_samples(e, params):
+            out.append((e, a, signature(Subalgebra(e.space_at(a)))))
     return out
 
 
@@ -324,8 +282,8 @@ def verify_separations(entries=None, params=None,
 
 def separation_witness(e1: CatalogEntry, a1, e2: CatalogEntry, a2) -> list[str]:
     """The signature fields separating two row instances."""
-    s1 = signature(Subalgebra(echelon_span(e1.basis_at(a1))))
-    s2 = signature(Subalgebra(echelon_span(e2.basis_at(a2))))
+    s1 = signature(Subalgebra(e1.space_at(a1)))
+    s2 = signature(Subalgebra(e2.space_at(a2)))
     return s1.differing_fields(s2)
 
 

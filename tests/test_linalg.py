@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sp4solvable.errors import SingularMatrix, ZeroPolynomial
+from sp4solvable.errors import SingularMatrix, Sp4Error, ZeroPolynomial
 from sp4solvable.linalg import (Mat4, Poly, char_poly, char_poly_cofactor,
                                 echelon_span, generic_rank, inverse, kernel,
-                                rank, rational_roots)
+                                rank, rational_roots, solve_in_span)
 from sp4solvable.rational import (Q, format_rational, parse_rational,
                                   rational_sqrt, squarefree_kernel)
 from sp4solvable.sp4 import T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA
+from sp4solvable.structure import structure_constants_for_basis
 
 rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 7))
 
@@ -147,6 +148,20 @@ def test_coords_recombine():
     v = T(1, 2) * Q(3, 7) + X_AB * Q(-2)
     c = s.coords(v)
     assert s.combine(c) == v
+
+
+def test_solve_in_span_roundtrips_on_a_non_echelon_basis():
+    vectors = [tuple(Q(x) for x in v)
+               for v in ((2, 1, 0, 3, 0), (1, 1, 1, 0, 0), (0, 3, 1, 1, 0))]
+    coords = (Q(3, 7), Q(-2), Q(5))
+    w = tuple(sum(c * v[i] for c, v in zip(coords, vectors)) for i in range(5))
+    assert solve_in_span(vectors, w) == coords
+    assert solve_in_span(vectors, (0, 0, 0, 0, Q(1))) is None
+    # the bracket table's coordinate solve still refuses bad bases
+    with pytest.raises(Sp4Error):
+        structure_constants_for_basis([X_ALPHA, X_ALPHA * 2])  # dependent
+    with pytest.raises(Sp4Error):
+        structure_constants_for_basis([X_ALPHA, X_BETA])  # [X_a, X_b] outside
 
 
 def test_generic_rank():

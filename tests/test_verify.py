@@ -1,12 +1,12 @@
-from sp4solvable.catalog import load_catalog
-from sp4solvable.linalg import echelon_span
+import dataclasses
+
+from sp4solvable.catalog import EquivClaim, load_catalog
 from sp4solvable.rational import Q
-from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA
+from sp4solvable.sp4 import T, X_ALPHA, X_BETA
 from sp4solvable.structure import generated_subalgebra
 from sp4solvable.verify import (match_catalog, random_subalgebra_probe,
-                                search_conjugator, separation_witness,
-                                verify_catalog, verify_entry,
-                                verify_separations)
+                                separation_witness, verify_catalog,
+                                verify_entry)
 
 ENTRIES = {e.row_id: e for e in load_catalog()}
 
@@ -47,16 +47,23 @@ def test_separation_examples_record_witness_fields():
     assert "probe" in w
 
 
-def test_search_conjugator_finds_named_elements():
-    src = echelon_span([X_BETA, X_A2B])
-    tgt = echelon_span([X_ALPHA, X_AB])
-    g = search_conjugator(src, tgt, max_len=2)
-    assert g is not None
-    from sp4solvable.sp4 import conjugate_subalgebra
-    assert conjugate_subalgebra(g, src) == tgt
-    # exhausted search returns None (inequivalent targets)
-    assert search_conjugator(echelon_span([X_ALPHA]),
-                             echelon_span([X_ALPHA + X_BETA]), max_len=1) is None
+def test_params_leave_rows_without_parameter_alone():
+    entry = ENTRIES["d1_T11_Xb"]
+    rep = verify_entry(entry, params=(Q(3), Q(5)))
+    assert rep.records == verify_entry(entry).records and rep.overall_pass
+    rescales = [r for r in rep.records if "rescales in for any a" in r.check]
+    # the sample-restricted claim runs at its own four values ...
+    assert [r.param for r in rescales] == ["3", "5", "-2", "7/3"]
+    # ... and every other check runs once, at no parameter
+    assert {r.param for r in rep.records if r not in rescales} == {"-"}
+
+
+def test_unknown_recipe_is_a_failed_check():
+    entry = dataclasses.replace(ENTRIES["d1_T11_Xb"],
+                                equivalences=(EquivClaim("by search", "search"),))
+    failures = verify_entry(entry).failures
+    assert [r.check for r in failures] == ["equivalence: by search"]
+    assert "unknown conjugator atom" in failures[0].detail
 
 
 def test_match_catalog_spec_examples():
