@@ -52,7 +52,7 @@ def _load_matrix(path: str) -> Mat4:
         data = data["matrix"]
     try:
         return Mat4.from_json(data)
-    except (ValueError, TypeError, IndexError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, IndexError) as exc:
         raise _ParseFailure(f"{path}: expected a 4x4 grid of rational strings: {exc}")
 
 
@@ -60,8 +60,15 @@ def _load_subalgebra(path: str) -> Subalgebra:
     data = _load_json(path)
     try:
         return Subalgebra.from_json(data)
-    except (Sp4Error, ValueError, TypeError, KeyError) as exc:
+    except (Sp4Error, ValueError, ZeroDivisionError, TypeError, KeyError) as exc:
         raise _ParseFailure(f"{path}: not a closed sp(4) subalgebra: {exc}")
+
+
+def _parse_option(text: str, option: str):
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _ParseFailure(f"{option}: {text!r} is not a rational: {exc}")
 
 
 def _emit(payload: dict, mode: str) -> None:
@@ -78,7 +85,7 @@ def _emit(payload: dict, mode: str) -> None:
 def cmd_verify_catalog(args) -> int:
     params = None
     if args.params:
-        params = tuple(parse_rational(p) for p in args.params.split(","))
+        params = tuple(_parse_option(p, "--params") for p in args.params.split(","))
     seed = args.seed if args.seed is not None else 0
     rep = verify_catalog(params=params, with_separations=True,
                          with_probe_seed=seed, probe_count=args.probe_count)
@@ -124,7 +131,7 @@ def cmd_conjugate(args) -> int:
     sub = _load_subalgebra(args.input)
     env = {}
     if args.param:
-        env["a"] = parse_rational(args.param)
+        env["a"] = _parse_option(args.param, "--param")
     g = parse_conjugator(args.conjugator, env)
     from .sp4 import conjugate_subalgebra
     image = Subalgebra(conjugate_subalgebra(g, sub.space), sub.ambient)

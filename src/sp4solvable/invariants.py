@@ -112,7 +112,7 @@ def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
     """
     if echelon_span([n1, n2]).dim != 2:
         raise DependentInputs("pencil needs two independent matrices")
-    entries = [[Poly([n2.rows[i][j], n1.rows[i][j]]) for j in range(4)]
+    entries = [[Poly([n2.entry(i, j), n1.entry(i, j)]) for j in range(4)]
                for i in range(4)]
     minors_by_k: dict[int, list[Poly]] = {}
     generic = 0

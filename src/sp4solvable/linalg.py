@@ -1,20 +1,22 @@
 """Exact rational linear algebra on 4x4 matrices and small vector spaces.
 
 Everything here is over the rationals with no rounding: matrices are immutable
-4x4 grids of reduced fractions, subspaces are held in reduced row echelon form
-with respect to a fixed row-major flattening of the 16 entries (so equal
-subspaces have identical basis lists), and polynomials are exact coefficient
-vectors.
+4x4 arrays of int numerators over one common denominator, subspaces are held
+in reduced row echelon form with respect to a fixed row-major flattening of
+the 16 entries (so equal subspaces have identical basis lists), and
+polynomials are exact coefficient vectors.
 
 Characteristic polynomials are computed twice over by design: the production
-path is Faddeev-LeVerrier (`char_poly`), and an independent cofactor expansion
-of det(lambda*I - m) (`char_poly_cofactor`) serves as the cross-check oracle.
+path is Faddeev-LeVerrier over the integers (`char_poly`), and an independent
+cofactor expansion of det(lambda*I - m) over Q[lambda] (`char_poly_cofactor`)
+serves as the cross-check oracle.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import SingularMatrix, ZeroPolynomial
@@ -321,14 +323,31 @@ def _quadratic_roots(a, b, c):
 # ---------------------------------------------------------------------------
 
 class Mat4:
-    """Immutable 4x4 matrix of exact rationals."""
+    """Immutable 4x4 matrix of exact rationals, held as 16 int numerators
+    (`num`, row-major) over one positive common denominator (`den`) in
+    lowest terms: gcd(den, *num) == 1, and the zero matrix has den == 1.
+    The form is canonical, so == and hash are exact value equality.
+    Rationals appear only at the boundary (`__init__`, `rows`, `flatten`,
+    `entry`, the JSON wire format); arithmetic runs on the ints."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("num", "den")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(Q(x) for x in r) for r in rows)
-        if len(self.rows) != 4 or any(len(r) != 4 for r in self.rows):
+        grid = [tuple(r) for r in rows]
+        if len(grid) != 4 or any(len(r) != 4 for r in grid):
             raise ValueError("Mat4 needs a 4x4 grid")
+        self.num, self.den = _over_common_den([x for r in grid for x in r])
+
+    @classmethod
+    def _make(cls, num, den: int) -> "Mat4":
+        """The matrix num/den (den > 0), reduced by one gcd pass."""
+        m = cls.__new__(cls)
+        g = math.gcd(den, *num)
+        if g == 1:
+            m.num, m.den = tuple(num), den
+        else:
+            m.num, m.den = tuple(x // g for x in num), den // g
+        return m
 
     @classmethod
     def zero(cls) -> "Mat4":
@@ -354,50 +373,59 @@ class Mat4:
         return cls([flat[0:4], flat[4:8], flat[8:12], flat[12:16]])
 
     def flatten(self) -> tuple:
-        return self.rows[0] + self.rows[1] + self.rows[2] + self.rows[3]
+        d = self.den
+        return tuple([Q(x, d) if x else ZERO for x in self.num])
+
+    @property
+    def rows(self) -> tuple:
+        f = self.flatten()
+        return (f[0:4], f[4:8], f[8:12], f[12:16])
 
     def entry(self, i: int, j: int):
-        return self.rows[i][j]
+        return Q(self.num[4 * i + j], self.den)
 
     def __add__(self, other: "Mat4") -> "Mat4":
-        return Mat4([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        d1, d2 = self.den, other.den
+        return Mat4._make([a * d2 + b * d1 for a, b in zip(self.num, other.num)], d1 * d2)
 
     def __sub__(self, other: "Mat4") -> "Mat4":
-        return Mat4([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        d1, d2 = self.den, other.den
+        return Mat4._make([a * d2 - b * d1 for a, b in zip(self.num, other.num)], d1 * d2)
 
     def __neg__(self) -> "Mat4":
-        return Mat4([[-a for a in r] for r in self.rows])
+        return Mat4._make([-a for a in self.num], self.den)
 
     def __mul__(self, other):
+        a = self.num
         if isinstance(other, Mat4):
-            b = other.rows
-            return Mat4([
-                [
-                    ra[0] * b[0][j] + ra[1] * b[1][j] + ra[2] * b[2][j] + ra[3] * b[3][j]
-                    for j in range(4)
-                ]
-                for ra in self.rows
-            ])
+            b = other.num
+            cols = (b[0::4], b[1::4], b[2::4], b[3::4])
+            return Mat4._make([x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3
+                               for x0, x1, x2, x3 in (a[0:4], a[4:8], a[8:12], a[12:16])
+                               for y0, y1, y2, y3 in cols], self.den * other.den)
         q = Q(other)
-        return Mat4([[a * q for a in r] for r in self.rows])
+        p = q.numerator
+        return Mat4._make([x * p for x in a], self.den * q.denominator)
 
     def __rmul__(self, other) -> "Mat4":
         return self.__mul__(other)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Mat4) and self.rows == other.rows
+        return isinstance(other, Mat4) and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.num, self.den))
 
     def transpose(self) -> "Mat4":
-        return Mat4([[self.rows[j][i] for j in range(4)] for i in range(4)])
+        a = self.num
+        return Mat4._make(a[0::4] + a[1::4] + a[2::4] + a[3::4], self.den)
 
     def trace(self):
-        return self.rows[0][0] + self.rows[1][1] + self.rows[2][2] + self.rows[3][3]
+        a = self.num
+        return Q(a[0] + a[5] + a[10] + a[15], self.den)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(self.num)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(format_rational(x) for x in r) for r in self.rows)
@@ -411,45 +439,57 @@ class Mat4:
         return cls([[parse_rational(str(x)) for x in r] for r in data])
 
 
-_ZERO4 = Mat4.__new__(Mat4)
-_ZERO4.rows = tuple(tuple(ZERO for _ in range(4)) for _ in range(4))
-_ID4 = Mat4.__new__(Mat4)
-_ID4.rows = tuple(tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4))
+_ZERO4 = Mat4._make([0] * 16, 1)
+_ID4 = Mat4._make([int(i % 5 == 0) for i in range(16)], 1)
+
+
+def _over_common_den(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as int numerators over their least common denominator; the
+    result is in lowest terms, since some denominator holds each prime power
+    of the lcm and its (reduced) numerator is prime to that prime."""
+    qs = [x if type(x) is Q or type(x) is int else Q(x) for x in values]
+    dens = [q.denominator for q in qs]
+    den = math.lcm(*dens)
+    return tuple([q.numerator * (den // d) for q, d in zip(qs, dens)]), den
 
 
 def char_poly_rows(rows: list[Sequence]) -> Poly:
     """Characteristic polynomial det(lambda*I - M) of a square matrix given as
-    rows, by Faddeev-LeVerrier (exact; divisions are by 1..n)."""
+    rows of rationals (exact)."""
     n = len(rows)
-    m = [[Q(x) for x in r] for r in rows]
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    mk = [row[:] for row in m]
-    for k in range(1, n + 1):
-        if k > 1:
-            for i in range(n):
-                mk[i][i] += c
-            mk = _mat_mul_rows(m, mk)
-        tr = sum((mk[i][i] for i in range(n)), ZERO)
-        c = -tr / k
-        coeffs[n - k] = c
-    return Poly(coeffs)
-
-
-def _mat_mul_rows(a: list[list], b: list[list]) -> list[list]:
-    n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n)]
-            for i in range(n)]
+    num, den = _over_common_den([x for r in rows for x in r])
+    return _char_poly_int([num[i * n:(i + 1) * n] for i in range(n)], den)
 
 
 def char_poly(m: Mat4) -> Poly:
     """Characteristic polynomial det(lambda*I - m), exact, degree 4."""
-    return char_poly_rows([list(r) for r in m.rows])
+    return _char_poly_int([m.num[i:i + 4] for i in (0, 4, 8, 12)], m.den)
+
+
+def _char_poly_int(a: list[Sequence[int]], den: int) -> Poly:
+    """det(lambda*I - a/den) for an integer matrix a, by Faddeev-LeVerrier
+    over the integers: with a_1 = a, a_k = a (a_{k-1} + c_{k-1} I) and
+    c_k = -tr(a_k)/k, every a_k and c_k is integral (c_k is den^k times the
+    rational coefficient, so the division by k is exact), and the
+    coefficient of lambda^(n-k) is c_k / den^k."""
+    n = len(a)
+    coeffs = [ONE] * (n + 1)
+    mk = [list(row) for row in a]
+    c = 0
+    for k in range(1, n + 1):
+        if k > 1:
+            for i in range(n):
+                mk[i][i] += c
+            cols = list(zip(*mk))
+            mk = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        c = -sum(mk[i][i] for i in range(n)) // k
+        coeffs[n - k] = Q(c, den**k)
+    return Poly(coeffs)
 
 
 def char_poly_cofactor(m: Mat4) -> Poly:
     """Independent oracle: expand det(lambda*I - m) by cofactors over Q[lambda]."""
-    entries = [[Poly([-m.rows[i][j], 1]) if i == j else Poly([-m.rows[i][j]])
+    entries = [[Poly([-m.entry(i, j), 1]) if i == j else Poly([-m.entry(i, j)])
                 for j in range(4)] for i in range(4)]
     return det_mpoly(entries)
 
@@ -474,7 +514,7 @@ def kernel(m: Mat4) -> list[tuple]:
 
 def inverse(m: Mat4) -> Mat4:
     """Exact inverse by Gauss-Jordan; raises SingularMatrix."""
-    aug = [list(m.rows[i]) + [ONE if j == i else ZERO for j in range(4)] for i in range(4)]
+    aug = [list(r) + [ONE if j == i else ZERO for j in range(4)] for i, r in enumerate(m.rows)]
     for col in range(4):
         piv = None
         for r in range(col, 4):
@@ -632,7 +672,7 @@ def symbolic_combo(mats: Sequence[Mat4]) -> list[list[MPoly]]:
         e = tuple(e)
         for i in range(4):
             for j in range(4):
-                c = m.rows[i][j]
+                c = m.entry(i, j)
                 if c != 0:
                     out[i][j] = out[i][j] + MPoly(d, {e: c})
     return out

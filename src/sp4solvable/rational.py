@@ -1,10 +1,12 @@
 """Exact rational scalars.
 
 Every quantity in this library is an exact rational number; no floating point
-is used anywhere.  The backend is gmpy2's ``mpq`` when available (an order of
-magnitude faster on small fractions) with ``fractions.Fraction`` as a drop-in
-fallback.  Both store reduced fractions with positive denominator, so bit-exact
-equality is value equality.
+is used anywhere.  ``Q`` is gmpy2's ``mpq`` when available and
+``fractions.Fraction`` otherwise; both store reduced fractions with positive
+denominator, so bit-exact equality is value equality.  ``Q`` is the boundary
+scalar: the matrix kernels (``Mat4`` arithmetic, the characteristic
+polynomial) run on integer numerators over a common denominator whichever
+backend is loaded.
 
 The wire format for rationals is the string ``"p/q"`` in lowest terms, or just
 ``"p"`` when the denominator is 1 (e.g. ``"-3/16"``, ``"2"``).

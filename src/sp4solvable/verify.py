@@ -98,10 +98,17 @@ def _p(param) -> str:
 
 def verify_entry(entry: CatalogEntry, params=None,
                  report: VerificationReport | None = None) -> VerificationReport:
-    rep = report if report is not None else VerificationReport()
+    rep = _report(report, params)
     for a in _row_samples(entry, params):
         _verify_at(entry, a, rep)
     return rep
+
+
+def _report(report: VerificationReport | None, params) -> VerificationReport:
+    """The given report, or a new one that names the samples actually used."""
+    if report is not None:
+        return report
+    return VerificationReport() if params is None else VerificationReport(samples=tuple(params))
 
 
 def _row_samples(entry: CatalogEntry, params=None) -> tuple:
@@ -226,9 +233,7 @@ def verify_catalog(params=None, entries=None,
                    with_separations: bool = True,
                    with_probe_seed: int | None = None,
                    probe_count: int = 0) -> VerificationReport:
-    rep = VerificationReport()
-    if params is not None:
-        rep.samples = tuple(params)
+    rep = _report(None, params)
     entries = entries if entries is not None else load_catalog()
     for e in entries:
         verify_entry(e, params=params, report=rep)
@@ -252,7 +257,7 @@ def verify_separations(entries=None, params=None,
                        report: VerificationReport | None = None) -> VerificationReport:
     """Certify that every pair of same-dimension instances the classification
     declares inequivalent is separated by a signature field."""
-    rep = report if report is not None else VerificationReport()
+    rep = _report(report, params)
     entries = entries if entries is not None else load_catalog()
     by_dim: dict[int, list] = {}
     for inst in _instances(entries, params):

@@ -124,3 +124,29 @@ def test_verify_catalog_with_probe(capsys):
                  "--seed", "3", "--output", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert any("random subalgebras" in r["check"] for r in out["records"])
+
+
+@pytest.mark.parametrize("command", ["classify-element", "identify", "invariants",
+                                     "conjugate"])
+def test_zero_denominator_entry_is_a_parse_error(command, tmp_path, capsys):
+    grid = X_ALPHA.to_json()
+    grid[0][0] = "1/0"
+    data = grid if command == "classify-element" else {"ambient": "sp4",
+                                                       "basis": [grid]}
+    p = tmp_path / "zero_den.json"
+    p.write_text(json.dumps(data))
+    extra = ["--conjugator", "W"] if command == "conjugate" else []
+    assert main([command, "--input", str(p), *extra]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_malformed_params_are_a_parse_error(capsys):
+    assert main(["verify-catalog", "--params", "2,x"]) == 2
+    assert main(["verify-catalog", "--params", "2,1/0"]) == 2
+    assert "--params" in capsys.readouterr().err
+
+
+def test_malformed_param_is_a_parse_error(ta_path, capsys):
+    assert main(["conjugate", "--input", ta_path, "--conjugator", "W",
+                 "--param", "x"]) == 2
+    assert "--param" in capsys.readouterr().err

@@ -1,11 +1,14 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sp4solvable.errors import SingularMatrix, Sp4Error, ZeroPolynomial
 from sp4solvable.linalg import (Mat4, Poly, char_poly, char_poly_cofactor,
-                                echelon_span, generic_rank, inverse, kernel,
-                                rank, rational_roots, solve_in_span)
+                                char_poly_rows, det_mpoly, echelon_span,
+                                generic_rank, inverse, kernel, rank,
+                                rational_roots, solve_in_span)
 from sp4solvable.rational import (Q, format_rational, parse_rational,
                                   rational_sqrt, squarefree_kernel)
 from sp4solvable.sp4 import T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA
@@ -174,3 +177,85 @@ def test_generic_rank():
 def test_mat4_json_roundtrip():
     m = T(Q(5, 3), -2) + X_AB * Q(-7, 11)
     assert Mat4.from_json(m.to_json()) == m
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the per-entry rational formulas
+# ---------------------------------------------------------------------------
+
+wide_rationals = st.builds(Q, st.integers(-60, 60), st.integers(1, 50))
+
+
+@st.composite
+def grids(draw, n=4):
+    """n x n rational grids, either dense or mostly zero."""
+    if draw(st.booleans()):
+        entry = wide_rationals
+    else:
+        entry = st.one_of(st.just(Q(0)), st.just(Q(0)), st.just(Q(0)), wide_rationals)
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+def ref_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(4)), Q(0)) for j in range(4)]
+            for i in range(4)]
+
+
+def as_grid(m):
+    return [list(r) for r in m.rows]
+
+
+def assert_canonical(m):
+    assert m.den > 0
+    assert math.gcd(m.den, *m.num) == 1
+    if m.is_zero():
+        assert m.den == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(grids(), grids(), wide_rationals)
+def test_kernel_matches_per_entry_formulas(a, b, q):
+    ma, mb = Mat4(a), Mat4(b)
+    expected = [
+        (ma * mb, ref_mul(a, b)),
+        (ma + mb, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]),
+        (ma - mb, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]),
+        (-ma, [[-x for x in r] for r in a]),
+        (ma * q, [[x * q for x in r] for r in a]),
+        (q * ma, [[q * x for x in r] for r in a]),
+        (ma * 0, [[Q(0)] * 4 for _ in range(4)]),
+        (ma.transpose(), [[a[j][i] for j in range(4)] for i in range(4)]),
+        (ma - ma, [[Q(0)] * 4 for _ in range(4)]),
+    ]
+    for got, want in expected:
+        assert as_grid(got) == want
+        assert_canonical(got)
+    assert ma.trace() == a[0][0] + a[1][1] + a[2][2] + a[3][3]
+    assert ma.is_zero() == all(x == 0 for r in a for x in r)
+    assert [ma.entry(i, j) for i in range(4) for j in range(4)] == list(ma.flatten())
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids(), st.integers(1, 30))
+def test_equal_values_give_equal_matrices(a, k):
+    m = Mat4(a)
+    assert_canonical(m)
+    assert Mat4(m.rows) == m and Mat4.from_flat(m.flatten()) == m
+    assert Mat4.from_json(m.to_json()) == m
+    # the same value from unreduced numerators, or a detour through sums
+    # and scalar multiples, is the same matrix with the same hash
+    others = [Mat4._make([x * k for x in m.num], m.den * k),
+              (m * Q(k, 7)) * Q(7, k), m + m - m, -(-m)]
+    for other in others:
+        assert other == m and hash(other) == hash(m)
+        assert_canonical(other)
+    assert Mat4.zero().den == 1 and Mat4.zero() == Mat4([[0] * 4] * 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: grids(n)))
+def test_char_poly_rows_matches_cofactor_determinant(a):
+    n = len(a)
+    lam_minus_a = [[Poly([-a[i][j], 1]) if i == j else Poly([-a[i][j]])
+                    for j in range(n)] for i in range(n)]
+    assert char_poly_rows(a) == det_mpoly(lam_minus_a)

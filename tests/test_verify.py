@@ -6,7 +6,7 @@ from sp4solvable.sp4 import T, X_ALPHA, X_BETA
 from sp4solvable.structure import generated_subalgebra
 from sp4solvable.verify import (match_catalog, random_subalgebra_probe,
                                 separation_witness, verify_catalog,
-                                verify_entry)
+                                verify_entry, verify_separations)
 
 ENTRIES = {e.row_id: e for e in load_catalog()}
 
@@ -77,3 +77,11 @@ def test_match_catalog_spec_examples():
 def test_random_probe():
     rep = random_subalgebra_probe(20260809, 30)
     assert rep.overall_pass, [r.to_json() for r in rep.failures]
+
+
+def test_report_header_names_the_samples_used():
+    rep = verify_entry(ENTRIES["d1_T_a1"], params=(Q(3),))
+    assert rep.to_json()["samples"] == ["3"]
+    rep = verify_separations([ENTRIES["d1_T_a1"], ENTRIES["d1_T_10"]],
+                             params=(Q(2), Q(1, 2)))
+    assert rep.to_json()["samples"] == ["2", "1/2"]
