@@ -30,7 +30,7 @@ class IrrationalSpectrum(Sp4Error):
 
 
 class DependentInputs(Sp4Error):
-    """Pencil stratification needs two independent nilpotents."""
+    """Independent inputs were needed (a pencil, a coordinate solve)."""
 
 
 class UnsupportedDimension(Sp4Error):

@@ -27,7 +27,7 @@ from .linalg import (Poly, char_poly_rows, kernel_of_rows, rational_roots, rref,
 from .presentations import DeGraafClass, SWClass
 from .rational import (Q, ZERO, ONE, format_rational, rational_nth_root,
                        rational_sqrt, squarefree_kernel)
-from .structure import StructureConstants
+from .structure import StructureConstants, ad_matrix, bracket_space, unit_rows
 
 __all__ = [
     "identify_degraaf", "degraaf_to_sw", "normalize_sw_param", "sw_lambda",
@@ -40,28 +40,11 @@ __all__ = [
 # helpers on coordinate subspaces
 # ---------------------------------------------------------------------------
 
-def _unit(d: int, i: int) -> tuple:
-    return tuple(ONE if j == i else ZERO for j in range(d))
-
-
 def _complement_vector(d: int, span_rows: list[tuple]) -> tuple:
-    for i in range(d):
-        if solve_coords(span_rows, _unit(d, i)) is None:
-            return _unit(d, i)
+    for u in unit_rows(d):
+        if solve_coords(span_rows, u) is None:
+            return u
     raise UnrecognizedFamily("no complement vector found")
-
-
-def _ad_on(sc: StructureConstants, y: tuple, sub_rows: list[tuple]) -> list[list]:
-    """Matrix (rows) of ad(y) on an ad-stable coordinate subspace."""
-    cols = []
-    for v in sub_rows:
-        w = sc.bracket_coords(y, v)
-        c = solve_coords(sub_rows, w)
-        if c is None:
-            raise UnrecognizedFamily("derived subalgebra is not ad-stable")
-        cols.append(c)
-    k = len(sub_rows)
-    return [[cols[j][i] for j in range(k)] for i in range(k)]
 
 
 def _is_scalar(m: list[list]) -> bool:
@@ -81,14 +64,9 @@ def _is_cyclic3(m: list[list]) -> bool:
 
 
 def _centralizer_of(sc: StructureConstants, sub_rows: list[tuple]) -> list[tuple]:
-    d = sc.dim
-    eqs = []
-    for v in sub_rows:
-        # rows of the linear map y -> [y, v]
-        cols = [sc.bracket_coords(_unit(d, i), v) for i in range(d)]
-        for r in range(d):
-            eqs.append(tuple(cols[i][r] for i in range(d)))
-    return kernel_of_rows(eqs, d)
+    """The common kernel of ad(v) on the whole algebra, v in sub_rows."""
+    units = unit_rows(sc.dim)
+    return kernel_of_rows([r for v in sub_rows for r in ad_matrix(sc, v, units)], sc.dim)
 
 
 def _cubefree_normalize_m7(A, B) -> tuple:
@@ -127,7 +105,8 @@ def identify_degraaf(sc: StructureConstants) -> DeGraafClass:
         raise UnsupportedDimension(f"identification implemented for dims 1..4, got {d}")
     if d == 1:
         return DeGraafClass("J")
-    derived = sc.derived_coords()
+    units = unit_rows(d)
+    derived = bracket_space(sc, units, units)
     if d == 2:
         return DeGraafClass("K1" if not derived else "K2")
     if d == 3:
@@ -143,12 +122,11 @@ def _identify_dim3(sc: StructureConstants, derived: list[tuple]) -> DeGraafClass
     if k == 1:
         # Heisenberg (nilpotent) is L4_0; the non-nilpotent K2 (+) J is L3_0
         z = derived[0]
-        central = all(all(c == 0 for c in sc.bracket_coords(_unit(d, i), z))
-                      for i in range(d))
+        central = all(c == 0 for u in unit_rows(d) for c in sc.bracket_coords(u, z))
         return DeGraafClass("L4", (ZERO,)) if central else DeGraafClass("L3", (ZERO,))
     if k == 2:
         y = _complement_vector(d, derived)
-        m = _ad_on(sc, y, derived)
+        m = ad_matrix(sc, y, derived)
         if _is_scalar(m):
             return DeGraafClass("L2")
         tr = m[0][0] + m[1][1]
@@ -176,7 +154,7 @@ def _identify_dim4_derived3(sc: StructureConstants, derived: list[tuple]) -> DeG
     d_abelian = all(all(c == 0 for c in sc.bracket_coords(u, v))
                     for u in derived for v in derived)
     y = _complement_vector(d, derived)
-    m = _ad_on(sc, y, derived)
+    m = ad_matrix(sc, y, derived)
     if d_abelian:
         if _is_scalar(m):
             return DeGraafClass("M2")
@@ -223,14 +201,11 @@ def _quotient_action(sc: StructureConstants, y: tuple, derived: list[tuple],
             break
     if len(basis) != 2:
         raise UnrecognizedFamily("Heisenberg quotient has unexpected dimension")
-    cols = []
-    for v in basis:
-        w = sc.bracket_coords(y, v)
-        c = solve_in_span([z] + basis, w)  # coords in (z, b1, b2)
-        if c is None:
-            raise UnrecognizedFamily("action does not stabilize the nilradical")
-        cols.append((c[1], c[2]))
-    return [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
+    # coords in (z, b1, b2)
+    cols = solve_in_span([z] + basis, [sc.bracket_coords(y, v) for v in basis])
+    if None in cols:
+        raise UnrecognizedFamily("action does not stabilize the nilradical")
+    return [[cols[0][1], cols[1][1]], [cols[0][2], cols[1][2]]]
 
 
 def _identify_dim4_derived2(sc: StructureConstants, derived: list[tuple]) -> DeGraafClass:
@@ -244,7 +219,7 @@ def _identify_dim4_derived2(sc: StructureConstants, derived: list[tuple]) -> DeG
             raise UnrecognizedFamily("non-abelian centralizer of the derived subalgebra")
         crows = rref(cent)
         y = _complement_vector(d, crows)
-        m = _ad_on(sc, y, crows)
+        m = ad_matrix(sc, y, crows)
         if not _is_cyclic3(m):
             raise UnrecognizedFamily("non-cyclic action on abelian nilradical")
         p = char_poly_rows(m)
@@ -263,8 +238,8 @@ def _identify_dim4_derived2(sc: StructureConstants, derived: list[tuple]) -> DeG
         # L = ad(g) restricted to D is a 2-dimensional abelian family
         drows = rref(derived)
         mats = []
-        for i in range(d):
-            rows = _ad_on(sc, _unit(d, i), drows)
+        for u in unit_rows(d):
+            rows = ad_matrix(sc, u, drows)
             mats.append((rows[0][0], rows[0][1], rows[1][0], rows[1][1]))
         lbasis = rref(mats)
         if len(lbasis) != 2:
@@ -546,7 +521,7 @@ def sw_bridge_map(c: DeGraafClass):
         raise OutOfCatalog("bridge needs a rational normalized parameter")
     f, pr = c.family, c.params
     d = {"J": 1, "K1": 2, "K2": 2, "L1": 3, "L2": 3, "L3": 3, "L4": 3}.get(f, 4)
-    ident = tuple(tuple(ONE if i == j else ZERO for i in range(d)) for j in range(d))
+    ident = tuple(unit_rows(d))
     if f in ("J", "K1", "L1", "L2", "M2"):
         cols = ident
     elif f == "K2":
@@ -650,8 +625,8 @@ def _m6_jordan_chain_bridge():
             (3, 2): {0: Q(1, 27), 1: Q(-1, 3), 2: 1}})
     # ad(3 x4) - id on span(x1, x2, x3), columns in that basis
     m = [[ZERO] * 3 for _ in range(3)]
-    for j in range(3):
-        img = sc.bracket_coords((ZERO, ZERO, ZERO, Q(3)), _unit(4, j))
+    for j, u in enumerate(unit_rows(4)[:3]):
+        img = sc.bracket_coords((ZERO, ZERO, ZERO, Q(3)), u)
         for i in range(3):
             m[i][j] = img[i] - (1 if i == j else 0)
     w = [ONE, ZERO, ZERO]
@@ -660,10 +635,7 @@ def _m6_jordan_chain_bridge():
     # invert (u1, v, w, 3x4) to columns x_i -> e-coordinates
     basis = [tuple(u1) + (ZERO,), tuple(v) + (ZERO,), tuple(w) + (ZERO,),
              (ZERO, ZERO, ZERO, Q(3))]
-    cols = []
-    for i in range(4):
-        cols.append(solve_in_span(basis, _unit(4, i)))
-    return tuple(cols)
+    return tuple(solve_in_span(basis, unit_rows(4)))
 
 
 def _m6_s43_bridge(a, b, params):
@@ -693,4 +665,4 @@ def _m6_s43_bridge(a, b, params):
     ut = eigvec(bp * rprime)
     basis = [tuple(u1) + (ZERO,), tuple(us) + (ZERO,), tuple(ut) + (ZERO,),
              (ZERO, ZERO, ZERO, 1 / rprime)]
-    return tuple(solve_in_span(basis, _unit(4, i)) for i in range(4))
+    return tuple(solve_in_span(basis, unit_rows(4)))

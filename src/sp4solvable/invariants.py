@@ -42,7 +42,7 @@ from .linalg import (Mat4, Poly, char_poly, char_poly_rows, det_mpoly,
                      rational_roots, symbolic_combo, symbolic_minors, Subspace)
 from .rational import Q, ZERO, format_rational
 from .sp4 import bracket
-from .structure import Subalgebra, derived_series, lower_central_series
+from .structure import Subalgebra, ad_matrix, coord_series, unit_rows
 from .jordan import jordan_decompose
 
 __all__ = [
@@ -234,18 +234,6 @@ def _jsonable(obj):
     return format_rational(obj)
 
 
-def _ad_rows(x: Mat4, space: Subspace) -> list[list]:
-    """Matrix (rows) of ad(x) acting on an ad(x)-stable subspace."""
-    cols = []
-    for b in space.basis:
-        c = space.coords(bracket(x, b))
-        if c is None:
-            raise Sp4Error("subspace is not ad-stable")
-        cols.append(c)
-    d = space.dim
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-
 def _eigenvalue_on_line(x: Mat4, v: Mat4):
     """Eigenvalue of ad(x) on the ad(x)-invariant line spanned by v."""
     w = bracket(x, v)
@@ -296,10 +284,9 @@ def signature(s: Subalgebra) -> InvariantSignature:
     """
     g = s.space
     d = g.dim
-    der = derived_series(s)
-    lcs = lower_central_series(s)
-    derived_dims = tuple(sp.dim for sp in der)
-    lower_dims = tuple(sp.dim for sp in lcs)
+    der = coord_series(s)
+    derived_dims = tuple(len(rows) for rows in der)
+    lower_dims = tuple(len(rows) for rows in coord_series(s, lower=True))
     nspace = nilpotent_subspace(s)
     dn = nspace.dim
     codim = d - dn
@@ -320,15 +307,16 @@ def signature(s: Subalgebra) -> InvariantSignature:
         content = "has_cartan"
         probe = None
     else:
-        x0 = next(b for b in g.basis if not nspace.contains(b))
+        i0 = next(i for i, b in enumerate(g.basis) if not nspace.contains(b))
+        x0 = g.basis[i0]
         dec = jordan_decompose(x0)
         if nspace.contains(dec.nilpotent):
             content = ("has_regular_ss" if _regular_pair(x0)
                        else "has_nonregular_ss_only")
         else:
             content = "mixed_only"
-        probe = _spectral_probe(s, nspace, der[1] if len(der) > 1 else echelon_span([]),
-                                x0, pencil)
+        probe = _spectral_probe(s, nspace, der[1] if len(der) > 1 else [],
+                                i0, pencil)
 
     return InvariantSignature(
         dim=d,
@@ -356,23 +344,29 @@ def _nilpotent_strata(nspace: Subspace, pencil: PencilStrata | None) -> tuple:
     return (("generic", generic_rank(list(nspace.basis))),)
 
 
-def _spectral_probe(s: Subalgebra, nspace: Subspace, derived: Subspace,
-                    x0: Mat4, pencil: PencilStrata | None) -> tuple:
+def _spectral_probe(s: Subalgebra, nspace: Subspace, derived: list[tuple],
+                    i0: int, pencil: PencilStrata | None) -> tuple:
+    """`derived` holds the coordinate rows of [g, g]; x0 is basis element i0."""
+    sc = s.constants
+    x0 = s.basis[i0]
+    units = unit_rows(s.dim)
+    y = units[i0]
     weighted: list[tuple] = []
     p4 = char_poly(x0)
     for j in (3, 2, 1, 0):
         weighted.append((p4[j], 4 - j))
-    pad = char_poly_rows(_ad_rows(x0, s.space))
+    pad = char_poly_rows(ad_matrix(sc, y, units))
     dg = s.dim
     for j in range(dg - 1, -1, -1):
         weighted.append((pad[j], dg - j))
-    if derived.dim:
-        pdd = char_poly_rows(_ad_rows(x0, derived))
-        for j in range(derived.dim - 1, -1, -1):
-            weighted.append((pdd[j], derived.dim - j))
+    dd = len(derived)
+    if dd:
+        pdd = char_poly_rows(ad_matrix(sc, y, derived))
+        for j in range(dd - 1, -1, -1):
+            weighted.append((pdd[j], dd - j))
     marked = _marked_line_data(nspace, x0, pencil)
     weighted.extend(marked)
-    return (dg, derived.dim, nspace.dim) + _invariantize(weighted)
+    return (dg, dd, nspace.dim) + _invariantize(weighted)
 
 
 def _marked_line_data(nspace: Subspace, x0: Mat4,

@@ -19,7 +19,7 @@ from itertools import combinations
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import SingularMatrix, ZeroPolynomial
+from .errors import DependentInputs, SingularMatrix, ZeroPolynomial
 from .rational import Q, ZERO, ONE, divisors, format_rational, parse_rational, rational_sqrt
 
 Vec = tuple
@@ -105,19 +105,26 @@ def solve_coords(basis_rows: list[tuple], v: Sequence):
     return tuple(coords)
 
 
-def solve_in_span(vectors: Sequence[Sequence], w: Sequence):
-    """Coordinates of w in terms of independent vectors (in any form), or
-    None if w lies outside their span; solved by echelonizing the augmented
-    system [vectors | w]."""
+def solve_in_span(vectors: Sequence[Sequence], ws: Sequence[Sequence]) -> list:
+    """Coordinates of each w in `ws` in terms of independent vectors (in any
+    form), None for a w outside their span; all solved by one echelonization
+    of the augmented system [vectors | ws].  Raises DependentInputs when the
+    vectors are dependent."""
     k = len(vectors)
-    aug = [tuple(vec[r] for vec in vectors) + (w[r],) for r in range(len(w))]
-    coords = [ZERO] * k
-    for row in rref(aug):
+    coords = [[ZERO] * k for _ in ws]
+    outside = set()
+    pivots = 0
+    for row in rref(zip(*vectors, *ws)):
         p = _pivot_col(row)
-        if p == k:
-            return None
-        coords[p] = row[k]
-    return tuple(coords)
+        if p < k:
+            pivots += 1
+            for c, x in zip(coords, row[k:]):
+                c[p] = x
+        else:
+            outside.update(j for j, x in enumerate(row[k:]) if x != 0)
+    if pivots != k:
+        raise DependentInputs("coordinates need independent vectors")
+    return [None if j in outside else tuple(c) for j, c in enumerate(coords)]
 
 
 # ---------------------------------------------------------------------------

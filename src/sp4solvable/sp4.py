@@ -255,8 +255,11 @@ DEFAULT_PARAM_SAMPLES = (Q(2), Q(3), Q(5), Q(-2), Q(-3), Q(1, 2), Q(2, 3), Q(7, 
 
 def default_param_samples() -> tuple:
     """The default 8-value sample set; SP4_PARAM_SAMPLES overrides it with a
-    comma-separated list of rational strings."""
+    comma-separated list of rational strings (Sp4Error if one is malformed)."""
     env = os.environ.get("SP4_PARAM_SAMPLES")
     if not env:
         return DEFAULT_PARAM_SAMPLES
-    return tuple(parse_rational(p) for p in env.split(","))
+    try:
+        return tuple(parse_rational(p) for p in env.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise Sp4Error(f"SP4_PARAM_SAMPLES={env!r} is not a list of rationals: {exc}") from exc

@@ -1,24 +1,30 @@
 """Structural predicates and series for subalgebras.
 
-Closure under the bracket, generated subalgebras, derived and lower central
-series, solvability/nilpotency/abelian-ness, and exact structure constants in
-the canonical echelon basis.  Everything works on `Subspace` values; ambient
-sp(4) membership is validated when a `Subalgebra` is constructed.
+The bracket table (exact structure constants) is the one bracket fact of a
+subalgebra: a `Subalgebra` computes it once, in its canonical echelon basis,
+from the d(d-1)/2 matrix brackets solved in one echelonization, and closure
+is the table's existence.  The derived and lower central series,
+solvability, nilpotency, abelian-ness and adjoint matrices all run on the
+table in coordinates (d <= 7); `derived_series`/`lower_central_series`
+return matrix `Subspace` values at the boundary.  Ambient sp(4) membership
+is validated when a `Subalgebra` is constructed from matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import Sp4Error
-from .linalg import Mat4, Subspace, echelon_span, rref, solve_in_span
-from .rational import Q, ZERO, format_rational, parse_rational
+from .linalg import Mat4, Subspace, echelon_span, rref, solve_coords, solve_in_span
+from .rational import Q, ZERO, ONE, format_rational, parse_rational
 from .sp4 import bracket, in_sp4
 
 __all__ = [
     "Subalgebra", "is_closed", "generated_subalgebra", "bracket_space",
-    "derived_series", "lower_central_series",
+    "ad_matrix", "unit_rows", "coord_series", "derived_series", "lower_central_series",
     "is_solvable", "is_nilpotent", "is_abelian",
     "StructureConstants", "structure_constants", "structure_constants_for_basis",
 ]
@@ -34,14 +40,17 @@ class Subalgebra:
     @classmethod
     def from_matrices(cls, mats: Iterable[Mat4], ambient: str = "sp4",
                       check: bool = True) -> "Subalgebra":
-        space = echelon_span(mats)
+        sub = cls(echelon_span(mats), ambient)
         if check:
-            for m in space.basis:
-                if not in_sp4(m):
-                    raise Sp4Error("subalgebra basis element is not in sp(4)")
-            if not is_closed(space):
-                raise Sp4Error("subspace is not closed under the bracket")
-        return cls(space, ambient)
+            if not all(in_sp4(m) for m in sub.basis):
+                raise Sp4Error("subalgebra basis element is not in sp(4)")
+            sub.constants  # raises Sp4Error when a bracket leaves the span
+        return sub
+
+    @cached_property
+    def constants(self) -> "StructureConstants":
+        """The bracket table in the echelon basis, computed on first use."""
+        return structure_constants_for_basis(self.basis)
 
     @property
     def dim(self) -> int:
@@ -60,69 +69,97 @@ class Subalgebra:
         return cls.from_matrices(mats, ambient=data.get("ambient", "sp4"))
 
 
-def _brackets_outside(space: Subspace):
-    """The pairwise brackets of basis elements that leave the span (lazily)."""
-    basis = space.basis
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            br = bracket(basis[i], basis[j])
-            if not space.contains(br):
-                yield br
+def _pair_brackets(mats: Sequence[Mat4]) -> tuple[list[Mat4], list]:
+    """The brackets [m_i, m_j], i < j, of independent matrices, and their
+    coordinates in the matrices (None for a bracket outside their span), all
+    solved in one echelonization."""
+    brackets = [bracket(x, y) for x, y in combinations(mats, 2)]
+    coords = solve_in_span([m.flatten() for m in mats], [b.flatten() for b in brackets])
+    return brackets, coords
 
 
 def is_closed(space: Subspace) -> bool:
     """True iff all pairwise brackets of basis elements stay in the span."""
-    return next(_brackets_outside(space), None) is None
+    return None not in _pair_brackets(space.basis)[1]
 
 
 def generated_subalgebra(seed: Iterable[Mat4]) -> Subalgebra:
     """Smallest bracket-closed subspace containing the seeds."""
     space = echelon_span(seed)
     while True:
-        new = list(_brackets_outside(space))
+        brackets, coords = _pair_brackets(space.basis)
+        new = [b for b, c in zip(brackets, coords) if c is None]
         if not new:
             return Subalgebra(space)
         space = echelon_span(list(space.basis) + new)
 
 
-def bracket_space(a: Subspace, b: Subspace) -> Subspace:
-    """Span of all brackets [x, y], x in a, y in b."""
-    return echelon_span([bracket(x, y) for x in a.basis for y in b.basis])
+def bracket_space(sc: "StructureConstants", a: Sequence[tuple],
+                  b: Sequence[tuple]) -> list[tuple]:
+    """RREF coordinate rows of the span of all [u, v], u in a, v in b, for
+    coordinate rows a and b of the algebra with bracket table sc."""
+    pairs = combinations(a, 2) if a == b else product(a, b)
+    return rref([sc.bracket_coords(u, v) for u, v in pairs])
 
 
-def _series(s: Subalgebra, step) -> list[Subspace]:
-    """g, step(g), step(step(g)), ... until the dimension stops falling."""
-    chain = [s.space]
-    while True:
-        nxt = step(chain[-1])
-        if nxt.dim == chain[-1].dim:
+def ad_matrix(sc: "StructureConstants", y: Sequence, rows: list[tuple]) -> list[list]:
+    """Matrix (rows) of ad(y) on an ad(y)-stable subspace given by RREF
+    coordinate rows, in the basis of those rows."""
+    cols = []
+    for v in rows:
+        c = solve_coords(rows, sc.bracket_coords(y, v))
+        if c is None:
+            raise Sp4Error("subspace is not ad-stable")
+        cols.append(c)
+    return [list(r) for r in zip(*cols)]
+
+
+def unit_rows(d: int) -> list[tuple]:
+    """The coordinate rows of the basis itself (the d x d identity)."""
+    return [tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d)]
+
+
+def coord_series(s: Subalgebra, lower: bool = False) -> list[list[tuple]]:
+    """RREF coordinate rows of g, [g,g], ... until the dimension stops
+    falling: the derived series, or with `lower` the lower central series
+    (g, [g,g], [g,[g,g]], ...), all from the bracket table."""
+    sc = s.constants
+    g = unit_rows(s.dim)
+    chain = [g]
+    while chain[-1]:
+        h = chain[-1]
+        nxt = bracket_space(sc, g if lower else h, h)
+        if len(nxt) == len(h):
             break
         chain.append(nxt)
-        if nxt.dim == 0:
-            break
     return chain
+
+
+def _spaces(s: Subalgebra, chain: list[list[tuple]]) -> list[Subspace]:
+    return [s.space] + [echelon_span([s.space.combine(r) for r in rows])
+                        for rows in chain[1:]]
 
 
 def derived_series(s: Subalgebra) -> list[Subspace]:
     """g, [g,g], [[g,g],[g,g]], ... until stabilization."""
-    return _series(s, lambda h: bracket_space(h, h))
+    return _spaces(s, coord_series(s))
 
 
 def lower_central_series(s: Subalgebra) -> list[Subspace]:
     """g, [g,g], [g,[g,g]], ... until stabilization."""
-    return _series(s, lambda h: bracket_space(s.space, h))
+    return _spaces(s, coord_series(s, lower=True))
 
 
 def is_solvable(s: Subalgebra) -> bool:
-    return derived_series(s)[-1].dim == 0
+    return not coord_series(s)[-1]
 
 
 def is_nilpotent(s: Subalgebra) -> bool:
-    return lower_central_series(s)[-1].dim == 0
+    return not coord_series(s, lower=True)[-1]
 
 
 def is_abelian(s: Subalgebra) -> bool:
-    return bracket_space(s.space, s.space).dim == 0
+    return s.constants.is_abelian()
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +199,7 @@ class StructureConstants:
 
     def satisfies_jacobi(self) -> bool:
         d = self.dim
-        basis = [tuple(Q(1) if i == j else ZERO for j in range(d)) for i in range(d)]
+        basis = unit_rows(d)
         for i in range(d):
             for j in range(i + 1, d):
                 for k in range(j + 1, d):
@@ -177,15 +214,6 @@ class StructureConstants:
     def is_abelian(self) -> bool:
         return all(c == 0 for plane in self.table for row in plane for c in row)
 
-    def derived_coords(self) -> list[tuple]:
-        """RREF basis (in coordinates) of the derived subalgebra."""
-        d = self.dim
-        rows = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                rows.append(self.table[i][j])
-        return rref(rows)
-
     def change_basis(self, p_cols: Sequence[Sequence]) -> "StructureConstants":
         """Constants in the new basis y_j = sum_i p_cols[j][i] * x_i.
 
@@ -194,18 +222,10 @@ class StructureConstants:
         """
         d = self.dim
         new_in_old = [tuple(Q(c) for c in col) for col in p_cols]
-        old_basis_rows = rref(new_in_old)
-        if len(old_basis_rows) != d:
-            raise Sp4Error("basis change matrix is singular")
-        table = []
-        for i in range(d):
-            plane = []
-            for j in range(d):
-                br_old = self.bracket_coords(new_in_old[i], new_in_old[j])
-                coords = _coords_in(new_in_old, br_old)
-                plane.append(coords)
-            table.append(plane)
-        return StructureConstants(d, table)
+        if len(new_in_old) != d:
+            raise Sp4Error("basis change matrix is not square")
+        brackets = [self.bracket_coords(x, y) for x, y in combinations(new_in_old, 2)]
+        return StructureConstants.from_pairs(d, solve_in_span(new_in_old, brackets))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, StructureConstants)
@@ -240,31 +260,25 @@ class StructureConstants:
                 table[j][i][k] = -Q(c)
         return cls(dim, table)
 
-
-def _coords_in(basis_vectors: list[tuple], v: Sequence) -> tuple:
-    """Solve v = sum c_i basis_vectors[i] (basis assumed independent)."""
-    coords = solve_in_span(basis_vectors, v)
-    if coords is None:
-        raise Sp4Error("vector outside span in coordinate solve")
-    return coords
+    @classmethod
+    def from_pairs(cls, dim: int, coords: Sequence) -> "StructureConstants":
+        """Build from the coordinates of [x_i, x_j], i < j, listed in
+        `itertools.combinations` order; antisymmetry and the zero diagonal
+        are filled in.  A None entry (a bracket outside the span) raises."""
+        if None in coords:
+            raise Sp4Error("basis is not closed under the bracket")
+        table = [[(ZERO,) * dim] * dim for _ in range(dim)]
+        for (i, j), c in zip(combinations(range(dim), 2), coords):
+            table[i][j] = c
+            table[j][i] = tuple(-x for x in c)
+        return cls(dim, table)
 
 
 def structure_constants(s: Subalgebra) -> StructureConstants:
     """Constants of the bracket in the canonical echelon basis."""
-    return structure_constants_for_basis(list(s.basis))
+    return s.constants
 
 
-def structure_constants_for_basis(mats: list[Mat4]) -> StructureConstants:
+def structure_constants_for_basis(mats: Sequence[Mat4]) -> StructureConstants:
     """Constants of the matrix bracket in the given (independent) basis."""
-    d = len(mats)
-    flat = [m.flatten() for m in mats]
-    if len(rref(flat)) != d:
-        raise Sp4Error("structure constants need an independent basis")
-    table = []
-    for i in range(d):
-        plane = []
-        for j in range(d):
-            br = bracket(mats[i], mats[j]).flatten()
-            plane.append(_coords_in([tuple(f) for f in flat], br))
-        table.append(plane)
-    return StructureConstants(d, table)
+    return StructureConstants.from_pairs(len(mats), _pair_brackets(mats)[1])

@@ -19,13 +19,12 @@ from .catalog import CatalogEntry, load_catalog
 from .errors import IrrationalSpectrum, Sp4Error
 from .identify import (IsoMap, degraaf_to_sw, identify_degraaf,
                        sw_bridge_map, verify_isomorphism)
-from .invariants import InvariantSignature, signature
+from .invariants import signature
 from .linalg import Mat4, echelon_span
 from .rational import Q, format_rational
 from .sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, conjugate_subalgebra,
                   default_param_samples, in_sp4, parse_conjugator)
-from .structure import (Subalgebra, generated_subalgebra, is_closed,
-                        is_solvable, structure_constants_for_basis)
+from .structure import Subalgebra, generated_subalgebra, is_solvable
 
 __all__ = ["CheckRecord", "VerificationReport", "verify_entry",
            "verify_catalog", "verify_separations", "random_subalgebra_probe",
@@ -99,8 +98,8 @@ def _p(param) -> str:
 def verify_entry(entry: CatalogEntry, params=None,
                  report: VerificationReport | None = None) -> VerificationReport:
     rep = _report(report, params)
-    for a in _row_samples(entry, params):
-        _verify_at(entry, a, rep)
+    for i, a in enumerate(_row_samples(entry, params)):
+        _verify_at(entry, a, rep, first=(i == 0))
     return rep
 
 
@@ -120,25 +119,32 @@ def _row_samples(entry: CatalogEntry, params=None) -> tuple:
     return tuple(a for a in samples if a is not None and entry.conditions_ok(a))
 
 
-def _verify_at(entry: CatalogEntry, a, rep: VerificationReport):
+def _verify_at(entry: CatalogEntry, a, rep: VerificationReport, first: bool):
+    """All checks of one row instance; `first` marks the row's first sample,
+    where sample-restricted claims run."""
     mats = entry.basis_at(a)
     space = echelon_span(mats)
+    sub = Subalgebra(space)
     ok_dim = space.dim == entry.dim
     ok_sp4 = all(in_sp4(m) for m in mats)
-    ok_closed = is_closed(space)
+    try:
+        sub.constants  # the bracket table exists iff the span is closed
+        ok_closed = True
+    except Sp4Error:
+        ok_closed = False
     rep.add(entry.row_id, a, "closure+dimension",
             ok_dim and ok_sp4 and ok_closed,
             "" if ok_dim and ok_sp4 and ok_closed else
             f"dim {space.dim}/{entry.dim} sp4 {ok_sp4} closed {ok_closed}")
     if not (ok_dim and ok_sp4 and ok_closed):
         return
-    sub = Subalgebra(space)
     rep.add(entry.row_id, a, "solvable", is_solvable(sub))
 
     for claim in entry.equivalences:
-        _verify_claim(entry, claim, a, rep)
+        _verify_claim(entry, claim, a, rep, first)
 
-    sc = structure_constants_for_basis(mats)
+    # the constants in the stated basis, from the echelon-basis table
+    sc = sub.constants.change_basis([space.coords(m) for m in mats])
     dg = entry.degraaf_at(a)
     if dg is not None:
         try:
@@ -191,13 +197,14 @@ def _verify_at(entry: CatalogEntry, a, rep: VerificationReport):
         rep.add(entry.row_id, a, "sw-label", True, str(entry.sw_at(a)))
 
 
-def _verify_claim(entry: CatalogEntry, claim, a, rep: VerificationReport):
+def _verify_claim(entry: CatalogEntry, claim, a, rep: VerificationReport,
+                  first: bool):
     from .catalog import build_element
     from .exprs import eval_expr
     if claim.samples is not None:
         # claim restricted to stated parameter values (square-root recipes);
-        # run them once, on the row's first sample pass
-        if a is not None and Q(a) != entry.samples()[0]:
+        # run them once, on the row's first verified sample
+        if not first:
             return
         values = tuple(eval_expr(s, {}) for s in claim.samples)
     else:
@@ -296,7 +303,7 @@ def separation_witness(e1: CatalogEntry, a1, e2: CatalogEntry, a2) -> list[str]:
 # randomized completeness spot-check
 # ---------------------------------------------------------------------------
 
-def _param_candidates(sig: InvariantSignature, sub: Subalgebra, nspace) -> list:
+def _param_candidates(sub: Subalgebra, nspace) -> list:
     """Candidate family parameters from the eigenvalue pair of a canonical
     non-nilpotent element (ratios p/q, q/p with signs)."""
     from .jordan import _eigen_pair
@@ -332,7 +339,7 @@ def match_catalog(sub: Subalgebra, entries=None) -> list[tuple]:
             if signature(Subalgebra(e.space_at(None))) == sig:
                 matches.append((e.row_id, None))
             continue
-        for cand in _param_candidates(sig, sub, nspace):
+        for cand in _param_candidates(sub, nspace):
             if not e.conditions_ok(cand):
                 continue
             if signature(Subalgebra(e.space_at(cand))) == sig:

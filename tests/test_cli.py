@@ -150,3 +150,10 @@ def test_malformed_param_is_a_parse_error(ta_path, capsys):
     assert main(["conjugate", "--input", ta_path, "--conjugator", "W",
                  "--param", "x"]) == 2
     assert "--param" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["x", "1/0"])
+def test_malformed_sample_env_is_a_parse_error(samples, capsys, monkeypatch):
+    monkeypatch.setenv("SP4_PARAM_SAMPLES", samples)
+    assert main(["verify-catalog"]) == 2
+    assert "SP4_PARAM_SAMPLES" in capsys.readouterr().err

@@ -158,8 +158,17 @@ def test_solve_in_span_roundtrips_on_a_non_echelon_basis():
                for v in ((2, 1, 0, 3, 0), (1, 1, 1, 0, 0), (0, 3, 1, 1, 0))]
     coords = (Q(3, 7), Q(-2), Q(5))
     w = tuple(sum(c * v[i] for c, v in zip(coords, vectors)) for i in range(5))
-    assert solve_in_span(vectors, w) == coords
-    assert solve_in_span(vectors, (0, 0, 0, 0, Q(1))) is None
+    outside = (0, 0, 0, 0, Q(1))
+    assert solve_in_span(vectors, [w]) == [coords]
+    assert solve_in_span(vectors, [outside]) == [None]
+    # several right-hand sides in one solve, each answered on its own; a w
+    # outside the span stays None even when a later w lies in span(v, w)
+    w2 = tuple(x + y for x, y in zip(vectors[0], outside))
+    assert solve_in_span(vectors, [outside, w, w2, vectors[2]]) == [
+        None, coords, None, (0, 0, 1)]
+    assert solve_in_span(vectors, []) == []
+    with pytest.raises(Sp4Error):
+        solve_in_span(vectors[:2] + [vectors[0]], [w])  # dependent vectors
     # the bracket table's coordinate solve still refuses bad bases
     with pytest.raises(Sp4Error):
         structure_constants_for_basis([X_ALPHA, X_ALPHA * 2])  # dependent

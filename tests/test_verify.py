@@ -58,6 +58,20 @@ def test_params_leave_rows_without_parameter_alone():
     assert {r.param for r in rep.records if r not in rescales} == {"-"}
 
 
+def test_restricted_claim_runs_at_the_first_verified_sample():
+    # a sample-restricted claim on a parameterized row, verified under params
+    # that leave out the row's first default sample (2)
+    rescale = next(c for c in ENTRIES["d1_T11_Xb"].equivalences if c.samples)
+    claim = dataclasses.replace(rescale, tgt=ENTRIES["d1_T11_Xb"].basis)
+    entry = ENTRIES["d1_T_a1"]
+    assert entry.samples()[0] == 2
+    entry = dataclasses.replace(entry, equivalences=entry.equivalences + (claim,))
+    rep = verify_entry(entry, params=(Q(3), Q(5)))
+    runs = [r for r in rep.records if r.check == f"equivalence: {claim.desc}"]
+    assert [r.param for r in runs] == ["3", "5", "-2", "7/3"]
+    assert rep.overall_pass
+
+
 def test_unknown_recipe_is_a_failed_check():
     entry = dataclasses.replace(ENTRIES["d1_T11_Xb"],
                                 equivalences=(EquivClaim("by search", "search"),))
