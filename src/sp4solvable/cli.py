@@ -3,9 +3,9 @@
 Subcommands: verify-catalog, identify, invariants, conjugate,
 classify-element, export-catalog.  Batch-only; inputs are JSON files using
 the library's wire formats (matrices as 4x4 grids of rational strings,
-subalgebras as {"ambient": ..., "basis": [...]}), outputs go to stdout as
+subalgebras as {"ambient": "sp4", "basis": [...]}), outputs go to stdout as
 text or JSON.  Exit codes: 0 success, 1 verification failure, 2 parse error,
-3 irrational spectrum / unrecognized family.
+3 irrational spectrum / unrecognized family / factoring bound exceeded.
 
 The parameter sample set is printed in every report header; the environment
 variable SP4_PARAM_SAMPLES (comma-separated rationals) overrides the default.
@@ -18,14 +18,14 @@ import json
 import sys
 
 from .catalog import catalog_to_json, load_catalog
-from .errors import (IrrationalSpectrum, OutOfCatalog, Sp4Error,
-                     UnrecognizedFamily, UnsupportedDimension)
+from .errors import (FactorizationLimit, IrrationalSpectrum, OutOfCatalog,
+                     Sp4Error, UnrecognizedFamily, UnsupportedDimension)
 from .identify import degraaf_to_sw, identify_degraaf
 from .invariants import signature
 from .jordan import classify_element
 from .linalg import Mat4
 from .rational import format_rational, parse_rational
-from .sp4 import default_param_samples, in_sp4, parse_conjugator
+from .sp4 import default_param_samples, parse_conjugator
 from .structure import Subalgebra, structure_constants
 from .verify import match_catalog, verify_catalog
 
@@ -134,16 +134,13 @@ def cmd_conjugate(args) -> int:
         env["a"] = _parse_option(args.param, "--param")
     g = parse_conjugator(args.conjugator, env)
     from .sp4 import conjugate_subalgebra
-    image = Subalgebra(conjugate_subalgebra(g, sub.space), sub.ambient)
+    image = Subalgebra(conjugate_subalgebra(g, sub.space))
     _emit({"samples": _samples_header(), **image.to_json()}, args.output)
     return 0
 
 
 def cmd_classify_element(args) -> int:
-    m = _load_matrix(args.input)
-    if not in_sp4(m):
-        raise Sp4Error("matrix is not in sp(4)")
-    label = classify_element(m)
+    label = classify_element(_load_matrix(args.input))
     payload = label.to_json()
     payload["samples"] = _samples_header()
     _emit(payload, args.output)
@@ -210,6 +207,9 @@ def main(argv=None) -> int:
     except (IrrationalSpectrum, UnrecognizedFamily, UnsupportedDimension) as exc:
         print(f"{type(exc).__name__}: {exc}; compare characteristic "
               f"polynomials instead of eigenvalue data", file=sys.stderr)
+        return 3
+    except FactorizationLimit as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except Sp4Error as exc:
         print(f"error: {exc}", file=sys.stderr)

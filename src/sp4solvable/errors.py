@@ -5,6 +5,10 @@ class Sp4Error(Exception):
     """Base class for all library errors."""
 
 
+class FactorizationLimit(Sp4Error):
+    """An integer with two prime factors above the trial-division bound."""
+
+
 class ZeroPolynomial(Sp4Error):
     """Root extraction was asked for the zero polynomial."""
 

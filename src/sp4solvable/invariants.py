@@ -268,10 +268,9 @@ def _invariantize(weighted: list[tuple]) -> tuple:
     return tuple(out)
 
 
-def _regular_pair(x: Mat4) -> bool:
-    """Whether the eigenvalues of a rational-spectrum sp(4) element are four
-    distinct values (+-a, +-b with a,b nonzero, a != +-b)."""
-    p = char_poly(x)
+def _regular_pair(p: Poly) -> bool:
+    """Whether the char poly p of a rational-spectrum sp(4) element has four
+    distinct roots (+-a, +-b with a,b nonzero, a != +-b)."""
     if p[0] == 0:  # zero eigenvalue
         return False
     return p.gcd(p.derivative()).degree == 0
@@ -309,14 +308,15 @@ def signature(s: Subalgebra) -> InvariantSignature:
     else:
         i0 = next(i for i, b in enumerate(g.basis) if not nspace.contains(b))
         x0 = g.basis[i0]
+        p0 = char_poly(x0)
         dec = jordan_decompose(x0)
         if nspace.contains(dec.nilpotent):
-            content = ("has_regular_ss" if _regular_pair(x0)
+            content = ("has_regular_ss" if _regular_pair(p0)
                        else "has_nonregular_ss_only")
         else:
             content = "mixed_only"
         probe = _spectral_probe(s, nspace, der[1] if len(der) > 1 else [],
-                                i0, pencil)
+                                i0, p0, pencil)
 
     return InvariantSignature(
         dim=d,
@@ -345,14 +345,14 @@ def _nilpotent_strata(nspace: Subspace, pencil: PencilStrata | None) -> tuple:
 
 
 def _spectral_probe(s: Subalgebra, nspace: Subspace, derived: list[tuple],
-                    i0: int, pencil: PencilStrata | None) -> tuple:
-    """`derived` holds the coordinate rows of [g, g]; x0 is basis element i0."""
+                    i0: int, p4: Poly, pencil: PencilStrata | None) -> tuple:
+    """`derived` holds the coordinate rows of [g, g]; x0 = basis[i0] has the
+    char poly p4."""
     sc = s.constants
     x0 = s.basis[i0]
     units = unit_rows(s.dim)
     y = units[i0]
     weighted: list[tuple] = []
-    p4 = char_poly(x0)
     for j in (3, 2, 1, 0):
         weighted.append((p4[j], 4 - j))
     pad = char_poly_rows(ad_matrix(sc, y, units))

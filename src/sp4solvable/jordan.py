@@ -6,10 +6,10 @@ S <- S - g(S) g'(S)^{-1} starting from S = X.  Over a perfect field g and g'
 are coprime, so g'(S) stays invertible along the iteration, and for 4x4
 matrices the iteration stabilizes after at most two steps.
 
-Element classification follows the two conjugacy tables: semisimple elements
-are Weyl-normalized diagonal parameters; nilpotent elements are typed by their
-Jordan block sizes (三 nonzero orbits: blocks (2,1,1), (2,2), (4)); mixed
-elements land in one of the two nontrivial-Jordan rows.
+Element classification follows the two conjugacy tables and reads one
+characteristic polynomial p: x is semisimple iff the squarefree part of p
+kills x, nilpotent iff p = lambda^4 (three nonzero orbits, blocks (2,1,1),
+(2,2), (4), told apart by rank), and the eigenvalue pair is read off p.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import IrrationalSpectrum, NotInBorel, NotInSp4, NotSemisimple
-from .linalg import (Mat4, char_poly, kernel_of_rows, poly_eval_mat,
-                     rational_roots, inverse)
-from .rational import Q, ZERO, format_rational
+from .linalg import (Mat4, Poly, char_poly, inverse, poly_eval_mat, rank,
+                     rational_roots)
+from .rational import Q, format_rational
 from .sp4 import (bracket, conjugate, in_sp4, root_value, shear,
                   standard_subalgebra)
 
@@ -44,8 +44,7 @@ class JordanDecomposition:
             return False
         if not (n * n * n * n).is_zero():
             return False
-        g = char_poly(s).squarefree_part()
-        return poly_eval_mat(g, s).is_zero()
+        return is_semisimple(s)
 
 
 def jordan_decompose(x: Mat4) -> JordanDecomposition:
@@ -59,12 +58,20 @@ def jordan_decompose(x: Mat4) -> JordanDecomposition:
     return JordanDecomposition(s, x - s)
 
 
+_LAMBDA4 = Poly([0, 0, 0, 0, 1])
+
+
+def _annihilated_by_squarefree(x: Mat4, p: Poly) -> bool:
+    """Whether x is semisimple, given its characteristic polynomial p."""
+    return poly_eval_mat(p.squarefree_part(), x).is_zero()
+
+
 def is_semisimple(x: Mat4) -> bool:
-    return jordan_decompose(x).nilpotent.is_zero()
+    return _annihilated_by_squarefree(x, char_poly(x))
 
 
 def is_nilpotent_mat(x: Mat4) -> bool:
-    return jordan_decompose(x).semisimple.is_zero()
+    return char_poly(x) == _LAMBDA4
 
 
 def jordan_type(x: Mat4) -> dict:
@@ -86,7 +93,7 @@ def jordan_type(x: Mat4) -> dict:
         power = Mat4.identity()
         for k in range(1, mult + 1):
             power = power * shifted
-            kdims.append(len(kernel_of_rows([list(r) for r in power.rows], 4)))
+            kdims.append(4 - rank(power))
         blocks_ge = [kdims[k] - kdims[k - 1] for k in range(1, len(kdims))]
         sizes = []
         for k in range(len(blocks_ge), 0, -1):
@@ -143,35 +150,28 @@ def _weyl_canonical(a, b) -> tuple:
     return min(cands, key=lambda p: (_abs_key(p[0]), _abs_key(p[1])))
 
 
-def _eigen_pair(x: Mat4) -> tuple:
-    """Extract (a, b) with spectrum {a, b, -a, -b} from a rational-spectrum
-    sp(4) element's characteristic polynomial."""
-    roots = rational_roots(char_poly(x))
+def _eigen_pair(p: Poly) -> tuple:
+    """The pair (a, b), a >= b >= 0, of a rational-spectrum sp(4) element
+    whose characteristic polynomial p has the roots {a, b, -a, -b}."""
+    roots = rational_roots(p)
     if sum(roots.values()) != 4:
         raise IrrationalSpectrum("element has irrational eigenvalues")
-    vals: list = []
-    for lam, mult in sorted(roots.items(), key=lambda kv: _abs_key(kv[0])):
-        vals.extend([lam] * mult)
-    pos = sorted([v for v in vals if v > 0], key=_abs_key)
-    zeros = [v for v in vals if v == 0]
-    # pair up: nonzero eigenvalues occur in +/- pairs, zeros pad
-    picked = pos + zeros[: max(0, 2 - len(pos))]
-    return picked[0], picked[1]
+    vals = sorted(lam for lam, mult in roots.items() for _ in range(mult))
+    return vals[3], vals[2]
 
 
 def classify_element(x: Mat4) -> OrbitLabel:
     """Assign the conjugacy-table row of an sp(4) element (rational spectrum).
 
     Semisimple: table 1, Weyl-normalized (a, b).  Nilpotent: one of the three
-    nonzero nilpotent rows (or zero), typed by Jordan blocks.  Mixed: one of
-    the two nontrivial-Jordan rows, typed by (Jordan type, eigenvalues).
+    nonzero nilpotent rows, typed by rank.  Mixed: one of the two
+    nontrivial-Jordan rows, typed by the eigenvalues of p = char_poly(x).
     """
     if not in_sp4(x):
         raise NotInSp4("classify_element needs an sp(4) element")
-    dec = jordan_decompose(x)
-    if dec.nilpotent.is_zero():
-        a, b = _eigen_pair(x)
-        a, b = _weyl_canonical(a, b)
+    p = char_poly(x)
+    if _annihilated_by_squarefree(x, p):
+        a, b = _weyl_canonical(*_eigen_pair(p))
         if a == 0 and b == 0:
             return OrbitLabel(1, "zero", {})
         if b == 0 or a == 0:
@@ -180,21 +180,14 @@ def classify_element(x: Mat4) -> OrbitLabel:
         if a == b or a == -b:
             return OrbitLabel(1, "T_aa", {"a": abs(a)})
         return OrbitLabel(1, "T_ab", {"a": a, "b": b})
-    if dec.semisimple.is_zero():
-        jt = jordan_type(x)[ZERO]
-        if jt == [2, 1, 1]:
-            return OrbitLabel(2, "X_alpha", {})
-        if jt == [2, 2]:
-            return OrbitLabel(2, "X_beta", {})
-        if jt == [4]:
-            return OrbitLabel(2, "X_alpha_plus_X_beta", {})
-        return OrbitLabel(1, "zero", {})
-    # mixed: the semisimple part is non-regular with eigenvalues (a,0,-a,0)
-    # [row T_{a,0}+X_alpha] or (a,a,-a,-a) [row T_{a,a}+X_beta]
-    a, b = _eigen_pair(dec.semisimple)
-    if a == 0 or b == 0:
-        return OrbitLabel(2, "T_a0_plus_X_alpha", {"a": abs(a if b == 0 else b)})
-    return OrbitLabel(2, "T_aa_plus_X_beta", {"a": abs(a)})
+    if p == _LAMBDA4:
+        # odd Jordan blocks of a nilpotent element of sp(4) come in pairs, so
+        # the nonzero types are (2,1,1), (2,2) and (4), of ranks 1, 2 and 3
+        return OrbitLabel(2, ("X_alpha", "X_beta", "X_alpha_plus_X_beta")[rank(x) - 1], {})
+    # mixed: the semisimple part (char poly p) is non-regular with eigenvalues
+    # (a,0,-a,0) [row T_{a,0}+X_alpha] or (a,a,-a,-a) [row T_{a,a}+X_beta]
+    a, b = _eigen_pair(p)
+    return OrbitLabel(2, "T_aa_plus_X_beta" if b else "T_a0_plus_X_alpha", {"a": a})
 
 
 # ---------------------------------------------------------------------------

@@ -470,7 +470,7 @@ def char_poly_rows(rows: list[Sequence]) -> Poly:
 
 def char_poly(m: Mat4) -> Poly:
     """Characteristic polynomial det(lambda*I - m), exact, degree 4."""
-    return _char_poly_int([m.num[i:i + 4] for i in (0, 4, 8, 12)], m.den)
+    return _char_poly_int(_num_rows(m), m.den)
 
 
 def _char_poly_int(a: list[Sequence[int]], den: int) -> Poly:
@@ -509,35 +509,30 @@ def poly_eval_mat(p: Poly, m: Mat4) -> Mat4:
     return acc
 
 
+def _num_rows(m: Mat4) -> list[tuple]:
+    """The rows of den*m: integers with the span, rank and kernel of m."""
+    return [m.num[i:i + 4] for i in (0, 4, 8, 12)]
+
+
 def rank(m: Mat4) -> int:
     """Exact rank by Gaussian elimination over Q."""
-    return len(rref(m.rows))
+    return len(rref(_num_rows(m)))
 
 
 def kernel(m: Mat4) -> list[tuple]:
     """Basis of the right kernel of m as 4-vectors."""
-    return kernel_of_rows([list(r) for r in m.rows], 4)
+    return kernel_of_rows(_num_rows(m), 4)
 
 
 def inverse(m: Mat4) -> Mat4:
-    """Exact inverse by Gauss-Jordan; raises SingularMatrix."""
-    aug = [list(r) + [ONE if j == i else ZERO for j in range(4)] for i, r in enumerate(m.rows)]
-    for col in range(4):
-        piv = None
-        for r in range(col, 4):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(4):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return Mat4([row[4:] for row in aug])
+    """Exact inverse, the right half of the RREF of [den*m | den*I]; raises
+    SingularMatrix when a pivot lands in the right half."""
+    d = m.den
+    red = rref([r + tuple(d if j == i else 0 for j in range(4))
+                for i, r in enumerate(_num_rows(m))])
+    if _pivot_col(red[3]) >= 4:
+        raise SingularMatrix("matrix is singular")
+    return Mat4([r[4:] for r in red])
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +547,7 @@ class Subspace:
     __slots__ = ("basis",)
 
     def __init__(self, mats: Iterable[Mat4]):
-        rows = rref([m.flatten() for m in mats])
+        rows = rref([m.num for m in mats])
         self.basis = tuple(Mat4.from_flat(r) for r in rows)
 
     @property

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from math import isqrt
 
+from .errors import FactorizationLimit
+
 try:
     from gmpy2 import mpq as Q
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
@@ -36,6 +38,9 @@ __all__ = [
 
 ZERO = Q(0)
 ONE = Q(1)
+
+# factor_int's trial divisors stop here: no input costs sqrt(n) time
+TRIAL_DIVISION_BOUND = 10**6
 
 
 def parse_rational(s: str):
@@ -104,7 +109,8 @@ def rational_nth_root(q, k: int):
 
 
 def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (inputs here stay small)."""
+    """Prime factorization by trial division up to TRIAL_DIVISION_BOUND; a
+    cofactor left below its square is prime, else FactorizationLimit."""
     if n < 0:
         n = -n
     if n in (0, 1):
@@ -116,6 +122,9 @@ def factor_int(n: int) -> dict[int, int]:
             n //= p
     f = 5
     while f * f <= n:
+        if f > TRIAL_DIVISION_BOUND:
+            raise FactorizationLimit(f"cannot factor {n}: no prime factor up to "
+                                     f"the trial-division bound {TRIAL_DIVISION_BOUND}")
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1

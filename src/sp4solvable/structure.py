@@ -35,16 +35,13 @@ class Subalgebra:
     """A bracket-closed subspace of sp(4) with a canonical echelon basis."""
 
     space: Subspace
-    ambient: str = "sp4"
 
     @classmethod
-    def from_matrices(cls, mats: Iterable[Mat4], ambient: str = "sp4",
-                      check: bool = True) -> "Subalgebra":
-        sub = cls(echelon_span(mats), ambient)
-        if check:
-            if not all(in_sp4(m) for m in sub.basis):
-                raise Sp4Error("subalgebra basis element is not in sp(4)")
-            sub.constants  # raises Sp4Error when a bracket leaves the span
+    def from_matrices(cls, mats: Iterable[Mat4]) -> "Subalgebra":
+        sub = cls(echelon_span(mats))
+        if not all(in_sp4(m) for m in sub.basis):
+            raise Sp4Error("subalgebra basis element is not in sp(4)")
+        sub.constants  # raises Sp4Error when a bracket leaves the span
         return sub
 
     @cached_property
@@ -61,12 +58,14 @@ class Subalgebra:
         return self.space.basis
 
     def to_json(self) -> dict:
-        return {"ambient": self.ambient, "basis": [m.to_json() for m in self.basis]}
+        return {"ambient": "sp4", "basis": [m.to_json() for m in self.basis]}
 
     @classmethod
     def from_json(cls, data: dict) -> "Subalgebra":
         mats = [Mat4.from_json(m) for m in data["basis"]]
-        return cls.from_matrices(mats, ambient=data.get("ambient", "sp4"))
+        if data.get("ambient", "sp4") != "sp4":
+            raise Sp4Error(f"ambient {data['ambient']!r} is not 'sp4'")
+        return cls.from_matrices(mats)
 
 
 def _pair_brackets(mats: Sequence[Mat4]) -> tuple[list[Mat4], list]:

@@ -19,8 +19,9 @@ from .catalog import CatalogEntry, load_catalog
 from .errors import IrrationalSpectrum, Sp4Error
 from .identify import (IsoMap, degraaf_to_sw, identify_degraaf,
                        sw_bridge_map, verify_isomorphism)
-from .invariants import signature
-from .linalg import Mat4, echelon_span
+from .invariants import nilpotent_subspace, signature
+from .jordan import _eigen_pair
+from .linalg import Mat4, char_poly, echelon_span
 from .rational import Q, format_rational
 from .sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, conjugate_subalgebra,
                   default_param_samples, in_sp4, parse_conjugator)
@@ -306,11 +307,10 @@ def separation_witness(e1: CatalogEntry, a1, e2: CatalogEntry, a2) -> list[str]:
 def _param_candidates(sub: Subalgebra, nspace) -> list:
     """Candidate family parameters from the eigenvalue pair of a canonical
     non-nilpotent element (ratios p/q, q/p with signs)."""
-    from .jordan import _eigen_pair
     for b in sub.basis:
         if not nspace.contains(b):
             try:
-                p, q = _eigen_pair(b)
+                p, q = _eigen_pair(char_poly(b))
             except IrrationalSpectrum:
                 return []
             cands = set()
@@ -327,10 +327,9 @@ def match_catalog(sub: Subalgebra, entries=None) -> list[tuple]:
 
     A match is necessary for conjugacy; the probe asserts at least one exists.
     """
-    from .invariants import nilpotent_subspace
     entries = entries if entries is not None else load_catalog()
     sig = signature(sub)
-    nspace = nilpotent_subspace(sub)
+    cands = _param_candidates(sub, nilpotent_subspace(sub))
     matches = []
     for e in entries:
         if e.dim != sub.dim:
@@ -339,7 +338,7 @@ def match_catalog(sub: Subalgebra, entries=None) -> list[tuple]:
             if signature(Subalgebra(e.space_at(None))) == sig:
                 matches.append((e.row_id, None))
             continue
-        for cand in _param_candidates(sub, nspace):
+        for cand in cands:
             if not e.conditions_ok(cand):
                 continue
             if signature(Subalgebra(e.space_at(cand))) == sig:

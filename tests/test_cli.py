@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -150,6 +151,33 @@ def test_malformed_param_is_a_parse_error(ta_path, capsys):
     assert main(["conjugate", "--input", ta_path, "--conjugator", "W",
                  "--param", "x"]) == 2
     assert "--param" in capsys.readouterr().err
+
+
+def test_identify_beyond_the_factoring_bound_exits_3(tmp_path, capsys):
+    # closed 3-dim subalgebra whose identification squarefree-reduces the
+    # 19-digit semiprime p; trial division up to sqrt(p) ran for over 8 s
+    p = 1000000007 * 1000000009
+    basis = [[[0, p, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -p, 0]],
+             [[0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+             [[0, 0, p, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]]
+    path = tmp_path / "semiprime.json"
+    path.write_text(json.dumps({"ambient": "sp4", "basis": [
+        [[str(x) for x in row] for row in m] for m in basis]}))
+    start = time.perf_counter()
+    assert main(["identify", "--input", str(path)]) == 3
+    assert time.perf_counter() - start < 5
+    assert "1000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["identify", "conjugate"])
+def test_other_ambient_is_a_parse_error(command, tmp_path, capsys):
+    data = Subalgebra.from_matrices([T(2, 1), X_ALPHA]).to_json()
+    data["ambient"] = "gl4"
+    path = tmp_path / "gl4.json"
+    path.write_text(json.dumps(data))
+    extra = ["--conjugator", "W"] if command == "conjugate" else []
+    assert main([command, "--input", str(path), *extra]) == 2
+    assert "gl4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("samples", ["x", "1/0"])

@@ -2,7 +2,8 @@ import pytest
 
 from sp4solvable.errors import (IrrationalSpectrum, NotInBorel, NotInSp4,
                                 NotSemisimple)
-from sp4solvable.jordan import (OrbitLabel, classify_element,
+from sp4solvable import jordan
+from sp4solvable.jordan import (OrbitLabel, _weyl_canonical, classify_element,
                                 conjugate_ss_into_cartan, is_nilpotent_mat,
                                 is_semisimple, jordan_decompose, jordan_type)
 from sp4solvable.linalg import Mat4, inverse
@@ -10,7 +11,8 @@ from sp4solvable.rational import Q, ZERO
 from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, conjugate,
                              in_sp4, shear)
 
-from conftest import conjugator_pool, random_borel_element
+from conftest import (conjugator_pool, random_borel_element,
+                      random_sp4_element)
 
 
 def test_jordan_decompose_examples():
@@ -99,6 +101,79 @@ def test_classify_conjugation_invariance(rng):
         lab = classify_element(x)
         for g in pool[:6]:
             assert classify_element(g * x * inverse(g)) == lab
+
+
+_NILPOTENT_BY_BLOCKS = {(2, 1, 1): "X_alpha", (2, 2): "X_beta",
+                        (4,): "X_alpha_plus_X_beta"}
+
+
+def _reference_label(x):
+    """The conjugacy-table row from the Newton decomposition and Jordan block
+    sizes, independent of classify_element's char-poly reading."""
+    dec = jordan_decompose(x)
+    s, n = dec.semisimple, dec.nilpotent
+    if s.is_zero():
+        if n.is_zero():
+            return OrbitLabel(1, "zero", {})
+        return OrbitLabel(2, _NILPOTENT_BY_BLOCKS[tuple(jordan_type(x)[ZERO])], {})
+    # S is semisimple with spectrum {a, b, -a, -b}: the two largest
+    # eigenvalues are a pair (a, b) with a, b >= 0
+    vals = sorted(lam for lam, sizes in jordan_type(s).items() for _ in sizes)
+    a, b = _weyl_canonical(vals[3], vals[2])
+    if n.is_zero():
+        if a == 0 and b == 0:
+            return OrbitLabel(1, "zero", {})
+        if a == 0 or b == 0:
+            return OrbitLabel(1, "T_a0", {"a": abs(a + b)})
+        if a == b or a == -b:
+            return OrbitLabel(1, "T_aa", {"a": abs(a)})
+        return OrbitLabel(1, "T_ab", {"a": a, "b": b})
+    if a == 0 or b == 0:
+        return OrbitLabel(2, "T_a0_plus_X_alpha", {"a": abs(a + b)})
+    return OrbitLabel(2, "T_aa_plus_X_beta", {"a": abs(a)})
+
+
+def _label_or_error(classify, x):
+    try:
+        return classify(x)
+    except IrrationalSpectrum:
+        return IrrationalSpectrum
+
+
+def test_char_poly_facts_match_newton_oracle(rng):
+    pool = conjugator_pool(rng, 12)
+    xs = [conjugate(g, random_borel_element(rng)) for g in pool for _ in range(8)]
+    xs += [random_sp4_element(rng) for _ in range(80)]
+    irrational = 0
+    for x in xs:
+        dec = jordan_decompose(x)
+        assert is_semisimple(x) == dec.nilpotent.is_zero()
+        assert is_nilpotent_mat(x) == dec.semisimple.is_zero()
+        want = _label_or_error(_reference_label, x)
+        assert _label_or_error(classify_element, x) == want
+        irrational += want is IrrationalSpectrum
+    assert 0 < irrational < len(xs)
+
+
+def test_classify_element_reads_one_char_poly(monkeypatch):
+    char_poly = jordan.char_poly
+    calls = []
+
+    def counting_char_poly(x):
+        calls.append(x)
+        return char_poly(x)
+
+    def forbidden(*args):
+        raise AssertionError("classify_element decomposed or inverted")
+
+    monkeypatch.setattr(jordan, "char_poly", counting_char_poly)
+    monkeypatch.setattr(jordan, "inverse", forbidden)
+    monkeypatch.setattr(jordan, "jordan_decompose", forbidden)
+    for x, row in ((T(2, 3), "T_ab"), (X_BETA, "X_beta"),
+                   (T(1, 1) + X_BETA, "T_aa_plus_X_beta")):
+        calls.clear()
+        assert classify_element(x).row == row
+        assert calls == [x]
 
 
 def test_three_nilpotent_orbits_match_jcf_column():

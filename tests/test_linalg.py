@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sp4solvable.errors import SingularMatrix, Sp4Error, ZeroPolynomial
+from sp4solvable.errors import (FactorizationLimit, SingularMatrix, Sp4Error,
+                                ZeroPolynomial)
 from sp4solvable.linalg import (Mat4, Poly, char_poly, char_poly_cofactor,
                                 char_poly_rows, det_mpoly, echelon_span,
-                                generic_rank, inverse, kernel, rank,
-                                rational_roots, solve_in_span)
-from sp4solvable.rational import (Q, format_rational, parse_rational,
-                                  rational_sqrt, squarefree_kernel)
+                                generic_rank, inverse, kernel, kernel_of_rows,
+                                rank, rational_roots, rref, solve_in_span)
+from sp4solvable.rational import (Q, factor_int, format_rational,
+                                  parse_rational, rational_sqrt,
+                                  squarefree_kernel)
 from sp4solvable.sp4 import T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA
 from sp4solvable.structure import structure_constants_for_basis
 
@@ -22,6 +24,11 @@ def rand_mat(draw_list):
 
 
 mats = st.builds(rand_mat, st.lists(rationals, min_size=16, max_size=16))
+# random matrices of every rank: m * p has rank <= rank(p) = 0..4
+square_mats = st.builds(
+    lambda m, p: m * p, mats,
+    st.sampled_from([Mat4.zero(), X_ALPHA, X_BETA, X_ALPHA + X_BETA,
+                     Mat4.identity() * Q(3, 2)]))
 
 
 def test_rational_wire_format():
@@ -34,6 +41,14 @@ def test_rational_wire_format():
     assert squarefree_kernel(Q(4)) == 1
     assert squarefree_kernel(Q(-8, 9)) == -2
     assert squarefree_kernel(Q(0)) == 0
+
+
+def test_factor_int_trial_division_bound():
+    # the bound is 10^6: a cofactor below 10^12 is prime after trial
+    # division, and two primes just above 10^6 are out of reach
+    assert factor_int(-8 * 999983 * 1000003) == {2: 3, 999983: 1, 1000003: 1}
+    with pytest.raises(FactorizationLimit, match="bound 1000000$"):
+        factor_int(1000003 * 1000033)
 
 
 def test_char_poly_t12():
@@ -99,9 +114,11 @@ def test_rank_examples():
 
 
 @settings(max_examples=40, deadline=None)
-@given(mats)
+@given(square_mats)
 def test_rank_nullity(m):
     assert rank(m) + len(kernel(m)) == 4
+    assert rank(m) == len(rref(m.rows))
+    assert kernel(m) == kernel_of_rows(m.rows, 4)
 
 
 def test_inverse_examples():
@@ -114,13 +131,15 @@ def test_inverse_examples():
 
 
 @settings(max_examples=30, deadline=None)
-@given(mats)
+@given(square_mats)
 def test_inverse_roundtrip(m):
     try:
         mi = inverse(m)
     except SingularMatrix:
+        assert rank(m) < 4
         return
-    assert m * mi == Mat4.identity()
+    assert rank(m) == 4
+    assert m * mi == Mat4.identity() == mi * m
 
 
 def test_echelon_span_examples():
