@@ -86,7 +86,7 @@ def _cubefree_normalize_m7(A, B) -> tuple:
 def _cubefree_kernel(q):
     from .rational import factor_int
     q = Q(q)
-    n = int(q.numerator) * int(q.denominator) ** 2  # q ~ n mod cubes
+    n = q.numerator * q.denominator ** 2  # q ~ n mod cubes
     sign = 1 if n > 0 else -1
     k = 1
     for p, e in factor_int(abs(n)).items():

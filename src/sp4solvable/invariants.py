@@ -13,8 +13,12 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
 * the rank stratification of N(g): exact pencil strata for dim 2 (counting
   rank-drop lines over the algebraic closure via squarefree degrees, with no
   polynomial factorization), generic rank for dim >= 3;
-* whether g contains an invertible matrix (symbolic determinant over the
-  basis, not sampling);
+* whether g contains an invertible matrix.  By Lie's theorem g is
+  triangular in some basis, and the diagonal is a linear map with kernel
+  N(g).  So for g = C*x0 + N(g), det(s*x0 + n) = s^4 det(x0): read off the
+  char poly p0 of x0 as p0(0) != 0.  With codimension 2 the diagonal image
+  has spectra {+-f, +-g} for independent f, g, so a generic element is
+  invertible; with codimension 0 none is;
 * semisimple content.  dim g - dim N(g) is 0, 1 or 2; 2 means g contains a
   Cartan subalgebra.  For codimension 1, g contains a nonzero semisimple
   element iff the Jordan nilpotent part of any x outside N(g) lies in N(g)
@@ -37,13 +41,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DependentInputs, IrrationalSpectrum, Sp4Error
-from .linalg import (Mat4, Poly, char_poly, char_poly_rows, det_mpoly,
-                     echelon_span, generic_rank, kernel_of_rows, rank,
-                     rational_roots, symbolic_combo, symbolic_minors, Subspace)
+from .linalg import (Mat4, Poly, char_poly, char_poly_rows, echelon_span,
+                     generic_rank, kernel_of_rows, rank, rational_roots,
+                     symbolic_minors, Subspace)
 from .rational import Q, ZERO, format_rational
 from .sp4 import bracket
 from .structure import Subalgebra, ad_matrix, coord_series, unit_rows
-from .jordan import jordan_decompose
+from .jordan import _jordan_decompose
 
 __all__ = [
     "PencilStrata", "pencil_rank_strata", "InvariantSignature", "signature",
@@ -129,7 +133,7 @@ def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
         gcds[k] = g
         le_roots[k] = 0 if g.degree <= 0 else g.squarefree_part().degree
 
-    drop_poly = gcds.get(generic - 1, Poly.const(1))
+    drop_poly = gcds.get(generic - 1, Poly([1]))
     rational_drops = []
     rational_by_rank: dict[int, int] = {}
     if drop_poly.degree > 0:
@@ -292,24 +296,23 @@ def signature(s: Subalgebra) -> InvariantSignature:
     if codim not in (0, 1, 2):
         raise Sp4Error("solvable subalgebra with toral rank > 2 in sp(4)")
 
-    # invertible elements: symbolic determinant over the whole basis
-    sym = symbolic_combo(list(g.basis))
-    has_invertible = not det_mpoly(sym).is_zero()
-
     pencil = pencil_rank_strata(*nspace.basis) if dn == 2 else None
     strata = _nilpotent_strata(nspace, pencil)
 
     if codim == 0:
         content = "all_nilpotent"
+        has_invertible = False
         probe = None
     elif codim == 2:
         content = "has_cartan"
+        has_invertible = True
         probe = None
     else:
         i0 = next(i for i, b in enumerate(g.basis) if not nspace.contains(b))
         x0 = g.basis[i0]
         p0 = char_poly(x0)
-        dec = jordan_decompose(x0)
+        has_invertible = p0[0] != 0  # det(x0), see the module docstring
+        dec = _jordan_decompose(x0, p0)
         if nspace.contains(dec.nilpotent):
             content = ("has_regular_ss" if _regular_pair(p0)
                        else "has_nonregular_ss_only")

@@ -49,7 +49,12 @@ class JordanDecomposition:
 
 def jordan_decompose(x: Mat4) -> JordanDecomposition:
     """The unique Chevalley decomposition, computed exactly."""
-    g = char_poly(x).squarefree_part()
+    return _jordan_decompose(x, char_poly(x))
+
+
+def _jordan_decompose(x: Mat4, p: Poly) -> JordanDecomposition:
+    """The decomposition of x, given its characteristic polynomial p."""
+    g = p.squarefree_part()
     s = x
     gs = poly_eval_mat(g, s)
     while not gs.is_zero():
@@ -134,9 +139,7 @@ class OrbitLabel:
 def _abs_key(q):
     """Deterministic total order key on rationals by 'size then sign'."""
     q = Q(q)
-    return (abs(int(q.numerator)) * int(q.denominator),
-            abs(int(q.numerator)),
-            0 if q >= 0 else 1)
+    return (abs(q.numerator) * q.denominator, abs(q.numerator), 0 if q >= 0 else 1)
 
 
 def _weyl_canonical(a, b) -> tuple:

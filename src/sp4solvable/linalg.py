@@ -142,10 +142,6 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def const(cls, c) -> "Poly":
-        return cls([c])
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -304,7 +300,7 @@ def _root_candidates(p: Poly):
                     yield -s
         return
     # general case: clear denominators, enumerate divisor quotients
-    den_lcm = math.lcm(*(int(c.denominator) for c in p.coeffs))
+    den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
     ints = [int(c * den_lcm) for c in p.coeffs]
     g = math.gcd(*ints)
     ints = [c // g for c in ints]
@@ -603,10 +599,6 @@ class MPoly:
                 c = Q(c)
                 if c != 0:
                     self.terms[tuple(e)] = c
-
-    @classmethod
-    def const(cls, nvars: int, c) -> "MPoly":
-        return cls(nvars, {tuple([0] * nvars): c})
 
     def is_zero(self) -> bool:
         return not self.terms

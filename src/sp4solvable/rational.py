@@ -1,12 +1,11 @@
 """Exact rational scalars.
 
 Every quantity in this library is an exact rational number; no floating point
-is used anywhere.  ``Q`` is gmpy2's ``mpq`` when available and
-``fractions.Fraction`` otherwise; both store reduced fractions with positive
-denominator, so bit-exact equality is value equality.  ``Q`` is the boundary
-scalar: the matrix kernels (``Mat4`` arithmetic, the characteristic
-polynomial) run on integer numerators over a common denominator whichever
-backend is loaded.
+is used anywhere.  ``Q`` is ``fractions.Fraction``, which stores reduced
+fractions with positive denominator, so bit-exact equality is value
+equality.  ``Q`` is the boundary scalar: the matrix kernels (``Mat4``
+arithmetic, the characteristic polynomial) run on integer numerators over a
+common denominator.
 
 The wire format for rationals is the string ``"p/q"`` in lowest terms, or just
 ``"p"`` when the denominator is 1 (e.g. ``"-3/16"``, ``"2"``).
@@ -14,14 +13,10 @@ The wire format for rationals is the string ``"p/q"`` in lowest terms, or just
 
 from __future__ import annotations
 
+from fractions import Fraction as Q
 from math import isqrt
 
 from .errors import FactorizationLimit
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as Q
 
 __all__ = [
     "Q",
@@ -55,7 +50,7 @@ def parse_rational(s: str):
 def format_rational(q) -> str:
     """Render in lowest terms as ``"p/q"``, or ``"p"`` when q = 1."""
     q = Q(q)
-    num, den = int(q.numerator), int(q.denominator)
+    num, den = q.numerator, q.denominator
     return str(num) if den == 1 else f"{num}/{den}"
 
 
@@ -97,12 +92,8 @@ def rational_nth_root(q, k: int):
     neg = q < 0
     if neg and k % 2 == 0:
         return None
-    num, den = int(abs(q).numerator), int(abs(q).denominator)
-    rn = _int_nth_root(num, k)
-    if rn is None:
-        return None
-    rd = _int_nth_root(den, k)
-    if rd is None:
+    rn, rd = _int_nth_root(abs(q.numerator), k), _int_nth_root(q.denominator, k)
+    if rn is None or rd is None:
         return None
     root = Q(rn, rd)
     return -root if neg else root
@@ -152,7 +143,7 @@ def squarefree_kernel(q):
     q = Q(q)
     if q == 0:
         return ZERO
-    n = int(q.numerator) * int(q.denominator)  # q ~ num*den mod squares
+    n = q.numerator * q.denominator  # q ~ num*den mod squares
     sign = 1 if n > 0 else -1
     k = 1
     for p, e in factor_int(abs(n)).items():

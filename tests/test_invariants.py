@@ -3,7 +3,8 @@ import pytest
 from sp4solvable.errors import DependentInputs, IrrationalSpectrum
 from sp4solvable.invariants import (grid_pencil_ranks, nilpotent_subspace,
                                     pencil_rank_strata, signature)
-from sp4solvable.linalg import Mat4, echelon_span
+from sp4solvable.catalog import load_catalog
+from sp4solvable.linalg import Mat4, det_mpoly, echelon_span, symbolic_combo
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA,
                              conjugate_subalgebra, standard_subalgebra)
@@ -165,3 +166,28 @@ def test_signature_on_random_generated(rng):
         for c in pool:
             img = Subalgebra(conjugate_subalgebra(c, g.space))
             assert signature(img) == base
+
+
+def _has_invertible_by_determinant(s: Subalgebra) -> bool:
+    """Oracle: the symbolic determinant over the basis is not identically 0."""
+    return not det_mpoly(symbolic_combo(list(s.basis))).is_zero()
+
+
+def test_contains_invertible_agrees_with_symbolic_determinant(rng):
+    for e in load_catalog():
+        for a in e.samples():
+            s = Subalgebra(e.space_at(a))
+            assert signature(s).contains_invertible == _has_invertible_by_determinant(s), \
+                (e.row_id, a)
+    pool = conjugator_pool(rng, 6)
+    checked = 0
+    while checked < 30:
+        seeds = [random_borel_element(rng, span=2) for _ in range(rng.choice((1, 2)))]
+        g = generated_subalgebra(seeds)
+        s = Subalgebra(conjugate_subalgebra(rng.choice(pool), g.space))
+        try:
+            got = signature(s).contains_invertible
+        except IrrationalSpectrum:
+            continue
+        checked += 1
+        assert got == _has_invertible_by_determinant(s), [repr(b) for b in seeds]

@@ -1,5 +1,6 @@
 import dataclasses
 
+from sp4solvable import structure, verify
 from sp4solvable.catalog import EquivClaim, load_catalog
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import T, X_ALPHA, X_BETA
@@ -35,6 +36,21 @@ def test_verify_catalog_all_rows_pass():
     assert "all passed" in text
 
 
+def test_verify_catalog_builds_each_bracket_table_once(monkeypatch):
+    calls = []
+    original = structure.structure_constants_for_basis
+
+    def counting(basis):
+        calls.append(basis)
+        return original(basis)
+
+    monkeypatch.setattr(structure, "structure_constants_for_basis", counting)
+    verify._instance.cache_clear()
+    assert verify_catalog().overall_pass
+    # one table per catalog instance: the separations reuse the per-row ones
+    assert len(calls) <= 120
+
+
 def test_separation_examples_record_witness_fields():
     # abelian flag separates <T(1,0),X_a> from the W-conjugate of <T(0,1),X_a>
     w = separation_witness(ENTRIES["d2_T10_Xa"], None, ENTRIES["d2_T10_Xa2b"], None)
@@ -45,6 +61,14 @@ def test_separation_examples_record_witness_fields():
     # ad-eigenvalue data separates the two singular-semisimple lines
     w = separation_witness(ENTRIES["d2_T10_Xb"], None, ENTRIES["d2_T10_Xa2b"], None)
     assert "probe" in w
+
+
+def test_instance_memo_follows_content_not_row_id():
+    original = ENTRIES["d2_T10_Xa"]
+    assert separation_witness(original, None, original, None) == []
+    # same row_id, another row's basis: a new instance, not the memoized one
+    edited = dataclasses.replace(original, basis=ENTRIES["d2_T10_Xa2b"].basis)
+    assert separation_witness(edited, None, original, None)
 
 
 def test_params_leave_rows_without_parameter_alone():
@@ -91,6 +115,11 @@ def test_match_catalog_spec_examples():
 def test_random_probe():
     rep = random_subalgebra_probe(20260809, 30)
     assert rep.overall_pass, [r.to_json() for r in rep.failures]
+    # draws of every dimension count; Borel elements have rational spectra,
+    # so no draw is skipped
+    summary = rep.records[-1]
+    assert summary.check == "30 random subalgebras matched (seed=20260809)"
+    assert summary.detail == "30/30 matched, 0 skipped (irrational spectra)"
 
 
 def test_report_header_names_the_samples_used():
