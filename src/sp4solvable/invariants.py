@@ -285,12 +285,16 @@ def signature(s: Subalgebra) -> InvariantSignature:
 
     Equal signatures are necessary for conjugacy, never claimed sufficient.
     """
+    return _signature(s, nilpotent_subspace(s))
+
+
+def _signature(s: Subalgebra, nspace: Subspace) -> InvariantSignature:
+    """The signature of s, given its nilpotent subspace `nspace`."""
     g = s.space
     d = g.dim
     der = coord_series(s)
     derived_dims = tuple(len(rows) for rows in der)
     lower_dims = tuple(len(rows) for rows in coord_series(s, lower=True))
-    nspace = nilpotent_subspace(s)
     dn = nspace.dim
     codim = d - dn
     if codim not in (0, 1, 2):

@@ -2,9 +2,9 @@
 
 Everything here is over the rationals with no rounding: matrices are immutable
 4x4 arrays of int numerators over one common denominator, subspaces are held
-in reduced row echelon form with respect to a fixed row-major flattening of
-the 16 entries (so equal subspaces have identical basis lists), and
-polynomials are exact coefficient vectors.
+in reduced row echelon form of the row-major flattened entries (so equal
+subspaces have identical basis lists), polynomials are exact coefficient
+vectors, and elimination runs on ints, with rationals only at its output.
 
 Characteristic polynomials are computed twice over by design: the production
 path is Faddeev-LeVerrier over the integers (`char_poly`), and an independent
@@ -22,49 +22,51 @@ from typing import Iterable, Sequence
 from .errors import DependentInputs, SingularMatrix, ZeroPolynomial
 from .rational import Q, ZERO, ONE, divisors, format_rational, parse_rational, rational_sqrt
 
-Vec = tuple
-
 
 # ---------------------------------------------------------------------------
-# generic reduced row echelon form over Q
+# generic reduced row echelon form over Q, eliminated on ints
 # ---------------------------------------------------------------------------
 
 def rref(rows: Iterable[Sequence]) -> list[tuple]:
     """Reduced row echelon form; returns the nonzero rows (unit pivots,
     zeros above and below each pivot).  The output is the unique canonical
-    basis of the row span."""
-    work = [list(r) for r in rows if any(x != 0 for x in r)]
-    if not work:
-        return []
-    ncols = len(work[0])
-    pivot_rows: list[list] = []
-    for col in range(ncols):
-        pivot = None
-        for r in work:
-            if r[col] != 0:
-                pivot = r
-                break
-        if pivot is None:
+    basis of the row span.  Rows are scaled to ints and eliminated
+    fraction-free (`_rref_int`); rationals appear only in the output."""
+    return [tuple([Q(x, r[c]) if x else ZERO for x in r])
+            for c, r in _rref_int([r if all(type(x) is int for x in r)
+                                   else _over_common_den(r)[0] for r in rows])]
+
+
+def _rref_int(rows: Iterable[Sequence[int]]) -> list[tuple[int, Sequence[int]]]:
+    """Fraction-free Gauss-Jordan elimination of int rows (Bareiss, Math.
+    Comp. 22, 1968, with content removal in place of exact division).
+    Returns (pivot column, row) in pivot-column order, where each row is the
+    RREF row times its pivot: primitive, with a positive pivot and zeros at
+    the other pivot columns."""
+    work = [r for r in rows if any(r)]
+    out: list[tuple[int, Sequence[int]]] = []
+    for col in range(len(work[0]) if work else 0):
+        piv = next((r for r in work if r[col]), None)
+        if piv is None:
             continue
-        work.remove(pivot)
-        inv = ONE / pivot[col]
-        pivot = [x * inv for x in pivot]
-        for r in work:
-            if r[col] != 0:
-                f = r[col]
-                for c in range(col, ncols):
-                    r[c] -= f * pivot[c]
-        for r in pivot_rows:
-            if r[col] != 0:
-                f = r[col]
-                for c in range(col, ncols):
-                    r[c] -= f * pivot[c]
-        pivot_rows.append(pivot)
-        work = [r for r in work if any(x != 0 for x in r)]
+        work.remove(piv)
+        g = math.gcd(*piv) if piv[col] > 0 else -math.gcd(*piv)
+        piv = [x // g for x in piv]
+        work = [r for r in (_eliminate(r, piv, col) if r[col] else r for r in work) if any(r)]
+        out = [(c, _eliminate(r, piv, col) if r[col] else r) for c, r in out]
+        out.append((col, piv))
         if not work:
             break
-    pivot_rows.sort(key=_pivot_col)
-    return [tuple(r) for r in pivot_rows]
+    return out
+
+
+def _eliminate(r: Sequence[int], piv: Sequence[int], col: int) -> list[int]:
+    """a*r - b*piv over its content, a/b = piv[col]/r[col] reduced: 0 at col."""
+    g = math.gcd(piv[col], r[col])
+    a, b = piv[col] // g, r[col] // g
+    new = [a * x - b * y for x, y in zip(r, piv)]
+    g = math.gcd(*new)
+    return new if g < 2 else [x // g for x in new]
 
 
 def _pivot_col(row: Sequence) -> int:
@@ -371,10 +373,6 @@ class Mat4:
         return cls([[1 if (r == i - 1 and c == j - 1) else 0 for c in range(4)]
                     for r in range(4)])
 
-    @classmethod
-    def from_flat(cls, flat: Sequence) -> "Mat4":
-        return cls([flat[0:4], flat[4:8], flat[8:12], flat[12:16]])
-
     def flatten(self) -> tuple:
         d = self.den
         return tuple([Q(x, d) if x else ZERO for x in self.num])
@@ -511,8 +509,8 @@ def _num_rows(m: Mat4) -> list[tuple]:
 
 
 def rank(m: Mat4) -> int:
-    """Exact rank by Gaussian elimination over Q."""
-    return len(rref(_num_rows(m)))
+    """Exact rank by fraction-free elimination of den*m."""
+    return len(_rref_int(_num_rows(m)))
 
 
 def kernel(m: Mat4) -> list[tuple]:
@@ -543,8 +541,7 @@ class Subspace:
     __slots__ = ("basis",)
 
     def __init__(self, mats: Iterable[Mat4]):
-        rows = rref([m.num for m in mats])
-        self.basis = tuple(Mat4.from_flat(r) for r in rows)
+        self.basis = tuple(Mat4._make(r, r[c]) for c, r in _rref_int([m.num for m in mats]))
 
     @property
     def dim(self) -> int:
@@ -563,8 +560,18 @@ class Subspace:
         return self.coords(m) is not None
 
     def coords(self, m: Mat4):
-        """Coefficients of m in the echelon basis, or None if outside."""
-        return solve_coords([b.flatten() for b in self.basis], m.flatten())
+        """Coefficients of m in the echelon basis, or None if outside.  The
+        i-th is m's entry at basis element i's pivot; m is inside iff their
+        combination is m, checked as one comparison of int rows."""
+        # a basis element's pivot is its first entry equal to its den
+        cs = [m.num[b.num.index(b.den)] for b in self.basis]
+        l = math.lcm(*[b.den for b in self.basis])
+        combo = [0] * 16
+        for c, b in zip(cs, self.basis):
+            combo = [x + c * (l // b.den) * y for x, y in zip(combo, b.num)]
+        if combo != [l * x for x in m.num]:
+            return None
+        return tuple([Q(c, m.den) if c else ZERO for c in cs])
 
     def combine(self, coeffs: Sequence) -> Mat4:
         acc = Mat4.zero()

@@ -71,10 +71,11 @@ class Subalgebra:
 def _pair_brackets(mats: Sequence[Mat4]) -> tuple[list[Mat4], list]:
     """The brackets [m_i, m_j], i < j, of independent matrices, and their
     coordinates in the matrices (None for a bracket outside their span), all
-    solved in one echelonization."""
+    solved in one echelonization of the int numerators, then rescaled."""
     brackets = [bracket(x, y) for x, y in combinations(mats, 2)]
-    coords = solve_in_span([m.flatten() for m in mats], [b.flatten() for b in brackets])
-    return brackets, coords
+    coords = solve_in_span([m.num for m in mats], [b.num for b in brackets])
+    return brackets, [None if c is None else tuple([x * m.den / b.den for x, m in zip(c, mats)])
+                      for c, b in zip(coords, brackets)]
 
 
 def is_closed(space: Subspace) -> bool:

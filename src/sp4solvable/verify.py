@@ -21,7 +21,7 @@ from .errors import IrrationalSpectrum, Sp4Error
 from .exprs import eval_expr
 from .identify import (IsoMap, degraaf_to_sw, identify_degraaf,
                        sw_bridge_map, verify_isomorphism)
-from .invariants import nilpotent_subspace, signature
+from .invariants import _signature, nilpotent_subspace, signature
 from .jordan import _eigen_pair
 from .linalg import Mat4, char_poly, echelon_span
 from .rational import Q, format_rational
@@ -39,7 +39,7 @@ class CheckRecord:
     row_id: str
     param: str
     check: str
-    status: str  # "pass" | "fail"
+    status: str  # "pass" | "fail" | "skip"
     detail: str = ""
 
     def to_json(self) -> dict:
@@ -56,13 +56,16 @@ class VerificationReport:
         status = "pass" if ok else "fail"
         self.records.append(CheckRecord(row_id, _p(param), check, status, detail))
 
+    def skip(self, row_id, param, check, reason):
+        self.records.append(CheckRecord(row_id, _p(param), check, "skip", reason))
+
     @property
     def overall_pass(self) -> bool:
-        return all(r.status == "pass" for r in self.records)
+        return not self.failures
 
     @property
     def failures(self) -> list:
-        return [r for r in self.records if r.status != "pass"]
+        return [r for r in self.records if r.status == "fail"]
 
     def to_json(self) -> dict:
         return {
@@ -81,7 +84,7 @@ class VerificationReport:
         for row_id in sorted(by_row):
             recs = by_row[row_id]
             bad = [r for r in recs if r.status != "pass"]
-            flag = "ok " if not bad else "FAIL"
+            flag = "FAIL" if any(r.status == "fail" for r in bad) else "ok "
             lines.append(f"[{flag}] {row_id}: {len(recs)} checks")
             for r in bad:
                 lines.append(f"       {r.status}: {r.check} @ a={r.param}: {r.detail}")
@@ -235,14 +238,18 @@ def _verify_claim(entry: CatalogEntry, claim, a, rep: VerificationReport,
         values = (a,)
     for val in values:
         env = {} if val is None else {"a": Q(val)}
+        key = val if entry.param else None  # a row without parameter is one instance
         try:
-            src = (_instance(entry, val).sub.space if claim.src is None
+            src = (_instance(entry, key).sub.space if claim.src is None
                    else echelon_span([build_element(s, env) for s in claim.src]))
             if claim.tgt is None:
-                tgt_param = val
+                tgt_param = key
                 if claim.tgt_param is not None:
                     tgt_param = eval_expr(claim.tgt_param, env)
                     if not entry.conditions_ok(tgt_param):
+                        rep.skip(entry.row_id, val, f"equivalence: {claim.desc}",
+                                 f"target parameter {claim.tgt_param} = "
+                                 f"{_p(tgt_param)} is not admissible")
                         continue
                 tgt = _instance(entry, tgt_param).sub.space
             else:
@@ -339,8 +346,9 @@ def match_catalog(sub: Subalgebra) -> list[tuple]:
 
     A match is necessary for conjugacy; the probe asserts at least one exists.
     """
-    sig = signature(sub)
-    cands = _param_candidates(sub, nilpotent_subspace(sub))
+    nspace = nilpotent_subspace(sub)
+    sig = _signature(sub, nspace)
+    cands = _param_candidates(sub, nspace)
     matches = []
     for e in load_catalog():
         if e.dim != sub.dim:

@@ -101,6 +101,16 @@ def test_verify_catalog_cli_small(capsys, monkeypatch):
     assert out["samples"] == ["2", "1/2"]
 
 
+def test_verify_catalog_cli_records_a_skipped_claim(capsys):
+    # at a = -1/3 the 1/a claim of d3_Ta1_Xa_Xab targets the excluded -3
+    assert main(["verify-catalog", "--params=-1/3", "--output", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["overall_pass"] is True
+    skips = [r for r in out["records"] if r["status"] == "skip"]
+    assert [(r["row"], r["param"]) for r in skips] == [("d3_Ta1_Xa_Xab", "-1/3")]
+    assert "not admissible" in skips[0]["detail"]
+
+
 def test_env_override_samples(capsys, monkeypatch):
     monkeypatch.setenv("SP4_PARAM_SAMPLES", "2,3")
     assert main(["verify-catalog", "--output", "json"]) == 0

@@ -268,7 +268,8 @@ def test_kernel_matches_per_entry_formulas(a, b, q):
 def test_equal_values_give_equal_matrices(a, k):
     m = Mat4(a)
     assert_canonical(m)
-    assert Mat4(m.rows) == m and Mat4.from_flat(m.flatten()) == m
+    assert Mat4(m.rows) == m
+    assert Mat4([m.flatten()[i:i + 4] for i in (0, 4, 8, 12)]) == m
     assert Mat4.from_json(m.to_json()) == m
     # the same value from unreduced numerators, or a detour through sums
     # and scalar multiples, is the same matrix with the same hash

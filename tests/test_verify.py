@@ -1,7 +1,7 @@
 import dataclasses
 
-from sp4solvable import structure, verify
-from sp4solvable.catalog import EquivClaim, load_catalog
+from sp4solvable import invariants, structure, verify
+from sp4solvable.catalog import CatalogEntry, EquivClaim, load_catalog
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import T, X_ALPHA, X_BETA
 from sp4solvable.structure import generated_subalgebra
@@ -69,6 +69,52 @@ def test_instance_memo_follows_content_not_row_id():
     # same row_id, another row's basis: a new instance, not the memoized one
     edited = dataclasses.replace(original, basis=ENTRIES["d2_T10_Xa2b"].basis)
     assert separation_witness(edited, None, original, None)
+
+
+def test_row_without_parameter_is_one_memo_entry(monkeypatch):
+    built = []
+    original = CatalogEntry.basis_at
+
+    def counting(entry, a):
+        built.append((entry.row_id, a))
+        return original(entry, a)
+
+    monkeypatch.setattr(CatalogEntry, "basis_at", counting)
+    verify._instance.cache_clear()
+    assert verify_catalog().overall_pass
+    # its sample-restricted claim runs at four values of a, against one target
+    assert [a for row, a in built if row == "d1_T11_Xb"] == [None]
+    verify._instance.cache_clear()
+
+
+def test_match_catalog_finds_the_nilpotent_subspace_once(monkeypatch):
+    sub = generated_subalgebra([T(2, 1), X_ALPHA])
+    calls = []
+    original = invariants.nilpotent_subspace
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(invariants, "nilpotent_subspace", counting)
+    monkeypatch.setattr(verify, "nilpotent_subspace", counting)
+    verify._instance.cache_clear()
+    assert match_catalog(sub) == [("d2_Ta1_Xa", Q(2))]
+    assert sum(g is sub for g in calls) == 1
+    verify._instance.cache_clear()
+
+
+def test_inadmissible_target_parameter_is_a_recorded_skip():
+    # the 1/a claim sends a = -1/3 to the excluded value -3
+    rep = verify_entry(ENTRIES["d3_Ta1_Xa_Xab"], params=(Q(-1, 3),))
+    skips = [r for r in rep.records if r.status == "skip"]
+    assert [(r.check, r.param) for r in skips] == [
+        ("equivalence: W joins <T(a,1), X_ab, X_a2b> at 1/a", "-1/3")]
+    assert "1/a = -3 is not admissible" in skips[0].detail
+    assert rep.overall_pass and rep.failures == []
+    text = rep.to_text()
+    assert "[ok ] d3_Ta1_Xa_Xab" in text and "skip: equivalence: W joins" in text
+    assert text.endswith("all passed")
 
 
 def test_params_leave_rows_without_parameter_alone():
