@@ -196,6 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a lone "-1/3" as an option: join it as "--params=-1/3"
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--params", "--param") and argv[i][:1] == "-" and argv[i][:2] != "--":
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

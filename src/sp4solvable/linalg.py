@@ -1,10 +1,10 @@
 """Exact rational linear algebra on 4x4 matrices and small vector spaces.
 
-Everything here is over the rationals with no rounding: matrices are immutable
-4x4 arrays of int numerators over one common denominator, subspaces are held
+Everything here is over the rationals with no rounding: 4x4 matrices and
+polynomials are int numerators over one common denominator, subspaces are held
 in reduced row echelon form of the row-major flattened entries (so equal
-subspaces have identical basis lists), polynomials are exact coefficient
-vectors, and elimination runs on ints, with rationals only at its output.
+subspaces have identical basis lists), and elimination, polynomial division,
+gcd and rational roots run on ints, with rationals only at the boundary.
 
 Characteristic polynomials are computed twice over by design: the production
 path is Faddeev-LeVerrier over the integers (`char_poly`), and an independent
@@ -15,12 +15,12 @@ serves as the cross-check oracle.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, zip_longest
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DependentInputs, SingularMatrix, ZeroPolynomial
-from .rational import Q, ZERO, ONE, divisors, format_rational, parse_rational, rational_sqrt
+from .rational import Q, ZERO, ONE, divisors, format_rational, parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -130,197 +130,236 @@ def solve_in_span(vectors: Sequence[Sequence], ws: Sequence[Sequence]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q (coefficients lowest degree first)
+# univariate polynomials over Q, held as int numerators over one denominator
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Dense univariate polynomial with exact rational coefficients."""
+    """Univariate polynomial over Q, held like `Mat4`: int numerators `num`
+    (lowest degree first, no trailing zeros) over one denominator `den` > 0
+    with gcd(den, *num) == 1, so == and hash are exact value equality.
+    Rationals appear only at the boundary (`__init__`, `p[i]`, the value
+    `p(x)`, `repr`); every kernel runs on the ints."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Q(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        p = Poly._make(*_over_common_den(coeffs))
+        self.num, self.den = p.num, p.den
+
+    @classmethod
+    def _make(cls, num: Sequence[int], den: int) -> "Poly":
+        """The polynomial num/den (den != 0) in canonical form."""
+        p, num = cls.__new__(cls), list(num)
+        while num and not num[-1]:
+            num.pop()
+        g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+        p.num, p.den = (tuple(num), den) if g == 1 else (tuple([x // g for x in num]), den // g)
+        return p
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else ZERO
+        return not self.num
 
     def __getitem__(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else ZERO
+        return Q(self.num[i], self.den) if 0 <= i < len(self.num) else ZERO
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)])
+        d1, d2 = self.den, other.den
+        return Poly._make([a * d2 + b * d1 for a, b in zip_longest(self.num, other.num, fillvalue=0)],
+                          d1 * d2)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] - other[i] for i in range(n)])
+        return self + -other
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._make([-a for a in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if self.is_zero() or other.is_zero():
-                return Poly()
-            out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
-        return Poly([c * Q(other) for c in self.coeffs])
-
-    __rmul__ = __mul__
+            a, b = self.num, other.num
+            out = [0] * (len(a) + len(b) - 1) if a and b else []
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            return Poly._make(out, self.den * other.den)
+        return Poly._make([x * other.numerator for x in self.num], self.den * other.denominator)
 
     def __call__(self, x):
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """p(x) for a rational x = n/d, by Horner on d^deg * den * p(x)."""
+        if not self.num:
+            return ZERO
+        n, d = x.numerator, x.denominator
+        acc, dk = 0, 1
+        for c in reversed(self.num):
+            acc = acc * n + c * dk
+            dk *= d
+        return Q(acc, self.den * (dk // d))
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly._make([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        inv = ONE / self.leading()
-        return Poly([c * inv for c in self.coeffs])
+        return Poly._make(self.num, self.num[-1]) if self.num else self
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """(q, r) with self = q*other + r, deg r < deg other: for self = A/a
+        and other = B/b, s*A = q*B + r gives self = (q*b/(a*s))*other + r/(a*s)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [ZERO] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.leading()
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i] == 0:
-                continue
-            f = rem[i] / lead
-            q[i - d] = f
-            for j, c in enumerate(other.coeffs):
-                rem[i - d + j] -= f * c
-        return Poly(q), Poly(rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
+        q, r, s = _pseudo_divmod(self.num, other.num)
+        den = self.den * s
+        return Poly._make([x * other.den for x in q], den), Poly._make(r, den)
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        """The monic gcd (zero for two zeros), by the primitive
+        pseudo-remainder sequence of the numerators (Brown, J. ACM 18, 1971)."""
+        a, b = _primitive(self.num), _primitive(other.num)
+        while b:
+            a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+        return Poly._make(a, a[-1]) if a else Poly()
 
     def squarefree_part(self) -> "Poly":
-        """p / gcd(p, p'); shares p's roots, each exactly once."""
+        """p / gcd(p, p'), monic; shares p's roots, each exactly once.  The
+        primitive forms divide exactly over Z (Gauss's lemma)."""
         if self.degree <= 0:
             return self.monic()
-        return (self // self.gcd(self.derivative())).monic()
+        q = _pseudo_divmod(_primitive(self.num), _primitive(self.gcd(self.derivative()).num))[0]
+        return Poly._make(q, q[-1])
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "Poly(0)"
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.num):
             if c == 0:
                 continue
-            s = format_rational(c)
+            s = format_rational(Q(c, self.den))
             terms.append(s if i == 0 else (f"{s}*x^{i}" if i > 1 else f"{s}*x"))
         return "Poly(" + " + ".join(terms) + ")"
 
 
+def _primitive(num: Sequence[int]) -> tuple[int, ...]:
+    """The int coefficients over their content, without trailing zeros."""
+    return Poly._make(num, math.gcd(*num) or 1).num
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Lazy pseudo-division of int coefficient lists (b[-1] != 0): (q, r, s)
+    with s*a == q*b + r and len(r) < len(b).  Each step scales by
+    b[-1]/gcd(top, b[-1]) only, so s == 1 when b divides a over the ints."""
+    n, lc = len(b) - 1, b[-1]
+    r = list(a)
+    q = [0] * max(0, len(a) - n)
+    s = 1
+    for i in range(len(a) - 1, n - 1, -1):
+        c = r[i]
+        if not c:
+            continue
+        g = math.gcd(c, lc) if lc > 0 else -math.gcd(c, lc)
+        m, f = lc // g, c // g
+        if m != 1:
+            r = [x * m for x in r]
+            q = [x * m for x in q]
+            s *= m
+        k = i - n
+        q[k] = f
+        for j in range(n):
+            r[k + j] -= f * b[j]
+        r[i] = 0
+    return q, r[:n], s
+
+
 def rational_roots(p: Poly) -> dict:
-    """All rational roots of p with multiplicities (rational root theorem on
-    the primitive integer form).  Irrational and complex roots are simply not
-    returned; callers needing full spectral comparison compare polynomials."""
+    """All rational roots of p with multiplicities: each candidate n/d of the
+    rational root theorem deflates the primitive int form by d*x - n as often
+    as it divides.  Irrational and complex roots are not returned."""
     if p.is_zero():
         raise ZeroPolynomial("rational_roots of the zero polynomial")
     roots: dict = {}
-    coeffs = list(p.coeffs)
-    k = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        k += 1
+    k = next(i for i, c in enumerate(p.num) if c)
     if k:
         roots[ZERO] = k
-    work = Poly(coeffs)
-    if work.degree <= 0:
+    work = _primitive(p.num[k:])
+    if len(work) < 2:
         return roots
-    for r in _root_candidates(work):
-        if work(r) == 0:
-            mult = 0
-            lin = Poly([-r, 1])
-            while True:
-                q, rem = work.divmod(lin)
-                if not rem.is_zero():
-                    break
-                work = q
-                mult += 1
-            roots[r] = mult
-            if work.degree <= 0:
+    for n, d in _root_candidates(work):
+        mult = 0
+        while len(work) > 1 and (q := _deflate(work, n, d)) is not None:
+            work = q
+            mult += 1
+        if mult:
+            roots[Q(n, d)] = mult
+            if len(work) < 2:
                 break
     return roots
 
 
-def _root_candidates(p: Poly):
-    """Candidate rational roots of a polynomial with nonzero constant term."""
-    if p.degree == 1:
-        yield -p.coeffs[0] / p.coeffs[1]
+def _deflate(a: Sequence[int], n: int, d: int):
+    """a / (d*x - n) for gcd(n, d) == 1, or None if it does not divide a: the
+    quotient is integral (Gauss), so synthetic division stops when inexact."""
+    q = [0] * (len(a) - 1)
+    c = 0
+    for j in range(len(a) - 1, 0, -1):
+        c, r = divmod(a[j] + n * c, d)
+        if r:
+            return None
+        q[j - 1] = c
+    return q if a[0] + n * c == 0 else None
+
+
+def _root_candidates(c: Sequence[int]):
+    """Candidate rational roots (n, d), in lowest terms with d > 0, of a
+    primitive int polynomial of degree >= 1 with nonzero constant term."""
+    if len(c) == 2:
+        yield _ratio(-c[0], c[1])
         return
-    if p.degree == 2:
-        yield from _quadratic_roots(p.coeffs[2], p.coeffs[1], p.coeffs[0])
+    if len(c) == 3:
+        yield from _quadratic_roots(c[2], c[1], c[0])
         return
-    if p.degree == 4 and p.coeffs[1] == 0 and p.coeffs[3] == 0:
+    if len(c) == 5 and c[1] == 0 and c[3] == 0:
         # biquadratic: the char-poly shape of every sp(4) element
-        for mu in _quadratic_roots(p.coeffs[4], p.coeffs[2], p.coeffs[0]):
-            s = rational_sqrt(mu)
-            if s is not None:
-                yield s
-                if s != 0:
-                    yield -s
+        for n, d in _quadratic_roots(c[4], c[2], c[0]):
+            s, t = _exact_isqrt(n), _exact_isqrt(d)
+            if s is not None and t is not None:  # s != 0, as c[0] != 0
+                yield from ((s, t), (-s, t))
         return
-    # general case: clear denominators, enumerate divisor quotients
-    den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den_lcm) for c in p.coeffs]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    for num in divisors(ints[0]):
-        for den in divisors(ints[-1]):
-            cand = Q(num, den)
-            yield cand
-            yield -cand
+    # general case: divisor quotients of the end coefficients
+    for n in divisors(c[0]):
+        for d in divisors(c[-1]):
+            yield _ratio(n, d)
+            yield _ratio(-n, d)
 
 
-def _quadratic_roots(a, b, c):
-    disc = b * b - 4 * a * c
-    s = rational_sqrt(disc)
+def _quadratic_roots(a: int, b: int, c: int):
+    s = _exact_isqrt(b * b - 4 * a * c)
     if s is None:
         return
-    yield (-b + s) / (2 * a)
+    yield _ratio(-b + s, 2 * a)
     if s != 0:
-        yield (-b - s) / (2 * a)
+        yield _ratio(-b - s, 2 * a)
+
+
+def _ratio(n: int, d: int) -> tuple[int, int]:
+    """n/d (d != 0) as (numerator, denominator) in lowest terms, d > 0."""
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    return n // g, d // g
+
+
+def _exact_isqrt(n: int):
+    """The int square root of n, or None when n is not a perfect square."""
+    r = math.isqrt(n) if n >= 0 else -1
+    return r if r * r == n else None
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +438,7 @@ class Mat4:
     def __mul__(self, other):
         a = self.num
         if isinstance(other, Mat4):
-            b = other.num
-            cols = (b[0::4], b[1::4], b[2::4], b[3::4])
-            return Mat4._make([x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3
-                               for x0, x1, x2, x3 in (a[0:4], a[4:8], a[8:12], a[12:16])
-                               for y0, y1, y2, y3 in cols], self.den * other.den)
+            return Mat4._make(_mul_num(a, other.num), self.den * other.den)
         q = Q(other)
         p = q.numerator
         return Mat4._make([x * p for x in a], self.den * q.denominator)
@@ -440,6 +475,14 @@ class Mat4:
         return cls([[parse_rational(str(x)) for x in r] for r in data])
 
 
+def _mul_num(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two row-major 4x4 int grids."""
+    cols = (b[0::4], b[1::4], b[2::4], b[3::4])
+    return [x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3
+            for x0, x1, x2, x3 in (a[0:4], a[4:8], a[8:12], a[12:16])
+            for y0, y1, y2, y3 in cols]
+
+
 _ZERO4 = Mat4._make([0] * 16, 1)
 _ID4 = Mat4._make([int(i % 5 == 0) for i in range(16)], 1)
 
@@ -472,9 +515,9 @@ def _char_poly_int(a: list[Sequence[int]], den: int) -> Poly:
     over the integers: with a_1 = a, a_k = a (a_{k-1} + c_{k-1} I) and
     c_k = -tr(a_k)/k, every a_k and c_k is integral (c_k is den^k times the
     rational coefficient, so the division by k is exact), and the
-    coefficient of lambda^(n-k) is c_k / den^k."""
+    coefficient of lambda^(n-k) is c_k / den^k = c_k den^(n-k) / den^n."""
     n = len(a)
-    coeffs = [ONE] * (n + 1)
+    num = [0] * n + [den**n]
     mk = [list(row) for row in a]
     c = 0
     for k in range(1, n + 1):
@@ -484,8 +527,8 @@ def _char_poly_int(a: list[Sequence[int]], den: int) -> Poly:
             cols = list(zip(*mk))
             mk = [[sum(map(mul, row, col)) for col in cols] for row in a]
         c = -sum(mk[i][i] for i in range(n)) // k
-        coeffs[n - k] = Q(c, den**k)
-    return Poly(coeffs)
+        num[n - k] = c * den**(n - k)
+    return Poly._make(num, den**n)
 
 
 def char_poly_cofactor(m: Mat4) -> Poly:
@@ -496,11 +539,20 @@ def char_poly_cofactor(m: Mat4) -> Poly:
 
 
 def poly_eval_mat(p: Poly, m: Mat4) -> Mat4:
-    """Evaluate a polynomial at a matrix argument (Horner)."""
-    acc = Mat4.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * m + Mat4.identity() * c
-    return acc
+    """p(m) by Horner on the numerators: for p = P/e of degree k and m = M/D,
+    acc <- acc*M + P_i D^(k-i) I ends at e D^k p(m), divided out once."""
+    if p.is_zero():
+        return _ZERO4
+    mm, d = m.num, m.den
+    acc = [p.num[-1] if i % 5 == 0 else 0 for i in range(16)]
+    dk = 1
+    for c in reversed(p.num[:-1]):
+        dk *= d
+        acc = _mul_num(acc, mm)
+        if c:
+            for i in (0, 5, 10, 15):
+                acc[i] += c * dk
+    return Mat4._make(acc, p.den * dk)
 
 
 def _num_rows(m: Mat4) -> list[tuple]:

@@ -3,9 +3,9 @@
 Every quantity in this library is an exact rational number; no floating point
 is used anywhere.  ``Q`` is ``fractions.Fraction``, which stores reduced
 fractions with positive denominator, so bit-exact equality is value
-equality.  ``Q`` is the boundary scalar: the matrix kernels (``Mat4``
-arithmetic, the characteristic polynomial) run on integer numerators over a
-common denominator.
+equality.  ``Q`` is the boundary scalar: the matrix and polynomial kernels
+(``Mat4`` and ``Poly`` arithmetic, elimination, the characteristic polynomial,
+gcd, rational roots) run on integer numerators over a common denominator.
 
 The wire format for rationals is the string ``"p/q"`` in lowest terms, or just
 ``"p"`` when the denominator is 1 (e.g. ``"-3/16"``, ``"2"``).

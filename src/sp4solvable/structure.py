@@ -173,8 +173,7 @@ class StructureConstants:
 
     def __init__(self, dim: int, table):
         self.dim = dim
-        self.table = tuple(tuple(tuple(Q(c) for c in row) for row in plane)
-                           for plane in table)
+        self.table = tuple(tuple(tuple(row) for row in plane) for plane in table)
 
     def bracket_coords(self, u: Sequence, v: Sequence) -> tuple:
         d = self.dim

@@ -166,6 +166,10 @@ def _verify_at(entry: CatalogEntry, a, rep: VerificationReport, first: bool):
             "" if ok_dim and ok_sp4 and ok_closed else
             f"dim {space.dim}/{entry.dim} sp4 {ok_sp4} closed {ok_closed}")
     if not (ok_dim and ok_sp4 and ok_closed):
+        for claim in entry.equivalences:
+            for val in _claim_values(claim, a, first):
+                rep.skip(entry.row_id, val, f"equivalence: {claim.desc}",
+                         "instance failed closure")
         return
     rep.add(entry.row_id, a, "solvable", is_solvable(sub))
 
@@ -226,17 +230,17 @@ def _verify_at(entry: CatalogEntry, a, rep: VerificationReport, first: bool):
         rep.add(entry.row_id, a, "sw-label", True, str(entry.sw_at(a)))
 
 
+def _claim_values(claim, a, first: bool) -> tuple:
+    """The values a claim is checked at for the row's sample a; one restricted
+    to stated values (square-root recipes) runs once, at the first sample."""
+    if claim.samples is None:
+        return (a,)
+    return tuple(eval_expr(s, {}) for s in claim.samples) if first else ()
+
+
 def _verify_claim(entry: CatalogEntry, claim, a, rep: VerificationReport,
                   first: bool):
-    if claim.samples is not None:
-        # claim restricted to stated parameter values (square-root recipes);
-        # run them once, on the row's first verified sample
-        if not first:
-            return
-        values = tuple(eval_expr(s, {}) for s in claim.samples)
-    else:
-        values = (a,)
-    for val in values:
+    for val in _claim_values(claim, a, first):
         env = {} if val is None else {"a": Q(val)}
         key = val if entry.param else None  # a row without parameter is one instance
         try:

@@ -111,6 +111,18 @@ def test_verify_catalog_cli_records_a_skipped_claim(capsys):
     assert "not admissible" in skips[0]["detail"]
 
 
+@pytest.mark.parametrize("args, option, value", [
+    (["verify-catalog", "--output", "json"], "--params", "-1/3,2"),
+    (["conjugate", "--input", "TA", "--conjugator", "shear:alpha:a"], "--param", "-1/3"),
+])
+def test_negative_first_value_after_a_space(args, option, value, ta_path, capsys):
+    args = [ta_path if a == "TA" else a for a in args]
+    assert main(args + [option, value]) == 0
+    spaced = capsys.readouterr().out
+    assert main(args + [f"{option}={value}"]) == 0
+    assert capsys.readouterr().out == spaced
+
+
 def test_env_override_samples(capsys, monkeypatch):
     monkeypatch.setenv("SP4_PARAM_SAMPLES", "2,3")
     assert main(["verify-catalog", "--output", "json"]) == 0

@@ -129,3 +129,25 @@ def test_subalgebra_validation():
 def test_subalgebra_json_roundtrip():
     g = alg(T(1, 1), X_BETA, X_AB, X_A2B)
     assert Subalgebra.from_json(g.to_json()).space == g.space
+
+
+def test_bracket_tables_are_stored_as_given(monkeypatch):
+    """The pair brackets already hand exact rationals to `StructureConstants`;
+    building a table re-wraps none of them in `structure.Q`."""
+    from sp4solvable import structure
+    from sp4solvable.catalog import load_catalog
+    cases = []
+    for e in load_catalog():
+        if e.dim == 3:
+            for a in e.samples():
+                mats = e.basis_at(a)
+                sub = Subalgebra.from_matrices(mats)
+                cases.append((mats, sub.constants.change_basis([sub.space.coords(m) for m in mats])))
+
+    def no_rewrap(*args):
+        raise AssertionError("structure.Q re-wraps a structure constant")
+
+    monkeypatch.setattr(structure, "Q", no_rewrap)
+    assert len(cases) > 20
+    for mats, expected in cases:
+        assert structure_constants_for_basis(mats) == expected

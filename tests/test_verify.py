@@ -174,3 +174,22 @@ def test_report_header_names_the_samples_used():
     rep = verify_separations([ENTRIES["d1_T_a1"], ENTRIES["d1_T_10"]],
                              params=(Q(2), Q(1, 2)))
     assert rep.to_json()["samples"] == ["2", "1/2"]
+
+
+def test_claims_of_a_non_closed_instance_are_recorded_skips():
+    # <X_alpha, X_beta> is not closed: [X_alpha, X_beta] = X_{alpha+beta}
+    not_closed = ((0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0))
+    rep = verify_entry(dataclasses.replace(ENTRIES["d1_T11_Xb"], basis=not_closed))
+    assert [(r.check, r.status) for r in rep.records][0] == ("closure+dimension", "fail")
+    assert [(r.check, r.param) for r in rep.records[1:]] == (
+        [("equivalence: A image <T(1,-1)+X_alpha+beta>", "-")]
+        + [("equivalence: <T(a,a)+X_beta> rescales in for any a", a)
+           for a in ("3", "5", "-2", "7/3")])
+    assert all(r.status == "skip" and r.detail == "instance failed closure"
+               for r in rep.records[1:])
+    # a parameterized row: both claims at each of its samples
+    entry = dataclasses.replace(ENTRIES["d2_Ta1_Xa"], basis=not_closed)
+    claims = [r for r in verify_entry(entry).records if r.check.startswith("equivalence")]
+    assert len(claims) == 2 * len(entry.samples())
+    assert {r.status for r in claims} == {"skip"}
+    verify._instance.cache_clear()
