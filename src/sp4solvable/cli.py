@@ -4,8 +4,9 @@ Subcommands: verify-catalog, identify, invariants, conjugate,
 classify-element, export-catalog.  Batch-only; inputs are JSON files using
 the library's wire formats (matrices as 4x4 grids of rational strings,
 subalgebras as {"ambient": "sp4", "basis": [...]}), outputs go to stdout as
-text or JSON.  Exit codes: 0 success, 1 verification failure, 2 parse error,
-3 irrational spectrum / unrecognized family / factoring bound exceeded.
+text or JSON.  Exit codes: 0 success, 1 verification failure, 2 parse error
+(malformed input, bad conjugator recipe), 3 out of domain (not solvable,
+irrational spectrum, unrecognized family, factoring bound exceeded).
 
 The parameter sample set is printed in every report header; the environment
 variable SP4_PARAM_SAMPLES (comma-separated rationals) overrides the default.
@@ -18,8 +19,9 @@ import json
 import sys
 
 from .catalog import catalog_to_json, load_catalog
-from .errors import (FactorizationLimit, IrrationalSpectrum, OutOfCatalog,
-                     Sp4Error, UnrecognizedFamily, UnsupportedDimension)
+from .errors import (FactorizationLimit, IrrationalSpectrum, NotSolvable,
+                     OutOfCatalog, Sp4Error, UnrecognizedFamily,
+                     UnsupportedDimension)
 from .identify import degraaf_to_sw, identify_degraaf
 from .invariants import signature
 from .jordan import classify_element
@@ -98,16 +100,15 @@ def cmd_verify_catalog(args) -> int:
 
 def cmd_identify(args) -> int:
     sub = _load_subalgebra(args.input)
+    matches = match_catalog(sub)  # raises NotSolvable before any identification
     payload: dict = {"samples": _samples_header(), "dim": sub.dim}
-    sc = structure_constants(sub)
     if sub.dim <= 4:
-        dg = identify_degraaf(sc)
+        dg = identify_degraaf(structure_constants(sub))
         payload["degraaf"] = str(dg)
         try:
             payload["sw"] = str(degraaf_to_sw(dg))
         except OutOfCatalog as exc:
             payload["sw"] = f"out of catalog ({exc})"
-    matches = match_catalog(sub)
     payload["catalog_rows"] = [
         {"row": rid, "param": None if a is None else format_rational(a)}
         for rid, a in matches]
@@ -213,7 +214,7 @@ def main(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}; compare characteristic "
               f"polynomials instead of eigenvalue data", file=sys.stderr)
         return 3
-    except FactorizationLimit as exc:
+    except (FactorizationLimit, NotSolvable) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except Sp4Error as exc:

@@ -41,6 +41,10 @@ class UnsupportedDimension(Sp4Error):
     """Structure-constant identification outside dimensions 1..4."""
 
 
+class NotSolvable(Sp4Error):
+    """A solvable-subalgebra invariant requested for a non-solvable subalgebra."""
+
+
 class UnrecognizedFamily(Sp4Error):
     """Solvable structure outside the families occurring in the catalog."""
 

@@ -10,7 +10,8 @@ and still evaluates exactly.  Grammar:
     factor := ['-'] atom ['^' integer]
     atom   := rational | name | '(' expr ')'
 
-Values are exact rationals.
+Values are exact rationals.  An exponent above `MAX_EXPONENT` (the catalog's
+largest is 2) raises ValueError, so a huge power cannot hang the caller.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 from .rational import Q
 
 __all__ = ["eval_expr"]
+
+MAX_EXPONENT = 64
 
 
 class _Parser:
@@ -66,6 +69,8 @@ class _Parser:
         if self.peek() == "^":
             self.take()
             e = self.integer()
+            if e > MAX_EXPONENT:
+                raise ValueError(f"exponent {e} above {MAX_EXPONENT} in {self.text!r}")
             v = v**e
         return -v if neg else v
 

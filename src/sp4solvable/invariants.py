@@ -40,13 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DependentInputs, IrrationalSpectrum, Sp4Error
+from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
 from .linalg import (Mat4, Poly, char_poly, char_poly_rows, echelon_span,
                      generic_rank, kernel_of_rows, rank, rational_roots,
-                     symbolic_minors, Subspace)
+                     symbolic_combo, symbolic_minors, Subspace)
 from .rational import Q, ZERO, format_rational
 from .sp4 import bracket
-from .structure import Subalgebra, ad_matrix, coord_series, unit_rows
+from .structure import Subalgebra, ad_matrix, coord_series, is_solvable, unit_rows
 from .jordan import _jordan_decompose
 
 __all__ = [
@@ -96,9 +96,7 @@ class PencilStrata:
 def _gcd_list(polys: list[Poly]) -> Poly:
     acc = Poly()
     for p in polys:
-        if p.is_zero():
-            continue
-        acc = p.monic() if acc.is_zero() else acc.gcd(p)
+        acc = acc.gcd(p)
         if acc.degree == 0:
             break
     return acc
@@ -116,43 +114,31 @@ def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
     """
     if echelon_span([n1, n2]).dim != 2:
         raise DependentInputs("pencil needs two independent matrices")
-    entries = [[Poly([n2.entry(i, j), n1.entry(i, j)]) for j in range(4)]
-               for i in range(4)]
-    minors_by_k: dict[int, list[Poly]] = {}
-    generic = 0
-    for k in range(1, 5):
-        mins = symbolic_minors(entries, k)
-        minors_by_k[k] = mins
-        if any(not m.is_zero() for m in mins):
-            generic = k
-    # distinct finite lines with rank <= k, for k < generic
-    le_roots: dict[int, int] = {}
-    gcds: dict[int, Poly] = {}
-    for k in range(generic):
-        g = _gcd_list(minors_by_k[k + 1])
-        gcds[k] = g
-        le_roots[k] = 0 if g.degree <= 0 else g.squarefree_part().degree
-
-    drop_poly = gcds.get(generic - 1, Poly([1]))
-    rational_drops = []
-    rational_by_rank: dict[int, int] = {}
-    if drop_poly.degree > 0:
-        for t0 in sorted(rational_roots(drop_poly.squarefree_part()),
-                         key=lambda q: (q.numerator, q.denominator)):
-            m_t0 = Mat4([[entries[i][j](t0) for j in range(4)] for i in range(4)])
-            r = rank(m_t0)
-            rational_drops.append((t0, r))
-            rational_by_rank[r] = rational_by_rank.get(r, 0) + 1
-    inf_rank = rank(n1)
-    infinity_rank = inf_rank if inf_rank < generic else None
+    entries = symbolic_combo([n2, n1])
+    # minors[k] holds the (k+1)-minors, up to the generic rank: the first
+    # size whose minors all vanish ends the scan, as all larger minors vanish
+    minors: list[list[Poly]] = []
+    while len(minors) < 4:
+        mins = list(symbolic_minors(entries, len(minors) + 1))
+        if all(m.is_zero() for m in mins):
+            break
+        minors.append(mins)
+    generic = len(minors)
+    # drops[k], the squarefree gcd of the (k+1)-minors, has the finite lines
+    # of rank <= k as its roots, each once
+    drops = [_gcd_list(mins).squarefree_part() for mins in minors]
+    roots = rational_roots(drops[-1]) if drops[-1].degree > 0 else {}
+    rational_drops = tuple((t0, rank(n1 * t0 + n2)) for t0 in
+                           sorted(roots, key=lambda q: (q.numerator, q.denominator)))
     irrational = []
     for r in range(generic):
-        total_r = le_roots.get(r, 0) - le_roots.get(r - 1, 0)
-        missing = total_r - rational_by_rank.get(r, 0)
+        missing = (drops[r].degree - (drops[r - 1].degree if r else 0)
+                   - sum(1 for _, rr in rational_drops if rr == r))
         if missing > 0:
             irrational.append((r, missing))
-    return PencilStrata(generic, tuple(rational_drops), infinity_rank,
-                        tuple(irrational))
+    inf_rank = rank(n1)
+    return PencilStrata(generic, rational_drops,
+                        inf_rank if inf_rank < generic else None, tuple(irrational))
 
 
 def grid_pencil_ranks(n1: Mat4, n2: Mat4, lo: int = -20, hi: int = 20) -> dict:
@@ -170,12 +156,15 @@ def grid_pencil_ranks(n1: Mat4, n2: Mat4, lo: int = -20, hi: int = 20) -> dict:
 # ---------------------------------------------------------------------------
 
 def nilpotent_subspace(g: Subalgebra) -> Subspace:
-    """The subspace of nilpotent elements of g (trace-form radical).
+    """The subspace of nilpotent elements of a solvable g (trace-form radical).
 
-    Raises IrrationalSpectrum if the radical contains a non-nilpotent element,
-    which happens exactly when g has elements with irrational or complex
-    eigenvalues (outside this library's domain).
+    Raises NotSolvable when g is not, and IrrationalSpectrum if the radical
+    contains a non-nilpotent element, which happens exactly when g has
+    elements with irrational or complex eigenvalues (outside this library's
+    domain).
     """
+    if not is_solvable(g):
+        raise NotSolvable("the subalgebra is not solvable")
     basis = g.basis
     d = len(basis)
     gram = [[(basis[i] * basis[j]).trace() for j in range(d)] for i in range(d)]
@@ -292,7 +281,7 @@ def _signature(s: Subalgebra, nspace: Subspace) -> InvariantSignature:
     """The signature of s, given its nilpotent subspace `nspace`."""
     g = s.space
     d = g.dim
-    der = coord_series(s)
+    der = s.derived
     derived_dims = tuple(len(rows) for rows in der)
     lower_dims = tuple(len(rows) for rows in coord_series(s, lower=True))
     dn = nspace.dim

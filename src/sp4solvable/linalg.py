@@ -6,6 +6,9 @@ in reduced row echelon form of the row-major flattened entries (so equal
 subspaces have identical basis lists), and elimination, polynomial division,
 gcd and rational roots run on ints, with rationals only at the boundary.
 
+`Poly` is the one polynomial type: minors of pencils and, by Kronecker
+substitution (`symbolic_combo`), the generic rank of a span run over Q[t].
+
 Characteristic polynomials are computed twice over by design: the production
 path is Faddeev-LeVerrier over the integers (`char_poly`), and an independent
 cofactor expansion of det(lambda*I - m) over Q[lambda] (`char_poly_cofactor`)
@@ -642,70 +645,16 @@ def echelon_span(vectors: Iterable[Mat4]) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate polynomials (for symbolic determinants over parameters)
+# minors of linear matrix combinations over Q[t]
 # ---------------------------------------------------------------------------
 
-class MPoly:
-    """Sparse multivariate polynomial over Q: {exponent tuple: coefficient}."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                c = Q(c)
-                if c != 0:
-                    self.terms[tuple(e)] = c
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "MPoly") -> "MPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, ZERO) + c
-        return MPoly(self.nvars, out)
-
-    def __sub__(self, other: "MPoly") -> "MPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, ZERO) - c
-        return MPoly(self.nvars, out)
-
-    def __neg__(self) -> "MPoly":
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, MPoly):
-            out: dict = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, ZERO) + c1 * c2
-            return MPoly(self.nvars, out)
-        return MPoly(self.nvars, {e: c * Q(other) for e, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __call__(self, values: Sequence):
-        acc = ZERO
-        for e, c in self.terms.items():
-            term = c
-            for ex, v in zip(e, values):
-                term *= v**ex
-            acc += term
-        return acc
-
-
-def det_mpoly(entries: list[list]) -> Poly | MPoly:
-    """Determinant of a small square matrix by cofactor expansion; the
-    entries are all `Poly` or all `MPoly`."""
+def det_mpoly(entries: list[list[Poly]]) -> Poly:
+    """Determinant of a small square matrix of `Poly` entries by cofactor
+    expansion along the first row."""
     n = len(entries)
     if n == 1:
         return entries[0][0]
-    acc = entries[0][0] * 0
+    acc = Poly()
     for j in range(n):
         if entries[0][j].is_zero():
             continue
@@ -715,39 +664,42 @@ def det_mpoly(entries: list[list]) -> Poly | MPoly:
     return acc
 
 
-def symbolic_combo(mats: Sequence[Mat4]) -> list[list[MPoly]]:
-    """The 4x4 matrix of linear polynomials sum_i t_i * mats[i]."""
-    d = len(mats)
-    out = [[MPoly(d) for _ in range(4)] for _ in range(4)]
-    for idx, m in enumerate(mats):
-        e = [0] * d
-        e[idx] = 1
-        e = tuple(e)
-        for i in range(4):
-            for j in range(4):
-                c = m.entry(i, j)
-                if c != 0:
-                    out[i][j] = out[i][j] + MPoly(d, {e: c})
-    return out
+def symbolic_combo(mats: Sequence[Mat4]) -> list[list[Poly]]:
+    """The 4x4 `Poly` matrix mats[0] + sum_{i>=1} t^(5^(i-1)) mats[i] (zero
+    for no matrices), whose minors vanish exactly where those of the generic
+    combination sum_i t_i mats[i] do.
+
+    A k-minor of sum_i t_i mats[i] (k <= 4) is homogeneous of degree k, so it
+    vanishes identically iff it does at t_0 = 1.  There each variable has
+    degree below 5, and t_i = t^(5^(i-1)) maps the monomials to distinct
+    powers of t, their exponents read in base 5 (Kronecker substitution).
+    So the minor vanishes iff its image in Q[t] does.  For two matrices
+    this is the pencil mats[0] + t*mats[1]."""
+    exps = [0] + [5**i for i in range(len(mats) - 1)]
+    den = math.lcm(*[m.den for m in mats])
+    entries = []
+    for ij in range(16):
+        num = [0] * (exps[-1] + 1)
+        for e, m in zip(exps, mats):
+            num[e] = m.num[ij] * (den // m.den)
+        entries.append(Poly._make(num, den))
+    return [entries[i:i + 4] for i in (0, 4, 8, 12)]
 
 
-def symbolic_minors(entries: list[list], k: int) -> list:
-    """All k x k minors of a 4x4 matrix of `Poly` or `MPoly` entries."""
-    out = []
+def symbolic_minors(entries: list[list[Poly]], k: int):
+    """The k x k minors of a 4x4 matrix of `Poly` entries, yielded lazily."""
     for rows_idx in combinations(range(4), k):
         for cols_idx in combinations(range(4), k):
-            sub = [[entries[i][j] for j in cols_idx] for i in rows_idx]
-            out.append(det_mpoly(sub))
-    return out
+            yield det_mpoly([[entries[i][j] for j in cols_idx] for i in rows_idx])
 
 
 def generic_rank(mats: Sequence[Mat4]) -> int:
     """Rank of a generic element of span(mats): the largest k with a k-minor
-    of sum t_i mats[i] not identically zero."""
-    if not mats:
-        return 0
-    entries = symbolic_combo(list(mats))
-    for k in range(4, 0, -1):
-        if any(not mnr.is_zero() for mnr in symbolic_minors(entries, k)):
-            return k
-    return 0
+    of `symbolic_combo(mats)` not identically zero.  The scan runs upward
+    and stops at the first size whose minors all vanish, since by Laplace
+    expansion every larger minor then vanishes too."""
+    entries = symbolic_combo(mats)
+    k = 0
+    while k < 4 and any(not m.is_zero() for m in symbolic_minors(entries, k + 1)):
+        k += 1
+    return k

@@ -182,32 +182,41 @@ def parse_conjugator(recipe: str, env: dict | None = None) -> Mat4:
     ``diag:<e1>,<e2>,<e3>,<e4>``, ``block:<e1>,...,<e4>`` and
     ``glblock:<e1>,...,<e4>``.  Products are whitespace-separated and apply
     rightmost-first under conjugation (matrix product order).  Expressions
-    may mention the row parameter ``a``.
+    may mention the row parameter ``a``.  An atom with the wrong number of
+    values or an expression that does not evaluate raises Sp4Error naming it.
     """
     env = env or {}
     acc = Mat4.identity()
     for atom in recipe.split():
-        atom = atom.strip()
         if atom in _ATOMS:
             g = _ATOMS[atom]()
         elif atom.startswith("shear:"):
-            _, root, zexpr = atom.split(":", 2)
-            g = shear(root.strip(), eval_expr(zexpr, env))
+            root, _, zexpr = atom[6:].partition(":")
+            g = shear(root, *_atom_values(atom, zexpr, 1, env))
         elif atom.startswith("diag:"):
-            vals = [eval_expr(p, env) for p in atom[5:].split(",")]
-            g = diag_conjugator(*vals)
+            g = diag_conjugator(*_atom_values(atom, atom[5:], 4, env))
         elif atom.startswith("block:"):
-            vals = [eval_expr(p, env) for p in atom[6:].split(",")]
-            g = block_sl2(*vals)
+            g = block_sl2(*_atom_values(atom, atom[6:], 4, env))
         elif atom.startswith("glblock:"):
-            vals = [eval_expr(p, env) for p in atom[8:].split(",")]
-            g = gl2_block(*vals)
+            g = gl2_block(*_atom_values(atom, atom[8:], 4, env))
         else:
             raise Sp4Error(f"unknown conjugator atom {atom!r}")
         if not in_sp4_group(g):
             raise Sp4Error(f"conjugator atom {atom!r} is not in Sp(4)")
         acc = acc * g
     return acc
+
+
+def _atom_values(atom: str, text: str, count: int, env: dict) -> list:
+    """The `count` comma-separated expressions of a recipe atom, evaluated;
+    Sp4Error naming the atom for a wrong count or an expression that fails."""
+    parts = text.split(",")
+    if len(parts) != count:
+        raise Sp4Error(f"conjugator atom {atom!r} needs {count} values, got {len(parts)}")
+    try:
+        return [eval_expr(p, env) for p in parts]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise Sp4Error(f"conjugator atom {atom!r}: {exc}") from exc
 
 
 # -- standard subalgebras ----------------------------------------------------

@@ -49,6 +49,11 @@ class Subalgebra:
         """The bracket table in the echelon basis, computed on first use."""
         return structure_constants_for_basis(self.basis)
 
+    @cached_property
+    def derived(self) -> list[list[tuple]]:
+        """The derived series in coordinate rows, computed on first use."""
+        return coord_series(self)
+
     @property
     def dim(self) -> int:
         return self.space.dim
@@ -142,7 +147,7 @@ def _spaces(s: Subalgebra, chain: list[list[tuple]]) -> list[Subspace]:
 
 def derived_series(s: Subalgebra) -> list[Subspace]:
     """g, [g,g], [[g,g],[g,g]], ... until stabilization."""
-    return _spaces(s, coord_series(s))
+    return _spaces(s, s.derived)
 
 
 def lower_central_series(s: Subalgebra) -> list[Subspace]:
@@ -151,7 +156,7 @@ def lower_central_series(s: Subalgebra) -> list[Subspace]:
 
 
 def is_solvable(s: Subalgebra) -> bool:
-    return not coord_series(s)[-1]
+    return not s.derived[-1]
 
 
 def is_nilpotent(s: Subalgebra) -> bool:

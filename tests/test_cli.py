@@ -4,7 +4,8 @@ import time
 import pytest
 
 from sp4solvable.cli import main
-from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA
+from sp4solvable.linalg import Mat4
+from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA, standard_subalgebra
 from sp4solvable.structure import Subalgebra
 
 
@@ -207,3 +208,25 @@ def test_malformed_sample_env_is_a_parse_error(samples, capsys, monkeypatch):
     monkeypatch.setenv("SP4_PARAM_SAMPLES", samples)
     assert main(["verify-catalog"]) == 2
     assert "SP4_PARAM_SAMPLES" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["identify", "invariants"])
+@pytest.mark.parametrize("name", ["parabolic", "sl2"])
+def test_non_solvable_input_is_out_of_domain(command, name, tmp_path, capsys):
+    sub = (Subalgebra(standard_subalgebra("p")) if name == "parabolic" else
+           Subalgebra.from_matrices([T(1, 0), Mat4.unit(1, 3), Mat4.unit(3, 1)]))
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(sub.to_json()))
+    assert main([command, "--input", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "not solvable" in err and "characteristic" not in err
+
+
+@pytest.mark.parametrize("recipe", ["shear:alpha", "diag:1,2", "shear:alpha:1/0",
+                                    "shear:alpha:(1", "diag:a,1,1/a,1",
+                                    "shear:alpha:3^99999999"])
+def test_bad_conjugator_recipe_is_a_parse_error(recipe, ta_path, capsys):
+    start = time.perf_counter()
+    assert main(["conjugate", "--input", ta_path, "--conjugator", recipe]) == 2
+    assert time.perf_counter() - start < 5
+    assert recipe in capsys.readouterr().err

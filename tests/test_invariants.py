@@ -1,10 +1,13 @@
+from itertools import product
+
 import pytest
 
 from sp4solvable.errors import DependentInputs, IrrationalSpectrum
 from sp4solvable.invariants import (grid_pencil_ranks, nilpotent_subspace,
                                     pencil_rank_strata, signature)
 from sp4solvable.catalog import load_catalog
-from sp4solvable.linalg import Mat4, det_mpoly, echelon_span, symbolic_combo
+from sp4solvable.linalg import (Mat4, det_mpoly, echelon_span, generic_rank, rank,
+                               symbolic_combo)
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA,
                              conjugate_subalgebra, standard_subalgebra)
@@ -191,3 +194,36 @@ def test_contains_invertible_agrees_with_symbolic_determinant(rng):
             continue
         checked += 1
         assert got == _has_invertible_by_determinant(s), [repr(b) for b in seeds]
+
+
+def _max_grid_rank(mats) -> int:
+    """Oracle: the largest rank of mats[0] + sum_{i>=1} c_i mats[i] over
+    c in {0,...,4}^(d-1).  Exact: a nonzero minor of the generic
+    combination, dehomogenized at t_0 = 1, has total degree <= 4, so it
+    cannot vanish on a grid of side 5 (Schwartz, J. ACM 27, 1980)."""
+    if not mats:
+        return 0
+    best = 0
+    for cs in product(range(5), repeat=len(mats) - 1):
+        m = mats[0]
+        for c, x in zip(cs, mats[1:]):
+            m = m + x * c
+        best = max(best, rank(m))
+    return best
+
+
+def test_generic_rank_matches_the_grid_oracle(rng):
+    spans = []
+    for e in load_catalog():
+        for a in e.samples():
+            s = Subalgebra(e.space_at(a))
+            spans.append(list(nilpotent_subspace(s).basis))
+            if s.dim <= 4:
+                spans.append(list(s.basis))
+    for _ in range(50):
+        spans.append([Mat4([[rng.randint(-2, 2) if rng.random() < 0.3 else 0
+                             for _ in range(4)] for _ in range(4)])
+                      for _ in range(rng.randint(1, 4))])
+    assert len(spans) > 250
+    for mats in spans:
+        assert generic_rank(mats) == _max_grid_rank(mats), [repr(m) for m in mats]

@@ -51,6 +51,24 @@ def test_verify_catalog_builds_each_bracket_table_once(monkeypatch):
     assert len(calls) <= 120
 
 
+def test_verify_catalog_computes_each_derived_series_once(monkeypatch):
+    calls = []
+    original = structure.coord_series
+
+    def counting(s, lower=False):
+        calls.append(lower)
+        return original(s, lower)
+
+    monkeypatch.setattr(structure, "coord_series", counting)
+    monkeypatch.setattr(invariants, "coord_series", counting)
+    verify._instance.cache_clear()
+    assert verify_catalog().overall_pass
+    # per instance one derived series (solvability and signature share it)
+    # and one lower central series
+    assert len(calls) <= 240
+    verify._instance.cache_clear()
+
+
 def test_separation_examples_record_witness_fields():
     # abelian flag separates <T(1,0),X_a> from the W-conjugate of <T(0,1),X_a>
     w = separation_witness(ENTRIES["d2_T10_Xa"], None, ENTRIES["d2_T10_Xa2b"], None)
