@@ -34,6 +34,11 @@ __all__ = ["CatalogEntry", "EquivClaim", "load_catalog", "catalog_to_json",
 EXPECTED_COUNTS = {1: 8, 2: 16, 3: 19, 4: 14, 5: 8}  # table 5 holds dims 5 and 6
 
 
+def _env(a) -> dict:
+    """The expression environment of a row at parameter a (None: no parameter)."""
+    return {} if a is None else {"a": Q(a)}
+
+
 def _ev(expr, env) -> Q:
     if isinstance(expr, int):
         return Q(expr)
@@ -92,7 +97,7 @@ class CatalogEntry:
         return tuple(a for a in default_param_samples() if self.conditions_ok(a))
 
     def basis_at(self, a) -> list[Mat4]:
-        env = {} if a is None else {"a": Q(a)}
+        env = _env(a)
         return [build_element(spec, env) for spec in self.basis]
 
     def space_at(self, a) -> Subspace:
@@ -101,21 +106,21 @@ class CatalogEntry:
     def degraaf_at(self, a) -> DeGraafClass | None:
         if self.degraaf is None:
             return None
-        env = {} if a is None else {"a": Q(a)}
+        env = _env(a)
         fam, params = self.degraaf
         return DeGraafClass(fam, tuple(_ev(p, env) for p in params))
 
     def sw_at(self, a) -> SWClass | None:
         if self.sw is None or self.sw == "auto":
             return None
-        env = {} if a is None else {"a": Q(a)}
+        env = _env(a)
         name, params = self.sw
         return SWClass(name, tuple(_ev(p, env) for p in params))
 
     def iso_columns_at(self, a):
         if self.iso_columns is None:
             return None
-        env = {} if a is None else {"a": Q(a)}
+        env = _env(a)
         return tuple(tuple(_ev(x, env) for x in col) for col in self.iso_columns)
 
     def equivalent_params(self, a) -> set:

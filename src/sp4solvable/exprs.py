@@ -11,7 +11,9 @@ and still evaluates exactly.  Grammar:
     atom   := rational | name | '(' expr ')'
 
 Values are exact rationals.  An exponent above `MAX_EXPONENT` (the catalog's
-largest is 2) raises ValueError, so a huge power cannot hang the caller.
+largest is 2), a power of more than `MAX_POWER_BITS` bits, or parentheses
+nested deeper than `MAX_DEPTH` raise ValueError, so no text can hang the
+caller or exhaust its stack.
 """
 
 from __future__ import annotations
@@ -21,12 +23,15 @@ from .rational import Q
 __all__ = ["eval_expr"]
 
 MAX_EXPONENT = 64
+MAX_POWER_BITS = 1 << 12
+MAX_DEPTH = 64
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> str:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -71,6 +76,8 @@ class _Parser:
             e = self.integer()
             if e > MAX_EXPONENT:
                 raise ValueError(f"exponent {e} above {MAX_EXPONENT} in {self.text!r}")
+            if e * max(v.numerator.bit_length(), v.denominator.bit_length()) > MAX_POWER_BITS:
+                raise ValueError(f"power above {MAX_POWER_BITS} bits in {self.text!r}")
             v = v**e
         return -v if neg else v
 
@@ -78,9 +85,13 @@ class _Parser:
         ch = self.peek()
         if ch == "(":
             self.take()
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ValueError(f"parentheses nested above {MAX_DEPTH} deep in {self.text!r}")
             v = self.expr(env)
             if self.take() != ")":
                 raise ValueError(f"unbalanced parentheses in {self.text!r}")
+            self.depth -= 1
             return v
         if ch.isdigit():
             return Q(self.integer())

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from .errors import (DimensionMismatch, OutOfCatalog, UnrecognizedFamily,
                      UnsupportedDimension, ZeroParameter)
 from .linalg import (Poly, char_poly_rows, kernel_of_rows, rational_roots, rref,
-                     solve_coords, solve_in_span)
+                     solve_in_span)
 from .presentations import DeGraafClass, SWClass
-from .rational import (Q, ZERO, ONE, format_rational, rational_nth_root,
-                       rational_sqrt, squarefree_kernel)
+from .rational import (Q, ZERO, ONE, format_rational, power_free_kernel,
+                       rational_nth_root, rational_sqrt)
 from .structure import StructureConstants, ad_matrix, bracket_space, unit_rows
 
 __all__ = [
@@ -41,10 +41,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _complement_vector(d: int, span_rows: list[tuple]) -> tuple:
-    for u in unit_rows(d):
-        if solve_coords(span_rows, u) is None:
-            return u
-    raise UnrecognizedFamily("no complement vector found")
+    """The first unit row outside a proper subspace given by RREF rows (a
+    unit row lies in an RREF span only if it is one of the rows)."""
+    return next(u for u in unit_rows(d) if u not in span_rows)
 
 
 def _is_scalar(m: list[list]) -> bool:
@@ -69,29 +68,39 @@ def _centralizer_of(sc: StructureConstants, sub_rows: list[tuple]) -> list[tuple
     return kernel_of_rows([r for v in sub_rows for r in ad_matrix(sc, v, units)], sc.dim)
 
 
-def _cubefree_normalize_m7(A, B) -> tuple:
-    """Canonical (A, B) for M7 under (A, B) -> (s^3 A, s^2 B)."""
-    if A == 0:
-        return ZERO, squarefree_kernel(B)
-    target = _cubefree_kernel(A)
-    s3 = A / target
-    s = rational_nth_root(s3, 3)
-    if s is None:
-        # fall back: normalize B instead (A determined up to cubes of s)
-        bk = squarefree_kernel(B) if B != 0 else ZERO
-        return A, bk
-    return target, B / (s * s)
+def _plane_class(m: list[list], families: tuple[str, str, str]) -> DeGraafClass:
+    """The class of y acting on a plane by m, up to y -> s*y: the scalar
+    family, the traced one with parameter -det/tr^2, or the traceless one with
+    -det modulo squares (L2/L3/L4 in dimension 3, M12/M13/M14 in dimension 4)."""
+    scalar, traced, traceless = families
+    if _is_scalar(m):
+        return DeGraafClass(scalar)
+    tr = m[0][0] + m[1][1]
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if tr != 0:
+        return DeGraafClass(traced, (-det / (tr * tr),))
+    if det == 0:
+        raise UnrecognizedFamily("nilpotent action on the derived plane")
+    return DeGraafClass(traceless, (power_free_kernel(-det),))
 
 
-def _cubefree_kernel(q):
-    from .rational import factor_int
-    q = Q(q)
-    n = q.numerator * q.denominator ** 2  # q ~ n mod cubes
-    sign = 1 if n > 0 else -1
-    k = 1
-    for p, e in factor_int(abs(n)).items():
-        k *= p ** (e % 3)
-    return Q(sign * k)
+def _cyclic3_class(m: list[list]) -> DeGraafClass:
+    """The class of y acting cyclically by m on an abelian 3-dimensional
+    ideal, up to y -> s*y: M6 with the trace normalized to 1, else M7 with
+    (A, B) normalized modulo (s^3, s^2)."""
+    if not _is_cyclic3(m):
+        raise UnrecognizedFamily("non-cyclic action on abelian nilradical")
+    p = char_poly_rows(m)  # t^3 - tr t^2 + e2 t - e3
+    tr, e2, e3 = -p[2], p[1], -p[0]
+    if tr != 0:
+        # rescale y by 1/tr: char poly becomes t^3 - t^2 - B t - A
+        return DeGraafClass("M6", (e3 / tr**3, -e2 / tr**2))
+    if e3 == 0:
+        return DeGraafClass("M7", (ZERO, power_free_kernel(-e2)))
+    # rescale y by 1/s with s^3 = e3 / kernel: A becomes the cubefree kernel
+    A = power_free_kernel(e3, 3)
+    s = rational_nth_root(e3 / A, 3)
+    return DeGraafClass("M7", (A, -e2 / (s * s)))
 
 
 # ---------------------------------------------------------------------------
@@ -107,39 +116,20 @@ def identify_degraaf(sc: StructureConstants) -> DeGraafClass:
         return DeGraafClass("J")
     units = unit_rows(d)
     derived = bracket_space(sc, units, units)
+    k = len(derived)
     if d == 2:
-        return DeGraafClass("K1" if not derived else "K2")
+        return DeGraafClass("K1" if k == 0 else "K2")
     if d == 3:
-        return _identify_dim3(sc, derived)
-    return _identify_dim4(sc, derived)
-
-
-def _identify_dim3(sc: StructureConstants, derived: list[tuple]) -> DeGraafClass:
-    d = 3
-    k = len(derived)
-    if k == 0:
-        return DeGraafClass("L1")
-    if k == 1:
-        # Heisenberg (nilpotent) is L4_0; the non-nilpotent K2 (+) J is L3_0
-        z = derived[0]
-        central = all(c == 0 for u in unit_rows(d) for c in sc.bracket_coords(u, z))
-        return DeGraafClass("L4", (ZERO,)) if central else DeGraafClass("L3", (ZERO,))
-    if k == 2:
-        y = _complement_vector(d, derived)
-        m = ad_matrix(sc, y, derived)
-        if _is_scalar(m):
-            return DeGraafClass("L2")
-        tr = m[0][0] + m[1][1]
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if tr != 0:
-            return DeGraafClass("L3", (-det / (tr * tr),))
-        return DeGraafClass("L4", (squarefree_kernel(-det),))
-    raise UnrecognizedFamily("3-dimensional algebra with derived dimension 3 is not solvable")
-
-
-def _identify_dim4(sc: StructureConstants, derived: list[tuple]) -> DeGraafClass:
-    d = 4
-    k = len(derived)
+        if k == 0:
+            return DeGraafClass("L1")
+        if k == 1:
+            # Heisenberg (nilpotent) is L4_0; the non-nilpotent K2 (+) J is L3_0
+            central = not bracket_space(sc, units, derived)
+            return DeGraafClass("L4" if central else "L3", (ZERO,))
+        if k == 2:
+            y = _complement_vector(d, derived)
+            return _plane_class(ad_matrix(sc, y, derived), ("L2", "L3", "L4"))
+        raise UnrecognizedFamily("3-dimensional algebra with derived dimension 3 is not solvable")
     if k == 0:
         raise UnrecognizedFamily("abelian of dimension 4 (not among occurring families)")
     if k == 1:
@@ -150,62 +140,25 @@ def _identify_dim4(sc: StructureConstants, derived: list[tuple]) -> DeGraafClass
 
 
 def _identify_dim4_derived3(sc: StructureConstants, derived: list[tuple]) -> DeGraafClass:
-    d = 4
-    d_abelian = all(all(c == 0 for c in sc.bracket_coords(u, v))
-                    for u in derived for v in derived)
-    y = _complement_vector(d, derived)
-    m = ad_matrix(sc, y, derived)
-    if d_abelian:
-        if _is_scalar(m):
-            return DeGraafClass("M2")
-        if not _is_cyclic3(m):
-            raise UnrecognizedFamily("non-cyclic action on abelian nilradical")
-        p = char_poly_rows(m)  # t^3 - e1 t^2 + e2 t - e3
-        tr = -p[2]
-        if tr != 0:
-            # rescale y by 1/tr: char poly becomes t^3 - t^2 - B t - A
-            e3 = -p[0]
-            e2 = p[1]
-            A = e3 / tr**3
-            B = -e2 / tr**2
-            return DeGraafClass("M6", (A, B))
-        e3 = -p[0]
-        e2 = p[1]
-        A, B = _cubefree_normalize_m7(e3, -e2)
-        return DeGraafClass("M7", (A, B))
+    y = _complement_vector(4, derived)
+    zrows = bracket_space(sc, derived, derived)
+    if not zrows:
+        m = ad_matrix(sc, y, derived)
+        return DeGraafClass("M2") if _is_scalar(m) else _cyclic3_class(m)
     # Heisenberg nilradical: z = [D, D] is a line
-    zrows = rref([sc.bracket_coords(u, v) for u in derived for v in derived])
     if len(zrows) != 1:
         raise UnrecognizedFamily("unexpected derived structure")
-    # action of y on D modulo z, in a basis of D completing z
-    p_rows = _quotient_action(sc, y, derived, zrows[0])
-    tr = p_rows[0][0] + p_rows[1][1]
-    det = p_rows[0][0] * p_rows[1][1] - p_rows[0][1] * p_rows[1][0]
-    if _is_scalar(p_rows):
-        return DeGraafClass("M12")
-    if tr != 0:
-        return DeGraafClass("M13", (-det / (tr * tr),))
-    if det != 0:
-        return DeGraafClass("M14", (squarefree_kernel(-det),))
-    raise UnrecognizedFamily("nilpotent action on Heisenberg nilradical")
+    return _plane_class(_quotient_action(sc, y, derived, zrows[0]), ("M12", "M13", "M14"))
 
 
 def _quotient_action(sc: StructureConstants, y: tuple, derived: list[tuple],
                      z: tuple) -> list[list]:
-    comp = [v for v in derived if solve_coords(rref([z]), v) is None]
-    basis = []
-    for v in comp:
-        if solve_coords(rref([z] + basis), v) is None:
-            basis.append(v)
-        if len(basis) == 2:
-            break
-    if len(basis) != 2:
-        raise UnrecognizedFamily("Heisenberg quotient has unexpected dimension")
-    # coords in (z, b1, b2)
-    cols = solve_in_span([z] + basis, [sc.bracket_coords(y, v) for v in basis])
-    if None in cols:
-        raise UnrecognizedFamily("action does not stabilize the nilradical")
-    return [[cols[0][1], cols[1][1]], [cols[0][2], cols[1][2]]]
+    """ad(y) on D/z, in the RREF rows of D left after z replaces one of them
+    (trace, determinant and scalar-ness do not depend on which)."""
+    (zc,) = solve_in_span(derived, [z])
+    j = next(i for i, c in enumerate(zc) if c != 0)
+    m = ad_matrix(sc, y, [z] + derived[:j] + derived[j + 1:])
+    return [row[1:] for row in m[1:]]
 
 
 def _identify_dim4_derived2(sc: StructureConstants, derived: list[tuple]) -> DeGraafClass:
@@ -213,35 +166,17 @@ def _identify_dim4_derived2(sc: StructureConstants, derived: list[tuple]) -> DeG
     cent = _centralizer_of(sc, derived)
     dim_c = len(cent)
     if dim_c == 3:
-        c_abelian = all(all(c == 0 for c in sc.bracket_coords(u, v))
-                        for u in cent for v in cent)
-        if not c_abelian:
+        if bracket_space(sc, cent, cent):
             raise UnrecognizedFamily("non-abelian centralizer of the derived subalgebra")
         crows = rref(cent)
-        y = _complement_vector(d, crows)
-        m = ad_matrix(sc, y, crows)
-        if not _is_cyclic3(m):
-            raise UnrecognizedFamily("non-cyclic action on abelian nilradical")
-        p = char_poly_rows(m)
-        tr = -p[2]
-        e3 = -p[0]
-        e2 = p[1]
-        if tr != 0:
-            A = e3 / tr**3
-            B = -e2 / tr**2
-            if A != 0:
-                raise UnrecognizedFamily("inconsistent derived dimension for M6")
-            return DeGraafClass("M6", (ZERO, B))
-        A, B = _cubefree_normalize_m7(e3, -e2)
-        return DeGraafClass("M7", (A, B))
+        c = _cyclic3_class(ad_matrix(sc, _complement_vector(d, crows), crows))
+        if c.family == "M6" and c.params[0] != 0:
+            raise UnrecognizedFamily("inconsistent derived dimension for M6")
+        return c
     if dim_c == 2:
         # L = ad(g) restricted to D is a 2-dimensional abelian family
-        drows = rref(derived)
-        mats = []
-        for u in unit_rows(d):
-            rows = ad_matrix(sc, u, drows)
-            mats.append((rows[0][0], rows[0][1], rows[1][0], rows[1][1]))
-        lbasis = rref(mats)
+        lbasis = rref([[x for row in ad_matrix(sc, u, derived) for x in row]
+                       for u in unit_rows(d)])
         if len(lbasis) != 2:
             raise UnrecognizedFamily("unexpected adjoint image on derived subalgebra")
         u, v = lbasis
@@ -251,9 +186,8 @@ def _identify_dim4_derived2(sc: StructureConstants, derived: list[tuple]) -> DeG
             raise UnrecognizedFamily("traceless adjoint pair (not among occurring families)")
         n0 = tuple(-tr_v * a + tr_u * b for a, b in zip(u, v))
         det_n0 = n0[0] * n0[3] - n0[1] * n0[2]
-        identity = (ONE, ZERO, ZERO, ONE)
-        has_identity = solve_coords(lbasis, identity) is not None
         if det_n0 == 0:
+            has_identity = solve_in_span(lbasis, [(ONE, ZERO, ZERO, ONE)])[0] is not None
             if has_identity and any(x != 0 for x in n0):
                 return DeGraafClass("M13", (ZERO,))
             raise UnrecognizedFamily("nilpotent adjoint direction without scaling element")
@@ -306,14 +240,14 @@ def sw_lambda(alpha):
         q0 = 1 / (-2 * alpha)
         for q in (q0, -q0):
             if _quad_abs_lt_one(p0, q, disc):
-                kern = squarefree_kernel(disc)
+                kern = power_free_kernel(disc)
                 scale = rational_sqrt(disc / kern)
                 return QuadraticValue(p0, q * scale, kern)
         raise OutOfCatalog("no branch satisfied the modulus condition")
     # complex conjugate branches of modulus 1; take positive imaginary part
     p0 = (1 + 2 * alpha) / (-2 * alpha)
     q0 = 1 / (-2 * alpha)  # positive: alpha < -1/4 < 0
-    kern = squarefree_kernel(-disc)
+    kern = power_free_kernel(-disc)
     scale = rational_sqrt(-disc / kern)
     return QuadraticValue(p0, q0 * scale, kern, imaginary=True)
 
@@ -406,7 +340,7 @@ def degraaf_to_sw(c: DeGraafClass) -> SWClass:
             raise OutOfCatalog("M7 with nonzero cubic parameter does not occur")
         if b == 0:
             return SWClass("n_{4,1}")
-        if squarefree_kernel(b) == 1:
+        if power_free_kernel(b) == 1:
             return SWClass("n_{1,1}+s_{3,1}", (Q(-1),))
         raise OutOfCatalog("M7(0, non-square) does not occur in the tables")
     if f == "M6":
@@ -425,25 +359,23 @@ def degraaf_to_sw(c: DeGraafClass) -> SWClass:
             return SWClass("s_{4,2}")
         if len(roots) == 2:
             raise OutOfCatalog("M6 with a repeated eigenvalue (s_{4,4}) does not occur")
-        return SWClass("s_{4,3}", _normalize_s43(sorted(roots)))
+        return SWClass("s_{4,3}", _normalize_s43(sorted(roots))[1])
     raise OutOfCatalog(f"no translation for {c}")
 
 
 def _normalize_s43(eigs: list) -> tuple:
     """Normalize three distinct nonzero eigenvalues to (1, A, B) with
-    0 < |B| <= |A| <= 1 and (A, B) != (-1, -1), dividing by one of them."""
-    best = None
+    0 < |B| <= |A| <= 1 and (A, B) != (-1, -1), dividing by one of them, r.
+    Returns (r, (A, B)) for the least (|A|, |B|, A, B) (then the least r)."""
+    cands = []
     for r in eigs:
-        rest = sorted((e / r for e in eigs if e is not r),
-                      key=lambda x: (-abs(x), x < 0))
-        a, b = rest
+        a, b = sorted((e / r for e in eigs if e is not r), key=lambda x: (-abs(x), x < 0))
         if 0 < abs(b) <= abs(a) <= 1 and (a, b) != (-1, -1):
-            cand = (a, b)
-            if best is None or (abs(cand[0]), abs(cand[1]), cand) < (abs(best[0]), abs(best[1]), best):
-                best = cand
-    if best is None:
+            cands.append((abs(a), abs(b), (a, b), r))
+    if not cands:
         raise OutOfCatalog("eigenvalues admit no s_{4,3} normalization")
-    return best
+    *_, ab, r = min(cands)
+    return r, ab
 
 
 # ---------------------------------------------------------------------------
@@ -519,105 +451,50 @@ def sw_bridge_map(c: DeGraafClass):
     label = degraaf_to_sw(c)
     if any(isinstance(p, QuadraticValue) for p in label.params):
         raise OutOfCatalog("bridge needs a rational normalized parameter")
-    f, pr = c.family, c.params
-    d = {"J": 1, "K1": 2, "K2": 2, "L1": 3, "L2": 3, "L3": 3, "L4": 3}.get(f, 4)
-    ident = tuple(unit_rows(d))
-    if f in ("J", "K1", "L1", "L2", "M2"):
-        cols = ident
-    elif f == "K2":
-        cols = ((0, 1), (1, 0))
-    elif f == "L3":
-        (al,) = pr
-        if al == 0:
-            cols = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
-        elif al == Q(-1, 4):
-            cols = ((2, -1, 0), (Q(1, 2), Q(-1, 2), 0), (0, 0, Q(1, 2)))
-        else:
-            cols = _l3_bridge(al, label.params[0])
-    elif f == "L4":
-        (al,) = pr
-        cols = (((0, 0, 1), (1, 0, 0), (0, 1, 0)) if al == 0
-                else ((1, 1, 0), (1, -1, 0), (0, 0, 1)))
-    elif f == "M8":
+    cols = _BRIDGES[c.family, label.name]
+    if callable(cols):
+        cols = cols(c.params, label.params)
+    if c.family == "M8":
         label = SWClass("2s_{2,1}")
-        cols = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
-    elif f == "M12":
-        cols = ((0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
-    elif f == "M13":
-        (al,) = pr
-        if al == 0:
-            cols = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 1, -1, 0), (0, 0, 0, 1))
-        elif al == Q(-1, 4):
-            cols = ((0, Q(1, 2), Q(1, 2), 0), (Q(-1, 2), 0, 0, 0),
-                    (0, 0, 1, 0), (0, 0, 0, Q(1, 2)))
-        else:
-            cols = _m13_bridge(al, label.params[0])
-    elif f == "M14":
-        cols = ((0, Q(1, 2), Q(1, 2), 0), (Q(1, 2), 0, 0, 0),
-                (0, Q(1, 2), Q(-1, 2), 0), (0, 0, 0, 1))
-    elif f == "M7":
-        a, b = pr
-        if (a, b) == (0, 0):
-            cols = ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1))
-        else:  # M7(0,1)
-            cols = ((1, Q(1, 2), Q(-1, 2), 0), (0, Q(1, 2), Q(1, 2), 0),
-                    (0, Q(1, 2), Q(-1, 2), 0), (0, 0, 0, 1))
-    elif f == "M6":
-        a, b = pr
-        if a == 0 and b == Q(-1, 4):
-            # central slot first, then the s_{3,2} block
-            cols = ((1, 2, -1, 0), (0, Q(1, 2), Q(-1, 2), 0),
-                    (0, 0, Q(-1, 4), 0), (0, 0, 0, Q(1, 2)))
-        elif a == 0:
-            cols = _m6_split_bridge(b, label.params[0])
-        elif (a, b) == (Q(1, 27), Q(-1, 3)):
-            cols = _m6_jordan_chain_bridge()
-        else:
-            cols = _m6_s43_bridge(a, b, label.params)
-    else:
-        raise OutOfCatalog(f"no bridge for {c}")
     return label, IsoMap.from_columns(cols)
 
 
-def _lambda_pair(lam):
-    """lambda^+ + lambda^- = 1, lambda^+/lambda^- = lam (the chosen branch)."""
+def _derived_plane(p, lam) -> tuple:
+    """The derived-plane coordinates of the s_{3,1}(lam) block, shared by the
+    L3, M13 and split M6 bridges: (-1/s, 1/s) and ((1 + l-/s)/p, -l-/(s p)),
+    where l+ + l- = 1, l+/l- = lam and s = l+ - l- (the chosen square root of
+    1 + 4p); returned with l+ and s."""
     lminus = 1 / (1 + Q(lam))
-    return 1 - lminus, lminus
-
-
-def _l3_bridge(al, lam):
-    lplus, lminus = _lambda_pair(lam)
-    s = lplus - lminus  # the chosen square root of 1 + 4*al
-    x2 = (-1 / s, 1 / s, ZERO)
-    x1 = ((1 + lminus / s) / al, -lminus / (s * al), ZERO)
-    x3 = (ZERO, ZERO, -al / lplus)
-    return (x1, x2, x3)
-
-
-def _m13_bridge(al, lam):
-    lplus, lminus = _lambda_pair(lam)
+    lplus = 1 - lminus
     s = lplus - lminus
-    x2 = (1 / (al * s), ZERO, ZERO, ZERO)
-    x1 = (ZERO, -1 / s, 1 / s, ZERO)
-    x3 = (ZERO, (1 + lminus / s) / al, -lminus / (s * al), ZERO)
-    x4 = (ZERO, ZERO, ZERO, 1 / (1 + lam))
-    return (x1, x2, x3, x4)
+    return (-1 / s, 1 / s), ((1 + lminus / s) / p, -lminus / (s * p)), lplus, s
 
 
-def _m6_split_bridge(b, lam):
+def _l3_bridge(pr, lp):
+    (al,), (lam,) = pr, lp
+    u, w, lplus, _ = _derived_plane(al, lam)
+    return ((*w, ZERO), (*u, ZERO), (ZERO, ZERO, -al / lplus))
+
+
+def _m13_bridge(pr, lp):
+    (al,), (lam,) = pr, lp
+    u, w, lplus, s = _derived_plane(al, lam)
+    return ((ZERO, *u, ZERO), (1 / (al * s), ZERO, ZERO, ZERO), (ZERO, *w, ZERO),
+            (ZERO, ZERO, ZERO, 1 - lplus))
+
+
+def _m6_split_bridge(pr, lp):
     """M6(0,B) onto n_{1,1} (+) s_{3,1}(lam): slot 0 is the center."""
-    lplus, lminus = _lambda_pair(lam)
-    s = lplus - lminus
+    (_, b), (lam,) = pr, lp
+    u, w, lplus, _ = _derived_plane(b, lam)
     # e1 = B x2 + lminus x3, e2 = B x2 + lplus x3 in the solvable block,
     # and B x1 + x2 - x3 spans the center
-    x3 = (ZERO, -1 / s, 1 / s, ZERO)
-    x2 = (ZERO, (1 + lminus / s) / b, -lminus / (s * b), ZERO)
+    x2, x3 = (ZERO, *w, ZERO), (ZERO, *u, ZERO)
     x1 = tuple(((1 if i == 0 else 0) - x2[i] + x3[i]) / b for i in range(4))
-    x4 = (ZERO, ZERO, ZERO, -b / lplus)
-    return (x1, x2, x3, x4)
+    return (x1, x2, x3, (ZERO, ZERO, ZERO, -b / lplus))
 
 
-def _m6_jordan_chain_bridge():
+def _m6_jordan_chain_bridge(*_):
     """M6(1/27,-1/3) onto the maximal-Jordan-block class: e4 <-> 3 x4 and a
     chain u1, v, w of ad(3 x4) - 1 on the nilradical."""
     sc = StructureConstants.from_brackets(
@@ -638,31 +515,53 @@ def _m6_jordan_chain_bridge():
     return tuple(solve_in_span(basis, unit_rows(4)))
 
 
-def _m6_s43_bridge(a, b, params):
+def _m6_s43_bridge(pr, _):
     """M6(A,B) with three distinct rational nilradical eigenvalues onto
     s_{4,3}: eigenvectors of the companion action paired with (1, A', B')."""
-    roots = rational_roots(Poly([-a, -b, -1, 1]))
-    eigs = sorted(roots)
-    ap, bp = params
-    # the normalizing eigenvalue r' satisfies {others}/r' = {A', B'}
-    rprime = None
-    for r in eigs:
-        rest = sorted((e / r for e in eigs if e != r),
-                      key=lambda x: (-abs(x), x < 0))
-        if tuple(rest) == (ap, bp):
-            rprime = r
-            break
-    if rprime is None:
-        raise OutOfCatalog("no normalizing eigenvalue for the bridge")
+    a, b = pr
+    # the normalizing eigenvalue r' with {others}/r' = {A', B'}
+    rprime, (ap, bp) = _normalize_s43(sorted(rational_roots(Poly([-a, -b, -1, 1]))))
     # companion action of ad(x4) on (x1, x2, x3)
     m = [[ZERO, ZERO, Q(a)], [ONE, ZERO, Q(b)], [ZERO, ONE, ONE]]
+
     def eigvec(mu):
         rows = [[m[i][j] - (mu if i == j else 0) for j in range(3)] for i in range(3)]
-        ker = kernel_of_rows(rows, 3)
-        return ker[0]
-    u1 = eigvec(rprime)
-    us = eigvec(ap * rprime)
-    ut = eigvec(bp * rprime)
-    basis = [tuple(u1) + (ZERO,), tuple(us) + (ZERO,), tuple(ut) + (ZERO,),
-             (ZERO, ZERO, ZERO, 1 / rprime)]
-    return tuple(solve_in_span(basis, unit_rows(4)))
+        return kernel_of_rows(rows, 3)[0]
+    basis = [tuple(eigvec(mu)) + (ZERO,) for mu in (rprime, ap * rprime, bp * rprime)]
+    return tuple(solve_in_span(basis + [(ZERO, ZERO, ZERO, 1 / rprime)], unit_rows(4)))
+
+
+_ID3, _ID4 = tuple(unit_rows(3)), tuple(unit_rows(4))
+
+# (de Graaf family, translated label name) -> bridge columns, or a builder
+# of them from (class parameters, label parameters)
+_BRIDGES = {
+    ("J", "n_{1,1}"): ((1,),),
+    ("K1", "2n_{1,1}"): ((1, 0), (0, 1)),
+    ("K2", "s_{2,1}"): ((0, 1), (1, 0)),
+    ("L1", "3n_{1,1}"): _ID3,
+    ("L2", "s_{3,1}"): _ID3,
+    ("L3", "n_{1,1}+s_{2,1}"): ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+    ("L3", "s_{3,2}"): ((2, -1, 0), (Q(1, 2), Q(-1, 2), 0), (0, 0, Q(1, 2))),
+    ("L3", "s_{3,1}"): _l3_bridge,
+    ("L4", "n_{3,1}"): ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+    ("L4", "s_{3,1}"): ((1, 1, 0), (1, -1, 0), (0, 0, 1)),
+    ("M2", "s_{4,3}"): _ID4,
+    ("M8", "s_{4,12}"): ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
+    ("M12", "s_{4,8}"): ((0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)),
+    ("M13", "s_{4,11}"): ((0, 1, 0, 0), (1, 0, 0, 0), (0, 1, -1, 0), (0, 0, 0, 1)),
+    ("M13", "s_{4,10}"): ((0, Q(1, 2), Q(1, 2), 0), (Q(-1, 2), 0, 0, 0),
+                          (0, 0, 1, 0), (0, 0, 0, Q(1, 2))),
+    ("M13", "s_{4,8}"): _m13_bridge,
+    ("M14", "s_{4,6}"): ((0, Q(1, 2), Q(1, 2), 0), (Q(1, 2), 0, 0, 0),
+                         (0, Q(1, 2), Q(-1, 2), 0), (0, 0, 0, 1)),
+    ("M7", "n_{4,1}"): ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1)),
+    ("M7", "n_{1,1}+s_{3,1}"): ((1, Q(1, 2), Q(-1, 2), 0), (0, Q(1, 2), Q(1, 2), 0),
+                                (0, Q(1, 2), Q(-1, 2), 0), (0, 0, 0, 1)),
+    # central slot first, then the s_{3,2} block
+    ("M6", "n_{1,1}+s_{3,2}"): ((1, 2, -1, 0), (0, Q(1, 2), Q(-1, 2), 0),
+                                (0, 0, Q(-1, 4), 0), (0, 0, 0, Q(1, 2))),
+    ("M6", "n_{1,1}+s_{3,1}"): _m6_split_bridge,
+    ("M6", "s_{4,2}"): _m6_jordan_chain_bridge,
+    ("M6", "s_{4,3}"): _m6_s43_bridge,
+}

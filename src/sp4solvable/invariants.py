@@ -38,7 +38,7 @@ rational sample points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
 from .linalg import (Mat4, Poly, char_poly, char_poly_rows, echelon_span,
@@ -196,27 +196,10 @@ class InvariantSignature:
     probe: tuple | None
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "derived_dims": list(self.derived_dims),
-            "lower_central_dims": list(self.lower_central_dims),
-            "is_abelian": self.is_abelian,
-            "is_nilpotent": self.is_nilpotent,
-            "nilpotent_dim": self.nilpotent_dim,
-            "nilpotent_strata": _jsonable(self.nilpotent_strata),
-            "contains_invertible": self.contains_invertible,
-            "ss_content": self.ss_content,
-            "probe": _jsonable(self.probe),
-        }
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
 
     def differing_fields(self, other: "InvariantSignature") -> list[str]:
-        out = []
-        for name in ("dim", "derived_dims", "lower_central_dims", "is_abelian",
-                     "is_nilpotent", "nilpotent_dim", "nilpotent_strata",
-                     "contains_invertible", "ss_content", "probe"):
-            if getattr(self, name) != getattr(other, name):
-                out.append(name)
-        return out
+        return [f.name for f in fields(self) if getattr(self, f.name) != getattr(other, f.name)]
 
 
 def _jsonable(obj):

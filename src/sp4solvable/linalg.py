@@ -94,22 +94,6 @@ def kernel_of_rows(rows: list[Sequence], ncols: int) -> list[tuple]:
     return basis
 
 
-def solve_coords(basis_rows: list[tuple], v: Sequence):
-    """Coordinates of v in the span of RREF basis rows, or None."""
-    coords = []
-    residual = list(v)
-    for row in basis_rows:
-        p = _pivot_col(row)
-        c = residual[p]
-        coords.append(c)
-        if c != 0:
-            for i in range(p, len(residual)):
-                residual[i] -= c * row[i]
-    if any(x != 0 for x in residual):
-        return None
-    return tuple(coords)
-
-
 def solve_in_span(vectors: Sequence[Sequence], ws: Sequence[Sequence]) -> list:
     """Coordinates of each w in `ws` in terms of independent vectors (in any
     form), None for a w outside their span; all solved by one echelonization

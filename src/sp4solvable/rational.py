@@ -28,7 +28,7 @@ __all__ = [
     "rational_nth_root",
     "factor_int",
     "divisors",
-    "squarefree_kernel",
+    "power_free_kernel",
 ]
 
 ZERO = Q(0)
@@ -134,19 +134,18 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
-def squarefree_kernel(q):
-    """Canonical representative of q modulo nonzero rational squares.
+def power_free_kernel(q, k: int = 2):
+    """Canonical representative of q modulo nonzero rational k-th powers.
 
-    Returns the sign-carrying squarefree integer part: q = s^2 * kernel(q) for
-    some rational s.  kernel(0) = 0, kernel(4) = 1, kernel(-8/9) = -2.
+    Returns the sign-carrying k-th-power-free integer part: q = s^k * kernel
+    for some rational s.  kernel(0) = 0, kernel(4) = 1, kernel(-8/9) = -2,
+    kernel(54, 3) = 2.
     """
     q = Q(q)
     if q == 0:
         return ZERO
-    n = q.numerator * q.denominator  # q ~ num*den mod squares
-    sign = 1 if n > 0 else -1
-    k = 1
-    for p, e in factor_int(abs(n)).items():
-        if e % 2:
-            k *= p
-    return Q(sign * k)
+    n = q.numerator * q.denominator ** (k - 1)  # q = n / den^k
+    out = -1 if n < 0 else 1
+    for p, e in factor_int(n).items():
+        out *= p ** (e % k)
+    return Q(out)

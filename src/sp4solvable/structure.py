@@ -18,7 +18,7 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import Sp4Error
-from .linalg import Mat4, Subspace, echelon_span, rref, solve_coords, solve_in_span
+from .linalg import Mat4, Subspace, echelon_span, rref, solve_in_span
 from .rational import Q, ZERO, ONE, format_rational, parse_rational
 from .sp4 import bracket, in_sp4
 
@@ -108,14 +108,11 @@ def bracket_space(sc: "StructureConstants", a: Sequence[tuple],
 
 
 def ad_matrix(sc: "StructureConstants", y: Sequence, rows: list[tuple]) -> list[list]:
-    """Matrix (rows) of ad(y) on an ad(y)-stable subspace given by RREF
+    """Matrix (rows) of ad(y) on an ad(y)-stable subspace given by independent
     coordinate rows, in the basis of those rows."""
-    cols = []
-    for v in rows:
-        c = solve_coords(rows, sc.bracket_coords(y, v))
-        if c is None:
-            raise Sp4Error("subspace is not ad-stable")
-        cols.append(c)
+    cols = solve_in_span(rows, [sc.bracket_coords(y, v) for v in rows])
+    if None in cols:
+        raise Sp4Error("subspace is not ad-stable")
     return [list(r) for r in zip(*cols)]
 
 

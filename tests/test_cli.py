@@ -224,7 +224,9 @@ def test_non_solvable_input_is_out_of_domain(command, name, tmp_path, capsys):
 
 @pytest.mark.parametrize("recipe", ["shear:alpha", "diag:1,2", "shear:alpha:1/0",
                                     "shear:alpha:(1", "diag:a,1,1/a,1",
-                                    "shear:alpha:3^99999999"])
+                                    "shear:alpha:3^99999999",
+                                    pytest.param("shear:alpha:" + "(" * 3000 + "1" + ")" * 3000,
+                                                 id="shear:alpha:deeply-nested")])
 def test_bad_conjugator_recipe_is_a_parse_error(recipe, ta_path, capsys):
     start = time.perf_counter()
     assert main(["conjugate", "--input", ta_path, "--conjugator", recipe]) == 2

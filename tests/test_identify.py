@@ -221,7 +221,8 @@ def test_sw_bridge_maps_verify_bracket_exactly():
              D("M7", (Q(0), Q(0))), D("M7", (Q(0), Q(1))),
              D("M6", (Q(0), Q(-2, 9))), D("M6", (Q(0), Q(-1, 4))),
              D("M6", (Q(1, 27), Q(-1, 3))), D("M6", (Q(8, 243), Q(-26, 81)))]
-    from sp4solvable.identify import sw_bridge_map
+    from sp4solvable.identify import _BRIDGES, sw_bridge_map
+    reached = set()
     for c in cases:
         label, iso = sw_bridge_map(c)
         assert verify_isomorphism(c.constants(), label.constants(), iso), str(c)
@@ -229,6 +230,20 @@ def test_sw_bridge_maps_verify_bracket_exactly():
             assert str(label) == "2s_{2,1}"   # rational bridge for s_{4,12}
         else:
             assert label == degraaf_to_sw(c)
+        reached.add((c.family, degraaf_to_sw(c).name))
+    assert reached == set(_BRIDGES)   # no bridge table entry is dead
+
+
+def test_every_catalog_class_has_a_bridge_entry():
+    from sp4solvable.catalog import load_catalog
+    from sp4solvable.identify import _BRIDGES
+    keys = set()
+    for entry in load_catalog():
+        for a in entry.samples():
+            dg = entry.degraaf_at(a)
+            if dg is not None:
+                keys.add((dg.family, degraaf_to_sw(dg).name))
+    assert keys and keys <= set(_BRIDGES)
 
 
 def test_sw_bridge_mutation_testing():

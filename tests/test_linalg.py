@@ -11,8 +11,8 @@ from sp4solvable.linalg import (Mat4, Poly, char_poly, char_poly_cofactor,
                                 generic_rank, inverse, kernel, kernel_of_rows,
                                 rank, rational_roots, rref, solve_in_span)
 from sp4solvable.rational import (Q, factor_int, format_rational,
-                                  parse_rational, rational_sqrt,
-                                  squarefree_kernel)
+                                  parse_rational, power_free_kernel,
+                                  rational_nth_root, rational_sqrt)
 from sp4solvable.sp4 import T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA
 from sp4solvable.structure import structure_constants_for_basis
 
@@ -38,9 +38,20 @@ def test_rational_wire_format():
     assert parse_rational("2") == Q(2)
     assert rational_sqrt(Q(9, 4)) == Q(3, 2)
     assert rational_sqrt(Q(2)) is None
-    assert squarefree_kernel(Q(4)) == 1
-    assert squarefree_kernel(Q(-8, 9)) == -2
-    assert squarefree_kernel(Q(0)) == 0
+    assert power_free_kernel(Q(4)) == 1
+    assert power_free_kernel(Q(-8, 9), 2) == -2
+    assert power_free_kernel(Q(0)) == 0
+    assert power_free_kernel(Q(-16, 27), 3) == -2
+    assert power_free_kernel(Q(54), 3) == 2
+
+
+@given(st.builds(Q, st.integers(-10**4, 10**4).filter(bool), st.integers(1, 10**4)),
+       st.sampled_from([2, 3]))
+def test_power_free_kernel_represents_q_modulo_kth_powers(q, k):
+    kern = power_free_kernel(q, k)
+    assert kern.denominator == 1
+    assert rational_nth_root(q / kern, k) is not None
+    assert all(e < k for e in factor_int(kern.numerator).values())
 
 
 def test_factor_int_trial_division_bound():
