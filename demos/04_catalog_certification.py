@@ -40,6 +40,6 @@ for seeds, label in [([X_ALPHA], "X_a"),
 
 print("\nFull certification at the default 8-value sample set:")
 t0 = time.time()
-rep = verify_catalog(with_separations=True, with_probe_seed=1, probe_count=25)
+rep = verify_catalog(probe_seed=1, probe_count=25)
 print(f"  {len(rep.records)} checks, overall pass: {rep.overall_pass} "
       f"({time.time() - t0:.1f}s)")

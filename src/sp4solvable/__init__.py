@@ -19,17 +19,16 @@ from .sp4 import (A_MAT, AJ_MAT, J_FORM, T, W_MAT, X_A2B, X_AB, X_ALPHA,
                   weyl_orbit)
 from .structure import (StructureConstants, Subalgebra, derived_series,
                         generated_subalgebra, is_abelian, is_closed,
-                        is_nilpotent, is_solvable, lower_central_series,
-                        structure_constants, structure_constants_for_basis)
+                        is_nilpotent, is_solvable, structure_constants,
+                        structure_constants_for_basis)
 from .jordan import (JordanDecomposition, OrbitLabel, classify_element,
                      conjugate_ss_into_cartan, is_nilpotent_mat,
                      is_semisimple, jordan_decompose, jordan_type)
 from .invariants import (InvariantSignature, nilpotent_subspace,
                          pencil_rank_strata, signature)
 from .presentations import DeGraafClass, SWClass, degraaf_constants, sw_constants
-from .identify import (IsoMap, degraaf_to_sw, identify_degraaf,
-                       normalize_sw_param, sw_bridge_map, sw_lambda,
-                       tri_algebra_constants, verify_isomorphism)
+from .identify import (degraaf_to_sw, identify_degraaf, sw_bridge_map,
+                       sw_lambda, tri_algebra_constants, verify_isomorphism)
 from .catalog import CatalogEntry, catalog_from_json, catalog_to_json, load_catalog
 from .verify import (VerificationReport, match_catalog,
                      random_subalgebra_probe, verify_catalog, verify_entry,

@@ -48,6 +48,13 @@ class _ParseFailure(Exception):
     pass
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return n
+
+
 def _load_matrix(path: str) -> Mat4:
     data = _load_json(path)
     if isinstance(data, dict) and "matrix" in data:
@@ -88,9 +95,8 @@ def cmd_verify_catalog(args) -> int:
     params = None
     if args.params:
         params = tuple(_parse_option(p, "--params") for p in args.params.split(","))
-    seed = args.seed if args.seed is not None else 0
-    rep = verify_catalog(params=params, with_separations=True,
-                         with_probe_seed=seed, probe_count=args.probe_count)
+    rep = verify_catalog(params=params, probe_seed=args.seed,
+                         probe_count=args.probe_count)
     if args.output == "json":
         print(json.dumps(rep.to_json(), indent=2, sort_keys=True))
     else:
@@ -163,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify-catalog", help="certify all table rows")
     v.add_argument("--params", help="comma-separated rational sample overrides")
     v.add_argument("--seed", type=int, default=0, help="probe RNG seed")
-    v.add_argument("--probe-count", type=int, default=0,
+    v.add_argument("--probe-count", type=_count, default=0,
                    help="number of random subalgebra probes to run")
     v.add_argument("--output", choices=("text", "json"), default="text")
     v.set_defaults(func=cmd_verify_catalog)

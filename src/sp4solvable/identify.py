@@ -20,19 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (DimensionMismatch, OutOfCatalog, UnrecognizedFamily,
-                     UnsupportedDimension, ZeroParameter)
-from .linalg import (Poly, char_poly_rows, kernel_of_rows, rational_roots, rref,
-                     solve_in_span)
+from .errors import (DependentInputs, DimensionMismatch, OutOfCatalog,
+                     UnrecognizedFamily, UnsupportedDimension, ZeroParameter)
+from .linalg import (Poly, char_poly_rows, echelon_coords, kernel_of_rows,
+                     rational_roots, rref, solve_in_span)
 from .presentations import DeGraafClass, SWClass
 from .rational import (Q, ZERO, ONE, format_rational, power_free_kernel,
                        rational_nth_root, rational_sqrt)
 from .structure import StructureConstants, ad_matrix, bracket_space, unit_rows
 
 __all__ = [
-    "identify_degraaf", "degraaf_to_sw", "normalize_sw_param", "sw_lambda",
-    "QuadraticValue", "IsoMap", "verify_isomorphism", "tri_algebra_constants",
-    "sw_bridge_map",
+    "identify_degraaf", "degraaf_to_sw", "sw_lambda", "QuadraticValue",
+    "verify_isomorphism", "tri_algebra_constants", "sw_bridge_map",
 ]
 
 
@@ -153,12 +152,16 @@ def _identify_dim4_derived3(sc: StructureConstants, derived: list[tuple]) -> DeG
 
 def _quotient_action(sc: StructureConstants, y: tuple, derived: list[tuple],
                      z: tuple) -> list[list]:
-    """ad(y) on D/z, in the RREF rows of D left after z replaces one of them
-    (trace, determinant and scalar-ness do not depend on which)."""
-    (zc,) = solve_in_span(derived, [z])
+    """ad(y) on D/z, in the images of the RREF rows of D other than the
+    first row j on which z has a nonzero coordinate: modulo z, row j is
+    -sum_{k != j} zc_k/zc_j row_k, so each image's coordinates c become
+    c_k - c_j*zc_k/zc_j (trace, determinant and scalar-ness do not depend on
+    which row is dropped)."""
+    zc = echelon_coords(derived, z)
     j = next(i for i, c in enumerate(zc) if c != 0)
-    m = ad_matrix(sc, y, [z] + derived[:j] + derived[j + 1:])
-    return [row[1:] for row in m[1:]]
+    m = ad_matrix(sc, y, derived)
+    keep = [i for i in range(len(derived)) if i != j]
+    return [[m[i][c] - m[j][c] * zc[i] / zc[j] for c in keep] for i in keep]
 
 
 def _identify_dim4_derived2(sc: StructureConstants, derived: list[tuple]) -> DeGraafClass:
@@ -187,7 +190,7 @@ def _identify_dim4_derived2(sc: StructureConstants, derived: list[tuple]) -> DeG
         n0 = tuple(-tr_v * a + tr_u * b for a, b in zip(u, v))
         det_n0 = n0[0] * n0[3] - n0[1] * n0[2]
         if det_n0 == 0:
-            has_identity = solve_in_span(lbasis, [(ONE, ZERO, ZERO, ONE)])[0] is not None
+            has_identity = echelon_coords(lbasis, (ONE, ZERO, ZERO, ONE)) is not None
             if has_identity and any(x != 0 for x in n0):
                 return DeGraafClass("M13", (ZERO,))
             raise UnrecognizedFamily("nilpotent adjoint direction without scaling element")
@@ -272,21 +275,6 @@ def _quad_lt(p, q, disc) -> bool:
     if p < 0:  # need q*sqrt(disc) < -p i.e. q^2 disc < p^2
         return q * q * disc < p * p
     return p * p < q * q * disc
-
-
-def normalize_sw_param(A, family: str):
-    """Family-allowed normalization of a class parameter (exact for rational
-    input).  For s_{3,1}: A or 1/A so that 0 < |A| <= 1.  For s_{4,8}: the
-    same, with A = -1 excluded."""
-    A = Q(A)
-    if A == 0:
-        raise ZeroParameter(f"{family} parameter must be nonzero")
-    out = A if abs(A) <= 1 else 1 / A
-    if family == "s_{4,8}" and out == -1:
-        raise OutOfCatalog("s_{4,8} requires arg(A) < pi; the A = -1 case is s_{4,6}")
-    if family not in ("s_{3,1}", "s_{4,8}"):
-        raise OutOfCatalog(f"no single-parameter normalization for {family}")
-    return out
 
 
 def degraaf_to_sw(c: DeGraafClass) -> SWClass:
@@ -382,50 +370,19 @@ def _normalize_s43(eigs: list) -> tuple:
 # explicit isomorphism verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsoMap:
-    """A linear map: column i is the image of source basis vector i, written
-    in target coordinates."""
-
-    columns: tuple
-
-    @classmethod
-    def from_columns(cls, cols) -> "IsoMap":
-        return cls(tuple(tuple(Q(x) for x in col) for col in cols))
-
-    def apply(self, vec) -> tuple:
-        n = len(self.columns[0])
-        out = [ZERO] * n
-        for c, col in zip(vec, self.columns):
-            if c != 0:
-                for i in range(n):
-                    out[i] += c * col[i]
-        return tuple(out)
-
-    def perturb(self, i: int, j: int, delta) -> "IsoMap":
-        cols = [list(c) for c in self.columns]
-        cols[i][j] += Q(delta)
-        return IsoMap.from_columns(cols)
-
-
 def verify_isomorphism(sc_source: StructureConstants,
-                       sc_target: StructureConstants,
-                       iso: IsoMap) -> bool:
-    """True iff the map is a linear bijection carrying the source bracket to
-    the target bracket, checked exactly on all basis pairs."""
+                       sc_target: StructureConstants, columns) -> bool:
+    """True iff the linear map whose column i is the image of source basis
+    vector i, in target coordinates, is a bijection carrying the source
+    bracket to the target bracket: the target table in the basis of the
+    columns is exactly the source table.  Dependent columns give False."""
     d = sc_source.dim
-    if sc_target.dim != d or len(iso.columns) != d or any(len(c) != d for c in iso.columns):
+    if sc_target.dim != d or len(columns) != d or any(len(c) != d for c in columns):
         raise DimensionMismatch("isomorphism map has inconsistent dimensions")
-    if len(rref(list(iso.columns))) != d:
+    try:
+        return sc_target.change_basis(columns) == sc_source
+    except DependentInputs:
         return False
-    for i in range(d):
-        for j in range(i + 1, d):
-            src = sc_source.table[i][j]
-            lhs = iso.apply(src)
-            rhs = sc_target.bracket_coords(iso.columns[i], iso.columns[j])
-            if tuple(lhs) != tuple(rhs):
-                return False
-    return True
 
 
 def tri_algebra_constants(r) -> StructureConstants:
@@ -442,10 +399,11 @@ def tri_algebra_constants(r) -> StructureConstants:
 def sw_bridge_map(c: DeGraafClass):
     """The explicit isomorphism realizing degraaf_to_sw, bracket-verifiable.
 
-    Returns (bridge_class, iso) with iso mapping the class presentation onto
-    the bridge presentation.  The bridge class equals degraaf_to_sw(c) except
-    for M8, whose label is the complex class s_{4,12} while the rational
-    bridge is onto the direct sum 2s_{2,1}.  Raises OutOfCatalog where the
+    Returns (bridge_class, columns), the columns mapping the class
+    presentation onto the bridge presentation (see `verify_isomorphism`).
+    The bridge class equals degraaf_to_sw(c) except for M8, whose label is
+    the complex class s_{4,12} while the rational bridge is onto the direct
+    sum 2s_{2,1}.  Raises OutOfCatalog where the
     translated parameter is irrational.
     """
     label = degraaf_to_sw(c)
@@ -456,7 +414,7 @@ def sw_bridge_map(c: DeGraafClass):
         cols = cols(c.params, label.params)
     if c.family == "M8":
         label = SWClass("2s_{2,1}")
-    return label, IsoMap.from_columns(cols)
+    return label, cols
 
 
 def _derived_plane(p, lam) -> tuple:
@@ -492,27 +450,6 @@ def _m6_split_bridge(pr, lp):
     x2, x3 = (ZERO, *w, ZERO), (ZERO, *u, ZERO)
     x1 = tuple(((1 if i == 0 else 0) - x2[i] + x3[i]) / b for i in range(4))
     return (x1, x2, x3, (ZERO, ZERO, ZERO, -b / lplus))
-
-
-def _m6_jordan_chain_bridge(*_):
-    """M6(1/27,-1/3) onto the maximal-Jordan-block class: e4 <-> 3 x4 and a
-    chain u1, v, w of ad(3 x4) - 1 on the nilradical."""
-    sc = StructureConstants.from_brackets(
-        4, {(3, 0): {1: 1}, (3, 1): {2: 1},
-            (3, 2): {0: Q(1, 27), 1: Q(-1, 3), 2: 1}})
-    # ad(3 x4) - id on span(x1, x2, x3), columns in that basis
-    m = [[ZERO] * 3 for _ in range(3)]
-    for j, u in enumerate(unit_rows(4)[:3]):
-        img = sc.bracket_coords((ZERO, ZERO, ZERO, Q(3)), u)
-        for i in range(3):
-            m[i][j] = img[i] - (1 if i == j else 0)
-    w = [ONE, ZERO, ZERO]
-    v = [sum(m[i][j] * w[j] for j in range(3)) for i in range(3)]
-    u1 = [sum(m[i][j] * v[j] for j in range(3)) for i in range(3)]
-    # invert (u1, v, w, 3x4) to columns x_i -> e-coordinates
-    basis = [tuple(u1) + (ZERO,), tuple(v) + (ZERO,), tuple(w) + (ZERO,),
-             (ZERO, ZERO, ZERO, Q(3))]
-    return tuple(solve_in_span(basis, unit_rows(4)))
 
 
 def _m6_s43_bridge(pr, _):
@@ -562,6 +499,9 @@ _BRIDGES = {
     ("M6", "n_{1,1}+s_{3,2}"): ((1, 2, -1, 0), (0, Q(1, 2), Q(-1, 2), 0),
                                 (0, 0, Q(-1, 4), 0), (0, 0, 0, Q(1, 2))),
     ("M6", "n_{1,1}+s_{3,1}"): _m6_split_bridge,
-    ("M6", "s_{4,2}"): _m6_jordan_chain_bridge,
+    # e4 <-> 3 x4, and e1, e2, e3 a Jordan chain of ad(3 x4) - 1 on the
+    # nilradical; columns x_i -> e-coordinates
+    ("M6", "s_{4,2}"): ((0, 0, 1, 0), (0, Q(1, 3), Q(1, 3), 0),
+                        (Q(1, 9), Q(2, 9), Q(1, 9), 0), (0, 0, 0, Q(1, 3))),
     ("M6", "s_{4,3}"): _m6_s43_bridge,
 }

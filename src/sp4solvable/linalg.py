@@ -116,6 +116,20 @@ def solve_in_span(vectors: Sequence[Sequence], ws: Sequence[Sequence]) -> list:
     return [None if j in outside else tuple(c) for j, c in enumerate(coords)]
 
 
+def echelon_coords(rows: Sequence[Sequence], w: Sequence):
+    """Coordinates of w in the span of RREF rows, or None if w is outside:
+    the i-th is w's entry at row i's pivot, and w is inside iff their
+    combination is w (the twin of `Subspace.coords` for coordinate rows).
+    At a pivot column the combination is w by construction (unit pivot,
+    zeros at the other pivots), so only the other columns are compared."""
+    pivots = [_pivot_col(r) for r in rows]
+    cs = tuple([w[p] for p in pivots])
+    for k, x in enumerate(w):
+        if k not in pivots and x != sum([c * r[k] for c, r in zip(cs, rows) if c and r[k]]):
+            return None
+    return cs
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials over Q, held as int numerators over one denominator
 # ---------------------------------------------------------------------------

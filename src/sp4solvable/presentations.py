@@ -17,9 +17,10 @@ Direct sums are written with '+' and a multiplicity prefix: "2n_{1,1}",
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import OutOfCatalog
-from .rational import Q, format_rational
+from .rational import Q, ZERO, format_rational
 from .structure import StructureConstants
 
 __all__ = ["DeGraafClass", "SWClass", "degraaf_constants", "sw_constants",
@@ -61,19 +62,13 @@ class SWClass:
 
 
 def direct_sum(a: StructureConstants, b: StructureConstants) -> StructureConstants:
-    d = a.dim + b.dim
-    br = {}
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            row = {k: a.table[i][j][k] for k in range(a.dim) if a.table[i][j][k] != 0}
-            if row:
-                br[(i, j)] = row
-    for i in range(b.dim):
-        for j in range(i + 1, b.dim):
-            row = {a.dim + k: b.table[i][j][k] for k in range(b.dim) if b.table[i][j][k] != 0}
-            if row:
-                br[(a.dim + i, a.dim + j)] = row
-    return StructureConstants.from_brackets(d, br)
+    """a (+) b, with a's basis first: brackets within a summand are padded
+    with zeros, and brackets across the summands vanish."""
+    n, d = a.dim, a.dim + b.dim
+    za, zb = (ZERO,) * n, (ZERO,) * b.dim
+    return StructureConstants.from_pairs(d, [
+        a.table[i][j] + zb if j < n else za + (b.table[i - n][j - n] if i >= n else zb)
+        for i, j in combinations(range(d), 2)])
 
 
 def degraaf_constants(family: str, params: tuple = ()) -> StructureConstants:

@@ -5,9 +5,11 @@ subalgebra: a `Subalgebra` computes it once, in its canonical echelon basis,
 from the d(d-1)/2 matrix brackets solved in one echelonization, and closure
 is the table's existence.  The derived and lower central series,
 solvability, nilpotency, abelian-ness and adjoint matrices all run on the
-table in coordinates (d <= 7); `derived_series`/`lower_central_series`
-return matrix `Subspace` values at the boundary.  Ambient sp(4) membership
-is validated when a `Subalgebra` is constructed from matrices.
+table in coordinates (d <= 7); adjoint matrices on RREF rows are read at the
+pivots, and `derived_series` returns matrix `Subspace` values at the
+boundary.  A bracket table moves to a new basis only by `change_basis`.
+Ambient sp(4) membership is validated when a `Subalgebra` is constructed
+from matrices.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import Sp4Error
-from .linalg import Mat4, Subspace, echelon_span, rref, solve_in_span
+from .linalg import Mat4, Subspace, echelon_coords, echelon_span, rref, solve_in_span
 from .rational import Q, ZERO, ONE, format_rational, parse_rational
 from .sp4 import bracket, in_sp4
 
 __all__ = [
     "Subalgebra", "is_closed", "generated_subalgebra", "bracket_space",
-    "ad_matrix", "unit_rows", "coord_series", "derived_series", "lower_central_series",
+    "ad_matrix", "unit_rows", "coord_series", "derived_series",
     "is_solvable", "is_nilpotent", "is_abelian",
     "StructureConstants", "structure_constants", "structure_constants_for_basis",
 ]
@@ -108,9 +110,10 @@ def bracket_space(sc: "StructureConstants", a: Sequence[tuple],
 
 
 def ad_matrix(sc: "StructureConstants", y: Sequence, rows: list[tuple]) -> list[list]:
-    """Matrix (rows) of ad(y) on an ad(y)-stable subspace given by independent
-    coordinate rows, in the basis of those rows."""
-    cols = solve_in_span(rows, [sc.bracket_coords(y, v) for v in rows])
+    """Matrix (rows) of ad(y) on an ad(y)-stable subspace given by RREF
+    coordinate rows, in the basis of those rows: each column is read at the
+    rows' pivots, so nothing is solved."""
+    cols = [echelon_coords(rows, sc.bracket_coords(y, v)) for v in rows]
     if None in cols:
         raise Sp4Error("subspace is not ad-stable")
     return [list(r) for r in zip(*cols)]
@@ -137,19 +140,10 @@ def coord_series(s: Subalgebra, lower: bool = False) -> list[list[tuple]]:
     return chain
 
 
-def _spaces(s: Subalgebra, chain: list[list[tuple]]) -> list[Subspace]:
-    return [s.space] + [echelon_span([s.space.combine(r) for r in rows])
-                        for rows in chain[1:]]
-
-
 def derived_series(s: Subalgebra) -> list[Subspace]:
     """g, [g,g], [[g,g],[g,g]], ... until stabilization."""
-    return _spaces(s, s.derived)
-
-
-def lower_central_series(s: Subalgebra) -> list[Subspace]:
-    """g, [g,g], [g,[g,g]], ... until stabilization."""
-    return _spaces(s, coord_series(s, lower=True))
+    return [s.space] + [echelon_span([s.space.combine(r) for r in rows])
+                        for rows in s.derived[1:]]
 
 
 def is_solvable(s: Subalgebra) -> bool:
@@ -218,8 +212,8 @@ class StructureConstants:
     def change_basis(self, p_cols: Sequence[Sequence]) -> "StructureConstants":
         """Constants in the new basis y_j = sum_i p_cols[j][i] * x_i.
 
-        p_cols lists the new basis vectors in old coordinates; it must be
-        invertible.
+        p_cols lists the new basis vectors in old coordinates; dependent
+        ones raise DependentInputs.
         """
         d = self.dim
         new_in_old = [tuple(Q(c) for c in col) for col in p_cols]

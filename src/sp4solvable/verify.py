@@ -19,8 +19,8 @@ from functools import cached_property, lru_cache
 from .catalog import CatalogEntry, build_element, load_catalog
 from .errors import IrrationalSpectrum, Sp4Error
 from .exprs import eval_expr
-from .identify import (IsoMap, degraaf_to_sw, identify_degraaf,
-                       sw_bridge_map, verify_isomorphism)
+from .identify import (degraaf_to_sw, identify_degraaf, sw_bridge_map,
+                       verify_isomorphism)
 from .invariants import _signature, nilpotent_subspace, signature
 from .jordan import _eigen_pair
 from .linalg import Mat4, char_poly, echelon_span
@@ -128,7 +128,13 @@ def _instance(entry: CatalogEntry, a) -> _Instance:
 def verify_entry(entry: CatalogEntry, params=None,
                  report: VerificationReport | None = None) -> VerificationReport:
     rep = _report(report, params)
-    for i, a in enumerate(_row_samples(entry, params)):
+    samples = _row_samples(entry, params)
+    if not samples:
+        tried = default_param_samples() if params is None else params
+        rep.skip(entry.row_id, None, "parameter samples",
+                 f"none of {', '.join(_p(a) for a in tried)} is admissible; "
+                 "the row's claims did not run")
+    for i, a in enumerate(samples):
         _verify_at(entry, a, rep, first=(i == 0))
     return rep
 
@@ -194,8 +200,7 @@ def _verify_at(entry: CatalogEntry, a, rep: VerificationReport, first: bool):
         pres = dg if entry.iso_source == "degraaf" else entry.sw_at(a)
         try:
             pres_sc = pres.constants()
-            iso = IsoMap.from_columns(entry.iso_columns_at(a))
-            ok = verify_isomorphism(pres_sc, sc, iso)
+            ok = verify_isomorphism(pres_sc, sc, entry.iso_columns_at(a))
             rep.add(entry.row_id, a, "isomorphism-map", ok,
                     f"{pres} -> {entry.label}")
         except Sp4Error as exc:
@@ -271,17 +276,17 @@ def _verify_claim(entry: CatalogEntry, claim, a, rep: VerificationReport,
 # catalog-wide drivers
 # ---------------------------------------------------------------------------
 
-def verify_catalog(params=None, with_separations: bool = True,
-                   with_probe_seed: int | None = None,
+def verify_catalog(params=None, probe_seed: int = 0,
                    probe_count: int = 0) -> VerificationReport:
+    """Every row, then the separations; the random probe runs only when
+    `probe_count` > 0."""
     rep = _report(None, params)
     entries = load_catalog()
     for e in entries:
         verify_entry(e, params=params, report=rep)
-    if with_separations:
-        verify_separations(entries, params=params, report=rep)
-    if probe_count and with_probe_seed is not None:
-        random_subalgebra_probe(with_probe_seed, probe_count, report=rep)
+    verify_separations(entries, params=params, report=rep)
+    if probe_count > 0:
+        random_subalgebra_probe(probe_seed, probe_count, report=rep)
     return rep
 
 

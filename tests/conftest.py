@@ -36,6 +36,13 @@ def random_sp4_element(rng, span=3):
     ])
 
 
+def perturb_columns(columns, i, j, delta):
+    """Map columns with entry j of column i moved by delta."""
+    cols = [list(c) for c in columns]
+    cols[i][j] += Q(delta)
+    return cols
+
+
 def conjugator_pool(rng, n=20, max_len=3):
     """Random products of named conjugators and small shears."""
     atoms = [W_MAT, A_MAT, J_FORM, AJ_MAT]

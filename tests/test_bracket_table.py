@@ -6,10 +6,13 @@ same table, and the adjoint matrices read off the table must match ad(x)
 computed from matrix brackets.
 """
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sp4solvable.linalg import char_poly_rows, echelon_span
+from sp4solvable import linalg, structure
+from sp4solvable.errors import Sp4Error
+from sp4solvable.linalg import char_poly_rows, echelon_span, solve_in_span
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA, bracket
 from sp4solvable.structure import (ad_matrix, bracket_space,
@@ -73,3 +76,26 @@ def test_ad_matrix_matches_matrix_brackets(g, data):
         dcols = [derived.coords(bracket(x, b)) for b in derived.basis]
         assert (char_poly_rows(ad_matrix(sc, y, rows))
                 == char_poly_rows([list(r) for r in zip(*dcols)]))
+
+
+def test_ad_matrix_reads_pivots_and_solves_nothing(monkeypatch):
+    g = generated_subalgebra([T(2, 1), X_ALPHA, X_BETA])  # the Borel
+    sc = structure_constants(g)
+    units = unit_rows(g.dim)
+    derived = bracket_space(sc, units, units)
+    y = tuple(Q(c) for c in (1, -2, 3, 0, 1, 2)[:g.dim])
+    want = {}
+    for name, rows in (("units", units), ("derived", derived)):
+        cols = solve_in_span(rows, [sc.bracket_coords(y, v) for v in rows])
+        want[name] = [list(r) for r in zip(*cols)]
+
+    def refuse(*_):
+        raise AssertionError("ad_matrix eliminated")
+    for module in (structure, linalg):
+        monkeypatch.setattr(module, "solve_in_span", refuse)
+        monkeypatch.setattr(module, "rref", refuse)
+    assert ad_matrix(sc, y, units) == want["units"]
+    assert ad_matrix(sc, y, derived) == want["derived"]
+    # a line that ad(y) moves is refused
+    with pytest.raises(Sp4Error, match="not ad-stable"):
+        ad_matrix(sc, y, [derived[-1]])

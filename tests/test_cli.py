@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from sp4solvable.catalog import load_catalog
 from sp4solvable.cli import main
 from sp4solvable.linalg import Mat4
 from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA, standard_subalgebra
@@ -148,6 +149,25 @@ def test_verify_catalog_with_probe(capsys):
                  "--seed", "3", "--output", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert any("random subalgebras" in r["check"] for r in out["records"])
+
+
+@pytest.mark.parametrize("count", ["-1", "-5", "two"])
+def test_bad_probe_count_is_a_parse_error(count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-catalog", "--probe-count", count])
+    assert exc.value.code == 2
+    assert "--probe-count" in capsys.readouterr().err
+
+
+def test_verify_catalog_reports_every_row_when_no_param_is_admissible(capsys):
+    # 0, 1 and -1 are excluded on every parameterized row
+    assert main(["verify-catalog", "--params", "0,1,-1", "--output", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert {r["row"] for r in records} >= {e.row_id for e in load_catalog()}
+    skipped = [r for r in records if r["check"] == "parameter samples"]
+    assert len(skipped) == 8
+    assert all(r["status"] == "skip" and "0, 1, -1" in r["detail"]
+               and "did not run" in r["detail"] for r in skipped)
 
 
 @pytest.mark.parametrize("command", ["classify-element", "identify", "invariants",

@@ -31,7 +31,7 @@ def golden_payload() -> dict:
                 "structure_constants": structure_constants(sub).to_json(),
                 "basis": [m.to_json() for m in sub.basis],
             })
-    return {"report": verify_catalog(with_separations=True).to_json(),
+    return {"report": verify_catalog().to_json(),
             "instances": instances}
 
 

@@ -5,15 +5,18 @@ import pytest
 from sp4solvable.errors import (DimensionMismatch, OutOfCatalog,
                                 UnrecognizedFamily, UnsupportedDimension,
                                 ZeroParameter)
-from sp4solvable.identify import (IsoMap, QuadraticValue, degraaf_to_sw,
-                                  identify_degraaf, normalize_sw_param,
-                                  sw_lambda, tri_algebra_constants,
-                                  verify_isomorphism)
+from sp4solvable.identify import (QuadraticValue, degraaf_to_sw,
+                                  identify_degraaf, sw_lambda,
+                                  tri_algebra_constants, verify_isomorphism)
 from sp4solvable.presentations import (DeGraafClass, degraaf_constants,
                                        direct_sum, sw_constants)
+from sp4solvable.linalg import echelon_span, rref
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA
-from sp4solvable.structure import StructureConstants, structure_constants_for_basis
+from sp4solvable.structure import (StructureConstants, Subalgebra,
+                                   structure_constants_for_basis)
+
+from conftest import perturb_columns
 
 D = DeGraafClass
 
@@ -138,16 +141,6 @@ def test_sw_lambda_branches():
         sw_lambda(Q(-1, 4))
 
 
-def test_normalize_sw_param():
-    assert normalize_sw_param(Q(2), "s_{3,1}") == Q(1, 2)
-    assert normalize_sw_param(Q(-1), "s_{3,1}") == Q(-1)
-    assert normalize_sw_param(Q(1, 3), "s_{4,8}") == Q(1, 3)
-    with pytest.raises(ZeroParameter):
-        normalize_sw_param(Q(0), "s_{3,1}")
-    with pytest.raises(OutOfCatalog):
-        normalize_sw_param(Q(-1), "s_{4,8}")
-
-
 def test_degraaf_to_sw_table():
     expect = {
         D("J"): "n_{1,1}", D("K1"): "2n_{1,1}", D("K2"): "s_{2,1}",
@@ -182,14 +175,12 @@ def test_degraaf_to_sw_table():
 def test_verify_isomorphism_examples():
     # dimension 2: x1 <-> e2, x2 <-> e1
     k2, s21 = degraaf_constants("K2"), sw_constants("s_{2,1}")
-    iso = IsoMap.from_columns([(0, 1), (1, 0)])
+    iso = [(0, 1), (1, 0)]
     assert verify_isomorphism(k2, s21, iso)
     # a map with mismatched bracket images fails
-    bad = IsoMap.from_columns([(1, 0), (0, 1)])
-    assert not verify_isomorphism(k2, s21, bad)
+    assert not verify_isomorphism(k2, s21, [(1, 0), (0, 1)])
     # singular maps fail
-    sing = IsoMap.from_columns([(1, 0), (1, 0)])
-    assert not verify_isomorphism(k2, s21, sing)
+    assert not verify_isomorphism(k2, s21, [(1, 0), (1, 0)])
     with pytest.raises(DimensionMismatch):
         verify_isomorphism(k2, sw_constants("n_{3,1}"), iso)
 
@@ -198,7 +189,7 @@ def test_verify_isomorphism_l3_to_s32():
     # e1 = x1 - 2x2, e2 = x1 - 4x2, e3 = 2x3 inverted to columns
     l3 = degraaf_constants("L3", (Q(-1, 4),))
     s32 = sw_constants("s_{3,2}")
-    iso = IsoMap.from_columns([(2, -1, 0), (Q(1, 2), Q(-1, 2), 0), (0, 0, Q(1, 2))])
+    iso = [(2, -1, 0), (Q(1, 2), Q(-1, 2), 0), (0, 0, Q(1, 2))]
     assert verify_isomorphism(l3, s32, iso)
 
 
@@ -207,8 +198,7 @@ def test_direct_sum():
     assert two.dim == 4
     assert two.is_antisymmetric() and two.satisfies_jacobi()
     m8 = degraaf_constants("M8")
-    iso = IsoMap.from_columns([(0, 1, 0, 0), (1, 0, 0, 0),
-                               (0, 0, 0, 1), (0, 0, 1, 0)])
+    iso = [(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)]
     assert verify_isomorphism(m8, two, iso)
 
 
@@ -258,7 +248,7 @@ def test_sw_bridge_mutation_testing():
         for i in range(src.dim):
             for j in range(src.dim):
                 for delta in deltas:
-                    if not verify_isomorphism(src, tgt, iso.perturb(i, j, delta)):
+                    if not verify_isomorphism(src, tgt, perturb_columns(iso, i, j, delta)):
                         failures += 1
                     if failures >= 5:
                         break
@@ -270,3 +260,77 @@ def test_sw_bridge_irrational_is_rejected():
     from sp4solvable.identify import sw_bridge_map
     with pytest.raises(OOC):
         sw_bridge_map(D("L3", (Q(1),)))   # lambda in Q(sqrt(5))
+
+
+def _pairwise_oracle(src, tgt, columns):
+    """The bracket transport checked pair by pair: the map is a bijection and
+    sends each [x_i, x_j] to [f(x_i), f(x_j)]."""
+    d = src.dim
+    cols = [tuple(Q(x) for x in c) for c in columns]
+    if len(rref(cols)) != d:
+        return False
+
+    def apply(v):
+        return tuple(sum((c * col[k] for c, col in zip(v, cols)), Q(0)) for k in range(d))
+    return all(apply(src.table[i][j]) == tgt.bracket_coords(cols[i], cols[j])
+               for i in range(d) for j in range(i + 1, d))
+
+
+def test_verify_isomorphism_matches_the_pairwise_bracket_loop():
+    from sp4solvable.catalog import load_catalog
+    from sp4solvable.identify import sw_bridge_map
+    rng = random.Random(11)
+    maps = []
+    for e in load_catalog():
+        if e.iso_columns is None:
+            continue
+        a = e.samples()[0]
+        pres = e.degraaf_at(a) if e.iso_source == "degraaf" else e.sw_at(a)
+        maps.append((pres.constants(), structure_constants_for_basis(e.basis_at(a)),
+                     e.iso_columns_at(a)))
+        dg = e.degraaf_at(a)
+        if dg is not None:
+            label, cols = sw_bridge_map(dg)
+            maps.append((dg.constants(), label.constants(), cols))
+    verdicts = set()
+    for src, tgt, cols in maps:
+        d = src.dim
+        i, j = rng.randrange(d), rng.randrange(d)
+        # the last column a combination of the others (zero when d = 1)
+        singular = [*cols[:-1], [x + 2 * y for x, y in zip(cols[0], cols[-2])] if d > 1 else [0]]
+        invertible = [[rng.randint(-2, 2) + 5 * (r == c) for r in range(d)] for c in range(d)]
+        for m in (cols, perturb_columns(cols, i, j, rng.choice((1, -1, Q(1, 2)))),
+                  singular, invertible):
+            want = _pairwise_oracle(src, tgt, m)
+            assert verify_isomorphism(src, tgt, m) == want
+            verdicts.add(want)
+        assert not verify_isomorphism(src, tgt, singular)
+    assert verdicts == {True, False} and len(maps) > 60
+
+
+def test_identification_and_signatures_solve_no_span(monkeypatch):
+    """Adjoint matrices, quotient actions and the identity test of M13 read
+    RREF pivots: once the bracket tables exist, nothing is solved."""
+    from sp4solvable import identify, structure
+    from sp4solvable.catalog import load_catalog
+    from sp4solvable.invariants import signature
+    instances = []
+    for e in load_catalog():
+        for a in e.samples():
+            mats = e.basis_at(a)
+            sub = Subalgebra(echelon_span(mats))
+            sub.constants
+            ref = Subalgebra(echelon_span(mats))
+            instances.append((sub, e.degraaf_at(a), signature(ref)))
+
+    def refuse(*_):
+        raise AssertionError("solve_in_span called")
+    monkeypatch.setattr(structure, "solve_in_span", refuse)
+    monkeypatch.setattr(identify, "solve_in_span", refuse)
+    found = set()
+    for sub, dg, sig in instances:
+        if dg is not None:
+            assert identify_degraaf(sub.constants) == dg
+            found.add(dg.family)
+        assert signature(sub) == sig
+    assert {"L2", "L3", "M12", "M13", "M14", "M6", "M7", "M8"} <= found

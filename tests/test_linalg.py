@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from sp4solvable.errors import (FactorizationLimit, SingularMatrix, Sp4Error,
                                 ZeroPolynomial)
 from sp4solvable.linalg import (Mat4, Poly, char_poly, char_poly_cofactor,
-                                char_poly_rows, det_mpoly, echelon_span,
-                                generic_rank, inverse, kernel, kernel_of_rows,
+                                char_poly_rows, det_mpoly, echelon_coords,
+                                echelon_span, generic_rank, inverse, kernel, kernel_of_rows,
                                 rank, rational_roots, rref, solve_in_span)
 from sp4solvable.rational import (Q, factor_int, format_rational,
                                   parse_rational, power_free_kernel,
@@ -204,6 +204,25 @@ def test_solve_in_span_roundtrips_on_a_non_echelon_basis():
         structure_constants_for_basis([X_ALPHA, X_ALPHA * 2])  # dependent
     with pytest.raises(Sp4Error):
         structure_constants_for_basis([X_ALPHA, X_BETA])  # [X_a, X_b] outside
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=1, max_size=n),
+    st.lists(rationals, min_size=n, max_size=n),
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+def test_echelon_coords_matches_solve_in_span(case):
+    vectors, w, coeffs = case
+    rows = rref(vectors)
+    n = len(w)
+    inside = tuple(sum((c * r[i] for c, r in zip(coeffs, rows)), Q(0)) for i in range(n))
+    pivots = [next(i for i, x in enumerate(r) if x) for r in rows]
+    # a unit vector off the pivots lies outside the span
+    outside = [tuple(Q(int(i == j)) for i in range(n)) for j in range(n) if j not in pivots]
+    for v in [inside, w, *outside]:
+        assert echelon_coords(rows, v) == solve_in_span(rows, [v])[0]
+    assert echelon_coords(rows, inside) == tuple(coeffs[:len(rows)])
+    assert all(echelon_coords(rows, v) is None for v in outside)
 
 
 def test_generic_rank():

@@ -28,12 +28,32 @@ def test_verify_entry_examples():
 
 
 def test_verify_catalog_all_rows_pass():
-    rep = verify_catalog(with_separations=True)
+    rep = verify_catalog()
     assert rep.overall_pass, [r.to_json() for r in rep.failures[:5]]
     data = rep.to_json()
     assert data["overall_pass"] and data["checks"] == len(rep.records)
     text = rep.to_text()
     assert "all passed" in text
+
+
+def test_row_with_no_admissible_sample_is_a_recorded_skip(monkeypatch):
+    rep = verify_entry(ENTRIES["d1_T_a1"], params=(Q(0), Q(1)))
+    assert [(r.check, r.status) for r in rep.records] == [("parameter samples", "skip")]
+    assert "0, 1" in rep.records[0].detail and rep.overall_pass
+    # the same through the default samples
+    monkeypatch.setenv("SP4_PARAM_SAMPLES", "0,-1")
+    rep = verify_entry(ENTRIES["d1_T_a1"])
+    assert [r.status for r in rep.records] == ["skip"] and "0, -1" in rep.records[0].detail
+    # a row without parameter ignores the overrides
+    assert verify_entry(ENTRIES["d4_T11_np"], params=(Q(0),)).records[0].status == "pass"
+
+
+def test_probe_runs_only_for_a_positive_count():
+    checks = [r.check for r in verify_catalog(params=(Q(2),), probe_seed=3, probe_count=2).records]
+    assert sum("random subalgebras" in c for c in checks) == 1
+    for count in (0, -5):
+        rep = verify_catalog(params=(Q(2),), probe_count=count)
+        assert not any(r.row_id == "probe" for r in rep.records)
 
 
 def test_verify_catalog_builds_each_bracket_table_once(monkeypatch):
