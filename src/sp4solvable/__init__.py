@@ -12,11 +12,10 @@ presentations of small solvable Lie algebras.
 from .rational import Q, format_rational, parse_rational
 from .linalg import (Mat4, Poly, Subspace, char_poly, char_poly_cofactor,
                      echelon_span, inverse, kernel, rank, rational_roots)
-from .sp4 import (A_MAT, AJ_MAT, J_FORM, T, W_MAT, X_A2B, X_AB, X_ALPHA,
-                  X_BETA, DiagonalElement, bracket, conjugate,
-                  conjugate_subalgebra, default_param_samples, in_sp4,
-                  in_sp4_group, parse_conjugator, shear, standard_subalgebra,
-                  weyl_orbit)
+from .sp4 import (A_MAT, AJ_MAT, DEFAULT_PARAM_SAMPLES, J_FORM, T, W_MAT,
+                  X_A2B, X_AB, X_ALPHA, X_BETA, DiagonalElement, bracket,
+                  conjugate, conjugate_subalgebra, in_sp4, in_sp4_group,
+                  parse_conjugator, shear, standard_subalgebra, weyl_orbit)
 from .structure import (StructureConstants, Subalgebra, derived_series,
                         generated_subalgebra, is_abelian, is_closed,
                         is_nilpotent, is_solvable, structure_constants,

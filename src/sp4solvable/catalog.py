@@ -5,7 +5,11 @@ Each row of the five summary tables is a `CatalogEntry`: a parameterized basis
 admissibility conditions, the claimed equivalences with explicit conjugator
 recipes, the dimension <= 4 class with exact parameter formulas, the
 indecomposable-catalog label, and the explicit isomorphism map onto the
-defining relations.
+defining relations.  A row states only what the tables state; its table
+(`min(dim, 5)`), whether it has a parameter (a basis expression names ``a``)
+and the class its isomorphism map starts from (the de Graaf class when it has
+one, else the stated indecomposable) are derived, and `sw=None` on a row with
+a de Graaf class means the label is translated from that class.
 
 Basis elements are 6-tuples of expressions
 
@@ -26,7 +30,7 @@ from .exprs import eval_expr
 from .linalg import Mat4, Subspace, echelon_span
 from .presentations import DeGraafClass, SWClass
 from .rational import Q
-from .sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, default_param_samples)
+from .sp4 import DEFAULT_PARAM_SAMPLES, T, X_A2B, X_AB, X_ALPHA, X_BETA
 
 __all__ = ["CatalogEntry", "EquivClaim", "load_catalog", "catalog_to_json",
            "catalog_from_json", "EXPECTED_COUNTS"]
@@ -54,6 +58,17 @@ def build_element(spec, env) -> Mat4:
     return m
 
 
+def _tuples(x):
+    """x with every list in it, at any depth, made a tuple, so that a row
+    written with lists (or read from JSON) is the same frozen value."""
+    return tuple(map(_tuples, x)) if isinstance(x, (list, tuple)) else x
+
+
+def _set(obj, **fields):
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class EquivClaim:
     """One claimed conjugacy, realized by an explicit conjugator recipe.
@@ -71,30 +86,53 @@ class EquivClaim:
     tgt_param: str | None = None
     samples: tuple | None = None
 
+    def __post_init__(self):
+        _set(self, src=_tuples(self.src), tgt=_tuples(self.tgt),
+             samples=_tuples(self.samples))
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One table row.  A claim may be given as the positional tuple
+    (desc, recipe, src, tgt, tgt_param, samples)."""
+
     row_id: str
-    table: int
     dim: int
     label: str
     basis: tuple
-    param: bool = False
     excluded: tuple = ()
     degraaf: tuple | None = None       # (family, (param exprs...))
-    sw: tuple | str | None = None      # (name, (param exprs...)) or "auto"
+    sw: tuple | None = None            # (name, (param exprs...)); None: translated
     equivalences: tuple = ()
-    iso_source: str | None = None      # "degraaf" | "sw"
     iso_columns: tuple | None = None   # presentation basis -> row-basis coords
     param_equiv: tuple = ()            # exprs generating the self-equivalences
+
+    def __post_init__(self):
+        _set(self, basis=_tuples(self.basis), excluded=_tuples(self.excluded),
+             degraaf=_tuples(self.degraaf), sw=_tuples(self.sw),
+             iso_columns=_tuples(self.iso_columns),
+             param_equiv=_tuples(self.param_equiv),
+             equivalences=tuple(c if isinstance(c, EquivClaim) else EquivClaim(*c)
+                                for c in self.equivalences))
+
+    @property
+    def table(self) -> int:
+        return min(self.dim, 5)
+
+    @property
+    def param(self) -> bool:
+        """Whether some basis expression names the parameter a."""
+        return any(isinstance(x, str) and "a" in x for spec in self.basis for x in spec)
 
     def conditions_ok(self, a) -> bool:
         return all(Q(a) != _ev(e, {}) for e in self.excluded)
 
-    def samples(self) -> tuple:
+    def samples(self, candidates=DEFAULT_PARAM_SAMPLES) -> tuple:
+        """The values the row is checked at: the admissible candidates for a
+        parameterized row, and (None,) for a row without parameter."""
         if not self.param:
             return (None,)
-        return tuple(a for a in default_param_samples() if self.conditions_ok(a))
+        return tuple(a for a in candidates if a is not None and self.conditions_ok(a))
 
     def basis_at(self, a) -> list[Mat4]:
         env = _env(a)
@@ -111,11 +149,16 @@ class CatalogEntry:
         return DeGraafClass(fam, tuple(_ev(p, env) for p in params))
 
     def sw_at(self, a) -> SWClass | None:
-        if self.sw is None or self.sw == "auto":
+        if self.sw is None:
             return None
         env = _env(a)
         name, params = self.sw
         return SWClass(name, tuple(_ev(p, env) for p in params))
+
+    def presentation_at(self, a) -> DeGraafClass | SWClass | None:
+        """The class the isomorphism map starts from: the de Graaf class when
+        the row has one, else the stated indecomposable."""
+        return self.degraaf_at(a) if self.degraaf is not None else self.sw_at(a)
 
     def iso_columns_at(self, a):
         if self.iso_columns is None:
@@ -140,22 +183,6 @@ class CatalogEntry:
         return out
 
 
-def _row(**kw) -> CatalogEntry:
-    kw.setdefault("basis", ())
-    kw["basis"] = tuple(tuple(s) for s in kw["basis"])
-    if "equivalences" in kw:
-        kw["equivalences"] = tuple(
-            EquivClaim(
-                desc=c[0], recipe=c[1],
-                src=tuple(tuple(s) for s in c[2]) if c[2] is not None else None,
-                tgt=tuple(tuple(s) for s in c[3]) if c[3] is not None else None,
-                tgt_param=c[4], samples=tuple(c[5]) if c[5] is not None else None,
-            ) for c in kw["equivalences"])
-    if kw.get("iso_columns") is not None:
-        kw["iso_columns"] = tuple(tuple(col) for col in kw["iso_columns"])
-    return CatalogEntry(**kw)
-
-
 # basis shorthands
 _T = lambda a, b: (a, b, 0, 0, 0, 0)
 _XA = (0, 0, 1, 0, 0, 0)
@@ -168,11 +195,6 @@ _T11 = _T(1, 1)
 _T1M1 = _T(1, -1)
 _NP = (_XA, _XAB, _XA2B)
 _NBASIS = (_XB, _XA, _XAB, _XA2B)
-
-
-def _claims(*cs):
-    # (desc, recipe, src, tgt, tgt_param, samples)
-    return tuple(cs)
 
 
 def load_catalog() -> list[CatalogEntry]:
@@ -190,53 +212,55 @@ def load_catalog() -> list[CatalogEntry]:
 # ---------------------------------------------------------------------------
 
 _TABLE1 = (
-    _row(row_id="d1_T_a1", table=1, dim=1, label="<T(a,1)>",
-         basis=[_T("a", 1)], param=True, excluded=("0", "1", "-1"),
-         degraaf=("J", ()), sw="auto",
-         param_equiv=("-a", "1/a"),
-         equivalences=_claims(
-             ("a -> -a via AJ", "AJ", None, None, "-a", None),
-             ("a -> 1/a via W (span rescaling)", "W", None, None, "1/a", None),
-         )),
-    _row(row_id="d1_T_10", table=1, dim=1, label="<T(1,0)>",
-         basis=[_T10], degraaf=("J", ()), sw="auto"),
-    _row(row_id="d1_T_11", table=1, dim=1, label="<T(1,1)>",
-         basis=[_T11], degraaf=("J", ()), sw="auto",
-         equivalences=_claims(
-             ("conjugate to <T(1,-1)> via A", "A", None, (_T1M1,), None, None),
-         )),
-    _row(row_id="d1_X_alpha", table=1, dim=1, label="<X_alpha>",
-         basis=[_XA], degraaf=("J", ()), sw="auto",
-         equivalences=_claims(
-             ("<X_alpha+2beta> form via W", "W", ((0, 0, 0, 0, 0, 1),), None, None, None),
-         )),
-    _row(row_id="d1_X_beta", table=1, dim=1, label="<X_beta>",
-         basis=[_XB], degraaf=("J", ()), sw="auto",
-         equivalences=_claims(
-             ("<X_alpha+beta> form via A", "A", None, (_XAB,), None, None),
-             ("rank-2 pair form <X_alpha+2beta - X_alpha>", "glblock:1,1,1,-1 A",
-              None, ((0, 0, -1, 0, 0, 1),), None, None),
-         )),
-    _row(row_id="d1_Xa_plus_Xb", table=1, dim=1, label="<X_alpha + X_beta>",
-         basis=[(0, 0, 1, 1, 0, 0)], degraaf=("J", ()), sw="auto"),
-    _row(row_id="d1_T10_Xa", table=1, dim=1, label="<T(1,0) + X_alpha>",
-         basis=[(1, 0, 1, 0, 0, 0)], degraaf=("J", ()), sw="auto",
-         equivalences=_claims(
-             ("W image <T(0,1)+X_alpha+2beta>", "W", None, ((0, 1, 0, 0, 0, 1),), None, None),
-             ("<T(4,0)+X_alpha> rescales in (square sample)", "diag:1,2,1,1/2",
-              ((4, 0, 1, 0, 0, 0),), None, None, None),
-             ("<T(9/4,0)+X_alpha> rescales in (square sample)", "diag:1,3/2,1,2/3",
-              (("9/4", 0, 1, 0, 0, 0),), None, None, None),
-             ("<T(-4,0)+X_alpha> joins via AJ and a diagonal", "AJ diag:1,2,1,1/2",
-              ((-4, 0, 1, 0, 0, 0),), None, None, None),
-         )),
-    _row(row_id="d1_T11_Xb", table=1, dim=1, label="<T(1,1) + X_beta>",
-         basis=[(1, 1, 0, 1, 0, 0)], degraaf=("J", ()), sw="auto",
-         equivalences=_claims(
-             ("A image <T(1,-1)+X_alpha+beta>", "A", None, ((1, -1, 0, 0, 1, 0),), None, None),
-             ("<T(a,a)+X_beta> rescales in for any a", "diag:a,1,1/a,1",
-              (("a", "a", 0, 1, 0, 0),), None, None, ("3", "5", "-2", "7/3")),
-         )),
+    CatalogEntry(row_id="d1_T_a1", dim=1, label="<T(a,1)>",
+                 basis=[_T("a", 1)], excluded=("0", "1", "-1"),
+                 degraaf=("J", ()),
+                 param_equiv=("-a", "1/a"),
+                 equivalences=(
+                     ("a -> -a via AJ", "AJ", None, None, "-a", None),
+                     ("a -> 1/a via W (span rescaling)", "W", None, None, "1/a", None),
+                 )),
+    CatalogEntry(row_id="d1_T_10", dim=1, label="<T(1,0)>",
+                 basis=[_T10], degraaf=("J", ())),
+    CatalogEntry(row_id="d1_T_11", dim=1, label="<T(1,1)>",
+                 basis=[_T11], degraaf=("J", ()),
+                 equivalences=(
+                     ("conjugate to <T(1,-1)> via A", "A", None, (_T1M1,), None, None),
+                 )),
+    CatalogEntry(row_id="d1_X_alpha", dim=1, label="<X_alpha>",
+                 basis=[_XA], degraaf=("J", ()),
+                 equivalences=(
+                     ("<X_alpha+2beta> form via W", "W", ((0, 0, 0, 0, 0, 1),), None, None, None),
+                 )),
+    CatalogEntry(row_id="d1_X_beta", dim=1, label="<X_beta>",
+                 basis=[_XB], degraaf=("J", ()),
+                 equivalences=(
+                     ("<X_alpha+beta> form via A", "A", None, (_XAB,), None, None),
+                     ("rank-2 pair form <X_alpha+2beta - X_alpha>", "glblock:1,1,1,-1 A",
+                      None, ((0, 0, -1, 0, 0, 1),), None, None),
+                 )),
+    CatalogEntry(row_id="d1_Xa_plus_Xb", dim=1, label="<X_alpha + X_beta>",
+                 basis=[(0, 0, 1, 1, 0, 0)], degraaf=("J", ())),
+    CatalogEntry(row_id="d1_T10_Xa", dim=1, label="<T(1,0) + X_alpha>",
+                 basis=[(1, 0, 1, 0, 0, 0)], degraaf=("J", ()),
+                 equivalences=(
+                     ("W image <T(0,1)+X_alpha+2beta>", "W",
+                      None, ((0, 1, 0, 0, 0, 1),), None, None),
+                     ("<T(4,0)+X_alpha> rescales in (square sample)", "diag:1,2,1,1/2",
+                      ((4, 0, 1, 0, 0, 0),), None, None, None),
+                     ("<T(9/4,0)+X_alpha> rescales in (square sample)", "diag:1,3/2,1,2/3",
+                      (("9/4", 0, 1, 0, 0, 0),), None, None, None),
+                     ("<T(-4,0)+X_alpha> joins via AJ and a diagonal", "AJ diag:1,2,1,1/2",
+                      ((-4, 0, 1, 0, 0, 0),), None, None, None),
+                 )),
+    CatalogEntry(row_id="d1_T11_Xb", dim=1, label="<T(1,1) + X_beta>",
+                 basis=[(1, 1, 0, 1, 0, 0)], degraaf=("J", ()),
+                 equivalences=(
+                     ("A image <T(1,-1)+X_alpha+beta>", "A",
+                      None, ((1, -1, 0, 0, 1, 0),), None, None),
+                     ("<T(a,a)+X_beta> rescales in for any a", "diag:a,1,1/a,1",
+                      (("a", "a", 0, 1, 0, 0),), None, None, ("3", "5", "-2", "7/3")),
+                 )),
 )
 
 
@@ -245,132 +269,132 @@ _TABLE1 = (
 # ---------------------------------------------------------------------------
 
 _TABLE2 = (
-    _row(row_id="d2_t", table=2, dim=2, label="t (Cartan)",
-         basis=[_T10, _T01], degraaf=("K1", ()), sw="auto"),
-    _row(row_id="d2_T31_XaXb", table=2, dim=2, label="<T(3,1), X_alpha+X_beta>",
-         basis=[_T(3, 1), (0, 0, 1, 1, 0, 0)],
-         degraaf=("K2", ()), sw="auto",
-         iso_source="degraaf", iso_columns=[["1/2", 0], [0, 1]],
-         equivalences=_claims(
-             ("4Xa+Xb normalizes (u=2)", "diag:1/2,1/2,2,2",
-              (_T(3, 1), (0, 0, 4, 1, 0, 0)), None, None, None),
-             ("Xa+4Xb normalizes (u=1,s=4)", "diag:1/4,1,4,1",
-              (_T(3, 1), (0, 0, 1, 4, 0, 0)), None, None, None),
-         )),
-    _row(row_id="d2_Ta1_Xa", table=2, dim=2, label="<T(a,1), X_alpha>",
-         basis=[_T("a", 1), _XA], param=True, excluded=("0", "1", "-1"),
-         degraaf=("K2", ()), sw="auto",
-         iso_source="degraaf", iso_columns=[["1/2", 0], [0, 1]],
-         param_equiv=("-a",),
-         equivalences=_claims(
-             ("a -> -a via AJ", "AJ", None, None, "-a", None),
-             ("W image <T(1,a), X_alpha+2beta>", "W", None,
-              ((1, "a", 0, 0, 0, 0), _XA2B), None, None),
-         )),
-    _row(row_id="d2_Ta1_Xb", table=2, dim=2, label="<T(a,1), X_beta>",
-         basis=[_T("a", 1), _XB], param=True, excluded=("0", "1", "-1"),
-         degraaf=("K2", ()), sw="auto",
-         iso_source="degraaf", iso_columns=[["1/(a-1)", 0], [0, 1]],
-         param_equiv=("1/a",),
-         equivalences=_claims(
-             ("a -> 1/a via A W A", "A W A", None, None, "1/a", None),
-             ("A image <T(a,-1), X_alpha+beta>", "A", None,
-              (("a", -1, 0, 0, 0, 0), _XAB), None, None),
-         )),
-    _row(row_id="d2_T10_Xa", table=2, dim=2, label="<T(1,0), X_alpha> (abelian)",
-         basis=[_T10, _XA], degraaf=("K1", ()), sw="auto",
-         equivalences=_claims(
-             ("W image <T(0,1), X_alpha+2beta>", "W", None, (_T01, _XA2B), None, None),
-         )),
-    _row(row_id="d2_T10_Xb", table=2, dim=2, label="<T(1,0), X_beta>",
-         basis=[_T10, _XB], degraaf=("K2", ()), sw="auto",
-         iso_source="degraaf", iso_columns=[[1, 0], [0, 1]],
-         equivalences=_claims(
-             ("beta line rotates to alpha+beta", "block:0,-1,1,0",
-              None, (_T10, _XAB), None, None),
-             ("<T(0,1), X_alpha+beta> joins via W", "W",
-              (_T01, _XAB), (_T10, _XAB), None, None),
-             ("<T(0,1), X_beta> rotates via A", "A",
-              (_T01, _XB), (_T01, _XAB), None, None),
-             ("mixed beta directions normalize", "block:1,3/2,0,1",
-              (_T10, (0, 0, 0, 2, 3, 0)), None, None, None),
-         )),
-    _row(row_id="d2_T10_Xa2b", table=2, dim=2, label="<T(1,0), X_alpha+2beta>",
-         basis=[_T10, _XA2B], degraaf=("K2", ()), sw="auto",
-         iso_source="degraaf", iso_columns=[["1/2", 0], [0, 1]],
-         equivalences=_claims(
-             ("<T(0,1), X_alpha> joins via W", "W", (_T01, _XA), None, None, None),
-         )),
-    _row(row_id="d2_T11_Xa", table=2, dim=2, label="<T(1,1), X_alpha>",
-         basis=[_T11, _XA], degraaf=("K2", ()), sw="auto",
-         iso_source="degraaf", iso_columns=[["1/2", 0], [0, 1]],
-         equivalences=_claims(
-             ("<T(1,1), X_alpha+2beta> rotates in", "glblock:0,1,-1,0",
-              (_T11, _XA2B), None, None, None),
-             ("<T(1,-1), X_alpha> joins via AJ", "AJ", (_T1M1, _XA), None, None, None),
-             ("<T(1,-1), X_a2b> joins via A", "A",
-              (_T1M1, _XA2B), (_T11, _XA2B), None, None),
-         )),
-    _row(row_id="d2_T11_Xb", table=2, dim=2, label="<T(1,1), X_beta> (abelian)",
-         basis=[_T11, _XB], degraaf=("K1", ()), sw="auto",
-         equivalences=_claims(
-             ("A image <T(1,-1), X_alpha+beta>", "A", None, (_T1M1, _XAB), None, None),
-         )),
-    _row(row_id="d2_T11_Xab", table=2, dim=2, label="<T(1,1), X_alpha+beta>",
-         basis=[_T11, _XAB], degraaf=("K2", ()), sw="auto",
-         iso_source="degraaf", iso_columns=[["1/2", 0], [0, 1]],
-         equivalences=_claims(
-             ("A image <T(1,-1), X_beta>", "A", None, (_T1M1, _XB), None, None),
-             ("rank-2 plane element rotates in", "glblock:1,1,1,-1",
-              (_T11, (0, 0, 1, 0, 0, -1)), None, None, None),
-             ("zero-weight shear clears X_a2b", "shear:alpha_plus_beta:1",
-              (_T1M1, (0, 0, 0, 1, 0, 2)), (_T1M1, _XB), None, None),
-         )),
-    _row(row_id="d2_T11Xb_Xa2b", table=2, dim=2,
-         label="<T(1,1)+X_beta, X_alpha+2beta>",
-         basis=[(1, 1, 0, 1, 0, 0), _XA2B], degraaf=("K2", ()), sw="auto",
-         iso_source="degraaf", iso_columns=[["1/2", 0], [0, 1]],
-         equivalences=_claims(
-             ("A image <T(1,-1)+X_alpha+beta, X_alpha+2beta>", "A",
-              None, ((1, -1, 0, 0, 1, 0), _XA2B), None, None),
-             ("W joins <T(1,-1)+Xab, X_alpha> to the A image", "W",
-              ((1, -1, 0, 0, 1, 0), _XA), ((1, -1, 0, 0, 1, 0), _XA2B), None, None),
-         )),
-    _row(row_id="d2_T10Xa_Xab", table=2, dim=2,
-         label="<T(1,0)+X_alpha, X_alpha+beta>",
-         basis=[(1, 0, 1, 0, 0, 0), _XAB], degraaf=("K2", ()), sw="auto",
-         iso_source="degraaf", iso_columns=[[1, 0], [0, 1]],
-         equivalences=_claims(
-             ("W image of <T(0,1)+X_alpha+2beta, X_alpha+beta>", "W",
-              ((0, 1, 0, 0, 0, 1), _XAB), None, None, None),
-             ("A relates the two T(0,1)+X_a2b forms", "A",
-              ((0, 1, 0, 0, 0, 1), _XB), ((0, -1, 0, 0, 0, 1), _XAB), None, None),
-         )),
-    _row(row_id="d2_T10Xa_Xa2b", table=2, dim=2,
-         label="<T(1,0)+X_alpha, X_alpha+2beta>",
-         basis=[(1, 0, 1, 0, 0, 0), _XA2B], degraaf=("K2", ()), sw="auto",
-         iso_source="degraaf", iso_columns=[["1/2", 0], [0, 1]],
-         equivalences=_claims(
-             ("W image of <T(0,1)+X_alpha+2beta, X_alpha>", "W",
-              ((0, 1, 0, 0, 0, 1), _XA), None, None, None),
-         )),
-    _row(row_id="d2_Xa_Xab", table=2, dim=2, label="<X_alpha, X_alpha+beta>",
-         basis=[_XA, _XAB], degraaf=("K1", ()), sw="auto",
-         equivalences=_claims(
-             ("<X_beta, X_alpha+2beta> joins via WA", "W A",
-              (_XB, _XA2B), None, None, None),
-         )),
-    _row(row_id="d2_Xa_Xa2b", table=2, dim=2, label="<X_alpha, X_alpha+2beta>",
-         basis=[_XA, _XA2B], degraaf=("K1", ()), sw="auto"),
-    _row(row_id="d2_XaXb_Xa2b", table=2, dim=2,
-         label="<X_alpha+X_beta, X_alpha+2beta>",
-         basis=[(0, 0, 1, 1, 0, 0), _XA2B], degraaf=("K1", ()), sw="auto",
-         equivalences=_claims(
-             ("shear removes the alpha+beta component", "shear:alpha:3",
-              ((0, 0, 4, 1, 3, 0), _XA2B), ((0, 0, 4, 1, 0, 0), _XA2B), None, None),
-             ("diagonal rescales X_beta+4X_alpha (z=2)", "diag:1/2,1/2,2,2",
-              ((0, 0, 4, 1, 0, 0), _XA2B), None, None, None),
-         )),
+    CatalogEntry(row_id="d2_t", dim=2, label="t (Cartan)",
+                 basis=[_T10, _T01], degraaf=("K1", ())),
+    CatalogEntry(row_id="d2_T31_XaXb", dim=2, label="<T(3,1), X_alpha+X_beta>",
+                 basis=[_T(3, 1), (0, 0, 1, 1, 0, 0)],
+                 degraaf=("K2", ()),
+                 iso_columns=[["1/2", 0], [0, 1]],
+                 equivalences=(
+                     ("4Xa+Xb normalizes (u=2)", "diag:1/2,1/2,2,2",
+                      (_T(3, 1), (0, 0, 4, 1, 0, 0)), None, None, None),
+                     ("Xa+4Xb normalizes (u=1,s=4)", "diag:1/4,1,4,1",
+                      (_T(3, 1), (0, 0, 1, 4, 0, 0)), None, None, None),
+                 )),
+    CatalogEntry(row_id="d2_Ta1_Xa", dim=2, label="<T(a,1), X_alpha>",
+                 basis=[_T("a", 1), _XA], excluded=("0", "1", "-1"),
+                 degraaf=("K2", ()),
+                 iso_columns=[["1/2", 0], [0, 1]],
+                 param_equiv=("-a",),
+                 equivalences=(
+                     ("a -> -a via AJ", "AJ", None, None, "-a", None),
+                     ("W image <T(1,a), X_alpha+2beta>", "W", None,
+                      ((1, "a", 0, 0, 0, 0), _XA2B), None, None),
+                 )),
+    CatalogEntry(row_id="d2_Ta1_Xb", dim=2, label="<T(a,1), X_beta>",
+                 basis=[_T("a", 1), _XB], excluded=("0", "1", "-1"),
+                 degraaf=("K2", ()),
+                 iso_columns=[["1/(a-1)", 0], [0, 1]],
+                 param_equiv=("1/a",),
+                 equivalences=(
+                     ("a -> 1/a via A W A", "A W A", None, None, "1/a", None),
+                     ("A image <T(a,-1), X_alpha+beta>", "A", None,
+                      (("a", -1, 0, 0, 0, 0), _XAB), None, None),
+                 )),
+    CatalogEntry(row_id="d2_T10_Xa", dim=2, label="<T(1,0), X_alpha> (abelian)",
+                 basis=[_T10, _XA], degraaf=("K1", ()),
+                 equivalences=(
+                     ("W image <T(0,1), X_alpha+2beta>", "W", None, (_T01, _XA2B), None, None),
+                 )),
+    CatalogEntry(row_id="d2_T10_Xb", dim=2, label="<T(1,0), X_beta>",
+                 basis=[_T10, _XB], degraaf=("K2", ()),
+                 iso_columns=[[1, 0], [0, 1]],
+                 equivalences=(
+                     ("beta line rotates to alpha+beta", "block:0,-1,1,0",
+                      None, (_T10, _XAB), None, None),
+                     ("<T(0,1), X_alpha+beta> joins via W", "W",
+                      (_T01, _XAB), (_T10, _XAB), None, None),
+                     ("<T(0,1), X_beta> rotates via A", "A",
+                      (_T01, _XB), (_T01, _XAB), None, None),
+                     ("mixed beta directions normalize", "block:1,3/2,0,1",
+                      (_T10, (0, 0, 0, 2, 3, 0)), None, None, None),
+                 )),
+    CatalogEntry(row_id="d2_T10_Xa2b", dim=2, label="<T(1,0), X_alpha+2beta>",
+                 basis=[_T10, _XA2B], degraaf=("K2", ()),
+                 iso_columns=[["1/2", 0], [0, 1]],
+                 equivalences=(
+                     ("<T(0,1), X_alpha> joins via W", "W", (_T01, _XA), None, None, None),
+                 )),
+    CatalogEntry(row_id="d2_T11_Xa", dim=2, label="<T(1,1), X_alpha>",
+                 basis=[_T11, _XA], degraaf=("K2", ()),
+                 iso_columns=[["1/2", 0], [0, 1]],
+                 equivalences=(
+                     ("<T(1,1), X_alpha+2beta> rotates in", "glblock:0,1,-1,0",
+                      (_T11, _XA2B), None, None, None),
+                     ("<T(1,-1), X_alpha> joins via AJ", "AJ", (_T1M1, _XA), None, None, None),
+                     ("<T(1,-1), X_a2b> joins via A", "A",
+                      (_T1M1, _XA2B), (_T11, _XA2B), None, None),
+                 )),
+    CatalogEntry(row_id="d2_T11_Xb", dim=2, label="<T(1,1), X_beta> (abelian)",
+                 basis=[_T11, _XB], degraaf=("K1", ()),
+                 equivalences=(
+                     ("A image <T(1,-1), X_alpha+beta>", "A", None, (_T1M1, _XAB), None, None),
+                 )),
+    CatalogEntry(row_id="d2_T11_Xab", dim=2, label="<T(1,1), X_alpha+beta>",
+                 basis=[_T11, _XAB], degraaf=("K2", ()),
+                 iso_columns=[["1/2", 0], [0, 1]],
+                 equivalences=(
+                     ("A image <T(1,-1), X_beta>", "A", None, (_T1M1, _XB), None, None),
+                     ("rank-2 plane element rotates in", "glblock:1,1,1,-1",
+                      (_T11, (0, 0, 1, 0, 0, -1)), None, None, None),
+                     ("zero-weight shear clears X_a2b", "shear:alpha_plus_beta:1",
+                      (_T1M1, (0, 0, 0, 1, 0, 2)), (_T1M1, _XB), None, None),
+                 )),
+    CatalogEntry(row_id="d2_T11Xb_Xa2b", dim=2,
+                 label="<T(1,1)+X_beta, X_alpha+2beta>",
+                 basis=[(1, 1, 0, 1, 0, 0), _XA2B], degraaf=("K2", ()),
+                 iso_columns=[["1/2", 0], [0, 1]],
+                 equivalences=(
+                     ("A image <T(1,-1)+X_alpha+beta, X_alpha+2beta>", "A",
+                      None, ((1, -1, 0, 0, 1, 0), _XA2B), None, None),
+                     ("W joins <T(1,-1)+Xab, X_alpha> to the A image", "W",
+                      ((1, -1, 0, 0, 1, 0), _XA), ((1, -1, 0, 0, 1, 0), _XA2B), None, None),
+                 )),
+    CatalogEntry(row_id="d2_T10Xa_Xab", dim=2,
+                 label="<T(1,0)+X_alpha, X_alpha+beta>",
+                 basis=[(1, 0, 1, 0, 0, 0), _XAB], degraaf=("K2", ()),
+                 iso_columns=[[1, 0], [0, 1]],
+                 equivalences=(
+                     ("W image of <T(0,1)+X_alpha+2beta, X_alpha+beta>", "W",
+                      ((0, 1, 0, 0, 0, 1), _XAB), None, None, None),
+                     ("A relates the two T(0,1)+X_a2b forms", "A",
+                      ((0, 1, 0, 0, 0, 1), _XB), ((0, -1, 0, 0, 0, 1), _XAB), None, None),
+                 )),
+    CatalogEntry(row_id="d2_T10Xa_Xa2b", dim=2,
+                 label="<T(1,0)+X_alpha, X_alpha+2beta>",
+                 basis=[(1, 0, 1, 0, 0, 0), _XA2B], degraaf=("K2", ()),
+                 iso_columns=[["1/2", 0], [0, 1]],
+                 equivalences=(
+                     ("W image of <T(0,1)+X_alpha+2beta, X_alpha>", "W",
+                      ((0, 1, 0, 0, 0, 1), _XA), None, None, None),
+                 )),
+    CatalogEntry(row_id="d2_Xa_Xab", dim=2, label="<X_alpha, X_alpha+beta>",
+                 basis=[_XA, _XAB], degraaf=("K1", ()),
+                 equivalences=(
+                     ("<X_beta, X_alpha+2beta> joins via WA", "W A",
+                      (_XB, _XA2B), None, None, None),
+                 )),
+    CatalogEntry(row_id="d2_Xa_Xa2b", dim=2, label="<X_alpha, X_alpha+2beta>",
+                 basis=[_XA, _XA2B], degraaf=("K1", ())),
+    CatalogEntry(row_id="d2_XaXb_Xa2b", dim=2,
+                 label="<X_alpha+X_beta, X_alpha+2beta>",
+                 basis=[(0, 0, 1, 1, 0, 0), _XA2B], degraaf=("K1", ()),
+                 equivalences=(
+                     ("shear removes the alpha+beta component", "shear:alpha:3",
+                      ((0, 0, 4, 1, 3, 0), _XA2B), ((0, 0, 4, 1, 0, 0), _XA2B), None, None),
+                     ("diagonal rescales X_beta+4X_alpha (z=2)", "diag:1/2,1/2,2,2",
+                      ((0, 0, 4, 1, 0, 0), _XA2B), None, None, None),
+                 )),
 )
 
 
@@ -379,166 +403,148 @@ _TABLE2 = (
 # ---------------------------------------------------------------------------
 
 _TABLE3 = (
-    _row(row_id="d3_t_Xa", table=3, dim=3, label="<t, X_alpha>",
-         basis=[_T10, _T01, _XA], degraaf=("L3", ("0",)), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[1, 0, 1], [0, 0, 1], [0, "1/2", 0]],
-         equivalences=_claims(
-             ("W image <t, X_alpha+2beta>", "W", None, (_T10, _T01, _XA2B), None, None),
-         )),
-    _row(row_id="d3_t_Xb", table=3, dim=3, label="<t, X_beta>",
-         basis=[_T10, _T01, _XB], degraaf=("L3", ("0",)), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[1, 1, 1], [0, 0, 1], [1, 0, 0]],
-         equivalences=_claims(
-             ("A image <t, X_alpha+beta>", "A", None, (_T10, _T01, _XAB), None, None),
-         )),
-    _row(row_id="d3_Ta1_Xa_Xab", table=3, dim=3,
-         label="<T(a,1), X_alpha, X_alpha+beta>",
-         basis=[_T("a", 1), _XA, _XAB], param=True,
-         excluded=("0", "1", "-1", "-3"),
-         degraaf=("L3", ("-2*(a+1)/(a+3)^2",)), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 1], [0, "2/(a+3)", "(a+1)/(a+3)"], ["1/(a+3)", 0, 0]],
-         equivalences=_claims(
-             ("W joins <T(a,1), X_ab, X_a2b> at 1/a", "W",
-              (_T("a", 1), _XAB, _XA2B), None, "1/a", None),
-             ("W A joins <T(a,1), X_b, X_a2b> at -1/a", "W A",
-              (_T("a", 1), _XB, _XA2B), None, "-1/a", None),
-         )),
-    _row(row_id="d3_Tm31_Xa_Xab", table=3, dim=3,
-         label="<T(-3,1), X_alpha, X_alpha+beta>",
-         basis=[_T(-3, 1), _XA, _XAB],
-         degraaf=("L4", ("1",)), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 1], [0, 1, -1], ["1/2", 0, 0]]),
-    _row(row_id="d3_Ta1_Xa_Xa2b", table=3, dim=3,
-         label="<T(a,1), X_alpha, X_alpha+2beta>",
-         basis=[_T("a", 1), _XA, _XA2B], param=True, excluded=("0", "1", "-1"),
-         degraaf=("L3", ("-a/(a+1)^2",)), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 1], [0, "1/(a+1)", "a/(a+1)"], ["1/(2*a+2)", 0, 0]],
-         param_equiv=("1/a",),
-         equivalences=_claims(
-             ("a -> 1/a via W", "W", None, None, "1/a", None),
-         )),
-    _row(row_id="d3_T31_XaXb_Xa2b", table=3, dim=3,
-         label="<T(3,1), X_alpha+X_beta, X_alpha+2beta>",
-         basis=[_T(3, 1), (0, 0, 1, 1, 0, 0), _XA2B],
-         degraaf=("L3", ("-3/16",)), sw=("s_{3,1}", ("1/3",)),
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 1], [0, "1/4", "3/4"], ["1/8", 0, 0]],
-         equivalences=_claims(
-             ("4Xa+Xb normalizes (u=2)", "diag:1/2,1/2,2,2",
-              (_T(3, 1), (0, 0, 4, 1, 0, 0), _XA2B), None, None, None),
-         )),
-    _row(row_id="d3_T10_Xa_Xab", table=3, dim=3,
-         label="<T(1,0), X_alpha, X_alpha+beta>",
-         basis=[_T10, _XA, _XAB], degraaf=("L3", ("0",)), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 1], [0, 0, 1], [1, 0, 0]],
-         equivalences=_claims(
-             ("W image of <T(0,1), X_ab, X_a2b>", "W",
-              (_T01, _XAB, _XA2B), None, None, None),
-             ("A joins <T(0,1), X_b, X_a2b>", "A",
-              (_T01, _XB, _XA2B), ((0, -1, 0, 0, 0, 0), _XAB, _XA2B), None, None),
-         )),
-    _row(row_id="d3_T10_Xa_Xa2b", table=3, dim=3,
-         label="<T(1,0), X_alpha, X_alpha+2beta>",
-         basis=[_T10, _XA, _XA2B], degraaf=("L3", ("0",)), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 1], [0, 0, 1], ["1/2", 0, 0]],
-         equivalences=_claims(
-             ("W image of <T(0,1), X_a, X_a2b>", "W",
-              (_T01, _XA, _XA2B), None, None, None),
-         )),
-    _row(row_id="d3_T10_Xab_Xa2b", table=3, dim=3,
-         label="<T(1,0), X_alpha+beta, X_alpha+2beta>",
-         basis=[_T10, _XAB, _XA2B], degraaf=("L3", ("-2/9",)),
-         sw=("s_{3,1}", ("1/2",)),
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 1], [0, "1/3", "2/3"], ["1/3", 0, 0]],
-         equivalences=_claims(
-             ("beta direction rotates in", "block:0,-1,1,0",
-              (_T10, _XB, _XA2B), None, None, None),
-             ("mixed beta directions normalize", "block:1,3/2,0,1",
-              (_T10, (0, 0, 0, 2, 3, 0), _XA2B), (_T10, _XB, _XA2B), None, None),
-             ("W image of <T(0,1), X_a, X_ab>", "W",
-              (_T01, _XA, _XAB), None, None, None),
-         )),
-    _row(row_id="d3_T1m1_Xab_Xa2b", table=3, dim=3,
-         label="<T(1,-1), X_alpha+beta, X_alpha+2beta>",
-         basis=[_T1M1, _XAB, _XA2B], degraaf=("L3", ("0",)), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 1], [0, 0, 1], ["1/2", 0, 0]],
-         equivalences=_claims(
-             ("A image <T(1,1), X_beta, X_a2b>", "A",
-              None, (_T11, _XB, _XA2B), None, None),
-             ("W image of <T(1,-1), X_a, X_ab>", "W",
-              (_T1M1, _XA, _XAB), None, None, None),
-         )),
-    _row(row_id="d3_T1m1_Xa_Xa2b", table=3, dim=3,
-         label="<T(1,-1), X_alpha, X_alpha+2beta>",
-         basis=[_T1M1, _XA, _XA2B], degraaf=("L4", ("1",)), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 1], [0, -1, 1], ["1/2", 0, 0]]),
-    _row(row_id="d3_T1m1_Xb_Xa2b", table=3, dim=3,
-         label="<T(1,-1), X_beta, X_alpha+2beta>",
-         basis=[_T1M1, _XB, _XA2B], degraaf=("L2", ()), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 0], [0, 0, 1], ["1/2", 0, 0]],
-         equivalences=_claims(
-             ("A image <T(1,1), X_alpha+beta, X_a2b>", "A",
-              None, (_T11, _XAB, _XA2B), None, None),
-         )),
-    _row(row_id="d3_T11_Xa_Xa2b", table=3, dim=3,
-         label="<T(1,1), X_alpha, X_alpha+2beta>",
-         basis=[_T11, _XA, _XA2B], degraaf=("L2", ()), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 0], [0, 0, 1], ["1/2", 0, 0]]),
-    _row(row_id="d3_T11Xb_Xab_Xa2b", table=3, dim=3,
-         label="<T(1,1)+X_beta, X_alpha+beta, X_alpha+2beta>",
-         basis=[(1, 1, 0, 1, 0, 0), _XAB, _XA2B],
-         degraaf=("L3", ("-1/4",)), sw=("s_{3,2}", ()),
-         iso_source="degraaf",
-         iso_columns=[[0, 2, -2], [0, 1, 0], ["1/4", 0, 0]],
-         equivalences=_claims(
-             ("A image <T(1,-1)+X_ab, X_beta, X_a2b>", "A",
-              None, ((1, -1, 0, 0, 1, 0), _XB, _XA2B), None, None),
-         )),
-    _row(row_id="d3_T1m1Xab_Xa_Xa2b", table=3, dim=3,
-         label="<T(1,-1)+X_alpha+beta, X_alpha, X_alpha+2beta>",
-         basis=[(1, -1, 0, 0, 1, 0), _XA, _XA2B],
-         degraaf=("L4", ("1",)), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 1], [0, -1, 1], ["1/2", 0, 0]]),
-    _row(row_id="d3_T10Xa_Xab_Xa2b", table=3, dim=3,
-         label="<T(1,0)+X_alpha, X_alpha+beta, X_alpha+2beta>",
-         basis=[(1, 0, 1, 0, 0, 0), _XAB, _XA2B],
-         degraaf=("L3", ("-2/9",)), sw=("s_{3,1}", ("1/2",)),
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 1], [0, "1/3", "2/3"], ["1/3", 0, 0]],
-         equivalences=_claims(
-             ("W image <T(0,1)+X_a2b, X_alpha, X_ab>", "W",
-              None, ((0, 1, 0, 0, 0, 1), _XA, _XAB), None, None),
-         )),
-    _row(row_id="d3_np", table=3, dim=3, label="n_p (abelian nilradical of p)",
-         basis=list(_NP), degraaf=("L1", ()), sw="auto"),
-    _row(row_id="d3_Xb_Xab_Xa2b", table=3, dim=3,
-         label="<X_beta, X_alpha+beta, X_alpha+2beta>",
-         basis=[_XB, _XAB, _XA2B], degraaf=("L4", ("0",)), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 0], [0, 0, 1], ["1/2", 0, 0]]),
-    _row(row_id="d3_XaXb_Xab_Xa2b", table=3, dim=3,
-         label="<X_alpha+X_beta, X_alpha+beta, X_alpha+2beta>",
-         basis=[(0, 0, 1, 1, 0, 0), _XAB, _XA2B],
-         degraaf=("L4", ("0",)), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 0], [0, 0, 1], ["1/2", 0, 0]],
-         equivalences=_claims(
-             ("diagonal rescales 3Xa+2Xb", "diag:3/2,1,2/3,1",
-              ((0, 0, 3, 2, 0, 0), _XAB, _XA2B), None, None, None),
-         )),
+    CatalogEntry(row_id="d3_t_Xa", dim=3, label="<t, X_alpha>",
+                 basis=[_T10, _T01, _XA], degraaf=("L3", ("0",)),
+                 iso_columns=[[1, 0, 1], [0, 0, 1], [0, "1/2", 0]],
+                 equivalences=(
+                     ("W image <t, X_alpha+2beta>", "W", None, (_T10, _T01, _XA2B), None, None),
+                 )),
+    CatalogEntry(row_id="d3_t_Xb", dim=3, label="<t, X_beta>",
+                 basis=[_T10, _T01, _XB], degraaf=("L3", ("0",)),
+                 iso_columns=[[1, 1, 1], [0, 0, 1], [1, 0, 0]],
+                 equivalences=(
+                     ("A image <t, X_alpha+beta>", "A", None, (_T10, _T01, _XAB), None, None),
+                 )),
+    CatalogEntry(row_id="d3_Ta1_Xa_Xab", dim=3,
+                 label="<T(a,1), X_alpha, X_alpha+beta>",
+                 basis=[_T("a", 1), _XA, _XAB],
+                 excluded=("0", "1", "-1", "-3"),
+                 degraaf=("L3", ("-2*(a+1)/(a+3)^2",)),
+                 iso_columns=[[0, 1, 1], [0, "2/(a+3)", "(a+1)/(a+3)"], ["1/(a+3)", 0, 0]],
+                 equivalences=(
+                     ("W joins <T(a,1), X_ab, X_a2b> at 1/a", "W",
+                      (_T("a", 1), _XAB, _XA2B), None, "1/a", None),
+                     ("W A joins <T(a,1), X_b, X_a2b> at -1/a", "W A",
+                      (_T("a", 1), _XB, _XA2B), None, "-1/a", None),
+                 )),
+    CatalogEntry(row_id="d3_Tm31_Xa_Xab", dim=3,
+                 label="<T(-3,1), X_alpha, X_alpha+beta>",
+                 basis=[_T(-3, 1), _XA, _XAB],
+                 degraaf=("L4", ("1",)),
+                 iso_columns=[[0, 1, 1], [0, 1, -1], ["1/2", 0, 0]]),
+    CatalogEntry(row_id="d3_Ta1_Xa_Xa2b", dim=3,
+                 label="<T(a,1), X_alpha, X_alpha+2beta>",
+                 basis=[_T("a", 1), _XA, _XA2B], excluded=("0", "1", "-1"),
+                 degraaf=("L3", ("-a/(a+1)^2",)),
+                 iso_columns=[[0, 1, 1], [0, "1/(a+1)", "a/(a+1)"], ["1/(2*a+2)", 0, 0]],
+                 param_equiv=("1/a",),
+                 equivalences=(
+                     ("a -> 1/a via W", "W", None, None, "1/a", None),
+                 )),
+    CatalogEntry(row_id="d3_T31_XaXb_Xa2b", dim=3,
+                 label="<T(3,1), X_alpha+X_beta, X_alpha+2beta>",
+                 basis=[_T(3, 1), (0, 0, 1, 1, 0, 0), _XA2B],
+                 degraaf=("L3", ("-3/16",)), sw=("s_{3,1}", ("1/3",)),
+                 iso_columns=[[0, 1, 1], [0, "1/4", "3/4"], ["1/8", 0, 0]],
+                 equivalences=(
+                     ("4Xa+Xb normalizes (u=2)", "diag:1/2,1/2,2,2",
+                      (_T(3, 1), (0, 0, 4, 1, 0, 0), _XA2B), None, None, None),
+                 )),
+    CatalogEntry(row_id="d3_T10_Xa_Xab", dim=3,
+                 label="<T(1,0), X_alpha, X_alpha+beta>",
+                 basis=[_T10, _XA, _XAB], degraaf=("L3", ("0",)),
+                 iso_columns=[[0, 1, 1], [0, 0, 1], [1, 0, 0]],
+                 equivalences=(
+                     ("W image of <T(0,1), X_ab, X_a2b>", "W",
+                      (_T01, _XAB, _XA2B), None, None, None),
+                     ("A joins <T(0,1), X_b, X_a2b>", "A",
+                      (_T01, _XB, _XA2B), ((0, -1, 0, 0, 0, 0), _XAB, _XA2B), None, None),
+                 )),
+    CatalogEntry(row_id="d3_T10_Xa_Xa2b", dim=3,
+                 label="<T(1,0), X_alpha, X_alpha+2beta>",
+                 basis=[_T10, _XA, _XA2B], degraaf=("L3", ("0",)),
+                 iso_columns=[[0, 1, 1], [0, 0, 1], ["1/2", 0, 0]],
+                 equivalences=(
+                     ("W image of <T(0,1), X_a, X_a2b>", "W",
+                      (_T01, _XA, _XA2B), None, None, None),
+                 )),
+    CatalogEntry(row_id="d3_T10_Xab_Xa2b", dim=3,
+                 label="<T(1,0), X_alpha+beta, X_alpha+2beta>",
+                 basis=[_T10, _XAB, _XA2B], degraaf=("L3", ("-2/9",)),
+                 sw=("s_{3,1}", ("1/2",)),
+                 iso_columns=[[0, 1, 1], [0, "1/3", "2/3"], ["1/3", 0, 0]],
+                 equivalences=(
+                     ("beta direction rotates in", "block:0,-1,1,0",
+                      (_T10, _XB, _XA2B), None, None, None),
+                     ("mixed beta directions normalize", "block:1,3/2,0,1",
+                      (_T10, (0, 0, 0, 2, 3, 0), _XA2B), (_T10, _XB, _XA2B), None, None),
+                     ("W image of <T(0,1), X_a, X_ab>", "W",
+                      (_T01, _XA, _XAB), None, None, None),
+                 )),
+    CatalogEntry(row_id="d3_T1m1_Xab_Xa2b", dim=3,
+                 label="<T(1,-1), X_alpha+beta, X_alpha+2beta>",
+                 basis=[_T1M1, _XAB, _XA2B], degraaf=("L3", ("0",)),
+                 iso_columns=[[0, 1, 1], [0, 0, 1], ["1/2", 0, 0]],
+                 equivalences=(
+                     ("A image <T(1,1), X_beta, X_a2b>", "A",
+                      None, (_T11, _XB, _XA2B), None, None),
+                     ("W image of <T(1,-1), X_a, X_ab>", "W",
+                      (_T1M1, _XA, _XAB), None, None, None),
+                 )),
+    CatalogEntry(row_id="d3_T1m1_Xa_Xa2b", dim=3,
+                 label="<T(1,-1), X_alpha, X_alpha+2beta>",
+                 basis=[_T1M1, _XA, _XA2B], degraaf=("L4", ("1",)),
+                 iso_columns=[[0, 1, 1], [0, -1, 1], ["1/2", 0, 0]]),
+    CatalogEntry(row_id="d3_T1m1_Xb_Xa2b", dim=3,
+                 label="<T(1,-1), X_beta, X_alpha+2beta>",
+                 basis=[_T1M1, _XB, _XA2B], degraaf=("L2", ()),
+                 iso_columns=[[0, 1, 0], [0, 0, 1], ["1/2", 0, 0]],
+                 equivalences=(
+                     ("A image <T(1,1), X_alpha+beta, X_a2b>", "A",
+                      None, (_T11, _XAB, _XA2B), None, None),
+                 )),
+    CatalogEntry(row_id="d3_T11_Xa_Xa2b", dim=3,
+                 label="<T(1,1), X_alpha, X_alpha+2beta>",
+                 basis=[_T11, _XA, _XA2B], degraaf=("L2", ()),
+                 iso_columns=[[0, 1, 0], [0, 0, 1], ["1/2", 0, 0]]),
+    CatalogEntry(row_id="d3_T11Xb_Xab_Xa2b", dim=3,
+                 label="<T(1,1)+X_beta, X_alpha+beta, X_alpha+2beta>",
+                 basis=[(1, 1, 0, 1, 0, 0), _XAB, _XA2B],
+                 degraaf=("L3", ("-1/4",)), sw=("s_{3,2}", ()),
+                 iso_columns=[[0, 2, -2], [0, 1, 0], ["1/4", 0, 0]],
+                 equivalences=(
+                     ("A image <T(1,-1)+X_ab, X_beta, X_a2b>", "A",
+                      None, ((1, -1, 0, 0, 1, 0), _XB, _XA2B), None, None),
+                 )),
+    CatalogEntry(row_id="d3_T1m1Xab_Xa_Xa2b", dim=3,
+                 label="<T(1,-1)+X_alpha+beta, X_alpha, X_alpha+2beta>",
+                 basis=[(1, -1, 0, 0, 1, 0), _XA, _XA2B],
+                 degraaf=("L4", ("1",)),
+                 iso_columns=[[0, 1, 1], [0, -1, 1], ["1/2", 0, 0]]),
+    CatalogEntry(row_id="d3_T10Xa_Xab_Xa2b", dim=3,
+                 label="<T(1,0)+X_alpha, X_alpha+beta, X_alpha+2beta>",
+                 basis=[(1, 0, 1, 0, 0, 0), _XAB, _XA2B],
+                 degraaf=("L3", ("-2/9",)), sw=("s_{3,1}", ("1/2",)),
+                 iso_columns=[[0, 1, 1], [0, "1/3", "2/3"], ["1/3", 0, 0]],
+                 equivalences=(
+                     ("W image <T(0,1)+X_a2b, X_alpha, X_ab>", "W",
+                      None, ((0, 1, 0, 0, 0, 1), _XA, _XAB), None, None),
+                 )),
+    CatalogEntry(row_id="d3_np", dim=3, label="n_p (abelian nilradical of p)",
+                 basis=list(_NP), degraaf=("L1", ())),
+    CatalogEntry(row_id="d3_Xb_Xab_Xa2b", dim=3,
+                 label="<X_beta, X_alpha+beta, X_alpha+2beta>",
+                 basis=[_XB, _XAB, _XA2B], degraaf=("L4", ("0",)),
+                 iso_columns=[[0, 1, 0], [0, 0, 1], ["1/2", 0, 0]]),
+    CatalogEntry(row_id="d3_XaXb_Xab_Xa2b", dim=3,
+                 label="<X_alpha+X_beta, X_alpha+beta, X_alpha+2beta>",
+                 basis=[(0, 0, 1, 1, 0, 0), _XAB, _XA2B],
+                 degraaf=("L4", ("0",)),
+                 iso_columns=[[0, 1, 0], [0, 0, 1], ["1/2", 0, 0]],
+                 equivalences=(
+                     ("diagonal rescales 3Xa+2Xb", "diag:3/2,1,2/3,1",
+                      ((0, 0, 3, 2, 0, 0), _XAB, _XA2B), None, None, None),
+                 )),
 )
 
 
@@ -547,167 +553,145 @@ _TABLE3 = (
 # ---------------------------------------------------------------------------
 
 _TABLE45 = (
-    _row(row_id="d4_t_Xa_Xab", table=4, dim=4, label="<t, X_alpha, X_alpha+beta>",
-         basis=[_T10, _T01, _XA, _XAB], degraaf=("M8", ()), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[["-1/2", "1/2", 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
-         equivalences=_claims(
-             ("W image <t, X_ab, X_a2b>", "W", None, (_T10, _T01, _XAB, _XA2B), None, None),
-             ("A joins <t, X_b, X_a2b>", "A",
-              (_T10, _T01, _XB, _XA2B), (_T10, _T01, _XAB, _XA2B), None, None),
-         )),
-    _row(row_id="d4_t_Xa_Xa2b", table=4, dim=4, label="<t, X_alpha, X_alpha+2beta>",
-         basis=[_T10, _T01, _XA, _XA2B], degraaf=("M8", ()), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, "1/2", 0, 0], [0, 0, 1, 0], ["1/2", 0, 0, 0], [0, 0, 0, 1]]),
-    _row(row_id="d4_Ta1_np", table=4, dim=4, label="<T(a,1), n_p>",
-         basis=[_T("a", 1), _XA, _XAB, _XA2B], param=True, excluded=("0", "1", "-1"),
-         degraaf=("M6", ("4*a/(27*(a+1)^2)", "-2*(a^2+4*a+1)/(9*(a+1)^2)")),
-         sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, "9*(a+1)^2/4", 9, "9*(a+1)^2/(4*a^2)"],
-                      [0, "3*(a+1)/2", 3, "3*(a+1)/(2*a)"],
-                      [0, 1, 1, 1],
-                      ["1/(3*(a+1))", 0, 0, 0]],
-         param_equiv=("1/a",),
-         equivalences=_claims(
-             ("a -> 1/a via W", "W", None, None, "1/a", None),
-         )),
-    _row(row_id="d4_Ta1_Xb_Xab_Xa2b", table=4, dim=4,
-         label="<T(a,1), X_beta, X_alpha+beta, X_alpha+2beta>",
-         basis=[_T("a", 1), _XB, _XAB, _XA2B], param=True, excluded=("0", "1", "-1"),
-         degraaf=("M13", ("(1-a^2)/(4*a^2)",)), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 1, 0],
-                      [0, 0, 0, "8*a/(a^2-1)"],
-                      [0, "2*a/(a-1)", "2*a/(a+1)", 0],
-                      ["1/(2*a)", 0, 0, 0]],
-         param_equiv=("-a",),
-         equivalences=_claims(
-             ("a -> -a via A", "A", None, None, "-a", None),
-         )),
-    _row(row_id="d4_T31_XaXb_Xab_Xa2b", table=4, dim=4,
-         label="<T(3,1), X_alpha+X_beta, X_alpha+beta, X_alpha+2beta>",
-         basis=[_T(3, 1), (0, 0, 1, 1, 0, 0), _XAB, _XA2B],
-         degraaf=("M13", ("-2/9",)), sw=("s_{4,8}", ("1/2",)),
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 2, 0], [0, 0, 0, 6], [0, 3, 3, 0], ["1/6", 0, 0, 0]],
-         equivalences=_claims(
-             ("4Xa+Xb normalizes (u=2)", "diag:1/2,1/2,2,2",
-              (_T(3, 1), (0, 0, 4, 1, 0, 0), _XAB, _XA2B), None, None, None),
-         )),
-    _row(row_id="d4_T01_np", table=4, dim=4, label="<T(0,1), n_p>",
-         basis=[_T01, _XA, _XAB, _XA2B],
-         degraaf=("M6", ("0", "-2/9")), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, "9/4", 9, 1], [0, "3/2", 3, 0], [0, 1, 1, 0],
-                      ["1/3", 0, 0, 0]],
-         equivalences=_claims(
-             ("W image <T(1,0), n_p>", "W", None, (_T10, _XA, _XAB, _XA2B), None, None),
-         )),
-    _row(row_id="d4_T01_Xb_Xab_Xa2b", table=4, dim=4,
-         label="<T(0,1), X_beta, X_alpha+beta, X_alpha+2beta>",
-         basis=[_T01, _XB, _XAB, _XA2B],
-         degraaf=("M14", ("1",)), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, -1, 1, 0], [0, 0, 0, 4], [0, 1, 1, 0], [1, 0, 0, 0]]),
-    _row(row_id="d4_T10_Xb_Xab_Xa2b", table=4, dim=4,
-         label="<T(1,0), X_beta, X_alpha+beta, X_alpha+2beta>",
-         basis=[_T10, _XB, _XAB, _XA2B],
-         degraaf=("M12", ()), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 0, 1, 0], [0, 0, 0, 1], [0, "1/2", 0, 0], [1, 0, 0, 0]]),
-    _row(row_id="d4_T11_np", table=4, dim=4, label="<T(1,1), n_p>",
-         basis=[_T11, _XA, _XAB, _XA2B],
-         degraaf=("M2", ()), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], ["1/2", 0, 0, 0]]),
-    _row(row_id="d4_T1m1_np", table=4, dim=4, label="<T(1,-1), n_p>",
-         basis=[_T1M1, _XA, _XAB, _XA2B],
-         degraaf=("M7", ("0", "1")), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 1, 1], [0, 1, 0, -1], [0, 1, 0, 1], ["-1/2", 0, 0, 0]]),
-    _row(row_id="d4_T11_Xb_Xab_Xa2b", table=4, dim=4,
-         label="<T(1,1), X_beta, X_alpha+beta, X_alpha+2beta>",
-         basis=[_T11, _XB, _XAB, _XA2B],
-         degraaf=("M13", ("0",)), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 0, 1, 0], [0, 0, 0, 1], [0, "1/2", 1, 0], ["1/2", 0, 0, 0]],
-         equivalences=_claims(
-             ("A image <T(1,-1), X_b, X_ab, X_a2b>", "A",
-              None, (_T1M1, _XB, _XAB, _XA2B), None, None),
-         )),
-    _row(row_id="d4_T11Xb_Xa_Xab_Xa2b", table=4, dim=4,
-         label="<T(1,1)+X_beta, X_alpha, X_alpha+beta, X_alpha+2beta>",
-         basis=[(1, 1, 0, 1, 0, 0), _XA, _XAB, _XA2B],
-         degraaf=("M6", ("1/27", "-1/3")), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 54, 0, 0], [0, 18, 9, 0], [0, 6, 6, 3],
-                      ["1/6", 0, 0, 0]]),
-    _row(row_id="d4_T10Xa_Xb_Xab_Xa2b", table=4, dim=4,
-         label="<T(1,0)+X_alpha, X_beta, X_alpha+beta, X_alpha+2beta>",
-         basis=[(1, 0, 1, 0, 0, 0), _XB, _XAB, _XA2B],
-         degraaf=("M13", ("-1/4",)), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, "-1/2", "1/2", 0], [0, 0, 0, -1], [0, -1, 0, 0],
-                      ["1/2", 0, 0, 0]]),
-    _row(row_id="d4_n", table=4, dim=4, label="n (nilradical of b)",
-         basis=list(_NBASIS),
-         degraaf=("M7", ("0", "0")), sw="auto",
-         iso_source="degraaf",
-         iso_columns=[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2], [1, 0, 0, 0]]),
+    CatalogEntry(row_id="d4_t_Xa_Xab", dim=4, label="<t, X_alpha, X_alpha+beta>",
+                 basis=[_T10, _T01, _XA, _XAB], degraaf=("M8", ()),
+                 iso_columns=[["-1/2", "1/2", 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
+                 equivalences=(
+                     ("W image <t, X_ab, X_a2b>", "W",
+                      None, (_T10, _T01, _XAB, _XA2B), None, None),
+                     ("A joins <t, X_b, X_a2b>", "A",
+                      (_T10, _T01, _XB, _XA2B), (_T10, _T01, _XAB, _XA2B), None, None),
+                 )),
+    CatalogEntry(row_id="d4_t_Xa_Xa2b", dim=4, label="<t, X_alpha, X_alpha+2beta>",
+                 basis=[_T10, _T01, _XA, _XA2B], degraaf=("M8", ()),
+                 iso_columns=[[0, "1/2", 0, 0], [0, 0, 1, 0], ["1/2", 0, 0, 0], [0, 0, 0, 1]]),
+    CatalogEntry(row_id="d4_Ta1_np", dim=4, label="<T(a,1), n_p>",
+                 basis=[_T("a", 1), _XA, _XAB, _XA2B], excluded=("0", "1", "-1"),
+                 degraaf=("M6", ("4*a/(27*(a+1)^2)", "-2*(a^2+4*a+1)/(9*(a+1)^2)")),
+                 iso_columns=[[0, "9*(a+1)^2/4", 9, "9*(a+1)^2/(4*a^2)"],
+                              [0, "3*(a+1)/2", 3, "3*(a+1)/(2*a)"],
+                              [0, 1, 1, 1],
+                              ["1/(3*(a+1))", 0, 0, 0]],
+                 param_equiv=("1/a",),
+                 equivalences=(
+                     ("a -> 1/a via W", "W", None, None, "1/a", None),
+                 )),
+    CatalogEntry(row_id="d4_Ta1_Xb_Xab_Xa2b", dim=4,
+                 label="<T(a,1), X_beta, X_alpha+beta, X_alpha+2beta>",
+                 basis=[_T("a", 1), _XB, _XAB, _XA2B], excluded=("0", "1", "-1"),
+                 degraaf=("M13", ("(1-a^2)/(4*a^2)",)),
+                 iso_columns=[[0, 1, 1, 0],
+                              [0, 0, 0, "8*a/(a^2-1)"],
+                              [0, "2*a/(a-1)", "2*a/(a+1)", 0],
+                              ["1/(2*a)", 0, 0, 0]],
+                 param_equiv=("-a",),
+                 equivalences=(
+                     ("a -> -a via A", "A", None, None, "-a", None),
+                 )),
+    CatalogEntry(row_id="d4_T31_XaXb_Xab_Xa2b", dim=4,
+                 label="<T(3,1), X_alpha+X_beta, X_alpha+beta, X_alpha+2beta>",
+                 basis=[_T(3, 1), (0, 0, 1, 1, 0, 0), _XAB, _XA2B],
+                 degraaf=("M13", ("-2/9",)), sw=("s_{4,8}", ("1/2",)),
+                 iso_columns=[[0, 1, 2, 0], [0, 0, 0, 6], [0, 3, 3, 0], ["1/6", 0, 0, 0]],
+                 equivalences=(
+                     ("4Xa+Xb normalizes (u=2)", "diag:1/2,1/2,2,2",
+                      (_T(3, 1), (0, 0, 4, 1, 0, 0), _XAB, _XA2B), None, None, None),
+                 )),
+    CatalogEntry(row_id="d4_T01_np", dim=4, label="<T(0,1), n_p>",
+                 basis=[_T01, _XA, _XAB, _XA2B],
+                 degraaf=("M6", ("0", "-2/9")),
+                 iso_columns=[[0, "9/4", 9, 1], [0, "3/2", 3, 0], [0, 1, 1, 0],
+                              ["1/3", 0, 0, 0]],
+                 equivalences=(
+                     ("W image <T(1,0), n_p>", "W", None, (_T10, _XA, _XAB, _XA2B), None, None),
+                 )),
+    CatalogEntry(row_id="d4_T01_Xb_Xab_Xa2b", dim=4,
+                 label="<T(0,1), X_beta, X_alpha+beta, X_alpha+2beta>",
+                 basis=[_T01, _XB, _XAB, _XA2B],
+                 degraaf=("M14", ("1",)),
+                 iso_columns=[[0, -1, 1, 0], [0, 0, 0, 4], [0, 1, 1, 0], [1, 0, 0, 0]]),
+    CatalogEntry(row_id="d4_T10_Xb_Xab_Xa2b", dim=4,
+                 label="<T(1,0), X_beta, X_alpha+beta, X_alpha+2beta>",
+                 basis=[_T10, _XB, _XAB, _XA2B],
+                 degraaf=("M12", ()),
+                 iso_columns=[[0, 0, 1, 0], [0, 0, 0, 1], [0, "1/2", 0, 0], [1, 0, 0, 0]]),
+    CatalogEntry(row_id="d4_T11_np", dim=4, label="<T(1,1), n_p>",
+                 basis=[_T11, _XA, _XAB, _XA2B],
+                 degraaf=("M2", ()),
+                 iso_columns=[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], ["1/2", 0, 0, 0]]),
+    CatalogEntry(row_id="d4_T1m1_np", dim=4, label="<T(1,-1), n_p>",
+                 basis=[_T1M1, _XA, _XAB, _XA2B],
+                 degraaf=("M7", ("0", "1")),
+                 iso_columns=[[0, 1, 1, 1], [0, 1, 0, -1], [0, 1, 0, 1], ["-1/2", 0, 0, 0]]),
+    CatalogEntry(row_id="d4_T11_Xb_Xab_Xa2b", dim=4,
+                 label="<T(1,1), X_beta, X_alpha+beta, X_alpha+2beta>",
+                 basis=[_T11, _XB, _XAB, _XA2B],
+                 degraaf=("M13", ("0",)),
+                 iso_columns=[[0, 0, 1, 0], [0, 0, 0, 1], [0, "1/2", 1, 0], ["1/2", 0, 0, 0]],
+                 equivalences=(
+                     ("A image <T(1,-1), X_b, X_ab, X_a2b>", "A",
+                      None, (_T1M1, _XB, _XAB, _XA2B), None, None),
+                 )),
+    CatalogEntry(row_id="d4_T11Xb_Xa_Xab_Xa2b", dim=4,
+                 label="<T(1,1)+X_beta, X_alpha, X_alpha+beta, X_alpha+2beta>",
+                 basis=[(1, 1, 0, 1, 0, 0), _XA, _XAB, _XA2B],
+                 degraaf=("M6", ("1/27", "-1/3")),
+                 iso_columns=[[0, 54, 0, 0], [0, 18, 9, 0], [0, 6, 6, 3],
+                              ["1/6", 0, 0, 0]]),
+    CatalogEntry(row_id="d4_T10Xa_Xb_Xab_Xa2b", dim=4,
+                 label="<T(1,0)+X_alpha, X_beta, X_alpha+beta, X_alpha+2beta>",
+                 basis=[(1, 0, 1, 0, 0, 0), _XB, _XAB, _XA2B],
+                 degraaf=("M13", ("-1/4",)),
+                 iso_columns=[[0, "-1/2", "1/2", 0], [0, 0, 0, -1], [0, -1, 0, 0],
+                              ["1/2", 0, 0, 0]]),
+    CatalogEntry(row_id="d4_n", dim=4, label="n (nilradical of b)",
+                 basis=list(_NBASIS),
+                 degraaf=("M7", ("0", "0")),
+                 iso_columns=[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2], [1, 0, 0, 0]]),
     # ---- Table 5 (dimensions 5 and 6) ----
-    _row(row_id="d5_t_np", table=5, dim=5, label="<t, n_p>",
-         basis=[_T10, _T01, _XA, _XAB, _XA2B],
-         sw=("s_{5,41}", ("1/2", "1/2")),
-         iso_source="sw",
-         iso_columns=[[0, 0, 1, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, -1, 0],
-                      [0, "1/2", 0, 0, 0], ["1/2", 0, 0, 0, 0]]),
-    _row(row_id="d5_t_Xb_Xab_Xa2b", table=5, dim=5,
-         label="<t, X_beta, X_alpha+beta, X_alpha+2beta>",
-         basis=[_T10, _T01, _XB, _XAB, _XA2B],
-         sw=("s_{5,44}", ()),
-         iso_source="sw",
-         iso_columns=[[0, 0, 0, 0, 2], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
-                      ["1/2", "-1/2", 0, 0, 0], [0, -1, 0, 0, 0]]),
-    _row(row_id="d5_Ta1_n", table=5, dim=5, label="<T(a,1), n>",
-         basis=[_T("a", 1), _XB, _XA, _XAB, _XA2B],
-         param=True, excluded=("0", "1", "-1"),
-         sw=("s_{5,35}", ("2/(a-1)",)),
-         iso_source="sw",
-         iso_columns=[[0, 0, 0, 0, 2], [0, 0, 0, -1, 0], [0, 0, 1, 0, 0],
-                      [0, 1, 0, 0, 0], ["1/(a-1)", 0, 0, 0, 0]]),
-    _row(row_id="d5_T1m1_n", table=5, dim=5, label="<T(1,-1), n>",
-         basis=[_T1M1, _XB, _XA, _XAB, _XA2B],
-         sw=("s_{5,35}", ("-1",)),
-         iso_source="sw",
-         iso_columns=[[0, 0, 0, 0, 2], [0, 0, 0, -1, 0], [0, 0, 1, 0, 0],
-                      [0, 1, 0, 0, 0], ["1/2", 0, 0, 0, 0]]),
-    _row(row_id="d5_T11_n", table=5, dim=5, label="<T(1,1), n>",
-         basis=[_T11, _XB, _XA, _XAB, _XA2B],
-         sw=("s_{5,37}", ()),
-         iso_source="sw",
-         iso_columns=[[0, 0, 0, 0, 2], [0, 0, 0, -1, 0], [0, 0, 1, 0, 0],
-                      [0, 1, 0, 0, 0], ["1/2", 0, 0, 0, 0]]),
-    _row(row_id="d5_T10_n", table=5, dim=5, label="<T(1,0), n>",
-         basis=[_T10, _XB, _XA, _XAB, _XA2B],
-         sw=("s_{5,36}", ()),
-         iso_source="sw",
-         iso_columns=[[0, 0, 0, 0, 2], [0, 0, 0, -1, 0], [0, 0, 1, 0, 0],
-                      [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]]),
-    _row(row_id="d5_T01_n", table=5, dim=5, label="<T(0,1), n>",
-         basis=[_T01, _XB, _XA, _XAB, _XA2B],
-         sw=("s_{5,33}", ()),
-         iso_source="sw",
-         iso_columns=[[0, 0, 0, 0, 2], [0, 0, 0, -1, 0], [0, 0, 1, 0, 0],
-                      [0, 1, 0, 0, 0], [-1, 0, 0, 0, 0]]),
-    _row(row_id="d6_b", table=5, dim=6, label="b (Borel subalgebra)",
-         basis=[_T10, _T01, _XB, _XA, _XAB, _XA2B],
-         sw=("s_{6,242}", ()),
-         iso_source="sw",
-         iso_columns=[[0, 0, 0, 0, 0, 2], [0, 0, 0, 0, -1, 0], [0, 0, 0, 1, 0, 0],
-                      [0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0],
-                      ["1/2", "1/2", 0, 0, 0, 0]]),
+    CatalogEntry(row_id="d5_t_np", dim=5, label="<t, n_p>",
+                 basis=[_T10, _T01, _XA, _XAB, _XA2B],
+                 sw=("s_{5,41}", ("1/2", "1/2")),
+                 iso_columns=[[0, 0, 1, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, -1, 0],
+                              [0, "1/2", 0, 0, 0], ["1/2", 0, 0, 0, 0]]),
+    CatalogEntry(row_id="d5_t_Xb_Xab_Xa2b", dim=5,
+                 label="<t, X_beta, X_alpha+beta, X_alpha+2beta>",
+                 basis=[_T10, _T01, _XB, _XAB, _XA2B],
+                 sw=("s_{5,44}", ()),
+                 iso_columns=[[0, 0, 0, 0, 2], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+                              ["1/2", "-1/2", 0, 0, 0], [0, -1, 0, 0, 0]]),
+    CatalogEntry(row_id="d5_Ta1_n", dim=5, label="<T(a,1), n>",
+                 basis=[_T("a", 1), _XB, _XA, _XAB, _XA2B],
+                 excluded=("0", "1", "-1"),
+                 sw=("s_{5,35}", ("2/(a-1)",)),
+                 iso_columns=[[0, 0, 0, 0, 2], [0, 0, 0, -1, 0], [0, 0, 1, 0, 0],
+                              [0, 1, 0, 0, 0], ["1/(a-1)", 0, 0, 0, 0]]),
+    CatalogEntry(row_id="d5_T1m1_n", dim=5, label="<T(1,-1), n>",
+                 basis=[_T1M1, _XB, _XA, _XAB, _XA2B],
+                 sw=("s_{5,35}", ("-1",)),
+                 iso_columns=[[0, 0, 0, 0, 2], [0, 0, 0, -1, 0], [0, 0, 1, 0, 0],
+                              [0, 1, 0, 0, 0], ["1/2", 0, 0, 0, 0]]),
+    CatalogEntry(row_id="d5_T11_n", dim=5, label="<T(1,1), n>",
+                 basis=[_T11, _XB, _XA, _XAB, _XA2B],
+                 sw=("s_{5,37}", ()),
+                 iso_columns=[[0, 0, 0, 0, 2], [0, 0, 0, -1, 0], [0, 0, 1, 0, 0],
+                              [0, 1, 0, 0, 0], ["1/2", 0, 0, 0, 0]]),
+    CatalogEntry(row_id="d5_T10_n", dim=5, label="<T(1,0), n>",
+                 basis=[_T10, _XB, _XA, _XAB, _XA2B],
+                 sw=("s_{5,36}", ()),
+                 iso_columns=[[0, 0, 0, 0, 2], [0, 0, 0, -1, 0], [0, 0, 1, 0, 0],
+                              [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]]),
+    CatalogEntry(row_id="d5_T01_n", dim=5, label="<T(0,1), n>",
+                 basis=[_T01, _XB, _XA, _XAB, _XA2B],
+                 sw=("s_{5,33}", ()),
+                 iso_columns=[[0, 0, 0, 0, 2], [0, 0, 0, -1, 0], [0, 0, 1, 0, 0],
+                              [0, 1, 0, 0, 0], [-1, 0, 0, 0, 0]]),
+    CatalogEntry(row_id="d6_b", dim=6, label="b (Borel subalgebra)",
+                 basis=[_T10, _T01, _XB, _XA, _XAB, _XA2B],
+                 sw=("s_{6,242}", ()),
+                 iso_columns=[[0, 0, 0, 0, 0, 2], [0, 0, 0, 0, -1, 0], [0, 0, 0, 1, 0, 0],
+                              [0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0],
+                              ["1/2", "1/2", 0, 0, 0, 0]]),
 )
 
 
@@ -734,8 +718,8 @@ def catalog_to_json(entries: list[CatalogEntry] | None = None) -> list[dict]:
             "degraaf": ({"family": e.degraaf[0],
                          "params": [str(p) for p in e.degraaf[1]]}
                         if e.degraaf else None),
-            "sw": (e.sw if isinstance(e.sw, str) or e.sw is None else
-                   {"name": e.sw[0], "params": [str(p) for p in e.sw[1]]}),
+            "sw": ({"name": e.sw[0], "params": [str(p) for p in e.sw[1]]} if e.sw
+                   else "auto" if e.degraaf else None),
             "equiv": [{
                 "desc": c.desc, "recipe": c.recipe,
                 "src": [_spec_to_json(s) for s in c.src] if c.src else None,
@@ -743,9 +727,8 @@ def catalog_to_json(entries: list[CatalogEntry] | None = None) -> list[dict]:
                 "tgt_param": c.tgt_param,
                 "samples": [str(s) for s in c.samples] if c.samples else None,
             } for c in e.equivalences],
-            "isomap": ({"source": e.iso_source,
-                        "columns": [[str(x) if not isinstance(x, int) else x
-                                     for x in col] for col in e.iso_columns]}
+            "isomap": ({"source": "degraaf" if e.degraaf else "sw",
+                        "columns": [_spec_to_json(col) for col in e.iso_columns]}
                        if e.iso_columns else None),
             "param_equiv": [str(x) for x in e.param_equiv],
         })
@@ -753,30 +736,17 @@ def catalog_to_json(entries: list[CatalogEntry] | None = None) -> list[dict]:
 
 
 def catalog_from_json(data: list[dict]) -> list[CatalogEntry]:
+    """The entries `catalog_to_json` wrote; its derived keys (`table`,
+    `param`, the isomap `source` and sw `"auto"`) are not read."""
     out = []
     for d in data:
-        iso = d.get("isomap")
-        sw = d.get("sw")
-        if isinstance(sw, dict):
-            sw = (sw["name"], tuple(sw["params"]))
+        dg, sw, iso = d.get("degraaf"), d.get("sw"), d.get("isomap")
         out.append(CatalogEntry(
-            row_id=d["row"], table=d["table"], dim=d["dim"], label=d["label"],
-            basis=tuple(tuple(s) for s in d["basis"]),
-            param=d.get("param", False),
-            excluded=tuple(d.get("conditions", ())),
-            degraaf=((d["degraaf"]["family"], tuple(d["degraaf"]["params"]))
-                     if d.get("degraaf") else None),
-            sw=sw,
-            equivalences=tuple(EquivClaim(
-                desc=c["desc"], recipe=c["recipe"],
-                src=tuple(tuple(s) for s in c["src"]) if c.get("src") else None,
-                tgt=tuple(tuple(s) for s in c["tgt"]) if c.get("tgt") else None,
-                tgt_param=c.get("tgt_param"),
-                samples=tuple(c["samples"]) if c.get("samples") else None,
-            ) for c in d.get("equiv", ())),
-            iso_source=iso["source"] if iso else None,
-            iso_columns=(tuple(tuple(col) for col in iso["columns"])
-                         if iso else None),
-            param_equiv=tuple(d.get("param_equiv", ())),
-        ))
+            row_id=d["row"], dim=d["dim"], label=d["label"], basis=d["basis"],
+            excluded=d.get("conditions", ()),
+            degraaf=(dg["family"], dg["params"]) if dg else None,
+            sw=(sw["name"], sw["params"]) if isinstance(sw, dict) else None,
+            equivalences=[EquivClaim(**c) for c in d.get("equiv", ())],
+            iso_columns=iso["columns"] if iso else None,
+            param_equiv=d.get("param_equiv", ())))
     return out

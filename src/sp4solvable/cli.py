@@ -8,13 +8,15 @@ text or JSON.  Exit codes: 0 success, 1 verification failure, 2 parse error
 (malformed input, bad conjugator recipe), 3 out of domain (not solvable,
 irrational spectrum, unrecognized family, factoring bound exceeded).
 
-The parameter sample set is printed in every report header; the environment
-variable SP4_PARAM_SAMPLES (comma-separated rationals) overrides the default.
+verify-catalog checks each parameterized row at the default parameter
+samples, or at the comma-separated rationals given with --params, and prints
+the samples it used in its report header.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,13 +29,9 @@ from .invariants import signature
 from .jordan import classify_element
 from .linalg import Mat4
 from .rational import format_rational, parse_rational
-from .sp4 import default_param_samples, parse_conjugator
+from .sp4 import DEFAULT_PARAM_SAMPLES, conjugate_subalgebra, parse_conjugator
 from .structure import Subalgebra, structure_constants
 from .verify import match_catalog, verify_catalog
-
-
-def _samples_header():
-    return [format_rational(a) for a in default_param_samples()]
 
 
 def _load_json(path: str):
@@ -92,7 +90,7 @@ def _emit(payload: dict, mode: str) -> None:
 
 
 def cmd_verify_catalog(args) -> int:
-    params = None
+    params = DEFAULT_PARAM_SAMPLES
     if args.params:
         params = tuple(_parse_option(p, "--params") for p in args.params.split(","))
     rep = verify_catalog(params=params, probe_seed=args.seed,
@@ -107,7 +105,7 @@ def cmd_verify_catalog(args) -> int:
 def cmd_identify(args) -> int:
     sub = _load_subalgebra(args.input)
     matches = match_catalog(sub)  # raises NotSolvable before any identification
-    payload: dict = {"samples": _samples_header(), "dim": sub.dim}
+    payload: dict = {"dim": sub.dim}
     if sub.dim <= 4:
         dg = identify_degraaf(structure_constants(sub))
         payload["degraaf"] = str(dg)
@@ -128,9 +126,7 @@ def cmd_identify(args) -> int:
 
 def cmd_invariants(args) -> int:
     sub = _load_subalgebra(args.input)
-    payload = signature(sub).to_json()
-    payload["samples"] = _samples_header()
-    _emit(payload, args.output)
+    _emit(signature(sub).to_json(), args.output)
     return 0
 
 
@@ -140,17 +136,13 @@ def cmd_conjugate(args) -> int:
     if args.param:
         env["a"] = _parse_option(args.param, "--param")
     g = parse_conjugator(args.conjugator, env)
-    from .sp4 import conjugate_subalgebra
     image = Subalgebra(conjugate_subalgebra(g, sub.space))
-    _emit({"samples": _samples_header(), **image.to_json()}, args.output)
+    _emit(image.to_json(), args.output)
     return 0
 
 
 def cmd_classify_element(args) -> int:
-    label = classify_element(_load_matrix(args.input))
-    payload = label.to_json()
-    payload["samples"] = _samples_header()
-    _emit(payload, args.output)
+    _emit(classify_element(_load_matrix(args.input)).to_json(), args.output)
     return 0
 
 
@@ -159,7 +151,9 @@ def cmd_export_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The six-subcommand parser, built on first use and kept."""
     p = argparse.ArgumentParser(
         prog="sp4solvable",
         description="Exact certification of the solvable subalgebra "

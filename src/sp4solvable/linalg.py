@@ -473,6 +473,10 @@ class Mat4:
 
     @classmethod
     def from_json(cls, data) -> "Mat4":
+        """The matrix of a JSON grid: a list of four lists of four rationals
+        (a string row would otherwise be read one character at a time)."""
+        if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+            raise ValueError("a matrix is a JSON list of four row lists")
         return cls([[parse_rational(str(x)) for x in r] for r in data])
 
 

@@ -24,13 +24,12 @@ X_{alpha+2beta} are the long roots.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .errors import Sp4Error
 from .exprs import eval_expr
 from .linalg import Mat4, Subspace, echelon_span, inverse
-from .rational import Q, parse_rational
+from .rational import Q
 
 __all__ = [
     "J_FORM", "X_ALPHA", "X_BETA", "X_AB", "X_A2B", "ROOT_VECTORS", "ROOT_LABELS",
@@ -38,7 +37,7 @@ __all__ = [
     "bracket", "conjugate", "conjugate_subalgebra",
     "W_MAT", "A_MAT", "AJ_MAT", "WA_MAT", "shear", "diag_conjugator",
     "block_sl2", "gl2_block", "parse_conjugator",
-    "standard_subalgebra", "weyl_orbit", "default_param_samples",
+    "standard_subalgebra", "weyl_orbit", "DEFAULT_PARAM_SAMPLES",
 ]
 
 J_FORM = Mat4([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
@@ -260,15 +259,3 @@ def weyl_orbit(t_elem: DiagonalElement) -> set[DiagonalElement]:
 # -- default parameter samples ------------------------------------------------
 
 DEFAULT_PARAM_SAMPLES = (Q(2), Q(3), Q(5), Q(-2), Q(-3), Q(1, 2), Q(2, 3), Q(7, 3))
-
-
-def default_param_samples() -> tuple:
-    """The default 8-value sample set; SP4_PARAM_SAMPLES overrides it with a
-    comma-separated list of rational strings (Sp4Error if one is malformed)."""
-    env = os.environ.get("SP4_PARAM_SAMPLES")
-    if not env:
-        return DEFAULT_PARAM_SAMPLES
-    try:
-        return tuple(parse_rational(p) for p in env.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise Sp4Error(f"SP4_PARAM_SAMPLES={env!r} is not a list of rationals: {exc}") from exc

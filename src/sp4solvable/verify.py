@@ -25,8 +25,8 @@ from .invariants import _signature, nilpotent_subspace, signature
 from .jordan import _eigen_pair
 from .linalg import Mat4, char_poly, echelon_span
 from .rational import Q, format_rational
-from .sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, conjugate_subalgebra,
-                  default_param_samples, in_sp4, parse_conjugator)
+from .sp4 import (DEFAULT_PARAM_SAMPLES, T, X_A2B, X_AB, X_ALPHA, X_BETA,
+                  conjugate_subalgebra, in_sp4, parse_conjugator)
 from .structure import Subalgebra, generated_subalgebra, is_solvable
 
 __all__ = ["CheckRecord", "VerificationReport", "verify_entry",
@@ -50,7 +50,7 @@ class CheckRecord:
 @dataclass
 class VerificationReport:
     records: list = field(default_factory=list)
-    samples: tuple = field(default_factory=default_param_samples)
+    samples: tuple = DEFAULT_PARAM_SAMPLES
 
     def add(self, row_id, param, check, ok, detail=""):
         status = "pass" if ok else "fail"
@@ -125,14 +125,13 @@ def _instance(entry: CatalogEntry, a) -> _Instance:
 # single-row verification
 # ---------------------------------------------------------------------------
 
-def verify_entry(entry: CatalogEntry, params=None,
+def verify_entry(entry: CatalogEntry, params=DEFAULT_PARAM_SAMPLES,
                  report: VerificationReport | None = None) -> VerificationReport:
     rep = _report(report, params)
-    samples = _row_samples(entry, params)
+    samples = entry.samples(params)
     if not samples:
-        tried = default_param_samples() if params is None else params
         rep.skip(entry.row_id, None, "parameter samples",
-                 f"none of {', '.join(_p(a) for a in tried)} is admissible; "
+                 f"none of {', '.join(_p(a) for a in params)} is admissible; "
                  "the row's claims did not run")
     for i, a in enumerate(samples):
         _verify_at(entry, a, rep, first=(i == 0))
@@ -141,18 +140,7 @@ def verify_entry(entry: CatalogEntry, params=None,
 
 def _report(report: VerificationReport | None, params) -> VerificationReport:
     """The given report, or a new one that names the samples actually used."""
-    if report is not None:
-        return report
-    return VerificationReport() if params is None else VerificationReport(samples=tuple(params))
-
-
-def _row_samples(entry: CatalogEntry, params=None) -> tuple:
-    """The samples a row is verified at: the admissible values of `params`
-    for a parameterized row, and (None,) for a row without parameter."""
-    if not entry.param:
-        return entry.samples()
-    samples = tuple(params) if params is not None else entry.samples()
-    return tuple(a for a in samples if a is not None and entry.conditions_ok(a))
+    return report if report is not None else VerificationReport(samples=tuple(params))
 
 
 def _verify_at(entry: CatalogEntry, a, rep: VerificationReport, first: bool):
@@ -197,7 +185,7 @@ def _verify_at(entry: CatalogEntry, a, rep: VerificationReport, first: bool):
         found = None
 
     if entry.iso_columns is not None:
-        pres = dg if entry.iso_source == "degraaf" else entry.sw_at(a)
+        pres = entry.presentation_at(a)
         try:
             pres_sc = pres.constants()
             ok = verify_isomorphism(pres_sc, sc, entry.iso_columns_at(a))
@@ -276,7 +264,7 @@ def _verify_claim(entry: CatalogEntry, claim, a, rep: VerificationReport,
 # catalog-wide drivers
 # ---------------------------------------------------------------------------
 
-def verify_catalog(params=None, probe_seed: int = 0,
+def verify_catalog(params=DEFAULT_PARAM_SAMPLES, probe_seed: int = 0,
                    probe_count: int = 0) -> VerificationReport:
     """Every row, then the separations; the random probe runs only when
     `probe_count` > 0."""
@@ -290,7 +278,7 @@ def verify_catalog(params=None, probe_seed: int = 0,
     return rep
 
 
-def verify_separations(entries=None, params=None,
+def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
                        report: VerificationReport | None = None) -> VerificationReport:
     """Certify that every pair of same-dimension instances the classification
     declares inequivalent is separated by a signature field."""
@@ -298,7 +286,7 @@ def verify_separations(entries=None, params=None,
     entries = entries if entries is not None else load_catalog()
     by_dim: dict[int, list] = {}
     for e in entries:
-        for a in _row_samples(e, params):
+        for a in e.samples(params):
             by_dim.setdefault(e.dim, []).append((e, a, _instance(e, a).signature))
     for dim, insts in sorted(by_dim.items()):
         bad = []
@@ -363,7 +351,7 @@ def match_catalog(sub: Subalgebra) -> list[tuple]:
         if e.dim != sub.dim:
             continue
         # the candidates a row admits, or no parameter for a row without one
-        for a in _row_samples(e, cands):
+        for a in e.samples(cands):
             if _instance(e, a).signature == sig:
                 matches.append((e.row_id, a))
                 break

@@ -190,8 +190,7 @@ def test_criterion_7_isomap_mutation_testing():
         if e.iso_columns is None:
             continue
         a = e.samples()[0]
-        pres = e.degraaf_at(a) if e.iso_source == "degraaf" else e.sw_at(a)
-        pres_sc = pres.constants()
+        pres_sc = e.presentation_at(a).constants()
         sc = structure_constants_for_basis(e.basis_at(a))
         iso = e.iso_columns_at(a)
         assert verify_isomorphism(pres_sc, sc, iso), e.row_id

@@ -1,6 +1,5 @@
 from sp4solvable.catalog import (EXPECTED_COUNTS, catalog_from_json,
                                  catalog_to_json, load_catalog)
-from sp4solvable.linalg import echelon_span
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import in_sp4
 from sp4solvable.structure import Subalgebra, is_solvable
@@ -55,13 +54,12 @@ def test_sample_filtering():
 def test_catalog_json_roundtrip():
     entries = load_catalog()
     data = catalog_to_json(entries)
-    back = catalog_from_json(data)
-    assert len(back) == len(entries)
-    for e1, e2 in zip(entries, back):
-        assert e1.row_id == e2.row_id
-        for a in e1.samples():
-            assert echelon_span(e1.basis_at(a)) == echelon_span(e2.basis_at(a))
-            assert e1.degraaf_at(a) == e2.degraaf_at(a)
-            assert e1.sw_at(a) == e2.sw_at(a)
-        assert len(e1.equivalences) == len(e2.equivalences)
-        assert e1.iso_columns_at(Q(2)) == e2.iso_columns_at(Q(2)) or not e1.param
+    assert catalog_from_json(data) == entries
+    # the derived keys are written for readers, and not needed to load
+    for d in data:
+        del d["table"], d["param"]
+        if d["isomap"] is not None:
+            del d["isomap"]["source"]
+        if d["sw"] == "auto":
+            del d["sw"]
+    assert catalog_from_json(data) == entries

@@ -29,3 +29,11 @@ def test_every_traced_layer_resolves():
         for part in attr.split("."):
             target = getattr(target, part, None)
         assert callable(target), f"{name}: {modname}.{attr} is not callable"
+
+
+def test_the_library_reads_no_environment_variable():
+    # the parameter samples are set by argument only; no knob hides in the env
+    src = Path(sp4solvable.__file__).resolve().parent
+    readers = [f"{path.name}: {needle}" for path in sorted(src.glob("*.py"))
+               for needle in ("os.environ", "getenv") if needle in path.read_text()]
+    assert readers == []

@@ -285,8 +285,7 @@ def test_verify_isomorphism_matches_the_pairwise_bracket_loop():
         if e.iso_columns is None:
             continue
         a = e.samples()[0]
-        pres = e.degraaf_at(a) if e.iso_source == "degraaf" else e.sw_at(a)
-        maps.append((pres.constants(), structure_constants_for_basis(e.basis_at(a)),
+        maps.append((e.presentation_at(a).constants(), structure_constants_for_basis(e.basis_at(a)),
                      e.iso_columns_at(a)))
         dg = e.degraaf_at(a)
         if dg is not None:

@@ -3,13 +3,13 @@ import pytest
 from sp4solvable.errors import Sp4Error
 from sp4solvable.linalg import Mat4, char_poly, echelon_span
 from sp4solvable.rational import Q
-from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, T, W_MAT, WA_MAT, X_A2B,
-                             X_AB, X_ALPHA, X_BETA, DiagonalElement,
-                             block_sl2, bracket, conjugate,
-                             conjugate_subalgebra, default_param_samples,
-                             diag_conjugator, gl2_block, in_sp4, in_sp4_group,
-                             parse_conjugator, root_value, shear,
-                             standard_subalgebra, weyl_orbit)
+from sp4solvable.sp4 import (A_MAT, AJ_MAT, DEFAULT_PARAM_SAMPLES, J_FORM, T,
+                             W_MAT, WA_MAT, X_A2B, X_AB, X_ALPHA, X_BETA,
+                             DiagonalElement, block_sl2, bracket, conjugate,
+                             conjugate_subalgebra, diag_conjugator, gl2_block,
+                             in_sp4, in_sp4_group, parse_conjugator,
+                             root_value, shear, standard_subalgebra,
+                             weyl_orbit)
 from sp4solvable.structure import is_closed
 
 from conftest import random_borel_element, random_sp4_element
@@ -105,11 +105,9 @@ def test_parse_conjugator():
         parse_conjugator("nonsense")
 
 
-def test_default_param_samples(monkeypatch):
-    assert default_param_samples() == (Q(2), Q(3), Q(5), Q(-2), Q(-3),
-                                       Q(1, 2), Q(2, 3), Q(7, 3))
-    monkeypatch.setenv("SP4_PARAM_SAMPLES", "4,-5/7")
-    assert default_param_samples() == (Q(4), Q(-5, 7))
+def test_default_param_samples():
+    assert DEFAULT_PARAM_SAMPLES == (Q(2), Q(3), Q(5), Q(-2), Q(-3),
+                                     Q(1, 2), Q(2, 3), Q(7, 3))
 
 
 def test_bracket_properties_on_random_elements(rng):
