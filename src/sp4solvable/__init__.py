@@ -10,8 +10,8 @@ presentations of small solvable Lie algebras.
 """
 
 from .rational import Q, format_rational, parse_rational
-from .linalg import (Mat4, Poly, Subspace, char_poly, char_poly_cofactor,
-                     echelon_span, inverse, kernel, rank, rational_roots)
+from .linalg import (Mat4, Poly, Subspace, char_poly, echelon_span, inverse,
+                     kernel, rank, rational_roots)
 from .sp4 import (A_MAT, AJ_MAT, DEFAULT_PARAM_SAMPLES, J_FORM, T, W_MAT,
                   X_A2B, X_AB, X_ALPHA, X_BETA, DiagonalElement, bracket,
                   conjugate, conjugate_subalgebra, in_sp4, in_sp4_group,

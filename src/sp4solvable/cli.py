@@ -210,11 +210,12 @@ def main(argv=None) -> int:
     except _ParseFailure as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (IrrationalSpectrum, UnrecognizedFamily, UnsupportedDimension) as exc:
+    except IrrationalSpectrum as exc:
         print(f"{type(exc).__name__}: {exc}; compare characteristic "
               f"polynomials instead of eigenvalue data", file=sys.stderr)
         return 3
-    except (FactorizationLimit, NotSolvable) as exc:
+    except (FactorizationLimit, NotSolvable, UnrecognizedFamily,
+            UnsupportedDimension) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except Sp4Error as exc:

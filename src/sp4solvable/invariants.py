@@ -10,9 +10,11 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   triangular, so it pairs to zero with everything; conversely a trace-radical
   element has rational eigenvalues with zero sum of squares, hence is
   nilpotent).  This is intrinsic, so it transports along conjugation.
-* the rank stratification of N(g): exact pencil strata for dim 2 (counting
-  rank-drop lines over the algebraic closure via squarefree degrees, with no
-  polynomial factorization), generic rank for dim >= 3;
+* the rank stratification of N(g): exact pencil strata for dim 2, read off
+  the invariant factors of the pencil over Q[t] (counting rank-drop lines
+  over the algebraic closure via squarefree degrees, with no polynomial
+  factorization), and for dim >= 3 the generic rank, by fraction-free
+  elimination over Q[t];
 * whether g contains an invertible matrix.  By Lie's theorem g is
   triangular in some basis, and the diagonal is a linear map with kernel
   N(g).  So for g = C*x0 + N(g), det(s*x0 + n) = s^4 det(x0): read off the
@@ -42,8 +44,8 @@ from dataclasses import dataclass, fields
 
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
 from .linalg import (Mat4, Poly, char_poly, char_poly_rows, echelon_span,
-                     generic_rank, kernel_of_rows, rank, rational_roots,
-                     symbolic_combo, symbolic_minors, Subspace)
+                     generic_rank, invariant_factors, kernel_of_rows, rank,
+                     rational_roots, symbolic_combo, Subspace)
 from .rational import Q, ZERO, format_rational
 from .sp4 import bracket
 from .structure import Subalgebra, ad_matrix, coord_series, is_solvable, unit_rows
@@ -51,7 +53,7 @@ from .jordan import _jordan_decompose
 
 __all__ = [
     "PencilStrata", "pencil_rank_strata", "InvariantSignature", "signature",
-    "nilpotent_subspace", "grid_pencil_ranks",
+    "nilpotent_subspace",
 ]
 
 
@@ -93,40 +95,23 @@ class PencilStrata:
                 tuple((r, self.drop_line_count(r)) for r in ranks))
 
 
-def _gcd_list(polys: list[Poly]) -> Poly:
-    acc = Poly()
-    for p in polys:
-        acc = acc.gcd(p)
-        if acc.degree == 0:
-            break
-    return acc
-
-
 def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
     """Exact rank stratification of the pencil t*n1 + n2 (plus t = infinity).
 
-    The generic rank is the largest k with a k-minor of t*n1 + n2 not
-    identically zero.  Lines where the rank drops to <= k are the common
-    roots of the (k+1)-minors; distinct-root counts over the algebraic
-    closure come from squarefree degrees of minor gcds, and exact ranks at
-    non-rational drops from polynomial divisibility, so no factorization is
-    needed.
+    Read off the invariant factors s_1 | ... | s_r of t*n1 + n2 over Q[t]:
+    r is the generic rank, and the rank at a finite t0 drops to <= k exactly
+    when t0 is a root of the gcd s_1 ... s_{k+1} of the (k+1)-minors, that
+    is, of s_{k+1}.  Distinct-root counts over the algebraic closure come
+    from squarefree degrees, and exact ranks at non-rational drops from
+    polynomial divisibility, so no factorization is needed.
     """
     if echelon_span([n1, n2]).dim != 2:
         raise DependentInputs("pencil needs two independent matrices")
-    entries = symbolic_combo([n2, n1])
-    # minors[k] holds the (k+1)-minors, up to the generic rank: the first
-    # size whose minors all vanish ends the scan, as all larger minors vanish
-    minors: list[list[Poly]] = []
-    while len(minors) < 4:
-        mins = list(symbolic_minors(entries, len(minors) + 1))
-        if all(m.is_zero() for m in mins):
-            break
-        minors.append(mins)
-    generic = len(minors)
-    # drops[k], the squarefree gcd of the (k+1)-minors, has the finite lines
-    # of rank <= k as its roots, each once
-    drops = [_gcd_list(mins).squarefree_part() for mins in minors]
+    factors = invariant_factors(symbolic_combo([n2, n1]))
+    generic = len(factors)
+    # drops[k], the squarefree part of s_{k+1}, has the finite lines of
+    # rank <= k as its roots, each once
+    drops = [s.squarefree_part() for s in factors]
     roots = rational_roots(drops[-1]) if drops[-1].degree > 0 else {}
     rational_drops = tuple((t0, rank(n1 * t0 + n2)) for t0 in
                            sorted(roots, key=lambda q: (q.numerator, q.denominator)))
@@ -139,16 +124,6 @@ def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
     inf_rank = rank(n1)
     return PencilStrata(generic, rational_drops,
                         inf_rank if inf_rank < generic else None, tuple(irrational))
-
-
-def grid_pencil_ranks(n1: Mat4, n2: Mat4, lo: int = -20, hi: int = 20) -> dict:
-    """Brute-force oracle: ranks of t*n1 + n2 over an integer grid plus the
-    line of n1.  The grid can miss drops but never sees extra ones."""
-    out = {}
-    for t in range(lo, hi + 1):
-        out[Q(t)] = rank(n1 * Q(t) + n2)
-    out["inf"] = rank(n1)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,22 @@ in reduced row echelon form of the row-major flattened entries (so equal
 subspaces have identical basis lists), and elimination, polynomial division,
 gcd and rational roots run on ints, with rationals only at the boundary.
 
-`Poly` is the one polynomial type: minors of pencils and, by Kronecker
-substitution (`symbolic_combo`), the generic rank of a span run over Q[t].
+`Poly` is the one polynomial type.  Matrices over Q[t] are eliminated, not
+expanded into minors: the invariant factors of a pencil come from Euclidean
+(Smith) elimination (`invariant_factors`), and the generic rank of a span,
+reached through Kronecker substitution (`symbolic_combo`), from fraction-free
+Bareiss elimination (`rank_over_qt`).  Cofactor expansion (`det_mpoly`)
+remains only as the oracle the tests check both against.
 
-Characteristic polynomials are computed twice over by design: the production
-path is Faddeev-LeVerrier over the integers (`char_poly`), and an independent
-cofactor expansion of det(lambda*I - m) over Q[lambda] (`char_poly_cofactor`)
-serves as the cross-check oracle.
+Characteristic polynomials come from Faddeev-LeVerrier over the integers
+(`char_poly`); the tests cross-check them against a cofactor expansion of
+det(lambda*I - m).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, zip_longest
+from itertools import zip_longest
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -187,13 +190,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            a, b = self.num, other.num
-            out = [0] * (len(a) + len(b) - 1) if a and b else []
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] += x * y
-            return Poly._make(out, self.den * other.den)
+            return Poly._make(_conv(self.num, other.num), self.den * other.den)
         return Poly._make([x * other.numerator for x in self.num], self.den * other.denominator)
 
     def __call__(self, x):
@@ -248,6 +245,16 @@ class Poly:
             s = format_rational(Q(c, self.den))
             terms.append(s if i == 0 else (f"{s}*x^{i}" if i > 1 else f"{s}*x"))
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two int coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _primitive(num: Sequence[int]) -> tuple[int, ...]:
@@ -536,13 +543,6 @@ def _char_poly_int(a: list[Sequence[int]], den: int) -> Poly:
     return Poly._make(num, den**n)
 
 
-def char_poly_cofactor(m: Mat4) -> Poly:
-    """Independent oracle: expand det(lambda*I - m) by cofactors over Q[lambda]."""
-    entries = [[Poly([-m.entry(i, j), 1]) if i == j else Poly([-m.entry(i, j)])
-                for j in range(4)] for i in range(4)]
-    return det_mpoly(entries)
-
-
 def poly_eval_mat(p: Poly, m: Mat4) -> Mat4:
     """p(m) by Horner on the numerators: for p = P/e of degree k and m = M/D,
     acc <- acc*M + P_i D^(k-i) I ends at e D^k p(m), divided out once."""
@@ -647,12 +647,15 @@ def echelon_span(vectors: Iterable[Mat4]) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# minors of linear matrix combinations over Q[t]
+# matrices over Q[t]: ranks and invariant factors by elimination
 # ---------------------------------------------------------------------------
 
 def det_mpoly(entries: list[list[Poly]]) -> Poly:
     """Determinant of a small square matrix of `Poly` entries by cofactor
-    expansion along the first row."""
+    expansion along the first row.  No production path calls it: it is the
+    independent oracle that the tests check `rank_over_qt` and
+    `invariant_factors` (and the cofactor characteristic polynomial)
+    against, and the benchmark traces it by name to show it stays unused."""
     n = len(entries)
     if n == 1:
         return entries[0][0]
@@ -675,8 +678,9 @@ def symbolic_combo(mats: Sequence[Mat4]) -> list[list[Poly]]:
     vanishes identically iff it does at t_0 = 1.  There each variable has
     degree below 5, and t_i = t^(5^(i-1)) maps the monomials to distinct
     powers of t, their exponents read in base 5 (Kronecker substitution).
-    So the minor vanishes iff its image in Q[t] does.  For two matrices
-    this is the pencil mats[0] + t*mats[1]."""
+    So the minor vanishes iff its image in Q[t] does, and the rank over
+    Q(t) is the generic rank of the span.  For two matrices this is the
+    pencil mats[0] + t*mats[1]."""
     exps = [0] + [5**i for i in range(len(mats) - 1)]
     den = math.lcm(*[m.den for m in mats])
     entries = []
@@ -688,20 +692,91 @@ def symbolic_combo(mats: Sequence[Mat4]) -> list[list[Poly]]:
     return [entries[i:i + 4] for i in (0, 4, 8, 12)]
 
 
-def symbolic_minors(entries: list[list[Poly]], k: int):
-    """The k x k minors of a 4x4 matrix of `Poly` entries, yielded lazily."""
-    for rows_idx in combinations(range(4), k):
-        for cols_idx in combinations(range(4), k):
-            yield det_mpoly([[entries[i][j] for j in cols_idx] for i in rows_idx])
+def rank_over_qt(entries: Sequence[Sequence[Poly]]) -> int:
+    """Rank over Q(t) of a matrix of `Poly` entries, by fraction-free
+    (Bareiss) elimination with full pivoting on the int coefficient lists of
+    the matrix times the lcm of its denominators: after k steps the entries
+    of the trailing block are (k+1)-minors (Sylvester's identity), so each
+    division by the previous pivot is exact over Z[t], and the rank is the
+    number of steps before that block vanishes."""
+    den = math.lcm(*[p.den for row in entries for p in row])
+    a = [[[x * (den // p.den) for x in p.num] for p in row] for row in entries]
+    n, m = len(a), len(a[0]) if a else 0
+    prev = [1]
+    for k in range(min(n, m)):
+        if not _swap_pivot(a, k, lambda c: len(c) - 1):
+            return k
+        p, top = a[k][k], a[k]
+        for row in a[k + 1:]:
+            c = row[k]
+            for j in range(k + 1, m):
+                num = [x - y for x, y in zip_longest(_conv(p, row[j]), _conv(c, top[j]),
+                                                     fillvalue=0)]
+                while num and not num[-1]:
+                    num.pop()
+                q, r, scale = _pseudo_divmod(num, prev)
+                assert scale == 1 and not any(r), "inexact Bareiss division"
+                row[j] = q
+        prev = p
+    return min(n, m)
+
+
+def _swap_pivot(a: list[list], k: int, degree) -> bool:
+    """Swap a nonzero entry of least `degree` (-1 for zero) in the block
+    a[k:][k:] to a[k][k]; False when the block is zero."""
+    piv = min(((d, i, j) for i in range(k, len(a)) for j in range(k, len(a[0]))
+               if (d := degree(a[i][j])) >= 0), default=None)
+    if piv is None:
+        return False
+    _, i, j = piv
+    a[k], a[i] = a[i], a[k]
+    for row in a:
+        row[k], row[j] = row[j], row[k]
+    return True
+
+
+def invariant_factors(entries: Sequence[Sequence[Poly]]) -> list[Poly]:
+    """The monic invariant factors s_1 | s_2 | ... | s_r of a matrix over
+    Q[t] (r its rank over Q(t)): the diagonal of its Smith normal form, so
+    s_1 ... s_k is the monic gcd of its k-minors.  Euclidean elimination:
+    move an entry of least degree to the pivot, reduce its row and column
+    by it, and repeat while a remainder is left; then, while some entry of
+    the trailing block is not a multiple of the pivot, add its row to the
+    pivot row and repeat.  Each remainder has lower degree than the pivot,
+    so the pivot's degree falls until the loop ends."""
+    a = [list(row) for row in entries]
+    n, m = len(a), len(a[0]) if a else 0
+    out: list[Poly] = []
+    for k in range(min(n, m)):
+        while True:
+            if not _swap_pivot(a, k, lambda p: p.degree):
+                return out
+            p = a[k][k]
+            exact = True
+            for row in a[k + 1:]:
+                if row[k].num:
+                    q, r = row[k].divmod(p)
+                    exact = exact and r.is_zero()
+                    for j in range(k, m):
+                        row[j] = row[j] - q * a[k][j]
+            for j in range(k + 1, m):
+                if a[k][j].num:
+                    q, r = a[k][j].divmod(p)
+                    exact = exact and r.is_zero()
+                    for row in a:
+                        row[j] = row[j] - q * row[k]
+            if not exact:
+                continue
+            bad = next((row for row in a[k + 1:]
+                        if any(x.divmod(p)[1].num for x in row[k + 1:])), None)
+            if bad is None:
+                break
+            a[k] = [x + y for x, y in zip(a[k], bad)]
+        out.append(p.monic())
+    return out
 
 
 def generic_rank(mats: Sequence[Mat4]) -> int:
-    """Rank of a generic element of span(mats): the largest k with a k-minor
-    of `symbolic_combo(mats)` not identically zero.  The scan runs upward
-    and stops at the first size whose minors all vanish, since by Laplace
-    expansion every larger minor then vanishes too."""
-    entries = symbolic_combo(mats)
-    k = 0
-    while k < 4 and any(not m.is_zero() for m in symbolic_minors(entries, k + 1)):
-        k += 1
-    return k
+    """Rank of a generic element of span(mats): the rank over Q(t) of
+    `symbolic_combo(mats)`, by Bareiss elimination (`rank_over_qt`)."""
+    return rank_over_qt(symbolic_combo(mats))

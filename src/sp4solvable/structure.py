@@ -187,25 +187,6 @@ class StructureConstants:
                         out[k] += f * row[k]
         return tuple(out)
 
-    def is_antisymmetric(self) -> bool:
-        d = self.dim
-        return all(self.table[i][j][k] == -self.table[j][i][k]
-                   for i in range(d) for j in range(d) for k in range(d))
-
-    def satisfies_jacobi(self) -> bool:
-        d = self.dim
-        basis = unit_rows(d)
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    acc = [ZERO] * d
-                    for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                        term = self.bracket_coords(basis[x], self.bracket_coords(basis[y], basis[z]))
-                        acc = [p + q for p, q in zip(acc, term)]
-                    if any(c != 0 for c in acc):
-                        return False
-        return True
-
     def is_abelian(self) -> bool:
         return all(c == 0 for plane in self.table for row in plane for c in row)
 

@@ -10,11 +10,9 @@ import time
 from sp4solvable.catalog import load_catalog
 from sp4solvable.identify import (identify_degraaf, tri_algebra_constants,
                                   verify_isomorphism)
-from sp4solvable.invariants import (grid_pencil_ranks, nilpotent_subspace,
-                                    pencil_rank_strata)
+from sp4solvable.invariants import nilpotent_subspace, pencil_rank_strata
 from sp4solvable.jordan import classify_element, jordan_decompose, jordan_type
-from sp4solvable.linalg import (Mat4, char_poly, char_poly_cofactor, inverse,
-                                poly_eval_mat)
+from sp4solvable.linalg import Mat4, char_poly, inverse, poly_eval_mat
 from sp4solvable.presentations import DeGraafClass
 from sp4solvable.rational import Q, ZERO
 from sp4solvable.sp4 import X_ALPHA, X_BETA
@@ -23,6 +21,7 @@ from sp4solvable.verify import verify_catalog, verify_separations
 
 from conftest import (conjugator_pool, perturb_columns, random_borel_element,
                       random_sp4_element)
+from oracles import char_poly_cofactor, grid_pencil_ranks
 
 ENTRIES = load_catalog()
 BY_ID = {e.row_id: e for e in ENTRIES}

@@ -134,6 +134,15 @@ def test_irrational_spectrum_exit_code(tmp_path, capsys):
     assert main(["classify-element", "--input", str(p)]) == 3
 
 
+def test_unsupported_dimension_exits_3_without_the_spectrum_hint(tmp_path, capsys):
+    # the characteristic-polynomial hint belongs to IrrationalSpectrum only
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"ambient": "sp4", "basis": []}))
+    assert main(["identify", "--input", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("UnsupportedDimension:") and "characteristic" not in err
+
+
 def test_deterministic_output(ta_path, capsys):
     main(["identify", "--input", ta_path, "--output", "json"])
     first = capsys.readouterr().out

@@ -17,6 +17,7 @@ from sp4solvable.structure import (StructureConstants, Subalgebra,
                                    structure_constants_for_basis)
 
 from conftest import perturb_columns
+from oracles import is_antisymmetric, satisfies_jacobi
 
 D = DeGraafClass
 
@@ -28,7 +29,7 @@ def test_presentations_are_lie_algebras():
                         ("M7", (Q(0), Q(1))), ("M8", ()), ("M12", ()),
                         ("M13", (Q(-1, 4),)), ("M14", (Q(1),))):
         sc = degraaf_constants(fam, params)
-        assert sc.is_antisymmetric() and sc.satisfies_jacobi()
+        assert is_antisymmetric(sc) and satisfies_jacobi(sc)
     for name, params in (("n_{1,1}", ()), ("s_{2,1}", ()), ("n_{3,1}", ()),
                          ("s_{3,1}", (Q(1, 3),)), ("s_{3,2}", ()),
                          ("n_{4,1}", ()), ("s_{4,2}", ()),
@@ -42,7 +43,7 @@ def test_presentations_are_lie_algebras():
                          ("n_{1,1}+s_{2,1}", ()),
                          ("n_{1,1}+s_{3,1}", (Q(-1),))):
         sc = sw_constants(name, params)
-        assert sc.is_antisymmetric() and sc.satisfies_jacobi()
+        assert is_antisymmetric(sc) and satisfies_jacobi(sc)
 
 
 def test_trichotomy():
@@ -196,7 +197,7 @@ def test_verify_isomorphism_l3_to_s32():
 def test_direct_sum():
     two = direct_sum(sw_constants("s_{2,1}"), sw_constants("s_{2,1}"))
     assert two.dim == 4
-    assert two.is_antisymmetric() and two.satisfies_jacobi()
+    assert is_antisymmetric(two) and satisfies_jacobi(two)
     m8 = degraaf_constants("M8")
     iso = [(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)]
     assert verify_isomorphism(m8, two, iso)

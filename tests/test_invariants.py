@@ -3,8 +3,7 @@ from itertools import product
 import pytest
 
 from sp4solvable.errors import DependentInputs, IrrationalSpectrum
-from sp4solvable.invariants import (grid_pencil_ranks, nilpotent_subspace,
-                                    pencil_rank_strata, signature)
+from sp4solvable.invariants import nilpotent_subspace, pencil_rank_strata, signature
 from sp4solvable.catalog import load_catalog
 from sp4solvable.linalg import (Mat4, det_mpoly, echelon_span, generic_rank, rank,
                                symbolic_combo)
@@ -14,6 +13,7 @@ from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA,
 from sp4solvable.structure import Subalgebra, generated_subalgebra
 
 from conftest import conjugator_pool, random_borel_element
+from oracles import grid_pencil_ranks
 
 
 def alg(*mats):
@@ -227,3 +227,18 @@ def test_generic_rank_matches_the_grid_oracle(rng):
     assert len(spans) > 250
     for mats in spans:
         assert generic_rank(mats) == _max_grid_rank(mats), [repr(m) for m in mats]
+
+
+def test_signatures_expand_no_minor(monkeypatch):
+    """Pencil strata and generic ranks come from elimination over Q[t]: no
+    signature of a catalog instance expands a determinant by cofactors."""
+    from sp4solvable import linalg
+    subs = [Subalgebra(e.space_at(a)) for e in load_catalog() for a in e.samples()]
+    assert len(subs) == 120
+
+    def refuse(*_):
+        raise AssertionError("det_mpoly called")
+    monkeypatch.setattr(linalg, "det_mpoly", refuse)
+    strata = {sig.nilpotent_strata[0][0] for sig in map(signature, subs)
+              if sig.nilpotent_strata}
+    assert strata == {"rank", "pencil", "generic"}
