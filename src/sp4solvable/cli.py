@@ -6,7 +6,8 @@ the library's wire formats (matrices as 4x4 grids of rational strings,
 subalgebras as {"ambient": "sp4", "basis": [...]}), outputs go to stdout as
 text or JSON.  Exit codes: 0 success, 1 verification failure, 2 parse error
 (malformed input, bad conjugator recipe), 3 out of domain (not solvable,
-irrational spectrum, unrecognized family, factoring bound exceeded).
+irrational spectrum, unrecognized family, factoring or expression size
+bound exceeded).
 
 verify-catalog checks each parameterized row at the default parameter
 samples, or at the comma-separated rationals given with --params, and prints
@@ -21,8 +22,8 @@ import json
 import sys
 
 from .catalog import catalog_to_json, load_catalog
-from .errors import (FactorizationLimit, IrrationalSpectrum, NotSolvable,
-                     OutOfCatalog, Sp4Error, UnrecognizedFamily,
+from .errors import (ExpressionLimit, FactorizationLimit, IrrationalSpectrum,
+                     NotSolvable, OutOfCatalog, Sp4Error, UnrecognizedFamily,
                      UnsupportedDimension)
 from .identify import degraaf_to_sw, identify_degraaf
 from .invariants import signature
@@ -91,8 +92,10 @@ def _emit(payload: dict, mode: str) -> None:
 
 def cmd_verify_catalog(args) -> int:
     params = DEFAULT_PARAM_SAMPLES
-    if args.params:
-        params = tuple(_parse_option(p, "--params") for p in args.params.split(","))
+    if args.params is not None:
+        # a repeated value (2,2 or 2,4/2) is one sample, kept where first seen
+        params = tuple(dict.fromkeys(_parse_option(p, "--params")
+                                     for p in args.params.split(",")))
     rep = verify_catalog(params=params, probe_seed=args.seed,
                          probe_count=args.probe_count)
     if args.output == "json":
@@ -133,7 +136,7 @@ def cmd_invariants(args) -> int:
 def cmd_conjugate(args) -> int:
     sub = _load_subalgebra(args.input)
     env = {}
-    if args.param:
+    if args.param is not None:
         env["a"] = _parse_option(args.param, "--param")
     g = parse_conjugator(args.conjugator, env)
     image = Subalgebra(conjugate_subalgebra(g, sub.space))
@@ -214,7 +217,7 @@ def main(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}; compare characteristic "
               f"polynomials instead of eigenvalue data", file=sys.stderr)
         return 3
-    except (FactorizationLimit, NotSolvable, UnrecognizedFamily,
+    except (ExpressionLimit, FactorizationLimit, NotSolvable, UnrecognizedFamily,
             UnsupportedDimension) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

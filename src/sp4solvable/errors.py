@@ -9,6 +9,10 @@ class FactorizationLimit(Sp4Error):
     """An integer with two prime factors above the trial-division bound."""
 
 
+class ExpressionLimit(Sp4Error, ValueError):
+    """An expression whose power would exceed the evaluator's size bound."""
+
+
 class ZeroPolynomial(Sp4Error):
     """Root extraction was asked for the zero polynomial."""
 

@@ -13,11 +13,14 @@ and still evaluates exactly.  Grammar:
 Values are exact rationals.  An exponent above `MAX_EXPONENT` (the catalog's
 largest is 2), a power of more than `MAX_POWER_BITS` bits, or parentheses
 nested deeper than `MAX_DEPTH` raise ValueError, so no text can hang the
-caller or exhaust its stack.
+caller or exhaust its stack.  The power bound depends on the values as well
+as the text (a catalog formula at a huge sample), so it raises
+`ExpressionLimit`, a ValueError that is also an out-of-domain `Sp4Error`.
 """
 
 from __future__ import annotations
 
+from .errors import ExpressionLimit
 from .rational import Q
 
 __all__ = ["eval_expr"]
@@ -77,7 +80,7 @@ class _Parser:
             if e > MAX_EXPONENT:
                 raise ValueError(f"exponent {e} above {MAX_EXPONENT} in {self.text!r}")
             if e * max(v.numerator.bit_length(), v.denominator.bit_length()) > MAX_POWER_BITS:
-                raise ValueError(f"power above {MAX_POWER_BITS} bits in {self.text!r}")
+                raise ExpressionLimit(f"power above {MAX_POWER_BITS} bits in {self.text!r}")
             v = v**e
         return -v if neg else v
 

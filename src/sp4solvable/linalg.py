@@ -26,7 +26,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DependentInputs, SingularMatrix, ZeroPolynomial
-from .rational import Q, ZERO, ONE, divisors, format_rational, parse_rational
+from .rational import Q, ZERO, ONE, format_rational, parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +289,10 @@ def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[
 
 
 def rational_roots(p: Poly) -> dict:
-    """All rational roots of p with multiplicities: each candidate n/d of the
-    rational root theorem deflates the primitive int form by d*x - n as often
-    as it divides.  Irrational and complex roots are not returned."""
+    """All rational roots of p with multiplicities: each candidate n/d (from
+    the quadratic formula, or lifted p-adically from degree 3 on) deflates
+    the primitive int form by d*x - n as often as it divides.  Irrational and
+    complex roots are not returned."""
     if p.is_zero():
         raise ZeroPolynomial("rational_roots of the zero polynomial")
     roots: dict = {}
@@ -342,11 +343,61 @@ def _root_candidates(c: Sequence[int]):
             if s is not None and t is not None:  # s != 0, as c[0] != 0
                 yield from ((s, t), (-s, t))
         return
-    # general case: divisor quotients of the end coefficients
-    for n in divisors(c[0]):
-        for d in divisors(c[-1]):
-            yield _ratio(n, d)
-            yield _ratio(-n, d)
+    # general case: lifted roots, sorted as a scan of divisor quotients meets
+    # them (n over divisors of c[0], d over divisors of c[-1], +n before -n)
+    # so that the roots dict keeps that order
+    yield from sorted(_lifted_roots(c), key=lambda nd: (abs(nd[0]), nd[1], nd[0] < 0))
+
+
+def _lifted_roots(c: Sequence[int]) -> set:
+    """Candidates (n, d) that include every rational root of a primitive
+    int polynomial c of degree >= 3 with nonzero constant term, found
+    without enumerating divisors (whose number grows with the coefficients).
+    Modulo a prime p that does not divide the leading coefficient l and at
+    which every root is simple, a root x = n/d (d | l) is the Hensel lift of
+    one root (Newton steps modulo p^(2^k)), and l*x is an integer no larger
+    than l + max|c_i|.  Only a repeated root is repeated modulo every prime,
+    so from p = 31 on the search runs on the squarefree part.  A candidate
+    that is not a root fails the caller's deflation."""
+    s = c if c[-1] > 0 else [-x for x in c]
+    for p in _primes():
+        if p == 31:
+            s = _primitive(Poly._make(c, 1).squarefree_part().num)
+        if s[-1] % p:
+            values = [_eval_mod(s, r, p) for r in range(p)]
+            if all(d for v, d in values if v == 0):
+                break
+    lead, out = s[-1], set()
+    bound = lead + max(map(abs, s))
+    for r, (v, _) in enumerate(values):
+        if v:
+            continue
+        mod = p
+        while mod <= 2 * bound:
+            mod *= mod
+            v, d = _eval_mod(s, r, mod)
+            r = (r - v * pow(d, -1, mod)) % mod
+        y = lead * r % mod
+        out.add(_ratio(y - mod if 2 * y > mod else y, lead))
+    return out
+
+
+def _eval_mod(a: Sequence[int], x: int, mod: int) -> tuple[int, int]:
+    """(a(x), a'(x)) modulo `mod`, by one Horner pass."""
+    v = d = 0
+    for coeff in reversed(a):
+        d = (d * x + v) % mod
+        v = (v * x + coeff) % mod
+    return v, d
+
+
+def _primes():
+    yield 2
+    p = 3
+    while True:
+        if all(p % f for f in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+        p += 2
 
 
 def _quadratic_roots(a: int, b: int, c: int):

@@ -27,7 +27,6 @@ __all__ = [
     "rational_sqrt",
     "rational_nth_root",
     "factor_int",
-    "divisors",
     "power_free_kernel",
 ]
 
@@ -124,14 +123,6 @@ def factor_int(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of ``abs(n)``."""
-    ds = [1]
-    for p, e in factor_int(n).items():
-        ds = [d * p**i for d in ds for i in range(e + 1)]
-    return sorted(ds)
 
 
 def power_free_kernel(q, k: int = 2):

@@ -238,6 +238,35 @@ def test_malformed_params_are_a_parse_error(capsys):
     assert "--params" in capsys.readouterr().err
 
 
+def test_empty_params_are_a_parse_error(capsys):
+    # an empty list is not "the defaults": it names no sample at all
+    assert main(["verify-catalog", "--params", ""]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "--params" in err
+
+
+def test_empty_param_is_a_parse_error(ta_path, capsys):
+    assert main(["conjugate", "--input", ta_path, "--conjugator", "shear:alpha:a",
+                 "--param", ""]) == 2
+    assert "--param" in capsys.readouterr().err
+
+
+def test_a_repeated_sample_is_verified_once(capsys):
+    assert main(["verify-catalog", "--params", "2", "--output", "json"]) == 0
+    once = capsys.readouterr().out
+    assert main(["verify-catalog", "--params", "2,4/2", "--output", "json"]) == 0
+    assert capsys.readouterr().out == once
+    assert main(["verify-catalog", "--params", "1/2,2,1/2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "parameter samples: 1/2, 2"
+
+
+def test_a_sample_past_the_expression_bound_is_out_of_domain(capsys):
+    # at a 700-digit a, (a+3)^2 in a de Graaf parameter of d3_Ta1_Xa_Xab is above
+    # the evaluator's power bound: exit 3 with the reason, not a traceback
+    assert main(["verify-catalog", "--params", "9" * 700]) == 3
+    assert "ExpressionLimit: power above" in capsys.readouterr().err
+
+
 def test_malformed_param_is_a_parse_error(ta_path, capsys):
     assert main(["conjugate", "--input", ta_path, "--conjugator", "W",
                  "--param", "x"]) == 2

@@ -1,7 +1,12 @@
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import sp4solvable
 
@@ -37,3 +42,58 @@ def test_the_library_reads_no_environment_variable():
     readers = [f"{path.name}: {needle}" for path in sorted(src.glob("*.py"))
                for needle in ("os.environ", "getenv") if needle in path.read_text()]
     assert readers == []
+
+
+def _modules_loaded_by(code: str) -> set:
+    # a fresh interpreter: this process has long since loaded every module
+    src = Path(sp4solvable.__file__).resolve().parents[1]
+    probe = code + ("\nimport sys\nprint(' '.join(m for m in sys.modules"
+                    " if m.startswith('sp4solvable')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    return {m.removeprefix("sp4solvable.") for m in out.split()}
+
+
+def test_the_catalog_loads_without_the_certifier():
+    loaded = _modules_loaded_by("import sp4solvable\nsp4solvable.load_catalog()")
+    assert loaded.isdisjoint({"verify", "identify", "invariants", "jordan", "cli"})
+    assert "catalog" in loaded
+    loaded = _modules_loaded_by("import sp4solvable\nsp4solvable.classify_element")
+    assert "jordan" in loaded and "verify" not in loaded
+
+
+def test_every_export_is_its_defining_binding():
+    for module, names in sp4solvable._EXPORTS.items():
+        defining = importlib.import_module(f"sp4solvable.{module}")
+        assert getattr(sp4solvable, module) is defining
+        for name in names:
+            assert getattr(sp4solvable, name) is getattr(defining, name), name
+    assert len(set(sp4solvable.__all__)) == len(sp4solvable.__all__)
+
+
+def test_an_export_is_looked_up_on_every_access(monkeypatch):
+    # nothing is cached in the package: the benchmark tracer patches the
+    # defining module and must be seen through `sp4solvable.<name>`
+    import sp4solvable.jordan as jordan
+    original = jordan.classify_element
+
+    def fake(m):
+        return m
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sp4solvable.jordan, "classify_element", fake)
+        assert sp4solvable.classify_element is fake
+    assert sp4solvable.classify_element is original
+    assert "classify_element" not in vars(sp4solvable)
+
+
+def test_unknown_names_dir_and_star_import():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sp4solvable.no_such_name
+    assert not hasattr(sp4solvable, "cli_main")
+    assert set(sp4solvable.__all__) <= set(dir(sp4solvable))
+    assert set(sp4solvable._EXPORTS) <= set(dir(sp4solvable))
+    namespace: dict = {}
+    exec("from sp4solvable import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(sp4solvable.__all__)

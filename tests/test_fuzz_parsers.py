@@ -1,8 +1,9 @@
-"""Fuzzing the two text parsers and the subalgebra wire format: every
-expression text evaluates or raises ValueError/ZeroDivisionError, every
-conjugator recipe evaluates or raises Sp4Error, and `identify` and
-`invariants` exit with a contract code on any JSON file, quickly, whatever
-the nesting depth, exponent size or entry size."""
+"""Fuzzing the two text parsers and the CLI wire formats: every expression
+text evaluates or raises ValueError/ZeroDivisionError, every conjugator
+recipe evaluates or raises Sp4Error, and `identify` and `invariants` (on any
+subalgebra file), `classify-element` (on any matrix file) and
+`verify-catalog` (on any --params string) exit with a contract code,
+quickly, whatever the nesting depth, exponent size or entry size."""
 
 import contextlib
 import io
@@ -18,8 +19,9 @@ from sp4solvable.errors import Sp4Error
 from sp4solvable.exprs import eval_expr
 from sp4solvable.linalg import Mat4
 from sp4solvable.rational import Q
-from sp4solvable.sp4 import (ROOT_LABELS, T, X_A2B, X_AB, X_ALPHA, X_BETA,
-                             conjugate_subalgebra, parse_conjugator, shear)
+from sp4solvable.sp4 import (ROOT_LABELS, T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA,
+                             conjugate, conjugate_subalgebra, parse_conjugator,
+                             shear)
 from sp4solvable.structure import Subalgebra, generated_subalgebra
 
 TIME_BOUND = 2.0
@@ -117,4 +119,50 @@ def test_cli_exits_with_a_contract_code_on_any_subalgebra_file(tmp_path_factory,
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([command, "--input", str(path)])
     assert code in (0, 1, 2, 3)
+    assert time.perf_counter() - start < TIME_BOUND
+
+
+# -- the element matrix wire format and the --params string --------------------
+
+def _exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejects a --params value like "--"
+            return exc.code
+
+
+# the sum of a Borel element and a conjugate of another by W leaves the Borel
+# subalgebra, so its spectrum is often irrational and its entries are large
+sp4_elements = st.builds(lambda b, c: b + conjugate(W_MAT, c), borel_elements, borel_elements)
+matrices = st.one_of(borel_elements, sp4_elements).map(lambda m: m.to_json())
+square_grids = st.lists(st.lists(cells, min_size=4, max_size=4), min_size=4, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(json_values, grids, square_grids, matrices,
+                 st.one_of(grids, matrices).map(lambda g: {"matrix": g})))
+def test_classify_element_exits_with_a_contract_code_on_any_matrix_file(tmp_path_factory,
+                                                                        data):
+    path = tmp_path_factory.mktemp("wire") / "matrix.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert _exit_code(["classify-element", "--input", str(path)]) in (0, 1, 2, 3)
+    assert time.perf_counter() - start < TIME_BOUND
+
+
+# samples of every size: the catalog's formulas exceed the power bound near
+# 600 digits, and int() refuses more than 4300 digits
+samples = st.one_of(big_rationals.map(str), st.integers(-10**6, 10**6).map(str),
+                    st.integers(1, 5000).map(lambda n: "9" * n),
+                    st.sampled_from(["", "1/0", "x", "-", "--", "-1/3", "0", "1", "-1",
+                                     " 2", "2 ", "1e3", "0x10", "1/2/3", "\u00bd"]),
+                    junk)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(samples, min_size=1, max_size=2).map(",".join))
+def test_verify_catalog_exits_with_a_contract_code_on_any_params_string(params):
+    start = time.perf_counter()
+    assert _exit_code(["verify-catalog", "--params", params]) in (0, 1, 2, 3)
     assert time.perf_counter() - start < TIME_BOUND

@@ -3,6 +3,7 @@ kernels that read them (`char_poly`, `rank`, `jordan_type`, `poly_eval_mat`),
 and a guard that keeps `Fraction` construction out of them."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,61 @@ def test_poly_kernels_match_sympy(p, q):
         assert p.squarefree_part() == from_sympy(sympy.sqf_part(f).monic())
     if not p.is_zero():
         assert rational_roots(p) == sympy_rational_roots(f)
+
+
+def _divisor_scan_order(root):
+    # a divisor scan tries n/d for n = 1, 2, ... dividing the constant term,
+    # d = 1, 2, ... dividing the leading coefficient, +n before -n
+    return (abs(root.numerator), root.denominator, root < 0)
+
+
+def _beyond_the_formulas(p):
+    # degree >= 3 once x^k is divided out, and not biquadratic: the roots
+    # of these are not read off the quadratic formula
+    c = p.num[next(i for i, x in enumerate(p.num) if x):]
+    return len(c) >= 4 and not (len(c) == 5 and c[1] == c[3] == 0)
+
+
+def test_rational_roots_come_in_divisor_scan_order():
+    cases = [p for p, _ in CASES if not p.is_zero() and _beyond_the_formulas(p)]
+    assert len(cases) > 100
+    for p in cases:
+        roots = [r for r in rational_roots(p) if r != 0]
+        assert roots == sorted(roots, key=_divisor_scan_order), p
+
+
+def _big_rat(rng, digits):
+    return Q(rng.randint(-10**digits, 10**digits), rng.randint(1, 10**digits))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rational_roots_with_huge_coefficients_match_sympy(seed):
+    # end coefficients with millions of divisor pairs: the roots are lifted,
+    # not searched for among divisors
+    rng = random.Random(9_0000 + seed)
+    p = Poly([_big_rat(rng, 30) or 1])
+    for _ in range(rng.randint(1, 4)):
+        p = p * Poly([-_big_rat(rng, rng.choice((2, 12, 30))), 1])
+    if rng.random() < 0.7:
+        p = p * Poly([_big_rat(rng, 20) for _ in range(rng.randint(1, 4))] + [1])
+    start = time.perf_counter()
+    roots = rational_roots(p)
+    assert time.perf_counter() - start < 2.0
+    assert roots == sympy_rational_roots(to_sympy(p))
+    if _beyond_the_formulas(p):
+        assert list(roots) == sorted(roots, key=_divisor_scan_order)
+
+
+def test_the_m6_cubic_at_a_29_digit_sample():
+    # x^3 - x^2 - b x - a of the M6 row at a = 10^29 - 1: its end coefficients
+    # have 3.8 million divisor quotients
+    den = 225 * 10**56
+    start = time.perf_counter()
+    roots = rational_roots(Poly([Q(-(10**29 - 1) // 3, den),
+                                 Q(5 * 10**57 + 10**29 - 1, den), -1, 1]))
+    assert time.perf_counter() - start < 2.0
+    assert roots == {Q(1, 3): 1, Q(1, 150000000000000000000000000000): 1,
+                     Q(33333333333333333333333333333, 50000000000000000000000000000): 1}
 
 
 def test_canonical_form():
