@@ -347,23 +347,22 @@ def degraaf_to_sw(c: DeGraafClass) -> SWClass:
             return SWClass("s_{4,2}")
         if len(roots) == 2:
             raise OutOfCatalog("M6 with a repeated eigenvalue (s_{4,4}) does not occur")
-        return SWClass("s_{4,3}", _normalize_s43(sorted(roots))[1])
+        return SWClass("s_{4,3}", _normalize_s43(sorted(roots)))
     raise OutOfCatalog(f"no translation for {c}")
 
 
 def _normalize_s43(eigs: list) -> tuple:
     """Normalize three distinct nonzero eigenvalues to (1, A, B) with
-    0 < |B| <= |A| <= 1 and (A, B) != (-1, -1), dividing by one of them, r.
-    Returns (r, (A, B)) for the least (|A|, |B|, A, B) (then the least r)."""
+    0 < |B| <= |A| <= 1 and (A, B) != (-1, -1), dividing by one of them.
+    Returns the least (A, B) by (|A|, |B|, A, B)."""
     cands = []
     for r in eigs:
         a, b = sorted((e / r for e in eigs if e is not r), key=lambda x: (-abs(x), x < 0))
         if 0 < abs(b) <= abs(a) <= 1 and (a, b) != (-1, -1):
-            cands.append((abs(a), abs(b), (a, b), r))
+            cands.append((abs(a), abs(b), (a, b)))
     if not cands:
         raise OutOfCatalog("eigenvalues admit no s_{4,3} normalization")
-    *_, ab, r = min(cands)
-    return r, ab
+    return min(cands)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +395,18 @@ def tri_algebra_constants(r) -> StructureConstants:
 # explicit bridges into the second catalog
 # ---------------------------------------------------------------------------
 
-def sw_bridge_map(c: DeGraafClass):
+def sw_bridge_map(c: DeGraafClass, label: SWClass | None = None):
     """The explicit isomorphism realizing degraaf_to_sw, bracket-verifiable.
 
     Returns (bridge_class, columns), the columns mapping the class
     presentation onto the bridge presentation (see `verify_isomorphism`).
-    The bridge class equals degraaf_to_sw(c) except for M8, whose label is
-    the complex class s_{4,12} while the rational bridge is onto the direct
-    sum 2s_{2,1}.  Raises OutOfCatalog where the
-    translated parameter is irrational.
+    `label` is degraaf_to_sw(c) when the caller has it already.  The bridge
+    class equals that label except for M8, whose label is the complex class
+    s_{4,12} while the rational bridge is onto the direct sum 2s_{2,1}.
+    Raises OutOfCatalog where the translated parameter is irrational.
     """
-    label = degraaf_to_sw(c)
+    if label is None:
+        label = degraaf_to_sw(c)
     if any(isinstance(p, QuadraticValue) for p in label.params):
         raise OutOfCatalog("bridge needs a rational normalized parameter")
     cols = _BRIDGES[c.family, label.name]
@@ -452,12 +452,13 @@ def _m6_split_bridge(pr, lp):
     return (x1, x2, x3, (ZERO, ZERO, ZERO, -b / lplus))
 
 
-def _m6_s43_bridge(pr, _):
+def _m6_s43_bridge(pr, lp):
     """M6(A,B) with three distinct rational nilradical eigenvalues onto
-    s_{4,3}: eigenvectors of the companion action paired with (1, A', B')."""
-    a, b = pr
-    # the normalizing eigenvalue r' with {others}/r' = {A', B'}
-    rprime, (ap, bp) = _normalize_s43(sorted(rational_roots(Poly([-a, -b, -1, 1]))))
+    s_{4,3}(A', B'): eigenvectors of the companion action paired with
+    (1, A', B')."""
+    (a, b), (ap, bp) = pr, lp
+    # the eigenvalues are r', A'r', B'r' and sum to 1 (the t^2 coefficient)
+    rprime = 1 / (1 + ap + bp)
     # companion action of ad(x4) on (x1, x2, x3)
     m = [[ZERO, ZERO, Q(a)], [ONE, ZERO, Q(b)], [ZERO, ONE, ONE]]
 

@@ -38,9 +38,14 @@ def rref(rows: Iterable[Sequence]) -> list[tuple]:
     zeros above and below each pivot).  The output is the unique canonical
     basis of the row span.  Rows are scaled to ints and eliminated
     fraction-free (`_rref_int`); rationals appear only in the output."""
-    return [tuple([Q(x, r[c]) if x else ZERO for x in r])
-            for c, r in _rref_int([r if all(type(x) is int for x in r)
-                                   else _over_common_den(r)[0] for r in rows])]
+    return _as_rref(_rref_int([r if all(type(x) is int for x in r)
+                              else _over_common_den(r)[0] for r in rows]))
+
+
+def _as_rref(echelon: Iterable[tuple[int, Sequence[int]]]) -> list[tuple]:
+    """The (pivot column, int row) pairs of `_rref_int` as RREF rows: each
+    row divided by its pivot."""
+    return [tuple([Q(x, r[c]) if x else ZERO for x in r]) for c, r in echelon]
 
 
 def _rref_int(rows: Iterable[Sequence[int]]) -> list[tuple[int, Sequence[int]]]:
@@ -668,18 +673,23 @@ class Subspace:
         return self.coords(m) is not None
 
     def coords(self, m: Mat4):
-        """Coefficients of m in the echelon basis, or None if outside.  The
-        i-th is m's entry at basis element i's pivot; m is inside iff their
-        combination is m, checked as one comparison of int rows."""
+        """Coefficients of m in the echelon basis, or None if outside."""
+        cs = self.coords_num(m)
+        return None if cs is None else tuple([Q(c, m.den) if c else ZERO for c in cs])
+
+    def coords_num(self, m: Mat4):
+        """The coefficients of m in the echelon basis times m.den (ints), or
+        None if m is outside.  The i-th is m's entry at basis element i's
+        pivot; m is inside iff their combination is m, checked as one
+        comparison of int rows."""
         # a basis element's pivot is its first entry equal to its den
         cs = [m.num[b.num.index(b.den)] for b in self.basis]
         l = math.lcm(*[b.den for b in self.basis])
         combo = [0] * 16
         for c, b in zip(cs, self.basis):
-            combo = [x + c * (l // b.den) * y for x, y in zip(combo, b.num)]
-        if combo != [l * x for x in m.num]:
-            return None
-        return tuple([Q(c, m.den) if c else ZERO for c in cs])
+            if c:
+                combo = [x + c * (l // b.den) * y for x, y in zip(combo, b.num)]
+        return cs if combo == [l * x for x in m.num] else None
 
     def combine(self, coeffs: Sequence) -> Mat4:
         acc = Mat4.zero()

@@ -1,26 +1,34 @@
 """Structural predicates and series for subalgebras.
 
 The bracket table (exact structure constants) is the one bracket fact of a
-subalgebra: a `Subalgebra` computes it once, in its canonical echelon basis,
-from the d(d-1)/2 matrix brackets solved in one echelonization, and closure
-is the table's existence.  The derived and lower central series,
-solvability, nilpotency, abelian-ness and adjoint matrices all run on the
-table in coordinates (d <= 7); adjoint matrices on RREF rows are read at the
-pivots, and `derived_series` returns matrix `Subspace` values at the
-boundary.  A bracket table moves to a new basis only by `change_basis`.
-Ambient sp(4) membership is validated when a `Subalgebra` is constructed
-from matrices.
+subalgebra.  Like `Mat4`, it is held as int numerators over one positive
+denominator in lowest terms, so == is exact value equality.  A `Subalgebra`
+computes it once, in its canonical echelon basis, by reading each of the
+d(d-1)/2 matrix brackets at the basis pivots (`Subspace.coords_num`); closure
+is the table's existence.  The derived and lower central series, solvability,
+nilpotency, abelian-ness and adjoint matrices all run on the table in
+coordinates (d <= 7).  A bracket of coordinate rows is the int contraction
+den*[u, v] of the rows scaled to ints, and the spans of brackets are
+eliminated fraction-free; adjoint matrices on RREF rows are read at the
+pivots.  Rationals appear only at the boundary: `StructureConstants.table`,
+`bracket_coords`, the RREF rows that `bracket_space` and `coord_series`
+return, and `derived_series`, which returns matrix `Subspace` values.  A
+bracket table moves to a new basis only by `change_basis`, which brackets
+int-scaled columns and divides once.  Ambient sp(4) membership is validated
+when a `Subalgebra` is constructed from matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .errors import Sp4Error
-from .linalg import Mat4, Subspace, echelon_coords, echelon_span, rref, solve_in_span
+from .errors import DependentInputs, Sp4Error
+from .linalg import (Mat4, Subspace, _as_rref, _over_common_den, _rref_int,
+                     echelon_coords, echelon_span, solve_in_span)
 from .rational import Q, ZERO, ONE, format_rational, parse_rational
 from .sp4 import bracket, in_sp4
 
@@ -49,7 +57,7 @@ class Subalgebra:
     @cached_property
     def constants(self) -> "StructureConstants":
         """The bracket table in the echelon basis, computed on first use."""
-        return structure_constants_for_basis(self.basis)
+        return _echelon_constants(self.space)
 
     @cached_property
     def derived(self) -> list[list[tuple]]:
@@ -75,38 +83,54 @@ class Subalgebra:
         return cls.from_matrices(mats)
 
 
-def _pair_brackets(mats: Sequence[Mat4]) -> tuple[list[Mat4], list]:
-    """The brackets [m_i, m_j], i < j, of independent matrices, and their
-    coordinates in the matrices (None for a bracket outside their span), all
-    solved in one echelonization of the int numerators, then rescaled."""
-    brackets = [bracket(x, y) for x, y in combinations(mats, 2)]
-    coords = solve_in_span([m.num for m in mats], [b.num for b in brackets])
-    return brackets, [None if c is None else tuple([x * m.den / b.den for x, m in zip(c, mats)])
-                      for c, b in zip(coords, brackets)]
+def _pair_coords(space: Subspace) -> tuple[list[Mat4], list]:
+    """The brackets [b_i, b_j], i < j, of the echelon basis, and their
+    coordinates times each bracket's den, read at the basis pivots (None for
+    a bracket outside the span)."""
+    brackets = [bracket(x, y) for x, y in combinations(space.basis, 2)]
+    return brackets, [space.coords_num(b) for b in brackets]
+
+
+def _echelon_constants(space: Subspace) -> "StructureConstants":
+    """The bracket table in the echelon basis; raises Sp4Error when a bracket
+    leaves the span."""
+    brackets, coords = _pair_coords(space)
+    if None in coords:
+        raise Sp4Error("basis is not closed under the bracket")
+    den = math.lcm(*[b.den for b in brackets])
+    return StructureConstants._make(
+        space.dim, [[x * (den // b.den) for x in c] for c, b in zip(coords, brackets)], den)
 
 
 def is_closed(space: Subspace) -> bool:
     """True iff all pairwise brackets of basis elements stay in the span."""
-    return None not in _pair_brackets(space.basis)[1]
+    return None not in _pair_coords(space)[1]
 
 
 def generated_subalgebra(seed: Iterable[Mat4]) -> Subalgebra:
     """Smallest bracket-closed subspace containing the seeds."""
     space = echelon_span(seed)
     while True:
-        brackets, coords = _pair_brackets(space.basis)
+        brackets, coords = _pair_coords(space)
         new = [b for b, c in zip(brackets, coords) if c is None]
         if not new:
             return Subalgebra(space)
         space = echelon_span(list(space.basis) + new)
 
 
+def _span_num(sc: "StructureConstants", a: list, b: list) -> list:
+    """`_rref_int` of the span of all den*[u, v], u in a, v in b, for int
+    coordinate rows a and b."""
+    pairs = combinations(a, 2) if a == b else product(a, b)
+    return _rref_int([sc._bracket_num(u, v) for u, v in pairs])
+
+
 def bracket_space(sc: "StructureConstants", a: Sequence[tuple],
                   b: Sequence[tuple]) -> list[tuple]:
     """RREF coordinate rows of the span of all [u, v], u in a, v in b, for
     coordinate rows a and b of the algebra with bracket table sc."""
-    pairs = combinations(a, 2) if a == b else product(a, b)
-    return rref([sc.bracket_coords(u, v) for u, v in pairs])
+    return _as_rref(_span_num(sc, [_over_common_den(r)[0] for r in a],
+                              [_over_common_den(r)[0] for r in b]))
 
 
 def ad_matrix(sc: "StructureConstants", y: Sequence, rows: list[tuple]) -> list[list]:
@@ -127,17 +151,18 @@ def unit_rows(d: int) -> list[tuple]:
 def coord_series(s: Subalgebra, lower: bool = False) -> list[list[tuple]]:
     """RREF coordinate rows of g, [g,g], ... until the dimension stops
     falling: the derived series, or with `lower` the lower central series
-    (g, [g,g], [g,[g,g]], ...), all from the bracket table."""
+    (g, [g,g], [g,[g,g]], ...), all from the bracket table.  The series is
+    eliminated on int rows; only the returned rows are rational."""
     sc = s.constants
-    g = unit_rows(s.dim)
-    chain = [g]
+    g = [[int(i == j) for j in range(s.dim)] for i in range(s.dim)]
+    chain = [list(enumerate(g))]
     while chain[-1]:
-        h = chain[-1]
-        nxt = bracket_space(sc, g if lower else h, h)
+        h = [r for _, r in chain[-1]]
+        nxt = _span_num(sc, g if lower else h, h)
         if len(nxt) == len(h):
             break
         chain.append(nxt)
-    return chain
+    return [_as_rref(level) for level in chain]
 
 
 def derived_series(s: Subalgebra) -> list[Subspace]:
@@ -163,91 +188,126 @@ def is_abelian(s: Subalgebra) -> bool:
 # ---------------------------------------------------------------------------
 
 class StructureConstants:
-    """Exact structure constants c[i][j][k]: [x_i, x_j] = sum_k c[i][j][k] x_k."""
+    """Exact structure constants c[i][j][k]: [x_i, x_j] = sum_k c[i][j][k] x_k,
+    held as int numerators `num[i][j][k]` over one positive denominator
+    `den` in lowest terms: gcd(den, *num) == 1, and an abelian table has
+    den == 1.  The form is canonical, so == is exact value equality.
+    Rationals appear only at the boundary (`table`, `bracket_coords`, the
+    builders `from_pairs`, `from_brackets` and `from_json`, and the JSON
+    wire format)."""
 
-    __slots__ = ("dim", "table")
+    __slots__ = ("dim", "num", "den", "_pairs")
 
-    def __init__(self, dim: int, table):
-        self.dim = dim
-        self.table = tuple(tuple(tuple(row) for row in plane) for plane in table)
+    @classmethod
+    def _make(cls, dim: int, pairs: Sequence[Sequence[int]], den: int) -> "StructureConstants":
+        """The table whose [x_i, x_j], i < j in `itertools.combinations`
+        order, is the int row pairs[n] over den > 0, reduced by one gcd
+        pass; antisymmetry and the zero diagonal are filled in."""
+        g = math.gcd(den, *[x for r in pairs for x in r])
+        if g > 1:
+            pairs, den = [[x // g for x in r] for r in pairs], den // g
+        num = [[(0,) * dim] * dim for _ in range(dim)]
+        sparse = []
+        for (i, j), r in zip(combinations(range(dim), 2), pairs):
+            num[i][j] = tuple(r)
+            num[j][i] = tuple([-x for x in r])
+            if any(r):
+                sparse.append((i, j, tuple([(k, c) for k, c in enumerate(r) if c])))
+        sc = cls.__new__(cls)
+        sc.dim, sc.den = dim, den
+        sc.num = tuple(tuple(plane) for plane in num)
+        sc._pairs = tuple(sparse)
+        return sc
+
+    @property
+    def table(self) -> tuple:
+        """The constants as rationals: c[i][j][k] = num[i][j][k] / den."""
+        return tuple(tuple(tuple([Q(x, self.den) for x in row]) for row in plane)
+                     for plane in self.num)
+
+    def _bracket_num(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
+        """den * [u, v] for int coordinate rows u and v."""
+        out = [0] * self.dim
+        for i, j, row in self._pairs:
+            f = u[i] * v[j] - u[j] * v[i]
+            if f:
+                for k, c in row:
+                    out[k] += f * c
+        return out
 
     def bracket_coords(self, u: Sequence, v: Sequence) -> tuple:
-        d = self.dim
-        out = [ZERO] * d
-        for i in range(d):
-            if u[i] == 0:
-                continue
-            for j in range(d):
-                if v[j] == 0:
-                    continue
-                f = u[i] * v[j]
-                row = self.table[i][j]
-                for k in range(d):
-                    if row[k] != 0:
-                        out[k] += f * row[k]
-        return tuple(out)
+        """The coordinates of [u, v] for rational coordinate rows u and v."""
+        (un, ud), (vn, vd) = _over_common_den(u), _over_common_den(v)
+        d = ud * vd * self.den
+        return tuple([Q(x, d) if x else ZERO for x in self._bracket_num(un, vn)])
 
     def is_abelian(self) -> bool:
-        return all(c == 0 for plane in self.table for row in plane for c in row)
+        return not self._pairs
 
     def change_basis(self, p_cols: Sequence[Sequence]) -> "StructureConstants":
         """Constants in the new basis y_j = sum_i p_cols[j][i] * x_i.
 
         p_cols lists the new basis vectors in old coordinates; dependent
-        ones raise DependentInputs.
+        ones raise DependentInputs.  With the columns scaled to ints Y_j =
+        e*y_j by one common e, the brackets den*[Y_i, Y_j] are solved against
+        the Y_j by one fraction-free elimination and divided once.
         """
         d = self.dim
-        new_in_old = [tuple(Q(c) for c in col) for col in p_cols]
-        if len(new_in_old) != d:
+        if len(p_cols) != d or any(len(c) != d for c in p_cols):
             raise Sp4Error("basis change matrix is not square")
-        brackets = [self.bracket_coords(x, y) for x, y in combinations(new_in_old, 2)]
-        return StructureConstants.from_pairs(d, solve_in_span(new_in_old, brackets))
+        flat, e = _over_common_den([x for c in p_cols for x in c])
+        ys = [flat[n * d:(n + 1) * d] for n in range(d)]
+        ws = [self._bracket_num(x, y) for x, y in combinations(ys, 2)]
+        # row k of the reduced [Y | W] is r_k[k] * (unit k | coordinates on
+        # Y_k), and [y_i, y_j] = W / (e^2 den) with Y_k = e*y_k
+        echelon = _rref_int(zip(*ys, *ws))
+        if [c for c, _ in echelon] != list(range(d)):
+            raise DependentInputs("coordinates need independent vectors")
+        piv = math.lcm(*[r[k] for k, r in echelon])
+        return StructureConstants._make(
+            d, [[r[d + p] * (piv // r[k]) for k, r in echelon] for p in range(len(ws))],
+            piv * e * self.den)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, StructureConstants)
-                and self.dim == other.dim and self.table == other.table)
+        return (isinstance(other, StructureConstants) and self.dim == other.dim
+                and self.den == other.den and self.num == other.num)
 
     def to_json(self) -> dict:
         triples = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    c = self.table[i][j][k]
-                    if c != 0:
-                        triples.append([i, j, k, format_rational(c)])
+        for i, plane in enumerate(self.num):
+            for j, row in enumerate(plane):
+                for k, x in enumerate(row):
+                    if x != 0:
+                        triples.append([i, j, k, format_rational(Q(x, self.den))])
         return {"dim": self.dim, "c": triples}
 
     @classmethod
     def from_json(cls, data: dict) -> "StructureConstants":
-        d = int(data["dim"])
-        table = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
+        brackets: dict = {}
         for i, j, k, c in data["c"]:
-            table[i][j][k] = parse_rational(str(c))
-        return cls(d, table)
+            brackets.setdefault((i, j), {})[k] = parse_rational(str(c))
+        return cls.from_brackets(int(data["dim"]), brackets)
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: dict) -> "StructureConstants":
         """Build from a sparse {(i, j): {k: c}} description of [x_i, x_j],
-        i < j; antisymmetry is filled in."""
-        table = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        i != j; antisymmetry is filled in."""
+        index = {p: n for n, p in enumerate(combinations(range(dim), 2))}
+        rows = [[ZERO] * dim for _ in index]
         for (i, j), row in brackets.items():
             for k, c in row.items():
-                table[i][j][k] = Q(c)
-                table[j][i][k] = -Q(c)
-        return cls(dim, table)
+                rows[index[min(i, j), max(i, j)]][k] = Q(c) if i < j else -Q(c)
+        return cls.from_pairs(dim, rows)
 
     @classmethod
     def from_pairs(cls, dim: int, coords: Sequence) -> "StructureConstants":
-        """Build from the coordinates of [x_i, x_j], i < j, listed in
+        """Build from the rational coordinates of [x_i, x_j], i < j, listed in
         `itertools.combinations` order; antisymmetry and the zero diagonal
         are filled in.  A None entry (a bracket outside the span) raises."""
         if None in coords:
             raise Sp4Error("basis is not closed under the bracket")
-        table = [[(ZERO,) * dim] * dim for _ in range(dim)]
-        for (i, j), c in zip(combinations(range(dim), 2), coords):
-            table[i][j] = c
-            table[j][i] = tuple(-x for x in c)
-        return cls(dim, table)
+        num, den = _over_common_den([x for c in coords for x in c])
+        return cls._make(dim, [num[n * dim:(n + 1) * dim] for n in range(len(coords))], den)
 
 
 def structure_constants(s: Subalgebra) -> StructureConstants:
@@ -256,5 +316,11 @@ def structure_constants(s: Subalgebra) -> StructureConstants:
 
 
 def structure_constants_for_basis(mats: Sequence[Mat4]) -> StructureConstants:
-    """Constants of the matrix bracket in the given (independent) basis."""
-    return StructureConstants.from_pairs(len(mats), _pair_brackets(mats)[1])
+    """Constants of the matrix bracket in the given (independent) basis: the
+    coordinates of the brackets [m_i, m_j], i < j, are solved in one
+    echelonization of the int numerators, then rescaled."""
+    brackets = [bracket(x, y) for x, y in combinations(mats, 2)]
+    coords = solve_in_span([m.num for m in mats], [b.num for b in brackets])
+    return StructureConstants.from_pairs(len(mats), [
+        None if c is None else tuple([x * m.den / b.den for x, m in zip(c, mats)])
+        for c, b in zip(coords, brackets)])

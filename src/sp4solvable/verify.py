@@ -13,6 +13,7 @@ probe closes random Borel seeds and matches them back into the catalog.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -134,8 +135,25 @@ def verify_entry(entry: CatalogEntry, params=DEFAULT_PARAM_SAMPLES,
                  f"none of {', '.join(_p(a) for a in params)} is admissible; "
                  "the row's claims did not run")
     for i, a in enumerate(samples):
+        start = len(rep.records)
         _verify_at(entry, a, rep, first=(i == 0))
+        _fail_unrecorded_claims(entry, a, i == 0, rep, rep.records[start:])
     return rep
+
+
+def _fail_unrecorded_claims(entry: CatalogEntry, a, first: bool,
+                            rep: VerificationReport, records: list):
+    """A fail record for each value a declared claim was due at that left no
+    record of its own in `records` (the sample's records), so that no early
+    return drops a claim from the report silently."""
+    left = Counter((r.check, r.param) for r in records if r.row_id == entry.row_id)
+    for claim in entry.equivalences:
+        for val in _claim_values(claim, a, first):
+            key = (f"equivalence: {claim.desc}", _p(val))
+            if left[key]:
+                left[key] -= 1
+            else:
+                rep.add(entry.row_id, val, key[0], False, "the claim left no record")
 
 
 def _report(report: VerificationReport | None, params) -> VerificationReport:
@@ -211,7 +229,7 @@ def _verify_at(entry: CatalogEntry, a, rep: VerificationReport, first: bool):
             else:
                 rep.add(entry.row_id, a, "sw-label", True, str(computed))
             try:
-                bridge_class, bridge = sw_bridge_map(dg)
+                bridge_class, bridge = sw_bridge_map(dg, computed)
                 ok = verify_isomorphism(dg.constants(), bridge_class.constants(),
                                         bridge)
                 rep.add(entry.row_id, a, "sw-bridge", ok,

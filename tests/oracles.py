@@ -1,9 +1,11 @@
 """Independent oracles that only the tests use: each recomputes a library
 result by a different method (cofactor expansion, an integer grid sweep,
-the defining identities of a Lie bracket), sharing no kernel with the code
-it checks."""
+the defining identities of a Lie bracket, `Fraction` arithmetic on the
+rational bracket table), sharing no kernel with the code it checks."""
 
-from sp4solvable.linalg import Mat4, Poly, det_mpoly, rank
+from itertools import combinations
+
+from sp4solvable.linalg import Mat4, Poly, det_mpoly, rank, solve_in_span
 from sp4solvable.rational import Q, ZERO
 from sp4solvable.structure import StructureConstants, unit_rows
 
@@ -44,3 +46,32 @@ def satisfies_jacobi(sc: StructureConstants) -> bool:
                 if any(c != 0 for c in acc):
                     return False
     return True
+
+
+def bracket_coords_fraction(sc: StructureConstants, u, v) -> tuple:
+    """The coordinates of [u, v] by a `Fraction` triple loop over the rational
+    table, not the int contraction."""
+    d, table = sc.dim, sc.table
+    out = [ZERO] * d
+    for i in range(d):
+        for j in range(d):
+            f = Q(u[i]) * Q(v[j])
+            if f:
+                for k in range(d):
+                    out[k] += f * table[i][j][k]
+    return tuple(out)
+
+
+def change_basis_fraction(sc: StructureConstants, p_cols) -> tuple:
+    """The rational table in the basis y_j = sum_i p_cols[j][i] x_i: the
+    `Fraction` brackets of the new basis solved against it by `solve_in_span`,
+    with antisymmetry filled in."""
+    d = sc.dim
+    cols = [tuple(Q(c) for c in col) for col in p_cols]
+    coords = solve_in_span(cols, [bracket_coords_fraction(sc, x, y)
+                                  for x, y in combinations(cols, 2)])
+    table = [[(ZERO,) * d] * d for _ in range(d)]
+    for (i, j), c in zip(combinations(range(d), 2), coords):
+        table[i][j] = c
+        table[j][i] = tuple(-x for x in c)
+    return tuple(tuple(plane) for plane in table)

@@ -1,21 +1,33 @@
 """The bracket table of a subalgebra against matrix-level oracles.
 
-Both users of the one coordinate solve (`structure_constants_for_basis` on
-matrices, `StructureConstants.change_basis` on coordinates) must give the
-same table, and the adjoint matrices read off the table must match ad(x)
-computed from matrix brackets.
+Both builders of a table from matrices (the pivot read of the echelon basis,
+`structure_constants_for_basis` on any basis) and
+`StructureConstants.change_basis` on coordinates must give the same table,
+and the adjoint matrices read off the table must match ad(x) computed from
+matrix brackets.  The int kernels (brackets, spans, series, adjoint matrices,
+basis changes) are checked against `Fraction` oracles on the rational table,
+and the int form is checked to be canonical.
 """
+
+import math
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import bracket_coords_fraction, change_basis_fraction
 from sp4solvable import linalg, structure
-from sp4solvable.errors import Sp4Error
-from sp4solvable.linalg import char_poly_rows, echelon_span, solve_in_span
+from sp4solvable.catalog import load_catalog
+from sp4solvable.errors import DependentInputs, Sp4Error
+from sp4solvable.invariants import signature
+from sp4solvable.linalg import (char_poly_rows, echelon_coords, echelon_span,
+                                rref, solve_in_span)
+from sp4solvable.presentations import DeGraafClass
 from sp4solvable.rational import Q
-from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA, bracket
-from sp4solvable.structure import (ad_matrix, bracket_space,
+from sp4solvable.sp4 import (DEFAULT_PARAM_SAMPLES, T, X_A2B, X_AB, X_ALPHA,
+                             X_BETA, bracket)
+from sp4solvable.structure import (StructureConstants, Subalgebra, ad_matrix,
+                                   bracket_space, coord_series,
                                    generated_subalgebra, structure_constants,
                                    structure_constants_for_basis, unit_rows)
 
@@ -92,10 +104,118 @@ def test_ad_matrix_reads_pivots_and_solves_nothing(monkeypatch):
     def refuse(*_):
         raise AssertionError("ad_matrix eliminated")
     for module in (structure, linalg):
-        monkeypatch.setattr(module, "solve_in_span", refuse)
-        monkeypatch.setattr(module, "rref", refuse)
+        for name in ("solve_in_span", "rref", "_rref_int"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
     assert ad_matrix(sc, y, units) == want["units"]
     assert ad_matrix(sc, y, derived) == want["derived"]
     # a line that ad(y) moves is refused
     with pytest.raises(Sp4Error, match="not ad-stable"):
         ad_matrix(sc, y, [derived[-1]])
+
+
+def rational_row(d):
+    """A random rational coordinate row of length d."""
+    return st.tuples(*[st.fractions(min_value=-4, max_value=4, max_denominator=6)] * d)
+
+
+def rational_rows(d):
+    return st.lists(rational_row(d), max_size=3)
+
+
+def span_fraction(sc, a, b):
+    return rref([bracket_coords_fraction(sc, u, v) for u in a for v in b])
+
+
+def series_fraction(sc, lower):
+    g = unit_rows(sc.dim)
+    chain = [g]
+    while chain[-1]:
+        h = chain[-1]
+        nxt = span_fraction(sc, g if lower else h, h)
+        if len(nxt) == len(h):
+            break
+        chain.append(nxt)
+    return chain
+
+
+def is_canonical(sc):
+    flat = [x for plane in sc.num for row in plane for x in row]
+    return sc.den > 0 and math.gcd(sc.den, *flat) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(borel_subalgebras(), st.data())
+def test_int_brackets_spans_and_series_match_the_fraction_oracle(g, data):
+    sc, d = g.constants, g.dim
+    rows = data.draw(rational_rows(d))
+    a, b = rows, data.draw(rational_rows(d))
+    for u in a:
+        for v in b:
+            assert sc.bracket_coords(u, v) == bracket_coords_fraction(sc, u, v)
+    assert bracket_space(sc, a, b) == span_fraction(sc, a, b)
+    assert bracket_space(sc, a, a) == span_fraction(sc, a, a)
+    for lower in (False, True):
+        assert coord_series(g, lower) == series_fraction(sc, lower)
+
+
+@settings(max_examples=40, deadline=None)
+@given(borel_subalgebras(), st.data())
+def test_int_ad_matrix_matches_the_fraction_oracle(g, data):
+    sc, d = g.constants, g.dim
+    y = data.draw(rational_row(d))
+    derived = span_fraction(sc, unit_rows(d), unit_rows(d))
+    # a sublist of RREF rows is RREF; ad(y) need not keep it
+    keep = data.draw(st.lists(st.booleans(), min_size=len(derived), max_size=len(derived)))
+    for rows in (unit_rows(d), derived, [r for r, k in zip(derived, keep) if k]):
+        cols = [echelon_coords(rows, bracket_coords_fraction(sc, y, v)) for v in rows]
+        if None in cols:
+            with pytest.raises(Sp4Error, match="not ad-stable"):
+                ad_matrix(sc, y, rows)
+        else:
+            assert ad_matrix(sc, y, rows) == [list(r) for r in zip(*cols)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(borel_subalgebras(), st.data())
+def test_int_change_basis_matches_the_fraction_oracle(g, data):
+    sc, d = g.constants, g.dim
+    p = data.draw(invertible(d))
+    scale = data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    cols = [[Q(x, s) for x in col] for col, s in zip(p, scale)]
+    moved = sc.change_basis(cols)
+    assert moved.table == change_basis_fraction(sc, cols)
+    assert is_canonical(moved)
+    if d > 1:
+        with pytest.raises(DependentInputs):
+            sc.change_basis([cols[0]] + cols[:-1])
+
+
+def test_int_tables_are_canonical():
+    tables = [Subalgebra(echelon_span(e.basis_at(a))).constants
+              for e in load_catalog() for a in e.samples(DEFAULT_PARAM_SAMPLES)]
+    tables += [DeGraafClass("M6", (Q(4, 9), Q(-1, 3))).constants(),
+               StructureConstants.from_brackets(3, {(2, 0): {1: Q(2, 6)}})]
+    assert len(tables) == 122
+    for sc in tables:
+        assert is_canonical(sc)
+        assert StructureConstants.from_json(sc.to_json()) == sc
+        if sc.is_abelian():
+            assert sc.den == 1
+    # the same values in another form compare equal
+    assert (StructureConstants.from_brackets(2, {(0, 1): {1: Q(2, 4)}})
+            == StructureConstants.from_pairs(2, [(0, Q(1, 2))]))
+    assert StructureConstants.from_brackets(2, {(1, 0): {0: 3}}).num[0][1] == (-3, 0)
+
+
+def test_series_and_signatures_never_read_the_rational_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the rational table was read")
+    monkeypatch.setattr(StructureConstants, "table", property(refuse))
+    instances = 0
+    for e in load_catalog():
+        for a in e.samples(DEFAULT_PARAM_SAMPLES):
+            sub = Subalgebra(echelon_span(e.basis_at(a)))
+            coord_series(sub, lower=True)
+            signature(sub)
+            instances += 1
+    assert instances == 120

@@ -1,9 +1,9 @@
 import dataclasses
 
-from sp4solvable import invariants, structure, verify
+from sp4solvable import identify, invariants, structure, verify
 from sp4solvable.catalog import CatalogEntry, EquivClaim, load_catalog
 from sp4solvable.rational import Q
-from sp4solvable.sp4 import T, X_ALPHA, X_BETA
+from sp4solvable.sp4 import DEFAULT_PARAM_SAMPLES, T, X_ALPHA, X_BETA
 from sp4solvable.structure import generated_subalgebra
 from sp4solvable.verify import (match_catalog, random_subalgebra_probe,
                                 separation_witness, verify_catalog,
@@ -54,17 +54,54 @@ def test_probe_runs_only_for_a_positive_count():
 
 def test_verify_catalog_builds_each_bracket_table_once(monkeypatch):
     calls = []
-    original = structure.structure_constants_for_basis
-
-    def counting(basis):
-        calls.append(basis)
-        return original(basis)
-
-    monkeypatch.setattr(structure, "structure_constants_for_basis", counting)
+    # both builders of a table from matrices: the echelon-basis read that
+    # `Subalgebra.constants` makes, and the solve for any other basis
+    for name in ("_echelon_constants", "structure_constants_for_basis"):
+        def counting(basis, original=getattr(structure, name)):
+            calls.append(basis)
+            return original(basis)
+        monkeypatch.setattr(structure, name, counting)
     verify._instance.cache_clear()
     assert verify_catalog().overall_pass
     # one table per catalog instance: the separations reuse the per-row ones
-    assert len(calls) <= 120
+    assert 0 < len(calls) <= 120
+
+
+def test_m6_cubic_is_rooted_once_per_instance(monkeypatch):
+    calls = []
+    original = identify.rational_roots
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(identify, "rational_roots", counting)
+    # s_{4,3} at 8 samples, and s_{4,2} (a triple root) without parameter
+    for row_id, instances in (("d4_Ta1_np", 8), ("d4_T11Xb_Xa_Xab_Xa2b", 1)):
+        calls.clear()
+        rep = verify_entry(ENTRIES[row_id])
+        assert rep.overall_pass
+        assert sum(r.check == "sw-bridge" for r in rep.records) == instances
+        assert len(calls) == instances
+
+
+def test_a_claim_that_leaves_no_record_fails_the_report(monkeypatch):
+    def claim_values(e):
+        return [(c.desc, v) for i, a in enumerate(e.samples(DEFAULT_PARAM_SAMPLES))
+                for c in e.equivalences for v in verify._claim_values(c, a, i == 0)]
+
+    # a parameterized row, and a row whose claim runs at stated values once
+    rows = [ENTRIES["d3_Ta1_Xa_Xa2b"], ENTRIES["d1_T11_Xb"]]
+    for e in rows:
+        assert not [r for r in verify_entry(e).records if r.status != "pass"]
+    monkeypatch.setattr(verify, "_verify_claim", lambda *args: None)
+    for e in rows:
+        rep = verify_entry(e)
+        missing = [r for r in rep.records if r.detail == "the claim left no record"]
+        assert not rep.overall_pass and all(r.status == "fail" for r in missing)
+        assert ([(r.check, r.param) for r in missing]
+                == [(f"equivalence: {d}", verify._p(v)) for d, v in claim_values(e)])
+        assert len(missing) == (8 if e.param else 1 + 4)
 
 
 def test_verify_catalog_computes_each_derived_series_once(monkeypatch):
