@@ -19,7 +19,7 @@ for label, n1, n2 in [("<X_a, X_a2b>", X_ALPHA, X_A2B),
                       ("<X_ab, X_a2b>", X_AB, X_A2B)]:
     s = pencil_rank_strata(n1, n2)
     print(f"  {label:16s} generic rank {s.generic_rank}, "
-          f"rank-1 lines: {s.drop_line_count(1)}   {s.as_list()}")
+          f"rank-1 lines: {s.drop_line_count(1)}   summary {s.summary()}")
 print("  (two rank-1 lines vs one: the two nilpotent planes are inequivalent)")
 
 print("\nThe abelian flag separates <T(1,0),X_a> from <T(0,1),X_a>:")

@@ -36,6 +36,9 @@ __all__ = ["CatalogEntry", "EquivClaim", "load_catalog", "catalog_to_json",
            "catalog_from_json", "EXPECTED_COUNTS"]
 
 EXPECTED_COUNTS = {1: 8, 2: 16, 3: 19, 4: 14, 5: 8}  # table 5 holds dims 5 and 6
+# The largest parameter orbit a row's self-equivalences may close: the order
+# of the Weyl group (the shipped rows reach at most 4).
+PARAM_ORBIT_BOUND = 8
 
 
 def _env(a) -> dict:
@@ -167,7 +170,8 @@ class CatalogEntry:
         return tuple(tuple(_ev(x, env) for x in col) for col in self.iso_columns)
 
     def equivalent_params(self, a) -> set:
-        """Closure of a under the row's parameter self-equivalences."""
+        """Closure of a under the row's parameter self-equivalences; an orbit
+        larger than PARAM_ORBIT_BOUND raises Sp4Error."""
         out = {Q(a)}
         frontier = [Q(a)]
         while frontier:
@@ -178,6 +182,9 @@ class CatalogEntry:
                 except ZeroDivisionError:
                     continue
                 if w not in out:
+                    if len(out) == PARAM_ORBIT_BOUND:
+                        raise Sp4Error(f"{self.row_id}: the orbit of a under "
+                                       f"{self.param_equiv} exceeds {PARAM_ORBIT_BOUND} values")
                     out.add(w)
                     frontier.append(w)
         return out

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .errors import (DependentInputs, DimensionMismatch, OutOfCatalog,
                      UnrecognizedFamily, UnsupportedDimension, ZeroParameter)
-from .linalg import (Poly, char_poly_rows, echelon_coords, kernel_of_rows,
-                     rational_roots, rref, solve_in_span)
+from .linalg import (Mat4, Poly, char_poly_rows, echelon_coords, inverse,
+                     kernel_of_rows, rational_roots, rref)
 from .presentations import DeGraafClass, SWClass
 from .rational import (Q, ZERO, ONE, format_rational, power_free_kernel,
                        rational_nth_root, rational_sqrt)
@@ -466,7 +466,7 @@ def _m6_s43_bridge(pr, lp):
         rows = [[m[i][j] - (mu if i == j else 0) for j in range(3)] for i in range(3)]
         return kernel_of_rows(rows, 3)[0]
     basis = [tuple(eigvec(mu)) + (ZERO,) for mu in (rprime, ap * rprime, bp * rprime)]
-    return tuple(solve_in_span(basis + [(ZERO, ZERO, ZERO, 1 / rprime)], unit_rows(4)))
+    return inverse(Mat4(basis + [(ZERO, ZERO, ZERO, 1 / rprime)])).rows
 
 
 _ID3, _ID4 = tuple(unit_rows(3)), tuple(unit_rows(4))

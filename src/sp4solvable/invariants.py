@@ -78,14 +78,6 @@ class PencilStrata:
         n += sum(c for rr, c in self.irrational_counts if rr == r)
         return n
 
-    def as_list(self) -> list:
-        out = [("generic", self.generic_rank)]
-        out.extend((format_rational(t), r) for t, r in self.rational_drops)
-        if self.infinity_rank is not None:
-            out.append(("inf", self.infinity_rank))
-        out.extend(("irrational", r) for r, c in self.irrational_counts for _ in range(c))
-        return out
-
     def summary(self) -> tuple:
         """Canonical multiset (generic rank, ((rank, line count), ...))."""
         ranks = sorted({r for _, r in self.rational_drops}

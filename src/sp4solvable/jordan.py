@@ -20,7 +20,7 @@ from .errors import IrrationalSpectrum, NotInBorel, NotInSp4, NotSemisimple
 from .linalg import (Mat4, Poly, char_poly, inverse, poly_eval_mat, rank,
                      rational_roots)
 from .rational import Q, format_rational
-from .sp4 import (bracket, conjugate, in_sp4, root_value, shear,
+from .sp4 import (_weyl_pairs, bracket, conjugate, in_sp4, root_value, shear,
                   standard_subalgebra)
 
 __all__ = [
@@ -143,14 +143,9 @@ def _abs_key(q):
 
 
 def _weyl_canonical(a, b) -> tuple:
-    """Canonical representative of the Weyl orbit {(±a, ±b), (±b, ±a)},
-    minimizing (key(a), key(b)) in the fixed total order."""
-    cands = set()
-    for x, y in ((a, b), (b, a)):
-        for sx in (x, -x):
-            for sy in (y, -y):
-                cands.add((Q(sx), Q(sy)))
-    return min(cands, key=lambda p: (_abs_key(p[0]), _abs_key(p[1])))
+    """Canonical representative of the Weyl orbit of (a, b), minimizing
+    (key(a), key(b)) in the fixed total order."""
+    return min(_weyl_pairs(a, b), key=lambda p: (_abs_key(p[0]), _abs_key(p[1])))
 
 
 def _eigen_pair(p: Poly) -> tuple:

@@ -5,6 +5,10 @@ polynomials are int numerators over one common denominator, subspaces are held
 in reduced row echelon form of the row-major flattened entries (so equal
 subspaces have identical basis lists), and elimination, polynomial division,
 gcd and rational roots run on ints, with rationals only at the boundary.
+Coordinates in a span are read at its echelon pivots (`Subspace.coords`,
+`echelon_coords`), never solved for: the one solve against another basis is
+`inverse`, and a bracket table moves to a new basis by
+`StructureConstants.change_basis`.
 
 `Poly` is the one polynomial type.  Matrices over Q[t] are eliminated, not
 expanded into minors: the invariant factors of a pencil come from Euclidean
@@ -25,7 +29,7 @@ from itertools import zip_longest
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DependentInputs, SingularMatrix, ZeroPolynomial
+from .errors import SingularMatrix, ZeroPolynomial
 from .rational import Q, ZERO, ONE, format_rational, parse_rational
 
 
@@ -100,28 +104,6 @@ def kernel_of_rows(rows: list[Sequence], ncols: int) -> list[tuple]:
             v[pc] = -r[fc]
         basis.append(tuple(v))
     return basis
-
-
-def solve_in_span(vectors: Sequence[Sequence], ws: Sequence[Sequence]) -> list:
-    """Coordinates of each w in `ws` in terms of independent vectors (in any
-    form), None for a w outside their span; all solved by one echelonization
-    of the augmented system [vectors | ws].  Raises DependentInputs when the
-    vectors are dependent."""
-    k = len(vectors)
-    coords = [[ZERO] * k for _ in ws]
-    outside = set()
-    pivots = 0
-    for row in rref(zip(*vectors, *ws)):
-        p = _pivot_col(row)
-        if p < k:
-            pivots += 1
-            for c, x in zip(coords, row[k:]):
-                c[p] = x
-        else:
-            outside.update(j for j, x in enumerate(row[k:]) if x != 0)
-    if pivots != k:
-        raise DependentInputs("coordinates need independent vectors")
-    return [None if j in outside else tuple(c) for j, c in enumerate(coords)]
 
 
 def echelon_coords(rows: Sequence[Sequence], w: Sequence):

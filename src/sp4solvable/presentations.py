@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import OutOfCatalog
-from .rational import Q, ZERO, format_rational
+from .rational import Q, format_rational
 from .structure import StructureConstants
 
 __all__ = ["DeGraafClass", "SWClass", "degraaf_constants", "sw_constants",
@@ -28,7 +28,9 @@ __all__ = ["DeGraafClass", "SWClass", "degraaf_constants", "sw_constants",
 
 
 def _fmt(p) -> str:
-    return format_rational(p) if not isinstance(p, str) else p
+    """A label parameter: a rational in lowest terms, and anything else (an
+    expression, an irrational value) by its own `str`."""
+    return format_rational(p) if isinstance(p, (int, Q)) else str(p)
 
 
 @dataclass(frozen=True)
@@ -62,13 +64,13 @@ class SWClass:
 
 
 def direct_sum(a: StructureConstants, b: StructureConstants) -> StructureConstants:
-    """a (+) b, with a's basis first: brackets within a summand are padded
-    with zeros, and brackets across the summands vanish."""
-    n, d = a.dim, a.dim + b.dim
-    za, zb = (ZERO,) * n, (ZERO,) * b.dim
-    return StructureConstants.from_pairs(d, [
-        a.table[i][j] + zb if j < n else za + (b.table[i - n][j - n] if i >= n else zb)
-        for i, j in combinations(range(d), 2)])
+    """a (+) b, with a's basis first: brackets across the summands vanish."""
+    brackets = {}
+    for shift, sc in ((0, a), (a.dim, b)):
+        for i, j in combinations(range(sc.dim), 2):
+            brackets[i + shift, j + shift] = {k + shift: Q(x, sc.den)
+                                              for k, x in enumerate(sc.num[i][j]) if x}
+    return StructureConstants.from_brackets(a.dim + b.dim, brackets)
 
 
 def degraaf_constants(family: str, params: tuple = ()) -> StructureConstants:

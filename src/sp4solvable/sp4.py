@@ -242,18 +242,16 @@ def standard_subalgebra(name: str) -> Subspace:
 
 # -- Weyl action on diagonal parameters --------------------------------------
 
+def _weyl_pairs(a, b) -> set[tuple]:
+    """The images (+-a, +-b), (+-b, +-a) of (a, b) under the group generated
+    by s_alpha: (a,b)->(a,-b) and s_beta: (a,b)->(b,a); at most 8."""
+    a, b = Q(a), Q(b)
+    return {(x, y) for p, q in ((a, b), (b, a)) for x in (p, -p) for y in (q, -q)}
+
+
 def weyl_orbit(t_elem: DiagonalElement) -> set[DiagonalElement]:
-    """Orbit of T_{a,b} under the group generated by s_alpha: (a,b)->(a,-b)
-    and s_beta: (a,b)->(b,a); at most 8 elements."""
-    seen = {(Q(t_elem.a), Q(t_elem.b))}
-    frontier = list(seen)
-    while frontier:
-        a, b = frontier.pop()
-        for nxt in ((a, -b), (b, a)):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return {DiagonalElement(a, b) for a, b in seen}
+    """Orbit of T_{a,b} under the Weyl group; at most 8 elements."""
+    return {DiagonalElement(a, b) for a, b in _weyl_pairs(t_elem.a, t_elem.b)}
 
 
 # -- default parameter samples ------------------------------------------------

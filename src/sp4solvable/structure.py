@@ -2,20 +2,24 @@
 
 The bracket table (exact structure constants) is the one bracket fact of a
 subalgebra.  Like `Mat4`, it is held as int numerators over one positive
-denominator in lowest terms, so == is exact value equality.  A `Subalgebra`
-computes it once, in its canonical echelon basis, by reading each of the
-d(d-1)/2 matrix brackets at the basis pivots (`Subspace.coords_num`); closure
-is the table's existence.  The derived and lower central series, solvability,
-nilpotency, abelian-ness and adjoint matrices all run on the table in
-coordinates (d <= 7).  A bracket of coordinate rows is the int contraction
-den*[u, v] of the rows scaled to ints, and the spans of brackets are
-eliminated fraction-free; adjoint matrices on RREF rows are read at the
-pivots.  Rationals appear only at the boundary: `StructureConstants.table`,
-`bracket_coords`, the RREF rows that `bracket_space` and `coord_series`
-return, and `derived_series`, which returns matrix `Subspace` values.  A
-bracket table moves to a new basis only by `change_basis`, which brackets
-int-scaled columns and divides once.  Ambient sp(4) membership is validated
-when a `Subalgebra` is constructed from matrices.
+denominator in lowest terms, so == is exact value equality.  One closure pass
+(`_close_pairs`) brackets the d(d-1)/2 pairs of the canonical echelon basis
+once and reads each bracket at the basis pivots (`Subspace.coords_num`): it
+gives the table, or the brackets that leave the span.  `Subalgebra.constants`,
+`is_closed` and `generated_subalgebra` all use it, so closure is the table's
+existence, and a generated subalgebra keeps the table of its last round.  The
+derived and lower central series, solvability, nilpotency, abelian-ness and
+adjoint matrices all run on the table in coordinates (d <= 7).  A bracket of
+coordinate rows is the int contraction den*[u, v] of the rows scaled to ints,
+and the spans of brackets are eliminated fraction-free; adjoint matrices on
+RREF rows are read at the pivots.  Rationals appear only at the boundary:
+`StructureConstants.table`, `bracket_coords`, the RREF rows that
+`bracket_space` and `coord_series` return, and `derived_series`, which
+returns matrix `Subspace` values.  A bracket table moves to a new basis only
+by `change_basis`, which brackets int-scaled columns and divides once; the
+table in a stated basis of a subalgebra is always its echelon table moved so
+(`Subalgebra.constants_in`).  Ambient sp(4) membership is validated when a
+`Subalgebra` is constructed from matrices.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Iterable, Sequence
 
 from .errors import DependentInputs, Sp4Error
 from .linalg import (Mat4, Subspace, _as_rref, _over_common_den, _rref_int,
-                     echelon_coords, echelon_span, solve_in_span)
+                     echelon_coords, echelon_span)
 from .rational import Q, ZERO, ONE, format_rational, parse_rational
 from .sp4 import bracket, in_sp4
 
@@ -57,7 +61,15 @@ class Subalgebra:
     @cached_property
     def constants(self) -> "StructureConstants":
         """The bracket table in the echelon basis, computed on first use."""
-        return _echelon_constants(self.space)
+        found = _close_pairs(self.space)
+        if not isinstance(found, StructureConstants):
+            raise Sp4Error("basis is not closed under the bracket")
+        return found
+
+    def constants_in(self, mats: Sequence[Mat4]) -> "StructureConstants":
+        """The bracket table in the basis `mats` of this subalgebra: the
+        echelon table moved to their coordinates by `change_basis`."""
+        return self.constants.change_basis([self.space.coords(m) for m in mats])
 
     @cached_property
     def derived(self) -> list[list[tuple]]:
@@ -83,20 +95,14 @@ class Subalgebra:
         return cls.from_matrices(mats)
 
 
-def _pair_coords(space: Subspace) -> tuple[list[Mat4], list]:
-    """The brackets [b_i, b_j], i < j, of the echelon basis, and their
-    coordinates times each bracket's den, read at the basis pivots (None for
-    a bracket outside the span)."""
+def _close_pairs(space: Subspace) -> "StructureConstants | list[Mat4]":
+    """Bracket each pair of the echelon basis once: the bracket table, read
+    at the basis pivots, or the brackets that fall outside the span."""
     brackets = [bracket(x, y) for x, y in combinations(space.basis, 2)]
-    return brackets, [space.coords_num(b) for b in brackets]
-
-
-def _echelon_constants(space: Subspace) -> "StructureConstants":
-    """The bracket table in the echelon basis; raises Sp4Error when a bracket
-    leaves the span."""
-    brackets, coords = _pair_coords(space)
-    if None in coords:
-        raise Sp4Error("basis is not closed under the bracket")
+    coords = [space.coords_num(b) for b in brackets]
+    outside = [b for b, c in zip(brackets, coords) if c is None]
+    if outside:
+        return outside
     den = math.lcm(*[b.den for b in brackets])
     return StructureConstants._make(
         space.dim, [[x * (den // b.den) for x in c] for c, b in zip(coords, brackets)], den)
@@ -104,18 +110,18 @@ def _echelon_constants(space: Subspace) -> "StructureConstants":
 
 def is_closed(space: Subspace) -> bool:
     """True iff all pairwise brackets of basis elements stay in the span."""
-    return None not in _pair_coords(space)[1]
+    return isinstance(_close_pairs(space), StructureConstants)
 
 
 def generated_subalgebra(seed: Iterable[Mat4]) -> Subalgebra:
-    """Smallest bracket-closed subspace containing the seeds."""
+    """Smallest bracket-closed subspace containing the seeds, carrying the
+    bracket table of its last closure round."""
     space = echelon_span(seed)
-    while True:
-        brackets, coords = _pair_coords(space)
-        new = [b for b, c in zip(brackets, coords) if c is None]
-        if not new:
-            return Subalgebra(space)
-        space = echelon_span(list(space.basis) + new)
+    while not isinstance(found := _close_pairs(space), StructureConstants):
+        space = echelon_span(list(space.basis) + found)
+    sub = Subalgebra(space)
+    vars(sub)["constants"] = found  # fills the cached_property
+    return sub
 
 
 def _span_num(sc: "StructureConstants", a: list, b: list) -> list:
@@ -193,8 +199,7 @@ class StructureConstants:
     `den` in lowest terms: gcd(den, *num) == 1, and an abelian table has
     den == 1.  The form is canonical, so == is exact value equality.
     Rationals appear only at the boundary (`table`, `bracket_coords`, the
-    builders `from_pairs`, `from_brackets` and `from_json`, and the JSON
-    wire format)."""
+    builders `from_brackets` and `from_json`, and the JSON wire format)."""
 
     __slots__ = ("dim", "num", "den", "_pairs")
 
@@ -297,17 +302,8 @@ class StructureConstants:
         for (i, j), row in brackets.items():
             for k, c in row.items():
                 rows[index[min(i, j), max(i, j)]][k] = Q(c) if i < j else -Q(c)
-        return cls.from_pairs(dim, rows)
-
-    @classmethod
-    def from_pairs(cls, dim: int, coords: Sequence) -> "StructureConstants":
-        """Build from the rational coordinates of [x_i, x_j], i < j, listed in
-        `itertools.combinations` order; antisymmetry and the zero diagonal
-        are filled in.  A None entry (a bracket outside the span) raises."""
-        if None in coords:
-            raise Sp4Error("basis is not closed under the bracket")
-        num, den = _over_common_den([x for c in coords for x in c])
-        return cls._make(dim, [num[n * dim:(n + 1) * dim] for n in range(len(coords))], den)
+        num, den = _over_common_den([x for r in rows for x in r])
+        return cls._make(dim, [num[n * dim:(n + 1) * dim] for n in range(len(rows))], den)
 
 
 def structure_constants(s: Subalgebra) -> StructureConstants:
@@ -316,11 +312,5 @@ def structure_constants(s: Subalgebra) -> StructureConstants:
 
 
 def structure_constants_for_basis(mats: Sequence[Mat4]) -> StructureConstants:
-    """Constants of the matrix bracket in the given (independent) basis: the
-    coordinates of the brackets [m_i, m_j], i < j, are solved in one
-    echelonization of the int numerators, then rescaled."""
-    brackets = [bracket(x, y) for x, y in combinations(mats, 2)]
-    coords = solve_in_span([m.num for m in mats], [b.num for b in brackets])
-    return StructureConstants.from_pairs(len(mats), [
-        None if c is None else tuple([x * m.den / b.den for x, m in zip(c, mats)])
-        for c, b in zip(coords, brackets)])
+    """Constants of the matrix bracket in the given (independent) basis."""
+    return Subalgebra(echelon_span(mats)).constants_in(mats)

@@ -188,8 +188,7 @@ def _verify_at(entry: CatalogEntry, a, rep: VerificationReport, first: bool):
     for claim in entry.equivalences:
         _verify_claim(entry, claim, a, rep, first)
 
-    # the constants in the stated basis, from the echelon-basis table
-    sc = sub.constants.change_basis([space.coords(m) for m in mats])
+    sc = sub.constants_in(mats)
     dg = entry.degraaf_at(a)
     if dg is not None:
         try:
@@ -305,16 +304,22 @@ def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
     by_dim: dict[int, list] = {}
     for e in entries:
         for a in e.samples(params):
-            by_dim.setdefault(e.dim, []).append((e, a, _instance(e, a).signature))
+            try:
+                orbit = {a} if a is None else e.equivalent_params(a)
+            except Sp4Error as exc:
+                rep.add(e.row_id, a, "parameter orbit", False,
+                        f"{exc}; the instance's separations did not run")
+                continue
+            by_dim.setdefault(e.dim, []).append((e, a, orbit, _instance(e, a).signature))
     for dim, insts in sorted(by_dim.items()):
         bad = []
         n_pairs = 0
         for i in range(len(insts)):
-            e1, a1, s1 = insts[i]
+            e1, a1, orbit, s1 = insts[i]
             for j in range(i + 1, len(insts)):
-                e2, a2, s2 = insts[j]
+                e2, a2, _, s2 = insts[j]
                 if e1.row_id == e2.row_id:
-                    if a1 is None or Q(a2) in e1.equivalent_params(a1):
+                    if a1 is None or Q(a2) in orbit:
                         # same conjugacy class: signatures must agree instead
                         if s1 != s2:
                             bad.append((e1.row_id, a1, a2, "equivalent params separated"))
@@ -327,11 +332,6 @@ def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
         rep.add(f"separations-dim{dim}", None, f"{n_pairs} inequivalent pairs",
                 not bad, "; ".join(str(b) for b in bad[:4]))
     return rep
-
-
-def separation_witness(e1: CatalogEntry, a1, e2: CatalogEntry, a2) -> list[str]:
-    """The signature fields separating two row instances."""
-    return _instance(e1, a1).signature.differing_fields(_instance(e2, a2).signature)
 
 
 # ---------------------------------------------------------------------------

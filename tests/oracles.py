@@ -1,11 +1,13 @@
 """Independent oracles that only the tests use: each recomputes a library
 result by a different method (cofactor expansion, an integer grid sweep,
 the defining identities of a Lie bracket, `Fraction` arithmetic on the
-rational bracket table), sharing no kernel with the code it checks."""
+rational bracket table, a coordinate solve by one echelonization of the
+augmented system), sharing no kernel with the code it checks."""
 
 from itertools import combinations
 
-from sp4solvable.linalg import Mat4, Poly, det_mpoly, rank, solve_in_span
+from sp4solvable.errors import DependentInputs
+from sp4solvable.linalg import Mat4, Poly, det_mpoly, rank, rref
 from sp4solvable.rational import Q, ZERO
 from sp4solvable.structure import StructureConstants, unit_rows
 
@@ -25,6 +27,28 @@ def grid_pencil_ranks(n1: Mat4, n2: Mat4, lo: int = -20, hi: int = 20) -> dict:
         out[Q(t)] = rank(n1 * Q(t) + n2)
     out["inf"] = rank(n1)
     return out
+
+
+def solve_in_span(vectors, ws) -> list:
+    """Coordinates of each w in `ws` in terms of independent vectors, None
+    for a w outside their span; all solved by one echelonization of the
+    augmented system [vectors | ws].  Raises DependentInputs when the
+    vectors are dependent."""
+    k = len(vectors)
+    coords = [[ZERO] * k for _ in ws]
+    outside = set()
+    pivots = 0
+    for row in rref(zip(*vectors, *ws)):
+        p = next(i for i, x in enumerate(row) if x)
+        if p < k:
+            pivots += 1
+            for c, x in zip(coords, row[k:]):
+                c[p] = x
+        else:
+            outside.update(j for j, x in enumerate(row[k:]) if x != 0)
+    if pivots != k:
+        raise DependentInputs("coordinates need independent vectors")
+    return [None if j in outside else tuple(c) for j, c in enumerate(coords)]
 
 
 def is_antisymmetric(sc: StructureConstants) -> bool:

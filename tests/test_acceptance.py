@@ -10,7 +10,7 @@ import time
 from sp4solvable.catalog import load_catalog
 from sp4solvable.identify import (identify_degraaf, tri_algebra_constants,
                                   verify_isomorphism)
-from sp4solvable.invariants import nilpotent_subspace, pencil_rank_strata
+from sp4solvable.invariants import nilpotent_subspace, pencil_rank_strata, signature
 from sp4solvable.jordan import classify_element, jordan_decompose, jordan_type
 from sp4solvable.linalg import Mat4, char_poly, inverse, poly_eval_mat
 from sp4solvable.presentations import DeGraafClass
@@ -154,13 +154,12 @@ def test_criterion_6_inequivalence_separation():
     t0 = time.time()
     rep = verify_separations(ENTRIES)
     assert rep.overall_pass, [r.to_json() for r in rep.failures[:5]]
-    from sp4solvable.verify import separation_witness
-    w = separation_witness(BY_ID["d2_Xa_Xab"], None, BY_ID["d2_Xa_Xa2b"], None)
-    assert "nilpotent_strata" in w                      # 1 vs 2 rank-1 lines
-    w = separation_witness(BY_ID["d2_T10_Xa"], None, BY_ID["d2_T10_Xa2b"], None)
-    assert "is_abelian" in w                            # abelian vs not
-    w = separation_witness(BY_ID["d2_T10_Xb"], None, BY_ID["d2_T11_Xab"], None)
-    assert w                                            # ad-eigenvalue data
+    def witness(r1, r2):
+        s1, s2 = (signature(Subalgebra(BY_ID[r].space_at(None))) for r in (r1, r2))
+        return s1.differing_fields(s2)
+    assert "nilpotent_strata" in witness("d2_Xa_Xab", "d2_Xa_Xa2b")  # 1 vs 2 rank-1 lines
+    assert "is_abelian" in witness("d2_T10_Xa", "d2_T10_Xa2b")       # abelian vs not
+    assert witness("d2_T10_Xb", "d2_T11_Xab")                         # ad-eigenvalue data
     _report(6, "all declared-inequivalent pairs separated "
                f"({sum(int(r.check.split()[0]) for r in rep.records if 'pairs' in r.check)} pairs)", t0)
 

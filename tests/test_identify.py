@@ -324,9 +324,11 @@ def test_identification_and_signatures_solve_no_span(monkeypatch):
             instances.append((sub, e.degraaf_at(a), signature(ref)))
 
     def refuse(*_):
-        raise AssertionError("solve_in_span called")
-    monkeypatch.setattr(structure, "solve_in_span", refuse)
-    monkeypatch.setattr(identify, "solve_in_span", refuse)
+        raise AssertionError("a span was solved")
+    # the library's two solves: a table moved to another basis, and the
+    # inverse that gives a bridge's columns
+    monkeypatch.setattr(structure.StructureConstants, "change_basis", refuse)
+    monkeypatch.setattr(identify, "inverse", refuse)
     found = set()
     for sub, dg, sig in instances:
         if dg is not None:

@@ -9,14 +9,14 @@ from sp4solvable.errors import (FactorizationLimit, SingularMatrix, Sp4Error,
 from sp4solvable.linalg import (Mat4, Poly, char_poly, char_poly_rows,
                                 det_mpoly, echelon_coords,
                                 echelon_span, generic_rank, inverse, kernel, kernel_of_rows,
-                                rank, rational_roots, rref, solve_in_span)
+                                rank, rational_roots, rref)
 from sp4solvable.rational import (Q, factor_int, format_rational,
                                   parse_rational, power_free_kernel,
                                   rational_nth_root, rational_sqrt)
 from sp4solvable.sp4 import T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA
 from sp4solvable.structure import structure_constants_for_basis
 
-from oracles import char_poly_cofactor
+from oracles import char_poly_cofactor, solve_in_span
 
 rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 7))
 

@@ -1,5 +1,6 @@
 import pytest
 
+from sp4solvable import structure
 from sp4solvable.errors import Sp4Error
 from sp4solvable.linalg import echelon_span
 from sp4solvable.rational import Q
@@ -30,6 +31,22 @@ def test_generated_subalgebra_examples():
     g = generated_subalgebra([X_BETA, X_AB])
     assert g.space == echelon_span([X_BETA, X_AB, X_A2B])
     assert generated_subalgebra([T(1, 1)]).dim == 1
+
+
+def test_generated_subalgebra_keeps_its_last_closure_round(monkeypatch):
+    calls = []
+
+    def counting(x, y, original=bracket):
+        calls.append((x, y))
+        return original(x, y)
+    monkeypatch.setattr(structure, "bracket", counting)
+    g = generated_subalgebra([T(2, 1) + X_ALPHA, X_BETA])
+    # 1 pair of the seeds, then the 3 pairs of the span with [seeds], then
+    # the 6 pairs of the closed 4-dim span, whose table the result keeps
+    assert g.dim == 4 and len(calls) == 10
+    sc = g.constants
+    assert len(calls) == 10
+    assert sc == Subalgebra(g.space).constants
 
 
 def test_generated_subalgebra_idempotent(rng):

@@ -1,15 +1,22 @@
 import dataclasses
 
 from sp4solvable import identify, invariants, structure, verify
-from sp4solvable.catalog import CatalogEntry, EquivClaim, load_catalog
+from sp4solvable.catalog import (CatalogEntry, EquivClaim, catalog_from_json,
+                                 catalog_to_json, load_catalog)
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import DEFAULT_PARAM_SAMPLES, T, X_ALPHA, X_BETA
-from sp4solvable.structure import generated_subalgebra
+from sp4solvable.invariants import signature
+from sp4solvable.structure import Subalgebra, generated_subalgebra
 from sp4solvable.verify import (match_catalog, random_subalgebra_probe,
-                                separation_witness, verify_catalog,
-                                verify_entry, verify_separations)
+                                verify_catalog, verify_entry, verify_separations)
 
 ENTRIES = {e.row_id: e for e in load_catalog()}
+
+
+def separating_fields(*row_ids) -> list[str]:
+    """The signature fields that separate two parameterless rows."""
+    s1, s2 = (signature(Subalgebra(ENTRIES[r].space_at(None))) for r in row_ids)
+    return s1.differing_fields(s2)
 
 
 def test_verify_entry_examples():
@@ -54,13 +61,12 @@ def test_probe_runs_only_for_a_positive_count():
 
 def test_verify_catalog_builds_each_bracket_table_once(monkeypatch):
     calls = []
-    # both builders of a table from matrices: the echelon-basis read that
-    # `Subalgebra.constants` makes, and the solve for any other basis
-    for name in ("_echelon_constants", "structure_constants_for_basis"):
-        def counting(basis, original=getattr(structure, name)):
-            calls.append(basis)
-            return original(basis)
-        monkeypatch.setattr(structure, name, counting)
+    # the one closure pass, which every table from matrices comes from
+
+    def counting(space, original=structure._close_pairs):
+        calls.append(space)
+        return original(space)
+    monkeypatch.setattr(structure, "_close_pairs", counting)
     verify._instance.cache_clear()
     assert verify_catalog().overall_pass
     # one table per catalog instance: the separations reuse the per-row ones
@@ -124,22 +130,20 @@ def test_verify_catalog_computes_each_derived_series_once(monkeypatch):
 
 def test_separation_examples_record_witness_fields():
     # abelian flag separates <T(1,0),X_a> from the W-conjugate of <T(0,1),X_a>
-    w = separation_witness(ENTRIES["d2_T10_Xa"], None, ENTRIES["d2_T10_Xa2b"], None)
-    assert "is_abelian" in w
+    assert "is_abelian" in separating_fields("d2_T10_Xa", "d2_T10_Xa2b")
     # rank-1 line counts separate the two nilpotent planes
-    w = separation_witness(ENTRIES["d2_Xa_Xab"], None, ENTRIES["d2_Xa_Xa2b"], None)
-    assert "nilpotent_strata" in w
+    assert "nilpotent_strata" in separating_fields("d2_Xa_Xab", "d2_Xa_Xa2b")
     # ad-eigenvalue data separates the two singular-semisimple lines
-    w = separation_witness(ENTRIES["d2_T10_Xb"], None, ENTRIES["d2_T10_Xa2b"], None)
-    assert "probe" in w
+    assert "probe" in separating_fields("d2_T10_Xb", "d2_T10_Xa2b")
 
 
 def test_instance_memo_follows_content_not_row_id():
     original = ENTRIES["d2_T10_Xa"]
-    assert separation_witness(original, None, original, None) == []
+    sig = verify._instance(original, None).signature
+    assert sig.differing_fields(verify._instance(original, None).signature) == []
     # same row_id, another row's basis: a new instance, not the memoized one
     edited = dataclasses.replace(original, basis=ENTRIES["d2_T10_Xa2b"].basis)
-    assert separation_witness(edited, None, original, None)
+    assert sig.differing_fields(verify._instance(edited, None).signature)
 
 
 def test_row_without_parameter_is_one_memo_entry(monkeypatch):
@@ -264,3 +268,21 @@ def test_claims_of_a_non_closed_instance_are_recorded_skips():
     assert len(claims) == 2 * len(entry.samples())
     assert {r.status for r in claims} == {"skip"}
     verify._instance.cache_clear()
+
+
+def test_misstated_degraaf_parameter_fails_records():
+    # L3 with parameter 1 translates to an irrational label parameter, which
+    # is formatted, not a crash
+    rep = verify_entry(dataclasses.replace(ENTRIES["d3_t_Xa"], degraaf=("L3", ("(0)+1",))))
+    assert not rep.overall_pass
+    failed = {r.check for r in rep.failures if r.row_id == "d3_t_Xa"}
+    assert {"degraaf-class", "isomorphism-map", "sw-bridge"} <= failed
+
+
+def test_unbounded_param_orbit_fails_a_record():
+    row = dataclasses.replace(ENTRIES["d1_T_a1"], param_equiv=("a+1",))
+    assert catalog_from_json(catalog_to_json([row]))[0].param_equiv == ("a+1",)
+    rep = verify_separations([row, ENTRIES["d1_T_10"]], params=(Q(2), Q(3)))
+    assert not rep.overall_pass
+    fails = [(r.row_id, r.check) for r in rep.failures]
+    assert fails == [("d1_T_a1", "parameter orbit")] * 2
