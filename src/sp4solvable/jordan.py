@@ -127,10 +127,6 @@ class OrbitLabel:
             "params": {k: format_rational(v) for k, v in self.params.items()},
         }
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, OrbitLabel) and self.table == other.table
-                and self.row == other.row and self.params == other.params)
-
     def __hash__(self) -> int:
         return hash((self.table, self.row, tuple(sorted(
             (k, format_rational(v)) for k, v in self.params.items()))))

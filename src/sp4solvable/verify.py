@@ -1,13 +1,16 @@
 """The certification driver.
 
 For every catalog row at every admissible sample parameter this runs, in
-order: closure and dimension; solvability; every claimed equivalence by
-applying its conjugator recipe and comparing echelonized images;
-identification of the structure constants against the stated class with
-exact parameters; bracket-exact verification of the encoded isomorphism map;
-and the translated label.  Pairwise separations inside each dimension
-are certified by exhibiting a differing signature field, and a randomized
-probe closes random Borel seeds and matches them back into the catalog.
+order: closure and dimension; solvability; every claimed equivalence, by its
+conjugator recipe on echelonized spans; the stated class, identified with
+exact parameters; the encoded isomorphism map, bracket-exact; and the
+translated label.  Each check makes one record, through `_record`, and is a
+skip after a failed closure.  A fault of the row's data (an `Sp4Error`, or an
+`ArithmeticError` or `ValueError` such as a pole or malformed text) is the
+check's fail, with its repr as detail; the size limits `ExpressionLimit` and
+`FactorizationLimit` propagate (CLI exit 3).  Pairwise separations inside
+each dimension are certified by a differing signature field, and a randomized
+probe matches closed random Borel seeds back into the catalog.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 
 from .catalog import CatalogEntry, build_element, load_catalog
-from .errors import IrrationalSpectrum, Sp4Error
+from .errors import (ExpressionLimit, FactorizationLimit, IrrationalSpectrum,
+                     Sp4Error)
 from .exprs import eval_expr
 from .identify import (degraaf_to_sw, identify_degraaf, sw_bridge_map,
                        verify_isomorphism)
@@ -54,11 +58,9 @@ class VerificationReport:
     samples: tuple = DEFAULT_PARAM_SAMPLES
 
     def add(self, row_id, param, check, ok, detail=""):
-        status = "pass" if ok else "fail"
+        """A record: ok None is a skip, and detail its reason."""
+        status = "skip" if ok is None else "pass" if ok else "fail"
         self.records.append(CheckRecord(row_id, _p(param), check, status, detail))
-
-    def skip(self, row_id, param, check, reason):
-        self.records.append(CheckRecord(row_id, _p(param), check, "skip", reason))
 
     @property
     def overall_pass(self) -> bool:
@@ -105,10 +107,15 @@ INSTANCE_CACHE_SIZE = 1024
 @dataclass(frozen=True)
 class _Instance:
     """A catalog row at one parameter: its stated basis, the subalgebra they
-    span, and its signature, computed on first use."""
+    span, and its bracket table in that basis and its signature, computed on
+    first use."""
 
     mats: tuple
     sub: Subalgebra
+
+    @cached_property
+    def table(self):
+        return self.sub.constants_in(self.mats)
 
     @cached_property
     def signature(self):
@@ -126,34 +133,50 @@ def _instance(entry: CatalogEntry, a) -> _Instance:
 # single-row verification
 # ---------------------------------------------------------------------------
 
+def _guard(rep: VerificationReport, row_id, param, check: str, f, lost=""):
+    """f(), or None after a `fail` record for `check` when f meets a fault of
+    the row's data; its detail is the exception's repr, then `lost`."""
+    try:
+        return f()
+    except (ExpressionLimit, FactorizationLimit):
+        raise  # the caller's size bounds, not faults of the row: the CLI exits 3
+    except (Sp4Error, ArithmeticError, ValueError) as exc:
+        rep.add(row_id, param, check, False, repr(exc) + lost)
+
+
+def _record(rep: VerificationReport, row_id, param, check: str, body) -> bool:
+    """The one record of a check: `body` returns (ok, detail), or (None,
+    reason) for a skip, and a fault inside it is the check's fail."""
+    out = _guard(rep, row_id, param, check, body)
+    if out is not None:
+        rep.add(row_id, param, check, *out)
+    return bool(out and out[0])
+
+
 def verify_entry(entry: CatalogEntry, params=DEFAULT_PARAM_SAMPLES,
                  report: VerificationReport | None = None) -> VerificationReport:
     rep = _report(report, params)
-    samples = entry.samples(params)
-    if not samples:
-        rep.skip(entry.row_id, None, "parameter samples",
-                 f"none of {', '.join(_p(a) for a in params)} is admissible; "
-                 "the row's claims did not run")
-    for i, a in enumerate(samples):
-        start = len(rep.records)
+    samples = _guard(rep, entry.row_id, None, "parameter samples",
+                     lambda: entry.samples(params), "; the row's checks did not run")
+    if samples == ():
+        rep.add(entry.row_id, None, "parameter samples", None,
+                f"none of {', '.join(_p(a) for a in params)} is admissible; "
+                "the row's claims did not run")
+    for i, a in enumerate(samples or ()):
         _verify_at(entry, a, rep, first=(i == 0))
-        _fail_unrecorded_claims(entry, a, i == 0, rep, rep.records[start:])
     return rep
 
 
-def _fail_unrecorded_claims(entry: CatalogEntry, a, first: bool,
-                            rep: VerificationReport, records: list):
-    """A fail record for each value a declared claim was due at that left no
-    record of its own in `records` (the sample's records), so that no early
-    return drops a claim from the report silently."""
-    left = Counter((r.check, r.param) for r in records if r.row_id == entry.row_id)
-    for claim in entry.equivalences:
-        for val in _claim_values(claim, a, first):
-            key = (f"equivalence: {claim.desc}", _p(val))
-            if left[key]:
-                left[key] -= 1
-            else:
-                rep.add(entry.row_id, val, key[0], False, "the claim left no record")
+def _fail_unrecorded_claims(row_id: str, declared: list, rep, records: list):
+    """A fail record for each value a declared claim was due at, among the
+    (value, check, body) in `declared`, that left no record of its own in
+    `records` (the sample's records), so that nothing drops a claim silently."""
+    left = Counter((r.check, r.param) for r in records if r.row_id == row_id)
+    for val, check, _ in declared:
+        if check.startswith("equivalence: "):
+            left[check, _p(val)] -= 1
+            if left[check, _p(val)] < 0:
+                rep.add(row_id, val, check, False, "the claim left no record")
 
 
 def _report(report: VerificationReport | None, params) -> VerificationReport:
@@ -162,82 +185,69 @@ def _report(report: VerificationReport | None, params) -> VerificationReport:
 
 
 def _verify_at(entry: CatalogEntry, a, rep: VerificationReport, first: bool):
-    """All checks of one row instance; `first` marks the row's first sample,
-    where sample-restricted claims run."""
+    """Every check of one row instance, each recorded by `_record`: closure
+    and dimension, then the declared checks, each a skip when the instance
+    failed closure."""
+    start = len(rep.records)
+    closed = _record(rep, entry.row_id, a, "closure+dimension", partial(_closure, entry, a))
+    checks = _declared_checks(entry, a, first, rep)
+    for val, check, body in checks:
+        _record(rep, entry.row_id, val, check,
+                body if closed else lambda: (None, "instance failed closure"))
+    _fail_unrecorded_claims(entry.row_id, checks, rep, rep.records[start:])
+
+
+def _closure(entry: CatalogEntry, a) -> tuple:
     inst = _instance(entry, a)
-    mats, sub, space = inst.mats, inst.sub, inst.sub.space
-    ok_dim = space.dim == entry.dim
-    ok_sp4 = all(in_sp4(m) for m in mats)
-    try:
-        sub.constants  # the bracket table exists iff the span is closed
-        ok_closed = True
-    except Sp4Error:
-        ok_closed = False
-    rep.add(entry.row_id, a, "closure+dimension",
-            ok_dim and ok_sp4 and ok_closed,
-            "" if ok_dim and ok_sp4 and ok_closed else
-            f"dim {space.dim}/{entry.dim} sp4 {ok_sp4} closed {ok_closed}")
-    if not (ok_dim and ok_sp4 and ok_closed):
-        for claim in entry.equivalences:
-            for val in _claim_values(claim, a, first):
-                rep.skip(entry.row_id, val, f"equivalence: {claim.desc}",
-                         "instance failed closure")
-        return
-    rep.add(entry.row_id, a, "solvable", is_solvable(sub))
+    dim, sp4 = inst.sub.space.dim, all(in_sp4(m) for m in inst.mats)
+    if dim != entry.dim or not sp4:
+        return False, f"dim {dim}/{entry.dim} sp4 {sp4}"
+    inst.sub.constants  # the bracket table exists iff the span is closed
+    return True, ""
 
-    for claim in entry.equivalences:
-        _verify_claim(entry, claim, a, rep, first)
 
-    sc = sub.constants_in(mats)
-    dg = entry.degraaf_at(a)
-    if dg is not None:
-        try:
-            found = identify_degraaf(sc)
-            rep.add(entry.row_id, a, "degraaf-class", found == dg,
-                    f"found {found}, stated {dg}" if found != dg else str(found))
-        except Sp4Error as exc:
-            rep.add(entry.row_id, a, "degraaf-class", False, repr(exc))
-            found = None
-    else:
-        found = None
+def _declared_checks(entry: CatalogEntry, a, first: bool, rep) -> list:
+    """(value, check, body) for each check the row declares at its sample a,
+    in report order; sample-restricted claims run at the `first` sample, and
+    a claim whose stated values do not evaluate is its fail, recorded here.
+    The de Graaf class and its translated label are evaluated at most once."""
+    dg = cache(partial(entry.degraaf_at, a))
+    sw = cache(lambda: degraaf_to_sw(dg()))
 
-    if entry.iso_columns is not None:
+    def degraaf_class():
+        stated, found = dg(), identify_degraaf(_instance(entry, a).table)
+        return found == stated, (str(found) if found == stated
+                                 else f"found {found}, stated {stated}")
+
+    def isomorphism_map():
         pres = entry.presentation_at(a)
-        try:
-            pres_sc = pres.constants()
-            ok = verify_isomorphism(pres_sc, sc, entry.iso_columns_at(a))
-            rep.add(entry.row_id, a, "isomorphism-map", ok,
-                    f"{pres} -> {entry.label}")
-        except Sp4Error as exc:
-            rep.add(entry.row_id, a, "isomorphism-map", False, repr(exc))
+        return (verify_isomorphism(pres.constants(), _instance(entry, a).table,
+                                   entry.iso_columns_at(a)), f"{pres} -> {entry.label}")
 
-    # the translated label: computed from the identified class, compared with
-    # the stated one when the row states it explicitly, and backed by a
-    # bracket-verified bridge onto the translated presentation
-    if dg is not None:
-        try:
-            computed = degraaf_to_sw(dg)
-        except Sp4Error as exc:
-            rep.add(entry.row_id, a, "sw-label", False, repr(exc))
-            computed = None
-        if computed is not None:
-            stated = entry.sw_at(a)
-            if stated is not None:
-                rep.add(entry.row_id, a, "sw-label", computed == stated,
-                        f"computed {computed}, stated {stated}")
-            else:
-                rep.add(entry.row_id, a, "sw-label", True, str(computed))
-            try:
-                bridge_class, bridge = sw_bridge_map(dg, computed)
-                ok = verify_isomorphism(dg.constants(), bridge_class.constants(),
-                                        bridge)
-                rep.add(entry.row_id, a, "sw-bridge", ok,
-                        f"{dg} -> {bridge_class}")
-            except Sp4Error as exc:
-                rep.add(entry.row_id, a, "sw-bridge", False, repr(exc))
-    elif entry.sw is not None:
-        # dimension 5/6: the bracket-exact map to the stated class is the check
-        rep.add(entry.row_id, a, "sw-label", True, str(entry.sw_at(a)))
+    def sw_label():
+        # compared when stated and translated; dimension 5/6 rests on its isomorphism map
+        stated = entry.sw_at(a)
+        if stated is None or entry.degraaf is None:
+            return True, str(stated or sw())
+        return sw() == stated, f"computed {sw()}, stated {stated}"
+
+    def sw_bridge():  # a bracket-verified map onto the translated presentation
+        bridge_class, bridge = sw_bridge_map(dg(), sw())
+        return (verify_isomorphism(dg().constants(), bridge_class.constants(), bridge),
+                f"{dg()} -> {bridge_class}")
+
+    checks = [(a, "solvable", lambda: (is_solvable(_instance(entry, a).sub), ""))]
+    for claim in entry.equivalences:
+        check = f"equivalence: {claim.desc}"
+        for val in _guard(rep, entry.row_id, a, check,
+                          lambda: _claim_values(claim, a, first)) or ():
+            checks.append((val, check, partial(_claim_holds, entry, claim, val)))
+    has_dg = entry.degraaf is not None
+    return checks + [(a, check, body) for check, body, due in (
+        ("degraaf-class", degraaf_class, has_dg),
+        ("isomorphism-map", isomorphism_map, entry.iso_columns is not None),
+        ("sw-label", sw_label, has_dg or entry.sw is not None),
+        ("sw-bridge", sw_bridge, has_dg)) if due]
 
 
 def _claim_values(claim, a, first: bool) -> tuple:
@@ -248,33 +258,25 @@ def _claim_values(claim, a, first: bool) -> tuple:
     return tuple(eval_expr(s, {}) for s in claim.samples) if first else ()
 
 
-def _verify_claim(entry: CatalogEntry, claim, a, rep: VerificationReport,
-                  first: bool):
-    for val in _claim_values(claim, a, first):
-        env = {} if val is None else {"a": Q(val)}
-        key = val if entry.param else None  # a row without parameter is one instance
-        try:
-            src = (_instance(entry, key).sub.space if claim.src is None
-                   else echelon_span([build_element(s, env) for s in claim.src]))
-            if claim.tgt is None:
-                tgt_param = key
-                if claim.tgt_param is not None:
-                    tgt_param = eval_expr(claim.tgt_param, env)
-                    if not entry.conditions_ok(tgt_param):
-                        rep.skip(entry.row_id, val, f"equivalence: {claim.desc}",
-                                 f"target parameter {claim.tgt_param} = "
-                                 f"{_p(tgt_param)} is not admissible")
-                        continue
-                tgt = _instance(entry, tgt_param).sub.space
-            else:
-                tgt = echelon_span([build_element(s, env) for s in claim.tgt])
-            g = parse_conjugator(claim.recipe, env)
-            ok = conjugate_subalgebra(g, src) == tgt
-            rep.add(entry.row_id, val, f"equivalence: {claim.desc}", ok,
-                    claim.recipe)
-        except (Sp4Error, ZeroDivisionError) as exc:
-            rep.add(entry.row_id, val, f"equivalence: {claim.desc}", False,
-                    repr(exc))
+def _claim_holds(entry: CatalogEntry, claim, val) -> tuple:
+    """Whether the claim's recipe conjugates its source span onto its target
+    span at val; a skip when the target parameter is not admissible."""
+    env = {} if val is None else {"a": Q(val)}
+    key = val if entry.param else None  # a row without parameter is one instance
+    src = (_instance(entry, key).sub.space if claim.src is None
+           else echelon_span([build_element(s, env) for s in claim.src]))
+    if claim.tgt is None:
+        tgt_param = key
+        if claim.tgt_param is not None:
+            tgt_param = eval_expr(claim.tgt_param, env)
+            if not entry.conditions_ok(tgt_param):
+                return None, (f"target parameter {claim.tgt_param} = "
+                              f"{_p(tgt_param)} is not admissible")
+        tgt = _instance(entry, tgt_param).sub.space
+    else:
+        tgt = echelon_span([build_element(s, env) for s in claim.tgt])
+    g = parse_conjugator(claim.recipe, env)
+    return conjugate_subalgebra(g, src) == tgt, claim.recipe
 
 
 # ---------------------------------------------------------------------------
@@ -303,21 +305,19 @@ def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
     entries = entries if entries is not None else load_catalog()
     by_dim: dict[int, list] = {}
     for e in entries:
-        for a in e.samples(params):
-            try:
-                orbit = {a} if a is None else e.equivalent_params(a)
-            except Sp4Error as exc:
-                rep.add(e.row_id, a, "parameter orbit", False,
-                        f"{exc}; the instance's separations did not run")
-                continue
-            by_dim.setdefault(e.dim, []).append((e, a, orbit, _instance(e, a).signature))
+        for a in _guard(rep, e.row_id, None, "parameter samples", lambda: e.samples(params),
+                        "; the row's separations did not run") or ():
+            lost = "; the instance's separations did not run"
+            orbit = _guard(rep, e.row_id, a, "parameter orbit",
+                           lambda: {a} if a is None else e.equivalent_params(a), lost)
+            sig = orbit and _guard(rep, e.row_id, a, "signature",
+                                   lambda: _instance(e, a).signature, lost)
+            if sig:
+                by_dim.setdefault(e.dim, []).append((e, a, orbit, sig))
     for dim, insts in sorted(by_dim.items()):
-        bad = []
-        n_pairs = 0
-        for i in range(len(insts)):
-            e1, a1, orbit, s1 = insts[i]
-            for j in range(i + 1, len(insts)):
-                e2, a2, _, s2 = insts[j]
+        bad, n_pairs = [], 0
+        for i, (e1, a1, orbit, s1) in enumerate(insts):
+            for e2, a2, _, s2 in insts[i + 1:]:
                 if e1.row_id == e2.row_id:
                     if a1 is None or Q(a2) in orbit:
                         # same conjugacy class: signatures must agree instead
@@ -325,8 +325,7 @@ def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
                             bad.append((e1.row_id, a1, a2, "equivalent params separated"))
                         continue
                 n_pairs += 1
-                diff = s1.differing_fields(s2)
-                if not diff:
+                if not s1.differing_fields(s2):
                     bad.append((f"{e1.row_id}@{_p(a1)}", f"{e2.row_id}@{_p(a2)}",
                                 "", "signatures collide"))
         rep.add(f"separations-dim{dim}", None, f"{n_pairs} inequivalent pairs",

@@ -1,14 +1,20 @@
 import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sp4solvable import identify, invariants, structure, verify
 from sp4solvable.catalog import (CatalogEntry, EquivClaim, catalog_from_json,
                                  catalog_to_json, load_catalog)
+from sp4solvable.errors import ExpressionLimit, FactorizationLimit
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import DEFAULT_PARAM_SAMPLES, T, X_ALPHA, X_BETA
 from sp4solvable.invariants import signature
 from sp4solvable.structure import Subalgebra, generated_subalgebra
-from sp4solvable.verify import (match_catalog, random_subalgebra_probe,
-                                verify_catalog, verify_entry, verify_separations)
+from sp4solvable.verify import (VerificationReport, match_catalog,
+                                random_subalgebra_probe, verify_catalog,
+                                verify_entry, verify_separations)
 
 ENTRIES = {e.row_id: e for e in load_catalog()}
 
@@ -100,7 +106,12 @@ def test_a_claim_that_leaves_no_record_fails_the_report(monkeypatch):
     rows = [ENTRIES["d3_Ta1_Xa_Xa2b"], ENTRIES["d1_T11_Xb"]]
     for e in rows:
         assert not [r for r in verify_entry(e).records if r.status != "pass"]
-    monkeypatch.setattr(verify, "_verify_claim", lambda *args: None)
+    record = verify._record
+
+    def dropping_claims(rep, row_id, param, check, body):
+        if not check.startswith("equivalence: "):
+            return record(rep, row_id, param, check, body)
+    monkeypatch.setattr(verify, "_record", dropping_claims)
     for e in rows:
         rep = verify_entry(e)
         missing = [r for r in rep.records if r.detail == "the claim left no record"]
@@ -257,9 +268,10 @@ def test_claims_of_a_non_closed_instance_are_recorded_skips():
     rep = verify_entry(dataclasses.replace(ENTRIES["d1_T11_Xb"], basis=not_closed))
     assert [(r.check, r.status) for r in rep.records][0] == ("closure+dimension", "fail")
     assert [(r.check, r.param) for r in rep.records[1:]] == (
-        [("equivalence: A image <T(1,-1)+X_alpha+beta>", "-")]
+        [("solvable", "-"), ("equivalence: A image <T(1,-1)+X_alpha+beta>", "-")]
         + [("equivalence: <T(a,a)+X_beta> rescales in for any a", a)
-           for a in ("3", "5", "-2", "7/3")])
+           for a in ("3", "5", "-2", "7/3")]
+        + [("degraaf-class", "-"), ("sw-label", "-"), ("sw-bridge", "-")])
     assert all(r.status == "skip" and r.detail == "instance failed closure"
                for r in rep.records[1:])
     # a parameterized row: both claims at each of its samples
@@ -286,3 +298,98 @@ def test_unbounded_param_orbit_fails_a_record():
     assert not rep.overall_pass
     fails = [(r.row_id, r.check) for r in rep.failures]
     assert fails == [("d1_T_a1", "parameter orbit")] * 2
+
+
+def replaced(x, path, value):
+    """x with the item at `path` set to value; a path step is an attribute
+    name of a row or claim, or an index into a tuple."""
+    if not path:
+        return value
+    step, rest = path[0], path[1:]
+    if isinstance(step, str):
+        return dataclasses.replace(x, **{step: replaced(getattr(x, step), rest, value)})
+    return x[:step] + (replaced(x[step], rest, value),) + x[step + 1:]
+
+
+def separations(row):
+    return verify_separations([row])
+
+
+FAULTY_ROWS = {
+    # a pole at the sample a = 2: in a class parameter, a map column, a basis
+    "degraaf pole": ("d3_Ta1_Xa_Xa2b", ("degraaf", 1, 0), "1/(a-2)",
+                     verify_entry, "degraaf-class"),
+    "map pole": ("d2_Ta1_Xb", ("iso_columns", 0, 0), "1/(a-2)",
+                 verify_entry, "isomorphism-map"),
+    "basis pole": ("d2_Ta1_Xb", ("basis", 0, 0), "1/(a-2)",
+                   verify_entry, "closure+dimension"),
+    # malformed text: a target parameter, a claim's stated sample
+    "target parameter": ("d1_T_a1", ("equivalences", 0, "tgt_param"), "-a)",
+                         verify_entry, "equivalence: a -> -a via AJ"),
+    "claim sample": ("d1_T11_Xb", ("equivalences", 1, "samples"), ("3+",), verify_entry,
+                     "equivalence: <T(a,a)+X_beta> rescales in for any a"),
+    # a basis whose span is not closed
+    "not closed": ("d3_t_Xa", ("basis", 2), (0, 0, 1, 1, 0, 0),
+                   verify_entry, "closure+dimension"),
+    # an excluded value and a self-equivalence that do not evaluate
+    "excluded": ("d1_T_a1", ("excluded",), ("0", "1)"), verify_entry, "parameter samples"),
+    "excluded, separations": ("d1_T_a1", ("excluded",), ("0", "1)"),
+                              separations, "parameter samples"),
+    "param_equiv": ("d1_T_a1", ("param_equiv",), ("-a", "1/"),
+                    separations, "parameter orbit"),
+}
+
+
+@pytest.mark.parametrize("case", FAULTY_ROWS)
+def test_a_faulty_row_fails_records_instead_of_raising(case):
+    row_id, path, value, run, check = FAULTY_ROWS[case]
+    rep = run(replaced(ENTRIES[row_id], path, value))
+    assert not rep.overall_pass
+    assert (row_id, check) in {(r.row_id, r.check) for r in rep.failures}
+    verify._instance.cache_clear()
+
+
+def test_every_declared_check_of_a_non_closed_instance_is_a_skip():
+    row_id, path, value, _, _ = FAULTY_ROWS["not closed"]
+    rep = verify_entry(replaced(ENTRIES[row_id], path, value))
+    assert [(r.check, r.status) for r in rep.records] == [
+        ("closure+dimension", "fail"), ("solvable", "skip"),
+        ("equivalence: W image <t, X_alpha+2beta>", "skip"), ("degraaf-class", "skip"),
+        ("isomorphism-map", "skip"), ("sw-label", "skip"), ("sw-bridge", "skip")]
+    assert "not closed" in rep.records[0].detail
+    # the separations record the row's signature as what failed
+    rep = separations(replaced(ENTRIES[row_id], path, value))
+    assert [r.check for r in rep.failures] == ["signature"]
+    verify._instance.cache_clear()
+
+
+def expression_paths(x, path=()):
+    """The paths of every expression of a row that verify_entry reads."""
+    if isinstance(x, CatalogEntry):
+        for name in ("basis", "excluded", "iso_columns", "equivalences"):
+            yield from expression_paths(getattr(x, name), (name,))
+        for name in ("degraaf", "sw"):
+            if getattr(x, name) is not None:
+                yield from expression_paths(getattr(x, name)[1], (name, 1))
+    elif isinstance(x, EquivClaim):
+        for name in ("src", "tgt", "tgt_param", "samples"):
+            yield from expression_paths(getattr(x, name), path + (name,))
+    elif isinstance(x, tuple):
+        for i, y in enumerate(x):
+            yield from expression_paths(y, path + (i,))
+    elif x is not None:
+        yield path
+
+
+EXPRESSION_SLOTS = [(row_id, p) for row_id, e in ENTRIES.items() for p in expression_paths(e)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EXPRESSION_SLOTS), st.text(alphabet="a0123456789+-*/^()", max_size=8))
+def test_a_row_with_one_expression_replaced_gives_records(slot, text):
+    row_id, path = slot
+    try:
+        rep = verify_entry(replaced(ENTRIES[row_id], path, text))
+    except (ExpressionLimit, FactorizationLimit):
+        return  # a size bound is the caller's, not the row's: the CLI exits 3
+    assert isinstance(rep, VerificationReport) and rep.records
