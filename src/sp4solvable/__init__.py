@@ -11,10 +11,11 @@ presentations of small solvable Lie algebras.
 What loads when: ``import sp4solvable`` runs no submodule.  Each name in
 `__all__` is looked up in its defining module on every access, and that
 module (with what it imports) is loaded the first time one of its names is
-used (PEP 562).  So ``sp4solvable.load_catalog()`` loads rational, errors,
-exprs, linalg, sp4, structure, presentations and catalog, but not jordan,
-invariants, identify or verify; ``classify_element`` adds jordan, and
-``verify_catalog`` loads the rest.  The command-line front end
+used (PEP 562).  So ``sp4solvable.load_catalog()`` loads only rational,
+errors, exprs, labels and catalog: the five tables, no matrix code.  The
+first row instance built (``entry.basis_at(a)``) adds linalg and sp4;
+``classify_element`` adds linalg, sp4 and jordan, and ``verify_catalog``
+loads the rest.  The command-line front end
 (`sp4solvable.cli`) imports every module up front.  Nothing is cached in the
 package namespace, so a binding patched in its defining module is what
 ``sp4solvable.<name>`` returns.
@@ -31,10 +32,10 @@ _EXPORTS = {
     "errors": (),
     "linalg": ("Mat4", "Poly", "Subspace", "char_poly", "echelon_span", "inverse",
                "kernel", "rank", "rational_roots"),
-    "sp4": ("A_MAT", "AJ_MAT", "DEFAULT_PARAM_SAMPLES", "J_FORM", "T", "W_MAT",
-            "X_A2B", "X_AB", "X_ALPHA", "X_BETA", "DiagonalElement", "bracket",
-            "conjugate", "conjugate_subalgebra", "in_sp4", "in_sp4_group",
-            "parse_conjugator", "shear", "standard_subalgebra", "weyl_orbit"),
+    "sp4": ("A_MAT", "AJ_MAT", "J_FORM", "T", "W_MAT", "X_A2B", "X_AB", "X_ALPHA",
+            "X_BETA", "DiagonalElement", "bracket", "conjugate", "conjugate_subalgebra",
+            "in_sp4", "in_sp4_group", "parse_conjugator", "shear",
+            "standard_subalgebra", "weyl_orbit"),
     "structure": ("StructureConstants", "Subalgebra", "derived_series",
                   "generated_subalgebra", "is_abelian", "is_closed", "is_nilpotent",
                   "is_solvable", "structure_constants", "structure_constants_for_basis"),
@@ -43,10 +44,12 @@ _EXPORTS = {
                "jordan_decompose", "jordan_type"),
     "invariants": ("InvariantSignature", "nilpotent_subspace", "pencil_rank_strata",
                    "signature"),
-    "presentations": ("DeGraafClass", "SWClass", "degraaf_constants", "sw_constants"),
+    "labels": ("DeGraafClass", "SWClass"),
+    "presentations": ("degraaf_constants", "sw_constants"),
     "identify": ("degraaf_to_sw", "identify_degraaf", "sw_bridge_map", "sw_lambda",
                  "tri_algebra_constants", "verify_isomorphism"),
-    "catalog": ("CatalogEntry", "catalog_from_json", "catalog_to_json", "load_catalog"),
+    "catalog": ("CatalogEntry", "DEFAULT_PARAM_SAMPLES", "catalog_from_json",
+                "catalog_to_json", "load_catalog"),
     "verify": ("VerificationReport", "match_catalog", "random_subalgebra_probe",
                "verify_catalog", "verify_entry", "verify_separations"),
 }

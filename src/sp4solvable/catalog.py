@@ -19,23 +19,35 @@ Basis elements are 6-tuples of expressions
 so the whole catalog round-trips through JSON.  Frozen row counts, established
 against the tables: 8 one-, 16 two-, 19 three-, 14 four- and 8 five/six-
 dimensional rows (65 total).
+
+The tables are data: loading them needs only expressions, rationals and the
+class labels (`labels`), so `load_catalog()` compiles no matrix, bracket-table
+or presentation code.  `linalg` and `sp4` are loaded when the first instance
+is built (`basis_at`, `space_at`, `build_elements`), and a label's bracket
+table (`.constants()`) loads `presentations` on its first call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .errors import Sp4Error
 from .exprs import eval_expr
-from .linalg import Mat4, Subspace, echelon_span
-from .presentations import DeGraafClass, SWClass
+from .labels import DeGraafClass, SWClass
 from .rational import Q
-from .sp4 import DEFAULT_PARAM_SAMPLES, T, X_A2B, X_AB, X_ALPHA, X_BETA
+
+if TYPE_CHECKING:
+    from .linalg import Mat4, Subspace
 
 __all__ = ["CatalogEntry", "EquivClaim", "load_catalog", "catalog_to_json",
-           "catalog_from_json", "EXPECTED_COUNTS"]
+           "catalog_from_json", "EXPECTED_COUNTS", "DEFAULT_PARAM_SAMPLES"]
 
 EXPECTED_COUNTS = {1: 8, 2: 16, 3: 19, 4: 14, 5: 8}  # table 5 holds dims 5 and 6
+# The values a parameterized row is checked at unless others are given; a
+# row skips those it excludes.
+DEFAULT_PARAM_SAMPLES = (Q(2), Q(3), Q(5), Q(-2), Q(-3), Q(1, 2), Q(2, 3), Q(7, 3))
 # The largest parameter orbit a row's self-equivalences may close: the order
 # of the Weyl group (the shipped rows reach at most 4).
 PARAM_ORBIT_BOUND = 8
@@ -52,13 +64,29 @@ def _ev(expr, env) -> Q:
     return eval_expr(expr, env)
 
 
-def build_element(spec, env) -> Mat4:
-    ta, tb, ca, cb, cab, ca2b = (_ev(e, env) for e in spec)
-    m = T(ta, tb)
-    for c, x in ((ca, X_ALPHA), (cb, X_BETA), (cab, X_AB), (ca2b, X_A2B)):
-        if c != 0:
-            m = m + x * c
-    return m
+@cache
+def _matrix_code() -> tuple:
+    """What an instance is built with: `echelon_span`, `T` and the root
+    vectors of a basis spec's columns.  `linalg` and `sp4` are loaded on the
+    first call, not with the catalog, and once: an import statement in a
+    function runs again on every call."""
+    from .linalg import echelon_span
+    from .sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA
+    return echelon_span, T, (X_ALPHA, X_BETA, X_AB, X_A2B)
+
+
+def build_elements(specs, env) -> list[Mat4]:
+    """The sp(4) elements of basis specs under env."""
+    _, T, roots = _matrix_code()
+    out = []
+    for spec in specs:
+        ta, tb, *coeffs = (_ev(e, env) for e in spec)
+        m = T(ta, tb)
+        for c, x in zip(coeffs, roots):
+            if c != 0:
+                m = m + x * c
+        out.append(m)
+    return out
 
 
 def _tuples(x):
@@ -138,10 +166,10 @@ class CatalogEntry:
         return tuple(a for a in candidates if a is not None and self.conditions_ok(a))
 
     def basis_at(self, a) -> list[Mat4]:
-        env = _env(a)
-        return [build_element(spec, env) for spec in self.basis]
+        return build_elements(self.basis, _env(a))
 
     def space_at(self, a) -> Subspace:
+        echelon_span = _matrix_code()[0]
         return echelon_span(self.basis_at(a))
 
     def degraaf_at(self, a) -> DeGraafClass | None:

@@ -6,8 +6,8 @@ the library's wire formats (matrices as 4x4 grids of rational strings,
 subalgebras as {"ambient": "sp4", "basis": [...]}), outputs go to stdout as
 text or JSON.  Exit codes: 0 success, 1 verification failure, 2 parse error
 (malformed input, bad conjugator recipe), 3 out of domain (not solvable,
-irrational spectrum, unrecognized family, factoring or expression size
-bound exceeded).
+irrational spectrum, unrecognized family, factoring, expression or probe
+count bound exceeded).
 
 verify-catalog checks each parameterized row at the default parameter
 samples, or at the comma-separated rationals given with --params, and prints
@@ -21,18 +21,18 @@ import functools
 import json
 import sys
 
-from .catalog import catalog_to_json, load_catalog
+from .catalog import DEFAULT_PARAM_SAMPLES, catalog_to_json, load_catalog
 from .errors import (ExpressionLimit, FactorizationLimit, IrrationalSpectrum,
-                     NotSolvable, OutOfCatalog, Sp4Error, UnrecognizedFamily,
-                     UnsupportedDimension)
+                     NotSolvable, OutOfCatalog, ProbeLimit, Sp4Error,
+                     UnrecognizedFamily, UnsupportedDimension)
 from .identify import degraaf_to_sw, identify_degraaf
 from .invariants import signature
 from .jordan import classify_element
 from .linalg import Mat4
 from .rational import format_rational, parse_rational
-from .sp4 import DEFAULT_PARAM_SAMPLES, conjugate_subalgebra, parse_conjugator
+from .sp4 import conjugate_subalgebra, parse_conjugator
 from .structure import Subalgebra, structure_constants
-from .verify import match_catalog, verify_catalog
+from .verify import PROBE_COUNT_BOUND, match_catalog, verify_catalog
 
 
 def _load_json(path: str):
@@ -167,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--params", help="comma-separated rational sample overrides")
     v.add_argument("--seed", type=int, default=0, help="probe RNG seed")
     v.add_argument("--probe-count", type=_count, default=0,
-                   help="number of random subalgebra probes to run")
+                   help="number of random subalgebra probes to run "
+                        f"(at most {PROBE_COUNT_BOUND})")
     v.add_argument("--output", choices=("text", "json"), default="text")
     v.set_defaults(func=cmd_verify_catalog)
 
@@ -217,8 +218,8 @@ def main(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}; compare characteristic "
               f"polynomials instead of eigenvalue data", file=sys.stderr)
         return 3
-    except (ExpressionLimit, FactorizationLimit, NotSolvable, UnrecognizedFamily,
-            UnsupportedDimension) as exc:
+    except (ExpressionLimit, FactorizationLimit, NotSolvable, ProbeLimit,
+            UnrecognizedFamily, UnsupportedDimension) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except Sp4Error as exc:

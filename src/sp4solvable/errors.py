@@ -13,6 +13,15 @@ class ExpressionLimit(Sp4Error, ValueError):
     """An expression whose power would exceed the evaluator's size bound."""
 
 
+class ProbeLimit(Sp4Error):
+    """A random probe asked for more draws than the probe's bound."""
+
+
+class CatalogFault(Sp4Error):
+    """A catalog row whose own data does not evaluate or build (a pole,
+    malformed text, a basis that is not a subalgebra)."""
+
+
 class ZeroPolynomial(Sp4Error):
     """Root extraction was asked for the zero polynomial."""
 

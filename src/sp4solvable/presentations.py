@@ -11,56 +11,21 @@ actually occur here.  Conventions frozen for this library:
   the abelian nilradical has characteristic polynomial t^3 - t^2 - B t - A.
 
 Direct sums are written with '+' and a multiplicity prefix: "2n_{1,1}",
-"n_{1,1}+s_{3,1}".
+"n_{1,1}+s_{3,1}".  The labels `DeGraafClass` and `SWClass` are defined in
+`labels` and re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import OutOfCatalog
-from .rational import Q, format_rational
+from .labels import DeGraafClass, SWClass
+from .rational import Q
 from .structure import StructureConstants
 
 __all__ = ["DeGraafClass", "SWClass", "degraaf_constants", "sw_constants",
            "direct_sum"]
-
-
-def _fmt(p) -> str:
-    """A label parameter: a rational in lowest terms, and anything else (an
-    expression, an irrational value) by its own `str`."""
-    return format_rational(p) if isinstance(p, (int, Q)) else str(p)
-
-
-@dataclass(frozen=True)
-class DeGraafClass:
-    family: str
-    params: tuple = ()
-
-    def __str__(self) -> str:
-        if not self.params:
-            return self.family
-        return f"{self.family}({','.join(_fmt(p) for p in self.params)})"
-
-    def constants(self) -> StructureConstants:
-        return degraaf_constants(self.family, self.params)
-
-
-@dataclass(frozen=True)
-class SWClass:
-    name: str
-    params: tuple = ()
-
-    def __str__(self) -> str:
-        if not self.params:
-            return self.name
-        labels = ("A", "B")
-        inner = ",".join(f"{labels[i]}={_fmt(p)}" for i, p in enumerate(self.params))
-        return f"{self.name}({inner})"
-
-    def constants(self) -> StructureConstants:
-        return sw_constants(self.name, self.params)
 
 
 def direct_sum(a: StructureConstants, b: StructureConstants) -> StructureConstants:

@@ -37,7 +37,7 @@ __all__ = [
     "bracket", "conjugate", "conjugate_subalgebra",
     "W_MAT", "A_MAT", "AJ_MAT", "WA_MAT", "shear", "diag_conjugator",
     "block_sl2", "gl2_block", "parse_conjugator",
-    "standard_subalgebra", "weyl_orbit", "DEFAULT_PARAM_SAMPLES",
+    "standard_subalgebra", "weyl_orbit",
 ]
 
 J_FORM = Mat4([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
@@ -253,7 +253,3 @@ def weyl_orbit(t_elem: DiagonalElement) -> set[DiagonalElement]:
     """Orbit of T_{a,b} under the Weyl group; at most 8 elements."""
     return {DiagonalElement(a, b) for a, b in _weyl_pairs(t_elem.a, t_elem.b)}
 
-
-# -- default parameter samples ------------------------------------------------
-
-DEFAULT_PARAM_SAMPLES = (Q(2), Q(3), Q(5), Q(-2), Q(-3), Q(1, 2), Q(2, 3), Q(7, 3))

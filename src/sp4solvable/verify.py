@@ -10,7 +10,8 @@ skip after a failed closure.  A fault of the row's data (an `Sp4Error`, or an
 check's fail, with its repr as detail; the size limits `ExpressionLimit` and
 `FactorizationLimit` propagate (CLI exit 3).  Pairwise separations inside
 each dimension are certified by a differing signature field, and a randomized
-probe matches closed random Borel seeds back into the catalog.
+probe matches closed random Borel seeds back into the catalog: each draw must
+match exactly one row, and a row whose data faults fails the draw.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache, partial
 
-from .catalog import CatalogEntry, build_element, load_catalog
-from .errors import (ExpressionLimit, FactorizationLimit, IrrationalSpectrum,
-                     Sp4Error)
+from .catalog import DEFAULT_PARAM_SAMPLES, CatalogEntry, build_elements, load_catalog
+from .errors import (CatalogFault, ExpressionLimit, FactorizationLimit,
+                     IrrationalSpectrum, ProbeLimit, Sp4Error)
 from .exprs import eval_expr
 from .identify import (degraaf_to_sw, identify_degraaf, sw_bridge_map,
                        verify_isomorphism)
@@ -30,8 +31,8 @@ from .invariants import _signature, nilpotent_subspace, signature
 from .jordan import _eigen_pair
 from .linalg import Mat4, char_poly, echelon_span
 from .rational import Q, format_rational
-from .sp4 import (DEFAULT_PARAM_SAMPLES, T, X_A2B, X_AB, X_ALPHA, X_BETA,
-                  conjugate_subalgebra, in_sp4, parse_conjugator)
+from .sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, conjugate_subalgebra, in_sp4,
+                  parse_conjugator)
 from .structure import Subalgebra, generated_subalgebra, is_solvable
 
 __all__ = ["CheckRecord", "VerificationReport", "verify_entry",
@@ -102,6 +103,14 @@ def _p(param) -> str:
 
 # Holds every default-sample instance plus the probe's candidate parameters.
 INSTANCE_CACHE_SIZE = 1024
+# The most draws a random probe makes.  A draw takes 0.5-2 ms (a closure, a
+# signature and its candidate rows), so a probe at the bound runs about 1-3.5
+# minutes; a larger count raises `ProbeLimit` (CLI exit 3) before any work.
+PROBE_COUNT_BOUND = 10**5
+# The size bounds of the caller (CLI exit 3), never a fault of a row, and
+# the faults of a row's own data, which fail that row's check.
+_SIZE_LIMITS = (ExpressionLimit, FactorizationLimit)
+_ROW_FAULTS = (Sp4Error, ArithmeticError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -138,9 +147,9 @@ def _guard(rep: VerificationReport, row_id, param, check: str, f, lost=""):
     the row's data; its detail is the exception's repr, then `lost`."""
     try:
         return f()
-    except (ExpressionLimit, FactorizationLimit):
-        raise  # the caller's size bounds, not faults of the row: the CLI exits 3
-    except (Sp4Error, ArithmeticError, ValueError) as exc:
+    except _SIZE_LIMITS:
+        raise
+    except _ROW_FAULTS as exc:
         rep.add(row_id, param, check, False, repr(exc) + lost)
 
 
@@ -264,7 +273,7 @@ def _claim_holds(entry: CatalogEntry, claim, val) -> tuple:
     env = {} if val is None else {"a": Q(val)}
     key = val if entry.param else None  # a row without parameter is one instance
     src = (_instance(entry, key).sub.space if claim.src is None
-           else echelon_span([build_element(s, env) for s in claim.src]))
+           else echelon_span(build_elements(claim.src, env)))
     if claim.tgt is None:
         tgt_param = key
         if claim.tgt_param is not None:
@@ -274,7 +283,7 @@ def _claim_holds(entry: CatalogEntry, claim, val) -> tuple:
                               f"{_p(tgt_param)} is not admissible")
         tgt = _instance(entry, tgt_param).sub.space
     else:
-        tgt = echelon_span([build_element(s, env) for s in claim.tgt])
+        tgt = echelon_span(build_elements(claim.tgt, env))
     g = parse_conjugator(claim.recipe, env)
     return conjugate_subalgebra(g, src) == tgt, claim.recipe
 
@@ -287,6 +296,7 @@ def verify_catalog(params=DEFAULT_PARAM_SAMPLES, probe_seed: int = 0,
                    probe_count: int = 0) -> VerificationReport:
     """Every row, then the separations; the random probe runs only when
     `probe_count` > 0."""
+    _check_probe_count(probe_count)
     rep = _report(None, params)
     entries = load_catalog()
     for e in entries:
@@ -358,7 +368,9 @@ def _param_candidates(sub: Subalgebra, nspace) -> list:
 def match_catalog(sub: Subalgebra) -> list[tuple]:
     """Catalog rows (with parameters) whose signature matches the subalgebra's.
 
-    A match is necessary for conjugacy; the probe asserts at least one exists.
+    A match is necessary for conjugacy; the probe asserts exactly one exists.
+    A row whose data faults while it is compared raises `CatalogFault`, which
+    names the row.
     """
     nspace = nilpotent_subspace(sub)
     sig = _signature(sub, nspace)
@@ -367,20 +379,33 @@ def match_catalog(sub: Subalgebra) -> list[tuple]:
     for e in load_catalog():
         if e.dim != sub.dim:
             continue
-        # the candidates a row admits, or no parameter for a row without one
-        for a in e.samples(cands):
-            if _instance(e, a).signature == sig:
-                matches.append((e.row_id, a))
-                break
+        try:
+            # the candidates a row admits, or no parameter for a row without one
+            for a in e.samples(cands):
+                if _instance(e, a).signature == sig:
+                    matches.append((e.row_id, a))
+                    break
+        except _SIZE_LIMITS:
+            raise
+        except _ROW_FAULTS as exc:
+            raise CatalogFault(f"row {e.row_id}: {exc!r}") from exc
     return matches
+
+
+def _check_probe_count(count: int) -> None:
+    if count > PROBE_COUNT_BOUND:
+        raise ProbeLimit(f"a probe of {count} draws exceeds the bound "
+                         f"PROBE_COUNT_BOUND = {PROBE_COUNT_BOUND}")
 
 
 def random_subalgebra_probe(seed: int, count: int,
                             report: VerificationReport | None = None) -> VerificationReport:
     """Generate random solvable subalgebras of the Borel, close them under
-    the bracket, and check each signature matches some catalog row.  Every
-    dimension, 1 to 6, is matched; a draw with irrational spectra is skipped,
-    not failed, and the summary record counts the skips."""
+    the bracket, and check each signature matches exactly one catalog row.
+    Every dimension, 1 to 6, is matched; a draw with irrational spectra is
+    skipped, not failed, and the summary record counts the skips.  A draw
+    that matches no row or several, or meets a faulty row, is a fail record."""
+    _check_probe_count(count)
     rep = report if report is not None else VerificationReport()
     rng = random.Random(seed)
     pool = [X_ALPHA, X_BETA, X_AB, X_A2B]
@@ -405,19 +430,29 @@ def random_subalgebra_probe(seed: int, count: int,
             continue
         sub = generated_subalgebra(seeds)
         try:
-            matches = match_catalog(sub)
+            problem = _match_problem(sub, match_catalog(sub))
         except IrrationalSpectrum:
             skipped += 1
             continue
+        except CatalogFault as exc:
+            problem = str(exc)
         produced += 1
-        if matches:
-            matched += 1
+        if problem:
+            rep.add("probe", None, f"seed draw {attempts}", False, problem)
         else:
-            rep.add("probe", None, f"seed draw {attempts}", False,
-                    "no catalog row matches signature of "
-                    + "; ".join(repr(b) for b in sub.basis))
+            matched += 1
     rep.add("probe", None,
             f"{produced} random subalgebras matched (seed={seed})",
             matched == produced,
             f"{matched}/{produced} matched, {skipped} skipped (irrational spectra)")
     return rep
+
+
+def _match_problem(sub: Subalgebra, matches: list) -> str:
+    """Why a probe draw's matches fail it: none, or several; '' for one."""
+    if not matches:
+        return "no catalog row matches signature of " + "; ".join(map(repr, sub.basis))
+    if len(matches) > 1:
+        return (f"signature matches {len(matches)} rows: "
+                + ", ".join(f"{rid}@{_p(a)}" for rid, a in matches))
+    return ""

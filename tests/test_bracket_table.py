@@ -17,14 +17,13 @@ from hypothesis import strategies as st
 
 from oracles import bracket_coords_fraction, change_basis_fraction, solve_in_span
 from sp4solvable import linalg, structure
-from sp4solvable.catalog import load_catalog
+from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES, load_catalog
 from sp4solvable.errors import DependentInputs, Sp4Error
 from sp4solvable.invariants import signature
 from sp4solvable.linalg import char_poly_rows, echelon_coords, echelon_span, rref
 from sp4solvable.presentations import DeGraafClass
 from sp4solvable.rational import Q
-from sp4solvable.sp4 import (DEFAULT_PARAM_SAMPLES, T, X_A2B, X_AB, X_ALPHA,
-                             X_BETA, bracket)
+from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA, bracket
 from sp4solvable.structure import (StructureConstants, Subalgebra, ad_matrix,
                                    bracket_space, coord_series,
                                    generated_subalgebra, structure_constants,

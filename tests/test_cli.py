@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from sp4solvable import verify
 from sp4solvable.catalog import load_catalog
 from sp4solvable.cli import build_parser, main
 from sp4solvable.linalg import Mat4
@@ -205,6 +206,19 @@ def test_bad_probe_count_is_a_parse_error(count, capsys):
         main(["verify-catalog", "--probe-count", count])
     assert exc.value.code == 2
     assert "--probe-count" in capsys.readouterr().err
+
+
+def test_a_probe_count_above_the_bound_exits_3_before_any_work(monkeypatch, capsys):
+    start = time.perf_counter()
+    assert main(["verify-catalog", "--probe-count", "999999999999999999999"]) == 3
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"PROBE_COUNT_BOUND = {verify.PROBE_COUNT_BOUND}" in captured.err
+    # the bound itself is allowed, one more draw is not
+    monkeypatch.setattr(verify, "PROBE_COUNT_BOUND", 2)
+    assert main(["verify-catalog", "--params", "2", "--probe-count", "2"]) == 0
+    assert main(["verify-catalog", "--params", "2", "--probe-count", "3"]) == 3
 
 
 def test_verify_catalog_reports_every_row_when_no_param_is_admissible(capsys):

@@ -55,11 +55,32 @@ def _modules_loaded_by(code: str) -> set:
 
 
 def test_the_catalog_loads_without_the_certifier():
+    # only the tables: no matrix, bracket-table or presentation code until an
+    # instance is built
     loaded = _modules_loaded_by("import sp4solvable\nsp4solvable.load_catalog()")
-    assert loaded.isdisjoint({"verify", "identify", "invariants", "jordan", "cli"})
-    assert "catalog" in loaded
+    assert loaded == {"sp4solvable", "catalog", "labels", "exprs", "rational", "errors"}
+    code = ("import sp4solvable\n"
+            "entry = next(e for e in sp4solvable.load_catalog() if e.row_id == 'd2_Ta1_Xa')\n"
+            "from sp4solvable.sp4 import T, X_ALPHA\n"
+            "assert entry.basis_at(2) == [T(2, 1), X_ALPHA]\n"
+            "assert str(entry.degraaf_at(2)) == 'K2'")
+    assert _modules_loaded_by(code) == loaded | {"linalg", "sp4"}
     loaded = _modules_loaded_by("import sp4solvable\nsp4solvable.classify_element")
     assert "jordan" in loaded and "verify" not in loaded
+
+
+def test_the_command_line_loads_every_module_up_front():
+    # a module first loaded inside a command would be compiled in its first call
+    modules = {info.name for info in pkgutil.iter_modules(sp4solvable.__path__)}
+    assert _modules_loaded_by("import sp4solvable.cli") == modules | {"sp4solvable"}
+
+
+def test_the_default_samples_are_defined_once():
+    src = Path(sp4solvable.__file__).resolve().parent
+    defining = [path.name for path in sorted(src.glob("*.py"))
+                if "\nDEFAULT_PARAM_SAMPLES = " in path.read_text()]
+    assert defining == ["catalog.py"]
+    assert sp4solvable.DEFAULT_PARAM_SAMPLES is sp4solvable.catalog.DEFAULT_PARAM_SAMPLES
 
 
 def test_every_export_is_its_defining_binding():

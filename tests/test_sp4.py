@@ -1,11 +1,12 @@
 import pytest
 
+from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES
 from sp4solvable.errors import Sp4Error
 from sp4solvable.linalg import Mat4, char_poly, echelon_span
 from sp4solvable.rational import Q
-from sp4solvable.sp4 import (A_MAT, AJ_MAT, DEFAULT_PARAM_SAMPLES, J_FORM, T,
-                             W_MAT, WA_MAT, X_A2B, X_AB, X_ALPHA, X_BETA,
-                             DiagonalElement, block_sl2, bracket, conjugate,
+from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, T, W_MAT, WA_MAT, X_A2B,
+                             X_AB, X_ALPHA, X_BETA, DiagonalElement,
+                             block_sl2, bracket, conjugate,
                              conjugate_subalgebra, diag_conjugator, gl2_block,
                              in_sp4, in_sp4_group, parse_conjugator,
                              root_value, shear, standard_subalgebra,

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sp4solvable import identify, invariants, structure, verify
-from sp4solvable.catalog import (CatalogEntry, EquivClaim, catalog_from_json,
-                                 catalog_to_json, load_catalog)
-from sp4solvable.errors import ExpressionLimit, FactorizationLimit
+from sp4solvable.catalog import (DEFAULT_PARAM_SAMPLES, CatalogEntry, EquivClaim,
+                                 catalog_from_json, catalog_to_json, load_catalog)
+from sp4solvable.errors import (CatalogFault, ExpressionLimit, FactorizationLimit,
+                                IrrationalSpectrum, ProbeLimit)
 from sp4solvable.rational import Q
-from sp4solvable.sp4 import DEFAULT_PARAM_SAMPLES, T, X_ALPHA, X_BETA
+from sp4solvable.sp4 import T, X_ALPHA, X_BETA
 from sp4solvable.invariants import signature
 from sp4solvable.structure import Subalgebra, generated_subalgebra
 from sp4solvable.verify import (VerificationReport, match_catalog,
@@ -361,6 +362,72 @@ def test_every_declared_check_of_a_non_closed_instance_is_a_skip():
     rep = separations(replaced(ENTRIES[row_id], path, value))
     assert [r.check for r in rep.failures] == ["signature"]
     verify._instance.cache_clear()
+
+
+def catalog_with(monkeypatch, rows):
+    """The shipped catalog with `rows` in place of (or after) its own rows,
+    as the probe and `match_catalog` read it."""
+    by_id = {e.row_id: e for e in rows}
+    patched = [by_id.pop(e.row_id, e) for e in load_catalog()] + list(by_id.values())
+    monkeypatch.setattr(verify, "load_catalog", lambda: patched)
+
+
+def test_a_faulty_row_fails_probe_draws_instead_of_raising(monkeypatch):
+    row_id, path, value, _, _ = FAULTY_ROWS["excluded"]
+    catalog_with(monkeypatch, [replaced(ENTRIES[row_id], path, value)])
+    with pytest.raises(CatalogFault, match="row d1_T_a1: ValueError"):
+        match_catalog(generated_subalgebra([T(2, 1)]))
+    rep = random_subalgebra_probe(1, 5)
+    fails = [r.detail for r in rep.failures if r.check.startswith("seed draw")]
+    assert fails and all(d.startswith("row d1_T_a1: ValueError(") for d in fails)
+    assert rep.records[-1].detail == f"{5 - len(fails)}/5 matched, 0 skipped (irrational spectra)"
+
+
+def test_a_probe_draw_with_irrational_spectra_is_still_a_skip(monkeypatch):
+    # every 2-dimensional draw made irrational; the faulty row fails the 1-dimensional ones
+    row_id, path, value, _, _ = FAULTY_ROWS["excluded"]
+    catalog_with(monkeypatch, [replaced(ENTRIES[row_id], path, value)])
+    candidates = verify._param_candidates
+
+    def irrational_in_dim_2(sub, nspace):
+        if sub.dim == 2:
+            raise IrrationalSpectrum("made irrational")
+        return candidates(sub, nspace)
+
+    monkeypatch.setattr(verify, "_param_candidates", irrational_in_dim_2)
+    rep = random_subalgebra_probe(11, 40)
+    fails = [r for r in rep.failures if r.check.startswith("seed draw")]
+    assert fails and all(r.detail.startswith("row d1_T_a1:") for r in fails)
+    matched, skipped = rep.records[-1].detail.split(", ")
+    assert skipped != "0 skipped (irrational spectra)"
+    assert matched == f"{40 - len(fails)}/40 matched"
+
+
+def test_a_draw_that_matches_two_rows_fails_naming_them(monkeypatch):
+    copy = dataclasses.replace(ENTRIES["d1_T_a1"], row_id="d1_T_a1_copy")
+    catalog_with(monkeypatch, [copy])
+    assert match_catalog(generated_subalgebra([T(2, 1)])) == [
+        ("d1_T_a1", Q(1, 2)), ("d1_T_a1_copy", Q(1, 2))]
+    rep = random_subalgebra_probe(11, 40)
+    fails = [r.detail for r in rep.failures if r.check.startswith("seed draw")]
+    assert fails
+    for detail in fails:
+        assert detail.startswith("signature matches 2 rows: d1_T_a1@")
+        assert ", d1_T_a1_copy@" in detail
+    assert not rep.overall_pass
+
+
+def test_a_probe_count_above_the_bound_raises_before_any_work(monkeypatch):
+    monkeypatch.setattr(verify, "PROBE_COUNT_BOUND", 3)
+    assert random_subalgebra_probe(1, 3).overall_pass
+    work = []
+    monkeypatch.setattr(verify, "load_catalog", lambda: work.append("catalog") or [])
+    monkeypatch.setattr(verify, "generated_subalgebra", lambda seeds: work.append(seeds))
+    with pytest.raises(ProbeLimit, match="PROBE_COUNT_BOUND = 3"):
+        random_subalgebra_probe(1, 4)
+    with pytest.raises(ProbeLimit):
+        verify_catalog(params=(Q(2),), probe_count=4)
+    assert work == []
 
 
 def expression_paths(x, path=()):
