@@ -13,9 +13,10 @@ What loads when: ``import sp4solvable`` runs no submodule.  Each name in
 module (with what it imports) is loaded the first time one of its names is
 used (PEP 562).  So ``sp4solvable.load_catalog()`` loads only rational,
 errors, exprs, labels and catalog: the five tables, no matrix code.  The
-first row instance built (``entry.basis_at(a)``) adds linalg and sp4;
-``classify_element`` adds linalg, sp4 and jordan, and ``verify_catalog``
-loads the rest.  The command-line front end
+first row instance built (``entry.basis_at(a)``) adds linalg and sp4; a
+label's ``.constants()`` adds identify, which holds the reference
+presentations; ``classify_element`` adds linalg, sp4 and jordan, and
+``verify_catalog`` loads the rest.  The command-line front end
 (`sp4solvable.cli`) imports every module up front.  Nothing is cached in the
 package namespace, so a binding patched in its defining module is what
 ``sp4solvable.<name>`` returns.
@@ -45,9 +46,8 @@ _EXPORTS = {
     "invariants": ("InvariantSignature", "nilpotent_subspace", "pencil_rank_strata",
                    "signature"),
     "labels": ("DeGraafClass", "SWClass"),
-    "presentations": ("degraaf_constants", "sw_constants"),
-    "identify": ("degraaf_to_sw", "identify_degraaf", "sw_bridge_map", "sw_lambda",
-                 "tri_algebra_constants", "verify_isomorphism"),
+    "identify": ("degraaf_constants", "degraaf_to_sw", "identify_degraaf", "sw_bridge_map",
+                 "sw_constants", "sw_lambda", "tri_algebra_constants", "verify_isomorphism"),
     "catalog": ("CatalogEntry", "DEFAULT_PARAM_SAMPLES", "catalog_from_json",
                 "catalog_to_json", "load_catalog"),
     "verify": ("VerificationReport", "match_catalog", "random_subalgebra_probe",

@@ -24,7 +24,8 @@ The tables are data: loading them needs only expressions, rationals and the
 class labels (`labels`), so `load_catalog()` compiles no matrix, bracket-table
 or presentation code.  `linalg` and `sp4` are loaded when the first instance
 is built (`basis_at`, `space_at`, `build_elements`), and a label's bracket
-table (`.constants()`) loads `presentations` on its first call.
+table (`.constants()`) loads `identify`, which holds both catalog tables, on
+its first call.
 """
 
 from __future__ import annotations

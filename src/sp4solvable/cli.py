@@ -4,7 +4,8 @@ Subcommands: verify-catalog, identify, invariants, conjugate,
 classify-element, export-catalog.  Batch-only; inputs are JSON files using
 the library's wire formats (matrices as 4x4 grids of rational strings,
 subalgebras as {"ambient": "sp4", "basis": [...]}), outputs go to stdout as
-text or JSON.  Exit codes: 0 success, 1 verification failure, 2 parse error
+text or JSON.  Exit codes: 0 success, 1 verification failure (also a
+catalog row whose data faults while `identify` compares it), 2 parse error
 (malformed input, bad conjugator recipe), 3 out of domain (not solvable,
 irrational spectrum, unrecognized family, factoring, expression or probe
 count bound exceeded).
@@ -22,9 +23,9 @@ import json
 import sys
 
 from .catalog import DEFAULT_PARAM_SAMPLES, catalog_to_json, load_catalog
-from .errors import (ExpressionLimit, FactorizationLimit, IrrationalSpectrum,
-                     NotSolvable, OutOfCatalog, ProbeLimit, Sp4Error,
-                     UnrecognizedFamily, UnsupportedDimension)
+from .errors import (CatalogFault, ExpressionLimit, FactorizationLimit,
+                     IrrationalSpectrum, NotSolvable, OutOfCatalog, ProbeLimit,
+                     Sp4Error, UnrecognizedFamily, UnsupportedDimension)
 from .identify import degraaf_to_sw, identify_degraaf
 from .invariants import signature
 from .jordan import classify_element
@@ -222,6 +223,9 @@ def main(argv=None) -> int:
             UnrecognizedFamily, UnsupportedDimension) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except CatalogFault as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except Sp4Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,16 @@
-"""Identification of solvable structure constants against the catalogs.
+"""The two reference catalogs of small solvable Lie algebras, and
+identification against them.
+
+Each catalog is one table, restricted to the classes that occur here:
+`_DEGRAAF` the dimension <= 4 classification (families J, K, L, M), `_SW`
+the indecomposables up to dimension 6 (n_{d,k}, s_{d,k}).  One builder
+makes a label's presentation from them (`degraaf_constants`,
+`sw_constants`).  Conventions frozen for this library:
+
+* K^2 is [x1,x2] = x2 (consistent with M^8 = K^2 (+) K^2 and the dimension-2
+  correspondence x1 <-> e2, x2 <-> e1);
+* M^6_{A,B} is [x4,x1]=x2, [x4,x2]=x3, [x4,x3]=Ax1+Bx2+x3, so that ad(x4) on
+  the abelian nilradical has characteristic polynomial t^3 - t^2 - B t - A.
 
 `identify_degraaf` decides the dimension <= 3 classification completely and,
 in dimension 4, the families occurring in this classification (M2, M6, M7,
@@ -8,23 +20,26 @@ centralizer, and the adjoint action of a complement element, normalized by
 the scaling freedom (trace normalization; squarefree/cubefree kernels for
 the weight-graded parameters).
 
-`degraaf_to_sw` translates to the second catalog; the only analytic step,
-choosing the square-root branch in lambda = (1 + 2a + sqrt(1+4a)) / (-2a),
-is done exactly: the two branches multiply to 1, so exactly one satisfies
-0 < |lambda| <= 1, and for irrational discriminants the comparison is decided
-in the quadratic extension (for negative discriminants |lambda| = 1 and the
-positive-imaginary branch has argument in (0, pi)).
+One translation gives each de Graaf class occurring here its label in the
+second catalog (`degraaf_to_sw`) and an explicit isomorphism onto it
+(`sw_bridge_map`).  Its only analytic step, the square-root branch of
+lambda = (1 + 2a + sqrt(1+4a)) / (-2a), is exact: the branches multiply to
+1, so exactly one has 0 < |lambda| <= 1, and irrational discriminants are
+compared in the quadratic extension (for negative ones |lambda| = 1 and the
+branch with argument in (0, pi) is taken).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (DependentInputs, DimensionMismatch, OutOfCatalog,
                      UnrecognizedFamily, UnsupportedDimension, ZeroParameter)
+from .labels import DeGraafClass, SWClass
 from .linalg import (Mat4, Poly, char_poly_rows, echelon_coords, inverse,
                      kernel_of_rows, rational_roots, rref)
-from .presentations import DeGraafClass, SWClass
 from .rational import (Q, ZERO, ONE, format_rational, power_free_kernel,
                        rational_nth_root, rational_sqrt)
 from .structure import StructureConstants, ad_matrix, bracket_space, unit_rows
@@ -32,7 +47,116 @@ from .structure import StructureConstants, ad_matrix, bracket_space, unit_rows
 __all__ = [
     "identify_degraaf", "degraaf_to_sw", "sw_lambda", "QuadraticValue",
     "verify_isomorphism", "tri_algebra_constants", "sw_bridge_map",
+    "degraaf_constants", "sw_constants",
 ]
+
+
+# ---------------------------------------------------------------------------
+# the two catalogs
+# ---------------------------------------------------------------------------
+
+# class -> (dimension, {(i, j): {k: c}} for [x_i, x_j], or a function of the
+# class's parameters giving it); the parameters are the function's arguments
+_DEGRAAF = {
+    "J": (1, {}),
+    "K1": (2, {}),
+    "K2": (2, {(0, 1): {1: 1}}),
+    "L1": (3, {}),
+    "L2": (3, {(2, 0): {0: 1}, (2, 1): {1: 1}}),
+    "L3": (3, lambda A: {(2, 0): {1: 1}, (2, 1): {0: A, 1: 1}}),
+    "L4": (3, lambda A: {(2, 0): {1: 1}, (2, 1): {0: A}}),
+    "M2": (4, {(3, 0): {0: 1}, (3, 1): {1: 1}, (3, 2): {2: 1}}),
+    "M6": (4, lambda A, B: {(3, 0): {1: 1}, (3, 1): {2: 1}, (3, 2): {0: A, 1: B, 2: 1}}),
+    "M7": (4, lambda A, B: {(3, 0): {1: 1}, (3, 1): {2: 1}, (3, 2): {0: A, 1: B}}),
+    "M8": (4, {(0, 1): {1: 1}, (2, 3): {3: 1}}),
+    "M12": (4, {(3, 0): {0: 1}, (3, 1): {1: 2}, (3, 2): {2: 1}, (2, 0): {1: 1}}),
+    "M13": (4, lambda A: {(3, 0): {0: 1, 2: A}, (3, 1): {1: 1}, (3, 2): {0: 1},
+                          (2, 0): {1: 1}}),
+    "M14": (4, lambda A: {(3, 0): {2: A}, (3, 2): {0: 1}, (2, 0): {1: 1}}),
+}
+
+_SW = {
+    "n_{1,1}": (1, {}),
+    "s_{2,1}": (2, {(1, 0): {0: 1}}),
+    "n_{3,1}": (3, {(1, 2): {0: 1}}),
+    "s_{3,1}": (3, lambda A: {(2, 0): {0: 1}, (2, 1): {1: A}}),
+    "s_{3,2}": (3, {(2, 0): {0: 1}, (2, 1): {0: 1, 1: 1}}),
+    "n_{4,1}": (4, {(1, 3): {0: 1}, (2, 3): {1: 1}}),
+    "s_{4,2}": (4, {(3, 0): {0: 1}, (3, 1): {0: 1, 1: 1}, (3, 2): {1: 1, 2: 1}}),
+    "s_{4,3}": (4, lambda A, B: {(3, 0): {0: 1}, (3, 1): {1: A}, (3, 2): {2: B}}),
+    "s_{4,6}": (4, {(1, 2): {0: 1}, (3, 1): {1: 1}, (3, 2): {2: -1}}),
+    "s_{4,8}": (4, lambda A: {(1, 2): {0: 1}, (3, 0): {0: 1 + A}, (3, 1): {1: 1},
+                              (3, 2): {2: A}}),
+    "s_{4,10}": (4, {(1, 2): {0: 1}, (3, 0): {0: 2}, (3, 1): {1: 1},
+                     (3, 2): {1: 1, 2: 1}}),
+    "s_{4,11}": (4, {(1, 2): {0: 1}, (3, 0): {0: 1}, (3, 1): {1: 1}}),
+    "s_{4,12}": (4, {(2, 0): {0: 1}, (2, 1): {1: 1}, (3, 0): {1: -1},
+                     (3, 1): {0: 1}}),
+    "s_{5,33}": (5, {(1, 3): {0: 1}, (2, 3): {1: 1}, (4, 1): {1: -1},
+                     (4, 2): {2: -2}, (4, 3): {3: 1}}),
+    "s_{5,35}": (5, lambda A: {(1, 3): {0: 1}, (2, 3): {1: 1}, (4, 0): {0: A + 2},
+                               (4, 1): {1: A + 1}, (4, 2): {2: A}, (4, 3): {3: 1}}),
+    "s_{5,36}": (5, {(1, 3): {0: 1}, (2, 3): {1: 1}, (4, 0): {0: 2},
+                     (4, 1): {1: 1}, (4, 3): {3: 1}}),
+    "s_{5,37}": (5, {(1, 3): {0: 1}, (2, 3): {1: 1}, (4, 0): {0: 1},
+                     (4, 1): {1: 1}, (4, 2): {2: 1}}),
+    "s_{5,41}": (5, lambda A, B: {(3, 0): {0: 1}, (3, 2): {2: A}, (4, 1): {1: 1},
+                                  (4, 2): {2: B}}),
+    "s_{5,44}": (5, {(1, 2): {0: 1}, (3, 0): {0: 1}, (3, 1): {1: 1},
+                     (4, 1): {1: 1}, (4, 2): {2: -1}}),
+    "s_{6,242}": (6, {(1, 3): {0: 1}, (2, 3): {1: 1}, (4, 0): {0: 2},
+                      (4, 1): {1: 1}, (4, 3): {3: 1}, (5, 0): {0: 1},
+                      (5, 1): {1: 1}, (5, 2): {2: 1}}),
+}
+
+# a summand of an sw name: a multiplicity >= 2 without leading zero, then
+# its class (always a match: anything else is left in the class)
+_SUMMAND = re.compile(r"([1-9][0-9]+|[2-9])?(.*)", re.S)
+_MAX_DIM = max(dim for dim, _ in _SW.values())
+
+
+def _arity(brackets) -> int:
+    """How many parameters the class of a table entry's brackets takes."""
+    return brackets.__code__.co_argcount if callable(brackets) else 0
+
+
+def degraaf_constants(family: str, params: tuple = ()) -> StructureConstants:
+    """The presentation of a de Graaf class."""
+    return _build(_DEGRAAF, family, ((1, family),), params)
+
+
+def sw_constants(name: str, params: tuple = ()) -> StructureConstants:
+    """The presentation of an indecomposable class or of a '+'-direct sum
+    with multiplicity prefixes, "2n_{1,1}", "n_{1,1}+s_{3,1}": the summands
+    take their parameters in turn, and the copies of a multiple share theirs."""
+    # two digits of a multiplicity already pass the largest dimension
+    summands = [(int((m[1] or "1")[:2]), m[2])
+                for m in map(_SUMMAND.fullmatch, name.split("+"))]
+    return _build(_SW, name, summands, params)
+
+
+def _build(table: dict, name: str, summands, params: tuple) -> StructureConstants:
+    """The direct sum of the (multiplicity, class) summands of `table`, in
+    order, each taking as many of `params` as its class does.  A sum the
+    table does not carry, or above the largest dimension here, is refused
+    before anything is built."""
+    if any(cls not in table for _, cls in summands):
+        raise OutOfCatalog(f"{name!r} names a class outside the tables")
+    if sum(mult * table[cls][0] for mult, cls in summands) > _MAX_DIM:
+        raise OutOfCatalog(f"{name} is above dimension {_MAX_DIM}, the largest here")
+    need = sum(_arity(table[cls][1]) for _, cls in summands)
+    if len(params) != need:
+        raise OutOfCatalog(f"{name} takes {need} parameters, {len(params)} given")
+    brackets, shift, rest = {}, 0, [Q(p) for p in params]
+    for mult, cls in summands:
+        dim, br = table[cls]
+        if callable(br):
+            br, rest = br(*rest[:_arity(br)]), rest[_arity(br):]
+        for _ in range(mult):
+            brackets.update({(i + shift, j + shift): {k + shift: c for k, c in row.items()}
+                             for (i, j), row in br.items()})
+            shift += dim
+    return StructureConstants.from_brackets(shift, brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -279,57 +403,96 @@ def _quad_lt(p, q, disc) -> bool:
 
 def degraaf_to_sw(c: DeGraafClass) -> SWClass:
     """The indecomposable-catalog label of a de Graaf class occurring here."""
+    return _translation(c)[0]
+
+
+def sw_bridge_map(c: DeGraafClass):
+    """(bridge class, columns): an isomorphism realizing degraaf_to_sw, its
+    columns, built on this call, mapping the class presentation onto the
+    bridge class's (see `verify_isomorphism`).  Raises OutOfCatalog where the
+    translated parameter is irrational."""
+    label, bridge_class, columns = _translation(c)
+    if any(isinstance(p, QuadraticValue) for p in label.params):
+        raise OutOfCatalog("bridge needs a rational normalized parameter")
+    return bridge_class, columns()
+
+
+def _to(name: str, columns, params: tuple = ()) -> tuple:
+    """A translation whose bridge class is its label."""
+    label = SWClass(name, params)
+    return label, label, columns
+
+
+# as many classes as the certifier keeps row instances
+@lru_cache(maxsize=1024)
+def _translation(c: DeGraafClass) -> tuple:
+    """(label, bridge class, columns builder) of a de Graaf class: how each
+    class occurring here meets the second catalog.  The bridge class is the
+    label except for M8, whose label is the complex class s_{4,12} while the
+    rational bridge is onto 2s_{2,1}.  An M6 cubic is rooted here, so once
+    per class while the class is cached."""
     f, pr = c.family, c.params
     if f == "J":
-        return SWClass("n_{1,1}")
+        return _to("n_{1,1}", lambda: ((1,),))
     if f == "K1":
-        return SWClass("2n_{1,1}")
+        return _to("2n_{1,1}", lambda: unit_rows(2))
     if f == "K2":
-        return SWClass("s_{2,1}")
+        return _to("s_{2,1}", lambda: ((0, 1), (1, 0)))
     if f == "L1":
-        return SWClass("3n_{1,1}")
+        return _to("3n_{1,1}", lambda: unit_rows(3))
     if f == "L2":
-        return SWClass("s_{3,1}", (ONE,))
+        return _to("s_{3,1}", lambda: unit_rows(3), (ONE,))
     if f == "L3":
         (a,) = pr
         if a == 0:
-            return SWClass("n_{1,1}+s_{2,1}")
+            return _to("n_{1,1}+s_{2,1}", lambda: ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
         if a == Q(-1, 4):
-            return SWClass("s_{3,2}")
-        return SWClass("s_{3,1}", (sw_lambda(a),))
+            return _to("s_{3,2}", lambda: ((2, -1, 0), (Q(1, 2), Q(-1, 2), 0),
+                                           (0, 0, Q(1, 2))))
+        lam = sw_lambda(a)
+        return _to("s_{3,1}", lambda: _l3_bridge(a, lam), (lam,))
     if f == "L4":
         (a,) = pr
         if a == 0:
-            return SWClass("n_{3,1}")
+            return _to("n_{3,1}", lambda: ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
         if a == 1:
-            return SWClass("s_{3,1}", (Q(-1),))
+            return _to("s_{3,1}", lambda: ((1, 1, 0), (1, -1, 0), (0, 0, 1)), (Q(-1),))
         raise OutOfCatalog(f"L4({format_rational(a)}) does not occur in the tables")
     if f == "M2":
-        return SWClass("s_{4,3}", (ONE, ONE))
+        return _to("s_{4,3}", lambda: unit_rows(4), (ONE, ONE))
     if f == "M8":
-        return SWClass("s_{4,12}")
+        return (SWClass("s_{4,12}"), SWClass("2s_{2,1}"),
+                lambda: ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
     if f == "M12":
-        return SWClass("s_{4,8}", (ONE,))
+        return _to("s_{4,8}", lambda: ((0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0),
+                                       (0, 0, 0, 1)), (ONE,))
     if f == "M13":
         (a,) = pr
         if a == 0:
-            return SWClass("s_{4,11}")
+            return _to("s_{4,11}", lambda: ((0, 1, 0, 0), (1, 0, 0, 0), (0, 1, -1, 0),
+                                            (0, 0, 0, 1)))
         if a == Q(-1, 4):
-            return SWClass("s_{4,10}")
-        return SWClass("s_{4,8}", (sw_lambda(a),))
+            return _to("s_{4,10}", lambda: ((0, Q(1, 2), Q(1, 2), 0), (Q(-1, 2), 0, 0, 0),
+                                            (0, 0, 1, 0), (0, 0, 0, Q(1, 2))))
+        lam = sw_lambda(a)
+        return _to("s_{4,8}", lambda: _m13_bridge(a, lam), (lam,))
     if f == "M14":
         (a,) = pr
         if a == 1:
-            return SWClass("s_{4,6}")
+            return _to("s_{4,6}", lambda: ((0, Q(1, 2), Q(1, 2), 0), (Q(1, 2), 0, 0, 0),
+                                           (0, Q(1, 2), Q(-1, 2), 0), (0, 0, 0, 1)))
         raise OutOfCatalog(f"M14({format_rational(a)}) does not occur in the tables")
     if f == "M7":
         a, b = pr
         if a != 0:
             raise OutOfCatalog("M7 with nonzero cubic parameter does not occur")
         if b == 0:
-            return SWClass("n_{4,1}")
+            return _to("n_{4,1}", lambda: ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0),
+                                           (0, 0, 0, -1)))
         if power_free_kernel(b) == 1:
-            return SWClass("n_{1,1}+s_{3,1}", (Q(-1),))
+            return _to("n_{1,1}+s_{3,1}", lambda: (
+                (1, Q(1, 2), Q(-1, 2), 0), (0, Q(1, 2), Q(1, 2), 0),
+                (0, Q(1, 2), Q(-1, 2), 0), (0, 0, 0, 1)), (Q(-1),))
         raise OutOfCatalog("M7(0, non-square) does not occur in the tables")
     if f == "M6":
         a, b = pr
@@ -337,17 +500,25 @@ def degraaf_to_sw(c: DeGraafClass) -> SWClass:
             if b == 0:
                 raise OutOfCatalog("M6(0,0) does not occur in the tables")
             if b == Q(-1, 4):
-                return SWClass("n_{1,1}+s_{3,2}")
-            return SWClass("n_{1,1}+s_{3,1}", (sw_lambda(b),))
+                # central slot first, then the s_{3,2} block
+                return _to("n_{1,1}+s_{3,2}", lambda: (
+                    (1, 2, -1, 0), (0, Q(1, 2), Q(-1, 2), 0), (0, 0, Q(-1, 4), 0),
+                    (0, 0, 0, Q(1, 2))))
+            lam = sw_lambda(b)
+            return _to("n_{1,1}+s_{3,1}", lambda: _m6_split_bridge(b, lam), (lam,))
         roots = rational_roots(Poly([-a, -b, -1, 1]))
         if sum(roots.values()) != 3:
             raise OutOfCatalog("M6 with irrational nilradical eigenvalues")
         if len(roots) == 1:
-            # triple root; the sum of roots is 1 so it is 1/3
-            return SWClass("s_{4,2}")
+            # triple root; the sum of roots is 1 so it is 1/3.  e4 <-> 3 x4,
+            # and e1, e2, e3 a Jordan chain of ad(3 x4) - 1 on the nilradical
+            return _to("s_{4,2}", lambda: ((0, 0, 1, 0), (0, Q(1, 3), Q(1, 3), 0),
+                                           (Q(1, 9), Q(2, 9), Q(1, 9), 0),
+                                           (0, 0, 0, Q(1, 3))))
         if len(roots) == 2:
             raise OutOfCatalog("M6 with a repeated eigenvalue (s_{4,4}) does not occur")
-        return SWClass("s_{4,3}", _normalize_s43(sorted(roots)))
+        ap, bp = _normalize_s43(sorted(roots))
+        return _to("s_{4,3}", lambda: _m6_s43_bridge(a, b, ap, bp), (ap, bp))
     raise OutOfCatalog(f"no translation for {c}")
 
 
@@ -392,30 +563,8 @@ def tri_algebra_constants(r) -> StructureConstants:
 
 
 # ---------------------------------------------------------------------------
-# explicit bridges into the second catalog
+# the bridges with a parameter
 # ---------------------------------------------------------------------------
-
-def sw_bridge_map(c: DeGraafClass, label: SWClass | None = None):
-    """The explicit isomorphism realizing degraaf_to_sw, bracket-verifiable.
-
-    Returns (bridge_class, columns), the columns mapping the class
-    presentation onto the bridge presentation (see `verify_isomorphism`).
-    `label` is degraaf_to_sw(c) when the caller has it already.  The bridge
-    class equals that label except for M8, whose label is the complex class
-    s_{4,12} while the rational bridge is onto the direct sum 2s_{2,1}.
-    Raises OutOfCatalog where the translated parameter is irrational.
-    """
-    if label is None:
-        label = degraaf_to_sw(c)
-    if any(isinstance(p, QuadraticValue) for p in label.params):
-        raise OutOfCatalog("bridge needs a rational normalized parameter")
-    cols = _BRIDGES[c.family, label.name]
-    if callable(cols):
-        cols = cols(c.params, label.params)
-    if c.family == "M8":
-        label = SWClass("2s_{2,1}")
-    return label, cols
-
 
 def _derived_plane(p, lam) -> tuple:
     """The derived-plane coordinates of the s_{3,1}(lam) block, shared by the
@@ -428,22 +577,19 @@ def _derived_plane(p, lam) -> tuple:
     return (-1 / s, 1 / s), ((1 + lminus / s) / p, -lminus / (s * p)), lplus, s
 
 
-def _l3_bridge(pr, lp):
-    (al,), (lam,) = pr, lp
+def _l3_bridge(al, lam):
     u, w, lplus, _ = _derived_plane(al, lam)
     return ((*w, ZERO), (*u, ZERO), (ZERO, ZERO, -al / lplus))
 
 
-def _m13_bridge(pr, lp):
-    (al,), (lam,) = pr, lp
+def _m13_bridge(al, lam):
     u, w, lplus, s = _derived_plane(al, lam)
     return ((ZERO, *u, ZERO), (1 / (al * s), ZERO, ZERO, ZERO), (ZERO, *w, ZERO),
             (ZERO, ZERO, ZERO, 1 - lplus))
 
 
-def _m6_split_bridge(pr, lp):
+def _m6_split_bridge(b, lam):
     """M6(0,B) onto n_{1,1} (+) s_{3,1}(lam): slot 0 is the center."""
-    (_, b), (lam,) = pr, lp
     u, w, lplus, _ = _derived_plane(b, lam)
     # e1 = B x2 + lminus x3, e2 = B x2 + lplus x3 in the solvable block,
     # and B x1 + x2 - x3 spans the center
@@ -452,11 +598,10 @@ def _m6_split_bridge(pr, lp):
     return (x1, x2, x3, (ZERO, ZERO, ZERO, -b / lplus))
 
 
-def _m6_s43_bridge(pr, lp):
+def _m6_s43_bridge(a, b, ap, bp):
     """M6(A,B) with three distinct rational nilradical eigenvalues onto
     s_{4,3}(A', B'): eigenvectors of the companion action paired with
     (1, A', B')."""
-    (a, b), (ap, bp) = pr, lp
     # the eigenvalues are r', A'r', B'r' and sum to 1 (the t^2 coefficient)
     rprime = 1 / (1 + ap + bp)
     # companion action of ad(x4) on (x1, x2, x3)
@@ -467,42 +612,3 @@ def _m6_s43_bridge(pr, lp):
         return kernel_of_rows(rows, 3)[0]
     basis = [tuple(eigvec(mu)) + (ZERO,) for mu in (rprime, ap * rprime, bp * rprime)]
     return inverse(Mat4(basis + [(ZERO, ZERO, ZERO, 1 / rprime)])).rows
-
-
-_ID3, _ID4 = tuple(unit_rows(3)), tuple(unit_rows(4))
-
-# (de Graaf family, translated label name) -> bridge columns, or a builder
-# of them from (class parameters, label parameters)
-_BRIDGES = {
-    ("J", "n_{1,1}"): ((1,),),
-    ("K1", "2n_{1,1}"): ((1, 0), (0, 1)),
-    ("K2", "s_{2,1}"): ((0, 1), (1, 0)),
-    ("L1", "3n_{1,1}"): _ID3,
-    ("L2", "s_{3,1}"): _ID3,
-    ("L3", "n_{1,1}+s_{2,1}"): ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
-    ("L3", "s_{3,2}"): ((2, -1, 0), (Q(1, 2), Q(-1, 2), 0), (0, 0, Q(1, 2))),
-    ("L3", "s_{3,1}"): _l3_bridge,
-    ("L4", "n_{3,1}"): ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
-    ("L4", "s_{3,1}"): ((1, 1, 0), (1, -1, 0), (0, 0, 1)),
-    ("M2", "s_{4,3}"): _ID4,
-    ("M8", "s_{4,12}"): ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
-    ("M12", "s_{4,8}"): ((0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)),
-    ("M13", "s_{4,11}"): ((0, 1, 0, 0), (1, 0, 0, 0), (0, 1, -1, 0), (0, 0, 0, 1)),
-    ("M13", "s_{4,10}"): ((0, Q(1, 2), Q(1, 2), 0), (Q(-1, 2), 0, 0, 0),
-                          (0, 0, 1, 0), (0, 0, 0, Q(1, 2))),
-    ("M13", "s_{4,8}"): _m13_bridge,
-    ("M14", "s_{4,6}"): ((0, Q(1, 2), Q(1, 2), 0), (Q(1, 2), 0, 0, 0),
-                         (0, Q(1, 2), Q(-1, 2), 0), (0, 0, 0, 1)),
-    ("M7", "n_{4,1}"): ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1)),
-    ("M7", "n_{1,1}+s_{3,1}"): ((1, Q(1, 2), Q(-1, 2), 0), (0, Q(1, 2), Q(1, 2), 0),
-                                (0, Q(1, 2), Q(-1, 2), 0), (0, 0, 0, 1)),
-    # central slot first, then the s_{3,2} block
-    ("M6", "n_{1,1}+s_{3,2}"): ((1, 2, -1, 0), (0, Q(1, 2), Q(-1, 2), 0),
-                                (0, 0, Q(-1, 4), 0), (0, 0, 0, Q(1, 2))),
-    ("M6", "n_{1,1}+s_{3,1}"): _m6_split_bridge,
-    # e4 <-> 3 x4, and e1, e2, e3 a Jordan chain of ad(3 x4) - 1 on the
-    # nilradical; columns x_i -> e-coordinates
-    ("M6", "s_{4,2}"): ((0, 0, 1, 0), (0, Q(1, 3), Q(1, 3), 0),
-                        (Q(1, 9), Q(2, 9), Q(1, 9), 0), (0, 0, 0, Q(1, 3))),
-    ("M6", "s_{4,3}"): _m6_s43_bridge,
-}

@@ -4,8 +4,8 @@ A `DeGraafClass` names a class of the dimension <= 4 classification (family
 and parameters), an `SWClass` one of the indecomposable classification up to
 dimension 6 (or a '+'-direct sum).  A label is a value: it formats itself and
 compares by family and parameters.  Its bracket table, `.constants()`, is
-built by `presentations`, loaded on that first call, so that reading the
-catalog loads no table code.
+built from the catalog tables in `identify`, loaded on that first call, so
+that reading the catalog loads no table code.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ __all__ = ["DeGraafClass", "SWClass"]
 
 
 @cache
-def _presentations():
-    """`presentations`, loaded on the first call and kept: an import
-    statement in a method would run again on every call."""
-    from . import presentations
-    return presentations
+def _identify():
+    """`identify`, loaded on the first call and kept: an import statement
+    in a method would run again on every call."""
+    from . import identify
+    return identify
 
 
 def _fmt(p) -> str:
@@ -47,7 +47,7 @@ class DeGraafClass:
         return f"{self.family}({','.join(_fmt(p) for p in self.params)})"
 
     def constants(self) -> StructureConstants:
-        return _presentations().degraaf_constants(self.family, self.params)
+        return _identify().degraaf_constants(self.family, self.params)
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,8 @@ class SWClass:
     def __str__(self) -> str:
         if not self.params:
             return self.name
-        labels = ("A", "B")
-        inner = ",".join(f"{labels[i]}={_fmt(p)}" for i, p in enumerate(self.params))
+        inner = ",".join(f"{chr(65 + i)}={_fmt(p)}" for i, p in enumerate(self.params))
         return f"{self.name}({inner})"
 
     def constants(self) -> StructureConstants:
-        return _presentations().sw_constants(self.name, self.params)
+        return _identify().sw_constants(self.name, self.params)

@@ -219,9 +219,8 @@ def _declared_checks(entry: CatalogEntry, a, first: bool, rep) -> list:
     """(value, check, body) for each check the row declares at its sample a,
     in report order; sample-restricted claims run at the `first` sample, and
     a claim whose stated values do not evaluate is its fail, recorded here.
-    The de Graaf class and its translated label are evaluated at most once."""
+    The de Graaf class is evaluated at most once; `identify` keeps its label."""
     dg = cache(partial(entry.degraaf_at, a))
-    sw = cache(lambda: degraaf_to_sw(dg()))
 
     def degraaf_class():
         stated, found = dg(), identify_degraaf(_instance(entry, a).table)
@@ -237,11 +236,12 @@ def _declared_checks(entry: CatalogEntry, a, first: bool, rep) -> list:
         # compared when stated and translated; dimension 5/6 rests on its isomorphism map
         stated = entry.sw_at(a)
         if stated is None or entry.degraaf is None:
-            return True, str(stated or sw())
-        return sw() == stated, f"computed {sw()}, stated {stated}"
+            return True, str(stated or degraaf_to_sw(dg()))
+        sw = degraaf_to_sw(dg())
+        return sw == stated, f"computed {sw}, stated {stated}"
 
     def sw_bridge():  # a bracket-verified map onto the translated presentation
-        bridge_class, bridge = sw_bridge_map(dg(), sw())
+        bridge_class, bridge = sw_bridge_map(dg())
         return (verify_isomorphism(dg().constants(), bridge_class.constants(), bridge),
                 f"{dg()} -> {bridge_class}")
 

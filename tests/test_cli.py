@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import time
@@ -336,3 +337,15 @@ def test_bad_conjugator_recipe_is_a_parse_error(recipe, ta_path, capsys):
     assert main(["conjugate", "--input", ta_path, "--conjugator", recipe]) == 2
     assert time.perf_counter() - start < 5
     assert recipe in capsys.readouterr().err
+
+
+def test_a_faulty_catalog_row_is_a_verification_failure_of_identify(tmp_path, monkeypatch,
+                                                                     capsys):
+    rows = [dataclasses.replace(e, excluded=("0", "1)")) if e.row_id == "d1_T_a1" else e
+            for e in load_catalog()]
+    monkeypatch.setattr(verify, "load_catalog", lambda: rows)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(Subalgebra.from_matrices([T(2, 1)]).to_json()))
+    assert main(["identify", "--input", str(path)]) == 1
+    assert "CatalogFault: row d1_T_a1: ValueError(" in capsys.readouterr().err
+    verify._instance.cache_clear()

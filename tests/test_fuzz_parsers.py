@@ -1,9 +1,10 @@
-"""Fuzzing the two text parsers and the CLI wire formats: every expression
+"""Fuzzing the text parsers and the CLI wire formats: every expression
 text evaluates or raises ValueError/ZeroDivisionError, every conjugator
-recipe evaluates or raises Sp4Error, and `identify` and `invariants` (on any
-subalgebra file), `classify-element` (on any matrix file) and
-`verify-catalog` (on any --params string) exit with a contract code,
-quickly, whatever the nesting depth, exponent size or entry size."""
+recipe evaluates or raises Sp4Error, every class label formats itself and
+builds its presentation or raises OutOfCatalog, and `identify` and
+`invariants` (on any subalgebra file), `classify-element` (on any matrix
+file) and `verify-catalog` (on any --params string) exit with a contract
+code, quickly, whatever the nesting depth, exponent size or entry size."""
 
 import contextlib
 import io
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 
 from sp4solvable.catalog import load_catalog
 from sp4solvable.cli import main
-from sp4solvable.errors import Sp4Error
+from sp4solvable.errors import OutOfCatalog, Sp4Error
 from sp4solvable.exprs import eval_expr
+from sp4solvable.identify import _DEGRAAF, _SW
+from sp4solvable.labels import DeGraafClass, SWClass
 from sp4solvable.linalg import Mat4
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (ROOT_LABELS, T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA,
@@ -70,6 +73,27 @@ def test_parse_conjugator_gives_a_matrix_or_sp4error(recipe, env):
     except Sp4Error:
         pass
     assert time.perf_counter() - start < TIME_BOUND
+
+
+# -- the class labels -----------------------------------------------------------
+
+# names made of the tables' class names, digits (multiplicity prefixes) and '+'
+label_names = st.lists(st.one_of(st.sampled_from([*_DEGRAAF, *_SW]),
+                                 st.text(alphabet="0123456789+", max_size=3),
+                                 st.integers(0, 10**9).map(str)), max_size=4).map("".join)
+label_params = st.lists(st.builds(Q, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+                        max_size=3).map(tuple)
+
+
+@settings(max_examples=300, deadline=TIME_BOUND * 1000)
+@given(st.sampled_from([DeGraafClass, SWClass]), label_names, label_params)
+def test_a_class_label_formats_and_builds_or_is_out_of_catalog(kind, name, params):
+    label = kind(name, params)
+    assert str(label).startswith(name)
+    try:
+        assert label.constants().dim <= 6
+    except OutOfCatalog:
+        pass
 
 
 # -- the subalgebra wire format, through the CLI ------------------------------

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -5,11 +6,11 @@ import pytest
 from sp4solvable.errors import (DimensionMismatch, OutOfCatalog,
                                 UnrecognizedFamily, UnsupportedDimension,
                                 ZeroParameter)
-from sp4solvable.identify import (QuadraticValue, degraaf_to_sw,
-                                  identify_degraaf, sw_lambda,
-                                  tri_algebra_constants, verify_isomorphism)
-from sp4solvable.presentations import (DeGraafClass, degraaf_constants,
-                                       direct_sum, sw_constants)
+from sp4solvable import identify
+from sp4solvable.identify import (QuadraticValue, degraaf_constants, degraaf_to_sw,
+                                  identify_degraaf, sw_bridge_map, sw_constants,
+                                  sw_lambda, tri_algebra_constants, verify_isomorphism)
+from sp4solvable.labels import DeGraafClass, SWClass
 from sp4solvable.linalg import echelon_span, rref
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA
@@ -23,27 +24,33 @@ D = DeGraafClass
 
 
 def test_presentations_are_lie_algebras():
-    for fam, params in (("J", ()), ("K1", ()), ("K2", ()), ("L1", ()),
-                        ("L2", ()), ("L3", (Q(-3, 16),)), ("L4", (Q(1),)),
-                        ("M2", ()), ("M6", (Q(1, 27), Q(-1, 3))),
-                        ("M7", (Q(0), Q(1))), ("M8", ()), ("M12", ()),
-                        ("M13", (Q(-1, 4),)), ("M14", (Q(1),))):
-        sc = degraaf_constants(fam, params)
-        assert is_antisymmetric(sc) and satisfies_jacobi(sc)
-    for name, params in (("n_{1,1}", ()), ("s_{2,1}", ()), ("n_{3,1}", ()),
-                         ("s_{3,1}", (Q(1, 3),)), ("s_{3,2}", ()),
-                         ("n_{4,1}", ()), ("s_{4,2}", ()),
-                         ("s_{4,3}", (Q(3, 4), Q(1, 2))), ("s_{4,6}", ()),
-                         ("s_{4,8}", (Q(1, 2),)), ("s_{4,10}", ()),
-                         ("s_{4,11}", ()), ("s_{4,12}", ()),
-                         ("s_{5,33}", ()), ("s_{5,35}", (Q(2),)),
-                         ("s_{5,36}", ()), ("s_{5,37}", ()),
-                         ("s_{5,41}", (Q(1, 2), Q(1, 2))), ("s_{5,44}", ()),
-                         ("s_{6,242}", ()), ("2n_{1,1}", ()), ("3n_{1,1}", ()),
-                         ("n_{1,1}+s_{2,1}", ()),
+    # every class of both tables, with as many sample parameters as it takes
+    samples = (Q(-3, 16), Q(1, 2), Q(7))
+    built = 0
+    for table, constants in ((identify._DEGRAAF, degraaf_constants),
+                             (identify._SW, sw_constants)):
+        for name, (dim, brackets) in table.items():
+            sc = constants(name, samples[:identify._arity(brackets)])
+            assert sc.dim == dim and is_antisymmetric(sc) and satisfies_jacobi(sc), name
+            built += 1
+    assert built == len(identify._DEGRAAF) + len(identify._SW) == 34
+    for name, params in (("2n_{1,1}", ()), ("3n_{1,1}", ()), ("n_{1,1}+s_{2,1}", ()),
                          ("n_{1,1}+s_{3,1}", (Q(-1),))):
         sc = sw_constants(name, params)
         assert is_antisymmetric(sc) and satisfies_jacobi(sc)
+
+
+def test_a_label_the_tables_do_not_carry_is_out_of_catalog():
+    for name, params in (("0n_{1,1}", ()), ("00s_{5,33}", ()), ("1s_{5,33}", ()),
+                         ("100000s_{2,1}", ()), ("7n_{1,1}", ()), ("n_{1,1}+", ()),
+                         ("s_{5,33}", (Q(1),)), ("s_{3,1}", ()), ("s_{5,41}", (1, 2, 3))):
+        with pytest.raises(OutOfCatalog):
+            sw_constants(name, params)
+    for family, params in (("L3", ()), ("M8", (Q(1),)), ("2K2", ()), ("M9", ())):
+        with pytest.raises(OutOfCatalog):
+            degraaf_constants(family, params)
+    assert str(SWClass("s_{5,41}", (Q(1, 2), 1, 9))) == "s_{5,41}(A=1/2,B=1,C=9)"
+    assert sw_constants("6n_{1,1}").dim == 6
 
 
 def test_trichotomy():
@@ -195,7 +202,7 @@ def test_verify_isomorphism_l3_to_s32():
 
 
 def test_direct_sum():
-    two = direct_sum(sw_constants("s_{2,1}"), sw_constants("s_{2,1}"))
+    two = sw_constants("2s_{2,1}")
     assert two.dim == 4
     assert is_antisymmetric(two) and satisfies_jacobi(two)
     m8 = degraaf_constants("M8")
@@ -212,7 +219,6 @@ def test_sw_bridge_maps_verify_bracket_exactly():
              D("M7", (Q(0), Q(0))), D("M7", (Q(0), Q(1))),
              D("M6", (Q(0), Q(-2, 9))), D("M6", (Q(0), Q(-1, 4))),
              D("M6", (Q(1, 27), Q(-1, 3))), D("M6", (Q(8, 243), Q(-26, 81)))]
-    from sp4solvable.identify import _BRIDGES, sw_bridge_map
     reached = set()
     for c in cases:
         label, iso = sw_bridge_map(c)
@@ -222,23 +228,20 @@ def test_sw_bridge_maps_verify_bracket_exactly():
         else:
             assert label == degraaf_to_sw(c)
         reached.add((c.family, degraaf_to_sw(c).name))
-    assert reached == set(_BRIDGES)   # no bridge table entry is dead
+    # every (family, label) pair the translation can give, one per branch
+    assert len(reached) == 23 == inspect.getsource(identify._translation).count("return ")
 
 
-def test_every_catalog_class_has_a_bridge_entry():
+def test_every_catalog_class_has_a_verified_bridge():
     from sp4solvable.catalog import load_catalog
-    from sp4solvable.identify import _BRIDGES
-    keys = set()
-    for entry in load_catalog():
-        for a in entry.samples():
-            dg = entry.degraaf_at(a)
-            if dg is not None:
-                keys.add((dg.family, degraaf_to_sw(dg).name))
-    assert keys and keys <= set(_BRIDGES)
+    classes = {e.degraaf_at(a) for e in load_catalog() for a in e.samples()} - {None}
+    assert len(classes) > 40
+    for dg in classes:
+        bridge_class, iso = sw_bridge_map(dg)
+        assert verify_isomorphism(dg.constants(), bridge_class.constants(), iso), str(dg)
 
 
 def test_sw_bridge_mutation_testing():
-    from sp4solvable.identify import sw_bridge_map
     deltas = (Q(1), Q(-1), Q(1, 2), Q(2), Q(-3))
     for c in [D("L3", (Q(-3, 16),)), D("M13", (Q(-2, 9),)),
               D("M6", (Q(8, 243), Q(-26, 81))), D("M14", (Q(1),)),
@@ -257,9 +260,7 @@ def test_sw_bridge_mutation_testing():
 
 
 def test_sw_bridge_irrational_is_rejected():
-    from sp4solvable.errors import OutOfCatalog as OOC
-    from sp4solvable.identify import sw_bridge_map
-    with pytest.raises(OOC):
+    with pytest.raises(OutOfCatalog):
         sw_bridge_map(D("L3", (Q(1),)))   # lambda in Q(sqrt(5))
 
 
@@ -279,7 +280,6 @@ def _pairwise_oracle(src, tgt, columns):
 
 def test_verify_isomorphism_matches_the_pairwise_bracket_loop():
     from sp4solvable.catalog import load_catalog
-    from sp4solvable.identify import sw_bridge_map
     rng = random.Random(11)
     maps = []
     for e in load_catalog():
@@ -311,7 +311,7 @@ def test_verify_isomorphism_matches_the_pairwise_bracket_loop():
 def test_identification_and_signatures_solve_no_span(monkeypatch):
     """Adjoint matrices, quotient actions and the identity test of M13 read
     RREF pivots: once the bracket tables exist, nothing is solved."""
-    from sp4solvable import identify, structure
+    from sp4solvable import structure
     from sp4solvable.catalog import load_catalog
     from sp4solvable.invariants import signature
     instances = []

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -92,10 +93,11 @@ def test_m6_cubic_is_rooted_once_per_instance(monkeypatch):
     # s_{4,3} at 8 samples, and s_{4,2} (a triple root) without parameter
     for row_id, instances in (("d4_Ta1_np", 8), ("d4_T11Xb_Xa_Xab_Xa2b", 1)):
         calls.clear()
+        identify._translation.cache_clear()
         rep = verify_entry(ENTRIES[row_id])
         assert rep.overall_pass
         assert sum(r.check == "sw-bridge" for r in rep.records) == instances
-        assert len(calls) == instances
+        assert 0 < len(calls) <= instances
 
 
 def test_a_claim_that_leaves_no_record_fails_the_report(monkeypatch):
@@ -338,13 +340,31 @@ FAULTY_ROWS = {
                               separations, "parameter samples"),
     "param_equiv": ("d1_T_a1", ("param_equiv",), ("-a", "1/"),
                     separations, "parameter orbit"),
+    # a stated sw label that the table does not carry: a wrong number of
+    # parameters, a multiplicity that is not an integer >= 2, a dimension past 6
+    "sw parameter count": ("d5_T01_n", ("sw",), ("s_{5,33}", ("1",)),
+                           verify_entry, "isomorphism-map"),
+    "sw parameter count, dim 6": ("d6_b", ("sw",), ("s_{6,242}", ("3", "4")),
+                                  verify_entry, "isomorphism-map"),
+    "sw parameter count, three": ("d5_t_np", ("sw",), ("s_{5,41}", ("1/2", "1/2", "9")),
+                                  verify_entry, "isomorphism-map"),
+    "sw multiplicity 0": ("d5_T01_n", ("sw",), ("0s_{5,33}", ()),
+                          verify_entry, "isomorphism-map"),
+    "sw multiplicity 00": ("d5_T01_n", ("sw",), ("00s_{5,33}", ()),
+                           verify_entry, "isomorphism-map"),
+    "sw multiplicity 1": ("d5_T01_n", ("sw",), ("1s_{5,33}", ()),
+                          verify_entry, "isomorphism-map"),
+    "sw past dimension 6": ("d5_T01_n", ("sw",), ("100000s_{2,1}", ()),
+                            verify_entry, "isomorphism-map"),
 }
 
 
 @pytest.mark.parametrize("case", FAULTY_ROWS)
 def test_a_faulty_row_fails_records_instead_of_raising(case):
     row_id, path, value, run, check = FAULTY_ROWS[case]
+    start = time.perf_counter()
     rep = run(replaced(ENTRIES[row_id], path, value))
+    assert time.perf_counter() - start < 1.0
     assert not rep.overall_pass
     assert (row_id, check) in {(r.row_id, r.check) for r in rep.failures}
     verify._instance.cache_clear()
