@@ -20,13 +20,14 @@ centralizer, and the adjoint action of a complement element, normalized by
 the scaling freedom (trace normalization; squarefree/cubefree kernels for
 the weight-graded parameters).
 
-One translation gives each de Graaf class occurring here its label in the
-second catalog (`degraaf_to_sw`) and an explicit isomorphism onto it
-(`sw_bridge_map`).  Its only analytic step, the square-root branch of
-lambda = (1 + 2a + sqrt(1+4a)) / (-2a), is exact: the branches multiply to
-1, so exactly one has 0 < |lambda| <= 1, and irrational discriminants are
-compared in the quadratic extension (for negative ones |lambda| = 1 and the
-branch with argument in (0, pi) is taken).
+One translation gives each de Graaf class occurring here, in the normal form
+`identify_degraaf` returns, its label in the second catalog (`degraaf_to_sw`)
+and an explicit isomorphism onto it (`sw_bridge_map`).  Its only analytic
+step, the square-root branch of lambda = (1 + 2a + sqrt(1+4a)) / (-2a), is
+exact.  Write lambda = p + q*sqrt(1+4a): the two branches multiply to 1, so
+a real branch has |lambda| < 1 exactly when p*q < 0 (p != 0 when 1+4a > 0),
+and a complex branch has modulus 1, where q = 1/(-2a) > 0 gives the
+positive imaginary part.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from .errors import (DependentInputs, DimensionMismatch, OutOfCatalog,
 from .labels import DeGraafClass, SWClass
 from .linalg import (Mat4, Poly, char_poly_rows, echelon_coords, inverse,
                      kernel_of_rows, rational_roots, rref)
-from .rational import (Q, ZERO, ONE, format_rational, power_free_kernel,
-                       rational_nth_root, rational_sqrt)
+from .rational import Q, ZERO, ONE, format_rational, power_free_split, rational_sqrt
 from .structure import StructureConstants, ad_matrix, bracket_space, unit_rows
 
 __all__ = [
@@ -204,7 +204,7 @@ def _plane_class(m: list[list], families: tuple[str, str, str]) -> DeGraafClass:
         return DeGraafClass(traced, (-det / (tr * tr),))
     if det == 0:
         raise UnrecognizedFamily("nilpotent action on the derived plane")
-    return DeGraafClass(traceless, (power_free_kernel(-det),))
+    return DeGraafClass(traceless, (power_free_split(-det)[0],))
 
 
 def _cyclic3_class(m: list[list]) -> DeGraafClass:
@@ -219,10 +219,9 @@ def _cyclic3_class(m: list[list]) -> DeGraafClass:
         # rescale y by 1/tr: char poly becomes t^3 - t^2 - B t - A
         return DeGraafClass("M6", (e3 / tr**3, -e2 / tr**2))
     if e3 == 0:
-        return DeGraafClass("M7", (ZERO, power_free_kernel(-e2)))
-    # rescale y by 1/s with s^3 = e3 / kernel: A becomes the cubefree kernel
-    A = power_free_kernel(e3, 3)
-    s = rational_nth_root(e3 / A, 3)
+        return DeGraafClass("M7", (ZERO, power_free_split(-e2)[0]))
+    # rescale y by 1/s with e3 = s^3 A: A becomes the cubefree kernel
+    A, s = power_free_split(e3, 3)
     return DeGraafClass("M7", (A, -e2 / (s * s)))
 
 
@@ -342,7 +341,8 @@ class QuadraticValue:
         rad = f"sqrt({format_rational(self.dsc)})"
         if self.imaginary:
             rad = f"i*{rad}"
-        return f"({format_rational(self.p)}+{format_rational(self.q)}*{rad})"
+        sign = "+" if self.q > 0 else "-"
+        return f"({format_rational(self.p)}{sign}{format_rational(abs(self.q))}*{rad})"
 
 
 def sw_lambda(alpha):
@@ -353,56 +353,22 @@ def sw_lambda(alpha):
         raise ZeroParameter("lambda normalization needs a nonzero parameter")
     if alpha == Q(-1, 4):
         raise OutOfCatalog("the -1/4 class translates to its own row")
+    # lambda = p + q*sqrt(disc); the branches p +- q*sqrt(disc) multiply to 1
     disc = 1 + 4 * alpha
+    p, q = (1 + 2 * alpha) / (-2 * alpha), 1 / (-2 * alpha)
+    if disc > 0 and p * q > 0:
+        q = -q  # the real branch of modulus < 1 has p*q < 0
     s = rational_sqrt(disc)
     if s is not None:
-        lam1 = (1 + 2 * alpha + s) / (-2 * alpha)
-        lam2 = (1 + 2 * alpha - s) / (-2 * alpha)
-        # the two branches multiply to 1, so exactly one has |.| <= 1
-        return lam1 if abs(lam1) <= 1 else lam2
-    if disc > 0:
-        # lambda = p + q*sqrt(disc); |lambda| < 1 iff its inverse (conjugate
-        # branch) has modulus > 1; decide by comparing (p-1, p+1) signs
-        p0 = (1 + 2 * alpha) / (-2 * alpha)
-        q0 = 1 / (-2 * alpha)
-        for q in (q0, -q0):
-            if _quad_abs_lt_one(p0, q, disc):
-                kern = power_free_kernel(disc)
-                scale = rational_sqrt(disc / kern)
-                return QuadraticValue(p0, q * scale, kern)
-        raise OutOfCatalog("no branch satisfied the modulus condition")
-    # complex conjugate branches of modulus 1; take positive imaginary part
-    p0 = (1 + 2 * alpha) / (-2 * alpha)
-    q0 = 1 / (-2 * alpha)  # positive: alpha < -1/4 < 0
-    kern = power_free_kernel(-disc)
-    scale = rational_sqrt(-disc / kern)
-    return QuadraticValue(p0, q0 * scale, kern, imaginary=True)
-
-
-def _quad_abs_lt_one(p, q, disc) -> bool:
-    """Exact test |p + q*sqrt(disc)| < 1 for irrational sqrt(disc) > 0."""
-    # p + q*sqrt(disc) < 1  and  > -1
-    return _quad_lt(p - 1, q, disc) and _quad_lt(-1 - p, -q, disc)
-
-
-def _quad_lt(p, q, disc) -> bool:
-    """Exact test p + q*sqrt(disc) < 0 (sqrt(disc) irrational positive)."""
-    if q == 0:
-        return p < 0
-    if p == 0:
-        return q < 0
-    if p < 0 and q < 0:
-        return True
-    if p > 0 and q > 0:
-        return False
-    # opposite signs: compare p^2 vs q^2 * disc
-    if p < 0:  # need q*sqrt(disc) < -p i.e. q^2 disc < p^2
-        return q * q * disc < p * p
-    return p * p < q * q * disc
+        return p + q * s
+    kern, scale = power_free_split(abs(disc))
+    return QuadraticValue(p, q * scale, kern, imaginary=disc < 0)
 
 
 def degraaf_to_sw(c: DeGraafClass) -> SWClass:
-    """The indecomposable-catalog label of a de Graaf class occurring here."""
+    """The indecomposable-catalog label of a de Graaf class occurring here.
+    The class is read as written: its parameters must be the normal form
+    `identify_degraaf` returns, so L4(4), isomorphic to L4(1), is refused."""
     return _translation(c)[0]
 
 
@@ -457,7 +423,7 @@ def _translation(c: DeGraafClass) -> tuple:
             return _to("n_{3,1}", lambda: ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
         if a == 1:
             return _to("s_{3,1}", lambda: ((1, 1, 0), (1, -1, 0), (0, 0, 1)), (Q(-1),))
-        raise OutOfCatalog(f"L4({format_rational(a)}) does not occur in the tables")
+        raise OutOfCatalog(f"the tables carry L4 as L4(0) and L4(1), not L4({format_rational(a)})")
     if f == "M2":
         return _to("s_{4,3}", lambda: unit_rows(4), (ONE, ONE))
     if f == "M8":
@@ -481,7 +447,7 @@ def _translation(c: DeGraafClass) -> tuple:
         if a == 1:
             return _to("s_{4,6}", lambda: ((0, Q(1, 2), Q(1, 2), 0), (Q(1, 2), 0, 0, 0),
                                            (0, Q(1, 2), Q(-1, 2), 0), (0, 0, 0, 1)))
-        raise OutOfCatalog(f"M14({format_rational(a)}) does not occur in the tables")
+        raise OutOfCatalog(f"the tables carry M14 as M14(1), not M14({format_rational(a)})")
     if f == "M7":
         a, b = pr
         if a != 0:
@@ -489,11 +455,12 @@ def _translation(c: DeGraafClass) -> tuple:
         if b == 0:
             return _to("n_{4,1}", lambda: ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0),
                                            (0, 0, 0, -1)))
-        if power_free_kernel(b) == 1:
+        if b == 1:
             return _to("n_{1,1}+s_{3,1}", lambda: (
                 (1, Q(1, 2), Q(-1, 2), 0), (0, Q(1, 2), Q(1, 2), 0),
                 (0, Q(1, 2), Q(-1, 2), 0), (0, 0, 0, 1)), (Q(-1),))
-        raise OutOfCatalog("M7(0, non-square) does not occur in the tables")
+        raise OutOfCatalog(f"the tables carry M7(0,B) as M7(0,0) and M7(0,1), "
+                           f"not M7(0,{format_rational(b)})")
     if f == "M6":
         a, b = pr
         if a == 0:

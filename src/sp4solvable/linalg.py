@@ -30,7 +30,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import SingularMatrix, ZeroPolynomial
-from .rational import Q, ZERO, ONE, format_rational, parse_rational
+from .rational import Q, ZERO, ONE, exact_isqrt, format_rational, parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +326,7 @@ def _root_candidates(c: Sequence[int]):
     if len(c) == 5 and c[1] == 0 and c[3] == 0:
         # biquadratic: the char-poly shape of every sp(4) element
         for n, d in _quadratic_roots(c[4], c[2], c[0]):
-            s, t = _exact_isqrt(n), _exact_isqrt(d)
+            s, t = exact_isqrt(n), exact_isqrt(d)
             if s is not None and t is not None:  # s != 0, as c[0] != 0
                 yield from ((s, t), (-s, t))
         return
@@ -388,7 +388,7 @@ def _primes():
 
 
 def _quadratic_roots(a: int, b: int, c: int):
-    s = _exact_isqrt(b * b - 4 * a * c)
+    s = exact_isqrt(b * b - 4 * a * c)
     if s is None:
         return
     yield _ratio(-b + s, 2 * a)
@@ -400,12 +400,6 @@ def _ratio(n: int, d: int) -> tuple[int, int]:
     """n/d (d != 0) as (numerator, denominator) in lowest terms, d > 0."""
     g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
     return n // g, d // g
-
-
-def _exact_isqrt(n: int):
-    """The int square root of n, or None when n is not a perfect square."""
-    r = math.isqrt(n) if n >= 0 else -1
-    return r if r * r == n else None
 
 
 # ---------------------------------------------------------------------------

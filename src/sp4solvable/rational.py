@@ -7,6 +7,10 @@ equality.  ``Q`` is the boundary scalar: the matrix and polynomial kernels
 (``Mat4`` and ``Poly`` arithmetic, elimination, the characteristic polynomial,
 gcd, rational roots) run on integer numerators over a common denominator.
 
+This is the one module that knows exact roots: ``exact_isqrt`` is the one
+exactness check built on ``math.isqrt``, and ``power_free_split`` reads a
+k-th root off the factorization that gives the k-th-power-free kernel.
+
 The wire format for rationals is the string ``"p/q"`` in lowest terms, or just
 ``"p"`` when the denominator is 1 (e.g. ``"-3/16"``, ``"2"``).
 """
@@ -24,10 +28,10 @@ __all__ = [
     "ONE",
     "parse_rational",
     "format_rational",
+    "exact_isqrt",
     "rational_sqrt",
-    "rational_nth_root",
     "factor_int",
-    "power_free_kernel",
+    "power_free_split",
 ]
 
 ZERO = Q(0)
@@ -53,49 +57,17 @@ def format_rational(q) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _int_nth_root(n: int, k: int):
-    """Exact k-th root of a nonnegative integer, or None."""
-    if n < 0:
-        return None
-    if n in (0, 1):
-        return n
-    if k == 1:
-        return n
-    if k == 2:
-        r = isqrt(n)
-        return r if r * r == n else None
-    lo, hi = 1, 1
-    while hi**k < n:
-        hi <<= 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**k < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**k == n else None
+def exact_isqrt(n: int):
+    """The int square root of n, or None when n is not a perfect square."""
+    r = isqrt(n) if n >= 0 else -1
+    return r if r * r == n else None
 
 
 def rational_sqrt(q):
     """Exact square root of a rational, or None if irrational/negative."""
-    return rational_nth_root(q, 2)
-
-
-def rational_nth_root(q, k: int):
-    """Exact rational k-th root, or None.
-
-    For even k the input must be nonnegative; for odd k the sign is carried
-    through.
-    """
     q = Q(q)
-    neg = q < 0
-    if neg and k % 2 == 0:
-        return None
-    rn, rd = _int_nth_root(abs(q.numerator), k), _int_nth_root(q.denominator, k)
-    if rn is None or rd is None:
-        return None
-    root = Q(rn, rd)
-    return -root if neg else root
+    rn, rd = exact_isqrt(q.numerator), exact_isqrt(q.denominator)
+    return None if rn is None or rd is None else Q(rn, rd)
 
 
 def factor_int(n: int) -> dict[int, int]:
@@ -125,18 +97,19 @@ def factor_int(n: int) -> dict[int, int]:
     return out
 
 
-def power_free_kernel(q, k: int = 2):
-    """Canonical representative of q modulo nonzero rational k-th powers.
-
-    Returns the sign-carrying k-th-power-free integer part: q = s^k * kernel
-    for some rational s.  kernel(0) = 0, kernel(4) = 1, kernel(-8/9) = -2,
-    kernel(54, 3) = 2.
+def power_free_split(q, k: int = 2):
+    """(kernel, root) with q == root**k * kernel and root > 0: the kernel is
+    the sign-carrying k-th-power-free integer that represents q modulo
+    nonzero rational k-th powers, and the root is read off the same
+    factorization.  split(0) = (0, 1), split(4) = (1, 2),
+    split(-8/9) = (-2, 2/3), split(54, 3) = (2, 3).
     """
     q = Q(q)
     if q == 0:
-        return ZERO
+        return ZERO, ONE
     n = q.numerator * q.denominator ** (k - 1)  # q = n / den^k
-    out = -1 if n < 0 else 1
+    kernel, root = -1 if n < 0 else 1, 1
     for p, e in factor_int(n).items():
-        out *= p ** (e % k)
-    return Q(out)
+        kernel *= p ** (e % k)
+        root *= p ** (e // k)
+    return Q(kernel), Q(root, q.denominator)

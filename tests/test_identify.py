@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import random
 
 import pytest
@@ -143,10 +144,34 @@ def test_sw_lambda_branches():
     assert isinstance(v, QuadraticValue) and not v.imaginary and v.dsc == 5
     v = sw_lambda(Q(-1))       # complex of modulus 1
     assert isinstance(v, QuadraticValue) and v.imaginary and v.q > 0
+    assert str(v) == "(-1/2+1/2*i*sqrt(3))"
+    assert str(sw_lambda(Q(-1, 5))) == "(3/2-1/2*sqrt(5))"
     with pytest.raises(ZeroParameter):
         sw_lambda(Q(0))
     with pytest.raises(OutOfCatalog):
         sw_lambda(Q(-1, 4))
+
+
+def test_sw_lambda_against_sympy():
+    # lambda is the root of a*l^2 + (1+2a)*l + a with 0 < |l| <= 1 and, when
+    # complex, Im l > 0: over square, non-square positive and negative
+    # discriminants 1 + 4a
+    sympy = pytest.importorskip("sympy")
+    kinds = set()
+    for a in {Q(n, d) for n in range(-12, 13) for d in range(1, 7)} - {Q(0), Q(-1, 4)}:
+        lam = sw_lambda(a)
+        if isinstance(lam, QuadraticValue):
+            rad = sympy.sqrt(sympy.Rational(lam.dsc))
+            lam = sympy.Rational(lam.p) + sympy.Rational(lam.q) * rad * (
+                sympy.I if lam.imaginary else 1)
+        else:
+            lam = sympy.Rational(lam)
+        kinds.add((1 + 4 * a > 0, lam.is_rational))
+        al = sympy.Rational(a)
+        assert sympy.expand(al * lam**2 + (1 + 2 * al) * lam + al) == 0, a
+        assert 0 < sympy.Abs(lam) <= 1, a
+        assert lam.is_real or sympy.im(lam) > 0, a
+    assert kinds == {(True, True), (True, False), (False, False)}
 
 
 def test_degraaf_to_sw_table():
@@ -156,6 +181,7 @@ def test_degraaf_to_sw_table():
         D("L3", (Q(0),)): "n_{1,1}+s_{2,1}",
         D("L3", (Q(-1, 4),)): "s_{3,2}",
         D("L3", (Q(-3, 16),)): "s_{3,1}(A=1/3)",
+        D("L3", (Q(-1, 5),)): "s_{3,1}(A=(3/2-1/2*sqrt(5)))",
         D("L4", (Q(0),)): "n_{3,1}",
         D("L4", (Q(1),)): "s_{3,1}(A=-1)",
         D("M2"): "s_{4,3}(A=1,B=1)",
@@ -174,10 +200,16 @@ def test_degraaf_to_sw_table():
     }
     for dg, label in expect.items():
         assert str(degraaf_to_sw(dg)) == label
-    with pytest.raises(OutOfCatalog):
-        degraaf_to_sw(D("L4", (Q(2),)))
-    with pytest.raises(OutOfCatalog):
-        degraaf_to_sw(D("M14", (Q(3),)))
+    # a class is read as written: one outside the tables, or isomorphic to a
+    # table class but not in the normal form identify_degraaf returns, is
+    # refused, and the message does not call the isomorphic class absent
+    for c in (D("L4", (Q(2),)), D("M14", (Q(3),)), D("L4", (Q(4),)), D("L4", (Q(1, 4),)),
+              D("M14", (Q(9),)), D("M7", (Q(0), Q(4))), D("M7", (Q(0), Q(1, 9)))):
+        with pytest.raises(OutOfCatalog) as exc:
+            degraaf_to_sw(c)
+        assert "does not occur" not in str(exc.value), str(c)
+    assert identify_degraaf(degraaf_constants("M7", (Q(0), Q(4)))) == D("M7", (Q(0), Q(1)))
+    assert D("L4", (Q(4),)) != D("L4", (Q(1),))
 
 
 def test_verify_isomorphism_examples():
@@ -262,6 +294,31 @@ def test_sw_bridge_mutation_testing():
 def test_sw_bridge_irrational_is_rejected():
     with pytest.raises(OutOfCatalog):
         sw_bridge_map(D("L3", (Q(1),)))   # lambda in Q(sqrt(5))
+
+
+def test_every_translated_class_has_a_verified_bridge():
+    # every class of the grid that degraaf_to_sw translates gets columns
+    # that verify_isomorphism accepts, or its lambda is irrational
+    grid = [Q(x) for x in ("0 1 -1 4 -4 1/4 -1/4 2 9 1/9 -2/9 -3/16 -1/5 "
+                           "-1/3 1/27 8/243 -26/81").split()]
+    translated = irrational = 0
+    for fam, (_, brackets) in identify._DEGRAAF.items():
+        arity = identify._arity(brackets)
+        for params in itertools.product(grid, repeat=arity):
+            c = D(fam, params)
+            try:
+                label = degraaf_to_sw(c)
+            except OutOfCatalog:
+                continue
+            translated += 1
+            try:
+                bridge_class, iso = sw_bridge_map(c)
+            except OutOfCatalog:
+                assert any(isinstance(p, QuadraticValue) for p in label.params), str(c)
+                irrational += 1
+                continue
+            assert verify_isomorphism(c.constants(), bridge_class.constants(), iso), str(c)
+    assert translated > 60 and irrational > 10
 
 
 def _pairwise_oracle(src, tgt, columns):

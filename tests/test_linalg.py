@@ -10,9 +10,8 @@ from sp4solvable.linalg import (Mat4, Poly, char_poly, char_poly_rows,
                                 det_mpoly, echelon_coords,
                                 echelon_span, generic_rank, inverse, kernel, kernel_of_rows,
                                 rank, rational_roots, rref)
-from sp4solvable.rational import (Q, factor_int, format_rational,
-                                  parse_rational, power_free_kernel,
-                                  rational_nth_root, rational_sqrt)
+from sp4solvable.rational import (Q, exact_isqrt, factor_int, format_rational,
+                                  parse_rational, power_free_split, rational_sqrt)
 from sp4solvable.sp4 import T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA
 from sp4solvable.structure import structure_constants_for_basis
 
@@ -40,20 +39,27 @@ def test_rational_wire_format():
     assert parse_rational("2") == Q(2)
     assert rational_sqrt(Q(9, 4)) == Q(3, 2)
     assert rational_sqrt(Q(2)) is None
-    assert power_free_kernel(Q(4)) == 1
-    assert power_free_kernel(Q(-8, 9), 2) == -2
-    assert power_free_kernel(Q(0)) == 0
-    assert power_free_kernel(Q(-16, 27), 3) == -2
-    assert power_free_kernel(Q(54), 3) == 2
+    assert power_free_split(Q(4)) == (1, 2)
+    assert power_free_split(Q(-8, 9), 2) == (-2, Q(2, 3))
+    assert power_free_split(Q(0)) == (0, 1)
+    assert power_free_split(Q(-16, 27), 3) == (-2, Q(2, 3))
+    assert power_free_split(Q(54), 3) == (2, 3)
 
 
 @given(st.builds(Q, st.integers(-10**4, 10**4).filter(bool), st.integers(1, 10**4)),
        st.sampled_from([2, 3]))
-def test_power_free_kernel_represents_q_modulo_kth_powers(q, k):
-    kern = power_free_kernel(q, k)
+def test_power_free_split_gives_kernel_and_root(q, k):
+    kern, root = power_free_split(q, k)
+    assert q == root**k * kern and root > 0
     assert kern.denominator == 1
-    assert rational_nth_root(q / kern, k) is not None
     assert all(e < k for e in factor_int(kern.numerator).values())
+
+
+def test_exact_isqrt():
+    big = 10**40
+    assert [exact_isqrt(n) for n in (0, 1, -1, 2, big, big + 1)] == [
+        0, 1, None, None, 10**20, None]
+    assert rational_sqrt(Q(-4)) is None and rational_sqrt(Q(big, 9)) == Q(10**20, 3)
 
 
 def test_factor_int_trial_division_bound():
