@@ -12,14 +12,15 @@ What loads when: ``import sp4solvable`` runs no submodule.  Each name in
 `__all__` is looked up in its defining module on every access, and that
 module (with what it imports) is loaded the first time one of its names is
 used (PEP 562).  So ``sp4solvable.load_catalog()`` loads only rational,
-errors, exprs, labels and catalog: the five tables, no matrix code.  The
-first row instance built (``entry.basis_at(a)``) adds linalg and sp4; a
-label's ``.constants()`` adds identify, which holds the reference
-presentations; ``classify_element`` adds linalg, sp4 and jordan, and
-``verify_catalog`` loads the rest.  The command-line front end
-(`sp4solvable.cli`) imports every module up front.  Nothing is cached in the
-package namespace, so a binding patched in its defining module is what
-``sp4solvable.<name>`` returns.
+errors and catalog, which reads the five tables as data.  The first row
+evaluated adds exprs and labels, the first instance built
+(``entry.basis_at(a)``) adds linalg and sp4, and a label's ``.constants()``
+adds identify, which holds the reference presentations;
+``classify_element`` adds linalg, sp4 and jordan, and ``verify_catalog``
+loads the rest.  The command-line front end (`sp4solvable.cli`) imports
+every module up front.  Nothing is cached in the package namespace, so a
+binding patched in its defining module is what ``sp4solvable.<name>``
+returns.
 """
 
 import sys

@@ -8,7 +8,9 @@ text or JSON.  Exit codes: 0 success, 1 verification failure (also a
 catalog row whose data faults while `identify` compares it), 2 parse error
 (malformed input, bad conjugator recipe), 3 out of domain (not solvable,
 irrational spectrum, unrecognized family, factoring, expression or probe
-count bound exceeded).
+count bound exceeded).  `identify` never exits 0 without a catalog row: a
+subalgebra that only a row at an irrational parameter could match exits 3,
+and one that no row matches exits 1, a completeness failure.
 
 verify-catalog checks each parameterized row at the default parameter
 samples, or at the comma-separated rationals given with --params, and prints
@@ -108,7 +110,11 @@ def cmd_verify_catalog(args) -> int:
 
 def cmd_identify(args) -> int:
     sub = _load_subalgebra(args.input)
-    matches = match_catalog(sub)  # raises NotSolvable before any identification
+    try:
+        matches, outside = match_catalog(sub), None  # raises NotSolvable before any identification
+    except IrrationalSpectrum as exc:
+        # raised after the labels, so that their own limits are reported first
+        matches, outside = [], exc
     payload: dict = {"dim": sub.dim}
     if sub.dim <= 4:
         dg = identify_degraaf(structure_constants(sub))
@@ -124,7 +130,13 @@ def cmd_identify(args) -> int:
         entries = {e.row_id: e for e in load_catalog()}
         rid, a = matches[0]
         payload["sw"] = str(entries[rid].sw_at(a))
+    if outside is not None:
+        raise outside
     _emit(payload, args.output)
+    if not matches:
+        print("no catalog row matches: the classification misses this subalgebra",
+              file=sys.stderr)
+        return 1
     return 0
 
 

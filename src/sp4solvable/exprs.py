@@ -10,15 +10,25 @@ and still evaluates exactly.  Grammar:
     factor := ['-'] atom ['^' integer]
     atom   := rational | name | '(' expr ')'
 
-Values are exact rationals.  An exponent above `MAX_EXPONENT` (the catalog's
-largest is 2), a power of more than `MAX_POWER_BITS` bits, or parentheses
-nested deeper than `MAX_DEPTH` raise ValueError, so no text can hang the
-caller or exhaust its stack.  The power bound depends on the values as well
-as the text (a catalog formula at a huge sample), so it raises
-`ExpressionLimit`, a ValueError that is also an out-of-domain `Sp4Error`.
+Values are exact rationals.  Each text is compiled once, on its first use,
+into an evaluator over the environment (a bounded cache keeps the last
+`COMPILED_TEXTS` texts); a sum or a product is one flat node over its
+operands, so a long text evaluates without deep recursion.
+
+The checks on the text run when it is compiled, before any arithmetic:
+malformed text, an exponent above `MAX_EXPONENT` (the catalog's largest is
+2) or parentheses nested deeper than `MAX_DEPTH` raise ValueError, so no text
+can hang the caller or exhaust its stack.  The checks on values run when it
+is evaluated: an unknown name raises ValueError, a zero divisor
+ZeroDivisionError, and a power of more than `MAX_POWER_BITS` bits (a catalog
+formula at a huge sample) `ExpressionLimit`, a ValueError that is also an
+out-of-domain `Sp4Error`.
 """
 
 from __future__ import annotations
+
+import operator
+from functools import lru_cache
 
 from .errors import ExpressionLimit
 from .rational import Q
@@ -28,9 +38,44 @@ __all__ = ["eval_expr"]
 MAX_EXPONENT = 64
 MAX_POWER_BITS = 1 << 12
 MAX_DEPTH = 64
+# The catalog, its recipes and samples use about 50 distinct texts.
+COMPILED_TEXTS = 1024
+
+_OPERATORS = {"+": operator.add, "-": operator.sub,
+              "*": operator.mul, "/": operator.truediv}
+
+
+def _chain(first, rest: tuple):
+    """first, then each (operator, operand) of rest in turn: one node for a
+    whole sum or product."""
+    def chain(env):
+        v = first(env)
+        for op, operand in rest:
+            v = op(v, operand(env))
+        return v
+    return chain
+
+
+def _power(base, e: int, text: str):
+    def power(env):
+        v = base(env)
+        if e * max(v.numerator.bit_length(), v.denominator.bit_length()) > MAX_POWER_BITS:
+            raise ExpressionLimit(f"power above {MAX_POWER_BITS} bits in {text!r}")
+        return v**e
+    return power
+
+
+def _lookup(name: str, text: str):
+    def lookup(env):
+        if name not in env:
+            raise ValueError(f"unknown name {name!r} in {text!r}")
+        return Q(env[name])
+    return lookup
 
 
 class _Parser:
+    """Compiles one text into an evaluator env -> Q."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -46,63 +91,56 @@ class _Parser:
         self.pos += 1
         return ch
 
-    def parse(self, env):
-        v = self.expr(env)
+    def parse(self):
+        f = self.expr()
         if self.peek():
             raise ValueError(f"trailing input in expression: {self.text!r}")
-        return v
+        return f
 
-    def expr(self, env):
-        v = self.term(env)
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term(env)
-            v = v + rhs if op == "+" else v - rhs
-        return v
+    def expr(self):
+        return self.chain(self.term, ("+", "-"))
 
-    def term(self, env):
-        v = self.factor(env)
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor(env)
-            v = v * rhs if op == "*" else v / rhs
-        return v
+    def term(self):
+        return self.chain(self.factor, ("*", "/"))
 
-    def factor(self, env):
+    def chain(self, operand, ops: tuple):
+        first = operand()
+        rest = []
+        while self.peek() in ops:
+            rest.append((_OPERATORS[self.take()], operand()))
+        return _chain(first, tuple(rest)) if rest else first
+
+    def factor(self):
         neg = False
         while self.peek() == "-":
             self.take()
             neg = not neg
-        v = self.atom(env)
+        f = self.atom()
         if self.peek() == "^":
             self.take()
             e = self.integer()
             if e > MAX_EXPONENT:
                 raise ValueError(f"exponent {e} above {MAX_EXPONENT} in {self.text!r}")
-            if e * max(v.numerator.bit_length(), v.denominator.bit_length()) > MAX_POWER_BITS:
-                raise ExpressionLimit(f"power above {MAX_POWER_BITS} bits in {self.text!r}")
-            v = v**e
-        return -v if neg else v
+            f = _power(f, e, self.text)
+        return (lambda env: -f(env)) if neg else f
 
-    def atom(self, env):
+    def atom(self):
         ch = self.peek()
         if ch == "(":
             self.take()
             self.depth += 1
             if self.depth > MAX_DEPTH:
                 raise ValueError(f"parentheses nested above {MAX_DEPTH} deep in {self.text!r}")
-            v = self.expr(env)
+            f = self.expr()
             if self.take() != ")":
                 raise ValueError(f"unbalanced parentheses in {self.text!r}")
             self.depth -= 1
-            return v
+            return f
         if ch.isdigit():
-            return Q(self.integer())
+            v = Q(self.integer())
+            return lambda env: v
         if ch.isalpha() or ch == "_":
-            name = self.name()
-            if name not in env:
-                raise ValueError(f"unknown name {name!r} in {self.text!r}")
-            return Q(env[name])
+            return _lookup(self.name(), self.text)
         raise ValueError(f"unexpected character {ch!r} in {self.text!r}")
 
     def integer(self) -> int:
@@ -121,6 +159,12 @@ class _Parser:
         return self.text[start:self.pos]
 
 
+@lru_cache(maxsize=COMPILED_TEXTS)
+def _compiled(text: str):
+    """The evaluator of text."""
+    return _Parser(text).parse()
+
+
 def eval_expr(text: str, env: dict | None = None):
     """Evaluate an expression string to an exact rational."""
-    return _Parser(str(text)).parse(env or {})
+    return _compiled(str(text))(env or {})

@@ -335,7 +335,7 @@ def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
                             bad.append((e1.row_id, a1, a2, "equivalent params separated"))
                         continue
                 n_pairs += 1
-                if not s1.differing_fields(s2):
+                if s1 == s2:
                     bad.append((f"{e1.row_id}@{_p(a1)}", f"{e2.row_id}@{_p(a2)}",
                                 "", "signatures collide"))
         rep.add(f"separations-dim{dim}", None, f"{n_pairs} inequivalent pairs",
@@ -347,15 +347,16 @@ def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
 # randomized completeness spot-check
 # ---------------------------------------------------------------------------
 
-def _param_candidates(sub: Subalgebra, nspace) -> list:
+def _param_candidates(sub: Subalgebra, nspace) -> list | None:
     """Candidate family parameters from the eigenvalue pair of a canonical
-    non-nilpotent element (ratios p/q, q/p with signs)."""
+    non-nilpotent element (ratios p/q, q/p with signs); None when that pair
+    is irrational, so that no rational parameter can match."""
     for b in sub.basis:
         if not nspace.contains(b):
             try:
                 p, q = _eigen_pair(char_poly(b))
             except IrrationalSpectrum:
-                return []
+                return None
             cands = set()
             for x, y in ((p, q), (q, p)):
                 if y != 0:
@@ -370,7 +371,9 @@ def match_catalog(sub: Subalgebra) -> list[tuple]:
 
     A match is necessary for conjugacy; the probe asserts exactly one exists.
     A row whose data faults while it is compared raises `CatalogFault`, which
-    names the row.
+    names the row.  When no row matches and the eigenvalues that would give
+    a row's parameter are irrational, the subalgebra is outside the rational
+    rows, and `IrrationalSpectrum` is raised instead of an empty match.
     """
     nspace = nilpotent_subspace(sub)
     sig = _signature(sub, nspace)
@@ -381,7 +384,7 @@ def match_catalog(sub: Subalgebra) -> list[tuple]:
             continue
         try:
             # the candidates a row admits, or no parameter for a row without one
-            for a in e.samples(cands):
+            for a in e.samples(cands or ()):
                 if _instance(e, a).signature == sig:
                     matches.append((e.row_id, a))
                     break
@@ -389,6 +392,9 @@ def match_catalog(sub: Subalgebra) -> list[tuple]:
             raise
         except _ROW_FAULTS as exc:
             raise CatalogFault(f"row {e.row_id}: {exc!r}") from exc
+    if not matches and cands is None:
+        raise IrrationalSpectrum("no catalog row matches at a rational parameter: "
+                                 "a non-nilpotent basis element has irrational eigenvalues")
     return matches
 
 

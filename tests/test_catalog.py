@@ -15,6 +15,14 @@ def test_frozen_row_counts():
     assert len({e.row_id for e in entries}) == 65
 
 
+def test_the_tables_are_read_once_and_each_call_gets_its_own_list():
+    first, second = load_catalog(), load_catalog()
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    first.clear()
+    assert len(load_catalog()) == 65
+
+
 def test_every_row_is_a_solvable_subalgebra_of_stated_dimension():
     for e in load_catalog():
         for a in e.samples():

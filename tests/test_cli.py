@@ -3,10 +3,11 @@ import dataclasses
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from sp4solvable import verify
+from sp4solvable import catalog, verify
 from sp4solvable.catalog import load_catalog
 from sp4solvable.cli import build_parser, main
 from sp4solvable.linalg import Mat4
@@ -78,6 +79,13 @@ def test_export_catalog_output_is_pinned(capsys):
     assert main(["export-catalog"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "af747a945f919184c3ce449a105aaf3250f52b4e81843c7f21cfa56ea6b49b34"
+
+
+def test_export_catalog_prints_the_shipped_data_file(capsys):
+    # the tables ship as the export itself: loading and exporting round-trip
+    assert main(["export-catalog"]) == 0
+    shipped = Path(catalog.__file__).with_name("catalog.json").read_bytes()
+    assert capsys.readouterr().out.encode() == shipped
 
 
 @pytest.mark.parametrize("command", ["identify", "invariants", "conjugate",
@@ -302,6 +310,51 @@ def test_identify_beyond_the_factoring_bound_exits_3(tmp_path, capsys):
     assert main(["identify", "--input", str(path)]) == 3
     assert time.perf_counter() - start < 5
     assert "1000000" in capsys.readouterr().err
+
+
+def _symplectic_block(a):
+    """[[A, 0], [0, -A^T]] for a 2x2 rational A: an element of sp(4)."""
+    (p, q), (r, s) = a
+    return Mat4([[p, q, 0, 0], [r, s, 0, 0], [0, 0, -p, -r], [0, 0, -q, -s]])
+
+
+X_GOLDEN = _symplectic_block([[0, 1], [1, 1]])  # spectrum +-phi, +-1/phi
+Z_SQRT2 = _symplectic_block([[0, 2], [1, 0]])   # spectrum +-sqrt(2)
+IDENTITY = _symplectic_block([[1, 0], [0, 1]])  # T(1, 1)
+
+
+@pytest.mark.parametrize("name, basis", [("x", [X_GOLDEN]),
+                                         ("z+I", [Z_SQRT2 + IDENTITY])])
+def test_identify_of_a_row_at_an_irrational_parameter_is_out_of_domain(name, basis, tmp_path,
+                                                                        capsys):
+    # <T(a,1)> with a irrational over Q: no rational row matches, and that is
+    # exit 3, never an empty match with exit 0
+    path = tmp_path / "irrational.json"
+    path.write_text(json.dumps(Subalgebra.from_matrices(basis).to_json()))
+    assert main(["identify", "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("IrrationalSpectrum: no catalog row matches")
+
+
+def test_identify_of_a_non_split_cartan_still_matches_the_cartan(tmp_path, capsys):
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps(Subalgebra.from_matrices([X_GOLDEN, IDENTITY]).to_json()))
+    assert main(["identify", "--input", str(path), "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["catalog_rows"] == [
+        {"row": "d2_t", "param": None}]
+
+
+def test_identify_with_no_matching_row_is_a_completeness_failure(tmp_path, monkeypatch,
+                                                                 capsys):
+    rows = [e for e in load_catalog() if e.row_id != "d1_T_10"]
+    monkeypatch.setattr(verify, "load_catalog", lambda: rows)
+    path = tmp_path / "t10.json"
+    path.write_text(json.dumps(Subalgebra.from_matrices([T(1, 0)]).to_json()))
+    assert main(["identify", "--input", str(path), "--output", "json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["catalog_rows"] == []
+    assert "no catalog row matches" in captured.err
 
 
 @pytest.mark.parametrize("command", ["identify", "conjugate"])
