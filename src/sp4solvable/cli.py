@@ -227,11 +227,7 @@ def main(argv=None) -> int:
     except _ParseFailure as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except IrrationalSpectrum as exc:
-        print(f"{type(exc).__name__}: {exc}; compare characteristic "
-              f"polynomials instead of eigenvalue data", file=sys.stderr)
-        return 3
-    except (ExpressionLimit, FactorizationLimit, NotSolvable, ProbeLimit,
+    except (ExpressionLimit, FactorizationLimit, IrrationalSpectrum, NotSolvable, ProbeLimit,
             UnrecognizedFamily, UnsupportedDimension) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -374,9 +374,9 @@ def degraaf_to_sw(c: DeGraafClass) -> SWClass:
 
 def sw_bridge_map(c: DeGraafClass):
     """(bridge class, columns): an isomorphism realizing degraaf_to_sw, its
-    columns, built on this call, mapping the class presentation onto the
-    bridge class's (see `verify_isomorphism`).  Raises OutOfCatalog where the
-    translated parameter is irrational."""
+    columns (built on this call for a class with a parameter) mapping the
+    class presentation onto the bridge class's (see `verify_isomorphism`).
+    Raises OutOfCatalog where the translated parameter is irrational."""
     label, bridge_class, columns = _translation(c)
     if any(isinstance(p, QuadraticValue) for p in label.params):
         raise OutOfCatalog("bridge needs a rational normalized parameter")
@@ -389,104 +389,72 @@ def _to(name: str, columns, params: tuple = ()) -> tuple:
     return label, label, columns
 
 
+# the classes carried in one normal form: class -> (label, the columns of an
+# isomorphism onto it, row by row), and for M8 a third item, the bridge class:
+# its label is the complex class s_{4,12}, its rational bridge is onto 2s_{2,1}
+_FIXED = {DeGraafClass(f, pr): (SWClass(name, tuple(map(Q, params))),
+                                tuple(tuple(map(Q, c.split())) for c in columns.split(";")),
+                                *map(SWClass, bridge))
+          for f, pr, name, params, columns, *bridge in (
+    ("J", (), "n_{1,1}", (), "1"),
+    ("K1", (), "2n_{1,1}", (), "1 0; 0 1"),
+    ("K2", (), "s_{2,1}", (), "0 1; 1 0"),
+    ("L1", (), "3n_{1,1}", (), "1 0 0; 0 1 0; 0 0 1"),
+    ("L2", (), "s_{3,1}", (1,), "1 0 0; 0 1 0; 0 0 1"),
+    ("L3", (0,), "n_{1,1}+s_{2,1}", (), "1 1 0; 0 1 0; 0 0 1"),
+    ("L3", (Q(-1, 4),), "s_{3,2}", (), "2 -1 0; 1/2 -1/2 0; 0 0 1/2"),
+    ("L4", (0,), "n_{3,1}", (), "0 0 1; 1 0 0; 0 1 0"),
+    ("L4", (1,), "s_{3,1}", (-1,), "1 1 0; 1 -1 0; 0 0 1"),
+    ("M2", (), "s_{4,3}", (1, 1), "1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1"),
+    ("M8", (), "s_{4,12}", (), "0 1 0 0; 1 0 0 0; 0 0 0 1; 0 0 1 0", "2s_{2,1}"),
+    ("M12", (), "s_{4,8}", (1,), "0 0 1 0; 1 0 0 0; 0 1 0 0; 0 0 0 1"),
+    ("M13", (0,), "s_{4,11}", (), "0 1 0 0; 1 0 0 0; 0 1 -1 0; 0 0 0 1"),
+    ("M13", (Q(-1, 4),), "s_{4,10}", (), "0 1/2 1/2 0; -1/2 0 0 0; 0 0 1 0; 0 0 0 1/2"),
+    ("M14", (1,), "s_{4,6}", (), "0 1/2 1/2 0; 1/2 0 0 0; 0 1/2 -1/2 0; 0 0 0 1"),
+    ("M7", (0, 0), "n_{4,1}", (), "0 0 1 0; 0 1 0 0; 1 0 0 0; 0 0 0 -1"),
+    ("M7", (0, 1), "n_{1,1}+s_{3,1}", (-1,),
+     "1 1/2 -1/2 0; 0 1/2 1/2 0; 0 1/2 -1/2 0; 0 0 0 1"),
+    # central slot first, then the s_{3,2} block
+    ("M6", (0, Q(-1, 4)), "n_{1,1}+s_{3,2}", (),
+     "1 2 -1 0; 0 1/2 -1/2 0; 0 0 -1/4 0; 0 0 0 1/2"),
+)}
+
+
 # as many classes as the certifier keeps row instances
 @lru_cache(maxsize=1024)
 def _translation(c: DeGraafClass) -> tuple:
     """(label, bridge class, columns builder) of a de Graaf class: how each
-    class occurring here meets the second catalog.  The bridge class is the
-    label except for M8, whose label is the complex class s_{4,12} while the
-    rational bridge is onto 2s_{2,1}.  An M6 cubic is rooted here, so once
-    per class while the class is cached."""
+    class occurring here meets the second catalog.  A class in one normal
+    form reads `_FIXED`; L3(A), M13(A) and M6(0,B) at every other nonzero
+    parameter translate through its lambda (`_LAMBDA`); an M6 with A != 0 is
+    rooted here, so once per class while the class is cached.  Any other
+    class is refused with what the tables carry of its family."""
+    if c in _FIXED:
+        label, columns, *bridge = _FIXED[c]
+        return label, bridge[0] if bridge else label, lambda: columns
     f, pr = c.family, c.params
-    if f == "J":
-        return _to("n_{1,1}", lambda: ((1,),))
-    if f == "K1":
-        return _to("2n_{1,1}", lambda: unit_rows(2))
-    if f == "K2":
-        return _to("s_{2,1}", lambda: ((0, 1), (1, 0)))
-    if f == "L1":
-        return _to("3n_{1,1}", lambda: unit_rows(3))
-    if f == "L2":
-        return _to("s_{3,1}", lambda: unit_rows(3), (ONE,))
-    if f == "L3":
-        (a,) = pr
-        if a == 0:
-            return _to("n_{1,1}+s_{2,1}", lambda: ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
-        if a == Q(-1, 4):
-            return _to("s_{3,2}", lambda: ((2, -1, 0), (Q(1, 2), Q(-1, 2), 0),
-                                           (0, 0, Q(1, 2))))
-        lam = sw_lambda(a)
-        return _to("s_{3,1}", lambda: _l3_bridge(a, lam), (lam,))
-    if f == "L4":
-        (a,) = pr
-        if a == 0:
-            return _to("n_{3,1}", lambda: ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
-        if a == 1:
-            return _to("s_{3,1}", lambda: ((1, 1, 0), (1, -1, 0), (0, 0, 1)), (Q(-1),))
-        raise OutOfCatalog(f"the tables carry L4 as L4(0) and L4(1), not L4({format_rational(a)})")
-    if f == "M2":
-        return _to("s_{4,3}", lambda: unit_rows(4), (ONE, ONE))
-    if f == "M8":
-        return (SWClass("s_{4,12}"), SWClass("2s_{2,1}"),
-                lambda: ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
-    if f == "M12":
-        return _to("s_{4,8}", lambda: ((0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0),
-                                       (0, 0, 0, 1)), (ONE,))
-    if f == "M13":
-        (a,) = pr
-        if a == 0:
-            return _to("s_{4,11}", lambda: ((0, 1, 0, 0), (1, 0, 0, 0), (0, 1, -1, 0),
-                                            (0, 0, 0, 1)))
-        if a == Q(-1, 4):
-            return _to("s_{4,10}", lambda: ((0, Q(1, 2), Q(1, 2), 0), (Q(-1, 2), 0, 0, 0),
-                                            (0, 0, 1, 0), (0, 0, 0, Q(1, 2))))
-        lam = sw_lambda(a)
-        return _to("s_{4,8}", lambda: _m13_bridge(a, lam), (lam,))
-    if f == "M14":
-        (a,) = pr
-        if a == 1:
-            return _to("s_{4,6}", lambda: ((0, Q(1, 2), Q(1, 2), 0), (Q(1, 2), 0, 0, 0),
-                                           (0, Q(1, 2), Q(-1, 2), 0), (0, 0, 0, 1)))
-        raise OutOfCatalog(f"the tables carry M14 as M14(1), not M14({format_rational(a)})")
-    if f == "M7":
+    if pr and pr[-1] != 0 and (f, pr[:-1]) in _LAMBDA:
+        name, bridge = _LAMBDA[f, pr[:-1]]
+        a, lam = pr[-1], sw_lambda(pr[-1])
+        return _to(name, lambda: bridge(a, lam), (lam,))
+    if f == "M6" and len(pr) == 2:
         a, b = pr
-        if a != 0:
-            raise OutOfCatalog("M7 with nonzero cubic parameter does not occur")
-        if b == 0:
-            return _to("n_{4,1}", lambda: ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0),
-                                           (0, 0, 0, -1)))
-        if b == 1:
-            return _to("n_{1,1}+s_{3,1}", lambda: (
-                (1, Q(1, 2), Q(-1, 2), 0), (0, Q(1, 2), Q(1, 2), 0),
-                (0, Q(1, 2), Q(-1, 2), 0), (0, 0, 0, 1)), (Q(-1),))
-        raise OutOfCatalog(f"the tables carry M7(0,B) as M7(0,0) and M7(0,1), "
-                           f"not M7(0,{format_rational(b)})")
-    if f == "M6":
-        a, b = pr
-        if a == 0:
-            if b == 0:
-                raise OutOfCatalog("M6(0,0) does not occur in the tables")
-            if b == Q(-1, 4):
-                # central slot first, then the s_{3,2} block
-                return _to("n_{1,1}+s_{3,2}", lambda: (
-                    (1, 2, -1, 0), (0, Q(1, 2), Q(-1, 2), 0), (0, 0, Q(-1, 4), 0),
-                    (0, 0, 0, Q(1, 2))))
-            lam = sw_lambda(b)
-            return _to("n_{1,1}+s_{3,1}", lambda: _m6_split_bridge(b, lam), (lam,))
         roots = rational_roots(Poly([-a, -b, -1, 1]))
-        if sum(roots.values()) != 3:
-            raise OutOfCatalog("M6 with irrational nilradical eigenvalues")
-        if len(roots) == 1:
+        if sum(roots.values()) == 3 and len(roots) == 1:
             # triple root; the sum of roots is 1 so it is 1/3.  e4 <-> 3 x4,
             # and e1, e2, e3 a Jordan chain of ad(3 x4) - 1 on the nilradical
             return _to("s_{4,2}", lambda: ((0, 0, 1, 0), (0, Q(1, 3), Q(1, 3), 0),
                                            (Q(1, 9), Q(2, 9), Q(1, 9), 0),
                                            (0, 0, 0, Q(1, 3))))
-        if len(roots) == 2:
-            raise OutOfCatalog("M6 with a repeated eigenvalue (s_{4,4}) does not occur")
-        ap, bp = _normalize_s43(sorted(roots))
-        return _to("s_{4,3}", lambda: _m6_s43_bridge(a, b, ap, bp), (ap, bp))
-    raise OutOfCatalog(f"no translation for {c}")
+        if sum(roots.values()) == 3 and len(roots) == 3:
+            ap, bp = _normalize_s43(sorted(roots))
+            return _to("s_{4,3}", lambda: _m6_s43_bridge(a, b, ap, bp), (ap, bp))
+    carried = [str(k) for k in _FIXED if k.family == f] + [
+        f"{DeGraafClass(f, lead + (chr(65 + len(lead)),))} at every other nonzero value"
+        for g, lead in _LAMBDA if g == f]
+    if f == "M6":
+        carried.append("M6(A,B) at A != 0 where t^3-t^2-Bt-A splits over Q, no root double")
+    raise OutOfCatalog(f"the tables carry {', '.join(carried) or f'no {f} class'}; not {c}")
 
 
 def _normalize_s43(eigs: list) -> tuple:
@@ -579,3 +547,9 @@ def _m6_s43_bridge(a, b, ap, bp):
         return kernel_of_rows(rows, 3)[0]
     basis = [tuple(eigvec(mu)) + (ZERO,) for mu in (rprime, ap * rprime, bp * rprime)]
     return inverse(Mat4(basis + [(ZERO, ZERO, ZERO, 1 / rprime)])).rows
+
+
+# the classes carried at every other nonzero value of their last parameter,
+# the others as in the key: (family, the others) -> (label, bridge of (A, lambda))
+_LAMBDA = {("L3", ()): ("s_{3,1}", _l3_bridge), ("M13", ()): ("s_{4,8}", _m13_bridge),
+           ("M6", (0,)): ("n_{1,1}+s_{3,1}", _m6_split_bridge)}

@@ -13,8 +13,8 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
 * the rank stratification of N(g): exact pencil strata for dim 2, read off
   the invariant factors of the pencil over Q[t] (counting rank-drop lines
   over the algebraic closure via squarefree degrees, with no polynomial
-  factorization), and for dim >= 3 the generic rank, by fraction-free
-  elimination over Q[t];
+  factorization), and for dim >= 3 the generic rank, the integer rank of
+  the Kronecker matrix at one point beyond every root of its minors;
 * whether g contains an invertible matrix.  By Lie's theorem g is
   triangular in some basis, and the diagonal is a linear map with kernel
   N(g).  So for g = C*x0 + N(g), det(s*x0 + n) = s^4 det(x0): read off the
@@ -126,9 +126,10 @@ def nilpotent_subspace(g: Subalgebra) -> Subspace:
     """The subspace of nilpotent elements of a solvable g (trace-form radical).
 
     Raises NotSolvable when g is not, and IrrationalSpectrum if the radical
-    contains a non-nilpotent element, which happens exactly when g has
+    contains a non-nilpotent element, which happens only when g has
     elements with irrational or complex eigenvalues (outside this library's
-    domain).
+    domain).  Not every such g is refused: <x> with x = diag(A, -A^T),
+    A = [[0,1],[1,1]], has a zero radical, and so N(g) = 0.
     """
     if not is_solvable(g):
         raise NotSolvable("the subalgebra is not solvable")

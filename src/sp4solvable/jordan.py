@@ -149,7 +149,8 @@ def _eigen_pair(p: Poly) -> tuple:
     whose characteristic polynomial p has the roots {a, b, -a, -b}."""
     roots = rational_roots(p)
     if sum(roots.values()) != 4:
-        raise IrrationalSpectrum("element has irrational eigenvalues")
+        raise IrrationalSpectrum("element has irrational eigenvalues; compare characteristic "
+                                 "polynomials instead of eigenvalue data")
     vals = sorted(lam for lam, mult in roots.items() for _ in range(mult))
     return vals[3], vals[2]
 
@@ -211,34 +212,20 @@ def conjugate_ss_into_cartan(x: Mat4) -> tuple[Mat4, tuple]:
     """For semisimple x in b, a Borel element g with g x g^{-1} = T diagonal.
 
     Returns (g, (a, b)) with g x g^{-1} = T_{a,b}; the diagonal equals the
-    t-part of x.  Root components are cleared by shears id + z X_gamma with
-    z = c_gamma / gamma(T), sweeping in height order until nothing is left;
-    a shear never disturbs components at lower heights, so at most four are
-    needed.  Components surviving at roots with gamma(T) = 0 commute with the
+    t-part of x.  Root components are cleared in one sweep in height order
+    by shears id + z X_gamma, z = c_gamma / gamma(T): a shear at gamma
+    changes no other component of height at most gamma's.  A component left
+    at the end sits at a root with gamma(T) = 0 and commutes with the
     diagonal part, which contradicts semisimplicity.
     """
-    a, b, _ = _borel_components(x)
-    g = Mat4.identity()
-    cur = x
-    for _ in range(5):
-        _, _, coeffs = _borel_components(cur)
-        if all(c == 0 for c in coeffs.values()):
-            return g, (a, b)
-        progressed = False
-        for label in _HEIGHT_ORDER:
-            c = coeffs[label]
-            if c == 0:
-                continue
-            ev = root_value(label, a, b)
-            if ev == 0:
-                continue
-            s = shear(label, c / ev)
-            cur = conjugate(s, cur)
-            g = s * g
-            progressed = True
-            break
-        if not progressed:
-            raise NotSemisimple(
-                "element is not semisimple: nilpotent component commutes "
-                "with its diagonal part")
-    raise NotSemisimple("element is not semisimple")
+    a, b, coeffs = _borel_components(x)
+    g, cur = Mat4.identity(), x
+    for label in _HEIGHT_ORDER:
+        if coeffs[label] != 0 and (ev := root_value(label, a, b)) != 0:
+            s = shear(label, coeffs[label] / ev)
+            g, cur = s * g, conjugate(s, cur)
+            coeffs = _borel_components(cur)[2]
+    if any(c != 0 for c in coeffs.values()):
+        raise NotSemisimple("element is not semisimple: nilpotent component commutes "
+                            "with its diagonal part")
+    return g, (a, b)

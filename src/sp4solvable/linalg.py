@@ -10,12 +10,13 @@ Coordinates in a span are read at its echelon pivots (`Subspace.coords`,
 `inverse`, and a bracket table moves to a new basis by
 `StructureConstants.change_basis`.
 
-`Poly` is the one polynomial type.  Matrices over Q[t] are eliminated, not
-expanded into minors: the invariant factors of a pencil come from Euclidean
-(Smith) elimination (`invariant_factors`), and the generic rank of a span,
-reached through Kronecker substitution (`symbolic_combo`), from fraction-free
-Bareiss elimination (`rank_over_qt`).  Cofactor expansion (`det_mpoly`)
-remains only as the oracle the tests check both against.
+`Poly` is the one polynomial type, and Euclidean (Smith) elimination
+(`invariant_factors`) the one elimination over Q[t]: it gives the invariant
+factors of a pencil.  The generic rank of a span (`generic_rank`) needs
+none: it is the integer rank of the span's Kronecker matrix
+(`symbolic_combo`) at one integer t beyond every root of its minors
+(Cauchy's bound).  Cofactor expansion (`det_mpoly`) remains only as the
+oracle the tests check both against.
 
 Characteristic polynomials come from Faddeev-LeVerrier over the integers
 (`char_poly`); the tests cross-check them against a cofactor expansion of
@@ -684,13 +685,13 @@ def echelon_span(vectors: Iterable[Mat4]) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# matrices over Q[t]: ranks and invariant factors by elimination
+# matrices over Q[t]: generic ranks at one point, invariant factors by elimination
 # ---------------------------------------------------------------------------
 
 def det_mpoly(entries: list[list[Poly]]) -> Poly:
     """Determinant of a small square matrix of `Poly` entries by cofactor
     expansion along the first row.  No production path calls it: it is the
-    independent oracle that the tests check `rank_over_qt` and
+    independent oracle that the tests check `generic_rank` and
     `invariant_factors` (and the cofactor characteristic polynomial)
     against, and the benchmark traces it by name to show it stays unused."""
     n = len(entries)
@@ -729,40 +730,10 @@ def symbolic_combo(mats: Sequence[Mat4]) -> list[list[Poly]]:
     return [entries[i:i + 4] for i in (0, 4, 8, 12)]
 
 
-def rank_over_qt(entries: Sequence[Sequence[Poly]]) -> int:
-    """Rank over Q(t) of a matrix of `Poly` entries, by fraction-free
-    (Bareiss) elimination with full pivoting on the int coefficient lists of
-    the matrix times the lcm of its denominators: after k steps the entries
-    of the trailing block are (k+1)-minors (Sylvester's identity), so each
-    division by the previous pivot is exact over Z[t], and the rank is the
-    number of steps before that block vanishes."""
-    den = math.lcm(*[p.den for row in entries for p in row])
-    a = [[[x * (den // p.den) for x in p.num] for p in row] for row in entries]
-    n, m = len(a), len(a[0]) if a else 0
-    prev = [1]
-    for k in range(min(n, m)):
-        if not _swap_pivot(a, k, lambda c: len(c) - 1):
-            return k
-        p, top = a[k][k], a[k]
-        for row in a[k + 1:]:
-            c = row[k]
-            for j in range(k + 1, m):
-                num = [x - y for x, y in zip_longest(_conv(p, row[j]), _conv(c, top[j]),
-                                                     fillvalue=0)]
-                while num and not num[-1]:
-                    num.pop()
-                q, r, scale = _pseudo_divmod(num, prev)
-                assert scale == 1 and not any(r), "inexact Bareiss division"
-                row[j] = q
-        prev = p
-    return min(n, m)
-
-
-def _swap_pivot(a: list[list], k: int, degree) -> bool:
-    """Swap a nonzero entry of least `degree` (-1 for zero) in the block
-    a[k:][k:] to a[k][k]; False when the block is zero."""
+def _swap_pivot(a: list[list[Poly]], k: int) -> bool:
+    """Swap a nonzero entry of least degree in a[k:][k:] to a[k][k]; False if none."""
     piv = min(((d, i, j) for i in range(k, len(a)) for j in range(k, len(a[0]))
-               if (d := degree(a[i][j])) >= 0), default=None)
+               if (d := a[i][j].degree) >= 0), default=None)
     if piv is None:
         return False
     _, i, j = piv
@@ -786,7 +757,7 @@ def invariant_factors(entries: Sequence[Sequence[Poly]]) -> list[Poly]:
     out: list[Poly] = []
     for k in range(min(n, m)):
         while True:
-            if not _swap_pivot(a, k, lambda p: p.degree):
+            if not _swap_pivot(a, k):
                 return out
             p = a[k][k]
             exact = True
@@ -815,5 +786,16 @@ def invariant_factors(entries: Sequence[Sequence[Poly]]) -> list[Poly]:
 
 def generic_rank(mats: Sequence[Mat4]) -> int:
     """Rank of a generic element of span(mats): the rank over Q(t) of
-    `symbolic_combo(mats)`, by Bareiss elimination (`rank_over_qt`)."""
-    return rank_over_qt(symbolic_combo(mats))
+    `symbolic_combo(mats)`, read as the integer rank of its numerator
+    M(t) = sum_i t^(e_i) A_i (A_i the matrices over one common denominator)
+    at t = 1 + 24 (n h)^4, n matrices of largest |entry| h.  The e_i are
+    distinct, so each coefficient of an entry of M is an entry of an A_i,
+    and each of a k-minor (k <= 4) is at most k! n^k h^k <= t - 1.  By
+    Cauchy's bound the roots of a nonzero integer minor have modulus below
+    t, so the minors vanishing at t are those vanishing identically."""
+    den = math.lcm(*[m.den for m in mats])
+    nums = [[x * (den // m.den) for x in m.num] for m in mats]
+    t = 1 + 24 * (len(nums) * max([abs(x) for num in nums for x in num], default=0))**4
+    powers = [1] + [t**(5**i) for i in range(len(nums) - 1)]  # symbolic_combo's t^(e_i)
+    combo = [sum([p * num[ij] for p, num in zip(powers, nums)]) for ij in range(16)]
+    return len(_rref_int([combo[i:i + 4] for i in (0, 4, 8, 12)]))

@@ -145,7 +145,7 @@ def test_irrational_spectrum_exit_code(tmp_path, capsys):
 
 
 def test_unsupported_dimension_exits_3_without_the_spectrum_hint(tmp_path, capsys):
-    # the characteristic-polynomial hint belongs to IrrationalSpectrum only
+    # the characteristic-polynomial hint belongs to classify-element's eigenvalues only
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"ambient": "sp4", "basis": []}))
     assert main(["identify", "--input", str(path)]) == 3
@@ -335,6 +335,23 @@ def test_identify_of_a_row_at_an_irrational_parameter_is_out_of_domain(name, bas
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("IrrationalSpectrum: no catalog row matches")
+
+
+def test_the_characteristic_polynomial_hint_goes_with_classify_element_only(tmp_path, capsys):
+    # <x> is out of domain for identify, without the hint; classify-element
+    # refuses x with it; invariants computes the signature, as the
+    # trace-form radical of <x> is 0
+    sub, elt = tmp_path / "x.json", tmp_path / "x_matrix.json"
+    sub.write_text(json.dumps(Subalgebra.from_matrices([X_GOLDEN]).to_json()))
+    elt.write_text(json.dumps(X_GOLDEN.to_json()))
+    assert main(["identify", "--input", str(sub)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("IrrationalSpectrum:") and "characteristic" not in err
+    assert main(["classify-element", "--input", str(elt)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("IrrationalSpectrum:") and "compare characteristic polynomials" in err
+    assert main(["invariants", "--input", str(sub), "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["nilpotent_dim"] == 0
 
 
 def test_identify_of_a_non_split_cartan_still_matches_the_cartan(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import random
 
@@ -202,12 +201,19 @@ def test_degraaf_to_sw_table():
         assert str(degraaf_to_sw(dg)) == label
     # a class is read as written: one outside the tables, or isomorphic to a
     # table class but not in the normal form identify_degraaf returns, is
-    # refused, and the message does not call the isomorphic class absent
+    # refused, and the message names the classes the tables carry of its
+    # family and does not call the isomorphic class absent
     for c in (D("L4", (Q(2),)), D("M14", (Q(3),)), D("L4", (Q(4),)), D("L4", (Q(1, 4),)),
-              D("M14", (Q(9),)), D("M7", (Q(0), Q(4))), D("M7", (Q(0), Q(1, 9)))):
+              D("M14", (Q(9),)), D("M7", (Q(0), Q(4))), D("M7", (Q(0), Q(1, 9))),
+              D("M6", (Q(0), Q(0))), D("M7", (Q(1), Q(0))),
+              D("M6", (Q(1), Q(-1)))):  # t^3-t^2+t-1 = (t-1)(t^2+1)
         with pytest.raises(OutOfCatalog) as exc:
             degraaf_to_sw(c)
-        assert "does not occur" not in str(exc.value), str(c)
+        msg = str(exc.value)
+        assert "does not occur" not in msg, str(c)
+        carried = [str(k) for k in identify._FIXED if k.family == c.family]
+        assert carried and all(k in msg for k in carried), msg
+    assert "M6(0,B) at every other nonzero value" in msg and "M6(A,B) at A != 0" in msg
     assert identify_degraaf(degraaf_constants("M7", (Q(0), Q(4)))) == D("M7", (Q(0), Q(1)))
     assert D("L4", (Q(4),)) != D("L4", (Q(1),))
 
@@ -260,8 +266,10 @@ def test_sw_bridge_maps_verify_bracket_exactly():
         else:
             assert label == degraaf_to_sw(c)
         reached.add((c.family, degraaf_to_sw(c).name))
-    # every (family, label) pair the translation can give, one per branch
-    assert len(reached) == 23 == inspect.getsource(identify._translation).count("return ")
+    # every (family, label) pair the translation can give: one per class of
+    # the fixed table, one per family of the lambda branch, and the cubic's
+    # s_{4,2} and s_{4,3}
+    assert len(reached) == 23 == len(identify._FIXED) + len(identify._LAMBDA) + 2
 
 
 def test_every_catalog_class_has_a_verified_bridge():

@@ -206,6 +206,11 @@ def test_conjugate_ss_into_cartan():
 def test_conjugate_ss_into_cartan_errors():
     with pytest.raises(NotSemisimple):
         conjugate_ss_into_cartan(T(1, 1) + X_BETA)
+    # a component at a root vanishing on T, below nonzero higher ones that
+    # the sweep clears: it is left at the end
+    for x in (T(1, 1) + X_BETA + X_A2B, T(1, -1) + X_AB + X_A2B):
+        with pytest.raises(NotSemisimple):
+            conjugate_ss_into_cartan(x)
     with pytest.raises(NotInBorel):
         conjugate_ss_into_cartan(X_BETA.transpose() * 1)
 

@@ -1,7 +1,7 @@
-"""The two eliminations over Q[t] against a minor scan built on cofactor
-expansion (`det_mpoly`): the invariant factors of a pencil give the gcds of
-its minors, and the Bareiss rank of a span's Kronecker matrix is the size of
-its largest nonzero minor."""
+"""The Q[t] kernels against a minor scan built on cofactor expansion
+(`det_mpoly`): the invariant factors of a pencil give the gcds of its
+minors, and the generic rank of a span, read at one point, is the size of
+the largest nonzero minor of its Kronecker matrix."""
 
 from itertools import combinations
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sp4solvable.catalog import load_catalog
 from sp4solvable.invariants import nilpotent_subspace
 from sp4solvable.linalg import (Mat4, Poly, det_mpoly, generic_rank, invariant_factors,
-                                rank_over_qt, symbolic_combo)
+                                symbolic_combo)
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import J_FORM, conjugate_subalgebra, shear
 from sp4solvable.structure import Subalgebra
@@ -53,14 +53,17 @@ def assert_factors_match_minors(entries):
 
 small = st.integers(-3, 3)
 vectors = st.lists(small, min_size=4, max_size=4)
+# spanning vectors whose low-rank matrices have entries up to 10^6
+wide_vectors = st.lists(st.integers(-10**6 // 12, 10**6 // 12), min_size=4, max_size=4)
 
 
 @st.composite
-def low_rank_pairs(draw):
+def low_rank_pairs(draw, spanning=vectors):
     """Two integer 4x4 matrices whose rows lie in a common span of r random
-    vectors, so the pencil has rank at most r (r = 0..4)."""
+    `spanning` vectors, combined with coefficients in [-3, 3], so the pencil
+    has rank at most r (r = 0..4)."""
     r = draw(st.integers(0, 4))
-    vs = [draw(vectors) for _ in range(r)]
+    vs = [draw(spanning) for _ in range(r)]
 
     def mat():
         us = [draw(vectors) for _ in range(r)]
@@ -72,6 +75,9 @@ def low_rank_pairs(draw):
 sparse_mats = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 5]),
                        min_size=16, max_size=16).map(
     lambda xs: Mat4([xs[i:i + 4] for i in (0, 4, 8, 12)]))
+wide_sparse_mats = st.lists(st.one_of(st.just(0), st.integers(-10**6, 10**6)),
+                            min_size=16, max_size=16).map(
+    lambda xs: Mat4([xs[i:i + 4] for i in (0, 4, 8, 12)]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -82,11 +88,18 @@ def test_invariant_factors_multiply_to_the_minor_gcds(pair):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.one_of(sparse_mats, low_rank_pairs().map(lambda p: p[0])),
+@given(st.lists(st.one_of(sparse_mats, low_rank_pairs().map(lambda p: p[0]),
+                          wide_sparse_mats, low_rank_pairs(wide_vectors).map(lambda p: p[0])),
                 min_size=2, max_size=4))
-def test_bareiss_rank_is_the_largest_nonzero_minor(mats):
-    entries = symbolic_combo(mats)
-    assert rank_over_qt(entries) == minor_rank(entries) == generic_rank(mats)
+def test_generic_rank_is_the_largest_nonzero_minor(mats):
+    assert generic_rank(mats) == minor_rank(symbolic_combo(mats))
+
+
+def test_generic_rank_is_not_fooled_by_a_rank_drop_at_a_large_t():
+    # diag(-10^30, 1, 1, 1) + t diag(1, 0, 0, 0) drops rank only at t = 10^30
+    mats = [Mat4.diag(-10**30, 1, 1, 1), Mat4.diag(1, 0, 0, 0)]
+    assert generic_rank(mats) == minor_rank(symbolic_combo(mats)) == 4
+    assert generic_rank([mats[0] + mats[1] * 10**30]) == 3
 
 
 def disguised_nilpotent_spans():
@@ -119,6 +132,6 @@ def test_kernels_match_the_minor_scan_on_disguised_catalog_instances():
             assert_factors_match_minors(entries)
             pencils += 1
         if len(mats) >= 2:
-            assert rank_over_qt(entries) == minor_rank(entries)
+            assert generic_rank(mats) == minor_rank(entries)
             ranks += 1
     assert pencils >= 30 and ranks >= 70
