@@ -13,14 +13,13 @@ What loads when: ``import sp4solvable`` runs no submodule.  Each name in
 module (with what it imports) is loaded the first time one of its names is
 used (PEP 562).  So ``sp4solvable.load_catalog()`` loads only rational,
 errors and catalog, which reads the five tables as data.  The first row
-evaluated adds exprs and labels, the first instance built
-(``entry.basis_at(a)``) adds linalg and sp4, and a label's ``.constants()``
-adds identify, which holds the reference presentations;
-``classify_element`` adds linalg, sp4 and jordan, and ``verify_catalog``
-loads the rest.  The command-line front end (`sp4solvable.cli`) imports
-every module up front.  Nothing is cached in the package namespace, so a
-binding patched in its defining module is what ``sp4solvable.<name>``
-returns.
+evaluated adds exprs, the first instance built (``entry.basis_at(a)``) adds
+linalg and sp4, and the first label adds identify, which holds the labels
+with the reference presentations, and structure; ``classify_element`` adds
+linalg, sp4 and jordan, and ``verify_catalog`` loads the rest.  The
+command-line front end (`sp4solvable.cli`) imports every module up front.
+Nothing is cached in the package namespace, so a binding patched in its
+defining module is what ``sp4solvable.<name>`` returns.
 """
 
 import sys
@@ -46,9 +45,9 @@ _EXPORTS = {
                "jordan_decompose", "jordan_type"),
     "invariants": ("InvariantSignature", "nilpotent_subspace", "pencil_rank_strata",
                    "signature"),
-    "labels": ("DeGraafClass", "SWClass"),
-    "identify": ("degraaf_constants", "degraaf_to_sw", "identify_degraaf", "sw_bridge_map",
-                 "sw_constants", "sw_lambda", "tri_algebra_constants", "verify_isomorphism"),
+    "identify": ("DeGraafClass", "SWClass", "degraaf_constants", "degraaf_to_sw",
+                 "identify_degraaf", "sw_bridge_map", "sw_constants", "sw_lambda",
+                 "tri_algebra_constants", "verify_isomorphism"),
     "catalog": ("CatalogEntry", "DEFAULT_PARAM_SAMPLES", "catalog_from_json",
                 "catalog_to_json", "load_catalog"),
     "verify": ("VerificationReport", "match_catalog", "random_subalgebra_probe",

@@ -22,11 +22,11 @@ dimensional rows (65 total).
 
 The tables are data: `catalog.json`, next to this module, is what
 `export-catalog` prints, and `load_catalog()` reads it once through
-`catalog_from_json`.  Loading needs only rationals and errors: `exprs` and
-`labels` are loaded on the first evaluation of a row's expressions, `linalg`
-and `sp4` when the first instance is built (`basis_at`, `space_at`,
-`build_elements`), and a label's bracket table (`.constants()`) loads
-`identify`, which holds both catalog tables, on its first call.
+`catalog_from_json`.  Loading needs only rationals and errors: `exprs` is
+loaded on the first evaluation of a row's expressions, `linalg` and `sp4`
+when the first instance is built (`basis_at`, `space_at`, `build_elements`),
+and `identify`, which holds the labels with both reference catalogs (and
+loads `linalg` and `structure`), on the first label.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import Sp4Error
 from .rational import Q
 
 if TYPE_CHECKING:
-    from .labels import DeGraafClass, SWClass
+    from .identify import DeGraafClass, SWClass
     from .linalg import Mat4, Subspace
 
 __all__ = ["CatalogEntry", "EquivClaim", "load_catalog", "catalog_to_json",
@@ -66,7 +66,7 @@ def _env(a) -> dict:
 def _module(name: str):
     """A sibling module, loaded on first use and kept (an import statement in
     a function runs again on every call): `exprs` on the first evaluation,
-    `labels` on the first label, `linalg` and `sp4` on the first instance,
+    `identify` on the first label, `linalg` and `sp4` on the first instance,
     none with the tables.  Its functions are looked up on it at each call, so
     a wrapper installed on the module sees every call."""
     return import_module(f"{__package__}.{name}")
@@ -178,14 +178,14 @@ class CatalogEntry:
             return None
         env = _env(a)
         fam, params = self.degraaf
-        return _module("labels").DeGraafClass(fam, tuple(_ev(p, env) for p in params))
+        return _module("identify").DeGraafClass(fam, tuple(_ev(p, env) for p in params))
 
     def sw_at(self, a) -> SWClass | None:
         if self.sw is None:
             return None
         env = _env(a)
         name, params = self.sw
-        return _module("labels").SWClass(name, tuple(_ev(p, env) for p in params))
+        return _module("identify").SWClass(name, tuple(_ev(p, env) for p in params))
 
     def presentation_at(self, a) -> DeGraafClass | SWClass | None:
         """The class the isomorphism map starts from: the de Graaf class when

@@ -1,11 +1,13 @@
-"""The two reference catalogs of small solvable Lie algebras, and
-identification against them.
+"""The two reference catalogs of small solvable Lie algebras, their class
+labels, and identification against them.
 
 Each catalog is one table, restricted to the classes that occur here:
 `_DEGRAAF` the dimension <= 4 classification (families J, K, L, M), `_SW`
-the indecomposables up to dimension 6 (n_{d,k}, s_{d,k}).  One builder
-makes a label's presentation from them (`degraaf_constants`,
-`sw_constants`).  Conventions frozen for this library:
+the indecomposables up to dimension 6 (n_{d,k}, s_{d,k}).  A label
+(`DeGraafClass`, `SWClass`: a class or '+'-direct sum, and its parameters)
+is a value that formats itself, and one builder makes its presentation from
+the tables (`.constants()`, `degraaf_constants`, `sw_constants`).
+Conventions frozen for this library:
 
 * K^2 is [x1,x2] = x2 (consistent with M^8 = K^2 (+) K^2 and the dimension-2
   correspondence x1 <-> e2, x2 <-> e1);
@@ -38,15 +40,14 @@ from functools import lru_cache
 
 from .errors import (DependentInputs, DimensionMismatch, OutOfCatalog,
                      UnrecognizedFamily, UnsupportedDimension, ZeroParameter)
-from .labels import DeGraafClass, SWClass
 from .linalg import (Mat4, Poly, char_poly_rows, echelon_coords, inverse,
                      kernel_of_rows, rational_roots, rref)
 from .rational import Q, ZERO, ONE, format_rational, power_free_split, rational_sqrt
 from .structure import StructureConstants, ad_matrix, bracket_space, unit_rows
 
 __all__ = [
-    "identify_degraaf", "degraaf_to_sw", "sw_lambda", "QuadraticValue",
-    "verify_isomorphism", "tri_algebra_constants", "sw_bridge_map",
+    "DeGraafClass", "SWClass", "identify_degraaf", "degraaf_to_sw", "sw_lambda",
+    "QuadraticValue", "verify_isomorphism", "tri_algebra_constants", "sw_bridge_map",
     "degraaf_constants", "sw_constants",
 ]
 
@@ -54,6 +55,41 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # the two catalogs
 # ---------------------------------------------------------------------------
+
+def _fmt(p) -> str:
+    """A label parameter: a rational in lowest terms, and anything else (an
+    expression, an irrational value) by its own `str`."""
+    return format_rational(p) if isinstance(p, (int, Q)) else str(p)
+
+
+@dataclass(frozen=True)
+class DeGraafClass:
+    family: str
+    params: tuple = ()
+
+    def __str__(self) -> str:
+        if not self.params:
+            return self.family
+        return f"{self.family}({','.join(_fmt(p) for p in self.params)})"
+
+    def constants(self) -> StructureConstants:
+        return degraaf_constants(self.family, self.params)
+
+
+@dataclass(frozen=True)
+class SWClass:
+    name: str
+    params: tuple = ()
+
+    def __str__(self) -> str:
+        if not self.params:
+            return self.name
+        inner = ",".join(f"{chr(65 + i)}={_fmt(p)}" for i, p in enumerate(self.params))
+        return f"{self.name}({inner})"
+
+    def constants(self) -> StructureConstants:
+        return sw_constants(self.name, self.params)
+
 
 # class -> (dimension, {(i, j): {k: c}} for [x_i, x_j], or a function of the
 # class's parameters giving it); the parameters are the function's arguments
@@ -466,8 +502,7 @@ def _normalize_s43(eigs: list) -> tuple:
         a, b = sorted((e / r for e in eigs if e is not r), key=lambda x: (-abs(x), x < 0))
         if 0 < abs(b) <= abs(a) <= 1 and (a, b) != (-1, -1):
             cands.append((abs(a), abs(b), (a, b)))
-    if not cands:
-        raise OutOfCatalog("eigenvalues admit no s_{4,3} normalization")
+    # never empty: dividing by an eigenvalue of largest modulus normalizes
     return min(cands)[2]
 
 

@@ -40,12 +40,13 @@ rational sample points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
 from .linalg import (Mat4, Poly, char_poly, char_poly_rows, echelon_span,
                      generic_rank, invariant_factors, kernel_of_rows, rank,
-                     rational_roots, symbolic_combo, Subspace)
+                     rational_roots, Subspace)
 from .rational import Q, ZERO, format_rational
 from .sp4 import bracket
 from .structure import Subalgebra, ad_matrix, coord_series, is_solvable, unit_rows
@@ -99,7 +100,10 @@ def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
     """
     if echelon_span([n1, n2]).dim != 2:
         raise DependentInputs("pencil needs two independent matrices")
-    factors = invariant_factors(symbolic_combo([n2, n1]))
+    den = math.lcm(n1.den, n2.den)
+    pencil = [Poly._make([x * (den // n2.den), y * (den // n1.den)], den)
+              for x, y in zip(n2.num, n1.num)]
+    factors = invariant_factors([pencil[i:i + 4] for i in (0, 4, 8, 12)])
     generic = len(factors)
     # drops[k], the squarefree part of s_{k+1}, has the finite lines of
     # rank <= k as its roots, each once

@@ -13,10 +13,10 @@ Coordinates in a span are read at its echelon pivots (`Subspace.coords`,
 `Poly` is the one polynomial type, and Euclidean (Smith) elimination
 (`invariant_factors`) the one elimination over Q[t]: it gives the invariant
 factors of a pencil.  The generic rank of a span (`generic_rank`) needs
-none: it is the integer rank of the span's Kronecker matrix
-(`symbolic_combo`) at one integer t beyond every root of its minors
-(Cauchy's bound).  Cofactor expansion (`det_mpoly`) remains only as the
-oracle the tests check both against.
+none: it is the integer rank of the span's Kronecker substitution at one
+integer t beyond every root of its minors (Cauchy's bound).  Cofactor
+expansion (`det_mpoly`) remains only as the oracle the tests check both
+against.
 
 Characteristic polynomials come from Faddeev-LeVerrier over the integers
 (`char_poly`); the tests cross-check them against a cofactor expansion of
@@ -341,16 +341,14 @@ def _lifted_roots(c: Sequence[int]) -> set:
     """Candidates (n, d) that include every rational root of a primitive
     int polynomial c of degree >= 3 with nonzero constant term, found
     without enumerating divisors (whose number grows with the coefficients).
-    Modulo a prime p that does not divide the leading coefficient l and at
-    which every root is simple, a root x = n/d (d | l) is the Hensel lift of
-    one root (Newton steps modulo p^(2^k)), and l*x is an integer no larger
-    than l + max|c_i|.  Only a repeated root is repeated modulo every prime,
-    so from p = 31 on the search runs on the squarefree part.  A candidate
-    that is not a root fails the caller's deflation."""
-    s = c if c[-1] > 0 else [-x for x in c]
+    The search runs on the primitive squarefree part s, whose roots are c's,
+    each simple, and stay simple modulo all but finitely many primes.
+    Modulo such a prime p not dividing the leading coefficient l of s, a root
+    x = n/d (d | l) is the Hensel lift of one root (Newton steps modulo
+    p^(2^k)), and l*x is an integer no larger than l + max|s_i|.  A
+    candidate that is not a root fails the caller's deflation."""
+    s = _primitive(Poly._make(c, 1).squarefree_part().num)
     for p in _primes():
-        if p == 31:
-            s = _primitive(Poly._make(c, 1).squarefree_part().num)
         if s[-1] % p:
             values = [_eval_mod(s, r, p) for r in range(p)]
             if all(d for v, d in values if v == 0):
@@ -707,29 +705,6 @@ def det_mpoly(entries: list[list[Poly]]) -> Poly:
     return acc
 
 
-def symbolic_combo(mats: Sequence[Mat4]) -> list[list[Poly]]:
-    """The 4x4 `Poly` matrix mats[0] + sum_{i>=1} t^(5^(i-1)) mats[i] (zero
-    for no matrices), whose minors vanish exactly where those of the generic
-    combination sum_i t_i mats[i] do.
-
-    A k-minor of sum_i t_i mats[i] (k <= 4) is homogeneous of degree k, so it
-    vanishes identically iff it does at t_0 = 1.  There each variable has
-    degree below 5, and t_i = t^(5^(i-1)) maps the monomials to distinct
-    powers of t, their exponents read in base 5 (Kronecker substitution).
-    So the minor vanishes iff its image in Q[t] does, and the rank over
-    Q(t) is the generic rank of the span.  For two matrices this is the
-    pencil mats[0] + t*mats[1]."""
-    exps = [0] + [5**i for i in range(len(mats) - 1)]
-    den = math.lcm(*[m.den for m in mats])
-    entries = []
-    for ij in range(16):
-        num = [0] * (exps[-1] + 1)
-        for e, m in zip(exps, mats):
-            num[e] = m.num[ij] * (den // m.den)
-        entries.append(Poly._make(num, den))
-    return [entries[i:i + 4] for i in (0, 4, 8, 12)]
-
-
 def _swap_pivot(a: list[list[Poly]], k: int) -> bool:
     """Swap a nonzero entry of least degree in a[k:][k:] to a[k][k]; False if none."""
     piv = min(((d, i, j) for i in range(k, len(a)) for j in range(k, len(a[0]))
@@ -785,17 +760,20 @@ def invariant_factors(entries: Sequence[Sequence[Poly]]) -> list[Poly]:
 
 
 def generic_rank(mats: Sequence[Mat4]) -> int:
-    """Rank of a generic element of span(mats): the rank over Q(t) of
-    `symbolic_combo(mats)`, read as the integer rank of its numerator
-    M(t) = sum_i t^(e_i) A_i (A_i the matrices over one common denominator)
-    at t = 1 + 24 (n h)^4, n matrices of largest |entry| h.  The e_i are
-    distinct, so each coefficient of an entry of M is an entry of an A_i,
-    and each of a k-minor (k <= 4) is at most k! n^k h^k <= t - 1.  By
-    Cauchy's bound the roots of a nonzero integer minor have modulus below
-    t, so the minors vanishing at t are those vanishing identically."""
+    """Rank of a generic element of span(mats): the integer rank of
+    M(t) = sum_i t^(e_i) A_i, e_0 = 0 and e_i = 5^(i-1), the A_i the n
+    matrices over one common denominator, at t = 1 + 24 (n h)^4 (h the
+    largest |entry|).  A k-minor of sum_i t_i A_i (k <= 4) is homogeneous of
+    degree k, so it vanishes identically iff it does at t_0 = 1, where each
+    t_i has degree below 5: t_i = t^(e_i) maps its monomials to distinct
+    powers of t, read in base 5 (Kronecker substitution).  So each
+    coefficient of a k-minor of M is one of sum_i t_i A_i, at most
+    k! n^k h^k <= t - 1, and by Cauchy's bound the roots of a nonzero integer
+    minor have modulus below t: the minors vanishing at t are those
+    vanishing identically."""
     den = math.lcm(*[m.den for m in mats])
     nums = [[x * (den // m.den) for x in m.num] for m in mats]
     t = 1 + 24 * (len(nums) * max([abs(x) for num in nums for x in num], default=0))**4
-    powers = [1] + [t**(5**i) for i in range(len(nums) - 1)]  # symbolic_combo's t^(e_i)
+    powers = [1] + [t**(5**i) for i in range(len(nums) - 1)]
     combo = [sum([p * num[ij] for p, num in zip(powers, nums)]) for ij in range(16)]
     return len(_rref_int([combo[i:i + 4] for i in (0, 4, 8, 12)]))

@@ -77,10 +77,6 @@ class DiagonalElement:
     a: object
     b: object
 
-    @property
-    def matrix(self) -> Mat4:
-        return T(self.a, self.b)
-
 
 def in_sp4(m: Mat4) -> bool:
     """Membership in the Lie algebra: J m^t J = m bit-exactly."""

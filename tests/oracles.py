@@ -2,7 +2,9 @@
 result by a different method (cofactor expansion, an integer grid sweep,
 the defining identities of a Lie bracket, `Fraction` arithmetic on the
 rational bracket table, a coordinate solve by one echelonization of the
-augmented system), sharing no kernel with the code it checks."""
+augmented system), sharing no kernel with the code it checks.  The
+Kronecker matrix of a span over Q[t] (`symbolic_combo`) is what the
+cofactor minor scans of the Q[t] kernels run on."""
 
 from itertools import combinations
 
@@ -17,6 +19,21 @@ def char_poly_cofactor(m: Mat4) -> Poly:
     entries = [[Poly([-m.entry(i, j), 1]) if i == j else Poly([-m.entry(i, j)])
                 for j in range(4)] for i in range(4)]
     return det_mpoly(entries)
+
+
+def symbolic_combo(mats) -> list[list[Poly]]:
+    """The 4x4 `Poly` matrix mats[0] + sum_{i>=1} t^(5^(i-1)) mats[i] (zero
+    for no matrices), built from the rational entries.  Its minors vanish
+    exactly where those of the generic combination sum_i t_i mats[i] do
+    (Kronecker substitution; see `generic_rank`), so its rank over Q(t) is
+    the generic rank of the span.  For two matrices it is the pencil
+    mats[0] + t*mats[1]."""
+    exps = [0] + [5**i for i in range(len(mats) - 1)]
+    entries = [[ZERO] * (exps[-1] + 1) for _ in range(16)]
+    for e, m in zip(exps, mats):
+        for ij in range(16):
+            entries[ij][e] = m.entry(*divmod(ij, 4))
+    return [[Poly(entries[4 * i + j]) for j in range(4)] for i in range(4)]
 
 
 def grid_pencil_ranks(n1: Mat4, n2: Mat4, lo: int = -20, hi: int = 20) -> dict:

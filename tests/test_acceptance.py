@@ -8,12 +8,11 @@ import random
 import time
 
 from sp4solvable.catalog import load_catalog
-from sp4solvable.identify import (identify_degraaf, tri_algebra_constants,
+from sp4solvable.identify import (DeGraafClass, identify_degraaf, tri_algebra_constants,
                                   verify_isomorphism)
 from sp4solvable.invariants import nilpotent_subspace, pencil_rank_strata, signature
 from sp4solvable.jordan import classify_element, jordan_decompose, jordan_type
 from sp4solvable.linalg import Mat4, char_poly, inverse, poly_eval_mat
-from sp4solvable.labels import DeGraafClass
 from sp4solvable.rational import Q, ZERO
 from sp4solvable.sp4 import X_ALPHA, X_BETA
 from sp4solvable.structure import Subalgebra, structure_constants_for_basis

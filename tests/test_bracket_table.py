@@ -21,7 +21,7 @@ from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES, load_catalog
 from sp4solvable.errors import DependentInputs, Sp4Error
 from sp4solvable.invariants import signature
 from sp4solvable.linalg import char_poly_rows, echelon_coords, echelon_span, rref
-from sp4solvable.labels import DeGraafClass
+from sp4solvable.identify import DeGraafClass
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA, bracket
 from sp4solvable.structure import (StructureConstants, Subalgebra, ad_matrix,

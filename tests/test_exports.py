@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -64,9 +65,26 @@ def test_the_catalog_loads_without_the_certifier():
             "from sp4solvable.sp4 import T, X_ALPHA\n"
             "assert entry.basis_at(2) == [T(2, 1), X_ALPHA]\n"
             "assert str(entry.degraaf_at(2)) == 'K2'")
-    assert _modules_loaded_by(code) == loaded | {"exprs", "labels", "linalg", "sp4"}
+    assert _modules_loaded_by(code) == loaded | {"exprs", "identify", "linalg", "sp4",
+                                                 "structure"}
     loaded = _modules_loaded_by("import sp4solvable\nsp4solvable.classify_element")
     assert "jordan" in loaded and "verify" not in loaded
+
+
+def test_only_the_two_loaders_import_at_call_time():
+    # a module imported inside a function is loaded on that function's first
+    # call; the package's PEP 562 lookup and the catalog's loader are the
+    # only places allowed to do so
+    src = Path(sp4solvable.__file__).resolve().parent
+    importing = set()
+    for path in sorted(src.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                        isinstance(node, ast.Call) and "import_module" in ast.dump(node.func))
+                    for node in ast.walk(func)):
+                importing.add(f"{path.stem}.{func.name}")
+    assert importing == {"__init__.__getattr__", "catalog._module"}
 
 
 def test_the_command_line_loads_every_module_up_front():

@@ -18,8 +18,7 @@ from sp4solvable.catalog import load_catalog
 from sp4solvable.cli import main
 from sp4solvable.errors import OutOfCatalog, Sp4Error
 from sp4solvable.exprs import eval_expr
-from sp4solvable.identify import _DEGRAAF, _SW
-from sp4solvable.labels import DeGraafClass, SWClass
+from sp4solvable.identify import _DEGRAAF, _SW, DeGraafClass, SWClass
 from sp4solvable.linalg import Mat4
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (ROOT_LABELS, T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA,

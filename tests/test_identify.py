@@ -2,15 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sp4solvable.errors import (DimensionMismatch, OutOfCatalog,
                                 UnrecognizedFamily, UnsupportedDimension,
                                 ZeroParameter)
 from sp4solvable import identify
-from sp4solvable.identify import (QuadraticValue, degraaf_constants, degraaf_to_sw,
-                                  identify_degraaf, sw_bridge_map, sw_constants,
-                                  sw_lambda, tri_algebra_constants, verify_isomorphism)
-from sp4solvable.labels import DeGraafClass, SWClass
+from sp4solvable.identify import (DeGraafClass, QuadraticValue, SWClass, degraaf_constants,
+                                  degraaf_to_sw, identify_degraaf, sw_bridge_map,
+                                  sw_constants, sw_lambda, tri_algebra_constants,
+                                  verify_isomorphism)
 from sp4solvable.linalg import echelon_span, rref
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA
@@ -216,6 +218,21 @@ def test_degraaf_to_sw_table():
     assert "M6(0,B) at every other nonzero value" in msg and "M6(A,B) at A != 0" in msg
     assert identify_degraaf(degraaf_constants("M7", (Q(0), Q(4)))) == D("M7", (Q(0), Q(1)))
     assert D("L4", (Q(4),)) != D("L4", (Q(1),))
+
+
+_NONZERO = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(_NONZERO, min_size=3, max_size=3, unique=True),
+    # a tie of largest modulus, r and -r
+    st.tuples(_NONZERO, _NONZERO).map(lambda rx: [rx[0], -rx[0], rx[1]])
+      .filter(lambda e: len(set(e)) == 3)))
+def test_three_distinct_nonzero_eigenvalues_always_normalize(eigs):
+    a, b = identify._normalize_s43(sorted(eigs))
+    assert 0 < abs(b) <= abs(a) <= 1 and (a, b) != (-1, -1)
+    assert identify._normalize_s43(eigs) == (a, b)
 
 
 def test_verify_isomorphism_examples():

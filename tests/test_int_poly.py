@@ -140,6 +140,28 @@ def test_rational_roots_with_huge_coefficients_match_sympy(seed):
         assert list(roots) == sorted(roots, key=_divisor_scan_order)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_rational_roots_with_a_squared_huge_linear_factor_match_sympy(seed):
+    # a repeated root is repeated modulo every prime: the roots are lifted
+    # from the squarefree part, and deflating p gives their multiplicities
+    rng = random.Random(9_1000 + seed)
+    r = _big_rat(rng, rng.choice((12, 30)))
+    p = Poly([_big_rat(rng, 30) or 1])
+    for _ in range(rng.choice((2, 3))):
+        p = p * Poly([-r, 1])
+    for _ in range(rng.randint(1, 2)):
+        p = p * Poly([-_big_rat(rng, rng.choice((2, 12, 30))), 1])
+    if rng.random() < 0.5:
+        p = p * Poly([_big_rat(rng, 20) for _ in range(rng.randint(1, 3))] + [1])
+    start = time.perf_counter()
+    roots = rational_roots(p)
+    assert time.perf_counter() - start < 2.0
+    assert roots == sympy_rational_roots(to_sympy(p))
+    assert roots[r] >= 2
+    if _beyond_the_formulas(p):
+        assert list(roots) == sorted(roots, key=_divisor_scan_order)
+
+
 def test_the_m6_cubic_at_a_29_digit_sample():
     # x^3 - x^2 - b x - a of the M6 row at a = 10^29 - 1: its end coefficients
     # have 3.8 million divisor quotients

@@ -5,15 +5,14 @@ import pytest
 from sp4solvable.errors import DependentInputs, IrrationalSpectrum
 from sp4solvable.invariants import nilpotent_subspace, pencil_rank_strata, signature
 from sp4solvable.catalog import load_catalog
-from sp4solvable.linalg import (Mat4, det_mpoly, echelon_span, generic_rank, rank,
-                               symbolic_combo)
+from sp4solvable.linalg import Mat4, det_mpoly, echelon_span, generic_rank, rank
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA,
                              conjugate_subalgebra, standard_subalgebra)
 from sp4solvable.structure import Subalgebra, generated_subalgebra
 
 from conftest import conjugator_pool, random_borel_element
-from oracles import grid_pencil_ranks
+from oracles import grid_pencil_ranks, symbolic_combo
 
 
 def alg(*mats):

@@ -1,7 +1,8 @@
 """The Q[t] kernels against a minor scan built on cofactor expansion
 (`det_mpoly`): the invariant factors of a pencil give the gcds of its
 minors, and the generic rank of a span, read at one point, is the size of
-the largest nonzero minor of its Kronecker matrix."""
+the largest nonzero minor of its Kronecker matrix, which the oracle
+`symbolic_combo` builds over Q[t]."""
 
 from itertools import combinations
 
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 
 from sp4solvable.catalog import load_catalog
 from sp4solvable.invariants import nilpotent_subspace
-from sp4solvable.linalg import (Mat4, Poly, det_mpoly, generic_rank, invariant_factors,
-                                symbolic_combo)
+from sp4solvable.linalg import Mat4, Poly, det_mpoly, generic_rank, invariant_factors
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import J_FORM, conjugate_subalgebra, shear
 from sp4solvable.structure import Subalgebra
+
+from oracles import symbolic_combo
 
 
 def minors(entries, k):
