@@ -16,26 +16,27 @@ Basis elements are 6-tuples of expressions
     (Ta, Tb, cA, cB, cAB, cA2B)  ->  T(Ta,Tb) + cA*X_alpha + cB*X_beta
                                       + cAB*X_{alpha+beta} + cA2B*X_{alpha+2beta}
 
-so the whole catalog round-trips through JSON.  Frozen row counts, established
-against the tables: 8 one-, 16 two-, 19 three-, 14 four- and 8 five/six-
-dimensional rows (65 total).
+(`sp4.element` builds each as one matrix), so the whole catalog round-trips
+through JSON.  Frozen row counts, established against the tables: 8 one-,
+16 two-, 19 three-, 14 four- and 8 five/six-dimensional rows (65 total).
 
 The tables are data: `catalog.json`, next to this module, is what
 `export-catalog` prints, and `load_catalog()` reads it once through
-`catalog_from_json`.  Loading needs only rationals and errors: `exprs` is
-loaded on the first evaluation of a row's expressions, `linalg` and `sp4`
-when the first instance is built (`basis_at`, `space_at`, `build_elements`),
-and `identify`, which holds the labels with both reference catalogs (and
-loads `linalg` and `structure`), on the first label.
+`catalog_from_json`.  Loading needs only rationals and errors (rows are
+slotted records, not dataclasses): `exprs` is loaded on the first evaluation
+of a row's expressions, `linalg` and `sp4` when the first instance is built
+(`basis_at`, `space_at`, `build_elements`), and `identify`, which holds the
+labels with both reference catalogs (and loads `linalg` and `structure`), on
+the first label.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from functools import cache
 from importlib import import_module
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .errors import Sp4Error
@@ -80,17 +81,8 @@ def _ev(expr, env) -> Q:
 
 def build_elements(specs, env) -> list[Mat4]:
     """The sp(4) elements of basis specs under env."""
-    sp4 = _module("sp4")
-    roots = (sp4.X_ALPHA, sp4.X_BETA, sp4.X_AB, sp4.X_A2B)
-    out = []
-    for spec in specs:
-        ta, tb, *coeffs = (_ev(e, env) for e in spec)
-        m = sp4.T(ta, tb)
-        for c, x in zip(coeffs, roots):
-            if c != 0:
-                m = m + x * c
-        out.append(m)
-    return out
+    element = _module("sp4").element
+    return [element(*[_ev(e, env) for e in spec]) for spec in specs]
 
 
 def _tuples(x):
@@ -99,13 +91,49 @@ def _tuples(x):
     return tuple(map(_tuples, x)) if isinstance(x, (list, tuple)) else x
 
 
-def _set(obj, **fields):
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+class _Record:
+    """A frozen value of the subclass's `__slots__`, given by position or keyword
+    (`_defaults` fills the rest).  Hashed once: `verify._instance` caches on rows."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or values.keys() != set(names)
+                or kwargs.keys() & set(names[:len(args)])):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name in names:
+            object.__setattr__(self, name, _tuples(values[name]))
+        object.__setattr__(self, "_hash", hash(self._values(self)))
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)  # unbound: called as self._values(self)
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, normalized as a new record."""
+        return type(self)(**{**dict(zip(self.__slots__, self._values(self))), **changes})
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or (self._hash == other._hash
+                                 and self._values(self) == other._values(other))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class EquivClaim:
+class EquivClaim(_Record):
     """One claimed conjugacy, realized by an explicit conjugator recipe.
 
     Verified as: conjugate_subalgebra(recipe(a), span(src(a))) == span(tgt(a')).
@@ -114,39 +142,21 @@ class EquivClaim:
     rational (square-root constructions from the proofs).
     """
 
-    desc: str
-    recipe: str
-    src: tuple | None = None
-    tgt: tuple | None = None
-    tgt_param: str | None = None
-    samples: tuple | None = None
-
-    def __post_init__(self):
-        _set(self, src=_tuples(self.src), tgt=_tuples(self.tgt),
-             samples=_tuples(self.samples))
+    __slots__ = ("desc", "recipe", "src", "tgt", "tgt_param", "samples")
+    _defaults = dict.fromkeys(("src", "tgt", "tgt_param", "samples"))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     """One table row."""
 
-    row_id: str
-    dim: int
-    label: str
-    basis: tuple
-    excluded: tuple = ()
-    degraaf: tuple | None = None       # (family, (param exprs...))
-    sw: tuple | None = None            # (name, (param exprs...)); None: translated
-    equivalences: tuple = ()
-    iso_columns: tuple | None = None   # presentation basis -> row-basis coords
-    param_equiv: tuple = ()            # exprs generating the self-equivalences
-
-    def __post_init__(self):
-        _set(self, basis=_tuples(self.basis), excluded=_tuples(self.excluded),
-             degraaf=_tuples(self.degraaf), sw=_tuples(self.sw),
-             iso_columns=_tuples(self.iso_columns),
-             param_equiv=_tuples(self.param_equiv),
-             equivalences=tuple(self.equivalences))
+    __slots__ = ("row_id", "dim", "label", "basis", "excluded",
+                 "degraaf",        # (family, (param exprs...))
+                 "sw",             # (name, (param exprs...)); None: translated
+                 "equivalences",
+                 "iso_columns",    # presentation basis -> row-basis coords
+                 "param_equiv")    # exprs generating the self-equivalences
+    _defaults = {"excluded": (), "degraaf": None, "sw": None, "equivalences": (),
+                 "iso_columns": None, "param_equiv": ()}
 
     @property
     def table(self) -> int:

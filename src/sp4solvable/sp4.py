@@ -28,12 +28,12 @@ from dataclasses import dataclass
 
 from .errors import Sp4Error
 from .exprs import eval_expr
-from .linalg import Mat4, Subspace, echelon_span, inverse
+from .linalg import Mat4, Subspace, _over_common_den, echelon_span, inverse
 from .rational import Q
 
 __all__ = [
     "J_FORM", "X_ALPHA", "X_BETA", "X_AB", "X_A2B", "ROOT_VECTORS", "ROOT_LABELS",
-    "T", "DiagonalElement", "root_value", "in_sp4", "in_sp4_group",
+    "T", "element", "DiagonalElement", "root_value", "in_sp4", "in_sp4_group",
     "bracket", "conjugate", "conjugate_subalgebra",
     "W_MAT", "A_MAT", "AJ_MAT", "WA_MAT", "shear", "diag_conjugator",
     "block_sl2", "gl2_block", "parse_conjugator",
@@ -67,9 +67,19 @@ def root_value(label: str, a, b):
     }[label]
 
 
+def element(a, b, ca=0, cb=0, cab=0, ca2b=0) -> Mat4:
+    """T(a,b) + ca*X_alpha + cb*X_beta + cab*X_{alpha+beta} + ca2b*X_{alpha+2beta},
+    built as one matrix: each coefficient sits at its root vector's entries."""
+    (a, b, ca, cb, cab, ca2b), den = _over_common_den((a, b, ca, cb, cab, ca2b))
+    return Mat4._make((a, cb, ca2b, cab,
+                       0, b, cab, ca,
+                       0, 0, -a, 0,
+                       0, 0, -cb, -b), den)
+
+
 def T(a, b) -> Mat4:
     """The diagonal element diag(a, b, -a, -b)."""
-    return Mat4.diag(Q(a), Q(b), -Q(a), -Q(b))
+    return element(a, b)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
-from sp4solvable.catalog import (EXPECTED_COUNTS, catalog_from_json,
-                                 catalog_to_json, load_catalog)
+import pytest
+
+from sp4solvable.catalog import (EXPECTED_COUNTS, CatalogEntry, EquivClaim,
+                                 catalog_from_json, catalog_to_json, load_catalog)
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import in_sp4
 from sp4solvable.structure import Subalgebra, is_solvable
@@ -71,3 +73,58 @@ def test_catalog_json_roundtrip():
         if d["sw"] == "auto":
             del d["sw"]
     assert catalog_from_json(data) == entries
+
+
+def test_equal_rows_hash_equal_and_survive_the_json_round_trip():
+    rows = load_catalog()
+    copies = catalog_from_json(catalog_to_json(rows))
+    assert copies == rows
+    assert all(c is not r and hash(c) == hash(r) for c, r in zip(copies, rows))
+    assert len(set(rows) | set(copies)) == 65
+    assert rows[0] != rows[1] and rows[0] != rows[0].row_id
+
+
+def test_lists_become_tuples_at_any_depth():
+    spec = ["a", 1, 0, 0, 0, ["x"]]
+    row = CatalogEntry("r", 1, "T", [spec], equivalences=[EquivClaim("d", "W", src=[spec])])
+    assert row.basis == (("a", 1, 0, 0, 0, ("x",)),)
+    assert row.equivalences[0].src == row.basis
+    assert row == CatalogEntry("r", 1, "T", (tuple(spec[:5]) + (("x",),),),
+                               equivalences=(EquivClaim("d", "W", src=row.basis),))
+    replaced = row.replace(excluded=["0", ["1"]], iso_columns=[[1, 0], [0, 1]])
+    assert replaced.excluded == ("0", ("1",))
+    assert replaced.iso_columns == ((1, 0), (0, 1))
+    assert replaced.basis == row.basis and replaced.replace() == replaced
+    assert len({row, replaced, replaced.replace(excluded=("0", ("1",)))}) == 2
+
+
+def test_a_row_is_frozen():
+    row = next(r for r in load_catalog() if r.equivalences)
+    dim = row.dim
+    with pytest.raises(AttributeError):
+        row.dim = dim + 1
+    with pytest.raises(AttributeError):
+        del row.basis
+    with pytest.raises(AttributeError):
+        row.comment = "x"
+    with pytest.raises(AttributeError):
+        row.equivalences[0].recipe = "W"
+    assert row in load_catalog() and row.dim == dim
+
+
+def test_an_unknown_or_missing_field_raises_type_error():
+    row = load_catalog()[0]
+    with pytest.raises(TypeError):
+        CatalogEntry("r", 1, "T", (), colour="red")
+    with pytest.raises(TypeError):
+        row.replace(colour="red")
+    with pytest.raises(TypeError):
+        EquivClaim("d", "W", None, None, None, None, "extra")
+    with pytest.raises(TypeError):
+        EquivClaim("d", "W", desc="twice")
+    with pytest.raises(TypeError):
+        CatalogEntry("r", 1, "T")
+    with pytest.raises(TypeError):
+        catalog_from_json([{**catalog_to_json([row])[0], "equiv": [{"desc": "d"}]}])
+    assert repr(EquivClaim("d", "W")) == ("EquivClaim(desc='d', recipe='W', src=None, "
+                                          "tgt=None, tgt_param=None, samples=None)")

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import json
 import time
@@ -411,7 +410,7 @@ def test_bad_conjugator_recipe_is_a_parse_error(recipe, ta_path, capsys):
 
 def test_a_faulty_catalog_row_is_a_verification_failure_of_identify(tmp_path, monkeypatch,
                                                                      capsys):
-    rows = [dataclasses.replace(e, excluded=("0", "1)")) if e.row_id == "d1_T_a1" else e
+    rows = [e.replace(excluded=("0", "1)")) if e.row_id == "d1_T_a1" else e
             for e in load_catalog()]
     monkeypatch.setattr(verify, "load_catalog", lambda: rows)
     path = tmp_path / "t.json"

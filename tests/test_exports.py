@@ -45,11 +45,12 @@ def test_the_library_reads_no_environment_variable():
     assert readers == []
 
 
-def _modules_loaded_by(code: str) -> set:
-    # a fresh interpreter: this process has long since loaded every module
+def _modules_loaded_by(code: str, also: tuple = ()) -> set:
+    # a fresh interpreter: this process has long since loaded every module;
+    # the package's modules are listed, and those named in `also`
     src = Path(sp4solvable.__file__).resolve().parents[1]
     probe = code + ("\nimport sys\nprint(' '.join(m for m in sys.modules"
-                    " if m.startswith('sp4solvable')))")
+                    f" if m.startswith('sp4solvable') or m in {also!r}))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
     return {m.removeprefix("sp4solvable.") for m in out.split()}
@@ -69,6 +70,14 @@ def test_the_catalog_loads_without_the_certifier():
                                                  "structure"}
     loaded = _modules_loaded_by("import sp4solvable\nsp4solvable.classify_element")
     assert "jordan" in loaded and "verify" not in loaded
+
+
+def test_the_catalog_loads_without_dataclasses():
+    # the rows are slotted records: `dataclasses` would bring `inspect`,
+    # `ast`, `dis` and `tokenize` into every cold start
+    loaded = _modules_loaded_by("import sp4solvable\nsp4solvable.load_catalog()",
+                                also=("dataclasses", "inspect"))
+    assert loaded == {"sp4solvable", "catalog", "rational", "errors"}
 
 
 def test_only_the_two_loaders_import_at_call_time():

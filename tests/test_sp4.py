@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES
 from sp4solvable.errors import Sp4Error
 from sp4solvable.linalg import Mat4, char_poly, echelon_span
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, T, W_MAT, WA_MAT, X_A2B,
-                             X_AB, X_ALPHA, X_BETA, DiagonalElement,
+                             X_AB, X_ALPHA, X_BETA, DiagonalElement, element,
                              block_sl2, bracket, conjugate,
                              conjugate_subalgebra, diag_conjugator, gl2_block,
                              in_sp4, in_sp4_group, parse_conjugator,
@@ -14,6 +16,8 @@ from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, T, W_MAT, WA_MAT, X_A2B,
 from sp4solvable.structure import is_closed
 
 from conftest import random_borel_element, random_sp4_element
+
+rationals = st.builds(Q, st.integers(-10**6, 10**6), st.integers(1, 10**3))
 
 
 def test_membership_examples():
@@ -144,3 +148,13 @@ def test_conjugation_is_lie_automorphism(rng):
         x = random_sp4_element(rng)
         y = random_sp4_element(rng)
         assert bracket(g * x * gi, g * y * gi) == g * bracket(x, y) * gi
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(Q(0)), rationals), min_size=6, max_size=6))
+def test_element_is_the_sum_of_its_root_parts(v):
+    expected = Mat4.diag(v[0], v[1], -v[0], -v[1])
+    assert T(v[0], v[1]) == expected
+    for c, x in zip(v[2:], (X_ALPHA, X_BETA, X_AB, X_A2B)):
+        expected = expected + x * c
+    assert element(*v) == expected and in_sp4(expected)

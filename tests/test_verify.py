@@ -1,4 +1,3 @@
-import dataclasses
 import time
 
 import pytest
@@ -156,7 +155,7 @@ def test_instance_memo_follows_content_not_row_id():
     sig = verify._instance(original, None).signature
     assert sig.differing_fields(verify._instance(original, None).signature) == []
     # same row_id, another row's basis: a new instance, not the memoized one
-    edited = dataclasses.replace(original, basis=ENTRIES["d2_T10_Xa2b"].basis)
+    edited = original.replace(basis=ENTRIES["d2_T10_Xa2b"].basis)
     assert sig.differing_fields(verify._instance(edited, None).signature)
 
 
@@ -221,10 +220,10 @@ def test_restricted_claim_runs_at_the_first_verified_sample():
     # a sample-restricted claim on a parameterized row, verified under params
     # that leave out the row's first default sample (2)
     rescale = next(c for c in ENTRIES["d1_T11_Xb"].equivalences if c.samples)
-    claim = dataclasses.replace(rescale, tgt=ENTRIES["d1_T11_Xb"].basis)
+    claim = rescale.replace(tgt=ENTRIES["d1_T11_Xb"].basis)
     entry = ENTRIES["d1_T_a1"]
     assert entry.samples()[0] == 2
-    entry = dataclasses.replace(entry, equivalences=entry.equivalences + (claim,))
+    entry = entry.replace(equivalences=entry.equivalences + (claim,))
     rep = verify_entry(entry, params=(Q(3), Q(5)))
     runs = [r for r in rep.records if r.check == f"equivalence: {claim.desc}"]
     assert [r.param for r in runs] == ["3", "5", "-2", "7/3"]
@@ -232,8 +231,7 @@ def test_restricted_claim_runs_at_the_first_verified_sample():
 
 
 def test_unknown_recipe_is_a_failed_check():
-    entry = dataclasses.replace(ENTRIES["d1_T11_Xb"],
-                                equivalences=(EquivClaim("by search", "search"),))
+    entry = ENTRIES["d1_T11_Xb"].replace(equivalences=(EquivClaim("by search", "search"),))
     failures = verify_entry(entry).failures
     assert [r.check for r in failures] == ["equivalence: by search"]
     assert "unknown conjugator atom" in failures[0].detail
@@ -268,7 +266,7 @@ def test_report_header_names_the_samples_used():
 def test_claims_of_a_non_closed_instance_are_recorded_skips():
     # <X_alpha, X_beta> is not closed: [X_alpha, X_beta] = X_{alpha+beta}
     not_closed = ((0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0))
-    rep = verify_entry(dataclasses.replace(ENTRIES["d1_T11_Xb"], basis=not_closed))
+    rep = verify_entry(ENTRIES["d1_T11_Xb"].replace(basis=not_closed))
     assert [(r.check, r.status) for r in rep.records][0] == ("closure+dimension", "fail")
     assert [(r.check, r.param) for r in rep.records[1:]] == (
         [("solvable", "-"), ("equivalence: A image <T(1,-1)+X_alpha+beta>", "-")]
@@ -278,7 +276,7 @@ def test_claims_of_a_non_closed_instance_are_recorded_skips():
     assert all(r.status == "skip" and r.detail == "instance failed closure"
                for r in rep.records[1:])
     # a parameterized row: both claims at each of its samples
-    entry = dataclasses.replace(ENTRIES["d2_Ta1_Xa"], basis=not_closed)
+    entry = ENTRIES["d2_Ta1_Xa"].replace(basis=not_closed)
     claims = [r for r in verify_entry(entry).records if r.check.startswith("equivalence")]
     assert len(claims) == 2 * len(entry.samples())
     assert {r.status for r in claims} == {"skip"}
@@ -288,14 +286,14 @@ def test_claims_of_a_non_closed_instance_are_recorded_skips():
 def test_misstated_degraaf_parameter_fails_records():
     # L3 with parameter 1 translates to an irrational label parameter, which
     # is formatted, not a crash
-    rep = verify_entry(dataclasses.replace(ENTRIES["d3_t_Xa"], degraaf=("L3", ("(0)+1",))))
+    rep = verify_entry(ENTRIES["d3_t_Xa"].replace(degraaf=("L3", ("(0)+1",))))
     assert not rep.overall_pass
     failed = {r.check for r in rep.failures if r.row_id == "d3_t_Xa"}
     assert {"degraaf-class", "isomorphism-map", "sw-bridge"} <= failed
 
 
 def test_unbounded_param_orbit_fails_a_record():
-    row = dataclasses.replace(ENTRIES["d1_T_a1"], param_equiv=("a+1",))
+    row = ENTRIES["d1_T_a1"].replace(param_equiv=("a+1",))
     assert catalog_from_json(catalog_to_json([row]))[0].param_equiv == ("a+1",)
     rep = verify_separations([row, ENTRIES["d1_T_10"]], params=(Q(2), Q(3)))
     assert not rep.overall_pass
@@ -310,7 +308,7 @@ def replaced(x, path, value):
         return value
     step, rest = path[0], path[1:]
     if isinstance(step, str):
-        return dataclasses.replace(x, **{step: replaced(getattr(x, step), rest, value)})
+        return x.replace(**{step: replaced(getattr(x, step), rest, value)})
     return x[:step] + (replaced(x[step], rest, value),) + x[step + 1:]
 
 
@@ -424,7 +422,7 @@ def test_a_probe_draw_with_irrational_spectra_is_still_a_skip(monkeypatch):
 
 
 def test_a_draw_that_matches_two_rows_fails_naming_them(monkeypatch):
-    copy = dataclasses.replace(ENTRIES["d1_T_a1"], row_id="d1_T_a1_copy")
+    copy = ENTRIES["d1_T_a1"].replace(row_id="d1_T_a1_copy")
     catalog_with(monkeypatch, [copy])
     assert match_catalog(generated_subalgebra([T(2, 1)])) == [
         ("d1_T_a1", Q(1, 2)), ("d1_T_a1_copy", Q(1, 2))]
