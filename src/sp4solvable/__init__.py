@@ -31,6 +31,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "rational": ("Q", "format_rational", "parse_rational"),
     "errors": (),
+    "exprs": (),
     "linalg": ("Mat4", "Poly", "Subspace", "char_poly", "echelon_span", "inverse",
                "kernel", "rank", "rational_roots"),
     "sp4": ("A_MAT", "AJ_MAT", "J_FORM", "T", "W_MAT", "X_A2B", "X_AB", "X_ALPHA",

@@ -23,24 +23,23 @@ through JSON.  Frozen row counts, established against the tables: 8 one-,
 The tables are data: `catalog.json`, next to this module, is what
 `export-catalog` prints, and `load_catalog()` reads it once through
 `catalog_from_json`.  Loading needs only rationals and errors (rows are
-slotted records, not dataclasses): `exprs` is loaded on the first evaluation
-of a row's expressions, `linalg` and `sp4` when the first instance is built
-(`basis_at`, `space_at`, `build_elements`), and `identify`, which holds the
-labels with both reference catalogs (and loads `linalg` and `structure`), on
-the first label.
+`rational.Record`s); the package's lazy lookup loads `exprs` on the first
+evaluation of a row's expressions, `linalg` and `sp4` when the first instance
+is built (`basis_at`, `space_at`, `build_elements`), and `identify`, which
+holds the labels with both reference catalogs (and loads `linalg` and
+`structure`), on the first label.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from functools import cache
-from importlib import import_module
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .errors import Sp4Error
-from .rational import Q
+from .rational import Q, Record
 
 if TYPE_CHECKING:
     from .identify import DeGraafClass, SWClass
@@ -56,6 +55,9 @@ DEFAULT_PARAM_SAMPLES = (Q(2), Q(3), Q(5), Q(-2), Q(-3), Q(1, 2), Q(2, 3), Q(7, 
 # The largest parameter orbit a row's self-equivalences may close: the order
 # of the Weyl group (the shipped rows reach at most 4).
 PARAM_ORBIT_BOUND = 8
+# The package loads a module on its first use (PEP 562); functions are looked
+# up on the module at each call, so a wrapper installed there sees every call.
+_package = sys.modules[__package__]
 
 
 def _env(a) -> dict:
@@ -63,25 +65,15 @@ def _env(a) -> dict:
     return {} if a is None else {"a": Q(a)}
 
 
-@cache
-def _module(name: str):
-    """A sibling module, loaded on first use and kept (an import statement in
-    a function runs again on every call): `exprs` on the first evaluation,
-    `identify` on the first label, `linalg` and `sp4` on the first instance,
-    none with the tables.  Its functions are looked up on it at each call, so
-    a wrapper installed on the module sees every call."""
-    return import_module(f"{__package__}.{name}")
-
-
 def _ev(expr, env) -> Q:
     if isinstance(expr, int):
         return Q(expr)
-    return _module("exprs").eval_expr(expr, env)
+    return _package.exprs.eval_expr(expr, env)
 
 
 def build_elements(specs, env) -> list[Mat4]:
     """The sp(4) elements of basis specs under env."""
-    element = _module("sp4").element
+    element = _package.sp4.element
     return [element(*[_ev(e, env) for e in spec]) for spec in specs]
 
 
@@ -91,49 +83,21 @@ def _tuples(x):
     return tuple(map(_tuples, x)) if isinstance(x, (list, tuple)) else x
 
 
-class _Record:
-    """A frozen value of the subclass's `__slots__`, given by position or keyword
-    (`_defaults` fills the rest).  Hashed once: `verify._instance` caches on rows."""
+class _Row(Record):
+    """A table record, normalized by `_tuples` and hashed once: `verify._instance` caches rows."""
 
     __slots__ = ("_hash",)
 
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
-        if (len(args) > len(names) or values.keys() != set(names)
-                or kwargs.keys() & set(names[:len(args)])):
-            raise TypeError(f"{type(self).__name__} takes the fields {names}")
-        for name in names:
-            object.__setattr__(self, name, _tuples(values[name]))
+        for set_field, value in zip(self._setters, self._complete(args, kwargs)):
+            set_field(self, _tuples(value))
         object.__setattr__(self, "_hash", hash(self._values(self)))
-
-    def __init_subclass__(cls):
-        cls._values = attrgetter(*cls.__slots__)  # unbound: called as self._values(self)
-
-    def replace(self, **changes):
-        """A copy with the given fields changed, normalized as a new record."""
-        return type(self)(**{**dict(zip(self.__slots__, self._values(self))), **changes})
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"{type(self).__name__} is frozen")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self is other or (self._hash == other._hash
-                                 and self._values(self) == other._values(other))
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values(self)))
-        return f"{type(self).__name__}({fields})"
 
-
-class EquivClaim(_Record):
+class EquivClaim(_Row):
     """One claimed conjugacy, realized by an explicit conjugator recipe.
 
     Verified as: conjugate_subalgebra(recipe(a), span(src(a))) == span(tgt(a')).
@@ -146,7 +110,7 @@ class EquivClaim(_Record):
     _defaults = dict.fromkeys(("src", "tgt", "tgt_param", "samples"))
 
 
-class CatalogEntry(_Record):
+class CatalogEntry(_Row):
     """One table row."""
 
     __slots__ = ("row_id", "dim", "label", "basis", "excluded",
@@ -181,21 +145,21 @@ class CatalogEntry(_Record):
         return build_elements(self.basis, _env(a))
 
     def space_at(self, a) -> Subspace:
-        return _module("linalg").echelon_span(self.basis_at(a))
+        return _package.linalg.echelon_span(self.basis_at(a))
 
     def degraaf_at(self, a) -> DeGraafClass | None:
         if self.degraaf is None:
             return None
         env = _env(a)
         fam, params = self.degraaf
-        return _module("identify").DeGraafClass(fam, tuple(_ev(p, env) for p in params))
+        return _package.identify.DeGraafClass(fam, tuple(_ev(p, env) for p in params))
 
     def sw_at(self, a) -> SWClass | None:
         if self.sw is None:
             return None
         env = _env(a)
         name, params = self.sw
-        return _module("identify").SWClass(name, tuple(_ev(p, env) for p in params))
+        return _package.identify.SWClass(name, tuple(_ev(p, env) for p in params))
 
     def presentation_at(self, a) -> DeGraafClass | SWClass | None:
         """The class the isomorphism map starts from: the de Graaf class when

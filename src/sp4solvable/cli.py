@@ -87,10 +87,7 @@ def _emit(payload: dict, mode: str) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for k, v in payload.items():
-            if isinstance(v, str) and "\n" in v:
-                print(v)
-            else:
-                print(f"{k}: {v}")
+            print(f"{k}: {v}")
 
 
 def cmd_verify_catalog(args) -> int:

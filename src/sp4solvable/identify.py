@@ -35,14 +35,13 @@ positive imaginary part.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (DependentInputs, DimensionMismatch, OutOfCatalog,
                      UnrecognizedFamily, UnsupportedDimension, ZeroParameter)
 from .linalg import (Mat4, Poly, char_poly_rows, echelon_coords, inverse,
                      kernel_of_rows, rational_roots, rref)
-from .rational import Q, ZERO, ONE, format_rational, power_free_split, rational_sqrt
+from .rational import Q, ZERO, ONE, Record, format_rational, power_free_split, rational_sqrt
 from .structure import StructureConstants, ad_matrix, bracket_space, unit_rows
 
 __all__ = [
@@ -62,10 +61,9 @@ def _fmt(p) -> str:
     return format_rational(p) if isinstance(p, (int, Q)) else str(p)
 
 
-@dataclass(frozen=True)
-class DeGraafClass:
-    family: str
-    params: tuple = ()
+class DeGraafClass(Record):
+    __slots__ = ("family", "params")
+    _defaults = {"params": ()}
 
     def __str__(self) -> str:
         if not self.params:
@@ -76,10 +74,9 @@ class DeGraafClass:
         return degraaf_constants(self.family, self.params)
 
 
-@dataclass(frozen=True)
-class SWClass:
-    name: str
-    params: tuple = ()
+class SWClass(Record):
+    __slots__ = ("name", "params")
+    _defaults = {"params": ()}
 
     def __str__(self) -> str:
         if not self.params:
@@ -256,8 +253,8 @@ def _cyclic3_class(m: list[list]) -> DeGraafClass:
         return DeGraafClass("M6", (e3 / tr**3, -e2 / tr**2))
     if e3 == 0:
         return DeGraafClass("M7", (ZERO, power_free_split(-e2)[0]))
-    # rescale y by 1/s with e3 = s^3 A: A becomes the cubefree kernel
-    A, s = power_free_split(e3, 3)
+    # rescale y by 1/s, s of either sign, with e3 = s^3 A: A is the positive cubefree kernel
+    A, s = power_free_split(abs(e3), 3)
     return DeGraafClass("M7", (A, -e2 / (s * s)))
 
 
@@ -364,14 +361,11 @@ def _identify_dim4_derived2(sc: StructureConstants, derived: list[tuple]) -> DeG
 # translation to the second catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadraticValue:
+class QuadraticValue(Record):
     """p + q*sqrt(dsc) (real) or p + q*i*sqrt(|dsc|) (imaginary), exact."""
 
-    p: object
-    q: object
-    dsc: object
-    imaginary: bool = False
+    __slots__ = ("p", "q", "dsc", "imaginary")
+    _defaults = {"imaginary": False}
 
     def __str__(self) -> str:
         rad = f"sqrt({format_rational(self.dsc)})"

@@ -41,13 +41,12 @@ rational sample points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
 from .linalg import (Mat4, Poly, char_poly, char_poly_rows, echelon_span,
                      generic_rank, invariant_factors, kernel_of_rows, rank,
                      rational_roots, Subspace)
-from .rational import Q, ZERO, format_rational
+from .rational import Q, ZERO, Record, format_rational
 from .sp4 import bracket
 from .structure import Subalgebra, ad_matrix, coord_series, is_solvable, unit_rows
 from .jordan import _jordan_decompose
@@ -62,14 +61,13 @@ __all__ = [
 # pencil rank stratification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PencilStrata:
+class PencilStrata(Record):
     """Ranks of t*n1 + n2 across the projective line of the pencil."""
 
-    generic_rank: int
-    rational_drops: tuple          # ((t, rank), ...) finite rational t
-    infinity_rank: int | None      # rank of n1 when it drops below generic
-    irrational_counts: tuple       # ((rank, count), ...) conjugate-pair lines
+    __slots__ = ("generic_rank",
+                 "rational_drops",     # ((t, rank), ...) finite rational t
+                 "infinity_rank",      # rank of n1 when it drops below generic, else None
+                 "irrational_counts")  # ((rank, count), ...) conjugate-pair lines
 
     def drop_line_count(self, r: int) -> int:
         """Number of lines (over the algebraic closure) of rank exactly r."""
@@ -154,24 +152,17 @@ def nilpotent_subspace(g: Subalgebra) -> Subspace:
 # the invariant signature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvariantSignature:
-    dim: int
-    derived_dims: tuple
-    lower_central_dims: tuple
-    is_abelian: bool
-    is_nilpotent: bool
-    nilpotent_dim: int
-    nilpotent_strata: tuple
-    contains_invertible: bool
-    ss_content: str
-    probe: tuple | None
+class InvariantSignature(Record):
+    __slots__ = ("dim", "derived_dims", "lower_central_dims", "is_abelian",
+                 "is_nilpotent", "nilpotent_dim", "nilpotent_strata",
+                 "contains_invertible", "ss_content", "probe")
 
     def to_json(self) -> dict:
-        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
+        return {name: _jsonable(v) for name, v in zip(self.__slots__, self._values(self))}
 
     def differing_fields(self, other: "InvariantSignature") -> list[str]:
-        return [f.name for f in fields(self) if getattr(self, f.name) != getattr(other, f.name)]
+        return [name for name, v, w in zip(self.__slots__, self._values(self),
+                                           other._values(other)) if v != w]
 
 
 def _jsonable(obj):

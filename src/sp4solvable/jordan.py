@@ -14,12 +14,10 @@ kills x, nilpotent iff p = lambda^4 (three nonzero orbits, blocks (2,1,1),
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import IrrationalSpectrum, NotInBorel, NotInSp4, NotSemisimple
 from .linalg import (Mat4, Poly, char_poly, inverse, poly_eval_mat, rank,
                      rational_roots)
-from .rational import Q, format_rational
+from .rational import Q, Record, format_rational
 from .sp4 import (_weyl_pairs, bracket, conjugate, in_sp4, root_value, shear,
                   standard_subalgebra)
 
@@ -30,10 +28,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JordanDecomposition:
-    semisimple: Mat4
-    nilpotent: Mat4
+class JordanDecomposition(Record):
+    __slots__ = ("semisimple", "nilpotent")
 
     def check(self, original: Mat4) -> bool:
         """All four defining invariants, bit-exactly."""
@@ -112,13 +108,13 @@ def jordan_type(x: Mat4) -> dict:
 # element classification per the conjugacy tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitLabel:
+class OrbitLabel(Record):
     """One row of the one-dimensional conjugacy tables, with parameters."""
 
-    table: int
-    row: str
-    params: dict = field(default_factory=dict)
+    __slots__ = ("table", "row", "params")
+
+    def __init__(self, table: int, row: str, params: dict | None = None):
+        super().__init__(table, row, {} if params is None else params)
 
     def to_json(self) -> dict:
         return {
@@ -128,8 +124,7 @@ class OrbitLabel:
         }
 
     def __hash__(self) -> int:
-        return hash((self.table, self.row, tuple(sorted(
-            (k, format_rational(v)) for k, v in self.params.items()))))
+        return hash((self.table, self.row, frozenset(self.params.items())))
 
 
 def _abs_key(q):

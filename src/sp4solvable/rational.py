@@ -13,12 +13,16 @@ k-th root off the factorization that gives the k-th-power-free kernel.
 
 The wire format for rationals is the string ``"p/q"`` in lowest terms, or just
 ``"p"`` when the denominator is 1 (e.g. ``"-3/16"``, ``"2"``).
+
+``Record`` is the one base of the package's frozen values, kept in the module
+every other one imports so that none needs ``dataclasses`` (and its ``inspect``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import isqrt
+from operator import attrgetter
 
 from .errors import FactorizationLimit
 
@@ -39,6 +43,58 @@ ONE = Q(1)
 
 # factor_int's trial divisors stop here: no input costs sqrt(n) time
 TRIAL_DIVISION_BOUND = 10**6
+
+
+class Record:
+    """A frozen value of the subclass's `__slots__` (two or more), given by position
+    or keyword (`_defaults` fills the rest); ==, hash, repr as for a frozen dataclass."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)  # unbound: called as self._values(self)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._setters):
+            args = self._complete(args, kwargs)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
+    @classmethod
+    def _complete(cls, args: tuple, kwargs: dict) -> list:
+        """The fields in order; TypeError for one missing, unknown or given twice."""
+        names = cls.__slots__
+        values = {**cls._defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or values.keys() != set(names)
+                or kwargs.keys() & set(names[:len(args)])):
+            raise TypeError(f"{cls.__name__} takes the fields {names}")
+        return [values[name] for name in names]
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, built by the constructor."""
+        return type(self)(**{**dict(zip(self.__slots__, self._values(self))), **changes})
+
+    def __reduce__(self):  # pickle and copy rebuild through the constructor
+        return type(self), self._values(self)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
 
 
 def parse_rational(s: str):

@@ -24,12 +24,10 @@ X_{alpha+2beta} are the long roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import Sp4Error
+from .errors import ExpressionLimit, Sp4Error
 from .exprs import eval_expr
 from .linalg import Mat4, Subspace, _over_common_den, echelon_span, inverse
-from .rational import Q
+from .rational import Q, Record
 
 __all__ = [
     "J_FORM", "X_ALPHA", "X_BETA", "X_AB", "X_A2B", "ROOT_VECTORS", "ROOT_LABELS",
@@ -82,10 +80,8 @@ def T(a, b) -> Mat4:
     return element(a, b)
 
 
-@dataclass(frozen=True)
-class DiagonalElement:
-    a: object
-    b: object
+class DiagonalElement(Record):
+    __slots__ = ("a", "b")
 
 
 def in_sp4(m: Mat4) -> bool:
@@ -188,7 +184,8 @@ def parse_conjugator(recipe: str, env: dict | None = None) -> Mat4:
     ``glblock:<e1>,...,<e4>``.  Products are whitespace-separated and apply
     rightmost-first under conjugation (matrix product order).  Expressions
     may mention the row parameter ``a``.  An atom with the wrong number of
-    values or an expression that does not evaluate raises Sp4Error naming it.
+    values or an expression that does not evaluate raises Sp4Error naming it;
+    a value past the evaluator's size bound raises `ExpressionLimit`.
     """
     env = env or {}
     acc = Mat4.identity()
@@ -213,13 +210,15 @@ def parse_conjugator(recipe: str, env: dict | None = None) -> Mat4:
 
 
 def _atom_values(atom: str, text: str, count: int, env: dict) -> list:
-    """The `count` comma-separated expressions of a recipe atom, evaluated;
-    Sp4Error naming the atom for a wrong count or an expression that fails."""
+    """The `count` comma-separated expressions of a recipe atom, evaluated; Sp4Error
+    naming the atom for a wrong count or a failing expression (a size limit propagates)."""
     parts = text.split(",")
     if len(parts) != count:
         raise Sp4Error(f"conjugator atom {atom!r} needs {count} values, got {len(parts)}")
     try:
         return [eval_expr(p, env) for p in parts]
+    except ExpressionLimit:
+        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise Sp4Error(f"conjugator atom {atom!r}: {exc}") from exc
 

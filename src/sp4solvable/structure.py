@@ -25,7 +25,6 @@ table in a stated basis of a subalgebra is always its echelon table moved so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Sequence
@@ -44,11 +43,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Subalgebra:
-    """A bracket-closed subspace of sp(4) with a canonical echelon basis."""
+    """A bracket-closed subspace of sp(4) with a canonical echelon basis, equal by its space."""
 
-    space: Subspace
+    def __init__(self, space: Subspace):
+        self.space = space
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.space == other.space
+
+    def __hash__(self) -> int:
+        return hash(self.space)
 
     @classmethod
     def from_matrices(cls, mats: Iterable[Mat4]) -> "Subalgebra":
@@ -120,7 +127,7 @@ def generated_subalgebra(seed: Iterable[Mat4]) -> Subalgebra:
     while not isinstance(found := _close_pairs(space), StructureConstants):
         space = echelon_span(list(space.basis) + found)
     sub = Subalgebra(space)
-    vars(sub)["constants"] = found  # fills the cached_property
+    sub.constants = found  # fills the cached_property
     return sub
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache, partial
 
 from .catalog import DEFAULT_PARAM_SAMPLES, CatalogEntry, build_elements, load_catalog
@@ -30,7 +29,7 @@ from .identify import (degraaf_to_sw, identify_degraaf, sw_bridge_map,
 from .invariants import _signature, nilpotent_subspace, signature
 from .jordan import _eigen_pair
 from .linalg import Mat4, char_poly, echelon_span
-from .rational import Q, format_rational
+from .rational import Q, Record, format_rational
 from .sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, conjugate_subalgebra, in_sp4,
                   parse_conjugator)
 from .structure import Subalgebra, generated_subalgebra, is_solvable
@@ -40,23 +39,19 @@ __all__ = ["CheckRecord", "VerificationReport", "verify_entry",
            "match_catalog"]
 
 
-@dataclass
-class CheckRecord:
-    row_id: str
-    param: str
-    check: str
-    status: str  # "pass" | "fail" | "skip"
-    detail: str = ""
+class CheckRecord(Record):
+    __slots__ = ("row_id", "param", "check", "status", "detail")  # status: pass, fail or skip
+    _defaults = {"detail": ""}
 
     def to_json(self) -> dict:
         return {"row": self.row_id, "param": self.param, "check": self.check,
                 "status": self.status, "detail": self.detail}
 
 
-@dataclass
 class VerificationReport:
-    records: list = field(default_factory=list)
-    samples: tuple = DEFAULT_PARAM_SAMPLES
+    def __init__(self, records: list | None = None, samples: tuple = DEFAULT_PARAM_SAMPLES):
+        self.records = [] if records is None else records
+        self.samples = samples
 
     def add(self, row_id, param, check, ok, detail=""):
         """A record: ok None is a skip, and detail its reason."""
@@ -113,14 +108,13 @@ _SIZE_LIMITS = (ExpressionLimit, FactorizationLimit)
 _ROW_FAULTS = (Sp4Error, ArithmeticError, ValueError)
 
 
-@dataclass(frozen=True)
 class _Instance:
     """A catalog row at one parameter: its stated basis, the subalgebra they
     span, and its bracket table in that basis and its signature, computed on
     first use."""
 
-    mats: tuple
-    sub: Subalgebra
+    def __init__(self, mats: tuple, sub: Subalgebra):
+        self.mats, self.sub = mats, sub
 
     @cached_property
     def table(self):

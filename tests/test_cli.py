@@ -289,6 +289,12 @@ def test_a_sample_past_the_expression_bound_is_out_of_domain(capsys):
     assert "ExpressionLimit: power above" in capsys.readouterr().err
 
 
+def test_a_recipe_past_the_expression_bound_is_out_of_domain(ta_path, capsys):
+    assert main(["conjugate", "--input", ta_path, "--conjugator",
+                 "shear:alpha:(2^64)^64"]) == 3
+    assert "ExpressionLimit: power above" in capsys.readouterr().err
+
+
 def test_malformed_param_is_a_parse_error(ta_path, capsys):
     assert main(["conjugate", "--input", ta_path, "--conjugator", "W",
                  "--param", "x"]) == 2

@@ -80,10 +80,26 @@ def test_the_catalog_loads_without_dataclasses():
     assert loaded == {"sp4solvable", "catalog", "rational", "errors"}
 
 
-def test_only_the_two_loaders_import_at_call_time():
+def test_no_module_imports_dataclasses():
+    # every value is a `rational.Record`: one way to declare a value, and no
+    # `inspect`, `ast`, `dis` or `tokenize` in the processes that import them
+    src = Path(sp4solvable.__file__).resolve().parent
+    importing = [path.name for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                 or isinstance(node, ast.Import)
+                 and any(alias.name == "dataclasses" for alias in node.names)]
+    assert importing == []
+
+
+def test_the_command_line_loads_without_dataclasses():
+    loaded = _modules_loaded_by("import sp4solvable.cli", also=("dataclasses", "inspect"))
+    assert "cli" in loaded and not loaded & {"dataclasses", "inspect"}
+
+
+def test_only_the_package_loader_imports_at_call_time():
     # a module imported inside a function is loaded on that function's first
-    # call; the package's PEP 562 lookup and the catalog's loader are the
-    # only places allowed to do so
+    # call; the package's PEP 562 lookup is the only place allowed to do so
     src = Path(sp4solvable.__file__).resolve().parent
     importing = set()
     for path in sorted(src.glob("*.py")):
@@ -93,7 +109,7 @@ def test_only_the_two_loaders_import_at_call_time():
                         isinstance(node, ast.Call) and "import_module" in ast.dump(node.func))
                     for node in ast.walk(func)):
                 importing.add(f"{path.stem}.{func.name}")
-    assert importing == {"__init__.__getattr__", "catalog._module"}
+    assert importing == {"__init__.__getattr__"}
 
 
 def test_the_command_line_loads_every_module_up_front():

@@ -129,6 +129,15 @@ def test_identify_l4_parameter_mod_squares():
     assert identify_degraaf(sc8) == D("L4", (Q(2),))  # squarefree kernel
 
 
+def test_identify_m7_parameters_mod_cubes_and_squares():
+    # x4 -> s*x4 maps M7(A, B) onto M7(s^3 A, s^2 B), also for s < 0
+    labels = {identify_degraaf(degraaf_constants("M7", (s**3 * 2, s**2 * 3)))
+              for s in (Q(1), Q(2), Q(-1), Q(-1, 3))}
+    assert len(labels) == 1
+    (label,) = labels
+    assert identify_degraaf(label.constants()) == label
+
+
 def test_identify_unrecognized():
     # 4-dimensional abelian
     with pytest.raises(UnrecognizedFamily):

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES
-from sp4solvable.errors import Sp4Error
+from sp4solvable.errors import ExpressionLimit, Sp4Error
 from sp4solvable.linalg import Mat4, char_poly, echelon_span
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, T, W_MAT, WA_MAT, X_A2B,
@@ -108,6 +108,9 @@ def test_parse_conjugator():
         parse_conjugator("diag:1,2,-1,-1/2")  # not symplectic
     with pytest.raises(Sp4Error):
         parse_conjugator("nonsense")
+    # the evaluator's size bound is the caller's limit, not a malformed atom
+    with pytest.raises(ExpressionLimit):
+        parse_conjugator("shear:alpha:a^64", {"a": Q(2**100)})
 
 
 def test_default_param_samples():

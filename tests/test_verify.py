@@ -301,6 +301,30 @@ def test_unbounded_param_orbit_fails_a_record():
     assert fails == [("d1_T_a1", "parameter orbit")] * 2
 
 
+def test_two_rows_with_one_signature_fail_the_separations():
+    d = ENTRIES["d2_t"]
+    rep = verify_separations([d, d.replace(row_id="dup")])
+    assert [(r.check, r.detail) for r in rep.failures] == [
+        ("1 inequivalent pairs", "('d2_t@-', 'dup@-', '', 'signatures collide')")]
+
+
+def test_a_claimed_equivalence_the_signatures_deny_fails_the_separations():
+    # a -> 5-a puts 2 and 3 in one orbit, but T(2,1) and T(3,1) are not conjugate
+    rep = verify_separations([ENTRIES["d1_T_a1"].replace(param_equiv=("5-a",))])
+    (failure,) = rep.failures
+    assert ("('d1_T_a1', Fraction(2, 1), Fraction(3, 1), 'equivalent params separated')"
+            in failure.detail)
+
+
+def test_a_draw_that_matches_no_row_fails(monkeypatch):
+    rows = [e for e in load_catalog() if e.row_id != "d1_T_a1"]
+    monkeypatch.setattr(verify, "load_catalog", lambda: rows)
+    rep = random_subalgebra_probe(11, 40)
+    fails = [r.detail for r in rep.failures if r.check.startswith("seed draw")]
+    assert fails and all(d.startswith("no catalog row matches signature of ") for d in fails)
+    assert not rep.overall_pass
+
+
 def replaced(x, path, value):
     """x with the item at `path` set to value; a path step is an attribute
     name of a row or claim, or an index into a tuple."""
