@@ -9,7 +9,9 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   (in a common triangularizing basis a nilpotent element is strictly
   triangular, so it pairs to zero with everything; conversely a trace-radical
   element has rational eigenvalues with zero sum of squares, hence is
-  nilpotent).  This is intrinsic, so it transports along conjugation.
+  nilpotent).  This is intrinsic, so it transports along conjugation.  It
+  is computed on the basis numerators: an int Gram matrix, its int kernel,
+  and each radical element tested nilpotent by two int squarings.
 * the rank stratification of N(g): exact pencil strata for dim 2, read off
   the invariant factors of the pencil over Q[t] (counting rank-drop lines
   over the algebraic closure via squarefree degrees, with no polynomial
@@ -41,14 +43,15 @@ rational sample points.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
-from .linalg import (Mat4, Poly, char_poly, char_poly_rows, echelon_span,
-                     generic_rank, invariant_factors, kernel_of_rows, rank,
-                     rational_roots, Subspace)
+from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _mul_num, char_poly,
+                     char_poly_rows, echelon_span, generic_rank, invariant_factors,
+                     rank, rational_roots, Subspace)
 from .rational import Q, ZERO, Record, format_rational
 from .sp4 import bracket
-from .structure import Subalgebra, ad_matrix, coord_series, is_solvable, unit_rows
+from .structure import Subalgebra, ad_matrix, coord_series, is_solvable
 from .jordan import _jordan_decompose
 
 __all__ = [
@@ -135,16 +138,19 @@ def nilpotent_subspace(g: Subalgebra) -> Subspace:
     """
     if not is_solvable(g):
         raise NotSolvable("the subalgebra is not solvable")
-    basis = g.basis
-    d = len(basis)
-    gram = [[(basis[i] * basis[j]).trace() for j in range(d)] for i in range(d)]
-    coeff_vectors = kernel_of_rows(gram, d)
-    mats = [g.space.combine(v) for v in coeff_vectors]
-    for m in mats:
-        if not (m * m * m * m).is_zero():
+    # kernel vectors w of the Gram matrix of the B_i = den_i*b_i give sum_j w_j B_j
+    nums = [b.num for b in g.basis]
+    trans = [b.transpose().num for b in g.basis]
+    gram = [[sum(map(mul, x, y)) for y in trans] for x in nums]
+    mats = []
+    for _, w in _kernel_int(gram, len(nums)):
+        m = [sum(map(mul, w, entry)) for entry in zip(*nums)]
+        m2 = _mul_num(m, m)
+        if any(_mul_num(m2, m2)):
             raise IrrationalSpectrum(
                 "trace-form radical contains a non-nilpotent element; "
                 "the subalgebra has irrational spectra")
+        mats.append(Mat4._make(m, 1))
     return echelon_span(mats)
 
 
@@ -177,12 +183,11 @@ def _eigenvalue_on_line(x: Mat4, v: Mat4):
     """Eigenvalue of ad(x) on the ad(x)-invariant line spanned by v."""
     w = bracket(x, v)
     # the ratio at v's first nonzero entry, checked against all of [x, v]
-    flat_v = v.flatten()
-    p = next(k for k, c in enumerate(flat_v) if c != 0)
-    ev = w.flatten()[p] / flat_v[p]
-    if w != v * ev:
+    p = next(k for k, c in enumerate(v.num) if c)
+    wp, vp = w.num[p], v.num[p]
+    if any(a * vp != wp * b for a, b in zip(w.num, v.num)):
         raise Sp4Error("line is not ad-invariant")
-    return ev
+    return Q(wp * v.den, w.den * vp)
 
 
 def _invariantize(weighted: list[tuple]) -> tuple:
@@ -292,17 +297,17 @@ def _spectral_probe(s: Subalgebra, nspace: Subspace, derived: list[tuple],
     char poly p4."""
     sc = s.constants
     x0 = s.basis[i0]
-    units = unit_rows(s.dim)
-    y = units[i0]
     weighted: list[tuple] = []
     for j in (3, 2, 1, 0):
         weighted.append((p4[j], 4 - j))
-    pad = char_poly_rows(ad_matrix(sc, y, units))
+    # sc.num[i0] is den * ad(x0) on g, transposed: the same char poly
+    pad = _char_poly_int(sc.num[i0], sc.den)
     dg = s.dim
     for j in range(dg - 1, -1, -1):
         weighted.append((pad[j], dg - j))
     dd = len(derived)
     if dd:
+        y = tuple([int(k == i0) for k in range(dg)])
         pdd = char_poly_rows(ad_matrix(sc, y, derived))
         for j in range(dd - 1, -1, -1):
             weighted.append((pdd[j], dd - j))

@@ -18,7 +18,7 @@ from .errors import IrrationalSpectrum, NotInBorel, NotInSp4, NotSemisimple
 from .linalg import (Mat4, Poly, char_poly, inverse, poly_eval_mat, rank,
                      rational_roots)
 from .rational import Q, Record, format_rational
-from .sp4 import (_weyl_pairs, bracket, conjugate, in_sp4, root_value, shear,
+from .sp4 import (_weyl_pairs, conjugate, in_sp4, root_value, shear,
                   standard_subalgebra)
 
 __all__ = [
@@ -30,17 +30,6 @@ __all__ = [
 
 class JordanDecomposition(Record):
     __slots__ = ("semisimple", "nilpotent")
-
-    def check(self, original: Mat4) -> bool:
-        """All four defining invariants, bit-exactly."""
-        s, n = self.semisimple, self.nilpotent
-        if s + n != original:
-            return False
-        if bracket(s, n) != Mat4.zero():
-            return False
-        if not (n * n * n * n).is_zero():
-            return False
-        return is_semisimple(s)
 
 
 def jordan_decompose(x: Mat4) -> JordanDecomposition:

@@ -3,11 +3,13 @@
 Everything here is over the rationals with no rounding: 4x4 matrices and
 polynomials are int numerators over one common denominator, subspaces are held
 in reduced row echelon form of the row-major flattened entries (so equal
-subspaces have identical basis lists), and elimination, polynomial division,
-gcd and rational roots run on ints, with rationals only at the boundary.
-Coordinates in a span are read at its echelon pivots (`Subspace.coords`,
-`echelon_coords`), never solved for: the one solve against another basis is
-`inverse`, and a bracket table moves to a new basis by
+subspaces have identical basis lists), and elimination, kernels, inverses,
+polynomial division, gcd and rational roots run on ints.  Rationals appear
+only at the boundary: the constructors and entry reads of `Mat4` and `Poly`,
+the RREF rows of `rref`, the vectors of `kernel_of_rows` and the coordinates
+of `Subspace.coords` and `echelon_coords`.  Coordinates in a span are read at
+its echelon pivots (`_pivot_coords`), never solved for: the one solve against
+another basis is `inverse`, and a bracket table moves to a new basis by
 `StructureConstants.change_basis`.
 
 `Poly` is the one polynomial type, and Euclidean (Smith) elimination
@@ -31,7 +33,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import SingularMatrix, ZeroPolynomial
-from .rational import Q, ZERO, ONE, exact_isqrt, format_rational, parse_rational
+from .rational import Q, ZERO, exact_isqrt, format_rational, parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -85,40 +87,53 @@ def _eliminate(r: Sequence[int], piv: Sequence[int], col: int) -> list[int]:
     return new if g < 2 else [x // g for x in new]
 
 
-def _pivot_col(row: Sequence) -> int:
-    for i, x in enumerate(row):
-        if x != 0:
-            return i
-    return len(row)
-
-
 def kernel_of_rows(rows: list[Sequence], ncols: int) -> list[tuple]:
-    """Basis of the right kernel {v : M v = 0} of the matrix with given rows."""
-    red = rref(rows)
-    pivots = [_pivot_col(r) for r in red]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for r, pc in zip(red, pivots):
-            v[pc] = -r[fc]
-        basis.append(tuple(v))
-    return basis
+    """Basis of the right kernel {v : M v = 0} of the matrix with given rows:
+    for each free column, the vector with 1 there and 0 at the other free
+    columns."""
+    return [tuple([Q(x, v[f]) if x else ZERO for x in v])
+            for f, v in _kernel_int([_over_common_den(r)[0] for r in rows], ncols)]
+
+
+def _kernel_int(rows: list[Sequence[int]], ncols: int) -> list[tuple[int, list[int]]]:
+    """(free column f, v) for each free column of the echelon form of int
+    rows: v is the kernel vector with 1 at f and 0 at the other free
+    columns, times the lcm of the pivots, so v is integral."""
+    echelon = _rref_int(rows)
+    pivots = {c for c, _ in echelon}
+    l = math.lcm(*[r[c] for c, r in echelon])
+    out = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [0] * ncols
+            v[f] = l
+            for c, r in echelon:
+                v[c] = -r[f] * (l // r[c])
+            out.append((f, v))
+    return out
 
 
 def echelon_coords(rows: Sequence[Sequence], w: Sequence):
     """Coordinates of w in the span of RREF rows, or None if w is outside:
-    the i-th is w's entry at row i's pivot, and w is inside iff their
-    combination is w (the twin of `Subspace.coords` for coordinate rows).
-    At a pivot column the combination is w by construction (unit pivot,
-    zeros at the other pivots), so only the other columns are compared."""
-    pivots = [_pivot_col(r) for r in rows]
-    cs = tuple([w[p] for p in pivots])
-    for k, x in enumerate(w):
-        if k not in pivots and x != sum([c * r[k] for c, r in zip(cs, rows) if c and r[k]]):
-            return None
-    return cs
+    the twin of `Subspace.coords` for coordinate rows, on the same int check
+    (`_pivot_coords`)."""
+    wn, wd = _over_common_den(w)
+    cs = _pivot_coords([_over_common_den(r) for r in rows], wn)
+    return None if cs is None else tuple([Q(c, wd) if c else ZERO for c in cs])
+
+
+def _pivot_coords(rows: Sequence[tuple[Sequence[int], int]], w: Sequence[int]):
+    """The coordinates of the int row w in the span of RREF rows, each given
+    as an int row n over its den d, or None if w is outside.  The i-th is
+    w's entry at row i's pivot (the first entry of n equal to d); w is
+    inside iff their combination is w, checked as one comparison of int rows."""
+    cs = [w[n.index(d)] for n, d in rows]
+    l = math.lcm(*[d for _, d in rows])
+    combo = [0] * len(w)
+    for c, (n, d) in zip(cs, rows):
+        if c:
+            combo = [x + c * (l // d) * y for x, y in zip(combo, n)]
+    return cs if combo == [l * x for x in w] else None
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +197,14 @@ class Poly:
         return Poly._make([x * other.numerator for x in self.num], self.den * other.denominator)
 
     def __call__(self, x):
-        """p(x) for a rational x = n/d, by Horner on d^deg * den * p(x)."""
-        if not self.num:
-            return ZERO
+        """p(x) for a rational x = n/d, by Horner on d^deg * den * p(x) (the
+        zero polynomial gives acc = 0)."""
         n, d = x.numerator, x.denominator
         acc, dk = 0, 1
         for c in reversed(self.num):
             acc = acc * n + c * dk
             dk *= d
-        return Q(acc, self.den * (dk // d))
+        return Q(acc * d, self.den * dk)
 
     def derivative(self) -> "Poly":
         return Poly._make([i * c for i, c in enumerate(self.num)][1:], self.den)
@@ -320,21 +334,19 @@ def _root_candidates(c: Sequence[int]):
     primitive int polynomial of degree >= 1 with nonzero constant term."""
     if len(c) == 2:
         yield _ratio(-c[0], c[1])
-        return
-    if len(c) == 3:
+    elif len(c) == 3:
         yield from _quadratic_roots(c[2], c[1], c[0])
-        return
-    if len(c) == 5 and c[1] == 0 and c[3] == 0:
+    elif len(c) == 5 and c[1] == 0 and c[3] == 0:
         # biquadratic: the char-poly shape of every sp(4) element
         for n, d in _quadratic_roots(c[4], c[2], c[0]):
             s, t = exact_isqrt(n), exact_isqrt(d)
             if s is not None and t is not None:  # s != 0, as c[0] != 0
                 yield from ((s, t), (-s, t))
-        return
-    # general case: lifted roots, sorted as a scan of divisor quotients meets
-    # them (n over divisors of c[0], d over divisors of c[-1], +n before -n)
-    # so that the roots dict keeps that order
-    yield from sorted(_lifted_roots(c), key=lambda nd: (abs(nd[0]), nd[1], nd[0] < 0))
+    else:
+        # general case: lifted roots, sorted as a scan of divisor quotients
+        # meets them (n over divisors of c[0], d over divisors of c[-1], +n
+        # before -n) so that the roots dict keeps that order
+        yield from sorted(_lifted_roots(c), key=lambda nd: (abs(nd[0]), nd[1], nd[0] < 0))
 
 
 def _lifted_roots(c: Sequence[int]) -> set:
@@ -607,14 +619,16 @@ def kernel(m: Mat4) -> list[tuple]:
 
 
 def inverse(m: Mat4) -> Mat4:
-    """Exact inverse, the right half of the RREF of [den*m | den*I]; raises
-    SingularMatrix when a pivot lands in the right half."""
+    """Exact inverse, the right half of the echelon form of [den*m | den*I]
+    (`_rref_int`), each row over its pivot, put over the lcm of the pivots;
+    raises SingularMatrix when a pivot lands in the right half."""
     d = m.den
-    red = rref([r + tuple(d if j == i else 0 for j in range(4))
-                for i, r in enumerate(_num_rows(m))])
-    if _pivot_col(red[3]) >= 4:
+    echelon = _rref_int([r + tuple(d if j == i else 0 for j in range(4))
+                         for i, r in enumerate(_num_rows(m))])
+    if echelon[3][0] != 3:
         raise SingularMatrix("matrix is singular")
-    return Mat4([r[4:] for r in red])
+    l = math.lcm(*[r[c] for c, r in echelon])
+    return Mat4._make([x * (l // r[c]) for c, r in echelon for x in r[4:]], l)
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +655,6 @@ class Subspace:
     def __hash__(self) -> int:
         return hash(self.basis)
 
-    def __iter__(self):
-        return iter(self.basis)
-
     def contains(self, m: Mat4) -> bool:
         return self.coords(m) is not None
 
@@ -654,17 +665,8 @@ class Subspace:
 
     def coords_num(self, m: Mat4):
         """The coefficients of m in the echelon basis times m.den (ints), or
-        None if m is outside.  The i-th is m's entry at basis element i's
-        pivot; m is inside iff their combination is m, checked as one
-        comparison of int rows."""
-        # a basis element's pivot is its first entry equal to its den
-        cs = [m.num[b.num.index(b.den)] for b in self.basis]
-        l = math.lcm(*[b.den for b in self.basis])
-        combo = [0] * 16
-        for c, b in zip(cs, self.basis):
-            if c:
-                combo = [x + c * (l // b.den) * y for x, y in zip(combo, b.num)]
-        return cs if combo == [l * x for x in m.num] else None
+        None if m is outside (`_pivot_coords` on the numerators)."""
+        return _pivot_coords([(b.num, b.den) for b in self.basis], m.num)
 
     def combine(self, coeffs: Sequence) -> Mat4:
         acc = Mat4.zero()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .errors import ExpressionLimit, Sp4Error
 from .exprs import eval_expr
-from .linalg import Mat4, Subspace, _over_common_den, echelon_span, inverse
+from .linalg import Mat4, Subspace, _mul_num, _over_common_den, echelon_span, inverse
 from .rational import Q, Record
 
 __all__ = [
@@ -95,7 +95,9 @@ def in_sp4_group(g: Mat4) -> bool:
 
 
 def bracket(x: Mat4, y: Mat4) -> Mat4:
-    return x * y - y * x
+    """[x, y] = xy - yx, from the two int products over x.den * y.den."""
+    a, b = x.num, y.num
+    return Mat4._make([p - q for p, q in zip(_mul_num(a, b), _mul_num(b, a))], x.den * y.den)
 
 
 def conjugate(g: Mat4, x: Mat4) -> Mat4:

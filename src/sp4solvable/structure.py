@@ -11,11 +11,12 @@ existence, and a generated subalgebra keeps the table of its last round.  The
 derived and lower central series, solvability, nilpotency, abelian-ness and
 adjoint matrices all run on the table in coordinates (d <= 7).  A bracket of
 coordinate rows is the int contraction den*[u, v] of the rows scaled to ints,
-and the spans of brackets are eliminated fraction-free; adjoint matrices on
-RREF rows are read at the pivots.  Rationals appear only at the boundary:
-`StructureConstants.table`, `bracket_coords`, the RREF rows that
-`bracket_space` and `coord_series` return, and `derived_series`, which
-returns matrix `Subspace` values.  A bracket table moves to a new basis only
+and the spans of brackets are eliminated fraction-free; an adjoint matrix on
+RREF rows reads those int brackets at the pivots (`linalg._pivot_coords`).
+Rationals appear only at the boundary: `StructureConstants.table`, the RREF
+rows that `bracket_space` and `coord_series` return, the entries of
+`ad_matrix` (each column divided once), and `derived_series`, which returns
+matrix `Subspace` values.  A bracket table moves to a new basis only
 by `change_basis`, which brackets int-scaled columns and divides once; the
 table in a stated basis of a subalgebra is always its echelon table moved so
 (`Subalgebra.constants_in`).  Ambient sp(4) membership is validated when a
@@ -30,8 +31,8 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import DependentInputs, Sp4Error
-from .linalg import (Mat4, Subspace, _as_rref, _over_common_den, _rref_int,
-                     echelon_coords, echelon_span)
+from .linalg import (Mat4, Subspace, _as_rref, _over_common_den, _pivot_coords,
+                     _rref_int, echelon_span)
 from .rational import Q, ZERO, ONE, format_rational, parse_rational
 from .sp4 import bracket, in_sp4
 
@@ -148,12 +149,15 @@ def bracket_space(sc: "StructureConstants", a: Sequence[tuple],
 
 def ad_matrix(sc: "StructureConstants", y: Sequence, rows: list[tuple]) -> list[list]:
     """Matrix (rows) of ad(y) on an ad(y)-stable subspace given by RREF
-    coordinate rows, in the basis of those rows: each column is read at the
-    rows' pivots, so nothing is solved."""
-    cols = [echelon_coords(rows, sc.bracket_coords(y, v)) for v in rows]
+    coordinate rows, in the basis of those rows.  With y and the rows scaled
+    to ints, each column is the int bracket den*[y, v] read at the rows'
+    pivots (`_pivot_coords`), so nothing is solved, and divided once."""
+    (yn, yd), ints = _over_common_den(y), [_over_common_den(r) for r in rows]
+    cols = [_pivot_coords(ints, sc._bracket_num(yn, n)) for n, _ in ints]
     if None in cols:
         raise Sp4Error("subspace is not ad-stable")
-    return [list(r) for r in zip(*cols)]
+    scale = yd * sc.den
+    return [[Q(c, scale * d) if c else ZERO for c, (_, d) in zip(r, ints)] for r in zip(*cols)]
 
 
 def unit_rows(d: int) -> list[tuple]:
@@ -205,8 +209,8 @@ class StructureConstants:
     held as int numerators `num[i][j][k]` over one positive denominator
     `den` in lowest terms: gcd(den, *num) == 1, and an abelian table has
     den == 1.  The form is canonical, so == is exact value equality.
-    Rationals appear only at the boundary (`table`, `bracket_coords`, the
-    builders `from_brackets` and `from_json`, and the JSON wire format)."""
+    Rationals appear only at the boundary (`table`, the builders
+    `from_brackets` and `from_json`, and the JSON wire format)."""
 
     __slots__ = ("dim", "num", "den", "_pairs")
 
@@ -246,12 +250,6 @@ class StructureConstants:
                 for k, c in row:
                     out[k] += f * c
         return out
-
-    def bracket_coords(self, u: Sequence, v: Sequence) -> tuple:
-        """The coordinates of [u, v] for rational coordinate rows u and v."""
-        (un, ud), (vn, vd) = _over_common_den(u), _over_common_den(v)
-        d = ud * vd * self.den
-        return tuple([Q(x, d) if x else ZERO for x in self._bracket_num(un, vn)])
 
     def is_abelian(self) -> bool:
         return not self._pairs

@@ -1,17 +1,19 @@
 """Independent oracles that only the tests use: each recomputes a library
 result by a different method (cofactor expansion, an integer grid sweep,
 the defining identities of a Lie bracket, `Fraction` arithmetic on the
-rational bracket table, a coordinate solve by one echelonization of the
-augmented system), sharing no kernel with the code it checks.  The
-Kronecker matrix of a span over Q[t] (`symbolic_combo`) is what the
-cofactor minor scans of the Q[t] kernels run on."""
+rational bracket table or on matrix rows, `Fraction` Gauss-Jordan
+elimination, a coordinate solve by one echelonization of the augmented
+system), sharing no kernel with the code it checks.  The Kronecker matrix of
+a span over Q[t] (`symbolic_combo`) is what the cofactor minor scans of the
+Q[t] kernels run on."""
 
 from itertools import combinations
 
-from sp4solvable.errors import DependentInputs
-from sp4solvable.linalg import Mat4, Poly, det_mpoly, rank, rref
+from sp4solvable.errors import DependentInputs, IrrationalSpectrum, NotSolvable
+from sp4solvable.jordan import JordanDecomposition, is_semisimple
+from sp4solvable.linalg import Mat4, Poly, det_mpoly, echelon_span, rank, rref
 from sp4solvable.rational import Q, ZERO
-from sp4solvable.structure import StructureConstants, unit_rows
+from sp4solvable.structure import StructureConstants, Subalgebra, is_solvable, unit_rows
 
 
 def char_poly_cofactor(m: Mat4) -> Poly:
@@ -82,7 +84,7 @@ def satisfies_jacobi(sc: StructureConstants) -> bool:
             for k in range(j + 1, d):
                 acc = [ZERO] * d
                 for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                    term = sc.bracket_coords(basis[x], sc.bracket_coords(basis[y], basis[z]))
+                    term = bracket_coords_fraction(sc, basis[x], bracket_coords_fraction(sc, basis[y], basis[z]))
                     acc = [p + q for p, q in zip(acc, term)]
                 if any(c != 0 for c in acc):
                     return False
@@ -116,3 +118,79 @@ def change_basis_fraction(sc: StructureConstants, p_cols) -> tuple:
         table[i][j] = c
         table[j][i] = tuple(-x for x in c)
     return tuple(tuple(plane) for plane in table)
+
+
+def gauss_jordan(rows) -> list[list]:
+    """Reduced row echelon form by `Fraction` Gauss-Jordan elimination: the
+    nonzero rows, each with a unit pivot and zeros above and below it."""
+    work = [[Q(x) for x in r] for r in rows]
+    out = []
+    for col in range(len(work[0]) if work else 0):
+        piv = next((r for r in work if r[col] != 0), None)
+        if piv is None:
+            continue
+        work.remove(piv)
+        piv = [x / piv[col] for x in piv]
+        work = [[x - r[col] * y for x, y in zip(r, piv)] for r in work]
+        out = [[x - r[col] * y for x, y in zip(r, piv)] for r in out] + [piv]
+    return out
+
+
+def kernel_fraction(rows, ncols: int) -> list[tuple]:
+    """The right kernel of the rows by `gauss_jordan`: for each free column,
+    the vector with 1 there and 0 at the other free columns."""
+    red = gauss_jordan(rows)
+    pivots = [next(i for i, x in enumerate(r) if x != 0) for r in red]
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[f] = Q(1)
+        for r, p in zip(red, pivots):
+            v[p] = -r[f]
+        basis.append(tuple(v))
+    return basis
+
+
+def inverse_fraction(m: Mat4):
+    """The inverse of m by `gauss_jordan` on the `Fraction` rows of [m | I],
+    or None when m is singular (a pivot lands in the right half)."""
+    red = gauss_jordan([list(r) + [Q(int(i == j)) for j in range(4)]
+                        for i, r in enumerate(m.rows)])
+    if any(r[k] != 1 for k, r in enumerate(red[:4])):
+        return None
+    return Mat4([r[4:] for r in red])
+
+
+def bracket_fraction(x: Mat4, y: Mat4) -> Mat4:
+    """xy - yx by a `Fraction` triple loop over the matrix rows."""
+    a, b = x.rows, y.rows
+    return Mat4([[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(4))
+                  for j in range(4)] for i in range(4)])
+
+
+def trace_form_radical(g: Subalgebra):
+    """The nilpotent subspace of a solvable g as the radical of the trace
+    form, with the Gram matrix of rational traces (b_i * b_j).trace(), its
+    kernel by `kernel_fraction`, and nilpotency tested as m^4 == 0; raises
+    NotSolvable or IrrationalSpectrum as `nilpotent_subspace` does."""
+    if not is_solvable(g):
+        raise NotSolvable("the subalgebra is not solvable")
+    basis = g.basis
+    gram = [[(x * y).trace() for y in basis] for x in basis]
+    mats = [g.space.combine(v) for v in kernel_fraction(gram, len(basis))]
+    if any(not (m * m * m * m).is_zero() for m in mats):
+        raise IrrationalSpectrum("trace-form radical contains a non-nilpotent element")
+    return echelon_span(mats)
+
+
+def is_jordan_decomposition(dec: JordanDecomposition, original: Mat4) -> bool:
+    """All four defining properties of a Jordan-Chevalley decomposition,
+    bit-exactly: s + n == x, [s, n] == 0, n^4 == 0, s semisimple."""
+    s, n = dec.semisimple, dec.nilpotent
+    if s + n != original:
+        return False
+    if bracket_fraction(s, n) != Mat4.zero():
+        return False
+    if not (n * n * n * n).is_zero():
+        return False
+    return is_semisimple(s)

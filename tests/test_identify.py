@@ -20,7 +20,7 @@ from sp4solvable.structure import (StructureConstants, Subalgebra,
                                    structure_constants_for_basis)
 
 from conftest import perturb_columns
-from oracles import is_antisymmetric, satisfies_jacobi
+from oracles import bracket_coords_fraction, is_antisymmetric, satisfies_jacobi
 
 D = DeGraafClass
 
@@ -365,7 +365,7 @@ def _pairwise_oracle(src, tgt, columns):
 
     def apply(v):
         return tuple(sum((c * col[k] for c, col in zip(v, cols)), Q(0)) for k in range(d))
-    return all(apply(src.table[i][j]) == tgt.bracket_coords(cols[i], cols[j])
+    return all(apply(src.table[i][j]) == bracket_coords_fraction(tgt, cols[i], cols[j])
                for i in range(d) for j in range(i + 1, d))
 
 

@@ -1,18 +1,21 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sp4solvable.errors import DependentInputs, IrrationalSpectrum
-from sp4solvable.invariants import nilpotent_subspace, pencil_rank_strata, signature
+from sp4solvable.errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
+from sp4solvable.invariants import (_eigenvalue_on_line, nilpotent_subspace, pencil_rank_strata,
+                                   signature)
 from sp4solvable.catalog import load_catalog
 from sp4solvable.linalg import Mat4, det_mpoly, echelon_span, generic_rank, rank
 from sp4solvable.rational import Q
-from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA,
-                             conjugate_subalgebra, standard_subalgebra)
+from sp4solvable.sp4 import (A_MAT, T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA,
+                             conjugate_subalgebra, shear, standard_subalgebra)
 from sp4solvable.structure import Subalgebra, generated_subalgebra
 
 from conftest import conjugator_pool, random_borel_element
-from oracles import grid_pencil_ranks, symbolic_combo
+from oracles import grid_pencil_ranks, symbolic_combo, trace_form_radical
 
 
 def alg(*mats):
@@ -94,6 +97,65 @@ def test_nilpotent_subspace_contains_all_nilpotents(rng):
             x = g.space.combine(v)
             m4 = x * x * x * x
             assert m4.is_zero() == nsp.contains(x)
+
+
+small = st.integers(-2, 2)
+
+
+@st.composite
+def radical_cases(draw):
+    """A Borel subalgebra generated by one or two random elements and moved
+    by a product of Weyl elements and rational shears (so its echelon basis
+    may have denominators); or the line of a random sp(4) element
+    [[A, B], [C, -A^T]], whose trace radical may hold a non-nilpotent
+    element; or the subalgebra two of them generate, which need not be
+    solvable."""
+    kind = draw(st.sampled_from(["borel", "borel", "line", "pair"]))
+    if kind == "borel":
+        seeds = []
+        for _ in range(draw(st.integers(1, 2))):
+            m = T(draw(small), draw(small))
+            for x in (X_ALPHA, X_BETA, X_AB, X_A2B):
+                m = m + x * draw(small)
+            seeds.append(m)
+        g = Mat4.identity()
+        for _ in range(draw(st.integers(0, 3))):
+            atom = draw(st.sampled_from(["W", "A", "alpha", "beta", "alpha_plus_beta"]))
+            g = g * ({"W": W_MAT, "A": A_MAT}.get(atom)
+                     or shear(atom, Q(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))))
+        return Subalgebra(conjugate_subalgebra(g, generated_subalgebra(seeds).space))
+    mats = []
+    for _ in range(1 if kind == "line" else 2):
+        a, b, c = ([[draw(small) for _ in range(2)] for _ in range(2)] for _ in range(3))
+        b[1][0], c[1][0] = b[0][1], c[0][1]  # B and C symmetric
+        if draw(st.booleans()):  # A = 0: then tr(x^2) = 2 tr(BC) often vanishes
+            a = [[0, 0], [0, 0]]
+        mats.append(Mat4([a[0] + b[0], a[1] + b[1],
+                          c[0] + [-a[0][0], -a[1][0]], c[1] + [-a[0][1], -a[1][1]]]))
+    return generated_subalgebra(mats)
+
+
+def _radical_or_refusal(f, g):
+    try:
+        return f(g)
+    except (NotSolvable, IrrationalSpectrum) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(radical_cases())
+def test_nilpotent_subspace_matches_the_fraction_gram_oracle(g):
+    assert (_radical_or_refusal(nilpotent_subspace, g)
+            == _radical_or_refusal(trace_form_radical, g))
+
+
+def test_eigenvalue_on_line_reads_the_numerators():
+    x = T(Q(1, 2), Q(1, 3))  # root values: alpha 2b = 2/3, alpha+beta a+b = 5/6
+    assert _eigenvalue_on_line(x, X_ALPHA * Q(2, 3)) == Q(2, 3)
+    assert _eigenvalue_on_line(x, X_AB * Q(-5, 7)) == Q(5, 6)
+    assert _eigenvalue_on_line(x, X_A2B) == 1
+    with pytest.raises(Sp4Error, match="not ad-invariant"):
+        _eigenvalue_on_line(x, X_ALPHA + X_BETA)
 
 
 def test_ss_content_classes():

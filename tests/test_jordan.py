@@ -3,8 +3,8 @@ import pytest
 from sp4solvable.errors import (IrrationalSpectrum, NotInBorel, NotInSp4,
                                 NotSemisimple)
 from sp4solvable import jordan
-from sp4solvable.jordan import (OrbitLabel, _weyl_canonical, classify_element,
-                                conjugate_ss_into_cartan, is_nilpotent_mat,
+from sp4solvable.jordan import (JordanDecomposition, OrbitLabel, _weyl_canonical,
+                                classify_element, conjugate_ss_into_cartan, is_nilpotent_mat,
                                 is_semisimple, jordan_decompose, jordan_type)
 from sp4solvable.linalg import Mat4, inverse
 from sp4solvable.rational import Q, ZERO
@@ -13,6 +13,7 @@ from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, conjugate,
 
 from conftest import (conjugator_pool, random_borel_element,
                       random_sp4_element)
+from oracles import is_jordan_decomposition
 
 
 def test_jordan_decompose_examples():
@@ -28,8 +29,18 @@ def test_jordan_invariants_on_random_borel(rng):
     for _ in range(150):
         x = random_borel_element(rng)
         d = jordan_decompose(x)
-        assert d.check(x)
+        assert is_jordan_decomposition(d, x)
         assert in_sp4(d.semisimple) and in_sp4(d.nilpotent)
+
+
+def test_the_decomposition_oracle_rejects_each_broken_property():
+    zero = Mat4.zero()
+    # s + n is not x; s and n do not commute; n is not nilpotent; s is not semisimple
+    assert not is_jordan_decomposition(JordanDecomposition(T(1, 0), X_BETA), T(1, 0))
+    assert not is_jordan_decomposition(JordanDecomposition(T(1, 0), X_BETA), T(1, 0) + X_BETA)
+    assert not is_jordan_decomposition(JordanDecomposition(zero, T(1, 0)), T(1, 0))
+    assert not is_jordan_decomposition(JordanDecomposition(X_ALPHA, zero), X_ALPHA)
+    assert is_jordan_decomposition(JordanDecomposition(zero, X_ALPHA), X_ALPHA)
 
 
 def test_is_semisimple_examples():

@@ -12,10 +12,11 @@ from sp4solvable.linalg import (Mat4, Poly, char_poly, char_poly_rows,
                                 rank, rational_roots, rref)
 from sp4solvable.rational import (Q, exact_isqrt, factor_int, format_rational,
                                   parse_rational, power_free_split, rational_sqrt)
-from sp4solvable.sp4 import T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA
+from sp4solvable.sp4 import T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA, bracket
 from sp4solvable.structure import structure_constants_for_basis
 
-from oracles import char_poly_cofactor, solve_in_span
+from oracles import (bracket_fraction, char_poly_cofactor, inverse_fraction, kernel_fraction,
+                     solve_in_span)
 
 rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 7))
 
@@ -109,6 +110,18 @@ def test_rational_roots_examples():
     assert rational_roots(p) == {Q(1, 3): 3}
     with pytest.raises(ZeroPolynomial):
         rational_roots(Poly())
+    # linear, alone and after a root at zero
+    assert rational_roots(Poly([-3, 2])) == {Q(3, 2): 1}
+    assert rational_roots(Poly([0, 3, 2])) == {Q(0): 1, Q(-3, 2): 1}
+
+
+def test_zero_polynomial_at_the_boundary():
+    zero = Poly()
+    assert zero(Q(3, 2)) == 0 and zero(Q(-5)) == 0
+    assert Poly([Q(1, 2), 3])(Q(2, 3)) == Q(5, 2)
+    assert repr(zero) == "Poly(0)"
+    with pytest.raises(ZeroDivisionError):
+        Poly([1, 2]).divmod(zero)
 
 
 @settings(max_examples=50, deadline=None)
@@ -149,15 +162,29 @@ def test_inverse_examples():
         inverse(X_ALPHA)
 
 
-@settings(max_examples=30, deadline=None)
-@given(square_mats)
+small_rationals = st.sampled_from([Q(0), Q(0), Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 4)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(small_rationals, min_size=n, max_size=n), max_size=6))))
+def test_kernel_of_rows_matches_fraction_gauss_jordan(case):
+    n, rows = case
+    assert kernel_of_rows(rows, n) == kernel_fraction(rows, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(square_mats, mats))
 def test_inverse_roundtrip(m):
+    want = inverse_fraction(m)  # None exactly when Gauss-Jordan finds m singular
     try:
         mi = inverse(m)
     except SingularMatrix:
-        assert rank(m) < 4
+        assert rank(m) < 4 and want is None
         return
     assert rank(m) == 4
+    assert mi == want
+    assert_canonical(mi)
     assert m * mi == Mat4.identity() == mi * m
 
 
@@ -174,6 +201,10 @@ def test_echelon_idempotent(m):
     s = echelon_span([m, m])
     assert s.dim <= 1
     assert echelon_span(s.basis) == s
+
+
+def test_subspace_repr():
+    assert repr(echelon_span([X_ALPHA, X_BETA, X_ALPHA * 2])) == "Subspace(dim=2)"
 
 
 def test_subspace_equality_is_canonical():
@@ -299,6 +330,16 @@ def test_kernel_matches_per_entry_formulas(a, b, q):
     assert ma.trace() == a[0][0] + a[1][1] + a[2][2] + a[3][3]
     assert ma.is_zero() == all(x == 0 for r in a for x in r)
     assert [ma.entry(i, j) for i in range(4) for j in range(4)] == list(ma.flatten())
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids(), grids())
+def test_bracket_matches_the_fraction_oracle(a, b):
+    x, y = Mat4(a), Mat4(b)
+    got = bracket(x, y)
+    assert got == bracket_fraction(x, y) == x * y - y * x
+    assert_canonical(got)
+    assert bracket(x, x) == Mat4.zero()
 
 
 @settings(max_examples=60, deadline=None)
