@@ -8,7 +8,8 @@ text or JSON.  Exit codes: 0 success, 1 verification failure (also a
 catalog row whose data faults while `identify` compares it), 2 parse error
 (malformed input, bad conjugator recipe), 3 out of domain (not solvable,
 irrational spectrum, unrecognized family, factoring, expression or probe
-count bound exceeded).  `identify` never exits 0 without a catalog row: a
+count bound exceeded); a library error ends in the code its class carries
+(`Sp4Error.exit_code`).  `identify` never exits 0 without a catalog row: a
 subalgebra that only a row at an irrational parameter could match exits 3,
 and one that no row matches exits 1, a completeness failure.
 
@@ -25,9 +26,7 @@ import json
 import sys
 
 from .catalog import DEFAULT_PARAM_SAMPLES, catalog_to_json, load_catalog
-from .errors import (CatalogFault, ExpressionLimit, FactorizationLimit,
-                     IrrationalSpectrum, NotSolvable, OutOfCatalog, ProbeLimit,
-                     Sp4Error, UnrecognizedFamily, UnsupportedDimension)
+from .errors import IrrationalSpectrum, OutOfCatalog, Sp4Error
 from .identify import degraaf_to_sw, identify_degraaf
 from .invariants import signature
 from .jordan import classify_element
@@ -224,16 +223,11 @@ def main(argv=None) -> int:
     except _ParseFailure as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ExpressionLimit, FactorizationLimit, IrrationalSpectrum, NotSolvable, ProbeLimit,
-            UnrecognizedFamily, UnsupportedDimension) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except CatalogFault as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except Sp4Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # the error's own exit code; a bad input (2) is reported as an error,
+        # a limit (3) or a faulty catalog row (1) by its type
+        print(f"{'error' if exc.exit_code == 2 else type(exc).__name__}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

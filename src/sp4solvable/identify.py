@@ -6,7 +6,8 @@ Each catalog is one table, restricted to the classes that occur here:
 the indecomposables up to dimension 6 (n_{d,k}, s_{d,k}).  A label
 (`DeGraafClass`, `SWClass`: a class or '+'-direct sum, and its parameters)
 is a value that formats itself, and one builder makes its presentation from
-the tables (`.constants()`, `degraaf_constants`, `sw_constants`).
+the tables once and keeps it (`.constants()`, `degraaf_constants`,
+`sw_constants`).
 Conventions frozen for this library:
 
 * K^2 is [x1,x2] = x2 (consistent with M^8 = K^2 (+) K^2 and the dimension-2
@@ -20,7 +21,9 @@ M8, M12, M13, M14), raising UnrecognizedFamily for anything else.  The
 decision tree works on intrinsic data: the derived subalgebra D, its
 centralizer, and the adjoint action of a complement element, normalized by
 the scaling freedom (trace normalization; squarefree/cubefree kernels for
-the weight-graded parameters).
+the weight-graded parameters).  It runs on int subspace rows and int
+adjoint matrices, and divides only to read a class parameter from a trace,
+a determinant or a char-poly coefficient.
 
 One translation gives each de Graaf class occurring here, in the normal form
 `identify_degraaf` returns, its label in the second catalog (`degraaf_to_sw`)
@@ -39,10 +42,10 @@ from functools import lru_cache
 
 from .errors import (DependentInputs, DimensionMismatch, OutOfCatalog,
                      UnrecognizedFamily, UnsupportedDimension, ZeroParameter)
-from .linalg import (Mat4, Poly, char_poly_rows, echelon_coords, inverse,
-                     kernel_of_rows, rational_roots, rref)
+from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _pivot_coords, _rref_int,
+                     inverse, kernel_of_rows, rational_roots)
 from .rational import Q, ZERO, ONE, Record, format_rational, power_free_split, rational_sqrt
-from .structure import StructureConstants, ad_matrix, bracket_space, unit_rows
+from .structure import StructureConstants, _ad_num, _span_num, _units
 
 __all__ = [
     "DeGraafClass", "SWClass", "identify_degraaf", "degraaf_to_sw", "sw_lambda",
@@ -154,25 +157,32 @@ def _arity(brackets) -> int:
 
 
 def degraaf_constants(family: str, params: tuple = ()) -> StructureConstants:
-    """The presentation of a de Graaf class."""
-    return _build(_DEGRAAF, family, ((1, family),), params)
+    """The presentation of a de Graaf class, built once (`_build`)."""
+    return _build("degraaf", family, tuple(params))
 
 
 def sw_constants(name: str, params: tuple = ()) -> StructureConstants:
     """The presentation of an indecomposable class or of a '+'-direct sum
     with multiplicity prefixes, "2n_{1,1}", "n_{1,1}+s_{3,1}": the summands
-    take their parameters in turn, and the copies of a multiple share theirs."""
-    # two digits of a multiplicity already pass the largest dimension
-    summands = [(int((m[1] or "1")[:2]), m[2])
-                for m in map(_SUMMAND.fullmatch, name.split("+"))]
-    return _build(_SW, name, summands, params)
+    take their parameters in turn, and the copies of a multiple share
+    theirs.  Built once (`_build`)."""
+    return _build("sw", name, tuple(params))
 
 
-def _build(table: dict, name: str, summands, params: tuple) -> StructureConstants:
-    """The direct sum of the (multiplicity, class) summands of `table`, in
-    order, each taking as many of `params` as its class does.  A sum the
-    table does not carry, or above the largest dimension here, is refused
-    before anything is built."""
+# as many presentations as the certifier keeps row instances
+@lru_cache(maxsize=1024)
+def _build(catalog: str, name: str, params: tuple) -> StructureConstants:
+    """The presentation of `name` in the de Graaf or the sw catalog, kept
+    per (name, params): the direct sum of its (multiplicity, class)
+    summands, in order, each taking as many of `params` as its class does.
+    A sum the table does not carry, or above the largest dimension here, is
+    refused before anything is built."""
+    if catalog == "degraaf":
+        table, summands = _DEGRAAF, ((1, name),)
+    else:
+        # two digits of a multiplicity already pass the largest dimension
+        table, summands = _SW, [(int((m[1] or "1")[:2]), m[2])
+                                for m in map(_SUMMAND.fullmatch, name.split("+"))]
     if any(cls not in table for _, cls in summands):
         raise OutOfCatalog(f"{name!r} names a class outside the tables")
     if sum(mult * table[cls][0] for mult, cls in summands) > _MAX_DIM:
@@ -193,13 +203,15 @@ def _build(table: dict, name: str, summands, params: tuple) -> StructureConstant
 
 
 # ---------------------------------------------------------------------------
-# helpers on coordinate subspaces
+# helpers on coordinate subspaces, held as `_rref_int` (pivot, int row) pairs
 # ---------------------------------------------------------------------------
 
-def _complement_vector(d: int, span_rows: list[tuple]) -> tuple:
-    """The first unit row outside a proper subspace given by RREF rows (a
-    unit row lies in an RREF span only if it is one of the rows)."""
-    return next(u for u in unit_rows(d) if u not in span_rows)
+def _complement_vector(d: int, pairs: list[tuple]) -> list[int]:
+    """The first unit row outside a proper subspace given by its pairs (a
+    unit row lies in the span only if it is the span's RREF row at its
+    pivot, so only if that int row has one nonzero entry)."""
+    inside = {c for c, r in pairs if len(r) - r.count(0) == 1}
+    return next(u for j, u in enumerate(_units(d)) if j not in inside)
 
 
 def _is_scalar(m: list[list]) -> bool:
@@ -207,46 +219,46 @@ def _is_scalar(m: list[list]) -> bool:
     return all(m[i][j] == (m[0][0] if i == j else 0) for i in range(k) for j in range(k))
 
 
-def _is_cyclic3(m: list[list]) -> bool:
+def _is_cyclic3(m: list[list[int]]) -> bool:
     """A 3x3 matrix is cyclic iff its minimal polynomial has degree 3,
     i.e. m^2 is not a linear combination of I and m."""
     k = 3
     m2 = [[sum(m[i][t] * m[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
-    rows = []
-    for mat in ([[1 if i == j else 0 for j in range(k)] for i in range(k)], m, m2):
-        rows.append(tuple(Q(mat[i][j]) for i in range(k) for j in range(k)))
-    return len(rref(rows)) == 3
+    return len(_rref_int([[x for row in mat for x in row] for mat in (_units(k), m, m2)])) == 3
 
 
-def _centralizer_of(sc: StructureConstants, sub_rows: list[tuple]) -> list[tuple]:
-    """The common kernel of ad(v) on the whole algebra, v in sub_rows."""
-    units = unit_rows(sc.dim)
-    return kernel_of_rows([r for v in sub_rows for r in ad_matrix(sc, v, units)], sc.dim)
+def _centralizer_of(sc: StructureConstants, sub: list[list[int]]) -> list[list[int]]:
+    """Int vectors spanning the common kernel of ad(v) on the whole algebra,
+    v in the int rows `sub`."""
+    units = list(enumerate(_units(sc.dim)))
+    rows = [r for v in sub for r in _ad_num(sc, v, units)[0]]
+    return [v for _, v in _kernel_int(rows, sc.dim)]
 
 
-def _plane_class(m: list[list], families: tuple[str, str, str]) -> DeGraafClass:
-    """The class of y acting on a plane by m, up to y -> s*y: the scalar
-    family, the traced one with parameter -det/tr^2, or the traceless one with
-    -det modulo squares (L2/L3/L4 in dimension 3, M12/M13/M14 in dimension 4)."""
+def _plane_class(m: list[list[int]], e: int, families: tuple[str, str, str]) -> DeGraafClass:
+    """The class of y acting on a plane by the int matrix m over e != 0, up
+    to y -> s*y: the scalar family, the traced one with parameter
+    -det/tr^2, or the traceless one with -det modulo squares (L2/L3/L4 in
+    dimension 3, M12/M13/M14 in dimension 4)."""
     scalar, traced, traceless = families
     if _is_scalar(m):
         return DeGraafClass(scalar)
     tr = m[0][0] + m[1][1]
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if tr != 0:
-        return DeGraafClass(traced, (-det / (tr * tr),))
+        return DeGraafClass(traced, (Q(-det, tr * tr),))
     if det == 0:
         raise UnrecognizedFamily("nilpotent action on the derived plane")
-    return DeGraafClass(traceless, (power_free_split(-det)[0],))
+    return DeGraafClass(traceless, (power_free_split(Q(-det, e * e))[0],))
 
 
-def _cyclic3_class(m: list[list]) -> DeGraafClass:
-    """The class of y acting cyclically by m on an abelian 3-dimensional
-    ideal, up to y -> s*y: M6 with the trace normalized to 1, else M7 with
-    (A, B) normalized modulo (s^3, s^2)."""
+def _cyclic3_class(m: list[list[int]], e: int) -> DeGraafClass:
+    """The class of y acting cyclically by the int matrix m over e > 0 on an
+    abelian 3-dimensional ideal, up to y -> s*y: M6 with the trace
+    normalized to 1, else M7 with (A, B) normalized modulo (s^3, s^2)."""
     if not _is_cyclic3(m):
         raise UnrecognizedFamily("non-cyclic action on abelian nilradical")
-    p = char_poly_rows(m)  # t^3 - tr t^2 + e2 t - e3
+    p = _char_poly_int(m, e)  # t^3 - tr t^2 + e2 t - e3
     tr, e2, e3 = -p[2], p[1], -p[0]
     if tr != 0:
         # rescale y by 1/tr: char poly becomes t^3 - t^2 - B t - A
@@ -269,8 +281,8 @@ def identify_degraaf(sc: StructureConstants) -> DeGraafClass:
         raise UnsupportedDimension(f"identification implemented for dims 1..4, got {d}")
     if d == 1:
         return DeGraafClass("J")
-    units = unit_rows(d)
-    derived = bracket_space(sc, units, units)
+    units = _units(d)
+    derived = _span_num(sc, units, units)
     k = len(derived)
     if d == 2:
         return DeGraafClass("K1" if k == 0 else "K2")
@@ -279,11 +291,11 @@ def identify_degraaf(sc: StructureConstants) -> DeGraafClass:
             return DeGraafClass("L1")
         if k == 1:
             # Heisenberg (nilpotent) is L4_0; the non-nilpotent K2 (+) J is L3_0
-            central = not bracket_space(sc, units, derived)
+            central = not _span_num(sc, units, [r for _, r in derived])
             return DeGraafClass("L4" if central else "L3", (ZERO,))
         if k == 2:
             y = _complement_vector(d, derived)
-            return _plane_class(ad_matrix(sc, y, derived), ("L2", "L3", "L4"))
+            return _plane_class(*_ad_num(sc, y, derived), ("L2", "L3", "L4"))
         raise UnrecognizedFamily("3-dimensional algebra with derived dimension 3 is not solvable")
     if k == 0:
         raise UnrecognizedFamily("abelian of dimension 4 (not among occurring families)")
@@ -296,58 +308,62 @@ def identify_degraaf(sc: StructureConstants) -> DeGraafClass:
 
 def _identify_dim4_derived3(sc: StructureConstants, derived: list[tuple]) -> DeGraafClass:
     y = _complement_vector(4, derived)
-    zrows = bracket_space(sc, derived, derived)
+    rows = [r for _, r in derived]
+    zrows = _span_num(sc, rows, rows)
     if not zrows:
-        m = ad_matrix(sc, y, derived)
-        return DeGraafClass("M2") if _is_scalar(m) else _cyclic3_class(m)
+        m, e = _ad_num(sc, y, derived)
+        return DeGraafClass("M2") if _is_scalar(m) else _cyclic3_class(m, e)
     # Heisenberg nilradical: z = [D, D] is a line
     if len(zrows) != 1:
         raise UnrecognizedFamily("unexpected derived structure")
-    return _plane_class(_quotient_action(sc, y, derived, zrows[0]), ("M12", "M13", "M14"))
+    return _plane_class(*_quotient_action(sc, y, derived, zrows[0][1]), ("M12", "M13", "M14"))
 
 
-def _quotient_action(sc: StructureConstants, y: tuple, derived: list[tuple],
-                     z: tuple) -> list[list]:
-    """ad(y) on D/z, in the images of the RREF rows of D other than the
-    first row j on which z has a nonzero coordinate: modulo z, row j is
-    -sum_{k != j} zc_k/zc_j row_k, so each image's coordinates c become
-    c_k - c_j*zc_k/zc_j (trace, determinant and scalar-ness do not depend on
-    which row is dropped)."""
-    zc = echelon_coords(derived, z)
+def _quotient_action(sc: StructureConstants, y: list[int], derived: list[tuple],
+                     z: list[int]) -> tuple[list[list[int]], int]:
+    """ad(y) on D/z, as an int matrix over one den, in the images of the
+    RREF rows of D other than the first row j on which z has a nonzero
+    coordinate (z lies in D, so its coordinates zc are its entries at D's
+    pivots): modulo z, row j is -sum_{k != j} zc_k/zc_j row_k, so each
+    image's coordinates c become c_k - c_j*zc_k/zc_j, here times zc_j
+    (trace, determinant and scalar-ness do not depend on which row is
+    dropped)."""
+    zc = [z[c] for c, _ in derived]
     j = next(i for i, c in enumerate(zc) if c != 0)
-    m = ad_matrix(sc, y, derived)
+    m, e = _ad_num(sc, y, derived)
     keep = [i for i in range(len(derived)) if i != j]
-    return [[m[i][c] - m[j][c] * zc[i] / zc[j] for c in keep] for i in keep]
+    return [[m[i][c] * zc[j] - m[j][c] * zc[i] for c in keep] for i in keep], e * zc[j]
 
 
 def _identify_dim4_derived2(sc: StructureConstants, derived: list[tuple]) -> DeGraafClass:
     d = 4
-    cent = _centralizer_of(sc, derived)
+    cent = _centralizer_of(sc, [r for _, r in derived])
     dim_c = len(cent)
     if dim_c == 3:
-        if bracket_space(sc, cent, cent):
+        if _span_num(sc, cent, cent):
             raise UnrecognizedFamily("non-abelian centralizer of the derived subalgebra")
-        crows = rref(cent)
-        c = _cyclic3_class(ad_matrix(sc, _complement_vector(d, crows), crows))
+        crows = _rref_int(cent)
+        c = _cyclic3_class(*_ad_num(sc, _complement_vector(d, crows), crows))
         if c.family == "M6" and c.params[0] != 0:
             raise UnrecognizedFamily("inconsistent derived dimension for M6")
         return c
     if dim_c == 2:
-        # L = ad(g) restricted to D is a 2-dimensional abelian family
-        lbasis = rref([[x for row in ad_matrix(sc, u, derived) for x in row]
-                       for u in unit_rows(d)])
+        # L = ad(g) restricted to D is a 2-dimensional abelian family; its
+        # matrices share one den, so their int numerators span it
+        lbasis = _rref_int([[x for row in _ad_num(sc, u, derived)[0] for x in row]
+                            for u in _units(d)])
         if len(lbasis) != 2:
             raise UnrecognizedFamily("unexpected adjoint image on derived subalgebra")
-        u, v = lbasis
+        (_, u), (_, v) = lbasis
         tr_u = u[0] + u[3]
         tr_v = v[0] + v[3]
         if (tr_u, tr_v) == (0, 0):
             raise UnrecognizedFamily("traceless adjoint pair (not among occurring families)")
-        n0 = tuple(-tr_v * a + tr_u * b for a, b in zip(u, v))
+        n0 = [-tr_v * a + tr_u * b for a, b in zip(u, v)]
         det_n0 = n0[0] * n0[3] - n0[1] * n0[2]
         if det_n0 == 0:
-            has_identity = echelon_coords(lbasis, (ONE, ZERO, ZERO, ONE)) is not None
-            if has_identity and any(x != 0 for x in n0):
+            has_identity = _pivot_coords([(r, r[c]) for c, r in lbasis], (1, 0, 0, 1)) is not None
+            if has_identity and any(n0):
                 return DeGraafClass("M13", (ZERO,))
             raise UnrecognizedFamily("nilpotent adjoint direction without scaling element")
         # semisimple pair: M8 needs a rational eigen-splitting

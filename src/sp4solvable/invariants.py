@@ -33,7 +33,8 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   char poly of ad x on g, char poly of ad x on [g,g]) is constant on
   x + N(g), and the leftover scaling freedom is removed by weighted
   cross-ratio invariantization; rank-drop lines of the nilpotent pencil are
-  ad(x)-invariant and contribute their ad-eigenvalues.
+  ad(x)-invariant and contribute their ad-eigenvalues.  Both adjoint char
+  polys are taken on ints, off the bracket table and the int rows of [g,g].
 
 Every field is invariant under conjugation by rational symplectic matrices,
 which is what the classification's equivalence relation restricts to on the
@@ -47,11 +48,11 @@ from operator import mul
 
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
 from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _mul_num, char_poly,
-                     char_poly_rows, echelon_span, generic_rank, invariant_factors,
-                     rank, rational_roots, Subspace)
+                     echelon_span, generic_rank, invariant_factors, rank,
+                     rational_roots, Subspace)
 from .rational import Q, ZERO, Record, format_rational
 from .sp4 import bracket
-from .structure import Subalgebra, ad_matrix, coord_series, is_solvable
+from .structure import Subalgebra, _ad_num, _series, is_solvable
 from .jordan import _jordan_decompose
 
 __all__ = [
@@ -234,7 +235,7 @@ def _signature(s: Subalgebra, nspace: Subspace) -> InvariantSignature:
     d = g.dim
     der = s.derived
     derived_dims = tuple(len(rows) for rows in der)
-    lower_dims = tuple(len(rows) for rows in coord_series(s, lower=True))
+    lower_dims = tuple(len(rows) for rows in _series(s, lower=True))
     dn = nspace.dim
     codim = d - dn
     if codim not in (0, 1, 2):
@@ -293,7 +294,7 @@ def _nilpotent_strata(nspace: Subspace, pencil: PencilStrata | None) -> tuple:
 
 def _spectral_probe(s: Subalgebra, nspace: Subspace, derived: list[tuple],
                     i0: int, p4: Poly, pencil: PencilStrata | None) -> tuple:
-    """`derived` holds the coordinate rows of [g, g]; x0 = basis[i0] has the
+    """`derived` holds the `_series` pairs of [g, g]; x0 = basis[i0] has the
     char poly p4."""
     sc = s.constants
     x0 = s.basis[i0]
@@ -307,8 +308,7 @@ def _spectral_probe(s: Subalgebra, nspace: Subspace, derived: list[tuple],
         weighted.append((pad[j], dg - j))
     dd = len(derived)
     if dd:
-        y = tuple([int(k == i0) for k in range(dg)])
-        pdd = char_poly_rows(ad_matrix(sc, y, derived))
+        pdd = _char_poly_int(*_ad_num(sc, [int(k == i0) for k in range(dg)], derived))
         for j in range(dd - 1, -1, -1):
             weighted.append((pdd[j], dd - j))
     marked = _marked_line_data(nspace, x0, pencil)

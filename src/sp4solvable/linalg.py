@@ -6,10 +6,11 @@ in reduced row echelon form of the row-major flattened entries (so equal
 subspaces have identical basis lists), and elimination, kernels, inverses,
 polynomial division, gcd and rational roots run on ints.  Rationals appear
 only at the boundary: the constructors and entry reads of `Mat4` and `Poly`,
-the RREF rows of `rref`, the vectors of `kernel_of_rows` and the coordinates
-of `Subspace.coords` and `echelon_coords`.  Coordinates in a span are read at
-its echelon pivots (`_pivot_coords`), never solved for: the one solve against
-another basis is `inverse`, and a bracket table moves to a new basis by
+the RREF rows of `rref` and the vectors of `kernel_of_rows`.  The library's
+own callers keep the (pivot, int row) pairs of `_rref_int`.  Coordinates in a
+span are read at its echelon pivots as ints (`_pivot_coords`,
+`Subspace.coords_num`), never solved for: the one solve against another
+basis is `inverse`, and a bracket table moves to a new basis by
 `StructureConstants.change_basis`.
 
 `Poly` is the one polynomial type, and Euclidean (Smith) elimination
@@ -111,15 +112,6 @@ def _kernel_int(rows: list[Sequence[int]], ncols: int) -> list[tuple[int, list[i
                 v[c] = -r[f] * (l // r[c])
             out.append((f, v))
     return out
-
-
-def echelon_coords(rows: Sequence[Sequence], w: Sequence):
-    """Coordinates of w in the span of RREF rows, or None if w is outside:
-    the twin of `Subspace.coords` for coordinate rows, on the same int check
-    (`_pivot_coords`)."""
-    wn, wd = _over_common_den(w)
-    cs = _pivot_coords([_over_common_den(r) for r in rows], wn)
-    return None if cs is None else tuple([Q(c, wd) if c else ZERO for c in cs])
 
 
 def _pivot_coords(rows: Sequence[tuple[Sequence[int], int]], w: Sequence[int]):
@@ -656,12 +648,7 @@ class Subspace:
         return hash(self.basis)
 
     def contains(self, m: Mat4) -> bool:
-        return self.coords(m) is not None
-
-    def coords(self, m: Mat4):
-        """Coefficients of m in the echelon basis, or None if outside."""
-        cs = self.coords_num(m)
-        return None if cs is None else tuple([Q(c, m.den) if c else ZERO for c in cs])
+        return self.coords_num(m) is not None
 
     def coords_num(self, m: Mat4):
         """The coefficients of m in the echelon basis times m.den (ints), or

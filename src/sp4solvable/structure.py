@@ -8,19 +8,17 @@ once and reads each bracket at the basis pivots (`Subspace.coords_num`): it
 gives the table, or the brackets that leave the span.  `Subalgebra.constants`,
 `is_closed` and `generated_subalgebra` all use it, so closure is the table's
 existence, and a generated subalgebra keeps the table of its last round.  The
-derived and lower central series, solvability, nilpotency, abelian-ness and
-adjoint matrices all run on the table in coordinates (d <= 7).  A bracket of
-coordinate rows is the int contraction den*[u, v] of the rows scaled to ints,
-and the spans of brackets are eliminated fraction-free; an adjoint matrix on
-RREF rows reads those int brackets at the pivots (`linalg._pivot_coords`).
-Rationals appear only at the boundary: `StructureConstants.table`, the RREF
-rows that `bracket_space` and `coord_series` return, the entries of
-`ad_matrix` (each column divided once), and `derived_series`, which returns
-matrix `Subspace` values.  A bracket table moves to a new basis only
-by `change_basis`, which brackets int-scaled columns and divides once; the
-table in a stated basis of a subalgebra is always its echelon table moved so
-(`Subalgebra.constants_in`).  Ambient sp(4) membership is validated when a
-`Subalgebra` is constructed from matrices.
+series, predicates and adjoint matrices run on the table in coordinates
+(d <= 7), each subspace held as the (pivot, int row) pairs of
+`linalg._rref_int`: brackets are int contractions (`_bracket_num`), spans
+are eliminated fraction-free (`_span_num`, `_series`), and an adjoint matrix
+is one int matrix over one den, read at the pivots (`_ad_num`).  Rationals
+appear only at the public boundary: `StructureConstants.table`, the RREF
+rows of `bracket_space` and `coord_series`, the entries of `ad_matrix`, and
+`derived_series`.  A table moves to a new basis only by `_moved`, which
+brackets int coordinate columns and divides once; `change_basis` and
+`Subalgebra.constants_in` (on `Subspace.coords_num`) feed it.  Ambient sp(4)
+membership is validated when a `Subalgebra` is constructed from matrices.
 """
 
 from __future__ import annotations
@@ -76,13 +74,20 @@ class Subalgebra:
 
     def constants_in(self, mats: Sequence[Mat4]) -> "StructureConstants":
         """The bracket table in the basis `mats` of this subalgebra: the
-        echelon table moved to their coordinates by `change_basis`."""
-        return self.constants.change_basis([self.space.coords(m) for m in mats])
+        echelon table moved to their int coordinates (`Subspace.coords_num`
+        over one common den) by `StructureConstants._moved`.  An element
+        outside the subalgebra raises Sp4Error naming its index."""
+        cols = [self.space.coords_num(m) for m in mats]
+        if None in cols:
+            raise Sp4Error(f"basis element {cols.index(None)} is not in the subalgebra")
+        e = math.lcm(*[m.den for m in mats])
+        return self.constants._moved(
+            [[x * (e // m.den) for x in c] for c, m in zip(cols, mats)], e)
 
     @cached_property
     def derived(self) -> list[list[tuple]]:
-        """The derived series in coordinate rows, computed on first use."""
-        return coord_series(self)
+        """The derived series as `_series` pairs, computed on first use."""
+        return _series(self)
 
     @property
     def dim(self) -> int:
@@ -147,17 +152,28 @@ def bracket_space(sc: "StructureConstants", a: Sequence[tuple],
                               [_over_common_den(r)[0] for r in b]))
 
 
-def ad_matrix(sc: "StructureConstants", y: Sequence, rows: list[tuple]) -> list[list]:
-    """Matrix (rows) of ad(y) on an ad(y)-stable subspace given by RREF
-    coordinate rows, in the basis of those rows.  With y and the rows scaled
-    to ints, each column is the int bracket den*[y, v] read at the rows'
-    pivots (`_pivot_coords`), so nothing is solved, and divided once."""
-    (yn, yd), ints = _over_common_den(y), [_over_common_den(r) for r in rows]
-    cols = [_pivot_coords(ints, sc._bracket_num(yn, n)) for n, _ in ints]
+def _ad_num(sc: "StructureConstants", y: Sequence[int],
+            pairs: Sequence[tuple[int, Sequence[int]]]) -> tuple[list[list[int]], int]:
+    """ad(y), for an int coordinate row y, on an ad(y)-stable span given by
+    `_rref_int` pairs (c, r), in the basis of their RREF rows r/r[c]: an int
+    matrix (rows) over one den.  Column k is the int bracket den*[y, r_k]
+    read at the pivots (`_pivot_coords`), so nothing is solved, over
+    den*r_k[c_k]; the columns are put over the lcm of the pivots."""
+    rows = [(r, r[c]) for c, r in pairs]
+    cols = [_pivot_coords(rows, sc._bracket_num(y, r)) for r, _ in rows]
     if None in cols:
         raise Sp4Error("subspace is not ad-stable")
-    scale = yd * sc.den
-    return [[Q(c, scale * d) if c else ZERO for c, (_, d) in zip(r, ints)] for r in zip(*cols)]
+    l = math.lcm(*[p for _, p in rows])
+    return [[x * (l // p) for x, (_, p) in zip(r, rows)] for r in zip(*cols)], l * sc.den
+
+
+def ad_matrix(sc: "StructureConstants", y: Sequence, rows: list[tuple]) -> list[list]:
+    """Matrix (rows) of ad(y) on an ad(y)-stable subspace given by RREF
+    coordinate rows, in the basis of those rows: `_ad_num` on y and the rows
+    scaled to ints, divided once."""
+    yn, yd = _over_common_den(y)
+    a, e = _ad_num(sc, yn, [(n.index(d), n) for n, d in map(_over_common_den, rows)])
+    return [[Q(x, e * yd) if x else ZERO for x in r] for r in a]
 
 
 def unit_rows(d: int) -> list[tuple]:
@@ -165,13 +181,17 @@ def unit_rows(d: int) -> list[tuple]:
     return [tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d)]
 
 
-def coord_series(s: Subalgebra, lower: bool = False) -> list[list[tuple]]:
-    """RREF coordinate rows of g, [g,g], ... until the dimension stops
-    falling: the derived series, or with `lower` the lower central series
-    (g, [g,g], [g,[g,g]], ...), all from the bracket table.  The series is
-    eliminated on int rows; only the returned rows are rational."""
+def _units(d: int) -> list[list[int]]:
+    """`unit_rows` as int rows."""
+    return [[int(i == j) for j in range(d)] for i in range(d)]
+
+
+def _series(s: Subalgebra, lower: bool = False) -> list[list[tuple[int, list[int]]]]:
+    """The `_rref_int` (pivot, int row) pairs of g, [g,g], ... until the
+    dimension stops falling: the derived series, or with `lower` the lower
+    central series (g, [g,g], [g,[g,g]], ...), all from the bracket table."""
     sc = s.constants
-    g = [[int(i == j) for j in range(s.dim)] for i in range(s.dim)]
+    g = _units(s.dim)
     chain = [list(enumerate(g))]
     while chain[-1]:
         h = [r for _, r in chain[-1]]
@@ -179,13 +199,18 @@ def coord_series(s: Subalgebra, lower: bool = False) -> list[list[tuple]]:
         if len(nxt) == len(h):
             break
         chain.append(nxt)
-    return [_as_rref(level) for level in chain]
+    return chain
+
+
+def coord_series(s: Subalgebra, lower: bool = False) -> list[list[tuple]]:
+    """`_series` as RREF coordinate rows: each row divided by its pivot."""
+    return [_as_rref(level) for level in _series(s, lower)]
 
 
 def derived_series(s: Subalgebra) -> list[Subspace]:
     """g, [g,g], [[g,g],[g,g]], ... until stabilization."""
-    return [s.space] + [echelon_span([s.space.combine(r) for r in rows])
-                        for rows in s.derived[1:]]
+    return [s.space] + [echelon_span([s.space.combine(r) for _, r in level])
+                        for level in s.derived[1:]]
 
 
 def is_solvable(s: Subalgebra) -> bool:
@@ -193,7 +218,7 @@ def is_solvable(s: Subalgebra) -> bool:
 
 
 def is_nilpotent(s: Subalgebra) -> bool:
-    return not coord_series(s, lower=True)[-1]
+    return not _series(s, lower=True)[-1]
 
 
 def is_abelian(s: Subalgebra) -> bool:
@@ -258,15 +283,25 @@ class StructureConstants:
         """Constants in the new basis y_j = sum_i p_cols[j][i] * x_i.
 
         p_cols lists the new basis vectors in old coordinates; dependent
-        ones raise DependentInputs.  With the columns scaled to ints Y_j =
-        e*y_j by one common e, the brackets den*[Y_i, Y_j] are solved against
-        the Y_j by one fraction-free elimination and divided once.
+        ones raise DependentInputs.  The columns are scaled to ints by one
+        common denominator and moved by `_moved`.
         """
         d = self.dim
-        if len(p_cols) != d or any(len(c) != d for c in p_cols):
+        if any(len(c) != d for c in p_cols):
             raise Sp4Error("basis change matrix is not square")
         flat, e = _over_common_den([x for c in p_cols for x in c])
-        ys = [flat[n * d:(n + 1) * d] for n in range(d)]
+        return self._moved([flat[n * d:(n + 1) * d] for n in range(len(p_cols))], e)
+
+    def _moved(self, ys: Sequence[Sequence[int]], e: int) -> "StructureConstants":
+        """The constants in the basis y_j = Y_j / e, for int coordinate
+        columns Y_j: the brackets den*[Y_i, Y_j] are solved against the Y_j
+        by one fraction-free elimination and divided once.  More than dim
+        columns, or dependent ones, raise DependentInputs."""
+        d = self.dim
+        if len(ys) > d:
+            raise DependentInputs("coordinates need independent vectors")
+        if len(ys) < d:
+            raise Sp4Error("basis change matrix is not square")
         ws = [self._bracket_num(x, y) for x, y in combinations(ys, 2)]
         # row k of the reduced [Y | W] is r_k[k] * (unit k | coordinates on
         # Y_k), and [y_i, y_j] = W / (e^2 den) with Y_k = e*y_k

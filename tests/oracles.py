@@ -5,13 +5,16 @@ rational bracket table or on matrix rows, `Fraction` Gauss-Jordan
 elimination, a coordinate solve by one echelonization of the augmented
 system), sharing no kernel with the code it checks.  The Kronecker matrix of
 a span over Q[t] (`symbolic_combo`) is what the cofactor minor scans of the
-Q[t] kernels run on."""
+Q[t] kernels run on.  Two readers are no oracles: `coords` and
+`echelon_coords` give the library's int pivot reads (`Subspace.coords_num`,
+`linalg._pivot_coords`) as rationals, for comparison with the oracles."""
 
 from itertools import combinations
 
 from sp4solvable.errors import DependentInputs, IrrationalSpectrum, NotSolvable
 from sp4solvable.jordan import JordanDecomposition, is_semisimple
-from sp4solvable.linalg import Mat4, Poly, det_mpoly, echelon_span, rank, rref
+from sp4solvable.linalg import (Mat4, Poly, Subspace, _over_common_den, _pivot_coords,
+                                det_mpoly, echelon_span, rank, rref)
 from sp4solvable.rational import Q, ZERO
 from sp4solvable.structure import StructureConstants, Subalgebra, is_solvable, unit_rows
 
@@ -46,6 +49,22 @@ def grid_pencil_ranks(n1: Mat4, n2: Mat4, lo: int = -20, hi: int = 20) -> dict:
         out[Q(t)] = rank(n1 * Q(t) + n2)
     out["inf"] = rank(n1)
     return out
+
+
+def coords(space: Subspace, m: Mat4):
+    """The coefficients of m in the echelon basis of `space` as rationals,
+    or None if m is outside: `Subspace.coords_num` over m.den."""
+    cs = space.coords_num(m)
+    return None if cs is None else tuple(Q(c, m.den) for c in cs)
+
+
+def echelon_coords(rows, w):
+    """The coordinates of w in the span of RREF rows as rationals, or None
+    if w is outside: `linalg._pivot_coords` on the rows and w over their
+    dens."""
+    wn, wd = _over_common_den(w)
+    cs = _pivot_coords([_over_common_den(r) for r in rows], wn)
+    return None if cs is None else tuple(Q(c, wd) for c in cs)
 
 
 def solve_in_span(vectors, ws) -> list:

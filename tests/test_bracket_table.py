@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import bracket_coords_fraction, change_basis_fraction, solve_in_span
+from oracles import bracket_coords_fraction, change_basis_fraction, coords, solve_in_span
 from sp4solvable import linalg, structure
 from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES, load_catalog
 from sp4solvable.errors import DependentInputs, Sp4Error
@@ -75,7 +75,7 @@ def test_ad_matrix_matches_matrix_brackets(g, data):
     x = g.space.combine(y)
     sc = structure_constants(g)
     # oracle: column j of ad(x) holds the coordinates of [x, b_j]
-    cols = [g.space.coords(bracket(x, b)) for b in g.basis]
+    cols = [coords(g.space, bracket(x, b)) for b in g.basis]
     assert ad_matrix(sc, y, unit_rows(d)) == [list(r) for r in zip(*cols)]
     # on [g, g] the table's basis differs from the matrix echelon basis, so
     # compare the characteristic polynomials
@@ -83,7 +83,7 @@ def test_ad_matrix_matches_matrix_brackets(g, data):
     derived = echelon_span([bracket(a, b) for a in g.basis for b in g.basis])
     assert len(rows) == derived.dim
     if rows:
-        dcols = [derived.coords(bracket(x, b)) for b in derived.basis]
+        dcols = [coords(derived, bracket(x, b)) for b in derived.basis]
         assert (char_poly_rows(ad_matrix(sc, y, rows))
                 == char_poly_rows([list(r) for r in zip(*dcols)]))
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sp4solvable import catalog, verify
+from sp4solvable import catalog, cli, errors, verify
 from sp4solvable.catalog import load_catalog
 from sp4solvable.cli import build_parser, main
 from sp4solvable.linalg import Mat4
@@ -122,6 +122,25 @@ def test_two_calls_build_one_parser(ta_path, monkeypatch, capsys):
     assert first > 0
     assert main(["invariants", "--input", ta_path]) == 0
     assert len(built) == first
+
+
+# every error class that does not end in exit 2, the default
+NON_DEFAULT_EXIT = {"CatalogFault": 1, "ExpressionLimit": 3, "FactorizationLimit": 3,
+                    "IrrationalSpectrum": 3, "NotSolvable": 3, "ProbeLimit": 3,
+                    "UnrecognizedFamily": 3, "UnsupportedDimension": 3}
+
+
+@pytest.mark.parametrize("cls", [c for c in vars(errors).values()
+                                 if isinstance(c, type) and issubclass(c, errors.Sp4Error)])
+def test_each_error_class_ends_in_its_exit_code(cls, monkeypatch, capsys):
+    def raising():
+        raise cls("boom")
+    monkeypatch.setattr(cli, "catalog_to_json", raising)
+    code = NON_DEFAULT_EXIT.get(cls.__name__, 2)
+    assert cls.exit_code == code
+    assert main(["export-catalog"]) == code
+    prefix = "error" if code == 2 else cls.__name__
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

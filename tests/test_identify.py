@@ -13,11 +13,13 @@ from sp4solvable.identify import (DeGraafClass, QuadraticValue, SWClass, degraaf
                                   degraaf_to_sw, identify_degraaf, sw_bridge_map,
                                   sw_constants, sw_lambda, tri_algebra_constants,
                                   verify_isomorphism)
+from sp4solvable.catalog import load_catalog
 from sp4solvable.linalg import echelon_span, rref
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA
 from sp4solvable.structure import (StructureConstants, Subalgebra,
                                    structure_constants_for_basis)
+from sp4solvable.verify import random_subalgebra_probe, verify_catalog
 
 from conftest import perturb_columns
 from oracles import bracket_coords_fraction, is_antisymmetric, satisfies_jacobi
@@ -427,3 +429,63 @@ def test_identification_and_signatures_solve_no_span(monkeypatch):
             found.add(dg.family)
         assert signature(sub) == sig
     assert {"L2", "L3", "M12", "M13", "M14", "M6", "M7", "M8"} <= found
+
+
+_DEGRAAF_INSTANCES = [(Subalgebra(echelon_span(e.basis_at(a))).constants, e.degraaf_at(a))
+                      for e in load_catalog() if e.degraaf is not None for a in e.samples()]
+
+
+@st.composite
+def invertible(draw, d):
+    """A random invertible d x d rational matrix: L U with L unit lower
+    triangular and U upper triangular with nonzero diagonal."""
+    small = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+    low = [[Q(int(i == j)) if j >= i else draw(small) for j in range(d)] for i in range(d)]
+    up = [[draw(st.sampled_from((Q(1), Q(-1), Q(2), Q(-3, 2)))) if i == j
+           else (draw(small) if j > i else Q(0)) for j in range(d)] for i in range(d)]
+    return [[sum(low[i][k] * up[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_identify_every_catalog_table_in_a_random_basis(data):
+    assert len(_DEGRAAF_INSTANCES) == 105
+    for sc, stated in _DEGRAAF_INSTANCES:
+        assert identify_degraaf(sc.change_basis(data.draw(invertible(sc.dim)))) == stated
+
+
+def test_identification_runs_on_ints(monkeypatch):
+    # no coordinate row is put over a common den on the way to a label
+    from sp4solvable import linalg, structure
+
+    def refuse(*_):
+        raise AssertionError("a rational row was scaled back to ints")
+    for module in (identify, structure, linalg):
+        monkeypatch.setattr(module, "_over_common_den", refuse, raising=False)
+    assert all(identify_degraaf(sc) == stated for sc, stated in _DEGRAAF_INSTANCES)
+
+
+def test_presentations_are_built_once_per_label():
+    identify._build.cache_clear()
+    first = degraaf_constants("M6", (Q(8, 243), Q(-26, 81)))
+    # a list or a tuple, ints or Fractions: one key, one table
+    assert degraaf_constants("M6", [Q(8, 243), Q(-26, 81)]) is first
+    assert sw_constants("s_{4,3}", (1, 2)) is sw_constants("s_{4,3}", [Q(1), Q(2)])
+    assert D("L3", (Q(2),)).constants() is degraaf_constants("L3", (2,))
+    assert identify._build.cache_info().misses == 3
+    for _ in range(2):  # a refusal is never cached
+        with pytest.raises(OutOfCatalog, match="takes 2 parameters, 1 given"):
+            degraaf_constants("M6", (Q(1),))
+        with pytest.raises(OutOfCatalog, match="takes 0 parameters, 1 given"):
+            sw_constants("n_{1,1}", [1])
+    assert identify._build.cache_info().currsize == 3
+
+
+def test_the_presentation_cache_stays_bounded():
+    identify._build.cache_clear()
+    assert verify_catalog().overall_pass
+    info = identify._build.cache_info()
+    # each label of the certification built once, and none evicted
+    assert 0 < info.currsize == info.misses < info.hits
+    random_subalgebra_probe(11, 400)
+    assert identify._build.cache_info().currsize <= identify._build.cache_info().maxsize == 1024

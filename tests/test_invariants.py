@@ -8,11 +8,13 @@ from sp4solvable.errors import DependentInputs, IrrationalSpectrum, NotSolvable,
 from sp4solvable.invariants import (_eigenvalue_on_line, nilpotent_subspace, pencil_rank_strata,
                                    signature)
 from sp4solvable.catalog import load_catalog
-from sp4solvable.linalg import Mat4, det_mpoly, echelon_span, generic_rank, rank
+from sp4solvable.linalg import (Mat4, _char_poly_int, char_poly_rows, det_mpoly, echelon_span,
+                                generic_rank, rank)
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (A_MAT, T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA,
                              conjugate_subalgebra, shear, standard_subalgebra)
-from sp4solvable.structure import Subalgebra, generated_subalgebra
+from sp4solvable.structure import (Subalgebra, _ad_num, ad_matrix, coord_series,
+                                   generated_subalgebra)
 
 from conftest import conjugator_pool, random_borel_element
 from oracles import grid_pencil_ranks, symbolic_combo, trace_form_radical
@@ -303,3 +305,17 @@ def test_signatures_expand_no_minor(monkeypatch):
     strata = {sig.nilpotent_strata[0][0] for sig in map(signature, subs)
               if sig.nilpotent_strata}
     assert strata == {"rank", "pencil", "generic"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_the_probe_char_poly_on_the_derived_algebra_reads_ints(rnd, data):
+    # the probe's int route: ad(y) on [g, g] read at the pivots of the int
+    # series rows, against the rational ad_matrix on the RREF rows
+    g = generated_subalgebra([random_borel_element(rnd) for _ in range(rnd.randint(1, 2))])
+    sc, d = g.constants, g.dim
+    if len(g.derived) < 2 or not g.derived[1]:
+        return
+    y = data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    assert (_char_poly_int(*_ad_num(sc, y, g.derived[1]))
+            == char_poly_rows(ad_matrix(sc, [Q(c) for c in y], coord_series(g)[1])))

@@ -113,6 +113,42 @@ def test_parse_conjugator():
         parse_conjugator("shear:alpha:a^64", {"a": Q(2**100)})
 
 
+def test_conjugator_atoms_refuse_values_outside_sp4():
+    with pytest.raises(Sp4Error, match="determinant 1"):
+        parse_conjugator("block:1,1,1,1")
+    with pytest.raises(Sp4Error, match="invertible g"):
+        parse_conjugator("glblock:1,2,2,4")
+    with pytest.raises(Sp4Error, match="unknown standard subalgebra 'q'"):
+        standard_subalgebra("q")
+    with pytest.raises(Sp4Error, match="unknown root label 'gamma'"):
+        parse_conjugator("shear:gamma:1")
+
+
+atom_value = st.builds(Q, st.integers(-5, 5), st.integers(1, 4)).map(str)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["W", "A", "J", "AJ", "WA", "weyl_s_alpha", "weyl_s_beta", "identity",
+                        "shear:alpha:", "shear:beta:", "shear:alpha_plus_beta:",
+                        "shear:alpha_plus_2beta:", "diag:", "block:", "glblock:"]),
+       st.lists(atom_value, min_size=4, max_size=4))
+def test_every_conjugator_atom_is_in_sp4_or_refused(kind, values):
+    # the recipe parser checks no membership: each atom's constructor
+    # returns an element of Sp(4) or raises Sp4Error
+    a, b, c, d = values
+    atom = {"diag:": f"diag:{a},{b},1/({a}),1/({b})",
+            "block:": f"block:{a},{b},{c},(1+({b})*({c}))/({a})",
+            "glblock:": f"glblock:{a},{b},{c},{d}"}.get(
+        kind, kind + a if kind.startswith("shear:") else kind)
+    try:
+        g = parse_conjugator(atom)
+    except Sp4Error:
+        # a zero denominator in the recipe, or a singular glblock
+        assert "0" in (a, b) or Q(a) * Q(d) == Q(b) * Q(c)
+        return
+    assert in_sp4_group(g)
+
+
 def test_default_param_samples():
     assert DEFAULT_PARAM_SAMPLES == (Q(2), Q(3), Q(5), Q(-2), Q(-3),
                                      Q(1, 2), Q(2, 3), Q(7, 3))

@@ -1,19 +1,22 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sp4solvable import structure
-from sp4solvable.errors import Sp4Error
-from sp4solvable.linalg import echelon_span
+from sp4solvable.catalog import load_catalog
+from sp4solvable.errors import DependentInputs, Sp4Error
+from sp4solvable.linalg import echelon_span, inverse
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, bracket,
-                             standard_subalgebra)
+                             diag_conjugator, standard_subalgebra)
 from sp4solvable.structure import (StructureConstants, Subalgebra,
                                    derived_series, generated_subalgebra,
                                    is_abelian, is_closed, is_nilpotent,
                                    is_solvable, structure_constants,
                                    structure_constants_for_basis)
 
-from conftest import random_borel_element
-from oracles import is_antisymmetric, satisfies_jacobi
+from conftest import conjugator_pool, random_borel_element
+from oracles import coords, is_antisymmetric, satisfies_jacobi
 
 
 def alg(*mats):
@@ -160,7 +163,7 @@ def test_bracket_tables_are_stored_as_given(monkeypatch):
             for a in e.samples():
                 mats = e.basis_at(a)
                 sub = Subalgebra.from_matrices(mats)
-                cases.append((mats, sub.constants.change_basis([sub.space.coords(m) for m in mats])))
+                cases.append((mats, sub.constants.change_basis([coords(sub.space, m) for m in mats])))
 
     def no_rewrap(*args):
         raise AssertionError("structure.Q re-wraps a structure constant")
@@ -169,3 +172,35 @@ def test_bracket_tables_are_stored_as_given(monkeypatch):
     assert len(cases) > 20
     for mats, expected in cases:
         assert structure_constants_for_basis(mats) == expected
+
+
+def test_constants_in_names_an_element_outside_the_subalgebra():
+    sub = Subalgebra.from_matrices([T(1, 0), X_ALPHA])
+    with pytest.raises(Sp4Error, match="basis element 1 is not in the subalgebra"):
+        sub.constants_in([T(1, 0), X_BETA])
+    with pytest.raises(Sp4Error, match="not square"):
+        sub.constants_in([T(1, 0)])
+    with pytest.raises(Sp4Error, match="not square"):
+        sub.constants.change_basis([(1, 0), (0,)])
+
+
+def test_a_dependent_basis_raises_dependent_inputs():
+    with pytest.raises(DependentInputs):
+        structure_constants_for_basis([T(1, 0), T(2, 0)])
+    with pytest.raises(DependentInputs):
+        structure_constants_for_basis([X_ALPHA, X_AB, X_ALPHA + X_AB])
+
+
+_INSTANCES = [e.basis_at(a) for e in load_catalog() for a in e.samples()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_INSTANCES), st.randoms(use_true_random=False))
+def test_constants_in_matches_change_basis_over_rational_coordinates(mats, rnd):
+    # a symplectic conjugate of a catalog basis: mixed denominators, no echelon form
+    g = conjugator_pool(rnd, n=1)[0] * diag_conjugator(2, Q(1, 3), Q(1, 2), 3)
+    ginv = inverse(g)
+    moved = [g * m * ginv for m in mats]
+    sub = Subalgebra(echelon_span(moved))
+    assert (sub.constants_in(moved)
+            == sub.constants.change_basis([coords(sub.space, m) for m in moved]))
