@@ -65,10 +65,9 @@ def _env(a) -> dict:
     return {} if a is None else {"a": Q(a)}
 
 
-def _ev(expr, env) -> Q:
-    if isinstance(expr, int):
-        return Q(expr)
-    return _package.exprs.eval_expr(expr, env)
+def _ev(expr, env) -> Q | int:
+    """An int coefficient as it is, and an expression evaluated under env."""
+    return expr if isinstance(expr, int) else _package.exprs.eval_expr(expr, env)
 
 
 def build_elements(specs, env) -> list[Mat4]:

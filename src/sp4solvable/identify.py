@@ -42,9 +42,9 @@ from functools import lru_cache
 
 from .errors import (DependentInputs, DimensionMismatch, OutOfCatalog,
                      UnrecognizedFamily, UnsupportedDimension, ZeroParameter)
-from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _pivot_coords, _rref_int,
-                     inverse, kernel_of_rows, rational_roots)
-from .rational import Q, ZERO, ONE, Record, format_rational, power_free_split, rational_sqrt
+from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _over_common_den, _pivot_coords,
+                     _rref_int, inverse, rational_roots)
+from .rational import Q, ZERO, Record, format_rational, power_free_split, rational_sqrt
 from .structure import StructureConstants, _ad_num, _span_num, _units
 
 __all__ = [
@@ -585,12 +585,14 @@ def _m6_s43_bridge(a, b, ap, bp):
     # the eigenvalues are r', A'r', B'r' and sum to 1 (the t^2 coefficient)
     rprime = 1 / (1 + ap + bp)
     # companion action of ad(x4) on (x1, x2, x3)
-    m = [[ZERO, ZERO, Q(a)], [ONE, ZERO, Q(b)], [ZERO, ONE, ONE]]
+    m = [[0, 0, a], [1, 0, b], [0, 1, 1]]
 
     def eigvec(mu):
+        # the kernel of m - mu, scaled to 1 at its free column
         rows = [[m[i][j] - (mu if i == j else 0) for j in range(3)] for i in range(3)]
-        return kernel_of_rows(rows, 3)[0]
-    basis = [tuple(eigvec(mu)) + (ZERO,) for mu in (rprime, ap * rprime, bp * rprime)]
+        f, v = _kernel_int([_over_common_den(r)[0] for r in rows], 3)[0]
+        return tuple([Q(x, v[f]) for x in v])
+    basis = [eigvec(mu) + (ZERO,) for mu in (rprime, ap * rprime, bp * rprime)]
     return inverse(Mat4(basis + [(ZERO, ZERO, ZERO, 1 / rprime)])).rows
 
 

@@ -202,8 +202,6 @@ def _invariantize(weighted: list[tuple]) -> tuple:
         if v != 0:
             v0, w0 = v, w
             break
-    if v0 is None:
-        return tuple(("z", w) for _, w in weighted)
     out = []
     for v, w in weighted:
         if v == 0:

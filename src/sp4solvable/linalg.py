@@ -6,12 +6,13 @@ in reduced row echelon form of the row-major flattened entries (so equal
 subspaces have identical basis lists), and elimination, kernels, inverses,
 polynomial division, gcd and rational roots run on ints.  Rationals appear
 only at the boundary: the constructors and entry reads of `Mat4` and `Poly`,
-the RREF rows of `rref` and the vectors of `kernel_of_rows`.  The library's
-own callers keep the (pivot, int row) pairs of `_rref_int`.  Coordinates in a
-span are read at its echelon pivots as ints (`_pivot_coords`,
-`Subspace.coords_num`), never solved for: the one solve against another
-basis is `inverse`, and a bracket table moves to a new basis by
-`StructureConstants.change_basis`.
+the RREF rows of `rref` and the vectors of `kernel`.  The library's own
+callers keep the (pivot, int row) pairs of `_rref_int`; `rref` has none, and
+stays bound for the tests and for the benchmark, which traces it by name.
+Coordinates in a span are read at its echelon pivots as ints
+(`_pivot_coords`, `Subspace.coords_num`), never solved for: the one solve
+against another basis is `inverse`, and a bracket table moves to a new
+basis by `StructureConstants.change_basis`.
 
 `Poly` is the one polynomial type, and Euclidean (Smith) elimination
 (`invariant_factors`) the one elimination over Q[t]: it gives the invariant
@@ -19,7 +20,7 @@ factors of a pencil.  The generic rank of a span (`generic_rank`) needs
 none: it is the integer rank of the span's Kronecker substitution at one
 integer t beyond every root of its minors (Cauchy's bound).  Cofactor
 expansion (`det_mpoly`) remains only as the oracle the tests check both
-against.
+against (and the benchmark traces by name).
 
 Characteristic polynomials come from Faddeev-LeVerrier over the integers
 (`char_poly`); the tests cross-check them against a cofactor expansion of
@@ -45,15 +46,10 @@ def rref(rows: Iterable[Sequence]) -> list[tuple]:
     """Reduced row echelon form; returns the nonzero rows (unit pivots,
     zeros above and below each pivot).  The output is the unique canonical
     basis of the row span.  Rows are scaled to ints and eliminated
-    fraction-free (`_rref_int`); rationals appear only in the output."""
-    return _as_rref(_rref_int([r if all(type(x) is int for x in r)
-                              else _over_common_den(r)[0] for r in rows]))
-
-
-def _as_rref(echelon: Iterable[tuple[int, Sequence[int]]]) -> list[tuple]:
-    """The (pivot column, int row) pairs of `_rref_int` as RREF rows: each
-    row divided by its pivot."""
-    return [tuple([Q(x, r[c]) if x else ZERO for x in r]) for c, r in echelon]
+    fraction-free (`_rref_int`), and each row is divided by its pivot."""
+    return [tuple([Q(x, r[c]) if x else ZERO for x in r])
+            for c, r in _rref_int([r if all(type(x) is int for x in r)
+                                   else _over_common_den(r)[0] for r in rows])]
 
 
 def _rref_int(rows: Iterable[Sequence[int]]) -> list[tuple[int, Sequence[int]]]:
@@ -86,14 +82,6 @@ def _eliminate(r: Sequence[int], piv: Sequence[int], col: int) -> list[int]:
     new = [a * x - b * y for x, y in zip(r, piv)]
     g = math.gcd(*new)
     return new if g < 2 else [x // g for x in new]
-
-
-def kernel_of_rows(rows: list[Sequence], ncols: int) -> list[tuple]:
-    """Basis of the right kernel {v : M v = 0} of the matrix with given rows:
-    for each free column, the vector with 1 there and 0 at the other free
-    columns."""
-    return [tuple([Q(x, v[f]) if x else ZERO for x in v])
-            for f, v in _kernel_int([_over_common_den(r)[0] for r in rows], ncols)]
 
 
 def _kernel_int(rows: list[Sequence[int]], ncols: int) -> list[tuple[int, list[int]]]:
@@ -544,14 +532,6 @@ def _over_common_den(values) -> tuple[tuple[int, ...], int]:
     return tuple([q.numerator * (den // d) for q, d in zip(qs, dens)]), den
 
 
-def char_poly_rows(rows: list[Sequence]) -> Poly:
-    """Characteristic polynomial det(lambda*I - M) of a square matrix given as
-    rows of rationals (exact)."""
-    n = len(rows)
-    num, den = _over_common_den([x for r in rows for x in r])
-    return _char_poly_int([num[i * n:(i + 1) * n] for i in range(n)], den)
-
-
 def char_poly(m: Mat4) -> Poly:
     """Characteristic polynomial det(lambda*I - m), exact, degree 4."""
     return _char_poly_int(_num_rows(m), m.den)
@@ -606,8 +586,11 @@ def rank(m: Mat4) -> int:
 
 
 def kernel(m: Mat4) -> list[tuple]:
-    """Basis of the right kernel of m as 4-vectors."""
-    return kernel_of_rows(_num_rows(m), 4)
+    """Basis of the right kernel of m as 4-vectors: for each free column,
+    the vector with 1 there and 0 at the other free columns (`_kernel_int`
+    divided by its entry at the free column)."""
+    return [tuple([Q(x, v[f]) if x else ZERO for x in v])
+            for f, v in _kernel_int(_num_rows(m), 4)]
 
 
 def inverse(m: Mat4) -> Mat4:

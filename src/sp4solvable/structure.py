@@ -13,10 +13,11 @@ series, predicates and adjoint matrices run on the table in coordinates
 `linalg._rref_int`: brackets are int contractions (`_bracket_num`), spans
 are eliminated fraction-free (`_span_num`, `_series`), and an adjoint matrix
 is one int matrix over one den, read at the pivots (`_ad_num`).  Rationals
-appear only at the public boundary: `StructureConstants.table`, the RREF
-rows of `bracket_space` and `coord_series`, the entries of `ad_matrix`, and
-`derived_series`.  A table moves to a new basis only by `_moved`, which
-brackets int coordinate columns and divides once; `change_basis` and
+appear only at the public boundary: `StructureConstants.table`,
+`derived_series`, and the RREF rows of `bracket_space`, which no library
+code calls (it stays bound for the tests and for the benchmark, which traces
+it by name).  A table moves to a new basis only by `_moved`, which brackets
+int coordinate columns and divides once; `change_basis` and
 `Subalgebra.constants_in` (on `Subspace.coords_num`) feed it.  Ambient sp(4)
 membership is validated when a `Subalgebra` is constructed from matrices.
 """
@@ -29,14 +30,12 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import DependentInputs, Sp4Error
-from .linalg import (Mat4, Subspace, _as_rref, _over_common_den, _pivot_coords,
-                     _rref_int, echelon_span)
-from .rational import Q, ZERO, ONE, format_rational, parse_rational
+from .linalg import Mat4, Subspace, _over_common_den, _pivot_coords, _rref_int, echelon_span
+from .rational import Q, ZERO, format_rational, parse_rational
 from .sp4 import bracket, in_sp4
 
 __all__ = [
-    "Subalgebra", "is_closed", "generated_subalgebra", "bracket_space",
-    "ad_matrix", "unit_rows", "coord_series", "derived_series",
+    "Subalgebra", "is_closed", "generated_subalgebra", "bracket_space", "derived_series",
     "is_solvable", "is_nilpotent", "is_abelian",
     "StructureConstants", "structure_constants", "structure_constants_for_basis",
 ]
@@ -147,9 +146,11 @@ def _span_num(sc: "StructureConstants", a: list, b: list) -> list:
 def bracket_space(sc: "StructureConstants", a: Sequence[tuple],
                   b: Sequence[tuple]) -> list[tuple]:
     """RREF coordinate rows of the span of all [u, v], u in a, v in b, for
-    coordinate rows a and b of the algebra with bracket table sc."""
-    return _as_rref(_span_num(sc, [_over_common_den(r)[0] for r in a],
-                              [_over_common_den(r)[0] for r in b]))
+    coordinate rows a and b of the algebra with bracket table sc: the rows
+    of `_span_num` on a and b scaled to ints, each divided by its pivot."""
+    return [tuple([Q(x, r[c]) if x else ZERO for x in r])
+            for c, r in _span_num(sc, [_over_common_den(r)[0] for r in a],
+                                  [_over_common_den(r)[0] for r in b])]
 
 
 def _ad_num(sc: "StructureConstants", y: Sequence[int],
@@ -167,22 +168,8 @@ def _ad_num(sc: "StructureConstants", y: Sequence[int],
     return [[x * (l // p) for x, (_, p) in zip(r, rows)] for r in zip(*cols)], l * sc.den
 
 
-def ad_matrix(sc: "StructureConstants", y: Sequence, rows: list[tuple]) -> list[list]:
-    """Matrix (rows) of ad(y) on an ad(y)-stable subspace given by RREF
-    coordinate rows, in the basis of those rows: `_ad_num` on y and the rows
-    scaled to ints, divided once."""
-    yn, yd = _over_common_den(y)
-    a, e = _ad_num(sc, yn, [(n.index(d), n) for n, d in map(_over_common_den, rows)])
-    return [[Q(x, e * yd) if x else ZERO for x in r] for r in a]
-
-
-def unit_rows(d: int) -> list[tuple]:
-    """The coordinate rows of the basis itself (the d x d identity)."""
-    return [tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d)]
-
-
 def _units(d: int) -> list[list[int]]:
-    """`unit_rows` as int rows."""
+    """The int coordinate rows of the basis itself (the d x d identity)."""
     return [[int(i == j) for j in range(d)] for i in range(d)]
 
 
@@ -200,11 +187,6 @@ def _series(s: Subalgebra, lower: bool = False) -> list[list[tuple[int, list[int
             break
         chain.append(nxt)
     return chain
-
-
-def coord_series(s: Subalgebra, lower: bool = False) -> list[list[tuple]]:
-    """`_series` as RREF coordinate rows: each row divided by its pivot."""
-    return [_as_rref(level) for level in _series(s, lower)]
 
 
 def derived_series(s: Subalgebra) -> list[Subspace]:

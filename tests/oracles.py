@@ -2,28 +2,37 @@
 result by a different method (cofactor expansion, an integer grid sweep,
 the defining identities of a Lie bracket, `Fraction` arithmetic on the
 rational bracket table or on matrix rows, `Fraction` Gauss-Jordan
-elimination, a coordinate solve by one echelonization of the augmented
-system), sharing no kernel with the code it checks.  The Kronecker matrix of
-a span over Q[t] (`symbolic_combo`) is what the cofactor minor scans of the
-Q[t] kernels run on.  Two readers are no oracles: `coords` and
-`echelon_coords` give the library's int pivot reads (`Subspace.coords_num`,
-`linalg._pivot_coords`) as rationals, for comparison with the oracles."""
+elimination, a coordinate solve by one `Fraction` echelonization of the
+augmented system), sharing no kernel with the code it checks.  The Kronecker
+matrix of a span over Q[t] (`symbolic_combo`) is what the cofactor minor
+scans of the Q[t] kernels run on.  Three readers are no oracles: `coords`
+and `echelon_coords` give the library's int pivot reads
+(`Subspace.coords_num`, `linalg._pivot_coords`) as rationals, and
+`fraction_rows` the (pivot, int row) pairs of the int kernels
+(`linalg._rref_int`, `structure._span_num`, `structure._series`) as RREF
+rows, for comparison with the oracles."""
 
 from itertools import combinations
 
 from sp4solvable.errors import DependentInputs, IrrationalSpectrum, NotSolvable
 from sp4solvable.jordan import JordanDecomposition, is_semisimple
 from sp4solvable.linalg import (Mat4, Poly, Subspace, _over_common_den, _pivot_coords,
-                                det_mpoly, echelon_span, rank, rref)
+                                det_mpoly, echelon_span, rank)
 from sp4solvable.rational import Q, ZERO
-from sp4solvable.structure import StructureConstants, Subalgebra, is_solvable, unit_rows
+from sp4solvable.structure import StructureConstants, Subalgebra, is_solvable
+
+
+def char_poly_det(rows) -> Poly:
+    """det(lambda*I - a) for the square matrix a with the given rational
+    rows, expanded by cofactors over Q[lambda]."""
+    n = len(rows)
+    return det_mpoly([[Poly([-Q(rows[i][j]), 1]) if i == j else Poly([-Q(rows[i][j])])
+                       for j in range(n)] for i in range(n)])
 
 
 def char_poly_cofactor(m: Mat4) -> Poly:
     """det(lambda*I - m), expanded by cofactors over Q[lambda]."""
-    entries = [[Poly([-m.entry(i, j), 1]) if i == j else Poly([-m.entry(i, j)])
-                for j in range(4)] for i in range(4)]
-    return det_mpoly(entries)
+    return char_poly_det(m.rows)
 
 
 def symbolic_combo(mats) -> list[list[Poly]]:
@@ -67,16 +76,27 @@ def echelon_coords(rows, w):
     return None if cs is None else tuple(Q(c, wd) for c in cs)
 
 
+def fraction_rows(pairs) -> list[tuple]:
+    """The (pivot column, int row) pairs of the int kernels as RREF rows:
+    each row divided by its pivot."""
+    return [tuple(Q(x, r[c]) for x in r) for c, r in pairs]
+
+
+def unit_rows(d: int) -> list[tuple]:
+    """The rational coordinate rows of a basis itself (the d x d identity)."""
+    return [tuple(Q(int(i == j)) for j in range(d)) for i in range(d)]
+
+
 def solve_in_span(vectors, ws) -> list:
     """Coordinates of each w in `ws` in terms of independent vectors, None
-    for a w outside their span; all solved by one echelonization of the
-    augmented system [vectors | ws].  Raises DependentInputs when the
-    vectors are dependent."""
+    for a w outside their span; all solved by one `gauss_jordan`
+    echelonization of the augmented system [vectors | ws].  Raises
+    DependentInputs when the vectors are dependent."""
     k = len(vectors)
     coords = [[ZERO] * k for _ in ws]
     outside = set()
     pivots = 0
-    for row in rref(zip(*vectors, *ws)):
+    for row in gauss_jordan(zip(*vectors, *ws)):
         p = next(i for i, x in enumerate(row) if x)
         if p < k:
             pivots += 1

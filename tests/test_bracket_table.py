@@ -15,19 +15,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import bracket_coords_fraction, change_basis_fraction, coords, solve_in_span
+from oracles import (bracket_coords_fraction, change_basis_fraction, char_poly_det, coords,
+                     fraction_rows, gauss_jordan, solve_in_span, unit_rows)
 from sp4solvable import linalg, structure
 from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES, load_catalog
 from sp4solvable.errors import DependentInputs, Sp4Error
 from sp4solvable.invariants import signature
-from sp4solvable.linalg import char_poly_rows, echelon_span, rref
+from sp4solvable.linalg import _char_poly_int, echelon_span
 from sp4solvable.identify import DeGraafClass
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA, bracket
-from sp4solvable.structure import (StructureConstants, Subalgebra, ad_matrix,
-                                   bracket_space, coord_series,
-                                   generated_subalgebra, structure_constants,
-                                   structure_constants_for_basis, unit_rows)
+from sp4solvable.structure import (StructureConstants, Subalgebra, _ad_num, _series, _span_num,
+                                   _units, bracket_space, generated_subalgebra,
+                                   structure_constants, structure_constants_for_basis)
 
 small = st.integers(-3, 3)
 
@@ -67,48 +67,54 @@ def test_table_of_a_new_basis_is_the_changed_table(g, data):
     assert structure_constants_for_basis(new_basis) == structure_constants(g).change_basis(p)
 
 
+def ad_fraction(a, den) -> list[list]:
+    """The int matrix over one den of `_ad_num` as rational rows."""
+    return [[Q(x, den) for x in r] for r in a]
+
+
 @settings(max_examples=40, deadline=None)
 @given(borel_subalgebras(), st.data())
 def test_ad_matrix_matches_matrix_brackets(g, data):
     d = g.dim
-    y = tuple(Q(c) for c in data.draw(st.lists(small, min_size=d, max_size=d)))
+    y = data.draw(st.lists(small, min_size=d, max_size=d))
     x = g.space.combine(y)
     sc = structure_constants(g)
+    units = _units(d)
     # oracle: column j of ad(x) holds the coordinates of [x, b_j]
     cols = [coords(g.space, bracket(x, b)) for b in g.basis]
-    assert ad_matrix(sc, y, unit_rows(d)) == [list(r) for r in zip(*cols)]
+    assert ad_fraction(*_ad_num(sc, y, list(enumerate(units)))) == [list(r) for r in zip(*cols)]
     # on [g, g] the table's basis differs from the matrix echelon basis, so
     # compare the characteristic polynomials
-    rows = bracket_space(sc, unit_rows(d), unit_rows(d))
+    pairs = _span_num(sc, units, units)
     derived = echelon_span([bracket(a, b) for a in g.basis for b in g.basis])
-    assert len(rows) == derived.dim
-    if rows:
+    assert len(pairs) == derived.dim
+    if pairs:
         dcols = [coords(derived, bracket(x, b)) for b in derived.basis]
-        assert (char_poly_rows(ad_matrix(sc, y, rows))
-                == char_poly_rows([list(r) for r in zip(*dcols)]))
+        assert _char_poly_int(*_ad_num(sc, y, pairs)) == char_poly_det(list(zip(*dcols)))
 
 
 def test_ad_matrix_reads_pivots_and_solves_nothing(monkeypatch):
     g = generated_subalgebra([T(2, 1), X_ALPHA, X_BETA])  # the Borel
     sc = structure_constants(g)
-    units = unit_rows(g.dim)
-    derived = bracket_space(sc, units, units)
-    y = tuple(Q(c) for c in (1, -2, 3, 0, 1, 2)[:g.dim])
+    units = list(enumerate(_units(g.dim)))
+    derived = _span_num(sc, _units(g.dim), _units(g.dim))
+    y = [1, -2, 3, 0, 1, 2][:g.dim]
     want = {}
-    for name, rows in (("units", units), ("derived", derived)):
+    for name, pairs in (("units", units), ("derived", derived)):
+        rows = fraction_rows(pairs)
         cols = solve_in_span(rows, [bracket_coords_fraction(sc, y, v) for v in rows])
         want[name] = [list(r) for r in zip(*cols)]
 
     def refuse(*_):
-        raise AssertionError("ad_matrix eliminated")
+        raise AssertionError("_ad_num eliminated")
     for module in (structure, linalg):
         for name in ("rref", "_rref_int"):
             monkeypatch.setattr(module, name, refuse, raising=False)
-    assert ad_matrix(sc, y, units) == want["units"]
-    assert ad_matrix(sc, y, derived) == want["derived"]
+    assert ad_fraction(*_ad_num(sc, y, units)) == want["units"]
+    assert ad_fraction(*_ad_num(sc, y, derived)) == want["derived"]
     # a line that ad(y) moves is refused
     with pytest.raises(Sp4Error, match="not ad-stable"):
-        ad_matrix(sc, y, [derived[-1]])
+        _ad_num(sc, y, [derived[-1]])
 
 
 def rational_row(d):
@@ -121,7 +127,8 @@ def rational_rows(d):
 
 
 def span_fraction(sc, a, b):
-    return rref([bracket_coords_fraction(sc, u, v) for u in a for v in b])
+    return [tuple(r) for r in gauss_jordan([bracket_coords_fraction(sc, u, v)
+                                            for u in a for v in b])]
 
 
 def series_fraction(sc, lower):
@@ -150,24 +157,25 @@ def test_int_brackets_spans_and_series_match_the_fraction_oracle(g, data):
     assert bracket_space(sc, a, b) == span_fraction(sc, a, b)
     assert bracket_space(sc, a, a) == span_fraction(sc, a, a)
     for lower in (False, True):
-        assert coord_series(g, lower) == series_fraction(sc, lower)
+        assert [fraction_rows(level) for level in _series(g, lower)] == series_fraction(sc, lower)
 
 
 @settings(max_examples=40, deadline=None)
 @given(borel_subalgebras(), st.data())
 def test_int_ad_matrix_matches_the_fraction_oracle(g, data):
     sc, d = g.constants, g.dim
-    y = data.draw(rational_row(d))
-    derived = span_fraction(sc, unit_rows(d), unit_rows(d))
-    # a sublist of RREF rows is RREF; ad(y) need not keep it
+    y = data.draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))
+    derived = _span_num(sc, _units(d), _units(d))
+    # a sublist of echelon pairs is echelon; ad(y) need not keep it
     keep = data.draw(st.lists(st.booleans(), min_size=len(derived), max_size=len(derived)))
-    for rows in (unit_rows(d), derived, [r for r, k in zip(derived, keep) if k]):
+    for pairs in (list(enumerate(_units(d))), derived, [p for p, k in zip(derived, keep) if k]):
+        rows = fraction_rows(pairs)
         cols = solve_in_span(rows, [bracket_coords_fraction(sc, y, v) for v in rows])
         if None in cols:
             with pytest.raises(Sp4Error, match="not ad-stable"):
-                ad_matrix(sc, y, rows)
+                _ad_num(sc, y, pairs)
         else:
-            assert ad_matrix(sc, y, rows) == [list(r) for r in zip(*cols)]
+            assert ad_fraction(*_ad_num(sc, y, pairs)) == [list(r) for r in zip(*cols)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -210,7 +218,7 @@ def test_series_and_signatures_never_read_the_rational_table(monkeypatch):
     for e in load_catalog():
         for a in e.samples(DEFAULT_PARAM_SAMPLES):
             sub = Subalgebra(echelon_span(e.basis_at(a)))
-            coord_series(sub, lower=True)
+            _series(sub, lower=True)
             signature(sub)
             instances += 1
     assert instances == 120

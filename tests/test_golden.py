@@ -35,7 +35,6 @@ def golden_payload() -> dict:
             "instances": instances}
 
 
-def test_verdict_and_invariants_are_bit_identical(monkeypatch):
-    monkeypatch.delenv("SP4_PARAM_SAMPLES", raising=False)
+def test_verdict_and_invariants_are_bit_identical():
     text = json.dumps(golden_payload(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256

@@ -5,19 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sp4solvable.errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
-from sp4solvable.invariants import (_eigenvalue_on_line, nilpotent_subspace, pencil_rank_strata,
-                                   signature)
+from sp4solvable.invariants import (_eigenvalue_on_line, _invariantize, nilpotent_subspace,
+                                   pencil_rank_strata, signature)
 from sp4solvable.catalog import load_catalog
-from sp4solvable.linalg import (Mat4, _char_poly_int, char_poly_rows, det_mpoly, echelon_span,
-                                generic_rank, rank)
+from sp4solvable.linalg import Mat4, _char_poly_int, det_mpoly, echelon_span, generic_rank, rank
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (A_MAT, T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA,
                              conjugate_subalgebra, shear, standard_subalgebra)
-from sp4solvable.structure import (Subalgebra, _ad_num, ad_matrix, coord_series,
-                                   generated_subalgebra)
+from sp4solvable.structure import Subalgebra, _ad_num, generated_subalgebra
 
 from conftest import conjugator_pool, random_borel_element
-from oracles import grid_pencil_ranks, symbolic_combo, trace_form_radical
+from oracles import (bracket_coords_fraction, char_poly_det, fraction_rows, grid_pencil_ranks,
+                     solve_in_span, symbolic_combo, trace_form_radical)
 
 
 def alg(*mats):
@@ -158,6 +157,10 @@ def test_eigenvalue_on_line_reads_the_numerators():
     assert _eigenvalue_on_line(x, X_A2B) == 1
     with pytest.raises(Sp4Error, match="not ad-invariant"):
         _eigenvalue_on_line(x, X_ALPHA + X_BETA)
+
+
+def test_invariantize_marks_every_zero_of_an_all_zero_list():
+    assert _invariantize([(0, 1), (Q(0), 2)]) == (("z", 1), ("z", 2))
 
 
 def test_ss_content_classes():
@@ -311,11 +314,13 @@ def test_signatures_expand_no_minor(monkeypatch):
 @given(st.randoms(use_true_random=False), st.data())
 def test_the_probe_char_poly_on_the_derived_algebra_reads_ints(rnd, data):
     # the probe's int route: ad(y) on [g, g] read at the pivots of the int
-    # series rows, against the rational ad_matrix on the RREF rows
+    # series rows, against the cofactor char poly of ad(y) solved by
+    # `Fraction` elimination on the RREF rows
     g = generated_subalgebra([random_borel_element(rnd) for _ in range(rnd.randint(1, 2))])
     sc, d = g.constants, g.dim
     if len(g.derived) < 2 or not g.derived[1]:
         return
     y = data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
-    assert (_char_poly_int(*_ad_num(sc, y, g.derived[1]))
-            == char_poly_rows(ad_matrix(sc, [Q(c) for c in y], coord_series(g)[1])))
+    rows = fraction_rows(g.derived[1])
+    cols = solve_in_span(rows, [bracket_coords_fraction(sc, y, v) for v in rows])
+    assert _char_poly_int(*_ad_num(sc, y, g.derived[1])) == char_poly_det(list(zip(*cols)))

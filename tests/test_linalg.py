@@ -6,16 +6,16 @@ from hypothesis import strategies as st
 
 from sp4solvable.errors import (FactorizationLimit, SingularMatrix, Sp4Error,
                                 ZeroPolynomial)
-from sp4solvable.linalg import (Mat4, Poly, char_poly, char_poly_rows,
-                                det_mpoly, echelon_span, generic_rank, inverse, kernel, kernel_of_rows,
-                                rank, rational_roots, rref)
+from sp4solvable.linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _over_common_den,
+                                char_poly, echelon_span, generic_rank, inverse, kernel, rank,
+                                rational_roots, rref)
 from sp4solvable.rational import (Q, exact_isqrt, factor_int, format_rational,
                                   parse_rational, power_free_split, rational_sqrt)
 from sp4solvable.sp4 import T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA, bracket
 from sp4solvable.structure import structure_constants_for_basis
 
-from oracles import (bracket_fraction, char_poly_cofactor, coords, echelon_coords,
-                     inverse_fraction, kernel_fraction, solve_in_span)
+from oracles import (bracket_fraction, char_poly_cofactor, char_poly_det, coords,
+                     echelon_coords, inverse_fraction, kernel_fraction, solve_in_span)
 
 rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 7))
 
@@ -149,7 +149,7 @@ def test_rank_examples():
 def test_rank_nullity(m):
     assert rank(m) + len(kernel(m)) == 4
     assert rank(m) == len(rref(m.rows))
-    assert kernel(m) == kernel_of_rows(m.rows, 4)
+    assert kernel(m) == kernel_fraction(m.rows, 4)
 
 
 def test_inverse_examples():
@@ -167,9 +167,11 @@ small_rationals = st.sampled_from([Q(0), Q(0), Q(1), Q(-1), Q(2), Q(1, 2), Q(-3,
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.lists(small_rationals, min_size=n, max_size=n), max_size=6))))
-def test_kernel_of_rows_matches_fraction_gauss_jordan(case):
+def test_int_kernel_matches_fraction_gauss_jordan(case):
     n, rows = case
-    assert kernel_of_rows(rows, n) == kernel_fraction(rows, n)
+    got = _kernel_int([_over_common_den(r)[0] for r in rows], n)
+    assert all(type(x) is int for _, v in got for x in v)
+    assert [tuple(Q(x, v[f]) for x in v) for f, v in got] == kernel_fraction(rows, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -361,8 +363,7 @@ def test_equal_values_give_equal_matrices(a, k):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: grids(n)))
-def test_char_poly_rows_matches_cofactor_determinant(a):
+def test_int_char_poly_matches_cofactor_determinant(a):
     n = len(a)
-    lam_minus_a = [[Poly([-a[i][j], 1]) if i == j else Poly([-a[i][j]])
-                    for j in range(n)] for i in range(n)]
-    assert char_poly_rows(a) == det_mpoly(lam_minus_a)
+    num, den = _over_common_den([x for r in a for x in r])
+    assert _char_poly_int([num[i * n:(i + 1) * n] for i in range(n)], den) == char_poly_det(a)
