@@ -50,7 +50,7 @@ _EXPORTS = {
                  "identify_degraaf", "sw_bridge_map", "sw_constants", "sw_lambda",
                  "tri_algebra_constants", "verify_isomorphism"),
     "catalog": ("CatalogEntry", "DEFAULT_PARAM_SAMPLES", "catalog_from_json",
-                "catalog_to_json", "load_catalog"),
+                "load_catalog"),
     "verify": ("VerificationReport", "match_catalog", "random_subalgebra_probe",
                "verify_catalog", "verify_entry", "verify_separations"),
 }

@@ -16,18 +16,19 @@ Basis elements are 6-tuples of expressions
     (Ta, Tb, cA, cB, cAB, cA2B)  ->  T(Ta,Tb) + cA*X_alpha + cB*X_beta
                                       + cAB*X_{alpha+beta} + cA2B*X_{alpha+2beta}
 
-(`sp4.element` builds each as one matrix), so the whole catalog round-trips
-through JSON.  Frozen row counts, established against the tables: 8 one-,
-16 two-, 19 three-, 14 four- and 8 five/six-dimensional rows (65 total).
+(`sp4.element` builds each as one matrix), so a row is plain JSON data.
+Frozen row counts, established against the tables: 8 one-, 16 two-, 19
+three-, 14 four- and 8 five/six-dimensional rows (65 total).
 
-The tables are data: `catalog.json`, next to this module, is what
-`export-catalog` prints, and `load_catalog()` reads it once through
-`catalog_from_json`.  Loading needs only rationals and errors (rows are
-`rational.Record`s); the package's lazy lookup loads `exprs` on the first
-evaluation of a row's expressions, `linalg` and `sp4` when the first instance
-is built (`basis_at`, `space_at`, `build_elements`), and `identify`, which
-holds the labels with both reference catalogs (and loads `linalg` and
-`structure`), on the first label.
+The tables are data: `catalog.json` (`CATALOG_FILE`), next to this module,
+is what `export-catalog` prints unchanged, and `load_catalog()` reads it
+once through `catalog_from_json`, the one codec of a row.  Loading needs
+only rationals and errors (rows are `rational.Record`s); the package's lazy
+lookup loads `exprs` on the first evaluation of a row's expressions,
+`linalg` and `sp4` when the first instance is built (`basis_at`,
+`space_at`, `build_elements`), and `identify`, which holds the labels with
+both reference catalogs (and loads `linalg` and `structure`), on the first
+label.
 """
 
 from __future__ import annotations
@@ -45,9 +46,11 @@ if TYPE_CHECKING:
     from .identify import DeGraafClass, SWClass
     from .linalg import Mat4, Subspace
 
-__all__ = ["CatalogEntry", "EquivClaim", "load_catalog", "catalog_to_json",
-           "catalog_from_json", "EXPECTED_COUNTS", "DEFAULT_PARAM_SAMPLES"]
+__all__ = ["CatalogEntry", "EquivClaim", "load_catalog", "catalog_from_json",
+           "CATALOG_FILE", "EXPECTED_COUNTS", "DEFAULT_PARAM_SAMPLES"]
 
+# the five tables, as `export-catalog` prints them
+CATALOG_FILE = os.path.join(os.path.dirname(__file__), "catalog.json")
 EXPECTED_COUNTS = {1: 8, 2: 16, 3: 19, 4: 14, 5: 8}  # table 5 holds dims 5 and 6
 # The values a parameterized row is checked at unless others are given; a
 # row skips those it excludes.
@@ -193,48 +196,13 @@ class CatalogEntry(_Row):
 
 
 # ---------------------------------------------------------------------------
-# JSON export / import
+# The shipped tables
 # ---------------------------------------------------------------------------
 
-def _spec_to_json(spec) -> list:
-    return [str(e) if not isinstance(e, int) else e for e in spec]
-
-
-def catalog_to_json(entries: list[CatalogEntry] | None = None) -> list[dict]:
-    entries = entries if entries is not None else load_catalog()
-    out = []
-    for e in entries:
-        out.append({
-            "table": e.table,
-            "row": e.row_id,
-            "dim": e.dim,
-            "label": e.label,
-            "param": e.param,
-            "conditions": [str(x) for x in e.excluded],
-            "basis": [_spec_to_json(s) for s in e.basis],
-            "degraaf": ({"family": e.degraaf[0],
-                         "params": [str(p) for p in e.degraaf[1]]}
-                        if e.degraaf else None),
-            "sw": ({"name": e.sw[0], "params": [str(p) for p in e.sw[1]]} if e.sw
-                   else "auto" if e.degraaf else None),
-            "equiv": [{
-                "desc": c.desc, "recipe": c.recipe,
-                "src": [_spec_to_json(s) for s in c.src] if c.src else None,
-                "tgt": [_spec_to_json(s) for s in c.tgt] if c.tgt else None,
-                "tgt_param": c.tgt_param,
-                "samples": [str(s) for s in c.samples] if c.samples else None,
-            } for c in e.equivalences],
-            "isomap": ({"source": "degraaf" if e.degraaf else "sw",
-                        "columns": [_spec_to_json(col) for col in e.iso_columns]}
-                       if e.iso_columns else None),
-            "param_equiv": [str(x) for x in e.param_equiv],
-        })
-    return out
-
-
 def catalog_from_json(data: list[dict]) -> list[CatalogEntry]:
-    """The entries `catalog_to_json` wrote; its derived keys (`table`,
-    `param`, the isomap `source` and sw `"auto"`) are not read."""
+    """The entries of export JSON, the row dicts `catalog.json` holds; the
+    keys a row derives (`table`, `param`, the isomap `source` and sw
+    `"auto"`) are written for readers and not read."""
     out = []
     for d in data:
         dg, sw, iso = d.get("degraaf"), d.get("sw"), d.get("isomap")
@@ -249,14 +217,10 @@ def catalog_from_json(data: list[dict]) -> list[CatalogEntry]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# The shipped tables
-# ---------------------------------------------------------------------------
-
 @cache
 def _shipped() -> tuple:
     """The rows of `catalog.json`, read once, with their counts checked."""
-    with open(os.path.join(os.path.dirname(__file__), "catalog.json"), encoding="utf-8") as fh:
+    with open(CATALOG_FILE, encoding="utf-8") as fh:
         rows = tuple(catalog_from_json(json.load(fh)))
     counts: dict[int, int] = {}
     for r in rows:

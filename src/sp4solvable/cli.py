@@ -25,7 +25,7 @@ import functools
 import json
 import sys
 
-from .catalog import DEFAULT_PARAM_SAMPLES, catalog_to_json, load_catalog
+from .catalog import CATALOG_FILE, DEFAULT_PARAM_SAMPLES, load_catalog
 from .errors import IrrationalSpectrum, OutOfCatalog, Sp4Error
 from .identify import degraaf_to_sw, identify_degraaf
 from .invariants import signature
@@ -159,7 +159,9 @@ def cmd_classify_element(args) -> int:
 
 
 def cmd_export_catalog(args) -> int:
-    print(json.dumps(catalog_to_json(), indent=2, sort_keys=True))
+    load_catalog()  # a drifted row count exits 2 before anything is printed
+    with open(CATALOG_FILE, encoding="utf-8") as fh:
+        sys.stdout.write(fh.read())
     return 0
 
 

@@ -463,6 +463,9 @@ _FIXED = {DeGraafClass(f, pr): (SWClass(name, tuple(map(Q, params))),
     # central slot first, then the s_{3,2} block
     ("M6", (0, Q(-1, 4)), "n_{1,1}+s_{3,2}", (),
      "1 2 -1 0; 0 1/2 -1/2 0; 0 0 -1/4 0; 0 0 0 1/2"),
+    # t^3-t^2-Bt-A = (t-1/3)^3: e4 <-> 3 x4, e1, e2, e3 a Jordan chain of ad(3 x4)-1
+    ("M6", (Q(1, 27), Q(-1, 3)), "s_{4,2}", (),
+     "0 0 1 0; 0 1/3 1/3 0; 1/9 2/9 1/9 0; 0 0 0 1/3"),
 )}
 
 
@@ -473,8 +476,8 @@ def _translation(c: DeGraafClass) -> tuple:
     class occurring here meets the second catalog.  A class in one normal
     form reads `_FIXED`; L3(A), M13(A) and M6(0,B) at every other nonzero
     parameter translate through its lambda (`_LAMBDA`); an M6 with A != 0 is
-    rooted here, so once per class while the class is cached.  Any other
-    class is refused with what the tables carry of its family."""
+    rooted here (once per class while cached) and, with three distinct rational
+    roots, is s_{4,3}.  Any other class is refused with what the tables carry."""
     if c in _FIXED:
         label, columns, *bridge = _FIXED[c]
         return label, bridge[0] if bridge else label, lambda: columns
@@ -486,12 +489,6 @@ def _translation(c: DeGraafClass) -> tuple:
     if f == "M6" and len(pr) == 2:
         a, b = pr
         roots = rational_roots(Poly([-a, -b, -1, 1]))
-        if sum(roots.values()) == 3 and len(roots) == 1:
-            # triple root; the sum of roots is 1 so it is 1/3.  e4 <-> 3 x4,
-            # and e1, e2, e3 a Jordan chain of ad(3 x4) - 1 on the nilradical
-            return _to("s_{4,2}", lambda: ((0, 0, 1, 0), (0, Q(1, 3), Q(1, 3), 0),
-                                           (Q(1, 9), Q(2, 9), Q(1, 9), 0),
-                                           (0, 0, 0, Q(1, 3))))
         if sum(roots.values()) == 3 and len(roots) == 3:
             ap, bp = _normalize_s43(sorted(roots))
             return _to("s_{4,3}", lambda: _m6_s43_bridge(a, b, ap, bp), (ap, bp))
@@ -499,7 +496,7 @@ def _translation(c: DeGraafClass) -> tuple:
         f"{DeGraafClass(f, lead + (chr(65 + len(lead)),))} at every other nonzero value"
         for g, lead in _LAMBDA if g == f]
     if f == "M6":
-        carried.append("M6(A,B) at A != 0 where t^3-t^2-Bt-A splits over Q, no root double")
+        carried.append("M6(A,B) at A != 0 where t^3-t^2-Bt-A has three distinct rational roots")
     raise OutOfCatalog(f"the tables carry {', '.join(carried) or f'no {f} class'}; not {c}")
 
 

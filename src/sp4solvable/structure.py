@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .errors import DependentInputs, Sp4Error
 from .linalg import Mat4, Subspace, _over_common_den, _pivot_coords, _rref_int, echelon_span
-from .rational import Q, ZERO, format_rational, parse_rational
+from .rational import Q, ZERO, format_rational
 from .sp4 import bracket, in_sp4
 
 __all__ = [
@@ -216,8 +216,8 @@ class StructureConstants:
     held as int numerators `num[i][j][k]` over one positive denominator
     `den` in lowest terms: gcd(den, *num) == 1, and an abelian table has
     den == 1.  The form is canonical, so == is exact value equality.
-    Rationals appear only at the boundary (`table`, the builders
-    `from_brackets` and `from_json`, and the JSON wire format)."""
+    Rationals appear only at the boundary (`table`, the builder
+    `from_brackets`, and the JSON wire format `to_json` writes)."""
 
     __slots__ = ("dim", "num", "den", "_pairs")
 
@@ -307,13 +307,6 @@ class StructureConstants:
                     if x != 0:
                         triples.append([i, j, k, format_rational(Q(x, self.den))])
         return {"dim": self.dim, "c": triples}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StructureConstants":
-        brackets: dict = {}
-        for i, j, k, c in data["c"]:
-            brackets.setdefault((i, j), {})[k] = parse_rational(str(c))
-        return cls.from_brackets(int(data["dim"]), brackets)
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: dict) -> "StructureConstants":

@@ -406,7 +406,7 @@ def random_subalgebra_probe(seed: int, count: int,
     skipped, not failed, and the summary record counts the skips.  A draw
     that matches no row or several, or meets a faulty row, is a fail record."""
     _check_probe_count(count)
-    rep = report if report is not None else VerificationReport()
+    rep = _report(report, ())  # a probe evaluates rows at eigenvalue candidates only
     rng = random.Random(seed)
     pool = [X_ALPHA, X_BETA, X_AB, X_A2B]
     produced = 0

@@ -1,13 +1,21 @@
+import json
 import random
 
 import pytest
 
+from sp4solvable.catalog import CATALOG_FILE
 from sp4solvable.linalg import Mat4
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, T, W_MAT, X_A2B, X_AB,
                              X_ALPHA, X_BETA, shear)
 
 ROOTS = (X_ALPHA, X_BETA, X_AB, X_A2B)
+
+
+def shipped_dicts() -> list[dict]:
+    """The row dicts of the shipped `catalog.json`, read anew on each call."""
+    with open(CATALOG_FILE, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def random_borel_element(rng, span=3):

@@ -17,7 +17,7 @@ from itertools import combinations
 from sp4solvable.errors import DependentInputs, IrrationalSpectrum, NotSolvable
 from sp4solvable.jordan import JordanDecomposition, is_semisimple
 from sp4solvable.linalg import (Mat4, Poly, Subspace, _over_common_den, _pivot_coords,
-                                det_mpoly, echelon_span, rank)
+                                det_mpoly, echelon_span)
 from sp4solvable.rational import Q, ZERO
 from sp4solvable.structure import StructureConstants, Subalgebra, is_solvable
 
@@ -51,12 +51,12 @@ def symbolic_combo(mats) -> list[list[Poly]]:
 
 
 def grid_pencil_ranks(n1: Mat4, n2: Mat4, lo: int = -20, hi: int = 20) -> dict:
-    """Ranks of t*n1 + n2 over an integer grid plus the line of n1.  The
-    grid can miss drops but never sees extra ones."""
-    out = {}
-    for t in range(lo, hi + 1):
-        out[Q(t)] = rank(n1 * Q(t) + n2)
-    out["inf"] = rank(n1)
+    """Ranks of t*n1 + n2 over an integer grid plus the line of n1, each by
+    `gauss_jordan`.  The grid can miss drops but never sees extra ones."""
+    def pencil(t):
+        return [[t * x + y for x, y in zip(r1, r2)] for r1, r2 in zip(n1.rows, n2.rows)]
+    out = {Q(t): len(gauss_jordan(pencil(t))) for t in range(lo, hi + 1)}
+    out["inf"] = len(gauss_jordan(n1.rows))
     return out
 
 

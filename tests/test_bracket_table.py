@@ -201,7 +201,6 @@ def test_int_tables_are_canonical():
     assert len(tables) == 122
     for sc in tables:
         assert is_canonical(sc)
-        assert StructureConstants.from_json(sc.to_json()) == sc
         if sc.is_abelian():
             assert sc.den == 1
     # the same values in another form compare equal

@@ -1,10 +1,12 @@
 import pytest
 
 from sp4solvable.catalog import (EXPECTED_COUNTS, CatalogEntry, EquivClaim,
-                                 catalog_from_json, catalog_to_json, load_catalog)
+                                 catalog_from_json, load_catalog)
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import in_sp4
 from sp4solvable.structure import Subalgebra, is_solvable
+
+from conftest import shipped_dicts
 
 
 def test_frozen_row_counts():
@@ -43,6 +45,9 @@ def test_specific_rows_carry_the_stated_classes():
     assert str(entries["d6_b"].sw_at(None)) == "s_{6,242}"
     assert str(entries["d5_Ta1_n"].sw_at(Q(3))) == "s_{5,35}(A=1)"
     assert str(entries["d4_Ta1_np"].degraaf_at(Q(2))) == "M6(8/243,-26/81)"
+    # a row without an isomorphism map has no columns at any parameter
+    assert entries["d1_T_a1"].iso_columns is None
+    assert entries["d1_T_a1"].iso_columns_at(Q(2)) is None
 
 
 def test_equivalent_params_closure():
@@ -52,6 +57,9 @@ def test_equivalent_params_closure():
     assert entries["d3_Ta1_Xa_Xa2b"].equivalent_params(Q(2)) == {Q(2), Q(1, 2)}
     assert entries["d4_Ta1_Xb_Xab_Xa2b"].equivalent_params(Q(3)) == {Q(3), Q(-3)}
     assert entries["d3_Ta1_Xa_Xab"].equivalent_params(Q(2)) == {Q(2)}
+    # 1/a has no value at 0, so it adds nothing to the orbit of 0
+    assert "1/a" in entries["d1_T_a1"].param_equiv
+    assert entries["d1_T_a1"].equivalent_params(0) == {Q(0)}
 
 
 def test_sample_filtering():
@@ -63,7 +71,7 @@ def test_sample_filtering():
 
 def test_catalog_json_roundtrip():
     entries = load_catalog()
-    data = catalog_to_json(entries)
+    data = shipped_dicts()
     assert catalog_from_json(data) == entries
     # the derived keys are written for readers, and not needed to load
     for d in data:
@@ -75,9 +83,24 @@ def test_catalog_json_roundtrip():
     assert catalog_from_json(data) == entries
 
 
+def test_each_file_row_writes_the_keys_its_row_derives():
+    # the keys written for readers agree with the row they load as
+    sources, sws = set(), set()
+    for d, row in zip(shipped_dicts(), load_catalog(), strict=True):
+        assert (d["row"], d["table"], d["param"]) == (row.row_id, row.table, row.param)
+        if row.sw is None:
+            assert d["sw"] == ("auto" if row.degraaf else None), row.row_id
+        sws.add("stated" if isinstance(d["sw"], dict) else d["sw"])
+        assert (d["isomap"] is None) == (row.iso_columns is None), row.row_id
+        if d["isomap"] is not None:
+            assert d["isomap"]["source"] == ("degraaf" if row.degraaf else "sw"), row.row_id
+            sources.add(d["isomap"]["source"])
+    assert sources == {"degraaf", "sw"} and sws == {"auto", "stated"}
+
+
 def test_equal_rows_hash_equal_and_survive_the_json_round_trip():
     rows = load_catalog()
-    copies = catalog_from_json(catalog_to_json(rows))
+    copies = catalog_from_json(shipped_dicts())
     assert copies == rows
     assert all(c is not r and hash(c) == hash(r) for c, r in zip(copies, rows))
     assert len(set(rows) | set(copies)) == 65
@@ -125,6 +148,6 @@ def test_an_unknown_or_missing_field_raises_type_error():
     with pytest.raises(TypeError):
         CatalogEntry("r", 1, "T")
     with pytest.raises(TypeError):
-        catalog_from_json([{**catalog_to_json([row])[0], "equiv": [{"desc": "d"}]}])
+        catalog_from_json([{**shipped_dicts()[0], "equiv": [{"desc": "d"}]}])
     assert repr(EquivClaim("d", "W")) == ("EquivClaim(desc='d', recipe='W', src=None, "
                                           "tgt=None, tgt_param=None, samples=None)")

@@ -87,6 +87,17 @@ def test_export_catalog_prints_the_shipped_data_file(capsys):
     assert capsys.readouterr().out.encode() == shipped
 
 
+def test_export_catalog_refuses_a_drifted_row_count_before_printing(monkeypatch, capsys):
+    monkeypatch.setattr(catalog, "EXPECTED_COUNTS", {**catalog.EXPECTED_COUNTS, 5: 7})
+    catalog._shipped.cache_clear()
+    try:
+        assert main(["export-catalog"]) == 2
+    finally:
+        catalog._shipped.cache_clear()
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: catalog row counts drifted")
+
+
 @pytest.mark.parametrize("command", ["identify", "invariants", "conjugate",
                                      "classify-element"])
 def test_commands_that_use_no_samples_print_none(command, ta_path, tmp_path, capsys):
@@ -135,7 +146,7 @@ NON_DEFAULT_EXIT = {"CatalogFault": 1, "ExpressionLimit": 3, "FactorizationLimit
 def test_each_error_class_ends_in_its_exit_code(cls, monkeypatch, capsys):
     def raising():
         raise cls("boom")
-    monkeypatch.setattr(cli, "catalog_to_json", raising)
+    monkeypatch.setattr(cli, "load_catalog", raising)
     code = NON_DEFAULT_EXIT.get(cls.__name__, 2)
     assert cls.exit_code == code
     assert main(["export-catalog"]) == code
@@ -345,14 +356,18 @@ def _symplectic_block(a):
 X_GOLDEN = _symplectic_block([[0, 1], [1, 1]])  # spectrum +-phi, +-1/phi
 Z_SQRT2 = _symplectic_block([[0, 2], [1, 0]])   # spectrum +-sqrt(2)
 IDENTITY = _symplectic_block([[1, 0], [0, 1]])  # T(1, 1)
+# the abelian radical of the Siegel parabolic, [[0, S], [0, 0]] with S symmetric
+SIEGEL = [Mat4.unit(1, 3), Mat4.unit(2, 4), Mat4.unit(1, 4) + Mat4.unit(2, 3)]
 
 
 @pytest.mark.parametrize("name, basis", [("x", [X_GOLDEN]),
-                                         ("z+I", [Z_SQRT2 + IDENTITY])])
+                                         ("z+I", [Z_SQRT2 + IDENTITY]),
+                                         ("x+siegel", [X_GOLDEN, *SIEGEL])])
 def test_identify_of_a_row_at_an_irrational_parameter_is_out_of_domain(name, basis, tmp_path,
                                                                         capsys):
     # <T(a,1)> with a irrational over Q: no rational row matches, and that is
-    # exit 3, never an empty match with exit 0
+    # exit 3, never an empty match with exit 0; so is an M6 whose cubic does
+    # not split over Q, whose sw label is out of the catalog
     path = tmp_path / "irrational.json"
     path.write_text(json.dumps(Subalgebra.from_matrices(basis).to_json()))
     assert main(["identify", "--input", str(path)]) == 3

@@ -72,6 +72,15 @@ def test_the_catalog_loads_without_the_certifier():
     assert "jordan" in loaded and "verify" not in loaded
 
 
+def test_a_submodule_is_loaded_on_its_first_lookup():
+    # a fresh interpreter has no `exprs` attribute yet: the package's lookup
+    # imports it, with what it imports and nothing more
+    loaded = _modules_loaded_by("import sp4solvable\nassert sp4solvable.exprs.eval_expr")
+    assert loaded == {"sp4solvable", "exprs", "rational", "errors"}
+    # here the module is long loaded; the lookup still returns it
+    assert sp4solvable.__getattr__("exprs") is sp4solvable.exprs
+
+
 def test_the_catalog_loads_without_dataclasses():
     # the rows are slotted records: `dataclasses` would bring `inspect`,
     # `ast`, `dis` and `tokenize` into every cold start

@@ -147,6 +147,10 @@ def test_identify_unrecognized():
     # K2 + 2J has derived dimension 1
     with pytest.raises(UnrecognizedFamily):
         identify_degraaf(StructureConstants.from_brackets(4, {(0, 1): {1: 1}}))
+    # sl2 (basis h, e, f) is its own derived algebra
+    sl2 = StructureConstants.from_brackets(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+    with pytest.raises(UnrecognizedFamily, match="derived dimension 3 is not solvable"):
+        identify_degraaf(sl2)
 
 
 def test_sw_lambda_branches():
@@ -295,9 +299,9 @@ def test_sw_bridge_maps_verify_bracket_exactly():
             assert label == degraaf_to_sw(c)
         reached.add((c.family, degraaf_to_sw(c).name))
     # every (family, label) pair the translation can give: one per class of
-    # the fixed table, one per family of the lambda branch, and the cubic's
-    # s_{4,2} and s_{4,3}
-    assert len(reached) == 23 == len(identify._FIXED) + len(identify._LAMBDA) + 2
+    # the fixed table (the cubic's triple root s_{4,2} among them), one per
+    # family of the lambda branch, and the cubic's s_{4,3}
+    assert len(reached) == 23 == len(identify._FIXED) + len(identify._LAMBDA) + 1
 
 
 def test_every_catalog_class_has_a_verified_bridge():

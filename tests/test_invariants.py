@@ -159,6 +159,13 @@ def test_eigenvalue_on_line_reads_the_numerators():
         _eigenvalue_on_line(x, X_ALPHA + X_BETA)
 
 
+def test_a_toral_rank_above_two_is_refused():
+    # the diagonal of gl(4) is abelian of toral rank 4; sp(4) has rank 2
+    diagonal = Subalgebra(echelon_span([Mat4.unit(i, i) for i in range(1, 5)]))
+    with pytest.raises(Sp4Error, match="toral rank > 2"):
+        signature(diagonal)
+
+
 def test_invariantize_marks_every_zero_of_an_all_zero_list():
     assert _invariantize([(0, 1), (Q(0), 2)]) == (("z", 1), ("z", 2))
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sp4solvable import identify, invariants, structure, verify
 from sp4solvable.catalog import (DEFAULT_PARAM_SAMPLES, CatalogEntry, EquivClaim,
-                                 catalog_from_json, catalog_to_json, load_catalog)
+                                 catalog_from_json, load_catalog)
 from sp4solvable.errors import (CatalogFault, ExpressionLimit, FactorizationLimit,
                                 IrrationalSpectrum, ProbeLimit)
 from sp4solvable.rational import Q
@@ -16,6 +16,8 @@ from sp4solvable.structure import Subalgebra, generated_subalgebra
 from sp4solvable.verify import (VerificationReport, match_catalog,
                                 random_subalgebra_probe, verify_catalog,
                                 verify_entry, verify_separations)
+
+from conftest import shipped_dicts
 
 ENTRIES = {e.row_id: e for e in load_catalog()}
 
@@ -89,14 +91,18 @@ def test_m6_cubic_is_rooted_once_per_instance(monkeypatch):
         return original(p)
 
     monkeypatch.setattr(identify, "rational_roots", counting)
-    # s_{4,3} at 8 samples, and s_{4,2} (a triple root) without parameter
-    for row_id, instances in (("d4_Ta1_np", 8), ("d4_T11Xb_Xa_Xab_Xa2b", 1)):
+
+    def bridges_and_rootings(row_id):
         calls.clear()
         identify._translation.cache_clear()
         rep = verify_entry(ENTRIES[row_id])
         assert rep.overall_pass
-        assert sum(r.check == "sw-bridge" for r in rep.records) == instances
-        assert 0 < len(calls) <= instances
+        return sum(r.check == "sw-bridge" for r in rep.records), len(calls)
+    # s_{4,3} at 8 samples, each rooted at most once; s_{4,2}, the triple
+    # root, is a fixed class without parameter and is not rooted at all
+    bridges, rootings = bridges_and_rootings("d4_Ta1_np")
+    assert bridges == 8 and 0 < rootings <= 8
+    assert bridges_and_rootings("d4_T11Xb_Xa_Xab_Xa2b") == (1, 0)
 
 
 def test_a_claim_that_leaves_no_record_fails_the_report(monkeypatch):
@@ -261,6 +267,18 @@ def test_report_header_names_the_samples_used():
     rep = verify_separations([ENTRIES["d1_T_a1"], ENTRIES["d1_T_10"]],
                              params=(Q(2), Q(1, 2)))
     assert rep.to_json()["samples"] == ["2", "1/2"]
+    # a probe on its own evaluates rows at eigenvalue candidates only
+    rep = random_subalgebra_probe(11, 5)
+    assert rep.overall_pass and rep.to_json()["samples"] == []
+    assert rep.to_text().splitlines()[0] == "parameter samples: "
+
+
+def test_a_size_limit_in_a_row_is_raised_not_made_a_catalog_fault(monkeypatch):
+    rows = [e.replace(excluded=("(2^64)^64",)) if e.row_id == "d1_T_a1" else e
+            for e in load_catalog()]
+    monkeypatch.setattr(verify, "load_catalog", lambda: rows)
+    with pytest.raises(ExpressionLimit):
+        match_catalog(generated_subalgebra([T(2, 1)]))
 
 
 def test_claims_of_a_non_closed_instance_are_recorded_skips():
@@ -294,7 +312,8 @@ def test_misstated_degraaf_parameter_fails_records():
 
 def test_unbounded_param_orbit_fails_a_record():
     row = ENTRIES["d1_T_a1"].replace(param_equiv=("a+1",))
-    assert catalog_from_json(catalog_to_json([row]))[0].param_equiv == ("a+1",)
+    stated = next(d for d in shipped_dicts() if d["row"] == "d1_T_a1")
+    assert catalog_from_json([{**stated, "param_equiv": ["a+1"]}]) == [row]
     rep = verify_separations([row, ENTRIES["d1_T_10"]], params=(Q(2), Q(3)))
     assert not rep.overall_pass
     fails = [(r.row_id, r.check) for r in rep.failures]
