@@ -42,7 +42,7 @@ from functools import lru_cache
 
 from .errors import (DependentInputs, DimensionMismatch, OutOfCatalog,
                      UnrecognizedFamily, UnsupportedDimension, ZeroParameter)
-from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _over_common_den, _pivot_coords,
+from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _over_common_den,
                      _rref_int, inverse, rational_roots)
 from .rational import Q, ZERO, Record, format_rational, power_free_split, rational_sqrt
 from .structure import StructureConstants, _ad_num, _span_num, _units
@@ -239,7 +239,9 @@ def _plane_class(m: list[list[int]], e: int, families: tuple[str, str, str]) -> 
     """The class of y acting on a plane by the int matrix m over e != 0, up
     to y -> s*y: the scalar family, the traced one with parameter
     -det/tr^2, or the traceless one with -det modulo squares (L2/L3/L4 in
-    dimension 3, M12/M13/M14 in dimension 4)."""
+    dimension 3, M12/M13/M14 in dimension 4).  The plane is D = [g, g]
+    (D/[D, D] in dimension 4), and g = Cy + D gives D = [y, D] + [D, D], so
+    m is onto: det != 0."""
     scalar, traced, traceless = families
     if _is_scalar(m):
         return DeGraafClass(scalar)
@@ -247,8 +249,6 @@ def _plane_class(m: list[list[int]], e: int, families: tuple[str, str, str]) -> 
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if tr != 0:
         return DeGraafClass(traced, (Q(-det, tr * tr),))
-    if det == 0:
-        raise UnrecognizedFamily("nilpotent action on the derived plane")
     return DeGraafClass(traceless, (power_free_split(Q(-det, e * e))[0],))
 
 
@@ -336,41 +336,30 @@ def _quotient_action(sc: StructureConstants, y: list[int], derived: list[tuple],
 
 
 def _identify_dim4_derived2(sc: StructureConstants, derived: list[tuple]) -> DeGraafClass:
-    d = 4
+    """g has a derived plane D, nilpotent and so abelian.  Its centralizer C
+    contains D and is the kernel of ad(g) restricted to D, whose image L is
+    abelian (ad(D) vanishes on D).  C is not g, or [g, g] would be a line,
+    so dim C is 3 or 2.  With dim C = 3, C is abelian, and y outside it maps
+    C onto D: ad(y) on C is singular, an M6 has A = 0.  With dim C = 2, L is
+    a plane, not traceless (sl2 has no abelian plane); a nilpotent traceless
+    direction n0 of L makes L = span(1, n0)."""
     cent = _centralizer_of(sc, [r for _, r in derived])
-    dim_c = len(cent)
-    if dim_c == 3:
-        if _span_num(sc, cent, cent):
-            raise UnrecognizedFamily("non-abelian centralizer of the derived subalgebra")
+    if len(cent) == 3:
         crows = _rref_int(cent)
-        c = _cyclic3_class(*_ad_num(sc, _complement_vector(d, crows), crows))
-        if c.family == "M6" and c.params[0] != 0:
-            raise UnrecognizedFamily("inconsistent derived dimension for M6")
-        return c
-    if dim_c == 2:
-        # L = ad(g) restricted to D is a 2-dimensional abelian family; its
-        # matrices share one den, so their int numerators span it
-        lbasis = _rref_int([[x for row in _ad_num(sc, u, derived)[0] for x in row]
-                            for u in _units(d)])
-        if len(lbasis) != 2:
-            raise UnrecognizedFamily("unexpected adjoint image on derived subalgebra")
-        (_, u), (_, v) = lbasis
-        tr_u = u[0] + u[3]
-        tr_v = v[0] + v[3]
-        if (tr_u, tr_v) == (0, 0):
-            raise UnrecognizedFamily("traceless adjoint pair (not among occurring families)")
-        n0 = [-tr_v * a + tr_u * b for a, b in zip(u, v)]
-        det_n0 = n0[0] * n0[3] - n0[1] * n0[2]
-        if det_n0 == 0:
-            has_identity = _pivot_coords([(r, r[c]) for c, r in lbasis], (1, 0, 0, 1)) is not None
-            if has_identity and any(n0):
-                return DeGraafClass("M13", (ZERO,))
-            raise UnrecognizedFamily("nilpotent adjoint direction without scaling element")
-        # semisimple pair: M8 needs a rational eigen-splitting
-        if rational_sqrt(-det_n0) is None:
-            raise UnrecognizedFamily("irrational joint eigenvalues (not among occurring families)")
-        return DeGraafClass("M8")
-    raise UnrecognizedFamily("central derived subalgebra of dimension 2")
+        return _cyclic3_class(*_ad_num(sc, _complement_vector(4, crows), crows))
+    # L's matrices share one den, so their int numerators span it
+    (_, u), (_, v) = _rref_int([[x for row in _ad_num(sc, w, derived)[0] for x in row]
+                                for w in _units(4)])
+    tr_u = u[0] + u[3]
+    tr_v = v[0] + v[3]
+    n0 = [-tr_v * a + tr_u * b for a, b in zip(u, v)]
+    det_n0 = n0[0] * n0[3] - n0[1] * n0[2]
+    if det_n0 == 0:
+        return DeGraafClass("M13", (ZERO,))
+    # semisimple pair: M8 needs a rational eigen-splitting
+    if rational_sqrt(-det_n0) is None:
+        raise UnrecognizedFamily("irrational joint eigenvalues (not among occurring families)")
+    return DeGraafClass("M8")
 
 
 # ---------------------------------------------------------------------------

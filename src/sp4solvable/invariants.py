@@ -13,10 +13,11 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   is computed on the basis numerators: an int Gram matrix, its int kernel,
   and each radical element tested nilpotent by two int squarings.
 * the rank stratification of N(g): exact pencil strata for dim 2, read off
-  the invariant factors of the pencil over Q[t] (counting rank-drop lines
-  over the algebraic closure via squarefree degrees, with no polynomial
-  factorization), and for dim >= 3 the generic rank, the integer rank of
-  the Kronecker matrix at one point beyond every root of its minors;
+  the pencil's rank <= 1 and rank <= 2 loci over the integers (counting
+  rank-drop lines over the algebraic closure via squarefree degrees, with
+  no polynomial factorization), and for dim >= 3 the generic rank, the
+  integer rank of the Kronecker matrix at one point beyond every root of
+  its minors;
 * whether g contains an invertible matrix.  By Lie's theorem g is
   triangular in some basis, and the diagonal is a linear map with kernel
   N(g).  So for g = C*x0 + N(g), det(s*x0 + n) = s^4 det(x0): read off the
@@ -44,14 +45,14 @@ rational sample points.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from operator import mul
 
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
-from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _mul_num, char_poly,
-                     echelon_span, generic_rank, invariant_factors, rank,
-                     rational_roots, Subspace)
+from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _mul_num, _rref_int,
+                     char_poly, echelon_span, generic_rank, rank, rational_roots, Subspace)
 from .rational import Q, ZERO, Record, format_rational
-from .sp4 import bracket
+from .sp4 import bracket, in_sp4
 from .structure import Subalgebra, _ad_num, _series, is_solvable
 from .jordan import _jordan_decompose
 
@@ -91,31 +92,56 @@ class PencilStrata(Record):
 
 
 def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
-    """Exact rank stratification of the pencil t*n1 + n2 (plus t = infinity).
+    """Exact rank stratification of a nilpotent pencil x(t) = t*n1 + n2 of
+    sp(4) (plus t = infinity); raises Sp4Error for any other pair.
 
-    Read off the invariant factors s_1 | ... | s_r of t*n1 + n2 over Q[t]:
-    r is the generic rank, and the rank at a finite t0 drops to <= k exactly
-    when t0 is a root of the gcd s_1 ... s_{k+1} of the (k+1)-minors, that
-    is, of s_{k+1}.  Distinct-root counts over the algebraic closure come
-    from squarefree degrees, and exact ranks at non-rational drops from
-    polynomial divisibility, so no factorization is needed.
+    The nilpotent orbits of sp(4) are [4], [2,2], [2,1,1] and 0, with no
+    [3,1] (Collingwood and McGovern, 1993), so x(t0) has rank <= 2 exactly
+    when x(t0)^2 = 0, and rank <= 1 when its 2-minors vanish.  For n1 = A/d,
+    n2 = B/d, each locus is the common roots of quadratics in t (the 36
+    2-minors; the 16 entries of x(t)^2 = B^2 + t(AB + BA) + t^2 A^2), whose
+    gcd is that of an `_rref_int` basis of their coefficient rows; a family
+    that vanishes identically bounds the generic rank instead.  Lines are
+    counted over the algebraic closure by squarefree degrees, and the exact
+    rank of a non-rational drop by the nesting of the loci, so nothing is
+    factored.
     """
     if echelon_span([n1, n2]).dim != 2:
         raise DependentInputs("pencil needs two independent matrices")
     den = math.lcm(n1.den, n2.den)
-    pencil = [Poly._make([x * (den // n2.den), y * (den // n1.den)], den)
-              for x, y in zip(n2.num, n1.num)]
-    factors = invariant_factors([pencil[i:i + 4] for i in (0, 4, 8, 12)])
-    generic = len(factors)
-    # drops[k], the squarefree part of s_{k+1}, has the finite lines of
-    # rank <= k as its roots, each once
-    drops = [s.squarefree_part() for s in factors]
+    a = [x * (den // n1.den) for x in n1.num]
+    b = [x * (den // n2.den) for x in n2.num]
+    ab, ba = _mul_num(a, b), _mul_num(b, a)
+    square = list(zip(_mul_num(b, b), [x + y for x, y in zip(ab, ba)], _mul_num(a, a)))
+    # x(t)^4 has degree 4 in t, so it vanishes identically iff it does at five points
+    if not (in_sp4(n1) and in_sp4(n2)) or any(
+            any(_mul_num(m, m)) for m in ([c0 + t * (c1 + t * c2) for c0, c1, c2 in square]
+                                          for t in (0, 1, -1, 2, -2))):
+        raise Sp4Error("pencil_rank_strata needs a nilpotent pencil in sp(4)")
+    # the 2-minor x[p] x[s] - x[q] x[r] of rows i, j and columns k, l
+    minors = [(b[p] * b[s] - b[q] * b[r], a[p] * b[s] + b[p] * a[s] - a[q] * b[r] - b[q] * a[r],
+               a[p] * a[s] - a[q] * a[r])
+              for p, q, r, s in ((i + k, i + l, j + k, j + l)
+                                 for i, j in combinations((0, 4, 8, 12), 2)
+                                 for k, l in combinations(range(4), 2))]
+    # drops[k] has the finite lines of rank <= k as its roots, each once;
+    # none has rank 0, as n1 and n2 are independent
+    drops = [Poly._make([1], 1)]
+    for rows in (minors, square):
+        basis = _rref_int(rows)
+        if not basis:  # the rank never exceeds len(drops)
+            break
+        locus = Poly()
+        for _, r in basis:
+            locus = locus.gcd(Poly._make(r, 1))
+        drops.append(locus.squarefree_part())
+    generic = len(drops)
     roots = rational_roots(drops[-1]) if drops[-1].degree > 0 else {}
     rational_drops = tuple((t0, rank(n1 * t0 + n2)) for t0 in
                            sorted(roots, key=lambda q: (q.numerator, q.denominator)))
     irrational = []
-    for r in range(generic):
-        missing = (drops[r].degree - (drops[r - 1].degree if r else 0)
+    for r in range(1, generic):
+        missing = (drops[r].degree - drops[r - 1].degree
                    - sum(1 for _, rr in rational_drops if rr == r))
         if missing > 0:
             irrational.append((r, missing))

@@ -14,11 +14,12 @@ Coordinates in a span are read at its echelon pivots as ints
 against another basis is `inverse`, and a bracket table moves to a new
 basis by `StructureConstants.change_basis`.
 
-`Poly` is the one polynomial type, and Euclidean (Smith) elimination
-(`invariant_factors`) the one elimination over Q[t]: it gives the invariant
-factors of a pencil.  The generic rank of a span (`generic_rank`) needs
-none: it is the integer rank of the span's Kronecker substitution at one
-integer t beyond every root of its minors (Cauchy's bound).  Cofactor
+`Poly` is the one polynomial type, and `_rref_int` the one elimination:
+nothing is eliminated over Q[t].  The generic rank of a span
+(`generic_rank`) is the integer rank of the span's Kronecker substitution
+at one integer t beyond every root of its minors (Cauchy's bound), and the
+rank strata of a nilpotent pencil (`invariants.pencil_rank_strata`) are
+gcds of integer bases of two families of quadratics in t.  Cofactor
 expansion (`det_mpoly`) remains only as the oracle the tests check both
 against (and the benchmark traces by name).
 
@@ -191,15 +192,6 @@ class Poly:
 
     def monic(self) -> "Poly":
         return Poly._make(self.num, self.num[-1]) if self.num else self
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """(q, r) with self = q*other + r, deg r < deg other: for self = A/a
-        and other = B/b, s*A = q*B + r gives self = (q*b/(a*s))*other + r/(a*s)."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r, s = _pseudo_divmod(self.num, other.num)
-        den = self.den * s
-        return Poly._make([x * other.den for x in q], den), Poly._make(r, den)
 
     def gcd(self, other: "Poly") -> "Poly":
         """The monic gcd (zero for two zeros), by the primitive
@@ -655,15 +647,16 @@ def echelon_span(vectors: Iterable[Mat4]) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# matrices over Q[t]: generic ranks at one point, invariant factors by elimination
+# matrices over Q[t]: generic ranks at one point, and the cofactor oracle
 # ---------------------------------------------------------------------------
 
 def det_mpoly(entries: list[list[Poly]]) -> Poly:
     """Determinant of a small square matrix of `Poly` entries by cofactor
     expansion along the first row.  No production path calls it: it is the
     independent oracle that the tests check `generic_rank` and
-    `invariant_factors` (and the cofactor characteristic polynomial)
-    against, and the benchmark traces it by name to show it stays unused."""
+    `invariants.pencil_rank_strata` (and the cofactor characteristic
+    polynomial) against, and the benchmark traces it by name to show it
+    stays unused."""
     n = len(entries)
     if n == 1:
         return entries[0][0]
@@ -675,60 +668,6 @@ def det_mpoly(entries: list[list[Poly]]) -> Poly:
         term = entries[0][j] * det_mpoly(minor)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
-
-
-def _swap_pivot(a: list[list[Poly]], k: int) -> bool:
-    """Swap a nonzero entry of least degree in a[k:][k:] to a[k][k]; False if none."""
-    piv = min(((d, i, j) for i in range(k, len(a)) for j in range(k, len(a[0]))
-               if (d := a[i][j].degree) >= 0), default=None)
-    if piv is None:
-        return False
-    _, i, j = piv
-    a[k], a[i] = a[i], a[k]
-    for row in a:
-        row[k], row[j] = row[j], row[k]
-    return True
-
-
-def invariant_factors(entries: Sequence[Sequence[Poly]]) -> list[Poly]:
-    """The monic invariant factors s_1 | s_2 | ... | s_r of a matrix over
-    Q[t] (r its rank over Q(t)): the diagonal of its Smith normal form, so
-    s_1 ... s_k is the monic gcd of its k-minors.  Euclidean elimination:
-    move an entry of least degree to the pivot, reduce its row and column
-    by it, and repeat while a remainder is left; then, while some entry of
-    the trailing block is not a multiple of the pivot, add its row to the
-    pivot row and repeat.  Each remainder has lower degree than the pivot,
-    so the pivot's degree falls until the loop ends."""
-    a = [list(row) for row in entries]
-    n, m = len(a), len(a[0]) if a else 0
-    out: list[Poly] = []
-    for k in range(min(n, m)):
-        while True:
-            if not _swap_pivot(a, k):
-                return out
-            p = a[k][k]
-            exact = True
-            for row in a[k + 1:]:
-                if row[k].num:
-                    q, r = row[k].divmod(p)
-                    exact = exact and r.is_zero()
-                    for j in range(k, m):
-                        row[j] = row[j] - q * a[k][j]
-            for j in range(k + 1, m):
-                if a[k][j].num:
-                    q, r = a[k][j].divmod(p)
-                    exact = exact and r.is_zero()
-                    for row in a:
-                        row[j] = row[j] - q * row[k]
-            if not exact:
-                continue
-            bad = next((row for row in a[k + 1:]
-                        if any(x.divmod(p)[1].num for x in row[k + 1:])), None)
-            if bad is None:
-                break
-            a[k] = [x + y for x, y in zip(a[k], bad)]
-        out.append(p.monic())
-    return out
 
 
 def generic_rank(mats: Sequence[Mat4]) -> int:

@@ -87,6 +87,15 @@ def test_export_catalog_prints_the_shipped_data_file(capsys):
     assert capsys.readouterr().out.encode() == shipped
 
 
+def test_a_closed_stdout_ends_the_command_with_exit_0(monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["export-catalog"]) == 0
+
+
 def test_export_catalog_refuses_a_drifted_row_count_before_printing(monkeypatch, capsys):
     monkeypatch.setattr(catalog, "EXPECTED_COUNTS", {**catalog.EXPECTED_COUNTS, 5: 7})
     catalog._shipped.cache_clear()

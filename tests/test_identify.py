@@ -151,6 +151,22 @@ def test_identify_unrecognized():
     sl2 = StructureConstants.from_brackets(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
     with pytest.raises(UnrecognizedFamily, match="derived dimension 3 is not solvable"):
         identify_degraaf(sl2)
+    # Lie algebras whose refusal names its reason: gl2 = sl2 + J, whose
+    # derived algebra sl2 is no Heisenberg algebra; x0 acting by
+    # diag(1, 1, 2) on an abelian ideal, and by diag(1, 1, 0) on the
+    # centralizer span(x1, x2, x3) of the derived plane, neither cyclic; x0
+    # and x1 acting on the derived plane span(x2, x3) by 1 and by a matrix
+    # with eigenvalues +-sqrt(2)
+    for brackets, reason in [
+            ({(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}, "unexpected derived structure"),
+            ({(0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 2}}, "non-cyclic action"),
+            ({(0, 1): {1: 1}, (0, 2): {2: 1}}, "non-cyclic action"),
+            ({(0, 2): {2: 1}, (0, 3): {3: 1}, (1, 2): {3: 1}, (1, 3): {2: 2}},
+             "irrational joint eigenvalues")]:
+        sc = StructureConstants.from_brackets(4, brackets)
+        assert satisfies_jacobi(sc)
+        with pytest.raises(UnrecognizedFamily, match=reason):
+            identify_degraaf(sc)
 
 
 def test_sw_lambda_branches():

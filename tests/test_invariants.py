@@ -44,6 +44,15 @@ def test_pencil_examples_from_the_rank_line_arguments():
         pencil_rank_strata(X_ALPHA, X_ALPHA * 3)
 
 
+def test_pencil_refuses_a_pair_outside_the_nilpotent_pencils_of_sp4():
+    # t*T(1, 0) + X_alpha is semisimple at t != 0; t*(E12 + E23) + E13 is a
+    # gl(4) nilpotent of type [3, 1], an orbit sp(4) does not have
+    for n1, n2 in [(T(1, 0), X_ALPHA),
+                   (Mat4.unit(1, 2) + Mat4.unit(2, 3), Mat4.unit(1, 3))]:
+        with pytest.raises(Sp4Error, match="nilpotent pencil in sp"):
+            pencil_rank_strata(n1, n2)
+
+
 def test_pencil_matches_grid_oracle():
     pairs = [(X_ALPHA, X_A2B), (X_ALPHA, X_AB), (X_AB, X_A2B),
              (X_BETA + X_ALPHA, X_A2B), (X_BETA, X_A2B),
@@ -303,7 +312,7 @@ def test_generic_rank_matches_the_grid_oracle(rng):
 
 
 def test_signatures_expand_no_minor(monkeypatch):
-    """Pencil strata and generic ranks come from elimination over Q[t]: no
+    """Pencil strata and generic ranks come from integer elimination: no
     signature of a catalog instance expands a determinant by cofactors."""
     from sp4solvable import linalg
     subs = [Subalgebra(e.space_at(a)) for e in load_catalog() for a in e.samples()]

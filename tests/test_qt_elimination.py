@@ -1,19 +1,20 @@
 """The Q[t] kernels against a minor scan built on cofactor expansion
-(`det_mpoly`): the invariant factors of a pencil give the gcds of its
-minors, and the generic rank of a span, read at one point, is the size of
-the largest nonzero minor of its Kronecker matrix, which the oracle
+(`det_mpoly`): the rank strata of a nilpotent pencil come out of the gcds
+of its minors, and the generic rank of a span, read at one point, is the
+size of the largest nonzero minor of its Kronecker matrix, which the oracle
 `symbolic_combo` builds over Q[t]."""
 
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sp4solvable.catalog import load_catalog
-from sp4solvable.invariants import nilpotent_subspace
-from sp4solvable.linalg import Mat4, Poly, det_mpoly, generic_rank, invariant_factors
+from sp4solvable.invariants import PencilStrata, nilpotent_subspace, pencil_rank_strata
+from sp4solvable.linalg import Mat4, Poly, det_mpoly, echelon_span, generic_rank, rational_roots
 from sp4solvable.rational import Q
-from sp4solvable.sp4 import J_FORM, conjugate_subalgebra, shear
+from sp4solvable.sp4 import (A_MAT, J_FORM, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA, conjugate,
+                             conjugate_subalgebra, shear)
 from sp4solvable.structure import Subalgebra
 
 from oracles import symbolic_combo
@@ -38,19 +39,21 @@ def minor_rank(entries) -> int:
     return max((k for k in range(1, 5) if any(m.num for m in minors(entries, k))), default=0)
 
 
-def assert_factors_match_minors(entries):
-    factors = invariant_factors(entries)
-    product = Poly([1])
-    for k in range(1, 5):
-        if k <= len(factors):
-            s = factors[k - 1]
-            assert s.num and s.num[-1] == s.den  # nonzero and monic
-            if k > 1:
-                assert s.divmod(factors[k - 2])[1].is_zero()  # s_{k-1} | s_k
-            product = product * s
-            assert product == minor_gcd(entries, k), k
-        else:
-            assert minor_gcd(entries, k).is_zero(), k
+def strata_from_minors(n1, n2) -> PencilStrata:
+    """The rank strata of t*n1 + n2 from its minors: the lines of rank <= k
+    are the roots of the squarefree gcd of the (k+1)-minors, each once, and
+    the rank of n1 is the largest size of its nonzero minors."""
+    entries = symbolic_combo([n2, n1])
+    generic = minor_rank(entries)
+    loci = [minor_gcd(entries, k + 1).squarefree_part() for k in range(generic)]
+    roots = [set(rational_roots(p)) if p.degree > 0 else set() for p in loci]
+    drops = tuple((t0, min(k for k in range(generic) if t0 in roots[k]))
+                  for t0 in sorted(roots[-1], key=lambda q: (q.numerator, q.denominator)))
+    irrational = [p.degree - len(rs) for p, rs in zip(loci, roots)]
+    counts = tuple((k, irrational[k] - irrational[k - 1]) for k in range(1, generic)
+                   if irrational[k] > irrational[k - 1])
+    inf = minor_rank(symbolic_combo([n1]))
+    return PencilStrata(generic, drops, inf if inf < generic else None, counts)
 
 
 small = st.integers(-3, 3)
@@ -82,11 +85,28 @@ wide_sparse_mats = st.lists(st.one_of(st.just(0), st.integers(-10**6, 10**6)),
     lambda xs: Mat4([xs[i:i + 4] for i in (0, 4, 8, 12)]))
 
 
+@st.composite
+def nilpotent_pencils(draw):
+    """Two independent elements of n = span(X_alpha, X_beta, X_alpha+beta,
+    X_alpha+2beta), conjugated by a word in W, A, J and root shears."""
+    roots = (X_ALPHA, X_BETA, X_AB, X_A2B)
+    n1, n2 = (sum((x * c for x, c in zip(roots, draw(vectors))), Mat4.zero())
+              for _ in range(2))
+    assume(echelon_span([n1, n2]).dim == 2)
+    steps = st.fractions(-5, 5, max_denominator=4)
+    atoms = st.one_of(st.sampled_from([W_MAT, A_MAT, J_FORM]),
+                      st.builds(shear, st.sampled_from(["alpha", "beta", "alpha_plus_beta",
+                                                        "alpha_plus_2beta"]), steps))
+    g = Mat4.identity()
+    for atom in draw(st.lists(atoms, max_size=5)):
+        g = g * atom
+    return conjugate(g, n1), conjugate(g, n2)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(low_rank_pairs(), st.tuples(sparse_mats, sparse_mats)))
-def test_invariant_factors_multiply_to_the_minor_gcds(pair):
-    n1, n2 = pair
-    assert_factors_match_minors(symbolic_combo([n2, n1]))
+@given(nilpotent_pencils())
+def test_pencil_strata_match_the_minor_gcds(pair):
+    assert pencil_rank_strata(*pair) == strata_from_minors(*pair)
 
 
 @settings(max_examples=150, deadline=None)
@@ -129,11 +149,10 @@ def test_kernels_match_the_minor_scan_on_disguised_catalog_instances():
     assert max(p.degree for row in symbolic_combo(spans[-1]) for p in row) == 25
     pencils = ranks = 0
     for mats in spans:
-        entries = symbolic_combo(mats)
         if len(mats) == 2:
-            assert_factors_match_minors(entries)
+            assert pencil_rank_strata(*mats) == strata_from_minors(*mats)
             pencils += 1
         if len(mats) >= 2:
-            assert generic_rank(mats) == minor_rank(entries)
+            assert generic_rank(mats) == minor_rank(symbolic_combo(mats))
             ranks += 1
     assert pencils >= 30 and ranks >= 70
