@@ -42,8 +42,7 @@ _EXPORTS = {
                   "generated_subalgebra", "is_abelian", "is_closed", "is_nilpotent",
                   "is_solvable", "structure_constants", "structure_constants_for_basis"),
     "jordan": ("JordanDecomposition", "OrbitLabel", "classify_element",
-               "conjugate_ss_into_cartan", "is_nilpotent_mat", "is_semisimple",
-               "jordan_decompose", "jordan_type"),
+               "conjugate_ss_into_cartan", "jordan_decompose", "jordan_type"),
     "invariants": ("InvariantSignature", "nilpotent_subspace", "pencil_rank_strata",
                    "signature"),
     "identify": ("DeGraafClass", "SWClass", "degraaf_constants", "degraaf_to_sw",

@@ -34,8 +34,10 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   char poly of ad x on g, char poly of ad x on [g,g]) is constant on
   x + N(g), and the leftover scaling freedom is removed by weighted
   cross-ratio invariantization; rank-drop lines of the nilpotent pencil are
-  ad(x)-invariant and contribute their ad-eigenvalues.  Both adjoint char
-  polys are taken on ints, off the bracket table and the int rows of [g,g].
+  ad(x)-invariant and contribute their ad-eigenvalues, and a pencil with a
+  conjugate pair of irrational drop lines is refused (IrrationalSpectrum).
+  Both adjoint char polys are taken on ints, off the bracket table and the
+  int rows of [g,g].
 
 Every field is invariant under conjugation by rational symplectic matrices,
 which is what the classification's equivalence relation restricts to on the
@@ -108,16 +110,21 @@ def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
     """
     if echelon_span([n1, n2]).dim != 2:
         raise DependentInputs("pencil needs two independent matrices")
+    # x(t)^4 has degree 4 in t, so it vanishes identically iff it does at five points
+    if not (in_sp4(n1) and in_sp4(n2)) or any(
+            not ((x := n1 * t + n2) * x * x * x).is_zero() for t in (0, 1, -1, 2, -2)):
+        raise Sp4Error("pencil_rank_strata needs a nilpotent pencil in sp(4)")
+    return _pencil_strata(n1, n2)
+
+
+def _pencil_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
+    """`pencil_rank_strata` without its checks, for the echelon basis of a
+    plane N(g), which is independent, in sp(4) and nilpotent."""
     den = math.lcm(n1.den, n2.den)
     a = [x * (den // n1.den) for x in n1.num]
     b = [x * (den // n2.den) for x in n2.num]
     ab, ba = _mul_num(a, b), _mul_num(b, a)
     square = list(zip(_mul_num(b, b), [x + y for x, y in zip(ab, ba)], _mul_num(a, a)))
-    # x(t)^4 has degree 4 in t, so it vanishes identically iff it does at five points
-    if not (in_sp4(n1) and in_sp4(n2)) or any(
-            any(_mul_num(m, m)) for m in ([c0 + t * (c1 + t * c2) for c0, c1, c2 in square]
-                                          for t in (0, 1, -1, 2, -2))):
-        raise Sp4Error("pencil_rank_strata needs a nilpotent pencil in sp(4)")
     # the 2-minor x[p] x[s] - x[q] x[r] of rows i, j and columns k, l
     minors = [(b[p] * b[s] - b[q] * b[r], a[p] * b[s] + b[p] * a[s] - a[q] * b[r] - b[q] * a[r],
                a[p] * a[s] - a[q] * a[r])
@@ -265,7 +272,7 @@ def _signature(s: Subalgebra, nspace: Subspace) -> InvariantSignature:
     if codim not in (0, 1, 2):
         raise Sp4Error("solvable subalgebra with toral rank > 2 in sp(4)")
 
-    pencil = pencil_rank_strata(*nspace.basis) if dn == 2 else None
+    pencil = _pencil_strata(*nspace.basis) if dn == 2 else None
     strata = _nilpotent_strata(nspace, pencil)
 
     if codim == 0:
@@ -346,13 +353,18 @@ def _marked_line_data(nspace: Subspace, x0: Mat4,
     for dim 1 the line itself, for dim 2 the rank-drop lines of the pencil
     (rational ones plus the line at infinity), grouped by rank as elementary
     symmetric functions so the data is basis-independent.  `pencil` is the
-    pencil stratification of the nilpotent subspace when it has dim 2."""
+    pencil stratification of the nilpotent subspace when it has dim 2;
+    IrrationalSpectrum is raised when it has irrational drop lines."""
     out: list[tuple] = []
     if nspace.dim == 1:
         out.append((_eigenvalue_on_line(x0, nspace.basis[0]), 1))
         return out
     if nspace.dim != 2:
         return out
+    if pencil.irrational_counts:  # their eigenvalues would be left out
+        raise IrrationalSpectrum("the rank-drop lines of the nilpotent pencil include a "
+                                 "conjugate pair of irrational lines (rank, count): "
+                                 + repr(pencil.irrational_counts))
     n1, n2 = nspace.basis
     by_rank: dict[int, list] = {}
     for t0, r in pencil.rational_drops:

@@ -7,24 +7,25 @@ are coprime, so g'(S) stays invertible along the iteration, and for 4x4
 matrices the iteration stabilizes after at most two steps.
 
 Element classification follows the two conjugacy tables and reads one
-characteristic polynomial p: x is semisimple iff the squarefree part of p
-kills x, nilpotent iff p = lambda^4 (three nonzero orbits, blocks (2,1,1),
-(2,2), (4), told apart by rank), and the eigenvalue pair is read off p.
+characteristic polynomial p: x is nilpotent iff p = lambda^4 (three nonzero
+orbits, blocks (2,1,1), (2,2), (4), told apart by rank); otherwise p has the
+roots +-a, +-b (a >= b >= 0, rational or refused), and x is semisimple iff
+the squarefree part of p kills it.  With a != b both nonzero p is that part;
+with a = b it is lambda^2 - a^2 and with b = 0 it is lambda^3 - a^2 lambda,
+so one or two int products of x decide.
 """
 
 from __future__ import annotations
 
 from .errors import IrrationalSpectrum, NotInBorel, NotInSp4, NotSemisimple
-from .linalg import (Mat4, Poly, char_poly, inverse, poly_eval_mat, rank,
+from .linalg import (Mat4, Poly, _mul_num, char_poly, inverse, poly_eval_mat, rank,
                      rational_roots)
-from .rational import Q, Record, format_rational
-from .sp4 import (_weyl_pairs, conjugate, in_sp4, root_value, shear,
-                  standard_subalgebra)
+from .rational import Record, format_rational
+from .sp4 import conjugate, in_sp4, root_value, shear, standard_subalgebra
 
 __all__ = [
-    "JordanDecomposition", "jordan_decompose", "is_semisimple",
-    "is_nilpotent_mat", "jordan_type", "OrbitLabel", "classify_element",
-    "conjugate_ss_into_cartan",
+    "JordanDecomposition", "jordan_decompose", "jordan_type", "OrbitLabel",
+    "classify_element", "conjugate_ss_into_cartan",
 ]
 
 
@@ -46,22 +47,6 @@ def _jordan_decompose(x: Mat4, p: Poly) -> JordanDecomposition:
         s = s - gs * inverse(poly_eval_mat(g.derivative(), s))
         gs = poly_eval_mat(g, s)
     return JordanDecomposition(s, x - s)
-
-
-_LAMBDA4 = Poly([0, 0, 0, 0, 1])
-
-
-def _annihilated_by_squarefree(x: Mat4, p: Poly) -> bool:
-    """Whether x is semisimple, given its characteristic polynomial p."""
-    return poly_eval_mat(p.squarefree_part(), x).is_zero()
-
-
-def is_semisimple(x: Mat4) -> bool:
-    return _annihilated_by_squarefree(x, char_poly(x))
-
-
-def is_nilpotent_mat(x: Mat4) -> bool:
-    return char_poly(x) == _LAMBDA4
 
 
 def jordan_type(x: Mat4) -> dict:
@@ -116,18 +101,6 @@ class OrbitLabel(Record):
         return hash((self.table, self.row, frozenset(self.params.items())))
 
 
-def _abs_key(q):
-    """Deterministic total order key on rationals by 'size then sign'."""
-    q = Q(q)
-    return (abs(q.numerator) * q.denominator, abs(q.numerator), 0 if q >= 0 else 1)
-
-
-def _weyl_canonical(a, b) -> tuple:
-    """Canonical representative of the Weyl orbit of (a, b), minimizing
-    (key(a), key(b)) in the fixed total order."""
-    return min(_weyl_pairs(a, b), key=lambda p: (_abs_key(p[0]), _abs_key(p[1])))
-
-
 def _eigen_pair(p: Poly) -> tuple:
     """The pair (a, b), a >= b >= 0, of a rational-spectrum sp(4) element
     whose characteristic polynomial p has the roots {a, b, -a, -b}."""
@@ -139,33 +112,45 @@ def _eigen_pair(p: Poly) -> tuple:
     return vals[3], vals[2]
 
 
+_LAMBDA4 = Poly([0, 0, 0, 0, 1])
+
+
 def classify_element(x: Mat4) -> OrbitLabel:
     """Assign the conjugacy-table row of an sp(4) element (rational spectrum).
 
-    Semisimple: table 1, Weyl-normalized (a, b).  Nilpotent: one of the three
-    nonzero nilpotent rows, typed by rank.  Mixed: one of the two
-    nontrivial-Jordan rows, typed by the eigenvalues of p = char_poly(x).
+    Nilpotent (p = char_poly(x) = lambda^4): zero, or one of the three
+    nonzero nilpotent rows, typed by rank.  Otherwise p has the roots +-a,
+    +-b with a >= b >= 0 (`_eigen_pair`, which raises IrrationalSpectrum).
+    Four distinct eigenvalues make x semisimple: table 1, the Weyl-normalized
+    pair putting first the one of a, b = n/d with the smaller (|n|*d, |n|).
+    For a = b or b = 0, x is semisimple iff x^2 = a^2 I or x^3 = a^2 x,
+    tested on the numerators of x; if not, it is one of the two
+    nontrivial-Jordan rows.
     """
     if not in_sp4(x):
         raise NotInSp4("classify_element needs an sp(4) element")
     p = char_poly(x)
-    if _annihilated_by_squarefree(x, p):
-        a, b = _weyl_canonical(*_eigen_pair(p))
-        if a == 0 and b == 0:
-            return OrbitLabel(1, "zero", {})
-        if b == 0 or a == 0:
-            nz = a if b == 0 else b
-            return OrbitLabel(1, "T_a0", {"a": abs(nz)})
-        if a == b or a == -b:
-            return OrbitLabel(1, "T_aa", {"a": abs(a)})
-        return OrbitLabel(1, "T_ab", {"a": a, "b": b})
     if p == _LAMBDA4:
         # odd Jordan blocks of a nilpotent element of sp(4) come in pairs, so
         # the nonzero types are (2,1,1), (2,2) and (4), of ranks 1, 2 and 3
-        return OrbitLabel(2, ("X_alpha", "X_beta", "X_alpha_plus_X_beta")[rank(x) - 1], {})
-    # mixed: the semisimple part (char poly p) is non-regular with eigenvalues
-    # (a,0,-a,0) [row T_{a,0}+X_alpha] or (a,a,-a,-a) [row T_{a,a}+X_beta]
+        r = rank(x)
+        if r == 0:
+            return OrbitLabel(1, "zero", {})
+        return OrbitLabel(2, ("X_alpha", "X_beta", "X_alpha_plus_X_beta")[r - 1], {})
     a, b = _eigen_pair(p)
+    if b and a != b:
+        if (b.numerator * b.denominator, b.numerator) < (a.numerator * a.denominator,
+                                                         a.numerator):
+            a, b = b, a
+        return OrbitLabel(1, "T_ab", {"a": a, "b": b})
+    # x = m/d: x^2 = a^2 I is m^2 = (a d)^2 I, and x^3 = a^2 x is m^3 = (a d)^2 m
+    m = x.num
+    m2 = _mul_num(m, m)
+    lhs, rhs = (m2, Mat4.identity().num) if b else (_mul_num(m2, m), m)
+    ad = a * x.den
+    f, g = ad.numerator ** 2, ad.denominator ** 2
+    if all(g * y == f * z for y, z in zip(lhs, rhs)):
+        return OrbitLabel(1, "T_aa" if b else "T_a0", {"a": a})
     return OrbitLabel(2, "T_aa_plus_X_beta" if b else "T_a0_plus_X_alpha", {"a": a})
 
 

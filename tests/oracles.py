@@ -15,7 +15,7 @@ rows, for comparison with the oracles."""
 from itertools import combinations
 
 from sp4solvable.errors import DependentInputs, IrrationalSpectrum, NotSolvable
-from sp4solvable.jordan import JordanDecomposition, is_semisimple
+from sp4solvable.jordan import JordanDecomposition
 from sp4solvable.linalg import (Mat4, Poly, Subspace, _over_common_den, _pivot_coords,
                                 det_mpoly, echelon_span)
 from sp4solvable.rational import Q, ZERO
@@ -232,4 +232,9 @@ def is_jordan_decomposition(dec: JordanDecomposition, original: Mat4) -> bool:
         return False
     if not (n * n * n * n).is_zero():
         return False
-    return is_semisimple(s)
+    # s is semisimple iff the squarefree part of its char poly kills it (Horner)
+    g = char_poly_det(s.rows).squarefree_part()
+    acc = Mat4.zero()
+    for i in range(g.degree, -1, -1):
+        acc = acc * s + Mat4.identity() * g[i]
+    return acc.is_zero()

@@ -467,3 +467,37 @@ def test_a_faulty_catalog_row_is_a_verification_failure_of_identify(tmp_path, mo
     assert main(["identify", "--input", str(path)]) == 1
     assert "CatalogFault: row d1_T_a1: ValueError(" in capsys.readouterr().err
     verify._instance.cache_clear()
+
+
+def _siegel_plane(q):
+    """The plane of the Siegel radical [[0, S], [0, 0]] with tr(SQ) = 0, for
+    a nonzero symmetric Q = [[q11, q12], [q12, q22]]."""
+    (q11, q12), (_, q22) = q
+    w = (q11, q22, 2 * q12)  # tr(SQ) on the coordinates s11, s22, s12 of SIEGEL
+    k = next(i for i, c in enumerate(w) if c)
+    return [SIEGEL[j] * w[k] - SIEGEL[k] * w[j] for j in range(3) if j != k]
+
+
+@pytest.mark.parametrize("q, split", [([[2, 1], [1, 2]], False), ([[1, 0], [0, 1]], False),
+                                      ([[1, 0], [0, -2]], False), ([[0, 1], [1, 0]], True),
+                                      ([[1, 0], [0, -1]], True)])
+def test_a_non_split_plane_of_the_siegel_radical_is_out_of_domain_not_a_miss(q, split,
+                                                                            tmp_path, capsys):
+    # T(1, 1) acts on the Siegel radical as the scalar 2, so T(1,1) plus any
+    # plane of it is a subalgebra, conjugate over C to row d3_T11_Xa_Xa2b;
+    # over Q only when -det Q is a square.  Otherwise the plane's two rank-1
+    # lines are a conjugate irrational pair, refused with exit 3, never the
+    # false "classification misses this subalgebra" exit 1
+    path = tmp_path / "siegel.json"
+    path.write_text(json.dumps(Subalgebra.from_matrices([T(1, 1), *_siegel_plane(q)]).to_json()))
+    code = main(["identify", "--input", str(path), "--output", "json"])
+    captured = capsys.readouterr()
+    if split:
+        assert code == 0
+        assert json.loads(captured.out)["catalog_rows"] == [
+            {"row": "d3_T11_Xa_Xa2b", "param": None}]
+    else:
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("IrrationalSpectrum:")
+        assert "conjugate pair of irrational lines" in captured.err
+    assert main(["invariants", "--input", str(path)]) == (0 if split else 3)

@@ -53,6 +53,26 @@ def test_pencil_refuses_a_pair_outside_the_nilpotent_pencils_of_sp4():
             pencil_rank_strata(n1, n2)
 
 
+def test_signature_reads_the_pencil_of_n_g_without_the_public_checks(monkeypatch):
+    # the echelon basis of N(g) is independent, in sp(4) and nilpotent, so
+    # the signature path skips pencil_rank_strata's refusal; same strata
+    from sp4solvable import invariants
+    subs = [alg(T(1, 1), X_ALPHA, X_A2B), alg(T(1, 0), X_BETA, X_A2B),
+            alg(X_ALPHA, X_A2B), alg(T(2, 1), X_AB, X_A2B)]
+    want = [signature(s) for s in subs]
+    pencils = [pencil_rank_strata(*nilpotent_subspace(s).basis) for s in subs]
+
+    def forbidden(*args):
+        raise AssertionError("the signature path ran the public pencil checks")
+
+    monkeypatch.setattr(invariants, "pencil_rank_strata", forbidden)
+    monkeypatch.setattr(invariants, "in_sp4", forbidden)
+    for s, sig, pencil in zip(subs, want, pencils):
+        assert nilpotent_subspace(s).dim == 2
+        assert signature(s) == sig
+        assert invariants._pencil_strata(*nilpotent_subspace(s).basis) == pencil
+
+
 def test_pencil_matches_grid_oracle():
     pairs = [(X_ALPHA, X_A2B), (X_ALPHA, X_AB), (X_AB, X_A2B),
              (X_BETA + X_ALPHA, X_A2B), (X_BETA, X_A2B),

@@ -2,13 +2,12 @@ import pytest
 
 from sp4solvable.errors import (IrrationalSpectrum, NotInBorel, NotInSp4,
                                 NotSemisimple)
-from sp4solvable import jordan
-from sp4solvable.jordan import (JordanDecomposition, OrbitLabel, _weyl_canonical,
-                                classify_element, conjugate_ss_into_cartan, is_nilpotent_mat,
-                                is_semisimple, jordan_decompose, jordan_type)
-from sp4solvable.linalg import Mat4, inverse
+from sp4solvable import jordan, linalg
+from sp4solvable.jordan import (JordanDecomposition, OrbitLabel, classify_element,
+                                conjugate_ss_into_cartan, jordan_decompose, jordan_type)
+from sp4solvable.linalg import Mat4, Poly, inverse
 from sp4solvable.rational import Q, ZERO
-from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, conjugate,
+from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, _weyl_pairs, conjugate,
                              in_sp4, shear)
 
 from conftest import (conjugator_pool, random_borel_element,
@@ -44,12 +43,12 @@ def test_the_decomposition_oracle_rejects_each_broken_property():
 
 
 def test_is_semisimple_examples():
-    x = T(1, 1) + X_BETA
-    assert not is_semisimple(x) and not is_nilpotent_mat(x)
-    assert is_nilpotent_mat(X_ALPHA + X_BETA)
-    assert is_semisimple(T(1, -1))
+    d = jordan_decompose(T(1, 1) + X_BETA)
+    assert not d.nilpotent.is_zero() and not d.semisimple.is_zero()
+    assert jordan_decompose(X_ALPHA + X_BETA).semisimple.is_zero()
+    assert jordan_decompose(T(1, -1)).nilpotent.is_zero()
     # distinct-eigenvalue mixed-looking sums are semisimple
-    assert is_semisimple(T(2, 1) + X_A2B)
+    assert jordan_decompose(T(2, 1) + X_A2B).nilpotent.is_zero()
 
 
 def test_jordan_type_examples():
@@ -118,9 +117,20 @@ _NILPOTENT_BY_BLOCKS = {(2, 1, 1): "X_alpha", (2, 2): "X_beta",
                         (4,): "X_alpha_plus_X_beta"}
 
 
+def _size_key(q):
+    """Size then sign: (|n|*d, |n|, sign) of q = n/d."""
+    return (abs(q.numerator) * q.denominator, abs(q.numerator), q < 0)
+
+
+def _weyl_canonical(a, b):
+    """The Weyl image of (a, b) that is least by size key, entry by entry."""
+    return min(_weyl_pairs(a, b), key=lambda p: (_size_key(p[0]), _size_key(p[1])))
+
+
 def _reference_label(x):
-    """The conjugacy-table row from the Newton decomposition and Jordan block
-    sizes, independent of classify_element's char-poly reading."""
+    """The conjugacy-table row from the Newton decomposition, Jordan block
+    sizes and a search of the 8 Weyl images, independent of
+    classify_element's reading of the eigenvalue pair."""
     dec = jordan_decompose(x)
     s, n = dec.semisimple, dec.nilpotent
     if s.is_zero():
@@ -157,9 +167,6 @@ def test_char_poly_facts_match_newton_oracle(rng):
     xs += [random_sp4_element(rng) for _ in range(80)]
     irrational = 0
     for x in xs:
-        dec = jordan_decompose(x)
-        assert is_semisimple(x) == dec.nilpotent.is_zero()
-        assert is_nilpotent_mat(x) == dec.semisimple.is_zero()
         want = _label_or_error(_reference_label, x)
         assert _label_or_error(classify_element, x) == want
         irrational += want is IrrationalSpectrum
@@ -167,24 +174,69 @@ def test_char_poly_facts_match_newton_oracle(rng):
 
 
 def test_classify_element_reads_one_char_poly(monkeypatch):
-    char_poly = jordan.char_poly
-    calls = []
+    calls = {"char_poly": [], "rational_roots": []}
 
-    def counting_char_poly(x):
-        calls.append(x)
-        return char_poly(x)
+    def counting(name, f):
+        def wrapper(arg):
+            calls[name].append(arg)
+            return f(arg)
+        return wrapper
 
     def forbidden(*args):
-        raise AssertionError("classify_element decomposed or inverted")
+        raise AssertionError("classify_element did polynomial or decomposition work")
 
-    monkeypatch.setattr(jordan, "char_poly", counting_char_poly)
-    monkeypatch.setattr(jordan, "inverse", forbidden)
-    monkeypatch.setattr(jordan, "jordan_decompose", forbidden)
-    for x, row in ((T(2, 3), "T_ab"), (X_BETA, "X_beta"),
-                   (T(1, 1) + X_BETA, "T_aa_plus_X_beta")):
-        calls.clear()
+    monkeypatch.setattr(jordan, "char_poly", counting("char_poly", jordan.char_poly))
+    monkeypatch.setattr(jordan, "rational_roots",
+                        counting("rational_roots", jordan.rational_roots))
+    for module, name in ((jordan, "inverse"), (jordan, "jordan_decompose"),
+                         (jordan, "poly_eval_mat"), (linalg, "poly_eval_mat"),
+                         (Poly, "squarefree_part"), (Poly, "gcd")):
+        monkeypatch.setattr(module, name, forbidden)
+    for x, row in ((T(2, 3), "T_ab"), (X_BETA, "X_beta"), (Mat4.zero(), "zero"),
+                   (T(1, 1), "T_aa"), (T(1, 0), "T_a0"),
+                   (T(1, 1) + X_BETA, "T_aa_plus_X_beta"),
+                   (T(1, 0) + X_ALPHA, "T_a0_plus_X_alpha")):
+        calls["char_poly"].clear()
+        calls["rational_roots"].clear()
         assert classify_element(x).row == row
-        assert calls == [x]
+        assert calls["char_poly"] == [x]
+        assert len(calls["rational_roots"]) <= 1
+
+
+# examples of all 9 labels classify_element returns (zero and the three
+# semisimple rows of table 1, the five rows of table 2), T_ab three times
+_LABEL_EXAMPLES = [
+    (T(0, 0), OrbitLabel(1, "zero", {})),
+    (T(Q(-5, 2), 0), OrbitLabel(1, "T_a0", {"a": Q(5, 2)})),
+    (T(Q(4, 3), Q(-4, 3)), OrbitLabel(1, "T_aa", {"a": Q(4, 3)})),
+    # (|n|*d, |n|) is (6, 3) for 3 and (2, 1) for 1/2, so 1/2 comes first
+    (T(3, Q(1, 2)), OrbitLabel(1, "T_ab", {"a": Q(1, 2), "b": Q(3)})),
+    (T(Q(5, 4), Q(-2, 3)), OrbitLabel(1, "T_ab", {"a": Q(2, 3), "b": Q(5, 4)})),
+    (T(3, 2) + X_A2B * 7, OrbitLabel(1, "T_ab", {"a": Q(2), "b": Q(3)})),
+    (X_ALPHA * Q(-3, 5), OrbitLabel(2, "X_alpha", {})),
+    (X_BETA * 4, OrbitLabel(2, "X_beta", {})),
+    (X_ALPHA * 2 + X_BETA * Q(1, 3), OrbitLabel(2, "X_alpha_plus_X_beta", {})),
+    (T(Q(7, 2), 0) + X_ALPHA * -1, OrbitLabel(2, "T_a0_plus_X_alpha", {"a": Q(7, 2)})),
+    (T(-6, -6) + X_BETA * Q(2, 9), OrbitLabel(2, "T_aa_plus_X_beta", {"a": Q(6)})),
+]
+
+
+@pytest.mark.parametrize("x, want", _LABEL_EXAMPLES,
+                         ids=[f"{w.row}-{i}" for i, (_, w) in enumerate(_LABEL_EXAMPLES)])
+def test_one_element_per_label_scaled_and_conjugated(x, want, rng):
+    assert classify_element(x) == want
+    for g in conjugator_pool(rng, 4):
+        for s in (1, -1, Q(3, 7)):
+            y = conjugate(g, x * s)
+            got = classify_element(y)
+            assert got == _reference_label(y)
+            # scaling scales the pair, whose Weyl-normal order may change
+            assert (got.table, got.row) == (want.table, want.row)
+            assert sorted(got.params.values()) == sorted(v * abs(s) for v in want.params.values())
+
+
+def test_the_examples_cover_every_label():
+    assert len({w.row for _, w in _LABEL_EXAMPLES}) == 9
 
 
 def test_three_nilpotent_orbits_match_jcf_column():
