@@ -29,11 +29,16 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   element iff the Jordan nilpotent part of any x outside N(g) lies in N(g)
   (sweeping the nonzero ad(S)-weight components of x by unipotent
   conjugations inside g shows the condition does not depend on the choice
-  of x in its coset);
+  of x in its coset), and a regular one iff moreover the char poly
+  c4 l^4 + c2 l^2 + c0 of x has four distinct roots: c0 != 0 and
+  c2^2 != 4 c0 c4, read off its int coefficients.  Such an x is itself
+  semisimple (its nilpotent part is 0), so it needs no decomposition; only
+  a double or a zero eigenvalue pair runs `_jordan_decompose`;
 * a canonical spectral probe.  For codimension 1 the triple (char poly of x,
   char poly of ad x on g, char poly of ad x on [g,g]) is constant on
   x + N(g), and the leftover scaling freedom is removed by weighted
-  cross-ratio invariantization; rank-drop lines of the nilpotent pencil are
+  cross-ratio invariantization, one `Q` per value from int (numerator,
+  denominator, weight) triples; rank-drop lines of the nilpotent pencil are
   ad(x)-invariant and contribute their ad-eigenvalues, and a pencil with a
   conjugate pair of irrational drop lines is refused (IrrationalSpectrum).
   Both adjoint char polys are taken on ints, off the bracket table and the
@@ -225,31 +230,27 @@ def _eigenvalue_on_line(x: Mat4, v: Mat4):
 
 
 def _invariantize(weighted: list[tuple]) -> tuple:
-    """Remove the scaling freedom x -> s*x from a list of (value, weight)
-    pairs, where value scales by s**weight: replace each nonzero value v of
-    weight w by v**w0 / v0**w relative to the first nonzero entry (v0, w0).
-    The result is invariant under scaling by any s in the algebraic closure.
+    """Remove the scaling freedom x -> s*x from a list of (numerator,
+    denominator, weight) triples, each the value v = n/d (d != 0) that
+    scales by s**weight: replace each nonzero v of weight w by
+    v**w0 / v0**w = n**w0 * d0**w / (d**w0 * n0**w) relative to the first
+    nonzero entry n0/d0 of weight w0, one `Q` per value, and each zero by
+    ("z", w).  The result is invariant under scaling by any s in the
+    algebraic closure.
     """
-    v0 = w0 = None
-    for v, w in weighted:
-        if v != 0:
-            v0, w0 = v, w
-            break
-    out = []
-    for v, w in weighted:
-        if v == 0:
-            out.append(("z", w))
-        else:
-            out.append((v**w0 / v0**w, w))
-    return tuple(out)
+    n0, d0, w0 = next(((n, d, w) for n, d, w in weighted if n), (0, 1, 0))
+    return tuple((Q(n**w0 * d0**w, d**w0 * n0**w), w) if n else ("z", w)
+                 for n, d, w in weighted)
 
 
 def _regular_pair(p: Poly) -> bool:
-    """Whether the char poly p of a rational-spectrum sp(4) element has four
-    distinct roots (+-a, +-b with a,b nonzero, a != +-b)."""
-    if p[0] == 0:  # zero eigenvalue
-        return False
-    return p.gcd(p.derivative()).degree == 0
+    """Whether the char poly p = c4*l^4 + c2*l^2 + c0 of an sp(4) element
+    has four distinct roots +-a, +-b (a, b nonzero, a != +-b): the roots
+    l^2 of c4*m^2 + c2*m + c0 are distinct and nonzero, so c0 != 0 and
+    c2^2 != 4*c0*c4, read off the int numerators of p.  The spectrum need
+    not be rational."""
+    c0, _, c2, _, c4 = p.num
+    return c0 != 0 and c2 * c2 != 4 * c0 * c4
 
 
 def signature(s: Subalgebra) -> InvariantSignature:
@@ -287,11 +288,11 @@ def _signature(s: Subalgebra, nspace: Subspace) -> InvariantSignature:
         i0 = next(i for i, b in enumerate(g.basis) if not nspace.contains(b))
         x0 = g.basis[i0]
         p0 = char_poly(x0)
-        has_invertible = p0[0] != 0  # det(x0), see the module docstring
-        dec = _jordan_decompose(x0, p0)
-        if nspace.contains(dec.nilpotent):
-            content = ("has_regular_ss" if _regular_pair(p0)
-                       else "has_nonregular_ss_only")
+        has_invertible = p0.num[0] != 0  # det(x0), see the module docstring
+        if _regular_pair(p0):  # four distinct eigenvalues: x0 is semisimple
+            content = "has_regular_ss"
+        elif nspace.contains(_jordan_decompose(x0, p0).nilpotent):
+            content = "has_nonregular_ss_only"
         else:
             content = "mixed_only"
         probe = _spectral_probe(s, nspace, der[1] if len(der) > 1 else [],
@@ -329,22 +330,17 @@ def _spectral_probe(s: Subalgebra, nspace: Subspace, derived: list[tuple],
     char poly p4."""
     sc = s.constants
     x0 = s.basis[i0]
-    weighted: list[tuple] = []
-    for j in (3, 2, 1, 0):
-        weighted.append((p4[j], 4 - j))
-    # sc.num[i0] is den * ad(x0) on g, transposed: the same char poly
-    pad = _char_poly_int(sc.num[i0], sc.den)
-    dg = s.dim
-    for j in range(dg - 1, -1, -1):
-        weighted.append((pad[j], dg - j))
+    # the char polys of x0, of ad(x0) on g (sc.num[i0] is den * ad(x0),
+    # transposed) and on [g, g]; the coefficient num[j]/den of l^j in one of
+    # degree k scales by s**(k - j), and the leading one is 1
+    polys = [p4, _char_poly_int(sc.num[i0], sc.den)]
     dd = len(derived)
     if dd:
-        pdd = _char_poly_int(*_ad_num(sc, [int(k == i0) for k in range(dg)], derived))
-        for j in range(dd - 1, -1, -1):
-            weighted.append((pdd[j], dd - j))
-    marked = _marked_line_data(nspace, x0, pencil)
-    weighted.extend(marked)
-    return (dg, dd, nspace.dim) + _invariantize(weighted)
+        polys.append(_char_poly_int(*_ad_num(sc, [int(k == i0) for k in range(s.dim)], derived)))
+    weighted = [(p.num[j], p.den, p.degree - j) for p in polys for j in range(p.degree - 1, -1, -1)]
+    weighted.extend((v.numerator, v.denominator, w)
+                    for v, w in _marked_line_data(nspace, x0, pencil))
+    return (s.dim, dd, nspace.dim) + _invariantize(weighted)
 
 
 def _marked_line_data(nspace: Subspace, x0: Mat4,

@@ -176,10 +176,12 @@ def _units(d: int) -> list[list[int]]:
 def _series(s: Subalgebra, lower: bool = False) -> list[list[tuple[int, list[int]]]]:
     """The `_rref_int` (pivot, int row) pairs of g, [g,g], ... until the
     dimension stops falling: the derived series, or with `lower` the lower
-    central series (g, [g,g], [g,[g,g]], ...), all from the bracket table."""
+    central series (g, [g,g], [g,[g,g]], ...), all from the bracket table.
+    Both series begin g, [g,g], so the lower one starts from the first two
+    terms of the cached `s.derived` and brackets [g,g] only once."""
     sc = s.constants
     g = _units(s.dim)
-    chain = [list(enumerate(g))]
+    chain = s.derived[:2] if lower else [list(enumerate(g))]
     while chain[-1]:
         h = [r for _, r in chain[-1]]
         nxt = _span_num(sc, g if lower else h, h)

@@ -1,20 +1,24 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sp4solvable import invariants, structure
 from sp4solvable.errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
 from sp4solvable.invariants import (_eigenvalue_on_line, _invariantize, nilpotent_subspace,
                                    pencil_rank_strata, signature)
 from sp4solvable.catalog import load_catalog
-from sp4solvable.linalg import Mat4, _char_poly_int, det_mpoly, echelon_span, generic_rank, rank
+from sp4solvable.jordan import jordan_decompose
+from sp4solvable.linalg import (Mat4, Poly, _char_poly_int, char_poly, det_mpoly, echelon_span,
+                                generic_rank, inverse, rank)
 from sp4solvable.rational import Q
-from sp4solvable.sp4 import (A_MAT, T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA,
-                             conjugate_subalgebra, shear, standard_subalgebra)
-from sp4solvable.structure import Subalgebra, _ad_num, generated_subalgebra
+from sp4solvable.sp4 import (A_MAT, ROOT_VECTORS, T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA,
+                             conjugate_subalgebra, root_value, shear, standard_subalgebra)
+from sp4solvable.structure import Subalgebra, _ad_num, _units, generated_subalgebra
 
-from conftest import conjugator_pool, random_borel_element
+from conftest import ROOTS, conjugator_pool, random_borel_element
 from oracles import (bracket_coords_fraction, char_poly_det, fraction_rows, grid_pencil_ranks,
                      solve_in_span, symbolic_combo, trace_form_radical)
 
@@ -196,7 +200,25 @@ def test_a_toral_rank_above_two_is_refused():
 
 
 def test_invariantize_marks_every_zero_of_an_all_zero_list():
-    assert _invariantize([(0, 1), (Q(0), 2)]) == (("z", 1), ("z", 2))
+    assert _invariantize([(0, 1, 1), (0, 3, 2)]) == (("z", 1), ("z", 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-30, 30),
+                          st.integers(1, 12) | st.integers(-12, -1),
+                          st.integers(0, 5)), max_size=8))
+@example([])
+@example([(0, 1, 0), (0, -2, 3)])
+@example([(0, 1, 2), (0, 5, 0), (-3, 2, 0), (4, -1, 2), (0, 1, 1), (7, 3, 0)])
+def test_invariantize_on_int_triples_is_the_fraction_definition(triples):
+    # each nonzero v = n/d of weight w becomes v**w0 / v0**w relative to the
+    # first nonzero (v0, w0), in `Fraction` arithmetic; each zero ("z", w)
+    values = [(Fraction(n, d), w) for n, d, w in triples]
+    v0, w0 = next(((v, w) for v, w in values if v), (None, None))
+    want = tuple((v**w0 / v0**w, w) if v else ("z", w) for v, w in values)
+    got = _invariantize(triples)
+    assert got == want
+    assert [type(v) for v, _ in got] == [type(v) for v, _ in want]
 
 
 def test_ss_content_classes():
@@ -205,6 +227,121 @@ def test_ss_content_classes():
     assert signature(alg(T(1, 1), X_BETA)).ss_content == "has_nonregular_ss_only"
     assert signature(alg(T(1, 0) + X_ALPHA, X_AB)).ss_content == "mixed_only"
     assert signature(Subalgebra(standard_subalgebra("n_p"))).ss_content == "all_nilpotent"
+
+
+# S = diag(A, -A^T) with A = [[0, 1], [2, 0]] has char poly (l^2 - 2)^2, and
+# N = [[0, B], [0, 0]] with B = diag(1, -2) is nilpotent and commutes with it
+_S_SQRT2 = Mat4([[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, -2], [0, 0, -1, 0]])
+_N_SQRT2 = Mat4([[0, 0, 1, 0], [0, 0, 0, -2], [0, 0, 0, 0], [0, 0, 0, 0]])
+
+
+def _random_x0(rng, shape: str) -> Mat4:
+    """An element outside N(g) of the given shape: a regular T(a, b), T(a, a),
+    T(a, 0), T(a, -a), T + X with X a root vector commuting with T, or the
+    irrational double pair S (plus N half the time)."""
+    a = Q(rng.choice((1, 2, 3, -1, -2)), rng.choice((1, 2, 3)))
+    if shape == "irrational":
+        return _S_SQRT2 * a + _N_SQRT2 * rng.choice((0, 1))
+    b = {"regular": a * rng.choice((3, -3, Q(1, 2), 5)), "a=b": a, "b=0": Q(0),
+         "a=-b": -a, "mixed": rng.choice((a, Q(0), -a))}[shape]
+    x0 = T(a, b) if rng.random() < 0.5 else T(b, a)
+    if shape == "mixed":
+        d = x0.entry(0, 0), x0.entry(1, 1)
+        label = rng.choice([r for r in ROOT_VECTORS if root_value(r, *d) == 0])
+        x0 = x0 + ROOT_VECTORS[label] * rng.choice((1, -2))
+    return x0
+
+
+def _random_nil_seeds(rng, shape: str) -> list[Mat4]:
+    """Nilpotent generators that keep the generated algebra of codimension 1."""
+    if shape == "irrational":
+        return [_N_SQRT2] * rng.randint(0, 1)
+    return [x * Q(rng.choice((1, -1, 2))) for x in ROOTS if rng.random() < 0.35]
+
+
+def test_ss_content_and_contains_invertible_follow_their_definitions(rng):
+    """For g = <x0, nilpotent seeds> conjugated, with N(g) the trace-form
+    radical of the oracle and x = x0 + n for an n in N(g): g holds a nonzero
+    semisimple element iff the Jordan nilpotent part of x lies in N(g), a
+    regular one iff p = char_poly(x) is squarefree (gcd(p, p') = 1), and an
+    invertible one iff the symbolic determinant is not zero."""
+    pool = conjugator_pool(rng, 12)
+    seen = set()
+    for shape in ("regular", "a=b", "b=0", "a=-b", "mixed", "irrational"):
+        checked = 0
+        while checked < 8:
+            x0 = _random_x0(rng, shape)
+            c = rng.choice(pool)
+            g = generated_subalgebra([x0] + _random_nil_seeds(rng, shape))
+            s = Subalgebra(conjugate_subalgebra(c, g.space))
+            try:
+                sig = signature(s)
+            except IrrationalSpectrum:  # a pencil with irrational drop lines
+                continue
+            checked += 1
+            nspace = trace_form_radical(s)
+            assert s.dim - nspace.dim == 1
+            x = c * x0 * inverse(c)
+            for n in nspace.basis:
+                x = x + n * Q(rng.randint(-2, 2))
+            p = char_poly(x)
+            if not nspace.contains(jordan_decompose(x).nilpotent):
+                want = "mixed_only"
+            elif p.gcd(p.derivative()).degree == 0:
+                want = "has_regular_ss"
+            else:
+                want = "has_nonregular_ss_only"
+            assert sig.ss_content == want, (shape, repr(x0), [repr(b) for b in g.basis])
+            assert sig.contains_invertible == _has_invertible_by_determinant(s), (shape, repr(x0))
+            seen.add((shape, want))
+    assert {w for _, w in seen} == {"has_regular_ss", "has_nonregular_ss_only", "mixed_only"}
+    assert {("irrational", "mixed_only"), ("irrational", "has_nonregular_ss_only")} <= seen
+
+
+def _count(monkeypatch, counts: dict, owner, name: str) -> None:
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize("row, regular", [("d2_Ta1_Xa", True), ("d3_Ta1_Xa_Xab", True),
+                                          ("d4_Ta1_np", True), ("d2_T11_Xa", False)])
+def test_a_regular_x0_costs_no_decomposition_and_the_lower_series_no_second_gg(
+        monkeypatch, row, regular):
+    """The signature of a codimension-1 instance with regular x0 (a = 2)
+    reads regularity off the char poly's coefficients: no Jordan
+    decomposition, no polynomial gcd or squarefree part, no `Fraction`
+    power; and the lower central series takes [g, g] from the cached
+    derived series.  The pencil stratification of a plane N(g) takes gcds
+    of its own, so it is computed beforehand and passed in as its value."""
+    e = next(e for e in load_catalog() if e.row_id == row)
+    space = e.space_at(Q(2) if e.param else None)
+    want = signature(Subalgebra(space))
+    s = Subalgebra(space)
+    nspace = nilpotent_subspace(s)  # fills s.derived
+    if nspace.dim == 2:
+        pencil = invariants._pencil_strata(*nspace.basis)
+        monkeypatch.setattr(invariants, "_pencil_strata", lambda *_: pencil)
+    counts: dict = {}
+    for owner, name in ((invariants, "_jordan_decompose"), (Poly, "gcd"),
+                        (Poly, "squarefree_part"), (Fraction, "__pow__")):
+        _count(monkeypatch, counts, owner, name)
+    spans = []
+    original = structure._span_num
+
+    def span_num(sc, a, b):
+        spans.append(b)
+        return original(sc, a, b)
+    monkeypatch.setattr(structure, "_span_num", span_num)
+    assert invariants._signature(s, nspace) == want
+    assert spans and _units(s.dim) not in spans  # [g, [g, g]], ..., never [g, g]
+    if regular:
+        assert counts == {}
+    else:
+        assert counts.get("_jordan_decompose") == 1
 
 
 def test_signature_fields():
