@@ -7,20 +7,23 @@ are coprime, so g'(S) stays invertible along the iteration, and for 4x4
 matrices the iteration stabilizes after at most two steps.
 
 Element classification follows the two conjugacy tables and reads one
-characteristic polynomial p: x is nilpotent iff p = lambda^4 (three nonzero
-orbits, blocks (2,1,1), (2,2), (4), told apart by rank); otherwise p has the
-roots +-a, +-b (a >= b >= 0, rational or refused), and x is semisimple iff
-the squarefree part of p kills it.  With a != b both nonzero p is that part;
-with a = b it is lambda^2 - a^2 and with b = 0 it is lambda^3 - a^2 lambda,
-so one or two int products of x decide.
+characteristic polynomial p = lambda^4 + c2 lambda^2 + c0 (from the power
+traces of x, `linalg.char_poly`): x is nilpotent iff p = lambda^4 (three
+nonzero orbits, blocks (2,1,1), (2,2), (4), told apart by rank); otherwise p
+has the roots +-a, +-b, a >= b >= 0, where a^2 and b^2 are the roots of
+mu^2 + c2 mu + c0, read by integer square roots or refused as irrational
+(`_eigen_pair`), and x is semisimple iff the squarefree part of p kills it.
+With a != b both nonzero p is that part; with a = b it is lambda^2 - a^2 and
+with b = 0 it is lambda^3 - a^2 lambda, so one or two int products of x
+decide.
 """
 
 from __future__ import annotations
 
 from .errors import IrrationalSpectrum, NotInBorel, NotInSp4, NotSemisimple
-from .linalg import (Mat4, Poly, _mul_num, char_poly, inverse, poly_eval_mat, rank,
-                     rational_roots)
-from .rational import Record, format_rational
+from .linalg import (Mat4, Poly, _biquadratic_roots, _mul_num, char_poly, inverse,
+                     poly_eval_mat, rank, rational_roots)
+from .rational import Q, Record, format_rational
 from .sp4 import conjugate, in_sp4, root_value, shear, standard_subalgebra
 
 __all__ = [
@@ -103,13 +106,17 @@ class OrbitLabel(Record):
 
 def _eigen_pair(p: Poly) -> tuple:
     """The pair (a, b), a >= b >= 0, of a rational-spectrum sp(4) element
-    whose characteristic polynomial p has the roots {a, b, -a, -b}."""
-    roots = rational_roots(p)
-    if sum(roots.values()) != 4:
+    whose characteristic polynomial p = c4 l^4 + c2 l^2 + c0 (over p.den)
+    has the roots {a, b, -a, -b}: a^2 >= b^2 are the roots of
+    c4 mu^2 + c2 mu + c0 (`linalg._biquadratic_roots`).  Raises
+    IrrationalSpectrum unless both a and b are rational."""
+    c0, _, c2, _, c4 = p.num
+    pair = _biquadratic_roots(c4, c2, c0)
+    if not pair or None in pair:
         raise IrrationalSpectrum("element has irrational eigenvalues; compare characteristic "
                                  "polynomials instead of eigenvalue data")
-    vals = sorted(lam for lam, mult in roots.items() for _ in range(mult))
-    return vals[3], vals[2]
+    (a, d), (b, _) = pair
+    return Q(a, d), Q(b, d)
 
 
 _LAMBDA4 = Poly([0, 0, 0, 0, 1])
@@ -120,7 +127,8 @@ def classify_element(x: Mat4) -> OrbitLabel:
 
     Nilpotent (p = char_poly(x) = lambda^4): zero, or one of the three
     nonzero nilpotent rows, typed by rank.  Otherwise p has the roots +-a,
-    +-b with a >= b >= 0 (`_eigen_pair`, which raises IrrationalSpectrum).
+    +-b with a >= b >= 0 (`_eigen_pair`, three integer square roots, which
+    raises IrrationalSpectrum).
     Four distinct eigenvalues make x semisimple: table 1, the Weyl-normalized
     pair putting first the one of a, b = n/d with the smaller (|n|*d, |n|).
     For a = b or b = 0, x is semisimple iff x^2 = a^2 I or x^3 = a^2 x,

@@ -23,15 +23,17 @@ gcds of integer bases of two families of quadratics in t.  Cofactor
 expansion (`det_mpoly`) remains only as the oracle the tests check both
 against (and the benchmark traces by name).
 
-Characteristic polynomials come from Faddeev-LeVerrier over the integers
-(`char_poly`); the tests cross-check them against a cofactor expansion of
-det(lambda*I - m).
+Characteristic polynomials come from the power traces tr(a^k) of an int
+matrix by Newton's identities (`_newton`), exact in ints: `char_poly` reads
+the four traces of a 4x4 matrix off one int product, `_char_poly_int` those
+of an n x n one off the powers up to ceil(n/2).  The tests cross-check both
+against a cofactor expansion of det(lambda*I - m).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -310,10 +312,10 @@ def _root_candidates(c: Sequence[int]):
         yield from _quadratic_roots(c[2], c[1], c[0])
     elif len(c) == 5 and c[1] == 0 and c[3] == 0:
         # biquadratic: the char-poly shape of every sp(4) element
-        for n, d in _quadratic_roots(c[4], c[2], c[0]):
-            s, t = exact_isqrt(n), exact_isqrt(d)
-            if s is not None and t is not None:  # s != 0, as c[0] != 0
-                yield from ((s, t), (-s, t))
+        for r in dict.fromkeys(_biquadratic_roots(c[4], c[2], c[0])):
+            if r is not None:  # r[0] != 0, as c[0] != 0
+                n, d = _ratio(*r)
+                yield from ((n, d), (-n, d))
     else:
         # general case: lifted roots, sorted as a scan of divisor quotients
         # meets them (n over divisors of c[0], d over divisors of c[-1], +n
@@ -377,6 +379,19 @@ def _quadratic_roots(a: int, b: int, c: int):
     yield _ratio(-b + s, 2 * a)
     if s != 0:
         yield _ratio(-b - s, 2 * a)
+
+
+def _biquadratic_roots(c4: int, c2: int, c0: int) -> list:
+    """The nonnegative roots of c4*l^4 + c2*l^2 + c0 (c4 != 0), one per root
+    mu = (-c2 +- s) / (2*c4) of c4*mu^2 + c2*mu + c0, + first, with s^2 the
+    discriminant: sqrt(mu) = isqrt((-c2 +- s)*2*c4) / |2*c4| as an int pair
+    (not in lowest terms) when it is rational, else None.  Empty when s is
+    irrational, since then neither mu is rational."""
+    s = exact_isqrt(c2 * c2 - 4 * c4 * c0)
+    if s is None:
+        return []
+    d = 2 * c4
+    return [None if (r := exact_isqrt((e - c2) * d)) is None else (r, abs(d)) for e in (s, -s)]
 
 
 def _ratio(n: int, d: int) -> tuple[int, int]:
@@ -525,29 +540,46 @@ def _over_common_den(values) -> tuple[tuple[int, ...], int]:
 
 
 def char_poly(m: Mat4) -> Poly:
-    """Characteristic polynomial det(lambda*I - m), exact, degree 4."""
-    return _char_poly_int(_num_rows(m), m.den)
+    """Characteristic polynomial det(lambda*I - m), exact, degree 4, from
+    the traces of m, m^2 (one int product), m^3 and m^4: the last two are
+    the dot products of m^2 with the flat transposes of m and m^2."""
+    a = m.num
+    a2 = _mul_num(a, a)
+    return _newton((a[0] + a[5] + a[10] + a[15], a2[0] + a2[5] + a2[10] + a2[15],
+                    sum(map(mul, a2, a[0::4] + a[1::4] + a[2::4] + a[3::4])),
+                    sum(map(mul, a2, a2[0::4] + a2[1::4] + a2[2::4] + a2[3::4]))), m.den)
 
 
-def _char_poly_int(a: list[Sequence[int]], den: int) -> Poly:
-    """det(lambda*I - a/den) for an integer matrix a, by Faddeev-LeVerrier
-    over the integers: with a_1 = a, a_k = a (a_{k-1} + c_{k-1} I) and
-    c_k = -tr(a_k)/k, every a_k and c_k is integral (c_k is den^k times the
-    rational coefficient, so the division by k is exact), and the
-    coefficient of lambda^(n-k) is c_k / den^k = c_k den^(n-k) / den^n."""
+def _char_poly_int(a: Sequence[Sequence[int]], den: int) -> Poly:
+    """det(lambda*I - a/den) for an n x n int matrix a, n >= 1, from its
+    power traces (`_newton`): with the flat powers a^i for i <= ceil(n/2)
+    and their transposes, tr(a^(i+j)) is the dot product of a^i with the
+    transpose of a^j."""
     n = len(a)
-    num = [0] * n + [den**n]
-    mk = [list(row) for row in a]
-    c = 0
+    flat = list(chain.from_iterable(a))
+    cols = list(zip(*a))
+    powers, trans = [flat], [list(chain.from_iterable(cols))]
+    for _ in range((n - 1) // 2):
+        p = powers[-1]
+        p = [sum(map(mul, p[i:i + n], col)) for i in range(0, n * n, n) for col in cols]
+        powers.append(p)
+        trans.append(list(chain.from_iterable(p[c::n] for c in range(n))))
+    return _newton([sum(flat[::n + 1])] + [sum(map(mul, powers[(k - 1) // 2], trans[k // 2 - 1]))
+                                           for k in range(2, n + 1)], den)
+
+
+def _newton(traces: Sequence[int], den: int) -> Poly:
+    """det(lambda*I - a/den) from the power traces t_k = tr(a^k), k = 1..n,
+    of an n x n int matrix a, by Newton's identities: the coefficients c_k
+    of det(lambda*I - a) = sum_k c_k lambda^(n-k) satisfy c_0 = 1 and
+    k c_k = -(c_0 t_k + c_1 t_(k-1) + ... + c_(k-1) t_1), and are ints, so
+    each division by k is exact; the coefficient of lambda^(n-k) over den
+    is c_k / den^k = c_k den^(n-k) / den^n."""
+    n = len(traces)
+    c = [1]
     for k in range(1, n + 1):
-        if k > 1:
-            for i in range(n):
-                mk[i][i] += c
-            cols = list(zip(*mk))
-            mk = [[sum(map(mul, row, col)) for col in cols] for row in a]
-        c = -sum(mk[i][i] for i in range(n)) // k
-        num[n - k] = c * den**(n - k)
-    return Poly._make(num, den**n)
+        c.append(-sum(map(mul, c, traces[k - 1::-1])) // k)
+    return Poly._make([c[n - j] * den**j for j in range(n + 1)], den**n)
 
 
 def poly_eval_mat(p: Poly, m: Mat4) -> Mat4:

@@ -84,9 +84,18 @@ class DiagonalElement(Record):
     __slots__ = ("a", "b")
 
 
+# J is a signed permutation matrix, so J m^t J permutes m's entries with
+# signs.  Applied to the grid of entries 1..16 it puts +-(u + 1) where entry
+# u lands, so entry v of J m^t J is sign * m[u] for the v-th (u, sign) here.
+_J_TABLE = tuple((abs(x) - 1, 1 if x > 0 else -1)
+                 for x in (J_FORM * Mat4._make(range(1, 17), 1).transpose() * J_FORM).num)
+
+
 def in_sp4(m: Mat4) -> bool:
-    """Membership in the Lie algebra: J m^t J = m bit-exactly."""
-    return J_FORM * m.transpose() * J_FORM == m
+    """Membership in the Lie algebra: J m^t J = m bit-exactly, compared as
+    the signed permutation `_J_TABLE` of m's numerators (over the same den)."""
+    a = m.num
+    return a == tuple([s * a[u] for u, s in _J_TABLE])
 
 
 def in_sp4_group(g: Mat4) -> bool:

@@ -1,6 +1,7 @@
 """Independent oracles that only the tests use: each recomputes a library
 result by a different method (cofactor expansion, an integer grid sweep,
-the defining identities of a Lie bracket, `Fraction` arithmetic on the
+the defining identities of a Lie bracket, the defining product J m^t J of
+sp(4), `Fraction` arithmetic on the
 rational bracket table or on matrix rows, `Fraction` Gauss-Jordan
 elimination, a coordinate solve by one `Fraction` echelonization of the
 augmented system), sharing no kernel with the code it checks.  The Kronecker
@@ -19,6 +20,7 @@ from sp4solvable.jordan import JordanDecomposition
 from sp4solvable.linalg import (Mat4, Poly, Subspace, _over_common_den, _pivot_coords,
                                 det_mpoly, echelon_span)
 from sp4solvable.rational import Q, ZERO
+from sp4solvable.sp4 import J_FORM
 from sp4solvable.structure import StructureConstants, Subalgebra, is_solvable
 
 
@@ -33,6 +35,12 @@ def char_poly_det(rows) -> Poly:
 def char_poly_cofactor(m: Mat4) -> Poly:
     """det(lambda*I - m), expanded by cofactors over Q[lambda]."""
     return char_poly_det(m.rows)
+
+
+def in_sp4_product(m: Mat4) -> bool:
+    """Membership in sp(4) by its definition, J m^t J == m, as two `Mat4`
+    products (`sp4.in_sp4` permutes m's entries with signs instead)."""
+    return J_FORM * m.transpose() * J_FORM == m
 
 
 def symbolic_combo(mats) -> list[list[Poly]]:

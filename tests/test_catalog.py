@@ -1,7 +1,8 @@
 import pytest
 
-from sp4solvable.catalog import (EXPECTED_COUNTS, CatalogEntry, EquivClaim,
-                                 catalog_from_json, load_catalog)
+from sp4solvable.catalog import (DEFAULT_PARAM_SAMPLES, EXPECTED_COUNTS, CatalogEntry,
+                                 EquivClaim, catalog_from_json, load_catalog)
+from sp4solvable.jordan import classify_element
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import in_sp4
 from sp4solvable.structure import Subalgebra, is_solvable
@@ -35,6 +36,34 @@ def test_every_row_is_a_solvable_subalgebra_of_stated_dimension():
             sub = Subalgebra.from_matrices(mats)
             assert sub.dim == e.dim, (e.row_id, a)
             assert is_solvable(sub), (e.row_id, a)
+
+
+# the one-dimensional tables twice: the kind of `classify_element` label
+# that each d1 row's line carries
+_D1_KINDS = {
+    "d1_T_a1": "T_ab", "d1_T_10": "T_a0", "d1_T_11": "T_aa",
+    "d1_X_alpha": "X_alpha", "d1_X_beta": "X_beta", "d1_Xa_plus_Xb": "X_alpha_plus_X_beta",
+    "d1_T10_Xa": "T_a0_plus_X_alpha", "d1_T11_Xb": "T_aa_plus_X_beta",
+}
+
+
+def test_each_d1_row_is_one_kind_of_element():
+    rows = [e for e in load_catalog() if e.dim == 1]
+    assert sorted(e.row_id for e in rows) == sorted(_D1_KINDS)
+    # one to one onto the 8 nonzero kinds (the ninth label is zero)
+    assert len(set(_D1_KINDS.values())) == 8
+    checked = 0
+    for e in rows:
+        for a in e.samples():
+            (x,) = e.space_at(a).basis
+            label = classify_element(x)
+            assert label.row == _D1_KINDS[e.row_id], (e.row_id, a)
+            if label.row == "T_ab":
+                orbit = e.equivalent_params(a)
+                assert orbit == {a, -a, 1 / a, -1 / a}
+                assert label.params["b"] / label.params["a"] in orbit, (e.row_id, a, label)
+            checked += 1
+    assert checked == 7 + len(DEFAULT_PARAM_SAMPLES)
 
 
 def test_specific_rows_carry_the_stated_classes():

@@ -200,11 +200,11 @@ def test_classify_element_reads_one_char_poly(monkeypatch):
         calls["rational_roots"].clear()
         assert classify_element(x).row == row
         assert calls["char_poly"] == [x]
-        assert len(calls["rational_roots"]) <= 1
+        assert calls["rational_roots"] == []
 
 
 # examples of all 9 labels classify_element returns (zero and the three
-# semisimple rows of table 1, the five rows of table 2), T_ab three times
+# semisimple rows of table 1, the five rows of table 2), T_ab four times
 _LABEL_EXAMPLES = [
     (T(0, 0), OrbitLabel(1, "zero", {})),
     (T(Q(-5, 2), 0), OrbitLabel(1, "T_a0", {"a": Q(5, 2)})),
@@ -218,7 +218,41 @@ _LABEL_EXAMPLES = [
     (X_ALPHA * 2 + X_BETA * Q(1, 3), OrbitLabel(2, "X_alpha_plus_X_beta", {})),
     (T(Q(7, 2), 0) + X_ALPHA * -1, OrbitLabel(2, "T_a0_plus_X_alpha", {"a": Q(7, 2)})),
     (T(-6, -6) + X_BETA * Q(2, 9), OrbitLabel(2, "T_aa_plus_X_beta", {"a": Q(6)})),
+    # two large primes: the pair comes from integer square roots, with no factoring
+    (T(1000000009, 1000000007),
+     OrbitLabel(1, "T_ab", {"a": Q(1000000007), "b": Q(1000000009)})),
 ]
+
+
+def _levi(a):
+    """The sp(4) element diag(a, -a^t) of the Levi block gl(2)."""
+    (p, q), (r, s) = a
+    return Mat4([[p, q, 0, 0], [r, s, 0, 0], [0, 0, -p, -r], [0, 0, -q, -s]])
+
+
+# char polys l^4 + c2 l^2 + c0 whose pair (a, b) is not rational, with the
+# roots mu = a^2, b^2 of mu^2 + c2 mu + c0
+_IRRATIONAL_PAIRS = {
+    # a rotation block: mu = -1 twice, a complex spectrum +-i
+    "complex": _levi([[0, -1], [1, 0]]),
+    # mu = 2 twice: rational, but not a square
+    "non-square mu": _levi([[0, 2], [1, 0]]),
+    # mu^2 - 3 mu + 1, discriminant 5: eigenvalues (+-1 +- sqrt 5) / 2
+    "non-square discriminant": _levi([[1, 1], [1, 0]]),
+    # mu = 1 and mu = -1: a = 1 is rational, b = i is not
+    "one complex mu": T(1, 0) + X_ALPHA - Mat4.unit(4, 2),
+}
+
+
+@pytest.mark.parametrize("name", _IRRATIONAL_PAIRS)
+def test_classify_element_refuses_an_irrational_pair(name, rng):
+    x = _IRRATIONAL_PAIRS[name]
+    for y in [x] + [conjugate(g, x * 3) for g in conjugator_pool(rng, 3)]:
+        assert in_sp4(y)
+        with pytest.raises(IrrationalSpectrum, match="irrational eigenvalues"):
+            classify_element(y)
+        with pytest.raises(IrrationalSpectrum):
+            jordan_type(y)
 
 
 @pytest.mark.parametrize("x, want", _LABEL_EXAMPLES,

@@ -359,9 +359,45 @@ def test_equal_values_give_equal_matrices(a, k):
     assert Mat4.zero().den == 1 and Mat4.zero() == Mat4([[0] * 4] * 4)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: grids(n)))
-def test_int_char_poly_matches_cofactor_determinant(a):
-    n = len(a)
-    num, den = _over_common_den([x for r in a for x in r])
-    assert _char_poly_int([num[i * n:(i + 1) * n] for i in range(n)], den) == char_poly_det(a)
+@st.composite
+def singular_grids(draw, n=4):
+    """n x n rational grids whose last row is a combination of the others."""
+    a = draw(grids(n))
+    cs = [draw(st.integers(-3, 3)) for _ in range(n - 1)]
+    a[-1] = [sum((c * r[j] for c, r in zip(cs, a)), Q(0)) for j in range(n)]
+    return a
+
+
+@st.composite
+def nilpotent_grids(draw, n=4):
+    """Strictly upper triangular n x n grids conjugated by a few integer
+    shears I + c E_ij (inverse I - c E_ij) and a permutation."""
+    a = draw(grids(n))
+    a = [[x if j > i else Q(0) for j, x in enumerate(r)] for i, r in enumerate(a)]
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-2, 2))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]  # row i += c row j
+        for r in a:  # column j -= c column i
+            r[j] -= c * r[i]
+    p = draw(st.permutations(range(n)))
+    return [[a[p[i]][p[j]] for j in range(n)] for i in range(n)]
+
+
+_GRIDS = {"any": grids, "singular": singular_grids, "nilpotent": nilpotent_grids}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(_GRIDS)), st.data())
+def test_int_char_poly_matches_cofactor_determinant(kind, data):
+    for n in range(1, 8):
+        a = data.draw(_GRIDS[kind](n))
+        num, den = _over_common_den([x for r in a for x in r])
+        want = char_poly_det(a)
+        assert _char_poly_int([num[i * n:(i + 1) * n] for i in range(n)], den) == want
+        if n == 4:  # the 4x4 kernel reads its traces off the flat grid
+            assert char_poly(Mat4(a)) == want
+        if kind == "singular":
+            assert want[0] == 0
+        if kind == "nilpotent":
+            assert want == Poly([0] * n + [1])

@@ -16,6 +16,7 @@ from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, T, W_MAT, WA_MAT, X_A2B,
 from sp4solvable.structure import is_closed
 
 from conftest import random_borel_element, random_sp4_element
+from oracles import in_sp4_product
 
 rationals = st.builds(Q, st.integers(-10**6, 10**6), st.integers(1, 10**3))
 
@@ -27,6 +28,35 @@ def test_membership_examples():
     assert in_sp4_group(W_MAT)
     assert in_sp4_group(A_MAT)
     assert not in_sp4_group(Mat4.identity() * 2)
+
+
+def test_in_sp4_matches_the_product_definition_on_random_grids(rng):
+    members = 0
+    for _ in range(400):
+        x = random_sp4_element(rng) * Q(1, rng.randint(1, 4))
+        # zero some entries of an sp(4) element: it may stay inside or not
+        m = Mat4._make([0 if rng.random() < 0.2 else v for v in x.num], x.den)
+        grid = Mat4([[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)]
+                     for _ in range(4)])
+        for y in (m, grid):
+            assert in_sp4(y) == in_sp4_product(y)
+            members += in_sp4(y)
+    assert 0 < members < 800
+
+
+# the entries of [[A, B], [C, -A^t]] (B, C symmetric) that may change alone:
+# the diagonals of B and C, whose units E13, E24, E31, E42 m -> J m^t J fixes
+_FREE_ENTRIES = {2, 7, 8, 13}
+
+
+def test_in_sp4_refuses_each_perturbed_entry(rng):
+    for _ in range(40):
+        x = random_sp4_element(rng) * Q(1, rng.randint(1, 4))
+        assert in_sp4(x) and in_sp4_product(x)
+        for u in range(16):
+            for delta in (1, Q(-2, 3)):
+                y = x + Mat4._make([int(k == u) for k in range(16)], 1) * delta
+                assert in_sp4(y) == in_sp4_product(y) == (u in _FREE_ENTRIES)
 
 
 def test_all_named_conjugators_symplectic():

@@ -13,10 +13,25 @@ Run from the root of a source checkout.  It computes `signature` of
   echelon basis (one form of each +- pair; a space met twice counts once),
 
 and prints the sha256 over one line per subalgebra: its signature JSON
-(sorted keys), or the class and message of the error it raised.  Two
-checkouts with the same digest give the same signatures on the sweep, so a
-change that claims to keep every signature can be checked against its
-parent in a few seconds.  It is opt-in and outside the suite's `testpaths`.
+(sorted keys), or the class and message of the error it raised.
+
+A second line is the sha256 over `classify_element` of a second sweep,
+drawn by its own `random.Random(SEED)`: one line per element, its label
+JSON (sorted keys) or the class and message of its error.  The elements are
+
+* representatives of the table rows (T(a,b), T(a,0), T(a,+-a), the three
+  nilpotent orbits, T(a,0)+X_alpha, T(a,a)+X_beta) with random rational
+  a, b, each conjugated by a word as above;
+* random Borel elements with small rational coordinates;
+* Levi elements diag(A, -A^t) for random small int 2x2 blocks A, most with
+  irrational or complex eigenvalues;
+* random 4x4 int grids, almost all outside sp(4);
+* zero.
+
+Two checkouts with the same digests give the same signatures and labels on
+the sweeps, so a change that claims to keep them can be checked against
+its parent in a few seconds.  It is opt-in and outside the suite's
+`testpaths`.
 """
 
 from __future__ import annotations
@@ -32,9 +47,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sp4solvable.catalog import load_catalog  # noqa: E402
 from sp4solvable.invariants import signature  # noqa: E402
+from sp4solvable.jordan import classify_element  # noqa: E402
 from sp4solvable.linalg import Mat4, echelon_span  # noqa: E402
-from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, W_MAT, conjugate_subalgebra,  # noqa: E402
-                             shear)
+from sp4solvable.rational import Q  # noqa: E402
+from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, W_MAT, X_ALPHA, X_BETA, T,  # noqa: E402
+                             conjugate, conjugate_subalgebra, element, shear)
 from sp4solvable.structure import Subalgebra, is_closed  # noqa: E402
 
 ATOMS = [W_MAT, A_MAT, J_FORM, AJ_MAT] + [
@@ -57,6 +74,14 @@ def hyperplanes(space):
             yield h
 
 
+def word(rng) -> Mat4:
+    """A product of one to three of the ATOMS."""
+    g = Mat4.identity()
+    for _ in range(rng.randint(1, 3)):
+        g = g * rng.choice(ATOMS)
+    return g
+
+
 def sweep(seed: int):
     """The (group, space) pairs of the sweep, in a fixed order."""
     rng = random.Random(seed)
@@ -65,10 +90,7 @@ def sweep(seed: int):
         for a in e.samples():
             space = e.space_at(a)
             yield "catalog", space
-            g = Mat4.identity()
-            for _ in range(rng.randint(1, 3)):
-                g = g * rng.choice(ATOMS)
-            yield "conjugate", conjugate_subalgebra(g, space)
+            yield "conjugate", conjugate_subalgebra(word(rng), space)
     for e in entries:
         space = e.space_at(e.samples()[0])
         if space.dim >= 2:
@@ -76,18 +98,47 @@ def sweep(seed: int):
                 yield "hyperplane", h
 
 
-def main(argv: list[str]) -> int:
-    seed = int(argv[0]) if argv else 1
+def elements(seed: int):
+    """The (group, element) pairs of the classify sweep, in a fixed order."""
+    rng = random.Random(seed)
+
+    def q():
+        return Q(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+
+    for _ in range(60):
+        a, b = q(), q()
+        for x in (T(a, b), T(a, 0), T(a, a), T(a, -a), X_ALPHA * a, X_BETA * a,
+                  X_ALPHA + X_BETA * a, T(a, 0) + X_ALPHA * b, T(a, a) + X_BETA * b):
+            yield "rows", conjugate(word(rng), x)
+    for _ in range(300):
+        yield "borel", element(*[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(6)])
+    for _ in range(300):
+        p, r, s, t = (rng.randint(-4, 4) for _ in range(4))
+        yield "levi", Mat4([[p, r, 0, 0], [s, t, 0, 0], [0, 0, -p, -s], [0, 0, -r, -t]])
+    for _ in range(100):
+        yield "grid", Mat4([[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
+    yield "zero", Mat4.zero()
+
+
+def digest_line(items, compute) -> str:
+    """The sha256 over compute's JSON (sorted keys) or error line for each
+    (group, item), then the count of each group and of the refusals."""
     digest, counts = hashlib.sha256(), {}
-    for group, space in sweep(seed):
+    for group, item in items:
         try:
-            line = json.dumps(signature(Subalgebra(space)).to_json(), sort_keys=True)
+            line = json.dumps(compute(item).to_json(), sort_keys=True)
         except Exception as exc:  # the refusal is part of what is compared
             line = f"{type(exc).__name__}: {exc}"
             counts["refused"] = counts.get("refused", 0) + 1
         counts[group] = counts.get(group, 0) + 1
         digest.update(line.encode() + b"\n")
-    print(digest.hexdigest(), " ".join(f"{k}={v}" for k, v in counts.items()))
+    return " ".join([digest.hexdigest()] + [f"{k}={v}" for k, v in counts.items()])
+
+
+def main(argv: list[str]) -> int:
+    seed = int(argv[0]) if argv else 1
+    print(digest_line(sweep(seed), lambda space: signature(Subalgebra(space))))
+    print(digest_line(elements(seed), classify_element))
     return 0
 
 
