@@ -4,6 +4,7 @@ constant identification against the reference catalogs.
 Run:  python demos/04_catalog_certification.py
 """
 
+import sys
 import time
 
 from sp4solvable import (T, X_A2B, X_AB, X_ALPHA, X_BETA, degraaf_to_sw,
@@ -41,5 +42,6 @@ for seeds, label in [([X_ALPHA], "X_a"),
 print("\nFull certification at the default 8-value sample set:")
 t0 = time.time()
 rep = verify_catalog(probe_seed=1, probe_count=25)
-print(f"  {len(rep.records)} checks, overall pass: {rep.overall_pass} "
-      f"({time.time() - t0:.1f}s)")
+print(f"  {len(rep.records)} checks, overall pass: {rep.overall_pass}")
+# the wall time varies run to run, so it goes to stderr and stdout stays byte-stable
+print(f"  certified in {time.time() - t0:.1f}s", file=sys.stderr)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from functools import cache
+from functools import cache, lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import Sp4Error
@@ -71,6 +71,17 @@ def _env(a) -> dict:
 def _ev(expr, env) -> Q | int:
     """An int coefficient as it is, and an expression evaluated under env."""
     return expr if isinstance(expr, int) else _package.exprs.eval_expr(expr, env)
+
+
+@lru_cache(maxsize=1024)
+def _constant(expr) -> Q | int:
+    """A parameter-free expression's value, kept; a fault is not kept."""
+    return _ev(expr, {})
+
+
+@lru_cache(maxsize=1024)
+def _names_param(entry: CatalogEntry) -> bool:
+    return any(isinstance(x, str) and "a" in x for spec in entry.basis for x in spec)
 
 
 def build_elements(specs, env) -> list[Mat4]:
@@ -130,11 +141,15 @@ class CatalogEntry(_Row):
 
     @property
     def param(self) -> bool:
-        """Whether some basis expression names the parameter a."""
-        return any(isinstance(x, str) and "a" in x for spec in self.basis for x in spec)
+        """Whether some basis expression names the parameter a (scanned
+        once per row)."""
+        return _names_param(self)
 
     def conditions_ok(self, a) -> bool:
-        return all(Q(a) != _ev(e, {}) for e in self.excluded)
+        """Whether a is none of the excluded values, each evaluated once; a
+        faulty one raises each time it is reached."""
+        a = Q(a)
+        return all(a != _constant(e) for e in self.excluded)
 
     def samples(self, candidates=DEFAULT_PARAM_SAMPLES) -> tuple:
         """The values the row is checked at: the admissible candidates for a

@@ -9,9 +9,14 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   (in a common triangularizing basis a nilpotent element is strictly
   triangular, so it pairs to zero with everything; conversely a trace-radical
   element has rational eigenvalues with zero sum of squares, hence is
-  nilpotent).  This is intrinsic, so it transports along conjugation.  It
-  is computed on the basis numerators: an int Gram matrix, its int kernel,
-  and each radical element tested nilpotent by two int squarings.
+  nilpotent).  This is intrinsic, so it transports along conjugation.  By
+  Lie's theorem [g, g] is strictly triangular, so it lies in the radical and
+  is nilpotent, and the radical is [g, g] plus the kernel of the form on a
+  complement of [g, g]: the basis elements off the pivots of the cached
+  derived series.  It is computed on the basis numerators: the int Gram
+  matrix of that complement, its int kernel, and each kernel element tested
+  nilpotent by two int squarings (the nilpotent elements of a solvable g
+  form a subspace, so that tests the whole radical);
 * the rank stratification of N(g): exact pencil strata for dim 2, read off
   the pencil's rank <= 1 and rank <= 2 loci over the integers (counting
   rank-drop lines over the algebraic closure via squarefree degrees, with
@@ -169,6 +174,11 @@ def _pencil_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
 def nilpotent_subspace(g: Subalgebra) -> Subspace:
     """The subspace of nilpotent elements of a solvable g (trace-form radical).
 
+    The trace form vanishes on [g, g] x g, so the radical is [g, g] plus the
+    kernel of the form's Gram matrix on the complement C spanned by the basis
+    elements off the pivots of [g, g] (`Subalgebra.derived`).  [g, g] is
+    nilpotent (Lie's theorem); only the kernel elements on C are tested.
+
     Raises NotSolvable when g is not, and IrrationalSpectrum if the radical
     contains a non-nilpotent element, which happens only when g has
     elements with irrational or complex eigenvalues (outside this library's
@@ -177,20 +187,28 @@ def nilpotent_subspace(g: Subalgebra) -> Subspace:
     """
     if not is_solvable(g):
         raise NotSolvable("the subalgebra is not solvable")
-    # kernel vectors w of the Gram matrix of the B_i = den_i*b_i give sum_j w_j B_j
-    nums = [b.num for b in g.basis]
-    trans = [b.transpose().num for b in g.basis]
-    gram = [[sum(map(mul, x, y)) for y in trans] for x in nums]
-    mats = []
-    for _, w in _kernel_int(gram, len(nums)):
+    der = g.derived
+    derived = der[1] if len(der) > 1 else []
+    rows = [r for _, r in derived]
+    pivots = {c for c, _ in derived}
+    free = [i for i in range(g.dim) if i not in pivots]
+    comp = [g.basis[i] for i in free]
+    nums = [b.num for b in comp]
+    trans = [b.transpose().num for b in comp]
+    # a kernel vector w of the Gram matrix of the B_j = den_j*b_j on C gives
+    # sum_j w_j B_j, whose coordinate at b_j is w_j*den_j
+    for _, w in _kernel_int([[sum(map(mul, x, y)) for y in trans] for x in nums], len(nums)):
         m = [sum(map(mul, w, entry)) for entry in zip(*nums)]
         m2 = _mul_num(m, m)
         if any(_mul_num(m2, m2)):
             raise IrrationalSpectrum(
                 "trace-form radical contains a non-nilpotent element; "
                 "the subalgebra has irrational spectra")
-        mats.append(Mat4._make(m, 1))
-    return echelon_span(mats)
+        v = [0] * g.dim
+        for i, x, b in zip(free, w, comp):
+            v[i] = x * b.den
+        rows.append(v)
+    return g.space.span_coords(_rref_int(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +219,11 @@ class InvariantSignature(Record):
     __slots__ = ("dim", "derived_dims", "lower_central_dims", "is_abelian",
                  "is_nilpotent", "nilpotent_dim", "nilpotent_strata",
                  "contains_invertible", "ss_content", "probe")
+
+    @property
+    def head(self) -> tuple:
+        """The nine fields before `probe`."""
+        return self._values(self)[:-1]
 
     def to_json(self) -> dict:
         return {name: _jsonable(v) for name, v in zip(self.__slots__, self._values(self))}
@@ -263,6 +286,15 @@ def signature(s: Subalgebra) -> InvariantSignature:
 
 def _signature(s: Subalgebra, nspace: Subspace) -> InvariantSignature:
     """The signature of s, given its nilpotent subspace `nspace`."""
+    head, probe = _signature_head(s, nspace)
+    return InvariantSignature(*head, probe and probe())
+
+
+def _signature_head(s: Subalgebra, nspace: Subspace) -> tuple:
+    """The nine signature fields before `probe`, in slot order, and a
+    function of no arguments that computes the probe from the same work
+    (the nilpotent subspace, its pencil, x0 and its char poly), or None in
+    codimension 0 or 2, where the probe is None."""
     g = s.space
     d = g.dim
     der = s.derived
@@ -276,14 +308,13 @@ def _signature(s: Subalgebra, nspace: Subspace) -> InvariantSignature:
     pencil = _pencil_strata(*nspace.basis) if dn == 2 else None
     strata = _nilpotent_strata(nspace, pencil)
 
+    probe = None
     if codim == 0:
         content = "all_nilpotent"
         has_invertible = False
-        probe = None
     elif codim == 2:
         content = "has_cartan"
         has_invertible = True
-        probe = None
     else:
         i0 = next(i for i, b in enumerate(g.basis) if not nspace.contains(b))
         x0 = g.basis[i0]
@@ -295,21 +326,13 @@ def _signature(s: Subalgebra, nspace: Subspace) -> InvariantSignature:
             content = "has_nonregular_ss_only"
         else:
             content = "mixed_only"
-        probe = _spectral_probe(s, nspace, der[1] if len(der) > 1 else [],
-                                i0, p0, pencil)
 
-    return InvariantSignature(
-        dim=d,
-        derived_dims=derived_dims,
-        lower_central_dims=lower_dims,
-        is_abelian=(len(derived_dims) == 1 or derived_dims[1] == 0),
-        is_nilpotent=(lower_dims[-1] == 0),
-        nilpotent_dim=dn,
-        nilpotent_strata=strata,
-        contains_invertible=has_invertible,
-        ss_content=content,
-        probe=probe,
-    )
+        def probe():
+            return _spectral_probe(s, nspace, der[1] if len(der) > 1 else [], i0, p0, pencil)
+
+    is_abelian = len(derived_dims) == 1 or derived_dims[1] == 0
+    return (d, derived_dims, lower_dims, is_abelian, lower_dims[-1] == 0, dn, strata,
+            has_invertible, content), probe
 
 
 def _nilpotent_strata(nspace: Subspace, pencil: PencilStrata | None) -> tuple:

@@ -669,6 +669,26 @@ class Subspace:
                 acc = acc + b * c
         return acc
 
+    def span_coords(self, pairs: Sequence[tuple[int, Sequence[int]]]) -> "Subspace":
+        """The subspace of the combinations of this basis with the int
+        coordinate rows of `_rref_int` pairs (c, r), with no elimination on
+        the 16 entries: each basis element has its pivot ahead of the next
+        one's and zeros at the others', so the combination with r / r[c]
+        has 1 at the pivot of element c and 0 at those of the other rows,
+        and these are the echelon basis of the span."""
+        l = math.lcm(*[b.den for b in self.basis])
+        basis = []
+        for c, r in pairs:
+            acc = [0] * 16
+            for x, b in zip(r, self.basis):
+                if x:
+                    f = x * (l // b.den)
+                    acc = [u + f * v for u, v in zip(acc, b.num)]
+            basis.append(Mat4._make(acc, l * r[c]))
+        sub = Subspace.__new__(Subspace)
+        sub.basis = tuple(basis)
+        return sub
+
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim})"
 

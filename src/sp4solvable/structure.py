@@ -193,8 +193,7 @@ def _series(s: Subalgebra, lower: bool = False) -> list[list[tuple[int, list[int
 
 def derived_series(s: Subalgebra) -> list[Subspace]:
     """g, [g,g], [[g,g],[g,g]], ... until stabilization."""
-    return [s.space] + [echelon_span([s.space.combine(r) for _, r in level])
-                        for level in s.derived[1:]]
+    return [s.space] + [s.space.span_coords(level) for level in s.derived[1:]]
 
 
 def is_solvable(s: Subalgebra) -> bool:

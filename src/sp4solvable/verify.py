@@ -26,7 +26,7 @@ from .errors import (CatalogFault, ExpressionLimit, FactorizationLimit,
 from .exprs import eval_expr
 from .identify import (degraaf_to_sw, identify_degraaf, sw_bridge_map,
                        verify_isomorphism)
-from .invariants import _signature, nilpotent_subspace, signature
+from .invariants import InvariantSignature, _signature, _signature_head, nilpotent_subspace
 from .jordan import _eigen_pair
 from .linalg import Mat4, char_poly, echelon_span
 from .rational import Q, Record, format_rational
@@ -111,7 +111,10 @@ _ROW_FAULTS = (Sp4Error, ArithmeticError, ValueError)
 class _Instance:
     """A catalog row at one parameter: its stated basis, the subalgebra they
     span, and its bracket table in that basis and its signature, computed on
-    first use."""
+    first use.  The signature's nine fields before `probe` (`head`) are
+    computed together; the probe, the costliest field, only when asked for,
+    from the same work.  `match_catalog` asks for it only when the head
+    equals the query's, and `verify_separations` for the full signature."""
 
     def __init__(self, mats: tuple, sub: Subalgebra):
         self.mats, self.sub = mats, sub
@@ -121,8 +124,21 @@ class _Instance:
         return self.sub.constants_in(self.mats)
 
     @cached_property
-    def signature(self):
-        return signature(self.sub)
+    def _head(self) -> tuple:
+        return _signature_head(self.sub, nilpotent_subspace(self.sub))
+
+    @property
+    def head(self) -> tuple:
+        return self._head[0]
+
+    @cached_property
+    def probe(self):
+        probe = self._head[1]
+        return probe and probe()
+
+    @cached_property
+    def signature(self) -> InvariantSignature:
+        return InvariantSignature(*self.head, self.probe)
 
 
 @lru_cache(maxsize=INSTANCE_CACHE_SIZE)
@@ -364,13 +380,17 @@ def match_catalog(sub: Subalgebra) -> list[tuple]:
     """Catalog rows (with parameters) whose signature matches the subalgebra's.
 
     A match is necessary for conjugacy; the probe asserts exactly one exists.
-    A row whose data faults while it is compared raises `CatalogFault`, which
-    names the row.  When no row matches and the eigenvalues that would give
+    A row matches when all ten fields equal the query's; its spectral probe
+    is computed only when its nine other fields do (`_Instance`).  A row
+    whose data faults while it is compared raises `CatalogFault`, which
+    names the row; a fault inside a row's probe surfaces only when its other
+    fields agree.  When no row matches and the eigenvalues that would give
     a row's parameter are irrational, the subalgebra is outside the rational
     rows, and `IrrationalSpectrum` is raised instead of an empty match.
     """
     nspace = nilpotent_subspace(sub)
     sig = _signature(sub, nspace)
+    head = sig.head
     cands = _param_candidates(sub, nspace)
     matches = []
     for e in load_catalog():
@@ -379,7 +399,8 @@ def match_catalog(sub: Subalgebra) -> list[tuple]:
         try:
             # the candidates a row admits, or no parameter for a row without one
             for a in e.samples(cands or ()):
-                if _instance(e, a).signature == sig:
+                inst = _instance(e, a)
+                if inst.head == head and inst.probe == sig.probe:
                     matches.append((e.row_id, a))
                     break
         except _SIZE_LIMITS:

@@ -1,5 +1,6 @@
 import pytest
 
+from sp4solvable import catalog, exprs
 from sp4solvable.catalog import (DEFAULT_PARAM_SAMPLES, EXPECTED_COUNTS, CatalogEntry,
                                  EquivClaim, catalog_from_json, load_catalog)
 from sp4solvable.jordan import classify_element
@@ -96,6 +97,28 @@ def test_sample_filtering():
     samples = entries["d3_Ta1_Xa_Xab"].samples()
     assert Q(-3) not in samples and Q(2) in samples
     assert entries["d2_t"].samples() == (None,)
+
+
+def test_row_facts_are_evaluated_once_and_a_fault_each_time(monkeypatch):
+    evaluated = []
+    original = exprs.eval_expr
+
+    def counting(text, env=None):
+        evaluated.append(text)
+        return original(text, env)
+
+    monkeypatch.setattr(exprs, "eval_expr", counting)
+    catalog._constant.cache_clear()
+    row = next(e for e in load_catalog() if e.row_id == "d1_T_a1").replace(
+        excluded=("0", "7/11", "1)"))
+    assert row.param and row.param
+    # "1)" is not reached at a = 0 or 7/11, and raises wherever it is reached
+    assert not row.conditions_ok(0) and not row.conditions_ok(Q(7, 11))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            row.samples()
+    assert evaluated.count("0") == 1 and evaluated.count("7/11") == 1
+    assert evaluated.count("1)") == 2
 
 
 def test_catalog_json_roundtrip():

@@ -15,7 +15,8 @@ from sp4solvable.linalg import (Mat4, Poly, _char_poly_int, char_poly, det_mpoly
                                 generic_rank, inverse, rank)
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (A_MAT, ROOT_VECTORS, T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA,
-                             conjugate_subalgebra, root_value, shear, standard_subalgebra)
+                             bracket, conjugate_subalgebra, root_value, shear,
+                             standard_subalgebra)
 from sp4solvable.structure import Subalgebra, _ad_num, _units, generated_subalgebra
 
 from conftest import ROOTS, conjugator_pool, random_borel_element
@@ -109,11 +110,22 @@ def test_nilpotent_subspace():
     assert nilpotent_subspace(t).dim == 0
 
 
+WEIRD = Mat4([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
+# a rank-1 root vector of sp(4) with [WEIRD, X] = 2 X
+WEIRD_ROOT = Mat4([[1, 0, -1, 0], [0, 0, 0, 0], [1, 0, -1, 0], [0, 0, 0, 0]])
+
+
 def test_nilpotent_subspace_irrational_spectrum():
     # eigenvalues +-1, +-i (char poly t^4 - 1): tr(x^2) = 0, so the trace
     # radical contains a non-nilpotent element and must be rejected
-    weird = Mat4([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
-    g = Subalgebra.from_matrices([weird])
+    g = Subalgebra.from_matrices([WEIRD])
+    with pytest.raises(IrrationalSpectrum):
+        nilpotent_subspace(g)
+    # beside a root vector it normalizes: [g, g] is that line, and the
+    # non-nilpotent radical element is the complement's kernel vector
+    assert bracket(WEIRD, WEIRD_ROOT) == WEIRD_ROOT * 2
+    g = Subalgebra.from_matrices([WEIRD, WEIRD_ROOT])
+    assert [len(rows) for rows in g.derived] == [2, 1, 0]
     with pytest.raises(IrrationalSpectrum):
         nilpotent_subspace(g)
 
@@ -136,28 +148,47 @@ def test_nilpotent_subspace_contains_all_nilpotents(rng):
 small = st.integers(-2, 2)
 
 
+def _moved(draw, seeds: list) -> Subalgebra:
+    """The subalgebra the seeds generate, moved by a product of Weyl
+    elements and rational shears (so its echelon basis may have
+    denominators)."""
+    g = Mat4.identity()
+    for _ in range(draw(st.integers(0, 3))):
+        atom = draw(st.sampled_from(["W", "A", "alpha", "beta", "alpha_plus_beta"]))
+        g = g * ({"W": W_MAT, "A": A_MAT}.get(atom)
+                 or shear(atom, Q(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))))
+    return Subalgebra(conjugate_subalgebra(g, generated_subalgebra(seeds).space))
+
+
 @st.composite
 def radical_cases(draw):
-    """A Borel subalgebra generated by one or two random elements and moved
-    by a product of Weyl elements and rational shears (so its echelon basis
-    may have denominators); or the line of a random sp(4) element
-    [[A, B], [C, -A^T]], whose trace radical may hold a non-nilpotent
-    element; or the subalgebra two of them generate, which need not be
-    solvable."""
-    kind = draw(st.sampled_from(["borel", "borel", "line", "pair"]))
+    """Mostly subalgebras with [g, g] != 0, so that N(g) has a part from
+    [g, g] and a part from the kernel on its complement: a Borel subalgebra
+    generated by two or three random elements; or <x, X> for a Levi element
+    x = diag(A, -A^T) and the Siegel root vector X = [[0, S], [0, 0]] with
+    [x, X] = tr(A) X, where half the draws give A the eigenvalues p +- ip,
+    so that tr(x^2) = 0 and x, a complement vector outside [g, g] = <X>, is
+    a non-nilpotent radical element; both moved as in `_moved`.  Or the line
+    of a random sp(4) element [[A, B], [C, -A^T]], whose trace radical may
+    hold a non-nilpotent element; or the subalgebra two of them generate,
+    which need not be solvable."""
+    kind = draw(st.sampled_from(["borel", "borel", "levi", "levi", "line", "pair"]))
     if kind == "borel":
         seeds = []
-        for _ in range(draw(st.integers(1, 2))):
+        for _ in range(draw(st.integers(2, 3))):
             m = T(draw(small), draw(small))
             for x in (X_ALPHA, X_BETA, X_AB, X_A2B):
                 m = m + x * draw(small)
             seeds.append(m)
-        g = Mat4.identity()
-        for _ in range(draw(st.integers(0, 3))):
-            atom = draw(st.sampled_from(["W", "A", "alpha", "beta", "alpha_plus_beta"]))
-            g = g * ({"W": W_MAT, "A": A_MAT}.get(atom)
-                     or shear(atom, Q(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))))
-        return Subalgebra(conjugate_subalgebra(g, generated_subalgebra(seeds).space))
+        return _moved(draw, seeds)
+    if kind == "levi":
+        p, r, s, t = (draw(small) for _ in range(4))
+        if draw(st.booleans()):
+            r, s, t = -p, p, p
+        # S solves A S + S A^T = tr(A) S
+        s11, s12, s22 = 2 * r, t - p, -2 * s
+        return _moved(draw, [Mat4([[p, r, 0, 0], [s, t, 0, 0], [0, 0, -p, -s], [0, 0, -r, -t]]),
+                             Mat4([[0, 0, s11, s12], [0, 0, s12, s22], [0] * 4, [0] * 4])])
     mats = []
     for _ in range(1 if kind == "line" else 2):
         a, b, c = ([[draw(small) for _ in range(2)] for _ in range(2)] for _ in range(3))
@@ -178,6 +209,7 @@ def _radical_or_refusal(f, g):
 
 @settings(max_examples=60, deadline=None)
 @given(radical_cases())
+@example(Subalgebra.from_matrices([WEIRD, WEIRD_ROOT]))
 def test_nilpotent_subspace_matches_the_fraction_gram_oracle(g):
     assert (_radical_or_refusal(nilpotent_subspace, g)
             == _radical_or_refusal(trace_form_radical, g))

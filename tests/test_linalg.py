@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from sp4solvable.errors import (FactorizationLimit, SingularMatrix, Sp4Error,
                                 ZeroPolynomial)
 from sp4solvable.linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _over_common_den,
-                                char_poly, echelon_span, generic_rank, inverse, kernel, rank,
-                                rational_roots, rref)
+                                _rref_int, char_poly, echelon_span, generic_rank, inverse,
+                                kernel, rank, rational_roots, rref)
 from sp4solvable.rational import (Q, exact_isqrt, factor_int, format_rational,
                                   parse_rational, power_free_split, rational_sqrt)
 from sp4solvable.sp4 import T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA, bracket
@@ -219,6 +219,15 @@ def test_coords_recombine():
     v = T(1, 2) * Q(3, 7) + X_AB * Q(-2)
     c = coords(s, v)
     assert s.combine(c) == v
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(rationals, min_size=16, max_size=16), min_size=1, max_size=6),
+       st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6), max_size=6))
+def test_span_coords_is_the_echelon_span_of_the_combinations(vectors, rows):
+    space = echelon_span([rand_mat(v) for v in vectors])
+    rows = [r[:space.dim] for r in rows]
+    assert space.span_coords(_rref_int(rows)) == echelon_span([space.combine(r) for r in rows])
 
 
 def test_solve_in_span_roundtrips_on_a_non_echelon_basis():

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -9,15 +10,16 @@ from sp4solvable.catalog import (DEFAULT_PARAM_SAMPLES, CatalogEntry, EquivClaim
                                  catalog_from_json, load_catalog)
 from sp4solvable.errors import (CatalogFault, ExpressionLimit, FactorizationLimit,
                                 IrrationalSpectrum, ProbeLimit)
+from sp4solvable.linalg import Mat4
 from sp4solvable.rational import Q
-from sp4solvable.sp4 import T, X_ALPHA, X_BETA
+from sp4solvable.sp4 import T, X_ALPHA, X_BETA, conjugate_subalgebra
 from sp4solvable.invariants import signature
 from sp4solvable.structure import Subalgebra, generated_subalgebra
 from sp4solvable.verify import (VerificationReport, match_catalog,
                                 random_subalgebra_probe, verify_catalog,
                                 verify_entry, verify_separations)
 
-from conftest import shipped_dicts
+from conftest import conjugator_pool, shipped_dicts
 
 ENTRIES = {e.row_id: e for e in load_catalog()}
 
@@ -249,6 +251,114 @@ def test_match_catalog_spec_examples():
     assert m == [("d2_Ta1_Xa", Q(2))]
     m = match_catalog(generated_subalgebra([X_ALPHA, X_BETA]))
     assert m == [("d4_n", None)]
+
+
+def full_signature_match(sub: Subalgebra, sigs: dict) -> list:
+    """`match_catalog` as full signatures compared: `signature` of the query,
+    and of a fresh subalgebra of each candidate instance (kept in sigs)."""
+    sig = signature(sub)
+    cands = verify._param_candidates(sub, invariants.nilpotent_subspace(sub))
+    matches = []
+    for e in load_catalog():
+        if e.dim != sub.dim:
+            continue
+        for a in e.samples(cands or ()):
+            if (e, a) not in sigs:
+                sigs[e, a] = signature(Subalgebra(e.space_at(a)))
+            if sigs[e, a] == sig:
+                matches.append((e.row_id, a))
+                break
+    if not matches and cands is None:
+        raise IrrationalSpectrum("no rational row")
+    return matches
+
+
+def _levi(a) -> Mat4:
+    """diag(A, -A^T) for a 2x2 int block A."""
+    (p, q), (r, s) = a
+    return Mat4([[p, q, 0, 0], [r, s, 0, 0], [0, 0, -p, -r], [0, 0, -q, -s]])
+
+
+SIEGEL = [Mat4.unit(1, 3), Mat4.unit(2, 4), Mat4.unit(1, 4) + Mat4.unit(2, 3)]
+# refused by match_catalog: a line with irrational eigenvalues (no rational
+# parameter), the same with the Siegel radical, T(1, 1) beside two planes of
+# the Siegel radical whose rank-1 lines are a conjugate irrational pair (the
+# query's probe), and an element of spectrum +-1, +-i beside a root vector
+# it normalizes (its nilpotent subspace)
+IRRATIONAL = [[_levi([[0, 1], [1, 1]])], [_levi([[0, 1], [1, 1]]), *SIEGEL],
+              [T(1, 1), SIEGEL[0] - SIEGEL[1], SIEGEL[2]],
+              [T(1, 1), SIEGEL[0] * 2 - SIEGEL[1], SIEGEL[2]],
+              [Mat4([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]),
+               Mat4([[1, 0, -1, 0], [0, 0, 0, 0], [1, 0, -1, 0], [0, 0, 0, 0]])]]
+
+
+def test_match_catalog_equals_the_full_signature_comparison():
+    def outcome(f, sub):
+        try:
+            return f(sub)
+        except IrrationalSpectrum as exc:
+            return type(exc)
+
+    rng = random.Random(20261019)
+    pool = conjugator_pool(rng, n=40)
+    subs = []
+    for e in load_catalog():
+        for a in e.samples():
+            space = e.space_at(a)
+            subs += [Subalgebra(space), Subalgebra(conjugate_subalgebra(rng.choice(pool), space))]
+    refused = [Subalgebra.from_matrices(mats) for mats in IRRATIONAL]
+    verify._instance.cache_clear()
+    sigs: dict = {}
+    for sub in subs + refused:
+        assert outcome(match_catalog, sub) == outcome(
+            lambda q: full_signature_match(q, sigs), sub)
+    assert [outcome(match_catalog, sub) for sub in refused] == [IrrationalSpectrum] * 5
+    assert all(match_catalog(sub) for sub in subs)
+
+
+def test_the_probe_runs_only_where_the_other_fields_agree(monkeypatch):
+    probed = []
+    original = invariants._spectral_probe
+
+    def counting(s, *args):
+        probed.append(s)
+        return original(s, *args)
+
+    monkeypatch.setattr(invariants, "_spectral_probe", counting)
+    verify._instance.cache_clear()
+    g = conjugator_pool(random.Random(5), n=1)[0]
+    sub = Subalgebra(conjugate_subalgebra(g, ENTRIES["d3_Ta1_Xa_Xa2b"].space_at(Q(3))))
+    assert [row for row, _ in match_catalog(sub)] == ["d3_Ta1_Xa_Xa2b"]
+    query, *rows = probed
+    assert query is sub and rows
+    head = signature(sub).head
+    assert all(signature(s).head == head for s in rows)
+    # most compared instances differ before the probe
+    assert len(rows) < verify._instance.cache_info().currsize / 2
+    verify._instance.cache_clear()
+
+
+def test_a_match_after_the_separations_computes_no_field_again(monkeypatch):
+    verify._instance.cache_clear()
+    entries = [e for e in load_catalog() if e.dim == 2]
+    assert verify_separations(entries).overall_pass
+    seen = {verify._instance(e, a).sub for e in entries for a in e.samples()}
+    calls = []
+
+    def counting(original):
+        def f(s, *args):
+            calls.append(s)
+            return original(s, *args)
+        return f
+
+    for module, name in ((invariants, "_signature_head"), (verify, "_signature_head"),
+                         (invariants, "_spectral_probe"), (verify, "nilpotent_subspace")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    for e in entries:
+        a = e.samples()[0]
+        assert match_catalog(Subalgebra(e.space_at(a)))[0][0] == e.row_id
+    assert calls and not [s for s in calls if any(s is t for t in seen)]
+    verify._instance.cache_clear()
 
 
 def test_random_probe():

@@ -1,4 +1,5 @@
-"""One sha256 over the invariant signatures of a fixed sweep of subalgebras.
+"""sha256 digests of the invariant signatures and catalog matches of a fixed
+sweep of subalgebras, and of the labels of a fixed sweep of elements.
 
     python3 tools/sigdigest.py [SEED]
 
@@ -28,9 +29,13 @@ JSON (sorted keys) or the class and message of its error.  The elements are
 * random 4x4 int grids, almost all outside sp(4);
 * zero.
 
-Two checkouts with the same digests give the same signatures and labels on
-the sweeps, so a change that claims to keep them can be checked against
-its parent in a few seconds.  It is opt-in and outside the suite's
+A third line is the sha256 over `match_catalog` of the first sweep: one
+line per subalgebra, its matches as a JSON list of [row, param], or the
+class and message of the error it raised.
+
+Two checkouts with the same digests give the same signatures, labels and
+catalog matches on the sweeps, so a change that claims to keep them can be
+checked against its parent in a few seconds.  It is opt-in and outside the suite's
 `testpaths`.
 """
 
@@ -49,10 +54,11 @@ from sp4solvable.catalog import load_catalog  # noqa: E402
 from sp4solvable.invariants import signature  # noqa: E402
 from sp4solvable.jordan import classify_element  # noqa: E402
 from sp4solvable.linalg import Mat4, echelon_span  # noqa: E402
-from sp4solvable.rational import Q  # noqa: E402
+from sp4solvable.rational import Q, format_rational  # noqa: E402
 from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, W_MAT, X_ALPHA, X_BETA, T,  # noqa: E402
                              conjugate, conjugate_subalgebra, element, shear)
 from sp4solvable.structure import Subalgebra, is_closed  # noqa: E402
+from sp4solvable.verify import match_catalog  # noqa: E402
 
 ATOMS = [W_MAT, A_MAT, J_FORM, AJ_MAT] + [
     shear(gamma, z) for gamma in ("alpha", "beta", "alpha_plus_beta", "alpha_plus_2beta")
@@ -121,12 +127,12 @@ def elements(seed: int):
 
 
 def digest_line(items, compute) -> str:
-    """The sha256 over compute's JSON (sorted keys) or error line for each
-    (group, item), then the count of each group and of the refusals."""
+    """The sha256 over compute's JSON value (sorted keys) or error line for
+    each (group, item), then the count of each group and of the refusals."""
     digest, counts = hashlib.sha256(), {}
     for group, item in items:
         try:
-            line = json.dumps(compute(item).to_json(), sort_keys=True)
+            line = json.dumps(compute(item), sort_keys=True)
         except Exception as exc:  # the refusal is part of what is compared
             line = f"{type(exc).__name__}: {exc}"
             counts["refused"] = counts.get("refused", 0) + 1
@@ -137,8 +143,11 @@ def digest_line(items, compute) -> str:
 
 def main(argv: list[str]) -> int:
     seed = int(argv[0]) if argv else 1
-    print(digest_line(sweep(seed), lambda space: signature(Subalgebra(space))))
-    print(digest_line(elements(seed), classify_element))
+    print(digest_line(sweep(seed), lambda space: signature(Subalgebra(space)).to_json()))
+    print(digest_line(elements(seed), lambda x: classify_element(x).to_json()))
+    print(digest_line(sweep(seed), lambda space: [
+        [row, None if a is None else format_rational(a)]
+        for row, a in match_catalog(Subalgebra(space))]))
     return 0
 
 
