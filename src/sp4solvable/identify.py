@@ -43,9 +43,9 @@ from functools import lru_cache
 from .errors import (DependentInputs, DimensionMismatch, OutOfCatalog,
                      UnrecognizedFamily, UnsupportedDimension, ZeroParameter)
 from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _over_common_den,
-                     _rref_int, inverse, rational_roots)
+                     inverse, rational_roots, rref)
 from .rational import Q, ZERO, Record, format_rational, power_free_split, rational_sqrt
-from .structure import StructureConstants, _ad_num, _span_num, _units
+from .structure import StructureConstants, _ad_num, _units, bracket_space
 
 __all__ = [
     "DeGraafClass", "SWClass", "identify_degraaf", "degraaf_to_sw", "sw_lambda",
@@ -203,7 +203,7 @@ def _build(catalog: str, name: str, params: tuple) -> StructureConstants:
 
 
 # ---------------------------------------------------------------------------
-# helpers on coordinate subspaces, held as `_rref_int` (pivot, int row) pairs
+# helpers on coordinate subspaces, held as `rref` (pivot, int row) pairs
 # ---------------------------------------------------------------------------
 
 def _complement_vector(d: int, pairs: list[tuple]) -> list[int]:
@@ -224,7 +224,7 @@ def _is_cyclic3(m: list[list[int]]) -> bool:
     i.e. m^2 is not a linear combination of I and m."""
     k = 3
     m2 = [[sum(m[i][t] * m[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
-    return len(_rref_int([[x for row in mat for x in row] for mat in (_units(k), m, m2)])) == 3
+    return len(rref([[x for row in mat for x in row] for mat in (_units(k), m, m2)])) == 3
 
 
 def _centralizer_of(sc: StructureConstants, sub: list[list[int]]) -> list[list[int]]:
@@ -282,7 +282,7 @@ def identify_degraaf(sc: StructureConstants) -> DeGraafClass:
     if d == 1:
         return DeGraafClass("J")
     units = _units(d)
-    derived = _span_num(sc, units, units)
+    derived = bracket_space(sc, units, units)
     k = len(derived)
     if d == 2:
         return DeGraafClass("K1" if k == 0 else "K2")
@@ -291,7 +291,7 @@ def identify_degraaf(sc: StructureConstants) -> DeGraafClass:
             return DeGraafClass("L1")
         if k == 1:
             # Heisenberg (nilpotent) is L4_0; the non-nilpotent K2 (+) J is L3_0
-            central = not _span_num(sc, units, [r for _, r in derived])
+            central = not bracket_space(sc, units, [r for _, r in derived])
             return DeGraafClass("L4" if central else "L3", (ZERO,))
         if k == 2:
             y = _complement_vector(d, derived)
@@ -309,7 +309,7 @@ def identify_degraaf(sc: StructureConstants) -> DeGraafClass:
 def _identify_dim4_derived3(sc: StructureConstants, derived: list[tuple]) -> DeGraafClass:
     y = _complement_vector(4, derived)
     rows = [r for _, r in derived]
-    zrows = _span_num(sc, rows, rows)
+    zrows = bracket_space(sc, rows, rows)
     if not zrows:
         m, e = _ad_num(sc, y, derived)
         return DeGraafClass("M2") if _is_scalar(m) else _cyclic3_class(m, e)
@@ -345,10 +345,10 @@ def _identify_dim4_derived2(sc: StructureConstants, derived: list[tuple]) -> DeG
     direction n0 of L makes L = span(1, n0)."""
     cent = _centralizer_of(sc, [r for _, r in derived])
     if len(cent) == 3:
-        crows = _rref_int(cent)
+        crows = rref(cent)
         return _cyclic3_class(*_ad_num(sc, _complement_vector(4, crows), crows))
     # L's matrices share one den, so their int numerators span it
-    (_, u), (_, v) = _rref_int([[x for row in _ad_num(sc, w, derived)[0] for x in row]
+    (_, u), (_, v) = rref([[x for row in _ad_num(sc, w, derived)[0] for x in row]
                                 for w in _units(4)])
     tr_u = u[0] + u[3]
     tr_v = v[0] + v[3]

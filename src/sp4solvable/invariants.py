@@ -17,12 +17,13 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   matrix of that complement, its int kernel, and each kernel element tested
   nilpotent by two int squarings (the nilpotent elements of a solvable g
   form a subspace, so that tests the whole radical);
-* the rank stratification of N(g): exact pencil strata for dim 2, read off
-  the pencil's rank <= 1 and rank <= 2 loci over the integers (counting
-  rank-drop lines over the algebraic closure via squarefree degrees, with
-  no polynomial factorization), and for dim >= 3 the generic rank, the
-  integer rank of the Kronecker matrix at one point beyond every root of
-  its minors;
+* the rank stratification of N(g): exact pencil strata for dim 2
+  (`pencil_rank_strata`, which checks the plane on the int rows it
+  eliminates anyway), read off the pencil's rank <= 1 and rank <= 2 loci
+  over the integers (counting rank-drop lines over the algebraic closure
+  via squarefree degrees, with no polynomial factorization), and for
+  dim >= 3 the generic rank, the integer rank of the Kronecker matrix at
+  one point beyond every root of its minors;
 * whether g contains an invertible matrix.  By Lie's theorem g is
   triangular in some basis, and the diagonal is a linear map with kernel
   N(g).  So for g = C*x0 + N(g), det(s*x0 + n) = s^4 det(x0): read off the
@@ -38,7 +39,7 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   c4 l^4 + c2 l^2 + c0 of x has four distinct roots: c0 != 0 and
   c2^2 != 4 c0 c4, read off its int coefficients.  Such an x is itself
   semisimple (its nilpotent part is 0), so it needs no decomposition; only
-  a double or a zero eigenvalue pair runs `_jordan_decompose`;
+  a double or a zero eigenvalue pair runs `jordan_decompose`;
 * a canonical spectral probe.  For codimension 1 the triple (char poly of x,
   char poly of ad x on g, char poly of ad x on [g,g]) is constant on
   x + N(g), and the leftover scaling freedom is removed by weighted
@@ -61,12 +62,12 @@ from itertools import combinations
 from operator import mul
 
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
-from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _mul_num, _rref_int,
-                     char_poly, echelon_span, generic_rank, rank, rational_roots, Subspace)
+from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _mul_num, char_poly,
+                     generic_rank, rank, rational_roots, rref, Subspace)
 from .rational import Q, ZERO, Record, format_rational
 from .sp4 import bracket, in_sp4
 from .structure import Subalgebra, _ad_num, _series, is_solvable
-from .jordan import _jordan_decompose
+from .jordan import jordan_decompose
 
 __all__ = [
     "PencilStrata", "pencil_rank_strata", "InvariantSignature", "signature",
@@ -105,36 +106,45 @@ class PencilStrata(Record):
 
 def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
     """Exact rank stratification of a nilpotent pencil x(t) = t*n1 + n2 of
-    sp(4) (plus t = infinity); raises Sp4Error for any other pair.
+    sp(4) (plus t = infinity).  Raises DependentInputs for a dependent pair
+    and Sp4Error for a pair outside sp(4) or a pencil that is not nilpotent.
 
     The nilpotent orbits of sp(4) are [4], [2,2], [2,1,1] and 0, with no
     [3,1] (Collingwood and McGovern, 1993), so x(t0) has rank <= 2 exactly
     when x(t0)^2 = 0, and rank <= 1 when its 2-minors vanish.  For n1 = A/d,
     n2 = B/d, each locus is the common roots of quadratics in t (the 36
     2-minors; the 16 entries of x(t)^2 = B^2 + t(AB + BA) + t^2 A^2), whose
-    gcd is that of an `_rref_int` basis of their coefficient rows; a family
+    gcd is that of an `rref` basis of their coefficient rows; a family
     that vanishes identically bounds the generic rank instead.  Lines are
     counted over the algebraic closure by squarefree degrees, and the exact
     rank of a non-rational drop by the nesting of the loci, so nothing is
     factored.
+
+    The refusals read the same int rows: n1 and n2 are independent iff A and
+    B are (`rref`), and an sp(4) element has odd power traces 0, so by
+    Newton's identities its char poly is l^4 - (p2/2) l^2 + (p2^2/2 - p4)/4
+    for p_k = tr x^k, and x(t) is nilpotent for every t iff the polynomials
+    tr x(t)^2 and tr x(t)^4 in t vanish: tr x(t)^4 is the sum of
+    t^(i+j) tr(S_i S_j) over the coefficients S_i of x(t)^2.
     """
-    if echelon_span([n1, n2]).dim != 2:
-        raise DependentInputs("pencil needs two independent matrices")
-    # x(t)^4 has degree 4 in t, so it vanishes identically iff it does at five points
-    if not (in_sp4(n1) and in_sp4(n2)) or any(
-            not ((x := n1 * t + n2) * x * x * x).is_zero() for t in (0, 1, -1, 2, -2)):
-        raise Sp4Error("pencil_rank_strata needs a nilpotent pencil in sp(4)")
-    return _pencil_strata(n1, n2)
-
-
-def _pencil_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
-    """`pencil_rank_strata` without its checks, for the echelon basis of a
-    plane N(g), which is independent, in sp(4) and nilpotent."""
     den = math.lcm(n1.den, n2.den)
     a = [x * (den // n1.den) for x in n1.num]
     b = [x * (den // n2.den) for x in n2.num]
+    if len(rref([a, b])) != 2:
+        raise DependentInputs("pencil needs two independent matrices")
     ab, ba = _mul_num(a, b), _mul_num(b, a)
-    square = list(zip(_mul_num(b, b), [x + y for x, y in zip(ab, ba)], _mul_num(a, a)))
+    coeffs = (_mul_num(b, b), [x + y for x, y in zip(ab, ba)], _mul_num(a, a))
+    # the coefficients of t^k in tr x(t)^2 and in tr x(t)^4, the latter from
+    # tr(S_i S_j), the dot product of S_i with the transpose of S_j
+    tr2 = [s[0] + s[5] + s[10] + s[15] for s in coeffs]
+    s0, s1, s2 = coeffs
+    t0, t1, t2 = [s[0::4] + s[1::4] + s[2::4] + s[3::4] for s in coeffs]
+    d = [sum(map(mul, u, v)) for u, v in ((s0, t0), (s0, t1), (s0, t2), (s1, t1), (s1, t2),
+                                          (s2, t2))]
+    tr4 = (d[0], 2 * d[1], 2 * d[2] + d[3], 2 * d[4], d[5])
+    if not (in_sp4(n1) and in_sp4(n2)) or any(tr2) or any(tr4):
+        raise Sp4Error("pencil_rank_strata needs a nilpotent pencil in sp(4)")
+    square = list(zip(*coeffs))
     # the 2-minor x[p] x[s] - x[q] x[r] of rows i, j and columns k, l
     minors = [(b[p] * b[s] - b[q] * b[r], a[p] * b[s] + b[p] * a[s] - a[q] * b[r] - b[q] * a[r],
                a[p] * a[s] - a[q] * a[r])
@@ -145,7 +155,7 @@ def _pencil_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
     # none has rank 0, as n1 and n2 are independent
     drops = [Poly._make([1], 1)]
     for rows in (minors, square):
-        basis = _rref_int(rows)
+        basis = rref(rows)
         if not basis:  # the rank never exceeds len(drops)
             break
         locus = Poly()
@@ -208,7 +218,7 @@ def nilpotent_subspace(g: Subalgebra) -> Subspace:
         for i, x, b in zip(free, w, comp):
             v[i] = x * b.den
         rows.append(v)
-    return g.space.span_coords(_rref_int(rows))
+    return g.space.span_coords(rref(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +315,7 @@ def _signature_head(s: Subalgebra, nspace: Subspace) -> tuple:
     if codim not in (0, 1, 2):
         raise Sp4Error("solvable subalgebra with toral rank > 2 in sp(4)")
 
-    pencil = _pencil_strata(*nspace.basis) if dn == 2 else None
+    pencil = pencil_rank_strata(*nspace.basis) if dn == 2 else None
     strata = _nilpotent_strata(nspace, pencil)
 
     probe = None
@@ -322,7 +332,7 @@ def _signature_head(s: Subalgebra, nspace: Subspace) -> tuple:
         has_invertible = p0.num[0] != 0  # det(x0), see the module docstring
         if _regular_pair(p0):  # four distinct eigenvalues: x0 is semisimple
             content = "has_regular_ss"
-        elif nspace.contains(_jordan_decompose(x0, p0).nilpotent):
+        elif nspace.contains(jordan_decompose(x0).nilpotent):
             content = "has_nonregular_ss_only"
         else:
             content = "mixed_only"

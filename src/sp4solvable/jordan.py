@@ -38,12 +38,7 @@ class JordanDecomposition(Record):
 
 def jordan_decompose(x: Mat4) -> JordanDecomposition:
     """The unique Chevalley decomposition, computed exactly."""
-    return _jordan_decompose(x, char_poly(x))
-
-
-def _jordan_decompose(x: Mat4, p: Poly) -> JordanDecomposition:
-    """The decomposition of x, given its characteristic polynomial p."""
-    g = p.squarefree_part()
+    g = char_poly(x).squarefree_part()
     s = x
     gs = poly_eval_mat(g, s)
     while not gs.is_zero():

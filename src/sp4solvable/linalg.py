@@ -6,15 +6,14 @@ in reduced row echelon form of the row-major flattened entries (so equal
 subspaces have identical basis lists), and elimination, kernels, inverses,
 polynomial division, gcd and rational roots run on ints.  Rationals appear
 only at the boundary: the constructors and entry reads of `Mat4` and `Poly`,
-the RREF rows of `rref` and the vectors of `kernel`.  The library's own
-callers keep the (pivot, int row) pairs of `_rref_int`; `rref` has none, and
-stays bound for the tests and for the benchmark, which traces it by name.
+and the vectors of `kernel`.  `rref` eliminates int rows and returns
+(pivot, int row) pairs, the one coordinate form of a span.
 Coordinates in a span are read at its echelon pivots as ints
 (`_pivot_coords`, `Subspace.coords_num`), never solved for: the one solve
 against another basis is `inverse`, and a bracket table moves to a new
 basis by `StructureConstants.change_basis`.
 
-`Poly` is the one polynomial type, and `_rref_int` the one elimination:
+`Poly` is the one polynomial type, and `rref` the one elimination:
 nothing is eliminated over Q[t].  The generic rank of a span
 (`generic_rank`) is the integer rank of the span's Kronecker substitution
 at one integer t beyond every root of its minors (Cauchy's bound), and the
@@ -45,17 +44,7 @@ from .rational import Q, ZERO, exact_isqrt, format_rational, parse_rational
 # generic reduced row echelon form over Q, eliminated on ints
 # ---------------------------------------------------------------------------
 
-def rref(rows: Iterable[Sequence]) -> list[tuple]:
-    """Reduced row echelon form; returns the nonzero rows (unit pivots,
-    zeros above and below each pivot).  The output is the unique canonical
-    basis of the row span.  Rows are scaled to ints and eliminated
-    fraction-free (`_rref_int`), and each row is divided by its pivot."""
-    return [tuple([Q(x, r[c]) if x else ZERO for x in r])
-            for c, r in _rref_int([r if all(type(x) is int for x in r)
-                                   else _over_common_den(r)[0] for r in rows])]
-
-
-def _rref_int(rows: Iterable[Sequence[int]]) -> list[tuple[int, Sequence[int]]]:
+def rref(rows: Iterable[Sequence[int]]) -> list[tuple[int, Sequence[int]]]:
     """Fraction-free Gauss-Jordan elimination of int rows (Bareiss, Math.
     Comp. 22, 1968, with content removal in place of exact division).
     Returns (pivot column, row) in pivot-column order, where each row is the
@@ -91,7 +80,7 @@ def _kernel_int(rows: list[Sequence[int]], ncols: int) -> list[tuple[int, list[i
     """(free column f, v) for each free column of the echelon form of int
     rows: v is the kernel vector with 1 at f and 0 at the other free
     columns, times the lcm of the pivots, so v is integral."""
-    echelon = _rref_int(rows)
+    echelon = rref(rows)
     pivots = {c for c, _ in echelon}
     l = math.lcm(*[r[c] for c, r in echelon])
     out = []
@@ -606,7 +595,7 @@ def _num_rows(m: Mat4) -> list[tuple]:
 
 def rank(m: Mat4) -> int:
     """Exact rank by fraction-free elimination of den*m."""
-    return len(_rref_int(_num_rows(m)))
+    return len(rref(_num_rows(m)))
 
 
 def kernel(m: Mat4) -> list[tuple]:
@@ -619,11 +608,11 @@ def kernel(m: Mat4) -> list[tuple]:
 
 def inverse(m: Mat4) -> Mat4:
     """Exact inverse, the right half of the echelon form of [den*m | den*I]
-    (`_rref_int`), each row over its pivot, put over the lcm of the pivots;
+    (`rref`), each row over its pivot, put over the lcm of the pivots;
     raises SingularMatrix when a pivot lands in the right half."""
     d = m.den
-    echelon = _rref_int([r + tuple(d if j == i else 0 for j in range(4))
-                         for i, r in enumerate(_num_rows(m))])
+    echelon = rref([r + tuple(d if j == i else 0 for j in range(4))
+                    for i, r in enumerate(_num_rows(m))])
     if echelon[3][0] != 3:
         raise SingularMatrix("matrix is singular")
     l = math.lcm(*[r[c] for c, r in echelon])
@@ -642,7 +631,7 @@ class Subspace:
     __slots__ = ("basis",)
 
     def __init__(self, mats: Iterable[Mat4]):
-        self.basis = tuple(Mat4._make(r, r[c]) for c, r in _rref_int([m.num for m in mats]))
+        self.basis = tuple(Mat4._make(r, r[c]) for c, r in rref([m.num for m in mats]))
 
     @property
     def dim(self) -> int:
@@ -662,16 +651,9 @@ class Subspace:
         None if m is outside (`_pivot_coords` on the numerators)."""
         return _pivot_coords([(b.num, b.den) for b in self.basis], m.num)
 
-    def combine(self, coeffs: Sequence) -> Mat4:
-        acc = Mat4.zero()
-        for c, b in zip(coeffs, self.basis):
-            if c != 0:
-                acc = acc + b * c
-        return acc
-
     def span_coords(self, pairs: Sequence[tuple[int, Sequence[int]]]) -> "Subspace":
         """The subspace of the combinations of this basis with the int
-        coordinate rows of `_rref_int` pairs (c, r), with no elimination on
+        coordinate rows of `rref` pairs (c, r), with no elimination on
         the 16 entries: each basis element has its pivot ahead of the next
         one's and zeros at the others', so the combination with r / r[c]
         has 1 at the pivot of element c and 0 at those of the other rows,
@@ -739,4 +721,4 @@ def generic_rank(mats: Sequence[Mat4]) -> int:
     t = 1 + 24 * (len(nums) * max([abs(x) for num in nums for x in num], default=0))**4
     powers = [1] + [t**(5**i) for i in range(len(nums) - 1)]
     combo = [sum([p * num[ij] for p, num in zip(powers, nums)]) for ij in range(16)]
-    return len(_rref_int([combo[i:i + 4] for i in (0, 4, 8, 12)]))
+    return len(rref([combo[i:i + 4] for i in (0, 4, 8, 12)]))

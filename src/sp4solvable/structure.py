@@ -10,14 +10,12 @@ gives the table, or the brackets that leave the span.  `Subalgebra.constants`,
 existence, and a generated subalgebra keeps the table of its last round.  The
 series, predicates and adjoint matrices run on the table in coordinates
 (d <= 7), each subspace held as the (pivot, int row) pairs of
-`linalg._rref_int`: brackets are int contractions (`_bracket_num`), spans
-are eliminated fraction-free (`_span_num`, `_series`), and an adjoint matrix
+`linalg.rref`: brackets are int contractions (`_bracket_num`), spans are
+eliminated fraction-free (`bracket_space`, `_series`), and an adjoint matrix
 is one int matrix over one den, read at the pivots (`_ad_num`).  Rationals
-appear only at the public boundary: `StructureConstants.table`,
-`derived_series`, and the RREF rows of `bracket_space`, which no library
-code calls (it stays bound for the tests and for the benchmark, which traces
-it by name).  A table moves to a new basis only by `_moved`, which brackets
-int coordinate columns and divides once; `change_basis` and
+appear only at the public boundary: `StructureConstants.table` and
+`derived_series`.  A table moves to a new basis only by `_moved`, which
+brackets int coordinate columns and divides once; `change_basis` and
 `Subalgebra.constants_in` (on `Subspace.coords_num`) feed it.  Ambient sp(4)
 membership is validated when a `Subalgebra` is constructed from matrices.
 """
@@ -30,7 +28,7 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import DependentInputs, Sp4Error
-from .linalg import Mat4, Subspace, _over_common_den, _pivot_coords, _rref_int, echelon_span
+from .linalg import Mat4, Subspace, _over_common_den, _pivot_coords, echelon_span, rref
 from .rational import Q, ZERO, format_rational
 from .sp4 import bracket, in_sp4
 
@@ -136,27 +134,17 @@ def generated_subalgebra(seed: Iterable[Mat4]) -> Subalgebra:
     return sub
 
 
-def _span_num(sc: "StructureConstants", a: list, b: list) -> list:
-    """`_rref_int` of the span of all den*[u, v], u in a, v in b, for int
+def bracket_space(sc: "StructureConstants", a: list, b: list) -> list:
+    """`rref` of the span of all den*[u, v], u in a, v in b, for int
     coordinate rows a and b."""
     pairs = combinations(a, 2) if a == b else product(a, b)
-    return _rref_int([sc._bracket_num(u, v) for u, v in pairs])
-
-
-def bracket_space(sc: "StructureConstants", a: Sequence[tuple],
-                  b: Sequence[tuple]) -> list[tuple]:
-    """RREF coordinate rows of the span of all [u, v], u in a, v in b, for
-    coordinate rows a and b of the algebra with bracket table sc: the rows
-    of `_span_num` on a and b scaled to ints, each divided by its pivot."""
-    return [tuple([Q(x, r[c]) if x else ZERO for x in r])
-            for c, r in _span_num(sc, [_over_common_den(r)[0] for r in a],
-                                  [_over_common_den(r)[0] for r in b])]
+    return rref([sc._bracket_num(u, v) for u, v in pairs])
 
 
 def _ad_num(sc: "StructureConstants", y: Sequence[int],
             pairs: Sequence[tuple[int, Sequence[int]]]) -> tuple[list[list[int]], int]:
     """ad(y), for an int coordinate row y, on an ad(y)-stable span given by
-    `_rref_int` pairs (c, r), in the basis of their RREF rows r/r[c]: an int
+    `rref` pairs (c, r), in the basis of their RREF rows r/r[c]: an int
     matrix (rows) over one den.  Column k is the int bracket den*[y, r_k]
     read at the pivots (`_pivot_coords`), so nothing is solved, over
     den*r_k[c_k]; the columns are put over the lcm of the pivots."""
@@ -174,7 +162,7 @@ def _units(d: int) -> list[list[int]]:
 
 
 def _series(s: Subalgebra, lower: bool = False) -> list[list[tuple[int, list[int]]]]:
-    """The `_rref_int` (pivot, int row) pairs of g, [g,g], ... until the
+    """The `rref` (pivot, int row) pairs of g, [g,g], ... until the
     dimension stops falling: the derived series, or with `lower` the lower
     central series (g, [g,g], [g,[g,g]], ...), all from the bracket table.
     Both series begin g, [g,g], so the lower one starts from the first two
@@ -184,7 +172,7 @@ def _series(s: Subalgebra, lower: bool = False) -> list[list[tuple[int, list[int
     chain = s.derived[:2] if lower else [list(enumerate(g))]
     while chain[-1]:
         h = [r for _, r in chain[-1]]
-        nxt = _span_num(sc, g if lower else h, h)
+        nxt = bracket_space(sc, g if lower else h, h)
         if len(nxt) == len(h):
             break
         chain.append(nxt)
@@ -288,7 +276,7 @@ class StructureConstants:
         ws = [self._bracket_num(x, y) for x, y in combinations(ys, 2)]
         # row k of the reduced [Y | W] is r_k[k] * (unit k | coordinates on
         # Y_k), and [y_i, y_j] = W / (e^2 den) with Y_k = e*y_k
-        echelon = _rref_int(zip(*ys, *ws))
+        echelon = rref(zip(*ys, *ws))
         if [c for c, _ in echelon] != list(range(d)):
             raise DependentInputs("coordinates need independent vectors")
         piv = math.lcm(*[r[k] for k, r in echelon])

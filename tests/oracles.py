@@ -6,22 +6,26 @@ rational bracket table or on matrix rows, `Fraction` Gauss-Jordan
 elimination, a coordinate solve by one `Fraction` echelonization of the
 augmented system), sharing no kernel with the code it checks.  The Kronecker
 matrix of a span over Q[t] (`symbolic_combo`) is what the cofactor minor
-scans of the Q[t] kernels run on.  Three readers are no oracles: `coords`
-and `echelon_coords` give the library's int pivot reads
-(`Subspace.coords_num`, `linalg._pivot_coords`) as rationals, and
-`fraction_rows` the (pivot, int row) pairs of the int kernels
-(`linalg._rref_int`, `structure._span_num`, `structure._series`) as RREF
-rows, for comparison with the oracles."""
+scans of the Q[t] kernels run on, and `pencil_refusal` gives the refusals
+of `invariants.pencil_rank_strata` by rational elimination and products of
+`Mat4`s.  Six helpers are no oracles: `coords` and `echelon_coords` give
+the library's int pivot reads (`Subspace.coords_num`,
+`linalg._pivot_coords`) as rationals; `fraction_rows` the (pivot, int row)
+pairs of the int kernels (`linalg.rref`, `structure.bracket_space`,
+`structure._series`) as RREF rows, and `rational_rref` and
+`rational_bracket_space` run those two kernels on rational rows, for
+comparison with the oracles; `combination` builds a linear combination of
+a span's basis."""
 
 from itertools import combinations
 
-from sp4solvable.errors import DependentInputs, IrrationalSpectrum, NotSolvable
+from sp4solvable.errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
 from sp4solvable.jordan import JordanDecomposition
 from sp4solvable.linalg import (Mat4, Poly, Subspace, _over_common_den, _pivot_coords,
-                                det_mpoly, echelon_span)
+                                det_mpoly, echelon_span, rref)
 from sp4solvable.rational import Q, ZERO
 from sp4solvable.sp4 import J_FORM
-from sp4solvable.structure import StructureConstants, Subalgebra, is_solvable
+from sp4solvable.structure import StructureConstants, Subalgebra, bracket_space, is_solvable
 
 
 def char_poly_det(rows) -> Poly:
@@ -68,6 +72,20 @@ def grid_pencil_ranks(n1: Mat4, n2: Mat4, lo: int = -20, hi: int = 20) -> dict:
     return out
 
 
+def pencil_refusal(n1: Mat4, n2: Mat4):
+    """The exception class and message that `pencil_rank_strata` raises for
+    the pair, or None if it is an independent nilpotent pencil of sp(4):
+    independence by `gauss_jordan` on the rational entries, membership by
+    `in_sp4_product`, and nilpotency as x(t)^4 == 0 at five points, which
+    decides it, as x(t)^4 has degree 4 in t."""
+    if len(gauss_jordan([n1.flatten(), n2.flatten()])) != 2:
+        return DependentInputs, "pencil needs two independent matrices"
+    if not (in_sp4_product(n1) and in_sp4_product(n2)) or any(
+            not ((x := n1 * t + n2) * x * x * x).is_zero() for t in (0, 1, -1, 2, -2)):
+        return Sp4Error, "pencil_rank_strata needs a nilpotent pencil in sp(4)"
+    return None
+
+
 def coords(space: Subspace, m: Mat4):
     """The coefficients of m in the echelon basis of `space` as rationals,
     or None if m is outside: `Subspace.coords_num` over m.den."""
@@ -88,6 +106,29 @@ def fraction_rows(pairs) -> list[tuple]:
     """The (pivot column, int row) pairs of the int kernels as RREF rows:
     each row divided by its pivot."""
     return [tuple(Q(x, r[c]) for x in r) for c, r in pairs]
+
+
+def rational_rref(rows) -> list[tuple]:
+    """RREF rows of rational rows: each row over its common denominator,
+    `linalg.rref` on the ints, and `fraction_rows`."""
+    return fraction_rows(rref([_over_common_den(r)[0] for r in rows]))
+
+
+def rational_bracket_space(sc: StructureConstants, a, b) -> list[tuple]:
+    """RREF coordinate rows of the span of all [u, v], u in a, v in b, for
+    rational coordinate rows: `structure.bracket_space` on the rows over
+    their denominators, and `fraction_rows`."""
+    return fraction_rows(bracket_space(sc, [_over_common_den(r)[0] for r in a],
+                                       [_over_common_den(r)[0] for r in b]))
+
+
+def combination(space: Subspace, coeffs) -> Mat4:
+    """sum_i coeffs[i] * space.basis[i], by `Mat4` arithmetic."""
+    acc = Mat4.zero()
+    for c, b in zip(coeffs, space.basis):
+        if c != 0:
+            acc = acc + b * c
+    return acc
 
 
 def unit_rows(d: int) -> list[tuple]:
@@ -224,7 +265,7 @@ def trace_form_radical(g: Subalgebra):
         raise NotSolvable("the subalgebra is not solvable")
     basis = g.basis
     gram = [[(x * y).trace() for y in basis] for x in basis]
-    mats = [g.space.combine(v) for v in kernel_fraction(gram, len(basis))]
+    mats = [combination(g.space, v) for v in kernel_fraction(gram, len(basis))]
     if any(not (m * m * m * m).is_zero() for m in mats):
         raise IrrationalSpectrum("trace-form radical contains a non-nilpotent element")
     return echelon_span(mats)

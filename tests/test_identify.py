@@ -14,7 +14,7 @@ from sp4solvable.identify import (DeGraafClass, QuadraticValue, SWClass, degraaf
                                   sw_constants, sw_lambda, tri_algebra_constants,
                                   verify_isomorphism)
 from sp4solvable.catalog import load_catalog
-from sp4solvable.linalg import echelon_span, rref
+from sp4solvable.linalg import echelon_span
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA
 from sp4solvable.structure import (StructureConstants, Subalgebra,
@@ -22,7 +22,7 @@ from sp4solvable.structure import (StructureConstants, Subalgebra,
 from sp4solvable.verify import random_subalgebra_probe, verify_catalog
 
 from conftest import perturb_columns
-from oracles import bracket_coords_fraction, is_antisymmetric, satisfies_jacobi
+from oracles import bracket_coords_fraction, is_antisymmetric, rational_rref, satisfies_jacobi
 
 D = DeGraafClass
 
@@ -382,7 +382,7 @@ def _pairwise_oracle(src, tgt, columns):
     sends each [x_i, x_j] to [f(x_i), f(x_j)]."""
     d = src.dim
     cols = [tuple(Q(x) for x in c) for c in columns]
-    if len(rref(cols)) != d:
+    if len(rational_rref(cols)) != d:
         return False
 
     def apply(v):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sp4solvable import invariants, structure
 from sp4solvable.errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
-from sp4solvable.invariants import (_eigenvalue_on_line, _invariantize, nilpotent_subspace,
-                                   pencil_rank_strata, signature)
+from sp4solvable.invariants import (PencilStrata, _eigenvalue_on_line, _invariantize,
+                                   nilpotent_subspace, pencil_rank_strata, signature)
 from sp4solvable.catalog import load_catalog
 from sp4solvable.jordan import jordan_decompose
 from sp4solvable.linalg import (Mat4, Poly, _char_poly_int, char_poly, det_mpoly, echelon_span,
@@ -20,8 +20,9 @@ from sp4solvable.sp4 import (A_MAT, ROOT_VECTORS, T, W_MAT, X_A2B, X_AB, X_ALPHA
 from sp4solvable.structure import Subalgebra, _ad_num, _units, generated_subalgebra
 
 from conftest import ROOTS, conjugator_pool, random_borel_element
-from oracles import (bracket_coords_fraction, char_poly_det, fraction_rows, grid_pencil_ranks,
-                     solve_in_span, symbolic_combo, trace_form_radical)
+from oracles import (bracket_coords_fraction, char_poly_det, combination, fraction_rows,
+                     grid_pencil_ranks, pencil_refusal, solve_in_span, symbolic_combo,
+                     trace_form_radical)
 
 
 def alg(*mats):
@@ -58,24 +59,106 @@ def test_pencil_refuses_a_pair_outside_the_nilpotent_pencils_of_sp4():
             pencil_rank_strata(n1, n2)
 
 
-def test_signature_reads_the_pencil_of_n_g_without_the_public_checks(monkeypatch):
-    # the echelon basis of N(g) is independent, in sp(4) and nilpotent, so
-    # the signature path skips pencil_rank_strata's refusal; same strata
-    from sp4solvable import invariants
+WEIRD = Mat4([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
+# a rank-1 root vector of sp(4) with [WEIRD, X] = 2 X
+WEIRD_ROOT = Mat4([[1, 0, -1, 0], [0, 0, 0, 0], [1, 0, -1, 0], [0, 0, 0, 0]])
+
+
+def _conjugator(draw) -> Mat4:
+    """A product of up to three Weyl elements and rational shears."""
+    g = Mat4.identity()
+    for _ in range(draw(st.integers(0, 3))):
+        atom = draw(st.sampled_from(["W", "A", "alpha", "beta", "alpha_plus_beta"]))
+        g = g * ({"W": W_MAT, "A": A_MAT}.get(atom)
+                 or shear(atom, Q(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))))
+    return g
+
+
+@st.composite
+def pencil_pairs(draw):
+    """A pair of one of five kinds, moved by a drawn element of Sp(4, Q):
+    dependent, outside sp(4) (random int grids, or strictly upper triangular
+    ones, nilpotent in gl(4)), two Borel elements (mostly a pencil that is
+    not nilpotent), WEIRD beside a multiple of WEIRD_ROOT (tr x(t)^2 == 0,
+    but x(t)^4 != 0) or two elements of n (a nilpotent plane when
+    independent)."""
+    coeff = st.integers(-2, 2)
+
+    def nil():
+        return sum((x * draw(coeff) for x in ROOTS), Mat4.zero())
+
+    def borel():
+        return T(draw(coeff), draw(coeff)) + nil()
+
+    def grid(upper):
+        return Mat4([[draw(coeff) if j > i or not upper else 0 for j in range(4)]
+                     for i in range(4)])
+
+    kind = draw(st.sampled_from(["dependent", "outside", "borel", "quartic", "nilpotent"]))
+    if kind == "dependent":
+        n1 = draw(st.sampled_from([borel, nil, lambda: grid(False)]))()
+        n2 = n1 * Q(draw(coeff), draw(st.integers(1, 3)))
+    elif kind == "outside":
+        n1, n2 = grid(draw(st.booleans())), draw(st.sampled_from([nil, lambda: grid(True)]))()
+    elif kind == "borel":
+        n1, n2 = borel(), borel()
+    elif kind == "quartic":
+        n1, n2 = WEIRD * draw(st.sampled_from([1, -2, Q(1, 3)])), WEIRD_ROOT * draw(coeff)
+    else:
+        n1, n2 = nil(), nil()
+    g = _conjugator(draw)
+    h = inverse(g)
+    return g * n1 * h, g * n2 * h
+
+
+# on the pencil x(t) = t*QUARTIC + QUARTIC + E32 + E41 of sp(4), x(t) has the
+# char poly l^4 - c l^2 + c^2/2 with c = 2(t + 1)(2t + 1): tr x(t)^4 = 0 for
+# every t, but tr x(t)^2 = 2c is not, so only the tr x(t)^2 refusal tells it
+# from a nilpotent pencil
+QUARTIC = Mat4([[-1, -1, -1, -1], [-1, -1, -1, 1], [1, -1, 1, 1], [-1, -1, 1, 1]])
+
+
+@settings(max_examples=200, deadline=None)
+@example((QUARTIC, QUARTIC + Mat4.unit(3, 2) + Mat4.unit(4, 1)))
+@example((X_ALPHA, X_ALPHA * 3))
+@example((T(1, 0), X_ALPHA))
+@example((Mat4.unit(1, 2) + Mat4.unit(2, 3), Mat4.unit(1, 3)))
+@example((WEIRD, WEIRD_ROOT))
+@example((X_ALPHA, X_A2B))
+@given(pencil_pairs())
+def test_pencil_refuses_where_the_rational_oracle_does(pair):
+    # the int refusals (rref of the numerators, in_sp4, tr x(t)^2 and
+    # tr x(t)^4) against independence by Fraction elimination, J m^t J and
+    # x(t)^4 at five points: the same class and message, or strata
+    want = pencil_refusal(*pair)
+    if want is None:
+        assert isinstance(pencil_rank_strata(*pair), PencilStrata)
+        return
+    with pytest.raises(Sp4Error) as info:
+        pencil_rank_strata(*pair)
+    assert (type(info.value), str(info.value)) == want
+
+
+def test_signature_reads_the_pencil_of_n_g_through_pencil_rank_strata(monkeypatch):
+    # the signature takes the strata of a plane N(g) from the one checked
+    # pencil_rank_strata, called once on the echelon basis of N(g)
     subs = [alg(T(1, 1), X_ALPHA, X_A2B), alg(T(1, 0), X_BETA, X_A2B),
             alg(X_ALPHA, X_A2B), alg(T(2, 1), X_AB, X_A2B)]
     want = [signature(s) for s in subs]
-    pencils = [pencil_rank_strata(*nilpotent_subspace(s).basis) for s in subs]
+    calls = []
+    original = invariants.pencil_rank_strata
 
-    def forbidden(*args):
-        raise AssertionError("the signature path ran the public pencil checks")
+    def recording(n1, n2):
+        calls.append((n1, n2))
+        return original(n1, n2)
 
-    monkeypatch.setattr(invariants, "pencil_rank_strata", forbidden)
-    monkeypatch.setattr(invariants, "in_sp4", forbidden)
-    for s, sig, pencil in zip(subs, want, pencils):
-        assert nilpotent_subspace(s).dim == 2
+    monkeypatch.setattr(invariants, "pencil_rank_strata", recording)
+    for s, sig in zip(subs, want):
+        nspace = nilpotent_subspace(s)
+        assert nspace.dim == 2
+        calls.clear()
         assert signature(s) == sig
-        assert invariants._pencil_strata(*nilpotent_subspace(s).basis) == pencil
+        assert calls == [nspace.basis]
 
 
 def test_pencil_matches_grid_oracle():
@@ -110,11 +193,6 @@ def test_nilpotent_subspace():
     assert nilpotent_subspace(t).dim == 0
 
 
-WEIRD = Mat4([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
-# a rank-1 root vector of sp(4) with [WEIRD, X] = 2 X
-WEIRD_ROOT = Mat4([[1, 0, -1, 0], [0, 0, 0, 0], [1, 0, -1, 0], [0, 0, 0, 0]])
-
-
 def test_nilpotent_subspace_irrational_spectrum():
     # eigenvalues +-1, +-i (char poly t^4 - 1): tr(x^2) = 0, so the trace
     # radical contains a non-nilpotent element and must be rejected
@@ -140,7 +218,7 @@ def test_nilpotent_subspace_contains_all_nilpotents(rng):
         nsp = nilpotent_subspace(g)
         for _ in range(30):
             v = [Q(rng.randint(-3, 3)) for _ in range(g.dim)]
-            x = g.space.combine(v)
+            x = combination(g.space, v)
             m4 = x * x * x * x
             assert m4.is_zero() == nsp.contains(x)
 
@@ -149,15 +227,9 @@ small = st.integers(-2, 2)
 
 
 def _moved(draw, seeds: list) -> Subalgebra:
-    """The subalgebra the seeds generate, moved by a product of Weyl
-    elements and rational shears (so its echelon basis may have
-    denominators)."""
-    g = Mat4.identity()
-    for _ in range(draw(st.integers(0, 3))):
-        atom = draw(st.sampled_from(["W", "A", "alpha", "beta", "alpha_plus_beta"]))
-        g = g * ({"W": W_MAT, "A": A_MAT}.get(atom)
-                 or shear(atom, Q(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))))
-    return Subalgebra(conjugate_subalgebra(g, generated_subalgebra(seeds).space))
+    """The subalgebra the seeds generate, moved by a drawn conjugator (so
+    its echelon basis may have denominators)."""
+    return Subalgebra(conjugate_subalgebra(_conjugator(draw), generated_subalgebra(seeds).space))
 
 
 @st.composite
@@ -355,25 +427,25 @@ def test_a_regular_x0_costs_no_decomposition_and_the_lower_series_no_second_gg(
     s = Subalgebra(space)
     nspace = nilpotent_subspace(s)  # fills s.derived
     if nspace.dim == 2:
-        pencil = invariants._pencil_strata(*nspace.basis)
-        monkeypatch.setattr(invariants, "_pencil_strata", lambda *_: pencil)
+        pencil = invariants.pencil_rank_strata(*nspace.basis)
+        monkeypatch.setattr(invariants, "pencil_rank_strata", lambda *_: pencil)
     counts: dict = {}
-    for owner, name in ((invariants, "_jordan_decompose"), (Poly, "gcd"),
+    for owner, name in ((invariants, "jordan_decompose"), (Poly, "gcd"),
                         (Poly, "squarefree_part"), (Fraction, "__pow__")):
         _count(monkeypatch, counts, owner, name)
     spans = []
-    original = structure._span_num
+    original = structure.bracket_space
 
-    def span_num(sc, a, b):
+    def recording(sc, a, b):
         spans.append(b)
         return original(sc, a, b)
-    monkeypatch.setattr(structure, "_span_num", span_num)
+    monkeypatch.setattr(structure, "bracket_space", recording)
     assert invariants._signature(s, nspace) == want
     assert spans and _units(s.dim) not in spans  # [g, [g, g]], ..., never [g, g]
     if regular:
         assert counts == {}
     else:
-        assert counts.get("_jordan_decompose") == 1
+        assert counts.get("jordan_decompose") == 1
 
 
 def test_signature_fields():

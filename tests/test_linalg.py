@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from sp4solvable.errors import (FactorizationLimit, SingularMatrix, Sp4Error,
                                 ZeroPolynomial)
 from sp4solvable.linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _over_common_den,
-                                _rref_int, char_poly, echelon_span, generic_rank, inverse,
-                                kernel, rank, rational_roots, rref)
+                                char_poly, echelon_span, generic_rank, inverse, kernel, rank,
+                                rational_roots, rref)
 from sp4solvable.rational import (Q, exact_isqrt, factor_int, format_rational,
                                   parse_rational, power_free_split, rational_sqrt)
 from sp4solvable.sp4 import T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA, bracket
 from sp4solvable.structure import structure_constants_for_basis
 
-from oracles import (bracket_fraction, char_poly_cofactor, char_poly_det, coords,
-                     echelon_coords, inverse_fraction, kernel_fraction, solve_in_span)
+from oracles import (bracket_fraction, char_poly_cofactor, char_poly_det, combination, coords,
+                     echelon_coords, inverse_fraction, kernel_fraction, rational_rref,
+                     solve_in_span)
 
 rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 7))
 
@@ -146,7 +147,7 @@ def test_rank_examples():
 @given(square_mats)
 def test_rank_nullity(m):
     assert rank(m) + len(kernel(m)) == 4
-    assert rank(m) == len(rref(m.rows))
+    assert rank(m) == len(rational_rref(m.rows))
     assert kernel(m) == kernel_fraction(m.rows, 4)
 
 
@@ -218,7 +219,7 @@ def test_coords_recombine():
     s = echelon_span([T(1, 2), X_ALPHA, X_AB])
     v = T(1, 2) * Q(3, 7) + X_AB * Q(-2)
     c = coords(s, v)
-    assert s.combine(c) == v
+    assert combination(s, c) == v
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,7 +228,7 @@ def test_coords_recombine():
 def test_span_coords_is_the_echelon_span_of_the_combinations(vectors, rows):
     space = echelon_span([rand_mat(v) for v in vectors])
     rows = [r[:space.dim] for r in rows]
-    assert space.span_coords(_rref_int(rows)) == echelon_span([space.combine(r) for r in rows])
+    assert space.span_coords(rref(rows)) == echelon_span([combination(space, r) for r in rows])
 
 
 def test_solve_in_span_roundtrips_on_a_non_echelon_basis():
@@ -260,7 +261,7 @@ def test_solve_in_span_roundtrips_on_a_non_echelon_basis():
     st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
 def test_echelon_coords_matches_solve_in_span(case):
     vectors, w, coeffs = case
-    rows = rref(vectors)
+    rows = rational_rref(vectors)
     n = len(w)
     inside = tuple(sum((c * r[i] for c, r in zip(coeffs, rows)), Q(0)) for i in range(n))
     pivots = [next(i for i, x in enumerate(r) if x) for r in rows]

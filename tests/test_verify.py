@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -147,6 +148,32 @@ def test_verify_catalog_computes_each_derived_series_once(monkeypatch):
     # and one lower central series
     assert 0 < calls.count(False) <= 120 and 0 < calls.count(True) <= 120
     verify._instance.cache_clear()
+
+
+def test_the_names_the_benchmark_traces_do_the_work(monkeypatch):
+    """Each kernel is wrapped, as the benchmark's tracer wraps it, on every
+    `sp4solvable.*` module attribute bound to it; the separations of fresh
+    instances must call each through that name."""
+    from sp4solvable import jordan, linalg
+    counts = {}
+    modules = [m for n, m in list(sys.modules.items())
+               if m is not None and (n == "sp4solvable" or n.startswith("sp4solvable."))]
+    for owner, name in ((linalg, "rref"), (structure, "bracket_space"),
+                        (jordan, "jordan_decompose"), (invariants, "pencil_rank_strata")):
+        original = getattr(owner, name)
+        counts[name] = 0
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counting)
+    verify._instance.cache_clear()
+    assert verify_separations().overall_pass
+    verify._instance.cache_clear()
+    assert all(counts.values()), counts
 
 
 def test_separation_examples_record_witness_fields():
