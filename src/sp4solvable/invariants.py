@@ -50,6 +50,16 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   Both adjoint char polys are taken on ints, off the bracket table and the
   int rows of [g,g].
 
+The facts that depend on one piece of g alone are kept per piece, in
+bounded caches of 1024 entries: the catalog's 120 instances share 15
+distinct N(g), and its 102 of codimension 1 share 15 distinct x0.
+`nilpotent_strata`, with the pencil the probe reads, is kept per echelon
+`Subspace` N(g), whose equality is exact basis equality
+(`_nilpotent_facts`); the char poly of x0 and its nilpotent Jordan part,
+which `contains_invertible`, `ss_content` and the probe read, are kept per
+`Mat4` x0 (`_x0_facts`).  A refusal is never kept, so it is raised again on
+every call.
+
 Every field is invariant under conjugation by rational symplectic matrices,
 which is what the classification's equivalence relation restricts to on the
 rational sample points.
@@ -58,6 +68,7 @@ rational sample points.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
@@ -315,8 +326,7 @@ def _signature_head(s: Subalgebra, nspace: Subspace) -> tuple:
     if codim not in (0, 1, 2):
         raise Sp4Error("solvable subalgebra with toral rank > 2 in sp(4)")
 
-    pencil = pencil_rank_strata(*nspace.basis) if dn == 2 else None
-    strata = _nilpotent_strata(nspace, pencil)
+    strata, pencil = _nilpotent_facts(nspace)
 
     probe = None
     if codim == 0:
@@ -327,12 +337,11 @@ def _signature_head(s: Subalgebra, nspace: Subspace) -> tuple:
         has_invertible = True
     else:
         i0 = next(i for i, b in enumerate(g.basis) if not nspace.contains(b))
-        x0 = g.basis[i0]
-        p0 = char_poly(x0)
+        p0, nil = _x0_facts(g.basis[i0])
         has_invertible = p0.num[0] != 0  # det(x0), see the module docstring
-        if _regular_pair(p0):  # four distinct eigenvalues: x0 is semisimple
+        if nil is None:  # four distinct eigenvalues: x0 is semisimple
             content = "has_regular_ss"
-        elif nspace.contains(jordan_decompose(x0).nilpotent):
+        elif nspace.contains(nil):
             content = "has_nonregular_ss_only"
         else:
             content = "mixed_only"
@@ -345,16 +354,31 @@ def _signature_head(s: Subalgebra, nspace: Subspace) -> tuple:
             has_invertible, content), probe
 
 
-def _nilpotent_strata(nspace: Subspace, pencil: PencilStrata | None) -> tuple:
-    """Rank data of N(g); `pencil` is its pencil stratification when dim 2."""
+# as many N(g) and x0 as the certifier keeps row instances; a refusal raises
+# on every call, as lru_cache keeps no exception
+@lru_cache(maxsize=1024)
+def _nilpotent_facts(nspace: Subspace) -> tuple:
+    """(rank data, pencil) of N(g), kept per echelon `Subspace`: the pencil
+    stratification when dim 2 (else None), and the `nilpotent_strata` field
+    read off it, the rank of the line, or the generic rank."""
     dn = nspace.dim
     if dn == 0:
-        return ()
+        return (), None
     if dn == 1:
-        return (("rank", rank(nspace.basis[0])),)
+        return (("rank", rank(nspace.basis[0])),), None
     if dn == 2:
-        return (("pencil",) + pencil.summary(),)
-    return (("generic", generic_rank(list(nspace.basis))),)
+        pencil = pencil_rank_strata(*nspace.basis)
+        return (("pencil",) + pencil.summary(),), pencil
+    return (("generic", generic_rank(list(nspace.basis))),), None
+
+
+@lru_cache(maxsize=1024)
+def _x0_facts(x0: Mat4) -> tuple:
+    """(char poly, nilpotent Jordan part) of an sp(4) element x0, kept per
+    `Mat4`; the part is None for a regular x0 (`_regular_pair`), which is
+    semisimple and so needs no decomposition."""
+    p0 = char_poly(x0)
+    return p0, None if _regular_pair(p0) else jordan_decompose(x0).nilpotent
 
 
 def _spectral_probe(s: Subalgebra, nspace: Subspace, derived: list[tuple],

@@ -115,8 +115,16 @@ def conjugate(g: Mat4, x: Mat4) -> Mat4:
 
 
 def conjugate_subalgebra(g: Mat4, s: Subspace) -> Subspace:
-    """Element-wise Adjoint image, re-echelonized.  Dimension is preserved."""
-    ginv = inverse(g)
+    """Element-wise Adjoint image g s g^{-1} under the action of Sp(4),
+    re-echelonized; dimension is preserved.  g^{-1} = -J g^t J is read off
+    g's numerators as the signed permutation `_J_TABLE`, with no
+    elimination, and checked by the one product g g^{-1} = I: a g outside
+    Sp(4), singular or not, raises Sp4Error."""
+    a, d = g.num, g.den
+    inv = [-sign * a[u] for u, sign in _J_TABLE]
+    if _mul_num(a, inv) != [d * d if i % 5 == 0 else 0 for i in range(16)]:
+        raise Sp4Error("conjugate_subalgebra needs a conjugator in Sp(4)")
+    ginv = Mat4._make(inv, d)
     return echelon_span([g * b * ginv for b in s.basis])
 
 

@@ -4,8 +4,11 @@ For every catalog row at every admissible sample parameter this runs, in
 order: closure and dimension; solvability; every claimed equivalence, by its
 conjugator recipe on echelonized spans; the stated class, identified with
 exact parameters; the encoded isomorphism map, bracket-exact; and the
-translated label.  Each check makes one record, through `_record`, and is a
-skip after a failed closure.  A fault of the row's data (an `Sp4Error`, or an
+translated label and its bridge, a bracket-verified map onto the translated
+presentation.  Each check makes one record, through `_record`, and is a
+skip after a failed closure; the bridge is a fact of the de Graaf class
+alone, so it is checked once per class (`_sw_bridge`) and recorded once per
+instance.  A fault of the row's data (an `Sp4Error`, or an
 `ArithmeticError` or `ValueError` such as a pole or malformed text) is the
 check's fail, with its repr as detail; the size limits `ExpressionLimit` and
 `FactorizationLimit` propagate (CLI exit 3).  Pairwise separations inside
@@ -24,11 +27,12 @@ from .catalog import DEFAULT_PARAM_SAMPLES, CatalogEntry, build_elements, load_c
 from .errors import (CatalogFault, ExpressionLimit, FactorizationLimit,
                      IrrationalSpectrum, ProbeLimit, Sp4Error)
 from .exprs import eval_expr
-from .identify import (degraaf_to_sw, identify_degraaf, sw_bridge_map,
+from .identify import (DeGraafClass, degraaf_to_sw, identify_degraaf, sw_bridge_map,
                        verify_isomorphism)
-from .invariants import InvariantSignature, _signature, _signature_head, nilpotent_subspace
+from .invariants import (InvariantSignature, _signature, _signature_head, _x0_facts,
+                         nilpotent_subspace)
 from .jordan import _eigen_pair
-from .linalg import Mat4, char_poly, echelon_span
+from .linalg import Mat4, echelon_span
 from .rational import Q, Record, format_rational
 from .sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, conjugate_subalgebra, in_sp4,
                   parse_conjugator)
@@ -229,7 +233,8 @@ def _declared_checks(entry: CatalogEntry, a, first: bool, rep) -> list:
     """(value, check, body) for each check the row declares at its sample a,
     in report order; sample-restricted claims run at the `first` sample, and
     a claim whose stated values do not evaluate is its fail, recorded here.
-    The de Graaf class is evaluated at most once; `identify` keeps its label."""
+    The de Graaf class is evaluated at most once; `identify` keeps its label,
+    and `_sw_bridge` its bridge."""
     dg = cache(partial(entry.degraaf_at, a))
 
     def degraaf_class():
@@ -250,11 +255,6 @@ def _declared_checks(entry: CatalogEntry, a, first: bool, rep) -> list:
         sw = degraaf_to_sw(dg())
         return sw == stated, f"computed {sw}, stated {stated}"
 
-    def sw_bridge():  # a bracket-verified map onto the translated presentation
-        bridge_class, bridge = sw_bridge_map(dg())
-        return (verify_isomorphism(dg().constants(), bridge_class.constants(), bridge),
-                f"{dg()} -> {bridge_class}")
-
     checks = [(a, "solvable", lambda: (is_solvable(_instance(entry, a).sub), ""))]
     for claim in entry.equivalences:
         check = f"equivalence: {claim.desc}"
@@ -266,7 +266,17 @@ def _declared_checks(entry: CatalogEntry, a, first: bool, rep) -> list:
         ("degraaf-class", degraaf_class, has_dg),
         ("isomorphism-map", isomorphism_map, entry.iso_columns is not None),
         ("sw-label", sw_label, has_dg or entry.sw is not None),
-        ("sw-bridge", sw_bridge, has_dg)) if due]
+        ("sw-bridge", lambda: _sw_bridge(dg()), has_dg)) if due]
+
+
+@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
+def _sw_bridge(c: DeGraafClass) -> tuple:
+    """(ok, detail) of the sw-bridge check of a de Graaf class, kept per
+    class: whether its bracket-verified map (`sw_bridge_map`) carries the
+    class presentation onto the translated one."""
+    bridge_class, bridge = sw_bridge_map(c)
+    return (verify_isomorphism(c.constants(), bridge_class.constants(), bridge),
+            f"{c} -> {bridge_class}")
 
 
 def _claim_values(claim, a, first: bool) -> tuple:
@@ -364,7 +374,7 @@ def _param_candidates(sub: Subalgebra, nspace) -> list | None:
     for b in sub.basis:
         if not nspace.contains(b):
             try:
-                p, q = _eigen_pair(char_poly(b))
+                p, q = _eigen_pair(_x0_facts(b)[0])
             except IrrationalSpectrum:
                 return None
             cands = set()

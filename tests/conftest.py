@@ -2,11 +2,13 @@ import json
 import random
 
 import pytest
+from hypothesis import strategies as st
 
+from sp4solvable import invariants, verify
 from sp4solvable.catalog import CATALOG_FILE
 from sp4solvable.linalg import Mat4
 from sp4solvable.rational import Q
-from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, T, W_MAT, X_A2B, X_AB,
+from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, ROOT_LABELS, T, W_MAT, X_A2B, X_AB,
                              X_ALPHA, X_BETA, shear)
 
 ROOTS = (X_ALPHA, X_BETA, X_AB, X_A2B)
@@ -16,6 +18,27 @@ def shipped_dicts() -> list[dict]:
     """The row dicts of the shipped `catalog.json`, read anew on each call."""
     with open(CATALOG_FILE, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+_value = st.builds(Q, st.integers(-5, 5).filter(bool), st.integers(1, 4)).map(str)
+_atoms = st.one_of(
+    st.sampled_from(["W", "A", "J", "AJ", "WA", "identity"]),
+    st.tuples(st.sampled_from(ROOT_LABELS), _value).map("shear:{0[0]}:{0[1]}".format),
+    st.tuples(_value, _value).map("diag:{0[0]},{0[1]},1/({0[0]}),1/({0[1]})".format),
+    st.tuples(_value, _value, _value).map("block:{0[0]},{0[1]},{0[2]},"
+                                          "(1+({0[1]})*({0[2]}))/({0[0]})".format),
+    st.tuples(_value, _value, _value, _value).filter(
+        lambda v: Q(v[0]) * Q(v[3]) != Q(v[1]) * Q(v[2])).map(
+        "glblock:{0[0]},{0[1]},{0[2]},{0[3]}".format))
+# a `parse_conjugator` recipe of one to three atoms, each in Sp(4)
+sp4_recipes = st.lists(_atoms, min_size=1, max_size=3).map(" ".join)
+
+
+def clear_fact_caches():
+    """Empty the per-object caches of the signature (N(g) and x0 facts) and
+    of the sw-bridge check, so that the next calls compute them anew."""
+    for cached in (invariants._nilpotent_facts, invariants._x0_facts, verify._sw_bridge):
+        cached.cache_clear()
 
 
 def random_borel_element(rng, span=3):

@@ -15,11 +15,12 @@ from sp4solvable.linalg import (Mat4, Poly, _char_poly_int, char_poly, det_mpoly
                                 generic_rank, inverse, rank)
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (A_MAT, ROOT_VECTORS, T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA,
-                             bracket, conjugate_subalgebra, root_value, shear,
+                             bracket, conjugate_subalgebra, parse_conjugator, root_value, shear,
                              standard_subalgebra)
 from sp4solvable.structure import Subalgebra, _ad_num, _units, generated_subalgebra
 
-from conftest import ROOTS, conjugator_pool, random_borel_element
+from conftest import (ROOTS, clear_fact_caches, conjugator_pool, random_borel_element,
+                      sp4_recipes)
 from oracles import (bracket_coords_fraction, char_poly_det, combination, fraction_rows,
                      grid_pencil_ranks, pencil_refusal, solve_in_span, symbolic_combo,
                      trace_form_radical)
@@ -157,8 +158,28 @@ def test_signature_reads_the_pencil_of_n_g_through_pencil_rank_strata(monkeypatc
         nspace = nilpotent_subspace(s)
         assert nspace.dim == 2
         calls.clear()
+        clear_fact_caches()
         assert signature(s) == sig
         assert calls == [nspace.basis]
+
+
+CATALOG_SPACES = [e.space_at(a) for e in load_catalog() for a in e.samples()]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CATALOG_SPACES), sp4_recipes)
+def test_a_signature_from_cold_caches_equals_the_warm_one(space, recipe):
+    # the facts of N(g) and x0 are kept per object: with the caches filled by
+    # every catalog instance of the dimension, each signature is still the one
+    # computed from empty caches
+    spaces = [sp for sp in CATALOG_SPACES if sp.dim == space.dim]
+    spaces.append(conjugate_subalgebra(parse_conjugator(recipe), space))
+    warm = [signature(Subalgebra(sp)) for sp in spaces]
+    cold = []
+    for sp in spaces:
+        clear_fact_caches()
+        cold.append(signature(Subalgebra(sp)))
+    assert cold == warm
 
 
 def test_pencil_matches_grid_oracle():
@@ -424,6 +445,7 @@ def test_a_regular_x0_costs_no_decomposition_and_the_lower_series_no_second_gg(
     e = next(e for e in load_catalog() if e.row_id == row)
     space = e.space_at(Q(2) if e.param else None)
     want = signature(Subalgebra(space))
+    clear_fact_caches()
     s = Subalgebra(space)
     nspace = nilpotent_subspace(s)  # fills s.derived
     if nspace.dim == 2:

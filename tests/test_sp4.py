@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES
 from sp4solvable.errors import ExpressionLimit, Sp4Error
-from sp4solvable.linalg import Mat4, char_poly, echelon_span
+from sp4solvable.linalg import Mat4, char_poly, echelon_span, inverse
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, T, W_MAT, WA_MAT, X_A2B,
                              X_AB, X_ALPHA, X_BETA, DiagonalElement, element,
@@ -15,7 +15,7 @@ from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, T, W_MAT, WA_MAT, X_A2B,
                              weyl_orbit)
 from sp4solvable.structure import is_closed
 
-from conftest import random_borel_element, random_sp4_element
+from conftest import random_borel_element, random_sp4_element, sp4_recipes
 from oracles import in_sp4_product
 
 rationals = st.builds(Q, st.integers(-10**6, 10**6), st.integers(1, 10**3))
@@ -217,6 +217,21 @@ def test_conjugation_is_lie_automorphism(rng):
         x = random_sp4_element(rng)
         y = random_sp4_element(rng)
         assert bracket(g * x * gi, g * y * gi) == g * bracket(x, y) * gi
+
+
+@settings(max_examples=100, deadline=None)
+@given(sp4_recipes, st.sampled_from(["t", "b", "n", "p", "n_p"]))
+def test_conjugate_subalgebra_inverts_symplectically(recipe, name):
+    # -J g^t J is the inverse an elimination finds, for every product of atoms
+    g, s = parse_conjugator(recipe), standard_subalgebra(name)
+    assert conjugate_subalgebra(g, s) == echelon_span([g * b * inverse(g) for b in s.basis])
+
+
+def test_conjugate_subalgebra_refuses_a_conjugator_outside_sp4():
+    s = standard_subalgebra("b")
+    for g in (Mat4.diag(2, 3, Q(1, 2), 1), Mat4.zero(), Mat4.diag(1, 1, 1, 1) * 2):
+        with pytest.raises(Sp4Error, match="conjugator in Sp"):
+            conjugate_subalgebra(g, s)
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,17 +10,17 @@ from sp4solvable import identify, invariants, structure, verify
 from sp4solvable.catalog import (DEFAULT_PARAM_SAMPLES, CatalogEntry, EquivClaim,
                                  catalog_from_json, load_catalog)
 from sp4solvable.errors import (CatalogFault, ExpressionLimit, FactorizationLimit,
-                                IrrationalSpectrum, ProbeLimit)
-from sp4solvable.linalg import Mat4
+                                IrrationalSpectrum, ProbeLimit, Sp4Error)
+from sp4solvable.linalg import Mat4, char_poly
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import T, X_ALPHA, X_BETA, conjugate_subalgebra
-from sp4solvable.invariants import signature
+from sp4solvable.invariants import nilpotent_subspace, signature
 from sp4solvable.structure import Subalgebra, generated_subalgebra
 from sp4solvable.verify import (VerificationReport, match_catalog,
                                 random_subalgebra_probe, verify_catalog,
                                 verify_entry, verify_separations)
 
-from conftest import conjugator_pool, shipped_dicts
+from conftest import clear_fact_caches, conjugator_pool, shipped_dicts
 
 ENTRIES = {e.row_id: e for e in load_catalog()}
 
@@ -171,9 +171,72 @@ def test_the_names_the_benchmark_traces_do_the_work(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(mod, key, counting)
     verify._instance.cache_clear()
+    clear_fact_caches()
     assert verify_separations().overall_pass
     verify._instance.cache_clear()
+    clear_fact_caches()
     assert all(counts.values()), counts
+
+
+def test_each_fact_is_computed_once_per_object_it_depends_on(monkeypatch):
+    """The pencil once per plane N(g), the Jordan decomposition once per
+    non-regular x0 (four distinct eigenvalues need none), and the sw bridge
+    once per de Graaf class, however many instances share them."""
+    counts = dict.fromkeys(("pencil_rank_strata", "jordan_decompose", "sw_bridge_map"), 0)
+    for owner, name in zip((invariants, invariants, verify), counts):
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counting)
+    planes, x0s, classes = set(), set(), set()
+    for e in load_catalog():
+        for a in e.samples():
+            sub = Subalgebra(e.space_at(a))
+            nspace = nilpotent_subspace(sub)
+            if nspace.dim == 2:
+                planes.add(nspace)
+            if sub.dim - nspace.dim == 1:
+                x0 = next(b for b in sub.basis if not nspace.contains(b))
+                if char_poly(x0).squarefree_part().degree < 4:
+                    x0s.add(x0)
+            if e.degraaf is not None:
+                classes.add(e.degraaf_at(a))
+    verify._instance.cache_clear()
+    clear_fact_caches()
+    assert verify_separations().overall_pass
+    assert (counts["pencil_rank_strata"], counts["jordan_decompose"]) == (len(planes), len(x0s))
+    assert (len(planes), len(x0s)) == (5, 7)
+    assert verify_catalog().overall_pass
+    assert counts["sw_bridge_map"] == len(classes) == 42
+    verify._instance.cache_clear()
+    clear_fact_caches()
+
+
+def test_a_refusal_is_raised_again_on_every_call():
+    # the Siegel planes' probe is refused from their cached pencil, and a
+    # plane that is not nilpotent from its pencil, which is never cached
+    clear_fact_caches()
+    for mats in IRRATIONAL[2:4]:
+        refusals = []
+        for _ in range(2):
+            with pytest.raises(IrrationalSpectrum) as exc:
+                signature(Subalgebra.from_matrices(mats))
+            refusals.append(str(exc.value))
+        assert refusals[0] == refusals[1]
+    plane = Subalgebra.from_matrices([T(1, 0), X_ALPHA]).space
+    for _ in range(2):
+        with pytest.raises(Sp4Error, match="needs a nilpotent pencil in sp"):
+            invariants._nilpotent_facts(plane)
+    assert invariants._nilpotent_facts.cache_info().currsize == 2
+
+
+def test_the_fact_caches_stay_bounded():
+    assert verify_catalog(probe_count=400, probe_seed=11).overall_pass
+    for cached in (invariants._nilpotent_facts, invariants._x0_facts, verify._sw_bridge):
+        info = cached.cache_info()
+        assert 0 < info.currsize <= info.maxsize == 1024
 
 
 def test_separation_examples_record_witness_fields():
