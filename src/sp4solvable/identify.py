@@ -275,7 +275,12 @@ def _cyclic3_class(m: list[list[int]], e: int) -> DeGraafClass:
 # ---------------------------------------------------------------------------
 
 def identify_degraaf(sc: StructureConstants) -> DeGraafClass:
-    """Identify solvable structure constants of dimension <= 4."""
+    """Identify solvable structure constants of dimension <= 4.
+
+    The table must be a Lie algebra's: antisymmetric, as every
+    `StructureConstants` is, and satisfying the Jacobi identity, which
+    `StructureConstants.from_brackets` checks and a subalgebra's table
+    satisfies.  The label of any other table means nothing."""
     d = sc.dim
     if d < 1 or d > 4:
         raise UnsupportedDimension(f"identification implemented for dims 1..4, got {d}")

@@ -44,21 +44,21 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   char poly of ad x on g, char poly of ad x on [g,g]) is constant on
   x + N(g), and the leftover scaling freedom is removed by weighted
   cross-ratio invariantization, one `Q` per value from int (numerator,
-  denominator, weight) triples; rank-drop lines of the nilpotent pencil are
-  ad(x)-invariant and contribute their ad-eigenvalues, and a pencil with a
-  conjugate pair of irrational drop lines is refused (IrrationalSpectrum).
-  Both adjoint char polys are taken on ints, off the bracket table and the
-  int rows of [g,g].
+  denominator, weight) triples.  Char polys are invariant under conjugation
+  over the algebraic closure, so two rational forms of one complex class
+  (a split and a non-split plane of the Siegel radical beside T(1,1), say)
+  get the same probe.  Both adjoint char polys are taken on ints, off the
+  bracket table and the int rows of [g,g].
 
 The facts that depend on one piece of g alone are kept per piece, in
 bounded caches of 1024 entries: the catalog's 120 instances share 15
 distinct N(g), and its 102 of codimension 1 share 15 distinct x0.
-`nilpotent_strata`, with the pencil the probe reads, is kept per echelon
-`Subspace` N(g), whose equality is exact basis equality
-(`_nilpotent_facts`); the char poly of x0 and its nilpotent Jordan part,
-which `contains_invertible`, `ss_content` and the probe read, are kept per
-`Mat4` x0 (`_x0_facts`).  A refusal is never kept, so it is raised again on
-every call.
+`nilpotent_strata` is kept per echelon `Subspace` N(g), whose equality is
+exact basis equality (`_nilpotent_facts`).  The char poly of x0, which
+`contains_invertible`, the probe and `verify`'s parameter candidates read,
+is kept per `Mat4` x0 (`_x0_char_poly`), and so is the nilpotent Jordan part
+of a non-regular x0, which `ss_content` reads (`_x0_facts`).  A refusal is
+never kept, so it is raised again on every call.
 
 Every field is invariant under conjugation by rational symplectic matrices,
 which is what the classification's equivalence relation restricts to on the
@@ -75,8 +75,8 @@ from operator import mul
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
 from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _mul_num, char_poly,
                      generic_rank, rank, rational_roots, rref, Subspace)
-from .rational import Q, ZERO, Record, format_rational
-from .sp4 import bracket, in_sp4
+from .rational import Q, Record, format_rational
+from .sp4 import in_sp4
 from .structure import Subalgebra, _ad_num, _series, is_solvable
 from .jordan import jordan_decompose
 
@@ -262,17 +262,6 @@ def _jsonable(obj):
     return format_rational(obj)
 
 
-def _eigenvalue_on_line(x: Mat4, v: Mat4):
-    """Eigenvalue of ad(x) on the ad(x)-invariant line spanned by v."""
-    w = bracket(x, v)
-    # the ratio at v's first nonzero entry, checked against all of [x, v]
-    p = next(k for k, c in enumerate(v.num) if c)
-    wp, vp = w.num[p], v.num[p]
-    if any(a * vp != wp * b for a, b in zip(w.num, v.num)):
-        raise Sp4Error("line is not ad-invariant")
-    return Q(wp * v.den, w.den * vp)
-
-
 def _invariantize(weighted: list[tuple]) -> tuple:
     """Remove the scaling freedom x -> s*x from a list of (numerator,
     denominator, weight) triples, each the value v = n/d (d != 0) that
@@ -314,8 +303,8 @@ def _signature(s: Subalgebra, nspace: Subspace) -> InvariantSignature:
 def _signature_head(s: Subalgebra, nspace: Subspace) -> tuple:
     """The nine signature fields before `probe`, in slot order, and a
     function of no arguments that computes the probe from the same work
-    (the nilpotent subspace, its pencil, x0 and its char poly), or None in
-    codimension 0 or 2, where the probe is None."""
+    (the derived series, x0 and its char poly), or None in codimension 0 or
+    2, where the probe is None."""
     g = s.space
     d = g.dim
     der = s.derived
@@ -326,7 +315,7 @@ def _signature_head(s: Subalgebra, nspace: Subspace) -> tuple:
     if codim not in (0, 1, 2):
         raise Sp4Error("solvable subalgebra with toral rank > 2 in sp(4)")
 
-    strata, pencil = _nilpotent_facts(nspace)
+    strata = _nilpotent_facts(nspace)
 
     probe = None
     if codim == 0:
@@ -347,7 +336,7 @@ def _signature_head(s: Subalgebra, nspace: Subspace) -> tuple:
             content = "mixed_only"
 
         def probe():
-            return _spectral_probe(s, nspace, der[1] if len(der) > 1 else [], i0, p0, pencil)
+            return _spectral_probe(s, der[1] if len(der) > 1 else [], i0, p0, dn)
 
     is_abelian = len(derived_dims) == 1 or derived_dims[1] == 0
     return (d, derived_dims, lower_dims, is_abelian, lower_dims[-1] == 0, dn, strata,
@@ -358,18 +347,23 @@ def _signature_head(s: Subalgebra, nspace: Subspace) -> tuple:
 # on every call, as lru_cache keeps no exception
 @lru_cache(maxsize=1024)
 def _nilpotent_facts(nspace: Subspace) -> tuple:
-    """(rank data, pencil) of N(g), kept per echelon `Subspace`: the pencil
-    stratification when dim 2 (else None), and the `nilpotent_strata` field
-    read off it, the rank of the line, or the generic rank."""
+    """The `nilpotent_strata` field of N(g), kept per echelon `Subspace`:
+    the rank of the line, the pencil stratification's summary, or the
+    generic rank."""
     dn = nspace.dim
     if dn == 0:
-        return (), None
+        return ()
     if dn == 1:
-        return (("rank", rank(nspace.basis[0])),), None
+        return (("rank", rank(nspace.basis[0])),)
     if dn == 2:
-        pencil = pencil_rank_strata(*nspace.basis)
-        return (("pencil",) + pencil.summary(),), pencil
-    return (("generic", generic_rank(list(nspace.basis))),), None
+        return (("pencil",) + pencil_rank_strata(*nspace.basis).summary(),)
+    return (("generic", generic_rank(list(nspace.basis))),)
+
+
+@lru_cache(maxsize=1024)
+def _x0_char_poly(x0: Mat4) -> Poly:
+    """The char poly of an sp(4) element x0, kept per `Mat4`."""
+    return char_poly(x0)
 
 
 @lru_cache(maxsize=1024)
@@ -377,16 +371,14 @@ def _x0_facts(x0: Mat4) -> tuple:
     """(char poly, nilpotent Jordan part) of an sp(4) element x0, kept per
     `Mat4`; the part is None for a regular x0 (`_regular_pair`), which is
     semisimple and so needs no decomposition."""
-    p0 = char_poly(x0)
+    p0 = _x0_char_poly(x0)
     return p0, None if _regular_pair(p0) else jordan_decompose(x0).nilpotent
 
 
-def _spectral_probe(s: Subalgebra, nspace: Subspace, derived: list[tuple],
-                    i0: int, p4: Poly, pencil: PencilStrata | None) -> tuple:
+def _spectral_probe(s: Subalgebra, derived: list[tuple], i0: int, p4: Poly, dn: int) -> tuple:
     """`derived` holds the `_series` pairs of [g, g]; x0 = basis[i0] has the
-    char poly p4."""
+    char poly p4, and N(g) has dimension dn."""
     sc = s.constants
-    x0 = s.basis[i0]
     # the char polys of x0, of ad(x0) on g (sc.num[i0] is den * ad(x0),
     # transposed) and on [g, g]; the coefficient num[j]/den of l^j in one of
     # degree k scales by s**(k - j), and the leading one is 1
@@ -394,46 +386,5 @@ def _spectral_probe(s: Subalgebra, nspace: Subspace, derived: list[tuple],
     dd = len(derived)
     if dd:
         polys.append(_char_poly_int(*_ad_num(sc, [int(k == i0) for k in range(s.dim)], derived)))
-    weighted = [(p.num[j], p.den, p.degree - j) for p in polys for j in range(p.degree - 1, -1, -1)]
-    weighted.extend((v.numerator, v.denominator, w)
-                    for v, w in _marked_line_data(nspace, x0, pencil))
-    return (s.dim, dd, nspace.dim) + _invariantize(weighted)
-
-
-def _marked_line_data(nspace: Subspace, x0: Mat4,
-                      pencil: PencilStrata | None) -> list[tuple]:
-    """ad(x0)-eigenvalues on the canonical lines of the nilpotent subspace:
-    for dim 1 the line itself, for dim 2 the rank-drop lines of the pencil
-    (rational ones plus the line at infinity), grouped by rank as elementary
-    symmetric functions so the data is basis-independent.  `pencil` is the
-    pencil stratification of the nilpotent subspace when it has dim 2;
-    IrrationalSpectrum is raised when it has irrational drop lines."""
-    out: list[tuple] = []
-    if nspace.dim == 1:
-        out.append((_eigenvalue_on_line(x0, nspace.basis[0]), 1))
-        return out
-    if nspace.dim != 2:
-        return out
-    if pencil.irrational_counts:  # their eigenvalues would be left out
-        raise IrrationalSpectrum("the rank-drop lines of the nilpotent pencil include a "
-                                 "conjugate pair of irrational lines (rank, count): "
-                                 + repr(pencil.irrational_counts))
-    n1, n2 = nspace.basis
-    by_rank: dict[int, list] = {}
-    for t0, r in pencil.rational_drops:
-        v = n1 * t0 + n2
-        by_rank.setdefault(r, []).append(_eigenvalue_on_line(x0, v))
-    if pencil.infinity_rank is not None:
-        by_rank.setdefault(pencil.infinity_rank, []).append(
-            _eigenvalue_on_line(x0, n1))
-    for r in sorted(by_rank):
-        vals = by_rank[r]
-        e1 = sum(vals, ZERO)
-        e2 = ZERO
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                e2 += vals[i] * vals[j]
-        out.append((Q(len(vals)), 0))
-        out.append((e1, 1))
-        out.append((e2, 2))
-    return out
+    return (s.dim, dd, dn) + _invariantize(
+        [(p.num[j], p.den, p.degree - j) for p in polys for j in range(p.degree - 1, -1, -1)])

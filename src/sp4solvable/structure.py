@@ -300,14 +300,28 @@ class StructureConstants:
     @classmethod
     def from_brackets(cls, dim: int, brackets: dict) -> "StructureConstants":
         """Build from a sparse {(i, j): {k: c}} description of [x_i, x_j],
-        i != j; antisymmetry is filled in."""
+        i != j; antisymmetry is filled in.  A table that breaks the Jacobi
+        identity is no Lie algebra and raises Sp4Error naming a triple
+        i < j < k, checked on the int numerators: den^2 times the cyclic sum
+        [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j], each term
+        sum_m num[a][b][m] * num[m][c]."""
         index = {p: n for n, p in enumerate(combinations(range(dim), 2))}
         rows = [[ZERO] * dim for _ in index]
         for (i, j), row in brackets.items():
             for k, c in row.items():
                 rows[index[min(i, j), max(i, j)]][k] = Q(c) if i < j else -Q(c)
         num, den = _over_common_den([x for r in rows for x in r])
-        return cls._make(dim, [num[n * dim:(n + 1) * dim] for n in range(len(rows))], den)
+        sc = cls._make(dim, [num[n * dim:(n + 1) * dim] for n in range(len(rows))], den)
+        for i, j, k in combinations(range(dim), 3):
+            acc = [0] * dim
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, x in enumerate(sc.num[a][b]):
+                    if x:
+                        for n, y in enumerate(sc.num[m][c]):
+                            acc[n] += x * y
+            if any(acc):
+                raise Sp4Error(f"the table breaks the Jacobi identity at ({i}, {j}, {k})")
+        return sc
 
 
 def structure_constants(s: Subalgebra) -> StructureConstants:

@@ -12,6 +12,8 @@ from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, ROOT_LABELS, T, W_MAT, X_A2B
                              X_ALPHA, X_BETA, shear)
 
 ROOTS = (X_ALPHA, X_BETA, X_AB, X_A2B)
+# the abelian radical of the Siegel parabolic, [[0, S], [0, 0]] with S symmetric
+SIEGEL = [Mat4.unit(1, 3), Mat4.unit(2, 4), Mat4.unit(1, 4) + Mat4.unit(2, 3)]
 
 
 def shipped_dicts() -> list[dict]:
@@ -37,8 +39,18 @@ sp4_recipes = st.lists(_atoms, min_size=1, max_size=3).map(" ".join)
 def clear_fact_caches():
     """Empty the per-object caches of the signature (N(g) and x0 facts) and
     of the sw-bridge check, so that the next calls compute them anew."""
-    for cached in (invariants._nilpotent_facts, invariants._x0_facts, verify._sw_bridge):
+    for cached in (invariants._nilpotent_facts, invariants._x0_char_poly, invariants._x0_facts,
+                   verify._sw_bridge):
         cached.cache_clear()
+
+
+def siegel_plane(q):
+    """The plane of the Siegel radical [[0, S], [0, 0]] with tr(SQ) = 0, for
+    a nonzero symmetric Q = [[q11, q12], [q12, q22]]."""
+    (q11, q12), (_, q22) = q
+    w = (q11, q22, 2 * q12)  # tr(SQ) on the coordinates s11, s22, s12 of SIEGEL
+    k = next(i for i, c in enumerate(w) if c)
+    return [SIEGEL[j] * w[k] - SIEGEL[k] * w[j] for j in range(3) if j != k]
 
 
 def random_borel_element(rng, span=3):

@@ -13,6 +13,8 @@ from sp4solvable.linalg import Mat4
 from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA, standard_subalgebra
 from sp4solvable.structure import Subalgebra
 
+from conftest import SIEGEL, siegel_plane
+
 
 @pytest.fixture
 def tn_path(tmp_path):
@@ -365,8 +367,6 @@ def _symplectic_block(a):
 X_GOLDEN = _symplectic_block([[0, 1], [1, 1]])  # spectrum +-phi, +-1/phi
 Z_SQRT2 = _symplectic_block([[0, 2], [1, 0]])   # spectrum +-sqrt(2)
 IDENTITY = _symplectic_block([[1, 0], [0, 1]])  # T(1, 1)
-# the abelian radical of the Siegel parabolic, [[0, S], [0, 0]] with S symmetric
-SIEGEL = [Mat4.unit(1, 3), Mat4.unit(2, 4), Mat4.unit(1, 4) + Mat4.unit(2, 3)]
 
 
 @pytest.mark.parametrize("name, basis", [("x", [X_GOLDEN]),
@@ -469,35 +469,17 @@ def test_a_faulty_catalog_row_is_a_verification_failure_of_identify(tmp_path, mo
     verify._instance.cache_clear()
 
 
-def _siegel_plane(q):
-    """The plane of the Siegel radical [[0, S], [0, 0]] with tr(SQ) = 0, for
-    a nonzero symmetric Q = [[q11, q12], [q12, q22]]."""
-    (q11, q12), (_, q22) = q
-    w = (q11, q22, 2 * q12)  # tr(SQ) on the coordinates s11, s22, s12 of SIEGEL
-    k = next(i for i, c in enumerate(w) if c)
-    return [SIEGEL[j] * w[k] - SIEGEL[k] * w[j] for j in range(3) if j != k]
-
-
-@pytest.mark.parametrize("q, split", [([[2, 1], [1, 2]], False), ([[1, 0], [0, 1]], False),
-                                      ([[1, 0], [0, -2]], False), ([[0, 1], [1, 0]], True),
-                                      ([[1, 0], [0, -1]], True)])
-def test_a_non_split_plane_of_the_siegel_radical_is_out_of_domain_not_a_miss(q, split,
-                                                                            tmp_path, capsys):
+@pytest.mark.parametrize("q", [[[2, 1], [1, 2]], [[1, 0], [0, 1]], [[1, 0], [0, -2]],
+                               [[0, 1], [1, 0]], [[1, 0], [0, -1]]])
+def test_every_plane_of_the_siegel_radical_beside_T11_gets_its_row(q, tmp_path, capsys):
     # T(1, 1) acts on the Siegel radical as the scalar 2, so T(1,1) plus any
     # plane of it is a subalgebra, conjugate over C to row d3_T11_Xa_Xa2b;
-    # over Q only when -det Q is a square.  Otherwise the plane's two rank-1
-    # lines are a conjugate irrational pair, refused with exit 3, never the
-    # false "classification misses this subalgebra" exit 1
+    # over Q only when -det Q is a square (the first three Q are not, and
+    # their planes' two rank-1 lines are a conjugate irrational pair).  The
+    # signature reads only char polys, so a non-split plane gets the row too
     path = tmp_path / "siegel.json"
-    path.write_text(json.dumps(Subalgebra.from_matrices([T(1, 1), *_siegel_plane(q)]).to_json()))
-    code = main(["identify", "--input", str(path), "--output", "json"])
-    captured = capsys.readouterr()
-    if split:
-        assert code == 0
-        assert json.loads(captured.out)["catalog_rows"] == [
-            {"row": "d3_T11_Xa_Xa2b", "param": None}]
-    else:
-        assert code == 3 and captured.out == ""
-        assert captured.err.startswith("IrrationalSpectrum:")
-        assert "conjugate pair of irrational lines" in captured.err
-    assert main(["invariants", "--input", str(path)]) == (0 if split else 3)
+    path.write_text(json.dumps(Subalgebra.from_matrices([T(1, 1), *siegel_plane(q)]).to_json()))
+    assert main(["identify", "--input", str(path), "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["catalog_rows"] == [
+        {"row": "d3_T11_Xa_Xa2b", "param": None}]
+    assert main(["invariants", "--input", str(path)]) == 0

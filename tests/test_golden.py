@@ -16,7 +16,7 @@ from sp4solvable.rational import format_rational
 from sp4solvable.structure import Subalgebra, structure_constants
 from sp4solvable.verify import verify_catalog
 
-GOLDEN_SHA256 = "12da55357395102288fa0b3720416f882e17dbada2d1dac094462a4f7201a48e"
+GOLDEN_SHA256 = "20ba872b7ead85c53ee7bfec664972e58529f4715ef3c7881859abf4f251c11b"
 
 
 def golden_payload() -> dict:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sp4solvable.errors import (DimensionMismatch, OutOfCatalog,
+from sp4solvable.errors import (DimensionMismatch, OutOfCatalog, Sp4Error,
                                 UnrecognizedFamily, UnsupportedDimension,
                                 ZeroParameter)
 from sp4solvable import identify
@@ -167,6 +167,30 @@ def test_identify_unrecognized():
         assert satisfies_jacobi(sc)
         with pytest.raises(UnrecognizedFamily, match=reason):
             identify_degraaf(sc)
+
+
+def test_a_table_that_breaks_jacobi_is_refused_before_identification():
+    # [[x0, x1], x2] + [[x1, x2], x0] + [[x2, x0], x1] = 0 - x2 + 0, not 0,
+    # so no Lie algebra has this table
+    with pytest.raises(Sp4Error, match=r"Jacobi identity at \(0, 1, 2\)"):
+        identify_degraaf(StructureConstants.from_brackets(
+            3, {(0, 1): {2: 1}, (0, 2): {1: 1}, (1, 2): {1: 1}}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 4).flatmap(lambda d: st.tuples(st.just(d), st.lists(
+    st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)), min_size=d, max_size=d),
+    min_size=d * (d - 1) // 2, max_size=d * (d - 1) // 2))))
+def test_from_brackets_refuses_exactly_the_tables_the_jacobi_oracle_refuses(case):
+    d, rows = case
+    pairs = list(itertools.combinations(range(d), 2))
+    brackets = {p: {k: c for k, c in enumerate(r) if c} for p, r in zip(pairs, rows)}
+    try:
+        StructureConstants.from_brackets(d, brackets)
+        refused = False
+    except Sp4Error:
+        refused = True
+    assert refused == (not satisfies_jacobi(StructureConstants._make(d, rows, 1)))
 
 
 def test_sw_lambda_branches():

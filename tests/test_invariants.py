@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sp4solvable import invariants, structure
 from sp4solvable.errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
-from sp4solvable.invariants import (PencilStrata, _eigenvalue_on_line, _invariantize,
-                                   nilpotent_subspace, pencil_rank_strata, signature)
+from sp4solvable.invariants import (PencilStrata, _invariantize, nilpotent_subspace,
+                                   pencil_rank_strata, signature)
 from sp4solvable.catalog import load_catalog
 from sp4solvable.jordan import jordan_decompose
 from sp4solvable.linalg import (Mat4, Poly, _char_poly_int, char_poly, det_mpoly, echelon_span,
@@ -306,15 +306,6 @@ def _radical_or_refusal(f, g):
 def test_nilpotent_subspace_matches_the_fraction_gram_oracle(g):
     assert (_radical_or_refusal(nilpotent_subspace, g)
             == _radical_or_refusal(trace_form_radical, g))
-
-
-def test_eigenvalue_on_line_reads_the_numerators():
-    x = T(Q(1, 2), Q(1, 3))  # root values: alpha 2b = 2/3, alpha+beta a+b = 5/6
-    assert _eigenvalue_on_line(x, X_ALPHA * Q(2, 3)) == Q(2, 3)
-    assert _eigenvalue_on_line(x, X_AB * Q(-5, 7)) == Q(5, 6)
-    assert _eigenvalue_on_line(x, X_A2B) == 1
-    with pytest.raises(Sp4Error, match="not ad-invariant"):
-        _eigenvalue_on_line(x, X_ALPHA + X_BETA)
 
 
 def test_a_toral_rank_above_two_is_refused():

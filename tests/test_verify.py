@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from sp4solvable.verify import (VerificationReport, match_catalog,
                                 random_subalgebra_probe, verify_catalog,
                                 verify_entry, verify_separations)
 
-from conftest import clear_fact_caches, conjugator_pool, shipped_dicts
+from conftest import SIEGEL, clear_fact_caches, conjugator_pool, shipped_dicts, siegel_plane
 
 ENTRIES = {e.row_id: e for e in load_catalog()}
 
@@ -214,27 +215,52 @@ def test_each_fact_is_computed_once_per_object_it_depends_on(monkeypatch):
     clear_fact_caches()
 
 
-def test_a_refusal_is_raised_again_on_every_call():
-    # the Siegel planes' probe is refused from their cached pencil, and a
-    # plane that is not nilpotent from its pencil, which is never cached
+def test_a_codimension_2_query_needs_no_jordan_decomposition(monkeypatch):
+    # match_catalog reads a codimension-2 query's parameter candidates off
+    # the char poly of its first non-nilpotent basis element, which is
+    # non-regular on all 8 such catalog instances; once every compared
+    # instance is built, matching them again decomposes nothing
+    spaces = [e.space_at(a) for e in load_catalog() for a in e.samples()
+              if e.dim - nilpotent_subspace(Subalgebra(e.space_at(a))).dim == 2]
+    non_regular = 0
+    for space in spaces:
+        sub = Subalgebra(space)
+        x0 = next(b for b in sub.basis if not nilpotent_subspace(sub).contains(b))
+        non_regular += not invariants._regular_pair(char_poly(x0))
+    assert (len(spaces), non_regular) == (8, 8)
+    verify._instance.cache_clear()
+    expected = [match_catalog(Subalgebra(space)) for space in spaces]
     clear_fact_caches()
-    for mats in IRRATIONAL[2:4]:
-        refusals = []
-        for _ in range(2):
-            with pytest.raises(IrrationalSpectrum) as exc:
-                signature(Subalgebra.from_matrices(mats))
-            refusals.append(str(exc.value))
-        assert refusals[0] == refusals[1]
+
+    def refuse(x):
+        raise AssertionError("jordan_decompose ran")
+    monkeypatch.setattr(invariants, "jordan_decompose", refuse)
+    assert [match_catalog(Subalgebra(space)) for space in spaces] == expected
+    verify._instance.cache_clear()
+
+
+def test_a_refusal_is_raised_again_on_every_call():
+    # a trace-form radical with a non-nilpotent element is refused before
+    # any fact is cached, and a plane that is not nilpotent from its pencil,
+    # which is never cached
+    clear_fact_caches()
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(IrrationalSpectrum) as exc:
+            signature(Subalgebra.from_matrices(IRRATIONAL[4]))
+        refusals.append(str(exc.value))
+    assert refusals[0] == refusals[1]
     plane = Subalgebra.from_matrices([T(1, 0), X_ALPHA]).space
     for _ in range(2):
         with pytest.raises(Sp4Error, match="needs a nilpotent pencil in sp"):
             invariants._nilpotent_facts(plane)
-    assert invariants._nilpotent_facts.cache_info().currsize == 2
+    assert invariants._nilpotent_facts.cache_info().currsize == 0
 
 
 def test_the_fact_caches_stay_bounded():
     assert verify_catalog(probe_count=400, probe_seed=11).overall_pass
-    for cached in (invariants._nilpotent_facts, invariants._x0_facts, verify._sw_bridge):
+    for cached in (invariants._nilpotent_facts, invariants._x0_char_poly, invariants._x0_facts,
+                   verify._sw_bridge):
         info = cached.cache_info()
         assert 0 < info.currsize <= info.maxsize == 1024
 
@@ -369,12 +395,11 @@ def _levi(a) -> Mat4:
     return Mat4([[p, q, 0, 0], [r, s, 0, 0], [0, 0, -p, -r], [0, 0, -q, -s]])
 
 
-SIEGEL = [Mat4.unit(1, 3), Mat4.unit(2, 4), Mat4.unit(1, 4) + Mat4.unit(2, 3)]
-# refused by match_catalog: a line with irrational eigenvalues (no rational
-# parameter), the same with the Siegel radical, T(1, 1) beside two planes of
-# the Siegel radical whose rank-1 lines are a conjugate irrational pair (the
-# query's probe), and an element of spectrum +-1, +-i beside a root vector
-# it normalizes (its nilpotent subspace)
+# inputs with irrational data: a line with irrational eigenvalues (no
+# rational parameter), the same with the Siegel radical, T(1, 1) beside two
+# planes of the Siegel radical whose rank-1 lines are a conjugate irrational
+# pair, and an element of spectrum +-1, +-i beside a root vector it
+# normalizes (its nilpotent subspace); all but the two planes are refused
 IRRATIONAL = [[_levi([[0, 1], [1, 1]])], [_levi([[0, 1], [1, 1]]), *SIEGEL],
               [T(1, 1), SIEGEL[0] - SIEGEL[1], SIEGEL[2]],
               [T(1, 1), SIEGEL[0] * 2 - SIEGEL[1], SIEGEL[2]],
@@ -402,8 +427,27 @@ def test_match_catalog_equals_the_full_signature_comparison():
     for sub in subs + refused:
         assert outcome(match_catalog, sub) == outcome(
             lambda q: full_signature_match(q, sigs), sub)
-    assert [outcome(match_catalog, sub) for sub in refused] == [IrrationalSpectrum] * 5
+    assert [outcome(match_catalog, sub) for sub in refused] == [
+        IrrationalSpectrum, IrrationalSpectrum, [("d3_T11_Xa_Xa2b", None)],
+        [("d3_T11_Xa_Xa2b", None)], IrrationalSpectrum]
     assert all(match_catalog(sub) for sub in subs)
+
+
+def test_every_rational_twist_of_a_siegel_plane_beside_T11_gets_its_row():
+    # T(1, 1) plus the plane tr(SQ) = 0 of the Siegel radical, for every
+    # nonzero symmetric Q with entries in -3..3: over C a rank-2 Q gives
+    # d3_T11_Xa_Xa2b (all rank-2 forms are congruent), split over Q or not,
+    # and a rank-1 Q, whose plane has one rank-1 line, not two,
+    # d3_T1m1_Xb_Xa2b
+    found = {}
+    for q11, q12, q22 in product(range(-3, 4), repeat=3):
+        if q11 or q12 or q22:
+            sub = Subalgebra.from_matrices([T(1, 1), *siegel_plane([[q11, q12], [q12, q22]])])
+            rank = 1 if q11 * q22 == q12 * q12 else 2
+            assert match_catalog(sub) == [
+                ("d3_T11_Xa_Xa2b" if rank == 2 else "d3_T1m1_Xb_Xa2b", None)], (q11, q12, q22)
+            found[rank] = found.get(rank, 0) + 1
+    assert found == {1: 24, 2: 318}
 
 
 def test_the_probe_runs_only_where_the_other_fields_agree(monkeypatch):

@@ -65,16 +65,17 @@ ATOMS = [W_MAT, A_MAT, J_FORM, AJ_MAT] + [
     for z in (1, -1, 2)]
 
 
-def hyperplanes(space):
+def hyperplanes(space, values=(-1, 0, 1)):
     """The closed hyperplanes {sum c_i b_i : sum f_i c_i = 0} of the echelon
-    basis b for the forms f in {-1, 0, 1}^d whose first nonzero entry is 1."""
+    basis b for the forms f in values^d whose first nonzero entry is
+    positive, each space once, in the order of `itertools.product`."""
     basis, seen = space.basis, set()
-    for f in product((-1, 0, 1), repeat=len(basis)):
-        if not any(f) or f[next(i for i, c in enumerate(f) if c)] != 1:
+    for f in product(values, repeat=len(basis)):
+        if not any(f) or f[next(i for i, c in enumerate(f) if c)] < 0:
             continue
         k = max(i for i, c in enumerate(f) if c)
-        # b_i - (f_i / f_k) b_k for i != k, and f_k = +-1
-        h = echelon_span([b - basis[k] * (f[i] * f[k]) for i, b in enumerate(basis) if i != k])
+        # f_k b_i - f_i b_k for i != k
+        h = echelon_span([b * f[k] - basis[k] * f[i] for i, b in enumerate(basis) if i != k])
         if h not in seen and is_closed(h):
             seen.add(h)
             yield h
