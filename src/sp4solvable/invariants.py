@@ -55,10 +55,9 @@ bounded caches of 1024 entries: the catalog's 120 instances share 15
 distinct N(g), and its 102 of codimension 1 share 15 distinct x0.
 `nilpotent_strata` is kept per echelon `Subspace` N(g), whose equality is
 exact basis equality (`_nilpotent_facts`).  The char poly of x0, which
-`contains_invertible`, the probe and `verify`'s parameter candidates read,
-is kept per `Mat4` x0 (`_x0_char_poly`), and so is the nilpotent Jordan part
-of a non-regular x0, which `ss_content` reads (`_x0_facts`).  A refusal is
-never kept, so it is raised again on every call.
+`contains_invertible` and the probe read, is kept per `Mat4` x0 with the
+nilpotent Jordan part of a non-regular x0, which `ss_content` reads
+(`_x0_facts`).  A refusal is never kept, so it is raised again on every call.
 
 Every field is invariant under conjugation by rational symplectic matrices,
 which is what the classification's equivalence relation restricts to on the
@@ -361,17 +360,11 @@ def _nilpotent_facts(nspace: Subspace) -> tuple:
 
 
 @lru_cache(maxsize=1024)
-def _x0_char_poly(x0: Mat4) -> Poly:
-    """The char poly of an sp(4) element x0, kept per `Mat4`."""
-    return char_poly(x0)
-
-
-@lru_cache(maxsize=1024)
 def _x0_facts(x0: Mat4) -> tuple:
     """(char poly, nilpotent Jordan part) of an sp(4) element x0, kept per
     `Mat4`; the part is None for a regular x0 (`_regular_pair`), which is
     semisimple and so needs no decomposition."""
-    p0 = _x0_char_poly(x0)
+    p0 = char_poly(x0)
     return p0, None if _regular_pair(p0) else jordan_decompose(x0).nilpotent
 
 

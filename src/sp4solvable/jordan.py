@@ -6,22 +6,24 @@ S <- S - g(S) g'(S)^{-1} starting from S = X.  Over a perfect field g and g'
 are coprime, so g'(S) stays invertible along the iteration, and for 4x4
 matrices the iteration stabilizes after at most two steps.
 
-Element classification follows the two conjugacy tables and reads one
-characteristic polynomial p = lambda^4 + c2 lambda^2 + c0 (from the power
-traces of x, `linalg.char_poly`): x is nilpotent iff p = lambda^4 (three
-nonzero orbits, blocks (2,1,1), (2,2), (4), told apart by rank); otherwise p
-has the roots +-a, +-b, a >= b >= 0, where a^2 and b^2 are the roots of
-mu^2 + c2 mu + c0, read by integer square roots or refused as irrational
-(`_eigen_pair`), and x is semisimple iff the squarefree part of p kills it.
-With a != b both nonzero p is that part; with a = b it is lambda^2 - a^2 and
-with b = 0 it is lambda^3 - a^2 lambda, so one or two int products of x
-decide.
+Element classification follows the two conjugacy tables and reads the
+spectrum off t2 = tr m^2 and t4 = tr m^4 of the numerators m of x, from one
+int product (`linalg._even_traces`); no polynomial is built.  As tr m and
+tr m^3 vanish on sp(4), the char poly of m is
+lambda^4 - (t2/2) lambda^2 + (t2^2 - 2 t4)/8, so x is nilpotent iff
+t2 = t4 = 0 (three nonzero orbits, blocks (2,1,1), (2,2), (4), told apart by
+rank); otherwise it has the roots +-a, +-b, a >= b >= 0, where a^2 and b^2
+are read by integer square roots or refused as irrational (`_eigen_pair`),
+and x is semisimple iff the squarefree part p of its char poly kills it.
+With a != b both nonzero p is the char poly itself; with a = b it is
+lambda^2 - a^2 and with b = 0 it is lambda^3 - a^2 lambda, so m^2 decides,
+or one more int product m^2 m.
 """
 
 from __future__ import annotations
 
 from .errors import IrrationalSpectrum, NotInBorel, NotInSp4, NotSemisimple
-from .linalg import (Mat4, Poly, _biquadratic_roots, _mul_num, char_poly, inverse,
+from .linalg import (Mat4, _biquadratic_roots, _even_traces, _mul_num, char_poly, inverse,
                      poly_eval_mat, rank, rational_roots)
 from .rational import Q, Record, format_rational
 from .sp4 import conjugate, in_sp4, root_value, shear, standard_subalgebra
@@ -99,56 +101,53 @@ class OrbitLabel(Record):
         return hash((self.table, self.row, frozenset(self.params.items())))
 
 
-def _eigen_pair(p: Poly) -> tuple:
+def _eigen_pair(t2: int, t4: int, den: int) -> tuple:
     """The pair (a, b), a >= b >= 0, of a rational-spectrum sp(4) element
-    whose characteristic polynomial p = c4 l^4 + c2 l^2 + c0 (over p.den)
-    has the roots {a, b, -a, -b}: a^2 >= b^2 are the roots of
-    c4 mu^2 + c2 mu + c0 (`linalg._biquadratic_roots`).  Raises
-    IrrationalSpectrum unless both a and b are rational."""
-    c0, _, c2, _, c4 = p.num
-    pair = _biquadratic_roots(c4, c2, c0)
+    x = m/den with the eigenvalues {a, b, -a, -b}, from t2 = tr m^2 and
+    t4 = tr m^4 (`linalg._even_traces`).  With tr m = tr m^3 = 0, Newton's
+    identities make 8 det(lambda*I - m) = 8 l^4 - 4 t2 l^2 + t2^2 - 2 t4,
+    whose nonnegative roots are den*a >= den*b (`linalg._biquadratic_roots`).
+    Raises IrrationalSpectrum unless both a and b are rational."""
+    pair = _biquadratic_roots(8, -4 * t2, t2 * t2 - 2 * t4)
     if not pair or None in pair:
         raise IrrationalSpectrum("element has irrational eigenvalues; compare characteristic "
                                  "polynomials instead of eigenvalue data")
     (a, d), (b, _) = pair
-    return Q(a, d), Q(b, d)
-
-
-_LAMBDA4 = Poly([0, 0, 0, 0, 1])
+    return Q(a, d * den), Q(b, d * den)
 
 
 def classify_element(x: Mat4) -> OrbitLabel:
     """Assign the conjugacy-table row of an sp(4) element (rational spectrum).
 
-    Nilpotent (p = char_poly(x) = lambda^4): zero, or one of the three
-    nonzero nilpotent rows, typed by rank.  Otherwise p has the roots +-a,
-    +-b with a >= b >= 0 (`_eigen_pair`, three integer square roots, which
-    raises IrrationalSpectrum).
+    With x = m/d, m^2, t2 = tr m^2 and t4 = tr m^4 come off one int product
+    (`linalg._even_traces`).  Nilpotent (t2 = t4 = 0): zero, or one of the
+    three nonzero nilpotent rows, typed by rank.  Otherwise x has the
+    eigenvalues +-a, +-b with a >= b >= 0 (`_eigen_pair`, three integer
+    square roots, which raises IrrationalSpectrum).
     Four distinct eigenvalues make x semisimple: table 1, the Weyl-normalized
     pair putting first the one of a, b = n/d with the smaller (|n|*d, |n|).
     For a = b or b = 0, x is semisimple iff x^2 = a^2 I or x^3 = a^2 x,
-    tested on the numerators of x; if not, it is one of the two
+    tested on m^2 (and m^2 m for b = 0); if not, it is one of the two
     nontrivial-Jordan rows.
     """
     if not in_sp4(x):
         raise NotInSp4("classify_element needs an sp(4) element")
-    p = char_poly(x)
-    if p == _LAMBDA4:
+    m = x.num
+    m2, t2, t4 = _even_traces(m)
+    if not (t2 or t4):
         # odd Jordan blocks of a nilpotent element of sp(4) come in pairs, so
         # the nonzero types are (2,1,1), (2,2) and (4), of ranks 1, 2 and 3
         r = rank(x)
         if r == 0:
             return OrbitLabel(1, "zero", {})
         return OrbitLabel(2, ("X_alpha", "X_beta", "X_alpha_plus_X_beta")[r - 1], {})
-    a, b = _eigen_pair(p)
+    a, b = _eigen_pair(t2, t4, x.den)
     if b and a != b:
         if (b.numerator * b.denominator, b.numerator) < (a.numerator * a.denominator,
                                                          a.numerator):
             a, b = b, a
         return OrbitLabel(1, "T_ab", {"a": a, "b": b})
     # x = m/d: x^2 = a^2 I is m^2 = (a d)^2 I, and x^3 = a^2 x is m^3 = (a d)^2 m
-    m = x.num
-    m2 = _mul_num(m, m)
     lhs, rhs = (m2, Mat4.identity().num) if b else (_mul_num(m2, m), m)
     ad = a * x.den
     f, g = ad.numerator ** 2, ad.denominator ** 2

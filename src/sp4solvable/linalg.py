@@ -26,7 +26,9 @@ Characteristic polynomials come from the power traces tr(a^k) of an int
 matrix by Newton's identities (`_newton`), exact in ints: `char_poly` reads
 the four traces of a 4x4 matrix off one int product, `_char_poly_int` those
 of an n x n one off the powers up to ceil(n/2).  The tests cross-check both
-against a cofactor expansion of det(lambda*I - m).
+against a cofactor expansion of det(lambda*I - m).  An sp(4) element has
+tr x = tr x^3 = 0, so its spectrum is read off tr x^2 and tr x^4 alone
+(`_even_traces`, which `char_poly` also reads), with no polynomial built.
 """
 
 from __future__ import annotations
@@ -528,15 +530,22 @@ def _over_common_den(values) -> tuple[tuple[int, ...], int]:
     return tuple([q.numerator * (den // d) for q, d in zip(qs, dens)]), den
 
 
+def _even_traces(a: Sequence[int]) -> tuple[list[int], int, int]:
+    """(a^2, tr a^2, tr a^4) of a row-major 4x4 int grid a, off one int
+    product: tr a^4 is the dot product of a^2 with its flat transpose."""
+    a2 = _mul_num(a, a)
+    return (a2, a2[0] + a2[5] + a2[10] + a2[15],
+            sum(map(mul, a2, a2[0::4] + a2[1::4] + a2[2::4] + a2[3::4])))
+
+
 def char_poly(m: Mat4) -> Poly:
     """Characteristic polynomial det(lambda*I - m), exact, degree 4, from
-    the traces of m, m^2 (one int product), m^3 and m^4: the last two are
-    the dot products of m^2 with the flat transposes of m and m^2."""
+    the traces of m, m^2, m^3 and m^4 (`_even_traces`): tr m^3 is the dot
+    product of m^2 with the flat transpose of m."""
     a = m.num
-    a2 = _mul_num(a, a)
-    return _newton((a[0] + a[5] + a[10] + a[15], a2[0] + a2[5] + a2[10] + a2[15],
-                    sum(map(mul, a2, a[0::4] + a[1::4] + a[2::4] + a[3::4])),
-                    sum(map(mul, a2, a2[0::4] + a2[1::4] + a2[2::4] + a2[3::4]))), m.den)
+    a2, t2, t4 = _even_traces(a)
+    return _newton((a[0] + a[5] + a[10] + a[15], t2,
+                    sum(map(mul, a2, a[0::4] + a[1::4] + a[2::4] + a[3::4])), t4), m.den)
 
 
 def _char_poly_int(a: Sequence[Sequence[int]], den: int) -> Poly:

@@ -29,10 +29,9 @@ from .errors import (CatalogFault, ExpressionLimit, FactorizationLimit,
 from .exprs import eval_expr
 from .identify import (DeGraafClass, degraaf_to_sw, identify_degraaf, sw_bridge_map,
                        verify_isomorphism)
-from .invariants import (InvariantSignature, _signature, _signature_head, _x0_char_poly,
-                         nilpotent_subspace)
+from .invariants import InvariantSignature, _signature, _signature_head, nilpotent_subspace
 from .jordan import _eigen_pair
-from .linalg import Mat4, echelon_span
+from .linalg import Mat4, _even_traces, echelon_span
 from .rational import Q, Record, format_rational
 from .sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, conjugate_subalgebra, in_sp4,
                   parse_conjugator)
@@ -369,13 +368,13 @@ def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
 
 def _param_candidates(sub: Subalgebra, nspace) -> list | None:
     """Candidate family parameters from the eigenvalue pair of a canonical
-    non-nilpotent element (ratios p/q, q/p with signs), read off its cached
-    char poly; None when that pair is irrational, so that no rational
-    parameter can match."""
+    non-nilpotent element (ratios p/q, q/p with signs), read off its traces
+    tr x^2 and tr x^4 (`jordan._eigen_pair`); None when that pair is
+    irrational, so that no rational parameter can match."""
     for b in sub.basis:
         if not nspace.contains(b):
             try:
-                p, q = _eigen_pair(_x0_char_poly(b))
+                p, q = _eigen_pair(*_even_traces(b.num)[1:], b.den)
             except IrrationalSpectrum:
                 return None
             cands = set()

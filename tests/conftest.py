@@ -39,7 +39,7 @@ sp4_recipes = st.lists(_atoms, min_size=1, max_size=3).map(" ".join)
 def clear_fact_caches():
     """Empty the per-object caches of the signature (N(g) and x0 facts) and
     of the sw-bridge check, so that the next calls compute them anew."""
-    for cached in (invariants._nilpotent_facts, invariants._x0_char_poly, invariants._x0_facts,
+    for cached in (invariants._nilpotent_facts, invariants._x0_facts,
                    verify._sw_bridge):
         cached.cache_clear()
 

@@ -1,18 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sp4solvable.errors import (IrrationalSpectrum, NotInBorel, NotInSp4,
                                 NotSemisimple)
 from sp4solvable import jordan, linalg
-from sp4solvable.jordan import (JordanDecomposition, OrbitLabel, classify_element,
+from sp4solvable.jordan import (JordanDecomposition, OrbitLabel, _eigen_pair, classify_element,
                                 conjugate_ss_into_cartan, jordan_decompose, jordan_type)
-from sp4solvable.linalg import Mat4, Poly, inverse
+from sp4solvable.linalg import Mat4, Poly, _even_traces, inverse, rational_roots
 from sp4solvable.rational import Q, ZERO
 from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, _weyl_pairs, conjugate,
-                             in_sp4, shear)
+                             in_sp4, parse_conjugator, shear)
 
 from conftest import (conjugator_pool, random_borel_element,
-                      random_sp4_element)
-from oracles import is_jordan_decomposition
+                      random_sp4_element, sp4_recipes)
+from oracles import char_poly_cofactor, is_jordan_decomposition
 
 
 def test_jordan_decompose_examples():
@@ -173,34 +175,69 @@ def test_char_poly_facts_match_newton_oracle(rng):
     assert 0 < irrational < len(xs)
 
 
-def test_classify_element_reads_one_char_poly(monkeypatch):
-    calls = {"char_poly": [], "rational_roots": []}
+def test_classify_element_reads_one_trace_product(monkeypatch):
+    # the row is read off m^2, tr m^2 and tr m^4 of one int product; only the
+    # b = 0 rows multiply once more, by m^2 m, and no polynomial is built
+    traces, products = [], []
+    even_traces, mul_num = jordan._even_traces, linalg._mul_num
 
-    def counting(name, f):
-        def wrapper(arg):
-            calls[name].append(arg)
-            return f(arg)
-        return wrapper
+    def counting_traces(a):
+        traces.append(a)
+        return even_traces(a)
+
+    def counting_mul(a, b):
+        products.append((a, b))
+        return mul_num(a, b)
 
     def forbidden(*args):
         raise AssertionError("classify_element did polynomial or decomposition work")
 
-    monkeypatch.setattr(jordan, "char_poly", counting("char_poly", jordan.char_poly))
-    monkeypatch.setattr(jordan, "rational_roots",
-                        counting("rational_roots", jordan.rational_roots))
-    for module, name in ((jordan, "inverse"), (jordan, "jordan_decompose"),
-                         (jordan, "poly_eval_mat"), (linalg, "poly_eval_mat"),
-                         (Poly, "squarefree_part"), (Poly, "gcd")):
+    cases = ((T(2, 3), "T_ab", 1), (X_BETA, "X_beta", 1), (Mat4.zero(), "zero", 1),
+             (T(1, 1), "T_aa", 1), (T(1, 0), "T_a0", 2),
+             (T(1, 1) + X_BETA, "T_aa_plus_X_beta", 1),
+             (T(1, 0) + X_ALPHA, "T_a0_plus_X_alpha", 2))
+    monkeypatch.setattr(jordan, "_even_traces", counting_traces)
+    monkeypatch.setattr(jordan, "_mul_num", counting_mul)
+    monkeypatch.setattr(linalg, "_mul_num", counting_mul)
+    for module, name in ((jordan, "char_poly"), (jordan, "rational_roots"), (Poly, "_make"),
+                         (jordan, "inverse"), (jordan, "jordan_decompose"),
+                         (jordan, "poly_eval_mat")):
         monkeypatch.setattr(module, name, forbidden)
-    for x, row in ((T(2, 3), "T_ab"), (X_BETA, "X_beta"), (Mat4.zero(), "zero"),
-                   (T(1, 1), "T_aa"), (T(1, 0), "T_a0"),
-                   (T(1, 1) + X_BETA, "T_aa_plus_X_beta"),
-                   (T(1, 0) + X_ALPHA, "T_a0_plus_X_alpha")):
-        calls["char_poly"].clear()
-        calls["rational_roots"].clear()
+    for x, row, n_products in cases:
+        traces.clear()
+        products.clear()
         assert classify_element(x).row == row
-        assert calls["char_poly"] == [x]
-        assert calls["rational_roots"] == []
+        assert traces == [x.num]
+        assert len(products) == n_products
+
+
+# a table-row representative with small rational parameters, conjugated by a
+# `parse_conjugator` recipe, or a Levi element diag(A, -A^t) of a small int
+# block A, most of which have an irrational or complex pair
+_q = st.builds(Q, st.integers(-9, 9), st.integers(1, 4))
+_TABLE_ELEMENTS = st.builds(
+    lambda a, b, k, recipe: conjugate(parse_conjugator(recipe), (
+        T(a, b), T(a, 0), T(a, a), T(a, -a), X_ALPHA * a, X_BETA * a, X_ALPHA + X_BETA * a,
+        T(a, 0) + X_ALPHA * b, T(a, a) + X_BETA * b)[k]),
+    _q, _q, st.integers(0, 8), sp4_recipes)
+_LEVI_ELEMENTS = st.lists(st.integers(-4, 4), min_size=4, max_size=4).map(
+    lambda v: _levi([v[:2], v[2:]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_TABLE_ELEMENTS, _LEVI_ELEMENTS))
+def test_the_pair_from_two_traces_is_the_cofactor_char_poly_roots(x):
+    p = char_poly_cofactor(x)
+    roots = rational_roots(p)
+    _, t2, t4 = _even_traces(x.num)
+    assert (t2 == t4 == 0) == (p == Poly([0, 0, 0, 0, 1]))
+    if sum(roots.values()) < 4:
+        with pytest.raises(IrrationalSpectrum, match="irrational eigenvalues"):
+            _eigen_pair(t2, t4, x.den)
+    else:
+        # the spectrum is {-a, -b, b, a} with a >= b >= 0
+        spectrum = sorted(lam for lam, mult in roots.items() for _ in range(mult))
+        assert _eigen_pair(t2, t4, x.den) == (spectrum[3], spectrum[2])
 
 
 # examples of all 9 labels classify_element returns (zero and the three

@@ -259,7 +259,7 @@ def test_a_refusal_is_raised_again_on_every_call():
 
 def test_the_fact_caches_stay_bounded():
     assert verify_catalog(probe_count=400, probe_seed=11).overall_pass
-    for cached in (invariants._nilpotent_facts, invariants._x0_char_poly, invariants._x0_facts,
+    for cached in (invariants._nilpotent_facts, invariants._x0_facts,
                    verify._sw_bridge):
         info = cached.cache_info()
         assert 0 < info.currsize <= info.maxsize == 1024

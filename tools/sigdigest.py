@@ -45,7 +45,8 @@ import hashlib
 import json
 import random
 import sys
-from itertools import product
+from itertools import combinations, product
+from operator import mul
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -57,7 +58,7 @@ from sp4solvable.linalg import Mat4, echelon_span  # noqa: E402
 from sp4solvable.rational import Q, format_rational  # noqa: E402
 from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, W_MAT, X_ALPHA, X_BETA, T,  # noqa: E402
                              conjugate, conjugate_subalgebra, element, shear)
-from sp4solvable.structure import Subalgebra, is_closed  # noqa: E402
+from sp4solvable.structure import Subalgebra  # noqa: E402
 from sp4solvable.verify import match_catalog  # noqa: E402
 
 ATOMS = [W_MAT, A_MAT, J_FORM, AJ_MAT] + [
@@ -67,16 +68,24 @@ ATOMS = [W_MAT, A_MAT, J_FORM, AJ_MAT] + [
 
 def hyperplanes(space, values=(-1, 0, 1)):
     """The closed hyperplanes {sum c_i b_i : sum f_i c_i = 0} of the echelon
-    basis b for the forms f in values^d whose first nonzero entry is
-    positive, each space once, in the order of `itertools.product`."""
+    basis b of a subalgebra for the forms f in values^d whose first nonzero
+    entry is positive, each space once, in the order of `itertools.product`.
+    ker f is closed iff f vanishes on the bracket of every two of its
+    coordinate rows, tested in the space's bracket table before the
+    hyperplane is echelonized."""
     basis, seen = space.basis, set()
-    for f in product(values, repeat=len(basis)):
+    sc = Subalgebra(space).constants
+    d = len(basis)
+    for f in product(values, repeat=d):
         if not any(f) or f[next(i for i, c in enumerate(f) if c)] < 0:
             continue
         k = max(i for i, c in enumerate(f) if c)
-        # f_k b_i - f_i b_k for i != k
+        # the coordinate rows of f_k b_i - f_i b_k for i != k
+        rows = [[f[k] * (j == i) - f[i] * (j == k) for j in range(d)] for i in range(d) if i != k]
+        if any(sum(map(mul, f, sc._bracket_num(u, v))) for u, v in combinations(rows, 2)):
+            continue
         h = echelon_span([b * f[k] - basis[k] * f[i] for i, b in enumerate(basis) if i != k])
-        if h not in seen and is_closed(h):
+        if h not in seen:
             seen.add(h)
             yield h
 
