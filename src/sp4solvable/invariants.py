@@ -17,13 +17,14 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   matrix of that complement, its int kernel, and each kernel element tested
   nilpotent by two int squarings (the nilpotent elements of a solvable g
   form a subspace, so that tests the whole radical);
-* the rank stratification of N(g): exact pencil strata for dim 2
-  (`pencil_rank_strata`, which checks the plane on the int rows it
-  eliminates anyway), read off the pencil's rank <= 1 and rank <= 2 loci
-  over the integers (counting rank-drop lines over the algebraic closure
-  via squarefree degrees, with no polynomial factorization), and for
-  dim >= 3 the generic rank, the integer rank of the Kronecker matrix at
-  one point beyond every root of its minors;
+* the rank stratification of N(g): for dim 1 the rank of the line, read
+  off its square and one rank-one test (`jordan._nilpotent_rank`); exact
+  pencil strata for dim 2 (`pencil_rank_strata`, which checks the plane on
+  the int rows it eliminates anyway), read off the pencil's rank <= 1 and
+  rank <= 2 loci over the integers (counting rank-drop lines over the
+  algebraic closure via squarefree degrees, with no polynomial
+  factorization), and for dim >= 3 the generic rank, the integer rank of
+  the Kronecker matrix at one point beyond every root of its minors;
 * whether g contains an invertible matrix.  By Lie's theorem g is
   triangular in some basis, and the diagonal is a linear map with kernel
   N(g).  So for g = C*x0 + N(g), det(s*x0 + n) = s^4 det(x0): read off the
@@ -73,11 +74,11 @@ from operator import mul
 
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
 from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _mul_num, char_poly,
-                     generic_rank, rank, rational_roots, rref, Subspace)
+                     generic_rank, rational_roots, rref, Subspace)
 from .rational import Q, Record, format_rational
 from .sp4 import in_sp4
 from .structure import Subalgebra, _ad_num, _series, is_solvable
-from .jordan import jordan_decompose
+from .jordan import _nilpotent_rank, jordan_decompose
 
 __all__ = [
     "PencilStrata", "pencil_rank_strata", "InvariantSignature", "signature",
@@ -128,7 +129,9 @@ def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
     that vanishes identically bounds the generic rank instead.  Lines are
     counted over the algebraic closure by squarefree degrees, and the exact
     rank of a non-rational drop by the nesting of the loci, so nothing is
-    factored.
+    factored.  The rank of a rational drop and of n1 (t = infinity) is read
+    off the same x(t)^2 coefficients by `jordan._nilpotent_rank`, so no
+    element is eliminated.
 
     The refusals read the same int rows: n1 and n2 are independent iff A and
     B are (`rref`), and an sp(4) element has odd power traces 0, so by
@@ -174,16 +177,22 @@ def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
         drops.append(locus.squarefree_part())
     generic = len(drops)
     roots = rational_roots(drops[-1]) if drops[-1].degree > 0 else {}
-    rational_drops = tuple((t0, rank(n1 * t0 + n2)) for t0 in
-                           sorted(roots, key=lambda q: (q.numerator, q.denominator)))
+    rational_drops = []
+    for t in sorted(roots, key=lambda q: (q.numerator, q.denominator)):
+        # x(p/q) = (p A + q B)/(q d), and x(p/q)^2 has the numerators
+        # q^2 B^2 + p q (AB + BA) + p^2 A^2
+        p, q = t.numerator, t.denominator
+        rational_drops.append((t, _nilpotent_rank(
+            [p * x + q * y for x, y in zip(a, b)],
+            [q * q * u + p * q * v + p * p * w for u, v, w in square])))
     irrational = []
     for r in range(1, generic):
         missing = (drops[r].degree - drops[r - 1].degree
                    - sum(1 for _, rr in rational_drops if rr == r))
         if missing > 0:
             irrational.append((r, missing))
-    inf_rank = rank(n1)
-    return PencilStrata(generic, rational_drops,
+    inf_rank = _nilpotent_rank(a, coeffs[2])
+    return PencilStrata(generic, tuple(rational_drops),
                         inf_rank if inf_rank < generic else None, tuple(irrational))
 
 
@@ -353,7 +362,8 @@ def _nilpotent_facts(nspace: Subspace) -> tuple:
     if dn == 0:
         return ()
     if dn == 1:
-        return (("rank", rank(nspace.basis[0])),)
+        m = nspace.basis[0].num
+        return (("rank", _nilpotent_rank(m, _mul_num(m, m))),)
     if dn == 2:
         return (("pencil",) + pencil_rank_strata(*nspace.basis).summary(),)
     return (("generic", generic_rank(list(nspace.basis))),)

@@ -11,16 +11,21 @@ spectrum off t2 = tr m^2 and t4 = tr m^4 of the numerators m of x, from one
 int product (`linalg._even_traces`); no polynomial is built.  As tr m and
 tr m^3 vanish on sp(4), the char poly of m is
 lambda^4 - (t2/2) lambda^2 + (t2^2 - 2 t4)/8, so x is nilpotent iff
-t2 = t4 = 0 (three nonzero orbits, blocks (2,1,1), (2,2), (4), told apart by
-rank); otherwise it has the roots +-a, +-b, a >= b >= 0, where a^2 and b^2
-are read by integer square roots or refused as irrational (`_eigen_pair`),
-and x is semisimple iff the squarefree part p of its char poly kills it.
+t2 = t4 = 0 (three nonzero orbits, blocks (2,1,1), (2,2), (4), of ranks 1, 2
+and 3, told apart by m^2 and one rank-one test with no elimination,
+`_nilpotent_rank`); otherwise it has the roots +-a, +-b, a >= b >= 0, where
+a^2 and b^2 are read by integer square roots or refused as irrational
+(`_eigen_pair`), and x is semisimple iff the squarefree part p of its char
+poly kills it.
 With a != b both nonzero p is the char poly itself; with a = b it is
 lambda^2 - a^2 and with b = 0 it is lambda^3 - a^2 lambda, so m^2 decides,
 or one more int product m^2 m.
 """
 
 from __future__ import annotations
+
+from itertools import product
+from typing import Sequence
 
 from .errors import IrrationalSpectrum, NotInBorel, NotInSp4, NotSemisimple
 from .linalg import (Mat4, _biquadratic_roots, _even_traces, _mul_num, char_poly, inverse,
@@ -116,12 +121,34 @@ def _eigen_pair(t2: int, t4: int, den: int) -> tuple:
     return Q(a, d * den), Q(b, d * den)
 
 
+def _nilpotent_rank(m: Sequence[int], m2: Sequence[int]) -> int:
+    """The rank of a nilpotent sp(4) element from its row-major int
+    numerators m and m2 = m m, with no elimination.  Odd Jordan blocks of a
+    nilpotent element of sp(4) come in pairs, so its nonzero types are
+    (2,1,1), (2,2) and (4), of ranks 1, 2 and 3, and no (3,1) (Collingwood
+    and McGovern, 1993): the rank is 3 iff m2 != 0.  Otherwise m is 0, or
+    of rank 1 iff it is an outer product, m[i][j] p = m[i][j0] m[i0][j] for
+    its first nonzero entry p = m[i0][j0], or else of rank 2."""
+    if any(m2):
+        return 3
+    k = next((k for k, v in enumerate(m) if v), None)
+    if k is None:
+        return 0
+    p, j0 = m[k], k % 4
+    # m[i][j0] m[i0][j] in row-major order; row i0 starts at k - j0
+    outer = product(m[j0::4], m[k - j0:k - j0 + 4])
+    if all(v * p == c * r for v, (c, r) in zip(m, outer)):
+        return 1
+    return 2
+
+
 def classify_element(x: Mat4) -> OrbitLabel:
     """Assign the conjugacy-table row of an sp(4) element (rational spectrum).
 
     With x = m/d, m^2, t2 = tr m^2 and t4 = tr m^4 come off one int product
     (`linalg._even_traces`).  Nilpotent (t2 = t4 = 0): zero, or one of the
-    three nonzero nilpotent rows, typed by rank.  Otherwise x has the
+    three nonzero nilpotent rows, typed by the rank that `_nilpotent_rank`
+    reads off m^2 and one rank-one test.  Otherwise x has the
     eigenvalues +-a, +-b with a >= b >= 0 (`_eigen_pair`, three integer
     square roots, which raises IrrationalSpectrum).
     Four distinct eigenvalues make x semisimple: table 1, the Weyl-normalized
@@ -135,9 +162,7 @@ def classify_element(x: Mat4) -> OrbitLabel:
     m = x.num
     m2, t2, t4 = _even_traces(m)
     if not (t2 or t4):
-        # odd Jordan blocks of a nilpotent element of sp(4) come in pairs, so
-        # the nonzero types are (2,1,1), (2,2) and (4), of ranks 1, 2 and 3
-        r = rank(x)
+        r = _nilpotent_rank(m, m2)
         if r == 0:
             return OrbitLabel(1, "zero", {})
         return OrbitLabel(2, ("X_alpha", "X_beta", "X_alpha_plus_X_beta")[r - 1], {})

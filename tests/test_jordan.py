@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from sp4solvable.errors import (IrrationalSpectrum, NotInBorel, NotInSp4,
                                 NotSemisimple)
 from sp4solvable import jordan, linalg
+from sp4solvable.cli import main
 from sp4solvable.jordan import (JordanDecomposition, OrbitLabel, _eigen_pair, classify_element,
                                 conjugate_ss_into_cartan, jordan_decompose, jordan_type)
 from sp4solvable.linalg import Mat4, Poly, _even_traces, inverse, rational_roots
@@ -177,7 +180,8 @@ def test_char_poly_facts_match_newton_oracle(rng):
 
 def test_classify_element_reads_one_trace_product(monkeypatch):
     # the row is read off m^2, tr m^2 and tr m^4 of one int product; only the
-    # b = 0 rows multiply once more, by m^2 m, and no polynomial is built
+    # b = 0 rows multiply once more, by m^2 m, no polynomial is built and no
+    # nilpotent input is echelonized
     traces, products = [], []
     even_traces, mul_num = jordan._even_traces, linalg._mul_num
 
@@ -190,9 +194,10 @@ def test_classify_element_reads_one_trace_product(monkeypatch):
         return mul_num(a, b)
 
     def forbidden(*args):
-        raise AssertionError("classify_element did polynomial or decomposition work")
+        raise AssertionError("classify_element did polynomial, decomposition or elimination work")
 
-    cases = ((T(2, 3), "T_ab", 1), (X_BETA, "X_beta", 1), (Mat4.zero(), "zero", 1),
+    cases = ((T(2, 3), "T_ab", 1), (X_ALPHA, "X_alpha", 1), (X_BETA, "X_beta", 1),
+             (X_ALPHA + X_BETA, "X_alpha_plus_X_beta", 1), (Mat4.zero(), "zero", 1),
              (T(1, 1), "T_aa", 1), (T(1, 0), "T_a0", 2),
              (T(1, 1) + X_BETA, "T_aa_plus_X_beta", 1),
              (T(1, 0) + X_ALPHA, "T_a0_plus_X_alpha", 2))
@@ -201,7 +206,7 @@ def test_classify_element_reads_one_trace_product(monkeypatch):
     monkeypatch.setattr(linalg, "_mul_num", counting_mul)
     for module, name in ((jordan, "char_poly"), (jordan, "rational_roots"), (Poly, "_make"),
                          (jordan, "inverse"), (jordan, "jordan_decompose"),
-                         (jordan, "poly_eval_mat")):
+                         (jordan, "poly_eval_mat"), (jordan, "rank"), (linalg, "rref")):
         monkeypatch.setattr(module, name, forbidden)
     for x, row, n_products in cases:
         traces.clear()
@@ -308,6 +313,35 @@ def test_one_element_per_label_scaled_and_conjugated(x, want, rng):
 
 def test_the_examples_cover_every_label():
     assert len({w.row for _, w in _LABEL_EXAMPLES}) == 9
+
+
+_E13_E24 = Mat4.unit(1, 3) + Mat4.unit(2, 4)
+# nilpotent elements of every rank: the root vectors, the negative ones (whose
+# first nonzero entry is below row 0), and the Siegel radical [[0, S], [0, 0]]
+# at S = I (rank 2) and S = [[1, 1], [1, 1]] (rank 1)
+_NILPOTENTS = (Mat4.zero(), X_ALPHA, X_A2B, X_BETA, X_AB, X_ALPHA + X_BETA, _E13_E24,
+               _E13_E24 + X_AB, X_ALPHA.transpose(), X_BETA.transpose(),
+               X_ALPHA.transpose() + X_BETA.transpose(), X_A2B.transpose() + X_AB * 3)
+_NILPOTENT_ROWS = ("zero", "X_alpha", "X_beta", "X_alpha_plus_X_beta")
+
+
+def test_the_nilpotent_rank_is_the_rank_by_elimination(rng, tmp_path, capsys):
+    recipes = ("W A", "shear:beta:2 J", "glblock:1,2,3,4 shear:alpha_plus_beta:-1",
+               "block:2,1,1,1 W", "diag:3,1/2,1/3,2 AJ")
+    pool = conjugator_pool(rng, 4) + [parse_conjugator(r) for r in recipes]
+    seen = set()
+    for x in _NILPOTENTS:
+        for y in [x] + [conjugate(g, x * s) for g in pool for s in (-1, Q(3, 7))]:
+            assert in_sp4(y)
+            m = y.num
+            r = jordan._nilpotent_rank(m, linalg._mul_num(m, m))
+            assert r == linalg.rank(y)
+            seen.add(r)
+            path = tmp_path / "x.json"
+            path.write_text(json.dumps(y.to_json()))
+            assert main(["classify-element", "--input", str(path), "--output", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["row"] == _NILPOTENT_ROWS[r]
+    assert seen == {0, 1, 2, 3}
 
 
 def test_three_nilpotent_orbits_match_jcf_column():
