@@ -18,13 +18,14 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   nilpotent by two int squarings (the nilpotent elements of a solvable g
   form a subspace, so that tests the whole radical);
 * the rank stratification of N(g): for dim 1 the rank of the line, read
-  off its square and one rank-one test (`jordan._nilpotent_rank`); exact
-  pencil strata for dim 2 (`pencil_rank_strata`, which checks the plane on
-  the int rows it eliminates anyway), read off the pencil's rank <= 1 and
-  rank <= 2 loci over the integers (counting rank-drop lines over the
-  algebraic closure via squarefree degrees, with no polynomial
-  factorization), and for dim >= 3 the generic rank, the integer rank of
-  the Kronecker matrix at one point beyond every root of its minors;
+  off its square and one rank-one test (`jordan._nilpotent_rank`); for dim
+  2 the number of lines of each rank on the projective line of the pencil
+  (`pencil_rank_strata`, which checks the plane on the int rows it
+  eliminates anyway), counted over the algebraic closure off the pencil's
+  rank <= 1 and rank <= 2 loci by squarefree degrees, so no root is found
+  and no line is typed; and for dim >= 3 the generic rank, the integer
+  rank of the Kronecker matrix at one point beyond every root of its
+  minors;
 * whether g contains an invertible matrix.  By Lie's theorem g is
   triangular in some basis, and the diagonal is a linear map with kernel
   N(g).  So for g = C*x0 + N(g), det(s*x0 + n) = s^4 det(x0): read off the
@@ -74,7 +75,7 @@ from operator import mul
 
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
 from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _mul_num, char_poly,
-                     generic_rank, rational_roots, rref, Subspace)
+                     generic_rank, rref, Subspace)
 from .rational import Q, Record, format_rational
 from .sp4 import in_sp4
 from .structure import Subalgebra, _ad_num, _series, is_solvable
@@ -91,28 +92,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class PencilStrata(Record):
-    """Ranks of t*n1 + n2 across the projective line of the pencil."""
+    """The rank-drop lines of t*n1 + n2 on the projective line of the pencil,
+    counted over the algebraic closure."""
 
     __slots__ = ("generic_rank",
-                 "rational_drops",     # ((t, rank), ...) finite rational t
-                 "infinity_rank",      # rank of n1 when it drops below generic, else None
-                 "irrational_counts")  # ((rank, count), ...) conjugate-pair lines
+                 "line_counts")  # ((rank, count), ...) for each rank with lines
 
     def drop_line_count(self, r: int) -> int:
-        """Number of lines (over the algebraic closure) of rank exactly r."""
-        n = sum(1 for _, rr in self.rational_drops if rr == r)
-        if self.infinity_rank == r:
-            n += 1
-        n += sum(c for rr, c in self.irrational_counts if rr == r)
-        return n
+        """Number of lines of rank exactly r."""
+        return dict(self.line_counts).get(r, 0)
 
     def summary(self) -> tuple:
         """Canonical multiset (generic rank, ((rank, line count), ...))."""
-        ranks = sorted({r for _, r in self.rational_drops}
-                       | ({self.infinity_rank} - {None})
-                       | {r for r, _ in self.irrational_counts})
-        return (self.generic_rank,
-                tuple((r, self.drop_line_count(r)) for r in ranks))
+        return self.generic_rank, self.line_counts
 
 
 def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
@@ -126,12 +118,12 @@ def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
     n2 = B/d, each locus is the common roots of quadratics in t (the 36
     2-minors; the 16 entries of x(t)^2 = B^2 + t(AB + BA) + t^2 A^2), whose
     gcd is that of an `rref` basis of their coefficient rows; a family
-    that vanishes identically bounds the generic rank instead.  Lines are
-    counted over the algebraic closure by squarefree degrees, and the exact
-    rank of a non-rational drop by the nesting of the loci, so nothing is
-    factored.  The rank of a rational drop and of n1 (t = infinity) is read
-    off the same x(t)^2 coefficients by `jordan._nilpotent_rank`, so no
-    element is eliminated.
+    that vanishes identically bounds the generic rank instead.  The lines of
+    rank <= k are the distinct roots of that gcd, counted by the degree of
+    its squarefree part, and t = infinity when every basis row has a zero
+    t^2 coefficient (the 2-minors of A, or A^2, vanish).  The loci are
+    nested, so the lines of rank exactly k are the difference of two
+    counts: no root is found, nothing is factored and no line is typed.
 
     The refusals read the same int rows: n1 and n2 are independent iff A and
     B are (`rref`), and an sp(4) element has odd power traces 0, so by
@@ -164,36 +156,19 @@ def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
               for p, q, r, s in ((i + k, i + l, j + k, j + l)
                                  for i, j in combinations((0, 4, 8, 12), 2)
                                  for k, l in combinations(range(4), 2))]
-    # drops[k] has the finite lines of rank <= k as its roots, each once;
-    # none has rank 0, as n1 and n2 are independent
-    drops = [Poly._make([1], 1)]
+    # counts[k] lines have rank <= k; none has rank 0, as n1 and n2 are
+    # independent
+    counts = [0]
     for rows in (minors, square):
         basis = rref(rows)
-        if not basis:  # the rank never exceeds len(drops)
+        if not basis:  # the rank never exceeds len(counts)
             break
         locus = Poly()
         for _, r in basis:
             locus = locus.gcd(Poly._make(r, 1))
-        drops.append(locus.squarefree_part())
-    generic = len(drops)
-    roots = rational_roots(drops[-1]) if drops[-1].degree > 0 else {}
-    rational_drops = []
-    for t in sorted(roots, key=lambda q: (q.numerator, q.denominator)):
-        # x(p/q) = (p A + q B)/(q d), and x(p/q)^2 has the numerators
-        # q^2 B^2 + p q (AB + BA) + p^2 A^2
-        p, q = t.numerator, t.denominator
-        rational_drops.append((t, _nilpotent_rank(
-            [p * x + q * y for x, y in zip(a, b)],
-            [q * q * u + p * q * v + p * p * w for u, v, w in square])))
-    irrational = []
-    for r in range(1, generic):
-        missing = (drops[r].degree - drops[r - 1].degree
-                   - sum(1 for _, rr in rational_drops if rr == r))
-        if missing > 0:
-            irrational.append((r, missing))
-    inf_rank = _nilpotent_rank(a, coeffs[2])
-    return PencilStrata(generic, tuple(rational_drops),
-                        inf_rank if inf_rank < generic else None, tuple(irrational))
+        counts.append(locus.squarefree_part().degree + all(r[2] == 0 for _, r in basis))
+    return PencilStrata(len(counts), tuple((k, hi - lo) for k, (lo, hi)
+                                           in enumerate(zip(counts, counts[1:]), 1) if hi > lo))
 
 
 # ---------------------------------------------------------------------------

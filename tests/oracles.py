@@ -6,10 +6,11 @@ rational bracket table or on matrix rows, `Fraction` Gauss-Jordan
 elimination, a coordinate solve by one `Fraction` echelonization of the
 augmented system), sharing no kernel with the code it checks.  The Kronecker
 matrix of a span over Q[t] (`symbolic_combo`) is what the cofactor minor
-scans of the Q[t] kernels run on, and `pencil_refusal` gives the refusals
-of `invariants.pencil_rank_strata` by rational elimination and products of
-`Mat4`s.  Six helpers are no oracles: `coords` and `echelon_coords` give
-the library's int pivot reads (`Subspace.coords_num`,
+scans of the Q[t] kernels run on (`minor_rank`, and `strata_from_minors`
+for the line counts of `invariants.pencil_rank_strata`), and
+`pencil_refusal` gives the refusals of `pencil_rank_strata` by rational
+elimination and products of `Mat4`s.  Six helpers are no oracles: `coords`
+and `echelon_coords` give the library's int pivot reads (`Subspace.coords_num`,
 `linalg._pivot_coords`) as rationals; `fraction_rows` the (pivot, int row)
 pairs of the int kernels (`linalg.rref`, `structure.bracket_space`,
 `structure._series`) as RREF rows, and `rational_rref` and
@@ -20,6 +21,7 @@ a span's basis."""
 from itertools import combinations
 
 from sp4solvable.errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
+from sp4solvable.invariants import PencilStrata
 from sp4solvable.jordan import JordanDecomposition
 from sp4solvable.linalg import (Mat4, Poly, Subspace, _over_common_den, _pivot_coords,
                                 det_mpoly, echelon_span, rref)
@@ -70,6 +72,40 @@ def grid_pencil_ranks(n1: Mat4, n2: Mat4, lo: int = -20, hi: int = 20) -> dict:
     out = {Q(t): len(gauss_jordan(pencil(t))) for t in range(lo, hi + 1)}
     out["inf"] = len(gauss_jordan(n1.rows))
     return out
+
+
+def minors(entries, k) -> list[Poly]:
+    """All k x k minors of a 4x4 `Poly` matrix, by cofactor expansion."""
+    return [det_mpoly([[entries[i][j] for j in cols] for i in rows])
+            for rows in combinations(range(4), k) for cols in combinations(range(4), k)]
+
+
+def minor_gcd(entries, k) -> Poly:
+    """The monic gcd of the k-minors (zero when they all vanish)."""
+    acc = Poly()
+    for m in minors(entries, k):
+        acc = acc.gcd(m)
+    return acc
+
+
+def minor_rank(entries) -> int:
+    """The largest k with a k-minor not identically zero."""
+    return max((k for k in range(1, 5) if any(m.num for m in minors(entries, k))), default=0)
+
+
+def strata_from_minors(n1: Mat4, n2: Mat4) -> PencilStrata:
+    """The line counts of t*n1 + n2 from its minors alone: the lines of rank
+    <= k are the distinct roots of the gcd of the (k+1)-minors, counted by
+    the degree of its squarefree part, and t = infinity when n1 has no
+    nonzero (k+1)-minor; the lines of rank exactly k are the difference of
+    two such counts."""
+    entries = symbolic_combo([n2, n1])
+    generic = minor_rank(entries)
+    inf = minor_rank(symbolic_combo([n1]))
+    counts = [0] + [minor_gcd(entries, k + 1).squarefree_part().degree + (inf <= k)
+                    for k in range(generic)]
+    return PencilStrata(generic, tuple((k, counts[k + 1] - counts[k]) for k in range(generic)
+                                       if counts[k + 1] > counts[k]))
 
 
 def pencil_refusal(n1: Mat4, n2: Mat4):

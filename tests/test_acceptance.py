@@ -20,7 +20,7 @@ from sp4solvable.verify import verify_catalog, verify_separations
 
 from conftest import (conjugator_pool, perturb_columns, random_borel_element,
                       random_sp4_element)
-from oracles import char_poly_cofactor, grid_pencil_ranks
+from oracles import char_poly_cofactor, grid_pencil_ranks, strata_from_minors
 
 ENTRIES = load_catalog()
 BY_ID = {e.row_id: e for e in ENTRIES}
@@ -207,8 +207,9 @@ def test_criterion_7_isomap_mutation_testing():
 
 def test_criterion_8_oracle_cross_checks():
     """char_poly vs cofactor expansion on 200 random matrices; symbolic
-    pencil strata vs grid sweep on all catalog nilpotent pencils; Jordan
-    decomposition invariants on 1000 random Borel elements."""
+    pencil strata vs the cofactor minor scan and a grid sweep on all catalog
+    nilpotent pencils; Jordan decomposition invariants on 1000 random Borel
+    elements."""
     t0 = time.time()
     rng = random.Random(47)
     for _ in range(200):
@@ -225,17 +226,11 @@ def test_criterion_8_oracle_cross_checks():
                 continue
             n1, n2 = nsp.basis
             strata = pencil_rank_strata(n1, n2)
-            grid = grid_pencil_ranks(n1, n2)
-            drops = dict(strata.rational_drops)
-            for t, r in grid.items():
-                if t == "inf":
-                    expected = (strata.infinity_rank
-                                if strata.infinity_rank is not None
-                                else strata.generic_rank)
-                else:
-                    expected = drops.get(t, strata.generic_rank)
-                assert r == expected, (e.row_id, a, t)
-            assert max(grid.values()) == strata.generic_rank
+            assert strata == strata_from_minors(n1, n2), (e.row_id, a)
+            ranks = list(grid_pencil_ranks(n1, n2).values())
+            assert max(ranks) == strata.generic_rank, (e.row_id, a)
+            for r in range(strata.generic_rank):
+                assert ranks.count(r) <= strata.drop_line_count(r), (e.row_id, a, r)
             pencils += 1
     assert pencils >= 20
 
@@ -249,5 +244,5 @@ def test_criterion_8_oracle_cross_checks():
         assert (n2 * n2).is_zero()
         sf = char_poly(dec.semisimple).squarefree_part()
         assert poly_eval_mat(sf, dec.semisimple).is_zero()
-    _report(8, f"200 char-poly oracles, {pencils} pencil grid sweeps, "
+    _report(8, f"200 char-poly oracles, {pencils} pencil minor scans and grid sweeps, "
                "1000 Jordan invariant checks", t0)

@@ -33,19 +33,18 @@ def alg(*mats):
 def test_pencil_examples_from_the_rank_line_arguments():
     s = pencil_rank_strata(X_ALPHA, X_A2B)
     assert s.generic_rank == 2
-    assert s.rational_drops == ((Q(0), 1),)
-    assert s.infinity_rank == 1
+    assert s.line_counts == ((1, 2),)         # t = 0 and t = infinity
     assert s.drop_line_count(1) == 2          # two rank-1 lines
 
     s = pencil_rank_strata(X_ALPHA, X_AB)
     assert s.generic_rank == 2
-    assert s.rational_drops == ()
-    assert s.infinity_rank == 1               # only one rank-1 line
+    assert s.line_counts == ((1, 1),)         # only t = infinity
     assert s.drop_line_count(1) == 1
 
     s = pencil_rank_strata(X_AB, X_A2B)
     assert s.generic_rank == 2
-    assert s.drop_line_count(1) == 1          # single rank-1 line
+    assert s.line_counts == ((1, 1),)         # single rank-1 line
+    assert s.drop_line_count(1) == 1
 
     with pytest.raises(DependentInputs):
         pencil_rank_strata(X_ALPHA, X_ALPHA * 3)
@@ -187,20 +186,13 @@ def test_pencil_matches_grid_oracle():
              (X_BETA + X_ALPHA, X_A2B), (X_BETA, X_A2B),
              (X_ALPHA + X_AB, X_A2B - X_ALPHA)]
     for n1, n2 in pairs:
+        # the grid sees at most the drop lines of each rank, and the generic
+        # rank off them
         strata = pencil_rank_strata(n1, n2)
-        grid = grid_pencil_ranks(n1, n2)
-        drops = dict(strata.rational_drops)
-        for t, r in grid.items():
-            if t == "inf":
-                expected = (strata.infinity_rank
-                            if strata.infinity_rank is not None
-                            else strata.generic_rank)
-                assert r == expected
-            elif t in drops:
-                assert r == drops[t]
-            else:
-                assert r == strata.generic_rank
-        assert max(grid.values()) == strata.generic_rank
+        ranks = list(grid_pencil_ranks(n1, n2).values())
+        assert max(ranks) == strata.generic_rank
+        for r in range(strata.generic_rank):
+            assert ranks.count(r) <= strata.drop_line_count(r)
 
 
 def test_nilpotent_subspace():

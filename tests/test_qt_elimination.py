@@ -4,56 +4,18 @@ of its minors, and the generic rank of a span, read at one point, is the
 size of the largest nonzero minor of its Kronecker matrix, which the oracle
 `symbolic_combo` builds over Q[t]."""
 
-from itertools import combinations
-
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sp4solvable.catalog import load_catalog
-from sp4solvable.invariants import PencilStrata, nilpotent_subspace, pencil_rank_strata
-from sp4solvable.linalg import Mat4, Poly, det_mpoly, echelon_span, generic_rank, rational_roots
+from sp4solvable.invariants import nilpotent_subspace, pencil_rank_strata
+from sp4solvable.linalg import Mat4, echelon_span, generic_rank
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (A_MAT, J_FORM, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA, conjugate,
                              conjugate_subalgebra, shear)
 from sp4solvable.structure import Subalgebra
 
-from oracles import symbolic_combo
-
-
-def minors(entries, k):
-    """All k x k minors of a 4x4 `Poly` matrix, by cofactor expansion."""
-    return [det_mpoly([[entries[i][j] for j in cols] for i in rows])
-            for rows in combinations(range(4), k) for cols in combinations(range(4), k)]
-
-
-def minor_gcd(entries, k) -> Poly:
-    """The monic gcd of the k-minors (zero when they all vanish)."""
-    acc = Poly()
-    for m in minors(entries, k):
-        acc = acc.gcd(m)
-    return acc
-
-
-def minor_rank(entries) -> int:
-    """The largest k with a k-minor not identically zero."""
-    return max((k for k in range(1, 5) if any(m.num for m in minors(entries, k))), default=0)
-
-
-def strata_from_minors(n1, n2) -> PencilStrata:
-    """The rank strata of t*n1 + n2 from its minors: the lines of rank <= k
-    are the roots of the squarefree gcd of the (k+1)-minors, each once, and
-    the rank of n1 is the largest size of its nonzero minors."""
-    entries = symbolic_combo([n2, n1])
-    generic = minor_rank(entries)
-    loci = [minor_gcd(entries, k + 1).squarefree_part() for k in range(generic)]
-    roots = [set(rational_roots(p)) if p.degree > 0 else set() for p in loci]
-    drops = tuple((t0, min(k for k in range(generic) if t0 in roots[k]))
-                  for t0 in sorted(roots[-1], key=lambda q: (q.numerator, q.denominator)))
-    irrational = [p.degree - len(rs) for p, rs in zip(loci, roots)]
-    counts = tuple((k, irrational[k] - irrational[k - 1]) for k in range(1, generic)
-                   if irrational[k] > irrational[k - 1])
-    inf = minor_rank(symbolic_combo([n1]))
-    return PencilStrata(generic, drops, inf if inf < generic else None, counts)
+from oracles import minor_rank, strata_from_minors, symbolic_combo
 
 
 small = st.integers(-3, 3)
@@ -107,6 +69,18 @@ def nilpotent_pencils(draw):
 @given(nilpotent_pencils())
 def test_pencil_strata_match_the_minor_gcds(pair):
     assert pencil_rank_strata(*pair) == strata_from_minors(*pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nilpotent_pencils(), st.lists(small, min_size=4, max_size=4))
+def test_the_pencil_strata_depend_only_on_the_plane(pair, pqrs):
+    # a change of basis of the plane, the swap always among them, moves drop
+    # lines to and from t = infinity but keeps the line counts
+    n1, n2 = pair
+    strata = pencil_rank_strata(n1, n2)
+    for p, q, r, s in ((0, 1, 1, 0), pqrs):
+        if p * s != q * r:
+            assert pencil_rank_strata(n1 * p + n2 * q, n1 * r + n2 * s) == strata
 
 
 @settings(max_examples=150, deadline=None)

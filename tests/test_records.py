@@ -20,7 +20,7 @@ VALUES = [
     (DeGraafClass, ("M7", (Q(1), Q(-3)))),
     (SWClass, ("s_{4,3}", (Q(1, 2), Q(2)))),
     (QuadraticValue, (Q(1), Q(-1, 2), Q(5), True)),
-    (PencilStrata, (2, ((Q(1), 1),), None, ((1, 2),))),
+    (PencilStrata, (2, ((1, 2),))),
     (InvariantSignature, (2, (2, 0), (2, 0), True, True, 1, (1,), True, "mixed", None)),
     (JordanDecomposition, (T(1, 2), X_ALPHA)),
     (OrbitLabel, (1, "T_ab", {"a": Q(3), "b": Q(2)})),
