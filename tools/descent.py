@@ -15,8 +15,9 @@ each, for the forms f with entries in {-2, ..., 2} in the echelon basis
 It prints the counts of distinct hyperplanes, of those that match one row,
 no row or several rows, and of those refused with an error, then the sha256
 over one line per hyperplane: its matches as a JSON list of [row, param],
-or the class and message of its error.  It is opt-in and outside the
-suite's `testpaths`.
+or the class and message of its error.  `tests/test_outputs.py` calls
+`report()` and compares the lines with those recorded in
+`tests/outputs.json`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ def sweep():
                         yield h
 
 
-def main() -> int:
+def report() -> list[str]:
+    """The two lines: the counts, then the sha256 over the matches."""
     digest = hashlib.sha256()
     counts = dict.fromkeys(("hyperplanes", "one_row", "no_row", "several_rows", "refused"), 0)
     for h in sweep():
@@ -61,8 +63,11 @@ def main() -> int:
             counts["one_row" if len(matches) == 1 else "several_rows" if matches
                    else "no_row"] += 1
         digest.update(line.encode() + b"\n")
-    print(" ".join(f"{k}={v}" for k, v in counts.items()))
-    print(digest.hexdigest())
+    return [" ".join(f"{k}={v}" for k, v in counts.items()), digest.hexdigest()]
+
+
+def main() -> int:
+    print("\n".join(report()))
     return 0
 
 

@@ -35,8 +35,9 @@ class and message of the error it raised.
 
 Two checkouts with the same digests give the same signatures, labels and
 catalog matches on the sweeps, so a change that claims to keep them can be
-checked against its parent in a few seconds.  It is opt-in and outside the suite's
-`testpaths`.
+checked against its parent in a few seconds.  `tests/test_outputs.py` calls
+`digest_lines(1)` and compares the lines with those recorded in
+`tests/outputs.json`.
 """
 
 from __future__ import annotations
@@ -151,13 +152,17 @@ def digest_line(items, compute) -> str:
     return " ".join([digest.hexdigest()] + [f"{k}={v}" for k, v in counts.items()])
 
 
+def digest_lines(seed: int = 1) -> list[str]:
+    """The three lines: signatures, element labels, catalog matches."""
+    return [digest_line(sweep(seed), lambda space: signature(Subalgebra(space)).to_json()),
+            digest_line(elements(seed), lambda x: classify_element(x).to_json()),
+            digest_line(sweep(seed), lambda space: [
+                [row, None if a is None else format_rational(a)]
+                for row, a in match_catalog(Subalgebra(space))])]
+
+
 def main(argv: list[str]) -> int:
-    seed = int(argv[0]) if argv else 1
-    print(digest_line(sweep(seed), lambda space: signature(Subalgebra(space)).to_json()))
-    print(digest_line(elements(seed), lambda x: classify_element(x).to_json()))
-    print(digest_line(sweep(seed), lambda space: [
-        [row, None if a is None else format_rational(a)]
-        for row, a in match_catalog(Subalgebra(space))]))
+    print("\n".join(digest_lines(int(argv[0]) if argv else 1)))
     return 0
 
 
