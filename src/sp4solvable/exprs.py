@@ -13,22 +13,27 @@ and still evaluates exactly.  Grammar:
 Values are exact rationals.  Each text is compiled once, on its first use,
 into an evaluator over the environment (a bounded cache keeps the last
 `COMPILED_TEXTS` texts); a sum or a product is one flat node over its
-operands, so a long text evaluates without deep recursion.
+operands, so a long text evaluates without deep recursion.  The evaluator
+runs on (numerator, denominator) int pairs, reduced to lowest terms at
+every step as `Fraction` reduces its values, so no value grows past the
+size a `Fraction` would have; each value becomes one `Fraction` when
+`eval_expr` returns it.
 
 The checks on the text run when it is compiled, before any arithmetic:
 malformed text, an exponent above `MAX_EXPONENT` (the catalog's largest is
 2) or parentheses nested deeper than `MAX_DEPTH` raise ValueError, so no text
 can hang the caller or exhaust its stack.  The checks on values run when it
 is evaluated: an unknown name raises ValueError, a zero divisor
-ZeroDivisionError, and a power of more than `MAX_POWER_BITS` bits (a catalog
-formula at a huge sample) `ExpressionLimit`, a ValueError that is also an
-out-of-domain `Sp4Error`.
+`Fraction`'s own ZeroDivisionError, and a power of more than
+`MAX_POWER_BITS` bits of its reduced base (a catalog formula at a huge
+sample) `ExpressionLimit`, a ValueError that is also an out-of-domain
+`Sp4Error`.
 """
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
+from math import gcd
 
 from .errors import ExpressionLimit
 from .rational import Q
@@ -41,8 +46,33 @@ MAX_DEPTH = 64
 # The catalog, its recipes and samples use about 50 distinct texts.
 COMPILED_TEXTS = 1024
 
-_OPERATORS = {"+": operator.add, "-": operator.sub,
-              "*": operator.mul, "/": operator.truediv}
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d (d > 0) in lowest terms."""
+    g = gcd(n, d)
+    return (n, d) if g == 1 else (n // g, d // g)
+
+
+def _add(x, y):
+    return _reduced(x[0] * y[1] + y[0] * x[1], x[1] * y[1])
+
+
+def _sub(x, y):
+    return _reduced(x[0] * y[1] - y[0] * x[1], x[1] * y[1])
+
+
+def _mul(x, y):
+    return _reduced(x[0] * y[0], x[1] * y[1])
+
+
+def _div(x, y):
+    if not y[0]:
+        return Q(*x) / 0  # Fraction's own ZeroDivisionError and text
+    n, d = x[0] * y[1], x[1] * y[0]
+    return _reduced(-n, -d) if d < 0 else _reduced(n, d)
+
+
+_OPERATORS = {"+": _add, "-": _sub, "*": _mul, "/": _div}
 
 
 def _chain(first, rest: tuple):
@@ -58,23 +88,35 @@ def _chain(first, rest: tuple):
 
 def _power(base, e: int, text: str):
     def power(env):
-        v = base(env)
-        if e * max(v.numerator.bit_length(), v.denominator.bit_length()) > MAX_POWER_BITS:
+        n, d = base(env)
+        if e * max(n.bit_length(), d.bit_length()) > MAX_POWER_BITS:
             raise ExpressionLimit(f"power above {MAX_POWER_BITS} bits in {text!r}")
-        return v**e
+        return n**e, d**e  # coprime, as n and d are
     return power
+
+
+def _negated(f):
+    def negated(env):
+        n, d = f(env)
+        return -n, d
+    return negated
 
 
 def _lookup(name: str, text: str):
     def lookup(env):
         if name not in env:
             raise ValueError(f"unknown name {name!r} in {text!r}")
-        return Q(env[name])
+        v = env[name]
+        if type(v) is int:
+            return v, 1
+        if type(v) is not Q:
+            v = Q(v)
+        return v.numerator, v.denominator
     return lookup
 
 
 class _Parser:
-    """Compiles one text into an evaluator env -> Q."""
+    """Compiles one text into an evaluator env -> (numerator, denominator)."""
 
     def __init__(self, text: str):
         self.text = text
@@ -122,7 +164,7 @@ class _Parser:
             if e > MAX_EXPONENT:
                 raise ValueError(f"exponent {e} above {MAX_EXPONENT} in {self.text!r}")
             f = _power(f, e, self.text)
-        return (lambda env: -f(env)) if neg else f
+        return _negated(f) if neg else f
 
     def atom(self):
         ch = self.peek()
@@ -137,7 +179,7 @@ class _Parser:
             self.depth -= 1
             return f
         if ch.isdigit():
-            v = Q(self.integer())
+            v = self.integer(), 1
             return lambda env: v
         if ch.isalpha() or ch == "_":
             return _lookup(self.name(), self.text)
@@ -167,4 +209,4 @@ def _compiled(text: str):
 
 def eval_expr(text: str, env: dict | None = None):
     """Evaluate an expression string to an exact rational."""
-    return _compiled(str(text))(env or {})
+    return Q(*_compiled(str(text))(env or {}))

@@ -33,14 +33,21 @@ exact.  Write lambda = p + q*sqrt(1+4a): the two branches multiply to 1, so
 a real branch has |lambda| < 1 exactly when p*q < 0 (p != 0 when 1+4a > 0),
 and a complex branch has modulus 1, where q = 1/(-2a) > 0 gives the
 positive imaginary part.
+
+A stated isomorphism is checked by its witness property, with nothing
+solved (`verify_isomorphism`): the map's columns satisfy the bracket
+identity [phi x_i, phi x_j] = sum_k c_ij^k phi x_k on ints, and one `rref`
+rank test shows they are independent (certifying checks of this kind:
+McConnell, Mehlhorn, Naeher and Schweitzer, Computer Science Review 5, 2011).
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import combinations
 
-from .errors import (DependentInputs, DimensionMismatch, OutOfCatalog,
+from .errors import (DimensionMismatch, OutOfCatalog,
                      UnrecognizedFamily, UnsupportedDimension, ZeroParameter)
 from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _over_common_den,
                      inverse, rational_roots, rref)
@@ -513,17 +520,30 @@ def _normalize_s43(eigs: list) -> tuple:
 
 def verify_isomorphism(sc_source: StructureConstants,
                        sc_target: StructureConstants, columns) -> bool:
-    """True iff the linear map whose column i is the image of source basis
-    vector i, in target coordinates, is a bijection carrying the source
-    bracket to the target bracket: the target table in the basis of the
-    columns is exactly the source table.  Dependent columns give False."""
+    """True iff the linear map phi whose column i is the image of source
+    basis vector i, in target coordinates, is a bijection carrying the
+    source bracket to the target bracket: [phi x_i, phi x_j] =
+    sum_k c_ij^k phi x_k for every pair i < j, and the columns are
+    independent (one `rref` rank test).  Coordinates in an independent basis
+    are unique, so this holds iff the target table in the basis of the
+    columns is exactly the source table; nothing is solved.  With the
+    columns over one common den e, Y_k = e * phi x_k, the identity is
+    checked on ints: den_s * den_t [Y_i, Y_j] = e * den_t * sum_k num_ij^k Y_k."""
     d = sc_source.dim
     if sc_target.dim != d or len(columns) != d or any(len(c) != d for c in columns):
         raise DimensionMismatch("isomorphism map has inconsistent dimensions")
-    try:
-        return sc_target.change_basis(columns) == sc_source
-    except DependentInputs:
-        return False
+    flat, e = _over_common_den([x for c in columns for x in c])
+    ys = [flat[n * d:(n + 1) * d] for n in range(d)]
+    lhs_scale, rhs_scale = sc_source.den, e * sc_target.den
+    for i, j in combinations(range(d), 2):
+        rhs = [0] * d
+        for c, y in zip(sc_source.num[i][j], ys):
+            if c:
+                rhs = [a + c * b for a, b in zip(rhs, y)]
+        lhs = sc_target._bracket_num(ys[i], ys[j])
+        if [lhs_scale * x for x in lhs] != [rhs_scale * x for x in rhs]:
+            return False
+    return len(rref(ys)) == d
 
 
 def tri_algebra_constants(r) -> StructureConstants:

@@ -10,8 +10,7 @@ and the vectors of `kernel`.  `rref` eliminates int rows and returns
 (pivot, int row) pairs, the one coordinate form of a span.
 Coordinates in a span are read at its echelon pivots as ints
 (`_pivot_coords`, `Subspace.coords_num`), never solved for: the one solve
-against another basis is `inverse`, and a bracket table moves to a new
-basis by `StructureConstants.change_basis`.
+against another basis is `inverse`.
 
 `Poly` is the one polynomial type, and `rref` the one elimination:
 nothing is eliminated over Q[t].  The generic rank of a span
@@ -46,36 +45,49 @@ from .rational import Q, ZERO, exact_isqrt, format_rational, parse_rational
 # generic reduced row echelon form over Q, eliminated on ints
 # ---------------------------------------------------------------------------
 
-def rref(rows: Iterable[Sequence[int]]) -> list[tuple[int, Sequence[int]]]:
+def rref(rows: Iterable[Sequence[int]]) -> list[tuple[int, list[int]]]:
     """Fraction-free Gauss-Jordan elimination of int rows (Bareiss, Math.
     Comp. 22, 1968, with content removal in place of exact division).
     Returns (pivot column, row) in pivot-column order, where each row is the
     RREF row times its pivot: primitive, with a positive pivot and zeros at
-    the other pivot columns."""
+    the other pivot columns.  Each pivot row eliminates its column from the
+    others by one closure: r -> (a*r - b*piv) over its content, with
+    a/b = piv[col]/r[col] in lowest terms."""
     work = [r for r in rows if any(r)]
-    out: list[tuple[int, Sequence[int]]] = []
+    out: list[tuple[int, list[int]]] = []
     for col in range(len(work[0]) if work else 0):
-        piv = next((r for r in work if r[col]), None)
-        if piv is None:
+        for i, piv in enumerate(work):
+            if piv[col]:
+                break
+        else:
             continue
-        work.remove(piv)
-        g = math.gcd(*piv) if piv[col] > 0 else -math.gcd(*piv)
-        piv = [x // g for x in piv]
-        work = [r for r in (_eliminate(r, piv, col) if r[col] else r for r in work) if any(r)]
-        out = [(c, _eliminate(r, piv, col) if r[col] else r) for c, r in out]
+        del work[i]
+        g = math.gcd(*piv)
+        if piv[col] < 0:
+            g = -g
+        piv = list(piv) if g == 1 else [x // g for x in piv]
+        p = piv[col]
+
+        def eliminate(r):
+            h = math.gcd(p, r[col])
+            a, b = p // h, r[col] // h
+            new = [a * x - b * y for x, y in zip(r, piv)]
+            h = math.gcd(*new)
+            return new if h < 2 else [x // h for x in new]
+
+        rest = []
+        for r in work:
+            if r[col]:
+                r = eliminate(r)
+                if not any(r):
+                    continue
+            rest.append(r)
+        work = rest
+        out = [(c, eliminate(r) if r[col] else r) for c, r in out]
         out.append((col, piv))
         if not work:
             break
     return out
-
-
-def _eliminate(r: Sequence[int], piv: Sequence[int], col: int) -> list[int]:
-    """a*r - b*piv over its content, a/b = piv[col]/r[col] reduced: 0 at col."""
-    g = math.gcd(piv[col], r[col])
-    a, b = piv[col] // g, r[col] // g
-    new = [a * x - b * y for x, y in zip(r, piv)]
-    g = math.gcd(*new)
-    return new if g < 2 else [x // g for x in new]
 
 
 def _kernel_int(rows: list[Sequence[int]], ncols: int) -> list[tuple[int, list[int]]]:
@@ -103,10 +115,13 @@ def _pivot_coords(rows: Sequence[tuple[Sequence[int], int]], w: Sequence[int]):
     inside iff their combination is w, checked as one comparison of int rows."""
     cs = [w[n.index(d)] for n, d in rows]
     l = math.lcm(*[d for _, d in rows])
-    combo = [0] * len(w)
+    combo = None
     for c, (n, d) in zip(cs, rows):
         if c:
-            combo = [x + c * (l // d) * y for x, y in zip(combo, n)]
+            c *= l // d
+            combo = [c * y for y in n] if combo is None else [x + c * y for x, y in zip(combo, n)]
+    if combo is None:  # every coordinate is 0
+        return None if any(w) else cs
     return cs if combo == [l * x for x in w] else None
 
 

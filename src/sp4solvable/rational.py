@@ -108,7 +108,8 @@ def parse_rational(s: str):
 
 def format_rational(q) -> str:
     """Render in lowest terms as ``"p/q"``, or ``"p"`` when q = 1."""
-    q = Q(q)
+    if type(q) is not Q and type(q) is not int:
+        q = Q(q)
     num, den = q.numerator, q.denominator
     return str(num) if den == 1 else f"{num}/{den}"
 

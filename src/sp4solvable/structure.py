@@ -15,9 +15,11 @@ eliminated fraction-free (`bracket_space`, `_series`), and an adjoint matrix
 is one int matrix over one den, read at the pivots (`_ad_num`).  Rationals
 appear only at the public boundary: `StructureConstants.table` and
 `derived_series`.  A table moves to a new basis only by `_moved`, which
-brackets int coordinate columns and divides once; `change_basis` and
-`Subalgebra.constants_in` (on `Subspace.coords_num`) feed it.  Ambient sp(4)
-membership is validated when a `Subalgebra` is constructed from matrices.
+brackets int coordinate columns and divides once, for
+`Subalgebra.constants_in` (on `Subspace.coords_num`).  Whether a map
+carries one table onto another is checked without moving either
+(`identify.verify_isomorphism`).  Ambient sp(4) membership is validated
+when a `Subalgebra` is constructed from matrices.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .errors import DependentInputs, Sp4Error
 from .linalg import Mat4, Subspace, _over_common_den, _pivot_coords, echelon_span, rref
-from .rational import Q, ZERO, format_rational
+from .rational import Q, format_rational
 from .sp4 import bracket, in_sp4
 
 __all__ = [
@@ -250,19 +252,6 @@ class StructureConstants:
     def is_abelian(self) -> bool:
         return not self._pairs
 
-    def change_basis(self, p_cols: Sequence[Sequence]) -> "StructureConstants":
-        """Constants in the new basis y_j = sum_i p_cols[j][i] * x_i.
-
-        p_cols lists the new basis vectors in old coordinates; dependent
-        ones raise DependentInputs.  The columns are scaled to ints by one
-        common denominator and moved by `_moved`.
-        """
-        d = self.dim
-        if any(len(c) != d for c in p_cols):
-            raise Sp4Error("basis change matrix is not square")
-        flat, e = _over_common_den([x for c in p_cols for x in c])
-        return self._moved([flat[n * d:(n + 1) * d] for n in range(len(p_cols))], e)
-
     def _moved(self, ys: Sequence[Sequence[int]], e: int) -> "StructureConstants":
         """The constants in the basis y_j = Y_j / e, for int coordinate
         columns Y_j: the brackets den*[Y_i, Y_j] are solved against the Y_j
@@ -306,10 +295,12 @@ class StructureConstants:
         [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j], each term
         sum_m num[a][b][m] * num[m][c]."""
         index = {p: n for n, p in enumerate(combinations(range(dim), 2))}
-        rows = [[ZERO] * dim for _ in index]
+        rows = [[0] * dim for _ in index]
         for (i, j), row in brackets.items():
             for k, c in row.items():
-                rows[index[min(i, j), max(i, j)]][k] = Q(c) if i < j else -Q(c)
+                if type(c) is not Q and type(c) is not int:
+                    c = Q(c)
+                rows[index[min(i, j), max(i, j)]][k] = c if i < j else -c
         num, den = _over_common_den([x for r in rows for x in r])
         sc = cls._make(dim, [num[n * dim:(n + 1) * dim] for n in range(len(rows))], den)
         for i, j, k in combinations(range(dim), 3):

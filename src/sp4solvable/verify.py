@@ -402,9 +402,10 @@ def match_catalog(sub: Subalgebra) -> list[tuple]:
     sig = _signature(sub, nspace)
     head = sig.head
     cands = _param_candidates(sub, nspace)
+    dim = sub.dim
     matches = []
     for e in load_catalog():
-        if e.dim != sub.dim:
+        if e.dim != dim:
             continue
         try:
             # the candidates a row admits, or no parameter for a row without one

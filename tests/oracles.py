@@ -4,7 +4,9 @@ the defining identities of a Lie bracket, the defining product J m^t J of
 sp(4), `Fraction` arithmetic on the
 rational bracket table or on matrix rows, `Fraction` Gauss-Jordan
 elimination, a coordinate solve by one `Fraction` echelonization of the
-augmented system), sharing no kernel with the code it checks.  The Kronecker
+augmented system, a recursive-descent `Fraction` evaluator of expression
+texts), sharing no kernel with the code it checks; `moved_constants` is the
+`Fraction` basis change built into a table.  The Kronecker
 matrix of a span over Q[t] (`symbolic_combo`) is what the cofactor minor
 scans of the Q[t] kernels run on (`minor_rank`, and `strata_from_minors`
 for the line counts of `invariants.pencil_rank_strata`), and
@@ -18,9 +20,12 @@ pairs of the int kernels (`linalg.rref`, `structure.bracket_space`,
 comparison with the oracles; `combination` builds a linear combination of
 a span's basis."""
 
+import re
 from itertools import combinations
 
-from sp4solvable.errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
+from sp4solvable.errors import (DependentInputs, ExpressionLimit, IrrationalSpectrum,
+                                NotSolvable, Sp4Error)
+from sp4solvable.exprs import MAX_POWER_BITS
 from sp4solvable.invariants import PencilStrata
 from sp4solvable.jordan import JordanDecomposition
 from sp4solvable.linalg import (Mat4, Poly, Subspace, _over_common_den, _pivot_coords,
@@ -28,6 +33,62 @@ from sp4solvable.linalg import (Mat4, Poly, Subspace, _over_common_den, _pivot_c
 from sp4solvable.rational import Q, ZERO
 from sp4solvable.sp4 import J_FORM
 from sp4solvable.structure import StructureConstants, Subalgebra, bracket_space, is_solvable
+
+
+def eval_fraction(text: str, env: dict):
+    """The value of a well-formed expression text of `exprs` by recursive
+    descent on `Fraction`s, each operation applied as soon as its operands
+    are read, left to right, with no compiled form: an unknown name raises
+    ValueError, a zero divisor `Fraction`'s ZeroDivisionError, and a power
+    of more than `MAX_POWER_BITS` bits ExpressionLimit, each with the text
+    of `eval_expr`'s."""
+    tokens = re.findall(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S", text) + [""]
+    pos = 0
+
+    def take() -> str:
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def expr():
+        v = term()
+        while tokens[pos] in ("+", "-"):
+            v = v + term() if take() == "+" else v - term()
+        return v
+
+    def term():
+        v = factor()
+        while tokens[pos] in ("*", "/"):
+            v = v * factor() if take() == "*" else v / factor()
+        return v
+
+    def factor():
+        neg = False
+        while tokens[pos] == "-":
+            take()
+            neg = not neg
+        v = atom()
+        if tokens[pos] == "^":
+            take()
+            e = int(take())
+            if e * max(v.numerator.bit_length(), v.denominator.bit_length()) > MAX_POWER_BITS:
+                raise ExpressionLimit(f"power above {MAX_POWER_BITS} bits in {text!r}")
+            v = v**e
+        return -v if neg else v
+
+    def atom():
+        tok = take()
+        if tok == "(":
+            v = expr()
+            take()
+            return v
+        if tok[0].isdigit():
+            return Q(int(tok))
+        if tok not in env:
+            raise ValueError(f"unknown name {tok!r} in {text!r}")
+        return Q(env[tok])
+
+    return expr()
 
 
 def char_poly_det(rows) -> Poly:
@@ -242,6 +303,15 @@ def change_basis_fraction(sc: StructureConstants, p_cols) -> tuple:
         table[i][j] = c
         table[j][i] = tuple(-x for x in c)
     return tuple(tuple(plane) for plane in table)
+
+
+def moved_constants(sc: StructureConstants, p_cols) -> StructureConstants:
+    """`change_basis_fraction` as a table: the rational constants in the
+    basis y_j = sum_i p_cols[j][i] x_i, built by `from_brackets`.  Dependent
+    columns raise DependentInputs (`solve_in_span`)."""
+    table = change_basis_fraction(sc, p_cols)
+    return StructureConstants.from_brackets(
+        sc.dim, {(i, j): dict(enumerate(table[i][j])) for i, j in combinations(range(sc.dim), 2)})
 
 
 def gauss_jordan(rows) -> list[list]:

@@ -1,8 +1,8 @@
 """The bracket table of a subalgebra against matrix-level oracles.
 
 Both builders of a table from matrices (the pivot read of the echelon basis,
-`structure_constants_for_basis` on any basis) and
-`StructureConstants.change_basis` on coordinates must give the same table,
+`structure_constants_for_basis` on any basis) must give the table that the
+`Fraction` change of basis (`oracles.change_basis_fraction`) gives,
 and the adjoint matrices read off the table must match ad(x) computed from
 matrix brackets.  The int kernels (brackets, spans, series, adjoint matrices,
 basis changes) are checked against `Fraction` oracles on the rational table,
@@ -15,15 +15,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import perturb_columns
 from oracles import (bracket_coords_fraction, change_basis_fraction, char_poly_det, combination,
-                     coords, fraction_rows, gauss_jordan, rational_bracket_space, solve_in_span,
-                     unit_rows)
+                     coords, fraction_rows, gauss_jordan, moved_constants, rational_bracket_space,
+                     solve_in_span, unit_rows)
 from sp4solvable import linalg, structure
 from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES, load_catalog
 from sp4solvable.errors import DependentInputs, Sp4Error
 from sp4solvable.invariants import signature
 from sp4solvable.linalg import _char_poly_int, echelon_span
-from sp4solvable.identify import DeGraafClass
+from sp4solvable.identify import DeGraafClass, verify_isomorphism
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA, bracket
 from sp4solvable.structure import (StructureConstants, Subalgebra, _ad_num, _series, _units,
@@ -65,7 +66,8 @@ def invertible(draw, d):
 def test_table_of_a_new_basis_is_the_changed_table(g, data):
     p = data.draw(invertible(g.dim))
     new_basis = [combination(g.space, col) for col in p]
-    assert structure_constants_for_basis(new_basis) == structure_constants(g).change_basis(p)
+    assert (structure_constants_for_basis(new_basis).table
+            == change_basis_fraction(structure_constants(g), p))
 
 
 def ad_fraction(a, den) -> list[list]:
@@ -185,12 +187,39 @@ def test_int_change_basis_matches_the_fraction_oracle(g, data):
     p = data.draw(invertible(d))
     scale = data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
     cols = [[Q(x, s) for x in col] for col, s in zip(p, scale)]
-    moved = sc.change_basis(cols)
+    mats = [combination(g.space, col) for col in cols]
+    moved = g.constants_in(mats)  # the int columns moved by `StructureConstants._moved`
     assert moved.table == change_basis_fraction(sc, cols)
     assert is_canonical(moved)
     if d > 1:
         with pytest.raises(DependentInputs):
-            sc.change_basis([cols[0]] + cols[:-1])
+            g.constants_in([mats[0]] + mats[:-1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(borel_subalgebras(), st.data())
+def test_verify_isomorphism_matches_the_fraction_change_of_basis(g, data):
+    """The bracket identity and the rank test of `verify_isomorphism` against
+    the reference: the columns are independent and the target table in
+    their basis (`change_basis_fraction`) is the source table."""
+    tgt, d = g.constants, g.dim
+    scale = data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    p = [[Q(x, s) for x in col] for col, s in zip(data.draw(invertible(d)), scale)]
+    src = moved_constants(tgt, p)
+    kind = data.draw(st.sampled_from(("exact", "random", "singular", "perturbed")))
+    if kind == "random":
+        cols = [[data.draw(st.builds(Q, small, st.integers(1, 3))) for _ in range(d)]
+                for _ in range(d)]
+    elif kind == "singular":  # the last column a combination of the others (zero when d = 1)
+        cols = [*p[:-1], [x + 2 * y for x, y in zip(p[0], p[-2])] if d > 1 else [0]]
+    elif kind == "perturbed":
+        i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        cols = perturb_columns(p, i, j, data.draw(st.sampled_from((1, -1, Q(1, 2)))))
+    else:
+        cols = p
+    want = len(gauss_jordan(cols)) == d and change_basis_fraction(tgt, cols) == src.table
+    assert verify_isomorphism(src, tgt, cols) == want
+    assert want or kind != "exact"
 
 
 def test_int_tables_are_canonical():

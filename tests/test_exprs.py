@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import eval_fraction
 from sp4solvable import exprs, verify
-from sp4solvable.exprs import eval_expr
+from sp4solvable.errors import ExpressionLimit
+from sp4solvable.exprs import MAX_EXPONENT, MAX_POWER_BITS, eval_expr
 from sp4solvable.rational import Q
 
 
@@ -71,3 +75,50 @@ def test_each_catalog_text_compiles_once_across_verify_catalog():
     # every miss compiled a new text and none was evicted
     assert info.misses == info.currsize < info.maxsize
     assert info.hits > info.misses
+
+
+# well-formed texts only, so every refusal is one of the three value errors:
+# unknown names (b is unset in some environments, z in all), zero divisors,
+# and bases of 64 and 65 bits under the exponent 64, beside MAX_POWER_BITS
+_leaves = st.one_of(st.integers(0, 99).map(str), st.sampled_from(
+    ["a", "b", "z", "0", str(2**64 - 1), str(2**64), f"{2**65 - 2}/2", f"{2**64}/a"]))
+_texts = st.recursive(_leaves, lambda sub: st.one_of(
+    st.tuples(sub, st.sampled_from("+-*/"), sub).map("".join),
+    sub.map("({})".format),
+    sub.map("-{}".format),
+    st.tuples(sub, st.sampled_from([0, 1, 2, 3, 63, MAX_EXPONENT])).map("({0[0]})^{0[1]}".format)),
+    max_leaves=12)
+_envs = st.sampled_from([{"a": Q(3)}, {"a": Q(0)}, {"a": Q(-1, 3), "b": 7},
+                         {"a": Q(2), "b": Q(-5, 4)}, {"a": 1, "b": 0}])
+
+
+def _outcome(evaluate, text, env):
+    try:
+        return evaluate(text, env)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts, _envs)
+def test_int_pair_evaluation_matches_a_fraction_evaluator(text, env):
+    got, want = _outcome(eval_expr, text, env), _outcome(eval_fraction, text, env)
+    assert got == want
+    assert type(got) is Q or type(got) is tuple
+
+
+@pytest.mark.parametrize("text, env, want", [
+    ("(18446744073709551615)^64", {}, Q(2**64 - 1) ** 64),  # 64 bits: exactly 4096
+    ("(36893488147419103230/2)^64", {}, Q(2**64 - 1) ** 64),  # the reduced base counts
+    ("(18446744073709551616)^64", {}, ExpressionLimit),  # 65 bits
+    ("(1/18446744073709551616)^64", {}, ExpressionLimit),  # a 65-bit denominator
+    ("b + 1/0", {"a": Q(1)}, ValueError),  # left to right: the unknown name first
+    ("1/0 + b", {"a": Q(1)}, ZeroDivisionError),
+    ("-a/(a-a)", {"a": Q(-3, 4)}, ZeroDivisionError),
+    ("0/(a^2)", {"a": Q(0)}, ZeroDivisionError),
+])
+def test_the_value_errors_and_the_power_edge_match_fractions(text, env, want):
+    got = _outcome(eval_expr, text, env)
+    assert got == _outcome(eval_fraction, text, env)
+    assert got == want if type(want) is Q else got[0] is want
+    assert MAX_POWER_BITS == 64 * 64

@@ -7,11 +7,12 @@ import random
 import pytest
 
 from sp4solvable.catalog import load_catalog
+from sp4solvable.identify import verify_isomorphism
 from sp4solvable.linalg import Mat4, Subspace, echelon_span, rank
 from sp4solvable.rational import Q
 from sp4solvable.structure import Subalgebra, structure_constants_for_basis
 
-from oracles import combination, coords, rational_rref, solve_in_span
+from oracles import change_basis_fraction, combination, coords, rational_rref, solve_in_span
 
 sympy = pytest.importorskip("sympy")
 
@@ -106,7 +107,7 @@ def test_constants_for_a_non_echelon_basis_agree_with_change_basis(seed):
         if len(rational_rref(p)) == d and len({m.den for m in mats}) > 1:
             break
     assert [coords(sub.space, m) for m in mats] == [tuple(col) for col in p]
-    assert structure_constants_for_basis(mats) == sub.constants.change_basis(p)
+    assert structure_constants_for_basis(mats).table == change_basis_fraction(sub.constants, p)
 
 
 def test_rank_reads_the_int_core():
@@ -130,5 +131,6 @@ def test_hot_paths_never_flatten(monkeypatch):
         assert echelon_span(mats) == sub.space
         cols = [coords(sub.space, m) for m in mats]
         assert None not in cols
-        assert (structure_constants_for_basis(mats)
-                == sub.constants.change_basis(cols))
+        sc = structure_constants_for_basis(mats)
+        assert sc.table == change_basis_fraction(sub.constants, cols)
+        assert verify_isomorphism(sc, sub.constants, cols)
