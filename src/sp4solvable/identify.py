@@ -39,6 +39,10 @@ solved (`verify_isomorphism`): the map's columns satisfy the bracket
 identity [phi x_i, phi x_j] = sum_k c_ij^k phi x_k on ints, and one `rref`
 rank test shows they are independent (certifying checks of this kind:
 McConnell, Mehlhorn, Naeher and Schweitzer, Computer Science Review 5, 2011).
+`verify_isomorphism` is the rational front: it checks the map's shape
+(`DimensionMismatch`) and puts the columns over one den (`_columns_num`);
+the int core (`_isomorphism_num`) takes int columns over a den, so the
+certifier can hand it columns it has composed in ints.
 """
 
 from __future__ import annotations
@@ -529,11 +533,26 @@ def verify_isomorphism(sc_source: StructureConstants,
     columns is exactly the source table; nothing is solved.  With the
     columns over one common den e, Y_k = e * phi x_k, the identity is
     checked on ints: den_s * den_t [Y_i, Y_j] = e * den_t * sum_k num_ij^k Y_k."""
+    return _isomorphism_num(sc_source, sc_target, *_columns_num(sc_source, sc_target, columns))
+
+
+def _columns_num(sc_source: StructureConstants, sc_target: StructureConstants,
+                 columns) -> tuple[list[tuple[int, ...]], int]:
+    """The rational map columns as int columns over one common den e; a
+    map that is not d x d for two d-dimensional tables raises
+    DimensionMismatch."""
     d = sc_source.dim
     if sc_target.dim != d or len(columns) != d or any(len(c) != d for c in columns):
         raise DimensionMismatch("isomorphism map has inconsistent dimensions")
     flat, e = _over_common_den([x for c in columns for x in c])
-    ys = [flat[n * d:(n + 1) * d] for n in range(d)]
+    return [flat[n * d:(n + 1) * d] for n in range(d)], e
+
+
+def _isomorphism_num(sc_source: StructureConstants, sc_target: StructureConstants,
+                     ys, e: int) -> bool:
+    """`verify_isomorphism` for the d int columns ys over den e > 0, each of
+    length d: the bracket identity on ints, then one rank test."""
+    d = sc_source.dim
     lhs_scale, rhs_scale = sc_source.den, e * sc_target.den
     for i, j in combinations(range(d), 2):
         rhs = [0] * d

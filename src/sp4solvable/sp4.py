@@ -20,6 +20,11 @@ The positive root vectors, in the basis of the matrix displays, are
 
 with ad(T_{a,b}) eigenvalues 2b, a-b, a+b, 2a respectively.  X_alpha and
 X_{alpha+2beta} are the long roots.
+
+`conjugate_subalgebra` forms each g b g^{-1} over the nonzero entries of b,
+g and g^{-1} only, so its cost follows their nonzeros: the named
+conjugators and the diagonal ones are monomial (four nonzeros), and each
+then costs one term per nonzero of b.
 """
 
 from __future__ import annotations
@@ -119,13 +124,32 @@ def conjugate_subalgebra(g: Mat4, s: Subspace) -> Subspace:
     re-echelonized; dimension is preserved.  g^{-1} = -J g^t J is read off
     g's numerators as the signed permutation `_J_TABLE`, with no
     elimination, and checked by the one product g g^{-1} = I: a g outside
-    Sp(4), singular or not, raises Sp4Error."""
+    Sp(4), singular or not, raises Sp4Error.  Each g b g^{-1} is one int
+    accumulation of b_kl g_ik (g^{-1})_lj over the nonzeros of b, of column
+    k of g and of row l of g^{-1}, so its cost follows the nonzeros: one
+    term per nonzero of b for a monomial g, and at most 256 for dense ones."""
     a, d = g.num, g.den
     inv = [-sign * a[u] for u, sign in _J_TABLE]
     if _mul_num(a, inv) != [d * d if i % 5 == 0 else 0 for i in range(16)]:
         raise Sp4Error("conjugate_subalgebra needs a conjugator in Sp(4)")
-    ginv = Mat4._make(inv, d)
-    return echelon_span([g * b * ginv for b in s.basis])
+    # (4i, g_ik) for each nonzero of column k of g, and (j, (g^-1)_lj) of row l
+    cols, rows = [[], [], [], []], [[], [], [], []]
+    for n in range(16):
+        if a[n]:
+            cols[n & 3].append((n & 12, a[n]))
+        if inv[n]:
+            rows[n >> 2].append((n & 3, inv[n]))
+    out = []
+    for b in s.basis:
+        acc = [0] * 16
+        for kl, x in enumerate(b.num):
+            if x:
+                for i, gik in cols[kl >> 2]:
+                    f = x * gik
+                    for j, h in rows[kl & 3]:
+                        acc[i + j] += f * h
+        out.append(Mat4._make(acc, d * d * b.den))
+    return echelon_span(out)
 
 
 # -- named conjugators -------------------------------------------------------

@@ -16,10 +16,13 @@ is one int matrix over one den, read at the pivots (`_ad_num`).  Rationals
 appear only at the public boundary: `StructureConstants.table` and
 `derived_series`.  A table moves to a new basis only by `_moved`, which
 brackets int coordinate columns and divides once, for
-`Subalgebra.constants_in` (on `Subspace.coords_num`).  Whether a map
-carries one table onto another is checked without moving either
-(`identify.verify_isomorphism`).  Ambient sp(4) membership is validated
-when a `Subalgebra` is constructed from matrices.
+`Subalgebra.constants_in` (on `Subspace.coords_num`); of the library only
+`structure_constants_for_basis` calls it, and the tests use it as their
+reference.  Whether a map carries one table onto another is checked
+without moving either (`identify.verify_isomorphism`); the certifier
+carries a row's stated map onto the echelon table through the frame of
+the row's stated basis instead (`verify`).  Ambient sp(4) membership is
+validated when a `Subalgebra` is constructed from matrices.
 """
 
 from __future__ import annotations

@@ -5,30 +5,39 @@ order: closure and dimension; solvability; every claimed equivalence, by its
 conjugator recipe on echelonized spans; the stated class, identified with
 exact parameters; the encoded isomorphism map, bracket-exact; and the
 translated label and its bridge, a bracket-verified map onto the translated
-presentation.  Each check makes one record, through `_record`, and is a
-skip after a failed closure; the bridge is a fact of the de Graaf class
-alone, so it is checked once per class (`_sw_bridge`) and recorded once per
-instance.  A fault of the row's data (an `Sp4Error`, or an
-`ArithmeticError` or `ValueError` such as a pole or malformed text) is the
-check's fail, with its repr as detail; the size limits `ExpressionLimit` and
-`FactorizationLimit` propagate (CLI exit 3).  Pairwise separations inside
-each dimension are certified by a differing signature field, and a randomized
-probe matches closed random Borel seeds back into the catalog: each draw must
-match exactly one row, and a row whose data faults fails the draw.
+presentation.  An instance holds one bracket table, in the echelon basis of
+its span (`Subalgebra.constants`).  The class label is an isomorphism
+invariant, so it is identified on that table, and the stated basis enters
+only the map check, as a frame: the stated matrices' int echelon
+coordinates (`_Instance.frame`), which carry the map's columns into
+echelon coordinates over one den before the int core of
+`identify.verify_isomorphism`.  Each check makes one record, through
+`_record`, and is a skip after a failed closure; the bridge is a fact of
+the de Graaf class alone, so it is checked once per class (`_sw_bridge`)
+and recorded once per instance.  A fault of the row's data (an `Sp4Error`,
+or an `ArithmeticError` or `ValueError` such as a pole or malformed text)
+is the check's fail, with its repr as detail; the size limits
+`ExpressionLimit` and `FactorizationLimit` propagate (CLI exit 3).
+Pairwise separations inside each dimension are certified by a differing
+signature field, and a randomized probe matches closed random Borel seeds
+back into the catalog: each draw must match exactly one row, and a row
+whose data faults fails the draw.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from functools import cache, cached_property, lru_cache, partial
+from operator import mul
 
 from .catalog import DEFAULT_PARAM_SAMPLES, CatalogEntry, build_elements, load_catalog
-from .errors import (CatalogFault, ExpressionLimit, FactorizationLimit,
+from .errors import (CatalogFault, DependentInputs, ExpressionLimit, FactorizationLimit,
                      IrrationalSpectrum, ProbeLimit, Sp4Error)
 from .exprs import eval_expr
-from .identify import (DeGraafClass, degraaf_to_sw, identify_degraaf, sw_bridge_map,
-                       verify_isomorphism)
+from .identify import (DeGraafClass, _columns_num, _isomorphism_num, degraaf_to_sw,
+                       identify_degraaf, sw_bridge_map, verify_isomorphism)
 from .invariants import InvariantSignature, _signature, _signature_head, nilpotent_subspace
 from .jordan import _eigen_pair
 from .linalg import Mat4, _even_traces, echelon_span
@@ -113,18 +122,28 @@ _ROW_FAULTS = (Sp4Error, ArithmeticError, ValueError)
 
 class _Instance:
     """A catalog row at one parameter: its stated basis, the subalgebra they
-    span, and its bracket table in that basis and its signature, computed on
-    first use.  The signature's nine fields before `probe` (`head`) are
-    computed together; the probe, the costliest field, only when asked for,
-    from the same work.  `match_catalog` asks for it only when the head
-    equals the query's, and `verify_separations` for the full signature."""
+    span (with its one bracket table, in the echelon basis), and its
+    signature, computed on first use.  The signature's nine fields before
+    `probe` (`head`) are computed together; the probe, the costliest field,
+    only when asked for, from the same work.  `match_catalog` asks for it
+    only when the head equals the query's, and `verify_separations` for the
+    full signature."""
 
     def __init__(self, mats: tuple, sub: Subalgebra):
         self.mats, self.sub = mats, sub
 
-    @cached_property
-    def table(self):
-        return self.sub.constants_in(self.mats)
+    def frame(self) -> tuple[list[list[int]], int]:
+        """The stated basis in echelon coordinates, as int rows over one den
+        f: each stated matrix read at the echelon pivots, where each echelon
+        element has 1 at its own pivot and 0 at the others'.  The echelon
+        basis is the echelon form of these matrices, so no read needs the
+        membership check of `Subspace.coords_num`; more of them than the
+        dimension are dependent and raise DependentInputs."""
+        if len(self.mats) > self.sub.dim:
+            raise DependentInputs("coordinates need independent vectors")
+        pivots = [b.num.index(b.den) for b in self.sub.basis]
+        f = math.lcm(*[m.den for m in self.mats])
+        return [[m.num[p] * (f // m.den) for p in pivots] for m in self.mats], f
 
     @cached_property
     def _head(self) -> tuple:
@@ -232,19 +251,26 @@ def _declared_checks(entry: CatalogEntry, a, first: bool, rep) -> list:
     """(value, check, body) for each check the row declares at its sample a,
     in report order; sample-restricted claims run at the `first` sample, and
     a claim whose stated values do not evaluate is its fail, recorded here.
-    The de Graaf class is evaluated at most once; `identify` keeps its label,
-    and `_sw_bridge` its bridge."""
+    The de Graaf class is evaluated at most once, and is the map's source
+    class when the row has one; `identify` keeps its label, and
+    `_sw_bridge` its bridge."""
     dg = cache(partial(entry.degraaf_at, a))
 
     def degraaf_class():
-        stated, found = dg(), identify_degraaf(_instance(entry, a).table)
+        stated, found = dg(), identify_degraaf(_instance(entry, a).sub.constants)
         return found == stated, (str(found) if found == stated
                                  else f"found {found}, stated {stated}")
 
     def isomorphism_map():
-        pres = entry.presentation_at(a)
-        return (verify_isomorphism(pres.constants(), _instance(entry, a).table,
-                                   entry.iso_columns_at(a)), f"{pres} -> {entry.label}")
+        # the stated columns, in stated-basis coordinates, carried through the
+        # frame into echelon ones: column i is sum_k Y_i[k] F_k over e * f
+        pres = dg() if entry.degraaf is not None else entry.sw_at(a)
+        inst = _instance(entry, a)
+        src, tgt = pres.constants(), inst.sub.constants
+        frame, f = inst.frame()
+        ys, e = _columns_num(src, tgt, entry.iso_columns_at(a))
+        cols = [[sum(map(mul, y, fc)) for fc in zip(*frame)] for y in ys]
+        return _isomorphism_num(src, tgt, cols, e * f), f"{pres} -> {entry.label}"
 
     def sw_label():
         # compared when stated and translated; dimension 5/6 rests on its isomorphism map

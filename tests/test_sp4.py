@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES
+from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES, load_catalog
 from sp4solvable.errors import ExpressionLimit, Sp4Error
 from sp4solvable.linalg import Mat4, char_poly, echelon_span, inverse
 from sp4solvable.rational import Q
@@ -219,11 +219,19 @@ def test_conjugation_is_lie_automorphism(rng):
         assert bracket(g * x * gi, g * y * gi) == g * bracket(x, y) * gi
 
 
-@settings(max_examples=100, deadline=None)
-@given(sp4_recipes, st.sampled_from(["t", "b", "n", "p", "n_p"]))
-def test_conjugate_subalgebra_inverts_symplectically(recipe, name):
-    # -J g^t J is the inverse an elimination finds, for every product of atoms
-    g, s = parse_conjugator(recipe), standard_subalgebra(name)
+# the standard subalgebras, and each catalog row at its first sample
+_SPACES = [standard_subalgebra(n) for n in ("t", "b", "n", "p", "n_p")] + [
+    e.space_at(e.samples()[0]) for e in load_catalog()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sp4_recipes, sp4_recipes, st.sampled_from(_SPACES))
+def test_conjugate_subalgebra_inverts_symplectically(recipe, word, space):
+    # -J g^t J is the inverse an elimination finds, and the sum over nonzeros
+    # is g b g^-1, for every product of atoms; the span is first moved by a
+    # random word, so that g and each b have up to 16 nonzeros
+    g, h = parse_conjugator(recipe), parse_conjugator(word)
+    s = echelon_span([h * b * inverse(h) for b in space.basis])
     assert conjugate_subalgebra(g, s) == echelon_span([g * b * inverse(g) for b in s.basis])
 
 

@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sp4solvable import identify, invariants, structure, verify
+from sp4solvable.identify import verify_isomorphism
 from sp4solvable.catalog import (DEFAULT_PARAM_SAMPLES, CatalogEntry, EquivClaim,
                                  catalog_from_json, load_catalog)
 from sp4solvable.errors import (CatalogFault, ExpressionLimit, FactorizationLimit,
@@ -80,6 +82,12 @@ def test_verify_catalog_builds_each_bracket_table_once(monkeypatch):
         calls.append(space)
         return original(space)
     monkeypatch.setattr(structure, "_close_pairs", counting)
+
+    def refuse(*_):
+        raise AssertionError("a table was moved to another basis")
+    # the label reads the echelon table, and the map check carries the stated
+    # columns into echelon coordinates, so no table is moved
+    monkeypatch.setattr(structure.StructureConstants, "_moved", refuse)
     verify._instance.cache_clear()
     assert verify_catalog().overall_pass
     # one table per catalog instance: the separations reuse the per-row ones
@@ -609,6 +617,16 @@ FAULTY_ROWS = {
                      verify_entry, "degraaf-class"),
     "map pole": ("d2_Ta1_Xb", ("iso_columns", 0, 0), "1/(a-2)",
                  verify_entry, "isomorphism-map"),
+    # a map column one entry short and one entry long
+    "map column short": ("d2_Ta1_Xb", ("iso_columns", 0), ("1/(a-1)",),
+                         verify_entry, "isomorphism-map"),
+    "map column long": ("d2_Ta1_Xb", ("iso_columns", 0), ("1/(a-1)", 0, 0),
+                        verify_entry, "isomorphism-map"),
+    # a stated basis with one dependent element too many: it spans the
+    # instance, but is no frame for the map
+    "basis too long": ("d2_Ta1_Xb", ("basis",), (("a", 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+                                                 (0, 0, 0, 2, 0, 0)),
+                       verify_entry, "isomorphism-map"),
     "basis pole": ("d2_Ta1_Xb", ("basis", 0, 0), "1/(a-2)",
                    verify_entry, "closure+dimension"),
     # malformed text: a target parameter, a claim's stated sample
@@ -653,6 +671,52 @@ def test_a_faulty_row_fails_records_instead_of_raising(case):
     assert not rep.overall_pass
     assert (row_id, check) in {(r.row_id, r.check) for r in rep.failures}
     verify._instance.cache_clear()
+
+
+@pytest.mark.parametrize("case", ["map column short", "map column long"])
+def test_a_map_of_the_wrong_shape_fails_as_a_dimension_mismatch(case):
+    row_id, path, value, run, check = FAULTY_ROWS[case]
+    rep = run(replaced(ENTRIES[row_id], path, value))
+    assert {r.detail for r in rep.failures if r.check == check} == {
+        "DimensionMismatch('isomorphism map has inconsistent dimensions')"}
+    verify._instance.cache_clear()
+
+
+def map_status(row, a) -> str:
+    """The status of the row's `isomorphism-map` record at sample a."""
+    rep = VerificationReport()
+    body = next(b for _, c, b in verify._declared_checks(row, a, False, rep)
+                if c == "isomorphism-map")
+    verify._record(rep, row.row_id, a, "isomorphism-map", body)
+    return rep.records[-1].status
+
+
+def raised(x):
+    """A map column entry raised by 1: an int, or the text of an expression."""
+    return x + 1 if isinstance(x, int) else f"({x})+1"
+
+
+def test_the_map_check_agrees_with_the_rational_map_on_the_stated_table():
+    # the stated columns carried into echelon coordinates and checked on the
+    # echelon table, against `verify_isomorphism` on the table moved to the
+    # stated basis, for every stated map and each entry raised by 1
+    statuses = Counter()
+    for e in ENTRIES.values():
+        if e.iso_columns is None:
+            continue
+        for row in [e] + [replaced(e, ("iso_columns", i, k), raised(x))
+                          for i, col in enumerate(e.iso_columns) for k, x in enumerate(col)]:
+            for a in row.samples():
+                inst = verify._instance(row, a)
+                want = verify_isomorphism(row.presentation_at(a).constants(),
+                                          inst.sub.constants_in(inst.mats),
+                                          row.iso_columns_at(a))
+                status = map_status(row, a)
+                assert status == ("pass" if want else "fail"), (row.row_id, a)
+                statuses[status] += 1
+    verify._instance.cache_clear()
+    # 98 stated maps and 1209 raised entries, of which 220 still give an isomorphism
+    assert statuses == {"pass": 98 + 220, "fail": 989}
 
 
 def test_every_declared_check_of_a_non_closed_instance_is_a_skip():
