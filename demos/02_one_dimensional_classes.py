@@ -13,7 +13,7 @@ from sp4solvable import (Mat4, T, X_A2B, X_ALPHA, X_BETA, classify_element,
                          jordan_decompose, jordan_type, parse_conjugator)
 from sp4solvable.rational import Q
 
-print("Jordan-Chevalley decomposition (exact Newton iteration):")
+print("Jordan-Chevalley decomposition (exact, in closed form):")
 x = T(1, 0) + X_ALPHA
 d = jordan_decompose(x)
 print(f"  T(1,0)+X_a  ->  S = T(1,0): {d.semisimple == T(1, 0)}, "

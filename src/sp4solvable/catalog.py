@@ -16,7 +16,10 @@ Basis elements are 6-tuples of expressions
     (Ta, Tb, cA, cB, cAB, cA2B)  ->  T(Ta,Tb) + cA*X_alpha + cB*X_beta
                                       + cAB*X_{alpha+beta} + cA2B*X_{alpha+2beta}
 
-(`sp4.element` builds each as one matrix), so a row is plain JSON data.
+so a row is plain JSON data.  `build_elements` evaluates each coefficient to
+an int pair with the compiled evaluator of `exprs` and lays the six out as
+one matrix over their lcm, with the helper `sp4.element` uses: no `Fraction`
+is built.
 Frozen row counts, established against the tables: 8 one-, 16 two-, 19
 three-, 14 four- and 8 five/six-dimensional rows (65 total).
 
@@ -34,6 +37,7 @@ label.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from functools import cache, lru_cache
@@ -85,9 +89,16 @@ def _names_param(entry: CatalogEntry) -> bool:
 
 
 def build_elements(specs, env) -> list[Mat4]:
-    """The sp(4) elements of basis specs under env."""
-    element = _package.sp4.element
-    return [element(*[_ev(e, env) for e in spec]) for spec in specs]
+    """The sp(4) elements of basis specs under env: each coefficient as the
+    int pair of its expression's compiled evaluator, the six over their lcm
+    (`sp4._root_element`, which `sp4.element` builds with)."""
+    compiled, root_element = _package.exprs._compiled, _package.sp4._root_element
+    out = []
+    for spec in specs:
+        pairs = [(e, 1) if isinstance(e, int) else compiled(str(e))(env) for e in spec]
+        den = math.lcm(*[d for _, d in pairs])
+        out.append(root_element([n * (den // d) for n, d in pairs], den))
+    return out
 
 
 def _tuples(x):
@@ -177,11 +188,6 @@ class CatalogEntry(_Row):
         env = _env(a)
         name, params = self.sw
         return _package.identify.SWClass(name, tuple(_ev(p, env) for p in params))
-
-    def presentation_at(self, a) -> DeGraafClass | SWClass | None:
-        """The class the isomorphism map starts from: the de Graaf class when
-        the row has one, else the stated indecomposable."""
-        return self.degraaf_at(a) if self.degraaf is not None else self.sw_at(a)
 
     def iso_columns_at(self, a):
         if self.iso_columns is None:

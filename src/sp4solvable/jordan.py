@@ -1,10 +1,10 @@
 """Jordan-Chevalley decomposition over Q and conjugacy typing of elements.
 
-The decomposition X = S + N (S semisimple, N nilpotent, [S,N] = 0) is computed
-by Newton iteration on the squarefree part g of the characteristic polynomial:
-S <- S - g(S) g'(S)^{-1} starting from S = X.  Over a perfect field g and g'
-are coprime, so g'(S) stays invertible along the iteration, and for 4x4
-matrices the iteration stabilizes after at most two steps.
+The decomposition x = S + N (S semisimple, N nilpotent, [S,N] = 0) of an
+sp(4) element is a closed form: S is x, 0, or one of two fixed polynomials
+in x, chosen and scaled by t2 = tr m^2 and t4 = tr m^4 of the numerators m
+of x (`jordan_decompose`), so it costs one int product beyond the traces
+and solves nothing.
 
 Element classification follows the two conjugacy tables and reads the
 spectrum off t2 = tr m^2 and t4 = tr m^4 of the numerators m of x, from one
@@ -28,8 +28,8 @@ from itertools import product
 from typing import Sequence
 
 from .errors import IrrationalSpectrum, NotInBorel, NotInSp4, NotSemisimple
-from .linalg import (Mat4, _biquadratic_roots, _even_traces, _mul_num, char_poly, inverse,
-                     poly_eval_mat, rank, rational_roots)
+from .linalg import (Mat4, _biquadratic_roots, _even_traces, _mul_num, char_poly, rank,
+                     rational_roots)
 from .rational import Q, Record, format_rational
 from .sp4 import conjugate, in_sp4, root_value, shear, standard_subalgebra
 
@@ -44,13 +44,38 @@ class JordanDecomposition(Record):
 
 
 def jordan_decompose(x: Mat4) -> JordanDecomposition:
-    """The unique Chevalley decomposition, computed exactly."""
-    g = char_poly(x).squarefree_part()
-    s = x
-    gs = poly_eval_mat(g, s)
-    while not gs.is_zero():
-        s = s - gs * inverse(poly_eval_mat(g.derivative(), s))
-        gs = poly_eval_mat(g, s)
+    """The unique Chevalley decomposition x = S + N of an sp(4) element,
+    with S a polynomial in x read off t2 = tr m^2 and t4 = tr m^4 of its
+    numerators m = d x (`linalg._even_traces`); NotInSp4 for any other
+    matrix.  The eigenvalues are +-a, +-b over the algebraic closure, with
+    t2 = 2 d^2 (a^2 + b^2) and t4 = 2 d^4 (a^4 + b^4), so
+    t2^2 = 2 t4 iff ab = 0 and t2^2 = 4 t4 iff a^2 = b^2; in both cases a^2
+    is rational (possibly negative).  S interpolates the eigenvalues with
+    each Jordan block's multiplicity (Humphreys, Introduction to Lie
+    Algebras, 4.2):
+    - t2 = t4 = 0: x is nilpotent and S = 0;
+    - the pair (a, 0): S = x^3 / a^2 = 2 m^3 / (d t2), as l^3 / a^2 fixes
+      +-a and vanishes twice at 0;
+    - the pair (a, a): S = (3 a^2 x - x^3) / (2 a^2) = (3 t2 m - 4 m^3) /
+      (2 d t2), as (3 a^2 l - l^3) / (2 a^2) fixes +-a with derivative 0;
+    - four distinct eigenvalues: x is semisimple and S = x."""
+    if not in_sp4(x):
+        raise NotInSp4("jordan_decompose needs an sp(4) element")
+    m, d = x.num, x.den
+    m2, t2, t4 = _even_traces(m)
+    if not (t2 or t4):
+        s = Mat4.zero()
+    elif t2 * t2 in (2 * t4, 4 * t4):
+        m3 = _mul_num(m2, m)
+        if t2 * t2 == 2 * t4:  # the pair (a, 0)
+            num, den = [2 * v for v in m3], d * t2
+        else:  # the pair (a, a)
+            num, den = [3 * t2 * u - 4 * v for u, v in zip(m, m3)], 2 * d * t2
+        if den < 0:  # a^2 < 0: an imaginary pair
+            num, den = [-v for v in num], -den
+        s = Mat4._make(num, den)
+    else:
+        s = x
     return JordanDecomposition(s, x - s)
 
 

@@ -6,7 +6,10 @@ in reduced row echelon form of the row-major flattened entries (so equal
 subspaces have identical basis lists), and elimination, kernels, inverses,
 polynomial division, gcd and rational roots run on ints.  Rationals appear
 only at the boundary: the constructors and entry reads of `Mat4` and `Poly`,
-and the vectors of `kernel`.  `rref` eliminates int rows and returns
+and the vectors of `kernel`.  The JSON wire grid is read without them:
+`Mat4.from_json` parses each entry to a reduced int pair
+(`rational._parse_pair`) and puts the sixteen over their lcm.  `rref`
+eliminates int rows and returns
 (pivot, int row) pairs, the one coordinate form of a span.
 Coordinates in a span are read at its echelon pivots as ints
 (`_pivot_coords`, `Subspace.coords_num`), never solved for: the one solve
@@ -38,7 +41,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import SingularMatrix, ZeroPolynomial
-from .rational import Q, ZERO, exact_isqrt, format_rational, parse_rational
+from .rational import Q, ZERO, _parse_pair, exact_isqrt, format_rational
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +520,17 @@ class Mat4:
     @classmethod
     def from_json(cls, data) -> "Mat4":
         """The matrix of a JSON grid: a list of four lists of four rationals
-        (a string row would otherwise be read one character at a time)."""
+        (a string row would otherwise be read one character at a time).
+        Each entry is read as an int pair by `parse_rational`'s rules, row
+        by row, before the shape is checked, and the matrix is put over
+        the lcm of their denominators."""
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise ValueError("a matrix is a JSON list of four row lists")
-        return cls([[parse_rational(str(x)) for x in r] for r in data])
+        pairs = [_parse_pair(str(x)) for r in data for x in r]
+        if len(data) != 4 or any(len(r) != 4 for r in data):
+            raise ValueError("Mat4 needs a 4x4 grid")
+        den = math.lcm(*[d for _, d in pairs])
+        return cls._make([n * (den // d) for n, d in pairs], den)
 
 
 def _mul_num(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -593,23 +603,6 @@ def _newton(traces: Sequence[int], den: int) -> Poly:
     for k in range(1, n + 1):
         c.append(-sum(map(mul, c, traces[k - 1::-1])) // k)
     return Poly._make([c[n - j] * den**j for j in range(n + 1)], den**n)
-
-
-def poly_eval_mat(p: Poly, m: Mat4) -> Mat4:
-    """p(m) by Horner on the numerators: for p = P/e of degree k and m = M/D,
-    acc <- acc*M + P_i D^(k-i) I ends at e D^k p(m), divided out once."""
-    if p.is_zero():
-        return _ZERO4
-    mm, d = m.num, m.den
-    acc = [p.num[-1] if i % 5 == 0 else 0 for i in range(16)]
-    dk = 1
-    for c in reversed(p.num[:-1]):
-        dk *= d
-        acc = _mul_num(acc, mm)
-        if c:
-            for i in (0, 5, 10, 15):
-                acc[i] += c * dk
-    return Mat4._make(acc, p.den * dk)
 
 
 def _num_rows(m: Mat4) -> list[tuple]:

@@ -12,7 +12,9 @@ exactness check built on ``math.isqrt``, and ``power_free_split`` reads a
 k-th root off the factorization that gives the k-th-power-free kernel.
 
 The wire format for rationals is the string ``"p/q"`` in lowest terms, or just
-``"p"`` when the denominator is 1 (e.g. ``"-3/16"``, ``"2"``).
+``"p"`` when the denominator is 1 (e.g. ``"-3/16"``, ``"2"``).  Its one
+reader is ``_parse_pair``, which gives the reduced int pair; ``parse_rational``
+makes that pair a ``Q``, and ``Mat4.from_json`` keeps the pairs as ints.
 
 ``Record`` is the one base of the package's frozen values, kept in the module
 every other one imports so that none needs ``dataclasses`` (and its ``inspect``).
@@ -21,7 +23,7 @@ every other one imports so that none needs ``dataclasses`` (and its ``inspect``)
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import isqrt
+from math import gcd, isqrt
 from operator import attrgetter
 
 from .errors import FactorizationLimit
@@ -99,11 +101,23 @@ class Record:
 
 def parse_rational(s: str):
     """Parse ``"p/q"`` or ``"p"`` into an exact rational."""
+    return Q(*_parse_pair(s))
+
+
+def _parse_pair(s: str) -> tuple[int, int]:
+    """The text ``"p/q"`` or ``"p"`` as the int pair (n, d) in lowest terms
+    with d > 0: each part is read by `int()` (so surrounding space, a sign
+    and digit underscores pass), and q = 0 raises `Fraction`'s own
+    ZeroDivisionError."""
     s = s.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return Q(int(num), int(den))
-    return Q(int(s))
+    if "/" not in s:
+        return int(s), 1
+    num, den = s.split("/", 1)
+    n, d = int(num), int(den)
+    if not d:
+        Q(n, d)  # raises Fraction's own ZeroDivisionError and text
+    g = gcd(n, d) if d > 0 else -gcd(n, d)
+    return n // g, d // g
 
 
 def format_rational(q) -> str:

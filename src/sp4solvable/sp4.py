@@ -21,6 +21,14 @@ The positive root vectors, in the basis of the matrix displays, are
 with ad(T_{a,b}) eigenvalues 2b, a-b, a+b, 2a respectively.  X_alpha and
 X_{alpha+2beta} are the long roots.
 
+An element [[A, B], [C, -A^t]] of sp(4) (B and C symmetric) is fixed by ten
+of its entries (`_COORDS`).  Elements are laid out from those ten int
+coordinates by one helper (`_from_coords`): `element`, the catalog's basis
+builder (through `_root_element`, on int numerators) and the brackets that
+`structure`'s closure pass finds outside a span.  `structure` brackets in
+those coordinates through a table it reads once off `bracket`, which stays
+the matrix commutator.
+
 `conjugate_subalgebra` forms each g b g^{-1} over the nonzero entries of b,
 g and g^{-1} only, so its cost follows their nonzeros: the named
 conjugators and the diagonal ones are monomial (four nonzeros), and each
@@ -70,14 +78,35 @@ def root_value(label: str, a, b):
     }[label]
 
 
+# An element [[A, B], [C, -A^t]] of sp(4), B and C symmetric, is fixed by
+# its entries at these row-major positions: A11 A12 B11 B12 A21 A22 B22 C11
+# C12 C22 (Humphreys, Introduction to Lie Algebras, 1.2).  Each other entry
+# is +- one of them at an earlier position, so the first nonzero entry of an
+# element, and each pivot of an echelon basis of a span in sp(4), is at one
+# of these.
+_COORDS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 13)
+# (coordinate, sign) of each of the 16 entries: entry 6 is B21 = B12, 10 and
+# 15 are -A11 and -A22, 11 and 14 are -A21 and -A12, 12 is C21 = C12
+_LAYOUT = ((0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (3, 1), (6, 1),
+           (7, 1), (8, 1), (0, -1), (4, -1), (8, 1), (9, 1), (1, -1), (5, -1))
+
+
+def _from_coords(c, den: int) -> Mat4:
+    """The sp(4) element whose ten coordinates (`_COORDS`) are the ints
+    c over den > 0."""
+    return Mat4._make([s * c[k] for k, s in _LAYOUT], den)
+
+
 def element(a, b, ca=0, cb=0, cab=0, ca2b=0) -> Mat4:
     """T(a,b) + ca*X_alpha + cb*X_beta + cab*X_{alpha+beta} + ca2b*X_{alpha+2beta},
     built as one matrix: each coefficient sits at its root vector's entries."""
-    (a, b, ca, cb, cab, ca2b), den = _over_common_den((a, b, ca, cb, cab, ca2b))
-    return Mat4._make((a, cb, ca2b, cab,
-                       0, b, cab, ca,
-                       0, 0, -a, 0,
-                       0, 0, -cb, -b), den)
+    return _root_element(*_over_common_den((a, b, ca, cb, cab, ca2b)))
+
+
+def _root_element(nums, den: int) -> Mat4:
+    """`element` of the int numerators (a, b, ca, cb, cab, ca2b) over den > 0."""
+    a, b, ca, cb, cab, ca2b = nums
+    return _from_coords((a, cb, ca2b, cab, 0, b, ca, 0, 0, 0), den)
 
 
 def T(a, b) -> Mat4:

@@ -4,10 +4,17 @@ The bracket table (exact structure constants) is the one bracket fact of a
 subalgebra.  Like `Mat4`, it is held as int numerators over one positive
 denominator in lowest terms, so == is exact value equality.  One closure pass
 (`_close_pairs`) brackets the d(d-1)/2 pairs of the canonical echelon basis
-once and reads each bracket at the basis pivots (`Subspace.coords_num`): it
-gives the table, or the brackets that leave the span.  `Subalgebra.constants`,
-`is_closed` and `generated_subalgebra` all use it, so closure is the table's
-existence, and a generated subalgebra keeps the table of its last round.  The
+once and reads each bracket at the basis pivots (`linalg._pivot_coords`): it
+gives the table, or the brackets that leave the span, as `Mat4`s.  It works
+in the ten coordinates that fix an sp(4) element (`sp4._COORDS`), where the
+pivots of a span in sp(4) lie: each basis element is read there, and a pair
+is bracketed bilinearly, over the nonzero coordinates only, through the
+10 x 10 table of brackets of the unit elements (`_BRACKETS`, built once at
+import by `sp4.bracket`), so no matrix is multiplied.  A basis element
+outside sp(4) raises Sp4Error there, so a `Subalgebra` is a subalgebra of
+sp(4).  `Subalgebra.constants`, `is_closed` and `generated_subalgebra` all
+use it, so closure is the table's existence, and a generated subalgebra
+keeps the table of its last round.  The
 series, predicates and adjoint matrices run on the table in coordinates
 (d <= 7), each subspace held as the (pivot, int row) pairs of
 `linalg.rref`: brackets are int contractions (`_bracket_num`), spans are
@@ -21,8 +28,7 @@ brackets int coordinate columns and divides once, for
 reference.  Whether a map carries one table onto another is checked
 without moving either (`identify.verify_isomorphism`); the certifier
 carries a row's stated map onto the echelon table through the frame of
-the row's stated basis instead (`verify`).  Ambient sp(4) membership is
-validated when a `Subalgebra` is constructed from matrices.
+the row's stated basis instead (`verify`).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import Iterable, Sequence
 from .errors import DependentInputs, Sp4Error
 from .linalg import Mat4, Subspace, _over_common_den, _pivot_coords, echelon_span, rref
 from .rational import Q, format_rational
-from .sp4 import bracket, in_sp4
+from .sp4 import _COORDS, _from_coords, bracket, in_sp4
 
 __all__ = [
     "Subalgebra", "is_closed", "generated_subalgebra", "bracket_space", "derived_series",
@@ -61,9 +67,7 @@ class Subalgebra:
     @classmethod
     def from_matrices(cls, mats: Iterable[Mat4]) -> "Subalgebra":
         sub = cls(echelon_span(mats))
-        if not all(in_sp4(m) for m in sub.basis):
-            raise Sp4Error("subalgebra basis element is not in sp(4)")
-        sub.constants  # raises Sp4Error when a bracket leaves the span
+        sub.constants  # raises Sp4Error for a basis outside sp(4) or not closed
         return sub
 
     @cached_property
@@ -110,17 +114,45 @@ class Subalgebra:
         return cls.from_matrices(mats)
 
 
+# [e_i, e_j] for the unit elements e_i of the ten coordinates (`sp4._COORDS`),
+# each as its nonzero (coordinate, int) pairs: the e_i are integral, so
+# their brackets are
+_UNITS = [_from_coords([int(i == k) for k in range(10)], 1) for i in range(10)]
+_BRACKETS = tuple(tuple(tuple((k, c) for k, p in enumerate(_COORDS)
+                              if (c := bracket(x, y).num[p])) for y in _UNITS)
+                  for x in _UNITS)
+
+
 def _close_pairs(space: Subspace) -> "StructureConstants | list[Mat4]":
     """Bracket each pair of the echelon basis once: the bracket table, read
-    at the basis pivots, or the brackets that fall outside the span."""
-    brackets = [bracket(x, y) for x, y in combinations(space.basis, 2)]
-    coords = [space.coords_num(b) for b in brackets]
-    outside = [b for b, c in zip(brackets, coords) if c is None]
+    at the basis pivots, or the brackets that fall outside the span.  The
+    basis is read in the ten coordinates of sp(4), where its pivots lie, and
+    bracketed bilinearly through `_BRACKETS` over its nonzeros; a basis
+    element outside sp(4) raises Sp4Error."""
+    basis = space.basis
+    if not all(map(in_sp4, basis)):
+        raise Sp4Error("subalgebra basis element is not in sp(4)")
+    rows = [([b.num[p] for p in _COORDS], b.den) for b in basis]
+    # each element over the common den l, at its nonzero coordinates
+    l = math.lcm(*[d for _, d in rows])
+    sparse = [[(i, x * (l // d)) for i, x in enumerate(r) if x] for r, d in rows]
+    coords, outside = [], []
+    for u, v in combinations(sparse, 2):
+        w = [0] * 10
+        for i, x in u:
+            table = _BRACKETS[i]
+            for j, y in v:
+                f = x * y
+                for k, c in table[j]:
+                    w[k] += f * c
+        c = _pivot_coords(rows, w)
+        if c is None:
+            outside.append(_from_coords(w, l * l))
+        else:
+            coords.append(c)
     if outside:
         return outside
-    den = math.lcm(*[b.den for b in brackets])
-    return StructureConstants._make(
-        space.dim, [[x * (den // b.den) for x in c] for c, b in zip(coords, brackets)], den)
+    return StructureConstants._make(space.dim, coords, l * l)
 
 
 def is_closed(space: Subspace) -> bool:

@@ -11,7 +11,12 @@ matrix of a span over Q[t] (`symbolic_combo`) is what the cofactor minor
 scans of the Q[t] kernels run on (`minor_rank`, and `strata_from_minors`
 for the line counts of `invariants.pencil_rank_strata`), and
 `pencil_refusal` gives the refusals of `pencil_rank_strata` by rational
-elimination and products of `Mat4`s.  Six helpers are no oracles: `coords`
+elimination and products of `Mat4`s.  Two oracles were the library's own
+earlier paths: `jordan_newton`, the Newton iteration on the squarefree
+char poly (with its Horner `poly_eval_mat`), which works for any 4x4
+matrix, against the closed form of `jordan.jordan_decompose`; and
+`close_pairs_matrix`, the bracket table by 4x4 matrix products read in all
+16 entries, against the ten-coordinate `structure._close_pairs`.  Six helpers are no oracles: `coords`
 and `echelon_coords` give the library's int pivot reads (`Subspace.coords_num`,
 `linalg._pivot_coords`) as rationals; `fraction_rows` the (pivot, int row)
 pairs of the int kernels (`linalg.rref`, `structure.bracket_space`,
@@ -20,6 +25,7 @@ pairs of the int kernels (`linalg.rref`, `structure.bracket_space`,
 comparison with the oracles; `combination` builds a linear combination of
 a span's basis."""
 
+import math
 import re
 from itertools import combinations
 
@@ -28,10 +34,11 @@ from sp4solvable.errors import (DependentInputs, ExpressionLimit, IrrationalSpec
 from sp4solvable.exprs import MAX_POWER_BITS
 from sp4solvable.invariants import PencilStrata
 from sp4solvable.jordan import JordanDecomposition
-from sp4solvable.linalg import (Mat4, Poly, Subspace, _over_common_den, _pivot_coords,
-                                det_mpoly, echelon_span, rref)
+from sp4solvable.linalg import (Mat4, Poly, Subspace, _mul_num, _over_common_den,
+                                _pivot_coords, char_poly, det_mpoly, echelon_span, inverse,
+                                rref)
 from sp4solvable.rational import Q, ZERO
-from sp4solvable.sp4 import J_FORM
+from sp4solvable.sp4 import J_FORM, bracket
 from sp4solvable.structure import StructureConstants, Subalgebra, bracket_space, is_solvable
 
 
@@ -393,3 +400,49 @@ def is_jordan_decomposition(dec: JordanDecomposition, original: Mat4) -> bool:
     for i in range(g.degree, -1, -1):
         acc = acc * s + Mat4.identity() * g[i]
     return acc.is_zero()
+
+
+def poly_eval_mat(p: Poly, m: Mat4) -> Mat4:
+    """p(m) by Horner on the numerators: for p = P/e of degree k and m = M/D,
+    acc <- acc*M + P_i D^(k-i) I ends at e D^k p(m), divided out once."""
+    if p.is_zero():
+        return Mat4.zero()
+    mm, d = m.num, m.den
+    acc = [p.num[-1] if i % 5 == 0 else 0 for i in range(16)]
+    dk = 1
+    for c in reversed(p.num[:-1]):
+        dk *= d
+        acc = _mul_num(acc, mm)
+        if c:
+            for i in (0, 5, 10, 15):
+                acc[i] += c * dk
+    return Mat4._make(acc, p.den * dk)
+
+
+def jordan_newton(x: Mat4) -> JordanDecomposition:
+    """The Jordan-Chevalley decomposition of any 4x4 matrix by Newton
+    iteration on the squarefree part g of its characteristic polynomial:
+    S <- S - g(S) g'(S)^{-1} from S = x.  Over a perfect field g and g' are
+    coprime, so g'(S) stays invertible, and for 4x4 matrices the iteration
+    stabilizes after at most two steps."""
+    g = char_poly(x).squarefree_part()
+    s = x
+    gs = poly_eval_mat(g, s)
+    while not gs.is_zero():
+        s = s - gs * inverse(poly_eval_mat(g.derivative(), s))
+        gs = poly_eval_mat(g, s)
+    return JordanDecomposition(s, x - s)
+
+
+def close_pairs_matrix(space: Subspace) -> "StructureConstants | list[Mat4]":
+    """`structure._close_pairs` by 4x4 matrix products: each pair of the
+    echelon basis bracketed as xy - yx (`sp4.bracket`) and read at the
+    basis pivots in all 16 entries; the table, or the brackets outside."""
+    brackets = [bracket(x, y) for x, y in combinations(space.basis, 2)]
+    coords = [space.coords_num(b) for b in brackets]
+    outside = [b for b, c in zip(brackets, coords) if c is None]
+    if outside:
+        return outside
+    den = math.lcm(*[b.den for b in brackets])
+    return StructureConstants._make(
+        space.dim, [[x * (den // b.den) for x in c] for c, b in zip(coords, brackets)], den)

@@ -10,23 +10,26 @@ and the int form is checked to be canonical.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import perturb_columns
-from oracles import (bracket_coords_fraction, change_basis_fraction, char_poly_det, combination,
-                     coords, fraction_rows, gauss_jordan, moved_constants, rational_bracket_space,
-                     solve_in_span, unit_rows)
-from sp4solvable import linalg, structure
+from conftest import perturb_columns, random_sp4_element, sp4_recipes
+from oracles import (bracket_coords_fraction, change_basis_fraction, char_poly_det,
+                     close_pairs_matrix, combination, coords, fraction_rows, gauss_jordan,
+                     in_sp4_product, moved_constants, rational_bracket_space, solve_in_span,
+                     unit_rows)
+from sp4solvable import linalg, sp4, structure
 from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES, load_catalog
 from sp4solvable.errors import DependentInputs, Sp4Error
 from sp4solvable.invariants import signature
-from sp4solvable.linalg import _char_poly_int, echelon_span
+from sp4solvable.linalg import Mat4, _char_poly_int, echelon_span, inverse
 from sp4solvable.identify import DeGraafClass, verify_isomorphism
 from sp4solvable.rational import Q
-from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA, bracket
+from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, bracket, conjugate_subalgebra,
+                             parse_conjugator)
 from sp4solvable.structure import (StructureConstants, Subalgebra, _ad_num, _series, _units,
                                    bracket_space, generated_subalgebra,
                                    structure_constants, structure_constants_for_basis)
@@ -250,3 +253,83 @@ def test_series_and_signatures_never_read_the_rational_table(monkeypatch):
             signature(sub)
             instances += 1
     assert instances == 120
+
+
+# ---------------------------------------------------------------------------
+# the ten-coordinate closure pass against the matrix-product one
+# ---------------------------------------------------------------------------
+
+def _block(a, b, c) -> Mat4:
+    """[[A, B], [C, -A^t]] from the 2x2 A and the symmetric B and C, each
+    given by its rows: an sp(4) element by the block definition."""
+    return Mat4([a[0] + b[0], a[1] + b[1], c[0] + [-a[0][0], -a[1][0]],
+                 c[1] + [-a[0][1], -a[1][1]]])
+
+
+_sym = st.tuples(small, small, small).map(lambda v: [[v[0], v[1]], [v[1], v[2]]])
+_sp4_elements = st.builds(_block, st.lists(st.lists(small, min_size=2, max_size=2),
+                                           min_size=2, max_size=2), _sym, _sym)
+
+
+def test_the_ten_coordinates_fix_an_sp4_element():
+    units = [sp4._from_coords([int(i == k) for k in range(10)], 1) for i in range(10)]
+    assert all(in_sp4_product(u) for u in units)
+    assert echelon_span(units).dim == 10  # the dimension of sp(4)
+    rng = random.Random(5)
+    for _ in range(50):
+        m = random_sp4_element(rng) * Q(rng.randint(1, 9), rng.randint(1, 9))
+        assert sp4._from_coords([m.num[p] for p in sp4._COORDS], m.den) == m
+        # the first nonzero entry is one of the ten
+        assert next(i for i, x in enumerate(m.num) if x) in sp4._COORDS
+
+
+def test_the_table_of_every_catalog_instance_is_the_matrix_table():
+    count = 0
+    for e in load_catalog():
+        for a in e.samples():
+            space = e.space_at(a)
+            got = structure._close_pairs(space)
+            assert isinstance(got, StructureConstants), (e.row_id, a)
+            assert got == close_pairs_matrix(space), (e.row_id, a)
+            count += 1
+    assert count == 120
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_sp4_elements, min_size=1, max_size=4), sp4_recipes)
+def test_conjugated_dense_spans_close_as_with_matrix_products(mats, recipe):
+    # most such spans are not closed: the brackets outside are compared too
+    space = conjugate_subalgebra(parse_conjugator(recipe), echelon_span(mats))
+    assert structure._close_pairs(space) == close_pairs_matrix(space)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_sp4_elements, min_size=1, max_size=3), sp4_recipes)
+def test_each_round_of_generated_subalgebra_is_the_matrix_round(seeds, recipe):
+    g = parse_conjugator(recipe)
+    rounds = []
+    close_pairs = structure._close_pairs
+
+    def recording(space):
+        rounds.append((space, close_pairs(space)))
+        return rounds[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_close_pairs", recording)
+        sub = generated_subalgebra([g * m * inverse(g) for m in seeds])
+    assert rounds and isinstance(rounds[-1][1], StructureConstants)
+    assert sub.constants == rounds[-1][1]
+    for space, found in rounds:
+        assert found == close_pairs_matrix(space)
+    # every round but the last brings brackets outside, as the same Mat4s
+    assert all(isinstance(found, list) and found for _, found in rounds[:-1])
+
+
+def test_a_span_outside_sp4_is_refused():
+    gl4 = echelon_span([Mat4.unit(1, 1), Mat4.unit(2, 2)])  # abelian, not in sp(4)
+    for build in (lambda: structure._close_pairs(gl4), lambda: Subalgebra(gl4).constants,
+                  lambda: structure.is_closed(gl4),
+                  lambda: generated_subalgebra(gl4.basis),
+                  lambda: Subalgebra.from_matrices(gl4.basis)):
+        with pytest.raises(Sp4Error, match=r"not in sp\(4\)"):
+            build()

@@ -11,7 +11,7 @@ import io
 import json
 import time
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sp4solvable.catalog import load_catalog
@@ -189,3 +189,49 @@ def test_verify_catalog_exits_with_a_contract_code_on_any_params_string(params):
     start = time.perf_counter()
     assert _exit_code(["verify-catalog", "--params", params]) in (0, 1, 2, 3)
     assert time.perf_counter() - start < TIME_BOUND
+
+
+# -- the matrix wire reader against the Fraction one ---------------------------
+
+def _fraction_from_json(data) -> Mat4:
+    """`Mat4.from_json` through `Fraction`s: each entry's stripped text as
+    Q(int(p), int(q)) or Q(int(p)), row by row, then `Mat4`'s own 4x4 shape
+    check and common denominator."""
+    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+        raise ValueError("a matrix is a JSON list of four row lists")
+
+    def parse(text):
+        text = text.strip()
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Q(int(num), int(den))
+        return Q(int(text))
+    return Mat4([[parse(str(x)) for x in r] for r in data])
+
+
+def _outcome(read, data):
+    try:
+        return read(data)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+wire_cells = st.one_of(
+    cells, st.floats(allow_nan=False), st.booleans(),
+    st.builds(Q, st.integers(-10**20, 10**20), st.integers(-10**6, 10**6).filter(bool)).map(
+        lambda q: f" {q.numerator * 3}/{q.denominator * 3} "),
+    st.sampled_from(["3/-4", " +7 ", "1/0", "0/-0", "2.5", "1_000", "9" * 5000, "-0",
+                     "1/2/3", " -6 / 4", "+1/+2", "½", "0x10"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(st.lists(wire_cells, min_size=4, max_size=4), min_size=4,
+                          max_size=4),
+                 st.lists(st.lists(wire_cells, max_size=5), max_size=5), json_values))
+@example([["1", "2", "3", "4"], ["5", "x", "7", "8"], ["9", "10", "11", "12"]])
+@example([["1/2", "2", "3", "4"]] * 3 + [["5", "6", "7", "8", "9"]])
+@example([["3/-4", " +7 ", "1_000", "-0"]] * 4)
+def test_the_wire_reader_is_the_fraction_reader(data):
+    # the same matrix, or the same exception type and message: a 3x4 grid
+    # with a bad entry raises that entry's parse error before the shape error
+    assert _outcome(Mat4.from_json, data) == _outcome(_fraction_from_json, data)

@@ -424,8 +424,8 @@ def test_verify_isomorphism_matches_the_pairwise_bracket_loop():
         if e.iso_columns is None:
             continue
         a = e.samples()[0]
-        maps.append((e.presentation_at(a).constants(), structure_constants_for_basis(e.basis_at(a)),
-                     e.iso_columns_at(a)))
+        maps.append(((e.degraaf_at(a) or e.sw_at(a)).constants(),
+                     structure_constants_for_basis(e.basis_at(a)), e.iso_columns_at(a)))
         dg = e.degraaf_at(a)
         if dg is not None:
             label, cols = sw_bridge_map(dg)

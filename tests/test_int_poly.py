@@ -1,6 +1,7 @@
 """The int-numerator polynomial kernels against sympy over QQ, the matrix
-kernels that read them (`char_poly`, `rank`, `jordan_type`, `poly_eval_mat`),
-and a guard that keeps `Fraction` construction out of them."""
+kernels that read them (`char_poly`, `rank`, `jordan_type`, and the Horner
+`poly_eval_mat` of the Newton Jordan oracle in `oracles`), and a guard that
+keeps `Fraction` construction out of them."""
 
 import random
 import time
@@ -11,8 +12,10 @@ import pytest
 from sp4solvable import linalg
 from sp4solvable.errors import IrrationalSpectrum
 from sp4solvable.jordan import jordan_type
-from sp4solvable.linalg import Mat4, Poly, char_poly, poly_eval_mat, rank, rational_roots
+from sp4solvable.linalg import Mat4, Poly, char_poly, rank, rational_roots
 from sp4solvable.rational import Q
+
+from oracles import poly_eval_mat
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")

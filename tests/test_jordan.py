@@ -17,7 +17,7 @@ from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, _weyl_pairs, conju
 
 from conftest import (conjugator_pool, random_borel_element,
                       random_sp4_element, sp4_recipes)
-from oracles import char_poly_cofactor, is_jordan_decomposition
+from oracles import char_poly_cofactor, is_jordan_decomposition, jordan_newton
 
 
 def test_jordan_decompose_examples():
@@ -133,10 +133,11 @@ def _weyl_canonical(a, b):
 
 
 def _reference_label(x):
-    """The conjugacy-table row from the Newton decomposition, Jordan block
-    sizes and a search of the 8 Weyl images, independent of
+    """The conjugacy-table row from the Newton decomposition (the oracle,
+    not the closed form, which reads the same traces as classify_element),
+    Jordan block sizes and a search of the 8 Weyl images, independent of
     classify_element's reading of the eigenvalue pair."""
-    dec = jordan_decompose(x)
+    dec = jordan_newton(x)
     s, n = dec.semisimple, dec.nilpotent
     if s.is_zero():
         if n.is_zero():
@@ -205,8 +206,7 @@ def test_classify_element_reads_one_trace_product(monkeypatch):
     monkeypatch.setattr(jordan, "_mul_num", counting_mul)
     monkeypatch.setattr(linalg, "_mul_num", counting_mul)
     for module, name in ((jordan, "char_poly"), (jordan, "rational_roots"), (Poly, "_make"),
-                         (jordan, "inverse"), (jordan, "jordan_decompose"),
-                         (jordan, "poly_eval_mat"), (jordan, "rank"), (linalg, "rref")):
+                         (jordan, "jordan_decompose"), (jordan, "rank"), (linalg, "rref")):
         monkeypatch.setattr(module, name, forbidden)
     for x, row, n_products in cases:
         traces.clear()
@@ -413,3 +413,67 @@ def test_cartan_reduction_second_assertion(rng):
             continue
         assert (a, b) == (ta, tb)
         assert conjugate(g, x) == T(ta, tb)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form decomposition against the Newton oracle
+# ---------------------------------------------------------------------------
+
+def _imaginary_aa(p, q, k, c):
+    """diag(B, -B^t) + [[0, c B J2], [0, 0]], J2 = [[0, 1], [-1, 0]], for
+    B = [[p, q], [r, -p]] with B^2 = -k I (q != 0): char poly (l^2 + k)^2,
+    so tr x^2 = -4k < 0, and for c != 0 a nonzero nilpotent part, which
+    commutes with the Levi part as B J2 B^t = det(B) J2 = k J2."""
+    r = Q(-k - p * p, q)
+    return Mat4([[p, q, -c * q, c * p], [r, -p, c * p, c * r],
+                 [0, 0, -p, -r], [0, 0, -q, p]])
+
+
+def _imaginary_a0(k, c):
+    """E13 - k E31 + c X_alpha: eigenvalues +-i sqrt(k), 0, 0, so
+    tr x^2 = -2k < 0, with the nilpotent part c X_alpha."""
+    return X_A2B - X_A2B.transpose() * k + X_ALPHA * c
+
+
+_k = st.integers(1, 7)
+_BOREL_ELEMENTS = st.builds(
+    lambda a, b, cs: T(a, b) + X_ALPHA * cs[0] + X_BETA * cs[1] + X_AB * cs[2] + X_A2B * cs[3],
+    _q, _q, st.lists(_q, min_size=4, max_size=4))
+_JORDAN_CASES = st.builds(
+    lambda x, recipe: conjugate(parse_conjugator(recipe), x),
+    st.one_of(st.builds(lambda a, c: T(a, 0) + X_ALPHA * c, _q, _q),
+              st.builds(lambda a, c: T(a, a) + X_BETA * c, _q, _q),
+              _BOREL_ELEMENTS,
+              st.builds(lambda n, c: n * c, st.sampled_from(_NILPOTENTS), _q),
+              _LEVI_ELEMENTS,
+              st.builds(_imaginary_aa, st.integers(-3, 3), st.integers(-3, 3).filter(bool), _k,
+                        _q),
+              st.builds(_imaginary_a0, _k, _q)),
+    sp4_recipes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JORDAN_CASES)
+def test_the_closed_form_is_the_newton_decomposition(x):
+    assert jordan_decompose(x) == jordan_newton(x)
+
+
+@pytest.mark.parametrize("x, p", [
+    (_imaginary_aa(0, -2, 2, 1), Poly([4, 0, 4, 0, 1])),   # (l^2 + 2)^2
+    (_imaginary_aa(1, 2, 3, Q(-1, 2)), Poly([9, 0, 6, 0, 1])),  # (l^2 + 3)^2
+    (_imaginary_a0(2, 3), Poly([0, 0, 2, 0, 1]))])   # l^2 (l^2 + 2)
+def test_an_imaginary_pair_gets_a_positive_denominator(x, p, rng):
+    # a^2 < 0: tr x^2 < 0, the closed form's denominator is made positive
+    assert char_poly_cofactor(x) == p and _even_traces(x.num)[1] < 0
+    for g in [Mat4.identity()] + conjugator_pool(rng, 6):
+        y = conjugate(g, x)
+        dec = jordan_decompose(y)
+        assert dec == jordan_newton(y) and not dec.nilpotent.is_zero()
+        assert is_jordan_decomposition(dec, y)
+
+
+def test_jordan_decompose_refuses_a_matrix_outside_sp4():
+    for x in (Mat4.unit(1, 1), Mat4.identity(), Mat4.unit(1, 2)):
+        assert not in_sp4(x)
+        with pytest.raises(NotInSp4):
+            jordan_decompose(x)
