@@ -62,6 +62,9 @@ DEFAULT_PARAM_SAMPLES = (Q(2), Q(3), Q(5), Q(-2), Q(-3), Q(1, 2), Q(2, 3), Q(7, 
 # The largest parameter orbit a row's self-equivalences may close: the order
 # of the Weyl group (the shipped rows reach at most 4).
 PARAM_ORBIT_BOUND = 8
+# The bound of every per-object fact cache: as many as the certifier keeps
+# row instances, every default-sample instance plus the probe's candidates.
+INSTANCE_CACHE_SIZE = 1024
 # The package loads a module on its first use (PEP 562); functions are looked
 # up on the module at each call, so a wrapper installed there sees every call.
 _package = sys.modules[__package__]
@@ -77,13 +80,13 @@ def _ev(expr, env) -> Q | int:
     return expr if isinstance(expr, int) else _package.exprs.eval_expr(expr, env)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
 def _constant(expr) -> Q | int:
     """A parameter-free expression's value, kept; a fault is not kept."""
     return _ev(expr, {})
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
 def _names_param(entry: CatalogEntry) -> bool:
     return any(isinstance(x, str) and "a" in x for spec in entry.basis for x in spec)
 

@@ -33,10 +33,9 @@ sample) `ExpressionLimit`, a ValueError that is also an out-of-domain
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 from .errors import ExpressionLimit
-from .rational import Q
+from .rational import Q, _lowest_terms
 
 __all__ = ["eval_expr"]
 
@@ -47,29 +46,22 @@ MAX_DEPTH = 64
 COMPILED_TEXTS = 1024
 
 
-def _reduced(n: int, d: int) -> tuple[int, int]:
-    """n/d (d > 0) in lowest terms."""
-    g = gcd(n, d)
-    return (n, d) if g == 1 else (n // g, d // g)
-
-
 def _add(x, y):
-    return _reduced(x[0] * y[1] + y[0] * x[1], x[1] * y[1])
+    return _lowest_terms(x[0] * y[1] + y[0] * x[1], x[1] * y[1])
 
 
 def _sub(x, y):
-    return _reduced(x[0] * y[1] - y[0] * x[1], x[1] * y[1])
+    return _lowest_terms(x[0] * y[1] - y[0] * x[1], x[1] * y[1])
 
 
 def _mul(x, y):
-    return _reduced(x[0] * y[0], x[1] * y[1])
+    return _lowest_terms(x[0] * y[0], x[1] * y[1])
 
 
 def _div(x, y):
     if not y[0]:
         return Q(*x) / 0  # Fraction's own ZeroDivisionError and text
-    n, d = x[0] * y[1], x[1] * y[0]
-    return _reduced(-n, -d) if d < 0 else _reduced(n, d)
+    return _lowest_terms(x[0] * y[1], x[1] * y[0])
 
 
 _OPERATORS = {"+": _add, "-": _sub, "*": _mul, "/": _div}

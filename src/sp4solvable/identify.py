@@ -51,6 +51,7 @@ import re
 from functools import lru_cache
 from itertools import combinations
 
+from .catalog import INSTANCE_CACHE_SIZE
 from .errors import (DimensionMismatch, OutOfCatalog,
                      UnrecognizedFamily, UnsupportedDimension, ZeroParameter)
 from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _over_common_den,
@@ -180,8 +181,7 @@ def sw_constants(name: str, params: tuple = ()) -> StructureConstants:
     return _build("sw", name, tuple(params))
 
 
-# as many presentations as the certifier keeps row instances
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
 def _build(catalog: str, name: str, params: tuple) -> StructureConstants:
     """The presentation of `name` in the de Graaf or the sw catalog, kept
     per (name, params): the direct sum of its (multiplicity, class)
@@ -474,8 +474,7 @@ _FIXED = {DeGraafClass(f, pr): (SWClass(name, tuple(map(Q, params))),
 )}
 
 
-# as many classes as the certifier keeps row instances
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
 def _translation(c: DeGraafClass) -> tuple:
     """(label, bridge class, columns builder) of a de Graaf class: how each
     class occurring here meets the second catalog.  A class in one normal

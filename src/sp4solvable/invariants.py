@@ -14,9 +14,10 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   is nilpotent, and the radical is [g, g] plus the kernel of the form on a
   complement of [g, g]: the basis elements off the pivots of the cached
   derived series.  It is computed on the basis numerators: the int Gram
-  matrix of that complement, its int kernel, and each kernel element tested
-  nilpotent by two int squarings (the nilpotent elements of a solvable g
-  form a subspace, so that tests the whole radical);
+  matrix of that complement, its int kernel, and each kernel element m
+  tested nilpotent as tr m^2 = tr m^4 = 0, off one int product
+  (`linalg._even_traces`; the nilpotent elements of a solvable g form a
+  subspace, so that tests the whole radical);
 * the rank stratification of N(g): for dim 1 the rank of the line, read
   off its square and one rank-one test (`jordan._nilpotent_rank`); for dim
   2 the number of lines of each rank on the projective line of the pencil
@@ -37,11 +38,12 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   element iff the Jordan nilpotent part of any x outside N(g) lies in N(g)
   (sweeping the nonzero ad(S)-weight components of x by unipotent
   conjugations inside g shows the condition does not depend on the choice
-  of x in its coset), and a regular one iff moreover the char poly
-  c4 l^4 + c2 l^2 + c0 of x has four distinct roots: c0 != 0 and
-  c2^2 != 4 c0 c4, read off its int coefficients.  Such an x is itself
-  semisimple (its nilpotent part is 0), so it needs no decomposition; only
-  a double or a zero eigenvalue pair runs `jordan_decompose`;
+  of x in its coset), and a regular one iff moreover x has four distinct
+  eigenvalues: t2^2 != 2 t4 and t2^2 != 4 t4 for t2 = tr m^2 and
+  t4 = tr m^4 of its numerators m (`jordan._regular`, the test
+  `jordan_decompose` makes).  Such an x is itself semisimple (its
+  nilpotent part is 0), so it needs no decomposition; only a double or a
+  zero eigenvalue pair runs `jordan_decompose`;
 * a canonical spectral probe.  For codimension 1 the triple (char poly of x,
   char poly of ad x on g, char poly of ad x on [g,g]) is constant on
   x + N(g), and the leftover scaling freedom is removed by weighted
@@ -52,14 +54,20 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   get the same probe.  Both adjoint char polys are taken on ints, off the
   bracket table and the int rows of [g,g].
 
-The facts that depend on one piece of g alone are kept per piece, in
-bounded caches of 1024 entries: the catalog's 120 instances share 15
-distinct N(g), and its 102 of codimension 1 share 15 distinct x0.
+One object, `_SignatureWork`, owns a subalgebra's signature work and
+computes each part on first use: N(g), x0 (the first basis element outside
+N(g), which `verify`'s parameter candidates read too), the nine head
+fields, the probe and the signature.  `signature`, the certifier's row
+instances (`verify._Instance`) and `match_catalog`'s query all use it.
+Facts of one piece of g are kept per piece, in bounded caches of
+`catalog.INSTANCE_CACHE_SIZE` entries: the catalog's 120 instances share
+15 distinct N(g), and its 102 of codimension 1 share 15 distinct x0.
 `nilpotent_strata` is kept per echelon `Subspace` N(g), whose equality is
 exact basis equality (`_nilpotent_facts`).  The char poly of x0, which
-`contains_invertible` and the probe read, is kept per `Mat4` x0 with the
-nilpotent Jordan part of a non-regular x0, which `ss_content` reads
-(`_x0_facts`).  A refusal is never kept, so it is raised again on every call.
+`contains_invertible` and the probe read, and the nilpotent Jordan part of
+a non-regular x0, which `ss_content` reads, are kept per `Mat4` x0
+(`_x0_facts`); the char poly and the regularity test come off one read of
+x0's traces.  A refusal is never kept, so it is raised again on every call.
 
 Every field is invariant under conjugation by rational symplectic matrices,
 which is what the classification's equivalence relation restricts to on the
@@ -69,17 +77,19 @@ rational sample points.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import mul
 
+from .catalog import INSTANCE_CACHE_SIZE
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
-from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _mul_num, char_poly,
+from .linalg import (Mat4, Poly, _char_poly_int, _even_traces, _kernel_int, _mul_num, _newton,
                      generic_rank, rref, Subspace)
+from .linalg import char_poly  # noqa: F401  perfbench's tracer test reads this binding
 from .rational import Q, Record, format_rational
 from .sp4 import in_sp4
 from .structure import Subalgebra, _ad_num, _series, is_solvable
-from .jordan import _nilpotent_rank, jordan_decompose
+from .jordan import _nilpotent_rank, _regular, jordan_decompose
 
 __all__ = [
     "PencilStrata", "pencil_rank_strata", "InvariantSignature", "signature",
@@ -202,9 +212,8 @@ def nilpotent_subspace(g: Subalgebra) -> Subspace:
     # a kernel vector w of the Gram matrix of the B_j = den_j*b_j on C gives
     # sum_j w_j B_j, whose coordinate at b_j is w_j*den_j
     for _, w in _kernel_int([[sum(map(mul, x, y)) for y in trans] for x in nums], len(nums)):
-        m = [sum(map(mul, w, entry)) for entry in zip(*nums)]
-        m2 = _mul_num(m, m)
-        if any(_mul_num(m2, m2)):
+        _, t2, t4 = _even_traces([sum(map(mul, w, entry)) for entry in zip(*nums)])
+        if t2 or t4:
             raise IrrationalSpectrum(
                 "trace-form radical contains a non-nilpotent element; "
                 "the subalgebra has irrational spectra")
@@ -259,76 +268,73 @@ def _invariantize(weighted: list[tuple]) -> tuple:
                  for n, d, w in weighted)
 
 
-def _regular_pair(p: Poly) -> bool:
-    """Whether the char poly p = c4*l^4 + c2*l^2 + c0 of an sp(4) element
-    has four distinct roots +-a, +-b (a, b nonzero, a != +-b): the roots
-    l^2 of c4*m^2 + c2*m + c0 are distinct and nonzero, so c0 != 0 and
-    c2^2 != 4*c0*c4, read off the int numerators of p.  The spectrum need
-    not be rational."""
-    c0, _, c2, _, c4 = p.num
-    return c0 != 0 and c2 * c2 != 4 * c0 * c4
-
-
 def signature(s: Subalgebra) -> InvariantSignature:
     """The conjugation-invariant signature of a closed solvable subalgebra.
 
     Equal signatures are necessary for conjugacy, never claimed sufficient.
     """
-    return _signature(s, nilpotent_subspace(s))
+    return _SignatureWork(s).signature
 
 
-def _signature(s: Subalgebra, nspace: Subspace) -> InvariantSignature:
-    """The signature of s, given its nilpotent subspace `nspace`."""
-    head, probe = _signature_head(s, nspace)
-    return InvariantSignature(*head, probe and probe())
+class _SignatureWork:
+    """The signature work of a subalgebra `sub`, each part computed on first
+    use (see the module docstring); the head is read before the probe, so
+    its refusal comes first."""
 
+    def __init__(self, sub: Subalgebra):
+        self.sub = sub
 
-def _signature_head(s: Subalgebra, nspace: Subspace) -> tuple:
-    """The nine signature fields before `probe`, in slot order, and a
-    function of no arguments that computes the probe from the same work
-    (the derived series, x0 and its char poly), or None in codimension 0 or
-    2, where the probe is None."""
-    g = s.space
-    d = g.dim
-    der = s.derived
-    derived_dims = tuple(len(rows) for rows in der)
-    lower_dims = tuple(len(rows) for rows in _series(s, lower=True))
-    dn = nspace.dim
-    codim = d - dn
-    if codim not in (0, 1, 2):
-        raise Sp4Error("solvable subalgebra with toral rank > 2 in sp(4)")
+    @cached_property
+    def nspace(self) -> Subspace:
+        return nilpotent_subspace(self.sub)
 
-    strata = _nilpotent_facts(nspace)
+    @cached_property
+    def i0(self) -> int | None:
+        """The index of x0, or None when g is nilpotent."""
+        return next((i for i, b in enumerate(self.sub.basis) if not self.nspace.contains(b)), None)
 
-    probe = None
-    if codim == 0:
-        content = "all_nilpotent"
-        has_invertible = False
-    elif codim == 2:
-        content = "has_cartan"
-        has_invertible = True
-    else:
-        i0 = next(i for i, b in enumerate(g.basis) if not nspace.contains(b))
-        p0, nil = _x0_facts(g.basis[i0])
-        has_invertible = p0.num[0] != 0  # det(x0), see the module docstring
-        if nil is None:  # four distinct eigenvalues: x0 is semisimple
-            content = "has_regular_ss"
-        elif nspace.contains(nil):
-            content = "has_nonregular_ss_only"
+    @cached_property
+    def head(self) -> tuple:
+        """The nine signature fields before `probe`, in slot order."""
+        s, nspace = self.sub, self.nspace
+        d, dn = s.dim, nspace.dim
+        derived_dims = tuple(len(rows) for rows in s.derived)
+        lower_dims = tuple(len(rows) for rows in _series(s, lower=True))
+        if d - dn not in (0, 1, 2):
+            raise Sp4Error("solvable subalgebra with toral rank > 2 in sp(4)")
+        strata = _nilpotent_facts(nspace)
+        if d == dn:
+            content, has_invertible = "all_nilpotent", False
+        elif d - dn == 2:
+            content, has_invertible = "has_cartan", True
         else:
-            content = "mixed_only"
+            p0, nil = _x0_facts(s.basis[self.i0])
+            has_invertible = p0.num[0] != 0  # det(x0), see the module docstring
+            if nil is None:  # four distinct eigenvalues: x0 is semisimple
+                content = "has_regular_ss"
+            elif nspace.contains(nil):
+                content = "has_nonregular_ss_only"
+            else:
+                content = "mixed_only"
+        is_abelian = len(derived_dims) == 1 or derived_dims[1] == 0
+        return (d, derived_dims, lower_dims, is_abelian, lower_dims[-1] == 0, dn, strata,
+                has_invertible, content)
 
-        def probe():
-            return _spectral_probe(s, der[1] if len(der) > 1 else [], i0, p0, dn)
+    @cached_property
+    def probe(self) -> tuple | None:
+        """The spectral probe in codimension 1, None in codimension 0 or 2."""
+        s = self.sub
+        if s.dim - self.nspace.dim != 1:
+            return None
+        return _spectral_probe(s, self.i0, _x0_facts(s.basis[self.i0])[0])
 
-    is_abelian = len(derived_dims) == 1 or derived_dims[1] == 0
-    return (d, derived_dims, lower_dims, is_abelian, lower_dims[-1] == 0, dn, strata,
-            has_invertible, content), probe
+    @cached_property
+    def signature(self) -> InvariantSignature:
+        return InvariantSignature(*self.head, self.probe)
 
 
-# as many N(g) and x0 as the certifier keeps row instances; a refusal raises
-# on every call, as lru_cache keeps no exception
-@lru_cache(maxsize=1024)
+# a refusal raises on every call, as lru_cache keeps no exception
+@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
 def _nilpotent_facts(nspace: Subspace) -> tuple:
     """The `nilpotent_strata` field of N(g), kept per echelon `Subspace`:
     the rank of the line, the pencil stratification's summary, or the
@@ -344,19 +350,21 @@ def _nilpotent_facts(nspace: Subspace) -> tuple:
     return (("generic", generic_rank(list(nspace.basis))),)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
 def _x0_facts(x0: Mat4) -> tuple:
     """(char poly, nilpotent Jordan part) of an sp(4) element x0, kept per
-    `Mat4`; the part is None for a regular x0 (`_regular_pair`), which is
-    semisimple and so needs no decomposition."""
-    p0 = char_poly(x0)
-    return p0, None if _regular_pair(p0) else jordan_decompose(x0).nilpotent
+    `Mat4`, off one read of its traces (tr m = tr m^3 = 0 on sp(4)); the
+    part is None for a regular x0, which is semisimple."""
+    _, t2, t4 = _even_traces(x0.num)
+    return (_newton((0, t2, 0, t4), x0.den),
+            None if _regular(t2, t4) else jordan_decompose(x0).nilpotent)
 
 
-def _spectral_probe(s: Subalgebra, derived: list[tuple], i0: int, p4: Poly, dn: int) -> tuple:
-    """`derived` holds the `_series` pairs of [g, g]; x0 = basis[i0] has the
-    char poly p4, and N(g) has dimension dn."""
-    sc = s.constants
+def _spectral_probe(s: Subalgebra, i0: int, p4: Poly) -> tuple:
+    """The probe of s of codimension 1, whose x0 = basis[i0] has the char
+    poly p4."""
+    sc, der = s.constants, s.derived
+    derived = der[1] if len(der) > 1 else []
     # the char polys of x0, of ad(x0) on g (sc.num[i0] is den * ad(x0),
     # transposed) and on [g, g]; the coefficient num[j]/den of l^j in one of
     # degree k scales by s**(k - j), and the leading one is 1
@@ -364,5 +372,5 @@ def _spectral_probe(s: Subalgebra, derived: list[tuple], i0: int, p4: Poly, dn: 
     dd = len(derived)
     if dd:
         polys.append(_char_poly_int(*_ad_num(sc, [int(k == i0) for k in range(s.dim)], derived)))
-    return (s.dim, dd, dn) + _invariantize(
+    return (s.dim, dd, s.dim - 1) + _invariantize(
         [(p.num[j], p.den, p.degree - j) for p in polys for j in range(p.degree - 1, -1, -1)])

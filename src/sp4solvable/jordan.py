@@ -1,10 +1,11 @@
 """Jordan-Chevalley decomposition over Q and conjugacy typing of elements.
 
 The decomposition x = S + N (S semisimple, N nilpotent, [S,N] = 0) of an
-sp(4) element is a closed form: S is x, 0, or one of two fixed polynomials
-in x, chosen and scaled by t2 = tr m^2 and t4 = tr m^4 of the numerators m
-of x (`jordan_decompose`), so it costs one int product beyond the traces
-and solves nothing.
+sp(4) element is a closed form: S is x (for a regular x, by the one
+regularity test `_regular`, which the signature's x0 shares), 0, or one of
+two fixed polynomials in x, chosen and scaled by t2 = tr m^2 and
+t4 = tr m^4 of the numerators m of x (`jordan_decompose`), so it costs one
+int product beyond the traces and solves nothing.
 
 Element classification follows the two conjugacy tables and reads the
 spectrum off t2 = tr m^2 and t4 = tr m^4 of the numerators m of x, from one
@@ -63,9 +64,11 @@ def jordan_decompose(x: Mat4) -> JordanDecomposition:
         raise NotInSp4("jordan_decompose needs an sp(4) element")
     m, d = x.num, x.den
     m2, t2, t4 = _even_traces(m)
-    if not (t2 or t4):
+    if _regular(t2, t4):
+        s = x
+    elif not (t2 or t4):
         s = Mat4.zero()
-    elif t2 * t2 in (2 * t4, 4 * t4):
+    else:
         m3 = _mul_num(m2, m)
         if t2 * t2 == 2 * t4:  # the pair (a, 0)
             num, den = [2 * v for v in m3], d * t2
@@ -74,9 +77,13 @@ def jordan_decompose(x: Mat4) -> JordanDecomposition:
         if den < 0:  # a^2 < 0: an imaginary pair
             num, den = [-v for v in num], -den
         s = Mat4._make(num, den)
-    else:
-        s = x
     return JordanDecomposition(s, x - s)
+
+
+def _regular(t2: int, t4: int) -> bool:
+    """Whether an sp(4) element with the traces t2, t4 of `jordan_decompose`
+    has four distinct eigenvalues (ab != 0, a^2 != b^2), rational or not."""
+    return t2 * t2 not in (2 * t4, 4 * t4)
 
 
 def jordan_type(x: Mat4) -> dict:

@@ -30,7 +30,8 @@ the four traces of a 4x4 matrix off one int product, `_char_poly_int` those
 of an n x n one off the powers up to ceil(n/2).  The tests cross-check both
 against a cofactor expansion of det(lambda*I - m).  An sp(4) element has
 tr x = tr x^3 = 0, so its spectrum is read off tr x^2 and tr x^4 alone
-(`_even_traces`, which `char_poly` also reads), with no polynomial built.
+(`_even_traces`, which `char_poly` also reads), with no polynomial built;
+the signature's x0 has the char poly `_newton((0, t2, 0, t4), den)`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import SingularMatrix, ZeroPolynomial
-from .rational import Q, ZERO, _parse_pair, exact_isqrt, format_rational
+from .rational import Q, ZERO, _lowest_terms, _parse_pair, exact_isqrt, format_rational
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +317,14 @@ def _root_candidates(c: Sequence[int]):
     """Candidate rational roots (n, d), in lowest terms with d > 0, of a
     primitive int polynomial of degree >= 1 with nonzero constant term."""
     if len(c) == 2:
-        yield _ratio(-c[0], c[1])
+        yield _lowest_terms(-c[0], c[1])
     elif len(c) == 3:
         yield from _quadratic_roots(c[2], c[1], c[0])
     elif len(c) == 5 and c[1] == 0 and c[3] == 0:
         # biquadratic: the char-poly shape of every sp(4) element
         for r in dict.fromkeys(_biquadratic_roots(c[4], c[2], c[0])):
             if r is not None:  # r[0] != 0, as c[0] != 0
-                n, d = _ratio(*r)
+                n, d = _lowest_terms(*r)
                 yield from ((n, d), (-n, d))
     else:
         # general case: lifted roots, sorted as a scan of divisor quotients
@@ -359,7 +360,7 @@ def _lifted_roots(c: Sequence[int]) -> set:
             v, d = _eval_mod(s, r, mod)
             r = (r - v * pow(d, -1, mod)) % mod
         y = lead * r % mod
-        out.add(_ratio(y - mod if 2 * y > mod else y, lead))
+        out.add(_lowest_terms(y - mod if 2 * y > mod else y, lead))
     return out
 
 
@@ -385,9 +386,9 @@ def _quadratic_roots(a: int, b: int, c: int):
     s = exact_isqrt(b * b - 4 * a * c)
     if s is None:
         return
-    yield _ratio(-b + s, 2 * a)
+    yield _lowest_terms(-b + s, 2 * a)
     if s != 0:
-        yield _ratio(-b - s, 2 * a)
+        yield _lowest_terms(-b - s, 2 * a)
 
 
 def _biquadratic_roots(c4: int, c2: int, c0: int) -> list:
@@ -401,12 +402,6 @@ def _biquadratic_roots(c4: int, c2: int, c0: int) -> list:
         return []
     d = 2 * c4
     return [None if (r := exact_isqrt((e - c2) * d)) is None else (r, abs(d)) for e in (s, -s)]
-
-
-def _ratio(n: int, d: int) -> tuple[int, int]:
-    """n/d (d != 0) as (numerator, denominator) in lowest terms, d > 0."""
-    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
-    return n // g, d // g
 
 
 # ---------------------------------------------------------------------------

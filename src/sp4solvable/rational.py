@@ -13,8 +13,9 @@ k-th root off the factorization that gives the k-th-power-free kernel.
 
 The wire format for rationals is the string ``"p/q"`` in lowest terms, or just
 ``"p"`` when the denominator is 1 (e.g. ``"-3/16"``, ``"2"``).  Its one
-reader is ``_parse_pair``, which gives the reduced int pair; ``parse_rational``
-makes that pair a ``Q``, and ``Mat4.from_json`` keeps the pairs as ints.
+reader is ``_parse_pair``, which gives the pair reduced by ``_lowest_terms``
+(the one such reduction); ``parse_rational`` makes that pair a ``Q``, and
+``Mat4.from_json`` keeps the pairs as ints.
 
 ``Record`` is the one base of the package's frozen values, kept in the module
 every other one imports so that none needs ``dataclasses`` (and its ``inspect``).
@@ -116,6 +117,11 @@ def _parse_pair(s: str) -> tuple[int, int]:
     n, d = int(num), int(den)
     if not d:
         Q(n, d)  # raises Fraction's own ZeroDivisionError and text
+    return _lowest_terms(n, d)
+
+
+def _lowest_terms(n: int, d: int) -> tuple[int, int]:
+    """n/d (d != 0) as the int pair in lowest terms with a positive denominator."""
     g = gcd(n, d) if d > 0 else -gcd(n, d)
     return n // g, d // g
 

@@ -29,10 +29,12 @@ builder (through `_root_element`, on int numerators) and the brackets that
 those coordinates through a table it reads once off `bracket`, which stays
 the matrix commutator.
 
-`conjugate_subalgebra` forms each g b g^{-1} over the nonzero entries of b,
-g and g^{-1} only, so its cost follows their nonzeros: the named
-conjugators and the diagonal ones are monomial (four nonzeros), and each
-then costs one term per nonzero of b.
+The one Sp(4) test reads g^{-1} = -J g^t J off g's numerators and checks
+g g^{-1} = I by one product (`_group_inverse_num`, behind `in_sp4_group`).
+`conjugate_subalgebra` takes that g^{-1} and forms each g b g^{-1} over
+the nonzero entries of b, g and g^{-1} only, so its cost follows their
+nonzeros: the named conjugators and the diagonal ones are monomial (four
+nonzeros), and each then costs one term per nonzero of b.
 """
 
 from __future__ import annotations
@@ -133,8 +135,16 @@ def in_sp4(m: Mat4) -> bool:
 
 
 def in_sp4_group(g: Mat4) -> bool:
-    """Membership in the group: g J g^t = J bit-exactly."""
-    return g * J_FORM * g.transpose() == J_FORM
+    """Membership in the group: g J g^t = J bit-exactly (`_group_inverse_num`)."""
+    return _group_inverse_num(g) is not None
+
+
+def _group_inverse_num(g: Mat4) -> list[int] | None:
+    """The numerators of g^{-1} = -J g^t J over g.den, or None when g is
+    outside Sp(4): g J g^t = J exactly when g (-J g^t J) = I."""
+    a, d = g.num, g.den
+    inv = [-sign * a[u] for u, sign in _J_TABLE]
+    return inv if _mul_num(a, inv) == [d * d if i % 5 == 0 else 0 for i in range(16)] else None
 
 
 def bracket(x: Mat4, y: Mat4) -> Mat4:
@@ -150,16 +160,14 @@ def conjugate(g: Mat4, x: Mat4) -> Mat4:
 
 def conjugate_subalgebra(g: Mat4, s: Subspace) -> Subspace:
     """Element-wise Adjoint image g s g^{-1} under the action of Sp(4),
-    re-echelonized; dimension is preserved.  g^{-1} = -J g^t J is read off
-    g's numerators as the signed permutation `_J_TABLE`, with no
-    elimination, and checked by the one product g g^{-1} = I: a g outside
-    Sp(4), singular or not, raises Sp4Error.  Each g b g^{-1} is one int
-    accumulation of b_kl g_ik (g^{-1})_lj over the nonzeros of b, of column
-    k of g and of row l of g^{-1}, so its cost follows the nonzeros: one
-    term per nonzero of b for a monomial g, and at most 256 for dense ones."""
+    re-echelonized; dimension is preserved.  g^{-1} comes from the group
+    test (`_group_inverse_num`), so a g outside Sp(4) raises Sp4Error.  Each
+    g b g^{-1} is one int accumulation of b_kl g_ik (g^{-1})_lj over the
+    nonzeros of b, of column k of g and of row l of g^{-1}, so its cost
+    follows the nonzeros: one term per nonzero of b for a monomial g, and
+    at most 256 for dense ones."""
     a, d = g.num, g.den
-    inv = [-sign * a[u] for u, sign in _J_TABLE]
-    if _mul_num(a, inv) != [d * d if i % 5 == 0 else 0 for i in range(16)]:
+    if (inv := _group_inverse_num(g)) is None:
         raise Sp4Error("conjugate_subalgebra needs a conjugator in Sp(4)")
     # (4i, g_ik) for each nonzero of column k of g, and (j, (g^-1)_lj) of row l
     cols, rows = [[], [], [], []], [[], [], [], []]

@@ -29,16 +29,17 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, lru_cache, partial
 from operator import mul
 
-from .catalog import DEFAULT_PARAM_SAMPLES, CatalogEntry, build_elements, load_catalog
+from .catalog import (DEFAULT_PARAM_SAMPLES, INSTANCE_CACHE_SIZE, CatalogEntry, build_elements,
+                      load_catalog)
 from .errors import (CatalogFault, DependentInputs, ExpressionLimit, FactorizationLimit,
                      IrrationalSpectrum, ProbeLimit, Sp4Error)
 from .exprs import eval_expr
 from .identify import (DeGraafClass, _columns_num, _isomorphism_num, degraaf_to_sw,
                        identify_degraaf, sw_bridge_map, verify_isomorphism)
-from .invariants import InvariantSignature, _signature, _signature_head, nilpotent_subspace
+from .invariants import _SignatureWork
 from .jordan import _eigen_pair
 from .linalg import Mat4, _even_traces, echelon_span
 from .rational import Q, Record, format_rational
@@ -108,8 +109,6 @@ def _p(param) -> str:
     return "-" if param is None else format_rational(param)
 
 
-# Holds every default-sample instance plus the probe's candidate parameters.
-INSTANCE_CACHE_SIZE = 1024
 # The most draws a random probe makes.  A draw takes 0.5-2 ms (a closure, a
 # signature and its candidate rows), so a probe at the bound runs about 1-3.5
 # minutes; a larger count raises `ProbeLimit` (CLI exit 3) before any work.
@@ -120,17 +119,16 @@ _SIZE_LIMITS = (ExpressionLimit, FactorizationLimit)
 _ROW_FAULTS = (Sp4Error, ArithmeticError, ValueError)
 
 
-class _Instance:
-    """A catalog row at one parameter: its stated basis, the subalgebra they
-    span (with its one bracket table, in the echelon basis), and its
-    signature, computed on first use.  The signature's nine fields before
-    `probe` (`head`) are computed together; the probe, the costliest field,
-    only when asked for, from the same work.  `match_catalog` asks for it
-    only when the head equals the query's, and `verify_separations` for the
-    full signature."""
+class _Instance(_SignatureWork):
+    """A catalog row at one parameter: its stated basis `mats` and the
+    subalgebra they span (with its one bracket table, in the echelon
+    basis), whose signature work it owns (`invariants._SignatureWork`):
+    `match_catalog` reads the probe, the costliest field, only when the
+    head equals the query's, and `verify_separations` the full signature."""
 
     def __init__(self, mats: tuple, sub: Subalgebra):
-        self.mats, self.sub = mats, sub
+        super().__init__(sub)
+        self.mats = mats
 
     def frame(self) -> tuple[list[list[int]], int]:
         """The stated basis in echelon coordinates, as int rows over one den
@@ -144,23 +142,6 @@ class _Instance:
         pivots = [b.num.index(b.den) for b in self.sub.basis]
         f = math.lcm(*[m.den for m in self.mats])
         return [[m.num[p] * (f // m.den) for p in pivots] for m in self.mats], f
-
-    @cached_property
-    def _head(self) -> tuple:
-        return _signature_head(self.sub, nilpotent_subspace(self.sub))
-
-    @property
-    def head(self) -> tuple:
-        return self._head[0]
-
-    @cached_property
-    def probe(self):
-        probe = self._head[1]
-        return probe and probe()
-
-    @cached_property
-    def signature(self) -> InvariantSignature:
-        return InvariantSignature(*self.head, self.probe)
 
 
 @lru_cache(maxsize=INSTANCE_CACHE_SIZE)
@@ -392,42 +373,40 @@ def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
 # randomized completeness spot-check
 # ---------------------------------------------------------------------------
 
-def _param_candidates(sub: Subalgebra, nspace) -> list | None:
-    """Candidate family parameters from the eigenvalue pair of a canonical
-    non-nilpotent element (ratios p/q, q/p with signs), read off its traces
-    tr x^2 and tr x^4 (`jordan._eigen_pair`); None when that pair is
-    irrational, so that no rational parameter can match."""
-    for b in sub.basis:
-        if not nspace.contains(b):
-            try:
-                p, q = _eigen_pair(*_even_traces(b.num)[1:], b.den)
-            except IrrationalSpectrum:
-                return None
-            cands = set()
-            for x, y in ((p, q), (q, p)):
-                if y != 0:
-                    cands.add(x / y)
-                    cands.add(-x / y)
-            return sorted(cands, key=lambda v: (abs(v), v < 0))
-    return []
+def _param_candidates(work: _SignatureWork) -> list | None:
+    """Candidate family parameters from the eigenvalue pair of the
+    subalgebra's x0 (ratios p/q, q/p with signs), read off its traces
+    tr x^2 and tr x^4 (`jordan._eigen_pair`); none for a nilpotent one, and
+    None when that pair is irrational, so that no rational parameter can
+    match."""
+    if work.i0 is None:
+        return []
+    x0 = work.sub.basis[work.i0]
+    try:
+        p, q = _eigen_pair(*_even_traces(x0.num)[1:], x0.den)
+    except IrrationalSpectrum:
+        return None
+    cands = {sign * x / y for x, y in ((p, q), (q, p)) if y for sign in (1, -1)}
+    return sorted(cands, key=lambda v: (abs(v), v < 0))
 
 
 def match_catalog(sub: Subalgebra) -> list[tuple]:
     """Catalog rows (with parameters) whose signature matches the subalgebra's.
 
     A match is necessary for conjugacy; the probe asserts exactly one exists.
-    A row matches when all ten fields equal the query's; its spectral probe
-    is computed only when its nine other fields do (`_Instance`).  A row
+    A row matches when all ten fields equal the query's (each side's work
+    is an `invariants._SignatureWork`): a probe, the query's or a row's, is
+    computed only when the nine other fields agree, and the query's head
+    before its parameter candidates, so its refusals come first.  A row
     whose data faults while it is compared raises `CatalogFault`, which
     names the row; a fault inside a row's probe surfaces only when its other
     fields agree.  When no row matches and the eigenvalues that would give
     a row's parameter are irrational, the subalgebra is outside the rational
     rows, and `IrrationalSpectrum` is raised instead of an empty match.
     """
-    nspace = nilpotent_subspace(sub)
-    sig = _signature(sub, nspace)
-    head = sig.head
-    cands = _param_candidates(sub, nspace)
+    query = _SignatureWork(sub)
+    head = query.head
+    cands = _param_candidates(query)
     dim = sub.dim
     matches = []
     for e in load_catalog():
@@ -437,7 +416,7 @@ def match_catalog(sub: Subalgebra) -> list[tuple]:
             # the candidates a row admits, or no parameter for a row without one
             for a in e.samples(cands or ()):
                 inst = _instance(e, a)
-                if inst.head == head and inst.probe == sig.probe:
+                if inst.head == head and query.probe == inst.probe:
                     matches.append((e.row_id, a))
                     break
         except _SIZE_LIMITS:

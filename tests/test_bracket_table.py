@@ -239,6 +239,10 @@ def test_int_tables_are_canonical():
     assert (StructureConstants.from_brackets(2, {(0, 1): {1: Q(2, 4)}})
             == StructureConstants.from_brackets(2, {(1, 0): {1: Q(-1, 2)}}))
     assert StructureConstants.from_brackets(2, {(1, 0): {0: 3}}).num[0][1] == (-3, 0)
+    # a coefficient of another type is read by Fraction's own constructor
+    assert (StructureConstants.from_brackets(2, {(0, 1): {1: "3/4"}})
+            == StructureConstants.from_brackets(2, {(0, 1): {1: 0.75}})
+            == StructureConstants.from_brackets(2, {(0, 1): {1: Q(3, 4)}}))
 
 
 def test_series_and_signatures_never_read_the_rational_table(monkeypatch):

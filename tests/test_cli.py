@@ -457,6 +457,11 @@ def test_bad_conjugator_recipe_is_a_parse_error(recipe, ta_path, capsys):
     assert recipe in capsys.readouterr().err
 
 
+def test_a_power_without_an_integer_exponent_is_a_parse_error(ta_path, capsys):
+    assert main(["conjugate", "--input", ta_path, "--conjugator", "shear:alpha:2^x"]) == 2
+    assert "expected integer in '2^x'" in capsys.readouterr().err
+
+
 def test_a_faulty_catalog_row_is_a_verification_failure_of_identify(tmp_path, monkeypatch,
                                                                      capsys):
     rows = [e.replace(excluded=("0", "1)")) if e.row_id == "d1_T_a1" else e

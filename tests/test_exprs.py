@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,9 @@ def test_arithmetic():
     assert eval_expr("(1-a^2)/(4*a^2)", {"a": Q(3)}) == Q(-2, 9)
     assert eval_expr("  1 - 1/2 ") == Q(1, 2)
     assert eval_expr("--3") == 3
+    # an env value neither a Fraction nor an int is read by Fraction's own constructor
+    assert eval_expr("a", {"a": "3/4"}) == Q(3, 4)
+    assert eval_expr("2*a", {"a": 0.5}) == 1
 
 
 def test_errors():
@@ -32,6 +37,9 @@ def test_errors():
         eval_expr("1 2")
     with pytest.raises(ZeroDivisionError):
         eval_expr("1/a", {"a": Q(0)})
+    for text in ("2^a", "2^", "2^-1"):
+        with pytest.raises(ValueError, match=re.escape(f"expected integer in '{text}'")):
+            eval_expr(text, {"a": Q(1)})
 
 
 def test_long_sums_and_products_evaluate_without_deep_recursion():

@@ -13,7 +13,7 @@ from sp4solvable.identify import (DeGraafClass, QuadraticValue, SWClass, degraaf
                                   degraaf_to_sw, identify_degraaf, sw_bridge_map,
                                   sw_constants, sw_lambda, tri_algebra_constants,
                                   verify_isomorphism)
-from sp4solvable.catalog import load_catalog
+from sp4solvable.catalog import INSTANCE_CACHE_SIZE, load_catalog
 from sp4solvable.linalg import echelon_span
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA
@@ -534,4 +534,5 @@ def test_the_presentation_cache_stays_bounded():
     # each of the certification's 99 distinct labels built once, and none evicted
     assert info.currsize == info.misses == 99
     random_subalgebra_probe(11, 400)
-    assert identify._build.cache_info().currsize <= identify._build.cache_info().maxsize == 1024
+    info = identify._build.cache_info()
+    assert info.currsize <= info.maxsize == INSTANCE_CACHE_SIZE

@@ -433,8 +433,8 @@ def test_a_regular_x0_costs_no_decomposition_and_the_lower_series_no_second_gg(
     space = e.space_at(Q(2) if e.param else None)
     want = signature(Subalgebra(space))
     clear_fact_caches()
-    s = Subalgebra(space)
-    nspace = nilpotent_subspace(s)  # fills s.derived
+    work = invariants._SignatureWork(Subalgebra(space))
+    s, nspace = work.sub, work.nspace  # N(g) fills s.derived
     if nspace.dim == 2:
         pencil = invariants.pencil_rank_strata(*nspace.basis)
         monkeypatch.setattr(invariants, "pencil_rank_strata", lambda *_: pencil)
@@ -449,7 +449,7 @@ def test_a_regular_x0_costs_no_decomposition_and_the_lower_series_no_second_gg(
         spans.append(b)
         return original(sc, a, b)
     monkeypatch.setattr(structure, "bracket_space", recording)
-    assert invariants._signature(s, nspace) == want
+    assert work.signature == want
     assert spans and _units(s.dim) not in spans  # [g, [g, g]], ..., never [g, g]
     if regular:
         assert counts == {}

@@ -36,6 +36,8 @@ square_mats = st.builds(
 def test_rational_wire_format():
     assert format_rational(Q(-3, 16)) == "-3/16"
     assert format_rational(Q(2)) == "2"
+    # a value of another type is read by Fraction's own constructor
+    assert format_rational("-6/8") == "-3/4" and format_rational(0.5) == "1/2"
     assert parse_rational("-3/16") == Q(-3, 16)
     assert parse_rational("2") == Q(2)
     assert rational_sqrt(Q(9, 4)) == Q(3, 2)

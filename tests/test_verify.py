@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from sp4solvable import identify, invariants, structure, verify
 from sp4solvable.identify import verify_isomorphism
-from sp4solvable.catalog import (DEFAULT_PARAM_SAMPLES, CatalogEntry, EquivClaim,
-                                 catalog_from_json, load_catalog)
+from sp4solvable.catalog import (DEFAULT_PARAM_SAMPLES, INSTANCE_CACHE_SIZE, CatalogEntry,
+                                 EquivClaim, catalog_from_json, load_catalog)
 from sp4solvable.errors import (CatalogFault, ExpressionLimit, FactorizationLimit,
                                 IrrationalSpectrum, ProbeLimit, Sp4Error)
 from sp4solvable.linalg import Mat4, char_poly
@@ -225,16 +225,17 @@ def test_each_fact_is_computed_once_per_object_it_depends_on(monkeypatch):
 
 def test_a_codimension_2_query_needs_no_jordan_decomposition(monkeypatch):
     # match_catalog reads a codimension-2 query's parameter candidates off
-    # the char poly of its first non-nilpotent basis element, which is
-    # non-regular on all 8 such catalog instances; once every compared
-    # instance is built, matching them again decomposes nothing
+    # the traces of its first non-nilpotent basis element, which is
+    # non-regular (a repeated root of its char poly) on all 8 such catalog
+    # instances; once every compared instance is built, matching them again
+    # decomposes nothing
     spaces = [e.space_at(a) for e in load_catalog() for a in e.samples()
               if e.dim - nilpotent_subspace(Subalgebra(e.space_at(a))).dim == 2]
     non_regular = 0
     for space in spaces:
         sub = Subalgebra(space)
         x0 = next(b for b in sub.basis if not nilpotent_subspace(sub).contains(b))
-        non_regular += not invariants._regular_pair(char_poly(x0))
+        non_regular += char_poly(x0).squarefree_part().degree < 4
     assert (len(spaces), non_regular) == (8, 8)
     verify._instance.cache_clear()
     expected = [match_catalog(Subalgebra(space)) for space in spaces]
@@ -270,7 +271,7 @@ def test_the_fact_caches_stay_bounded():
     for cached in (invariants._nilpotent_facts, invariants._x0_facts,
                    verify._sw_bridge):
         info = cached.cache_info()
-        assert 0 < info.currsize <= info.maxsize == 1024
+        assert 0 < info.currsize <= info.maxsize == INSTANCE_CACHE_SIZE
 
 
 def test_separation_examples_record_witness_fields():
@@ -317,7 +318,6 @@ def test_match_catalog_finds_the_nilpotent_subspace_once(monkeypatch):
         return original(g)
 
     monkeypatch.setattr(invariants, "nilpotent_subspace", counting)
-    monkeypatch.setattr(verify, "nilpotent_subspace", counting)
     verify._instance.cache_clear()
     assert match_catalog(sub) == [("d2_Ta1_Xa", Q(2))]
     assert sum(g is sub for g in calls) == 1
@@ -381,7 +381,7 @@ def full_signature_match(sub: Subalgebra, sigs: dict) -> list:
     """`match_catalog` as full signatures compared: `signature` of the query,
     and of a fresh subalgebra of each candidate instance (kept in sigs)."""
     sig = signature(sub)
-    cands = verify._param_candidates(sub, invariants.nilpotent_subspace(sub))
+    cands = verify._param_candidates(invariants._SignatureWork(sub))
     matches = []
     for e in load_catalog():
         if e.dim != sub.dim:
@@ -488,14 +488,14 @@ def test_a_match_after_the_separations_computes_no_field_again(monkeypatch):
     calls = []
 
     def counting(original):
-        def f(s, *args):
+        def f(s, *args, **kwargs):
             calls.append(s)
-            return original(s, *args)
+            return original(s, *args, **kwargs)
         return f
 
-    for module, name in ((invariants, "_signature_head"), (verify, "_signature_head"),
-                         (invariants, "_spectral_probe"), (verify, "nilpotent_subspace")):
-        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    # N(g), the head (its lower central series) and the probe
+    for name in ("nilpotent_subspace", "_series", "_spectral_probe"):
+        monkeypatch.setattr(invariants, name, counting(getattr(invariants, name)))
     for e in entries:
         a = e.samples()[0]
         assert match_catalog(Subalgebra(e.space_at(a)))[0][0] == e.row_id
@@ -758,10 +758,10 @@ def test_a_probe_draw_with_irrational_spectra_is_still_a_skip(monkeypatch):
     catalog_with(monkeypatch, [replaced(ENTRIES[row_id], path, value)])
     candidates = verify._param_candidates
 
-    def irrational_in_dim_2(sub, nspace):
-        if sub.dim == 2:
+    def irrational_in_dim_2(work):
+        if work.sub.dim == 2:
             raise IrrationalSpectrum("made irrational")
-        return candidates(sub, nspace)
+        return candidates(work)
 
     monkeypatch.setattr(verify, "_param_candidates", irrational_in_dim_2)
     rep = random_subalgebra_probe(11, 40)

@@ -7,7 +7,9 @@ with the given arguments (default: the tier-1 suite, quiet) under a
 `sys.settrace` collector that records each line run in
 `src/sp4solvable/*.py`, and prints, per module, the executable lines that
 never ran.  The executable lines of a
-file are the line starts of every code object compiled from it; a
+file are the line starts of every code object compiled from it, less the
+bodies of module-level `if TYPE_CHECKING:` and `if __name__ == "__main__":`
+blocks, which no import runs; a
 function's `def` line counts as run when the function is called.  Lines run
 only in a child process (CLI tests that start an interpreter, the demos) are
 not seen, and the suite runs about three times slower under the collector.
@@ -16,6 +18,7 @@ It is opt-in and outside the suite's `testpaths`.  Exit status: pytest's.
 
 from __future__ import annotations
 
+import ast
 import dis
 import sys
 import threading
@@ -27,13 +30,26 @@ SRC = ROOT / "src" / "sp4solvable"
 
 
 def executable_lines(path: Path) -> set[int]:
-    """The line starts of the module's code and of every code object in it."""
-    lines, stack = set(), [compile(path.read_text(), str(path), "exec")]
+    """The line starts of the module's code and of every code object in it,
+    less the bodies of its import-time-dead blocks (`_dead_lines`)."""
+    text = path.read_text()
+    lines, stack = set(), [compile(text, str(path), "exec")]
     while stack:
         code = stack.pop()
         lines.update(line for _, line in dis.findlinestarts(code) if line is not None)
         stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-    return lines
+    return lines - _dead_lines(ast.parse(text))
+
+
+def _dead_lines(tree: ast.Module) -> set[int]:
+    """The lines of the bodies of module-level `if TYPE_CHECKING:` and
+    `if __name__ == "__main__":` blocks (their `if` line itself runs)."""
+    dead = set()
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+                "TYPE_CHECKING", "__name__ == '__main__'"):
+            dead.update(range(node.body[0].lineno, node.body[-1].end_lineno + 1))
+    return dead
 
 
 class LineCollector:
