@@ -6,12 +6,14 @@ the library's wire formats (matrices as 4x4 grids of rational strings,
 subalgebras as {"ambient": "sp4", "basis": [...]}), outputs go to stdout as
 text or JSON.  Exit codes: 0 success, 1 verification failure (also a
 catalog row whose data faults while `identify` compares it), 2 parse error
-(malformed input, bad conjugator recipe), 3 out of domain (not solvable,
-irrational spectrum, unrecognized family, factoring, expression or probe
-count bound exceeded); a library error ends in the code its class carries
-(`Sp4Error.exit_code`).  `identify` never exits 0 without a catalog row: a
-subalgebra that only a row at an irrational parameter could match exits 3,
-and one that no row matches exits 1, a completeness failure.
+(malformed input, bad conjugator recipe, a matrix outside sp(4)), 3 out of
+domain (not solvable, irrational spectrum, unrecognized family, factoring,
+expression or probe count bound exceeded, a computed value longer than the
+interpreter prints, `OutputLimit`, though each input entry fit: `main`
+leaves that limit as it is); a library error ends in the code its class
+carries (`Sp4Error.exit_code`).  `identify` never exits 0 without a
+catalog row: a subalgebra that only a row at an irrational parameter could
+match exits 3, and one that no row matches exits 1, a completeness failure.
 
 verify-catalog checks each parameterized row at the default parameter
 samples, or at the comma-separated rationals given with --params, and prints

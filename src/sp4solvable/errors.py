@@ -21,6 +21,11 @@ class ExpressionLimit(Sp4Error, ValueError):
     exit_code = 3
 
 
+class OutputLimit(Sp4Error):
+    """A value longer than the interpreter prints (`sys.get_int_max_str_digits`)."""
+    exit_code = 3
+
+
 class ProbeLimit(Sp4Error):
     """A random probe asked for more draws than the probe's bound."""
     exit_code = 3
@@ -49,7 +54,7 @@ class NotInBorel(Sp4Error):
 
 
 class NotInSp4(Sp4Error):
-    """Element classification applied outside sp(4)."""
+    """A matrix outside sp(4) given as an element of sp(4) or of a span of it."""
 
 
 class IrrationalSpectrum(Sp4Error):

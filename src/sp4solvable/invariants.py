@@ -33,9 +33,10 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   char poly p0 of x0 as p0(0) != 0.  With codimension 2 the diagonal image
   has spectra {+-f, +-g} for independent f, g, so a generic element is
   invertible; with codimension 0 none is;
-* semisimple content.  dim g - dim N(g) is 0, 1 or 2; 2 means g contains a
-  Cartan subalgebra.  For codimension 1, g contains a nonzero semisimple
-  element iff the Jordan nilpotent part of any x outside N(g) lies in N(g)
+* semisimple content.  dim g - dim N(g) is 0, 1 or 2, as g lies in a Borel
+  t + n over the closure, meeting n in N(g); 2 means g contains a Cartan.
+  For codimension 1, g contains a nonzero semisimple element iff the
+  Jordan nilpotent part of any x outside N(g) lies in N(g)
   (sweeping the nonzero ad(S)-weight components of x by unipotent
   conjugations inside g shows the condition does not depend on the choice
   of x in its coset), and a regular one iff moreover x has four distinct
@@ -62,12 +63,12 @@ instances (`verify._Instance`) and `match_catalog`'s query all use it.
 Facts of one piece of g are kept per piece, in bounded caches of
 `catalog.INSTANCE_CACHE_SIZE` entries: the catalog's 120 instances share
 15 distinct N(g), and its 102 of codimension 1 share 15 distinct x0.
-`nilpotent_strata` is kept per echelon `Subspace` N(g), whose equality is
-exact basis equality (`_nilpotent_facts`).  The char poly of x0, which
-`contains_invertible` and the probe read, and the nilpotent Jordan part of
-a non-regular x0, which `ss_content` reads, are kept per `Mat4` x0
-(`_x0_facts`); the char poly and the regularity test come off one read of
-x0's traces.  A refusal is never kept, so it is raised again on every call.
+`nilpotent_strata` is kept per `Subspace` N(g) (`_nilpotent_facts`).  Per
+`Mat4` x0 are kept its traces with its char poly (`_x0_facts`), read by the
+regularity test, `verify`'s parameter candidates, `contains_invertible`
+and the probe, and the nilpotent Jordan part of a non-regular x0
+(`_x0_nilpotent_part`), read by `ss_content`.  A refusal is never kept,
+so it is raised again on every call.
 
 Every field is invariant under conjugation by rational symplectic matrices,
 which is what the classification's equivalence relation restricts to on the
@@ -83,8 +84,8 @@ from operator import mul
 
 from .catalog import INSTANCE_CACHE_SIZE
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
-from .linalg import (Mat4, Poly, _char_poly_int, _even_traces, _kernel_int, _mul_num, _newton,
-                     generic_rank, rref, Subspace)
+from .linalg import (Mat4, Poly, _char_poly_int, _even_traces, _from_coords, _kernel_int,
+                     _mul_num, _newton, _pivot_coords, generic_rank, rref, Subspace)
 from .linalg import char_poly  # noqa: F401  perfbench's tracer test reads this binding
 from .rational import Q, Record, format_rational
 from .sp4 import in_sp4
@@ -205,10 +206,10 @@ def nilpotent_subspace(g: Subalgebra) -> Subspace:
     derived = der[1] if len(der) > 1 else []
     rows = [r for _, r in derived]
     pivots = {c for c, _ in derived}
-    free = [i for i in range(g.dim) if i not in pivots]
-    comp = [g.basis[i] for i in free]
-    nums = [b.num for b in comp]
-    trans = [b.transpose().num for b in comp]
+    comp = [(i, _from_coords(r, r[c])) for i, (c, r) in enumerate(g.space.pairs)
+            if i not in pivots]
+    nums = [b.num for _, b in comp]
+    trans = [b.transpose().num for _, b in comp]
     # a kernel vector w of the Gram matrix of the B_j = den_j*b_j on C gives
     # sum_j w_j B_j, whose coordinate at b_j is w_j*den_j
     for _, w in _kernel_int([[sum(map(mul, x, y)) for y in trans] for x in nums], len(nums)):
@@ -218,7 +219,7 @@ def nilpotent_subspace(g: Subalgebra) -> Subspace:
                 "trace-form radical contains a non-nilpotent element; "
                 "the subalgebra has irrational spectra")
         v = [0] * g.dim
-        for i, x, b in zip(free, w, comp):
+        for (i, b), x in zip(comp, w):
             v[i] = x * b.den
         rows.append(v)
     return g.space.span_coords(rref(rows))
@@ -232,11 +233,6 @@ class InvariantSignature(Record):
     __slots__ = ("dim", "derived_dims", "lower_central_dims", "is_abelian",
                  "is_nilpotent", "nilpotent_dim", "nilpotent_strata",
                  "contains_invertible", "ss_content", "probe")
-
-    @property
-    def head(self) -> tuple:
-        """The nine fields before `probe`."""
-        return self._values(self)[:-1]
 
     def to_json(self) -> dict:
         return {name: _jsonable(v) for name, v in zip(self.__slots__, self._values(self))}
@@ -291,7 +287,14 @@ class _SignatureWork:
     @cached_property
     def i0(self) -> int | None:
         """The index of x0, or None when g is nilpotent."""
-        return next((i for i, b in enumerate(self.sub.basis) if not self.nspace.contains(b)), None)
+        return next((i for i, (_, r) in enumerate(self.sub.space.pairs)
+                     if _pivot_coords(self.nspace.pairs, r) is None), None)
+
+    @cached_property
+    def x0(self) -> Mat4:
+        """x0 laid out, when g is not nilpotent."""
+        c, r = self.sub.space.pairs[self.i0]
+        return _from_coords(r, r[c])
 
     @cached_property
     def head(self) -> tuple:
@@ -300,19 +303,17 @@ class _SignatureWork:
         d, dn = s.dim, nspace.dim
         derived_dims = tuple(len(rows) for rows in s.derived)
         lower_dims = tuple(len(rows) for rows in _series(s, lower=True))
-        if d - dn not in (0, 1, 2):
-            raise Sp4Error("solvable subalgebra with toral rank > 2 in sp(4)")
         strata = _nilpotent_facts(nspace)
         if d == dn:
             content, has_invertible = "all_nilpotent", False
         elif d - dn == 2:
             content, has_invertible = "has_cartan", True
         else:
-            p0, nil = _x0_facts(s.basis[self.i0])
+            (t2, t4, _), p0 = _x0_facts(self.x0)
             has_invertible = p0.num[0] != 0  # det(x0), see the module docstring
-            if nil is None:  # four distinct eigenvalues: x0 is semisimple
+            if _regular(t2, t4):  # four distinct eigenvalues: x0 is semisimple
                 content = "has_regular_ss"
-            elif nspace.contains(nil):
+            elif nspace.contains(_x0_nilpotent_part(self.x0)):
                 content = "has_nonregular_ss_only"
             else:
                 content = "mixed_only"
@@ -326,7 +327,7 @@ class _SignatureWork:
         s = self.sub
         if s.dim - self.nspace.dim != 1:
             return None
-        return _spectral_probe(s, self.i0, _x0_facts(s.basis[self.i0])[0])
+        return _spectral_probe(s, self.i0, _x0_facts(self.x0)[1])
 
     @cached_property
     def signature(self) -> InvariantSignature:
@@ -352,12 +353,16 @@ def _nilpotent_facts(nspace: Subspace) -> tuple:
 
 @lru_cache(maxsize=INSTANCE_CACHE_SIZE)
 def _x0_facts(x0: Mat4) -> tuple:
-    """(char poly, nilpotent Jordan part) of an sp(4) element x0, kept per
-    `Mat4`, off one read of its traces (tr m = tr m^3 = 0 on sp(4)); the
-    part is None for a regular x0, which is semisimple."""
+    """((t2, t4, den), char poly) of an sp(4) element x0 = m/den, kept per `Mat4`,
+    off one read of t2 = tr m^2 and t4 = tr m^4 (tr m = tr m^3 = 0 on sp(4))."""
     _, t2, t4 = _even_traces(x0.num)
-    return (_newton((0, t2, 0, t4), x0.den),
-            None if _regular(t2, t4) else jordan_decompose(x0).nilpotent)
+    return (t2, t4, x0.den), _newton((0, t2, 0, t4), x0.den)
+
+
+@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
+def _x0_nilpotent_part(x0: Mat4) -> Mat4:
+    """The nilpotent Jordan part of a non-regular x0, kept per `Mat4`."""
+    return jordan_decompose(x0).nilpotent
 
 
 def _spectral_probe(s: Subalgebra, i0: int, p4: Poly) -> tuple:

@@ -29,10 +29,10 @@ from itertools import product
 from typing import Sequence
 
 from .errors import IrrationalSpectrum, NotInBorel, NotInSp4, NotSemisimple
-from .linalg import (Mat4, _biquadratic_roots, _even_traces, _mul_num, char_poly, rank,
-                     rational_roots)
+from .linalg import (Mat4, _biquadratic_roots, _even_traces, _mul_num, _sp4_coords, char_poly,
+                     rank, rational_roots)
 from .rational import Q, Record, format_rational
-from .sp4 import conjugate, in_sp4, root_value, shear, standard_subalgebra
+from .sp4 import conjugate, in_sp4, root_value, shear
 
 __all__ = [
     "JordanDecomposition", "jordan_decompose", "jordan_type", "OrbitLabel",
@@ -217,23 +217,16 @@ def classify_element(x: Mat4) -> OrbitLabel:
 # constructive Cartan reduction inside the Borel
 # ---------------------------------------------------------------------------
 
-_BOREL = standard_subalgebra("b")
 _HEIGHT_ORDER = ("beta", "alpha", "alpha_plus_beta", "alpha_plus_2beta")
 
 
 def _borel_components(x: Mat4):
-    """Split x in b as (a, b, {root: coefficient}); raises NotInBorel."""
-    if not _BOREL.contains(x):
+    """Split x in b as (a, b, {root: coefficient}) off its coordinates; raises NotInBorel."""
+    c = _sp4_coords(x)
+    if c is None or any(c[k] for k in (4, 7, 8, 9)):  # the negative root vectors
         raise NotInBorel("element is outside the fixed Borel subalgebra")
-    a = x.entry(0, 0)
-    b = x.entry(1, 1)
-    coeffs = {
-        "beta": x.entry(0, 1),
-        "alpha": x.entry(1, 3),
-        "alpha_plus_beta": x.entry(0, 3),
-        "alpha_plus_2beta": x.entry(0, 2),
-    }
-    return a, b, coeffs
+    a, cb, ca2b, cab, _, b, ca = [Q(v, x.den) for v in c[:7]]
+    return a, b, {"beta": cb, "alpha": ca, "alpha_plus_beta": cab, "alpha_plus_2beta": ca2b}
 
 
 def conjugate_ss_into_cartan(x: Mat4) -> tuple[Mat4, tuple]:

@@ -1,17 +1,17 @@
-"""Exact rational linear algebra on 4x4 matrices and small vector spaces.
+"""Exact rational linear algebra on 4x4 matrices and spans of sp(4).
 
 Everything here is over the rationals with no rounding: 4x4 matrices and
-polynomials are int numerators over one common denominator, subspaces are held
-in reduced row echelon form of the row-major flattened entries (so equal
-subspaces have identical basis lists), and elimination, kernels, inverses,
-polynomial division, gcd and rational roots run on ints.  Rationals appear
-only at the boundary: the constructors and entry reads of `Mat4` and `Poly`,
-and the vectors of `kernel`.  The JSON wire grid is read without them:
-`Mat4.from_json` parses each entry to a reduced int pair
-(`rational._parse_pair`) and puts the sixteen over their lcm.  `rref`
-eliminates int rows and returns
-(pivot, int row) pairs, the one coordinate form of a span.
-Coordinates in a span are read at its echelon pivots as ints
+polynomials are int numerators over one common denominator, and
+elimination, kernels, inverses, polynomial division, gcd and rational roots
+run on ints.  Rationals appear only at the boundary: the constructors and
+entry reads of `Mat4` and `Poly`, and the vectors of `kernel`.  The JSON
+wire grid is read without them: `Mat4.from_json` parses each entry to a
+reduced int pair (`rational._parse_pair`) and puts the sixteen over their
+lcm.  `rref` eliminates int rows and returns (pivot, int row) pairs, the
+one coordinate form of a span, which holds a span of sp(4) (`Subspace`) on
+its ten root coordinates (`_COORDS`), a format this module owns:
+`_from_coords` lays them out, and `_sp4_coords`, the one membership test,
+made where matrices enter a span, reads them back.  Coordinates in a span are read at its echelon pivots as ints
 (`_pivot_coords`, `Subspace.coords_num`), never solved for: the one solve
 against another basis is `inverse`.
 
@@ -38,10 +38,10 @@ from __future__ import annotations
 
 import math
 from itertools import chain, zip_longest
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
-from .errors import SingularMatrix, ZeroPolynomial
+from .errors import NotInSp4, SingularMatrix, ZeroPolynomial
 from .rational import Q, ZERO, _lowest_terms, _parse_pair, exact_isqrt, format_rational
 
 
@@ -112,18 +112,18 @@ def _kernel_int(rows: list[Sequence[int]], ncols: int) -> list[tuple[int, list[i
     return out
 
 
-def _pivot_coords(rows: Sequence[tuple[Sequence[int], int]], w: Sequence[int]):
-    """The coordinates of the int row w in the span of RREF rows, each given
-    as an int row n over its den d, or None if w is outside.  The i-th is
-    w's entry at row i's pivot (the first entry of n equal to d); w is
-    inside iff their combination is w, checked as one comparison of int rows."""
-    cs = [w[n.index(d)] for n, d in rows]
-    l = math.lcm(*[d for _, d in rows])
+def _pivot_coords(pairs: Sequence[tuple[int, Sequence[int]]], w: Sequence[int]):
+    """The coordinates of the int row w in the span of `rref` pairs (c, r),
+    each on the RREF row r / r[c], or None if w is outside.  The i-th is w's
+    entry at pair i's pivot; w is inside iff their combination is w, checked
+    as one comparison of int rows."""
+    cs = [w[c] for c, _ in pairs]
+    l = math.lcm(*[r[c] for c, r in pairs])
     combo = None
-    for c, (n, d) in zip(cs, rows):
-        if c:
-            c *= l // d
-            combo = [c * y for y in n] if combo is None else [x + c * y for x, y in zip(combo, n)]
+    for f, (c, r) in zip(cs, pairs):
+        if f:
+            f *= l // r[c]
+            combo = [f * y for y in r] if combo is None else [x + f * y for x, y in zip(combo, r)]
     if combo is None:  # every coordinate is 0
         return None if any(w) else cs
     return cs if combo == [l * x for x in w] else None
@@ -632,56 +632,96 @@ def inverse(m: Mat4) -> Mat4:
 
 
 # ---------------------------------------------------------------------------
-# subspaces of 4x4 matrices (canonical echelonized bases)
+# spans of sp(4), held in its ten root coordinates
 # ---------------------------------------------------------------------------
 
-class Subspace:
-    """A subspace of the 16-dimensional matrix space, held as the unique
-    reduced-row-echelon basis with respect to row-major flattening.  Equality
-    of subspaces is therefore equality of basis lists."""
+# [[A, B], [C, -A^t]] in sp(4), B and C symmetric, is fixed by its entries
+# A11 A12 B11 B12 A21 A22 B22 C11 C12 C22 (Humphreys, Introduction to Lie
+# Algebras, 1.2), a root-space basis (ibid., 8): the Cartan 0 and 5, X_alpha
+# 6, X_beta 1, X_{alpha+beta} 3, X_{alpha+2beta} 2, and the negative root
+# vectors 4, 7, 8 and 9.  Each other entry is +- one at an earlier position,
+# so each pivot of an echelon basis lies at one of these.
+_COORDS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 13)
+# (coordinate, sign) of each of the 16 entries: entry 6 is B21 = B12, 10 and
+# 15 are -A11 and -A22, 11 and 14 are -A21 and -A12, 12 is C21 = C12
+_LAYOUT = ((0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (3, 1), (6, 1),
+           (7, 1), (8, 1), (0, -1), (4, -1), (8, 1), (9, 1), (1, -1), (5, -1))
+_read_coords = itemgetter(*_COORDS)
 
-    __slots__ = ("basis",)
+
+def _from_coords(c: Sequence[int], den: int) -> Mat4:
+    """The sp(4) element whose ten coordinates are the ints c over den > 0."""
+    return Mat4._make([s * c[k] for k, s in _LAYOUT], den)
+
+
+def _sp4_coords(m: Mat4) -> tuple[int, ...] | None:
+    """The ten coordinates of m over m.den, or None when m is outside sp(4):
+    the one membership test, m is in sp(4) iff its coordinates lay out to it."""
+    c = _read_coords(m.num)
+    return c if tuple([s * c[k] for k, s in _LAYOUT]) == m.num else None
+
+
+class Subspace:
+    """A subspace of sp(4), held as the unique `rref` pairs of its ten-coordinate
+    rows, so equal subspaces have equal pairs.  Matrices enter by the constructor
+    (NotInSp4 for one outside sp(4)) and leave by `basis`, laid out on read."""
+
+    __slots__ = ("pairs",)
 
     def __init__(self, mats: Iterable[Mat4]):
-        self.basis = tuple(Mat4._make(r, r[c]) for c, r in rref([m.num for m in mats]))
+        rows = [_sp4_coords(m) for m in mats]
+        if None in rows:
+            raise NotInSp4("subalgebra basis element is not in sp(4)")
+        self.pairs = Subspace._of(rref(rows)).pairs
+
+    @classmethod
+    def _of(cls, pairs: Iterable[tuple[int, Sequence[int]]]) -> "Subspace":
+        """The subspace whose canonical pairs are given."""
+        sub = cls.__new__(cls)
+        sub.pairs = tuple([(c, tuple(r)) for c, r in pairs])
+        return sub
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pairs)
+
+    @property
+    def basis(self) -> tuple[Mat4, ...]:
+        """The echelon basis as matrices, each row over its pivot."""
+        return tuple([_from_coords(r, r[c]) for c, r in self.pairs])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Subspace) and self.basis == other.basis
+        return isinstance(other, Subspace) and self.pairs == other.pairs
 
     def __hash__(self) -> int:
-        return hash(self.basis)
+        return hash(self.pairs)
 
     def contains(self, m: Mat4) -> bool:
         return self.coords_num(m) is not None
 
     def coords_num(self, m: Mat4):
         """The coefficients of m in the echelon basis times m.den (ints), or
-        None if m is outside (`_pivot_coords` on the numerators)."""
-        return _pivot_coords([(b.num, b.den) for b in self.basis], m.num)
+        None if m is outside (`_pivot_coords` on its coordinates)."""
+        c = _sp4_coords(m)
+        return None if c is None else _pivot_coords(self.pairs, c)
 
     def span_coords(self, pairs: Sequence[tuple[int, Sequence[int]]]) -> "Subspace":
-        """The subspace of the combinations of this basis with the int
-        coordinate rows of `rref` pairs (c, r), with no elimination on
-        the 16 entries: each basis element has its pivot ahead of the next
-        one's and zeros at the others', so the combination with r / r[c]
-        has 1 at the pivot of element c and 0 at those of the other rows,
-        and these are the echelon basis of the span."""
-        l = math.lcm(*[b.den for b in self.basis])
-        basis = []
+        """The span of the combinations of this basis with the int coordinate
+        rows of `rref` pairs (c, r), with no elimination: over its content,
+        sum_k r[k] b_k / b_k[pivot] is the canonical row with the pivot of
+        b_c, as each b_k has zeros at the other basis pivots."""
+        own = self.pairs
+        l = math.lcm(*[b[p] for p, b in own])
+        out = []
         for c, r in pairs:
-            acc = [0] * 16
-            for x, b in zip(r, self.basis):
+            acc = [0] * 10
+            for x, (p, b) in zip(r, own):
                 if x:
-                    f = x * (l // b.den)
-                    acc = [u + f * v for u, v in zip(acc, b.num)]
-            basis.append(Mat4._make(acc, l * r[c]))
-        sub = Subspace.__new__(Subspace)
-        sub.basis = tuple(basis)
-        return sub
+                    f = x * (l // b[p])
+                    acc = [u + f * v for u, v in zip(acc, b)]
+            g = math.gcd(*acc)
+            out.append((own[c][0], [u // g for u in acc]))
+        return Subspace._of(out)
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim})"

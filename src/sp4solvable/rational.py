@@ -23,11 +23,12 @@ every other one imports so that none needs ``dataclasses`` (and its ``inspect``)
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction as Q
 from math import gcd, isqrt
 from operator import attrgetter
 
-from .errors import FactorizationLimit
+from .errors import FactorizationLimit, OutputLimit
 
 __all__ = [
     "Q",
@@ -127,11 +128,16 @@ def _lowest_terms(n: int, d: int) -> tuple[int, int]:
 
 
 def format_rational(q) -> str:
-    """Render in lowest terms as ``"p/q"``, or ``"p"`` when q = 1."""
+    """Render in lowest terms as ``"p/q"``, or ``"p"`` when q = 1; OutputLimit
+    for a part longer than `sys.get_int_max_str_digits` digits."""
     if type(q) is not Q and type(q) is not int:
         q = Q(q)
     num, den = q.numerator, q.denominator
-    return str(num) if den == 1 else f"{num}/{den}"
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError as exc:
+        raise OutputLimit(f"a computed value has more than {sys.get_int_max_str_digits()} "
+                          "digits, the interpreter's limit on printing an int") from exc
 
 
 def exact_isqrt(n: int):

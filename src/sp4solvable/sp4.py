@@ -21,27 +21,27 @@ The positive root vectors, in the basis of the matrix displays, are
 with ad(T_{a,b}) eigenvalues 2b, a-b, a+b, 2a respectively.  X_alpha and
 X_{alpha+2beta} are the long roots.
 
-An element [[A, B], [C, -A^t]] of sp(4) (B and C symmetric) is fixed by ten
-of its entries (`_COORDS`).  Elements are laid out from those ten int
-coordinates by one helper (`_from_coords`): `element`, the catalog's basis
-builder (through `_root_element`, on int numerators) and the brackets that
-`structure`'s closure pass finds outside a span.  `structure` brackets in
-those coordinates through a table it reads once off `bracket`, which stays
-the matrix commutator.
+An element of sp(4) is fixed by ten of its entries, its root coordinates,
+whose format `linalg` owns (`linalg._COORDS`, `_from_coords`, and the one
+membership test `_sp4_coords`, behind `in_sp4`); `element` and the
+catalog's basis builder lay them out through `_root_element`, on int
+numerators, and the standard subalgebras are spans of unit coordinates.
 
 The one Sp(4) test reads g^{-1} = -J g^t J off g's numerators and checks
 g g^{-1} = I by one product (`_group_inverse_num`, behind `in_sp4_group`).
 `conjugate_subalgebra` takes that g^{-1} and forms each g b g^{-1} over
 the nonzero entries of b, g and g^{-1} only, so its cost follows their
 nonzeros: the named conjugators and the diagonal ones are monomial (four
-nonzeros), and each then costs one term per nonzero of b.
+nonzeros), and each then costs one term per nonzero of b.  Each image is
+read at the ten coordinates untested, as Ad(g) keeps sp(4).
 """
 
 from __future__ import annotations
 
 from .errors import ExpressionLimit, Sp4Error
 from .exprs import eval_expr
-from .linalg import Mat4, Subspace, _mul_num, _over_common_den, echelon_span, inverse
+from .linalg import (_LAYOUT, Mat4, Subspace, _from_coords, _mul_num, _over_common_den,
+                     _read_coords, _sp4_coords, inverse, rref)
 from .rational import Q, Record
 
 __all__ = [
@@ -80,25 +80,6 @@ def root_value(label: str, a, b):
     }[label]
 
 
-# An element [[A, B], [C, -A^t]] of sp(4), B and C symmetric, is fixed by
-# its entries at these row-major positions: A11 A12 B11 B12 A21 A22 B22 C11
-# C12 C22 (Humphreys, Introduction to Lie Algebras, 1.2).  Each other entry
-# is +- one of them at an earlier position, so the first nonzero entry of an
-# element, and each pivot of an echelon basis of a span in sp(4), is at one
-# of these.
-_COORDS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 13)
-# (coordinate, sign) of each of the 16 entries: entry 6 is B21 = B12, 10 and
-# 15 are -A11 and -A22, 11 and 14 are -A21 and -A12, 12 is C21 = C12
-_LAYOUT = ((0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (3, 1), (6, 1),
-           (7, 1), (8, 1), (0, -1), (4, -1), (8, 1), (9, 1), (1, -1), (5, -1))
-
-
-def _from_coords(c, den: int) -> Mat4:
-    """The sp(4) element whose ten coordinates (`_COORDS`) are the ints
-    c over den > 0."""
-    return Mat4._make([s * c[k] for k, s in _LAYOUT], den)
-
-
 def element(a, b, ca=0, cb=0, cab=0, ca2b=0) -> Mat4:
     """T(a,b) + ca*X_alpha + cb*X_beta + cab*X_{alpha+beta} + ca2b*X_{alpha+2beta},
     built as one matrix: each coefficient sits at its root vector's entries."""
@@ -128,10 +109,8 @@ _J_TABLE = tuple((abs(x) - 1, 1 if x > 0 else -1)
 
 
 def in_sp4(m: Mat4) -> bool:
-    """Membership in the Lie algebra: J m^t J = m bit-exactly, compared as
-    the signed permutation `_J_TABLE` of m's numerators (over the same den)."""
-    a = m.num
-    return a == tuple([s * a[u] for u, s in _J_TABLE])
+    """Membership in the Lie algebra, J m^t J = m: `linalg._sp4_coords`."""
+    return _sp4_coords(m) is not None
 
 
 def in_sp4_group(g: Mat4) -> bool:
@@ -166,27 +145,23 @@ def conjugate_subalgebra(g: Mat4, s: Subspace) -> Subspace:
     nonzeros of b, of column k of g and of row l of g^{-1}, so its cost
     follows the nonzeros: one term per nonzero of b for a monomial g, and
     at most 256 for dense ones."""
-    a, d = g.num, g.den
+    a = g.num
     if (inv := _group_inverse_num(g)) is None:
         raise Sp4Error("conjugate_subalgebra needs a conjugator in Sp(4)")
     # (4i, g_ik) for each nonzero of column k of g, and (j, (g^-1)_lj) of row l
-    cols, rows = [[], [], [], []], [[], [], [], []]
-    for n in range(16):
-        if a[n]:
-            cols[n & 3].append((n & 12, a[n]))
-        if inv[n]:
-            rows[n >> 2].append((n & 3, inv[n]))
+    cols = [[(n & 12, a[n]) for n in range(k, 16, 4) if a[n]] for k in range(4)]
+    rows = [[(n & 3, inv[n]) for n in range(4 * l, 4 * l + 4) if inv[n]] for l in range(4)]
     out = []
-    for b in s.basis:
+    for _, r in s.pairs:
         acc = [0] * 16
-        for kl, x in enumerate(b.num):
-            if x:
+        for kl, (k, sign) in enumerate(_LAYOUT):  # b_kl, b laid out from r
+            if x := sign * r[k]:
                 for i, gik in cols[kl >> 2]:
                     f = x * gik
                     for j, h in rows[kl & 3]:
                         acc[i + j] += f * h
-        out.append(Mat4._make(acc, d * d * b.den))
-    return echelon_span(out)
+        out.append(_read_coords(acc))
+    return Subspace._of(rref(out))
 
 
 # -- named conjugators -------------------------------------------------------
@@ -306,24 +281,17 @@ def _atom_values(atom: str, text: str, count: int, env: dict) -> list:
 
 # -- standard subalgebras ----------------------------------------------------
 
-_T10 = T(1, 0)
-_T01 = T(0, 1)
-_Y_BETA = Mat4.unit(2, 1) - Mat4.unit(3, 4)  # negative root vector for beta
-
-_STANDARD = {
-    "t": (_T10, _T01),
-    "n": (X_BETA, X_ALPHA, X_AB, X_A2B),
-    "n_p": (X_ALPHA, X_AB, X_A2B),
-    "b": (_T10, _T01, X_BETA, X_ALPHA, X_AB, X_A2B),
-    "p": (_T10, _T01, X_BETA, _Y_BETA, X_ALPHA, X_AB, X_A2B),
-}
+# the unit coordinates (`linalg._COORDS`) spanning each: the Cartan 0 and 5,
+# X_beta 1, X_{alpha+2beta} 2, X_{alpha+beta} 3, X_alpha 6, and Y_beta 4
+_STANDARD = {"t": (0, 5), "n": (1, 2, 3, 6), "n_p": (2, 3, 6), "b": (0, 1, 2, 3, 5, 6),
+             "p": (0, 1, 2, 3, 4, 5, 6)}
 
 
 def standard_subalgebra(name: str) -> Subspace:
     """One of t, b, n, p, n_p (dims 2, 6, 4, 7, 3)."""
     if name not in _STANDARD:
         raise Sp4Error(f"unknown standard subalgebra {name!r}")
-    return echelon_span(_STANDARD[name])
+    return Subspace._of((k, [int(i == k) for i in range(10)]) for k in _STANDARD[name])
 
 
 # -- Weyl action on diagonal parameters --------------------------------------

@@ -1,34 +1,27 @@
 """Structural predicates and series for subalgebras.
 
-The bracket table (exact structure constants) is the one bracket fact of a
-subalgebra.  Like `Mat4`, it is held as int numerators over one positive
-denominator in lowest terms, so == is exact value equality.  One closure pass
-(`_close_pairs`) brackets the d(d-1)/2 pairs of the canonical echelon basis
-once and reads each bracket at the basis pivots (`linalg._pivot_coords`): it
-gives the table, or the brackets that leave the span, as `Mat4`s.  It works
-in the ten coordinates that fix an sp(4) element (`sp4._COORDS`), where the
-pivots of a span in sp(4) lie: each basis element is read there, and a pair
-is bracketed bilinearly, over the nonzero coordinates only, through the
-10 x 10 table of brackets of the unit elements (`_BRACKETS`, built once at
-import by `sp4.bracket`), so no matrix is multiplied.  A basis element
-outside sp(4) raises Sp4Error there, so a `Subalgebra` is a subalgebra of
-sp(4).  `Subalgebra.constants`, `is_closed` and `generated_subalgebra` all
-use it, so closure is the table's existence, and a generated subalgebra
-keeps the table of its last round.  The
-series, predicates and adjoint matrices run on the table in coordinates
-(d <= 7), each subspace held as the (pivot, int row) pairs of
-`linalg.rref`: brackets are int contractions (`_bracket_num`), spans are
-eliminated fraction-free (`bracket_space`, `_series`), and an adjoint matrix
-is one int matrix over one den, read at the pivots (`_ad_num`).  Rationals
-appear only at the public boundary: `StructureConstants.table` and
-`derived_series`.  A table moves to a new basis only by `_moved`, which
-brackets int coordinate columns and divides once, for
-`Subalgebra.constants_in` (on `Subspace.coords_num`); of the library only
-`structure_constants_for_basis` calls it, and the tests use it as their
-reference.  Whether a map carries one table onto another is checked
+A `Subalgebra` is a span of sp(4) (`linalg.Subspace`, in the ten root
+coordinates `linalg._COORDS`) with its bracket table (exact structure
+constants), the one bracket fact of a subalgebra, held like `Mat4` as int
+numerators over one positive denominator in lowest terms.  One closure pass
+(`_close_pairs`) brackets each pair of echelon rows once, bilinearly over
+their nonzero coordinates through the brackets of the unit elements
+(`_BRACKETS`, read once off `sp4.bracket`), and reads each at the row
+pivots (`linalg._pivot_coords`): the table, or the brackets outside the
+span as coordinate rows.  So closure is the table's existence
+(`Subalgebra.constants`, `is_closed`), and `generated_subalgebra` keeps
+the table of its last round.  The series, predicates and adjoint matrices
+run on the table (d <= 7), each subspace held as `linalg.rref` pairs:
+brackets are int contractions (`_bracket_num`), spans are eliminated
+fraction-free (`bracket_space`, `_series`), and an adjoint matrix is one
+int matrix over one den, read at the pivots (`_ad_num`).  Rationals appear
+only at the public boundary: `StructureConstants.table` and
+`derived_series`.  A table moves to a new basis only by `_moved`, for
+`Subalgebra.constants_in`, which `structure_constants_for_basis` and the
+tests call.  Whether a map carries one table onto another is checked
 without moving either (`identify.verify_isomorphism`); the certifier
-carries a row's stated map onto the echelon table through the frame of
-the row's stated basis instead (`verify`).
+carries a row's stated map through the frame of its stated basis
+(`verify`).
 """
 
 from __future__ import annotations
@@ -39,9 +32,10 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import DependentInputs, Sp4Error
-from .linalg import Mat4, Subspace, _over_common_den, _pivot_coords, echelon_span, rref
+from .linalg import (Mat4, Subspace, _from_coords, _over_common_den, _pivot_coords,
+                     _read_coords, echelon_span, rref)
 from .rational import Q, format_rational
-from .sp4 import _COORDS, _from_coords, bracket, in_sp4
+from .sp4 import bracket
 
 __all__ = [
     "Subalgebra", "is_closed", "generated_subalgebra", "bracket_space", "derived_series",
@@ -66,8 +60,8 @@ class Subalgebra:
 
     @classmethod
     def from_matrices(cls, mats: Iterable[Mat4]) -> "Subalgebra":
-        sub = cls(echelon_span(mats))
-        sub.constants  # raises Sp4Error for a basis outside sp(4) or not closed
+        sub = cls(echelon_span(mats))  # NotInSp4 for a matrix outside sp(4)
+        sub.constants  # Sp4Error for a basis that is not closed
         return sub
 
     @cached_property
@@ -114,28 +108,20 @@ class Subalgebra:
         return cls.from_matrices(mats)
 
 
-# [e_i, e_j] for the unit elements e_i of the ten coordinates (`sp4._COORDS`),
-# each as its nonzero (coordinate, int) pairs: the e_i are integral, so
-# their brackets are
+# [e_i, e_j] of the integral unit elements e_i of the ten coordinates, each
+# as its nonzero (coordinate, int) pairs
 _UNITS = [_from_coords([int(i == k) for k in range(10)], 1) for i in range(10)]
-_BRACKETS = tuple(tuple(tuple((k, c) for k, p in enumerate(_COORDS)
-                              if (c := bracket(x, y).num[p])) for y in _UNITS)
-                  for x in _UNITS)
+_BRACKETS = tuple(tuple(tuple((k, c) for k, c in enumerate(_read_coords(bracket(x, y).num)) if c)
+                        for y in _UNITS) for x in _UNITS)
 
 
-def _close_pairs(space: Subspace) -> "StructureConstants | list[Mat4]":
-    """Bracket each pair of the echelon basis once: the bracket table, read
-    at the basis pivots, or the brackets that fall outside the span.  The
-    basis is read in the ten coordinates of sp(4), where its pivots lie, and
-    bracketed bilinearly through `_BRACKETS` over its nonzeros; a basis
-    element outside sp(4) raises Sp4Error."""
-    basis = space.basis
-    if not all(map(in_sp4, basis)):
-        raise Sp4Error("subalgebra basis element is not in sp(4)")
-    rows = [([b.num[p] for p in _COORDS], b.den) for b in basis]
-    # each element over the common den l, at its nonzero coordinates
-    l = math.lcm(*[d for _, d in rows])
-    sparse = [[(i, x * (l // d)) for i, x in enumerate(r) if x] for r, d in rows]
+def _close_pairs(space: Subspace) -> "StructureConstants | list[list[int]]":
+    """Bracket each pair of echelon rows once, bilinearly through `_BRACKETS`
+    over their nonzeros: the bracket table, read at the row pivots, or the
+    brackets that fall outside the span, as int coordinate rows."""
+    pairs = space.pairs
+    l = math.lcm(*[r[c] for c, r in pairs])
+    sparse = [[(i, x * (l // r[c])) for i, x in enumerate(r) if x] for c, r in pairs]
     coords, outside = [], []
     for u, v in combinations(sparse, 2):
         w = [0] * 10
@@ -145,9 +131,9 @@ def _close_pairs(space: Subspace) -> "StructureConstants | list[Mat4]":
                 f = x * y
                 for k, c in table[j]:
                     w[k] += f * c
-        c = _pivot_coords(rows, w)
+        c = _pivot_coords(pairs, w)
         if c is None:
-            outside.append(_from_coords(w, l * l))
+            outside.append(w)
         else:
             coords.append(c)
     if outside:
@@ -165,7 +151,7 @@ def generated_subalgebra(seed: Iterable[Mat4]) -> Subalgebra:
     bracket table of its last closure round."""
     space = echelon_span(seed)
     while not isinstance(found := _close_pairs(space), StructureConstants):
-        space = echelon_span(list(space.basis) + found)
+        space = Subspace._of(rref([r for _, r in space.pairs] + found))
     sub = Subalgebra(space)
     sub.constants = found  # fills the cached_property
     return sub
@@ -185,12 +171,12 @@ def _ad_num(sc: "StructureConstants", y: Sequence[int],
     matrix (rows) over one den.  Column k is the int bracket den*[y, r_k]
     read at the pivots (`_pivot_coords`), so nothing is solved, over
     den*r_k[c_k]; the columns are put over the lcm of the pivots."""
-    rows = [(r, r[c]) for c, r in pairs]
-    cols = [_pivot_coords(rows, sc._bracket_num(y, r)) for r, _ in rows]
+    cols = [_pivot_coords(pairs, sc._bracket_num(y, r)) for _, r in pairs]
     if None in cols:
         raise Sp4Error("subspace is not ad-stable")
-    l = math.lcm(*[p for _, p in rows])
-    return [[x * (l // p) for x, (_, p) in zip(r, rows)] for r in zip(*cols)], l * sc.den
+    pivots = [r[c] for c, r in pairs]
+    l = math.lcm(*pivots)
+    return [[x * (l // p) for x, p in zip(r, pivots)] for r in zip(*cols)], l * sc.den
 
 
 def _units(d: int) -> list[list[int]]:

@@ -17,7 +17,7 @@ the de Graaf class alone, so it is checked once per class (`_sw_bridge`)
 and recorded once per instance.  A fault of the row's data (an `Sp4Error`,
 or an `ArithmeticError` or `ValueError` such as a pole or malformed text)
 is the check's fail, with its repr as detail; the size limits
-`ExpressionLimit` and `FactorizationLimit` propagate (CLI exit 3).
+`ExpressionLimit`, `FactorizationLimit` and `OutputLimit` propagate (exit 3).
 Pairwise separations inside each dimension are certified by a differing
 signature field, and a randomized probe matches closed random Borel seeds
 back into the catalog: each draw must match exactly one row, and a row
@@ -35,16 +35,15 @@ from operator import mul
 from .catalog import (DEFAULT_PARAM_SAMPLES, INSTANCE_CACHE_SIZE, CatalogEntry, build_elements,
                       load_catalog)
 from .errors import (CatalogFault, DependentInputs, ExpressionLimit, FactorizationLimit,
-                     IrrationalSpectrum, ProbeLimit, Sp4Error)
+                     IrrationalSpectrum, OutputLimit, ProbeLimit, Sp4Error)
 from .exprs import eval_expr
 from .identify import (DeGraafClass, _columns_num, _isomorphism_num, degraaf_to_sw,
                        identify_degraaf, sw_bridge_map, verify_isomorphism)
-from .invariants import _SignatureWork
+from .invariants import _SignatureWork, _x0_facts
 from .jordan import _eigen_pair
-from .linalg import Mat4, _even_traces, echelon_span
+from .linalg import _COORDS, echelon_span
 from .rational import Q, Record, format_rational
-from .sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, conjugate_subalgebra, in_sp4,
-                  parse_conjugator)
+from .sp4 import conjugate_subalgebra, element, parse_conjugator
 from .structure import Subalgebra, generated_subalgebra, is_solvable
 
 __all__ = ["CheckRecord", "VerificationReport", "verify_entry",
@@ -115,7 +114,7 @@ def _p(param) -> str:
 PROBE_COUNT_BOUND = 10**5
 # The size bounds of the caller (CLI exit 3), never a fault of a row, and
 # the faults of a row's own data, which fail that row's check.
-_SIZE_LIMITS = (ExpressionLimit, FactorizationLimit)
+_SIZE_LIMITS = (ExpressionLimit, FactorizationLimit, OutputLimit)
 _ROW_FAULTS = (Sp4Error, ArithmeticError, ValueError)
 
 
@@ -139,7 +138,7 @@ class _Instance(_SignatureWork):
         dimension are dependent and raise DependentInputs."""
         if len(self.mats) > self.sub.dim:
             raise DependentInputs("coordinates need independent vectors")
-        pivots = [b.num.index(b.den) for b in self.sub.basis]
+        pivots = [_COORDS[c] for c, _ in self.sub.space.pairs]
         f = math.lcm(*[m.den for m in self.mats])
         return [[m.num[p] * (f // m.den) for p in pivots] for m in self.mats], f
 
@@ -221,9 +220,8 @@ def _verify_at(entry: CatalogEntry, a, rep: VerificationReport, first: bool):
 
 def _closure(entry: CatalogEntry, a) -> tuple:
     inst = _instance(entry, a)
-    dim, sp4 = inst.sub.space.dim, all(in_sp4(m) for m in inst.mats)
-    if dim != entry.dim or not sp4:
-        return False, f"dim {dim}/{entry.dim} sp4 {sp4}"
+    if inst.sub.dim != entry.dim:
+        return False, f"dim {inst.sub.dim}/{entry.dim}"
     inst.sub.constants  # the bracket table exists iff the span is closed
     return True, ""
 
@@ -375,15 +373,14 @@ def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
 
 def _param_candidates(work: _SignatureWork) -> list | None:
     """Candidate family parameters from the eigenvalue pair of the
-    subalgebra's x0 (ratios p/q, q/p with signs), read off its traces
-    tr x^2 and tr x^4 (`jordan._eigen_pair`); none for a nilpotent one, and
-    None when that pair is irrational, so that no rational parameter can
-    match."""
+    subalgebra's x0 (ratios p/q, q/p with signs), read off the traces
+    tr x^2 and tr x^4 that `invariants._x0_facts` keeps (`jordan._eigen_pair`);
+    none for a nilpotent one, and None when that pair is irrational, so that
+    no rational parameter can match."""
     if work.i0 is None:
         return []
-    x0 = work.sub.basis[work.i0]
     try:
-        p, q = _eigen_pair(*_even_traces(x0.num)[1:], x0.den)
+        p, q = _eigen_pair(*_x0_facts(work.x0)[0])
     except IrrationalSpectrum:
         return None
     cands = {sign * x / y for x, y in ((p, q), (q, p)) if y for sign in (1, -1)}
@@ -445,7 +442,6 @@ def random_subalgebra_probe(seed: int, count: int,
     _check_probe_count(count)
     rep = _report(report, ())  # a probe evaluates rows at eigenvalue candidates only
     rng = random.Random(seed)
-    pool = [X_ALPHA, X_BETA, X_AB, X_A2B]
     produced = 0
     attempts = 0
     matched = 0
@@ -455,12 +451,9 @@ def random_subalgebra_probe(seed: int, count: int,
         seeds = []
         n_seeds = rng.choice((1, 1, 2))
         for _ in range(n_seeds):
-            m = Mat4.zero()
-            if rng.random() < 0.7:
-                m = m + T(rng.randint(-3, 3), rng.randint(-3, 3))
-            for x in pool:
-                if rng.random() < 0.4:
-                    m = m + x * Q(rng.randint(-2, 2))
+            # T(a, b), then the coefficients of X_alpha, X_beta, X_{alpha+beta}, X_{alpha+2beta}
+            t = [rng.randint(-3, 3), rng.randint(-3, 3)] if rng.random() < 0.7 else [0, 0]
+            m = element(*t, *[rng.randint(-2, 2) if rng.random() < 0.4 else 0 for _ in range(4)])
             if not m.is_zero():
                 seeds.append(m)
         if not seeds:

@@ -40,7 +40,7 @@ def clear_fact_caches():
     """Empty the per-object caches of the signature (N(g) and x0 facts) and
     of the sw-bridge check, so that the next calls compute them anew."""
     for cached in (invariants._nilpotent_facts, invariants._x0_facts,
-                   verify._sw_bridge):
+                   invariants._x0_nilpotent_part, verify._sw_bridge):
         cached.cache_clear()
 
 
@@ -61,6 +61,14 @@ def random_borel_element(rng, span=3):
         if c:
             m = m + x * Q(c)
     return m
+
+
+def sp4_block(e) -> Mat4:
+    """The sp(4) element [[A, B], [C, -A^t]] of ten entries: A row by row,
+    then the upper triangles of the symmetric B and C."""
+    a11, a12, a21, a22, b11, b12, b22, c11, c12, c22 = e
+    return Mat4([[a11, a12, b11, b12], [a21, a22, b12, b22],
+                 [c11, c12, -a11, -a21], [c12, c22, -a12, -a22]])
 
 
 def random_sp4_element(rng, span=3):

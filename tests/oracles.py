@@ -15,8 +15,9 @@ elimination and products of `Mat4`s.  Two oracles were the library's own
 earlier paths: `jordan_newton`, the Newton iteration on the squarefree
 char poly (with its Horner `poly_eval_mat`), which works for any 4x4
 matrix, against the closed form of `jordan.jordan_decompose`; and
-`close_pairs_matrix`, the bracket table by 4x4 matrix products read in all
-16 entries, against the ten-coordinate `structure._close_pairs`.  Six helpers are no oracles: `coords`
+`close_pairs_matrix`, the bracket table by 4x4 matrix products, against
+the ten-coordinate brackets of `structure._close_pairs`.  Six helpers are
+no oracles: `coords`
 and `echelon_coords` give the library's int pivot reads (`Subspace.coords_num`,
 `linalg._pivot_coords`) as rationals; `fraction_rows` the (pivot, int row)
 pairs of the int kernels (`linalg.rref`, `structure.bracket_space`,
@@ -34,7 +35,7 @@ from sp4solvable.errors import (DependentInputs, ExpressionLimit, IrrationalSpec
 from sp4solvable.exprs import MAX_POWER_BITS
 from sp4solvable.invariants import PencilStrata
 from sp4solvable.jordan import JordanDecomposition
-from sp4solvable.linalg import (Mat4, Poly, Subspace, _mul_num, _over_common_den,
+from sp4solvable.linalg import (_COORDS, Mat4, Poly, Subspace, _mul_num, _over_common_den,
                                 _pivot_coords, char_poly, det_mpoly, echelon_span, inverse,
                                 rref)
 from sp4solvable.rational import Q, ZERO
@@ -202,7 +203,8 @@ def echelon_coords(rows, w):
     if w is outside: `linalg._pivot_coords` on the rows and w over their
     dens."""
     wn, wd = _over_common_den(w)
-    cs = _pivot_coords([_over_common_den(r) for r in rows], wn)
+    nums = [_over_common_den(r)[0] for r in rows]
+    cs = _pivot_coords([(next(i for i, x in enumerate(n) if x), n) for n in nums], wn)
     return None if cs is None else tuple(Q(c, wd) for c in cs)
 
 
@@ -434,13 +436,16 @@ def jordan_newton(x: Mat4) -> JordanDecomposition:
     return JordanDecomposition(s, x - s)
 
 
-def close_pairs_matrix(space: Subspace) -> "StructureConstants | list[Mat4]":
+def close_pairs_matrix(space: Subspace) -> "StructureConstants | list[list[int]]":
     """`structure._close_pairs` by 4x4 matrix products: each pair of the
     echelon basis bracketed as xy - yx (`sp4.bracket`) and read at the
-    basis pivots in all 16 entries; the table, or the brackets outside."""
+    basis pivots; the table, or the brackets outside, each as its ten
+    coordinates (`_COORDS`) times l^2 for the lcm l of the basis dens."""
     brackets = [bracket(x, y) for x, y in combinations(space.basis, 2)]
     coords = [space.coords_num(b) for b in brackets]
-    outside = [b for b, c in zip(brackets, coords) if c is None]
+    l = math.lcm(*[b.den for b in space.basis])
+    outside = [[b.num[p] * (l * l // b.den) for p in _COORDS]
+               for b, c in zip(brackets, coords) if c is None]
     if outside:
         return outside
     den = math.lcm(*[b.den for b in brackets])

@@ -21,7 +21,7 @@ from oracles import (bracket_coords_fraction, change_basis_fraction, char_poly_d
                      close_pairs_matrix, combination, coords, fraction_rows, gauss_jordan,
                      in_sp4_product, moved_constants, rational_bracket_space, solve_in_span,
                      unit_rows)
-from sp4solvable import linalg, sp4, structure
+from sp4solvable import linalg, structure
 from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES, load_catalog
 from sp4solvable.errors import DependentInputs, Sp4Error
 from sp4solvable.invariants import signature
@@ -276,15 +276,15 @@ _sp4_elements = st.builds(_block, st.lists(st.lists(small, min_size=2, max_size=
 
 
 def test_the_ten_coordinates_fix_an_sp4_element():
-    units = [sp4._from_coords([int(i == k) for k in range(10)], 1) for i in range(10)]
+    units = [linalg._from_coords([int(i == k) for k in range(10)], 1) for i in range(10)]
     assert all(in_sp4_product(u) for u in units)
     assert echelon_span(units).dim == 10  # the dimension of sp(4)
     rng = random.Random(5)
     for _ in range(50):
         m = random_sp4_element(rng) * Q(rng.randint(1, 9), rng.randint(1, 9))
-        assert sp4._from_coords([m.num[p] for p in sp4._COORDS], m.den) == m
+        assert linalg._from_coords([m.num[p] for p in linalg._COORDS], m.den) == m
         # the first nonzero entry is one of the ten
-        assert next(i for i, x in enumerate(m.num) if x) in sp4._COORDS
+        assert next(i for i, x in enumerate(m.num) if x) in linalg._COORDS
 
 
 def test_the_table_of_every_catalog_instance_is_the_matrix_table():
@@ -325,15 +325,13 @@ def test_each_round_of_generated_subalgebra_is_the_matrix_round(seeds, recipe):
     assert sub.constants == rounds[-1][1]
     for space, found in rounds:
         assert found == close_pairs_matrix(space)
-    # every round but the last brings brackets outside, as the same Mat4s
+    # every round but the last brings brackets outside, as the same coordinate rows
     assert all(isinstance(found, list) and found for _, found in rounds[:-1])
 
 
 def test_a_span_outside_sp4_is_refused():
-    gl4 = echelon_span([Mat4.unit(1, 1), Mat4.unit(2, 2)])  # abelian, not in sp(4)
-    for build in (lambda: structure._close_pairs(gl4), lambda: Subalgebra(gl4).constants,
-                  lambda: structure.is_closed(gl4),
-                  lambda: generated_subalgebra(gl4.basis),
-                  lambda: Subalgebra.from_matrices(gl4.basis)):
+    gl4 = [Mat4.unit(1, 1), Mat4.unit(2, 2)]  # abelian, not in sp(4)
+    for build in (echelon_span, generated_subalgebra, Subalgebra.from_matrices,
+                  structure_constants_for_basis):
         with pytest.raises(Sp4Error, match=r"not in sp\(4\)"):
-            build()
+            build(gl4)

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -148,7 +149,7 @@ def test_two_calls_build_one_parser(ta_path, monkeypatch, capsys):
 
 # every error class that does not end in exit 2, the default
 NON_DEFAULT_EXIT = {"CatalogFault": 1, "ExpressionLimit": 3, "FactorizationLimit": 3,
-                    "IrrationalSpectrum": 3, "NotSolvable": 3, "ProbeLimit": 3,
+                    "IrrationalSpectrum": 3, "NotSolvable": 3, "OutputLimit": 3, "ProbeLimit": 3,
                     "UnrecognizedFamily": 3, "UnsupportedDimension": 3}
 
 
@@ -431,6 +432,31 @@ def test_other_ambient_is_a_parse_error(command, tmp_path, capsys):
     extra = ["--conjugator", "W"] if command == "conjugate" else []
     assert main([command, "--input", str(path), *extra]) == 2
     assert "gl4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["identify", "invariants", "conjugate"])
+def test_a_basis_outside_sp4_is_a_parse_error(command, tmp_path, capsys):
+    path = tmp_path / "gl4.json"
+    path.write_text(json.dumps({"ambient": "sp4", "basis": [Mat4.unit(1, 1).to_json()]}))
+    extra = ["--conjugator", "W"] if command == "conjugate" else []
+    assert main([command, "--input", str(path), *extra]) == 2
+    assert capsys.readouterr().err == (f"parse error: {path}: not a closed sp(4) subalgebra: "
+                                       "subalgebra basis element is not in sp(4)\n")
+
+
+@pytest.mark.parametrize("command, dim", [("identify", 3), ("invariants", 3), ("invariants", 1)])
+def test_a_value_too_long_to_print_exits_3(command, dim, tmp_path, capsys):
+    # each entry has 4000 digits, under the interpreter's limit on printing
+    # an int, but a value derived from the two, such as their ratio, is over
+    t = T(int("9" * 4000), int("7" * 3999 + "1"))
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"ambient": "sp4",
+                                "basis": [m.to_json() for m in [t, X_ALPHA, X_A2B][:dim]]}))
+    assert main([command, "--input", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"OutputLimit: a computed value has more than {sys.get_int_max_str_digits()} "
+                   "digits, the interpreter's limit on printing an int\n")
 
 
 @pytest.mark.parametrize("command", ["identify", "invariants"])

@@ -12,6 +12,7 @@ from sp4solvable.linalg import Mat4, Subspace, echelon_span, rank
 from sp4solvable.rational import Q
 from sp4solvable.structure import Subalgebra, structure_constants_for_basis
 
+from conftest import sp4_block
 from oracles import change_basis_fraction, combination, coords, rational_rref, solve_in_span
 
 sympy = pytest.importorskip("sympy")
@@ -60,8 +61,8 @@ def test_rref_matches_sympy(seed):
 
 
 def random_mat(rng):
-    return Mat4([[Q(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.6 else 0
-                  for _ in range(4)] for _ in range(4)])
+    return sp4_block([Q(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.6 else 0
+                      for _ in range(10)])
 
 
 def random_combo(rng, mats):
@@ -92,6 +93,8 @@ def test_subspace_coords_agree_with_solve_in_span(seed):
             assert combination(space, want) == v
     assert space.contains(inside)
     assert space.contains(outside) == (rank_of(mats + [outside]) == space.dim)
+    # a matrix outside sp(4) is outside, whatever its ten coordinates
+    assert not space.contains(Mat4.unit(1, 1))
 
 
 @pytest.mark.parametrize("seed", range(20))

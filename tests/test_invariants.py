@@ -17,8 +17,7 @@ from sp4solvable.rational import Q
 from sp4solvable.sp4 import (A_MAT, ROOT_VECTORS, T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA,
                              bracket, conjugate_subalgebra, parse_conjugator, root_value, shear,
                              standard_subalgebra)
-from sp4solvable.structure import (StructureConstants, Subalgebra, _ad_num, _units,
-                                   generated_subalgebra)
+from sp4solvable.structure import Subalgebra, _ad_num, _units, generated_subalgebra
 
 from conftest import (ROOTS, clear_fact_caches, conjugator_pool, random_borel_element,
                       sp4_recipes)
@@ -299,16 +298,6 @@ def _radical_or_refusal(f, g):
 def test_nilpotent_subspace_matches_the_fraction_gram_oracle(g):
     assert (_radical_or_refusal(nilpotent_subspace, g)
             == _radical_or_refusal(trace_form_radical, g))
-
-
-def test_a_toral_rank_above_two_is_refused():
-    # the diagonal of gl(4) is abelian of toral rank 4; sp(4) has rank 2.  It
-    # lies outside sp(4), where no table is built, so it is given the abelian
-    # one (as `generated_subalgebra` fills the cached property)
-    diagonal = Subalgebra(echelon_span([Mat4.unit(i, i) for i in range(1, 5)]))
-    diagonal.constants = StructureConstants._make(4, [[0] * 4] * 6, 1)
-    with pytest.raises(Sp4Error, match="toral rank > 2"):
-        signature(diagonal)
 
 
 def test_invariantize_marks_every_zero_of_an_all_zero_list():

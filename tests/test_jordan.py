@@ -379,8 +379,10 @@ def test_conjugate_ss_into_cartan_errors():
     for x in (T(1, 1) + X_BETA + X_A2B, T(1, -1) + X_AB + X_A2B):
         with pytest.raises(NotSemisimple):
             conjugate_ss_into_cartan(x)
-    with pytest.raises(NotInBorel):
-        conjugate_ss_into_cartan(X_BETA.transpose() * 1)
+    # a negative root vector, and a diagonal matrix outside sp(4)
+    for x in (X_BETA.transpose() * 1, Mat4.unit(1, 1)):
+        with pytest.raises(NotInBorel):
+            conjugate_ss_into_cartan(x)
 
 
 def test_cartan_reduction_conjugator_is_in_borel_subgroup(rng):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES, load_catalog
 from sp4solvable.errors import ExpressionLimit, Sp4Error
-from sp4solvable.linalg import Mat4, char_poly, echelon_span, inverse
+from sp4solvable.linalg import Mat4, _from_coords, char_poly, echelon_span, inverse
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, T, W_MAT, WA_MAT, X_A2B,
                              X_AB, X_ALPHA, X_BETA, DiagonalElement, element,
@@ -77,6 +77,23 @@ def test_bracket_relations():
         assert root_value(label, 5, 1) == ev
 
 
+# each ten-coordinate unit goes to +- one other unit under conjugation:
+# (target, sign) for units 0..9, the Cartan ones 0 and 5
+WEYL_ON_COORDS = {
+    "W": ((5, 1), (4, -1), (6, 1), (3, -1), (1, -1), (0, 1), (2, 1), (9, 1), (8, -1), (7, 1)),
+    "A": ((0, 1), (3, 1), (2, 1), (1, -1), (8, 1), (5, -1), (9, -1), (7, 1), (4, -1), (6, -1)),
+}
+
+
+@pytest.mark.parametrize("name", WEYL_ON_COORDS)
+def test_the_weyl_generators_permute_the_root_coordinates_with_signs(name):
+    g, images = {"W": W_MAT, "A": A_MAT}[name], WEYL_ON_COORDS[name]
+    assert sorted(j for j, _ in images) == list(range(10))
+    for i, (j, sign) in enumerate(images):
+        unit = _from_coords([int(k == i) for k in range(10)], 1)
+        assert conjugate(g, unit) == _from_coords([sign * int(k == j) for k in range(10)], 1)
+
+
 def test_conjugation_identities_from_the_tables():
     assert conjugate(W_MAT, T(3, 1)) == T(1, 3)
     assert conjugate(W_MAT, X_ALPHA) == X_A2B
@@ -114,9 +131,13 @@ def test_shear_examples():
 
 
 def test_standard_subalgebra_dims_and_closure():
+    t, n = [T(1, 0), T(0, 1)], [X_BETA, X_ALPHA, X_AB, X_A2B]
+    spans = {"t": t, "b": t + n, "n": n, "n_p": n[1:],
+             "p": t + n + [Mat4.unit(2, 1) - Mat4.unit(3, 4)]}  # Y_beta
     dims = {"t": 2, "b": 6, "n": 4, "p": 7, "n_p": 3}
     for name, d in dims.items():
         s = standard_subalgebra(name)
+        assert s == echelon_span(spans[name])
         assert s.dim == d
         assert all(in_sp4(m) for m in s.basis)
         assert is_closed(s)

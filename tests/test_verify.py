@@ -269,7 +269,7 @@ def test_a_refusal_is_raised_again_on_every_call():
 def test_the_fact_caches_stay_bounded():
     assert verify_catalog(probe_count=400, probe_seed=11).overall_pass
     for cached in (invariants._nilpotent_facts, invariants._x0_facts,
-                   verify._sw_bridge):
+                   invariants._x0_nilpotent_part, verify._sw_bridge):
         info = cached.cache_info()
         assert 0 < info.currsize <= info.maxsize == INSTANCE_CACHE_SIZE
 
@@ -473,8 +473,8 @@ def test_the_probe_runs_only_where_the_other_fields_agree(monkeypatch):
     assert [row for row, _ in match_catalog(sub)] == ["d3_Ta1_Xa_Xa2b"]
     query, *rows = probed
     assert query is sub and rows
-    head = signature(sub).head
-    assert all(signature(s).head == head for s in rows)
+    head = invariants._SignatureWork(sub).head
+    assert all(invariants._SignatureWork(s).head == head for s in rows)
     # most compared instances differ before the probe
     assert len(rows) < verify._instance.cache_info().currsize / 2
     verify._instance.cache_clear()
@@ -637,6 +637,10 @@ FAULTY_ROWS = {
     # a basis whose span is not closed
     "not closed": ("d3_t_Xa", ("basis", 2), (0, 0, 1, 1, 0, 0),
                    verify_entry, "closure+dimension"),
+    # a stated basis of the right length with a dependent element: the
+    # first repeated, the last dropped
+    "dependent basis": ("d2_T31_XaXb", ("basis",), (ENTRIES["d2_T31_XaXb"].basis[0],) * 2,
+                        verify_entry, "closure+dimension"),
     # an excluded value and a self-equivalence that do not evaluate
     "excluded": ("d1_T_a1", ("excluded",), ("0", "1)"), verify_entry, "parameter samples"),
     "excluded, separations": ("d1_T_a1", ("excluded",), ("0", "1)"),
