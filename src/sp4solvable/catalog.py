@@ -71,8 +71,9 @@ _package = sys.modules[__package__]
 
 
 def _env(a) -> dict:
-    """The expression environment of a row at parameter a (None: no parameter)."""
-    return {} if a is None else {"a": Q(a)}
+    """The expression environment of a row at parameter a (None: no
+    parameter), an int or a `Q` as given (`exprs` reads both)."""
+    return {} if a is None else {"a": a}
 
 
 def _ev(expr, env) -> Q | int:
@@ -160,9 +161,8 @@ class CatalogEntry(_Row):
         return _names_param(self)
 
     def conditions_ok(self, a) -> bool:
-        """Whether a is none of the excluded values, each evaluated once; a
-        faulty one raises each time it is reached."""
-        a = Q(a)
+        """Whether a (an int or a `Q`) is none of the excluded values, each
+        evaluated once; a faulty one raises each time it is reached."""
         return all(a != _constant(e) for e in self.excluded)
 
     def samples(self, candidates=DEFAULT_PARAM_SAMPLES) -> tuple:

@@ -14,13 +14,15 @@ tr m^3 vanish on sp(4), the char poly of m is
 lambda^4 - (t2/2) lambda^2 + (t2^2 - 2 t4)/8, so x is nilpotent iff
 t2 = t4 = 0 (three nonzero orbits, blocks (2,1,1), (2,2), (4), of ranks 1, 2
 and 3, told apart by m^2 and one rank-one test with no elimination,
-`_nilpotent_rank`); otherwise it has the roots +-a, +-b, a >= b >= 0, where
-a^2 and b^2 are read by integer square roots or refused as irrational
+`_nilpotent_rank`); otherwise it has the roots +-a, +-b, a >= b >= 0, which
+three integer square roots read off t2 and t4 or refuse as irrational
 (`_eigen_pair`), and x is semisimple iff the squarefree part p of its char
 poly kills it.
 With a != b both nonzero p is the char poly itself; with a = b it is
 lambda^2 - a^2 and with b = 0 it is lambda^3 - a^2 lambda, so m^2 decides,
-or one more int product m^2 m.
+or one more int product m^2 m.  Only `jordan_type`, the block sizes of any
+4x4 matrix with a rational spectrum, builds a polynomial: `linalg`'s one
+char poly and its one rational-root search.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from itertools import product
 from typing import Sequence
 
 from .errors import IrrationalSpectrum, NotInBorel, NotInSp4, NotSemisimple
-from .linalg import (Mat4, _biquadratic_roots, _even_traces, _mul_num, _sp4_coords, char_poly,
-                     rank, rational_roots)
-from .rational import Q, Record, format_rational
+from .linalg import Mat4, _even_traces, _mul_num, _sp4_coords, char_poly, rank, rational_roots
+from .rational import Q, Record, exact_isqrt, format_rational
 from .sp4 import conjugate, in_sp4, root_value, shear
 
 __all__ = [
@@ -141,16 +142,19 @@ class OrbitLabel(Record):
 def _eigen_pair(t2: int, t4: int, den: int) -> tuple:
     """The pair (a, b), a >= b >= 0, of a rational-spectrum sp(4) element
     x = m/den with the eigenvalues {a, b, -a, -b}, from t2 = tr m^2 and
-    t4 = tr m^4 (`linalg._even_traces`).  With tr m = tr m^3 = 0, Newton's
-    identities make 8 det(lambda*I - m) = 8 l^4 - 4 t2 l^2 + t2^2 - 2 t4,
-    whose nonnegative roots are den*a >= den*b (`linalg._biquadratic_roots`).
-    Raises IrrationalSpectrum unless both a and b are rational."""
-    pair = _biquadratic_roots(8, -4 * t2, t2 * t2 - 2 * t4)
-    if not pair or None in pair:
+    t4 = tr m^4 (`linalg._even_traces`), by three integer square roots.
+    With A = den*a and B = den*b, t2 = 2(A^2 + B^2) and t4 = 2(A^4 + B^4),
+    so 4 t4 - t2^2 = s^2 with s = 2|A^2 - B^2|, and t2 + s = (2A)^2 and
+    t2 - s = (2B)^2.  A and B are eigenvalues of an int matrix, so they
+    are rational iff they are ints, iff s, 2A and 2B are; otherwise raises
+    IrrationalSpectrum."""
+    s = exact_isqrt(4 * t4 - t2 * t2)
+    two_a = None if s is None else exact_isqrt(t2 + s)
+    two_b = None if two_a is None else exact_isqrt(t2 - s)
+    if two_b is None:
         raise IrrationalSpectrum("element has irrational eigenvalues; compare characteristic "
                                  "polynomials instead of eigenvalue data")
-    (a, d), (b, _) = pair
-    return Q(a, d * den), Q(b, d * den)
+    return Q(two_a, 2 * den), Q(two_b, 2 * den)
 
 
 def _nilpotent_rank(m: Sequence[int], m2: Sequence[int]) -> int:

@@ -22,16 +22,18 @@ at one integer t beyond every root of its minors (Cauchy's bound), and the
 rank strata of a nilpotent pencil (`invariants.pencil_rank_strata`) are
 gcds of integer bases of two families of quadratics in t.  Cofactor
 expansion (`det_mpoly`) remains only as the oracle the tests check both
-against (and the benchmark traces by name).
+against (and the benchmark traces by name).  Rational roots have one
+search at every degree (`rational_roots`): candidates Hensel-lifted from
+the squarefree part (`_lifted_roots`), each deflated exactly.
 
 Characteristic polynomials come from the power traces tr(a^k) of an int
-matrix by Newton's identities (`_newton`), exact in ints: `char_poly` reads
-the four traces of a 4x4 matrix off one int product, `_char_poly_int` those
-of an n x n one off the powers up to ceil(n/2).  The tests cross-check both
-against a cofactor expansion of det(lambda*I - m).  An sp(4) element has
-tr x = tr x^3 = 0, so its spectrum is read off tr x^2 and tr x^4 alone
-(`_even_traces`, which `char_poly` also reads), with no polynomial built;
-the signature's x0 has the char poly `_newton((0, t2, 0, t4), den)`.
+matrix by Newton's identities (`_newton`), exact in ints: `_char_poly_int`
+reads those of an n x n one off the powers up to ceil(n/2), and `char_poly`
+is it on a 4x4 matrix.  The tests cross-check both against a cofactor
+expansion of det(lambda*I - m).  An sp(4) element has tr x = tr x^3 = 0,
+so its spectrum is read off tr x^2 and tr x^4 alone (`_even_traces`), with
+no polynomial built; the signature's x0 has the char poly
+`_newton((0, t2, 0, t4), den)`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import NotInSp4, SingularMatrix, ZeroPolynomial
-from .rational import Q, ZERO, _lowest_terms, _parse_pair, exact_isqrt, format_rational
+from .rational import Q, ZERO, _lowest_terms, _parse_pair, format_rational
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +277,13 @@ def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[
 
 
 def rational_roots(p: Poly) -> dict:
-    """All rational roots of p with multiplicities: each candidate n/d (from
-    the quadratic formula, or lifted p-adically from degree 3 on) deflates
-    the primitive int form by d*x - n as often as it divides.  Irrational and
-    complex roots are not returned."""
+    """All rational roots of p with multiplicities: each candidate n/d,
+    lifted p-adically (`_lifted_roots`), deflates the primitive int form by
+    d*x - n as often as it divides.  The candidates are tried in the order a
+    scan of divisor quotients meets them (n over divisors of the constant
+    term, d over divisors of the leading coefficient, +n before -n), so the
+    dict keeps that order after a root at zero.  Irrational and complex
+    roots are not returned."""
     if p.is_zero():
         raise ZeroPolynomial("rational_roots of the zero polynomial")
     roots: dict = {}
@@ -288,7 +293,7 @@ def rational_roots(p: Poly) -> dict:
     work = _primitive(p.num[k:])
     if len(work) < 2:
         return roots
-    for n, d in _root_candidates(work):
+    for n, d in sorted(_lifted_roots(work), key=lambda nd: (abs(nd[0]), nd[1], nd[0] < 0)):
         mult = 0
         while len(work) > 1 and (q := _deflate(work, n, d)) is not None:
             work = q
@@ -313,29 +318,9 @@ def _deflate(a: Sequence[int], n: int, d: int):
     return q if a[0] + n * c == 0 else None
 
 
-def _root_candidates(c: Sequence[int]):
-    """Candidate rational roots (n, d), in lowest terms with d > 0, of a
-    primitive int polynomial of degree >= 1 with nonzero constant term."""
-    if len(c) == 2:
-        yield _lowest_terms(-c[0], c[1])
-    elif len(c) == 3:
-        yield from _quadratic_roots(c[2], c[1], c[0])
-    elif len(c) == 5 and c[1] == 0 and c[3] == 0:
-        # biquadratic: the char-poly shape of every sp(4) element
-        for r in dict.fromkeys(_biquadratic_roots(c[4], c[2], c[0])):
-            if r is not None:  # r[0] != 0, as c[0] != 0
-                n, d = _lowest_terms(*r)
-                yield from ((n, d), (-n, d))
-    else:
-        # general case: lifted roots, sorted as a scan of divisor quotients
-        # meets them (n over divisors of c[0], d over divisors of c[-1], +n
-        # before -n) so that the roots dict keeps that order
-        yield from sorted(_lifted_roots(c), key=lambda nd: (abs(nd[0]), nd[1], nd[0] < 0))
-
-
 def _lifted_roots(c: Sequence[int]) -> set:
     """Candidates (n, d) that include every rational root of a primitive
-    int polynomial c of degree >= 3 with nonzero constant term, found
+    int polynomial c of degree >= 1 with nonzero constant term, found
     without enumerating divisors (whose number grows with the coefficients).
     The search runs on the primitive squarefree part s, whose roots are c's,
     each simple, and stay simple modulo all but finitely many primes.
@@ -380,28 +365,6 @@ def _primes():
         if all(p % f for f in range(3, math.isqrt(p) + 1, 2)):
             yield p
         p += 2
-
-
-def _quadratic_roots(a: int, b: int, c: int):
-    s = exact_isqrt(b * b - 4 * a * c)
-    if s is None:
-        return
-    yield _lowest_terms(-b + s, 2 * a)
-    if s != 0:
-        yield _lowest_terms(-b - s, 2 * a)
-
-
-def _biquadratic_roots(c4: int, c2: int, c0: int) -> list:
-    """The nonnegative roots of c4*l^4 + c2*l^2 + c0 (c4 != 0), one per root
-    mu = (-c2 +- s) / (2*c4) of c4*mu^2 + c2*mu + c0, + first, with s^2 the
-    discriminant: sqrt(mu) = isqrt((-c2 +- s)*2*c4) / |2*c4| as an int pair
-    (not in lowest terms) when it is rational, else None.  Empty when s is
-    irrational, since then neither mu is rational."""
-    s = exact_isqrt(c2 * c2 - 4 * c4 * c0)
-    if s is None:
-        return []
-    d = 2 * c4
-    return [None if (r := exact_isqrt((e - c2) * d)) is None else (r, abs(d)) for e in (s, -s)]
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +522,9 @@ def _even_traces(a: Sequence[int]) -> tuple[list[int], int, int]:
 
 
 def char_poly(m: Mat4) -> Poly:
-    """Characteristic polynomial det(lambda*I - m), exact, degree 4, from
-    the traces of m, m^2, m^3 and m^4 (`_even_traces`): tr m^3 is the dot
-    product of m^2 with the flat transpose of m."""
-    a = m.num
-    a2, t2, t4 = _even_traces(a)
-    return _newton((a[0] + a[5] + a[10] + a[15], t2,
-                    sum(map(mul, a2, a[0::4] + a[1::4] + a[2::4] + a[3::4])), t4), m.den)
+    """Characteristic polynomial det(lambda*I - m), exact, degree 4
+    (`_char_poly_int` on the int rows of den*m)."""
+    return _char_poly_int(_num_rows(m), m.den)
 
 
 def _char_poly_int(a: Sequence[Sequence[int]], den: int) -> Poly:

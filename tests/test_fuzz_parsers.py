@@ -2,9 +2,11 @@
 text evaluates or raises ValueError/ZeroDivisionError, every conjugator
 recipe evaluates or raises Sp4Error, every class label formats itself and
 builds its presentation or raises OutOfCatalog, and `identify` and
-`invariants` (on any subalgebra file), `classify-element` (on any matrix
-file) and `verify-catalog` (on any --params string) exit with a contract
-code, quickly, whatever the nesting depth, exponent size or entry size."""
+`invariants` and `conjugate` (on any subalgebra file, recipe and --param),
+`classify-element` (on any matrix file) and `verify-catalog` (on any
+--params string) exit with a contract code, quickly, in either --output
+mode, whatever the nesting depth, exponent size or entry size: never with a
+traceback, and with 1 only beside a verification message."""
 
 import contextlib
 import io
@@ -132,28 +134,95 @@ borel_closures = st.lists(borel_elements, min_size=1, max_size=3).map(
     lambda seeds: generated_subalgebra(seeds).to_json())
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(json_values, near_misses, disguised, borel_closures),
-       st.sampled_from(["identify", "invariants"]))
-def test_cli_exits_with_a_contract_code_on_any_subalgebra_file(tmp_path_factory, data, command):
+# entries of 1000-4000 digits: each fits the interpreter's limit on printing
+# an int, but a value computed from two of them may not (OutputLimit, exit 3);
+# spans of dimension at most 4 (`identify` on diag(a, b, -a, -b) plus the
+# positive root vectors at 4000 digits takes 1.6 s, too near the time bound)
+long_ints = st.builds(lambda n, d: d * (10**n - 1) // 9, st.integers(1000, 4000),
+                      st.integers(1, 9))
+long_spans = st.builds(
+    lambda a, b, roots: generated_subalgebra([T(a, b), *roots]).to_json(),
+    long_ints, st.one_of(long_ints, st.integers(-9, 9)),
+    st.sampled_from([(), (X_ALPHA,), (X_A2B,), (X_ALPHA, X_A2B), (X_BETA, X_AB)]))
+# samples of every size: the catalog's formulas exceed the power bound near
+# 600 digits, and int() refuses more than 4300 digits
+samples = st.one_of(big_rationals.map(str), st.integers(-10**6, 10**6).map(str),
+                    st.integers(1, 5000).map(lambda n: "9" * n),
+                    st.sampled_from(["", "1/0", "x", "-", "--", "-1/3", "0", "1", "-1",
+                                     " 2", "2 ", "1e3", "0x10", "1/2/3", "\u00bd"]),
+                    junk)
+# span(diag(a, b, -a, -b), X_alpha, X_alpha+2beta) at 4000-digit a and b, whose
+# invariants exit 3 (`tests/test_cli.py::test_a_value_too_long_to_print_exits_3`)
+_LONG_SPAN = generated_subalgebra([T(int("9" * 4000), int("7" * 3999 + "1")), X_ALPHA,
+                                   X_A2B]).to_json()
+outputs = st.sampled_from([[], ["--output", "text"], ["--output", "json"]])
+conjugators = st.one_of(recipes, st.sampled_from(
+    ["W", "A W A", "shear:alpha:a", "shear:gamma:1/a", "diag:a,1,1/a,1", "block:1,a,0,1"]))
+
+
+def _run(argv) -> tuple[int, str, str]:
+    """`main`'s exit code, standard output and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a --params value like "--"
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _a_failing_report(out: str) -> bool:
+    if out.startswith("{"):
+        return json.loads(out)["overall_pass"] is False
+    return out.rstrip().endswith(" problems")
+
+
+def assert_contract(argv) -> int:
+    """Run argv: a contract code within the time bound, no traceback, and
+    exit 1 only with a verification message (no catalog row matches, a
+    faulty catalog row, or a failing report)."""
+    start = time.perf_counter()
+    code, out, err = _run(argv)
+    assert time.perf_counter() - start < TIME_BOUND
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 1:
+        assert ("no catalog row matches" in err or err.startswith("CatalogFault: ")
+                or _a_failing_report(out)), (out, err)
+    return code
+
+
+commands = st.sampled_from(["identify", "invariants", "conjugate"])
+
+
+def assert_subalgebra_contract(tmp_path_factory, data, command, output, recipe, param) -> int:
     path = tmp_path_factory.mktemp("wire") / "subalgebra.json"
     path.write_text(json.dumps(data))
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main([command, "--input", str(path)])
-    assert code in (0, 1, 2, 3)
-    assert time.perf_counter() - start < TIME_BOUND
+    argv = [command, "--input", str(path), *output]
+    if command == "conjugate":
+        argv += ["--conjugator", recipe] + ([] if param is None else ["--param", param])
+    return assert_contract(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(json_values, near_misses, disguised, borel_closures), commands, outputs,
+       conjugators, st.one_of(st.none(), samples))
+def test_cli_exits_with_a_contract_code_on_any_subalgebra_file(tmp_path_factory, data, command,
+                                                               output, recipe, param):
+    assert_subalgebra_contract(tmp_path_factory, data, command, output, recipe, param)
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_spans, commands, outputs, conjugators, st.one_of(st.none(), long_ints.map(str)))
+@example(_LONG_SPAN, "invariants", [], "W", None)
+def test_cli_exits_with_a_contract_code_on_a_subalgebra_with_long_entries(
+        tmp_path_factory, data, command, output, recipe, param):
+    code = assert_subalgebra_contract(tmp_path_factory, data, command, output, recipe, param)
+    if data == _LONG_SPAN and command == "invariants":
+        assert code == 3
 
 
 # -- the element matrix wire format and the --params string --------------------
-
-def _exit_code(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return main(argv)
-        except SystemExit as exc:  # argparse rejects a --params value like "--"
-            return exc.code
-
 
 # the sum of a Borel element and a conjugate of another by W leaves the Borel
 # subalgebra, so its spectrum is often irrational and its entries are large
@@ -164,31 +233,18 @@ square_grids = st.lists(st.lists(cells, min_size=4, max_size=4), min_size=4, max
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(json_values, grids, square_grids, matrices,
-                 st.one_of(grids, matrices).map(lambda g: {"matrix": g})))
+                 st.one_of(grids, matrices).map(lambda g: {"matrix": g})), outputs)
 def test_classify_element_exits_with_a_contract_code_on_any_matrix_file(tmp_path_factory,
-                                                                        data):
+                                                                        data, output):
     path = tmp_path_factory.mktemp("wire") / "matrix.json"
     path.write_text(json.dumps(data))
-    start = time.perf_counter()
-    assert _exit_code(["classify-element", "--input", str(path)]) in (0, 1, 2, 3)
-    assert time.perf_counter() - start < TIME_BOUND
-
-
-# samples of every size: the catalog's formulas exceed the power bound near
-# 600 digits, and int() refuses more than 4300 digits
-samples = st.one_of(big_rationals.map(str), st.integers(-10**6, 10**6).map(str),
-                    st.integers(1, 5000).map(lambda n: "9" * n),
-                    st.sampled_from(["", "1/0", "x", "-", "--", "-1/3", "0", "1", "-1",
-                                     " 2", "2 ", "1e3", "0x10", "1/2/3", "\u00bd"]),
-                    junk)
+    assert_contract(["classify-element", "--input", str(path), *output])
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(samples, min_size=1, max_size=2).map(",".join))
-def test_verify_catalog_exits_with_a_contract_code_on_any_params_string(params):
-    start = time.perf_counter()
-    assert _exit_code(["verify-catalog", "--params", params]) in (0, 1, 2, 3)
-    assert time.perf_counter() - start < TIME_BOUND
+@given(st.lists(samples, min_size=1, max_size=2).map(",".join), outputs)
+def test_verify_catalog_exits_with_a_contract_code_on_any_params_string(params, output):
+    assert_contract(["verify-catalog", "--params", params, *output])
 
 
 # -- the matrix wire reader against the Fraction one ---------------------------

@@ -103,18 +103,11 @@ def _divisor_scan_order(root):
     return (abs(root.numerator), root.denominator, root < 0)
 
 
-def _beyond_the_formulas(p):
-    # degree >= 3 once x^k is divided out, and not biquadratic: the roots
-    # of these are not read off the quadratic formula
-    c = p.num[next(i for i, x in enumerate(p.num) if x):]
-    return len(c) >= 4 and not (len(c) == 5 and c[1] == c[3] == 0)
-
-
 def test_rational_roots_come_in_divisor_scan_order():
-    cases = [p for p, _ in CASES if not p.is_zero() and _beyond_the_formulas(p)]
-    assert len(cases) > 100
-    for p in cases:
-        roots = [r for r in rational_roots(p) if r != 0]
+    found = {p: [r for r in rational_roots(p) if r != 0]
+             for case in CASES for p in case if not p.is_zero()}
+    assert sum(len(roots) > 1 for roots in found.values()) > 100
+    for p, roots in found.items():
         assert roots == sorted(roots, key=_divisor_scan_order), p
 
 
@@ -136,8 +129,7 @@ def test_rational_roots_with_huge_coefficients_match_sympy(seed):
     roots = rational_roots(p)
     assert time.perf_counter() - start < 2.0
     assert roots == sympy_rational_roots(to_sympy(p))
-    if _beyond_the_formulas(p):
-        assert list(roots) == sorted(roots, key=_divisor_scan_order)
+    assert list(roots) == sorted(roots, key=_divisor_scan_order)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -158,8 +150,7 @@ def test_rational_roots_with_a_squared_huge_linear_factor_match_sympy(seed):
     assert time.perf_counter() - start < 2.0
     assert roots == sympy_rational_roots(to_sympy(p))
     assert roots[r] >= 2
-    if _beyond_the_formulas(p):
-        assert list(roots) == sorted(roots, key=_divisor_scan_order)
+    assert list(roots) == sorted(roots, key=_divisor_scan_order)
 
 
 def test_the_m6_cubic_at_a_29_digit_sample():
@@ -174,6 +165,31 @@ def test_the_m6_cubic_at_a_29_digit_sample():
                      Q(33333333333333333333333333333, 50000000000000000000000000000): 1}
 
 
+def test_a_quadratic_at_30_digit_roots():
+    # (d1 x - n1)(d2 x - n2): its end coefficients have about 60 digits
+    r1 = Q(-(10**30 - 7), 3 * 10**29 + 1)
+    r2 = Q(10**29 + 3, 7 * 10**28 - 1)
+    start = time.perf_counter()
+    roots = rational_roots(Poly([-r1, 1]) * Poly([-r2, 1]) * Q(5, 3))
+    assert time.perf_counter() - start < 2.0
+    assert roots == {r2: 1, r1: 1}
+    assert list(roots) == [r2, r1]
+
+
+def test_a_biquadratic_at_30_digit_roots():
+    # (x^2 - a^2)(x^2 - b^2) with 30-digit a and b, the char-poly shape of a
+    # regular sp(4) element, and (x^2 - a^2)(x^2 + b^2) with only +-a rational
+    a = Q(10**30 - 1, 3 * 10**29 + 7)
+    b = Q(2 * 10**29 + 9, 10**30 + 1)
+    start = time.perf_counter()
+    both = rational_roots(Poly([-a * a, 0, 1]) * Poly([-b * b, 0, 1]))
+    one = rational_roots(Poly([-a * a, 0, 1]) * Poly([b * b, 0, 1]))
+    assert time.perf_counter() - start < 2.0
+    assert both == {b: 1, -b: 1, a: 1, -a: 1}
+    assert list(both) == [b, -b, a, -a]
+    assert one == {a: 1, -a: 1}
+
+
 def test_canonical_form():
     p = Poly([Q(1, 2), Q(-3, 4), 0, 0])
     assert (p.num, p.den) == ((2, -3), 4)
@@ -182,6 +198,7 @@ def test_canonical_form():
     assert (Poly([0, 0]).num, Poly([0, 0]).den) == ((), 1)
     assert (-Poly([Q(1, 3), 1])).monic() == Poly([Q(1, 3), 1])
     assert Poly([Q(1, 3), 2])(Q(-1, 2)) == Q(-2, 3)
+    assert Poly([1, 2]) != Poly([1, 3]) and Poly([1, 2])[2] == 0
 
 
 def random_matrix(rng):

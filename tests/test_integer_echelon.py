@@ -2,13 +2,14 @@
 built on it: `Subspace` coordinates and the pair brackets behind
 `structure_constants_for_basis`."""
 
+import math
 import random
 
 import pytest
 
 from sp4solvable.catalog import load_catalog
 from sp4solvable.identify import verify_isomorphism
-from sp4solvable.linalg import Mat4, Subspace, echelon_span, rank
+from sp4solvable.linalg import Mat4, Subspace, _over_common_den, echelon_span, rank, rref
 from sp4solvable.rational import Q
 from sp4solvable.structure import Subalgebra, structure_constants_for_basis
 
@@ -58,6 +59,9 @@ def test_rref_matches_sympy(seed):
     got = rational_rref(rows)
     assert got == sympy_rref(rows)
     assert all(type(x) is Q for r in got for x in r)
+    # the int form: each row primitive, with a positive pivot
+    assert all(math.gcd(*r) == 1 and r[c] > 0
+               for c, r in rref([_over_common_den(r)[0] for r in rows]))
 
 
 def random_mat(rng):

@@ -124,6 +124,7 @@ def test_zero_polynomial_at_the_boundary():
     assert zero(Q(3, 2)) == 0 and zero(Q(-5)) == 0
     assert Poly([Q(1, 2), 3])(Q(2, 3)) == Q(5, 2)
     assert repr(zero) == "Poly(0)"
+    assert repr(Poly([Q(1, 2), 1, 0, -3])) == "Poly(1/2 + 1*x + -3*x^3)"
 
 
 @settings(max_examples=50, deadline=None)
@@ -287,6 +288,12 @@ def test_generic_rank():
 def test_mat4_json_roundtrip():
     m = T(Q(5, 3), -2) + X_AB * Q(-7, 11)
     assert Mat4.from_json(m.to_json()) == m
+    for grid in ([["1"] * 4] * 3, [["1"] * 4] * 3 + [["1"] * 5]):
+        for read in (Mat4, Mat4.from_json):
+            with pytest.raises(ValueError, match="4x4 grid"):
+                read(grid)
+    with pytest.raises(ValueError, match="four row lists"):
+        Mat4.from_json([["1"] * 4] * 3 + ["1234"])
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +378,7 @@ def test_equal_values_give_equal_matrices(a, k):
         assert other == m and hash(other) == hash(m)
         assert_canonical(other)
     assert Mat4.zero().den == 1 and Mat4.zero() == Mat4([[0] * 4] * 4)
+    assert m + Mat4.identity() != m
 
 
 @st.composite
