@@ -16,10 +16,14 @@ Basis elements are 6-tuples of expressions
     (Ta, Tb, cA, cB, cAB, cA2B)  ->  T(Ta,Tb) + cA*X_alpha + cB*X_beta
                                       + cAB*X_{alpha+beta} + cA2B*X_{alpha+2beta}
 
-so a row is plain JSON data.  `build_elements` evaluates each coefficient to
-an int pair with the compiled evaluator of `exprs` and lays the six out as
-one matrix over their lcm, with the helper `sp4.element` uses: no `Fraction`
-is built.
+so a row is plain JSON data.  `coord_rows` evaluates each coefficient to
+an int pair with the compiled evaluator of `exprs` and places a basis's
+coefficients, over their one lcm, at their root coordinates
+(`sp4._coord_row`, which `sp4.element` builds with): no `Fraction` and no
+matrix is built.  The certifier reads those rows (`CatalogEntry.rows_at`);
+`basis_at` lays them out as matrices for other callers.  A row's parameter
+orbit is closed under the target parameters of its self-equivalence claims
+(`equivalent_params`), the maps the certifier proves by their conjugators.
 Frozen row counts, established against the tables: 8 one-, 16 two-, 19
 three-, 14 four- and 8 five/six-dimensional rows (65 total).
 
@@ -28,8 +32,8 @@ is what `export-catalog` prints unchanged, and `load_catalog()` reads it
 once through `catalog_from_json`, the one codec of a row.  Loading needs
 only rationals and errors (rows are `rational.Record`s); the package's lazy
 lookup loads `exprs` on the first evaluation of a row's expressions,
-`linalg` and `sp4` when the first instance is built (`basis_at`,
-`space_at`, `build_elements`), and `identify`, which holds the labels with
+`linalg` and `sp4` when the first instance is built (`rows_at`,
+`basis_at`, `space_at`), and `identify`, which holds the labels with
 both reference catalogs (and loads `linalg` and `structure`), on the first
 label.
 """
@@ -92,17 +96,21 @@ def _names_param(entry: CatalogEntry) -> bool:
     return any(isinstance(x, str) and "a" in x for spec in entry.basis for x in spec)
 
 
-def build_elements(specs, env) -> list[Mat4]:
-    """The sp(4) elements of basis specs under env: each coefficient as the
-    int pair of its expression's compiled evaluator, the six over their lcm
-    (`sp4._root_element`, which `sp4.element` builds with)."""
-    compiled, root_element = _package.exprs._compiled, _package.sp4._root_element
-    out = []
-    for spec in specs:
-        pairs = [(e, 1) if isinstance(e, int) else compiled(str(e))(env) for e in spec]
-        den = math.lcm(*[d for _, d in pairs])
-        out.append(root_element([n * (den // d) for n, d in pairs], den))
-    return out
+def coord_rows(specs, env) -> tuple[list[list[int]], int]:
+    """The basis specs under env as int coordinate rows over one den: each
+    coefficient the int pair of its expression's compiled evaluator, all over
+    their lcm, placed by `sp4._coord_row`."""
+    compiled, coord_row = _package.exprs._compiled, _package.sp4._coord_row
+    pairs = [[(e, 1) if isinstance(e, int) else compiled(str(e))(env) for e in spec]
+             for spec in specs]
+    den = math.lcm(*[d for spec in pairs for _, d in spec])
+    return [coord_row([n * (den // d) for n, d in spec]) for spec in pairs], den
+
+
+def coord_span(specs, env) -> Subspace:
+    """The span of the basis specs under env, echelonized on their coordinate rows."""
+    linalg = _package.linalg
+    return linalg.Subspace._of(linalg.rref(coord_rows(specs, env)[0]))
 
 
 def _tuples(x):
@@ -145,10 +153,9 @@ class CatalogEntry(_Row):
                  "degraaf",        # (family, (param exprs...))
                  "sw",             # (name, (param exprs...)); None: translated
                  "equivalences",
-                 "iso_columns",    # presentation basis -> row-basis coords
-                 "param_equiv")    # exprs generating the self-equivalences
+                 "iso_columns")    # presentation basis -> row-basis coords
     _defaults = {"excluded": (), "degraaf": None, "sw": None, "equivalences": (),
-                 "iso_columns": None, "param_equiv": ()}
+                 "iso_columns": None}
 
     @property
     def table(self) -> int:
@@ -172,11 +179,17 @@ class CatalogEntry(_Row):
             return (None,)
         return tuple(a for a in candidates if a is not None and self.conditions_ok(a))
 
+    def rows_at(self, a) -> tuple[list[list[int]], int]:
+        """The stated basis at a as int coordinate rows over one den (`coord_rows`)."""
+        return coord_rows(self.basis, _env(a))
+
     def basis_at(self, a) -> list[Mat4]:
-        return build_elements(self.basis, _env(a))
+        """The stated basis at a, laid out as matrices from `rows_at`."""
+        rows, den = self.rows_at(a)
+        return [_package.linalg._from_coords(r, den) for r in rows]
 
     def space_at(self, a) -> Subspace:
-        return _package.linalg.echelon_span(self.basis_at(a))
+        return coord_span(self.basis, _env(a))
 
     def degraaf_at(self, a) -> DeGraafClass | None:
         if self.degraaf is None:
@@ -199,13 +212,16 @@ class CatalogEntry(_Row):
         return tuple(tuple(_ev(x, env) for x in col) for col in self.iso_columns)
 
     def equivalent_params(self, a) -> set:
-        """Closure of a under the row's parameter self-equivalences; an orbit
-        larger than PARAM_ORBIT_BOUND raises Sp4Error."""
-        out = {Q(a)}
-        frontier = [Q(a)]
+        """Closure of a (an int or a `Q`, kept as given) under the target
+        parameters of the row's self-equivalence claims, those stating no
+        `src`, `tgt` or `samples`; a map adds nothing where it has no value,
+        and an orbit larger than PARAM_ORBIT_BOUND raises Sp4Error."""
+        maps = tuple(c.tgt_param for c in self.equivalences if c.tgt_param is not None
+                     and c.src is None and c.tgt is None and c.samples is None)
+        out, frontier = {a}, [a]
         while frontier:
             v = frontier.pop()
-            for e in self.param_equiv:
+            for e in maps:
                 try:
                     w = _ev(e, {"a": v})
                 except ZeroDivisionError:
@@ -213,7 +229,7 @@ class CatalogEntry(_Row):
                 if w not in out:
                     if len(out) == PARAM_ORBIT_BOUND:
                         raise Sp4Error(f"{self.row_id}: the orbit of a under "
-                                       f"{self.param_equiv} exceeds {PARAM_ORBIT_BOUND} values")
+                                       f"{maps} exceeds {PARAM_ORBIT_BOUND} values")
                     out.add(w)
                     frontier.append(w)
         return out
@@ -236,8 +252,7 @@ def catalog_from_json(data: list[dict]) -> list[CatalogEntry]:
             degraaf=(dg["family"], dg["params"]) if dg else None,
             sw=(sw["name"], sw["params"]) if isinstance(sw, dict) else None,
             equivalences=[EquivClaim(**c) for c in d.get("equiv", ())],
-            iso_columns=iso["columns"] if iso else None,
-            param_equiv=d.get("param_equiv", ())))
+            iso_columns=iso["columns"] if iso else None))
     return out
 
 

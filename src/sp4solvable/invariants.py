@@ -66,9 +66,9 @@ Facts of one piece of g are kept per piece, in bounded caches of
 `nilpotent_strata` is kept per `Subspace` N(g) (`_nilpotent_facts`).  Per
 `Mat4` x0 are kept its traces with its char poly (`_x0_facts`), read by the
 regularity test, `verify`'s parameter candidates, `contains_invertible`
-and the probe, and the nilpotent Jordan part of a non-regular x0
-(`_x0_nilpotent_part`), read by `ss_content`.  A refusal is never kept,
-so it is raised again on every call.
+and the probe.  The nilpotent Jordan part of a non-regular x0, which
+`ss_content` reads, is a closed form (`jordan_decompose`) and is not kept.
+A refusal is never kept, so it is raised again on every call.
 
 Every field is invariant under conjugation by rational symplectic matrices,
 which is what the classification's equivalence relation restricts to on the
@@ -313,7 +313,7 @@ class _SignatureWork:
             has_invertible = p0.num[0] != 0  # det(x0), see the module docstring
             if _regular(t2, t4):  # four distinct eigenvalues: x0 is semisimple
                 content = "has_regular_ss"
-            elif nspace.contains(_x0_nilpotent_part(self.x0)):
+            elif nspace.contains(jordan_decompose(self.x0).nilpotent):
                 content = "has_nonregular_ss_only"
             else:
                 content = "mixed_only"
@@ -357,12 +357,6 @@ def _x0_facts(x0: Mat4) -> tuple:
     off one read of t2 = tr m^2 and t4 = tr m^4 (tr m = tr m^3 = 0 on sp(4))."""
     _, t2, t4 = _even_traces(x0.num)
     return (t2, t4, x0.den), _newton((0, t2, 0, t4), x0.den)
-
-
-@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
-def _x0_nilpotent_part(x0: Mat4) -> Mat4:
-    """The nilpotent Jordan part of a non-regular x0, kept per `Mat4`."""
-    return jordan_decompose(x0).nilpotent
 
 
 def _spectral_probe(s: Subalgebra, i0: int, p4: Poly) -> tuple:

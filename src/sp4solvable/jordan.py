@@ -33,7 +33,7 @@ from typing import Sequence
 from .errors import IrrationalSpectrum, NotInBorel, NotInSp4, NotSemisimple
 from .linalg import Mat4, _even_traces, _mul_num, _sp4_coords, char_poly, rank, rational_roots
 from .rational import Q, Record, exact_isqrt, format_rational
-from .sp4 import conjugate, in_sp4, root_value, shear
+from .sp4 import _ROOTS, _STANDARD, conjugate, in_sp4, root_value, shear
 
 __all__ = [
     "JordanDecomposition", "jordan_decompose", "jordan_type", "OrbitLabel",
@@ -225,12 +225,13 @@ _HEIGHT_ORDER = ("beta", "alpha", "alpha_plus_beta", "alpha_plus_2beta")
 
 
 def _borel_components(x: Mat4):
-    """Split x in b as (a, b, {root: coefficient}) off its coordinates; raises NotInBorel."""
+    """Split x in b as (a, b, {root: coefficient}) off its coordinates, where
+    `sp4._ROOTS` puts them; raises NotInBorel."""
     c = _sp4_coords(x)
-    if c is None or any(c[k] for k in (4, 7, 8, 9)):  # the negative root vectors
+    if c is None or any(v for k, v in enumerate(c) if k not in _STANDARD["b"]):
         raise NotInBorel("element is outside the fixed Borel subalgebra")
-    a, cb, ca2b, cab, _, b, ca = [Q(v, x.den) for v in c[:7]]
-    return a, b, {"beta": cb, "alpha": ca, "alpha_plus_beta": cab, "alpha_plus_2beta": ca2b}
+    a, b = [Q(c[k], x.den) for k in _STANDARD["t"]]
+    return a, b, {g: Q(c[k], x.den) for g, (k, _, _) in _ROOTS.items()}
 
 
 def conjugate_ss_into_cartan(x: Mat4) -> tuple[Mat4, tuple]:

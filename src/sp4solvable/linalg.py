@@ -11,9 +11,11 @@ lcm.  `rref` eliminates int rows and returns (pivot, int row) pairs, the
 one coordinate form of a span, which holds a span of sp(4) (`Subspace`) on
 its ten root coordinates (`_COORDS`), a format this module owns:
 `_from_coords` lays them out, and `_sp4_coords`, the one membership test,
-made where matrices enter a span, reads them back.  Coordinates in a span are read at its echelon pivots as ints
-(`_pivot_coords`, `Subspace.coords_num`), never solved for: the one solve
-against another basis is `inverse`.
+made where matrices enter a span, reads them back; rows already in those
+coordinates (the catalog's, a closure round's, a conjugate's) are spanned
+by `Subspace._of` of their `rref`.  Coordinates in a span are read at its
+echelon pivots as ints (`_pivot_coords`, `Subspace.coords_num`), never
+solved for: the one solve against another basis is `inverse`.
 
 `Poly` is the one polynomial type, and `rref` the one elimination:
 nothing is eliminated over Q[t].  The generic rank of a span
@@ -596,10 +598,10 @@ def inverse(m: Mat4) -> Mat4:
 
 # [[A, B], [C, -A^t]] in sp(4), B and C symmetric, is fixed by its entries
 # A11 A12 B11 B12 A21 A22 B22 C11 C12 C22 (Humphreys, Introduction to Lie
-# Algebras, 1.2), a root-space basis (ibid., 8): the Cartan 0 and 5, X_alpha
-# 6, X_beta 1, X_{alpha+beta} 3, X_{alpha+2beta} 2, and the negative root
-# vectors 4, 7, 8 and 9.  Each other entry is +- one at an earlier position,
-# so each pivot of an echelon basis lies at one of these.
+# Algebras, 1.2), a root-space basis (ibid., 8): the Cartan 0 and 5, the
+# positive root vectors (`sp4._ROOTS` places each) and the negative ones 4,
+# 7, 8 and 9.  Each other entry is +- one at an earlier position, so each
+# pivot of an echelon basis lies at one of these.
 _COORDS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 13)
 # (coordinate, sign) of each of the 16 entries: entry 6 is B21 = B12, 10 and
 # 15 are -A11 and -A22, 11 and 14 are -A21 and -A12, 12 is C21 = C12

@@ -23,9 +23,11 @@ X_{alpha+2beta} are the long roots.
 
 An element of sp(4) is fixed by ten of its entries, its root coordinates,
 whose format `linalg` owns (`linalg._COORDS`, `_from_coords`, and the one
-membership test `_sp4_coords`, behind `in_sp4`); `element` and the
-catalog's basis builder lay them out through `_root_element`, on int
-numerators, and the standard subalgebras are spans of unit coordinates.
+membership test `_sp4_coords`, behind `in_sp4`).  One table, `_ROOTS`,
+states each positive root's coordinate and its value p a + q b on T(a, b);
+the root vectors, `root_value`, `element`, the catalog's coordinate rows
+(`_coord_row`), the standard subalgebras (spans of unit coordinates) and
+`jordan`'s Borel components read it.
 
 The one Sp(4) test reads g^{-1} = -J g^t J off g's numerators and checks
 g g^{-1} = I by one product (`_group_inverse_num`, behind `in_sp4_group`).
@@ -55,41 +57,38 @@ __all__ = [
 
 J_FORM = Mat4([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
 
-X_ALPHA = Mat4.unit(2, 4)
-X_BETA = Mat4.unit(1, 2) - Mat4.unit(4, 3)
-X_AB = Mat4.unit(1, 4) + Mat4.unit(2, 3)
-X_A2B = Mat4.unit(1, 3)
-
-ROOT_LABELS = ("alpha", "beta", "alpha_plus_beta", "alpha_plus_2beta")
-ROOT_VECTORS = {
-    "alpha": X_ALPHA,
-    "beta": X_BETA,
-    "alpha_plus_beta": X_AB,
-    "alpha_plus_2beta": X_A2B,
-}
+# Each positive root, in the order of `element`'s coefficients: its
+# coordinate and its value p*a + q*b on T(a, b), as (coordinate, p, q).
+_ROOTS = {"alpha": (6, 0, 2), "beta": (1, 1, -1), "alpha_plus_beta": (3, 1, 1),
+          "alpha_plus_2beta": (2, 2, 0)}
+ROOT_LABELS = tuple(_ROOTS)
+ROOT_VECTORS = {g: _from_coords([int(k == c) for k in range(10)], 1)
+                for g, (c, _, _) in _ROOTS.items()}
+X_ALPHA, X_BETA, X_AB, X_A2B = ROOT_VECTORS.values()
+# the coordinates of `element`'s arguments: T(a, b)'s a and b, then the roots
+_ELEMENT_COORDS = (0, 5) + tuple(c for c, _, _ in _ROOTS.values())
 
 
 def root_value(label: str, a, b):
-    """The eigenvalue of ad(T_{a,b}) on the given root vector."""
-    a, b = Q(a), Q(b)
-    return {
-        "alpha": 2 * b,
-        "beta": a - b,
-        "alpha_plus_beta": a + b,
-        "alpha_plus_2beta": 2 * a,
-    }[label]
+    """The eigenvalue p*a + q*b of ad(T_{a,b}) on the given root vector."""
+    _, p, q = _ROOTS[label]
+    return p * Q(a) + q * Q(b)
 
 
 def element(a, b, ca=0, cb=0, cab=0, ca2b=0) -> Mat4:
     """T(a,b) + ca*X_alpha + cb*X_beta + cab*X_{alpha+beta} + ca2b*X_{alpha+2beta},
-    built as one matrix: each coefficient sits at its root vector's entries."""
-    return _root_element(*_over_common_den((a, b, ca, cb, cab, ca2b)))
+    laid out from its ten coordinates over the coefficients' lcm."""
+    nums, den = _over_common_den((a, b, ca, cb, cab, ca2b))
+    return _from_coords(_coord_row(nums), den)
 
 
-def _root_element(nums, den: int) -> Mat4:
-    """`element` of the int numerators (a, b, ca, cb, cab, ca2b) over den > 0."""
-    a, b, ca, cb, cab, ca2b = nums
-    return _from_coords((a, cb, ca2b, cab, 0, b, ca, 0, 0, 0), den)
+def _coord_row(nums) -> list[int]:
+    """The ten coordinates of `element`'s arguments (a, b, ca, cb, cab, ca2b)
+    given as ints (the numerators over one den)."""
+    row = [0] * 10
+    for k, v in zip(_ELEMENT_COORDS, nums):
+        row[k] = v
+    return row
 
 
 def T(a, b) -> Mat4:
@@ -281,10 +280,12 @@ def _atom_values(atom: str, text: str, count: int, env: dict) -> list:
 
 # -- standard subalgebras ----------------------------------------------------
 
-# the unit coordinates (`linalg._COORDS`) spanning each: the Cartan 0 and 5,
-# X_beta 1, X_{alpha+2beta} 2, X_{alpha+beta} 3, X_alpha 6, and Y_beta 4
-_STANDARD = {"t": (0, 5), "n": (1, 2, 3, 6), "n_p": (2, 3, 6), "b": (0, 1, 2, 3, 5, 6),
-             "p": (0, 1, 2, 3, 4, 5, 6)}
+# the unit coordinates spanning each: t's are those of a and b, n's the
+# positive roots', n_p's the roots not vanishing on T(1, 1), and p adds
+# Y_beta's, 4
+_STANDARD = {"t": _ELEMENT_COORDS[:2], "n": sorted(_ELEMENT_COORDS[2:]),
+             "n_p": sorted(c for c, p, q in _ROOTS.values() if p + q),
+             "b": sorted(_ELEMENT_COORDS), "p": sorted(_ELEMENT_COORDS + (4,))}
 
 
 def standard_subalgebra(name: str) -> Subspace:

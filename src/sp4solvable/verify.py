@@ -8,13 +8,15 @@ translated label and its bridge, a bracket-verified map onto the translated
 presentation.  An instance holds one bracket table, in the echelon basis of
 its span (`Subalgebra.constants`).  The class label is an isomorphism
 invariant, so it is identified on that table, and the stated basis enters
-only the map check, as a frame: the stated matrices' int echelon
-coordinates (`_Instance.frame`), which carry the map's columns into
-echelon coordinates over one den before the int core of
-`identify.verify_isomorphism`.  Each check makes one record, through
-`_record`, and is a skip after a failed closure; the bridge is a fact of
-the de Graaf class alone, so it is checked once per class (`_sw_bridge`)
-and recorded once per instance.  A fault of the row's data (an `Sp4Error`,
+only the map check, as a frame: the stated basis's int echelon
+coordinates (`_Instance.frame`), read off its coordinate rows, which carry
+the map's columns into echelon coordinates over one den before the int core
+of `identify.verify_isomorphism`.  Instances and claim spans are spanned by
+the rows' root coordinates (`catalog.coord_rows`); no matrix is laid out
+for them.  Each check makes one record, through `_record`, and is a skip
+after a failed closure; the bridge is a fact of the de Graaf class alone,
+so it is checked once per class (`_sw_bridge`) and recorded once per
+instance.  A fault of the row's data (an `Sp4Error`,
 or an `ArithmeticError` or `ValueError` such as a pole or malformed text)
 is the check's fail, with its repr as detail; the size limits
 `ExpressionLimit`, `FactorizationLimit` and `OutputLimit` propagate (exit 3).
@@ -26,13 +28,12 @@ whose data faults fails the draw.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 from functools import cache, lru_cache, partial
 from operator import mul
 
-from .catalog import (DEFAULT_PARAM_SAMPLES, INSTANCE_CACHE_SIZE, CatalogEntry, build_elements,
+from .catalog import (DEFAULT_PARAM_SAMPLES, INSTANCE_CACHE_SIZE, CatalogEntry, coord_span,
                       load_catalog)
 from .errors import (CatalogFault, DependentInputs, ExpressionLimit, FactorizationLimit,
                      IrrationalSpectrum, OutputLimit, ProbeLimit, Sp4Error)
@@ -41,8 +42,8 @@ from .identify import (DeGraafClass, _columns_num, _isomorphism_num, degraaf_to_
                        identify_degraaf, sw_bridge_map, verify_isomorphism)
 from .invariants import _SignatureWork, _x0_facts
 from .jordan import _eigen_pair
-from .linalg import _COORDS, echelon_span
-from .rational import Q, Record, format_rational
+from .linalg import Subspace, rref
+from .rational import Record, format_rational
 from .sp4 import conjugate_subalgebra, element, parse_conjugator
 from .structure import Subalgebra, generated_subalgebra, is_solvable
 
@@ -119,35 +120,34 @@ _ROW_FAULTS = (Sp4Error, ArithmeticError, ValueError)
 
 
 class _Instance(_SignatureWork):
-    """A catalog row at one parameter: its stated basis `mats` and the
-    subalgebra they span (with its one bracket table, in the echelon
-    basis), whose signature work it owns (`invariants._SignatureWork`):
-    `match_catalog` reads the probe, the costliest field, only when the
-    head equals the query's, and `verify_separations` the full signature."""
+    """A catalog row at one parameter: its stated basis, as the int
+    coordinate rows `rows` over `den`, and the subalgebra they span (with
+    its one bracket table, in the echelon basis), whose signature work it
+    owns (`invariants._SignatureWork`): `match_catalog` reads the probe, the
+    costliest field, only when the head equals the query's, and
+    `verify_separations` the full signature."""
 
-    def __init__(self, mats: tuple, sub: Subalgebra):
-        super().__init__(sub)
-        self.mats = mats
+    def __init__(self, rows: list, den: int):
+        super().__init__(Subalgebra(Subspace._of(rref(rows))))
+        self.rows, self.den = rows, den
 
     def frame(self) -> tuple[list[list[int]], int]:
-        """The stated basis in echelon coordinates, as int rows over one den
-        f: each stated matrix read at the echelon pivots, where each echelon
+        """The stated basis in echelon coordinates, as int rows over its den:
+        each stated row read at the echelon pivots, where each echelon
         element has 1 at its own pivot and 0 at the others'.  The echelon
-        basis is the echelon form of these matrices, so no read needs the
+        basis is the echelon form of these rows, so no read needs the
         membership check of `Subspace.coords_num`; more of them than the
         dimension are dependent and raise DependentInputs."""
-        if len(self.mats) > self.sub.dim:
+        if len(self.rows) > self.sub.dim:
             raise DependentInputs("coordinates need independent vectors")
-        pivots = [_COORDS[c] for c, _ in self.sub.space.pairs]
-        f = math.lcm(*[m.den for m in self.mats])
-        return [[m.num[p] * (f // m.den) for p in pivots] for m in self.mats], f
+        pivots = [c for c, _ in self.sub.space.pairs]
+        return [[r[c] for c in pivots] for r in self.rows], self.den
 
 
 @lru_cache(maxsize=INSTANCE_CACHE_SIZE)
 def _instance(entry: CatalogEntry, a) -> _Instance:
     """Each instance built once, keyed on the row's content, not its row_id."""
-    mats = tuple(entry.basis_at(a))
-    return _Instance(mats, Subalgebra(echelon_span(mats)))
+    return _Instance(*entry.rows_at(a))
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +294,9 @@ def _claim_values(claim, a, first: bool) -> tuple:
 def _claim_holds(entry: CatalogEntry, claim, val) -> tuple:
     """Whether the claim's recipe conjugates its source span onto its target
     span at val; a skip when the target parameter is not admissible."""
-    env = {} if val is None else {"a": Q(val)}
+    env = {} if val is None else {"a": val}
     key = val if entry.param else None  # a row without parameter is one instance
-    src = (_instance(entry, key).sub.space if claim.src is None
-           else echelon_span(build_elements(claim.src, env)))
+    src = _instance(entry, key).sub.space if claim.src is None else coord_span(claim.src, env)
     if claim.tgt is None:
         tgt_param = key
         if claim.tgt_param is not None:
@@ -307,7 +306,7 @@ def _claim_holds(entry: CatalogEntry, claim, val) -> tuple:
                               f"{_p(tgt_param)} is not admissible")
         tgt = _instance(entry, tgt_param).sub.space
     else:
-        tgt = echelon_span(build_elements(claim.tgt, env))
+        tgt = coord_span(claim.tgt, env)
     g = parse_conjugator(claim.recipe, env)
     return conjugate_subalgebra(g, src) == tgt, claim.recipe
 
@@ -353,7 +352,7 @@ def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
         for i, (e1, a1, orbit, s1) in enumerate(insts):
             for e2, a2, _, s2 in insts[i + 1:]:
                 if e1.row_id == e2.row_id:
-                    if a1 is None or Q(a2) in orbit:
+                    if a1 is None or a2 in orbit:
                         # same conjugacy class: signatures must agree instead
                         if s1 != s2:
                             bad.append((e1.row_id, a1, a2, "equivalent params separated"))

@@ -40,7 +40,7 @@ def clear_fact_caches():
     """Empty the per-object caches of the signature (N(g) and x0 facts) and
     of the sw-bridge check, so that the next calls compute them anew."""
     for cached in (invariants._nilpotent_facts, invariants._x0_facts,
-                   invariants._x0_nilpotent_part, verify._sw_bridge):
+                   verify._sw_bridge):
         cached.cache_clear()
 
 

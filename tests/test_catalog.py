@@ -3,6 +3,7 @@ import pytest
 from sp4solvable import catalog, exprs
 from sp4solvable.catalog import (DEFAULT_PARAM_SAMPLES, EXPECTED_COUNTS, CatalogEntry,
                                  EquivClaim, catalog_from_json, load_catalog)
+from sp4solvable.errors import Sp4Error
 from sp4solvable.jordan import classify_element
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import in_sp4
@@ -88,8 +89,38 @@ def test_equivalent_params_closure():
     assert entries["d4_Ta1_Xb_Xab_Xa2b"].equivalent_params(Q(3)) == {Q(3), Q(-3)}
     assert entries["d3_Ta1_Xa_Xab"].equivalent_params(Q(2)) == {Q(2)}
     # 1/a has no value at 0, so it adds nothing to the orbit of 0
-    assert "1/a" in entries["d1_T_a1"].param_equiv
+    assert "1/a" in {c.tgt_param for c in entries["d1_T_a1"].equivalences}
     assert entries["d1_T_a1"].equivalent_params(0) == {Q(0)}
+
+
+# the orbit of 7 under each parameterized row's self-equivalences, as the
+# tables state the maps: a -> -a and a -> 1/a, or one of them, or none
+ORBITS_OF_7 = {
+    "d1_T_a1": {Q(7), Q(-7), Q(1, 7), Q(-1, 7)},
+    "d2_Ta1_Xa": {Q(7), Q(-7)},
+    "d2_Ta1_Xb": {Q(7), Q(1, 7)},
+    "d3_Ta1_Xa_Xab": {Q(7)},
+    "d3_Ta1_Xa_Xa2b": {Q(7), Q(1, 7)},
+    "d4_Ta1_np": {Q(7), Q(1, 7)},
+    "d4_Ta1_Xb_Xab_Xa2b": {Q(7), Q(-7)},
+    "d5_Ta1_n": {Q(7)},
+}
+
+
+def test_each_parameterized_row_closes_its_stated_orbit():
+    # the orbit is read off the claims the certifier proves by a conjugator
+    rows = {e.row_id: e for e in load_catalog() if e.param}
+    assert {r: e.equivalent_params(Q(7)) for r, e in rows.items()} == ORBITS_OF_7
+
+
+def test_only_claims_on_the_rows_own_basis_at_any_a_extend_the_orbit():
+    row = {e.row_id: e for e in load_catalog()}["d2_Ta1_Xa"]
+    plain = EquivClaim("a -> a+1", "identity", tgt_param="a+1")
+    for stated in ({"src": row.basis}, {"tgt": row.basis}, {"samples": ("2",)}):
+        claim = plain.replace(**stated)
+        assert row.replace(equivalences=(claim,)).equivalent_params(Q(7)) == {Q(7)}
+    with pytest.raises(Sp4Error, match="exceeds 8 values"):
+        row.replace(equivalences=(plain,)).equivalent_params(Q(7))
 
 
 def test_sample_filtering():

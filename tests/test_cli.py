@@ -80,7 +80,7 @@ def test_export_catalog_output_is_pinned(capsys):
     # the catalog's wire format: derived keys are still written, byte for byte
     assert main(["export-catalog"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "af747a945f919184c3ce449a105aaf3250f52b4e81843c7f21cfa56ea6b49b34"
+    assert digest == "31f3014d8c180d1e85213063b8e5127debfc8f430ab7396afaa07b9f47076582"
 
 
 def test_export_catalog_prints_the_shipped_data_file(capsys):

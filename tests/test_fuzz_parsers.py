@@ -6,7 +6,9 @@ builds its presentation or raises OutOfCatalog, and `identify` and
 `classify-element` (on any matrix file) and `verify-catalog` (on any
 --params string) exit with a contract code, quickly, in either --output
 mode, whatever the nesting depth, exponent size or entry size: never with a
-traceback, and with 1 only beside a verification message."""
+traceback, and with 1 only beside a verification message.  `export-catalog`,
+which reads no input, keeps the same contract and prints rows that load
+back to the shipped ones."""
 
 import contextlib
 import io
@@ -16,7 +18,7 @@ import time
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sp4solvable.catalog import load_catalog
+from sp4solvable.catalog import catalog_from_json, load_catalog
 from sp4solvable.cli import main
 from sp4solvable.errors import OutOfCatalog, Sp4Error
 from sp4solvable.exprs import eval_expr
@@ -177,10 +179,10 @@ def _a_failing_report(out: str) -> bool:
     return out.rstrip().endswith(" problems")
 
 
-def assert_contract(argv) -> int:
+def assert_contract(argv) -> tuple[int, str]:
     """Run argv: a contract code within the time bound, no traceback, and
     exit 1 only with a verification message (no catalog row matches, a
-    faulty catalog row, or a failing report)."""
+    faulty catalog row, or a failing report).  Returns the code and stdout."""
     start = time.perf_counter()
     code, out, err = _run(argv)
     assert time.perf_counter() - start < TIME_BOUND
@@ -189,7 +191,7 @@ def assert_contract(argv) -> int:
     if code == 1:
         assert ("no catalog row matches" in err or err.startswith("CatalogFault: ")
                 or _a_failing_report(out)), (out, err)
-    return code
+    return code, out
 
 
 commands = st.sampled_from(["identify", "invariants", "conjugate"])
@@ -201,7 +203,7 @@ def assert_subalgebra_contract(tmp_path_factory, data, command, output, recipe, 
     argv = [command, "--input", str(path), *output]
     if command == "conjugate":
         argv += ["--conjugator", recipe] + ([] if param is None else ["--param", param])
-    return assert_contract(argv)
+    return assert_contract(argv)[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -245,6 +247,12 @@ def test_classify_element_exits_with_a_contract_code_on_any_matrix_file(tmp_path
 @given(st.lists(samples, min_size=1, max_size=2).map(",".join), outputs)
 def test_verify_catalog_exits_with_a_contract_code_on_any_params_string(params, output):
     assert_contract(["verify-catalog", "--params", params, *output])
+
+
+def test_export_catalog_keeps_the_contract_and_prints_the_loaded_rows():
+    code, out = assert_contract(["export-catalog"])
+    assert code == 0
+    assert catalog_from_json(json.loads(out)) == load_catalog()
 
 
 # -- the matrix wire reader against the Fraction one ---------------------------

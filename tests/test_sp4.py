@@ -6,8 +6,8 @@ from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES, load_catalog
 from sp4solvable.errors import ExpressionLimit, Sp4Error
 from sp4solvable.linalg import Mat4, _from_coords, char_poly, echelon_span, inverse
 from sp4solvable.rational import Q
-from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, T, W_MAT, WA_MAT, X_A2B,
-                             X_AB, X_ALPHA, X_BETA, DiagonalElement, element,
+from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, ROOT_LABELS, ROOT_VECTORS, T, W_MAT,
+                             WA_MAT, X_A2B, X_AB, X_ALPHA, X_BETA, DiagonalElement, element,
                              block_sl2, bracket, conjugate,
                              conjugate_subalgebra, diag_conjugator, gl2_block,
                              in_sp4, in_sp4_group, parse_conjugator,
@@ -75,6 +75,22 @@ def test_bracket_relations():
     for label, ev in (("alpha", 2), ("beta", 4), ("alpha_plus_beta", 6),
                       ("alpha_plus_2beta", 10)):
         assert root_value(label, 5, 1) == ev
+
+
+def test_the_root_table_lays_out_the_matrix_displays():
+    e = Mat4.unit
+    assert ROOT_LABELS == ("alpha", "beta", "alpha_plus_beta", "alpha_plus_2beta")
+    assert list(ROOT_VECTORS.values()) == [X_ALPHA, X_BETA, X_AB, X_A2B] == [
+        e(2, 4), e(1, 2) - e(4, 3), e(1, 4) + e(2, 3), e(1, 3)]
+    assert T(3, -2) == Mat4.diag(3, -2, -3, 2)
+    assert element(1, Q(1, 2), 3, 4, 5, -6) == (
+        T(1, Q(1, 2)) + X_ALPHA * 3 + X_BETA * 4 + X_AB * 5 - X_A2B * 6)
+
+
+@pytest.mark.parametrize("a, b", [(5, 1), (2, 3), (Q(1, 2), -4), (0, 7), (-3, 0)])
+def test_root_value_is_the_eigenvalue_of_ad_t(a, b):
+    for label, x in ROOT_VECTORS.items():
+        assert bracket(T(a, b), x) == x * root_value(label, a, b)
 
 
 # each ten-coordinate unit goes to +- one other unit under conjugation:

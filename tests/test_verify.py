@@ -188,9 +188,10 @@ def test_the_names_the_benchmark_traces_do_the_work(monkeypatch):
 
 
 def test_each_fact_is_computed_once_per_object_it_depends_on(monkeypatch):
-    """The pencil once per plane N(g), the Jordan decomposition once per
-    non-regular x0 (four distinct eigenvalues need none), and the sw bridge
-    once per de Graaf class, however many instances share them."""
+    """The pencil once per plane N(g) and the sw bridge once per de Graaf
+    class, however many instances share them, and the Jordan decomposition
+    once per instance whose x0 is non-regular (four distinct eigenvalues
+    need none), as its head is computed once."""
     counts = dict.fromkeys(("pencil_rank_strata", "jordan_decompose", "sw_bridge_map"), 0)
     for owner, name in zip((invariants, invariants, verify), counts):
         original = getattr(owner, name)
@@ -199,7 +200,7 @@ def test_each_fact_is_computed_once_per_object_it_depends_on(monkeypatch):
             counts[_name] += 1
             return _original(*args)
         monkeypatch.setattr(owner, name, counting)
-    planes, x0s, classes = set(), set(), set()
+    planes, x0s, classes, non_regular = set(), set(), set(), 0
     for e in load_catalog():
         for a in e.samples():
             sub = Subalgebra(e.space_at(a))
@@ -210,13 +211,15 @@ def test_each_fact_is_computed_once_per_object_it_depends_on(monkeypatch):
                 x0 = next(b for b in sub.basis if not nspace.contains(b))
                 if char_poly(x0).squarefree_part().degree < 4:
                     x0s.add(x0)
+                    non_regular += 1
             if e.degraaf is not None:
                 classes.add(e.degraaf_at(a))
     verify._instance.cache_clear()
     clear_fact_caches()
     assert verify_separations().overall_pass
-    assert (counts["pencil_rank_strata"], counts["jordan_decompose"]) == (len(planes), len(x0s))
-    assert (len(planes), len(x0s)) == (5, 7)
+    assert (counts["pencil_rank_strata"], counts["jordan_decompose"]) == (len(planes),
+                                                                          non_regular)
+    assert (len(planes), len(x0s), non_regular) == (5, 7, 35)
     assert verify_catalog().overall_pass
     assert counts["sw_bridge_map"] == len(classes) == 42
     verify._instance.cache_clear()
@@ -269,7 +272,7 @@ def test_a_refusal_is_raised_again_on_every_call():
 def test_the_fact_caches_stay_bounded():
     assert verify_catalog(probe_count=400, probe_seed=11).overall_pass
     for cached in (invariants._nilpotent_facts, invariants._x0_facts,
-                   invariants._x0_nilpotent_part, verify._sw_bridge):
+                   verify._sw_bridge):
         info = cached.cache_info()
         assert 0 < info.currsize <= info.maxsize == INSTANCE_CACHE_SIZE
 
@@ -294,13 +297,13 @@ def test_instance_memo_follows_content_not_row_id():
 
 def test_row_without_parameter_is_one_memo_entry(monkeypatch):
     built = []
-    original = CatalogEntry.basis_at
+    original = CatalogEntry.rows_at
 
     def counting(entry, a):
         built.append((entry.row_id, a))
         return original(entry, a)
 
-    monkeypatch.setattr(CatalogEntry, "basis_at", counting)
+    monkeypatch.setattr(CatalogEntry, "rows_at", counting)
     verify._instance.cache_clear()
     assert verify_catalog().overall_pass
     # its sample-restricted claim runs at four values of a, against one target
@@ -563,9 +566,11 @@ def test_misstated_degraaf_parameter_fails_records():
 
 
 def test_unbounded_param_orbit_fails_a_record():
-    row = ENTRIES["d1_T_a1"].replace(param_equiv=("a+1",))
+    claim = {"desc": "a -> a+1", "recipe": "identity", "samples": None, "src": None,
+             "tgt": None, "tgt_param": "a+1"}
+    row = ENTRIES["d1_T_a1"].replace(equivalences=(EquivClaim(**claim),))
     stated = next(d for d in shipped_dicts() if d["row"] == "d1_T_a1")
-    assert catalog_from_json([{**stated, "param_equiv": ["a+1"]}]) == [row]
+    assert catalog_from_json([{**stated, "equiv": [claim]}]) == [row]
     rep = verify_separations([row, ENTRIES["d1_T_10"]], params=(Q(2), Q(3)))
     assert not rep.overall_pass
     fails = [(r.row_id, r.check) for r in rep.failures]
@@ -581,7 +586,8 @@ def test_two_rows_with_one_signature_fail_the_separations():
 
 def test_a_claimed_equivalence_the_signatures_deny_fails_the_separations():
     # a -> 5-a puts 2 and 3 in one orbit, but T(2,1) and T(3,1) are not conjugate
-    rep = verify_separations([ENTRIES["d1_T_a1"].replace(param_equiv=("5-a",))])
+    claim = EquivClaim("a -> 5-a", "identity", tgt_param="5-a")
+    rep = verify_separations([ENTRIES["d1_T_a1"].replace(equivalences=(claim,))])
     (failure,) = rep.failures
     assert ("('d1_T_a1', Fraction(2, 1), Fraction(3, 1), 'equivalent params separated')"
             in failure.detail)
@@ -645,8 +651,8 @@ FAULTY_ROWS = {
     "excluded": ("d1_T_a1", ("excluded",), ("0", "1)"), verify_entry, "parameter samples"),
     "excluded, separations": ("d1_T_a1", ("excluded",), ("0", "1)"),
                               separations, "parameter samples"),
-    "param_equiv": ("d1_T_a1", ("param_equiv",), ("-a", "1/"),
-                    separations, "parameter orbit"),
+    "target parameter, separations": ("d1_T_a1", ("equivalences", 1, "tgt_param"), "1/",
+                                      separations, "parameter orbit"),
     # a stated sw label that the table does not carry: a wrong number of
     # parameters, a multiplicity that is not an integer >= 2, a dimension past 6
     "sw parameter count": ("d5_T01_n", ("sw",), ("s_{5,33}", ("1",)),
@@ -713,7 +719,7 @@ def test_the_map_check_agrees_with_the_rational_map_on_the_stated_table():
             for a in row.samples():
                 inst = verify._instance(row, a)
                 want = verify_isomorphism((row.degraaf_at(a) or row.sw_at(a)).constants(),
-                                          inst.sub.constants_in(inst.mats),
+                                          inst.sub.constants_in(row.basis_at(a)),
                                           row.iso_columns_at(a))
                 status = map_status(row, a)
                 assert status == ("pass" if want else "fail"), (row.row_id, a)
