@@ -137,30 +137,21 @@ def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
     counts: no root is found, nothing is factored and no line is typed.
 
     The refusals read the same int rows: n1 and n2 are independent iff A and
-    B are (`rref`), and an sp(4) element has odd power traces 0, so by
-    Newton's identities its char poly is l^4 - (p2/2) l^2 + (p2^2/2 - p4)/4
-    for p_k = tr x^k, and x(t) is nilpotent for every t iff the polynomials
-    tr x(t)^2 and tr x(t)^4 in t vanish: tr x(t)^4 is the sum of
-    t^(i+j) tr(S_i S_j) over the coefficients S_i of x(t)^2.
+    B are (`rref`), and an sp(4) element has odd power traces 0, so it is
+    nilpotent iff tr x^2 = tr x^4 = 0 (`linalg._even_traces`).  Both traces
+    of x(t) are polynomials of degree at most 4 in t, so they vanish for
+    every t iff they vanish at the five points t = -2, ..., 2.
     """
     den = math.lcm(n1.den, n2.den)
     a = [x * (den // n1.den) for x in n1.num]
     b = [x * (den // n2.den) for x in n2.num]
     if len(rref([a, b])) != 2:
         raise DependentInputs("pencil needs two independent matrices")
-    ab, ba = _mul_num(a, b), _mul_num(b, a)
-    coeffs = (_mul_num(b, b), [x + y for x, y in zip(ab, ba)], _mul_num(a, a))
-    # the coefficients of t^k in tr x(t)^2 and in tr x(t)^4, the latter from
-    # tr(S_i S_j), the dot product of S_i with the transpose of S_j
-    tr2 = [s[0] + s[5] + s[10] + s[15] for s in coeffs]
-    s0, s1, s2 = coeffs
-    t0, t1, t2 = [s[0::4] + s[1::4] + s[2::4] + s[3::4] for s in coeffs]
-    d = [sum(map(mul, u, v)) for u, v in ((s0, t0), (s0, t1), (s0, t2), (s1, t1), (s1, t2),
-                                          (s2, t2))]
-    tr4 = (d[0], 2 * d[1], 2 * d[2] + d[3], 2 * d[4], d[5])
-    if not (in_sp4(n1) and in_sp4(n2)) or any(tr2) or any(tr4):
+    if not (in_sp4(n1) and in_sp4(n2)) or any(
+            any(_even_traces([t * x + y for x, y in zip(a, b)])[1:]) for t in range(-2, 3)):
         raise Sp4Error("pencil_rank_strata needs a nilpotent pencil in sp(4)")
-    square = list(zip(*coeffs))
+    ab, ba = _mul_num(a, b), _mul_num(b, a)
+    square = list(zip(_mul_num(b, b), [x + y for x, y in zip(ab, ba)], _mul_num(a, a)))
     # the 2-minor x[p] x[s] - x[q] x[r] of rows i, j and columns k, l
     minors = [(b[p] * b[s] - b[q] * b[r], a[p] * b[s] + b[p] * a[s] - a[q] * b[r] - b[q] * a[r],
                a[p] * a[s] - a[q] * a[r])

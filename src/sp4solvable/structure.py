@@ -3,14 +3,14 @@
 A `Subalgebra` is a span of sp(4) (`linalg.Subspace`, in the ten root
 coordinates `linalg._COORDS`) with its bracket table (exact structure
 constants), the one bracket fact of a subalgebra, held like `Mat4` as int
-numerators over one positive denominator in lowest terms.  One closure pass
-(`_close_pairs`) brackets each pair of echelon rows once, bilinearly over
-their nonzero coordinates through the brackets of the unit elements
-(`_BRACKETS`, read once off `sp4.bracket`), and reads each at the row
-pivots (`linalg._pivot_coords`): the table, or the brackets outside the
-span as coordinate rows.  So closure is the table's existence
-(`Subalgebra.constants`, `is_closed`), and `generated_subalgebra` keeps
-the table of its last round.  The series, predicates and adjoint matrices
+numerators over one positive denominator in lowest terms.  sp(4) itself is
+one more such table, `_SP4`, in its ten coordinates, read once at import
+off `sp4.bracket`.  One closure pass (`_close_pairs`) brackets each pair of
+echelon rows once through it (`_bracket_num`, like every table) and reads
+each at the row pivots (`linalg._pivot_coords`): the table, or the
+brackets outside the span as coordinate rows.  So closure is the table's
+existence (`Subalgebra.constants`, `is_closed`), and `generated_subalgebra`
+keeps the table of its last round.  The series, predicates and adjoint matrices
 run on the table (d <= 7), each subspace held as `linalg.rref` pairs:
 brackets are int contractions (`_bracket_num`), spans are eliminated
 fraction-free (`bracket_space`, `_series`), and an adjoint matrix is one
@@ -108,29 +108,17 @@ class Subalgebra:
         return cls.from_matrices(mats)
 
 
-# [e_i, e_j] of the integral unit elements e_i of the ten coordinates, each
-# as its nonzero (coordinate, int) pairs
-_UNITS = [_from_coords([int(i == k) for k in range(10)], 1) for i in range(10)]
-_BRACKETS = tuple(tuple(tuple((k, c) for k, c in enumerate(_read_coords(bracket(x, y).num)) if c)
-                        for y in _UNITS) for x in _UNITS)
-
-
 def _close_pairs(space: Subspace) -> "StructureConstants | list[list[int]]":
-    """Bracket each pair of echelon rows once, bilinearly through `_BRACKETS`
-    over their nonzeros: the bracket table, read at the row pivots, or the
-    brackets that fall outside the span, as int coordinate rows."""
+    """Bracket each pair of echelon rows once through sp(4)'s table
+    (`_SP4._bracket_num`), the rows put over the lcm of their pivots: the
+    bracket table, read at the row pivots, or the brackets that fall outside
+    the span, as int coordinate rows."""
     pairs = space.pairs
     l = math.lcm(*[r[c] for c, r in pairs])
-    sparse = [[(i, x * (l // r[c])) for i, x in enumerate(r) if x] for c, r in pairs]
+    rows = [[x * (l // r[c]) for x in r] for c, r in pairs]
     coords, outside = [], []
-    for u, v in combinations(sparse, 2):
-        w = [0] * 10
-        for i, x in u:
-            table = _BRACKETS[i]
-            for j, y in v:
-                f = x * y
-                for k, c in table[j]:
-                    w[k] += f * c
+    for u, v in combinations(rows, 2):
+        w = _SP4._bracket_num(u, v)
         c = _pivot_coords(pairs, w)
         if c is None:
             outside.append(w)
@@ -344,3 +332,10 @@ def structure_constants(s: Subalgebra) -> StructureConstants:
 def structure_constants_for_basis(mats: Sequence[Mat4]) -> StructureConstants:
     """Constants of the matrix bracket in the given (independent) basis."""
     return Subalgebra(echelon_span(mats)).constants_in(mats)
+
+
+# sp(4) itself in its ten root coordinates: [e_i, e_j] of the integral unit
+# elements, read off `sp4.bracket` at the coordinates, over den 1
+_SP4 = StructureConstants._make(
+    10, [_read_coords(bracket(x, y).num)
+         for x, y in combinations([_from_coords(u, 1) for u in _units(10)], 2)], 1)

@@ -9,6 +9,7 @@ basis changes) are checked against `Fraction` oracles on the rational table,
 and the int form is checked to be canonical.
 """
 
+import itertools
 import math
 import random
 
@@ -285,6 +286,21 @@ def test_the_ten_coordinates_fix_an_sp4_element():
         assert linalg._from_coords([m.num[p] for p in linalg._COORDS], m.den) == m
         # the first nonzero entry is one of the ten
         assert next(i for i, x in enumerate(m.num) if x) in linalg._COORDS
+
+
+def test_sp4_is_one_more_bracket_table():
+    # the table the closure pass brackets through: [e_i, e_j] of the unit
+    # elements, read at the ten coordinates, over den 1
+    units = [linalg._from_coords(u, 1) for u in _units(10)]
+    sp4 = structure._SP4
+    assert sp4.dim == 10 and sp4.den == 1
+    brackets = {}
+    for i, j in itertools.combinations(range(10), 2):
+        row = linalg._read_coords(bracket(units[i], units[j]).num)
+        assert sp4.num[i][j] == row, (i, j)
+        brackets[i, j] = dict(enumerate(row))
+    # the rational builder, which checks the Jacobi identity, gives the same table
+    assert StructureConstants.from_brackets(10, brackets) == sp4
 
 
 def test_the_table_of_every_catalog_instance_is_the_matrix_table():
