@@ -1,42 +1,44 @@
 """The certification driver.
 
 For every catalog row at every admissible sample parameter this runs, in
-order: closure and dimension; solvability; every claimed equivalence, by its
-conjugator recipe on echelonized spans; the stated class, identified with
-exact parameters; the encoded isomorphism map, bracket-exact; and the
-translated label and its bridge, a bracket-verified map onto the translated
-presentation.  An instance holds one bracket table, in the echelon basis of
-its span (`Subalgebra.constants`).  The class label is an isomorphism
-invariant, so it is identified on that table, and the stated basis enters
-only the map check, as a frame: the stated basis's int echelon
-coordinates (`_Instance.frame`), read off its coordinate rows, which carry
-the map's columns into echelon coordinates over one den before the int core
-of `identify.verify_isomorphism`.  Instances and claim spans are spanned by
+order: closure and dimension, the one owner of the basis size (as many
+stated vectors as the row's dimension, all independent); solvability;
+every claimed equivalence, by its conjugator recipe on echelonized spans;
+the stated class, identified with exact parameters; the encoded
+isomorphism map, bracket-exact; and the translated label and its bridge, a
+bracket-verified map onto the translated presentation.  An instance holds
+one bracket table, in the echelon basis of its span
+(`Subalgebra.constants`).  The class label is an isomorphism invariant, so
+it is identified on that table, and the stated basis enters only the map
+check, as a frame read after closure passed: the stated basis's int
+echelon coordinates (`_Instance.frame`), which carry the map's columns into
+echelon coordinates over one den before the int core of
+`identify.verify_isomorphism`.  Instances and claim spans are spanned by
 the rows' root coordinates (`catalog.coord_rows`); no matrix is laid out
-for them.  Each check makes one record, through `_record`, and is a skip
-after a failed closure; the bridge is a fact of the de Graaf class alone,
+for them.  `_record` makes exactly one record for each declared check, or
+propagates a size limit, so no claim drops out of a report; each is a skip
+after a failed closure.  The bridge is a fact of the de Graaf class alone,
 so it is checked once per class (`_sw_bridge`) and recorded once per
-instance.  A fault of the row's data (an `Sp4Error`,
-or an `ArithmeticError` or `ValueError` such as a pole or malformed text)
-is the check's fail, with its repr as detail; the size limits
-`ExpressionLimit`, `FactorizationLimit` and `OutputLimit` propagate (exit 3).
-Pairwise separations inside each dimension are certified by a differing
-signature field, and a randomized probe matches closed random Borel seeds
-back into the catalog: each draw must match exactly one row, and a row
-whose data faults fails the draw.
+instance.  A fault of the row's data (an `Sp4Error`, or an
+`ArithmeticError` or `ValueError` such as a pole or malformed text) is the
+check's fail, with its repr as detail; the size limits `ExpressionLimit`,
+`FactorizationLimit` and `OutputLimit` propagate (exit 3).  Pairwise
+separations inside each dimension are certified by a differing signature
+field, and a randomized probe matches closed random Borel seeds back into
+the catalog: each draw must match exactly one row, and a row whose data
+faults fails the draw.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from functools import cache, lru_cache, partial
 from operator import mul
 
 from .catalog import (DEFAULT_PARAM_SAMPLES, INSTANCE_CACHE_SIZE, CatalogEntry, coord_span,
                       load_catalog)
-from .errors import (CatalogFault, DependentInputs, ExpressionLimit, FactorizationLimit,
-                     IrrationalSpectrum, OutputLimit, ProbeLimit, Sp4Error)
+from .errors import (CatalogFault, ExpressionLimit, FactorizationLimit, IrrationalSpectrum,
+                     OutputLimit, ProbeLimit, Sp4Error)
 from .exprs import eval_expr
 from .identify import (DeGraafClass, _columns_num, _isomorphism_num, degraaf_to_sw,
                        identify_degraaf, sw_bridge_map, verify_isomorphism)
@@ -136,10 +138,8 @@ class _Instance(_SignatureWork):
         each stated row read at the echelon pivots, where each echelon
         element has 1 at its own pivot and 0 at the others'.  The echelon
         basis is the echelon form of these rows, so no read needs the
-        membership check of `Subspace.coords_num`; more of them than the
-        dimension are dependent and raise DependentInputs."""
-        if len(self.rows) > self.sub.dim:
-            raise DependentInputs("coordinates need independent vectors")
+        membership check of `Subspace.coords_num`; after `_closure` passed,
+        they are independent."""
         pivots = [c for c, _ in self.sub.space.pairs]
         return [[r[c] for c in pivots] for r in self.rows], self.den
 
@@ -188,40 +188,28 @@ def verify_entry(entry: CatalogEntry, params=DEFAULT_PARAM_SAMPLES,
     return rep
 
 
-def _fail_unrecorded_claims(row_id: str, declared: list, rep, records: list):
-    """A fail record for each value a declared claim was due at, among the
-    (value, check, body) in `declared`, that left no record of its own in
-    `records` (the sample's records), so that nothing drops a claim silently."""
-    left = Counter((r.check, r.param) for r in records if r.row_id == row_id)
-    for val, check, _ in declared:
-        if check.startswith("equivalence: "):
-            left[check, _p(val)] -= 1
-            if left[check, _p(val)] < 0:
-                rep.add(row_id, val, check, False, "the claim left no record")
-
-
 def _report(report: VerificationReport | None, params) -> VerificationReport:
     """The given report, or a new one that names the samples actually used."""
     return report if report is not None else VerificationReport(samples=tuple(params))
 
 
 def _verify_at(entry: CatalogEntry, a, rep: VerificationReport, first: bool):
-    """Every check of one row instance, each recorded by `_record`: closure
-    and dimension, then the declared checks, each a skip when the instance
-    failed closure."""
-    start = len(rep.records)
+    """Every check of one row instance, each recorded once by `_record`:
+    closure and dimension, then the declared checks, each a skip when the
+    instance failed closure."""
     closed = _record(rep, entry.row_id, a, "closure+dimension", partial(_closure, entry, a))
     checks = _declared_checks(entry, a, first, rep)
     for val, check, body in checks:
         _record(rep, entry.row_id, val, check,
                 body if closed else lambda: (None, "instance failed closure"))
-    _fail_unrecorded_claims(entry.row_id, checks, rep, rep.records[start:])
 
 
 def _closure(entry: CatalogEntry, a) -> tuple:
+    """Whether the stated vectors are a basis of a closed span of the row's
+    dimension."""
     inst = _instance(entry, a)
-    if inst.sub.dim != entry.dim:
-        return False, f"dim {inst.sub.dim}/{entry.dim}"
+    if not len(inst.rows) == inst.sub.dim == entry.dim:
+        return False, f"{len(inst.rows)} stated vectors span dim {inst.sub.dim}/{entry.dim}"
     inst.sub.constants  # the bracket table exists iff the span is closed
     return True, ""
 
@@ -355,14 +343,15 @@ def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
                     if a1 is None or a2 in orbit:
                         # same conjugacy class: signatures must agree instead
                         if s1 != s2:
-                            bad.append((e1.row_id, a1, a2, "equivalent params separated"))
+                            bad.append((e1.row_id, a1, e2.row_id, a2,
+                                        "equivalent params separated"))
                         continue
                 n_pairs += 1
                 if s1 == s2:
-                    bad.append((f"{e1.row_id}@{_p(a1)}", f"{e2.row_id}@{_p(a2)}",
-                                "", "signatures collide"))
-        rep.add(f"separations-dim{dim}", None, f"{n_pairs} inequivalent pairs",
-                not bad, "; ".join(str(b) for b in bad[:4]))
+                    bad.append((e1.row_id, a1, e2.row_id, a2, "signatures collide"))
+        rep.add(f"separations-dim{dim}", None, f"{n_pairs} inequivalent pairs", not bad,
+                "; ".join(f"{r1}@{_p(p1)} ~ {r2}@{_p(p2)}: {why}"
+                          for r1, p1, r2, p2, why in bad[:4]))
     return rep
 
 
@@ -437,7 +426,9 @@ def random_subalgebra_probe(seed: int, count: int,
     the bracket, and check each signature matches exactly one catalog row.
     Every dimension, 1 to 6, is matched; a draw with irrational spectra is
     skipped, not failed, and the summary record counts the skips.  A draw
-    that matches no row or several, or meets a faulty row, is a fail record."""
+    that matches no row or several, or meets a faulty row, is a fail record
+    named by its number among all draws; the probe ends after `count`
+    draws matched or failed."""
     _check_probe_count(count)
     rep = _report(report, ())  # a probe evaluates rows at eigenvalue candidates only
     rng = random.Random(seed)
@@ -445,7 +436,7 @@ def random_subalgebra_probe(seed: int, count: int,
     attempts = 0
     matched = 0
     skipped = 0
-    while produced < count and attempts < 40 * count:
+    while produced < count:
         attempts += 1
         seeds = []
         n_seeds = rng.choice((1, 1, 2))

@@ -117,28 +117,33 @@ def test_m6_cubic_is_rooted_once_per_instance(monkeypatch):
     assert bridges_and_rootings("d4_T11Xb_Xa_Xab_Xa2b") == (1, 0)
 
 
-def test_a_claim_that_leaves_no_record_fails_the_report(monkeypatch):
-    def claim_values(e):
-        return [(c.desc, v) for i, a in enumerate(e.samples(DEFAULT_PARAM_SAMPLES))
-                for c in e.equivalences for v in verify._claim_values(c, a, i == 0)]
-
-    # a parameterized row, and a row whose claim runs at stated values once
-    rows = [ENTRIES["d3_Ta1_Xa_Xa2b"], ENTRIES["d1_T11_Xb"]]
-    for e in rows:
-        assert not [r for r in verify_entry(e).records if r.status != "pass"]
-    record = verify._record
-
-    def dropping_claims(rep, row_id, param, check, body):
-        if not check.startswith("equivalence: "):
-            return record(rep, row_id, param, check, body)
-    monkeypatch.setattr(verify, "_record", dropping_claims)
-    for e in rows:
-        rep = verify_entry(e)
-        missing = [r for r in rep.records if r.detail == "the claim left no record"]
-        assert not rep.overall_pass and all(r.status == "fail" for r in missing)
-        assert ([(r.check, r.param) for r in missing]
-                == [(f"equivalence: {d}", verify._p(v)) for d, v in claim_values(e)])
-        assert len(missing) == (8 if e.param else 1 + 4)
+def test_each_declared_claim_leaves_exactly_one_record():
+    """Over every row at the default samples, `verify_entry` records closure
+    and then each declared (value, check) once, in order, and the claims
+    among them are due at exactly the values `_claim_values` gives: so no
+    claim can drop out of a report, and none needs a recount."""
+    claims = {}
+    for e in ENTRIES.values():
+        declared, due = [], []
+        for i, a in enumerate(e.samples(DEFAULT_PARAM_SAMPLES)):
+            unused = VerificationReport()
+            declared += [("closure+dimension", verify._p(a))] + [
+                (check, verify._p(v)) for v, check, _ in
+                verify._declared_checks(e, a, i == 0, unused)]
+            assert not unused.records
+            due += [(f"equivalence: {c.desc}", verify._p(v)) for c in e.equivalences
+                    for v in verify._claim_values(c, a, i == 0)]
+        records = verify_entry(e).records
+        assert [(r.check, r.param) for r in records] == declared, e.row_id
+        assert {r.status for r in records} == {"pass"}
+        claims[e.row_id] = [x for x in declared if x[0].startswith("equivalence: ")]
+        assert claims[e.row_id] == due, e.row_id
+    # a parameterized row's claims at each of its 4 samples, and a row whose
+    # restricted claim runs once, at its 4 stated values
+    assert len(claims["d3_Ta1_Xa_Xa2b"]) == 8
+    assert claims["d1_T11_Xb"] == [("equivalence: A image <T(1,-1)+X_alpha+beta>", "-")] + [
+        ("equivalence: <T(a,a)+X_beta> rescales in for any a", v)
+        for v in ("3", "5", "-2", "7/3")]
 
 
 def test_verify_catalog_computes_each_derived_series_once(monkeypatch):
@@ -581,7 +586,7 @@ def test_two_rows_with_one_signature_fail_the_separations():
     d = ENTRIES["d2_t"]
     rep = verify_separations([d, d.replace(row_id="dup")])
     assert [(r.check, r.detail) for r in rep.failures] == [
-        ("1 inequivalent pairs", "('d2_t@-', 'dup@-', '', 'signatures collide')")]
+        ("1 inequivalent pairs", "d2_t@- ~ dup@-: signatures collide")]
 
 
 def test_a_claimed_equivalence_the_signatures_deny_fails_the_separations():
@@ -589,8 +594,7 @@ def test_a_claimed_equivalence_the_signatures_deny_fails_the_separations():
     claim = EquivClaim("a -> 5-a", "identity", tgt_param="5-a")
     rep = verify_separations([ENTRIES["d1_T_a1"].replace(equivalences=(claim,))])
     (failure,) = rep.failures
-    assert ("('d1_T_a1', Fraction(2, 1), Fraction(3, 1), 'equivalent params separated')"
-            in failure.detail)
+    assert "d1_T_a1@2 ~ d1_T_a1@3: equivalent params separated" in failure.detail
 
 
 def test_a_draw_that_matches_no_row_fails(monkeypatch):
@@ -629,10 +633,12 @@ FAULTY_ROWS = {
     "map column long": ("d2_Ta1_Xb", ("iso_columns", 0), ("1/(a-1)", 0, 0),
                         verify_entry, "isomorphism-map"),
     # a stated basis with one dependent element too many: it spans the
-    # instance, but is no frame for the map
+    # instance, but is no basis of it, with a map to check and without one
     "basis too long": ("d2_Ta1_Xb", ("basis",), (("a", 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0),
                                                  (0, 0, 0, 2, 0, 0)),
-                       verify_entry, "isomorphism-map"),
+                       verify_entry, "closure+dimension"),
+    "basis too long, no map": ("d1_T_a1", ("basis",), (ENTRIES["d1_T_a1"].basis[0],) * 2,
+                               verify_entry, "closure+dimension"),
     "basis pole": ("d2_Ta1_Xb", ("basis", 0, 0), "1/(a-2)",
                    verify_entry, "closure+dimension"),
     # malformed text: a target parameter, a claim's stated sample
