@@ -26,7 +26,10 @@ check's fail, with its repr as detail; the size limits `ExpressionLimit`,
 separations inside each dimension are certified by a differing signature
 field, and a randomized probe matches closed random Borel seeds back into
 the catalog: each draw must match exactly one row, and a row whose data
-faults fails the draw.
+faults fails the draw.  `match_catalog` builds each parameterized row at
+one candidate per parameter orbit, the orbits its self-equivalence claims
+close, so the probe and `identify` prune their candidates by claims that
+the certifier checks only at its samples.
 """
 
 from __future__ import annotations
@@ -385,9 +388,16 @@ def match_catalog(sub: Subalgebra) -> list[tuple]:
     before its parameter candidates, so its refusals come first.  A row
     whose data faults while it is compared raises `CatalogFault`, which
     names the row; a fault inside a row's probe surfaces only when its other
-    fields agree.  When no row matches and the eigenvalues that would give
-    a row's parameter are irrational, the subalgebra is outside the rational
-    rows, and `IrrationalSpectrum` is raised instead of an empty match.
+    fields agree.  A parameterized row is tried at its admissible candidates
+    in order, up to the first match; once a candidate a fails, the rest of
+    its parameter orbit (`CatalogEntry.equivalent_params(a)`) is skipped.
+    A skip rests on the row's self-equivalence claims holding at a, which
+    the certifier proves only at its samples; and a fault in a skipped
+    orbit-mate's instance no longer surfaces, as a probe's fault surfaces
+    only where the other fields agree.  When no row matches and the
+    eigenvalues that would give a row's parameter are irrational, the
+    subalgebra is outside the rational rows, and `IrrationalSpectrum` is
+    raised instead of an empty match.
     """
     query = _SignatureWork(sub)
     head = query.head
@@ -398,12 +408,18 @@ def match_catalog(sub: Subalgebra) -> list[tuple]:
         if e.dim != dim:
             continue
         try:
-            # the candidates a row admits, or no parameter for a row without one
+            # the candidates a row admits, or no parameter for a row without
+            # one, each parameter orbit tried at its first candidate only
+            tried = set()
             for a in e.samples(cands or ()):
+                if a in tried:
+                    continue
                 inst = _instance(e, a)
                 if inst.head == head and query.probe == inst.probe:
                     matches.append((e.row_id, a))
                     break
+                if e.param:
+                    tried |= e.equivalent_params(a)
         except _SIZE_LIMITS:
             raise
         except _ROW_FAULTS as exc:

@@ -423,6 +423,10 @@ IRRATIONAL = [[_levi([[0, 1], [1, 1]])], [_levi([[0, 1], [1, 1]]), *SIEGEL],
                Mat4([[1, 0, -1, 0], [0, 0, 0, 0], [1, 0, -1, 0], [0, 0, 0, 0]])]]
 
 
+# parameter values outside DEFAULT_PARAM_SAMPLES, each admissible on every row
+UNSAMPLED = (Q(4), Q(-5, 2), Q(11, 7), Q(1, 5))
+
+
 def test_match_catalog_equals_the_full_signature_comparison():
     def outcome(f, sub):
         try:
@@ -437,6 +441,12 @@ def test_match_catalog_equals_the_full_signature_comparison():
         for a in e.samples():
             space = e.space_at(a)
             subs += [Subalgebra(space), Subalgebra(conjugate_subalgebra(rng.choice(pool), space))]
+    # a conjugate of each parameterized row at each value no sample takes,
+    # where only the certifier's claims at its samples back the orbit skips
+    unsampled = [Subalgebra(conjugate_subalgebra(rng.choice(pool), e.space_at(a)))
+                 for e in load_catalog() if e.param for a in e.samples(UNSAMPLED)]
+    assert len(unsampled) == 32
+    subs += unsampled
     refused = [Subalgebra.from_matrices(mats) for mats in IRRATIONAL]
     verify._instance.cache_clear()
     sigs: dict = {}
@@ -447,6 +457,27 @@ def test_match_catalog_equals_the_full_signature_comparison():
         IrrationalSpectrum, IrrationalSpectrum, [("d3_T11_Xa_Xa2b", None)],
         [("d3_T11_Xa_Xa2b", None)], IrrationalSpectrum]
     assert all(match_catalog(sub) for sub in subs)
+
+
+def test_match_catalog_tries_each_parameter_orbit_once(monkeypatch):
+    # x0 at a = 11/7 gives the candidates 7/11, -7/11, 11/7, -11/7 in that
+    # order: d4_Ta1_np's orbits {a, 1/a} and the row's own {a, -a} are each
+    # built at their first candidate, and no further once one matches
+    g = conjugator_pool(random.Random(51), n=1)[0]
+    sub = Subalgebra(conjugate_subalgebra(g, ENTRIES["d4_Ta1_Xb_Xab_Xa2b"].space_at(Q(11, 7))))
+    built = []
+    original = CatalogEntry.rows_at
+
+    def counting(entry, a):
+        built.append((entry.row_id, a))
+        return original(entry, a)
+
+    monkeypatch.setattr(CatalogEntry, "rows_at", counting)
+    verify._instance.cache_clear()
+    assert match_catalog(sub) == [("d4_Ta1_Xb_Xab_Xa2b", Q(11, 7))]
+    assert [a for row, a in built if row == "d4_Ta1_np"] == [Q(7, 11), Q(-7, 11)]
+    assert [a for row, a in built if row == "d4_Ta1_Xb_Xab_Xa2b"] == [Q(7, 11), Q(11, 7)]
+    verify._instance.cache_clear()
 
 
 def test_every_rational_twist_of_a_siegel_plane_beside_T11_gets_its_row():

@@ -6,16 +6,19 @@ catalog, the descent sweep of completeness.
 Run from the root of a source checkout.  Every solvable subalgebra of
 dimension k - 1 is, up to conjugacy, a closed hyperplane of one of dimension
 k (a flag of ideals with 1-dimensional steps), so each such hyperplane of a
-row instance should match exactly one row.  The sweep takes the first three
-samples of every row of dimension >= 2 and the closed hyperplanes ker f of
+row instance should match exactly one row.  The sweep takes every default
+sample of every row of dimension >= 2 and the closed hyperplanes ker f of
 each, for the forms f with entries in {-2, ..., 2} in the echelon basis
 (one form of each +- pair; a space met twice counts once), and runs
-`match_catalog` on each.
+`match_catalog` on each.  It needs every sample: of the default ones,
+`d3_Tm31_Xa_Xab` is reached only through `d4_Ta1_np` at a = -3, the fifth.
 
 It prints the counts of distinct hyperplanes, of those that match one row,
-no row or several rows, and of those refused with an error, then the sha256
-over one line per hyperplane: its matches as a JSON list of [row, param],
-or the class and message of its error.  `tests/test_outputs.py` calls
+no row or several rows, and of those refused with an error, and the rows
+reached: how many of the rows of dimension <= 5 some hyperplane matches,
+over their number.  Then it prints the sha256 over one line per
+hyperplane: its matches as a JSON list of [row, param], or the class and
+message of its error.  `tests/test_outputs.py` calls
 `report()` and compares the lines with those recorded in
 `tests/outputs.json`.
 """
@@ -39,7 +42,7 @@ def sweep():
     seen = set()
     for e in load_catalog():
         if e.dim >= 2:
-            for a in e.samples()[:3]:
+            for a in e.samples():
                 for h in hyperplanes(e.space_at(a), range(-2, 3)):
                     if h not in seen:
                         seen.add(h)
@@ -50,6 +53,7 @@ def report() -> list[str]:
     """The two lines: the counts, then the sha256 over the matches."""
     digest = hashlib.sha256()
     counts = dict.fromkeys(("hyperplanes", "one_row", "no_row", "several_rows", "refused"), 0)
+    reached = set()
     for h in sweep():
         counts["hyperplanes"] += 1
         try:
@@ -62,7 +66,9 @@ def report() -> list[str]:
                                for row, a in matches])
             counts["one_row" if len(matches) == 1 else "several_rows" if matches
                    else "no_row"] += 1
+            reached.update(row for row, _ in matches)
         digest.update(line.encode() + b"\n")
+    counts["rows_reached"] = f"{len(reached)}/{sum(e.dim <= 5 for e in load_catalog())}"
     return [" ".join(f"{k}={v}" for k, v in counts.items()), digest.hexdigest()]
 
 
