@@ -57,7 +57,7 @@ from .errors import (DimensionMismatch, OutOfCatalog,
 from .linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _over_common_den,
                      inverse, rational_roots, rref)
 from .rational import Q, ZERO, Record, format_rational, power_free_split, rational_sqrt
-from .structure import StructureConstants, _ad_num, _units, bracket_space
+from .structure import StructureConstants, _ad_num, _derived_pairs, _units, bracket_space
 
 __all__ = [
     "DeGraafClass", "SWClass", "identify_degraaf", "degraaf_to_sw", "sw_lambda",
@@ -297,8 +297,7 @@ def identify_degraaf(sc: StructureConstants) -> DeGraafClass:
         raise UnsupportedDimension(f"identification implemented for dims 1..4, got {d}")
     if d == 1:
         return DeGraafClass("J")
-    units = _units(d)
-    derived = bracket_space(sc, units, units)
+    derived = _derived_pairs(sc)
     k = len(derived)
     if d == 2:
         return DeGraafClass("K1" if k == 0 else "K2")
@@ -307,7 +306,7 @@ def identify_degraaf(sc: StructureConstants) -> DeGraafClass:
             return DeGraafClass("L1")
         if k == 1:
             # Heisenberg (nilpotent) is L4_0; the non-nilpotent K2 (+) J is L3_0
-            central = not bracket_space(sc, units, [r for _, r in derived])
+            central = not bracket_space(sc, _units(d), [r for _, r in derived])
             return DeGraafClass("L4" if central else "L3", (ZERO,))
         if k == 2:
             y = _complement_vector(d, derived)

@@ -13,11 +13,14 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   Lie's theorem [g, g] is strictly triangular, so it lies in the radical and
   is nilpotent, and the radical is [g, g] plus the kernel of the form on a
   complement of [g, g]: the basis elements off the pivots of the cached
-  derived series.  It is computed on the basis numerators: the int Gram
-  matrix of that complement, its int kernel, and each kernel element m
-  tested nilpotent as tr m^2 = tr m^4 = 0, off one int product
-  (`linalg._even_traces`; the nilpotent elements of a solvable g form a
-  subspace, so that tests the whole radical);
+  derived series.  It is computed on the complement's int coordinate rows:
+  tr(xy) pairs each of the ten root coordinates with one partner under a
+  fixed weight (`linalg._TRACE_FORM`), so the int Gram matrix is read off
+  the rows with no matrix laid out (`linalg._trace_gram`); of its int
+  kernel, each element m alone is laid out and tested nilpotent as
+  tr m^2 = tr m^4 = 0, off one int product (`linalg._even_traces`; the
+  nilpotent elements of a solvable g form a subspace, so that tests the
+  whole radical);
 * the rank stratification of N(g): for dim 1 the rank of the line, read
   off its square and one rank-one test (`jordan._nilpotent_rank`); for dim
   2 the number of lines of each rank on the projective line of the pencil
@@ -49,11 +52,14 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   char poly of ad x on g, char poly of ad x on [g,g]) is constant on
   x + N(g), and the leftover scaling freedom is removed by weighted
   cross-ratio invariantization, one `Q` per value from int (numerator,
-  denominator, weight) triples.  Char polys are invariant under conjugation
-  over the algebraic closure, so two rational forms of one complex class
-  (a split and a non-split plane of the Siegel radical beside T(1,1), say)
-  get the same probe.  Both adjoint char polys are taken on ints, off the
-  bracket table and the int rows of [g,g].
+  denominator, weight) triples (each value reduced as a whole, or base by
+  base once an entry reaches `_HUGE`, where that is the cheaper form).
+  Char polys are invariant under conjugation over the algebraic closure, so
+  two rational forms of one complex class (a split and a non-split plane
+  of the Siegel radical beside T(1,1), say) get the same probe.  One
+  adjoint char poly is computed, on ints: ad x's on [g,g], off the bracket
+  table and the int rows of [g,g].  ad x maps g into [g,g], so its char
+  poly on g is l^(dim g - dim [g,g]) times that one, and is built from it.
 
 One object, `_SignatureWork`, owns a subalgebra's signature work and
 computes each part on first use: N(g), x0 (the first basis element outside
@@ -85,7 +91,8 @@ from operator import mul
 from .catalog import INSTANCE_CACHE_SIZE
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
 from .linalg import (Mat4, Poly, _char_poly_int, _even_traces, _from_coords, _kernel_int,
-                     _mul_num, _newton, _pivot_coords, generic_rank, rref, Subspace)
+                     _mul_num, _newton, _pivot_coords, _trace_gram, generic_rank, rref,
+                     Subspace)
 from .linalg import char_poly  # noqa: F401  perfbench's tracer test reads this binding
 from .rational import Q, Record, format_rational
 from .sp4 import in_sp4
@@ -197,21 +204,21 @@ def nilpotent_subspace(g: Subalgebra) -> Subspace:
     derived = der[1] if len(der) > 1 else []
     rows = [r for _, r in derived]
     pivots = {c for c, _ in derived}
-    comp = [(i, _from_coords(r, r[c])) for i, (c, r) in enumerate(g.space.pairs)
-            if i not in pivots]
-    nums = [b.num for _, b in comp]
-    trans = [b.transpose().num for _, b in comp]
-    # a kernel vector w of the Gram matrix of the B_j = den_j*b_j on C gives
-    # sum_j w_j B_j, whose coordinate at b_j is w_j*den_j
-    for _, w in _kernel_int([[sum(map(mul, x, y)) for y in trans] for x in nums], len(nums)):
-        _, t2, t4 = _even_traces([sum(map(mul, w, entry)) for entry in zip(*nums)])
+    comp = [(i, c, r) for i, (c, r) in enumerate(g.space.pairs) if i not in pivots]
+    nums = [r for _, _, r in comp]
+    # a kernel vector w of the Gram matrix of the B_j = r_j, the b_j times
+    # their pivots, on C gives sum_j w_j B_j, whose coordinate at b_j is
+    # w_j*r_j[c_j]; only it is laid out, for its traces
+    for _, w in _kernel_int(_trace_gram(nums), len(nums)):
+        m = _from_coords([sum(map(mul, w, col)) for col in zip(*nums)], 1)
+        _, t2, t4 = _even_traces(m.num)
         if t2 or t4:
             raise IrrationalSpectrum(
                 "trace-form radical contains a non-nilpotent element; "
                 "the subalgebra has irrational spectra")
         v = [0] * g.dim
-        for (i, b), x in zip(comp, w):
-            v[i] = x * b.den
+        for (i, c, r), x in zip(comp, w):
+            v[i] = x * r[c]
         rows.append(v)
     return g.space.span_coords(rref(rows))
 
@@ -241,6 +248,11 @@ def _jsonable(obj):
     return format_rational(obj)
 
 
+# an entry at or above this size makes the reduced power form of a value the
+# cheaper one (measured crossover: about 450 bits)
+_HUGE = 1 << 512
+
+
 def _invariantize(weighted: list[tuple]) -> tuple:
     """Remove the scaling freedom x -> s*x from a list of (numerator,
     denominator, weight) triples, each the value v = n/d (d != 0) that
@@ -248,10 +260,16 @@ def _invariantize(weighted: list[tuple]) -> tuple:
     v**w0 / v0**w = n**w0 * d0**w / (d**w0 * n0**w) relative to the first
     nonzero entry n0/d0 of weight w0, one `Q` per value, and each zero by
     ("z", w).  The result is invariant under scaling by any s in the
-    algebraic closure.
+    algebraic closure.  While n, d, n0 and d0 are below `_HUGE` the value is
+    reduced once, as a whole; a huge entry's value is reduced base by base,
+    as Q(n, d)**w0 * Q(d0, n0)**w, which keeps each gcd at the size of its
+    base.
     """
     n0, d0, w0 = next(((n, d, w) for n, d, w in weighted if n), (0, 1, 0))
-    return tuple((Q(n**w0 * d0**w, d**w0 * n0**w), w) if n else ("z", w)
+    h = _HUGE
+    small0 = -h < n0 < h and -h < d0 < h
+    return tuple(((Q(n**w0 * d0**w, d**w0 * n0**w) if small0 and -h < n < h and -h < d < h
+                   else Q(n, d)**w0 * Q(d0, n0)**w), w) if n else ("z", w)
                  for n, d, w in weighted)
 
 
@@ -352,15 +370,21 @@ def _x0_facts(x0: Mat4) -> tuple:
 
 def _spectral_probe(s: Subalgebra, i0: int, p4: Poly) -> tuple:
     """The probe of s of codimension 1, whose x0 = basis[i0] has the char
-    poly p4."""
-    sc, der = s.constants, s.derived
-    derived = der[1] if len(der) > 1 else []
-    # the char polys of x0, of ad(x0) on g (sc.num[i0] is den * ad(x0),
-    # transposed) and on [g, g]; the coefficient num[j]/den of l^j in one of
-    # degree k scales by s**(k - j), and the leading one is 1
-    polys = [p4, _char_poly_int(sc.num[i0], sc.den)]
-    dd = len(derived)
+    poly p4.  s is solvable and not 0, so its derived series has a second
+    term, [g, g]."""
+    sc, derived = s.constants, s.derived[1]
+    # the char polys of x0, of ad(x0) on g and on [g, g]; the coefficient
+    # num[j]/den of l^j in one of degree k scales by s**(k - j), and the
+    # leading one is 1.  ad(x0) maps g into [g, g], so in a basis through
+    # [g, g] it is block triangular with a zero block on g/[g, g]: its char
+    # poly on g is l^(d - dd) times the one on [g, g].  A shift of `num` keeps
+    # gcd(den, *num), and `Poly` is canonical, so it is the polynomial
+    # `_char_poly_int` would build from the table row sc.num[i0]
+    d, dd = s.dim, len(derived)
     if dd:
-        polys.append(_char_poly_int(*_ad_num(sc, [int(k == i0) for k in range(s.dim)], derived)))
-    return (s.dim, dd, s.dim - 1) + _invariantize(
+        p_gg = _char_poly_int(*_ad_num(sc, [int(k == i0) for k in range(d)], derived))
+        polys = [p4, Poly._make((0,) * (d - dd) + p_gg.num, p_gg.den), p_gg]
+    else:
+        polys = [p4, Poly._make((0,) * d + (1,), 1)]
+    return (d, dd, d - 1) + _invariantize(
         [(p.num[j], p.den, p.degree - j) for p in polys for j in range(p.degree - 1, -1, -1)])

@@ -15,7 +15,11 @@ made where matrices enter a span, reads them back; rows already in those
 coordinates (the catalog's, a closure round's, a conjugate's) are spanned
 by `Subspace._of` of their `rref`.  Coordinates in a span are read at its
 echelon pivots as ints (`_pivot_coords`, `Subspace.coords_num`), never
-solved for: the one solve against another basis is `inverse`.
+solved for: the one solve against another basis is `inverse`.  The trace
+form tr(xy) is read on the coordinates too: the layout pairs each
+coordinate with one partner under a fixed weight (`_TRACE_FORM`, built at
+import off `_LAYOUT`), so a Gram matrix of int coordinate rows
+(`_trace_gram`) lays out no matrix.
 
 `Poly` is the one polynomial type, and `rref` the one elimination:
 nothing is eliminated over Q[t].  The generic rank of a span
@@ -620,6 +624,31 @@ def _sp4_coords(m: Mat4) -> tuple[int, ...] | None:
     the one membership test, m is in sp(4) iff its coordinates lay out to it."""
     c = _read_coords(m.num)
     return c if tuple([s * c[k] for k, s in _LAYOUT]) == m.num else None
+
+
+def _trace_pairing() -> tuple[tuple[int, int, int], ...]:
+    """(k, partner q, weight w) for each coordinate k, with
+    tr(xy) = sum_k w x_k y_q for sp(4) elements x and y in coordinates: entry
+    p of x meets the transposed entry of y, both placed by `_LAYOUT`, and
+    every entry of coordinate k meets one of coordinate q."""
+    pairing = {}
+    for p, (k, s) in enumerate(_LAYOUT):
+        q, t = _LAYOUT[4 * (p % 4) + p // 4]
+        pairing[k] = (k, q, pairing.get(k, (k, q, 0))[2] + s * t)
+    return tuple([pairing[k] for k in range(len(_COORDS))])
+
+
+# the trace form on the ten coordinates: 0-0, 1-4, 3-8 and 5-5 with weight 2,
+# 2-7 and 6-9 with weight 1
+_TRACE_FORM = _trace_pairing()
+
+
+def _trace_gram(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The int Gram matrix tr(x_i x_j) of the sp(4) elements whose ten
+    coordinates are the int rows x_i, read through `_TRACE_FORM`, with no
+    matrix laid out."""
+    paired = [[w * r[q] for _, q, w in _TRACE_FORM] for r in rows]
+    return [[sum(map(mul, a, r)) for r in rows] for a in paired]
 
 
 class Subspace:

@@ -13,8 +13,10 @@ existence (`Subalgebra.constants`, `is_closed`), and `generated_subalgebra`
 keeps the table of its last round.  The series, predicates and adjoint matrices
 run on the table (d <= 7), each subspace held as `linalg.rref` pairs:
 brackets are int contractions (`_bracket_num`), spans are eliminated
-fraction-free (`bracket_space`, `_series`), and an adjoint matrix is one
-int matrix over one den, read at the pivots (`_ad_num`).  Rationals appear
+fraction-free (`bracket_space`, `_series`), [g, g] straight off the
+table, whose row num[i][j] is den*[x_i, x_j] (`_derived_pairs`, which the
+series and `identify` read), and an adjoint matrix is one int matrix over
+one den, read at the pivots (`_ad_num`).  Rationals appear
 only at the public boundary: `StructureConstants.table` and
 `derived_series`.  A table moves to a new basis only by `_moved`, for
 `Subalgebra.constants_in`, which `structure_constants_for_basis` and the
@@ -152,6 +154,13 @@ def bracket_space(sc: "StructureConstants", a: list, b: list) -> list:
     return rref([sc._bracket_num(u, v) for u, v in pairs])
 
 
+def _derived_pairs(sc: "StructureConstants") -> list:
+    """`rref` of [g, g]: den*[x_i, x_j] for i < j is the table row
+    num[i][j], so the rows `bracket_space(sc, units, units)` would bracket
+    are read off the table."""
+    return rref([sc.num[i][j] for i, j in combinations(range(sc.dim), 2)])
+
+
 def _ad_num(sc: "StructureConstants", y: Sequence[int],
             pairs: Sequence[tuple[int, Sequence[int]]]) -> tuple[list[list[int]], int]:
     """ad(y), for an int coordinate row y, on an ad(y)-stable span given by
@@ -177,13 +186,14 @@ def _series(s: Subalgebra, lower: bool = False) -> list[list[tuple[int, list[int
     dimension stops falling: the derived series, or with `lower` the lower
     central series (g, [g,g], [g,[g,g]], ...), all from the bracket table.
     Both series begin g, [g,g], so the lower one starts from the first two
-    terms of the cached `s.derived` and brackets [g,g] only once."""
+    terms of the cached `s.derived`, and [g,g] is read off the table
+    (`_derived_pairs`)."""
     sc = s.constants
     g = _units(s.dim)
     chain = s.derived[:2] if lower else [list(enumerate(g))]
     while chain[-1]:
         h = [r for _, r in chain[-1]]
-        nxt = bracket_space(sc, g if lower else h, h)
+        nxt = _derived_pairs(sc) if len(chain) == 1 else bracket_space(sc, g if lower else h, h)
         if len(nxt) == len(h):
             break
         chain.append(nxt)

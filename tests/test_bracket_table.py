@@ -31,8 +31,8 @@ from sp4solvable.identify import DeGraafClass, verify_isomorphism
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, bracket, conjugate_subalgebra,
                              parse_conjugator)
-from sp4solvable.structure import (StructureConstants, Subalgebra, _ad_num, _series, _units,
-                                   bracket_space, generated_subalgebra,
+from sp4solvable.structure import (StructureConstants, Subalgebra, _ad_num, _derived_pairs,
+                                   _series, _units, bracket_space, generated_subalgebra,
                                    structure_constants, structure_constants_for_basis)
 
 small = st.integers(-3, 3)
@@ -240,8 +240,10 @@ def test_int_tables_are_canonical():
     assert (StructureConstants.from_brackets(2, {(0, 1): {1: Q(2, 4)}})
             == StructureConstants.from_brackets(2, {(1, 0): {1: Q(-1, 2)}}))
     assert StructureConstants.from_brackets(2, {(1, 0): {0: 3}}).num[0][1] == (-3, 0)
-    # a coefficient of another type is read by Fraction's own constructor
+    # a coefficient of another type is read by Fraction's own constructor,
+    # before a reversed pair negates it
     assert (StructureConstants.from_brackets(2, {(0, 1): {1: "3/4"}})
+            == StructureConstants.from_brackets(2, {(1, 0): {1: "-3/4"}})
             == StructureConstants.from_brackets(2, {(0, 1): {1: 0.75}})
             == StructureConstants.from_brackets(2, {(0, 1): {1: Q(3, 4)}}))
 
@@ -313,6 +315,26 @@ def test_the_table_of_every_catalog_instance_is_the_matrix_table():
             assert got == close_pairs_matrix(space), (e.row_id, a)
             count += 1
     assert count == 120
+
+
+def test_the_derived_algebra_of_every_catalog_instance_is_read_off_the_table():
+    for e in load_catalog():
+        for a in e.samples():
+            sc = Subalgebra(e.space_at(a)).constants
+            units = _units(sc.dim)
+            assert _derived_pairs(sc) == bracket_space(sc, units, units), (e.row_id, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(borel_subalgebras(), st.one_of(st.none(), sp4_recipes))
+def test_the_derived_algebra_read_off_the_table_is_the_bracket_span(g, recipe):
+    if recipe is not None:
+        g = Subalgebra(conjugate_subalgebra(parse_conjugator(recipe), g.space))
+    sc = g.constants
+    units = _units(sc.dim)
+    assert _derived_pairs(sc) == bracket_space(sc, units, units)
+    for lower in (False, True):
+        assert [fraction_rows(level) for level in _series(g, lower)] == series_fraction(sc, lower)
 
 
 @settings(max_examples=80, deadline=None)

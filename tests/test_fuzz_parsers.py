@@ -138,14 +138,15 @@ borel_closures = st.lists(borel_elements, min_size=1, max_size=3).map(
 
 # entries of 1000-4000 digits: each fits the interpreter's limit on printing
 # an int, but a value computed from two of them may not (OutputLimit, exit 3);
-# spans of dimension at most 4 (`identify` on diag(a, b, -a, -b) plus the
-# positive root vectors at 4000 digits takes 1.6 s, too near the time bound)
+# spans of dimension 1-5 (`identify` on diag(a, b, -a, -b) plus the four
+# positive root vectors at 4000 digits takes about 0.5 s)
 long_ints = st.builds(lambda n, d: d * (10**n - 1) // 9, st.integers(1000, 4000),
                       st.integers(1, 9))
 long_spans = st.builds(
     lambda a, b, roots: generated_subalgebra([T(a, b), *roots]).to_json(),
     long_ints, st.one_of(long_ints, st.integers(-9, 9)),
-    st.sampled_from([(), (X_ALPHA,), (X_A2B,), (X_ALPHA, X_A2B), (X_BETA, X_AB)]))
+    st.sampled_from([(), (X_ALPHA,), (X_A2B,), (X_ALPHA, X_A2B), (X_BETA, X_AB),
+                     (X_ALPHA, X_BETA, X_AB, X_A2B)]))
 # samples of every size: the catalog's formulas exceed the power bound near
 # 600 digits, and int() refuses more than 4300 digits
 samples = st.one_of(big_rationals.map(str), st.integers(-10**6, 10**6).map(str),

@@ -304,13 +304,21 @@ def test_invariantize_marks_every_zero_of_an_all_zero_list():
     assert _invariantize([(0, 1, 1), (0, 3, 2)]) == (("z", 1), ("z", 2))
 
 
+# entries of 1000-4000 digits, sharing factors: the digit d times a repunit
+# (10**n - 1)/9, whose gcd with another is the repunit of gcd(n, m)
+_huge = st.builds(lambda n, d: d * (10**n - 1) // 9, st.integers(1000, 4000),
+                  st.sampled_from([-9, -6, -1, 1, 2, 3, 7]))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(-30, 30),
-                          st.integers(1, 12) | st.integers(-12, -1),
+@given(st.lists(st.tuples(st.integers(-30, 30) | _huge,
+                          st.integers(1, 12) | st.integers(-12, -1) | _huge,
                           st.integers(0, 5)), max_size=8))
 @example([])
 @example([(0, 1, 0), (0, -2, 3)])
 @example([(0, 1, 2), (0, 5, 0), (-3, 2, 0), (4, -1, 2), (0, 1, 1), (7, 3, 0)])
+@example([(3, 2, 1), (2 * (10**1200 - 1) // 9, 7, 2), (-5, 3 * (10**2400 - 1) // 9, 3)])
+@example([((10**4000 - 1) // 9, 6, 2), (1, 2, 1), (7 * (10**1000 - 1) // 9, -9, 4)])
 def test_invariantize_on_int_triples_is_the_fraction_definition(triples):
     # each nonzero v = n/d of weight w becomes v**w0 / v0**w relative to the
     # first nonzero (v0, w0), in `Fraction` arithmetic; each zero ("z", w)
@@ -320,6 +328,25 @@ def test_invariantize_on_int_triples_is_the_fraction_definition(triples):
     got = _invariantize(triples)
     assert got == want
     assert [type(v) for v, _ in got] == [type(v) for v, _ in want]
+
+
+_H = invariants._HUGE
+
+
+@pytest.mark.parametrize("at", range(4))  # the place of the one large entry: n0, d0, n, d
+@pytest.mark.parametrize("size, huge", [(_H - 1, False), (_H, True), (1 - _H, False),
+                                        (-_H, True)], ids=["below", "at", "-below", "-at"])
+def test_invariantize_reduces_a_value_base_by_base_from_huge_on(monkeypatch, at, size, huge):
+    # below `_HUGE` a value is one `Q` of the whole; an entry at or above it
+    # makes its value (each value, for n0 or d0) two powers of reduced `Q`s
+    entries = [3, 2, -5, 7]
+    entries[at] = size
+    n0, d0, n, d = entries
+    want = (("z", 3), (Fraction(1), 1), (Fraction(n, d) / Fraction(n0, d0)**2, 2))
+    counts: dict = {}
+    _count(monkeypatch, counts, Fraction, "__pow__")
+    assert _invariantize([(0, 1, 3), (n0, d0, 1), (n, d, 2)]) == want
+    assert counts.get("__pow__", 0) == (0 if not huge else 4 if at < 2 else 2)
 
 
 def test_ss_content_classes():
@@ -599,3 +626,66 @@ def test_the_probe_char_poly_on_the_derived_algebra_reads_ints(rnd, data):
     rows = fraction_rows(g.derived[1])
     cols = solve_in_span(rows, [bracket_coords_fraction(sc, y, v) for v in rows])
     assert _char_poly_int(*_ad_num(sc, y, g.derived[1])) == char_poly_det(list(zip(*cols)))
+
+
+def _assert_ad_on_g_is_a_power_of_l_times_ad_on_the_derived_algebra(g):
+    # ad(x) maps g into [g, g]: for each basis element x, the char poly of
+    # ad(x) on g, read directly off the table row and by cofactors, is
+    # l^(d - dd) times the one on [g, g]
+    sc, d = g.constants, g.dim
+    derived = g.derived[1] if len(g.derived) > 1 else []
+    power = Poly([0] * (d - len(derived)) + [1])
+    for i in range(d):
+        on_g = _char_poly_int(sc.num[i], sc.den)
+        assert on_g == char_poly_det([[Q(x, sc.den) for x in row] for row in sc.num[i]])
+        on_derived = (_char_poly_int(*_ad_num(sc, [int(k == i) for k in range(d)], derived))
+                      if derived else Poly([1]))
+        assert on_g == power * on_derived
+
+
+def _direct_probe(work):
+    """The probe from three char polys, each computed on its own: x0's, and
+    ad(x0)'s on g (off the table row) and on [g, g]."""
+    s, i0 = work.sub, work.i0
+    sc, d = s.constants, s.dim
+    derived = s.derived[1] if len(s.derived) > 1 else []
+    polys = [char_poly(work.x0), _char_poly_int(sc.num[i0], sc.den)]
+    if derived:
+        polys.append(_char_poly_int(*_ad_num(sc, [int(k == i0) for k in range(d)], derived)))
+    return (d, len(derived), d - 1) + _invariantize(
+        [(p.num[j], p.den, p.degree - j) for p in polys for j in range(p.degree - 1, -1, -1)])
+
+
+def test_the_probe_derives_ad_on_g_from_ad_on_the_derived_algebra():
+    count = probes = 0
+    for e in load_catalog():
+        for a in e.samples():
+            work = invariants._SignatureWork(Subalgebra(e.space_at(a)))
+            _assert_ad_on_g_is_a_power_of_l_times_ad_on_the_derived_algebra(work.sub)
+            if work.probe is not None:
+                assert work.probe == _direct_probe(work), (e.row_id, a)
+                probes += 1
+            count += 1
+    assert (count, probes) == (120, 102)
+
+
+@st.composite
+def _borel_generated(draw):
+    """The subalgebra generated by one or two Borel elements, or a conjugate
+    of it."""
+    rnd = draw(st.randoms(use_true_random=False))
+    g = generated_subalgebra([random_borel_element(rnd) for _ in range(rnd.randint(1, 2))])
+    recipe = draw(st.one_of(st.none(), sp4_recipes))
+    if recipe is not None:
+        g = Subalgebra(conjugate_subalgebra(parse_conjugator(recipe), g.space))
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(_borel_generated())
+def test_ad_on_g_is_a_power_of_l_times_ad_on_the_derived_algebra(g):
+    if g.dim:
+        _assert_ad_on_g_is_a_power_of_l_times_ad_on_the_derived_algebra(g)
+        work = invariants._SignatureWork(g)
+        if work.probe is not None:
+            assert work.probe == _direct_probe(work)

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from sp4solvable.errors import (FactorizationLimit, SingularMatrix, Sp4Error,
                                 ZeroPolynomial)
-from sp4solvable.linalg import (Mat4, Poly, _char_poly_int, _kernel_int, _over_common_den,
-                                char_poly, echelon_span, generic_rank, inverse, kernel, rank,
+from sp4solvable.linalg import (_TRACE_FORM, Mat4, Poly, _char_poly_int, _from_coords,
+                                _kernel_int, _over_common_den, _trace_gram, char_poly, echelon_span, generic_rank, inverse, kernel, rank,
                                 rational_roots, rref)
 from sp4solvable.rational import (Q, exact_isqrt, factor_int, format_rational,
                                   parse_rational, power_free_split, rational_sqrt)
@@ -234,6 +235,26 @@ def test_span_coords_is_the_echelon_span_of_the_combinations(vectors, rows):
     space = echelon_span(vectors)
     rows = [r[:space.dim] for r in rows]
     assert space.span_coords(rref(rows)) == echelon_span([combination(space, r) for r in rows])
+
+
+def test_the_trace_form_table_is_the_trace_of_the_product():
+    # each of the 100 ordered pairs of unit coordinate rows, laid out and
+    # multiplied as 4x4 matrices
+    units = [[int(i == j) for j in range(10)] for i in range(10)]
+    gram = _trace_gram(units)
+    for i, j in product(range(10), repeat=2):
+        u, v = units[i], units[j]
+        want = (_from_coords(u, 1) * _from_coords(v, 1)).trace()
+        assert sum(w * u[k] * v[q] for k, q, w in _TRACE_FORM) == want
+        assert gram[i][j] == want
+    assert [k for k, _, _ in _TRACE_FORM] == list(range(10))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(-10**6, 10**6), min_size=10, max_size=10), max_size=6))
+def test_the_trace_gram_of_int_rows_is_the_trace_of_the_products(rows):
+    mats = [_from_coords(r, 1) for r in rows]
+    assert _trace_gram(rows) == [[(x * y).trace() for y in mats] for x in mats]
 
 
 def test_solve_in_span_roundtrips_on_a_non_echelon_basis():

@@ -145,6 +145,18 @@ def test_subalgebra_validation():
         Subalgebra.from_matrices([Mat4.unit(1, 2)])  # not in sp(4)
 
 
+def test_subalgebras_and_tables_are_equal_by_value():
+    a = alg(T(1, 0), X_ALPHA)
+    b = alg(T(2, 0) + X_ALPHA, X_ALPHA * 3)  # the same span, another basis
+    c = alg(T(1, 1), X_ALPHA)
+    assert a == b and hash(a) == hash(b) and a != c
+    assert a.__eq__(a.space) is NotImplemented and a != a.space
+    assert a.constants == b.constants
+    for other in (c, alg(T(1, 0), X_BETA), alg(T(1, 0)), alg(T(1, 0), X_ALPHA, X_AB, X_A2B)):
+        assert a.constants != other.constants
+    assert a.constants != a.constants.table
+
+
 def test_subalgebra_json_roundtrip():
     g = alg(T(1, 1), X_BETA, X_AB, X_A2B)
     assert Subalgebra.from_json(g.to_json()).space == g.space
