@@ -1,5 +1,6 @@
 """The conjugacy invariants behind the inequivalence proofs: pencil rank
-stratification of nilpotent planes, and the full signature.
+stratification of nilpotent planes, and the fields of the signature that
+separate the classes.
 
 Run:  python demos/03_invariants_and_separations.py
 """
@@ -22,16 +23,19 @@ for label, n1, n2 in [("<X_a, X_a2b>", X_ALPHA, X_A2B),
           f"rank-1 lines: {s.drop_line_count(1)}   summary {s.summary()}")
 print("  (two rank-1 lines vs one: the two nilpotent planes are inequivalent)")
 
-print("\nThe abelian flag separates <T(1,0),X_a> from <T(0,1),X_a>:")
+print("\nThe derived series separates <T(1,0),X_a> from <T(0,1),X_a>:")
 s1 = signature(alg(T(1, 0), X_ALPHA))
 s2 = signature(alg(T(0, 1), X_ALPHA))
-print(f"  abelian: {s1.is_abelian} vs {s2.is_abelian}; "
+print(f"  derived dims: {s1.derived_dims} vs {s2.derived_dims}; "
       f"differing fields: {s1.differing_fields(s2)}")
 
-print("\nInvertibility separates the two mixed-generator planes:")
+print("\nThe probe separates the two mixed-generator planes: the constant term")
+print("of x0's char poly, det(x0), is nonzero on one and ('z', 4) on the other:")
 s1 = signature(alg(T(1, 1) + X_BETA, X_A2B))
 s2 = signature(alg(T(1, 0) + X_ALPHA, X_A2B))
-print(f"  contains_invertible: {s1.contains_invertible} vs {s2.contains_invertible}")
+print(f"  differing fields: {s1.differing_fields(s2)}")
+print(f"  x0 sections: {s1.to_json()['probe'][3:7]}")
+print(f"           vs {s2.to_json()['probe'][3:7]}")
 
 print("\nParameter families: a = 2 and a = 1/2 are conjugate for "
       "<T(a,1), X_a, X_a2b>, a = 3 is not:")

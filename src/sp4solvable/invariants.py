@@ -2,8 +2,8 @@
 
 The signature bundles, for a closed solvable subalgebra g of sp(4):
 
-* dimension, derived and lower-central dimension chains, abelian/nilpotent
-  flags;
+* dimension and the derived dimension chain (g is abelian iff the chain's
+  second term is 0);
 * the subspace N(g) of nilpotent elements.  For solvable g whose elements have
   rational spectra this is exactly the radical of the trace form tr(xy) on g
   (in a common triangularizing basis a nilpotent element is strictly
@@ -30,12 +30,6 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   and no line is typed; and for dim >= 3 the generic rank, the integer
   rank of the Kronecker matrix at one point beyond every root of its
   minors;
-* whether g contains an invertible matrix.  By Lie's theorem g is
-  triangular in some basis, and the diagonal is a linear map with kernel
-  N(g).  So for g = C*x0 + N(g), det(s*x0 + n) = s^4 det(x0): read off the
-  char poly p0 of x0 as p0(0) != 0.  With codimension 2 the diagonal image
-  has spectra {+-f, +-g} for independent f, g, so a generic element is
-  invertible; with codimension 0 none is;
 * semisimple content.  dim g - dim N(g) is 0, 1 or 2, as g lies in a Borel
   t + n over the closure, meeting n in N(g); 2 means g contains a Cartan.
   For codimension 1, g contains a nonzero semisimple element iff the
@@ -48,22 +42,33 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   `jordan_decompose` makes).  Such an x is itself semisimple (its
   nilpotent part is 0), so it needs no decomposition; only a double or a
   zero eigenvalue pair runs `jordan_decompose`;
-* a canonical spectral probe.  For codimension 1 the triple (char poly of x,
-  char poly of ad x on g, char poly of ad x on [g,g]) is constant on
-  x + N(g), and the leftover scaling freedom is removed by weighted
-  cross-ratio invariantization, one `Q` per value from int (numerator,
-  denominator, weight) triples (each value reduced as a whole, or base by
-  base once an entry reaches `_HUGE`, where that is the cheaper form).
-  Char polys are invariant under conjugation over the algebraic closure, so
-  two rational forms of one complex class (a split and a non-split plane
-  of the Siegel radical beside T(1,1), say) get the same probe.  One
-  adjoint char poly is computed, on ints: ad x's on [g,g], off the bracket
-  table and the int rows of [g,g].  ad x maps g into [g,g], so its char
-  poly on g is l^(dim g - dim [g,g]) times that one, and is built from it.
+* a canonical spectral probe.  For codimension 1 the pair (char poly of x,
+  char poly of ad x on [g,g]) is constant on x + N(g), and the leftover
+  scaling freedom is removed by weighted cross-ratio invariantization, one
+  `Q` per value from int (numerator, denominator, weight) triples (each
+  value reduced as a whole, or base by base once an entry reaches `_HUGE`,
+  where that is the cheaper form).  Char polys are invariant under
+  conjugation over the algebraic closure, so two rational forms of one
+  complex class (a split and a non-split plane of the Siegel radical beside
+  T(1,1), say) get the same probe.  The adjoint char poly is computed on
+  ints, off the bracket table and the int rows of [g,g].  ad x maps g into
+  [g,g], so its char poly on g is l^(dim g - dim [g,g]) times that one, and
+  the probe leaves it out.
+
+A fact that is a function of these fields is not kept as a field.  Whether
+g contains an invertible matrix is one: by Lie's theorem g is triangular in some
+basis, and the diagonal is a linear map with kernel N(g), so in
+codimension 1 det(s*x0 + n) = s^4 det(x0), which is 0 iff the probe's
+constant term of x0's char poly is ("z", 4); a codimension-2 g holds an
+invertible element and a nilpotent one none.  The lower central series is
+left out too: on the catalog's parameterized rows over a grid of values,
+its dimensions are a function of the fields above, so they separate no
+pair that the fields above leave together (`tests/test_invariants.py`),
+and it would cost a bracket span per term.
 
 One object, `_SignatureWork`, owns a subalgebra's signature work and
 computes each part on first use: N(g), x0 (the first basis element outside
-N(g), which `verify`'s parameter candidates read too), the nine head
+N(g), which `verify`'s parameter candidates read too), the five head
 fields, the probe and the signature.  `signature`, the certifier's row
 instances (`verify._Instance`) and `match_catalog`'s query all use it.
 Facts of one piece of g are kept per piece, in bounded caches of
@@ -71,10 +76,10 @@ Facts of one piece of g are kept per piece, in bounded caches of
 15 distinct N(g), and its 102 of codimension 1 share 15 distinct x0.
 `nilpotent_strata` is kept per `Subspace` N(g) (`_nilpotent_facts`).  Per
 `Mat4` x0 are kept its traces with its char poly (`_x0_facts`), read by the
-regularity test, `verify`'s parameter candidates, `contains_invertible`
-and the probe.  The nilpotent Jordan part of a non-regular x0, which
-`ss_content` reads, is a closed form (`jordan_decompose`) and is not kept.
-A refusal is never kept, so it is raised again on every call.
+regularity test, `verify`'s parameter candidates and the probe.  The
+nilpotent Jordan part of a non-regular x0, which `ss_content` reads, is a
+closed form (`jordan_decompose`) and is not kept.  A refusal is never kept,
+so it is raised again on every call.
 
 Every field is invariant under conjugation by rational symplectic matrices,
 which is what the classification's equivalence relation restricts to on the
@@ -96,7 +101,7 @@ from .linalg import (Mat4, Poly, _char_poly_int, _even_traces, _from_coords, _ke
 from .linalg import char_poly  # noqa: F401  perfbench's tracer test reads this binding
 from .rational import Q, Record, format_rational
 from .sp4 import in_sp4
-from .structure import Subalgebra, _ad_num, _series, is_solvable
+from .structure import Subalgebra, _ad_num, is_solvable
 from .jordan import _nilpotent_rank, _regular, jordan_decompose
 
 __all__ = [
@@ -228,9 +233,8 @@ def nilpotent_subspace(g: Subalgebra) -> Subspace:
 # ---------------------------------------------------------------------------
 
 class InvariantSignature(Record):
-    __slots__ = ("dim", "derived_dims", "lower_central_dims", "is_abelian",
-                 "is_nilpotent", "nilpotent_dim", "nilpotent_strata",
-                 "contains_invertible", "ss_content", "probe")
+    __slots__ = ("dim", "derived_dims", "nilpotent_dim", "nilpotent_strata", "ss_content",
+                 "probe")
 
     def to_json(self) -> dict:
         return {name: _jsonable(v) for name, v in zip(self.__slots__, self._values(self))}
@@ -263,14 +267,16 @@ def _invariantize(weighted: list[tuple]) -> tuple:
     algebraic closure.  While n, d, n0 and d0 are below `_HUGE` the value is
     reduced once, as a whole; a huge entry's value is reduced base by base,
     as Q(n, d)**w0 * Q(d0, n0)**w, which keeps each gcd at the size of its
-    base.
+    base; the base Q(d0, n0) is reduced once, for all such values.
     """
     n0, d0, w0 = next(((n, d, w) for n, d, w in weighted if n), (0, 1, 0))
     h = _HUGE
     small0 = -h < n0 < h and -h < d0 < h
-    return tuple(((Q(n**w0 * d0**w, d**w0 * n0**w) if small0 and -h < n < h and -h < d < h
-                   else Q(n, d)**w0 * Q(d0, n0)**w), w) if n else ("z", w)
-                 for n, d, w in weighted)
+    small = [-h < n < h and -h < d < h for n, d, _ in weighted]
+    inv0 = None if not n0 or small0 and all(small) else Q(d0, n0)
+    return tuple(((Q(n**w0 * d0**w, d**w0 * n0**w) if small0 and ok
+                   else Q(n, d)**w0 * inv0**w), w) if n else ("z", w)
+                 for (n, d, w), ok in zip(weighted, small))
 
 
 def signature(s: Subalgebra) -> InvariantSignature:
@@ -307,28 +313,23 @@ class _SignatureWork:
 
     @cached_property
     def head(self) -> tuple:
-        """The nine signature fields before `probe`, in slot order."""
+        """The five signature fields before `probe`, in slot order."""
         s, nspace = self.sub, self.nspace
         d, dn = s.dim, nspace.dim
-        derived_dims = tuple(len(rows) for rows in s.derived)
-        lower_dims = tuple(len(rows) for rows in _series(s, lower=True))
         strata = _nilpotent_facts(nspace)
         if d == dn:
-            content, has_invertible = "all_nilpotent", False
+            content = "all_nilpotent"
         elif d - dn == 2:
-            content, has_invertible = "has_cartan", True
+            content = "has_cartan"
         else:
-            (t2, t4, _), p0 = _x0_facts(self.x0)
-            has_invertible = p0.num[0] != 0  # det(x0), see the module docstring
+            t2, t4, _ = _x0_facts(self.x0)[0]
             if _regular(t2, t4):  # four distinct eigenvalues: x0 is semisimple
                 content = "has_regular_ss"
             elif nspace.contains(jordan_decompose(self.x0).nilpotent):
                 content = "has_nonregular_ss_only"
             else:
                 content = "mixed_only"
-        is_abelian = len(derived_dims) == 1 or derived_dims[1] == 0
-        return (d, derived_dims, lower_dims, is_abelian, lower_dims[-1] == 0, dn, strata,
-                has_invertible, content)
+        return d, tuple(len(rows) for rows in s.derived), dn, strata, content
 
     @cached_property
     def probe(self) -> tuple | None:
@@ -373,18 +374,12 @@ def _spectral_probe(s: Subalgebra, i0: int, p4: Poly) -> tuple:
     poly p4.  s is solvable and not 0, so its derived series has a second
     term, [g, g]."""
     sc, derived = s.constants, s.derived[1]
-    # the char polys of x0, of ad(x0) on g and on [g, g]; the coefficient
+    # the char polys of x0 and of ad(x0) on [g, g]; the coefficient
     # num[j]/den of l^j in one of degree k scales by s**(k - j), and the
-    # leading one is 1.  ad(x0) maps g into [g, g], so in a basis through
-    # [g, g] it is block triangular with a zero block on g/[g, g]: its char
-    # poly on g is l^(d - dd) times the one on [g, g].  A shift of `num` keeps
-    # gcd(den, *num), and `Poly` is canonical, so it is the polynomial
-    # `_char_poly_int` would build from the table row sc.num[i0]
+    # leading one is 1
     d, dd = s.dim, len(derived)
+    polys = [p4]
     if dd:
-        p_gg = _char_poly_int(*_ad_num(sc, [int(k == i0) for k in range(d)], derived))
-        polys = [p4, Poly._make((0,) * (d - dd) + p_gg.num, p_gg.den), p_gg]
-    else:
-        polys = [p4, Poly._make((0,) * d + (1,), 1)]
+        polys.append(_char_poly_int(*_ad_num(sc, [int(k == i0) for k in range(d)], derived)))
     return (d, dd, d - 1) + _invariantize(
         [(p.num[j], p.den, p.degree - j) for p in polys for j in range(p.degree - 1, -1, -1)])

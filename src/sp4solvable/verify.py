@@ -324,7 +324,8 @@ def verify_catalog(params=DEFAULT_PARAM_SAMPLES, probe_seed: int = 0,
 def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
                        report: VerificationReport | None = None) -> VerificationReport:
     """Certify that every pair of same-dimension instances the classification
-    declares inequivalent is separated by a signature field."""
+    declares inequivalent is separated by a signature field.  A failing
+    dimension's detail names its first four bad pairs and counts the rest."""
     rep = _report(report, params)
     entries = entries if entries is not None else load_catalog()
     by_dim: dict[int, list] = {}
@@ -352,9 +353,11 @@ def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
                 n_pairs += 1
                 if s1 == s2:
                     bad.append((e1.row_id, a1, e2.row_id, a2, "signatures collide"))
+        shown = [f"{r1}@{_p(p1)} ~ {r2}@{_p(p2)}: {why}" for r1, p1, r2, p2, why in bad[:4]]
+        if len(bad) > 4:
+            shown.append(f"{len(bad) - 4} more")
         rep.add(f"separations-dim{dim}", None, f"{n_pairs} inequivalent pairs", not bad,
-                "; ".join(f"{r1}@{_p(p1)} ~ {r2}@{_p(p2)}: {why}"
-                          for r1, p1, r2, p2, why in bad[:4]))
+                "; ".join(shown))
     return rep
 
 
@@ -382,9 +385,9 @@ def match_catalog(sub: Subalgebra) -> list[tuple]:
     """Catalog rows (with parameters) whose signature matches the subalgebra's.
 
     A match is necessary for conjugacy; the probe asserts exactly one exists.
-    A row matches when all ten fields equal the query's (each side's work
+    A row matches when all six fields equal the query's (each side's work
     is an `invariants._SignatureWork`): a probe, the query's or a row's, is
-    computed only when the nine other fields agree, and the query's head
+    computed only when the five other fields agree, and the query's head
     before its parameter candidates, so its refusals come first.  A row
     whose data faults while it is compared raises `CatalogFault`, which
     names the row; a fault inside a row's probe surfaces only when its other

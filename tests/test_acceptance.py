@@ -157,7 +157,7 @@ def test_criterion_6_inequivalence_separation():
         s1, s2 = (signature(Subalgebra(BY_ID[r].space_at(None))) for r in (r1, r2))
         return s1.differing_fields(s2)
     assert "nilpotent_strata" in witness("d2_Xa_Xab", "d2_Xa_Xa2b")  # 1 vs 2 rank-1 lines
-    assert "is_abelian" in witness("d2_T10_Xa", "d2_T10_Xa2b")       # abelian vs not
+    assert "derived_dims" in witness("d2_T10_Xa", "d2_T10_Xa2b")     # abelian vs not
     assert witness("d2_T10_Xb", "d2_T11_Xab")                         # ad-eigenvalue data
     _report(6, "all declared-inequivalent pairs separated "
                f"({sum(int(r.check.split()[0]) for r in rep.records if 'pairs' in r.check)} pairs)", t0)

@@ -16,7 +16,7 @@ from sp4solvable.rational import format_rational
 from sp4solvable.structure import Subalgebra, structure_constants
 from sp4solvable.verify import verify_catalog
 
-GOLDEN_SHA256 = "20ba872b7ead85c53ee7bfec664972e58529f4715ef3c7881859abf4f251c11b"
+GOLDEN_SHA256 = "1b1ffa50dd42c54cd6936207d178af4c02d559d8d7d4dd7afcc2e9df4712f18c"
 
 
 def golden_payload() -> dict:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sp4solvable import invariants, structure
 from sp4solvable.errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
-from sp4solvable.invariants import (PencilStrata, _invariantize, nilpotent_subspace,
-                                   pencil_rank_strata, signature)
+from sp4solvable.invariants import (InvariantSignature, PencilStrata, _invariantize,
+                                   nilpotent_subspace, pencil_rank_strata, signature)
 from sp4solvable.catalog import load_catalog
 from sp4solvable.jordan import jordan_decompose
 from sp4solvable.linalg import (Mat4, Poly, _char_poly_int, char_poly, det_mpoly, echelon_span,
@@ -387,12 +387,11 @@ def _random_nil_seeds(rng, shape: str) -> list[Mat4]:
     return [x * Q(rng.choice((1, -1, 2))) for x in ROOTS if rng.random() < 0.35]
 
 
-def test_ss_content_and_contains_invertible_follow_their_definitions(rng):
+def test_ss_content_follows_its_definition(rng):
     """For g = <x0, nilpotent seeds> conjugated, with N(g) the trace-form
     radical of the oracle and x = x0 + n for an n in N(g): g holds a nonzero
-    semisimple element iff the Jordan nilpotent part of x lies in N(g), a
-    regular one iff p = char_poly(x) is squarefree (gcd(p, p') = 1), and an
-    invertible one iff the symbolic determinant is not zero."""
+    semisimple element iff the Jordan nilpotent part of x lies in N(g), and a
+    regular one iff p = char_poly(x) is squarefree (gcd(p, p') = 1)."""
     pool = conjugator_pool(rng, 12)
     seen = set()
     for shape in ("regular", "a=b", "b=0", "a=-b", "mixed", "irrational"):
@@ -420,7 +419,6 @@ def test_ss_content_and_contains_invertible_follow_their_definitions(rng):
             else:
                 want = "has_nonregular_ss_only"
             assert sig.ss_content == want, (shape, repr(x0), [repr(b) for b in g.basis])
-            assert sig.contains_invertible == _has_invertible_by_determinant(s), (shape, repr(x0))
             seen.add((shape, want))
     assert {w for _, w in seen} == {"has_regular_ss", "has_nonregular_ss_only", "mixed_only"}
     assert {("irrational", "mixed_only"), ("irrational", "has_nonregular_ss_only")} <= seen
@@ -442,9 +440,11 @@ def test_a_regular_x0_costs_no_decomposition_and_the_lower_series_no_second_gg(
     """The signature of a codimension-1 instance with regular x0 (a = 2)
     reads regularity off the char poly's coefficients: no Jordan
     decomposition, no polynomial gcd or squarefree part, no `Fraction`
-    power; and the lower central series takes [g, g] from the cached
-    derived series.  The pencil stratification of a plane N(g) takes gcds
-    of its own, so it is computed beforehand and passed in as its value."""
+    power; and once N(g) is known it takes no bracket span at all.  The
+    lower central series (`structure.is_nilpotent`, no signature field)
+    takes [g, g] from the cached derived series.  The pencil stratification
+    of a plane N(g) takes gcds of its own, so it is computed beforehand and
+    passed in as its value."""
     e = next(e for e in load_catalog() if e.row_id == row)
     space = e.space_at(Q(2) if e.param else None)
     want = signature(Subalgebra(space))
@@ -466,29 +466,39 @@ def test_a_regular_x0_costs_no_decomposition_and_the_lower_series_no_second_gg(
         return original(sc, a, b)
     monkeypatch.setattr(structure, "bracket_space", recording)
     assert work.signature == want
-    assert spans and _units(s.dim) not in spans  # [g, [g, g]], ..., never [g, g]
+    assert spans == []
     if regular:
         assert counts == {}
     else:
         assert counts.get("jordan_decompose") == 1
+    structure.is_nilpotent(s)
+    assert spans and _units(s.dim) not in spans  # [g, [g, g]], ..., never [g, g]
 
 
 def test_signature_fields():
+    assert InvariantSignature.__slots__ == ("dim", "derived_dims", "nilpotent_dim",
+                                            "nilpotent_strata", "ss_content", "probe")
+    # codimension 1: (d, dd, d - 1), then x0's section and the [g, g] section
     s = signature(alg(T(1, 1) + X_BETA, X_A2B))
-    assert s.contains_invertible and s.ss_content == "mixed_only"
+    assert s.ss_content == "mixed_only" and s.derived_dims == (2, 1, 0)
+    assert s.to_json()["probe"] == [2, 1, 1, ["z", 1], ["1", 2], ["z", 3], ["1/16", 4],
+                                    ["-2", 1]]
+    # det(x0) = 0, so no element is invertible
     s = signature(alg(T(1, 0) + X_ALPHA, X_AB))
-    assert not s.contains_invertible
+    assert s.to_json()["probe"] == [2, 1, 1, ["z", 1], ["1", 2], ["z", 3], ["z", 4], ["-1", 1]]
+    # abelian: no [g, g] section
     s = signature(alg(T(1, 1), X_BETA))
-    assert s.is_abelian
+    assert s.derived_dims == (2, 0)
+    assert s.to_json()["probe"] == [2, 0, 1, ["z", 1], ["1", 2], ["z", 3], ["1/16", 4]]
     s = signature(alg(X_ALPHA, X_A2B))
-    assert s.is_nilpotent and s.nilpotent_dim == 2
+    assert s.nilpotent_dim == 2 and s.ss_content == "all_nilpotent" and s.probe is None
 
 
 def test_signature_separates_key_pairs():
-    # abelian flag separates <T(1,0),X_a> from <T(0,1),X_a>
+    # the derived series separates <T(1,0),X_a> (abelian) from <T(0,1),X_a>
     s1 = signature(alg(T(1, 0), X_ALPHA))
     s2 = signature(alg(T(0, 1), X_ALPHA))
-    assert "is_abelian" in s1.differing_fields(s2)
+    assert "derived_dims" in s1.differing_fields(s2)
     # rank-1 line counts separate the two nilpotent planes
     s1 = signature(alg(X_ALPHA, X_AB))
     s2 = signature(alg(X_ALPHA, X_A2B))
@@ -544,24 +554,36 @@ def _has_invertible_by_determinant(s: Subalgebra) -> bool:
     return not det_mpoly(symbolic_combo(list(s.basis))).is_zero()
 
 
-def test_contains_invertible_agrees_with_symbolic_determinant(rng):
+# every parameter n/d with 0 < |n| <= 12 and 1 <= d <= 7 (114 values)
+_GRID = sorted({Q(n, d) for n in range(-12, 13) if n for d in range(1, 8)})
+
+
+def test_the_fields_left_out_are_functions_of_the_signature():
+    """Over every row, the parameterized ones at each admissible value of
+    `_GRID`: the abelian flag, the lower central dimensions, the nilpotent
+    flag and whether g holds an invertible element, each recomputed on its
+    own, are constant on each class of equal signatures, and no class
+    holds two rows.  The invertible element is read off the probe as the
+    module docstring says: a codimension-1 g holds one iff det(x0), the
+    constant term of x0's char poly, is not ("z", 4)."""
+    classes: dict = {}
+    count = 0
     for e in load_catalog():
-        for a in e.samples():
+        for a in e.samples(_GRID) if e.param else e.samples():
             s = Subalgebra(e.space_at(a))
-            assert signature(s).contains_invertible == _has_invertible_by_determinant(s), \
+            sig = signature(s)
+            lower = tuple(len(rows) for rows in structure._series(s, lower=True))
+            invertible = _has_invertible_by_determinant(s)
+            codim = sig.dim - sig.nilpotent_dim
+            assert invertible == (codim == 2 or codim == 1 and sig.probe[6] != ("z", 4)), \
                 (e.row_id, a)
-    pool = conjugator_pool(rng, 6)
-    checked = 0
-    while checked < 30:
-        seeds = [random_borel_element(rng, span=2) for _ in range(rng.choice((1, 2)))]
-        g = generated_subalgebra(seeds)
-        s = Subalgebra(conjugate_subalgebra(rng.choice(pool), g.space))
-        try:
-            got = signature(s).contains_invertible
-        except IrrationalSpectrum:
-            continue
-        checked += 1
-        assert got == _has_invertible_by_determinant(s), [repr(b) for b in seeds]
+            left_out = (structure.is_abelian(s), lower, lower[-1] == 0, invertible)
+            rows, values = classes.setdefault(sig, (set(), set()))
+            rows.add(e.row_id)
+            values.add(left_out)
+            count += 1
+    assert count > 900
+    assert all(len(rows) == 1 and len(values) == 1 for rows, values in classes.values())
 
 
 def _max_grid_rank(mats) -> int:
@@ -644,19 +666,25 @@ def _assert_ad_on_g_is_a_power_of_l_times_ad_on_the_derived_algebra(g):
 
 
 def _direct_probe(work):
-    """The probe from three char polys, each computed on its own: x0's, and
-    ad(x0)'s on g (off the table row) and on [g, g]."""
+    """The probe from two char polys, each computed on its own: x0's, and
+    ad(x0)'s on [g, g] by cofactors on the matrix that `Fraction`
+    elimination solves for.  The char poly of ad(x0) on g is not in it: it
+    is l^(d - dd) times the one on [g, g]
+    (`_assert_ad_on_g_is_a_power_of_l_times_ad_on_the_derived_algebra`)."""
     s, i0 = work.sub, work.i0
     sc, d = s.constants, s.dim
     derived = s.derived[1] if len(s.derived) > 1 else []
-    polys = [char_poly(work.x0), _char_poly_int(sc.num[i0], sc.den)]
+    polys = [char_poly(work.x0)]
     if derived:
-        polys.append(_char_poly_int(*_ad_num(sc, [int(k == i0) for k in range(d)], derived)))
+        rows = fraction_rows(derived)
+        y = [int(k == i0) for k in range(d)]
+        cols = solve_in_span(rows, [bracket_coords_fraction(sc, y, v) for v in rows])
+        polys.append(char_poly_det(list(zip(*cols))))
     return (d, len(derived), d - 1) + _invariantize(
         [(p.num[j], p.den, p.degree - j) for p in polys for j in range(p.degree - 1, -1, -1)])
 
 
-def test_the_probe_derives_ad_on_g_from_ad_on_the_derived_algebra():
+def test_each_catalog_probe_is_x0_and_ad_on_the_derived_algebra():
     count = probes = 0
     for e in load_catalog():
         for a in e.samples():

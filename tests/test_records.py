@@ -21,7 +21,7 @@ VALUES = [
     (SWClass, ("s_{4,3}", (Q(1, 2), Q(2)))),
     (QuadraticValue, (Q(1), Q(-1, 2), Q(5), True)),
     (PencilStrata, (2, ((1, 2),))),
-    (InvariantSignature, (2, (2, 0), (2, 0), True, True, 1, (1,), True, "mixed", None)),
+    (InvariantSignature, (2, (2, 0), 1, (1,), "mixed", None)),
     (JordanDecomposition, (T(1, 2), X_ALPHA)),
     (OrbitLabel, (1, "T_ab", {"a": Q(3), "b": Q(2)})),
     (DiagonalElement, (Q(1), Q(-2))),

@@ -155,12 +155,13 @@ def test_verify_catalog_computes_each_derived_series_once(monkeypatch):
         return original(s, lower)
 
     monkeypatch.setattr(structure, "_series", counting)
-    monkeypatch.setattr(invariants, "_series", counting)
+    # and any binding of it in `invariants`, where a signature would read it
+    monkeypatch.setattr(invariants, "_series", counting, raising=False)
     verify._instance.cache_clear()
     assert verify_catalog().overall_pass
-    # per instance one derived series (solvability and signature share it)
-    # and one lower central series
-    assert 0 < calls.count(False) <= 120 and 0 < calls.count(True) <= 120
+    # per instance one derived series (solvability and signature share it),
+    # and no lower central series: no signature field reads one
+    assert 0 < calls.count(False) <= 120 and calls.count(True) == 0
     verify._instance.cache_clear()
 
 
@@ -283,8 +284,9 @@ def test_the_fact_caches_stay_bounded():
 
 
 def test_separation_examples_record_witness_fields():
-    # abelian flag separates <T(1,0),X_a> from the W-conjugate of <T(0,1),X_a>
-    assert "is_abelian" in separating_fields("d2_T10_Xa", "d2_T10_Xa2b")
+    # the derived series separates <T(1,0),X_a> (abelian) from the
+    # W-conjugate of <T(0,1),X_a>
+    assert "derived_dims" in separating_fields("d2_T10_Xa", "d2_T10_Xa2b")
     # rank-1 line counts separate the two nilpotent planes
     assert "nilpotent_strata" in separating_fields("d2_Xa_Xab", "d2_Xa_Xa2b")
     # ad-eigenvalue data separates the two singular-semisimple lines
@@ -532,8 +534,8 @@ def test_a_match_after_the_separations_computes_no_field_again(monkeypatch):
             return original(s, *args, **kwargs)
         return f
 
-    # N(g), the head (its lower central series) and the probe
-    for name in ("nilpotent_subspace", "_series", "_spectral_probe"):
+    # N(g), which the head reads first, and the probe
+    for name in ("nilpotent_subspace", "_spectral_probe"):
         monkeypatch.setattr(invariants, name, counting(getattr(invariants, name)))
     for e in entries:
         a = e.samples()[0]
@@ -618,6 +620,18 @@ def test_two_rows_with_one_signature_fail_the_separations():
     rep = verify_separations([d, d.replace(row_id="dup")])
     assert [(r.check, r.detail) for r in rep.failures] == [
         ("1 inequivalent pairs", "d2_t@- ~ dup@-: signatures collide")]
+
+
+def test_the_separations_count_the_bad_pairs_they_do_not_list():
+    # four copies of one row make 6 colliding pairs: the first 4 are listed,
+    # and the other 2 are counted
+    d = ENTRIES["d2_t"]
+    rep = verify_separations([d.replace(row_id=f"r{i}") for i in range(4)])
+    (failure,) = rep.failures
+    assert failure.check == "6 inequivalent pairs"
+    assert failure.detail == ("r0@- ~ r1@-: signatures collide; r0@- ~ r2@-: signatures collide; "
+                              "r0@- ~ r3@-: signatures collide; r1@- ~ r2@-: signatures collide; "
+                              "2 more")
 
 
 def test_a_claimed_equivalence_the_signatures_deny_fails_the_separations():
