@@ -93,13 +93,13 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import mul
 
-from .catalog import INSTANCE_CACHE_SIZE
+from .catalog import INSTANCE_CACHE_SIZE, _tuples
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
 from .linalg import (Mat4, Poly, _char_poly_int, _even_traces, _from_coords, _kernel_int,
                      _mul_num, _newton, _pivot_coords, _trace_gram, generic_rank, rref,
                      Subspace)
 from .linalg import char_poly  # noqa: F401  perfbench's tracer test reads this binding
-from .rational import Q, Record, format_rational
+from .rational import Q, Record, format_rational, parse_rational
 from .sp4 import in_sp4
 from .structure import Subalgebra, _ad_num, is_solvable
 from .jordan import _nilpotent_rank, _regular, jordan_decompose
@@ -238,6 +238,23 @@ class InvariantSignature(Record):
 
     def to_json(self) -> dict:
         return {name: _jsonable(v) for name, v in zip(self.__slots__, self._values(self))}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "InvariantSignature":
+        """The inverse of `to_json`: every list a tuple, and each probe value
+        after the three leading ints a `Q` read from its "p/q" text, or the
+        zero mark ("z", w)."""
+        fields = {name: _tuples(data[name]) for name in cls.__slots__}
+        probe = fields["probe"]
+        if probe is not None:
+            fields["probe"] = probe[:3] + tuple((v if v == "z" else parse_rational(v), w)
+                                                for v, w in probe[3:])
+        return cls(**fields)
+
+    @property
+    def head(self) -> tuple:
+        """The five fields before `probe`, as `_SignatureWork.head` gives them."""
+        return self._values(self)[:5]
 
     def differing_fields(self, other: "InvariantSignature") -> list[str]:
         return [name for name, v, w in zip(self.__slots__, self._values(self),

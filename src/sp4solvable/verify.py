@@ -29,23 +29,31 @@ the catalog: each draw must match exactly one row, and a row whose data
 faults fails the draw.  `match_catalog` builds each parameterized row at
 one candidate per parameter orbit, the orbits its self-equivalence claims
 close, so the probe and `identify` prune their candidates by claims that
-the certifier checks only at its samples.
+the certifier checks only at its samples.  It compares a row without a
+parameter by the signature shipped for it in `row_signatures.json`
+(written by `tools/rowsigs.py`, recomputed by a test) when the row's id and
+stated basis are the stored ones, and builds every other row.  The file is
+read on `match_catalog`'s first call; `verify_entry` and
+`verify_separations` never read it, so every signature the certifier
+certifies is computed.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import random
 from functools import cache, lru_cache, partial
 from operator import mul
 
-from .catalog import (DEFAULT_PARAM_SAMPLES, INSTANCE_CACHE_SIZE, CatalogEntry, coord_span,
-                      load_catalog)
+from .catalog import (DEFAULT_PARAM_SAMPLES, INSTANCE_CACHE_SIZE, CatalogEntry, _tuples,
+                      coord_span, load_catalog)
 from .errors import (CatalogFault, ExpressionLimit, FactorizationLimit, IrrationalSpectrum,
                      OutputLimit, ProbeLimit, Sp4Error)
 from .exprs import eval_expr
 from .identify import (DeGraafClass, _columns_num, _isomorphism_num, degraaf_to_sw,
                        identify_degraaf, sw_bridge_map, verify_isomorphism)
-from .invariants import _SignatureWork, _x0_facts
+from .invariants import InvariantSignature, _SignatureWork, _x0_facts
 from .jordan import _eigen_pair
 from .linalg import Subspace, rref
 from .rational import Record, format_rational
@@ -381,6 +389,20 @@ def _param_candidates(work: _SignatureWork) -> list | None:
     return sorted(cands, key=lambda v: (abs(v), v < 0))
 
 
+ROW_SIGNATURES_FILE = os.path.join(os.path.dirname(__file__), "row_signatures.json")
+
+
+@cache
+def _row_signatures() -> dict:
+    """The shipped signature of each parameter-free row, keyed on its row_id
+    and stated basis, read from `row_signatures.json` on the first call.
+    `tools/rowsigs.py` writes the file from the catalog, and a test
+    recomputes every entry; only `match_catalog` reads it."""
+    with open(ROW_SIGNATURES_FILE, encoding="utf-8") as fh:
+        return {(d["row"], _tuples(d["basis"])): InvariantSignature.from_json(d["signature"])
+                for d in json.load(fh)}
+
+
 def match_catalog(sub: Subalgebra) -> list[tuple]:
     """Catalog rows (with parameters) whose signature matches the subalgebra's.
 
@@ -397,27 +419,34 @@ def match_catalog(sub: Subalgebra) -> list[tuple]:
     A skip rests on the row's self-equivalence claims holding at a, which
     the certifier proves only at its samples; and a fault in a skipped
     orbit-mate's instance no longer surfaces, as a probe's fault surfaces
-    only where the other fields agree.  When no row matches and the
-    eigenvalues that would give a row's parameter are irrational, the
-    subalgebra is outside the rational rows, and `IrrationalSpectrum` is
-    raised instead of an empty match.
+    only where the other fields agree.  A row without a parameter is
+    compared by its stored signature (`_row_signatures`) when its row_id and
+    stated basis are a stored pair, by the same two comparisons in the same
+    order, and built otherwise (a changed basis, a row not shipped); the
+    loop runs over `load_catalog()`, so a stored row that the catalog lacks
+    is never compared.  When no row matches and the eigenvalues that would
+    give a row's parameter are irrational, the subalgebra is outside the
+    rational rows, and `IrrationalSpectrum` is raised instead of an empty
+    match.
     """
     query = _SignatureWork(sub)
     head = query.head
     cands = _param_candidates(query)
     dim = sub.dim
-    matches = []
+    matches, stored = [], _row_signatures()
     for e in load_catalog():
         if e.dim != dim:
             continue
         try:
             # the candidates a row admits, or no parameter for a row without
-            # one, each parameter orbit tried at its first candidate only
-            tried = set()
+            # one, each parameter orbit tried at its first candidate only;
+            # a row whose id and basis are stored is compared by its shipped
+            # signature, which has the head and probe an instance has
+            tried, sig = set(), stored.get((e.row_id, e.basis))
             for a in e.samples(cands or ()):
                 if a in tried:
                     continue
-                inst = _instance(e, a)
+                inst = sig or _instance(e, a)
                 if inst.head == head and query.probe == inst.probe:
                     matches.append((e.row_id, a))
                     break

@@ -72,6 +72,30 @@ def test_the_catalog_loads_without_the_certifier():
     assert "jordan" in loaded and "verify" not in loaded
 
 
+def test_the_certifier_never_reads_the_stored_row_signatures():
+    # verify_entry and verify_separations compute every signature they
+    # certify; only match_catalog reads row_signatures.json, on its first call
+    code = ("import sp4solvable\n"
+            "from sp4solvable import verify\n"
+            "rows = sp4solvable.load_catalog()\n"
+            "assert all(verify.verify_entry(e).overall_pass for e in rows)\n"
+            "assert verify.verify_separations(rows).overall_pass\n"
+            "assert verify._row_signatures.cache_info().misses == 0\n"
+            "verify.match_catalog(sp4solvable.generated_subalgebra([sp4solvable.T(1, 0)]))\n"
+            "assert verify._row_signatures.cache_info().misses == 1")
+    assert "verify" in _modules_loaded_by(code)
+
+
+def test_every_json_file_of_the_package_is_package_data():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    root = Path(sp4solvable.__file__).resolve().parents[2]
+    with open(root / "pyproject.toml", "rb") as fh:
+        listed = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["sp4solvable"]
+    shipped = sorted(p.name for p in Path(sp4solvable.__file__).parent.glob("*.json"))
+    assert shipped == ["catalog.json", "row_signatures.json"]
+    assert set(shipped) <= set(listed)
+
+
 def test_a_submodule_is_loaded_on_its_first_lookup():
     # a fresh interpreter has no `exprs` attribute yet: the package's lookup
     # imports it, with what it imports and nothing more

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -492,6 +493,22 @@ def test_signature_fields():
     assert s.to_json()["probe"] == [2, 0, 1, ["z", 1], ["1", 2], ["z", 3], ["1/16", 4]]
     s = signature(alg(X_ALPHA, X_A2B))
     assert s.nilpotent_dim == 2 and s.ss_content == "all_nilpotent" and s.probe is None
+
+
+def test_a_signature_survives_its_json_round_trip(rng):
+    # every default catalog instance and a seeded conjugate of each, through
+    # JSON text: equal, and with the same types (a probe value is a `Q`)
+    pool = conjugator_pool(rng, 8)
+    spaces = [e.space_at(a) for e in load_catalog() for a in e.samples()]
+    assert len(spaces) == 120
+    seen = set()
+    for i, space in enumerate(spaces):
+        for s in (space, conjugate_subalgebra(pool[i % len(pool)], space)):
+            sig = signature(Subalgebra(s))
+            back = InvariantSignature.from_json(json.loads(json.dumps(sig.to_json())))
+            assert back == sig and repr(back) == repr(sig)
+            seen.update(type(v).__name__ for v, _ in (sig.probe or ())[3:])
+    assert seen == {"str", "Fraction"}  # both a zero mark and a value
 
 
 def test_signature_separates_key_pairs():

@@ -3,6 +3,7 @@ import sys
 import time
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,9 @@ from sp4solvable.verify import (VerificationReport, match_catalog,
                                 verify_entry, verify_separations)
 
 from conftest import SIEGEL, clear_fact_caches, conjugator_pool, shipped_dicts, siegel_plane
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import rowsigs  # noqa: E402
 
 ENTRIES = {e.row_id: e for e in load_catalog()}
 
@@ -845,6 +849,31 @@ def test_a_draw_that_matches_two_rows_fails_naming_them(monkeypatch):
         assert detail.startswith("signature matches 2 rows: d1_T_a1@")
         assert ", d1_T_a1_copy@" in detail
     assert not rep.overall_pass
+
+
+def test_the_stored_row_signatures_are_the_computed_ones():
+    # the shipped file is what tools/rowsigs.py writes from the catalog: a
+    # changed signature, or a parameter-free row left out, fails here
+    assert Path(verify.ROW_SIGNATURES_FILE).read_text(encoding="utf-8").splitlines() == (
+        rowsigs.render().splitlines())
+    stored = verify._row_signatures()
+    free = [e for e in load_catalog() if not e.param]
+    assert len(free) == len(stored) == 57
+    for e in free:
+        assert stored[e.row_id, e.basis] == verify._instance(e, None).signature
+
+
+def test_a_row_is_compared_by_its_stored_signature_only_with_its_own_basis(monkeypatch):
+    # d1_T_10 given the basis of d1_T_11: no stored entry has that row and
+    # that basis, so the row is built as an instance and matches <T(1,1)>
+    # beside d1_T_11, which is read from the file
+    basis = ENTRIES["d1_T_11"].basis
+    catalog_with(monkeypatch, [ENTRIES["d1_T_10"].replace(basis=basis)])
+    built, instance = [], verify._instance
+    monkeypatch.setattr(verify, "_instance", lambda e, a: built.append(e.row_id) or instance(e, a))
+    assert match_catalog(generated_subalgebra([T(1, 1)])) == [("d1_T_10", None),
+                                                              ("d1_T_11", None)]
+    assert built == ["d1_T_10"]
 
 
 def test_a_probe_count_above_the_bound_raises_before_any_work(monkeypatch):
