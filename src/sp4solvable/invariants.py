@@ -45,9 +45,8 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
 * a canonical spectral probe.  For codimension 1 the pair (char poly of x,
   char poly of ad x on [g,g]) is constant on x + N(g), and the leftover
   scaling freedom is removed by weighted cross-ratio invariantization, one
-  `Q` per value from int (numerator, denominator, weight) triples (each
-  value reduced as a whole, or base by base once an entry reaches `_HUGE`,
-  where that is the cheaper form).  Char polys are invariant under
+  `Q` per value from int (numerator, denominator, weight) triples, each
+  value reduced once, as a whole.  Char polys are invariant under
   conjugation over the algebraic closure, so two rational forms of one
   complex class (a split and a non-split plane of the Siegel radical beside
   T(1,1), say) get the same probe.  The adjoint char poly is computed on
@@ -93,13 +92,13 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import mul
 
-from .catalog import INSTANCE_CACHE_SIZE, _tuples
+from .catalog import INSTANCE_CACHE_SIZE
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
 from .linalg import (Mat4, Poly, _char_poly_int, _even_traces, _from_coords, _kernel_int,
                      _mul_num, _newton, _pivot_coords, _trace_gram, generic_rank, rref,
                      Subspace)
 from .linalg import char_poly  # noqa: F401  perfbench's tracer test reads this binding
-from .rational import Q, Record, format_rational, parse_rational
+from .rational import Q, Record, format_rational
 from .sp4 import in_sp4
 from .structure import Subalgebra, _ad_num, is_solvable
 from .jordan import _nilpotent_rank, _regular, jordan_decompose
@@ -239,23 +238,6 @@ class InvariantSignature(Record):
     def to_json(self) -> dict:
         return {name: _jsonable(v) for name, v in zip(self.__slots__, self._values(self))}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "InvariantSignature":
-        """The inverse of `to_json`: every list a tuple, and each probe value
-        after the three leading ints a `Q` read from its "p/q" text, or the
-        zero mark ("z", w)."""
-        fields = {name: _tuples(data[name]) for name in cls.__slots__}
-        probe = fields["probe"]
-        if probe is not None:
-            fields["probe"] = probe[:3] + tuple((v if v == "z" else parse_rational(v), w)
-                                                for v, w in probe[3:])
-        return cls(**fields)
-
-    @property
-    def head(self) -> tuple:
-        """The five fields before `probe`, as `_SignatureWork.head` gives them."""
-        return self._values(self)[:5]
-
     def differing_fields(self, other: "InvariantSignature") -> list[str]:
         return [name for name, v, w in zip(self.__slots__, self._values(self),
                                            other._values(other)) if v != w]
@@ -269,31 +251,18 @@ def _jsonable(obj):
     return format_rational(obj)
 
 
-# an entry at or above this size makes the reduced power form of a value the
-# cheaper one (measured crossover: about 450 bits)
-_HUGE = 1 << 512
-
-
 def _invariantize(weighted: list[tuple]) -> tuple:
     """Remove the scaling freedom x -> s*x from a list of (numerator,
     denominator, weight) triples, each the value v = n/d (d != 0) that
     scales by s**weight: replace each nonzero v of weight w by
     v**w0 / v0**w = n**w0 * d0**w / (d**w0 * n0**w) relative to the first
-    nonzero entry n0/d0 of weight w0, one `Q` per value, and each zero by
-    ("z", w).  The result is invariant under scaling by any s in the
-    algebraic closure.  While n, d, n0 and d0 are below `_HUGE` the value is
-    reduced once, as a whole; a huge entry's value is reduced base by base,
-    as Q(n, d)**w0 * Q(d0, n0)**w, which keeps each gcd at the size of its
-    base; the base Q(d0, n0) is reduced once, for all such values.
+    nonzero entry n0/d0 of weight w0, one `Q` per value, reduced once, and
+    each zero by ("z", w).  The result is invariant under scaling by any s
+    in the algebraic closure.
     """
     n0, d0, w0 = next(((n, d, w) for n, d, w in weighted if n), (0, 1, 0))
-    h = _HUGE
-    small0 = -h < n0 < h and -h < d0 < h
-    small = [-h < n < h and -h < d < h for n, d, _ in weighted]
-    inv0 = None if not n0 or small0 and all(small) else Q(d0, n0)
-    return tuple(((Q(n**w0 * d0**w, d**w0 * n0**w) if small0 and ok
-                   else Q(n, d)**w0 * inv0**w), w) if n else ("z", w)
-                 for (n, d, w), ok in zip(weighted, small))
+    return tuple((Q(n**w0 * d0**w, d**w0 * n0**w), w) if n else ("z", w)
+                 for n, d, w in weighted)
 
 
 def signature(s: Subalgebra) -> InvariantSignature:

@@ -31,11 +31,12 @@ one candidate per parameter orbit, the orbits its self-equivalence claims
 close, so the probe and `identify` prune their candidates by claims that
 the certifier checks only at its samples.  It compares a row without a
 parameter by the signature shipped for it in `row_signatures.json`
-(written by `tools/rowsigs.py`, recomputed by a test) when the row's id and
-stated basis are the stored ones, and builds every other row.  The file is
-read on `match_catalog`'s first call; `verify_entry` and
-`verify_separations` never read it, so every signature the certifier
-certifies is computed.
+(written by `tools/rowsigs.py`, recomputed by a test), as written, with the
+query's `to_json()`, when the row's id and stated basis are the stored
+ones, and builds every other row; a query value too long to print
+(`OutputLimit`) matches no stored row.  The file is read on
+`match_catalog`'s first call; `verify_entry` and `verify_separations` never
+read it, so every signature the certifier certifies is computed.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .errors import (CatalogFault, ExpressionLimit, FactorizationLimit, Irration
 from .exprs import eval_expr
 from .identify import (DeGraafClass, _columns_num, _isomorphism_num, degraaf_to_sw,
                        identify_degraaf, sw_bridge_map, verify_isomorphism)
-from .invariants import InvariantSignature, _SignatureWork, _x0_facts
+from .invariants import _SignatureWork, _x0_facts
 from .jordan import _eigen_pair
 from .linalg import Subspace, rref
 from .rational import Record, format_rational
@@ -394,13 +395,13 @@ ROW_SIGNATURES_FILE = os.path.join(os.path.dirname(__file__), "row_signatures.js
 
 @cache
 def _row_signatures() -> dict:
-    """The shipped signature of each parameter-free row, keyed on its row_id
-    and stated basis, read from `row_signatures.json` on the first call.
-    `tools/rowsigs.py` writes the file from the catalog, and a test
-    recomputes every entry; only `match_catalog` reads it."""
+    """The shipped signature of each parameter-free row, as written
+    (`InvariantSignature.to_json`), keyed on its row_id and stated basis,
+    read from `row_signatures.json` on the first call.  `tools/rowsigs.py`
+    writes the file from the catalog, and a test recomputes every entry;
+    only `match_catalog` reads it."""
     with open(ROW_SIGNATURES_FILE, encoding="utf-8") as fh:
-        return {(d["row"], _tuples(d["basis"])): InvariantSignature.from_json(d["signature"])
-                for d in json.load(fh)}
+        return {(d["row"], _tuples(d["basis"])): d["signature"] for d in json.load(fh)}
 
 
 def match_catalog(sub: Subalgebra) -> list[tuple]:
@@ -408,45 +409,60 @@ def match_catalog(sub: Subalgebra) -> list[tuple]:
 
     A match is necessary for conjugacy; the probe asserts exactly one exists.
     A row matches when all six fields equal the query's (each side's work
-    is an `invariants._SignatureWork`): a probe, the query's or a row's, is
-    computed only when the five other fields agree, and the query's head
-    before its parameter candidates, so its refusals come first.  A row
-    whose data faults while it is compared raises `CatalogFault`, which
-    names the row; a fault inside a row's probe surfaces only when its other
-    fields agree.  A parameterized row is tried at its admissible candidates
-    in order, up to the first match; once a candidate a fails, the rest of
-    its parameter orbit (`CatalogEntry.equivalent_params(a)`) is skipped.
-    A skip rests on the row's self-equivalence claims holding at a, which
-    the certifier proves only at its samples; and a fault in a skipped
-    orbit-mate's instance no longer surfaces, as a probe's fault surfaces
-    only where the other fields agree.  A row without a parameter is
-    compared by its stored signature (`_row_signatures`) when its row_id and
-    stated basis are a stored pair, by the same two comparisons in the same
-    order, and built otherwise (a changed basis, a row not shipped); the
-    loop runs over `load_catalog()`, so a stored row that the catalog lacks
-    is never compared.  When no row matches and the eigenvalues that would
-    give a row's parameter are irrational, the subalgebra is outside the
-    rational rows, and `IrrationalSpectrum` is raised instead of an empty
-    match.
+    is an `invariants._SignatureWork`); the query's head is computed before
+    its parameter candidates, so its refusals come first.  A row without a
+    parameter is compared as written in `row_signatures.json`
+    (`_row_signatures`) when its row_id and stated basis are a stored pair:
+    it matches when its stored dict equals the query's
+    `InvariantSignature.to_json()`, made once per call, at the first such
+    row.  Every stored value was printed, so a query with a value too long
+    to print matches no stored row; that is the one place `OutputLimit` is
+    caught.  Every other row (a parameterized row, a changed basis, a row
+    not shipped) is built, and its probe is computed only when its five
+    other fields equal the query's.  A row whose data faults while it is
+    compared raises `CatalogFault`, which names the row; a fault inside a
+    row's probe surfaces only when its other fields agree.  A parameterized
+    row is tried at its admissible candidates in order, up to the first
+    match; once a candidate a fails, the rest of its parameter orbit
+    (`CatalogEntry.equivalent_params(a)`) is skipped.  A skip rests on the
+    row's self-equivalence claims holding at a, which the certifier proves
+    only at its samples; and a fault in a skipped orbit-mate's instance no
+    longer surfaces, as a probe's fault surfaces only where the other
+    fields agree.  The loop runs over `load_catalog()`, so a stored row that
+    the catalog lacks is never compared.  When no row matches and the
+    eigenvalues that would give a row's parameter are irrational, the
+    subalgebra is outside the rational rows, and `IrrationalSpectrum` is
+    raised instead of an empty match.
     """
     query = _SignatureWork(sub)
     head = query.head
     cands = _param_candidates(query)
     dim = sub.dim
     matches, stored = [], _row_signatures()
+
+    @cache
+    def printed():
+        try:
+            return query.signature.to_json()
+        except OutputLimit:  # every stored value was printed, so none is this one
+            return None
+
     for e in load_catalog():
         if e.dim != dim:
             continue
         try:
+            sig = stored.get((e.row_id, e.basis))
+            if sig is not None:
+                if sig == printed():
+                    matches.append((e.row_id, None))
+                continue
             # the candidates a row admits, or no parameter for a row without
-            # one, each parameter orbit tried at its first candidate only;
-            # a row whose id and basis are stored is compared by its shipped
-            # signature, which has the head and probe an instance has
-            tried, sig = set(), stored.get((e.row_id, e.basis))
+            # one, each parameter orbit tried at its first candidate only
+            tried = set()
             for a in e.samples(cands or ()):
                 if a in tried:
                     continue
-                inst = sig or _instance(e, a)
+                inst = _instance(e, a)
                 if inst.head == head and query.probe == inst.probe:
                     matches.append((e.row_id, a))
                     break

@@ -12,7 +12,7 @@ from sp4solvable.catalog import load_catalog
 from sp4solvable.cli import build_parser, main
 from sp4solvable.linalg import Mat4
 from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA, standard_subalgebra
-from sp4solvable.structure import Subalgebra
+from sp4solvable.structure import Subalgebra, generated_subalgebra
 
 from conftest import SIEGEL, siegel_plane
 
@@ -457,6 +457,22 @@ def test_a_value_too_long_to_print_exits_3(command, dim, tmp_path, capsys):
     assert out == ""
     assert err == (f"OutputLimit: a computed value has more than {sys.get_int_max_str_digits()} "
                    "digits, the interpreter's limit on printing an int\n")
+
+
+@pytest.mark.parametrize("roots, row", [((), "d1_T_a1"), ((X_ALPHA,), "d2_Ta1_Xa"),
+                                       ((X_ALPHA, X_BETA, X_AB, X_A2B), "d5_Ta1_n")])
+def test_identify_matches_a_span_whose_signature_is_too_long_to_print(roots, row, tmp_path,
+                                                                       capsys):
+    # the probe has a value too long to print, so no stored signature, all
+    # printed, is the span's; its parameterized row matches, with a long
+    # parameter that still prints
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(generated_subalgebra(
+        [T(int("9" * 4000), int("7" * 3999 + "1")), *roots]).to_json()))
+    start = time.perf_counter()
+    assert main(["identify", "--input", str(path), "--output", "json"]) == 0
+    assert time.perf_counter() - start < 10
+    assert [r["row"] for r in json.loads(capsys.readouterr().out)["catalog_rows"]] == [row]
 
 
 @pytest.mark.parametrize("command", ["identify", "invariants"])

@@ -139,7 +139,8 @@ borel_closures = st.lists(borel_elements, min_size=1, max_size=3).map(
 # entries of 1000-4000 digits: each fits the interpreter's limit on printing
 # an int, but a value computed from two of them may not (OutputLimit, exit 3);
 # spans of dimension 1-5 (`identify` on diag(a, b, -a, -b) plus the four
-# positive root vectors at 4000 digits takes about 0.5 s)
+# positive root vectors at 4000 digits takes about 1.0 s in a fresh process
+# on a 2-core x86-64 VM)
 long_ints = st.builds(lambda n, d: d * (10**n - 1) // 9, st.integers(1000, 4000),
                       st.integers(1, 9))
 long_spans = st.builds(

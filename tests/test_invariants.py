@@ -1,6 +1,8 @@
-import json
+import sys
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +27,9 @@ from conftest import (ROOTS, clear_fact_caches, conjugator_pool, random_borel_el
 from oracles import (bracket_coords_fraction, char_poly_det, combination, fraction_rows,
                      grid_pencil_ranks, pencil_refusal, solve_in_span, symbolic_combo,
                      trace_form_radical)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import sigdigest  # noqa: E402
 
 
 def alg(*mats):
@@ -331,23 +336,19 @@ def test_invariantize_on_int_triples_is_the_fraction_definition(triples):
     assert [type(v) for v, _ in got] == [type(v) for v, _ in want]
 
 
-_H = invariants._HUGE
+_H = 1 << 512  # where a second formula once took over; the one formula holds on both sides
 
 
 @pytest.mark.parametrize("at", range(4))  # the place of the one large entry: n0, d0, n, d
-@pytest.mark.parametrize("size, huge", [(_H - 1, False), (_H, True), (1 - _H, False),
-                                        (-_H, True)], ids=["below", "at", "-below", "-at"])
-def test_invariantize_reduces_a_value_base_by_base_from_huge_on(monkeypatch, at, size, huge):
-    # below `_HUGE` a value is one `Q` of the whole; an entry at or above it
-    # makes its value (each value, for n0 or d0) two powers of reduced `Q`s
+@pytest.mark.parametrize("size", [_H - 1, _H, 1 - _H, -_H], ids=["below", "at", "-below", "-at"])
+def test_invariantize_reduces_a_value_base_by_base_from_huge_on(at, size):
+    # one large entry on either side of 2^512, in each of the four places,
+    # gives the value of the `Fraction` definition
     entries = [3, 2, -5, 7]
     entries[at] = size
     n0, d0, n, d = entries
     want = (("z", 3), (Fraction(1), 1), (Fraction(n, d) / Fraction(n0, d0)**2, 2))
-    counts: dict = {}
-    _count(monkeypatch, counts, Fraction, "__pow__")
     assert _invariantize([(0, 1, 3), (n0, d0, 1), (n, d, 2)]) == want
-    assert counts.get("__pow__", 0) == (0 if not huge else 4 if at < 2 else 2)
 
 
 def test_ss_content_classes():
@@ -495,20 +496,22 @@ def test_signature_fields():
     assert s.nilpotent_dim == 2 and s.ss_content == "all_nilpotent" and s.probe is None
 
 
-def test_a_signature_survives_its_json_round_trip(rng):
-    # every default catalog instance and a seeded conjugate of each, through
-    # JSON text: equal, and with the same types (a probe value is a `Q`)
-    pool = conjugator_pool(rng, 8)
-    spaces = [e.space_at(a) for e in load_catalog() for a in e.samples()]
-    assert len(spaces) == 120
-    seen = set()
-    for i, space in enumerate(spaces):
-        for s in (space, conjugate_subalgebra(pool[i % len(pool)], space)):
-            sig = signature(Subalgebra(s))
-            back = InvariantSignature.from_json(json.loads(json.dumps(sig.to_json())))
-            assert back == sig and repr(back) == repr(sig)
-            seen.update(type(v).__name__ for v, _ in (sig.probe or ())[3:])
-    assert seen == {"str", "Fraction"}  # both a zero mark and a value
+def test_two_signatures_are_equal_iff_their_json_is():
+    # `match_catalog` compares a stored row's signature as `to_json` wrote
+    # it; over the sigdigest sweep (catalog instances, conjugates,
+    # hyperplanes) and the parameterized rows at every admissible value of
+    # `_GRID`, every two signatures of one dimension are equal exactly when
+    # their JSON forms are
+    sigs = [signature(Subalgebra(space)) for _, space in sigdigest.sweep(1)]
+    sigs += [signature(Subalgebra(e.space_at(a)))
+             for e in load_catalog() if e.param for a in e.samples(_GRID)]
+    assert len(sigs) > 1500
+    by_dim: dict = {}
+    for s in sigs:
+        by_dim.setdefault(s.dim, []).append((s, s.to_json()))
+    equal = Counter((s == t, js == jt) for pairs in by_dim.values()
+                    for (s, js), (t, jt) in combinations(pairs, 2))
+    assert equal.keys() == {(True, True), (False, False)}
 
 
 def test_signature_separates_key_pairs():

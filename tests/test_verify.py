@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 import time
@@ -28,6 +29,9 @@ from conftest import SIEGEL, clear_fact_caches, conjugator_pool, shipped_dicts, 
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import rowsigs  # noqa: E402
+import sigdigest  # noqa: E402
+
+RECORDED = json.loads((Path(__file__).resolve().parent / "outputs.json").read_text())
 
 ENTRIES = {e.row_id: e for e in load_catalog()}
 
@@ -860,7 +864,24 @@ def test_the_stored_row_signatures_are_the_computed_ones():
     free = [e for e in load_catalog() if not e.param]
     assert len(free) == len(stored) == 57
     for e in free:
-        assert stored[e.row_id, e.basis] == verify._instance(e, None).signature
+        assert stored[e.row_id, e.basis] == verify._instance(e, None).signature.to_json()
+
+
+def test_the_stored_signatures_match_as_the_built_rows_do(monkeypatch):
+    # with no stored signature every row is built: the sigdigest catalog
+    # matches and the records of the probe at seed 11 are the same
+    def run():
+        matches = sigdigest.digest_lines(1)[2]
+        return matches, [r.to_json() for r in random_subalgebra_probe(11, 400).records]
+    shipped = run()
+    assert shipped[0] == RECORDED["sigdigest catalog matches"]
+    monkeypatch.setattr(verify, "_row_signatures", lambda: {})
+    built = []
+    instance = verify._instance
+    monkeypatch.setattr(verify, "_instance",
+                        lambda e, a: built.append(e.row_id) or instance(e, a))
+    assert run() == shipped
+    assert {e.row_id for e in load_catalog() if not e.param} <= set(built)
 
 
 def test_a_row_is_compared_by_its_stored_signature_only_with_its_own_basis(monkeypatch):
