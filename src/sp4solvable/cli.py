@@ -1,29 +1,27 @@
 """Command-line front end.
 
-Subcommands: verify-catalog, identify, invariants, conjugate,
-classify-element, export-catalog.  Batch-only; inputs are JSON files using
-the library's wire formats (matrices as 4x4 grids of rational strings,
-subalgebras as {"ambient": "sp4", "basis": [...]}), outputs go to stdout as
-text or JSON.  Exit codes: 0 success, 1 verification failure (also a
-catalog row whose data faults while `identify` compares it), 2 parse error
-(malformed input, bad conjugator recipe, a matrix outside sp(4)), 3 out of
+Commands: verify-catalog, identify, invariants, conjugate, classify-element,
+export-catalog.  `COMMANDS` lists the options of each, given as `--option
+value` or `--option=value` (a value may start with "-"); `--help` prints it.
+Batch-only; inputs are JSON files using the library's wire formats (matrices
+as 4x4 grids of rational strings, subalgebras as {"ambient": "sp4", "basis":
+[...]}), outputs go to stdout as text or JSON.  Exit codes: 0 success, 1
+verification failure (also a catalog row whose data faults while `identify`
+compares it), 2 parse error (a usage error or malformed input, reported as
+`parse error: ...`, a bad conjugator recipe, a matrix outside sp(4)), 3 out of
 domain (not solvable, irrational spectrum, unrecognized family, factoring,
 expression or probe count bound exceeded, a computed value longer than the
 interpreter prints, `OutputLimit`, though each input entry fit: `main`
 leaves that limit as it is); a library error ends in the code its class
-carries (`Sp4Error.exit_code`).  `identify` never exits 0 without a
-catalog row: a subalgebra that only a row at an irrational parameter could
-match exits 3, and one that no row matches exits 1, a completeness failure.
+carries (`Sp4Error.exit_code`).  `identify` exits 0 only with one catalog
+row: a subalgebra that only a row at an irrational parameter could match
+exits 3, and one that no row or several rows match exits 1, naming them.
 
-verify-catalog checks each parameterized row at the default parameter
-samples, or at the comma-separated rationals given with --params, and prints
-the samples it used in its report header.
+verify-catalog prints the parameter samples it used in its report header.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 
@@ -36,7 +34,7 @@ from .linalg import Mat4
 from .rational import format_rational, parse_rational
 from .sp4 import conjugate_subalgebra, parse_conjugator
 from .structure import Subalgebra, structure_constants
-from .verify import PROBE_COUNT_BOUND, match_catalog, verify_catalog
+from .verify import PROBE_COUNT_BOUND, _match_problem, match_catalog, verify_catalog
 
 
 def _load_json(path: str):
@@ -51,10 +49,13 @@ class _ParseFailure(Exception):
     pass
 
 
-def _count(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+def _integer(opts: dict, option: str, least: int | None = None) -> int:
+    try:
+        n = int(opts[option])
+    except ValueError as exc:
+        raise _ParseFailure(f"{option}: {opts[option]!r} is not an integer") from exc
+    if least is not None and n < least:
+        raise _ParseFailure(f"{option}: {opts[option]!r} is below {least}")
     return n
 
 
@@ -91,23 +92,23 @@ def _emit(payload: dict, mode: str) -> None:
             print(f"{k}: {v}")
 
 
-def cmd_verify_catalog(args) -> int:
+def cmd_verify_catalog(opts: dict) -> int:
+    seed, count = _integer(opts, "--seed"), _integer(opts, "--probe-count", least=0)
     params = DEFAULT_PARAM_SAMPLES
-    if args.params is not None:
+    if opts["--params"] is not None:
         # a repeated value (2,2 or 2,4/2) is one sample, kept where first seen
         params = tuple(dict.fromkeys(_parse_option(p, "--params")
-                                     for p in args.params.split(",")))
-    rep = verify_catalog(params=params, probe_seed=args.seed,
-                         probe_count=args.probe_count)
-    if args.output == "json":
+                                     for p in opts["--params"].split(",")))
+    rep = verify_catalog(params=params, probe_seed=seed, probe_count=count)
+    if opts["--output"] == "json":
         print(json.dumps(rep.to_json(), indent=2, sort_keys=True))
     else:
         print(rep.to_text())
     return 0 if rep.overall_pass else 1
 
 
-def cmd_identify(args) -> int:
-    sub = _load_subalgebra(args.input)
+def cmd_identify(opts: dict) -> int:
+    sub = _load_subalgebra(opts["--input"])
     try:
         matches, outside = match_catalog(sub), None  # raises NotSolvable before any identification
     except IrrationalSpectrum as exc:
@@ -130,98 +131,97 @@ def cmd_identify(args) -> int:
         payload["sw"] = str(entries[rid].sw_at(a))
     if outside is not None:
         raise outside
-    _emit(payload, args.output)
-    if not matches:
-        print("no catalog row matches: the classification misses this subalgebra",
+    _emit(payload, opts["--output"])
+    if len(matches) != 1:  # a completeness failure, or a separation failure
+        print(_match_problem(sub, matches) if matches else
+              "no catalog row matches: the classification misses this subalgebra",
               file=sys.stderr)
         return 1
     return 0
 
 
-def cmd_invariants(args) -> int:
-    sub = _load_subalgebra(args.input)
-    _emit(signature(sub).to_json(), args.output)
+def cmd_invariants(opts: dict) -> int:
+    sub = _load_subalgebra(opts["--input"])
+    _emit(signature(sub).to_json(), opts["--output"])
     return 0
 
 
-def cmd_conjugate(args) -> int:
-    sub = _load_subalgebra(args.input)
+def cmd_conjugate(opts: dict) -> int:
+    sub = _load_subalgebra(opts["--input"])
     env = {}
-    if args.param is not None:
-        env["a"] = _parse_option(args.param, "--param")
-    g = parse_conjugator(args.conjugator, env)
+    if opts["--param"] is not None:
+        env["a"] = _parse_option(opts["--param"], "--param")
+    g = parse_conjugator(opts["--conjugator"], env)
     image = Subalgebra(conjugate_subalgebra(g, sub.space))
-    _emit(image.to_json(), args.output)
+    _emit(image.to_json(), opts["--output"])
     return 0
 
 
-def cmd_classify_element(args) -> int:
-    _emit(classify_element(_load_matrix(args.input)).to_json(), args.output)
+def cmd_classify_element(opts: dict) -> int:
+    _emit(classify_element(_load_matrix(opts["--input"])).to_json(), opts["--output"])
     return 0
 
 
-def cmd_export_catalog(args) -> int:
+def cmd_export_catalog(opts: dict) -> int:
     load_catalog()  # a drifted row count exits 2 before anything is printed
     with open(CATALOG_FILE, encoding="utf-8") as fh:
         sys.stdout.write(fh.read())
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The six-subcommand parser, built on first use and kept."""
-    p = argparse.ArgumentParser(
-        prog="sp4solvable",
-        description="Exact certification of the solvable subalgebra "
-                    "classification of sp(4).")
-    sub = p.add_subparsers(dest="command", required=True)
+# each command's handler, help line and options, each with its default (... if required)
+COMMANDS = {
+    "verify-catalog": (cmd_verify_catalog, "certify all table rows at the comma-separated "
+                       f"--params, probing --probe-count (at most {PROBE_COUNT_BOUND}) draws",
+                       {"--params": None, "--seed": "0", "--probe-count": "0", "--output": "text"}),
+    "identify": (cmd_identify, "identify a subalgebra from JSON",
+                 {"--input": ..., "--output": "text"}),
+    "invariants": (cmd_invariants, "dump the invariant signature",
+                   {"--input": ..., "--output": "text"}),
+    "conjugate": (cmd_conjugate, 'apply a conjugator recipe, e.g. "W", "A W A", '
+                  '"shear:alpha:1/2", "diag:2,1,1/2,1"; --param is its a',
+                  {"--input": ..., "--conjugator": ..., "--param": None, "--output": "text"}),
+    "classify-element": (cmd_classify_element, "conjugacy class of one element",
+                         {"--input": ..., "--output": "text"}),
+    "export-catalog": (cmd_export_catalog, "emit the catalog as JSON", {}),
+}
 
-    v = sub.add_parser("verify-catalog", help="certify all table rows")
-    v.add_argument("--params", help="comma-separated rational sample overrides")
-    v.add_argument("--seed", type=int, default=0, help="probe RNG seed")
-    v.add_argument("--probe-count", type=_count, default=0,
-                   help="number of random subalgebra probes to run "
-                        f"(at most {PROBE_COUNT_BOUND})")
-    v.add_argument("--output", choices=("text", "json"), default="text")
-    v.set_defaults(func=cmd_verify_catalog)
 
-    i = sub.add_parser("identify", help="identify a subalgebra from JSON")
-    i.add_argument("--input", required=True)
-    i.add_argument("--output", choices=("text", "json"), default="text")
-    i.set_defaults(func=cmd_identify)
+def _help(opts: dict) -> int:
+    print("usage: sp4solvable COMMAND [--OPTION VALUE]...  (defaults shown)\n")
+    for command, (_, text, options) in COMMANDS.items():
+        shown = [f"{o} {'(required)' if d is ... else d or '(unset)'}" for o, d in options.items()]
+        print(" ".join([command, *shown]), text, sep="\n    ")
+    return 0
 
-    inv = sub.add_parser("invariants", help="dump the invariant signature")
-    inv.add_argument("--input", required=True)
-    inv.add_argument("--output", choices=("text", "json"), default="text")
-    inv.set_defaults(func=cmd_invariants)
 
-    c = sub.add_parser("conjugate", help="apply a conjugator recipe")
-    c.add_argument("--input", required=True)
-    c.add_argument("--conjugator", required=True,
-                   help='e.g. "W", "A W A", "shear:alpha:1/2", "diag:2,1,1/2,1"')
-    c.add_argument("--param", help="value for the recipe parameter a")
-    c.add_argument("--output", choices=("text", "json"), default="text")
-    c.set_defaults(func=cmd_conjugate)
-
-    ce = sub.add_parser("classify-element", help="conjugacy class of one element")
-    ce.add_argument("--input", required=True)
-    ce.add_argument("--output", choices=("text", "json"), default="text")
-    ce.set_defaults(func=cmd_classify_element)
-
-    ex = sub.add_parser("export-catalog", help="emit the catalog as JSON")
-    ex.set_defaults(func=cmd_export_catalog)
-    return p
+def _parse(argv: list) -> tuple:
+    """The handler that argv names and its options, read against `COMMANDS`."""
+    if "-h" in argv or "--help" in argv:
+        return _help, {}
+    command, tokens = argv[0] if argv else "", iter(argv[1:])
+    if command not in COMMANDS:
+        raise _ParseFailure(f"unknown command {command!r}; one of {', '.join(COMMANDS)}")
+    func, _, options = COMMANDS[command]
+    opts = dict(options)
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if option not in options:
+            raise _ParseFailure(f"{command}: unknown option {token!r}")
+        if not eq and (value := next(tokens, None)) is None:
+            raise _ParseFailure(f"{command}: {option} needs a value")
+        opts[option] = value
+    if missing := [option for option, value in opts.items() if value is ...]:
+        raise _ParseFailure(f"{command}: {missing[0]} is required")
+    if opts.get("--output", "text") not in ("text", "json"):
+        raise _ParseFailure(f"--output: {opts['--output']!r} is not text or json")
+    return func, opts
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads a lone "-1/3" as an option: join it as "--params=-1/3"
-    for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in ("--params", "--param") and argv[i][:1] == "-" and argv[i][:2] != "--":
-            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        func, opts = _parse(sys.argv[1:] if argv is None else list(argv))
+        return func(opts)
     except BrokenPipeError:
         return 0
     except _ParseFailure as exc:

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import sys
@@ -9,7 +8,7 @@ import pytest
 
 from sp4solvable import catalog, cli, errors, verify
 from sp4solvable.catalog import load_catalog
-from sp4solvable.cli import build_parser, main
+from sp4solvable.cli import COMMANDS, main
 from sp4solvable.linalg import Mat4
 from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA, standard_subalgebra
 from sp4solvable.structure import Subalgebra, generated_subalgebra
@@ -38,6 +37,17 @@ def test_identify_tn_is_s537(tn_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["sw"] == "s_{5,37}"
     assert out["catalog_rows"] == [{"row": "d5_T11_n", "param": None}]
+
+
+def test_identify_json_output_is_pinned(tmp_path, capsys):
+    # the bytes of a dimension-4 answer: sorted keys, and the labels come from
+    # the subalgebra's own bracket table up to dimension 4, not from its row
+    path = tmp_path / "t11_np.json"
+    path.write_text(json.dumps(Subalgebra.from_matrices([T(1, 1), X_ALPHA, X_AB, X_A2B]).to_json()))
+    assert main(["identify", "--input", str(path), "--output", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "catalog_rows": [\n    {\n      "param": null,\n      "row": "d4_T11_np"\n'
+        '    }\n  ],\n  "degraaf": "M2",\n  "dim": 4,\n  "sw": "s_{4,3}(A=1,B=1)"\n}\n')
 
 
 def test_identify_dim2(ta_path, capsys):
@@ -134,17 +144,34 @@ def test_string_matrix_rows_are_a_parse_error(command, tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
-def test_two_calls_build_one_parser(ta_path, monkeypatch, capsys):
-    built = []
-    init = argparse.ArgumentParser.__init__
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
-                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
-    build_parser.cache_clear()
-    assert main(["invariants", "--input", ta_path]) == 0
-    first = len(built)
-    assert first > 0
-    assert main(["invariants", "--input", ta_path]) == 0
-    assert len(built) == first
+@pytest.mark.parametrize("argv, token", [
+    ([], "unknown command ''"),
+    (["identfy", "--input", "x.json"], "'identfy'"),
+    (["identify", "--input", "TA", "--in", "x.json"], "'--in'"),
+    (["identify", "--input", "TA", "extra"], "'extra'"),
+    (["export-catalog", "--output", "json"], "'--output'"),
+    (["identify", "--input"], "--input needs a value"),
+    (["identify", "--output", "json"], "--input is required"),
+    (["conjugate", "--input", "TA"], "--conjugator is required"),
+    (["identify", "--input", "TA", "--output", "xml"], "'xml'"),
+    (["verify-catalog", "--seed", "x"], "--seed: 'x'"),
+    (["verify-catalog", "--seed=1.5"], "--seed: '1.5'"),
+    (["verify-catalog", "--probe-count", "-1"], "--probe-count: '-1'"),
+])
+def test_a_usage_error_exits_2_naming_its_token(argv, token, ta_path, capsys):
+    assert main([ta_path if a == "TA" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("parse error: ") and token in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["identify", "--help"],
+                                  ["verify-catalog", "--seed", "1", "-h"]])
+def test_help_prints_the_command_table_and_exits_0(argv, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: sp4solvable COMMAND")
+    assert [line.split()[0] for line in out.splitlines()[2::2]] == list(COMMANDS)
+    assert "--probe-count 0" in out and "--conjugator (required)" in out
 
 
 # every error class that does not end in exit 2, the default
@@ -252,9 +279,7 @@ def test_verify_catalog_with_probe(capsys):
 
 @pytest.mark.parametrize("count", ["-1", "-5", "two"])
 def test_bad_probe_count_is_a_parse_error(count, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-catalog", "--probe-count", count])
-    assert exc.value.code == 2
+    assert main(["verify-catalog", "--probe-count", count]) == 2
     assert "--probe-count" in capsys.readouterr().err
 
 
@@ -421,6 +446,28 @@ def test_identify_with_no_matching_row_is_a_completeness_failure(tmp_path, monke
     captured = capsys.readouterr()
     assert json.loads(captured.out)["catalog_rows"] == []
     assert "no catalog row matches" in captured.err
+
+
+def test_identify_with_several_matching_rows_is_a_separation_failure(tmp_path, monkeypatch,
+                                                                     capsys):
+    # d2_T31_XaXb's stored signature edited to d2_t's: the full torus then
+    # matches both rows, and identify names both
+    stored = json.loads(Path(verify.ROW_SIGNATURES_FILE).read_text())
+    by_row = {d["row"]: d for d in stored}
+    by_row["d2_T31_XaXb"]["signature"] = by_row["d2_t"]["signature"]
+    edited = tmp_path / "row_signatures.json"
+    edited.write_text(json.dumps(stored))
+    monkeypatch.setattr(verify, "ROW_SIGNATURES_FILE", str(edited))
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(Subalgebra.from_matrices([T(1, 0), T(0, 1)]).to_json()))
+    verify._row_signatures.cache_clear()
+    try:
+        assert main(["identify", "--input", str(path), "--output", "json"]) == 1
+    finally:
+        verify._row_signatures.cache_clear()
+    out, err = capsys.readouterr()
+    assert [r["row"] for r in json.loads(out)["catalog_rows"]] == ["d2_t", "d2_T31_XaXb"]
+    assert err == "signature matches 2 rows: d2_t@-, d2_T31_XaXb@-\n"
 
 
 @pytest.mark.parametrize("command", ["identify", "conjugate"])

@@ -168,10 +168,7 @@ def _run(argv) -> tuple[int, str, str]:
     """`main`'s exit code, standard output and standard error."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a --params value like "--"
-            code = exc.code
+        code = main(argv)  # a usage error, such as an option with no value, is exit 2
     return code, out.getvalue(), err.getvalue()
 
 
