@@ -16,16 +16,13 @@ Basis elements are 6-tuples of expressions
     (Ta, Tb, cA, cB, cAB, cA2B)  ->  T(Ta,Tb) + cA*X_alpha + cB*X_beta
                                       + cAB*X_{alpha+beta} + cA2B*X_{alpha+2beta}
 
-so a row is plain JSON data.  `coord_rows` evaluates each coefficient to
-an int pair with the compiled evaluator of `exprs` and places a basis's
-coefficients, over their one lcm, at their root coordinates
-(`sp4._coord_row`, which `sp4.element` builds with): no `Fraction` and no
-matrix is built.  The certifier reads those rows (`CatalogEntry.rows_at`);
-`basis_at` lays them out as matrices for other callers.  A row's parameter
-orbit is closed under the target parameters of its self-equivalence claims
-(`equivalent_params`), the maps the certifier proves by their conjugators.
-Frozen row counts, established against the tables: 8 one-, 16 two-, 19
-three-, 14 four- and 8 five/six-dimensional rows (65 total).
+so a row is plain JSON data.  One loop (`_num_rows`) evaluates expressions
+to int pairs with the compiled evaluator of `exprs` and puts them over their
+lcm, for a basis (`coord_rows`, placed at the root coordinates by
+`sp4._coord_row`) and for a stated map (`iso_columns_at`): no `Fraction` and
+no matrix is built.  The certifier reads those rows (`rows_at`); `basis_at`
+lays them out as matrices.  A row's parameter orbit is closed under the
+target parameters of its self-equivalence claims (`equivalent_params`).
 
 The tables are data: `catalog.json` (`CATALOG_FILE`), next to this module,
 is what `export-catalog` prints unchanged, and `load_catalog()` reads it
@@ -75,8 +72,7 @@ _package = sys.modules[__package__]
 
 
 def _env(a) -> dict:
-    """The expression environment of a row at parameter a (None: no
-    parameter), an int or a `Q` as given (`exprs` reads both)."""
+    """A row's expression environment at a (None: no parameter; else an int or a `Q`)."""
     return {} if a is None else {"a": a}
 
 
@@ -96,15 +92,19 @@ def _names_param(entry: CatalogEntry) -> bool:
     return any(isinstance(x, str) and "a" in x for spec in entry.basis for x in spec)
 
 
-def coord_rows(specs, env) -> tuple[list[list[int]], int]:
-    """The basis specs under env as int coordinate rows over one den: each
-    coefficient the int pair of its expression's compiled evaluator, all over
-    their lcm, placed by `sp4._coord_row`."""
-    compiled, coord_row = _package.exprs._compiled, _package.sp4._coord_row
+def _num_rows(specs, env) -> tuple[list[list[int]], int]:
+    """The expressions of specs under env as int rows over their one den."""
+    compiled = _package.exprs._compiled
     pairs = [[(e, 1) if isinstance(e, int) else compiled(str(e))(env) for e in spec]
              for spec in specs]
     den = math.lcm(*[d for spec in pairs for _, d in spec])
-    return [coord_row([n * (den // d) for n, d in spec]) for spec in pairs], den
+    return [[n * (den // d) for n, d in spec] for spec in pairs], den
+
+
+def coord_rows(specs, env) -> tuple[list[list[int]], int]:
+    """The basis specs under env as int coordinate rows over one den."""
+    rows, den = _num_rows(specs, env)
+    return list(map(_package.sp4._coord_row, rows)), den
 
 
 def coord_span(specs, env) -> Subspace:
@@ -114,9 +114,11 @@ def coord_span(specs, env) -> Subspace:
 
 
 def _tuples(x):
-    """x with every list in it, at any depth, made a tuple, so that a row
-    written with lists (or read from JSON) is the same frozen value."""
-    return tuple(map(_tuples, x)) if isinstance(x, (list, tuple)) else x
+    """x with every list in it, at any depth, made a tuple (a leaf with no
+    call of its own), so that a row written with lists is the same value."""
+    if not isinstance(x, (list, tuple)):
+        return x
+    return tuple([_tuples(v) if isinstance(v, (list, tuple)) else v for v in x])
 
 
 class _Row(Record):
@@ -125,7 +127,9 @@ class _Row(Record):
     __slots__ = ("_hash",)
 
     def __init__(self, *args, **kwargs):
-        for set_field, value in zip(self._setters, self._complete(args, kwargs)):
+        if kwargs or len(args) != len(self._setters):
+            args = self._complete(args, kwargs)
+        for set_field, value in zip(self._setters, args):
             set_field(self, _tuples(value))
         object.__setattr__(self, "_hash", hash(self._values(self)))
 
@@ -205,11 +209,9 @@ class CatalogEntry(_Row):
         name, params = self.sw
         return _package.identify.SWClass(name, tuple(_ev(p, env) for p in params))
 
-    def iso_columns_at(self, a):
-        if self.iso_columns is None:
-            return None
-        env = _env(a)
-        return tuple(tuple(_ev(x, env) for x in col) for col in self.iso_columns)
+    def iso_columns_at(self, a) -> tuple[list[list[int]], int] | None:
+        """The stated map's columns at a as int rows over one den (`_num_rows`)."""
+        return None if self.iso_columns is None else _num_rows(self.iso_columns, _env(a))
 
     def equivalent_params(self, a) -> set:
         """Closure of a (an int or a `Q`, kept as given) under the target
@@ -246,13 +248,11 @@ def catalog_from_json(data: list[dict]) -> list[CatalogEntry]:
     out = []
     for d in data:
         dg, sw, iso = d.get("degraaf"), d.get("sw"), d.get("isomap")
-        out.append(CatalogEntry(
-            row_id=d["row"], dim=d["dim"], label=d["label"], basis=d["basis"],
-            excluded=d.get("conditions", ()),
-            degraaf=(dg["family"], dg["params"]) if dg else None,
-            sw=(sw["name"], sw["params"]) if isinstance(sw, dict) else None,
-            equivalences=[EquivClaim(**c) for c in d.get("equiv", ())],
-            iso_columns=iso["columns"] if iso else None))
+        out.append(CatalogEntry(  # the fields by position, in `__slots__` order
+            d["row"], d["dim"], d["label"], d["basis"], d.get("conditions", ()),
+            (dg["family"], dg["params"]) if dg else None,
+            (sw["name"], sw["params"]) if isinstance(sw, dict) else None,
+            [EquivClaim(**c) for c in d.get("equiv", ())], iso["columns"] if iso else None))
     return out
 
 

@@ -7,7 +7,8 @@ the indecomposables up to dimension 6 (n_{d,k}, s_{d,k}).  A label
 (`DeGraafClass`, `SWClass`: a class or '+'-direct sum, and its parameters)
 is a value that formats itself, and one builder makes its presentation from
 the tables once and keeps it (`.constants()`, `degraaf_constants`,
-`sw_constants`).
+`sw_constants`), through `StructureConstants.from_brackets`, whose Jacobi
+check runs on every build.
 Conventions frozen for this library:
 
 * K^2 is [x1,x2] = x2 (consistent with M^8 = K^2 (+) K^2 and the dimension-2
@@ -23,7 +24,9 @@ centralizer, and the adjoint action of a complement element, normalized by
 the scaling freedom (trace normalization; squarefree/cubefree kernels for
 the weight-graded parameters).  It runs on int subspace rows and int
 adjoint matrices, and divides only to read a class parameter from a trace,
-a determinant or a char-poly coefficient.
+a determinant or a char-poly coefficient.  It reads D as the [g, g] kept on
+the table (`structure._derived_pairs`), which the derived series of a
+subalgebra has already eliminated.
 
 One translation gives each de Graaf class occurring here, in the normal form
 `identify_degraaf` returns, its label in the second catalog (`degraaf_to_sw`)
@@ -40,9 +43,11 @@ identity [phi x_i, phi x_j] = sum_k c_ij^k phi x_k on ints, and one `rref`
 rank test shows they are independent (certifying checks of this kind:
 McConnell, Mehlhorn, Naeher and Schweitzer, Computer Science Review 5, 2011).
 `verify_isomorphism` is the rational front: it checks the map's shape
-(`DimensionMismatch`) and puts the columns over one den (`_columns_num`);
-the int core (`_isomorphism_num`) takes int columns over a den, so the
-certifier can hand it columns it has composed in ints.
+(`_square_map`, `DimensionMismatch`) and puts the columns over one den; the
+int core (`_isomorphism_num`) takes int columns over a den, so the
+certifier can hand it the stated columns it reads as ints
+(`CatalogEntry.iso_columns_at`), checked by the same `_square_map` and
+composed in ints.
 """
 
 from __future__ import annotations
@@ -531,19 +536,19 @@ def verify_isomorphism(sc_source: StructureConstants,
     columns is exactly the source table; nothing is solved.  With the
     columns over one common den e, Y_k = e * phi x_k, the identity is
     checked on ints: den_s * den_t [Y_i, Y_j] = e * den_t * sum_k num_ij^k Y_k."""
-    return _isomorphism_num(sc_source, sc_target, *_columns_num(sc_source, sc_target, columns))
+    d = _square_map(sc_source, sc_target, columns)
+    flat, e = _over_common_den([x for c in columns for x in c])
+    return _isomorphism_num(sc_source, sc_target, [flat[n * d:(n + 1) * d] for n in range(d)], e)
 
 
-def _columns_num(sc_source: StructureConstants, sc_target: StructureConstants,
-                 columns) -> tuple[list[tuple[int, ...]], int]:
-    """The rational map columns as int columns over one common den e; a
-    map that is not d x d for two d-dimensional tables raises
-    DimensionMismatch."""
+def _square_map(sc_source: StructureConstants, sc_target: StructureConstants,
+                columns) -> int:
+    """d, for a map of d columns of length d between two d-dimensional
+    tables; any other map raises DimensionMismatch."""
     d = sc_source.dim
     if sc_target.dim != d or len(columns) != d or any(len(c) != d for c in columns):
         raise DimensionMismatch("isomorphism map has inconsistent dimensions")
-    flat, e = _over_common_den([x for c in columns for x in c])
-    return [flat[n * d:(n + 1) * d] for n in range(d)], e
+    return d
 
 
 def _isomorphism_num(sc_source: StructureConstants, sc_target: StructureConstants,

@@ -60,11 +60,12 @@ from .rational import Q, ZERO, _lowest_terms, _parse_pair, format_rational
 def rref(rows: Iterable[Sequence[int]]) -> list[tuple[int, list[int]]]:
     """Fraction-free Gauss-Jordan elimination of int rows (Bareiss, Math.
     Comp. 22, 1968, with content removal in place of exact division).
-    Returns (pivot column, row) in pivot-column order, where each row is the
-    RREF row times its pivot: primitive, with a positive pivot and zeros at
-    the other pivot columns.  Each pivot row eliminates its column from the
-    others by one closure: r -> (a*r - b*piv) over its content, with
-    a/b = piv[col]/r[col] in lowest terms."""
+    Returns (pivot column, row) in pivot-column order, where each row is a
+    list, the RREF row times its pivot: primitive, with a positive pivot and
+    zeros at the other pivot columns.  Each pivot row eliminates its column
+    from every row with a nonzero there, the rows above it included:
+    r -> (a*r - b*piv) over its content, with a/b = piv[col]/r[col] in
+    lowest terms."""
     work = [r for r in rows if any(r)]
     out: list[tuple[int, list[int]]] = []
     for col in range(len(work[0]) if work else 0):
@@ -79,23 +80,29 @@ def rref(rows: Iterable[Sequence[int]]) -> list[tuple[int, list[int]]]:
             g = -g
         piv = list(piv) if g == 1 else [x // g for x in piv]
         p = piv[col]
-
-        def eliminate(r):
-            h = math.gcd(p, r[col])
-            a, b = p // h, r[col] // h
-            new = [a * x - b * y for x, y in zip(r, piv)]
-            h = math.gcd(*new)
-            return new if h < 2 else [x // h for x in new]
-
+        # the step is written out in both loops: a call per row costs more
         rest = []
         for r in work:
-            if r[col]:
-                r = eliminate(r)
-                if not any(r):
+            b = r[col]
+            if b:
+                h = math.gcd(p, b)
+                a, b = p // h, b // h
+                r = [a * x - b * y for x, y in zip(r, piv)]
+                h = math.gcd(*r)
+                if not h:  # r was a multiple of piv
                     continue
+                if h > 1:
+                    r = [x // h for x in r]
             rest.append(r)
         work = rest
-        out = [(c, eliminate(r) if r[col] else r) for c, r in out]
+        for n, (c, r) in enumerate(out):
+            b = r[col]
+            if b:
+                h = math.gcd(p, b)
+                a, b = p // h, b // h
+                r = [a * x - b * y for x, y in zip(r, piv)]
+                h = math.gcd(*r)
+                out[n] = c, (r if h == 1 else [x // h for x in r])
         out.append((col, piv))
         if not work:
             break

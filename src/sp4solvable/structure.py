@@ -14,16 +14,20 @@ keeps the table of its last round.  The series, predicates and adjoint matrices
 run on the table (d <= 7), each subspace held as `linalg.rref` pairs:
 brackets are int contractions (`_bracket_num`), spans are eliminated
 fraction-free (`bracket_space`, `_series`), [g, g] straight off the
-table, whose row num[i][j] is den*[x_i, x_j] (`_derived_pairs`, which the
-series and `identify` read), and an adjoint matrix is one int matrix over
-one den, read at the pivots (`_ad_num`).  Rationals appear
-only at the public boundary: `StructureConstants.table` and
-`derived_series`.  A table moves to a new basis only by `_moved`, for
-`Subalgebra.constants_in`, which `structure_constants_for_basis` and the
-tests call.  Whether a map carries one table onto another is checked
-without moving either (`identify.verify_isomorphism`); the certifier
-carries a row's stated map through the frame of its stated basis
-(`verify`).
+table, whose row num[i][j] is den*[x_i, x_j], once per table and kept on
+it (`_derived_pairs`, which the series and `identify` read), and an
+adjoint matrix is one int matrix over one den, read at the pivots
+(`_ad_num`).  A table from a sparse rational description
+(`StructureConstants.from_brackets`, the class presentations of
+`identify`) places each entry straight as an int numerator over the lcm of
+the denominators, and its Jacobi identity is checked on every build, over
+the nonzero entries of the rows.  Rationals appear only at the public
+boundary: `StructureConstants.table` and `derived_series`.  A table moves
+to a new basis only by `_moved`, for `Subalgebra.constants_in`, which
+`structure_constants_for_basis` and the tests call.  Whether a map carries
+one table onto another is checked without moving either
+(`identify.verify_isomorphism`); the certifier carries a row's stated map
+through the frame of its stated basis (`verify`).
 """
 
 from __future__ import annotations
@@ -34,8 +38,7 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import DependentInputs, Sp4Error
-from .linalg import (Mat4, Subspace, _from_coords, _over_common_den, _pivot_coords,
-                     _read_coords, echelon_span, rref)
+from .linalg import Mat4, Subspace, _from_coords, _pivot_coords, _read_coords, echelon_span, rref
 from .rational import Q, format_rational
 from .sp4 import bracket
 
@@ -157,8 +160,11 @@ def bracket_space(sc: "StructureConstants", a: list, b: list) -> list:
 def _derived_pairs(sc: "StructureConstants") -> list:
     """`rref` of [g, g]: den*[x_i, x_j] for i < j is the table row
     num[i][j], so the rows `bracket_space(sc, units, units)` would bracket
-    are read off the table."""
-    return rref([sc.num[i][j] for i, j in combinations(range(sc.dim), 2)])
+    are read off the table.  Eliminated once per table and kept on it
+    (`_derived`), for `_series` and `identify` alike; no caller mutates it."""
+    if sc._derived is None:
+        sc._derived = rref([sc.num[i][j] for i, j in combinations(range(sc.dim), 2)])
+    return sc._derived
 
 
 def _ad_num(sc: "StructureConstants", y: Sequence[int],
@@ -229,7 +235,7 @@ class StructureConstants:
     Rationals appear only at the boundary (`table`, the builder
     `from_brackets`, and the JSON wire format `to_json` writes)."""
 
-    __slots__ = ("dim", "num", "den", "_pairs")
+    __slots__ = ("dim", "num", "den", "_pairs", "_derived")
 
     @classmethod
     def _make(cls, dim: int, pairs: Sequence[Sequence[int]], den: int) -> "StructureConstants":
@@ -242,14 +248,14 @@ class StructureConstants:
         num = [[(0,) * dim] * dim for _ in range(dim)]
         sparse = []
         for (i, j), r in zip(combinations(range(dim), 2), pairs):
-            num[i][j] = tuple(r)
-            num[j][i] = tuple([-x for x in r])
-            if any(r):
+            if any(r):  # a zero row stays the shared zero tuple
+                num[i][j], num[j][i] = tuple(r), tuple([-x for x in r])
                 sparse.append((i, j, tuple([(k, c) for k, c in enumerate(r) if c])))
         sc = cls.__new__(cls)
         sc.dim, sc.den = dim, den
         sc.num = tuple(tuple(plane) for plane in num)
         sc._pairs = tuple(sparse)
+        sc._derived = None
         return sc
 
     @property
@@ -308,27 +314,35 @@ class StructureConstants:
     @classmethod
     def from_brackets(cls, dim: int, brackets: dict) -> "StructureConstants":
         """Build from a sparse {(i, j): {k: c}} description of [x_i, x_j],
-        i != j; antisymmetry is filled in.  A table that breaks the Jacobi
-        identity is no Lie algebra and raises Sp4Error naming a triple
-        i < j < k, checked on the int numerators: den^2 times the cyclic sum
-        [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j], each term
-        sum_m num[a][b][m] * num[m][c]."""
+        i != j; antisymmetry is filled in.  Each entry is placed straight as
+        its int numerator over the lcm of the entries' denominators.  A table
+        that breaks the Jacobi identity is no Lie algebra and raises Sp4Error
+        naming a triple i < j < k, checked on the int numerators: den^2 times
+        the cyclic sum [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i],
+        x_j], each term sum_m num[a][b][m] * num[m][c] over the nonzero
+        entries of the rows."""
         index = {p: n for n, p in enumerate(combinations(range(dim), 2))}
-        rows = [[0] * dim for _ in index]
+        placed = []
         for (i, j), row in brackets.items():
+            n = index[min(i, j), max(i, j)]
             for k, c in row.items():
                 if type(c) is not Q and type(c) is not int:
                     c = Q(c)
-                rows[index[min(i, j), max(i, j)]][k] = c if i < j else -c
-        num, den = _over_common_den([x for r in rows for x in r])
-        sc = cls._make(dim, [num[n * dim:(n + 1) * dim] for n in range(len(rows))], den)
+                placed.append((n, k, c if i < j else -c))
+        den = math.lcm(*[c.denominator for _, _, c in placed])
+        rows = [[0] * dim for _ in index]
+        for n, k, c in placed:
+            rows[n][k] = c.numerator * (den // c.denominator)
+        sc = cls._make(dim, rows, den)
+        nonzero = [[()] * dim for _ in range(dim)]
+        for i, j, row in sc._pairs:
+            nonzero[i][j], nonzero[j][i] = row, tuple([(k, -x) for k, x in row])
         for i, j, k in combinations(range(dim), 3):
             acc = [0] * dim
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, x in enumerate(sc.num[a][b]):
-                    if x:
-                        for n, y in enumerate(sc.num[m][c]):
-                            acc[n] += x * y
+                for m, x in nonzero[a][b]:
+                    for n, y in nonzero[m][c]:
+                        acc[n] += x * y
             if any(acc):
                 raise Sp4Error(f"the table breaks the Jacobi identity at ({i}, {j}, {k})")
         return sc

@@ -24,9 +24,12 @@ instance.  A fault of the row's data (an `Sp4Error`, or an
 check's fail, with its repr as detail; the size limits `ExpressionLimit`,
 `FactorizationLimit` and `OutputLimit` propagate (exit 3).  Pairwise
 separations inside each dimension are certified by a differing signature
-field, and a randomized probe matches closed random Borel seeds back into
-the catalog: each draw must match exactly one row, and a row whose data
-faults fails the draw.  `match_catalog` builds each parameterized row at
+field; only the pairs of one row or of one signature hash can fail, so only
+those are visited, and the rest are counted.  A row's parameter orbit is
+kept per (row, a) (`_orbit`), and a conjugator recipe that names no `a` is
+parsed once (`_conjugator`).  A randomized probe matches closed random
+Borel seeds back into the catalog: each draw must match exactly one row,
+and a row whose data faults fails the draw.  `match_catalog` builds each parameterized row at
 one candidate per parameter orbit, the orbits its self-equivalence claims
 close, so the probe and `identify` prune their candidates by claims that
 the certifier checks only at its samples.  It compares a row without a
@@ -45,6 +48,7 @@ import json
 import os
 import random
 from functools import cache, lru_cache, partial
+from itertools import combinations
 from operator import mul
 
 from .catalog import (DEFAULT_PARAM_SAMPLES, INSTANCE_CACHE_SIZE, CatalogEntry, _tuples,
@@ -52,7 +56,7 @@ from .catalog import (DEFAULT_PARAM_SAMPLES, INSTANCE_CACHE_SIZE, CatalogEntry, 
 from .errors import (CatalogFault, ExpressionLimit, FactorizationLimit, IrrationalSpectrum,
                      OutputLimit, ProbeLimit, Sp4Error)
 from .exprs import eval_expr
-from .identify import (DeGraafClass, _columns_num, _isomorphism_num, degraaf_to_sw,
+from .identify import (DeGraafClass, _isomorphism_num, _square_map, degraaf_to_sw,
                        identify_degraaf, sw_bridge_map, verify_isomorphism)
 from .invariants import _SignatureWork, _x0_facts
 from .jordan import _eigen_pair
@@ -241,13 +245,15 @@ def _declared_checks(entry: CatalogEntry, a, first: bool, rep) -> list:
                                  else f"found {found}, stated {stated}")
 
     def isomorphism_map():
-        # the stated columns, in stated-basis coordinates, carried through the
-        # frame into echelon ones: column i is sum_k Y_i[k] F_k over e * f
+        # the stated int columns over e, in stated-basis coordinates, carried
+        # through the frame into echelon ones: column i is sum_k Y_i[k] F_k
+        # over e * f
         pres = dg() if entry.degraaf is not None else entry.sw_at(a)
         inst = _instance(entry, a)
         src, tgt = pres.constants(), inst.sub.constants
         frame, f = inst.frame()
-        ys, e = _columns_num(src, tgt, entry.iso_columns_at(a))
+        ys, e = entry.iso_columns_at(a)
+        _square_map(src, tgt, ys)
         cols = [[sum(map(mul, y, fc)) for fc in zip(*frame)] for y in ys]
         return _isomorphism_num(src, tgt, cols, e * f), f"{pres} -> {entry.label}"
 
@@ -307,8 +313,22 @@ def _claim_holds(entry: CatalogEntry, claim, val) -> tuple:
         tgt = _instance(entry, tgt_param).sub.space
     else:
         tgt = coord_span(claim.tgt, env)
-    g = parse_conjugator(claim.recipe, env)
+    g = _conjugator(claim.recipe, val if "a" in claim.recipe else None)
     return conjugate_subalgebra(g, src) == tgt, claim.recipe
+
+
+@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
+def _conjugator(recipe: str, val):
+    """The conjugator of a recipe at val, parsed once per (recipe, val); the
+    callers pass None for a recipe that names no `a`, so it is parsed once."""
+    return parse_conjugator(recipe, {} if val is None else {"a": val})
+
+
+@lru_cache(maxsize=INSTANCE_CACHE_SIZE)
+def _orbit(entry: CatalogEntry, a) -> frozenset:
+    """The parameter orbit of a (`CatalogEntry.equivalent_params`), kept per
+    (row, a) for `verify_separations` and `match_catalog`; a fault is not kept."""
+    return frozenset(entry.equivalent_params(a))
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +353,12 @@ def verify_catalog(params=DEFAULT_PARAM_SAMPLES, probe_seed: int = 0,
 def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
                        report: VerificationReport | None = None) -> VerificationReport:
     """Certify that every pair of same-dimension instances the classification
-    declares inequivalent is separated by a signature field.  A failing
-    dimension's detail names its first four bad pairs and counts the rest."""
+    declares inequivalent is separated by a signature field, and that the
+    instances of one parameter orbit agree.  A pair of different rows and
+    different signature hashes differs, so the pairs that share a row or a
+    hash are visited, in (i, j) order; the count of inequivalent pairs is
+    C(n, 2) minus the same-class pairs.  A failing dimension's detail names
+    its first four bad pairs and counts the rest."""
     rep = _report(report, params)
     entries = entries if entries is not None else load_catalog()
     by_dim: dict[int, list] = {}
@@ -343,25 +367,30 @@ def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
                         "; the row's separations did not run") or ():
             lost = "; the instance's separations did not run"
             orbit = _guard(rep, e.row_id, a, "parameter orbit",
-                           lambda: {a} if a is None else e.equivalent_params(a), lost)
+                           lambda: {a} if a is None else _orbit(e, a), lost)
             sig = orbit and _guard(rep, e.row_id, a, "signature",
                                    lambda: _instance(e, a).signature, lost)
             if sig:
                 by_dim.setdefault(e.dim, []).append((e, a, orbit, sig))
     for dim, insts in sorted(by_dim.items()):
-        bad, n_pairs = [], 0
-        for i, (e1, a1, orbit, s1) in enumerate(insts):
-            for e2, a2, _, s2 in insts[i + 1:]:
-                if e1.row_id == e2.row_id:
-                    if a1 is None or a2 in orbit:
-                        # same conjugacy class: signatures must agree instead
-                        if s1 != s2:
-                            bad.append((e1.row_id, a1, e2.row_id, a2,
-                                        "equivalent params separated"))
-                        continue
-                n_pairs += 1
-                if s1 == s2:
-                    bad.append((e1.row_id, a1, e2.row_id, a2, "signatures collide"))
+        # a pair can fail only inside a row (an equivalent pair separated) or
+        # inside a signature (an inequivalent pair colliding): visit the pairs
+        # of each row and of each signature hash, a superset of the latter
+        buckets: dict = {}
+        for i, (e, _, _, sig) in enumerate(insts):
+            buckets.setdefault((0, e.row_id), []).append(i)
+            buckets.setdefault((1, hash(sig)), []).append(i)
+        bad, same = [], 0
+        for i, j in sorted({p for b in buckets.values() for p in combinations(b, 2)}):
+            (e1, a1, orbit, s1), (e2, a2, _, s2) = insts[i], insts[j]
+            if e1.row_id == e2.row_id and (a1 is None or a2 in orbit):
+                # same conjugacy class: signatures must agree instead
+                same += 1
+                if s1 != s2:
+                    bad.append((e1.row_id, a1, e2.row_id, a2, "equivalent params separated"))
+            elif s1 == s2:
+                bad.append((e1.row_id, a1, e2.row_id, a2, "signatures collide"))
+        n_pairs = len(insts) * (len(insts) - 1) // 2 - same
         shown = [f"{r1}@{_p(p1)} ~ {r2}@{_p(p2)}: {why}" for r1, p1, r2, p2, why in bad[:4]]
         if len(bad) > 4:
             shown.append(f"{len(bad) - 4} more")
@@ -467,7 +496,7 @@ def match_catalog(sub: Subalgebra) -> list[tuple]:
                     matches.append((e.row_id, a))
                     break
                 if e.param:
-                    tried |= e.equivalent_params(a)
+                    tried |= _orbit(e, a)
         except _SIZE_LIMITS:
             raise
         except _ROW_FAULTS as exc:

@@ -87,6 +87,13 @@ def random_sp4_element(rng, span=3):
     ])
 
 
+def stated_columns(entry, a):
+    """A row's stated isomorphism columns at a as rationals:
+    `CatalogEntry.iso_columns_at` gives them as int rows over one den."""
+    cols, den = entry.iso_columns_at(a)
+    return [tuple(Q(x, den) for x in c) for c in cols]
+
+
 def perturb_columns(columns, i, j, delta):
     """Map columns with entry j of column i moved by delta."""
     cols = [list(c) for c in columns]

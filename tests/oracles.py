@@ -16,7 +16,11 @@ earlier paths: `jordan_newton`, the Newton iteration on the squarefree
 char poly (with its Horner `poly_eval_mat`), which works for any 4x4
 matrix, against the closed form of `jordan.jordan_decompose`; and
 `close_pairs_matrix`, the bracket table by 4x4 matrix products, against
-the ten-coordinate brackets of `structure._close_pairs`.  Six helpers are
+the ten-coordinate brackets of `structure._close_pairs`;
+`dense_brackets`, a table's dense `Fraction` constants and its Jacobi
+identity over every index, against `StructureConstants.from_brackets`; and
+`all_pairs_separations`, the scan of every same-dimension pair, against the
+bucketed scan of `verify.verify_separations`.  Six helpers are
 no oracles: `coords`
 and `echelon_coords` give the library's int pivot reads (`Subspace.coords_num`,
 `linalg._pivot_coords`) as rationals; `fraction_rows` the (pivot, int row)
@@ -30,6 +34,7 @@ import math
 import re
 from itertools import combinations
 
+from sp4solvable import verify
 from sp4solvable.errors import (DependentInputs, ExpressionLimit, IrrationalSpectrum,
                                 NotSolvable, Sp4Error)
 from sp4solvable.exprs import MAX_POWER_BITS
@@ -38,7 +43,7 @@ from sp4solvable.jordan import JordanDecomposition
 from sp4solvable.linalg import (_COORDS, Mat4, Poly, Subspace, _mul_num, _over_common_den,
                                 _pivot_coords, char_poly, det_mpoly, echelon_span, inverse,
                                 rref)
-from sp4solvable.rational import Q, ZERO
+from sp4solvable.rational import Q, ZERO, format_rational
 from sp4solvable.sp4 import J_FORM, bracket
 from sp4solvable.structure import StructureConstants, Subalgebra, bracket_space, is_solvable
 
@@ -451,3 +456,54 @@ def close_pairs_matrix(space: Subspace) -> "StructureConstants | list[list[int]]
     den = math.lcm(*[b.den for b in brackets])
     return StructureConstants._make(
         space.dim, [[x * (den // b.den) for x in c] for c, b in zip(coords, brackets)], den)
+
+
+def dense_brackets(dim: int, brackets: dict):
+    """The constants c[i][j][k] of a sparse {(i, j): {k: c}} description of
+    [x_i, x_j], with antisymmetry filled in, as dense `Fraction` planes; or,
+    for a table that breaks the Jacobi identity, the Sp4Error text of
+    `from_brackets` at the first triple i < j < k where the cyclic sum of
+    sum_m c[a][b][m] c[m][c][n], over every m, is not 0."""
+    c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), row in brackets.items():
+        for k, x in row.items():
+            c[i][j][k], c[j][i][k] = Q(x), -Q(x)
+    for i, j, k in combinations(range(dim), 3):
+        acc = [sum(c[a][b][m] * c[m][cc][n] for a, b, cc in ((i, j, k), (j, k, i), (k, i, j))
+                   for m in range(dim)) for n in range(dim)]
+        if any(acc):
+            return f"the table breaks the Jacobi identity at ({i}, {j}, {k})"
+    return tuple(tuple(tuple(row) for row in plane) for plane in c)
+
+
+def all_pairs_separations(entries, params) -> list[tuple]:
+    """(row, check, status, detail) of each dimension's separations record,
+    by visiting every pair i < j of its instances in order: a pair of one
+    row inside one parameter orbit must agree in signature, any other pair
+    must differ.  Each instance's signature and orbit are the library's
+    (`verify._instance`, `CatalogEntry.equivalent_params`); the rows must
+    evaluate without faults."""
+    by_dim: dict = {}
+    for e in entries:
+        for a in e.samples(params):
+            orbit = {a} if a is None else e.equivalent_params(a)
+            sig = verify._instance(e, a).signature
+            by_dim.setdefault(e.dim, []).append((e.row_id, a, orbit, sig))
+    out = []
+    for dim, insts in sorted(by_dim.items()):
+        bad, n_pairs = [], 0
+        for (r1, a1, orbit, s1), (r2, a2, _, s2) in combinations(insts, 2):
+            if r1 == r2 and (a1 is None or a2 in orbit):
+                if s1 != s2:
+                    bad.append((r1, a1, r2, a2, "equivalent params separated"))
+                continue
+            n_pairs += 1
+            if s1 == s2:
+                bad.append((r1, a1, r2, a2, "signatures collide"))
+        text = lambda a: "-" if a is None else format_rational(a)  # noqa: E731
+        shown = [f"{r1}@{text(p1)} ~ {r2}@{text(p2)}: {why}" for r1, p1, r2, p2, why in bad[:4]]
+        if len(bad) > 4:
+            shown.append(f"{len(bad) - 4} more")
+        out.append((f"separations-dim{dim}", f"{n_pairs} inequivalent pairs",
+                    "fail" if bad else "pass", "; ".join(shown)))
+    return out

@@ -19,7 +19,7 @@ from sp4solvable.structure import Subalgebra, structure_constants_for_basis
 from sp4solvable.verify import verify_catalog, verify_separations
 
 from conftest import (conjugator_pool, perturb_columns, random_borel_element,
-                      random_sp4_element)
+                      random_sp4_element, stated_columns)
 from oracles import char_poly_cofactor, grid_pencil_ranks, poly_eval_mat, strata_from_minors
 
 ENTRIES = load_catalog()
@@ -189,7 +189,7 @@ def test_criterion_7_isomap_mutation_testing():
         a = e.samples()[0]
         pres_sc = (e.degraaf_at(a) or e.sw_at(a)).constants()
         sc = structure_constants_for_basis(e.basis_at(a))
-        iso = e.iso_columns_at(a)
+        iso = stated_columns(e, a)
         assert verify_isomorphism(pres_sc, sc, iso), e.row_id
         assert count_failures(pres_sc, sc, iso) >= 5, e.row_id
         tested += 1

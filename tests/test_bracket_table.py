@@ -12,6 +12,7 @@ and the int form is checked to be canonical.
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,18 +20,20 @@ from hypothesis import strategies as st
 
 from conftest import perturb_columns, random_sp4_element, sp4_recipes
 from oracles import (bracket_coords_fraction, change_basis_fraction, char_poly_det,
-                     close_pairs_matrix, combination, coords, fraction_rows, gauss_jordan,
+                     close_pairs_matrix, combination, coords, dense_brackets, fraction_rows,
+                     gauss_jordan,
                      in_sp4_product, moved_constants, rational_bracket_space, solve_in_span,
                      unit_rows)
-from sp4solvable import linalg, structure
+from sp4solvable import identify, linalg, structure, verify
 from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES, load_catalog
 from sp4solvable.errors import DependentInputs, Sp4Error
 from sp4solvable.invariants import signature
 from sp4solvable.linalg import Mat4, _char_poly_int, echelon_span, inverse
-from sp4solvable.identify import DeGraafClass, verify_isomorphism
+from sp4solvable.identify import DeGraafClass, identify_degraaf, verify_isomorphism
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, bracket, conjugate_subalgebra,
                              parse_conjugator)
+from sp4solvable.verify import verify_catalog
 from sp4solvable.structure import (StructureConstants, Subalgebra, _ad_num, _derived_pairs,
                                    _series, _units, bracket_space, generated_subalgebra,
                                    structure_constants, structure_constants_for_basis)
@@ -373,3 +376,59 @@ def test_a_span_outside_sp4_is_refused():
                   structure_constants_for_basis):
         with pytest.raises(Sp4Error, match=r"not in sp\(4\)"):
             build(gl4)
+
+
+def class_presentations(samples=DEFAULT_PARAM_SAMPLES):
+    """(class, dim, brackets) of every `_DEGRAAF` and `_SW` class, each with
+    a parameter at every tuple of the samples."""
+    for table in (identify._DEGRAAF, identify._SW):
+        for name, (dim, br) in table.items():
+            for params in itertools.product(samples, repeat=identify._arity(br)):
+                yield name, dim, br(*params) if callable(br) else br
+
+
+def test_from_brackets_gives_the_dense_table_of_every_class():
+    n = 0
+    for name, dim, br in class_presentations():
+        assert StructureConstants.from_brackets(dim, br).table == dense_brackets(dim, br), name
+        n += 1
+    # 8 + 4 * 8 + 2 * 64 de Graaf and 15 + 3 * 8 + 2 * 64 sw presentations
+    assert n == 335
+
+
+def test_a_table_broken_at_a_known_triple_raises_the_dense_builds_message():
+    # every class at its first sample, with each bracket entry in turn raised
+    # by 1: the table and the Jacobi verdict, with its first failing triple,
+    # are the dense build's
+    outcomes = Counter()
+    for name, dim, br in class_presentations(DEFAULT_PARAM_SAMPLES[:1]):
+        for (i, j), row in br.items():
+            for k in range(dim):
+                broken = {**br, (i, j): {**row, k: row.get(k, 0) + 1}}
+                want = dense_brackets(dim, broken)
+                try:
+                    got = StructureConstants.from_brackets(dim, broken).table
+                except Sp4Error as exc:
+                    got = str(exc)
+                assert got == want, (name, i, j, k)
+                outcomes[want if isinstance(want, str) else "a Lie algebra"] += 1
+    assert outcomes["a Lie algebra"] > 0
+    assert len([w for w in outcomes if w != "a Lie algebra"]) > 5  # several first triples
+
+
+def test_the_derived_algebra_is_eliminated_once_and_kept_unchanged():
+    # [g, g] is kept on the table: the series and the identifier read the
+    # one list, and after a certification every kept one is still the
+    # elimination of its table's rows, so no caller changed it
+    sub = Subalgebra(echelon_span([T(1, 0), X_ALPHA, X_AB, X_A2B]))
+    sc = sub.constants
+    derived = _derived_pairs(sc)
+    identify_degraaf(sc)
+    assert sub.derived[1] is derived and _derived_pairs(sc) is derived
+    verify._instance.cache_clear()
+    assert verify_catalog().overall_pass
+    kept = [verify._instance(e, a).sub.constants for e in load_catalog() for a in e.samples()]
+    assert all(t._derived is not None for t in kept)
+    assert all(t._derived == linalg.rref([t.num[i][j] for i, j in itertools.combinations(
+        range(t.dim), 2)]) for t in kept)
+    verify._instance.cache_clear()

@@ -21,7 +21,7 @@ from sp4solvable.structure import (StructureConstants, Subalgebra,
                                    structure_constants_for_basis)
 from sp4solvable.verify import random_subalgebra_probe, verify_catalog
 
-from conftest import clear_fact_caches, perturb_columns
+from conftest import clear_fact_caches, perturb_columns, stated_columns
 from oracles import (bracket_coords_fraction, is_antisymmetric, moved_constants, rational_rref,
                      satisfies_jacobi)
 
@@ -425,7 +425,7 @@ def test_verify_isomorphism_matches_the_pairwise_bracket_loop():
             continue
         a = e.samples()[0]
         maps.append(((e.degraaf_at(a) or e.sw_at(a)).constants(),
-                     structure_constants_for_basis(e.basis_at(a)), e.iso_columns_at(a)))
+                     structure_constants_for_basis(e.basis_at(a)), stated_columns(e, a)))
         dg = e.degraaf_at(a)
         if dg is not None:
             label, cols = sw_bridge_map(dg)

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sp4solvable.catalog import load_catalog
 from sp4solvable.identify import verify_isomorphism
@@ -14,7 +16,8 @@ from sp4solvable.rational import Q
 from sp4solvable.structure import Subalgebra, structure_constants_for_basis
 
 from conftest import sp4_block
-from oracles import change_basis_fraction, combination, coords, rational_rref, solve_in_span
+from oracles import (change_basis_fraction, combination, coords, gauss_jordan, rational_rref,
+                     solve_in_span)
 
 sympy = pytest.importorskip("sympy")
 
@@ -141,3 +144,22 @@ def test_hot_paths_never_flatten(monkeypatch):
         sc = structure_constants_for_basis(mats)
         assert sc.table == change_basis_fraction(sub.constants, cols)
         assert verify_isomorphism(sc, sub.constants, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda m: st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**6, 10**6)),
+             min_size=m, max_size=m), max_size=8)))
+def test_rref_is_the_primitive_form_of_fraction_gauss_jordan(rows):
+    # each RREF row of the `Fraction` oracle over its denominators and then
+    # its content is the canonical row: primitive, with a positive pivot
+    want = []
+    for r in gauss_jordan(rows):
+        ints = [int(x * math.lcm(*[y.denominator for y in r])) for x in r]
+        g = math.gcd(*ints)
+        want.append((next(i for i, x in enumerate(r) if x), [x // g for x in ints]))
+    given_rows = [list(r) for r in rows]
+    got = rref([tuple(r) for r in rows])
+    assert got == want
+    assert all(type(r) is list for _, r in got)
+    assert rref(given_rows) == want and given_rows == rows  # the input rows are not changed

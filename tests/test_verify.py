@@ -14,8 +14,8 @@ from sp4solvable import identify, invariants, structure, verify
 from sp4solvable.identify import verify_isomorphism
 from sp4solvable.catalog import (DEFAULT_PARAM_SAMPLES, INSTANCE_CACHE_SIZE, CatalogEntry,
                                  EquivClaim, catalog_from_json, load_catalog)
-from sp4solvable.errors import (CatalogFault, ExpressionLimit, FactorizationLimit,
-                                IrrationalSpectrum, ProbeLimit, Sp4Error)
+from sp4solvable.errors import (CatalogFault, DimensionMismatch, ExpressionLimit,
+                                FactorizationLimit, IrrationalSpectrum, ProbeLimit, Sp4Error)
 from sp4solvable.linalg import Mat4, char_poly
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import T, X_ALPHA, X_BETA, conjugate_subalgebra
@@ -25,7 +25,9 @@ from sp4solvable.verify import (VerificationReport, match_catalog,
                                 random_subalgebra_probe, verify_catalog,
                                 verify_entry, verify_separations)
 
-from conftest import SIEGEL, clear_fact_caches, conjugator_pool, shipped_dicts, siegel_plane
+from conftest import (SIEGEL, clear_fact_caches, conjugator_pool, shipped_dicts, siegel_plane,
+                      stated_columns)
+from oracles import all_pairs_separations, eval_fraction
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import rowsigs  # noqa: E402
@@ -642,12 +644,85 @@ def test_the_separations_count_the_bad_pairs_they_do_not_list():
                               "2 more")
 
 
+def test_four_bad_pairs_are_all_listed_with_no_count():
+    # three copies of one row and two of another: 3 + 1 colliding pairs
+    t, u = ENTRIES["d2_t"], ENTRIES["d2_T10_Xa"]
+    rep = verify_separations([t.replace(row_id=f"t{i}") for i in range(3)]
+                             + [u.replace(row_id=f"u{i}") for i in range(2)])
+    (failure,) = rep.failures
+    assert failure.check == "10 inequivalent pairs"
+    assert failure.detail == ("t0@- ~ t1@-: signatures collide; t0@- ~ t2@-: signatures collide; "
+                              "t1@- ~ t2@-: signatures collide; u0@- ~ u1@-: signatures collide")
+
+
 def test_a_claimed_equivalence_the_signatures_deny_fails_the_separations():
     # a -> 5-a puts 2 and 3 in one orbit, but T(2,1) and T(3,1) are not conjugate
     claim = EquivClaim("a -> 5-a", "identity", tgt_param="5-a")
     rep = verify_separations([ENTRIES["d1_T_a1"].replace(equivalences=(claim,))])
     (failure,) = rep.failures
     assert "d1_T_a1@2 ~ d1_T_a1@3: equivalent params separated" in failure.detail
+
+
+@pytest.mark.parametrize("case", ["shipped", "one row duplicated", "an orbit the signatures deny"])
+def test_the_bucketed_separations_match_the_all_pairs_scan(case):
+    # the records, pair counts, first four bad pairs in order and the count
+    # of the rest, as a scan of every same-dimension pair gives them
+    entries = load_catalog()
+    if case == "one row duplicated":
+        entries.append(ENTRIES["d1_T_a1"].replace(row_id="d1_T_a1_copy"))
+    elif case == "an orbit the signatures deny":
+        claim = EquivClaim("a -> 5-a", "identity", tgt_param="5-a")
+        entries = [e.replace(equivalences=(claim,)) if e.row_id == "d1_T_a1" else e
+                   for e in entries]
+    got = [(r.row_id, r.check, r.status, r.detail)
+           for r in verify_separations(entries).records]
+    assert got == all_pairs_separations(entries, DEFAULT_PARAM_SAMPLES)
+    fails = [detail for _, _, status, detail in got if status == "fail"]
+    assert len(fails) == (case != "shipped")
+    if case == "one row duplicated":
+        assert fails[0].endswith(" more")
+
+
+def test_the_stated_columns_are_read_as_ints_over_one_den():
+    # every stated map at every sample is the `Fraction` evaluation of its texts
+    n = 0
+    for e in ENTRIES.values():
+        if e.iso_columns is None:
+            continue
+        for a in e.samples():
+            cols, den = e.iso_columns_at(a)
+            assert den > 0 and all(type(x) is int for c in cols for x in c)
+            env = {} if a is None else {"a": a}
+            assert stated_columns(e, a) == [tuple(eval_fraction(str(x), env) for x in c)
+                                            for c in e.iso_columns], (e.row_id, a)
+            n += 1
+    assert n == 98  # the isomorphism-map checks of one certification
+
+
+def test_a_faulty_stated_map_fails_its_check_as_the_rational_reader_did():
+    # the fail records (detail included) that the `Fraction` reader of the
+    # stated columns gave: a pole at a sample, and a map that is not 3 x 3
+    e = ENTRIES["d3_Ta1_Xa_Xa2b"]
+
+    def map_record(row, a):
+        (r,) = [r for r in verify_entry(row, params=(a,)).records if r.check == "isomorphism-map"]
+        return r.status, r.detail
+
+    pole = [list(c) for c in e.iso_columns]
+    pole[1][2] = "1/(a-2)"
+    assert map_record(e.replace(iso_columns=pole), Q(2)) == (
+        "fail", "ZeroDivisionError('Fraction(1, 0)')")
+    assert map_record(e.replace(iso_columns=pole), Q(3)) == (
+        "fail", "L3(-3/16) -> <T(a,1), X_alpha, X_alpha+2beta>")
+    mismatch = ("fail", "DimensionMismatch('isomorphism map has inconsistent dimensions')")
+    for columns in (e.iso_columns[:2], (e.iso_columns[0][:2],) + e.iso_columns[1:],
+                    e.iso_columns + (e.iso_columns[0],)):
+        assert map_record(e.replace(iso_columns=columns), Q(3)) == mismatch
+    src = e.degraaf_at(Q(3)).constants()
+    with pytest.raises(DimensionMismatch):
+        identify._square_map(src, src, e.replace(iso_columns=e.iso_columns[:2]).iso_columns_at(
+            Q(3))[0])
+    verify._instance.cache_clear()
 
 
 def test_a_draw_that_matches_no_row_fails(monkeypatch):
@@ -779,7 +854,7 @@ def test_the_map_check_agrees_with_the_rational_map_on_the_stated_table():
                 inst = verify._instance(row, a)
                 want = verify_isomorphism((row.degraaf_at(a) or row.sw_at(a)).constants(),
                                           inst.sub.constants_in(row.basis_at(a)),
-                                          row.iso_columns_at(a))
+                                          stated_columns(row, a))
                 status = map_status(row, a)
                 assert status == ("pass" if want else "fail"), (row.row_id, a)
                 statuses[status] += 1
