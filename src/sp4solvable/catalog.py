@@ -28,7 +28,7 @@ The tables are data: `catalog.json` (`CATALOG_FILE`), next to this module,
 is what `export-catalog` prints unchanged, and `load_catalog()` reads it
 once through `catalog_from_json`, the one codec of a row.  Loading needs
 only rationals and errors (rows are `rational.Record`s); the package's lazy
-lookup loads `exprs` on the first evaluation of a row's expressions,
+lookup loads `exprs` on the first read of a row's expressions,
 `linalg` and `sp4` when the first instance is built (`rows_at`,
 `basis_at`, `space_at`), and `identify`, which holds the labels with
 both reference catalogs (and loads `linalg` and `structure`), on the first
@@ -89,7 +89,7 @@ def _constant(expr) -> Q | int:
 
 @lru_cache(maxsize=INSTANCE_CACHE_SIZE)
 def _names_param(entry: CatalogEntry) -> bool:
-    return any(isinstance(x, str) and "a" in x for spec in entry.basis for x in spec)
+    return _package.exprs.names_param(*[x for spec in entry.basis for x in spec])
 
 
 def _num_rows(specs, env) -> tuple[list[list[int]], int]:

@@ -28,16 +28,20 @@ is evaluated: an unknown name raises ValueError, a zero divisor
 `MAX_POWER_BITS` bits of its reduced base (a catalog formula at a huge
 sample) `ExpressionLimit`, a ValueError that is also an out-of-domain
 `Sp4Error`.
+
+Whether a text names the parameter is read off its name tokens, not its
+letters (`names_param`): a recipe's ``diag`` or ``shear:alpha`` names none.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from .errors import ExpressionLimit
 from .rational import Q, _lowest_terms
 
-__all__ = ["eval_expr"]
+__all__ = ["eval_expr", "names_param"]
 
 MAX_EXPONENT = 64
 MAX_POWER_BITS = 1 << 12
@@ -202,3 +206,15 @@ def _compiled(text: str):
 def eval_expr(text: str, env: dict | None = None):
     """Evaluate an expression string to an exact rational."""
     return Q(*_compiled(str(text))(env or {}))
+
+
+_WORDS = re.compile(r"\w+").findall
+
+
+def names_param(*texts) -> bool:
+    """Whether some text names the row parameter ``a``: whether one of its
+    name tokens, the maximal runs of letters, digits and ``_`` as the
+    parser reads a name, is ``a``.  A conjugator recipe's atom and root
+    names (``diag``, ``shear:alpha``) are tokens of their own, and an int
+    coefficient names nothing."""
+    return any("a" in _WORDS(str(t)) for t in texts)

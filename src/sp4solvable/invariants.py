@@ -16,14 +16,15 @@ The signature bundles, for a closed solvable subalgebra g of sp(4):
   derived series.  It is computed on the complement's int coordinate rows:
   tr(xy) pairs each of the ten root coordinates with one partner under a
   fixed weight (`linalg._TRACE_FORM`), so the int Gram matrix is read off
-  the rows with no matrix laid out (`linalg._trace_gram`); of its int
-  kernel, each element m alone is laid out and tested nilpotent as
-  tr m^2 = tr m^4 = 0, off one int product (`linalg._even_traces`; the
-  nilpotent elements of a solvable g form a subspace, so that tests the
-  whole radical);
+  the rows with no matrix laid out (`linalg._trace_gram`); each element
+  m of its int kernel is tested nilpotent as tr m^2 = tr m^4 = 0 on its
+  coordinates, by the one square kernel (`linalg._sp4_square`), with no
+  matrix laid out either (the nilpotent elements of a solvable g form a
+  subspace, so that tests the whole radical);
 * the rank stratification of N(g): for dim 1 the rank of the line, read
-  off its square and one rank-one test (`jordan._nilpotent_rank`); for dim
-  2 the number of lines of each rank on the projective line of the pencil
+  off the six ints of its square (`linalg._sp4_square`) and one rank-one
+  test (`jordan._nilpotent_rank`); for dim 2 the number of lines of each
+  rank on the projective line of the pencil
   (`pencil_rank_strata`, which checks the plane on the int rows it
   eliminates anyway), counted over the algebraic closure off the pencil's
   rank <= 1 and rank <= 2 loci by squarefree degrees, so no root is found
@@ -74,8 +75,9 @@ Facts of one piece of g are kept per piece, in bounded caches of
 `catalog.INSTANCE_CACHE_SIZE` entries: the catalog's 120 instances share
 15 distinct N(g), and its 102 of codimension 1 share 15 distinct x0.
 `nilpotent_strata` is kept per `Subspace` N(g) (`_nilpotent_facts`).  Per
-`Mat4` x0 are kept its traces with its char poly (`_x0_facts`), read by the
-regularity test, `verify`'s parameter candidates and the probe.  The
+`Mat4` x0 are kept its traces, off the square kernel on its coordinates,
+with its char poly (`_x0_facts`), read by the regularity test, `verify`'s
+parameter candidates and the probe.  The
 nilpotent Jordan part of a non-regular x0, which `ss_content` reads, is a
 closed form (`jordan_decompose`) and is not kept.  A refusal is never kept,
 so it is raised again on every call.
@@ -94,8 +96,8 @@ from operator import mul
 
 from .catalog import INSTANCE_CACHE_SIZE
 from .errors import DependentInputs, IrrationalSpectrum, NotSolvable, Sp4Error
-from .linalg import (Mat4, Poly, _char_poly_int, _even_traces, _from_coords, _kernel_int,
-                     _mul_num, _newton, _pivot_coords, _trace_gram, generic_rank, rref,
+from .linalg import (Mat4, Poly, _char_poly_int, _from_coords, _kernel_int, _newton,
+                     _pivot_coords, _read_coords, _sp4_square, _trace_gram, generic_rank, rref,
                      Subspace)
 from .linalg import char_poly  # noqa: F401  perfbench's tracer test reads this binding
 from .rational import Q, Record, format_rational
@@ -138,9 +140,10 @@ def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
     [3,1] (Collingwood and McGovern, 1993), so x(t0) has rank <= 2 exactly
     when x(t0)^2 = 0, and rank <= 1 when its 2-minors vanish.  For n1 = A/d,
     n2 = B/d, each locus is the common roots of quadratics in t (the 36
-    2-minors; the 16 entries of x(t)^2 = B^2 + t(AB + BA) + t^2 A^2), whose
-    gcd is that of an `rref` basis of their coefficient rows; a family
-    that vanishes identically bounds the generic rank instead.  The lines of
+    2-minors; the six ints that fix x(t)^2 = B^2 + t(AB + BA) + t^2 A^2,
+    from the square kernel `linalg._sp4_square`), whose gcd is that of an
+    `rref` basis of their coefficient rows; a family that vanishes
+    identically bounds the generic rank instead.  The lines of
     rank <= k are the distinct roots of that gcd, counted by the degree of
     its squarefree part, and t = infinity when every basis row has a zero
     t^2 coefficient (the 2-minors of A, or A^2, vanish).  The loci are
@@ -149,20 +152,23 @@ def pencil_rank_strata(n1: Mat4, n2: Mat4) -> PencilStrata:
 
     The refusals read the same int rows: n1 and n2 are independent iff A and
     B are (`rref`), and an sp(4) element has odd power traces 0, so it is
-    nilpotent iff tr x^2 = tr x^4 = 0 (`linalg._even_traces`).  Both traces
-    of x(t) are polynomials of degree at most 4 in t, so they vanish for
-    every t iff they vanish at the five points t = -2, ..., 2.
+    nilpotent iff tr x^2 = tr x^4 = 0 (`linalg._sp4_square`, on the
+    coordinates of x(t)).  Both traces of x(t) are polynomials of degree at
+    most 4 in t, so they vanish for every t iff they vanish at the five
+    points t = -2, ..., 2.  The squares of A, B and A + B give the middle
+    coefficient AB + BA by polarization.
     """
     den = math.lcm(n1.den, n2.den)
     a = [x * (den // n1.den) for x in n1.num]
     b = [x * (den // n2.den) for x in n2.num]
     if len(rref([a, b])) != 2:
         raise DependentInputs("pencil needs two independent matrices")
+    ca, cb = _read_coords(a), _read_coords(b)
     if not (in_sp4(n1) and in_sp4(n2)) or any(
-            any(_even_traces([t * x + y for x, y in zip(a, b)])[1:]) for t in range(-2, 3)):
+            any(_sp4_square([t * x + y for x, y in zip(ca, cb)])[1:]) for t in range(-2, 3)):
         raise Sp4Error("pencil_rank_strata needs a nilpotent pencil in sp(4)")
-    ab, ba = _mul_num(a, b), _mul_num(b, a)
-    square = list(zip(_mul_num(b, b), [x + y for x, y in zip(ab, ba)], _mul_num(a, a)))
+    sa, sb, sab = [_sp4_square(c)[0] for c in (ca, cb, [x + y for x, y in zip(ca, cb)])]
+    square = [(v, w - u - v, u) for u, v, w in zip(sa, sb, sab)]
     # the 2-minor x[p] x[s] - x[q] x[r] of rows i, j and columns k, l
     minors = [(b[p] * b[s] - b[q] * b[r], a[p] * b[s] + b[p] * a[s] - a[q] * b[r] - b[q] * a[r],
                a[p] * a[s] - a[q] * a[r])
@@ -212,10 +218,9 @@ def nilpotent_subspace(g: Subalgebra) -> Subspace:
     nums = [r for _, _, r in comp]
     # a kernel vector w of the Gram matrix of the B_j = r_j, the b_j times
     # their pivots, on C gives sum_j w_j B_j, whose coordinate at b_j is
-    # w_j*r_j[c_j]; only it is laid out, for its traces
+    # w_j*r_j[c_j]; its traces are read on its coordinates
     for _, w in _kernel_int(_trace_gram(nums), len(nums)):
-        m = _from_coords([sum(map(mul, w, col)) for col in zip(*nums)], 1)
-        _, t2, t4 = _even_traces(m.num)
+        _, t2, t4 = _sp4_square([sum(map(mul, w, col)) for col in zip(*nums)])
         if t2 or t4:
             raise IrrationalSpectrum(
                 "trace-form radical contains a non-nilpotent element; "
@@ -340,8 +345,8 @@ def _nilpotent_facts(nspace: Subspace) -> tuple:
     if dn == 0:
         return ()
     if dn == 1:
-        m = nspace.basis[0].num
-        return (("rank", _nilpotent_rank(m, _mul_num(m, m))),)
+        r = nspace.pairs[0][1]
+        return (("rank", _nilpotent_rank(_from_coords(r, 1).num, _sp4_square(r)[0])),)
     if dn == 2:
         return (("pencil",) + pencil_rank_strata(*nspace.basis).summary(),)
     return (("generic", generic_rank(list(nspace.basis))),)
@@ -350,8 +355,9 @@ def _nilpotent_facts(nspace: Subspace) -> tuple:
 @lru_cache(maxsize=INSTANCE_CACHE_SIZE)
 def _x0_facts(x0: Mat4) -> tuple:
     """((t2, t4, den), char poly) of an sp(4) element x0 = m/den, kept per `Mat4`,
-    off one read of t2 = tr m^2 and t4 = tr m^4 (tr m = tr m^3 = 0 on sp(4))."""
-    _, t2, t4 = _even_traces(x0.num)
+    off one read of t2 = tr m^2 and t4 = tr m^4 (tr m = tr m^3 = 0 on sp(4))
+    by the square kernel on the coordinates of m."""
+    _, t2, t4 = _sp4_square(_read_coords(x0.num))
     return (t2, t4, x0.den), _newton((0, t2, 0, t4), x0.den)
 
 

@@ -37,9 +37,12 @@ matrix by Newton's identities (`_newton`), exact in ints: `_char_poly_int`
 reads those of an n x n one off the powers up to ceil(n/2), and `char_poly`
 is it on a 4x4 matrix.  The tests cross-check both against a cofactor
 expansion of det(lambda*I - m).  An sp(4) element has tr x = tr x^3 = 0,
-so its spectrum is read off tr x^2 and tr x^4 alone (`_even_traces`), with
-no polynomial built; the signature's x0 has the char poly
-`_newton((0, t2, 0, t4), den)`.
+so its spectrum is read off tr x^2 and tr x^4 alone, with no polynomial
+built; the signature's x0 has the char poly `_newton((0, t2, 0, t4), den)`.
+Both traces come from the one square kernel on the ten coordinates
+(`_sp4_square`): x = [[A, B], [C, -A^t]] squares to [[P, qJ], [rJ, P^t]],
+so six ints fix x^2 and no 4x4 product is made; x^3 = x^2 x is read on
+the coordinates too (`_sp4_cube`).
 """
 
 from __future__ import annotations
@@ -526,14 +529,6 @@ def _over_common_den(values) -> tuple[tuple[int, ...], int]:
     return tuple([q.numerator * (den // d) for q, d in zip(qs, dens)]), den
 
 
-def _even_traces(a: Sequence[int]) -> tuple[list[int], int, int]:
-    """(a^2, tr a^2, tr a^4) of a row-major 4x4 int grid a, off one int
-    product: tr a^4 is the dot product of a^2 with its flat transpose."""
-    a2 = _mul_num(a, a)
-    return (a2, a2[0] + a2[5] + a2[10] + a2[15],
-            sum(map(mul, a2, a2[0::4] + a2[1::4] + a2[2::4] + a2[3::4])))
-
-
 def char_poly(m: Mat4) -> Poly:
     """Characteristic polynomial det(lambda*I - m), exact, degree 4
     (`_char_poly_int` on the int rows of den*m)."""
@@ -631,6 +626,41 @@ def _sp4_coords(m: Mat4) -> tuple[int, ...] | None:
     the one membership test, m is in sp(4) iff its coordinates lay out to it."""
     c = _read_coords(m.num)
     return c if tuple([s * c[k] for k, s in _LAYOUT]) == m.num else None
+
+
+# x = [[A, B], [C, -A^t]] with B, C symmetric squares to [[P, qJ], [rJ, P^t]],
+# J = [[0, 1], [-1, 0]]: P = A^2 + BC, and AB - BA^t and CA - A^tC are
+# antisymmetric, q and r their entries at (1, 2).  So x^4 has the diagonal
+# blocks P^2 - qr I and (P^2)^t - qr I.
+
+def _sp4_square(c: Sequence[int]) -> tuple[tuple[int, ...], int, int]:
+    """(s, tr x^2, tr x^4) of the sp(4) element x with the ten int
+    coordinates c, where s = (P11, P12, P21, P22, q, r) fixes x^2 (see
+    above): tr x^2 = 2 tr P and tr x^4 = 2 tr P^2 - 4qr, off 18 int products
+    and 4 more, with no matrix laid out."""
+    a11, a12, b11, b12, a21, a22, b22, c11, c12, c22 = c
+    ta, u, v = a11 + a22, a12 * a21, b12 * c12
+    p11 = a11 * a11 + u + b11 * c11 + v
+    p22 = a22 * a22 + u + b22 * c22 + v
+    p12 = a12 * ta + b11 * c12 + b12 * c22
+    p21 = a21 * ta + b12 * c11 + b22 * c12
+    q = b12 * (a11 - a22) + a12 * b22 - b11 * a21
+    r = c12 * (a22 - a11) + c11 * a12 - c22 * a21
+    return ((p11, p12, p21, p22, q, r), 2 * (p11 + p22),
+            2 * (p11 * p11 + 2 * p12 * p21 + p22 * p22) - 4 * q * r)
+
+
+def _sp4_cube(c: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:
+    """The ten coordinates of x^3 = x^2 x, which lies in sp(4), for the
+    coordinates c of x and the square s of `_sp4_square`: its blocks are
+    PA + qJC, PB - qJA^t and rJA + P^tC."""
+    a11, a12, b11, b12, a21, a22, b22, c11, c12, c22 = c
+    p11, p12, p21, p22, q, r = s
+    return (p11 * a11 + p12 * a21 + q * c12, p11 * a12 + p12 * a22 + q * c22,
+            p11 * b11 + p12 * b12 - q * a12, p11 * b12 + p12 * b22 - q * a22,
+            p21 * a11 + p22 * a21 - q * c11, p21 * a12 + p22 * a22 - q * c12,
+            p21 * b12 + p22 * b22 + q * a21, r * a21 + p11 * c11 + p21 * c12,
+            r * a22 + p11 * c12 + p21 * c22, p12 * c12 + p22 * c22 - r * a12)
 
 
 def _trace_pairing() -> tuple[tuple[int, int, int], ...]:

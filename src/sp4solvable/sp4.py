@@ -35,10 +35,16 @@ g g^{-1} = I by one product (`_group_inverse_num`, behind `in_sp4_group`).
 the nonzero entries of b, g and g^{-1} only, so its cost follows their
 nonzeros: the named conjugators and the diagonal ones are monomial (four
 nonzeros), and each then costs one term per nonzero of b.  Each image is
-read at the ten coordinates untested, as Ad(g) keeps sp(4).
+read at the ten coordinates untested, as Ad(g) keeps sp(4).  Those
+nonzeros are kept per conjugator (`_conjugation`), so the certifier, which
+conjugates many spans by each conjugator it keeps (`verify._conjugator`),
+tests each g and inverts it once; a g outside Sp(4) is refused on every
+call.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import ExpressionLimit, Sp4Error
 from .exprs import eval_expr
@@ -136,20 +142,30 @@ def conjugate(g: Mat4, x: Mat4) -> Mat4:
     return g * x * inverse(g)
 
 
+# as many as the certifier keeps conjugators (catalog.INSTANCE_CACHE_SIZE);
+# a refusal raises on every call, as lru_cache keeps no exception
+@lru_cache(maxsize=1024)
+def _conjugation(g: Mat4) -> tuple[tuple, tuple]:
+    """(cols, rows) of a conjugator g, kept per `Mat4`: (4i, g_ik) for each
+    nonzero of column k of g, and (j, (g^{-1})_lj) of row l of g^{-1}
+    (`_group_inverse_num`); Sp4Error for g outside Sp(4)."""
+    a = g.num
+    if (inv := _group_inverse_num(g)) is None:
+        raise Sp4Error("conjugate_subalgebra needs a conjugator in Sp(4)")
+    return (tuple([tuple([(n & 12, a[n]) for n in range(k, 16, 4) if a[n]]) for k in range(4)]),
+            tuple([tuple([(n & 3, inv[n]) for n in range(4 * l, 4 * l + 4) if inv[n]])
+                   for l in range(4)]))
+
+
 def conjugate_subalgebra(g: Mat4, s: Subspace) -> Subspace:
     """Element-wise Adjoint image g s g^{-1} under the action of Sp(4),
     re-echelonized; dimension is preserved.  g^{-1} comes from the group
-    test (`_group_inverse_num`), so a g outside Sp(4) raises Sp4Error.  Each
+    test (`_conjugation`), so a g outside Sp(4) raises Sp4Error.  Each
     g b g^{-1} is one int accumulation of b_kl g_ik (g^{-1})_lj over the
     nonzeros of b, of column k of g and of row l of g^{-1}, so its cost
     follows the nonzeros: one term per nonzero of b for a monomial g, and
     at most 256 for dense ones."""
-    a = g.num
-    if (inv := _group_inverse_num(g)) is None:
-        raise Sp4Error("conjugate_subalgebra needs a conjugator in Sp(4)")
-    # (4i, g_ik) for each nonzero of column k of g, and (j, (g^-1)_lj) of row l
-    cols = [[(n & 12, a[n]) for n in range(k, 16, 4) if a[n]] for k in range(4)]
-    rows = [[(n & 3, inv[n]) for n in range(4 * l, 4 * l + 4) if inv[n]] for l in range(4)]
+    cols, rows = _conjugation(g)
     out = []
     for _, r in s.pairs:
         acc = [0] * 16

@@ -26,8 +26,10 @@ check's fail, with its repr as detail; the size limits `ExpressionLimit`,
 separations inside each dimension are certified by a differing signature
 field; only the pairs of one row or of one signature hash can fail, so only
 those are visited, and the rest are counted.  A row's parameter orbit is
-kept per (row, a) (`_orbit`), and a conjugator recipe that names no `a` is
-parsed once (`_conjugator`).  A randomized probe matches closed random
+kept per (row, a) (`_orbit`), and a conjugator recipe that names no `a`
+among its name tokens (`exprs.names_param`) is parsed once
+(`_conjugator`); each conjugator is tested and inverted once
+(`sp4._conjugation`).  A randomized probe matches closed random
 Borel seeds back into the catalog: each draw must match exactly one row,
 and a row whose data faults fails the draw.  `match_catalog` builds each parameterized row at
 one candidate per parameter orbit, the orbits its self-equivalence claims
@@ -55,7 +57,7 @@ from .catalog import (DEFAULT_PARAM_SAMPLES, INSTANCE_CACHE_SIZE, CatalogEntry, 
                       coord_span, load_catalog)
 from .errors import (CatalogFault, ExpressionLimit, FactorizationLimit, IrrationalSpectrum,
                      OutputLimit, ProbeLimit, Sp4Error)
-from .exprs import eval_expr
+from .exprs import eval_expr, names_param
 from .identify import (DeGraafClass, _isomorphism_num, _square_map, degraaf_to_sw,
                        identify_degraaf, sw_bridge_map, verify_isomorphism)
 from .invariants import _SignatureWork, _x0_facts
@@ -313,7 +315,7 @@ def _claim_holds(entry: CatalogEntry, claim, val) -> tuple:
         tgt = _instance(entry, tgt_param).sub.space
     else:
         tgt = coord_span(claim.tgt, env)
-    g = _conjugator(claim.recipe, val if "a" in claim.recipe else None)
+    g = _conjugator(claim.recipe, val if names_param(claim.recipe) else None)
     return conjugate_subalgebra(g, src) == tgt, claim.recipe
 
 

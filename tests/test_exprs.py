@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from oracles import eval_fraction
 from sp4solvable import exprs, verify
-from sp4solvable.errors import ExpressionLimit
-from sp4solvable.exprs import MAX_EXPONENT, MAX_POWER_BITS, eval_expr
+from sp4solvable.catalog import load_catalog
+from sp4solvable.errors import ExpressionLimit, Sp4Error
+from sp4solvable.exprs import MAX_EXPONENT, MAX_POWER_BITS, eval_expr, names_param
+from sp4solvable.sp4 import parse_conjugator
 from sp4solvable.rational import Q
 
 
@@ -130,3 +132,29 @@ def test_the_value_errors_and_the_power_edge_match_fractions(text, env, want):
     assert got == _outcome(eval_fraction, text, env)
     assert got == want if type(want) is Q else got[0] is want
     assert MAX_POWER_BITS == 64 * 64
+
+
+def _needs_a(parse, text) -> bool:
+    """Whether parsing text with no `a` in the environment fails on the name."""
+    try:
+        parse(text)
+    except (Sp4Error, ValueError) as exc:
+        return "unknown name 'a'" in str(exc)
+    return False
+
+
+def test_a_text_names_the_parameter_iff_parsing_it_needs_a():
+    # each shipped recipe and basis expression, read by name tokens: the
+    # letter a in diag or shear:alpha names nothing
+    entries = load_catalog()
+    recipes = {c.recipe for e in entries for c in e.equivalences}
+    for recipe in recipes:
+        assert names_param(recipe) == _needs_a(parse_conjugator, recipe), recipe
+    assert 0 < sum(map(names_param, recipes)) < sum("a" in r for r in recipes)
+    texts = {x for e in entries for spec in e.basis for x in spec if isinstance(x, str)}
+    for text in texts:
+        assert names_param(text) == _needs_a(eval_expr, text), text
+    for e in entries:
+        assert e.param == _needs_a(e.rows_at, None), e.row_id
+    assert names_param(2, "a2", "2*b") is False and names_param("1", " a ") is True
+

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from sp4solvable.errors import (IrrationalSpectrum, NotInBorel, NotInSp4,
                                 NotSemisimple)
-from sp4solvable import jordan, linalg
+from sp4solvable import jordan, linalg, sp4
 from sp4solvable.cli import main
 from sp4solvable.jordan import (JordanDecomposition, OrbitLabel, _eigen_pair, classify_element,
                                 conjugate_ss_into_cartan, jordan_decompose, jordan_type)
-from sp4solvable.linalg import Mat4, Poly, _even_traces, inverse, rational_roots
+from sp4solvable.linalg import Mat4, Poly, _sp4_coords, _sp4_square, inverse, rational_roots
 from sp4solvable.rational import Q, ZERO
 from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, _weyl_pairs, conjugate,
                              in_sp4, parse_conjugator, shear)
@@ -180,40 +180,46 @@ def test_char_poly_facts_match_newton_oracle(rng):
 
 
 def test_classify_element_reads_one_trace_product(monkeypatch):
-    # the row is read off m^2, tr m^2 and tr m^4 of one int product; only the
-    # b = 0 rows multiply once more, by m^2 m, no polynomial is built and no
-    # nilpotent input is echelonized
-    traces, products = [], []
-    even_traces, mul_num = jordan._even_traces, linalg._mul_num
+    # the row is read off one membership read of the ten coordinates and one
+    # square kernel on them; only the b = 0 rows take the cube as well; no
+    # 4x4 product is made, no polynomial is built and nothing is
+    # decomposed or echelonized
+    calls = {"coords": [], "square": [], "cube": []}
+    real = {"coords": jordan._sp4_coords, "square": jordan._sp4_square,
+            "cube": jordan._sp4_cube}
 
-    def counting_traces(a):
-        traces.append(a)
-        return even_traces(a)
-
-    def counting_mul(a, b):
-        products.append((a, b))
-        return mul_num(a, b)
+    def counting(name):
+        def call(*args):
+            calls[name].append(args)
+            return real[name](*args)
+        return call
 
     def forbidden(*args):
-        raise AssertionError("classify_element did polynomial, decomposition or elimination work")
+        raise AssertionError("classify_element did product, polynomial, decomposition or "
+                             "elimination work")
 
-    cases = ((T(2, 3), "T_ab", 1), (X_ALPHA, "X_alpha", 1), (X_BETA, "X_beta", 1),
-             (X_ALPHA + X_BETA, "X_alpha_plus_X_beta", 1), (Mat4.zero(), "zero", 1),
-             (T(1, 1), "T_aa", 1), (T(1, 0), "T_a0", 2),
-             (T(1, 1) + X_BETA, "T_aa_plus_X_beta", 1),
-             (T(1, 0) + X_ALPHA, "T_a0_plus_X_alpha", 2))
-    monkeypatch.setattr(jordan, "_even_traces", counting_traces)
-    monkeypatch.setattr(jordan, "_mul_num", counting_mul)
-    monkeypatch.setattr(linalg, "_mul_num", counting_mul)
+    cases = ((T(2, 3), "T_ab", 0), (X_ALPHA, "X_alpha", 0), (X_BETA, "X_beta", 0),
+             (X_ALPHA + X_BETA, "X_alpha_plus_X_beta", 0), (Mat4.zero(), "zero", 0),
+             (T(1, 1), "T_aa", 0), (T(1, 0), "T_a0", 1),
+             (T(1, 1) + X_BETA, "T_aa_plus_X_beta", 0),
+             (T(1, 0) + X_ALPHA, "T_a0_plus_X_alpha", 1),
+             (conjugate(parse_conjugator("shear:beta:2 W"), T(Q(3, 2), 0) + X_ALPHA),
+              "T_a0_plus_X_alpha", 1))
+    monkeypatch.setattr(jordan, "_sp4_coords", counting("coords"))
+    monkeypatch.setattr(jordan, "_sp4_square", counting("square"))
+    monkeypatch.setattr(jordan, "_sp4_cube", counting("cube"))
     for module, name in ((jordan, "char_poly"), (jordan, "rational_roots"), (Poly, "_make"),
-                         (jordan, "jordan_decompose"), (jordan, "rank"), (linalg, "rref")):
+                         (jordan, "jordan_decompose"), (jordan, "rank"), (linalg, "rref"),
+                         (linalg, "_mul_num"), (sp4, "_mul_num"), (Mat4, "__mul__"),
+                         (Mat4, "__rmul__")):
         monkeypatch.setattr(module, name, forbidden)
-    for x, row, n_products in cases:
-        traces.clear()
-        products.clear()
+    for x, row, n_cubes in cases:
+        for v in calls.values():
+            v.clear()
         assert classify_element(x).row == row
-        assert traces == [x.num]
-        assert len(products) == n_products
+        assert calls["coords"] == [(x,)]
+        assert calls["square"] == [(_sp4_coords(x),)]
+        assert len(calls["cube"]) == n_cubes
 
 
 # a table-row representative with small rational parameters, conjugated by a
@@ -234,7 +240,7 @@ _LEVI_ELEMENTS = st.lists(st.integers(-4, 4), min_size=4, max_size=4).map(
 def test_the_pair_from_two_traces_is_the_cofactor_char_poly_roots(x):
     p = char_poly_cofactor(x)
     roots = rational_roots(p)
-    _, t2, t4 = _even_traces(x.num)
+    _, t2, t4 = _sp4_square(_sp4_coords(x))
     assert (t2 == t4 == 0) == (p == Poly([0, 0, 0, 0, 1]))
     if sum(roots.values()) < 4:
         with pytest.raises(IrrationalSpectrum, match="irrational eigenvalues"):
@@ -334,7 +340,7 @@ def test_the_nilpotent_rank_is_the_rank_by_elimination(rng, tmp_path, capsys):
         for y in [x] + [conjugate(g, x * s) for g in pool for s in (-1, Q(3, 7))]:
             assert in_sp4(y)
             m = y.num
-            r = jordan._nilpotent_rank(m, linalg._mul_num(m, m))
+            r = jordan._nilpotent_rank(m, _sp4_square(_sp4_coords(y))[0])
             assert r == linalg.rank(y)
             seen.add(r)
             path = tmp_path / "x.json"
@@ -466,7 +472,7 @@ def test_the_closed_form_is_the_newton_decomposition(x):
     (_imaginary_a0(2, 3), Poly([0, 0, 2, 0, 1]))])   # l^2 (l^2 + 2)
 def test_an_imaginary_pair_gets_a_positive_denominator(x, p, rng):
     # a^2 < 0: tr x^2 < 0, the closed form's denominator is made positive
-    assert char_poly_cofactor(x) == p and _even_traces(x.num)[1] < 0
+    assert char_poly_cofactor(x) == p and _sp4_square(_sp4_coords(x))[1] < 0
     for g in [Mat4.identity()] + conjugator_pool(rng, 6):
         y = conjugate(g, x)
         dec = jordan_decompose(y)

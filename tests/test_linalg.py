@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from sp4solvable.errors import (FactorizationLimit, SingularMatrix, Sp4Error,
                                 ZeroPolynomial)
 from sp4solvable.linalg import (_TRACE_FORM, Mat4, Poly, _char_poly_int, _from_coords,
-                                _kernel_int, _over_common_den, _trace_gram, char_poly, echelon_span, generic_rank, inverse, kernel, rank,
-                                rational_roots, rref)
+                                _kernel_int, _over_common_den, _sp4_coords, _sp4_cube,
+                                _sp4_square, _trace_gram, char_poly, echelon_span, generic_rank,
+                                inverse, kernel, rank, rational_roots, rref)
 from sp4solvable.rational import (Q, exact_isqrt, factor_int, format_rational,
                                   parse_rational, power_free_split, rational_sqrt)
 from sp4solvable.sp4 import T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA, bracket
@@ -255,6 +256,28 @@ def test_the_trace_form_table_is_the_trace_of_the_product():
 def test_the_trace_gram_of_int_rows_is_the_trace_of_the_products(rows):
     mats = [_from_coords(r, 1) for r in rows]
     assert _trace_gram(rows) == [[(x * y).trace() for y in mats] for x in mats]
+
+
+# coordinates of every size: small ones, where cancellations make zero blocks,
+# and ones past 2^64
+_coord_ints = st.one_of(st.integers(-3, 3), st.integers(-2**80, 2**80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_coord_ints, min_size=10, max_size=10), st.integers(1, 10**20))
+def test_the_square_kernel_is_the_4x4_product(c, den):
+    # x = c/den laid out; x^2 = [[P, qJ], [rJ, P^t]] is the Mat4 product, and
+    # so are tr x^2, tr x^4 and the coordinates of x^3
+    x = _from_coords(c, den)
+    s, t2, t4 = _sp4_square(c)
+    p11, p12, p21, p22, q, r = s
+    x2 = x * x
+    assert Mat4._make([p11, p12, 0, q, p21, p22, -q, 0, 0, r, p11, p21, -r, 0, p12, p22],
+                      den**2) == x2
+    assert Q(t2, den**2) == x2.trace()
+    assert Q(t4, den**4) == (x2 * x2).trace()
+    assert _from_coords(_sp4_cube(c, s), den**3) == x2 * x
+    assert _sp4_coords(x2 * x) is not None
 
 
 def test_solve_in_span_roundtrips_on_a_non_echelon_basis():

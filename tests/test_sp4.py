@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sp4solvable import sp4
 from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES, load_catalog
 from sp4solvable.errors import ExpressionLimit, Sp4Error
 from sp4solvable.linalg import Mat4, _from_coords, char_poly, echelon_span, inverse
@@ -273,10 +274,13 @@ def test_conjugate_subalgebra_inverts_symplectically(recipe, word, space):
 
 
 def test_conjugate_subalgebra_refuses_a_conjugator_outside_sp4():
+    # on every call: the kept conjugations hold no refusal
     s = standard_subalgebra("b")
-    for g in (Mat4.diag(2, 3, Q(1, 2), 1), Mat4.zero(), Mat4.diag(1, 1, 1, 1) * 2):
-        with pytest.raises(Sp4Error, match="conjugator in Sp"):
+    kept = sp4._conjugation.cache_info().currsize
+    for g in (Mat4.diag(2, 3, Q(1, 2), 1), Mat4.zero(), Mat4.diag(1, 1, 1, 1) * 2) * 2:
+        with pytest.raises(Sp4Error, match=r"^conjugate_subalgebra needs a conjugator in Sp\(4\)$"):
             conjugate_subalgebra(g, s)
+    assert sp4._conjugation.cache_info().currsize == kept
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sp4solvable import identify, invariants, structure, verify
+from sp4solvable import identify, invariants, sp4, structure, verify
 from sp4solvable.identify import verify_isomorphism
 from sp4solvable.catalog import (DEFAULT_PARAM_SAMPLES, INSTANCE_CACHE_SIZE, CatalogEntry,
                                  EquivClaim, catalog_from_json, load_catalog)
@@ -102,6 +102,24 @@ def test_verify_catalog_builds_each_bracket_table_once(monkeypatch):
     assert verify_catalog().overall_pass
     # one table per catalog instance: the separations reuse the per-row ones
     assert 0 < len(calls) <= 120
+
+
+def test_each_conjugator_is_tested_and_inverted_once(monkeypatch):
+    # a certify pass conjugates many claim spans by each conjugator it keeps;
+    # the group test that gives g^-1 runs once per distinct conjugator
+    conjugations = []
+
+    def counting(g, s, original=sp4.conjugate_subalgebra):
+        conjugations.append(g)
+        return original(g, s)
+    monkeypatch.setattr(verify, "conjugate_subalgebra", counting)
+    verify._conjugator.cache_clear()
+    sp4._conjugation.cache_clear()
+    assert verify_catalog().overall_pass
+    info = sp4._conjugation.cache_info()
+    assert info.maxsize == INSTANCE_CACHE_SIZE
+    assert info.misses == len(set(conjugations)) <= verify._conjugator.cache_info().currsize
+    assert info.hits + info.misses == len(conjugations) > 5 * info.misses
 
 
 def test_m6_cubic_is_rooted_once_per_instance(monkeypatch):
