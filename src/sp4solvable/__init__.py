@@ -32,22 +32,22 @@ _EXPORTS = {
     "rational": ("Q", "format_rational", "parse_rational"),
     "errors": (),
     "exprs": (),
-    "linalg": ("Mat4", "Poly", "Subspace", "char_poly", "echelon_span", "inverse",
-               "kernel", "rank", "rational_roots"),
+    "linalg": ("Mat4", "Poly", "Subspace", "char_poly", "inverse", "kernel", "rank",
+               "rational_roots"),
     "sp4": ("A_MAT", "AJ_MAT", "J_FORM", "T", "W_MAT", "X_A2B", "X_AB", "X_ALPHA",
             "X_BETA", "DiagonalElement", "bracket", "conjugate", "conjugate_subalgebra",
             "in_sp4", "in_sp4_group", "parse_conjugator", "shear",
             "standard_subalgebra", "weyl_orbit"),
     "structure": ("StructureConstants", "Subalgebra", "derived_series",
-                  "generated_subalgebra", "is_abelian", "is_closed", "is_nilpotent",
-                  "is_solvable", "structure_constants", "structure_constants_for_basis"),
+                  "generated_subalgebra", "is_closed", "is_nilpotent", "is_solvable",
+                  "structure_constants_for_basis"),
     "jordan": ("JordanDecomposition", "OrbitLabel", "classify_element",
                "conjugate_ss_into_cartan", "jordan_decompose", "jordan_type"),
     "invariants": ("InvariantSignature", "nilpotent_subspace", "pencil_rank_strata",
                    "signature"),
-    "identify": ("DeGraafClass", "SWClass", "degraaf_constants", "degraaf_to_sw",
-                 "identify_degraaf", "sw_bridge_map", "sw_constants", "sw_lambda",
-                 "tri_algebra_constants", "verify_isomorphism"),
+    "identify": ("DeGraafClass", "SWClass", "degraaf_to_sw", "identify_degraaf",
+                 "sw_bridge_map", "sw_lambda", "tri_algebra_constants",
+                 "verify_isomorphism"),
     "catalog": ("CatalogEntry", "DEFAULT_PARAM_SAMPLES", "catalog_from_json",
                 "load_catalog"),
     "verify": ("VerificationReport", "match_catalog", "random_subalgebra_probe",

@@ -33,7 +33,7 @@ from .jordan import classify_element
 from .linalg import Mat4
 from .rational import format_rational, parse_rational
 from .sp4 import conjugate_subalgebra, parse_conjugator
-from .structure import Subalgebra, structure_constants
+from .structure import Subalgebra
 from .verify import PROBE_COUNT_BOUND, _match_problem, match_catalog, verify_catalog
 
 
@@ -116,7 +116,7 @@ def cmd_identify(opts: dict) -> int:
         matches, outside = [], exc
     payload: dict = {"dim": sub.dim}
     if sub.dim <= 4:
-        dg = identify_degraaf(structure_constants(sub))
+        dg = identify_degraaf(sub.constants)
         payload["degraaf"] = str(dg)
         try:
             payload["sw"] = str(degraaf_to_sw(dg))

@@ -6,9 +6,8 @@ Each catalog is one table, restricted to the classes that occur here:
 the indecomposables up to dimension 6 (n_{d,k}, s_{d,k}).  A label
 (`DeGraafClass`, `SWClass`: a class or '+'-direct sum, and its parameters)
 is a value that formats itself, and one builder makes its presentation from
-the tables once and keeps it (`.constants()`, `degraaf_constants`,
-`sw_constants`), through `StructureConstants.from_brackets`, whose Jacobi
-check runs on every build.
+the tables once and keeps it (`.constants()`, through `_build`), by
+`StructureConstants.from_brackets`, whose Jacobi check runs on every build.
 Conventions frozen for this library:
 
 * K^2 is [x1,x2] = x2 (consistent with M^8 = K^2 (+) K^2 and the dimension-2
@@ -67,7 +66,6 @@ from .structure import StructureConstants, _ad_num, _derived_pairs, _units, brac
 __all__ = [
     "DeGraafClass", "SWClass", "identify_degraaf", "degraaf_to_sw", "sw_lambda",
     "QuadraticValue", "verify_isomorphism", "tri_algebra_constants", "sw_bridge_map",
-    "degraaf_constants", "sw_constants",
 ]
 
 
@@ -91,7 +89,7 @@ class DeGraafClass(Record):
         return f"{self.family}({','.join(_fmt(p) for p in self.params)})"
 
     def constants(self) -> StructureConstants:
-        return degraaf_constants(self.family, self.params)
+        return _build("degraaf", self.family, tuple(self.params))
 
 
 class SWClass(Record):
@@ -105,7 +103,7 @@ class SWClass(Record):
         return f"{self.name}({inner})"
 
     def constants(self) -> StructureConstants:
-        return sw_constants(self.name, self.params)
+        return _build("sw", self.name, tuple(self.params))
 
 
 # class -> (dimension, {(i, j): {k: c}} for [x_i, x_j], or a function of the
@@ -173,26 +171,15 @@ def _arity(brackets) -> int:
     return brackets.__code__.co_argcount if callable(brackets) else 0
 
 
-def degraaf_constants(family: str, params: tuple = ()) -> StructureConstants:
-    """The presentation of a de Graaf class, built once (`_build`)."""
-    return _build("degraaf", family, tuple(params))
-
-
-def sw_constants(name: str, params: tuple = ()) -> StructureConstants:
-    """The presentation of an indecomposable class or of a '+'-direct sum
-    with multiplicity prefixes, "2n_{1,1}", "n_{1,1}+s_{3,1}": the summands
-    take their parameters in turn, and the copies of a multiple share
-    theirs.  Built once (`_build`)."""
-    return _build("sw", name, tuple(params))
-
-
 @lru_cache(maxsize=INSTANCE_CACHE_SIZE)
 def _build(catalog: str, name: str, params: tuple) -> StructureConstants:
     """The presentation of `name` in the de Graaf or the sw catalog, kept
-    per (name, params): the direct sum of its (multiplicity, class)
-    summands, in order, each taking as many of `params` as its class does.
-    A sum the table does not carry, or above the largest dimension here, is
-    refused before anything is built."""
+    per (name, params).  An sw name is an indecomposable class or a
+    '+'-direct sum with multiplicity prefixes, "2n_{1,1}",
+    "n_{1,1}+s_{3,1}": the direct sum of its (multiplicity, class) summands,
+    in order, each taking as many of `params` as its class does, the copies
+    of a multiple sharing theirs.  A sum the table does not carry, or above
+    the largest dimension here, is refused before anything is built."""
     if catalog == "degraaf":
         table, summands = _DEGRAAF, ((1, name),)
     else:

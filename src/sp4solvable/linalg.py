@@ -754,11 +754,6 @@ class Subspace:
         return f"Subspace(dim={self.dim})"
 
 
-def echelon_span(vectors: Iterable[Mat4]) -> Subspace:
-    """The unique echelonized basis of the linear span (empty input: dim 0)."""
-    return Subspace(vectors)
-
-
 # ---------------------------------------------------------------------------
 # matrices over Q[t]: generic ranks at one point, and the cofactor oracle
 # ---------------------------------------------------------------------------

@@ -38,14 +38,13 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import DependentInputs, Sp4Error
-from .linalg import Mat4, Subspace, _from_coords, _pivot_coords, _read_coords, echelon_span, rref
+from .linalg import Mat4, Subspace, _from_coords, _pivot_coords, _read_coords, rref
 from .rational import Q, format_rational
 from .sp4 import bracket
 
 __all__ = [
     "Subalgebra", "is_closed", "generated_subalgebra", "bracket_space", "derived_series",
-    "is_solvable", "is_nilpotent", "is_abelian",
-    "StructureConstants", "structure_constants", "structure_constants_for_basis",
+    "is_solvable", "is_nilpotent", "StructureConstants", "structure_constants_for_basis",
 ]
 
 
@@ -65,7 +64,7 @@ class Subalgebra:
 
     @classmethod
     def from_matrices(cls, mats: Iterable[Mat4]) -> "Subalgebra":
-        sub = cls(echelon_span(mats))  # NotInSp4 for a matrix outside sp(4)
+        sub = cls(Subspace(mats))  # NotInSp4 for a matrix outside sp(4)
         sub.constants  # Sp4Error for a basis that is not closed
         return sub
 
@@ -142,7 +141,7 @@ def is_closed(space: Subspace) -> bool:
 def generated_subalgebra(seed: Iterable[Mat4]) -> Subalgebra:
     """Smallest bracket-closed subspace containing the seeds, carrying the
     bracket table of its last closure round."""
-    space = echelon_span(seed)
+    space = Subspace(seed)
     while not isinstance(found := _close_pairs(space), StructureConstants):
         space = Subspace._of(rref([r for _, r in space.pairs] + found))
     sub = Subalgebra(space)
@@ -217,10 +216,6 @@ def is_solvable(s: Subalgebra) -> bool:
 
 def is_nilpotent(s: Subalgebra) -> bool:
     return not _series(s, lower=True)[-1]
-
-
-def is_abelian(s: Subalgebra) -> bool:
-    return s.constants.is_abelian()
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +343,9 @@ class StructureConstants:
         return sc
 
 
-def structure_constants(s: Subalgebra) -> StructureConstants:
-    """Constants of the bracket in the canonical echelon basis."""
-    return s.constants
-
-
 def structure_constants_for_basis(mats: Sequence[Mat4]) -> StructureConstants:
     """Constants of the matrix bracket in the given (independent) basis."""
-    return Subalgebra(echelon_span(mats)).constants_in(mats)
+    return Subalgebra(Subspace(mats)).constants_in(mats)
 
 
 # sp(4) itself in its ten root coordinates: [e_i, e_j] of the integral unit

@@ -36,12 +36,16 @@ one candidate per parameter orbit, the orbits its self-equivalence claims
 close, so the probe and `identify` prune their candidates by claims that
 the certifier checks only at its samples.  It compares a row without a
 parameter by the signature shipped for it in `row_signatures.json`
-(written by `tools/rowsigs.py`, recomputed by a test), as written, with the
-query's `to_json()`, when the row's id and stated basis are the stored
-ones, and builds every other row; a query value too long to print
-(`OutputLimit`) matches no stored row.  The file is read on
-`match_catalog`'s first call; `verify_entry` and `verify_separations` never
-read it, so every signature the certifier certifies is computed.
+(written by `tools/rowsigs.py` from `computed_row_signatures`), as written,
+with the query's `to_json()`, when the row's id and stated basis are the
+stored ones, and builds every other row; a query value too long to print
+(`OutputLimit`) matches no stored row.  The file is read on the first call
+of `match_catalog`.  `verify_catalog` runs the probe after one
+`stored-signatures` record (`_stored_signatures`), which compares every
+entry with the signature computed for its row on the instances the
+separations built, so a probe matches against a file its run certified.
+`verify_entry` and `verify_separations` never read it: every signature they
+certify is computed.
 """
 
 from __future__ import annotations
@@ -129,6 +133,11 @@ def _p(param) -> str:
     return "-" if param is None else format_rational(param)
 
 
+def _first_four(problems: list) -> str:
+    """A failing record's detail: its first four problems, then a count of the rest."""
+    return "; ".join(problems[:4] + ([f"{len(problems) - 4} more"] if len(problems) > 4 else []))
+
+
 # The most draws a random probe makes.  A draw takes 0.5-2 ms (a closure, a
 # signature and its candidate rows), so a probe at the bound runs about 1-3.5
 # minutes; a larger count raises `ProbeLimit` (CLI exit 3) before any work.
@@ -192,9 +201,8 @@ def _record(rep: VerificationReport, row_id, param, check: str, body) -> bool:
     return bool(out and out[0])
 
 
-def verify_entry(entry: CatalogEntry, params=DEFAULT_PARAM_SAMPLES,
-                 report: VerificationReport | None = None) -> VerificationReport:
-    rep = _report(report, params)
+def verify_entry(entry: CatalogEntry, params=DEFAULT_PARAM_SAMPLES) -> VerificationReport:
+    rep = VerificationReport(samples=tuple(params))
     samples = _guard(rep, entry.row_id, None, "parameter samples",
                      lambda: entry.samples(params), "; the row's checks did not run")
     if samples == ():
@@ -204,11 +212,6 @@ def verify_entry(entry: CatalogEntry, params=DEFAULT_PARAM_SAMPLES,
     for i, a in enumerate(samples or ()):
         _verify_at(entry, a, rep, first=(i == 0))
     return rep
-
-
-def _report(report: VerificationReport | None, params) -> VerificationReport:
-    """The given report, or a new one that names the samples actually used."""
-    return report if report is not None else VerificationReport(samples=tuple(params))
 
 
 def _verify_at(entry: CatalogEntry, a, rep: VerificationReport, first: bool):
@@ -339,21 +342,21 @@ def _orbit(entry: CatalogEntry, a) -> frozenset:
 
 def verify_catalog(params=DEFAULT_PARAM_SAMPLES, probe_seed: int = 0,
                    probe_count: int = 0) -> VerificationReport:
-    """Every row, then the separations; the random probe runs only when
-    `probe_count` > 0."""
+    """The records of every row, then of the separations.  When
+    `probe_count` > 0 the `stored-signatures` record and the random probe
+    follow: the probe matches parameter-free rows by their stored
+    signatures, so the file is certified first, on the instances the
+    separations built."""
     _check_probe_count(probe_count)
-    rep = _report(None, params)
     entries = load_catalog()
-    for e in entries:
-        verify_entry(e, params=params, report=rep)
-    verify_separations(entries, params=params, report=rep)
+    parts = [verify_entry(e, params) for e in entries]
+    parts.append(verify_separations(entries, params))
     if probe_count > 0:
-        random_subalgebra_probe(probe_seed, probe_count, report=rep)
-    return rep
+        parts += [_stored_signatures(entries), random_subalgebra_probe(probe_seed, probe_count)]
+    return VerificationReport([r for part in parts for r in part.records], tuple(params))
 
 
-def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
-                       report: VerificationReport | None = None) -> VerificationReport:
+def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES) -> VerificationReport:
     """Certify that every pair of same-dimension instances the classification
     declares inequivalent is separated by a signature field, and that the
     instances of one parameter orbit agree.  A pair of different rows and
@@ -361,7 +364,7 @@ def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
     hash are visited, in (i, j) order; the count of inequivalent pairs is
     C(n, 2) minus the same-class pairs.  A failing dimension's detail names
     its first four bad pairs and counts the rest."""
-    rep = _report(report, params)
+    rep = VerificationReport(samples=tuple(params))
     entries = entries if entries is not None else load_catalog()
     by_dim: dict[int, list] = {}
     for e in entries:
@@ -393,11 +396,9 @@ def verify_separations(entries=None, params=DEFAULT_PARAM_SAMPLES,
             elif s1 == s2:
                 bad.append((e1.row_id, a1, e2.row_id, a2, "signatures collide"))
         n_pairs = len(insts) * (len(insts) - 1) // 2 - same
-        shown = [f"{r1}@{_p(p1)} ~ {r2}@{_p(p2)}: {why}" for r1, p1, r2, p2, why in bad[:4]]
-        if len(bad) > 4:
-            shown.append(f"{len(bad) - 4} more")
         rep.add(f"separations-dim{dim}", None, f"{n_pairs} inequivalent pairs", not bad,
-                "; ".join(shown))
+                _first_four([f"{r1}@{_p(p1)} ~ {r2}@{_p(p2)}: {why}"
+                             for r1, p1, r2, p2, why in bad]))
     return rep
 
 
@@ -429,10 +430,43 @@ def _row_signatures() -> dict:
     """The shipped signature of each parameter-free row, as written
     (`InvariantSignature.to_json`), keyed on its row_id and stated basis,
     read from `row_signatures.json` on the first call.  `tools/rowsigs.py`
-    writes the file from the catalog, and a test recomputes every entry;
-    only `match_catalog` reads it."""
+    writes the file from the catalog; `match_catalog` reads it, and
+    `_stored_signatures` certifies it."""
     with open(ROW_SIGNATURES_FILE, encoding="utf-8") as fh:
         return {(d["row"], _tuples(d["basis"])): d["signature"] for d in json.load(fh)}
+
+
+def computed_row_signatures(entries) -> dict:
+    """What `row_signatures.json` stores for the rows without a parameter
+    among `entries`, in order: the `to_json` of each instance's signature,
+    keyed on the row id and the stated basis as the catalog holds it.
+    `tools/rowsigs.py` writes the file from it, and `_stored_signatures`
+    checks the file against it."""
+    return {(e.row_id, e.basis): _instance(e, None).signature.to_json()
+            for e in entries if not e.param}
+
+
+def _stored_signatures(entries) -> VerificationReport:
+    """The one `stored-signatures` record: every stored signature
+    (`_row_signatures`) is the one this run computes for its row
+    (`computed_row_signatures`, on the instances the separations built).  An
+    entry that differs, a parameter-free row with no entry, and an entry
+    whose row id and basis name no parameter-free row of `entries` each fail
+    it; the detail names the first four and counts the rest.  A fault of a
+    row's data is the record's fail."""
+    rep = VerificationReport(samples=())
+
+    def body():
+        computed, stored = computed_row_signatures(entries), _row_signatures()
+        bad = [f"{row}: {'stale entry' if (row, basis) in stored else 'no entry'}"
+               for (row, basis), sig in computed.items() if stored.get((row, basis)) != sig]
+        bad += [f"{row}: no such parameter-free row" for row, basis in stored
+                if (row, basis) not in computed]
+        return not bad, _first_four(bad)
+
+    n_rows = sum(not e.param for e in entries)
+    _record(rep, "stored-signatures", None, f"{n_rows} parameter-free rows", body)
+    return rep
 
 
 def match_catalog(sub: Subalgebra) -> list[tuple]:
@@ -515,8 +549,7 @@ def _check_probe_count(count: int) -> None:
                          f"PROBE_COUNT_BOUND = {PROBE_COUNT_BOUND}")
 
 
-def random_subalgebra_probe(seed: int, count: int,
-                            report: VerificationReport | None = None) -> VerificationReport:
+def random_subalgebra_probe(seed: int, count: int) -> VerificationReport:
     """Generate random solvable subalgebras of the Borel, close them under
     the bracket, and check each signature matches exactly one catalog row.
     Every dimension, 1 to 6, is matched; a draw with irrational spectra is
@@ -525,7 +558,7 @@ def random_subalgebra_probe(seed: int, count: int,
     named by its number among all draws; the probe ends after `count`
     draws matched or failed."""
     _check_probe_count(count)
-    rep = _report(report, ())  # a probe evaluates rows at eigenvalue candidates only
+    rep = VerificationReport(samples=())  # a probe evaluates rows at eigenvalue candidates only
     rng = random.Random(seed)
     produced = 0
     attempts = 0

@@ -41,8 +41,7 @@ from sp4solvable.exprs import MAX_POWER_BITS
 from sp4solvable.invariants import PencilStrata
 from sp4solvable.jordan import JordanDecomposition
 from sp4solvable.linalg import (_COORDS, Mat4, Poly, Subspace, _mul_num, _over_common_den,
-                                _pivot_coords, char_poly, det_mpoly, echelon_span, inverse,
-                                rref)
+                                _pivot_coords, char_poly, det_mpoly, inverse, rref)
 from sp4solvable.rational import Q, ZERO, format_rational
 from sp4solvable.sp4 import J_FORM, bracket
 from sp4solvable.structure import StructureConstants, Subalgebra, bracket_space, is_solvable
@@ -388,7 +387,7 @@ def trace_form_radical(g: Subalgebra):
     mats = [combination(g.space, v) for v in kernel_fraction(gram, len(basis))]
     if any(not (m * m * m * m).is_zero() for m in mats):
         raise IrrationalSpectrum("trace-form radical contains a non-nilpotent element")
-    return echelon_span(mats)
+    return Subspace(mats)
 
 
 def is_jordan_decomposition(dec: JordanDecomposition, original: Mat4) -> bool:

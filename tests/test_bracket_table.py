@@ -28,7 +28,7 @@ from sp4solvable import identify, linalg, structure, verify
 from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES, load_catalog
 from sp4solvable.errors import DependentInputs, Sp4Error
 from sp4solvable.invariants import signature
-from sp4solvable.linalg import Mat4, _char_poly_int, echelon_span, inverse
+from sp4solvable.linalg import Mat4, Subspace, _char_poly_int, inverse
 from sp4solvable.identify import DeGraafClass, identify_degraaf, verify_isomorphism
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, bracket, conjugate_subalgebra,
@@ -36,7 +36,7 @@ from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, bracket, conjugate
 from sp4solvable.verify import verify_catalog
 from sp4solvable.structure import (StructureConstants, Subalgebra, _ad_num, _derived_pairs,
                                    _series, _units, bracket_space, generated_subalgebra,
-                                   structure_constants, structure_constants_for_basis)
+                                   structure_constants_for_basis)
 
 small = st.integers(-3, 3)
 
@@ -74,7 +74,7 @@ def test_table_of_a_new_basis_is_the_changed_table(g, data):
     p = data.draw(invertible(g.dim))
     new_basis = [combination(g.space, col) for col in p]
     assert (structure_constants_for_basis(new_basis).table
-            == change_basis_fraction(structure_constants(g), p))
+            == change_basis_fraction(g.constants, p))
 
 
 def ad_fraction(a, den) -> list[list]:
@@ -88,7 +88,7 @@ def test_ad_matrix_matches_matrix_brackets(g, data):
     d = g.dim
     y = data.draw(st.lists(small, min_size=d, max_size=d))
     x = combination(g.space, y)
-    sc = structure_constants(g)
+    sc = g.constants
     units = _units(d)
     # oracle: column j of ad(x) holds the coordinates of [x, b_j]
     cols = [coords(g.space, bracket(x, b)) for b in g.basis]
@@ -96,7 +96,7 @@ def test_ad_matrix_matches_matrix_brackets(g, data):
     # on [g, g] the table's basis differs from the matrix echelon basis, so
     # compare the characteristic polynomials
     pairs = bracket_space(sc, units, units)
-    derived = echelon_span([bracket(a, b) for a in g.basis for b in g.basis])
+    derived = Subspace([bracket(a, b) for a in g.basis for b in g.basis])
     assert len(pairs) == derived.dim
     if pairs:
         dcols = [coords(derived, bracket(x, b)) for b in derived.basis]
@@ -105,7 +105,7 @@ def test_ad_matrix_matches_matrix_brackets(g, data):
 
 def test_ad_matrix_reads_pivots_and_solves_nothing(monkeypatch):
     g = generated_subalgebra([T(2, 1), X_ALPHA, X_BETA])  # the Borel
-    sc = structure_constants(g)
+    sc = g.constants
     units = list(enumerate(_units(g.dim)))
     derived = bracket_space(sc, _units(g.dim), _units(g.dim))
     y = [1, -2, 3, 0, 1, 2][:g.dim]
@@ -230,7 +230,7 @@ def test_verify_isomorphism_matches_the_fraction_change_of_basis(g, data):
 
 
 def test_int_tables_are_canonical():
-    tables = [Subalgebra(echelon_span(e.basis_at(a))).constants
+    tables = [Subalgebra(Subspace(e.basis_at(a))).constants
               for e in load_catalog() for a in e.samples(DEFAULT_PARAM_SAMPLES)]
     tables += [DeGraafClass("M6", (Q(4, 9), Q(-1, 3))).constants(),
                StructureConstants.from_brackets(3, {(2, 0): {1: Q(2, 6)}})]
@@ -258,7 +258,7 @@ def test_series_and_signatures_never_read_the_rational_table(monkeypatch):
     instances = 0
     for e in load_catalog():
         for a in e.samples(DEFAULT_PARAM_SAMPLES):
-            sub = Subalgebra(echelon_span(e.basis_at(a)))
+            sub = Subalgebra(Subspace(e.basis_at(a)))
             _series(sub, lower=True)
             signature(sub)
             instances += 1
@@ -284,7 +284,7 @@ _sp4_elements = st.builds(_block, st.lists(st.lists(small, min_size=2, max_size=
 def test_the_ten_coordinates_fix_an_sp4_element():
     units = [linalg._from_coords([int(i == k) for k in range(10)], 1) for i in range(10)]
     assert all(in_sp4_product(u) for u in units)
-    assert echelon_span(units).dim == 10  # the dimension of sp(4)
+    assert Subspace(units).dim == 10  # the dimension of sp(4)
     rng = random.Random(5)
     for _ in range(50):
         m = random_sp4_element(rng) * Q(rng.randint(1, 9), rng.randint(1, 9))
@@ -344,7 +344,7 @@ def test_the_derived_algebra_read_off_the_table_is_the_bracket_span(g, recipe):
 @given(st.lists(_sp4_elements, min_size=1, max_size=4), sp4_recipes)
 def test_conjugated_dense_spans_close_as_with_matrix_products(mats, recipe):
     # most such spans are not closed: the brackets outside are compared too
-    space = conjugate_subalgebra(parse_conjugator(recipe), echelon_span(mats))
+    space = conjugate_subalgebra(parse_conjugator(recipe), Subspace(mats))
     assert structure._close_pairs(space) == close_pairs_matrix(space)
 
 
@@ -372,7 +372,7 @@ def test_each_round_of_generated_subalgebra_is_the_matrix_round(seeds, recipe):
 
 def test_a_span_outside_sp4_is_refused():
     gl4 = [Mat4.unit(1, 1), Mat4.unit(2, 2)]  # abelian, not in sp(4)
-    for build in (echelon_span, generated_subalgebra, Subalgebra.from_matrices,
+    for build in (Subspace, generated_subalgebra, Subalgebra.from_matrices,
                   structure_constants_for_basis):
         with pytest.raises(Sp4Error, match=r"not in sp\(4\)"):
             build(gl4)
@@ -420,7 +420,7 @@ def test_the_derived_algebra_is_eliminated_once_and_kept_unchanged():
     # [g, g] is kept on the table: the series and the identifier read the
     # one list, and after a certification every kept one is still the
     # elimination of its table's rows, so no caller changed it
-    sub = Subalgebra(echelon_span([T(1, 0), X_ALPHA, X_AB, X_A2B]))
+    sub = Subalgebra(Subspace([T(1, 0), X_ALPHA, X_AB, X_A2B]))
     sc = sub.constants
     derived = _derived_pairs(sc)
     identify_degraaf(sc)

@@ -470,6 +470,32 @@ def test_identify_with_several_matching_rows_is_a_separation_failure(tmp_path, m
     assert err == "signature matches 2 rows: d2_t@-, d2_T31_XaXb@-\n"
 
 
+def test_verify_catalog_certifies_the_stored_row_signatures(tmp_path, monkeypatch, capsys):
+    # the file identify and the probe trust, on a copy: an edited entry, and
+    # an entry for a row the catalog lacks, each fail the one stored-signatures
+    # record that comes before the probe
+    shipped = Path(verify.ROW_SIGNATURES_FILE).read_text()
+    edited = json.loads(shipped)
+    by_row = {d["row"]: d for d in edited}
+    by_row["d2_T31_XaXb"]["signature"] = by_row["d2_t"]["signature"]
+    extra = json.loads(shipped) + [{**by_row["d2_t"], "row": "d2_not_a_row"}]
+    path = tmp_path / "row_signatures.json"
+    monkeypatch.setattr(verify, "ROW_SIGNATURES_FILE", str(path))
+    for stored, problem in ((edited, "d2_T31_XaXb: stale entry"),
+                            (extra, "d2_not_a_row: no such parameter-free row")):
+        path.write_text(json.dumps(stored))
+        verify._row_signatures.cache_clear()
+        try:
+            assert main(["verify-catalog", "--params", "2", "--probe-count", "1",
+                         "--output", "json"]) == 1
+        finally:
+            verify._row_signatures.cache_clear()
+        failures = [(r["row"], r["check"], r["detail"])
+                    for r in json.loads(capsys.readouterr().out)["records"]
+                    if r["status"] == "fail"]
+        assert failures == [("stored-signatures", "57 parameter-free rows", problem)]
+
+
 @pytest.mark.parametrize("command", ["identify", "conjugate"])
 def test_other_ambient_is_a_parse_error(command, tmp_path, capsys):
     data = Subalgebra.from_matrices([T(2, 1), X_ALPHA]).to_json()

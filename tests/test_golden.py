@@ -13,7 +13,7 @@ import json
 from sp4solvable.catalog import load_catalog
 from sp4solvable.invariants import signature
 from sp4solvable.rational import format_rational
-from sp4solvable.structure import Subalgebra, structure_constants
+from sp4solvable.structure import Subalgebra
 from sp4solvable.verify import verify_catalog
 
 GOLDEN_SHA256 = "1b1ffa50dd42c54cd6936207d178af4c02d559d8d7d4dd7afcc2e9df4712f18c"
@@ -28,7 +28,7 @@ def golden_payload() -> dict:
                 "row": e.row_id,
                 "param": None if a is None else format_rational(a),
                 "signature": signature(sub).to_json(),
-                "structure_constants": structure_constants(sub).to_json(),
+                "structure_constants": sub.constants.to_json(),
                 "basis": [m.to_json() for m in sub.basis],
             })
     return {"report": verify_catalog().to_json(),

@@ -9,12 +9,11 @@ from sp4solvable.errors import (DependentInputs, DimensionMismatch, OutOfCatalog
                                 UnrecognizedFamily, UnsupportedDimension,
                                 ZeroParameter)
 from sp4solvable import identify
-from sp4solvable.identify import (DeGraafClass, QuadraticValue, SWClass, degraaf_constants,
-                                  degraaf_to_sw, identify_degraaf, sw_bridge_map,
-                                  sw_constants, sw_lambda, tri_algebra_constants,
-                                  verify_isomorphism)
+from sp4solvable.identify import (DeGraafClass, QuadraticValue, SWClass, degraaf_to_sw,
+                                  identify_degraaf, sw_bridge_map, sw_lambda,
+                                  tri_algebra_constants, verify_isomorphism)
 from sp4solvable.catalog import INSTANCE_CACHE_SIZE, load_catalog
-from sp4solvable.linalg import echelon_span
+from sp4solvable.linalg import Subspace
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import T, X_A2B, X_AB, X_ALPHA, X_BETA
 from sp4solvable.structure import (StructureConstants, Subalgebra,
@@ -32,16 +31,15 @@ def test_presentations_are_lie_algebras():
     # every class of both tables, with as many sample parameters as it takes
     samples = (Q(-3, 16), Q(1, 2), Q(7))
     built = 0
-    for table, constants in ((identify._DEGRAAF, degraaf_constants),
-                             (identify._SW, sw_constants)):
+    for table, label in ((identify._DEGRAAF, DeGraafClass), (identify._SW, SWClass)):
         for name, (dim, brackets) in table.items():
-            sc = constants(name, samples[:identify._arity(brackets)])
+            sc = label(name, samples[:identify._arity(brackets)]).constants()
             assert sc.dim == dim and is_antisymmetric(sc) and satisfies_jacobi(sc), name
             built += 1
     assert built == len(identify._DEGRAAF) + len(identify._SW) == 34
     for name, params in (("2n_{1,1}", ()), ("3n_{1,1}", ()), ("n_{1,1}+s_{2,1}", ()),
                          ("n_{1,1}+s_{3,1}", (Q(-1),))):
-        sc = sw_constants(name, params)
+        sc = SWClass(name, params).constants()
         assert is_antisymmetric(sc) and satisfies_jacobi(sc)
 
 
@@ -50,12 +48,12 @@ def test_a_label_the_tables_do_not_carry_is_out_of_catalog():
                          ("100000s_{2,1}", ()), ("7n_{1,1}", ()), ("n_{1,1}+", ()),
                          ("s_{5,33}", (Q(1),)), ("s_{3,1}", ()), ("s_{5,41}", (1, 2, 3))):
         with pytest.raises(OutOfCatalog):
-            sw_constants(name, params)
+            SWClass(name, params).constants()
     for family, params in (("L3", ()), ("M8", (Q(1),)), ("2K2", ()), ("M9", ())):
         with pytest.raises(OutOfCatalog):
-            degraaf_constants(family, params)
+            D(family, params).constants()
     assert str(SWClass("s_{5,41}", (Q(1, 2), 1, 9))) == "s_{5,41}(A=1/2,B=1,C=9)"
-    assert sw_constants("6n_{1,1}").dim == 6
+    assert SWClass("6n_{1,1}").constants().dim == 6
 
 
 def test_trichotomy():
@@ -68,10 +66,10 @@ def test_trichotomy():
 
 
 def test_identify_low_dims():
-    assert identify_degraaf(degraaf_constants("J")) == D("J")
-    assert identify_degraaf(degraaf_constants("K1")) == D("K1")
-    assert identify_degraaf(degraaf_constants("K2")) == D("K2")
-    assert identify_degraaf(degraaf_constants("L1")) == D("L1")
+    assert identify_degraaf(D("J").constants()) == D("J")
+    assert identify_degraaf(D("K1").constants()) == D("K1")
+    assert identify_degraaf(D("K2").constants()) == D("K2")
+    assert identify_degraaf(D("L1").constants()) == D("L1")
     with pytest.raises(UnsupportedDimension):
         identify_degraaf(StructureConstants.from_brackets(5, {}))
 
@@ -96,19 +94,19 @@ def test_identify_concrete_examples():
 
 def test_identify_is_basis_change_invariant():
     rng = random.Random(42)
-    cases = [degraaf_constants("L3", (Q(-3, 16),)),
-             degraaf_constants("L4", (Q(1),)),
-             degraaf_constants("L2"),
-             degraaf_constants("M6", (Q(8, 243), Q(-26, 81))),
-             degraaf_constants("M13", (Q(-1, 4),)),
-             degraaf_constants("M13", (Q(0),)),
-             degraaf_constants("M14", (Q(1),)),
-             degraaf_constants("M12"),
-             degraaf_constants("M8"),
-             degraaf_constants("M2"),
-             degraaf_constants("M7", (Q(0), Q(1))),
-             degraaf_constants("M6", (Q(0), Q(-2, 9))),
-             degraaf_constants("M7", (Q(0), Q(0)))]
+    cases = [D("L3", (Q(-3, 16),)).constants(),
+             D("L4", (Q(1),)).constants(),
+             D("L2").constants(),
+             D("M6", (Q(8, 243), Q(-26, 81))).constants(),
+             D("M13", (Q(-1, 4),)).constants(),
+             D("M13", (Q(0),)).constants(),
+             D("M14", (Q(1),)).constants(),
+             D("M12").constants(),
+             D("M8").constants(),
+             D("M2").constants(),
+             D("M7", (Q(0), Q(1))).constants(),
+             D("M6", (Q(0), Q(-2, 9))).constants(),
+             D("M7", (Q(0), Q(0))).constants()]
     for sc in cases:
         base = identify_degraaf(sc)
         d = sc.dim
@@ -125,16 +123,16 @@ def test_identify_is_basis_change_invariant():
 
 def test_identify_l4_parameter_mod_squares():
     # L4_A ~ L4_B iff A = s^2 B: basis rescaling x1 -> 2 x1 sends A to 4A
-    sc = degraaf_constants("L4", (Q(2),))
+    sc = D("L4", (Q(2),)).constants()
     moved = moved_constants(sc, [(2, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert identify_degraaf(sc) == identify_degraaf(moved) == D("L4", (Q(2),))
-    sc8 = degraaf_constants("L4", (Q(8),))
+    sc8 = D("L4", (Q(8),)).constants()
     assert identify_degraaf(sc8) == D("L4", (Q(2),))  # squarefree kernel
 
 
 def test_identify_m7_parameters_mod_cubes_and_squares():
     # x4 -> s*x4 maps M7(A, B) onto M7(s^3 A, s^2 B), also for s < 0
-    labels = {identify_degraaf(degraaf_constants("M7", (s**3 * 2, s**2 * 3)))
+    labels = {identify_degraaf(D("M7", (s**3 * 2, s**2 * 3)).constants())
               for s in (Q(1), Q(2), Q(-1), Q(-1, 3))}
     assert len(labels) == 1
     (label,) = labels
@@ -272,7 +270,7 @@ def test_degraaf_to_sw_table():
         carried = [str(k) for k in identify._FIXED if k.family == c.family]
         assert carried and all(k in msg for k in carried), msg
     assert "M6(0,B) at every other nonzero value" in msg and "M6(A,B) at A != 0" in msg
-    assert identify_degraaf(degraaf_constants("M7", (Q(0), Q(4)))) == D("M7", (Q(0), Q(1)))
+    assert identify_degraaf(D("M7", (Q(0), Q(4))).constants()) == D("M7", (Q(0), Q(1)))
     assert D("L4", (Q(4),)) != D("L4", (Q(1),))
 
 
@@ -293,7 +291,7 @@ def test_three_distinct_nonzero_eigenvalues_always_normalize(eigs):
 
 def test_verify_isomorphism_examples():
     # dimension 2: x1 <-> e2, x2 <-> e1
-    k2, s21 = degraaf_constants("K2"), sw_constants("s_{2,1}")
+    k2, s21 = D("K2").constants(), SWClass("s_{2,1}").constants()
     iso = [(0, 1), (1, 0)]
     assert verify_isomorphism(k2, s21, iso)
     # a map with mismatched bracket images fails
@@ -301,22 +299,22 @@ def test_verify_isomorphism_examples():
     # singular maps fail
     assert not verify_isomorphism(k2, s21, [(1, 0), (1, 0)])
     with pytest.raises(DimensionMismatch):
-        verify_isomorphism(k2, sw_constants("n_{3,1}"), iso)
+        verify_isomorphism(k2, SWClass("n_{3,1}").constants(), iso)
 
 
 def test_verify_isomorphism_l3_to_s32():
     # e1 = x1 - 2x2, e2 = x1 - 4x2, e3 = 2x3 inverted to columns
-    l3 = degraaf_constants("L3", (Q(-1, 4),))
-    s32 = sw_constants("s_{3,2}")
+    l3 = D("L3", (Q(-1, 4),)).constants()
+    s32 = SWClass("s_{3,2}").constants()
     iso = [(2, -1, 0), (Q(1, 2), Q(-1, 2), 0), (0, 0, Q(1, 2))]
     assert verify_isomorphism(l3, s32, iso)
 
 
 def test_direct_sum():
-    two = sw_constants("2s_{2,1}")
+    two = SWClass("2s_{2,1}").constants()
     assert two.dim == 4
     assert is_antisymmetric(two) and satisfies_jacobi(two)
-    m8 = degraaf_constants("M8")
+    m8 = D("M8").constants()
     iso = [(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)]
     assert verify_isomorphism(m8, two, iso)
 
@@ -456,9 +454,9 @@ def test_identification_and_signatures_solve_no_span(monkeypatch):
     for e in load_catalog():
         for a in e.samples():
             mats = e.basis_at(a)
-            sub = Subalgebra(echelon_span(mats))
+            sub = Subalgebra(Subspace(mats))
             sub.constants
-            ref = Subalgebra(echelon_span(mats))
+            ref = Subalgebra(Subspace(mats))
             instances.append((sub, e.degraaf_at(a), signature(ref)))
 
     def refuse(*_):
@@ -476,7 +474,7 @@ def test_identification_and_signatures_solve_no_span(monkeypatch):
     assert {"L2", "L3", "M12", "M13", "M14", "M6", "M7", "M8"} <= found
 
 
-_DEGRAAF_INSTANCES = [(Subalgebra(echelon_span(e.basis_at(a))).constants, e.degraaf_at(a))
+_DEGRAAF_INSTANCES = [(Subalgebra(Subspace(e.basis_at(a))).constants, e.degraaf_at(a))
                       for e in load_catalog() if e.degraaf is not None for a in e.samples()]
 
 
@@ -512,17 +510,17 @@ def test_identification_runs_on_ints(monkeypatch):
 
 def test_presentations_are_built_once_per_label():
     identify._build.cache_clear()
-    first = degraaf_constants("M6", (Q(8, 243), Q(-26, 81)))
+    first = D("M6", (Q(8, 243), Q(-26, 81))).constants()
     # a list or a tuple, ints or Fractions: one key, one table
-    assert degraaf_constants("M6", [Q(8, 243), Q(-26, 81)]) is first
-    assert sw_constants("s_{4,3}", (1, 2)) is sw_constants("s_{4,3}", [Q(1), Q(2)])
-    assert D("L3", (Q(2),)).constants() is degraaf_constants("L3", (2,))
+    assert D("M6", [Q(8, 243), Q(-26, 81)]).constants() is first
+    assert SWClass("s_{4,3}", (1, 2)).constants() is SWClass("s_{4,3}", [Q(1), Q(2)]).constants()
+    assert D("L3", (Q(2),)).constants() is D("L3", (2,)).constants()
     assert identify._build.cache_info().misses == 3
     for _ in range(2):  # a refusal is never cached
         with pytest.raises(OutOfCatalog, match="takes 2 parameters, 1 given"):
-            degraaf_constants("M6", (Q(1),))
+            D("M6", (Q(1),)).constants()
         with pytest.raises(OutOfCatalog, match="takes 0 parameters, 1 given"):
-            sw_constants("n_{1,1}", [1])
+            SWClass("n_{1,1}", [1]).constants()
     assert identify._build.cache_info().currsize == 3
 
 

@@ -14,7 +14,7 @@ from sp4solvable.invariants import (InvariantSignature, PencilStrata, _invariant
                                    nilpotent_subspace, pencil_rank_strata, signature)
 from sp4solvable.catalog import load_catalog
 from sp4solvable.jordan import jordan_decompose
-from sp4solvable.linalg import (Mat4, Poly, _char_poly_int, char_poly, det_mpoly, echelon_span,
+from sp4solvable.linalg import (Mat4, Poly, Subspace, _char_poly_int, char_poly, det_mpoly,
                                 generic_rank, inverse, rank)
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (A_MAT, ROOT_VECTORS, T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA,
@@ -203,9 +203,9 @@ def test_pencil_matches_grid_oracle():
 
 def test_nilpotent_subspace():
     g = alg(T(1, 0), X_ALPHA)
-    assert nilpotent_subspace(g) == echelon_span([X_ALPHA])
+    assert nilpotent_subspace(g) == Subspace([X_ALPHA])
     g = alg(T(1, 0) + X_ALPHA, X_AB)
-    assert nilpotent_subspace(g) == echelon_span([X_AB])
+    assert nilpotent_subspace(g) == Subspace([X_AB])
     n = Subalgebra(standard_subalgebra("n"))
     assert nilpotent_subspace(n).dim == 4
     t = Subalgebra(standard_subalgebra("t"))
@@ -597,7 +597,7 @@ def test_the_fields_left_out_are_functions_of_the_signature():
             codim = sig.dim - sig.nilpotent_dim
             assert invertible == (codim == 2 or codim == 1 and sig.probe[6] != ("z", 4)), \
                 (e.row_id, a)
-            left_out = (structure.is_abelian(s), lower, lower[-1] == 0, invertible)
+            left_out = (s.constants.is_abelian(), lower, lower[-1] == 0, invertible)
             rows, values = classes.setdefault(sig, (set(), set()))
             rows.add(e.row_id)
             values.add(left_out)

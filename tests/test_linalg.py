@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from sp4solvable.errors import (FactorizationLimit, SingularMatrix, Sp4Error,
                                 ZeroPolynomial)
-from sp4solvable.linalg import (_TRACE_FORM, Mat4, Poly, _char_poly_int, _from_coords,
+from sp4solvable.linalg import (_TRACE_FORM, Mat4, Poly, Subspace, _char_poly_int, _from_coords,
                                 _kernel_int, _over_common_den, _sp4_coords, _sp4_cube,
-                                _sp4_square, _trace_gram, char_poly, echelon_span, generic_rank,
-                                inverse, kernel, rank, rational_roots, rref)
+                                _sp4_square, _trace_gram, char_poly, generic_rank, inverse,
+                                kernel, rank, rational_roots, rref)
 from sp4solvable.rational import (Q, exact_isqrt, factor_int, format_rational,
                                   parse_rational, power_free_split, rational_sqrt)
 from sp4solvable.sp4 import T, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA, bracket
@@ -196,34 +196,34 @@ def test_inverse_roundtrip(m):
 
 
 def test_echelon_span_examples():
-    assert echelon_span([X_ALPHA, X_ALPHA * 2]).dim == 1
-    assert echelon_span([X_ALPHA, X_A2B]).dim == 2
-    assert echelon_span([]).dim == 0
-    assert echelon_span([Mat4.zero()]).dim == 0
+    assert Subspace([X_ALPHA, X_ALPHA * 2]).dim == 1
+    assert Subspace([X_ALPHA, X_A2B]).dim == 2
+    assert Subspace([]).dim == 0
+    assert Subspace([Mat4.zero()]).dim == 0
 
 
 @settings(max_examples=30, deadline=None)
 @given(sp4_mats)
 def test_echelon_idempotent(m):
-    s = echelon_span([m, m])
+    s = Subspace([m, m])
     assert s.dim <= 1
-    assert echelon_span(s.basis) == s
+    assert Subspace(s.basis) == s
 
 
 def test_subspace_repr():
-    assert repr(echelon_span([X_ALPHA, X_BETA, X_ALPHA * 2])) == "Subspace(dim=2)"
+    assert repr(Subspace([X_ALPHA, X_BETA, X_ALPHA * 2])) == "Subspace(dim=2)"
 
 
 def test_subspace_equality_is_canonical():
-    s1 = echelon_span([X_ALPHA + X_BETA, X_BETA])
-    s2 = echelon_span([X_ALPHA, X_ALPHA + X_BETA * 7])
+    s1 = Subspace([X_ALPHA + X_BETA, X_BETA])
+    s2 = Subspace([X_ALPHA, X_ALPHA + X_BETA * 7])
     assert s1 == s2
     assert coords(s1, X_ALPHA * 3 + X_BETA) is not None
     assert coords(s1, X_A2B) is None
 
 
 def test_coords_recombine():
-    s = echelon_span([T(1, 2), X_ALPHA, X_AB])
+    s = Subspace([T(1, 2), X_ALPHA, X_AB])
     v = T(1, 2) * Q(3, 7) + X_AB * Q(-2)
     c = coords(s, v)
     assert combination(s, c) == v
@@ -233,9 +233,9 @@ def test_coords_recombine():
 @given(st.lists(sp4_mats, min_size=1, max_size=6),
        st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6), max_size=6))
 def test_span_coords_is_the_echelon_span_of_the_combinations(vectors, rows):
-    space = echelon_span(vectors)
+    space = Subspace(vectors)
     rows = [r[:space.dim] for r in rows]
-    assert space.span_coords(rref(rows)) == echelon_span([combination(space, r) for r in rows])
+    assert space.span_coords(rref(rows)) == Subspace([combination(space, r) for r in rows])
 
 
 def test_the_trace_form_table_is_the_trace_of_the_product():

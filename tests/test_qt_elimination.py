@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sp4solvable.catalog import load_catalog
 from sp4solvable.invariants import nilpotent_subspace, pencil_rank_strata
-from sp4solvable.linalg import Mat4, echelon_span, generic_rank
+from sp4solvable.linalg import Mat4, Subspace, generic_rank
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (A_MAT, J_FORM, W_MAT, X_A2B, X_AB, X_ALPHA, X_BETA, conjugate,
                              conjugate_subalgebra, shear)
@@ -54,7 +54,7 @@ def nilpotent_pencils(draw):
     roots = (X_ALPHA, X_BETA, X_AB, X_A2B)
     n1, n2 = (sum((x * c for x, c in zip(roots, draw(vectors))), Mat4.zero())
               for _ in range(2))
-    assume(echelon_span([n1, n2]).dim == 2)
+    assume(Subspace([n1, n2]).dim == 2)
     steps = st.fractions(-5, 5, max_denominator=4)
     atoms = st.one_of(st.sampled_from([W_MAT, A_MAT, J_FORM]),
                       st.builds(shear, st.sampled_from(["alpha", "beta", "alpha_plus_beta",

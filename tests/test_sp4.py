@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from sp4solvable import sp4
 from sp4solvable.catalog import DEFAULT_PARAM_SAMPLES, load_catalog
 from sp4solvable.errors import ExpressionLimit, Sp4Error
-from sp4solvable.linalg import Mat4, _from_coords, char_poly, echelon_span, inverse
+from sp4solvable.linalg import Mat4, Subspace, _from_coords, char_poly, inverse
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, ROOT_LABELS, ROOT_VECTORS, T, W_MAT,
                              WA_MAT, X_A2B, X_AB, X_ALPHA, X_BETA, DiagonalElement, element,
@@ -125,10 +125,10 @@ def test_conjugation_identities_from_the_tables():
 
 
 def test_conjugate_subalgebra_examples():
-    s = echelon_span([T(2, 1), X_ALPHA, X_A2B])
+    s = Subspace([T(2, 1), X_ALPHA, X_A2B])
     img = conjugate_subalgebra(W_MAT, s)
-    assert img == echelon_span([T(Q(1, 2), 1), X_ALPHA, X_A2B])
-    t_basis = echelon_span([T(1, 0), T(0, 1)])
+    assert img == Subspace([T(Q(1, 2), 1), X_ALPHA, X_A2B])
+    t_basis = Subspace([T(1, 0), T(0, 1)])
     assert conjugate_subalgebra(A_MAT, t_basis) == t_basis
     assert conjugate_subalgebra(Mat4.identity(), s) == s
 
@@ -154,7 +154,7 @@ def test_standard_subalgebra_dims_and_closure():
     dims = {"t": 2, "b": 6, "n": 4, "p": 7, "n_p": 3}
     for name, d in dims.items():
         s = standard_subalgebra(name)
-        assert s == echelon_span(spans[name])
+        assert s == Subspace(spans[name])
         assert s.dim == d
         assert all(in_sp4(m) for m in s.basis)
         assert is_closed(s)
@@ -269,8 +269,8 @@ def test_conjugate_subalgebra_inverts_symplectically(recipe, word, space):
     # is g b g^-1, for every product of atoms; the span is first moved by a
     # random word, so that g and each b have up to 16 nonzeros
     g, h = parse_conjugator(recipe), parse_conjugator(word)
-    s = echelon_span([h * b * inverse(h) for b in space.basis])
-    assert conjugate_subalgebra(g, s) == echelon_span([g * b * inverse(g) for b in s.basis])
+    s = Subspace([h * b * inverse(h) for b in space.basis])
+    assert conjugate_subalgebra(g, s) == Subspace([g * b * inverse(g) for b in s.basis])
 
 
 def test_conjugate_subalgebra_refuses_a_conjugator_outside_sp4():

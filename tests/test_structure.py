@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 from sp4solvable import structure
 from sp4solvable.catalog import load_catalog
 from sp4solvable.errors import DependentInputs, Sp4Error
-from sp4solvable.linalg import echelon_span, inverse
+from sp4solvable.linalg import Subspace, inverse
 from sp4solvable.rational import Q
 from sp4solvable.sp4 import (T, X_A2B, X_AB, X_ALPHA, X_BETA, bracket,
                              diag_conjugator, standard_subalgebra)
 from sp4solvable.structure import (Subalgebra, derived_series, generated_subalgebra,
-                                   is_abelian, is_closed, is_nilpotent,
-                                   is_solvable, structure_constants,
+                                   is_closed, is_nilpotent, is_solvable,
                                    structure_constants_for_basis)
 
 from conftest import conjugator_pool, random_borel_element
@@ -23,15 +22,15 @@ def alg(*mats):
 
 
 def test_is_closed_examples():
-    assert is_closed(echelon_span([T(3, 1), X_ALPHA + X_BETA]))
-    assert not is_closed(echelon_span([X_ALPHA, X_BETA]))
-    assert is_closed(echelon_span([T(1, 1) + X_BETA]))
+    assert is_closed(Subspace([T(3, 1), X_ALPHA + X_BETA]))
+    assert not is_closed(Subspace([X_ALPHA, X_BETA]))
+    assert is_closed(Subspace([T(1, 1) + X_BETA]))
 
 
 def test_generated_subalgebra_examples():
     assert generated_subalgebra([X_ALPHA, X_BETA]).space == standard_subalgebra("n")
     g = generated_subalgebra([X_BETA, X_AB])
-    assert g.space == echelon_span([X_BETA, X_AB, X_A2B])
+    assert g.space == Subspace([X_BETA, X_AB, X_A2B])
     assert generated_subalgebra([T(1, 1)]).dim == 1
 
 
@@ -65,7 +64,7 @@ def test_derived_series_of_borel():
     b = Subalgebra(standard_subalgebra("b"))
     dims = [s.dim for s in derived_series(b)]
     assert dims == [6, 4, 2, 0]
-    assert derived_series(b)[2] == echelon_span([X_AB, X_A2B])
+    assert derived_series(b)[2] == Subspace([X_AB, X_A2B])
 
 
 def test_derived_series_examples():
@@ -88,15 +87,15 @@ def test_predicates():
     b = Subalgebra(standard_subalgebra("b"))
     assert is_nilpotent(n) and is_solvable(n)
     assert is_solvable(b) and not is_nilpotent(b)
-    assert is_abelian(alg(T(1, 0), X_ALPHA))
-    assert not is_abelian(alg(T(0, 1), X_ALPHA))
+    assert alg(T(1, 0), X_ALPHA).constants.is_abelian()
+    assert not alg(T(0, 1), X_ALPHA).constants.is_abelian()
     # nilpotent => solvable; abelian => nilpotent
     np = Subalgebra(standard_subalgebra("n_p"))
-    assert is_abelian(np) and is_nilpotent(np) and is_solvable(np)
+    assert np.constants.is_abelian() and is_nilpotent(np) and is_solvable(np)
 
 
 def test_structure_constants_examples():
-    sc = structure_constants(alg(T(3, 1), X_ALPHA + X_BETA))
+    sc = alg(T(3, 1), X_ALPHA + X_BETA).constants
     # echelon basis is (T(1,1/3)-normalized, X_alpha+X_beta); [t, x] = 2x
     # becomes [b0, b1] = (2/3) b1 after the leading-one normalization
     nonzero = {(i, j, k): sc.table[i][j][k]
@@ -104,10 +103,10 @@ def test_structure_constants_examples():
                if sc.table[i][j][k] != 0}
     assert nonzero == {(0, 1, 1): Q(2, 3), (1, 0, 1): Q(-2, 3)}
 
-    sc_ab = structure_constants(alg(T(1, 1), X_BETA))
+    sc_ab = alg(T(1, 1), X_BETA).constants
     assert sc_ab.is_abelian()
 
-    sc_n = structure_constants(Subalgebra(standard_subalgebra("n")))
+    sc_n = Subalgebra(standard_subalgebra("n")).constants
     # echelon order: X_beta, X_{a+2b}, X_{a+b}, X_alpha
     assert sc_n.table[0][3][2] == 1   # [x_beta, x_alpha] = x_{a+b}
     assert sc_n.table[0][2][1] == 2   # [x_beta, x_{a+b}] = 2 x_{a+2b}
@@ -118,7 +117,7 @@ def test_structure_constants_roundtrip(rng):
     for _ in range(15):
         g = generated_subalgebra([random_borel_element(rng),
                                   random_borel_element(rng)])
-        sc = structure_constants(g)
+        sc = g.constants
         assert is_antisymmetric(sc)
         assert satisfies_jacobi(sc)
         basis = g.basis
@@ -210,6 +209,6 @@ def test_constants_in_matches_change_basis_over_rational_coordinates(mats, rnd):
     g = conjugator_pool(rnd, n=1)[0] * diag_conjugator(2, Q(1, 3), Q(1, 2), 3)
     ginv = inverse(g)
     moved = [g * m * ginv for m in mats]
-    sub = Subalgebra(echelon_span(moved))
+    sub = Subalgebra(Subspace(moved))
     assert (sub.constants_in(moved)
             == moved_constants(sub.constants, [coords(sub.space, m) for m in moved]))

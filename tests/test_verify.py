@@ -21,7 +21,7 @@ from sp4solvable.rational import Q
 from sp4solvable.sp4 import T, X_ALPHA, X_BETA, conjugate_subalgebra
 from sp4solvable.invariants import nilpotent_subspace, signature
 from sp4solvable.structure import Subalgebra, generated_subalgebra
-from sp4solvable.verify import (VerificationReport, match_catalog,
+from sp4solvable.verify import (CheckRecord, VerificationReport, match_catalog,
                                 random_subalgebra_probe, verify_catalog,
                                 verify_entry, verify_separations)
 
@@ -80,8 +80,41 @@ def test_probe_runs_only_for_a_positive_count():
     checks = [r.check for r in verify_catalog(params=(Q(2),), probe_seed=3, probe_count=2).records]
     assert sum("random subalgebras" in c for c in checks) == 1
     for count in (0, -5):
+        # without the probe, nothing of this run reads the stored signatures
         rep = verify_catalog(params=(Q(2),), probe_count=count)
-        assert not any(r.row_id == "probe" for r in rep.records)
+        assert not any(r.row_id in ("probe", "stored-signatures") for r in rep.records)
+
+
+def test_verify_catalog_is_its_parts_in_order():
+    # each row, the separations, the stored signatures, then the probe; each
+    # verifier called alone names its own samples
+    params = (Q(2),)
+    rows = load_catalog()
+    parts = [verify_entry(e, params) for e in rows] + [verify_separations(rows, params)]
+    assert all(part.samples == params for part in parts)
+    probe = random_subalgebra_probe(3, 2)
+    assert probe.samples == ()
+    stored = CheckRecord("stored-signatures", "-", "57 parameter-free rows", "pass")
+    rep = verify_catalog(params=params, probe_seed=3, probe_count=2)
+    assert rep.samples == params
+    assert rep.records == [r for part in parts for r in part.records] + [stored] + probe.records
+
+
+def test_the_stored_signatures_record_names_four_rows_and_counts_the_rest(monkeypatch):
+    monkeypatch.setattr(verify, "_row_signatures", lambda: {})
+    (record,) = verify._stored_signatures(load_catalog()).records
+    assert record.status == "fail"
+    assert record.detail == "; ".join([f"{e.row_id}: no entry" for e in load_catalog()
+                                       if not e.param][:4] + ["53 more"])
+
+
+def test_a_row_whose_data_faults_fails_the_stored_signatures_record():
+    # <X_alpha, X_beta> is not closed, so the row has no signature
+    not_closed = ((0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0))
+    rows = [e.replace(basis=not_closed) if e.row_id == "d1_T11_Xb" else e
+            for e in load_catalog()]
+    (record,) = verify._stored_signatures(rows).records
+    assert record.status == "fail" and record.detail.startswith("Sp4Error(")
 
 
 def test_verify_catalog_builds_each_bracket_table_once(monkeypatch):

@@ -55,7 +55,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from sp4solvable.catalog import load_catalog  # noqa: E402
 from sp4solvable.invariants import signature  # noqa: E402
 from sp4solvable.jordan import classify_element  # noqa: E402
-from sp4solvable.linalg import Mat4, echelon_span  # noqa: E402
+from sp4solvable.linalg import Mat4, Subspace  # noqa: E402
 from sp4solvable.rational import Q, format_rational  # noqa: E402
 from sp4solvable.sp4 import (A_MAT, AJ_MAT, J_FORM, W_MAT, X_ALPHA, X_BETA, T,  # noqa: E402
                              conjugate, conjugate_subalgebra, element, shear)
@@ -85,7 +85,7 @@ def hyperplanes(space, values=(-1, 0, 1)):
         rows = [[f[k] * (j == i) - f[i] * (j == k) for j in range(d)] for i in range(d) if i != k]
         if any(sum(map(mul, f, sc._bracket_num(u, v))) for u, v in combinations(rows, 2)):
             continue
-        h = echelon_span([b * f[k] - basis[k] * f[i] for i, b in enumerate(basis) if i != k])
+        h = Subspace([b * f[k] - basis[k] * f[i] for i, b in enumerate(basis) if i != k])
         if h not in seen:
             seen.add(h)
             yield h
